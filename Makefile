@@ -19,7 +19,7 @@ race:
 # bench-smoke: one fast pass over the headline benchmarks — enough to
 # catch perf regressions in CI without regenerating every figure.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkSearchTelemetry|BenchmarkSearchTracing|BenchmarkSearchRecorder|BenchmarkSearchJournal|BenchmarkSearchQuality|BenchmarkSearchMemsize' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkSearchTelemetry|BenchmarkSearchTracing|BenchmarkSearchRecorder|BenchmarkSearchJournal|BenchmarkSearchQuality|BenchmarkSearchMemsize|BenchmarkSearchDense$$' -benchtime 100x .
 
 # bench-telemetry: the observability overhead comparison (off vs on)
 # backing the ≤5% search hot-path budget; see README "Observability".

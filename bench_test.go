@@ -563,6 +563,54 @@ func BenchmarkSearchThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchDense measures the search whose cost is per-candidate
+// work, which the earliest-fifth split of the benchmarks above never
+// reaches (most of their searches match nothing): one hour of trips,
+// every fifth a ride and the rest requests — the split of the repository
+// benchmark's search_dense workload — on the default (16-shard) engine,
+// so a search examines hundreds of candidates and returns dozens of
+// matches. allocs/op is exact and gated by `make bench-trend`.
+func BenchmarkSearchDense(b *testing.B) {
+	w := world(b)
+	wcfg := workload.DefaultConfig(5000, w.Scale.Seed+2)
+	wcfg.StartHour, wcfg.EndHour = 8, 9
+	trips, err := workload.Generate(w.City, wcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewEngine(w.Disc, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var reqs []core.Request
+	for i, t := range trips {
+		if i%5 == 0 {
+			_, _ = eng.CreateRide(core.RideOffer{
+				Source: t.Pickup, Dest: t.Dropoff,
+				Departure: t.RequestTime + w.Scale.WindowSlack/2, Seats: 4, DetourLimit: w.Scale.DetourLimit,
+			})
+			continue
+		}
+		reqs = append(reqs, core.Request{
+			Source: t.Pickup, Dest: t.Dropoff,
+			EarliestDeparture: t.RequestTime, LatestDeparture: t.RequestTime + w.Scale.WindowSlack,
+			WalkLimit: w.Scale.WalkLimit,
+		})
+		// Per-grid attributes are computed on first use; do that here so
+		// the measured allocations are the search's own.
+		w.Disc.Info(w.Disc.GridAt(t.Pickup))
+		w.Disc.Info(w.Disc.GridAt(t.Dropoff))
+	}
+	matches := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms, _ := eng.Search(reqs[i%len(reqs)])
+		matches += len(ms)
+	}
+	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+}
+
 // seededConcurrentXAR builds an XAR system with the concurrent engine
 // configuration — a striped ride index (16 shards) — preloaded with the
 // world's offers. The parallel benchmarks measure THIS configuration:

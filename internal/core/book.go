@@ -165,12 +165,12 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 	}
 	// Re-derive the best valid support pair; the search's snapshot may be
 	// stale.
-	fresh, ok := checkDetourAndOrder(sh.Ix, r, m.PickupCluster, m.DropoffCluster)
-	if !ok {
+	ps, pd := bestSupportPair(r, m.PickupCluster, m.DropoffCluster, 0)
+	if ps == nil {
 		sh.RUnlock()
 		return Booking{}, false, ErrNoLongerFeasible
 	}
-	sSeg, dSeg := fresh.pickupSeg(), fresh.dropoffSeg()
+	sSeg, dSeg, freshEstimate := int(ps.Seg), int(pd.Seg), ps.Detour+pd.Detour
 	if sSeg > dSeg {
 		sh.RUnlock()
 		return Booking{}, false, ErrNoLongerFeasible
@@ -200,7 +200,7 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 	// Still no shortest-path computation: this is a table lookup chain,
 	// and it is the "approximated detour" the paper's Figure 3a compares
 	// against the exact splice cost.
-	estimate := e.refineDetourEstimate(shadow, sSeg, dSeg, puLM, doLM, fresh.DetourEstimate)
+	estimate := e.refineDetourEstimate(shadow, sSeg, dSeg, puLM, doLM, freshEstimate)
 
 	f := e.finder()
 	var newRoute []roadnet.NodeID
@@ -358,12 +358,6 @@ func (e *Engine) refineDetourEstimate(r *index.Ride, sSeg, dSeg, puLM, doLM int,
 	}
 	return est
 }
-
-// pickupSeg and dropoffSeg expose the segment of the chosen supports.
-// Supports carry the pass-through order; the segment is what booking
-// splices into. We recover it via the stored orders.
-func (m Match) pickupSeg() int  { return m.pickupSegv }
-func (m Match) dropoffSeg() int { return m.dropoffSegv }
 
 // spliceRoute builds the new route and via-point list for a pickup in
 // segment sSeg and a drop-off in segment dSeg (sSeg ≤ dSeg), running at

@@ -1,0 +1,312 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"sort"
+	"testing"
+
+	"xar/internal/index"
+	"xar/internal/journal"
+	"xar/internal/quality"
+	"xar/internal/telemetry"
+	"xar/internal/workload"
+)
+
+// denseFixture loads an engine the way the benchmark's search_dense
+// workload does: one trip stream, every fifth trip a ride and the rest
+// requests, so rides and requests cover the same hours and a search
+// matches dozens of rides. Then it books a few matches (multi-segment
+// rides, re-registered) and tracks the fleet to the middle of the first
+// ride's route (crossed pass-throughs, compacted support tables); no
+// ride is re-registered after being tracked, so every pass-through run
+// still starts at route index 0 — what referenceSupports assumes.
+func denseFixture(t testing.TB, cfg Config, window float64) (*Engine, []Request) {
+	t.Helper()
+	e, err := NewEngine(newTestEngine(t).disc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := workload.DefaultConfig(1500, 5)
+	wcfg.StartHour, wcfg.EndHour = 8, 9
+	trips, err := workload.Generate(e.disc.City(), wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []Request
+	var first index.RideID
+	for i, trip := range trips {
+		if i%5 == 0 {
+			id, err := e.CreateRide(RideOffer{Source: trip.Pickup, Dest: trip.Dropoff, Departure: trip.RequestTime + 450})
+			if err == nil && first == 0 {
+				first = id
+			}
+			continue
+		}
+		reqs = append(reqs, Request{
+			Source: trip.Pickup, Dest: trip.Dropoff,
+			EarliestDeparture: trip.RequestTime, LatestDeparture: trip.RequestTime + window,
+			WalkLimit: 1000,
+		})
+	}
+	booked := 0
+	for _, req := range reqs {
+		if booked == 20 {
+			break
+		}
+		if ms, _ := e.Search(req); len(ms) > 0 {
+			if _, err := e.Book(ms[0], req); err == nil {
+				booked++
+			}
+		}
+	}
+	if booked == 0 {
+		t.Fatal("fixture booked nothing")
+	}
+	r := e.Ride(first)
+	if _, err := e.TrackAll(r.RouteETA[len(r.RouteETA)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Index().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return e, reqs
+}
+
+// refSupport is one element of what Index.Supports returned before the
+// support table went flat.
+type refSupport struct {
+	order, seg  int
+	detour, eta float64
+}
+
+// referenceSupports rebuilds Index.Supports(r, c) as it was — a per-call
+// filter, copy and detour sort over the ride's supports of c — from the
+// ride's public schedule and the cluster distances alone, sharing
+// nothing with the flat table, its sort or its compaction.
+func referenceSupports(e *Engine, r *index.Ride, c int) []refSupport {
+	d := e.disc
+	segmentOf := func(idx int) int {
+		for s := 0; s+1 < len(r.Via); s++ {
+			if idx >= r.Via[s].RouteIdx && idx <= r.Via[s+1].RouteIdx {
+				if idx == r.Via[s+1].RouteIdx && s+2 < len(r.Via) {
+					continue
+				}
+				return s
+			}
+		}
+		return len(r.Via) - 2
+	}
+	var out []refSupport
+	order := -1
+	for i := 0; i < len(r.Route); {
+		pc := d.ClusterOfNode(r.Route[i])
+		if pc < 0 {
+			i++
+			continue
+		}
+		// One pass-through run: equal cluster and segment, consecutive nodes.
+		seg, first := segmentOf(i), i
+		for i++; i < len(r.Route) && d.ClusterOfNode(r.Route[i]) == pc && segmentOf(i) == seg; i++ {
+		}
+		order++
+		if i-1 < r.Progress {
+			continue // crossed
+		}
+		eta := r.RouteETA[first]
+		if pc == c {
+			out = append(out, refSupport{order: order, seg: seg, eta: eta})
+			continue
+		}
+		dist := d.ClusterDist(pc, c)
+		if dist > r.DetourLimit {
+			continue
+		}
+		detour := dist
+		if via := d.ClusterOfNode(r.Via[seg+1].Node); via >= 0 {
+			detour = math.Max(0, dist+d.ClusterDist(c, via)-d.ClusterDist(pc, via))
+			if detour > r.DetourLimit {
+				continue
+			}
+		}
+		out = append(out, refSupport{order: order, seg: seg, detour: detour, eta: eta + dist/e.cfg.Index.AvgSpeed})
+	}
+	// Supports held at most a dozen entries per cluster, where sort.Slice
+	// is an insertion sort: equal detours stayed in route order.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].detour < out[j].detour })
+	return out
+}
+
+// referenceSearch is the search as it ran on per-call sorted supports
+// and without the candidate table: every ride of the fleet is tried
+// against the request, taking the least-walk listed in-window cluster on
+// each side and the old detour-and-order scan over referenceSupports.
+func referenceSearch(t testing.TB, e *Engine, req Request) []Match {
+	t.Helper()
+	srcSide, err := e.walkableSide(req.Source, req.WalkLimit)
+	if err != nil {
+		return nil
+	}
+	dstSide, err := e.walkableSide(req.Dest, req.WalkLimit)
+	if err != nil {
+		return nil
+	}
+	var out []Match
+	for i := 0; i < e.ix.NumShards(); i++ {
+		ix := e.ix.Shard(i).Ix
+		inWindow := func(side []sideCandidate, id index.RideID, t2 float64) (sideCandidate, bool) {
+			for _, sc := range side {
+				if eta, ok := ix.HasPotentialRide(sc.Cluster, id); ok && eta >= req.EarliestDeparture && eta <= t2 {
+					return sc, true
+				}
+			}
+			return sideCandidate{}, false
+		}
+		ix.Rides(func(r *index.Ride) bool {
+			src, okS := inWindow(srcSide, r.ID, req.LatestDeparture)
+			dst, okD := inWindow(dstSide, r.ID, req.LatestDeparture+e.cfg.DestWindowSlack)
+			if !okS || !okD || r.SeatsAvail <= 0 {
+				return true
+			}
+			if src.Walk+dst.Walk > req.WalkLimit {
+				var ok bool
+				if src, dst, ok = bestWalkPair(ix, srcSide, dstSide, r.ID, req); !ok {
+					return true
+				}
+			}
+			bestTotal, found := r.DetourLimit+1, false
+			var bm Match
+			dups := referenceSupports(e, r, dst.Cluster)
+			for _, s := range referenceSupports(e, r, src.Cluster) {
+				if s.detour >= bestTotal {
+					break
+				}
+				for _, d := range dups {
+					total := s.detour + d.detour
+					if total >= bestTotal {
+						break
+					}
+					if d.order < s.order || d.eta < s.eta || total > r.DetourLimit {
+						continue
+					}
+					bestTotal, found = total, true
+					bm = Match{
+						Ride: r.ID, PickupCluster: src.Cluster, DropoffCluster: dst.Cluster,
+						WalkSource: src.Walk, WalkDest: dst.Walk,
+						DetourEstimate: total, PickupETA: s.eta, DropoffETA: d.eta,
+						pickupOrder: s.order, dropoffOrder: d.order, pickupSegv: s.seg, dropoffSegv: d.seg,
+					}
+					break
+				}
+			}
+			if found {
+				out = append(out, bm)
+			}
+			return true
+		})
+	}
+	slices.SortFunc(out, func(a, b Match) int { return compareMatches(&a, &b) })
+	return out
+}
+
+// TestSearchEqualsSupportsReference: on a dense fleet the search returns
+// exactly the matches — ride, clusters, walks, detour estimate, ETAs,
+// support positions and segments, in the same order — of referenceSearch.
+func TestSearchEqualsSupportsReference(t *testing.T) {
+	e, reqs := denseFixture(t, DefaultConfig(), 900)
+	total, multiSeg := 0, 0
+	for i := 0; i < len(reqs); i += 3 {
+		got, err := e.Search(reqs[i])
+		if err != nil && err != ErrNotServable {
+			t.Fatal(err)
+		}
+		want := referenceSearch(t, e, reqs[i])
+		if !slices.Equal(got, want) {
+			t.Fatalf("request %d: search returned %d matches, reference %d\n got  %+v\n want %+v", i, len(got), len(want), got, want)
+		}
+		total += len(got)
+		for _, m := range got {
+			if m.pickupSegv > 0 || m.dropoffSegv > 0 {
+				multiSeg++
+			}
+		}
+	}
+	if n := len(reqs) / 3; total < 20*n {
+		t.Fatalf("fixture is not dense: %d matches over %d searches", total, n)
+	}
+	if multiSeg == 0 {
+		t.Fatal("no match used a support past a booked via-point")
+	}
+}
+
+// TestSearchAllocsDoNotScaleWithMatches: the per-candidate and per-match
+// work of a search allocates nothing — a search returning dozens of
+// matches allocates the slice it returns and nothing that grows with
+// the result.
+func TestSearchAllocsDoNotScaleWithMatches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	e, reqs := denseFixture(t, DefaultConfig(), 900)
+	var req Request
+	most := 0
+	for _, r := range reqs {
+		if ms, _ := e.Search(r); len(ms) > most {
+			req, most = r, len(ms)
+		}
+	}
+	if most < 50 {
+		t.Fatalf("densest request matches %d rides, want at least 50", most)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if ms, _ := e.Search(req); len(ms) != most {
+			t.Fatalf("search returned %d matches, then %d", most, len(ms))
+		}
+	})
+	t.Logf("%d matches, %.1f allocations per search", most, allocs)
+	if allocs > 8 {
+		t.Fatalf("a search returning %d matches allocated %.0f times, want at most 8", most, allocs)
+	}
+}
+
+// TestSampledSearchJournalsDeterministically: the same sampled search,
+// run twice against a frozen fleet, journals the same candidate and
+// rejection events in the same order — which rides the capped sample
+// shows does not depend on map iteration order.
+func TestSampledSearchJournalsDeterministically(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.NewRegistry()
+	cfg.Journal = journal.New(journal.Config{})
+	cfg.Quality = quality.New(nil)
+	cfg.SearchSampleRate = 1
+	e, reqs := denseFixture(t, cfg, 900)
+	defer e.Close()
+	journaled := func(req Request) []journal.Event {
+		since := cfg.Journal.LastSeq()
+		if _, err := e.Search(req); err != nil && err != ErrNotServable {
+			t.Fatal(err)
+		}
+		return cfg.Journal.Tail(journal.TailFilter{SinceSeq: since, Limit: 4 * maxCandidateEvents})
+	}
+	candidates, rejections := 0, 0
+	for i := 0; i < len(reqs); i += 10 {
+		a, b := journaled(reqs[i]), journaled(reqs[i])
+		if len(a) != len(b) {
+			t.Fatalf("request %d journaled %d events, then %d", i, len(a), len(b))
+		}
+		for k := range a {
+			if a[k].Type != b[k].Type || a[k].Ride != b[k].Ride || a[k].Value != b[k].Value || a[k].Note != b[k].Note {
+				t.Fatalf("request %d, event %d differs between two identical searches:\n %+v\n %+v", i, k, a[k], b[k])
+			}
+			switch a[k].Type {
+			case journal.SearchCandidate:
+				candidates++
+			case journal.MatchRejected:
+				rejections++
+			}
+		}
+	}
+	if candidates == 0 || rejections == 0 {
+		t.Fatalf("journaled %d candidate and %d rejection events, want both", candidates, rejections)
+	}
+}

@@ -189,8 +189,8 @@ type Config struct {
 	Memory *memsize.Registry
 	// MemSweepInterval starts a background sweep worker on that cadence
 	// (requires Memory). The worker duty-cycles itself — it sleeps at
-	// least 19× the last sweep's duration — so accounting stays within a
-	// ≤5%-of-one-core budget no matter how large the fleet grows. 0
+	// least 99× the last sweep's duration — so accounting stays within a
+	// ≤1%-of-one-core budget no matter how large the fleet grows. 0
 	// leaves sweeping on-demand only (MemSweep / the HTTP handler).
 	MemSweepInterval time.Duration
 
@@ -321,8 +321,8 @@ type Engine struct {
 	newFinder func() pathFinder
 
 	// scratchPool recycles per-worker search working sets (candidate
-	// maps, posting-list pull buffer) so a search allocates nothing per
-	// shard it visits.
+	// set, posting-list pull buffer, match buffer) so a search allocates
+	// nothing per shard it visits, candidate it examines or match it finds.
 	scratchPool sync.Pool
 
 	// router is the effective routing algorithm ("astar", "alt", "ch")

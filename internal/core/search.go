@@ -1,15 +1,17 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"xar/internal/discretize"
 	"xar/internal/geo"
 	"xar/internal/index"
 	"xar/internal/journal"
@@ -163,10 +165,10 @@ func (e *Engine) SearchKCtx(ctx context.Context, req Request, k int) ([]Match, e
 	return ms, nil
 }
 
-type sideCandidate struct {
-	cluster int
-	walk    float64
-}
+// sideCandidate is one walkable cluster of a request endpoint. Side
+// lists are sub-slices of the discretization's per-grid lists: ascending
+// by walk, read-only.
+type sideCandidate = discretize.WalkableCluster
 
 // relaxFlags marks constraints the shadow counterfactual matcher lifts
 // when re-running a no-match request. The production search always runs
@@ -200,19 +202,20 @@ type rejectedCandidate struct {
 	stage int
 }
 
-// shardSearchResult carries one shard's matches plus its stage timings
-// (zero unless the search is traced). Timings are accumulated per shard
-// and summed after the join, so the parallel fan-out needs no shared
-// clocks; under workers the sums measure CPU time, not wall time.
+// shardSearchResult carries one shard's match count plus its stage
+// timings (zero unless the search is traced); the matches themselves go
+// to the worker's searchScratch. Timings are accumulated per shard and
+// summed after the join, so the parallel fan-out needs no shared clocks;
+// under workers the sums measure CPU time, not wall time.
 type shardSearchResult struct {
-	matches          []Match
+	matches          int
 	cand, final      time.Duration
 	walkPair, detour time.Duration
 	// funnel counts this shard's candidate eliminations per quality
 	// stage (all zero unless the engine has a quality collector). Local
 	// ints here, one batched atomic add after the merge — the funnel
 	// never adds per-candidate atomics to the hot loop. examined is the
-	// candidate-set size (len(r1)), counted independently of the stages
+	// candidate-set size (|R1|), counted independently of the stages
 	// so the auditor's funnel_accounting invariant cross-checks the
 	// classification rather than restating it.
 	funnel   [quality.NumStages]uint64
@@ -226,31 +229,26 @@ type shardSearchResult struct {
 	end time.Time
 }
 
-// searchScratch holds the per-shard working set of one search worker:
-// the source/destination candidate maps and the posting-list pull
-// buffer. One scratch is reused across every shard a worker visits
-// (maps cleared between shards), so the per-shard cost of the sharded
-// search is lock + scan, not two map allocations per stripe — that
-// reuse is what keeps the single-threaded latency at the unsharded
-// level.
+// searchScratch holds the working set of one search worker: the
+// candidate set and posting-list pull buffer of the shard being visited,
+// and the matches of every shard visited so far. One scratch is reused
+// across every shard a worker visits and, through Engine.scratchPool,
+// across searches — so a search's allocations do not grow with the
+// shards it visits, the candidates it examines or the matches it finds
+// (TestSearchAllocsDoNotScaleWithMatches); that reuse is also what keeps
+// the single-threaded latency at the unsharded level.
 type searchScratch struct {
-	r1, r2 map[index.RideID]sideCandidate
-	ids    []index.RideID
+	set     *candSet
+	ids     []index.RideID
+	matches []Match
+	order   []*Match // sort buffer of the merge, into matches
 	// results is the per-shard result array of one search (serial path
 	// only; the parallel path needs a private array per search anyway).
 	results []shardSearchResult
 }
 
 func newSearchScratch() *searchScratch {
-	return &searchScratch{
-		r1: make(map[index.RideID]sideCandidate),
-		r2: make(map[index.RideID]sideCandidate),
-	}
-}
-
-func (s *searchScratch) reset() {
-	clear(s.r1)
-	clear(s.r2)
+	return &searchScratch{set: newCandSet()}
 }
 
 // search runs the two-step lookup and fan-out. span is the operation's
@@ -310,6 +308,8 @@ func (e *Engine) search(span *telemetry.Span, req Request, timed, fine bool, opt
 func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSide []sideCandidate, fine bool, tel *engineTelemetry, fanStart time.Time, opts searchOpts) ([]Match, error) {
 
 	nsh := e.ix.NumShards()
+	var all []Match    // every shard's matches, unordered
+	var order []*Match // into all
 	var results []shardSearchResult
 	workers := e.cfg.SearchWorkers
 	if workers > nsh {
@@ -321,6 +321,7 @@ func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSid
 			scratch.results = make([]shardSearchResult, nsh)
 		}
 		results = scratch.results[:nsh]
+		scratch.matches = scratch.matches[:0]
 		// Serially, shard i's span ends exactly where shard i+1's begins,
 		// so each close instant feeds forward as the next start.
 		start := fanStart
@@ -328,9 +329,14 @@ func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSid
 			results[i] = e.searchShard(span, i, req, srcSide, dstSide, fine, scratch, start, opts)
 			start = results[i].end
 		}
-		defer e.scratchPool.Put(scratch)
+		all, order = scratch.matches, scratch.order[:0]
+		defer func() {
+			scratch.order = order
+			e.scratchPool.Put(scratch)
+		}()
 	} else {
 		results = make([]shardSearchResult, nsh)
+		var allMu sync.Mutex
 		// Opt-in parallel candidate evaluation: workers claim shards off
 		// an atomic cursor; each shard is still processed under only its
 		// own read lock. Per-shard spans end on worker goroutines — the
@@ -344,9 +350,13 @@ func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSid
 				defer wg.Done()
 				scratch := e.scratchPool.Get().(*searchScratch)
 				defer e.scratchPool.Put(scratch)
+				scratch.matches = scratch.matches[:0]
 				for {
 					i := int(cursor.Add(1)) - 1
 					if i >= nsh {
+						allMu.Lock()
+						all = append(all, scratch.matches...)
+						allMu.Unlock()
 						return
 					}
 					// Workers interleave, so no end-to-start clock reuse:
@@ -369,12 +379,10 @@ func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSid
 		wg.Wait()
 	}
 
-	var out []Match
 	var candTime, finalTime, walkPairTime, detourTime time.Duration
 	var funnel [quality.NumStages]uint64
 	var examined uint64
 	for i := range results {
-		out = append(out, results[i].matches...)
 		candTime += results[i].cand
 		finalTime += results[i].final
 		walkPairTime += results[i].walkPair
@@ -405,12 +413,19 @@ func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSid
 	if tel != nil {
 		sortMark = time.Now()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TotalWalk() != out[j].TotalWalk() {
-			return out[i].TotalWalk() < out[j].TotalWalk()
+	// A match is 96 bytes: order pointers to them, then copy each once
+	// into the slice the caller owns.
+	for i := range all {
+		order = append(order, &all[i])
+	}
+	slices.SortFunc(order, compareMatches)
+	var out []Match
+	if len(order) > 0 {
+		out = make([]Match, len(order))
+		for i, m := range order {
+			out[i] = *m
 		}
-		return out[i].Ride < out[j].Ride
-	})
+	}
 	if tel != nil {
 		tel.stages[stageCandidate].ObserveDuration(candTime)
 		tel.stages[stageFinalCheck].ObserveDuration(finalTime + time.Since(sortMark))
@@ -424,12 +439,22 @@ func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSid
 	return out, nil
 }
 
+// compareMatches orders matches by total walking distance, equal walks
+// by ride ID — a total order, since a search matches a ride at most once.
+func compareMatches(a, b *Match) int {
+	if c := cmp.Compare(a.TotalWalk(), b.TotalWalk()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Ride, b.Ride)
+}
+
 // searchShard runs steps 1+2 and the final checks against one shard's
 // posting lists, under that shard's read lock only. When the trace
 // records, the shard gets its own "search_shard" span carrying the
 // shard number and match count — the per-shard fan-out breakdown that
 // explains a straggling stripe; when the search is also metrics-sampled
 // (fine) the span additionally carries the candidate/final stage split.
+// Matches are appended to s.matches.
 func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, srcSide, dstSide []sideCandidate, fine bool, s *searchScratch, start time.Time, opts searchOpts) (res shardSearchResult) {
 	span := parent.ChildAt("search_shard", start)
 	var mark time.Time
@@ -449,7 +474,7 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 				span.SetFloat("candidate_scan_s", res.cand.Seconds())
 				span.SetFloat("final_check_s", res.final.Seconds())
 			}
-			span.SetInt("matches", int64(len(res.matches)))
+			span.SetInt("matches", int64(res.matches))
 			span.EndAt(now)
 			res.end = now
 		}()
@@ -464,38 +489,35 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 	defer sh.RUnlock()
 	ix := sh.Ix
 
-	// Step 1: source-side candidates among this shard's rides. For each
-	// ride remember the best (least-walk) source cluster that produced it.
-	r1 := s.r1
+	// Step 1: source-side candidates among this shard's rides. The side
+	// lists ascend by walk, so the first cluster to produce a ride is the
+	// least-walk one that does.
+	set := s.set
+	set.reset()
 	for _, sc := range srcSide {
-		s.ids = ix.PotentialRides(sc.cluster, req.EarliestDeparture, req.LatestDeparture, s.ids[:0])
+		s.ids = ix.PotentialRides(sc.Cluster, req.EarliestDeparture, req.LatestDeparture, s.ids[:0])
 		for _, id := range s.ids {
-			if prev, ok := r1[id]; !ok || sc.walk < prev.walk {
-				r1[id] = sideCandidate{cluster: sc.cluster, walk: sc.walk}
-			}
+			set.add(id, sc)
 		}
 	}
-	if len(r1) == 0 {
+	if len(set.cands) == 0 {
 		if span == nil && fine {
 			res.cand = time.Since(mark)
 		}
 		return res
 	}
-	defer s.reset()
 
 	// Step 2: destination-side candidates and intersection R1 ∩ R2.
 	// The destination window extends past the departure window because
 	// the drop-off happens after the pickup.
 	destT2 := req.LatestDeparture + e.cfg.DestWindowSlack
-	r2 := s.r2
+	inBoth := 0
 	for _, dc := range dstSide {
-		s.ids = ix.PotentialRides(dc.cluster, req.EarliestDeparture, destT2, s.ids[:0])
+		s.ids = ix.PotentialRides(dc.Cluster, req.EarliestDeparture, destT2, s.ids[:0])
 		for _, id := range s.ids {
-			if _, inR1 := r1[id]; !inR1 {
-				continue // intersection only
-			}
-			if prev, ok := r2[id]; !ok || dc.walk < prev.walk {
-				r2[id] = sideCandidate{cluster: dc.cluster, walk: dc.walk}
+			if c := set.find(id); c != nil && c.dst.Cluster < 0 {
+				c.dst = dc
+				inBoth++
 			}
 		}
 	}
@@ -506,15 +528,15 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 		inFinal = true
 	}
 
-	// Funnel accounting (quality collector only): every ride in r1 is
-	// one examined candidate and lands in exactly one stage. Candidates
-	// that fell out of the r1∩r2 intersection missed the destination
+	// Funnel accounting (quality collector only): every ride in the set
+	// is one examined candidate and lands in exactly one stage. Candidates
+	// that fell out of the R1∩R2 intersection missed the destination
 	// window; the final loop classifies the survivors. Local counts
 	// here, one batched atomic add after the merge.
 	track := opts.qc != nil
 	if track {
-		res.examined = uint64(len(r1))
-		res.funnel[quality.WindowMiss] += uint64(len(r1) - len(r2))
+		res.examined = uint64(len(set.cands))
+		res.funnel[quality.WindowMiss] += uint64(len(set.cands) - inBoth)
 	}
 	reject := func(id index.RideID, stage int) {
 		res.funnel[stage]++
@@ -523,9 +545,13 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 		}
 	}
 
-	// Final checks on the intersection.
-	for id, dst := range r2 {
-		src := r1[id]
+	// Final checks on the intersection, in insertion order — so which
+	// candidates a capped journal sample shows is the same run to run.
+	for i := range set.cands {
+		id, src, dst := set.cands[i].id, set.cands[i].src, set.cands[i].dst
+		if dst.Cluster < 0 {
+			continue
+		}
 		r := ix.Ride(id)
 		if r == nil {
 			// Stale posting: the ride left the index between the window
@@ -544,7 +570,7 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 		// Combined walking distance within the requester's limit. The
 		// per-side lists were pruned by the full limit, so the sum needs
 		// its own check.
-		if src.walk+dst.walk > req.WalkLimit {
+		if src.Walk+dst.Walk > req.WalkLimit {
 			// The best-walk cluster pair may fail while another pair
 			// passes; try to find any feasible pair cheaply by scanning
 			// the (short, sorted) walkable lists again.
@@ -563,30 +589,38 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 				continue
 			}
 		}
-		var m Match
-		var ok bool
-		switch {
-		case opts.relax&(relaxDetour|relaxOrder) != 0:
-			m, ok = checkDetourAndOrderRelaxed(ix, r, src.cluster, dst.cluster, opts.relax)
-		case fine:
+		var ps, pd *index.Support
+		if fine && opts.relax == 0 {
 			t0 := time.Now()
-			m, ok = checkDetourAndOrder(ix, r, src.cluster, dst.cluster)
+			ps, pd = bestSupportPair(r, src.Cluster, dst.Cluster, 0)
 			res.detour += time.Since(t0)
-		default:
-			m, ok = checkDetourAndOrder(ix, r, src.cluster, dst.cluster)
+		} else {
+			ps, pd = bestSupportPair(r, src.Cluster, dst.Cluster, opts.relax)
 		}
-		if !ok {
+		if ps == nil {
 			if track {
-				reject(id, classifyDetourReject(ix, r, src.cluster, dst.cluster))
+				reject(id, classifyDetourReject(r, src.Cluster, dst.Cluster))
 			}
 			continue
 		}
 		if track {
 			res.funnel[quality.Matched]++
 		}
-		m.WalkSource = src.walk
-		m.WalkDest = dst.walk
-		res.matches = append(res.matches, m)
+		s.matches = append(s.matches, Match{
+			Ride:           id,
+			PickupCluster:  src.Cluster,
+			DropoffCluster: dst.Cluster,
+			WalkSource:     src.Walk,
+			WalkDest:       dst.Walk,
+			DetourEstimate: ps.Detour + pd.Detour,
+			PickupETA:      ps.ETA,
+			DropoffETA:     pd.ETA,
+			pickupOrder:    int(ps.Order),
+			dropoffOrder:   int(pd.Order),
+			pickupSegv:     int(ps.Seg),
+			dropoffSegv:    int(pd.Seg),
+		})
+		res.matches++
 	}
 	if span == nil && fine {
 		res.final = time.Since(mark)
@@ -603,13 +637,9 @@ func (e *Engine) walkableSide(p geo.Point, limit float64) ([]sideCandidate, erro
 	if gi == nil {
 		return nil, ErrNotServable
 	}
-	pruned := gi.WalkableWithin(limit)
-	if len(pruned) == 0 {
+	side := gi.WalkableWithin(limit)
+	if len(side) == 0 {
 		return nil, ErrNotServable
-	}
-	side := make([]sideCandidate, len(pruned))
-	for i, wc := range pruned {
-		side[i] = sideCandidate{cluster: wc.Cluster, walk: wc.Walk}
 	}
 	return side, nil
 }
@@ -621,18 +651,18 @@ func (e *Engine) walkableSide(p geo.Point, limit float64) ([]sideCandidate, erro
 func bestWalkPair(ix *index.Index, srcSide, dstSide []sideCandidate, id index.RideID, req Request) (s, d sideCandidate, ok bool) {
 	best := req.WalkLimit + 1
 	for _, sc := range srcSide {
-		if sc.walk >= best {
+		if sc.Walk >= best {
 			break
 		}
-		if _, listed := ix.HasPotentialRide(sc.cluster, id); !listed {
+		if _, listed := ix.HasPotentialRide(sc.Cluster, id); !listed {
 			continue
 		}
 		for _, dc := range dstSide {
-			total := sc.walk + dc.walk
+			total := sc.Walk + dc.Walk
 			if total >= best || total > req.WalkLimit {
 				break
 			}
-			if _, listed := ix.HasPotentialRide(dc.cluster, id); !listed {
+			if _, listed := ix.HasPotentialRide(dc.Cluster, id); !listed {
 				continue
 			}
 			best = total
@@ -643,69 +673,58 @@ func bestWalkPair(ix *index.Index, srcSide, dstSide []sideCandidate, id index.Ri
 	return s, d, ok
 }
 
-// checkDetourAndOrder validates that the ride can serve pickup cluster cs
+// bestSupportPair validates that the ride can serve pickup cluster cs
 // then drop-off cluster cd within its remaining detour budget, using only
-// the precomputed supports: pick the support pair (ps, pd) with
-// ps.Order ≤ pd.Order minimizing combined detour. The caller holds (at
-// least) the read lock of the shard owning ix and r.
-func checkDetourAndOrder(ix *index.Index, r *index.Ride, cs, cd int) (Match, bool) {
-	sups := ix.Supports(r.ID, cs)
-	dups := ix.Supports(r.ID, cd)
-	if len(sups) == 0 || len(dups) == 0 {
-		return Match{}, false
+// the precomputed supports: it returns the support pair (ps, pd) with
+// ps.Order ≤ pd.Order and ps.ETA ≤ pd.ETA minimizing combined detour, or
+// nil, nil when none fits the budget; equal totals resolve to the first
+// pair in Ride.Supports order, pickup side first. relax is zero except in
+// shadow re-runs: relaxDetour lifts the budget, relaxOrder the
+// pickup-before-drop-off requirement. The caller holds (at least) the
+// read lock of the shard owning r, and the pair points into r's support
+// table — valid only under that lock.
+func bestSupportPair(r *index.Ride, cs, cd int, relax relaxFlags) (ps, pd *index.Support) {
+	sups, dups := r.Supports(cs), r.Supports(cd)
+	limit := r.DetourLimit
+	if relax&relaxDetour != 0 {
+		limit = math.Inf(1)
 	}
-	bestTotal := r.DetourLimit + 1
-	var bm Match
-	found := false
-	for _, s := range sups {
+	ignoreOrder := relax&relaxOrder != 0
+	bestTotal := limit + 1
+	for i := range sups {
+		s := &sups[i]
 		if s.Detour >= bestTotal {
 			break // sorted by detour
 		}
-		for _, d := range dups {
+		for j := range dups {
+			d := &dups[j]
 			total := s.Detour + d.Detour
 			if total >= bestTotal {
 				break
 			}
-			if d.Order < s.Order {
-				continue // drop-off support precedes pickup support
+			if !ignoreOrder && (d.Order < s.Order || d.ETA < s.ETA) {
+				continue // drop-off support (or its estimate) precedes the pickup's
 			}
-			if d.ETA < s.ETA {
-				continue // estimated drop-off before estimated pickup
-			}
-			if total > r.DetourLimit {
+			if total > limit {
 				continue
 			}
-			bestTotal = total
-			bm = Match{
-				Ride:           r.ID,
-				PickupCluster:  cs,
-				DropoffCluster: cd,
-				DetourEstimate: total,
-				PickupETA:      s.ETA,
-				DropoffETA:     d.ETA,
-				pickupOrder:    s.Order,
-				dropoffOrder:   d.Order,
-				pickupSegv:     s.Seg,
-				dropoffSegv:    d.Seg,
-			}
-			found = true
+			bestTotal, ps, pd = total, s, d
 			break
 		}
 	}
-	return bm, found
+	return ps, pd
 }
 
-// classifyDetourReject attributes a checkDetourAndOrder failure to its
+// classifyDetourReject attributes a bestSupportPair failure to its
 // binding constraint for the funnel: if any support pair is
 // order-feasible (drop-off support at or after the pickup support in
 // both route order and ETA), only the detour budget stood in the way;
 // otherwise no valid ordering exists at all (including the
 // no-support-pair case). Runs only for quality-tracked searches, on
 // the already-rejected slow path.
-func classifyDetourReject(ix *index.Index, r *index.Ride, cs, cd int) int {
-	sups := ix.Supports(r.ID, cs)
-	dups := ix.Supports(r.ID, cd)
-	for _, s := range sups {
+func classifyDetourReject(r *index.Ride, cs, cd int) int {
+	dups := r.Supports(cd)
+	for _, s := range r.Supports(cs) {
 		for _, d := range dups {
 			if d.Order >= s.Order && d.ETA >= s.ETA {
 				return quality.DetourBound
@@ -713,58 +732,4 @@ func classifyDetourReject(ix *index.Index, r *index.Ride, cs, cd int) int {
 		}
 	}
 	return quality.OrderInfeasible
-}
-
-// checkDetourAndOrderRelaxed is checkDetourAndOrder with shadow-matcher
-// relaxations: relaxDetour lifts the ride's remaining budget,
-// relaxOrder lifts the pickup-before-drop-off requirement. Kept
-// separate so the production hot path never branches on relax flags
-// inside the support scan.
-func checkDetourAndOrderRelaxed(ix *index.Index, r *index.Ride, cs, cd int, relax relaxFlags) (Match, bool) {
-	sups := ix.Supports(r.ID, cs)
-	dups := ix.Supports(r.ID, cd)
-	if len(sups) == 0 || len(dups) == 0 {
-		return Match{}, false
-	}
-	limit := r.DetourLimit
-	if relax&relaxDetour != 0 {
-		limit = math.Inf(1)
-	}
-	ignoreOrder := relax&relaxOrder != 0
-	bestTotal := limit + 1
-	var bm Match
-	found := false
-	for _, s := range sups {
-		if s.Detour >= bestTotal {
-			break
-		}
-		for _, d := range dups {
-			total := s.Detour + d.Detour
-			if total >= bestTotal {
-				break
-			}
-			if !ignoreOrder && (d.Order < s.Order || d.ETA < s.ETA) {
-				continue
-			}
-			if total > limit {
-				continue
-			}
-			bestTotal = total
-			bm = Match{
-				Ride:           r.ID,
-				PickupCluster:  cs,
-				DropoffCluster: cd,
-				DetourEstimate: total,
-				PickupETA:      s.ETA,
-				DropoffETA:     d.ETA,
-				pickupOrder:    s.Order,
-				dropoffOrder:   d.Order,
-				pickupSegv:     s.Seg,
-				dropoffSegv:    d.Seg,
-			}
-			found = true
-			break
-		}
-	}
-	return bm, found
 }

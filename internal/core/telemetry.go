@@ -26,7 +26,7 @@ const (
 	stageCandidate    = "candidate_scan" // steps 1+2: potential-ride pulls + intersection
 	stageFinalCheck   = "final_check"   // whole per-ride validation loop + sort
 	stageWalkPair     = "walk_pair"     // bestWalkPair time summed over the search
-	stageDetourCheck  = "detour_check"  // checkDetourAndOrder time summed over the search
+	stageDetourCheck  = "detour_check"  // bestSupportPair time summed over the search
 )
 
 // DefaultSearchSampleRate is the default 1-in-N sampling rate for search

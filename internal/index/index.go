@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"xar/internal/discretize"
@@ -42,6 +43,10 @@ type Index struct {
 	neighbors [][]neighborEntry
 
 	nextID RideID
+
+	// supBuf is register's build buffer for a ride's support table
+	// (reused across calls; the index has a single writer).
+	supBuf []Support
 }
 
 type neighborEntry struct {
@@ -166,10 +171,10 @@ func (ix *Index) Reregister(r *Ride) error {
 	return nil
 }
 
-// register computes pt entries and supports and fills cluster lists.
+// register computes pt entries and the support table and fills cluster
+// lists.
 func (ix *Index) register(r *Ride) {
 	r.pt = r.pt[:0]
-	r.support = make(map[int32][]supRef)
 
 	// 1. Pass-through clusters: walk the route, map node → cluster, and
 	// emit one entry per maximal run of equal cluster within a segment.
@@ -197,12 +202,14 @@ func (ix *Index) register(r *Ride) {
 	// Distances to the via-point are approximated by distances to the
 	// via-point's cluster, consistent with the ε error budget; via-points
 	// outside any cluster skip the refinement (conservative superset —
-	// the booking-time shortest paths remain the ground truth).
+	// the booking-time shortest paths remain the ground truth). Supports
+	// collect in the index's build buffer, so the ride's table is one
+	// exact-size allocation.
+	buf := ix.supBuf[:0]
 	for pi := range r.pt {
 		e := &r.pt[pi]
 		c := e.Cluster
-		e.Supported = append(e.Supported[:0], c)
-		ix.addSupport(c, supRef{Pt: int32(pi), Detour: 0, ETA: e.ETA}, r)
+		buf = append(buf, Support{Cluster: c, Order: int32(pi), Seg: e.Seg, ETA: e.ETA})
 
 		if ix.cfg.NoReachablePrecompute {
 			continue
@@ -231,37 +238,31 @@ func (ix *Index) register(r *Ride) {
 				}
 			}
 			eta := e.ETA + nb.Dist/ix.cfg.AvgSpeed
-			e.Supported = append(e.Supported, nb.Cluster)
-			ix.addSupport(nb.Cluster, supRef{Pt: int32(pi), Detour: detour, ETA: eta}, r)
+			buf = append(buf, Support{Cluster: nb.Cluster, Order: int32(pi), Seg: e.Seg, Detour: detour, ETA: eta})
 		}
 	}
+	slices.SortFunc(buf, compareSupports)
+	r.support = append(make([]Support, 0, len(buf)), buf...)
+	ix.supBuf = buf
 
 	// 3. Insert the ride into every supported cluster's lists with the
 	// earliest ETA over its supports.
-	for c, refs := range r.support {
-		ix.clusters[c].add(r.ID, minETA(refs))
-	}
-}
-
-func (ix *Index) addSupport(c int32, ref supRef, r *Ride) {
-	r.support[c] = append(r.support[c], ref)
-}
-
-func minETA(refs []supRef) float64 {
-	best := math.Inf(1)
-	for _, s := range refs {
-		if s.ETA < best {
-			best = s.ETA
+	for i := 0; i < len(buf); {
+		c, eta := buf[i].Cluster, buf[i].ETA
+		for i++; i < len(buf) && buf[i].Cluster == c; i++ {
+			eta = min(eta, buf[i].ETA)
 		}
+		ix.clusters[c].add(r.ID, eta)
 	}
-	return best
 }
 
 // unregister removes the ride from all cluster lists and clears its
 // registration state.
 func (ix *Index) unregister(r *Ride) {
-	for c := range r.support {
-		ix.clusters[c].remove(r.ID)
+	for i, s := range r.support {
+		if i == 0 || s.Cluster != r.support[i-1].Cluster {
+			ix.clusters[s.Cluster].remove(r.ID)
+		}
 	}
 	r.support = nil
 	r.pt = nil
@@ -289,50 +290,48 @@ func (ix *Index) Advance(id RideID, pos int) error {
 	r.Progress = pos
 
 	// Step 1: mark newly crossed pass-through entries.
-	var crossed []int32
+	crossed := false
 	for pi := range r.pt {
 		e := &r.pt[pi]
 		if !e.Crossed && int(e.LastIdx) < pos {
 			e.Crossed = true
-			crossed = append(crossed, int32(pi))
+			crossed = true
 		}
 	}
-	if len(crossed) == 0 {
+	if !crossed {
 		return nil
 	}
-	crossedSet := make(map[int32]bool, len(crossed))
-	for _, pi := range crossed {
-		crossedSet[pi] = true
-	}
 
-	// Step 2: for every cluster supported by a crossed entry, drop the
-	// dead supports; if none remain, remove the ride from the cluster's
-	// list, otherwise refresh its ETA.
-	touched := map[int32]bool{}
-	for _, pi := range crossed {
-		for _, c := range r.pt[pi].Supported {
-			touched[c] = true
-		}
-	}
-	for c := range touched {
-		refs := r.support[c]
-		kept := refs[:0]
-		for _, ref := range refs {
-			if !crossedSet[ref.Pt] && !r.pt[ref.Pt].Crossed {
-				kept = append(kept, ref)
+	// Step 2: compact the support table in place, cluster group by
+	// cluster group, dropping the supports of crossed entries (the order
+	// of the kept ones is unchanged). A cluster left with none drops the
+	// ride from its list; one whose earliest support went gets its ETA
+	// refreshed.
+	sup := r.support
+	w := 0
+	for i := 0; i < len(sup); {
+		c, start := sup[i].Cluster, w
+		was, now := math.Inf(1), math.Inf(1)
+		for ; i < len(sup) && sup[i].Cluster == c; i++ {
+			was = min(was, sup[i].ETA)
+			if r.pt[sup[i].Order].Crossed {
+				continue
 			}
+			now = min(now, sup[i].ETA)
+			sup[w] = sup[i]
+			w++
 		}
-		if len(kept) == 0 {
-			delete(r.support, c)
+		switch {
+		case w == start:
 			ix.clusters[c].remove(r.ID)
-		} else {
-			r.support[c] = kept
-			ix.clusters[c].updateETA(r.ID, minETA(kept))
+		case now != was:
+			ix.clusters[c].updateETA(r.ID, now)
 		}
 	}
+	r.support = sup[:w]
 	// Step 3 (remove crossed entries from the pass-through list) is
-	// implicit: entries stay marked Crossed and every path through the
-	// index skips them; PassThroughClusters filters them out.
+	// implicit: entries stay marked Crossed and PassThroughClusters
+	// filters them out.
 	return nil
 }
 
@@ -363,30 +362,6 @@ func (ix *Index) HasPotentialRide(c int, id RideID) (float64, bool) {
 		return 0, false
 	}
 	return ix.clusters[c].eta(id)
-}
-
-// Supports returns the valid ways ride id can serve cluster c, in
-// ascending detour order.
-func (ix *Index) Supports(id RideID, c int) []Support {
-	r, ok := ix.rides[id]
-	if !ok {
-		return nil
-	}
-	refs := r.support[int32(c)]
-	out := make([]Support, 0, len(refs))
-	for _, ref := range refs {
-		if r.pt[ref.Pt].Crossed {
-			continue
-		}
-		out = append(out, Support{
-			Order:  int(ref.Pt),
-			Seg:    int(r.pt[ref.Pt].Seg),
-			Detour: ref.Detour,
-			ETA:    ref.ETA,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Detour < out[j].Detour })
-	return out
 }
 
 // ClusterListLen reports the potential-ride count of cluster c
@@ -422,91 +397,40 @@ func (ix *Index) Stats() Stats {
 	}
 	for _, r := range ix.rides {
 		s.PassThroughRuns += len(r.pt)
-		for _, refs := range r.support {
-			s.SupportRecords += len(refs)
-		}
+		s.SupportRecords += len(r.support)
 	}
 	return s
 }
 
-// CheckInvariants validates the cross-structure invariants; tests and
-// failure-injection suites call it after random operation sequences.
-//
-//   - every support ref points at a live (non-crossed) pass-through entry;
-//   - a ride appears in a cluster list iff it has ≥1 valid support there;
-//   - list ETAs equal the minimum support ETA;
-//   - both sort orders contain exactly the same tuples.
-func (ix *Index) CheckInvariants() error {
-	for c := range ix.clusters {
-		l := &ix.clusters[c]
-		if len(l.byID) != len(l.byETA) {
-			return fmt.Errorf("cluster %d: order sizes differ (%d vs %d)", c, len(l.byID), len(l.byETA))
-		}
-		for i := 1; i < len(l.byID); i++ {
-			if l.byID[i-1].Ride >= l.byID[i].Ride {
-				return fmt.Errorf("cluster %d: byID order violated at %d", c, i)
-			}
-		}
-		for i := 1; i < len(l.byETA); i++ {
-			if l.byETA[i-1].ETA > l.byETA[i].ETA {
-				return fmt.Errorf("cluster %d: byETA order violated at %d", c, i)
-			}
-		}
-		for _, e := range l.byID {
-			r, ok := ix.rides[e.Ride]
-			if !ok {
-				return fmt.Errorf("cluster %d lists unknown ride %d", c, e.Ride)
-			}
-			refs := r.support[int32(c)]
-			if len(refs) == 0 {
-				return fmt.Errorf("cluster %d lists ride %d with no supports", c, e.Ride)
-			}
-			valid := 0
-			best := math.Inf(1)
-			for _, ref := range refs {
-				if int(ref.Pt) >= len(r.pt) {
-					return fmt.Errorf("ride %d support ref out of range", e.Ride)
-				}
-				if !r.pt[ref.Pt].Crossed {
-					valid++
-				}
-				if ref.ETA < best {
-					best = ref.ETA
-				}
-			}
-			if valid == 0 {
-				return fmt.Errorf("cluster %d lists ride %d with only crossed supports", c, e.Ride)
-			}
-			if math.Abs(best-e.ETA) > 1e-6 {
-				return fmt.Errorf("cluster %d ride %d: listed ETA %v != min support ETA %v", c, e.Ride, e.ETA, best)
-			}
-		}
-	}
-	for id, r := range ix.rides {
-		for c := range r.support {
-			if _, ok := ix.clusters[c].eta(id); !ok {
-				return fmt.Errorf("ride %d supports cluster %d but is not listed there", id, c)
-			}
-		}
-	}
-	return nil
-}
-
 // Inconsistency is one index↔schedule consistency finding: a ride whose
 // cluster-list membership disagrees with what its schedule implies (or a
-// structural defect of a cluster list itself). Cluster is -1 when the
-// finding is not tied to a single cluster.
+// structural defect of a cluster list or support table itself). Cluster
+// is -1 when the finding is not tied to a single cluster.
 type Inconsistency struct {
 	Ride    RideID
 	Cluster int
 	Detail  string
 }
 
-// Inconsistencies is the collect-all sibling of CheckInvariants: where
-// CheckInvariants stops at the first defect (test-time pass/fail), this
-// appends every finding to dst and returns it, which is what the online
-// auditor needs — a sweep should report the full damage, not the first
-// symptom.
+// CheckInvariants reports the first finding of Inconsistencies as an
+// error; tests and failure-injection suites call it after random
+// operation sequences.
+func (ix *Index) CheckInvariants() error {
+	if incs := ix.Inconsistencies(nil); len(incs) > 0 {
+		return fmt.Errorf("index: ride %d, cluster %d: %s", incs[0].Ride, incs[0].Cluster, incs[0].Detail)
+	}
+	return nil
+}
+
+// Inconsistencies appends every violated cross-structure invariant to
+// dst and returns it — the online auditor wants the full damage of a
+// sweep, not the first symptom:
+//
+//   - both sort orders of a cluster list hold exactly the same tuples;
+//   - a ride's support table is sorted by (cluster, detour, position) and
+//     every entry points at a live (non-crossed) pass-through entry;
+//   - a ride appears in a cluster list iff it has ≥1 support there;
+//   - list ETAs equal the minimum support ETA.
 func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 	for c := range ix.clusters {
 		l := &ix.clusters[c]
@@ -529,27 +453,14 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 				dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: "listed ride is not registered"})
 				continue
 			}
-			refs := r.support[int32(c)]
-			if len(refs) == 0 {
+			sups := r.Supports(c)
+			if len(sups) == 0 {
 				dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: "listed ride has no supports here"})
 				continue
 			}
-			valid := 0
 			best := math.Inf(1)
-			for _, ref := range refs {
-				if int(ref.Pt) >= len(r.pt) {
-					dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: "support ref out of range"})
-					continue
-				}
-				if !r.pt[ref.Pt].Crossed {
-					valid++
-				}
-				if ref.ETA < best {
-					best = ref.ETA
-				}
-			}
-			if valid == 0 {
-				dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: "listed ride has only crossed supports"})
+			for _, s := range sups {
+				best = min(best, s.ETA)
 			}
 			if math.Abs(best-e.ETA) > 1e-6 {
 				dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: fmt.Sprintf("listed ETA %v != min support ETA %v", e.ETA, best)})
@@ -557,9 +468,17 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 		}
 	}
 	for id, r := range ix.rides {
-		for c := range r.support {
-			if _, ok := ix.clusters[c].eta(id); !ok {
-				dst = append(dst, Inconsistency{Ride: id, Cluster: int(c), Detail: "ride's schedule supports this cluster but the list omits it"})
+		for i, s := range r.support {
+			if i > 0 && compareSupports(r.support[i-1], s) >= 0 {
+				dst = append(dst, Inconsistency{Ride: id, Cluster: int(s.Cluster), Detail: fmt.Sprintf("support table order violated at %d", i)})
+			}
+			if int(s.Order) >= len(r.pt) || r.pt[s.Order].Crossed || r.pt[s.Order].Seg != s.Seg {
+				dst = append(dst, Inconsistency{Ride: id, Cluster: int(s.Cluster), Detail: fmt.Sprintf("support %d does not point at a live pass-through", i)})
+			}
+			if i == 0 || s.Cluster != r.support[i-1].Cluster {
+				if _, ok := ix.clusters[s.Cluster].eta(id); !ok {
+					dst = append(dst, Inconsistency{Ride: id, Cluster: int(s.Cluster), Detail: "ride's schedule supports this cluster but the list omits it"})
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xar/internal/discretize"
@@ -177,17 +178,16 @@ func TestReachableRespectsDetourLimit(t *testing.T) {
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
-	for c, refs := range r.support {
-		for _, ref := range refs {
-			if ref.Detour > r.DetourLimit+1e-9 {
-				t.Fatalf("cluster %d reachable with detour %.1f > limit %.1f", c, ref.Detour, r.DetourLimit)
-			}
-			// The raw cluster distance from the supporting pass-through
-			// cluster is also within the limit.
-			ptCluster := int(r.pt[ref.Pt].Cluster)
-			if dd := d.ClusterDist(ptCluster, int(c)); dd > r.DetourLimit+1e-9 {
-				t.Fatalf("cluster %d at raw distance %.1f > limit", c, dd)
-			}
+	for _, ref := range r.support {
+		c := ref.Cluster
+		if ref.Detour > r.DetourLimit+1e-9 {
+			t.Fatalf("cluster %d reachable with detour %.1f > limit %.1f", c, ref.Detour, r.DetourLimit)
+		}
+		// The raw cluster distance from the supporting pass-through
+		// cluster is also within the limit.
+		ptCluster := int(r.pt[ref.Order].Cluster)
+		if dd := d.ClusterDist(ptCluster, int(c)); dd > r.DetourLimit+1e-9 {
+			t.Fatalf("cluster %d at raw distance %.1f > limit", c, dd)
 		}
 	}
 }
@@ -348,12 +348,7 @@ func TestAdvanceRemovesObsoleteClusters(t *testing.T) {
 	}
 	// The first pass-through cluster must no longer list the ride unless
 	// a later pass-through still supports it.
-	stillSupported := false
-	for _, ref := range r.support[int32(firstCluster)] {
-		if !r.pt[ref.Pt].Crossed {
-			stillSupported = true
-		}
-	}
+	stillSupported := len(r.Supports(firstCluster)) > 0
 	_, listed := ix.HasPotentialRide(firstCluster, r.ID)
 	if listed != stillSupported {
 		t.Fatalf("cluster %d: listed=%v but valid supports=%v", firstCluster, listed, stillSupported)
@@ -422,18 +417,21 @@ func TestSupportsOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range r.ReachableClusters() {
-		sups := ix.Supports(r.ID, c)
+		sups := r.Supports(c)
 		if len(sups) == 0 {
 			t.Fatalf("cluster %d has no supports", c)
 		}
-		for i := 1; i < len(sups); i++ {
-			if sups[i].Detour < sups[i-1].Detour {
-				t.Fatal("supports not sorted by detour")
+		for i, s := range sups {
+			if int(s.Cluster) != c {
+				t.Fatalf("Supports(%d) returned a support of cluster %d", c, s.Cluster)
+			}
+			if i > 0 && (s.Detour < sups[i-1].Detour || s.Detour == sups[i-1].Detour && s.Order <= sups[i-1].Order) {
+				t.Fatal("supports not sorted by (detour, route position)")
 			}
 		}
 	}
-	if got := ix.Supports(999, 0); got != nil {
-		t.Fatal("unknown ride must have nil supports")
+	if got := r.Supports(d.NumClusters()); len(got) != 0 {
+		t.Fatal("an unreachable cluster must have no supports")
 	}
 }
 
@@ -507,15 +505,27 @@ func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			live = append(live, r.ID)
-		case op < 8: // advance
+		case op < 8: // advance, or (one time in four) reregister with a new budget
 			if len(live) == 0 {
 				continue
 			}
-			id := live[rng.Intn(len(live))]
-			r := ix.Ride(id)
-			pos := r.Progress + rng.Intn(10)
-			if err := ix.Advance(id, pos); err != nil {
+			r := ix.Ride(live[rng.Intn(len(live))])
+			// A clone taken before the mutation keeps the table it copied.
+			snap := r.Clone()
+			before := append([]Support(nil), snap.support...)
+			if rng.Intn(4) == 0 {
+				r.DetourLimit = float64(rng.Intn(2000))
+				if err := ix.Reregister(r); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := ix.Advance(r.ID, r.Progress+rng.Intn(10)); err != nil {
 				t.Fatal(err)
+			}
+			if !slices.Equal(snap.support, before) {
+				t.Fatalf("step %d: mutating ride %d changed its earlier clone's support table", step, r.ID)
+			}
+			if !slices.Equal(r.Clone().support, r.support) {
+				t.Fatalf("step %d: clone of ride %d does not carry its support table", step, r.ID)
 			}
 		default: // remove
 			if len(live) == 0 {
@@ -530,6 +540,33 @@ func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+	}
+}
+
+// TestInconsistenciesCatchSupportTableDamage: the audit reports a
+// support table that is out of order, and a support left pointing at a
+// crossed pass-through.
+func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
+	d := testWorld(t)
+	ix := newTestIndex(t, d)
+	from, to := pickCrossingNodes(t, d)
+	r := makeRide(t, d, ix, from, to, 0, 1500)
+	if err := ix.Insert(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	last := len(r.support) - 1
+	r.support[0], r.support[last] = r.support[last], r.support[0]
+	if err := ix.CheckInvariants(); err == nil {
+		t.Fatal("an unsorted support table must be reported")
+	}
+	r.support[0], r.support[last] = r.support[last], r.support[0]
+
+	r.pt[r.support[0].Order].Crossed = true // crossed, but not compacted out
+	if err := ix.CheckInvariants(); err == nil {
+		t.Fatal("a support of a crossed pass-through must be reported")
 	}
 }
 

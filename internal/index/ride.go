@@ -20,6 +20,7 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -113,9 +114,11 @@ type Ride struct {
 	// state and the booking retries.
 	Rev uint64
 
-	// Index registration state (maintained by Index).
+	// Index registration state (maintained by Index): the pass-through
+	// runs in route order, and the flat support table sorted by
+	// (Cluster, Detour, Order) — see Supports.
 	pt      []ptEntry
-	support map[int32][]supRef
+	support []Support
 }
 
 // Clone returns a deep copy of the ride: a snapshot that stays valid
@@ -131,43 +134,66 @@ func (r *Ride) Clone() *Ride {
 	c.RouteETA = append([]float64(nil), r.RouteETA...)
 	c.Via = append([]ViaPoint(nil), r.Via...)
 	c.pt = append([]ptEntry(nil), r.pt...)
-	for i := range c.pt {
-		c.pt[i].Supported = append([]int32(nil), r.pt[i].Supported...)
-	}
-	if r.support != nil {
-		c.support = make(map[int32][]supRef, len(r.support))
-		for k, v := range r.support {
-			c.support[k] = append([]supRef(nil), v...)
-		}
-	}
+	c.support = append([]Support(nil), r.support...)
 	return &c
 }
 
 // ptEntry is one pass-through cluster of one segment of the ride.
 type ptEntry struct {
-	Cluster   int32
-	Seg       int32 // segment index: between Via[Seg] and Via[Seg+1]
-	FirstIdx  int32 // first route index inside the cluster (this run)
-	LastIdx   int32 // last route index inside the cluster (this run)
-	ETA       float64
-	Crossed   bool
-	Supported []int32 // clusters this entry supports (incl. itself)
+	Cluster  int32
+	Seg      int32 // segment index: between Via[Seg] and Via[Seg+1]
+	FirstIdx int32 // first route index inside the cluster (this run)
+	LastIdx  int32 // last route index inside the cluster (this run)
+	ETA      float64
+	Crossed  bool
 }
 
-// supRef records that pass-through entry Pt lets the ride serve cluster
-// with the given extra detour cost and estimated time of arrival.
-type supRef struct {
-	Pt     int32   // index into Ride.pt
-	Detour float64 // meters of extra driving to serve this cluster
-	ETA    float64 // estimated arrival in the cluster
-}
-
-// Support describes, for search, one way a ride can serve a cluster.
+// Support is one way a ride can serve a cluster: pass-through run Order
+// reaches Cluster with the given extra driving and arrival estimate. A
+// ride's supports live in one flat table (Ride.support).
 type Support struct {
-	Order  int     // position of the supporting pass-through along the route
-	Seg    int     // segment of the supporting pass-through
-	Detour float64 // meters of extra driving
-	ETA    float64 // seconds since epoch
+	Cluster int32
+	Order   int32   // position of the supporting pass-through along the route
+	Seg     int32   // segment of the supporting pass-through
+	Detour  float64 // meters of extra driving
+	ETA     float64 // seconds since epoch
+}
+
+// compareSupports is the support table's order: by cluster, then
+// ascending detour, ties by ascending route position.
+func compareSupports(a, b Support) int {
+	if c := cmp.Compare(a.Cluster, b.Cluster); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Detour, b.Detour); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Order, b.Order)
+}
+
+// Supports returns the ways the ride can currently serve cluster c, in
+// ascending detour order, equal detours by ascending route position. It
+// is a sub-slice of the ride's support table — no copy, nothing to
+// sort; the caller must hold the owning shard's lock and must not
+// modify it. Every entry refers to a pass-through the vehicle has not
+// crossed: Advance compacts crossed ones out under the same write lock
+// that marks them.
+func (r *Ride) Supports(c int) []Support {
+	sup, key := r.support, int32(c)
+	lo, hi := 0, len(sup)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sup[mid].Cluster < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	end := lo
+	for end < len(sup) && sup[end].Cluster == key {
+		end++
+	}
+	return sup[lo:end]
 }
 
 // NumSegments returns the number of route segments (via-point count − 1).
@@ -196,9 +222,11 @@ func (r *Ride) PassThroughClusters() []int {
 // ReachableClusters returns the distinct clusters the ride can currently
 // serve (the union of supported clusters over valid pass-throughs).
 func (r *Ride) ReachableClusters() []int {
-	out := make([]int, 0, len(r.support))
-	for c := range r.support {
-		out = append(out, int(c))
+	var out []int
+	for i, s := range r.support {
+		if i == 0 || s.Cluster != r.support[i-1].Cluster {
+			out = append(out, int(s.Cluster))
+		}
 	}
 	return out
 }
