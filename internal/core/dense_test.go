@@ -170,7 +170,7 @@ func referenceSearch(t testing.TB, e *Engine, req Request) []Match {
 			}
 			if src.Walk+dst.Walk > req.WalkLimit {
 				var ok bool
-				if src, dst, ok = bestWalkPair(ix, srcSide, dstSide, r.ID, req); !ok {
+				if src, dst, ok = bestWalkPair(ix, srcSide, dstSide, r.ID, req, req.LatestDeparture+e.cfg.DestWindowSlack); !ok {
 					return true
 				}
 			}
@@ -236,6 +236,38 @@ func TestSearchEqualsSupportsReference(t *testing.T) {
 	}
 	if multiSeg == 0 {
 		t.Fatal("no match used a support past a booked via-point")
+	}
+}
+
+// TestMatchesLieInTheirWindows: with a five-minute departure window,
+// every returned match's pickup cluster lists the ride with an arrival
+// inside the window, and its drop-off cluster inside the window extended
+// by DestWindowSlack — also when the walk-limit fallback chose the pair.
+func TestMatchesLieInTheirWindows(t *testing.T) {
+	e, reqs := denseFixture(t, DefaultConfig(), 300)
+	matches := 0
+	for i, req := range reqs {
+		ms, err := e.Search(req)
+		if err != nil && err != ErrNotServable {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			ix := e.ix.ShardFor(m.Ride).Ix
+			pu, okP := ix.HasPotentialRide(m.PickupCluster, m.Ride)
+			do, okD := ix.HasPotentialRide(m.DropoffCluster, m.Ride)
+			if !okP || pu < req.EarliestDeparture || pu > req.LatestDeparture {
+				t.Fatalf("request %d ride %d: pickup cluster %d ETA %.0f (listed %v) outside [%.0f, %.0f]",
+					i, m.Ride, m.PickupCluster, pu, okP, req.EarliestDeparture, req.LatestDeparture)
+			}
+			if hi := req.LatestDeparture + e.cfg.DestWindowSlack; !okD || do < req.EarliestDeparture || do > hi {
+				t.Fatalf("request %d ride %d: drop-off cluster %d ETA %.0f (listed %v) outside [%.0f, %.0f]",
+					i, m.Ride, m.DropoffCluster, do, okD, req.EarliestDeparture, hi)
+			}
+			matches++
+		}
+	}
+	if matches == 0 {
+		t.Fatal("no matches to check")
 	}
 }
 

@@ -577,10 +577,10 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 			var ok bool
 			if fine {
 				t0 := time.Now()
-				src, dst, ok = bestWalkPair(ix, srcSide, dstSide, id, req)
+				src, dst, ok = bestWalkPair(ix, srcSide, dstSide, id, req, destT2)
 				res.walkPair += time.Since(t0)
 			} else {
-				src, dst, ok = bestWalkPair(ix, srcSide, dstSide, id, req)
+				src, dst, ok = bestWalkPair(ix, srcSide, dstSide, id, req, destT2)
 			}
 			if !ok {
 				if track {
@@ -645,16 +645,17 @@ func (e *Engine) walkableSide(p geo.Point, limit float64) ([]sideCandidate, erro
 }
 
 // bestWalkPair searches for the least-total-walk (source, dest) cluster
-// pair for which the ride is listed on both sides and the total walk fits
+// pair for which the ride is listed on both sides inside the request's
+// window (up to destT2 on the destination side) and the total walk fits
 // the limit. Walkable lists are sorted by walk, so it can stop early.
 // The caller holds the read lock of the shard owning ix.
-func bestWalkPair(ix *index.Index, srcSide, dstSide []sideCandidate, id index.RideID, req Request) (s, d sideCandidate, ok bool) {
+func bestWalkPair(ix *index.Index, srcSide, dstSide []sideCandidate, id index.RideID, req Request, destT2 float64) (s, d sideCandidate, ok bool) {
 	best := req.WalkLimit + 1
 	for _, sc := range srcSide {
 		if sc.Walk >= best {
 			break
 		}
-		if _, listed := ix.HasPotentialRide(sc.Cluster, id); !listed {
+		if eta, listed := ix.HasPotentialRide(sc.Cluster, id); !listed || eta < req.EarliestDeparture || eta > req.LatestDeparture {
 			continue
 		}
 		for _, dc := range dstSide {
@@ -662,7 +663,7 @@ func bestWalkPair(ix *index.Index, srcSide, dstSide []sideCandidate, id index.Ri
 			if total >= best || total > req.WalkLimit {
 				break
 			}
-			if _, listed := ix.HasPotentialRide(dc.Cluster, id); !listed {
+			if eta, listed := ix.HasPotentialRide(dc.Cluster, id); !listed || eta < req.EarliestDeparture || eta > destT2 {
 				continue
 			}
 			best = total
