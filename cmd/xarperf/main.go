@@ -7,12 +7,14 @@
 //	xarperf                       # print the trajectory to stdout
 //	xarperf -out BENCH_trajectory.json
 //	xarperf -gate                 # exit 1 if a headline metric left its band
-//	xarperf -gate -smoke          # also run a fresh search micro-benchmark
-//	                              # and gate its ns/op against the band
+//	xarperf -gate -smoke          # also run fresh search micro-benchmarks
+//	                              # and gate them against their bands
 //
-// -smoke runs `go test -run '^$' -bench BenchmarkSearchTelemetry/off`
-// in -dir and appends the fresh measurement to the headline search
-// ns/op series, so the gate compares this machine's hot path today
+// -smoke runs `go test -run '^$' -bench
+// '^(BenchmarkSearchTelemetry|BenchmarkSearchDense)$' -benchmem` in -dir
+// and appends the fresh measurements to the headline search ns/op series
+// and to the dense search's allocs/op series (an exact band: the count
+// is deterministic), so the gate compares this machine's hot path today
 // against the committed history, not just artifact against artifact.
 package main
 
@@ -36,7 +38,7 @@ func main() {
 	dir := flag.String("dir", ".", "repository root holding the BENCH_*.json artifacts")
 	out := flag.String("out", "-", "trajectory output path (\"-\" = stdout)")
 	gate := flag.Bool("gate", false, "exit 1 when the newest point of any banded series is outside its band")
-	smoke := flag.Bool("smoke", false, "run a short fresh search benchmark in -dir and append it to the headline ns/op series")
+	smoke := flag.Bool("smoke", false, "run short fresh search benchmarks in -dir and append them to the headline ns/op and dense allocs/op series")
 	benchtime := flag.String("benchtime", "300ms", "benchtime for -smoke")
 	flag.Parse()
 
@@ -71,13 +73,15 @@ func main() {
 	}
 
 	if *smoke {
-		ns, err := runSmoke(*dir, *benchtime)
+		ns, allocs, err := runSmoke(*dir, *benchtime)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("smoke: BenchmarkSearchTelemetry/off %.0f ns/op", ns)
+		log.Printf("smoke: BenchmarkSearchTelemetry/off %.0f ns/op, BenchmarkSearchDense %.0f allocs/op", ns, allocs)
 		t.AddPoint("BenchmarkSearchTelemetry", "off_ns_per_op",
 			perftrend.Point{Source: "smoke", Value: ns})
+		t.AddPoint("BenchmarkSearchDense", "search_dense_allocs_per_op",
+			perftrend.Point{Source: "smoke", Value: allocs})
 	}
 	if *gate {
 		if violations := t.Gate(); len(violations) > 0 {
@@ -90,21 +94,29 @@ func main() {
 	}
 }
 
-var benchLine = regexp.MustCompile(`(?m)^BenchmarkSearchTelemetry/off\S*\s+\d+\s+([\d.]+) ns/op`)
+var (
+	telemetryLine = regexp.MustCompile(`(?m)^BenchmarkSearchTelemetry/off\S*\s+\d+\s+([\d.]+) ns/op`)
+	denseLine     = regexp.MustCompile(`(?m)^BenchmarkSearchDense\S*\s+\d+\s.*\s(\d+) allocs/op`)
+)
 
-// runSmoke measures the instrumented search hot path fresh, via the
-// repo's own BenchmarkSearchTelemetry/off, and returns its ns/op.
-func runSmoke(dir, benchtime string) (float64, error) {
+// runSmoke measures the search hot path fresh, via the repo's own
+// benchmarks: the instrumented-but-idle search's ns/op and the dense
+// search's allocs/op.
+func runSmoke(dir, benchtime string) (ns, allocs float64, err error) {
 	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", "BenchmarkSearchTelemetry/off", "-benchtime", benchtime, ".")
+		"-bench", "^(BenchmarkSearchTelemetry|BenchmarkSearchDense)$", "-benchmem", "-benchtime", benchtime, ".")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return 0, fmt.Errorf("smoke benchmark: %v\n%s", err, out)
+		return 0, 0, fmt.Errorf("smoke benchmark: %v\n%s", err, out)
 	}
-	m := benchLine.FindSubmatch(out)
-	if m == nil {
-		return 0, fmt.Errorf("smoke benchmark produced no BenchmarkSearchTelemetry/off line:\n%s", out)
+	tm, dm := telemetryLine.FindSubmatch(out), denseLine.FindSubmatch(out)
+	if tm == nil || dm == nil {
+		return 0, 0, fmt.Errorf("smoke benchmark produced no BenchmarkSearchTelemetry/off or BenchmarkSearchDense line:\n%s", out)
 	}
-	return strconv.ParseFloat(string(m[1]), 64)
+	if ns, err = strconv.ParseFloat(string(tm[1]), 64); err != nil {
+		return 0, 0, err
+	}
+	allocs, err = strconv.ParseFloat(string(dm[1]), 64)
+	return ns, allocs, err
 }

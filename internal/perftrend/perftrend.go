@@ -301,6 +301,14 @@ var extractors = []extractor{
 		unit: "ratio", dir: LowerBetter, max: lim(1.05),
 		get: ratio([]string{"BenchmarkSearchProfiling", "on", "ns_per_op"},
 			[]string{"BenchmarkSearchProfiling", "off", "ns_per_op"})},
+
+	// --- BENCH_search.json (allocation-free candidate pipeline) ----
+	// The dense search's allocations do not grow with candidates or
+	// matches; the count is deterministic, so the band is exact and the
+	// `xarperf -smoke` point must reproduce it.
+	{file: "BENCH_search.json", bench: "BenchmarkSearchDense", metric: "search_dense_allocs_per_op",
+		unit: "allocs/op", dir: Exact, min: lim(4), max: lim(4),
+		get: path("BenchmarkSearchDense", "after", "allocs_per_op")},
 }
 
 // knownFiles is the set of BENCH files extractors cover.

@@ -84,7 +84,8 @@ func TestCommittedArtifactsPassGate(t *testing.T) {
 	for _, file := range []string{
 		"BENCH_audit.json", "BENCH_ch.json", "BENCH_memory.json",
 		"BENCH_parallel.json", "BENCH_profile.json", "BENCH_quality.json",
-		"BENCH_recorder.json", "BENCH_scale.json", "BENCH_tracing.json",
+		"BENCH_recorder.json", "BENCH_scale.json", "BENCH_search.json",
+		"BENCH_tracing.json",
 	} {
 		if !sources[file] {
 			t.Errorf("committed artifact %s contributed no points to the trajectory", file)
@@ -152,6 +153,13 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 				steps[len(steps)-1].(map[string]any)["memory"].(map[string]any)["rides_per_gb"] = 100.0
 			},
 			want: "rides_per_gb_last_step",
+		},
+		{
+			name: "per-match allocation comes back", file: "BENCH_search.json",
+			mutate: func(doc map[string]any) {
+				doc["BenchmarkSearchDense"].(map[string]any)["after"].(map[string]any)["allocs_per_op"] = 150.0
+			},
+			want: "search_dense_allocs_per_op",
 		},
 	}
 	for _, tc := range cases {
