@@ -181,6 +181,7 @@ func BenchmarkFig4bCreateXAR(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys := &sim.XARSystem{Engine: eng}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := w.Trips[i%len(w.Trips)]
@@ -215,6 +216,7 @@ func BenchmarkFig4bCreateTShare(b *testing.B) {
 func BenchmarkFig4cBookXAR(b *testing.B) {
 	w := world(b)
 	sys, requests := seededXAR(b, w)
+	b.ReportAllocs()
 	benchBookLoop(b, w, sys, requests)
 }
 

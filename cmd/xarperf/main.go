@@ -10,12 +10,12 @@
 //	xarperf -gate -smoke          # also run fresh search micro-benchmarks
 //	                              # and gate them against their bands
 //
-// -smoke runs `go test -run '^$' -bench
-// '^(BenchmarkSearchTelemetry|BenchmarkSearchDense)$' -benchmem` in -dir
-// and appends the fresh measurements to the headline search ns/op series
-// and to the dense search's allocs/op series (an exact band: the count
-// is deterministic), so the gate compares this machine's hot path today
-// against the committed history, not just artifact against artifact.
+// -smoke runs the repo's own benchmarks in -dir (`go test -run '^$'
+// -bench … -benchmem`) and appends the fresh measurements to the
+// headline search ns/op series and to the allocs/op series of the dense
+// search, create and book (exact bands: the counts are deterministic),
+// so the gate compares this machine's hot paths today against the
+// committed history, not just artifact against artifact.
 package main
 
 import (
@@ -38,7 +38,7 @@ func main() {
 	dir := flag.String("dir", ".", "repository root holding the BENCH_*.json artifacts")
 	out := flag.String("out", "-", "trajectory output path (\"-\" = stdout)")
 	gate := flag.Bool("gate", false, "exit 1 when the newest point of any banded series is outside its band")
-	smoke := flag.Bool("smoke", false, "run short fresh search benchmarks in -dir and append them to the headline ns/op and dense allocs/op series")
+	smoke := flag.Bool("smoke", false, "run short fresh benchmarks in -dir and append them to the headline ns/op and the search/create/book allocs/op series")
 	benchtime := flag.String("benchtime", "300ms", "benchtime for -smoke")
 	flag.Parse()
 
@@ -73,15 +73,11 @@ func main() {
 	}
 
 	if *smoke {
-		ns, allocs, err := runSmoke(*dir, *benchtime)
-		if err != nil {
-			log.Fatal(err)
+		for _, run := range smokeRuns(*benchtime) {
+			if err := run.measure(*dir, t); err != nil {
+				log.Fatal(err)
+			}
 		}
-		log.Printf("smoke: BenchmarkSearchTelemetry/off %.0f ns/op, BenchmarkSearchDense %.0f allocs/op", ns, allocs)
-		t.AddPoint("BenchmarkSearchTelemetry", "off_ns_per_op",
-			perftrend.Point{Source: "smoke", Value: ns})
-		t.AddPoint("BenchmarkSearchDense", "search_dense_allocs_per_op",
-			perftrend.Point{Source: "smoke", Value: allocs})
 	}
 	if *gate {
 		if violations := t.Gate(); len(violations) > 0 {
@@ -94,29 +90,63 @@ func main() {
 	}
 }
 
-var (
-	telemetryLine = regexp.MustCompile(`(?m)^BenchmarkSearchTelemetry/off\S*\s+\d+\s+([\d.]+) ns/op`)
-	denseLine     = regexp.MustCompile(`(?m)^BenchmarkSearchDense\S*\s+\d+\s.*\s(\d+) allocs/op`)
-)
+// smokeRun is one `go test -bench` invocation of -smoke and the series
+// its output lines feed.
+type smokeRun struct {
+	bench, benchtime string
+	series           []smokeSeries
+}
 
-// runSmoke measures the search hot path fresh, via the repo's own
-// benchmarks: the instrumented-but-idle search's ns/op and the dense
-// search's allocs/op.
-func runSmoke(dir, benchtime string) (ns, allocs float64, err error) {
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", "^(BenchmarkSearchTelemetry|BenchmarkSearchDense)$", "-benchmem", "-benchtime", benchtime, ".")
+// smokeSeries extracts one value from the benchmark output: line's first
+// group is the measurement of trajectory series bench/metric.
+type smokeSeries struct {
+	bench, metric string
+	line          *regexp.Regexp
+}
+
+func allocsLine(bench string) *regexp.Regexp {
+	return regexp.MustCompile(`(?m)^` + bench + `\S*\s+\d+\s.*\s(\d+) allocs/op`)
+}
+
+// smokeRuns lists what -smoke measures: the instrumented-but-idle
+// search's ns/op and the dense search's allocs/op for benchtime; and
+// the write path's allocs/op at a fixed iteration count, because create
+// and book amortize the growth of posting lists and the ride map over
+// the run — their per-op count is exact only at the count the band was
+// recorded at.
+func smokeRuns(benchtime string) []smokeRun {
+	return []smokeRun{
+		{bench: "^(BenchmarkSearchTelemetry|BenchmarkSearchDense)$", benchtime: benchtime, series: []smokeSeries{
+			{"BenchmarkSearchTelemetry", "off_ns_per_op", regexp.MustCompile(`(?m)^BenchmarkSearchTelemetry/off\S*\s+\d+\s+([\d.]+) ns/op`)},
+			{"BenchmarkSearchDense", "search_dense_allocs_per_op", allocsLine("BenchmarkSearchDense")},
+		}},
+		{bench: "^(BenchmarkFig4bCreateXAR|BenchmarkFig4cBookXAR)$", benchtime: "2000x", series: []smokeSeries{
+			{"BenchmarkFig4bCreateXAR", "create_allocs_per_op", allocsLine("BenchmarkFig4bCreateXAR")},
+			{"BenchmarkFig4cBookXAR", "book_allocs_per_op", allocsLine("BenchmarkFig4cBookXAR")},
+		}},
+	}
+}
+
+// measure runs the benchmarks fresh and appends each series' value to
+// the trajectory as a "smoke" point.
+func (r smokeRun) measure(dir string, t *perftrend.Trajectory) error {
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", r.bench, "-benchmem", "-benchtime", r.benchtime, ".")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return 0, 0, fmt.Errorf("smoke benchmark: %v\n%s", err, out)
+		return fmt.Errorf("smoke benchmark: %v\n%s", err, out)
 	}
-	tm, dm := telemetryLine.FindSubmatch(out), denseLine.FindSubmatch(out)
-	if tm == nil || dm == nil {
-		return 0, 0, fmt.Errorf("smoke benchmark produced no BenchmarkSearchTelemetry/off or BenchmarkSearchDense line:\n%s", out)
+	for _, s := range r.series {
+		m := s.line.FindSubmatch(out)
+		if m == nil {
+			return fmt.Errorf("smoke benchmark produced no %s line for %s:\n%s", s.bench, s.metric, out)
+		}
+		v, err := strconv.ParseFloat(string(m[1]), 64)
+		if err != nil {
+			return err
+		}
+		log.Printf("smoke: %s %s = %v", s.bench, s.metric, v)
+		t.AddPoint(s.bench, s.metric, perftrend.Point{Source: "smoke", Value: v})
 	}
-	if ns, err = strconv.ParseFloat(string(tm[1]), 64); err != nil {
-		return 0, 0, err
-	}
-	allocs, err = strconv.ParseFloat(string(dm[1]), 64)
-	return ns, allocs, err
+	return nil
 }

@@ -181,7 +181,7 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 		return Booking{}, false, ErrNoLongerFeasible
 	}
 	rev := r.Rev
-	detourBudget := r.DetourLimit
+	detourBudget, departure := r.DetourLimit, r.Departure
 	shadow := &index.Ride{
 		ID:    r.ID,
 		Route: append([]roadnet.NodeID(nil), r.Route...),
@@ -189,8 +189,9 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 	}
 	sh.RUnlock()
 
-	// Phase 2 — compute: path length, refined estimate and the ≤4
-	// shortest-path splice, all against the snapshot, no lock held.
+	// Phase 2 — compute: path length, refined estimate, the ≤4
+	// shortest-path splice and its ETAs, all against the snapshot, no
+	// lock held.
 	oldLen, perr := e.disc.City().Graph.PathLength(shadow.Route)
 	if perr != nil {
 		return Booking{}, false, fmt.Errorf("xar: corrupt route on ride %d: %w", shadow.ID, perr)
@@ -217,6 +218,9 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 		newRoute, newVia, spRuns, serr = e.spliceRoute(ctx, f, shadow, sSeg, dSeg, puNode, doNode)
 	}
 	e.release(f)
+	// Counted here, not at commit: a splice that is then rejected or
+	// loses the optimistic race has run its searches all the same.
+	e.m.shortestPaths.Add(uint64(spRuns))
 	if serr != nil {
 		return Booking{}, false, serr
 	}
@@ -234,6 +238,10 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 	}
 	if detour > detourBudget+allowance {
 		return Booking{}, false, ErrDetourExceeded
+	}
+	newETA := e.computeETAs(newRoute, departure)
+	for i := range newVia {
+		newVia[i].ETA = newETA[newVia[i].RouteIdx]
 	}
 
 	// Phase 3 — validate-and-commit under the shard's write lock: the
@@ -256,12 +264,7 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 
 	// Commit: route, via-points, ETAs, budget, seats; then rebuild the
 	// cluster registrations (bumps Rev).
-	r.Route = newRoute
-	r.RouteETA = e.computeETAs(newRoute, r.Departure)
-	for i := range newVia {
-		newVia[i].ETA = r.RouteETA[newVia[i].RouteIdx]
-	}
-	r.Via = newVia
+	r.Route, r.RouteETA, r.Via = newRoute, newETA, newVia
 	r.DetourLimit -= detour
 	if r.DetourLimit < 0 {
 		r.DetourLimit = 0
@@ -272,7 +275,6 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 	}
 
 	e.m.bookings.Add(1)
-	e.m.shortestPaths.Add(uint64(spRuns))
 	e.observeBookingQuality(detourBudget, detour, estimate)
 
 	var puETA, doETA float64

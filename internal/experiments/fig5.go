@@ -71,10 +71,16 @@ type Fig5bRow struct {
 	Ratio         int
 	XARTotalMS    float64
 	TShareTotalMS float64
+	// Path queries issued per request (r searches + 1 booking): the
+	// deterministic count behind the timings. XAR's searches issue none,
+	// so its figure does not depend on r; T-Share validates every search
+	// with lazy path queries, so its figure grows with r.
+	XARPathQueries    float64
+	TSharePathQueries float64
 }
 
 // Fig5b measures, for each look-to-book ratio r, the total time of r
-// searches plus one booking on both systems.
+// searches plus one booking on both systems, and the path queries spent.
 func Fig5b(w *World, ratios []int) ([]Fig5bRow, error) {
 	offers, requests := w.SplitOffersRequests()
 
@@ -99,9 +105,15 @@ func Fig5b(w *World, ratios []int) ([]Fig5bRow, error) {
 		if len(probe) > 50 {
 			probe = probe[:50]
 		}
+		xBefore, tBefore := xeng.Metrics().ShortestPaths, teng.PathQueries()
 		xTotal := measureLookToBook(xsys, probe, ratio, w.Scale)
 		tTotal := measureLookToBook(tsys, probe, ratio, w.Scale)
-		rows = append(rows, Fig5bRow{Ratio: ratio, XARTotalMS: xTotal, TShareTotalMS: tTotal})
+		n := float64(len(probe))
+		rows = append(rows, Fig5bRow{
+			Ratio: ratio, XARTotalMS: xTotal, TShareTotalMS: tTotal,
+			XARPathQueries:    float64(xeng.Metrics().ShortestPaths-xBefore) / n,
+			TSharePathQueries: float64(teng.PathQueries()-tBefore) / n,
+		})
 	}
 	return rows, nil
 }
@@ -155,9 +167,9 @@ func RenderFig5a(rows []Fig5aRow) string {
 
 // RenderFig5b renders the look-to-book sweep.
 func RenderFig5b(rows []Fig5bRow) string {
-	t := stats.NewTable("ratio", "xar_total_ms", "tshare_total_ms")
+	t := stats.NewTable("ratio", "xar_total_ms", "tshare_total_ms", "xar_path_queries", "tshare_path_queries")
 	for _, r := range rows {
-		t.AddRow(r.Ratio, r.XARTotalMS, r.TShareTotalMS)
+		t.AddRow(r.Ratio, r.XARTotalMS, r.TShareTotalMS, r.XARPathQueries, r.TSharePathQueries)
 	}
 	return "Fig 5b — total time for r searches + 1 booking (look-to-book sweep)\n" + t.String()
 }

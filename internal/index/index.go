@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"xar/internal/discretize"
@@ -44,9 +43,12 @@ type Index struct {
 
 	nextID RideID
 
-	// supBuf is register's build buffer for a ride's support table
-	// (reused across calls; the index has a single writer).
+	// supBuf and supOff are register's scratch for a ride's support
+	// table (reused across calls; the index has a single writer): the
+	// records in emission order, and per cluster their count, then their
+	// group's write position (all zero between calls).
 	supBuf []Support
+	supOff []int32
 }
 
 type neighborEntry struct {
@@ -93,6 +95,7 @@ func newWithNeighbors(disc *discretize.Discretization, cfg Config, neighbors [][
 		rides:     make(map[RideID]*Ride),
 		clusters:  make([]clusterList, disc.NumClusters()),
 		neighbors: neighbors,
+		supOff:    make([]int32, disc.NumClusters()),
 	}
 }
 
@@ -203,13 +206,14 @@ func (ix *Index) register(r *Ride) {
 	// via-point's cluster, consistent with the ε error budget; via-points
 	// outside any cluster skip the refinement (conservative superset —
 	// the booking-time shortest paths remain the ground truth). Supports
-	// collect in the index's build buffer, so the ride's table is one
-	// exact-size allocation.
-	buf := ix.supBuf[:0]
+	// collect in the index's build buffer in ascending route position,
+	// each (cluster, position) at most once, counted per cluster.
+	buf, off := ix.supBuf[:0], ix.supOff
 	for pi := range r.pt {
 		e := &r.pt[pi]
 		c := e.Cluster
 		buf = append(buf, Support{Cluster: c, Order: int32(pi), Seg: e.Seg, ETA: e.ETA})
+		off[c]++
 
 		if ix.cfg.NoReachablePrecompute {
 			continue
@@ -239,19 +243,43 @@ func (ix *Index) register(r *Ride) {
 			}
 			eta := e.ETA + nb.Dist/ix.cfg.AvgSpeed
 			buf = append(buf, Support{Cluster: nb.Cluster, Order: int32(pi), Seg: e.Seg, Detour: detour, ETA: eta})
+			off[nb.Cluster]++
 		}
 	}
-	slices.SortFunc(buf, compareSupports)
-	r.support = append(make([]Support, 0, len(buf)), buf...)
 	ix.supBuf = buf
 
-	// 3. Insert the ride into every supported cluster's lists with the
-	// earliest ETA over its supports.
-	for i := 0; i < len(buf); {
-		c, eta := buf[i].Cluster, buf[i].ETA
-		for i++; i < len(buf) && buf[i].Cluster == c; i++ {
-			eta = min(eta, buf[i].ETA)
+	// 3. Group instead of sort: a counting pass lays the clusters' groups
+	// out in ascending cluster order in the ride's exact-size table, and
+	// a stable scatter fills each in ascending route position.
+	sup := make([]Support, len(buf))
+	next := int32(0)
+	for c, n := range off {
+		if n > 0 { // an absent cluster's slot stays zero
+			off[c] = next
+			next += n
 		}
+	}
+	for _, s := range buf {
+		sup[off[s.Cluster]] = s
+		off[s.Cluster]++
+	}
+	r.support = sup
+
+	// 4. Insertion-sort each (small) group by detour — equal detours stay
+	// in route order, which makes it the order compareSupports defines —
+	// and list the ride under the cluster at its earliest support ETA.
+	for i := 0; i < len(sup); {
+		c, start, eta := sup[i].Cluster, i, sup[i].ETA
+		for i++; i < len(sup) && sup[i].Cluster == c; i++ {
+			s := sup[i]
+			eta = min(eta, s.ETA)
+			j := i
+			for ; j > start && sup[j-1].Detour > s.Detour; j-- {
+				sup[j] = sup[j-1]
+			}
+			sup[j] = s
+		}
+		off[c] = 0
 		ix.clusters[c].add(r.ID, eta)
 	}
 }

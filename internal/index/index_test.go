@@ -543,6 +543,118 @@ func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 	}
 }
 
+// makeLegRide is makeRide over several legs: the route visits stops in
+// order (shortest path per leg) and every inner stop is a via-point, so
+// the ride has len(stops)−1 segments and can revisit a cluster.
+func makeLegRide(t testing.TB, d *discretize.Discretization, ix *Index, stops []roadnet.NodeID, depart, detour float64) *Ride {
+	t.Helper()
+	r := makeRide(t, d, ix, stops[0], stops[1], depart, detour)
+	for _, next := range stops[2:] {
+		leg := makeRide(t, d, ix, r.Route[len(r.Route)-1], next, r.RouteETA[len(r.RouteETA)-1], detour)
+		r.Via[len(r.Via)-1].Kind = ViaPickup
+		r.Route = append(r.Route, leg.Route[1:]...)
+		r.RouteETA = append(r.RouteETA, leg.RouteETA[1:]...)
+		r.Via = append(r.Via, ViaPoint{RouteIdx: len(r.Route) - 1, Node: next, ETA: r.RouteETA[len(r.Route)-1], Kind: ViaDest})
+	}
+	return r
+}
+
+// referenceSupports re-derives a ride's support records the slow way —
+// every live pass-through against every cluster, no neighbor table, no
+// grouping — and sorts them with the comparator that defines the table.
+func referenceSupports(ix *Index, r *Ride) []Support {
+	var recs []Support
+	for pi, e := range r.pt {
+		if e.Crossed {
+			continue
+		}
+		recs = append(recs, Support{Cluster: e.Cluster, Order: int32(pi), Seg: e.Seg, ETA: e.ETA})
+		c, via := int(e.Cluster), -1
+		if int(e.Seg)+1 < len(r.Via) {
+			via = ix.disc.ClusterOfNode(r.Via[e.Seg+1].Node)
+		}
+		for o := 0; o < ix.disc.NumClusters(); o++ {
+			dist := ix.disc.ClusterDist(c, o)
+			if o == c || dist > r.DetourLimit {
+				continue
+			}
+			detour := dist
+			if via >= 0 {
+				detour = max(0, dist+ix.disc.ClusterDist(o, via)-ix.disc.ClusterDist(c, via))
+				if detour > r.DetourLimit {
+					continue
+				}
+			}
+			recs = append(recs, Support{Cluster: int32(o), Order: int32(pi), Seg: e.Seg, Detour: detour, ETA: e.ETA + dist/ix.cfg.AvgSpeed})
+		}
+	}
+	slices.SortFunc(recs, compareSupports)
+	return recs
+}
+
+// TestSupportTableMatchesSortedRecords: the table register builds by
+// grouping (counting pass, stable scatter, per-group insertion sort) is
+// element for element the comparator sort of the ride's records — after
+// Insert, after Reregister with another budget, and as Advance compacts
+// it — on multi-leg rides that revisit clusters and tie on detour.
+func TestSupportTableMatchesSortedRecords(t *testing.T) {
+	d := testWorld(t)
+	ix := newTestIndex(t, d)
+	g := d.City().Graph
+	rng := rand.New(rand.NewSource(5))
+	check := func(r *Ride, when string) {
+		t.Helper()
+		if want := referenceSupports(ix, r); !slices.Equal(r.support, want) {
+			t.Fatalf("ride %d %s: table of %d supports differs from the sorted %d records", r.ID, when, len(r.support), len(want))
+		}
+	}
+	repeats, ties := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		stops := make([]roadnet.NodeID, 2+rng.Intn(4))
+		for i := range stops {
+			stops[i] = roadnet.NodeID(rng.Intn(g.NumNodes()))
+			if i > 0 && stops[i] == stops[i-1] {
+				stops[i] = (stops[i] + 1) % roadnet.NodeID(g.NumNodes())
+			}
+		}
+		if trial%3 == 0 { // out and back: every cluster twice
+			stops = append(stops, stops[0])
+		}
+		r := makeLegRide(t, d, ix, stops, float64(rng.Intn(7200)), float64(rng.Intn(2500)))
+		if err := ix.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+		check(r, "after Insert")
+		for i := 1; i < len(r.support); i++ {
+			if a, b := r.support[i-1], r.support[i]; a.Cluster == b.Cluster {
+				if a.Seg != b.Seg {
+					repeats++
+				}
+				if a.Detour == b.Detour {
+					ties++
+				}
+			}
+		}
+		r.DetourLimit = float64(rng.Intn(2500))
+		if err := ix.Reregister(r); err != nil {
+			t.Fatal(err)
+		}
+		check(r, "after Reregister")
+		for pos := rng.Intn(8); pos < len(r.Route); pos += 1 + rng.Intn(12) {
+			if err := ix.Advance(r.ID, pos); err != nil {
+				t.Fatal(err)
+			}
+			check(r, "after Advance")
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+	if repeats == 0 || ties == 0 {
+		t.Fatalf("rides never exercised a cluster repeated across segments (%d) or an equal-detour tie (%d)", repeats, ties)
+	}
+}
+
 // TestInconsistenciesCatchSupportTableDamage: the audit reports a
 // support table that is out of order, and a support left pointing at a
 // crossed pass-through.

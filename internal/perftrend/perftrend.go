@@ -196,7 +196,8 @@ var extractors = []extractor{
 
 	// --- BENCH_ch.json (contraction-hierarchy PR) ------------------
 	// The CH routing engine's reason to exist: ≥10x over ALT at the
-	// largest benchmarked city (measured 18.5x), exact distances.
+	// largest benchmarked city (measured 12.9x; 18.5x before ALT's
+	// queries got 1.7x faster), exact distances.
 	{file: "BENCH_ch.json", bench: "xarbench -ch-bench", metric: "ch_speedup_vs_alt_largest",
 		unit: "x", dir: HigherBetter, min: lim(10),
 		get: func(doc any) (float64, bool) {
@@ -309,6 +310,19 @@ var extractors = []extractor{
 	{file: "BENCH_search.json", bench: "BenchmarkSearchDense", metric: "search_dense_allocs_per_op",
 		unit: "allocs/op", dir: Exact, min: lim(4), max: lim(4),
 		get: path("BenchmarkSearchDense", "after", "allocs_per_op")},
+
+	// --- BENCH_routing.json (trig-free A*, grouped support table) --
+	// The write path's allocations at a fixed 2000 iterations: the path
+	// (one allocation, not one per doubling), the ride's tables, and the
+	// amortized growth of the posting lists. Deterministic at that
+	// count, so the bands are exact and the `xarperf -smoke` points must
+	// reproduce them — a per-node or per-support allocation trips it.
+	{file: "BENCH_routing.json", bench: "BenchmarkFig4bCreateXAR", metric: "create_allocs_per_op",
+		unit: "allocs/op", dir: Exact, min: lim(10), max: lim(10),
+		get: path("BenchmarkFig4bCreateXAR", "after", "allocs_per_op")},
+	{file: "BENCH_routing.json", bench: "BenchmarkFig4cBookXAR", metric: "book_allocs_per_op",
+		unit: "allocs/op", dir: Exact, min: lim(23), max: lim(23),
+		get: path("BenchmarkFig4cBookXAR", "after", "allocs_per_op")},
 }
 
 // knownFiles is the set of BENCH files extractors cover.

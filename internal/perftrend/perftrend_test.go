@@ -84,8 +84,8 @@ func TestCommittedArtifactsPassGate(t *testing.T) {
 	for _, file := range []string{
 		"BENCH_audit.json", "BENCH_ch.json", "BENCH_memory.json",
 		"BENCH_parallel.json", "BENCH_profile.json", "BENCH_quality.json",
-		"BENCH_recorder.json", "BENCH_scale.json", "BENCH_search.json",
-		"BENCH_tracing.json",
+		"BENCH_recorder.json", "BENCH_routing.json", "BENCH_scale.json",
+		"BENCH_search.json", "BENCH_tracing.json",
 	} {
 		if !sources[file] {
 			t.Errorf("committed artifact %s contributed no points to the trajectory", file)
@@ -160,6 +160,13 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 				doc["BenchmarkSearchDense"].(map[string]any)["after"].(map[string]any)["allocs_per_op"] = 150.0
 			},
 			want: "search_dense_allocs_per_op",
+		},
+		{
+			name: "per-node allocation comes back", file: "BENCH_routing.json",
+			mutate: func(doc map[string]any) {
+				doc["BenchmarkFig4cBookXAR"].(map[string]any)["after"].(map[string]any)["allocs_per_op"] = 31.0
+			},
+			want: "book_allocs_per_op",
 		},
 	}
 	for _, tc := range cases {

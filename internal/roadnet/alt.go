@@ -19,19 +19,29 @@ import (
 //	h(v) = max_L max( d(L,t) − d(L,v),  d(v,L) − d(t,L) )
 //
 // XAR computes shortest paths only at ride creation and booking, but a
-// city-scale deployment still runs thousands of those per hour; ALT cuts
-// their cost several-fold at the price of 2·k Dijkstras of preprocessing
-// (see BenchmarkAblationALT).
+// city-scale deployment still runs thousands of those per hour. ALT
+// touches several times fewer nodes than the straight-line heuristic but
+// pays 2·k loads for each, and 2·k Dijkstras of preprocessing: a query
+// costs a third (880 nodes) to a half (3 520) less than plain A*'s, not
+// a multiple (BENCH_ch.json has the head-to-head, BenchmarkAblationALT
+// the engine view).
 type ALT struct {
 	g    *Graph
 	seed []NodeID
-	fwd  [][]float64 // fwd[i][v] = d(seed_i → v)
-	bwd  [][]float64 // bwd[i][v] = d(v → seed_i)
+	// tab is node-major, so one heuristic evaluation reads two contiguous
+	// rows: tab[2k·v + 2i] = d(seed_i → v), tab[2k·v + 2i+1] = d(v → seed_i).
+	tab []float64
+}
+
+// row returns node v's 2·k distances.
+func (a *ALT) row(v NodeID) []float64 {
+	w := 2 * len(a.seed)
+	return a.tab[int(v)*w : (int(v)+1)*w]
 }
 
 // MeasureMem implements memsize.Measurer. ALT tables are immutable after
 // NewALT, so the walk takes no locks; the dominant cost, the 2·k dense
-// distance arrays, is counted from slice headers via the walker's
+// distance table, is counted from its slice header via the walker's
 // leaf-type fast path.
 func (al *ALT) MeasureMem(a *memsize.Accumulator) {
 	if al == nil {
@@ -77,18 +87,21 @@ func NewALT(g *Graph, k int) (*ALT, error) {
 		}
 	}
 
+	w := 2 * k
+	a.tab = make([]float64, g.NumNodes()*w)
+	for i := range a.tab {
+		a.tab[i] = math.Inf(1)
+	}
 	s := NewSearcher(g)
-	for _, l := range a.seed {
-		a.fwd = append(a.fwd, s.DistancesToAll(l))
-		bwd := make([]float64, g.NumNodes())
-		for i := range bwd {
-			bwd[i] = math.Inf(1)
-		}
-		s.DistancesWithinReverse(l, math.Inf(1), func(v NodeID, d float64) bool {
-			bwd[v] = d
+	for i, l := range a.seed {
+		s.DistancesWithin(l, math.Inf(1), func(v NodeID, d float64) bool {
+			a.tab[int(v)*w+2*i] = d
 			return true
 		})
-		a.bwd = append(a.bwd, bwd)
+		s.DistancesWithinReverse(l, math.Inf(1), func(v NodeID, d float64) bool {
+			a.tab[int(v)*w+2*i+1] = d
+			return true
+		})
 	}
 	return a, nil
 }
@@ -96,20 +109,19 @@ func NewALT(g *Graph, k int) (*ALT, error) {
 // NumSeeds returns the number of ALT landmarks.
 func (a *ALT) NumSeeds() int { return len(a.seed) }
 
-// heuristic returns the ALT lower bound on d(v → t).
+// heuristic returns the ALT lower bound on d(v → t). An unreachable
+// (+Inf) table entry needs no guard: Inf−Inf is NaN and −Inf never
+// exceeds h, so both drop out of the max, and a +Inf difference arises
+// only where v really cannot reach t.
 func (a *ALT) heuristic(v, t NodeID) float64 {
 	var h float64
-	for i := range a.seed {
+	for rv, rt := a.row(v), a.row(t); len(rv) >= 2 && len(rt) >= 2; rv, rt = rv[2:], rt[2:] {
 		// d(L→t) − d(L→v) ≤ d(v→t)  and  d(v→L) − d(t→L) ≤ d(v→t).
-		if fv, ft := a.fwd[i][v], a.fwd[i][t]; !math.IsInf(fv, 1) && !math.IsInf(ft, 1) {
-			if c := ft - fv; c > h {
-				h = c
-			}
+		if c := rt[0] - rv[0]; c > h {
+			h = c
 		}
-		if bv, bt := a.bwd[i][v], a.bwd[i][t]; !math.IsInf(bv, 1) && !math.IsInf(bt, 1) {
-			if c := bv - bt; c > h {
-				h = c
-			}
+		if c := rv[1] - rt[1]; c > h {
+			h = c
 		}
 	}
 	return h
@@ -127,45 +139,14 @@ func (a *ALT) NewSearcher() *ALTSearcher {
 	return &ALTSearcher{alt: a, s: NewSearcher(a.g)}
 }
 
-// ShortestPath runs A* with the ALT heuristic. Results are identical to
-// Searcher.ShortestPath; only the visited-node count differs.
+// ShortestPath runs the Searcher's A* loop with the ALT heuristic.
+// Results are identical to Searcher.ShortestPath; only the visited-node
+// count differs.
 func (as *ALTSearcher) ShortestPath(source, target NodeID) SPResult {
-	if source == target {
-		return SPResult{Dist: 0, Path: []NodeID{source}}
-	}
-	a, s := as.alt, as.s
-	s.reset()
-	h := func(v NodeID) float64 { return a.heuristic(v, target) }
-
-	s.relax(source, 0, InvalidNode)
-	s.queue.push(pqItem{node: source, prio: h(source)})
-	for s.queue.Len() > 0 {
-		it := s.queue.pop()
-		v := it.node
-		if v == target {
-			return SPResult{Dist: s.dist[v], Path: s.buildPath(v)}
-		}
-		if it.prio > s.dist[v]+h(v)+1e-9 {
-			continue
-		}
-		for _, e := range s.g.Out(v) {
-			nd := s.dist[v] + e.Length
-			if s.relax(e.To, nd, v) {
-				s.queue.push(pqItem{node: e.To, prio: nd + h(e.To)})
-			}
-		}
-	}
-	return SPResult{Dist: math.Inf(1)}
+	a := as.alt
+	return as.s.astar(source, target, func(v NodeID) float64 { return a.heuristic(v, target) })
 }
 
 // SettledNodes reports how many nodes the last search settled — the
 // quantity ALT improves. Exposed for benchmarks and tests.
-func (as *ALTSearcher) SettledNodes() int {
-	n := 0
-	for _, st := range as.s.stamp {
-		if st == as.s.gen {
-			n++
-		}
-	}
-	return n
-}
+func (as *ALTSearcher) SettledNodes() int { return as.s.SettledNodes() }

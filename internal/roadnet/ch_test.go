@@ -129,11 +129,7 @@ func TestCHSettlesFewerNodes(t *testing.T) {
 		cs.ShortestPath(a, b)
 		chSettled += cs.SettledNodes()
 		plain.ShortestPath(a, b)
-		for _, st := range plain.stamp {
-			if st == plain.gen {
-				plainSettled++
-			}
-		}
+		plainSettled += plain.SettledNodes()
 	}
 	if chSettled*2 >= plainSettled {
 		t.Fatalf("CH settled %d nodes vs plain %d; expected < half", chSettled, plainSettled)

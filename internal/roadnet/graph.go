@@ -70,6 +70,7 @@ type Edge struct {
 // scratch state).
 type Graph struct {
 	pts     []geo.Point
+	xyz     [][3]float64 // pts on the sphere, Cartesian metres; see chord
 	out     [][]Edge
 	in      [][]Edge // reverse adjacency, for searches toward a target
 	edgeCnt int
@@ -88,6 +89,9 @@ func (g *Graph) MeasureMem(a *memsize.Accumulator) {
 func (g *Graph) AddNode(p geo.Point) NodeID {
 	id := NodeID(len(g.pts))
 	g.pts = append(g.pts, p)
+	lat, lng := p.Lat*math.Pi/180, p.Lng*math.Pi/180
+	r := geo.EarthRadiusMeters * math.Cos(lat) // of the parallel
+	g.xyz = append(g.xyz, [3]float64{r * math.Cos(lng), r * math.Sin(lng), geo.EarthRadiusMeters * math.Sin(lat)})
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	return id
@@ -110,10 +114,35 @@ func (g *Graph) Out(id NodeID) []Edge { return g.out[id] }
 // To field holds the *source* of the original edge.
 func (g *Graph) In(id NodeID) []Edge { return g.in[id] }
 
+// chordSlack is the relative rounding tolerance of the chord invariant:
+// AddEdge accepts a length down to chord·(1−chordSlack), and chordBound
+// shaves the chord by twice that, so neither a great-circle length that
+// rounds a hair under the chord of the stored coordinates nor the
+// rounding of a long path sum can make the heuristic inadmissible.
+const chordSlack = 1e-9
+
+// chord returns the straight-line (through the Earth) distance in meters
+// between two nodes: no trigonometry, at most the great-circle arc, and a
+// metric on the stored coordinates.
+func (g *Graph) chord(a, b NodeID) float64 {
+	p, q := &g.xyz[a], &g.xyz[b]
+	dx, dy, dz := p[0]-q[0], p[1]-q[1], p[2]-q[2]
+	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+}
+
+// chordBound is the plain A* heuristic: the chord from v to t, shaved.
+// Every edge is at least (1−chordSlack) of its own chord and the chord
+// is a metric, so no path from v to t is shorter; it is 0 at t.
+func (g *Graph) chordBound(v, t NodeID) float64 {
+	return g.chord(v, t) * (1 - 2*chordSlack)
+}
+
 // AddEdge inserts a directed edge from → to. A non-positive length is
-// replaced by the haversine distance between the endpoints; speeds must be
-// positive. It returns an error on invalid endpoints so network-building
-// bugs surface at construction, not as corrupt searches later.
+// replaced by the haversine distance between the endpoints; an explicit
+// one shorter than the chord between them is rejected (it would make the
+// A* and ALT searches inexact); speeds must be positive. It returns an
+// error so network-building bugs surface at construction, not as corrupt
+// searches later.
 func (g *Graph) AddEdge(from, to NodeID, length, speed float64, class RoadClass) error {
 	if from < 0 || int(from) >= len(g.pts) || to < 0 || int(to) >= len(g.pts) {
 		return fmt.Errorf("roadnet: edge endpoints %d→%d out of range [0,%d)", from, to, len(g.pts))
@@ -124,11 +153,16 @@ func (g *Graph) AddEdge(from, to NodeID, length, speed float64, class RoadClass)
 	if speed <= 0 || math.IsNaN(speed) {
 		return fmt.Errorf("roadnet: non-positive speed %v on edge %d→%d", speed, from, to)
 	}
+	chord := g.chord(from, to)
 	if length <= 0 {
 		length = geo.Haversine(g.pts[from], g.pts[to])
 		if length <= 0 {
 			length = 1 // coincident nodes: keep the metric positive
 		}
+		// The arc can round under the chord only on a sub-meter edge.
+		length = max(length, chord*(1-chordSlack))
+	} else if !(length >= chord*(1-chordSlack)) {
+		return fmt.Errorf("roadnet: edge %d→%d length %v is shorter than the %v m straight line between its endpoints", from, to, length, chord)
 	}
 	g.out[from] = append(g.out[from], Edge{To: to, Length: length, Speed: speed, Class: class})
 	g.in[to] = append(g.in[to], Edge{To: from, Length: length, Speed: speed, Class: class})

@@ -1,10 +1,6 @@
 package roadnet
 
-import (
-	"math"
-
-	"xar/internal/geo"
-)
+import "math"
 
 // pqItem is one entry of the binary-heap priority queue used by all the
 // searches in this file. prio is the ordering key (distance, or distance
@@ -73,94 +69,122 @@ type SPResult struct {
 // Reachable reports whether the search found the target.
 func (r SPResult) Reachable() bool { return !math.IsInf(r.Dist, 1) }
 
+// label is the per-node scratch of one search: tentative distance,
+// heuristic value (evaluated once, at first touch), predecessor, and the
+// generation mark that makes reset O(1).
+type label struct {
+	dist, h float64
+	prev    NodeID
+	stamp   uint32
+}
+
 // Searcher bundles the per-search scratch state so that a read-only Graph
 // can serve many concurrent searches: each goroutine owns one Searcher.
-// Reusing a Searcher across queries avoids reallocating the O(n) arrays.
+// Reusing a Searcher across queries avoids reallocating the O(n) array.
 type Searcher struct {
-	g     *Graph
-	dist  []float64
-	prev  []NodeID
-	stamp []uint32 // generation marks so reset is O(1)
-	gen   uint32
-	queue pq
+	g      *Graph
+	labels []label
+	gen    uint32
+	queue  pq
 }
 
 // NewSearcher creates a Searcher bound to g.
 func NewSearcher(g *Graph) *Searcher {
-	n := g.NumNodes()
-	return &Searcher{
-		g:     g,
-		dist:  make([]float64, n),
-		prev:  make([]NodeID, n),
-		stamp: make([]uint32, n),
-	}
+	return &Searcher{g: g, labels: make([]label, g.NumNodes())}
 }
 
 func (s *Searcher) reset() {
 	s.gen++
 	if s.gen == 0 { // wrapped: clear stamps once every 4G searches
-		for i := range s.stamp {
-			s.stamp[i] = 0
+		for i := range s.labels {
+			s.labels[i].stamp = 0
 		}
 		s.gen = 1
 	}
 	s.queue = s.queue[:0]
 }
 
-func (s *Searcher) seen(v NodeID) bool { return s.stamp[v] == s.gen }
-
+// relax records d (reached from from) as v's distance if this search has
+// not touched v or d improves on what it has; it reports whether it did.
 func (s *Searcher) relax(v NodeID, d float64, from NodeID) bool {
-	if !s.seen(v) || d < s.dist[v] {
-		s.stamp[v] = s.gen
-		s.dist[v] = d
-		s.prev[v] = from
-		return true
+	lb := &s.labels[v]
+	if lb.stamp == s.gen && d >= lb.dist {
+		return false
 	}
-	return false
+	lb.stamp, lb.dist, lb.prev = s.gen, d, from
+	return true
+}
+
+// SettledNodes reports how many nodes the last search touched — the
+// quantity a tighter heuristic reduces. Exposed for benchmarks and tests.
+func (s *Searcher) SettledNodes() int {
+	n := 0
+	for i := range s.labels {
+		if s.labels[i].stamp == s.gen {
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Searcher) buildPath(target NodeID) []NodeID {
-	var rev []NodeID
-	for v := target; v != InvalidNode; v = s.prev[v] {
-		rev = append(rev, v)
+	n := 0
+	for v := target; v != InvalidNode; v = s.labels[v].prev {
+		n++
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]NodeID, n)
+	for v := target; v != InvalidNode; v = s.labels[v].prev {
+		n--
+		path[n] = v
 	}
-	return rev
+	return path
 }
 
-// ShortestPath runs A* from source to target on edge lengths, using the
-// haversine distance as the (admissible: every edge is at least as long as
-// the straight line) heuristic. It is the routing primitive used when a
-// ride offer is created and when a booking is confirmed.
-func (s *Searcher) ShortestPath(source, target NodeID) SPResult {
+// astar is the one A* loop behind every heuristic search: it settles
+// nodes in order of distance + h and stops when target is popped. h must
+// never exceed the remaining driving distance and must be 0 at target;
+// it is evaluated once per touched node and cached in the node's label.
+// A node is re-queued whenever its distance improves, so an admissible h
+// is enough for exact distances — consistency only saves work.
+func (s *Searcher) astar(source, target NodeID, h func(NodeID) float64) SPResult {
 	if source == target {
 		return SPResult{Dist: 0, Path: []NodeID{source}}
 	}
 	s.reset()
-	tp := s.g.Point(target)
-	h := func(v NodeID) float64 { return geo.Haversine(s.g.Point(v), tp) }
-
-	s.relax(source, 0, InvalidNode)
-	s.queue.push(pqItem{node: source, prio: h(source)})
+	hs := h(source)
+	s.labels[source] = label{h: hs, prev: InvalidNode, stamp: s.gen}
+	s.queue.push(pqItem{node: source, prio: hs})
 	for s.queue.Len() > 0 {
 		it := s.queue.pop()
 		v := it.node
+		lv := &s.labels[v]
 		if v == target {
-			return SPResult{Dist: s.dist[v], Path: s.buildPath(v)}
+			return SPResult{Dist: lv.dist, Path: s.buildPath(v)}
 		}
-		if it.prio > s.dist[v]+h(v)+1e-9 { // stale entry
+		if it.prio > lv.dist+lv.h { // stale entry
 			continue
 		}
 		for _, e := range s.g.Out(v) {
-			nd := s.dist[v] + e.Length
-			if s.relax(e.To, nd, v) {
-				s.queue.push(pqItem{node: e.To, prio: nd + h(e.To)})
+			lw := &s.labels[e.To]
+			if lw.stamp != s.gen {
+				lw.h = h(e.To) // first touch; relax stamps it
+			}
+			if nd := lv.dist + e.Length; s.relax(e.To, nd, v) {
+				s.queue.push(pqItem{node: e.To, prio: nd + lw.h})
 			}
 		}
 	}
 	return SPResult{Dist: math.Inf(1)}
+}
+
+// ShortestPath runs A* from source to target on edge lengths with the
+// straight chord to the target as heuristic (Graph.chordBound: no
+// trigonometry, never more than the driving distance, so the result is
+// exact). It is the routing primitive used when a ride offer is created
+// and when a booking is confirmed.
+func (s *Searcher) ShortestPath(source, target NodeID) SPResult {
+	g := s.g
+	return s.astar(source, target, func(v NodeID) float64 { return g.chordBound(v, target) })
 }
 
 // Visit is the callback of the bounded searches. Returning false stops the
@@ -194,13 +218,14 @@ func (s *Searcher) bounded(source NodeID, radius float64, visit Visit, reverse b
 	for s.queue.Len() > 0 {
 		it := s.queue.pop()
 		v := it.node
-		if it.prio > s.dist[v]+1e-9 {
+		dv := s.labels[v].dist
+		if it.prio > dv { // stale entry
 			continue
 		}
-		if s.dist[v] > radius {
+		if dv > radius {
 			return
 		}
-		if !visit(v, s.dist[v]) {
+		if !visit(v, dv) {
 			return
 		}
 		edges := s.g.Out(v)
@@ -208,7 +233,7 @@ func (s *Searcher) bounded(source NodeID, radius float64, visit Visit, reverse b
 			edges = s.g.In(v)
 		}
 		for _, e := range edges {
-			nd := s.dist[v] + e.Length
+			nd := dv + e.Length
 			if nd <= radius && s.relax(e.To, nd, v) {
 				s.queue.push(pqItem{node: e.To, prio: nd})
 			}

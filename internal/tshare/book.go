@@ -81,6 +81,7 @@ func (e *Engine) Book(m Match, req Request) error {
 			appendPath(t.Route[a : b+1])
 			continue
 		}
+		e.pathQueries++
 		res := e.searcher.ShortestPath(route[len(route)-1], cur.node)
 		if !res.Reachable() {
 			return ErrUnreachable

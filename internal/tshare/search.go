@@ -249,6 +249,7 @@ func (e *Engine) dist(a, b roadnet.NodeID) float64 {
 	if a == b {
 		return 0
 	}
+	e.pathQueries++
 	if e.cfg.HaversineValidation {
 		return geo.Haversine(e.city.Graph.Point(a), e.city.Graph.Point(b))
 	}

@@ -141,6 +141,11 @@ type Engine struct {
 	cells    map[grid.ID][]cellEntry // sorted by eta
 	searcher *roadnet.Searcher
 	nextID   TaxiID
+
+	// pathQueries counts single-pair path queries: the shortest paths of
+	// Create and Book, and every call of the validation's distance
+	// oracle (dist) — a real shortest path, or its haversine stand-in.
+	pathQueries uint64
 }
 
 // New builds an engine over a city.
@@ -163,6 +168,16 @@ func New(city *roadnet.City, cfg Config) (*Engine, error) {
 		cells:    make(map[grid.ID][]cellEntry),
 		searcher: roadnet.NewSearcher(city.Graph),
 	}, nil
+}
+
+// PathQueries returns how many single-pair path queries the engine has
+// issued — the work the paper's Figure 5b is about: T-Share pays it on
+// every search (lazy shortest paths during validation, answered by
+// haversine under HaversineValidation), XAR only when it books.
+func (e *Engine) PathQueries() uint64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.pathQueries
 }
 
 // NumTaxis returns the number of active taxis.
@@ -208,6 +223,7 @@ func (e *Engine) Create(offer Offer) (TaxiID, error) {
 	if src == dst {
 		return 0, fmt.Errorf("tshare: endpoints snap to the same node")
 	}
+	e.pathQueries++
 	res := e.searcher.ShortestPath(src, dst)
 	if !res.Reachable() {
 		return 0, ErrUnreachable
