@@ -565,13 +565,29 @@ func BenchmarkSearchThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchThroughputStripes is BenchmarkSearchThroughput's serial
+// search loop across index stripe counts — what every stripe adds to a
+// search that must visit them all (the sweep of BENCH_index.json).
+func BenchmarkSearchThroughputStripes(b *testing.B) {
+	w := world(b)
+	for _, stripes := range []int{1, 2, 4, 16} {
+		b.Run(fmt.Sprintf("stripes%d", stripes), func(b *testing.B) {
+			sys, requests := seededConcurrentXAR(b, w, stripes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _ = sys.Search(benchRequest(w, requests, i), 0)
+			}
+		})
+	}
+}
+
 // BenchmarkSearchDense measures the search whose cost is per-candidate
 // work, which the earliest-fifth split of the benchmarks above never
 // reaches (most of their searches match nothing): one hour of trips,
 // every fifth a ride and the rest requests — the split of the repository
-// benchmark's search_dense workload — on the default (16-shard) engine,
-// so a search examines hundreds of candidates and returns dozens of
-// matches. allocs/op is exact and gated by `make bench-trend`.
+// benchmark's search_dense workload — on the default engine, so a search
+// examines hundreds of candidates and returns dozens of matches.
+// allocs/op is exact and gated by `make bench-trend`.
 func BenchmarkSearchDense(b *testing.B) {
 	w := world(b)
 	wcfg := workload.DefaultConfig(5000, w.Scale.Seed+2)
@@ -613,17 +629,15 @@ func BenchmarkSearchDense(b *testing.B) {
 	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
 }
 
-// seededConcurrentXAR builds an XAR system with the concurrent engine
-// configuration — a striped ride index (16 shards) — preloaded with the
-// world's offers. The parallel benchmarks measure THIS configuration:
-// its single-threaded throughput already includes the per-shard visit
-// cost of the striped search, so the procs1 row is the honest baseline
-// the scaling curve divides by.
-func seededConcurrentXAR(b *testing.B, w *experiments.World) (*sim.XARSystem, []workload.Trip) {
+// seededConcurrentXAR builds an XAR system over a ride index of the
+// given stripe count, preloaded with the world's offers. Each stripe
+// count's procs1 row already includes its per-stripe visit cost, so it
+// is the honest baseline that count's scaling curve divides by.
+func seededConcurrentXAR(b *testing.B, w *experiments.World, stripes int) (*sim.XARSystem, []workload.Trip) {
 	b.Helper()
 	cfg := core.DefaultConfig()
 	cfg.DefaultDetourLimit = w.Scale.DetourLimit
-	cfg.IndexShards = 16
+	cfg.IndexShards = stripes
 	eng, err := core.NewEngine(w.Disc, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -639,33 +653,45 @@ func seededConcurrentXAR(b *testing.B, w *experiments.World) (*sim.XARSystem, []
 	return sys, requests
 }
 
-// BenchmarkSearchThroughputParallel drives concurrent searches against
-// the striped engine with b.RunParallel at GOMAXPROCS ∈ {1, 4, 8}. On
-// multi-core hardware the searches/s metric should scale near-linearly
-// with procs (reads take only brief per-shard RLocks); the measured
-// curve is recorded in BENCH_parallel.json.
+// forStripesAndProcs runs f as sub-benchmark stripesS/procsP at
+// GOMAXPROCS ∈ {1, 2, 4, 8} for the default single index and for 16
+// stripes — what a write-heavy many-core deployment would set, and the
+// default until the stripe sweep of BENCH_index.json.
+func forStripesAndProcs(b *testing.B, f func(b *testing.B, stripes int)) {
+	for _, stripes := range []int{1, 16} {
+		for _, procs := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("stripes%d/procs%d", stripes, procs), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				f(b, stripes)
+			})
+		}
+	}
+}
+
+// BenchmarkSearchThroughputParallel drives concurrent searches with
+// b.RunParallel against 1 and 16 index stripes at GOMAXPROCS ∈ {1, 2, 4,
+// 8}. On multi-core hardware the searches/s metric should scale
+// near-linearly with procs at either stripe count (searches share read
+// locks); the measured curve is recorded in BENCH_parallel.json.
 func BenchmarkSearchThroughputParallel(b *testing.B) {
 	w := world(b)
-	for _, procs := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("procs%d", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			sys, requests := seededConcurrentXAR(b, w)
-			var ctr atomic.Int64
-			start := time.Now()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(ctr.Add(1))
-					_, _ = sys.Search(benchRequest(w, requests, i), 0)
-				}
-			})
-			b.StopTimer()
-			if b.N > 0 {
-				qps := float64(b.N) / time.Since(start).Seconds()
-				b.ReportMetric(qps, "searches/s")
+	forStripesAndProcs(b, func(b *testing.B, stripes int) {
+		sys, requests := seededConcurrentXAR(b, w, stripes)
+		var ctr atomic.Int64
+		start := time.Now()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				i := int(ctr.Add(1))
+				_, _ = sys.Search(benchRequest(w, requests, i), 0)
 			}
 		})
-	}
+		b.StopTimer()
+		if b.N > 0 {
+			qps := float64(b.N) / time.Since(start).Seconds()
+			b.ReportMetric(qps, "searches/s")
+		}
+	})
 }
 
 // BenchmarkSearchJournal quantifies the event-journal overhead on the
@@ -1138,41 +1164,39 @@ func BenchmarkMixedWorkloadJournal(b *testing.B) {
 // BenchmarkMixedWorkloadParallel is the contention benchmark: concurrent
 // goroutines issue a mixed stream — 1 create per 16 operations, a
 // booking attempt after 1 in 8 successful searches, searches otherwise —
-// so shard write locks, the optimistic book-commit path and pooled
-// path-searchers are all exercised together under b.RunParallel.
+// so the index write lock(s), the optimistic book-commit path and pooled
+// path-searchers are all exercised together under b.RunParallel, at 1
+// and 16 index stripes.
 func BenchmarkMixedWorkloadParallel(b *testing.B) {
 	w := world(b)
-	for _, procs := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("procs%d", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			sys, requests := seededConcurrentXAR(b, w)
-			offers, _ := w.SplitOffersRequests()
-			var ctr atomic.Int64
-			start := time.Now()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(ctr.Add(1))
-					if i%16 == 0 {
-						o := offers[i%len(offers)]
-						_, _ = sys.Create(sim.Offer{
-							Source: o.Pickup, Dest: o.Dropoff,
-							Departure: o.RequestTime, Seats: 4, DetourLimit: w.Scale.DetourLimit,
-						})
-						continue
-					}
-					req := benchRequest(w, requests, i)
-					cs, err := sys.Search(req, 0)
-					if err == nil && len(cs) > 0 && i%8 == 0 {
-						_, _ = sys.Book(cs[0], req)
-					}
+	forStripesAndProcs(b, func(b *testing.B, stripes int) {
+		sys, requests := seededConcurrentXAR(b, w, stripes)
+		offers, _ := w.SplitOffersRequests()
+		var ctr atomic.Int64
+		start := time.Now()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				i := int(ctr.Add(1))
+				if i%16 == 0 {
+					o := offers[i%len(offers)]
+					_, _ = sys.Create(sim.Offer{
+						Source: o.Pickup, Dest: o.Dropoff,
+						Departure: o.RequestTime, Seats: 4, DetourLimit: w.Scale.DetourLimit,
+					})
+					continue
 				}
-			})
-			b.StopTimer()
-			if b.N > 0 {
-				qps := float64(b.N) / time.Since(start).Seconds()
-				b.ReportMetric(qps, "ops/s")
+				req := benchRequest(w, requests, i)
+				cs, err := sys.Search(req, 0)
+				if err == nil && len(cs) > 0 && i%8 == 0 {
+					_, _ = sys.Book(cs[0], req)
+				}
 			}
 		})
-	}
+		b.StopTimer()
+		if b.N > 0 {
+			qps := float64(b.N) / time.Since(start).Seconds()
+			b.ReportMetric(qps, "ops/s")
+		}
+	})
 }

@@ -377,15 +377,14 @@ func dumpProm(reg *telemetry.Registry, path string) error {
 // runParallel is the standalone form of BenchmarkMixedWorkloadParallel:
 // `workers` goroutines drive a mixed stream — 1 create per 16
 // operations, a booking attempt after 1 in 8 successful searches,
-// searches otherwise — against a 16-shard engine preloaded with the
-// world's offers. Throughput comes from wall time; latency quantiles
-// come from the xar_op_duration_seconds telemetry histograms the engine
-// records into (the same series xarserver exposes at /v1/metrics/prom).
+// searches otherwise — against a default-configuration engine (one index
+// stripe) preloaded with the world's offers. Throughput comes from wall
+// time; latency quantiles come from the xar_op_duration_seconds telemetry
+// histograms the engine records into (the same series xarserver exposes
+// at /v1/metrics/prom).
 func runParallel(w *experiments.World, workers, ops int) (*core.Engine, error) {
-	const shards = 16
 	cfg := core.DefaultConfig()
 	cfg.DefaultDetourLimit = w.Scale.DetourLimit
-	cfg.IndexShards = shards
 	cfg.Telemetry = w.Telemetry
 	cfg.Tracer = w.Tracer
 	cfg.Journal = w.Journal
@@ -398,6 +397,7 @@ func runParallel(w *experiments.World, workers, ops int) (*core.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	shards := eng.Index().NumShards()
 	sys := &sim.XARSystem{Engine: eng}
 	offers, requests := w.SplitOffersRequests()
 	for _, o := range offers {

@@ -12,10 +12,10 @@
 //
 // -smoke runs the repo's own benchmarks in -dir (`go test -run '^$'
 // -bench … -benchmem`) and appends the fresh measurements to the
-// headline search ns/op series and to the allocs/op series of the dense
-// search, create and book (exact bands: the counts are deterministic),
-// so the gate compares this machine's hot paths today against the
-// committed history, not just artifact against artifact.
+// default-configuration search ns/op series and to the allocs/op series
+// of the dense search, create and book (exact bands: the counts are
+// deterministic), so the gate compares this machine's hot paths today
+// against the committed history, not just artifact against artifact.
 package main
 
 import (
@@ -38,7 +38,7 @@ func main() {
 	dir := flag.String("dir", ".", "repository root holding the BENCH_*.json artifacts")
 	out := flag.String("out", "-", "trajectory output path (\"-\" = stdout)")
 	gate := flag.Bool("gate", false, "exit 1 when the newest point of any banded series is outside its band")
-	smoke := flag.Bool("smoke", false, "run short fresh benchmarks in -dir and append them to the headline ns/op and the search/create/book allocs/op series")
+	smoke := flag.Bool("smoke", false, "run short fresh benchmarks in -dir and append them to the default-search ns/op and the search/create/book allocs/op series")
 	benchtime := flag.String("benchtime", "300ms", "benchtime for -smoke")
 	flag.Parse()
 
@@ -117,7 +117,7 @@ func allocsLine(bench string) *regexp.Regexp {
 func smokeRuns(benchtime string) []smokeRun {
 	return []smokeRun{
 		{bench: "^(BenchmarkSearchTelemetry|BenchmarkSearchDense)$", benchtime: benchtime, series: []smokeSeries{
-			{"BenchmarkSearchTelemetry", "off_ns_per_op", regexp.MustCompile(`(?m)^BenchmarkSearchTelemetry/off\S*\s+\d+\s+([\d.]+) ns/op`)},
+			{"BenchmarkSearchTelemetry", "default_search_ns_per_op", regexp.MustCompile(`(?m)^BenchmarkSearchTelemetry/off\S*\s+\d+\s+([\d.]+) ns/op`)},
 			{"BenchmarkSearchDense", "search_dense_allocs_per_op", allocsLine("BenchmarkSearchDense")},
 		}},
 		{bench: "^(BenchmarkFig4bCreateXAR|BenchmarkFig4cBookXAR)$", benchtime: "2000x", series: []smokeSeries{

@@ -8,6 +8,7 @@ import (
 
 	"xar/internal/index"
 	"xar/internal/journal"
+	"xar/internal/memsize"
 	"xar/internal/quality"
 	"xar/internal/telemetry"
 	"xar/internal/workload"
@@ -139,40 +140,56 @@ func referenceSupports(e *Engine, r *index.Ride, c int) []refSupport {
 
 // referenceSearch is the search as it ran on per-call sorted supports
 // and without the candidate table: every ride of the fleet is tried
-// against the request, taking the least-walk listed in-window cluster on
-// each side and the old detour-and-order scan over referenceSupports.
-func referenceSearch(t testing.TB, e *Engine, req Request) []Match {
+// against the request, taking — by exhaustive minimum — the least-walk
+// pair of clusters that list it in-window, one on each side, and the old
+// detour-and-order scan over referenceSupports. It also returns how many
+// rides it turned away for their walk alone.
+func referenceSearch(t testing.TB, e *Engine, req Request) (out []Match, walkRejected int) {
 	t.Helper()
 	srcSide, err := e.walkableSide(req.Source, req.WalkLimit)
 	if err != nil {
-		return nil
+		return nil, 0
 	}
 	dstSide, err := e.walkableSide(req.Dest, req.WalkLimit)
 	if err != nil {
-		return nil
+		return nil, 0
 	}
-	var out []Match
 	for i := 0; i < e.ix.NumShards(); i++ {
 		ix := e.ix.Shard(i).Ix
-		inWindow := func(side []sideCandidate, id index.RideID, t2 float64) (sideCandidate, bool) {
+		// listing returns the clusters of side that list the ride with an
+		// arrival in [EarliestDeparture, t2], in side (ascending walk) order.
+		listing := func(side []sideCandidate, id index.RideID, t2 float64) (in []sideCandidate) {
 			for _, sc := range side {
 				if eta, ok := ix.HasPotentialRide(sc.Cluster, id); ok && eta >= req.EarliestDeparture && eta <= t2 {
-					return sc, true
+					in = append(in, sc)
 				}
 			}
-			return sideCandidate{}, false
+			return in
 		}
 		ix.Rides(func(r *index.Ride) bool {
-			src, okS := inWindow(srcSide, r.ID, req.LatestDeparture)
-			dst, okD := inWindow(dstSide, r.ID, req.LatestDeparture+e.cfg.DestWindowSlack)
-			if !okS || !okD || r.SeatsAvail <= 0 {
+			srcs := listing(srcSide, r.ID, req.LatestDeparture)
+			dsts := listing(dstSide, r.ID, req.LatestDeparture+e.cfg.DestWindowSlack)
+			if len(srcs) == 0 || len(dsts) == 0 || r.SeatsAvail <= 0 {
 				return true
 			}
-			if src.Walk+dst.Walk > req.WalkLimit {
-				var ok bool
-				if src, dst, ok = bestWalkPair(ix, srcSide, dstSide, r.ID, req, req.LatestDeparture+e.cfg.DestWindowSlack); !ok {
-					return true
+			var src, dst sideCandidate
+			best := math.Inf(1)
+			for _, sc := range srcs {
+				for _, dc := range dsts {
+					if total := sc.Walk + dc.Walk; total < best {
+						best, src, dst = total, sc, dc
+					}
 				}
+			}
+			if best > req.WalkLimit {
+				walkRejected++
+				return true
+			}
+			// A pair fits, so each side's first listed cluster must be one
+			// that does: that pair is the only one the search tries.
+			if first := srcs[0].Walk + dsts[0].Walk; first > req.WalkLimit {
+				t.Fatalf("ride %d: clusters %d→%d walk %.0f m, within the limit, but the sides' first listed clusters %d→%d walk %.0f m",
+					r.ID, src.Cluster, dst.Cluster, best, srcs[0].Cluster, dsts[0].Cluster, first)
 			}
 			bestTotal, found := r.DetourLimit+1, false
 			var bm Match
@@ -206,7 +223,7 @@ func referenceSearch(t testing.TB, e *Engine, req Request) []Match {
 		})
 	}
 	slices.SortFunc(out, func(a, b Match) int { return compareMatches(&a, &b) })
-	return out
+	return out, walkRejected
 }
 
 // TestSearchEqualsSupportsReference: on a dense fleet the search returns
@@ -214,13 +231,14 @@ func referenceSearch(t testing.TB, e *Engine, req Request) []Match {
 // support positions and segments, in the same order — of referenceSearch.
 func TestSearchEqualsSupportsReference(t *testing.T) {
 	e, reqs := denseFixture(t, DefaultConfig(), 900)
-	total, multiSeg := 0, 0
+	total, multiSeg, walkRejected := 0, 0, 0
 	for i := 0; i < len(reqs); i += 3 {
 		got, err := e.Search(reqs[i])
 		if err != nil && err != ErrNotServable {
 			t.Fatal(err)
 		}
-		want := referenceSearch(t, e, reqs[i])
+		want, rejected := referenceSearch(t, e, reqs[i])
+		walkRejected += rejected
 		if !slices.Equal(got, want) {
 			t.Fatalf("request %d: search returned %d matches, reference %d\n got  %+v\n want %+v", i, len(got), len(want), got, want)
 		}
@@ -237,12 +255,15 @@ func TestSearchEqualsSupportsReference(t *testing.T) {
 	if multiSeg == 0 {
 		t.Fatal("no match used a support past a booked via-point")
 	}
+	if walkRejected == 0 {
+		t.Fatal("no ride was turned away for its combined walk: the walk-limit check went untested")
+	}
 }
 
 // TestMatchesLieInTheirWindows: with a five-minute departure window,
 // every returned match's pickup cluster lists the ride with an arrival
 // inside the window, and its drop-off cluster inside the window extended
-// by DestWindowSlack — also when the walk-limit fallback chose the pair.
+// by DestWindowSlack.
 func TestMatchesLieInTheirWindows(t *testing.T) {
 	e, reqs := denseFixture(t, DefaultConfig(), 300)
 	matches := 0
@@ -340,5 +361,48 @@ func TestSampledSearchJournalsDeterministically(t *testing.T) {
 	}
 	if candidates == 0 || rejections == 0 {
 		t.Fatalf("journaled %d candidate and %d rejection events, want both", candidates, rejections)
+	}
+}
+
+// TestTrackAllIsDeterministic: two engines fed the same create / book /
+// TrackAll sequence end up with the same index, byte for byte of its
+// deep size, and the same journal, event for event — TrackAll advances
+// and retires rides in ride order, not in the order a map yields them.
+// (The posting lists' block boundaries depend on the order of the writes,
+// so the index size is sensitive to it.)
+func TestTrackAllIsDeterministic(t *testing.T) {
+	run := func() (uint64, []journal.Event) {
+		cfg := DefaultConfig()
+		cfg.Journal = journal.New(journal.Config{TailCapacity: 1 << 16})
+		e, _ := denseFixture(t, cfg, 900)
+		defer e.Close()
+		completed := 0
+		for now := 8.2 * 3600; now <= 8.6*3600; now += 180 {
+			n, err := e.TrackAll(now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			completed += n
+		}
+		if completed < 50 || e.NumRides() < 50 {
+			t.Fatalf("%d rides completed, %d still active: want plenty of both", completed, e.NumRides())
+		}
+		if err := e.Index().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return memsize.Of(e.Index()), cfg.Journal.Tail(journal.TailFilter{Limit: 1 << 16})
+	}
+	sizeA, eventsA := run()
+	sizeB, eventsB := run()
+	if sizeA != sizeB {
+		t.Errorf("index deep size differs between two identical runs: %d vs %d bytes", sizeA, sizeB)
+	}
+	if len(eventsA) != len(eventsB) {
+		t.Fatalf("journals hold %d and %d events", len(eventsA), len(eventsB))
+	}
+	for k, a := range eventsA {
+		if b := eventsB[k]; a.Seq != b.Seq || a.Type != b.Type || a.Ride != b.Ride || a.Value != b.Value || a.Note != b.Note {
+			t.Fatalf("event %d differs between two identical runs:\n %+v\n %+v", k, a, b)
+		}
 	}
 }

@@ -128,17 +128,20 @@ type Config struct {
 	// context). See DESIGN.md §Tracing model.
 	Tracer *telemetry.Tracer
 	// IndexShards is the ride-index stripe count (0 →
-	// index.DefaultShards). Rides are partitioned by ID across
-	// independently locked shards; create/book/cancel/track lock one
-	// shard, searches take each shard's read lock only while reading its
-	// posting lists. More shards → less contention, slightly more fixed
-	// memory (one empty cluster array per shard).
+	// index.DefaultShards, one). With N > 1 rides are partitioned by ID
+	// across independently locked shards: create/book/cancel/track lock
+	// one shard, and every search visits all N — so each stripe adds its
+	// share of list probes and a lock pair to every search (16 stripes
+	// roughly double the search, BENCH_index.json) and buys only write
+	// concurrency. Raise it on write-heavy many-core deployments where a
+	// mutex profile shows writers queueing on the index lock; with one
+	// stripe a writer waits out the searches in flight.
 	IndexShards int
 	// PprofLabels tags the goroutines running Search/Book/Create (and the
 	// parallel shard fan-out / booking splice) with runtime/pprof labels
 	// (op, stage, shard), so CPU profiles attribute samples to engine
 	// operations. Off by default: pprof.Do allocates a label set per
-	// call, a measurable cost on the sub-3µs search path. Enable it on
+	// call, a measurable cost on the sub-microsecond search path. Enable it on
 	// deployments that profile in production (xarserver -pprof-labels).
 	PprofLabels bool
 	// SearchWorkers enables the parallel candidate-evaluation stage:

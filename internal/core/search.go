@@ -30,11 +30,11 @@ const maxCandidateEvents = 8
 //	Step 1 — source side: map the request source to its grid, prune the
 //	grid's sorted walkable-cluster list by the requester's walk limit,
 //	and for each feasible cluster pull the potential rides whose ETA
-//	falls in the departure window (binary search on the by-ETA order).
+//	falls in the departure window (binary search on the time order).
 //
 //	Step 2 — destination side: the same from the destination, with the
 //	window extended by DestWindowSlack; then intersect the two candidate
-//	sets (by-ID order membership tests).
+//	sets (membership tests against the source side's candidate set).
 //
 // Finally each surviving ride is checked for combined walking distance
 // (≤ the request's limit), combined cluster-approximated detour (≤ the
@@ -42,14 +42,15 @@ const maxCandidateEvents = 8
 // availability. Matches are returned sorted by total walking distance,
 // the quantity the paper's simulation minimizes.
 //
-// Concurrency: rides are striped across index shards, and every step
-// after the (lock-free) walkable-side lookup is shard-local — a ride's
-// source candidates, destination candidates, intersection and final
-// checks all live in the shard that owns the ride. The search therefore
-// visits shards one at a time, holding only that shard's read lock, and
-// merges the per-shard matches at the end; concurrent mutations block it
-// on at most one stripe. With Config.SearchWorkers > 0 the per-shard
-// work fans out over a worker pool (large fleets, otherwise idle CPUs).
+// Concurrency: the index is one shard by default, Config.IndexShards
+// stripes of rides otherwise, and every step after the (lock-free)
+// walkable-side lookup is shard-local — a ride's source candidates,
+// destination candidates, intersection and final checks all live in the
+// shard that owns the ride. The search therefore visits shards one at a
+// time, holding only that shard's read lock, and merges the per-shard
+// matches at the end. With Config.SearchWorkers > 0 the per-shard work
+// of a striped index fans out over a worker pool (large fleets,
+// otherwise idle CPUs).
 func (e *Engine) Search(req Request) ([]Match, error) {
 	return e.SearchCtx(context.Background(), req)
 }
@@ -208,9 +209,8 @@ type rejectedCandidate struct {
 // summed after the join, so the parallel fan-out needs no shared clocks;
 // under workers the sums measure CPU time, not wall time.
 type shardSearchResult struct {
-	matches          int
-	cand, final      time.Duration
-	walkPair, detour time.Duration
+	matches             int
+	cand, final, detour time.Duration
 	// funnel counts this shard's candidate eliminations per quality
 	// stage (all zero unless the engine has a quality collector). Local
 	// ints here, one batched atomic add after the merge — the funnel
@@ -379,13 +379,12 @@ func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSid
 		wg.Wait()
 	}
 
-	var candTime, finalTime, walkPairTime, detourTime time.Duration
+	var candTime, finalTime, detourTime time.Duration
 	var funnel [quality.NumStages]uint64
 	var examined uint64
 	for i := range results {
 		candTime += results[i].cand
 		finalTime += results[i].final
-		walkPairTime += results[i].walkPair
 		detourTime += results[i].detour
 		if opts.qc != nil {
 			examined += results[i].examined
@@ -429,9 +428,6 @@ func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSid
 	if tel != nil {
 		tel.stages[stageCandidate].ObserveDuration(candTime)
 		tel.stages[stageFinalCheck].ObserveDuration(finalTime + time.Since(sortMark))
-		if walkPairTime > 0 {
-			tel.stages[stageWalkPair].ObserveDuration(walkPairTime)
-		}
 		if detourTime > 0 {
 			tel.stages[stageDetourCheck].ObserveDuration(detourTime)
 		}
@@ -569,25 +565,14 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 		}
 		// Combined walking distance within the requester's limit. The
 		// per-side lists were pruned by the full limit, so the sum needs
-		// its own check.
+		// its own check — and no other cluster pair can pass it: src and
+		// dst are each side's least-walk cluster that lists the ride
+		// in-window, and the two sides' conditions are independent.
 		if src.Walk+dst.Walk > req.WalkLimit {
-			// The best-walk cluster pair may fail while another pair
-			// passes; try to find any feasible pair cheaply by scanning
-			// the (short, sorted) walkable lists again.
-			var ok bool
-			if fine {
-				t0 := time.Now()
-				src, dst, ok = bestWalkPair(ix, srcSide, dstSide, id, req, destT2)
-				res.walkPair += time.Since(t0)
-			} else {
-				src, dst, ok = bestWalkPair(ix, srcSide, dstSide, id, req, destT2)
+			if track {
+				reject(id, quality.WalkLimit)
 			}
-			if !ok {
-				if track {
-					reject(id, quality.WalkLimit)
-				}
-				continue
-			}
+			continue
 		}
 		var ps, pd *index.Support
 		if fine && opts.relax == 0 {
@@ -642,36 +627,6 @@ func (e *Engine) walkableSide(p geo.Point, limit float64) ([]sideCandidate, erro
 		return nil, ErrNotServable
 	}
 	return side, nil
-}
-
-// bestWalkPair searches for the least-total-walk (source, dest) cluster
-// pair for which the ride is listed on both sides inside the request's
-// window (up to destT2 on the destination side) and the total walk fits
-// the limit. Walkable lists are sorted by walk, so it can stop early.
-// The caller holds the read lock of the shard owning ix.
-func bestWalkPair(ix *index.Index, srcSide, dstSide []sideCandidate, id index.RideID, req Request, destT2 float64) (s, d sideCandidate, ok bool) {
-	best := req.WalkLimit + 1
-	for _, sc := range srcSide {
-		if sc.Walk >= best {
-			break
-		}
-		if eta, listed := ix.HasPotentialRide(sc.Cluster, id); !listed || eta < req.EarliestDeparture || eta > req.LatestDeparture {
-			continue
-		}
-		for _, dc := range dstSide {
-			total := sc.Walk + dc.Walk
-			if total >= best || total > req.WalkLimit {
-				break
-			}
-			if eta, listed := ix.HasPotentialRide(dc.Cluster, id); !listed || eta < req.EarliestDeparture || eta > destT2 {
-				continue
-			}
-			best = total
-			s, d, ok = sc, dc, true
-			break
-		}
-	}
-	return s, d, ok
 }
 
 // bestSupportPair validates that the ride can serve pickup cluster cs

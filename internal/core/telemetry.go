@@ -22,11 +22,10 @@ const (
 
 // Search stage names (§VII decomposition; see DESIGN.md §Observability).
 const (
-	stageSideLookup   = "side_lookup"   // walkableSide on both endpoints
-	stageCandidate    = "candidate_scan" // steps 1+2: potential-ride pulls + intersection
-	stageFinalCheck   = "final_check"   // whole per-ride validation loop + sort
-	stageWalkPair     = "walk_pair"     // bestWalkPair time summed over the search
-	stageDetourCheck  = "detour_check"  // bestSupportPair time summed over the search
+	stageSideLookup  = "side_lookup"    // walkableSide on both endpoints
+	stageCandidate   = "candidate_scan" // steps 1+2: potential-ride pulls + intersection
+	stageFinalCheck  = "final_check"    // whole per-ride validation loop + sort
+	stageDetourCheck = "detour_check"   // bestSupportPair time summed over the search
 )
 
 // DefaultSearchSampleRate is the default 1-in-N sampling rate for search
@@ -101,7 +100,7 @@ func newEngineTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, sampl
 			"Engine operations that returned an error, by operation.",
 			telemetry.L("op", op))
 	}
-	for _, st := range []string{stageSideLookup, stageCandidate, stageFinalCheck, stageWalkPair, stageDetourCheck} {
+	for _, st := range []string{stageSideLookup, stageCandidate, stageFinalCheck, stageDetourCheck} {
 		t.stages[st] = telemetry.SearchStage(reg, st)
 	}
 	t.bookConflicts = reg.Counter("xar_book_conflict_retries_total",

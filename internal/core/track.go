@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"xar/internal/index"
@@ -77,6 +78,10 @@ func (e *Engine) TrackAll(now float64) (completed int, err error) {
 		toAdvance = append(toAdvance, r.ID)
 		return true
 	})
+	// View.Rides walks Go maps. Ascending ride ID makes the sequence of
+	// Advance and CompleteRide calls — and with it the journal's event
+	// order and the index's block layout — a function of the inputs.
+	slices.Sort(toAdvance)
 
 	for _, id := range toAdvance {
 		arrived, terr := e.Track(id, now)

@@ -132,12 +132,6 @@ func maxTripDist(city *roadnet.City) float64 {
 func (w *World) NewXAREngine() (*core.Engine, error) {
 	cfg := core.DefaultConfig()
 	cfg.DefaultDetourLimit = w.Scale.DetourLimit
-	// The figure replays are deterministic single-threaded loops: index
-	// striping buys them nothing and would add its fixed per-shard visit
-	// cost to every search, so the experiment engines run unsharded.
-	// Concurrency benchmarks construct their engines with explicit
-	// IndexShards/SearchWorkers instead.
-	cfg.IndexShards = 1
 	if w.Telemetry != nil {
 		cfg.Telemetry = w.Telemetry
 		cfg.SearchSampleRate = 1

@@ -14,7 +14,8 @@ type Config struct {
 	// attached to reachable clusters (pass-through ETAs come from the
 	// route itself).
 	AvgSpeed float64
-	// LinearWindowScan disables the by-ETA binary search (ablation).
+	// LinearWindowScan replaces the binary searches of a window read by a
+	// scan of the whole list (ablation).
 	LinearWindowScan bool
 	// NoReachablePrecompute disables the reachable-cluster expansion at
 	// registration time (ablation): only pass-through clusters are
@@ -287,10 +288,14 @@ func (ix *Index) register(r *Ride) {
 // unregister removes the ride from all cluster lists and clears its
 // registration state.
 func (ix *Index) unregister(r *Ride) {
-	for i, s := range r.support {
-		if i == 0 || s.Cluster != r.support[i-1].Cluster {
-			ix.clusters[s.Cluster].remove(r.ID)
+	for sup := r.support; len(sup) > 0; {
+		c, n := sup[0].Cluster, 1
+		for n < len(sup) && sup[n].Cluster == c {
+			n++
 		}
+		eta, _ := minETA(sup[:n])
+		ix.clusters[c].remove(r.ID, eta)
+		sup = sup[n:]
 	}
 	r.support = nil
 	r.pt = nil
@@ -351,9 +356,9 @@ func (ix *Index) Advance(id RideID, pos int) error {
 		}
 		switch {
 		case w == start:
-			ix.clusters[c].remove(r.ID)
+			ix.clusters[c].remove(r.ID, was)
 		case now != was:
-			ix.clusters[c].updateETA(r.ID, now)
+			ix.clusters[c].updateETA(r.ID, was, now)
 		}
 	}
 	r.support = sup[:w]
@@ -370,26 +375,22 @@ func (ix *Index) PotentialRides(c int, t1, t2 float64, dst []RideID) []RideID {
 	if c < 0 || c >= len(ix.clusters) {
 		return dst
 	}
-	l := &ix.clusters[c]
 	if ix.cfg.LinearWindowScan {
-		for _, e := range l.byID {
-			if e.ETA >= t1 && e.ETA <= t2 {
-				dst = append(dst, e.Ride)
-			}
-		}
-		return dst
+		return ix.clusters[c].scanIDs(t1, t2, dst)
 	}
-	return l.windowIDs(t1, t2, dst)
+	return ix.clusters[c].windowIDs(t1, t2, dst)
 }
 
 // HasPotentialRide reports whether ride id is in cluster c's potential
-// list, with its ETA — the by-ID order lookup used by the two-sided
-// intersection.
+// list, with its ETA (diagnostics and tests; no search calls it): the
+// ride's support table names the ETA, the list confirms the tuple.
 func (ix *Index) HasPotentialRide(c int, id RideID) (float64, bool) {
-	if c < 0 || c >= len(ix.clusters) {
+	r := ix.rides[id]
+	if r == nil || c < 0 || c >= len(ix.clusters) {
 		return 0, false
 	}
-	return ix.clusters[c].eta(id)
+	eta, ok := r.ListETA(c)
+	return eta, ok && ix.clusters[c].has(id, eta)
 }
 
 // ClusterListLen reports the potential-ride count of cluster c
@@ -407,7 +408,7 @@ func (ix *Index) ClusterListLen(c int) int {
 type Stats struct {
 	Rides           int
 	Clusters        int
-	ListEntries     int // Σ per-cluster potential-ride tuples (×2 orders)
+	ListEntries     int // Σ per-cluster potential-ride tuples
 	SupportRecords  int // Σ per-ride (cluster → pass-through) refs
 	PassThroughRuns int // Σ per-ride pass-through entries
 	MaxListLen      int // largest single cluster list
@@ -454,44 +455,36 @@ func (ix *Index) CheckInvariants() error {
 // dst and returns it — the online auditor wants the full damage of a
 // sweep, not the first symptom:
 //
-//   - both sort orders of a cluster list hold exactly the same tuples;
+//   - a cluster list's blocks are non-empty, within the cap, strictly
+//     ascending by (ETA, ride) across the whole list, and count len();
 //   - a ride's support table is sorted by (cluster, detour, position) and
 //     every entry points at a live (non-crossed) pass-through entry;
 //   - a ride appears in a cluster list iff it has ≥1 support there;
-//   - list ETAs equal the minimum support ETA.
+//   - a ride is listed under exactly its minimum support ETA (the key
+//     unregister and Advance find it by).
 func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
+	// Keyed lookups need a well-formed list; a damaged one is reported as
+	// such and left out of the membership check below.
+	damaged := map[int32]bool{}
 	for c := range ix.clusters {
 		l := &ix.clusters[c]
-		if len(l.byID) != len(l.byETA) {
-			dst = append(dst, Inconsistency{Cluster: c, Detail: fmt.Sprintf("order sizes differ (%d byID vs %d byETA)", len(l.byID), len(l.byETA))})
+		if ride, defect := l.structuralDefect(); defect != "" {
+			dst = append(dst, Inconsistency{Ride: ride, Cluster: c, Detail: defect})
+			damaged[int32(c)] = true
 		}
-		for i := 1; i < len(l.byID); i++ {
-			if l.byID[i-1].Ride >= l.byID[i].Ride {
-				dst = append(dst, Inconsistency{Ride: l.byID[i].Ride, Cluster: c, Detail: fmt.Sprintf("byID order violated at %d", i)})
-			}
-		}
-		for i := 1; i < len(l.byETA); i++ {
-			if l.byETA[i-1].ETA > l.byETA[i].ETA {
-				dst = append(dst, Inconsistency{Ride: l.byETA[i].Ride, Cluster: c, Detail: fmt.Sprintf("byETA order violated at %d", i)})
-			}
-		}
-		for _, e := range l.byID {
-			r, ok := ix.rides[e.Ride]
-			if !ok {
-				dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: "listed ride is not registered"})
-				continue
-			}
-			sups := r.Supports(c)
-			if len(sups) == 0 {
-				dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: "listed ride has no supports here"})
-				continue
-			}
-			best := math.Inf(1)
-			for _, s := range sups {
-				best = min(best, s.ETA)
-			}
-			if math.Abs(best-e.ETA) > 1e-6 {
-				dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: fmt.Sprintf("listed ETA %v != min support ETA %v", e.ETA, best)})
+		for _, b := range l.blocks {
+			for _, e := range b {
+				r, ok := ix.rides[e.Ride]
+				if !ok {
+					dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: "listed ride is not registered"})
+					continue
+				}
+				best, ok := r.ListETA(c)
+				if !ok {
+					dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: "listed ride has no supports here"})
+				} else if best != e.ETA {
+					dst = append(dst, Inconsistency{Ride: e.Ride, Cluster: c, Detail: fmt.Sprintf("listed ETA %v != min support ETA %v", e.ETA, best)})
+				}
 			}
 		}
 	}
@@ -503,8 +496,8 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 			if int(s.Order) >= len(r.pt) || r.pt[s.Order].Crossed || r.pt[s.Order].Seg != s.Seg {
 				dst = append(dst, Inconsistency{Ride: id, Cluster: int(s.Cluster), Detail: fmt.Sprintf("support %d does not point at a live pass-through", i)})
 			}
-			if i == 0 || s.Cluster != r.support[i-1].Cluster {
-				if _, ok := ix.clusters[s.Cluster].eta(id); !ok {
+			if (i == 0 || s.Cluster != r.support[i-1].Cluster) && !damaged[s.Cluster] {
+				if _, ok := ix.HasPotentialRide(int(s.Cluster), id); !ok {
 					dst = append(dst, Inconsistency{Ride: id, Cluster: int(s.Cluster), Detail: "ride's schedule supports this cluster but the list omits it"})
 				}
 			}
@@ -514,14 +507,12 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 }
 
 // DropFromClusterList removes ride id from cluster c's potential-ride
-// lists while leaving the ride's support records in place — a deliberate
+// list while leaving the ride's support records in place — a deliberate
 // index↔schedule inconsistency. It exists solely for auditor
 // fault-injection drills ("drop a ride from a cluster list behind the
 // engine's back"); nothing in the serving path calls it. Reports whether
 // the ride was listed.
 func (ix *Index) DropFromClusterList(c int, id RideID) bool {
-	if c < 0 || c >= len(ix.clusters) {
-		return false
-	}
-	return ix.clusters[c].remove(id)
+	eta, ok := ix.HasPotentialRide(c, id)
+	return ok && ix.clusters[c].remove(id, eta)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"xar/internal/discretize"
@@ -679,6 +680,49 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 	r.pt[r.support[0].Order].Crossed = true // crossed, but not compacted out
 	if err := ix.CheckInvariants(); err == nil {
 		t.Fatal("a support of a crossed pass-through must be reported")
+	}
+	r.pt[r.support[0].Order].Crossed = false
+
+	// Damaged blocks of a cluster list: each defect is reported under the
+	// cluster it sits in.
+	r2 := makeRide(t, d, ix, from, to, 60, 1500)
+	if err := ix.Insert(r2); err != nil {
+		t.Fatal(err)
+	}
+	c := int(r.support[0].Cluster)
+	l := &ix.clusters[c]
+	if l.len() != 2 || len(l.blocks) != 1 {
+		t.Fatalf("cluster %d lists %d rides in %d blocks, want both rides in one", c, l.len(), len(l.blocks))
+	}
+	reported := func(detail string) bool {
+		for _, inc := range ix.Inconsistencies(nil) {
+			if inc.Cluster == c && strings.Contains(inc.Detail, detail) {
+				return true
+			}
+		}
+		return false
+	}
+	b := l.blocks[0]
+	b[0], b[1] = b[1], b[0]
+	if !reported("order violated") {
+		t.Error("a block out of (ETA, ride) order must be reported")
+	}
+	b[0], b[1] = b[1], b[0]
+
+	l.blocks = append(l.blocks, nil)
+	if !reported("holds 0 entries") {
+		t.Error("an empty block must be reported")
+	}
+	l.blocks = l.blocks[:1]
+
+	listed := b[1].ETA
+	b[1].ETA += 30 // still in order, but no longer the key Advance and unregister look up
+	if !reported("!= min support ETA") || !reported("the list omits it") {
+		t.Error("a ride listed under another ETA than its earliest support must be reported, both ways")
+	}
+	b[1].ETA = listed
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("damage undone, still reported: %v", err)
 	}
 }
 

@@ -1,7 +1,8 @@
 package index
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 )
 
 // listEntry pairs a potential ride with its estimated arrival time in a
@@ -11,127 +12,220 @@ type listEntry struct {
 	ETA  float64
 }
 
-// clusterList maintains the potential rides of one cluster in the two
-// sort orders the paper prescribes: by non-decreasing arrival time (time-
-// window retrieval in O(log n)) and by ride ID (membership testing and
-// O(log n) intersection during the two-sided search).
+// before is the list order: ascending ETA, equal ETAs by ride ID.
+func (e listEntry) before(o listEntry) bool {
+	if e.ETA != o.ETA {
+		return e.ETA < o.ETA
+	}
+	return e.Ride < o.Ride
+}
+
+// blockCap bounds a block of a clusterList. A write moves at most one
+// block's entries, so it stays constant as a list grows; a window read
+// runs across whole blocks, so small blocks would break the hardware
+// prefetch stream of a few-hundred-entry window.
+const blockCap = 512
+
+// clusterList holds the potential rides of one cluster in one order — by
+// (ETA, ride) — cut into blocks of at most blockCap entries: time-window
+// retrieval is a binary search over the block tails and one inside a
+// block; insertion and removal are the same search plus a move inside
+// one block. There is no by-ride order: whoever removes or re-times a
+// ride knows the ETA it is listed under (Ride.ListETA), which makes the
+// entry's position a keyed lookup too.
+//
+// No block is empty and the concatenation of the blocks is strictly
+// ascending (structuralDefect verifies both).
 type clusterList struct {
-	byETA []listEntry
-	byID  []listEntry
+	blocks [][]listEntry
+	n      int
 }
 
-func (l *clusterList) len() int { return len(l.byID) }
+func (l *clusterList) len() int { return l.n }
 
-// add inserts the tuple, keeping both orders. The caller guarantees the
-// ride is not already present.
-func (l *clusterList) add(r RideID, eta float64) {
-	e := listEntry{Ride: r, ETA: eta}
-	i := sort.Search(len(l.byETA), func(i int) bool {
-		if l.byETA[i].ETA != eta {
-			return l.byETA[i].ETA > eta
-		}
-		return l.byETA[i].Ride >= r
-	})
-	l.byETA = append(l.byETA, listEntry{})
-	copy(l.byETA[i+1:], l.byETA[i:])
-	l.byETA[i] = e
-
-	j := sort.Search(len(l.byID), func(i int) bool { return l.byID[i].Ride >= r })
-	l.byID = append(l.byID, listEntry{})
-	copy(l.byID[j+1:], l.byID[j:])
-	l.byID[j] = e
-}
-
-// remove deletes the ride's tuple; it reports whether the ride was
-// present.
-func (l *clusterList) remove(r RideID) bool {
-	j := sort.Search(len(l.byID), func(i int) bool { return l.byID[i].Ride >= r })
-	if j >= len(l.byID) || l.byID[j].Ride != r {
-		return false
-	}
-	eta := l.byID[j].ETA
-	l.byID = append(l.byID[:j], l.byID[j+1:]...)
-
-	i := sort.Search(len(l.byETA), func(i int) bool {
-		if l.byETA[i].ETA != eta {
-			return l.byETA[i].ETA > eta
-		}
-		return l.byETA[i].Ride >= r
-	})
-	// Defensive linear fallback in case of float inconsistency.
-	for i < len(l.byETA) && (l.byETA[i].Ride != r || l.byETA[i].ETA != eta) {
-		i++
-	}
-	if i < len(l.byETA) {
-		l.byETA = append(l.byETA[:i], l.byETA[i+1:]...)
-	}
-	return true
-}
-
-// updateETA changes the ride's arrival estimate, preserving both orders.
-func (l *clusterList) updateETA(r RideID, eta float64) {
-	if l.remove(r) {
-		l.add(r, eta)
-	}
-}
-
-// eta returns the ride's arrival estimate and whether it is present —
-// a binary search on the by-ID order.
-func (l *clusterList) eta(r RideID) (float64, bool) {
-	j := sort.Search(len(l.byID), func(i int) bool { return l.byID[i].Ride >= r })
-	if j < len(l.byID) && l.byID[j].Ride == r {
-		return l.byID[j].ETA, true
-	}
-	return 0, false
-}
-
-// window appends to dst the rides with ETA in [t1, t2] (inclusive), using
-// a binary search on the by-ETA order, and returns the extended slice.
-func (l *clusterList) window(t1, t2 float64, dst []listEntry) []listEntry {
-	if t2 < t1 {
-		return dst
-	}
-	i := sort.Search(len(l.byETA), func(i int) bool { return l.byETA[i].ETA >= t1 })
-	for ; i < len(l.byETA) && l.byETA[i].ETA <= t2; i++ {
-		dst = append(dst, l.byETA[i])
-	}
-	return dst
-}
-
-// windowIDs appends to dst the ride IDs with ETA in [t1, t2] (inclusive).
-// It is the hot-path variant of window: the binary search is inlined
-// (no sort.Search closure), the endpoints are range-checked first so an
-// empty or out-of-window list costs two comparisons, and no intermediate
-// entry slice is built. Searches call this once per (cluster, shard)
-// pair, so its constant factor multiplies by the shard count.
-func (l *clusterList) windowIDs(t1, t2 float64, dst []RideID) []RideID {
-	a := l.byETA
-	if t2 < t1 || len(a) == 0 || a[0].ETA > t2 || a[len(a)-1].ETA < t1 {
-		return dst
-	}
-	lo, hi := 0, len(a)
+// blockFor returns the first block whose tail is not before e — the
+// block that holds e if the list does, and the one e belongs in
+// otherwise — or len(l.blocks) when e sorts after every entry.
+func (l *clusterList) blockFor(e listEntry) int {
+	lo, hi := 0, len(l.blocks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if a[mid].ETA < t1 {
+		if b := l.blocks[mid]; b[len(b)-1].before(e) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	for ; lo < len(a) && a[lo].ETA <= t2; lo++ {
-		dst = append(dst, a[lo].Ride)
+	return lo
+}
+
+// posIn returns the position of the first entry of b that is not before
+// e.
+func posIn(b []listEntry, e listEntry) int {
+	lo, hi := 0, len(b)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b[mid].before(e) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// add inserts the tuple. The caller guarantees the ride is not already
+// listed.
+func (l *clusterList) add(r RideID, eta float64) {
+	e := listEntry{Ride: r, ETA: eta}
+	l.n++
+	bi := l.blockFor(e)
+	if bi == len(l.blocks) {
+		// Past the last entry — the common case, rides arriving in time
+		// order: fill the last block, then open a new one. Blocks grow by
+		// append; a pre-sized one would cost blockCap entries for every
+		// cluster a single ride touches.
+		if last := bi - 1; last >= 0 && len(l.blocks[last]) < blockCap {
+			l.blocks[last] = append(l.blocks[last], e)
+		} else {
+			l.blocks = append(l.blocks, []listEntry{e})
+		}
+		return
+	}
+	b := l.blocks[bi]
+	i := posIn(b, e)
+	if len(b) == blockCap {
+		// Full: the upper half moves to a new block of its own.
+		upper := slices.Clone(b[blockCap/2:])
+		b = b[:blockCap/2]
+		l.blocks = slices.Insert(l.blocks, bi+1, upper)
+		l.blocks[bi] = b
+		if i > len(b) {
+			bi, b, i = bi+1, upper, i-len(b)
+		}
+	}
+	l.blocks[bi] = slices.Insert(b, i, e)
+}
+
+// find locates the tuple ⟨r, eta⟩.
+func (l *clusterList) find(r RideID, eta float64) (bi, i int, ok bool) {
+	e := listEntry{Ride: r, ETA: eta}
+	if bi = l.blockFor(e); bi == len(l.blocks) {
+		return 0, 0, false
+	}
+	b := l.blocks[bi]
+	i = posIn(b, e)
+	return bi, i, b[i] == e // i < len(b): b's tail is not before e
+}
+
+// has reports whether the ride is listed under exactly eta.
+func (l *clusterList) has(r RideID, eta float64) bool {
+	_, _, ok := l.find(r, eta)
+	return ok
+}
+
+// remove deletes the ride's tuple, given the ETA it is listed under; it
+// reports whether the tuple was present. A stale key removes nothing.
+func (l *clusterList) remove(r RideID, eta float64) bool {
+	bi, i, ok := l.find(r, eta)
+	if !ok {
+		return false
+	}
+	l.n--
+	if b := l.blocks[bi]; len(b) > 1 {
+		l.blocks[bi] = slices.Delete(b, i, i+1)
+	} else {
+		l.blocks = slices.Delete(l.blocks, bi, bi+1)
+	}
+	return true
+}
+
+// updateETA moves the ride's tuple from arrival estimate was to now.
+func (l *clusterList) updateETA(r RideID, was, now float64) {
+	if l.remove(r, was) {
+		l.add(r, now)
+	}
+}
+
+// windowIDs appends to dst the ride IDs with ETA in [t1, t2] (inclusive):
+// a binary search over the block tails, one inside that block, then a
+// run across blocks. The endpoints are range-checked first, so an empty
+// or out-of-window list costs two comparisons.
+func (l *clusterList) windowIDs(t1, t2 float64, dst []RideID) []RideID {
+	bs := l.blocks
+	if t2 < t1 || len(bs) == 0 || bs[0][0].ETA > t2 {
+		return dst
+	}
+	if last := bs[len(bs)-1]; last[len(last)-1].ETA < t1 {
+		return dst
+	}
+	lo, hi := 0, len(bs)-1 // the last block's tail is known to reach t1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b := bs[mid]; b[len(b)-1].ETA < t1 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	a := bs[lo]
+	i, hi := 0, len(a)
+	for i < hi {
+		mid := int(uint(i+hi) >> 1)
+		if a[mid].ETA < t1 {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for {
+		for ; i < len(a); i++ {
+			if a[i].ETA > t2 {
+				return dst
+			}
+			dst = append(dst, a[i].Ride)
+		}
+		if lo++; lo == len(bs) {
+			return dst
+		}
+		a, i = bs[lo], 0
+	}
+}
+
+// scanIDs is the ablation variant of windowIDs: a full scan that ignores
+// the order. Benchmarks use it to quantify the value of the sorted list.
+func (l *clusterList) scanIDs(t1, t2 float64, dst []RideID) []RideID {
+	for _, b := range l.blocks {
+		for _, e := range b {
+			if e.ETA >= t1 && e.ETA <= t2 {
+				dst = append(dst, e.Ride)
+			}
+		}
 	}
 	return dst
 }
 
-// windowLinear is the ablation variant of window: a full scan that
-// ignores the sorted order. Benchmarks use it to quantify the value of
-// the dual sorted lists.
-func (l *clusterList) windowLinear(t1, t2 float64, dst []listEntry) []listEntry {
-	for _, e := range l.byID {
-		if e.ETA >= t1 && e.ETA <= t2 {
-			dst = append(dst, e)
+// structuralDefect describes the first violation of the block
+// invariants — an empty or oversized block, entries out of (ETA, ride)
+// order, a count that disagrees with len() — with the offending ride, or
+// returns "" for a well-formed list.
+func (l *clusterList) structuralDefect() (RideID, string) {
+	n := 0
+	var prev listEntry
+	for bi, b := range l.blocks {
+		if len(b) == 0 || len(b) > blockCap {
+			return 0, fmt.Sprintf("block %d holds %d entries (want 1..%d)", bi, len(b), blockCap)
+		}
+		for i, e := range b {
+			if n > 0 && !prev.before(e) {
+				return e.Ride, fmt.Sprintf("(ETA, ride) order violated at block %d entry %d", bi, i)
+			}
+			prev = e
+			n++
 		}
 	}
-	return dst
+	if n != l.n {
+		return 0, fmt.Sprintf("blocks hold %d entries, len() says %d", n, l.n)
+	}
+	return 0, ""
 }

@@ -1,8 +1,9 @@
 // Package index implements the XAR in-memory indexing structure (§VI of
 // the paper): rides with via-points and segments, per-segment pass-through
 // clusters, reachable clusters under the detour test, and per-cluster
-// potential-ride lists maintained in two sort orders (by estimated time of
-// arrival and by ride ID).
+// potential-ride lists sorted by estimated time of arrival. (The paper's
+// second order, by ride ID, is subsumed by each ride's own support table:
+// it answers "is this ride listed there, and under which ETA".)
 //
 // The index is the component that eliminates shortest-path computation
 // from the search path: all spatial reasoning during a search happens in
@@ -10,9 +11,9 @@
 // when a ride is created and when a booking is confirmed, exactly as the
 // paper prescribes.
 //
-// A single Index is not safe for concurrent use. The core engine does
-// not guard it with one global lock; it partitions rides across a
-// Sharded set of lock-striped Index instances keyed by ride ID, so
+// A single Index is not safe for concurrent use. The core engine reaches
+// it through Sharded: one Index behind an RWMutex by default, or rides
+// partitioned across N lock-striped instances keyed by ride ID, where
 // searches take brief per-shard read locks and mutations exclude only
 // the one shard that owns the ride. Rides carry a revision counter
 // (Ride.Rev) that the engine's optimistic booking protocol compares to
@@ -194,6 +195,26 @@ func (r *Ride) Supports(c int) []Support {
 		end++
 	}
 	return sup[lo:end]
+}
+
+// ListETA returns the arrival estimate the ride is listed under in
+// cluster c's potential-ride list — its earliest support there — and
+// whether it has any. register and Advance list the ride at exactly this
+// value, which is what lets them find the tuple again by key.
+func (r *Ride) ListETA(c int) (float64, bool) {
+	return minETA(r.Supports(c))
+}
+
+// minETA returns the earliest ETA of one cluster's supports.
+func minETA(group []Support) (float64, bool) {
+	if len(group) == 0 {
+		return 0, false
+	}
+	eta := group[0].ETA
+	for _, s := range group[1:] {
+		eta = min(eta, s.ETA)
+	}
+	return eta, true
 }
 
 // NumSegments returns the number of route segments (via-point count − 1).

@@ -9,20 +9,25 @@ import (
 	"xar/internal/memsize"
 )
 
-// DefaultShards is the shard count used when the caller passes 0. Ride
-// IDs are sequential, so id mod N stripes the fleet uniformly; 16 shards
-// keep write contention negligible up to dozens of cores while the empty
-// per-shard cluster arrays stay cheap.
-const DefaultShards = 16
+// DefaultShards is the shard count used when the caller passes 0: one.
+// Stripes are keyed by ride ID, and every cluster's list holds rides of
+// every stripe, so a search must visit all of them — N stripes multiply
+// its list probes, lock pairs and candidate-set resets by N and divide
+// nothing for readers. What a stripe buys is write concurrency: with one,
+// a writer waits out the searches in flight (each a few microseconds to a
+// few hundred) and writers to different rides serialize.
+const DefaultShards = 1
 
 // Sharded stripes the ride index across N independently locked shards,
-// keyed by ride ID. Each shard is a complete Index (its own ride map and
-// cluster posting lists) restricted to the rides assigned to it; the
-// O(k²) cluster-neighbor table is built once and shared read-only by
-// every shard. A search takes each shard's read lock only while reading
-// that shard's posting lists; create/book/cancel/track lock exactly one
-// shard — so a booking's shortest-path splice never stalls searches on
-// the other N−1 stripes.
+// keyed by ride ID (ride IDs are sequential, so id mod N is uniform).
+// Each shard is a complete Index (its own ride map and cluster posting
+// lists) restricted to the rides assigned to it; the O(k²)
+// cluster-neighbor table is built once and shared read-only by every
+// shard. A search takes each shard's read lock only while reading that
+// shard's posting lists; create/book/cancel/track lock exactly one shard
+// (and compute their shortest paths outside it). N > 1 is for write-heavy
+// many-core deployments, where index writes to different rides should
+// not queue behind one another or behind a search of the whole fleet.
 //
 // Lock ordering: the engine never holds two shard locks at once (every
 // operation is single-shard; searches visit shards sequentially or from

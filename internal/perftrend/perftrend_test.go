@@ -82,7 +82,7 @@ func TestCommittedArtifactsPassGate(t *testing.T) {
 		}
 	}
 	for _, file := range []string{
-		"BENCH_audit.json", "BENCH_ch.json", "BENCH_memory.json",
+		"BENCH_audit.json", "BENCH_ch.json", "BENCH_index.json", "BENCH_memory.json",
 		"BENCH_parallel.json", "BENCH_profile.json", "BENCH_quality.json",
 		"BENCH_recorder.json", "BENCH_routing.json", "BENCH_scale.json",
 		"BENCH_search.json", "BENCH_tracing.json",
@@ -162,6 +162,15 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 			want: "search_dense_allocs_per_op",
 		},
 		{
+			// The 16-stripe search the default used to be: inside the
+			// historical series' 8000 ns roof, outside this one's.
+			name: "default search pays for stripes again", file: "BENCH_index.json",
+			mutate: func(doc map[string]any) {
+				doc["default_search"].(map[string]any)["BenchmarkSearchTelemetry/off"].(map[string]any)["ns_per_op"] = 2500.0
+			},
+			want: "default_search_ns_per_op",
+		},
+		{
 			name: "per-node allocation comes back", file: "BENCH_routing.json",
 			mutate: func(doc map[string]any) {
 				doc["BenchmarkFig4cBookXAR"].(map[string]any)["after"].(map[string]any)["allocs_per_op"] = 31.0
@@ -202,11 +211,11 @@ func TestSmokePointGatesAgainstBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.AddPoint("BenchmarkSearchTelemetry", "off_ns_per_op", Point{Source: "smoke", Value: 3000})
+	tr.AddPoint("BenchmarkSearchTelemetry", "default_search_ns_per_op", Point{Source: "smoke", Value: 550})
 	if got := tr.Gate(); len(got) != 0 {
 		t.Fatalf("healthy smoke point tripped the gate: %v", got)
 	}
-	tr.AddPoint("BenchmarkSearchTelemetry", "off_ns_per_op", Point{Source: "smoke", Value: 9001})
+	tr.AddPoint("BenchmarkSearchTelemetry", "default_search_ns_per_op", Point{Source: "smoke", Value: 1800})
 	got := tr.Gate()
 	if len(got) != 1 || !strings.Contains(got[0], "smoke") {
 		t.Fatalf("regressed smoke point not caught: %v", got)

@@ -31,7 +31,8 @@ const (
 	// destination window (step 2 intersection), or the posting was stale.
 	WindowMiss = iota
 	// WalkLimit: no (source, dest) cluster pair fits the requester's
-	// combined walking limit (bestWalkPair found nothing).
+	// combined walking limit (the two sides' least-walk clusters that
+	// list the ride in-window already exceed it).
 	WalkLimit
 	// Capacity: the ride had no seat left.
 	Capacity

@@ -50,7 +50,7 @@ func WithCPUProfiler(p *profile.CPUProfiler) Option {
 //
 //   - search-p95: 95% of engine searches under searchP95 (the paper's
 //     headline sub-millisecond search, §X Fig 4a — give live deployments
-//     headroom above the benchmark's ~2.5µs).
+//     headroom above the benchmark's ~0.5µs).
 //   - book-conflict-rate: optimistic-commit retries stay under 10% of
 //     bookings (sustained conflict storms mean shard contention).
 //   - http-error-rate: 5xx responses stay under 1% of requests.

@@ -12,8 +12,7 @@ const (
 	OpDurationName = "xar_op_duration_seconds"
 	// SearchStageName decomposes one search into the paper's stages
 	// (§VII), labeled stage=side_lookup|candidate_scan|final_check|
-	// walk_pair|detour_check. Fig 4a's latency story becomes observable
-	// per stage.
+	// detour_check. Fig 4a's latency story becomes observable per stage.
 	SearchStageName = "xar_search_stage_duration_seconds"
 )
 
