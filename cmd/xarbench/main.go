@@ -111,7 +111,7 @@ func main() {
 		defer func() {
 			rec.Stop()
 			rec.TickNow()
-			if err := dumpHistory(rec, *historyOut); err != nil {
+			if err := experiments.DumpHistory(rec, *historyOut); err != nil {
 				log.Fatal(err)
 			}
 		}()
@@ -194,7 +194,7 @@ func main() {
 		}
 		if w.Quality != nil {
 			eng.ShadowFlush()
-			printQuality(w.Quality.Snapshot())
+			experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())
 		}
 		if *prom != "" {
 			if err := dumpProm(w.Telemetry, *prom); err != nil {
@@ -202,7 +202,7 @@ func main() {
 			}
 		}
 		if *traceOut != "" {
-			if err := dumpTraces(w.Tracer, *traceOut, *traceTop); err != nil {
+			if err := experiments.DumpTraces(w.Tracer, *traceOut, *traceTop); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -230,7 +230,7 @@ func main() {
 	}
 	printProfile()
 	if w.Quality != nil {
-		printQuality(w.Quality.Snapshot())
+		experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())
 	}
 
 	if *prom != "" {
@@ -239,7 +239,7 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		if err := dumpTraces(w.Tracer, *traceOut, *traceTop); err != nil {
+		if err := experiments.DumpTraces(w.Tracer, *traceOut, *traceTop); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -285,72 +285,6 @@ func runAudit(w *experiments.World, eng *core.Engine) {
 		log.Fatalf("audit: %d invariant violation(s) — failing", len(rep.Violations))
 	}
 	log.Printf("audit: all invariants hold (0 violations)")
-}
-
-// printQuality prints the run's match-quality picture: the candidate
-// funnel, the approximation-gap distributions, and (when the shadow
-// matcher ran) the constraint attribution and greedy-regret stats.
-func printQuality(s quality.Snapshot) {
-	fmt.Printf("\n--- match quality ---\n")
-	fmt.Printf("candidates examined: %d\n", s.CandidatesExamined)
-	for _, st := range quality.Stages() {
-		if n := s.Funnel[st]; n > 0 || st == "matched" {
-			fmt.Printf("  %-18s %d\n", st, n)
-		}
-	}
-	if s.DetourSlack.Count > 0 {
-		fmt.Printf("detour slack ratio (of Theorem 6 limit): mean %.3f p50 %.3f p90 %.3f p99 %.3f (n=%d)\n",
-			s.DetourSlack.Mean, s.DetourSlack.P50, s.DetourSlack.P90, s.DetourSlack.P99, s.DetourSlack.Count)
-	}
-	if s.EpsilonConsumption.Count > 0 {
-		fmt.Printf("epsilon consumption (of 4ε allowance):   mean %.3f p50 %.3f p90 %.3f p99 %.3f (n=%d)\n",
-			s.EpsilonConsumption.Mean, s.EpsilonConsumption.P50, s.EpsilonConsumption.P90, s.EpsilonConsumption.P99, s.EpsilonConsumption.Count)
-	}
-	if s.Shadow.Enabled {
-		fmt.Printf("shadow: %d no-match + %d regret tasks (%d dropped)\n",
-			s.Shadow.Tasks[quality.TaskNoMatch], s.Shadow.Tasks[quality.TaskRegret], s.Shadow.Dropped)
-		for _, con := range quality.Constraints() {
-			if n := s.Shadow.Unlocks[con]; n > 0 {
-				fmt.Printf("  unlocked by relaxing %-16s %d\n", con, n)
-			}
-		}
-		if r := s.Shadow.Regret; r.Bookings > 0 {
-			fmt.Printf("  greedy regret: %d/%d re-matched bookings beat the greedy choice (mean %.0f m, max %.0f m)\n",
-				r.WithRegret, r.Rematched, r.MeanM, r.MaxM)
-		}
-	}
-}
-
-// dumpTraces writes the run's n slowest traces (full span trees) to path.
-func dumpTraces(tr *telemetry.Tracer, path string, n int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := telemetry.WriteSlowest(f, tr.Store(), n); err != nil {
-		return err
-	}
-	log.Printf("wrote %d slowest traces to %s (of %d retained)", n, path, tr.Store().Len())
-	return nil
-}
-
-// dumpHistory writes the recorder's full retained time-series as JSON.
-func dumpHistory(rec *telemetry.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	dump := rec.History(telemetry.HistoryQuery{})
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(dump); err != nil {
-		return err
-	}
-	log.Printf("wrote %d history snapshots (%d series) to %s",
-		dump.Snapshots, len(dump.Series), path)
-	return nil
 }
 
 // dumpProm writes the registry in Prometheus text format to path

@@ -241,7 +241,7 @@ func main() {
 	}
 	if world.Quality != nil && eng != nil {
 		eng.ShadowFlush()
-		logQuality(world.Quality.Snapshot())
+		experiments.WriteQuality(log.Writer(), world.Quality.Snapshot())
 	}
 	if eng != nil {
 		if rep := eng.LastMemReport(); rep != nil {
@@ -290,37 +290,6 @@ func main() {
 			log.Printf("GATE: %s", v)
 		}
 		os.Exit(1)
-	}
-}
-
-// logQuality prints the sweep's match-quality summary: the candidate
-// funnel and, when the shadow matcher ran, the unlock attribution.
-func logQuality(s quality.Snapshot) {
-	var stages []string
-	for _, st := range quality.Stages() {
-		if n := s.Funnel[st]; n > 0 {
-			stages = append(stages, fmt.Sprintf("%s=%d", st, n))
-		}
-	}
-	log.Printf("quality: %d candidates examined (%s)", s.CandidatesExamined, strings.Join(stages, " "))
-	if s.DetourSlack.Count > 0 {
-		log.Printf("quality: detour slack ratio mean %.3f p99 %.3f over %d bookings",
-			s.DetourSlack.Mean, s.DetourSlack.P99, s.DetourSlack.Count)
-	}
-	if s.Shadow.Enabled {
-		var unlocks []string
-		for _, con := range quality.Constraints() {
-			if n := s.Shadow.Unlocks[con]; n > 0 {
-				unlocks = append(unlocks, fmt.Sprintf("%s=%d", con, n))
-			}
-		}
-		log.Printf("quality: shadow %d no-match + %d regret tasks, %d dropped; unlocks: %s",
-			s.Shadow.Tasks[quality.TaskNoMatch], s.Shadow.Tasks[quality.TaskRegret],
-			s.Shadow.Dropped, strings.Join(unlocks, " "))
-		if r := s.Shadow.Regret; r.WithRegret > 0 {
-			log.Printf("quality: greedy regret on %d/%d re-matched bookings (mean %.0f m, max %.0f m)",
-				r.WithRegret, r.Rematched, r.MeanM, r.MaxM)
-		}
 	}
 }
 

@@ -23,8 +23,6 @@
 //	-history-retention 1h  how much metric history /v1/metrics/history retains
 //	-slo                   evaluate burn-rate SLOs at /v1/slo and in /v1/healthz
 //	-slo-search-p95-ms 5   search-latency objective threshold
-//	-profile-on-page DIR   capture a CPU profile into DIR when an SLO pages
-//	-pprof-labels          label engine hot paths (op/stage/shard) for profilers
 //	-bundle-dir DIR        SIGQUIT writes a debug bundle tar.gz here (also GET /v1/debug/bundle)
 //	-journal               journal ride-lifecycle events (/v1/rides/{id}/timeline, /v1/events)
 //	-audit-interval 30s    background invariant-audit sweep cadence (0 disables)
@@ -89,8 +87,6 @@ func main() {
 	historyRetention := flag.Duration("history-retention", time.Hour, "how much metric history the flight recorder retains")
 	enableSLO := flag.Bool("slo", true, "evaluate burn-rate SLOs (/v1/slo, /v1/healthz status); needs the flight recorder")
 	sloSearchP95 := flag.Float64("slo-search-p95-ms", 5, "search-latency SLO threshold in milliseconds (p95)")
-	profileOnPage := flag.String("profile-on-page", "", "capture a short CPU profile into this directory when an SLO enters page (empty disables)")
-	pprofLabels := flag.Bool("pprof-labels", false, "attach pprof labels (op/stage/shard) to engine hot paths; small per-op cost")
 	bundleDir := flag.String("bundle-dir", ".", "directory SIGQUIT-triggered debug bundles are written to")
 	enableJournal := flag.Bool("journal", true, "record ride-lifecycle events into the fixed-memory journal; serves /v1/rides/{id}/timeline and /v1/events")
 	auditInterval := flag.Duration("audit-interval", 30*time.Second, "background invariant-audit sweep cadence (0 disables the auditor)")
@@ -151,7 +147,6 @@ func main() {
 	ecfg.Tracer = tracer
 	ecfg.SlowOpThreshold = time.Duration(*slowMS * float64(time.Millisecond))
 	ecfg.SlowOpLogger = logger
-	ecfg.PprofLabels = *pprofLabels
 	ecfg.Journal = jr
 	var qc *quality.Collector
 	if *enableQuality {
@@ -216,8 +211,8 @@ func main() {
 		opts = append(opts, server.WithAuditor(auditor))
 	}
 
-	// Flight recorder: in-process metric history, burn-rate SLOs, and the
-	// page-triggered CPU profiler all hang off the snapshot cadence.
+	// Flight recorder: in-process metric history and burn-rate SLOs hang
+	// off the snapshot cadence.
 	if *historyInterval > 0 {
 		rec := telemetry.NewRecorder(reg, telemetry.RecorderConfig{
 			Interval:  *historyInterval,
@@ -230,17 +225,9 @@ func main() {
 			slo := telemetry.NewSLOEngine(rec, telemetry.SLOConfig{},
 				server.DefaultSLOs(time.Duration(*sloSearchP95*float64(time.Millisecond)))...)
 			opts = append(opts, server.WithSLO(slo))
-			if *profileOnPage != "" {
-				prof := profile.NewCPUProfiler(profile.CPUProfilerConfig{
-					Dir:  *profileOnPage,
-					Logf: log.Printf,
-				})
-				prof.AttachTo(slo)
-				opts = append(opts, server.WithCPUProfiler(prof))
-			}
-			// A page also pins the continuous profiler's capture
-			// bracket, so the flat tables around the incident
-			// survive ring eviction.
+			// A page pins the continuous profiler's capture bracket, so
+			// the flat tables and raw CPU profiles around the incident
+			// survive ring eviction and ship in the debug bundle.
 			if p := eng.Profiler(); p != nil {
 				p.AttachTo(slo)
 			}

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -150,16 +149,20 @@ func main() {
 		}
 		if w.Quality != nil {
 			eng.ShadowFlush()
-			printQuality(w.Quality.Snapshot())
+			experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())
 		}
 		if rep := eng.MemSweep(); rep != nil {
 			printMemory(rep)
 		}
 		if *traceOut != "" {
-			dumpTraces(*traceOut, w.Tracer, *traceTop)
+			if err := experiments.DumpTraces(w.Tracer, *traceOut, *traceTop); err != nil {
+				log.Fatal(err)
+			}
 		}
 		if rec != nil {
-			dumpHistory(*historyOut, rec)
+			if err := experiments.DumpHistory(rec, *historyOut); err != nil {
+				log.Fatal(err)
+			}
 		}
 		if auditor != nil {
 			finalAudit(auditor, w.Journal)
@@ -201,41 +204,6 @@ func report(w *experiments.World, sys sim.System, cfg sim.Config) {
 		fmt.Printf("rider walking: %s\n", res.Walks.Summary("m"))
 	}
 	fmt.Printf("active rides at end: %d\n", sys.ActiveRides())
-}
-
-// printQuality prints the replay's match-quality picture: the candidate
-// funnel, the approximation-gap distributions, and (when the shadow
-// matcher ran) the constraint attribution and greedy-regret stats.
-func printQuality(s quality.Snapshot) {
-	fmt.Printf("\n--- match quality ---\n")
-	fmt.Printf("candidates examined: %d\n", s.CandidatesExamined)
-	for _, st := range quality.Stages() {
-		if n := s.Funnel[st]; n > 0 || st == "matched" {
-			fmt.Printf("  %-18s %d\n", st, n)
-		}
-	}
-	if s.DetourSlack.Count > 0 {
-		fmt.Printf("detour slack ratio (of Theorem 6 limit): mean %.3f p50 %.3f p90 %.3f p99 %.3f (n=%d)\n",
-			s.DetourSlack.Mean, s.DetourSlack.P50, s.DetourSlack.P90, s.DetourSlack.P99, s.DetourSlack.Count)
-	}
-	if s.EpsilonConsumption.Count > 0 {
-		fmt.Printf("epsilon consumption (of 4ε allowance):   mean %.3f p50 %.3f p90 %.3f p99 %.3f (n=%d)\n",
-			s.EpsilonConsumption.Mean, s.EpsilonConsumption.P50, s.EpsilonConsumption.P90, s.EpsilonConsumption.P99, s.EpsilonConsumption.Count)
-	}
-	if s.Shadow.Enabled {
-		fmt.Printf("shadow: %d no-match + %d regret tasks (%d dropped)\n",
-			s.Shadow.Tasks[quality.TaskNoMatch], s.Shadow.Tasks[quality.TaskRegret], s.Shadow.Dropped)
-		for _, con := range quality.Constraints() {
-			if n := s.Shadow.Unlocks[con]; n > 0 {
-				fmt.Printf("  unlocked by relaxing %-16s %d\n", con, n)
-			}
-		}
-		r := s.Shadow.Regret
-		if r.Bookings > 0 {
-			fmt.Printf("  greedy regret: %d/%d re-matched bookings beat the greedy choice (mean %.0f m, max %.0f m)\n",
-				r.WithRegret, r.Rematched, r.MeanM, r.MaxM)
-		}
-	}
 }
 
 // printMemory prints the post-replay component accounting: which
@@ -291,34 +259,4 @@ func finalAudit(auditor *audit.Auditor, jr *journal.Journal) {
 		log.Fatalf("audit: %d invariant violation(s) across all sweeps — failing", total)
 	}
 	log.Printf("audit: all invariants hold (0 violations)")
-}
-
-// dumpTraces writes the run's n slowest traces (full span trees) to path.
-func dumpTraces(path string, tr *telemetry.Tracer, n int) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := telemetry.WriteSlowest(f, tr.Store(), n); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %d slowest traces to %s (of %d retained)", n, path, tr.Store().Len())
-}
-
-// dumpHistory writes the recorder's full retained time-series as JSON.
-func dumpHistory(path string, rec *telemetry.Recorder) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	dump := rec.History(telemetry.HistoryQuery{})
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(dump); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %d history snapshots (%d series) to %s",
-		dump.Snapshots, len(dump.Series), path)
 }

@@ -98,9 +98,12 @@ type Target struct {
 
 // Defaults.
 const (
-	DefaultInterval  = 30 * time.Second
-	DefaultTolerance = 1e-3 // meters: float64 path-summation slack
-	RecentViolators  = 10   // violating-ride IDs retained for the debug bundle
+	DefaultInterval = 30 * time.Second
+	RecentViolators = 10 // violating-ride IDs retained for the debug bundle
+
+	// tolerance is the metric slack for float comparisons, in meters:
+	// float64 path-summation error.
+	tolerance = 1e-3
 )
 
 // Config builds an Auditor.
@@ -118,8 +121,6 @@ type Config struct {
 	// TraceStore, when non-nil, gets the offending ride's most recent
 	// trace forced into its always-keep error ring.
 	TraceStore *telemetry.TraceStore
-	// Tolerance is the metric slack for float comparisons (0 → 1e-3 m).
-	Tolerance float64
 }
 
 // Auditor sweeps the target and accounts violations. Safe for concurrent
@@ -127,7 +128,6 @@ type Config struct {
 type Auditor struct {
 	t      Target
 	ival   time.Duration
-	tol    float64
 	logger *slog.Logger
 	store  *telemetry.TraceStore
 
@@ -147,15 +147,11 @@ func New(cfg Config) *Auditor {
 	a := &Auditor{
 		t:      cfg.Target,
 		ival:   cfg.Interval,
-		tol:    cfg.Tolerance,
 		logger: cfg.Logger,
 		store:  cfg.TraceStore,
 	}
 	if a.ival <= 0 {
 		a.ival = DefaultInterval
-	}
-	if a.tol <= 0 {
-		a.tol = DefaultTolerance
 	}
 	if a.logger == nil {
 		a.logger = slog.Default()
@@ -319,14 +315,14 @@ func (a *Auditor) checkRide(r *index.Ride, shard int, rep *Report) {
 		return
 	}
 	spent := pathLen - r.BaseRouteLen
-	bound := r.DetourLimitInitial + 4*a.t.Epsilon*float64(pickups) + a.tol
+	bound := r.DetourLimitInitial + 4*a.t.Epsilon*float64(pickups) + tolerance
 	if spent > bound {
 		add(InvDetourBound, fmt.Sprintf("realized detour %.1f m exceeds tolerance %.1f m + 4ε×%d bookings = %.1f m",
 			spent, r.DetourLimitInitial, pickups, bound))
 	}
 	// Budget accounting: the charged budget can never exceed the detour
 	// actually realized (clamping only ever under-charges).
-	if charged := r.DetourLimitInitial - r.DetourLimit; charged > spent+a.tol {
+	if charged := r.DetourLimitInitial - r.DetourLimit; charged > spent+tolerance {
 		add(InvDetourBound, fmt.Sprintf("budget accounting: %.1f m charged but only %.1f m of detour realized", charged, spent))
 	}
 }

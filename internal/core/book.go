@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -51,19 +50,7 @@ func (e *Engine) Book(m Match, req Request) (Booking, error) {
 // "path_search" children), and the booking span records how many commit
 // attempts were burned on revision conflicts — the trace-level twin of
 // xar_book_conflict_retries_total.
-func (e *Engine) BookCtx(ctx context.Context, m Match, req Request) (Booking, error) {
-	if e.cfg.PprofLabels {
-		var bk Booking
-		var err error
-		pprof.Do(ctx, pprof.Labels("op", opBook, "algo", e.router), func(ctx context.Context) {
-			bk, err = e.bookCtx(ctx, m, req)
-		})
-		return bk, err
-	}
-	return e.bookCtx(ctx, m, req)
-}
-
-func (e *Engine) bookCtx(ctx context.Context, m Match, req Request) (bk Booking, err error) {
+func (e *Engine) BookCtx(ctx context.Context, m Match, req Request) (bk Booking, err error) {
 	if err := req.Validate(); err != nil {
 		return Booking{}, err
 	}
@@ -204,19 +191,7 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 	estimate := e.refineDetourEstimate(shadow, sSeg, dSeg, puLM, doLM, freshEstimate)
 
 	f := e.finder()
-	var newRoute []roadnet.NodeID
-	var newVia []index.ViaPoint
-	var spRuns int
-	var serr error
-	if e.cfg.PprofLabels {
-		// The splice is where booking CPU actually goes (≤4 shortest
-		// paths); a stage label separates it from validation overhead.
-		pprof.Do(ctx, pprof.Labels("op", opBook, "stage", "splice", "algo", e.router), func(ctx context.Context) {
-			newRoute, newVia, spRuns, serr = e.spliceRoute(ctx, f, shadow, sSeg, dSeg, puNode, doNode)
-		})
-	} else {
-		newRoute, newVia, spRuns, serr = e.spliceRoute(ctx, f, shadow, sSeg, dSeg, puNode, doNode)
-	}
+	newRoute, newVia, spRuns, serr := e.spliceRoute(ctx, f, shadow, sSeg, dSeg, puNode, doNode)
 	e.release(f)
 	// Counted here, not at commit: a splice that is then rejected or
 	// loses the optimistic race has run its searches all the same.

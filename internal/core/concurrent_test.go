@@ -18,8 +18,8 @@ import (
 )
 
 // concurrentEngine builds an engine for the stress tests with an
-// explicit concurrency configuration.
-func concurrentEngine(t testing.TB, shards, workers int) *Engine {
+// explicit stripe count.
+func concurrentEngine(t testing.TB, shards int) *Engine {
 	t.Helper()
 	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
 	if err != nil {
@@ -31,10 +31,9 @@ func concurrentEngine(t testing.TB, shards, workers int) *Engine {
 	}
 	cfg := DefaultConfig()
 	cfg.IndexShards = shards
-	cfg.SearchWorkers = workers
-	// Tracing on under -race: the span lifecycle (parallel shard fan-out
-	// ending spans on worker goroutines, ring-buffer inserts, sealing) is
-	// exactly the synchronization the stress test should exercise.
+	// Tracing on under -race: the span lifecycle (spans ending on every
+	// op goroutine, ring-buffer inserts, sealing) is exactly the
+	// synchronization the stress test should exercise.
 	cfg.Tracer = telemetry.NewTracer(telemetry.TracerConfig{
 		SampleRate:    2,
 		SlowThreshold: time.Millisecond,
@@ -59,14 +58,14 @@ func concurrentEngine(t testing.TB, shards, workers int) *Engine {
 // the code paths whose synchronization it exercises.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	for _, tc := range []struct {
-		name            string
-		shards, workers int
+		name   string
+		shards int
 	}{
-		{"defaultShards_serialSearch", 0, 0},
-		{"fourShards_parallelSearch", 4, 4},
+		{"defaultShards", 0},
+		{"fourShards", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := concurrentEngine(t, tc.shards, tc.workers)
+			e := concurrentEngine(t, tc.shards)
 			src, dst := farPoints(t, e)
 
 			const goroutines = 8

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime/pprof"
 	"strconv"
 	"sync"
 	"time"
@@ -71,12 +70,11 @@ type Config struct {
 	StrictDetour bool
 	// UseALTPaths accelerates the engine's shortest-path computations
 	// (ride creation, booking splices, cancellations) with the ALT
-	// heuristic at the cost of extra preprocessing (2·ALTSeeds full
-	// Dijkstras). Results are identical; only speed changes. Subsumed by
-	// Router; kept for compatibility ("" + UseALTPaths ≡ Router "alt").
+	// heuristic at the cost of extra preprocessing (two full Dijkstras
+	// per ALT landmark). Results are identical; only speed changes.
+	// Subsumed by Router; kept for compatibility ("" + UseALTPaths ≡
+	// Router "alt").
 	UseALTPaths bool
-	// ALTSeeds is the ALT landmark count (0 → 8).
-	ALTSeeds int
 	// Router selects the shortest-path engine: "astar", "alt", or "ch".
 	// Empty picks automatically — "ch" when CH is set, else "alt" when
 	// UseALTPaths, else "astar". All three return identical distances;
@@ -120,7 +118,7 @@ type Config struct {
 	SlowOpLogger *slog.Logger
 	// Tracer, when non-nil, records request-scoped span trees: each
 	// head-sampled engine operation becomes a trace whose spans cover the
-	// per-shard search fan-out, each optimistic-book attempt and each
+	// index stripes a search visits, each optimistic-book attempt and each
 	// shortest-path call, stored in the tracer's ring buffer and served
 	// via /v1/traces. Slow and errored traces are always kept. Nil
 	// disables root minting, but the engine still records child spans
@@ -137,20 +135,6 @@ type Config struct {
 	// mutex profile shows writers queueing on the index lock; with one
 	// stripe a writer waits out the searches in flight.
 	IndexShards int
-	// PprofLabels tags the goroutines running Search/Book/Create (and the
-	// parallel shard fan-out / booking splice) with runtime/pprof labels
-	// (op, stage, shard), so CPU profiles attribute samples to engine
-	// operations. Off by default: pprof.Do allocates a label set per
-	// call, a measurable cost on the sub-microsecond search path. Enable it on
-	// deployments that profile in production (xarserver -pprof-labels).
-	PprofLabels bool
-	// SearchWorkers enables the parallel candidate-evaluation stage:
-	// searches fan their per-shard candidate scan + validation out over
-	// min(SearchWorkers, IndexShards) goroutines. 0 (default) evaluates
-	// shards serially — the right choice when the caller already runs
-	// many searches concurrently (an HTTP server); set it for few large
-	// searches on an otherwise idle machine (batch planners).
-	SearchWorkers int
 	// Journal, when non-nil, records every ride-lifecycle event
 	// (created, booked, splice-committed, conflict-retried, cancelled,
 	// picked-up, dropped-off, completed — plus search-candidate events
@@ -323,14 +307,14 @@ type Engine struct {
 	finders   sync.Pool
 	newFinder func() pathFinder
 
-	// scratchPool recycles per-worker search working sets (candidate
+	// scratchPool recycles per-search working sets (candidate
 	// set, posting-list pull buffer, match buffer) so a search allocates
 	// nothing per shard it visits, candidate it examines or match it finds.
 	scratchPool sync.Pool
 
 	// router is the effective routing algorithm ("astar", "alt", "ch")
 	// after auto-selection and CH-budget fallback — the value stamped on
-	// spans, pprof labels, and xar_route_queries_total.
+	// spans and xar_route_queries_total.
 	router string
 	// routeQueries counts shortest-path queries under the effective
 	// algo label. Nil without telemetry.
@@ -369,9 +353,6 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	}
 	if cfg.IndexShards < 0 {
 		return nil, fmt.Errorf("xar: negative IndexShards")
-	}
-	if cfg.SearchWorkers < 0 {
-		return nil, fmt.Errorf("xar: negative SearchWorkers")
 	}
 	if cfg.ShadowSampleRate < 0 {
 		return nil, fmt.Errorf("xar: negative ShadowSampleRate")
@@ -428,7 +409,7 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	case RouterAStar:
 		newFinder = func() pathFinder { return roadnet.NewSearcher(g) }
 	case RouterALT:
-		alt, err := roadnet.NewALT(g, cfg.ALTSeeds)
+		alt, err := roadnet.NewALT(g, 0) // 0: roadnet's default landmark count (8)
 		if err != nil {
 			return nil, err
 		}
@@ -633,19 +614,7 @@ func (e *Engine) CreateRide(offer RideOffer) (index.RideID, error) {
 // CreateRideCtx is CreateRide with trace propagation: the operation and
 // its shortest-path call become spans of the context's trace (or of a
 // new head-sampled trace when Config.Tracer is set).
-func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (index.RideID, error) {
-	if e.cfg.PprofLabels {
-		var id index.RideID
-		var err error
-		pprof.Do(ctx, pprof.Labels("op", opCreate, "algo", e.router), func(ctx context.Context) {
-			id, err = e.createRideCtx(ctx, offer)
-		})
-		return id, err
-	}
-	return e.createRideCtx(ctx, offer)
-}
-
-func (e *Engine) createRideCtx(ctx context.Context, offer RideOffer) (id index.RideID, err error) {
+func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.RideID, err error) {
 	if !offer.Source.Valid() || !offer.Dest.Valid() {
 		return 0, fmt.Errorf("xar: invalid offer coordinates")
 	}
@@ -748,8 +717,6 @@ func (e *Engine) ConfigSummary() map[string]any {
 		"search_sample_rate":     sampleRate,
 		"slow_op_threshold_ms":   float64(e.cfg.SlowOpThreshold) / float64(time.Millisecond),
 		"index_shards":           e.ix.NumShards(),
-		"search_workers":         e.cfg.SearchWorkers,
-		"pprof_labels":           e.cfg.PprofLabels,
 		"quality":                e.quality != nil,
 		"shadow_sample_rate":     e.cfg.ShadowSampleRate,
 		"memory_accounting":      e.mem != nil,

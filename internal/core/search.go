@@ -4,11 +4,7 @@ import (
 	"cmp"
 	"context"
 	"math"
-	"runtime/pprof"
 	"slices"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xar/internal/discretize"
@@ -48,9 +44,7 @@ const maxCandidateEvents = 8
 // destination candidates, intersection and final checks all live in the
 // shard that owns the ride. The search therefore visits shards one at a
 // time, holding only that shard's read lock, and merges the per-shard
-// matches at the end. With Config.SearchWorkers > 0 the per-shard work
-// of a striped index fans out over a worker pool (large fleets,
-// otherwise idle CPUs).
+// matches at the end.
 func (e *Engine) Search(req Request) ([]Match, error) {
 	return e.SearchCtx(context.Background(), req)
 }
@@ -65,19 +59,7 @@ func (e *Engine) Search(req Request) ([]Match, error) {
 // per-candidate clocks stay gated on the metrics sample alone (a search
 // that is both sampled and traced gets stage timings as span
 // attributes too), so tracing adds no clock reads beyond its own spans.
-func (e *Engine) SearchCtx(ctx context.Context, req Request) ([]Match, error) {
-	if e.cfg.PprofLabels {
-		var out []Match
-		var err error
-		pprof.Do(ctx, pprof.Labels("op", opSearch), func(ctx context.Context) {
-			out, err = e.searchCtx(ctx, req)
-		})
-		return out, err
-	}
-	return e.searchCtx(ctx, req)
-}
-
-func (e *Engine) searchCtx(ctx context.Context, req Request) (out []Match, err error) {
+func (e *Engine) SearchCtx(ctx context.Context, req Request) (out []Match, err error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -182,8 +164,8 @@ const (
 	relaxOrder                           // ignore pickup-before-drop-off ordering
 )
 
-// searchOpts threads the quality layer through the search fan-out:
-// which collector (if any) receives the funnel classification, whether
+// searchOpts threads the quality layer through the search: which
+// collector (if any) receives the funnel classification, whether
 // per-candidate rejection records should be collected for the journal,
 // and which constraints a shadow re-run relaxes. The zero value is the
 // uninstrumented production search.
@@ -205,9 +187,7 @@ type rejectedCandidate struct {
 
 // shardSearchResult carries one shard's match count plus its stage
 // timings (zero unless the search is traced); the matches themselves go
-// to the worker's searchScratch. Timings are accumulated per shard and
-// summed after the join, so the parallel fan-out needs no shared clocks;
-// under workers the sums measure CPU time, not wall time.
+// to the searchScratch.
 type shardSearchResult struct {
 	matches             int
 	cand, final, detour time.Duration
@@ -224,17 +204,17 @@ type shardSearchResult struct {
 	// search asked for them via searchOpts.rej).
 	rejects []rejectedCandidate
 	// end is the shard span's close instant (zero unless this shard
-	// recorded a span); the serial fan-out reuses it as the next shard
+	// recorded a span); the stripe loop reuses it as the next shard
 	// span's start, halving the traced loop's clock reads.
 	end time.Time
 }
 
-// searchScratch holds the working set of one search worker: the
-// candidate set and posting-list pull buffer of the shard being visited,
-// and the matches of every shard visited so far. One scratch is reused
-// across every shard a worker visits and, through Engine.scratchPool,
-// across searches — so a search's allocations do not grow with the
-// shards it visits, the candidates it examines or the matches it finds
+// searchScratch holds the working set of one search: the candidate set
+// and posting-list pull buffer of the shard being visited, and the
+// matches of every shard visited so far. One scratch is reused across
+// every shard a search visits and, through Engine.scratchPool, across
+// searches — so a search's allocations do not grow with the shards it
+// visits, the candidates it examines or the matches it finds
 // (TestSearchAllocsDoNotScaleWithMatches); that reuse is also what keeps
 // the single-threaded latency at the unsharded level.
 type searchScratch struct {
@@ -242,16 +222,14 @@ type searchScratch struct {
 	ids     []index.RideID
 	matches []Match
 	order   []*Match // sort buffer of the merge, into matches
-	// results is the per-shard result array of one search (serial path
-	// only; the parallel path needs a private array per search anyway).
-	results []shardSearchResult
 }
 
 func newSearchScratch() *searchScratch {
 	return &searchScratch{set: newCandSet()}
 }
 
-// search runs the two-step lookup and fan-out. span is the operation's
+// search runs the two-step lookup: the side lookup, then the index
+// stripes one after the other, then the merge. span is the operation's
 // span (nil when the call is not trace-recorded); fine reports the
 // metrics 1-in-N sampling decision, which alone gates the per-stage and
 // per-candidate clocks — exactly the pre-trace semantics. A
@@ -274,125 +252,51 @@ func (e *Engine) search(span *telemetry.Span, req Request, timed, fine bool, opt
 		mark = time.Now()
 	}
 	srcSide, err := e.walkableSide(req.Source, req.WalkLimit)
+	var dstSide []sideCandidate
 	if err == nil {
-		dstSide, derr := e.walkableSide(req.Dest, req.WalkLimit)
-		if derr != nil {
-			err = derr
-		} else {
-			// The side-lookup end instant doubles as the fan-out start.
-			var fanStart time.Time
-			if timed {
-				fanStart = time.Now()
-				if sideSpan != nil {
-					sideSpan.SetInt("src_clusters", int64(len(srcSide)))
-					sideSpan.SetInt("dst_clusters", int64(len(dstSide)))
-					sideSpan.EndAt(fanStart)
-				}
-				if tel != nil {
-					tel.stages[stageSideLookup].ObserveDuration(fanStart.Sub(mark))
-				}
-			}
-			return e.searchShards(span, req, srcSide, dstSide, fine, tel, fanStart, opts)
-		}
+		dstSide, err = e.walkableSide(req.Dest, req.WalkLimit)
 	}
-	if sideSpan != nil {
-		sideSpan.SetError(err)
-		sideSpan.End()
+	if err != nil {
+		if sideSpan != nil {
+			sideSpan.SetError(err)
+			sideSpan.End()
+		}
+		return nil, err
 	}
-	return nil, err
-}
-
-// searchShards runs the per-shard fan-out (serial or over the worker
-// pool) and merges results; split from search so the side-lookup span
-// closes cleanly on the error paths above.
-func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSide []sideCandidate, fine bool, tel *engineTelemetry, fanStart time.Time, opts searchOpts) ([]Match, error) {
-
-	nsh := e.ix.NumShards()
-	var all []Match    // every shard's matches, unordered
-	var order []*Match // into all
-	var results []shardSearchResult
-	workers := e.cfg.SearchWorkers
-	if workers > nsh {
-		workers = nsh
-	}
-	if workers <= 1 {
-		scratch := e.scratchPool.Get().(*searchScratch)
-		if cap(scratch.results) < nsh {
-			scratch.results = make([]shardSearchResult, nsh)
+	// The side-lookup end instant doubles as the first shard span's
+	// start, and each shard span's close instant as the next one's.
+	var start time.Time
+	if timed {
+		start = time.Now()
+		if sideSpan != nil {
+			sideSpan.SetInt("src_clusters", int64(len(srcSide)))
+			sideSpan.SetInt("dst_clusters", int64(len(dstSide)))
+			sideSpan.EndAt(start)
 		}
-		results = scratch.results[:nsh]
-		scratch.matches = scratch.matches[:0]
-		// Serially, shard i's span ends exactly where shard i+1's begins,
-		// so each close instant feeds forward as the next start.
-		start := fanStart
-		for i := 0; i < nsh; i++ {
-			results[i] = e.searchShard(span, i, req, srcSide, dstSide, fine, scratch, start, opts)
-			start = results[i].end
+		if tel != nil {
+			tel.stages[stageSideLookup].ObserveDuration(start.Sub(mark))
 		}
-		all, order = scratch.matches, scratch.order[:0]
-		defer func() {
-			scratch.order = order
-			e.scratchPool.Put(scratch)
-		}()
-	} else {
-		results = make([]shardSearchResult, nsh)
-		var allMu sync.Mutex
-		// Opt-in parallel candidate evaluation: workers claim shards off
-		// an atomic cursor; each shard is still processed under only its
-		// own read lock. Per-shard spans end on worker goroutines — the
-		// trace record is designed for exactly that (one mutex, touched
-		// only at span end).
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scratch := e.scratchPool.Get().(*searchScratch)
-				defer e.scratchPool.Put(scratch)
-				scratch.matches = scratch.matches[:0]
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= nsh {
-						allMu.Lock()
-						all = append(all, scratch.matches...)
-						allMu.Unlock()
-						return
-					}
-					// Workers interleave, so no end-to-start clock reuse:
-					// each shard span reads its own start.
-					if e.cfg.PprofLabels {
-						// Shard-resolved CPU attribution: profiles of the
-						// fan-out split by shard expose a skewed stripe the
-						// same way xar_index_shard_rides does for memory.
-						pprof.Do(context.Background(),
-							pprof.Labels("op", opSearch, "stage", "shard_fanout", "shard", strconv.Itoa(i)),
-							func(context.Context) {
-								results[i] = e.searchShard(span, i, req, srcSide, dstSide, fine, scratch, time.Time{}, opts)
-							})
-					} else {
-						results[i] = e.searchShard(span, i, req, srcSide, dstSide, fine, scratch, time.Time{}, opts)
-					}
-				}
-			}()
-		}
-		wg.Wait()
 	}
 
+	scratch := e.scratchPool.Get().(*searchScratch)
+	defer e.scratchPool.Put(scratch)
+	scratch.matches = scratch.matches[:0]
 	var candTime, finalTime, detourTime time.Duration
 	var funnel [quality.NumStages]uint64
 	var examined uint64
-	for i := range results {
-		candTime += results[i].cand
-		finalTime += results[i].final
-		detourTime += results[i].detour
+	for i, nsh := 0, e.ix.NumShards(); i < nsh; i++ {
+		res := e.searchShard(span, i, req, srcSide, dstSide, fine, scratch, start, opts)
+		start = res.end
+		candTime += res.cand
+		finalTime += res.final
+		detourTime += res.detour
 		if opts.qc != nil {
-			examined += results[i].examined
-			for st, n := range results[i].funnel {
+			examined += res.examined
+			for st, n := range res.funnel {
 				funnel[st] += n
 			}
-			if opts.rej != nil && len(results[i].rejects) > 0 {
-				*opts.rej = append(*opts.rej, results[i].rejects...)
+			if opts.rej != nil {
+				*opts.rej = append(*opts.rej, res.rejects...)
 			}
 		}
 	}
@@ -414,9 +318,11 @@ func (e *Engine) searchShards(span *telemetry.Span, req Request, srcSide, dstSid
 	}
 	// A match is 96 bytes: order pointers to them, then copy each once
 	// into the slice the caller owns.
-	for i := range all {
-		order = append(order, &all[i])
+	order := scratch.order[:0]
+	for i := range scratch.matches {
+		order = append(order, &scratch.matches[i])
 	}
+	scratch.order = order
 	slices.SortFunc(order, compareMatches)
 	var out []Match
 	if len(order) > 0 {
@@ -447,7 +353,7 @@ func compareMatches(a, b *Match) int {
 // searchShard runs steps 1+2 and the final checks against one shard's
 // posting lists, under that shard's read lock only. When the trace
 // records, the shard gets its own "search_shard" span carrying the
-// shard number and match count — the per-shard fan-out breakdown that
+// shard number and match count — the per-shard breakdown that
 // explains a straggling stripe; when the search is also metrics-sampled
 // (fine) the span additionally carries the candidate/final stage split.
 // Matches are appended to s.matches.

@@ -138,32 +138,22 @@ func (e *Engine) RankSocially(matches []Match, requester UserID, g *SocialGraph)
 // SearchBatch runs many searches concurrently — the load pattern of an
 // MMTP issuing C(k+1,2) segment searches per trip plan (§IX-B). Results
 // align with the requests; individual failures are reported in errs.
-// parallelism ≤ 0 uses one worker per request up to 8.
-func (e *Engine) SearchBatch(reqs []Request, k, parallelism int) (results [][]Match, errs []error) {
-	return e.SearchBatchCtx(context.Background(), reqs, k, parallelism)
+func (e *Engine) SearchBatch(reqs []Request, k int) (results [][]Match, errs []error) {
+	return e.SearchBatchCtx(context.Background(), reqs, k)
 }
+
+// searchBatchWorkers bounds the goroutines one batch runs its searches on.
+const searchBatchWorkers = 8
 
 // SearchBatchCtx is SearchBatch with trace propagation: every segment
 // search of the batch joins the context's trace (each as its own
 // "search" span), so one trace shows the whole MMTP fan-out.
-func (e *Engine) SearchBatchCtx(ctx context.Context, reqs []Request, k, parallelism int) (results [][]Match, errs []error) {
+func (e *Engine) SearchBatchCtx(ctx context.Context, reqs []Request, k int) (results [][]Match, errs []error) {
 	results = make([][]Match, len(reqs))
 	errs = make([]error, len(reqs))
-	if parallelism <= 0 {
-		parallelism = len(reqs)
-		if parallelism > 8 {
-			parallelism = 8
-		}
-	}
-	if parallelism > len(reqs) {
-		parallelism = len(reqs)
-	}
-	if parallelism == 0 {
-		return results, errs
-	}
 	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < parallelism; w++ {
+	for w := 0; w < min(len(reqs), searchBatchWorkers); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

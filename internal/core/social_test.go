@@ -136,7 +136,7 @@ func TestSearchBatch(t *testing.T) {
 		frac := 0.1 + float64(i%8)*0.05
 		reqs[i] = requestAlong(e, r, frac, frac+0.5, 3600, 900)
 	}
-	batch, errs := e.SearchBatch(reqs, 0, 4)
+	batch, errs := e.SearchBatch(reqs, 0)
 	if len(batch) != len(reqs) || len(errs) != len(reqs) {
 		t.Fatal("result shape mismatch")
 	}
@@ -151,7 +151,7 @@ func TestSearchBatch(t *testing.T) {
 		}
 	}
 	// Empty input.
-	empty, _ := e.SearchBatch(nil, 0, 4)
+	empty, _ := e.SearchBatch(nil, 0)
 	if len(empty) != 0 {
 		t.Fatal("empty batch must be empty")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"log/slog"
-	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -273,42 +272,5 @@ func TestOpErrorCounters(t *testing.T) {
 	}
 	if errCount("create") != 0 {
 		t.Fatalf("create errors = %d, want 0", errCount("create"))
-	}
-}
-
-// TestPprofLabelsPath exercises every labeled wrapper (create, search,
-// book incl. splice, parallel fan-out) with PprofLabels enabled, and
-// checks the op label is visible on the goroutine during the operation.
-func TestPprofLabelsPath(t *testing.T) {
-	e, _ := newInstrumentedEngine(t, func(c *Config) {
-		c.PprofLabels = true
-		c.SearchWorkers = 2
-	})
-	src, dst := farPoints(t, e)
-	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := e.Ride(id)
-	req := requestAlong(e, r, 0.3, 0.7, 3600, 900)
-	ms, err := e.Search(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) > 0 {
-		if _, err := e.Book(ms[0], req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Label visibility: inside a labeled region, pprof.Label reports it.
-	got := ""
-	pprof.Do(context.Background(), pprof.Labels("probe", "x"), func(ctx context.Context) {
-		if _, err := e.SearchCtx(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-		got, _ = pprof.Label(ctx, "probe")
-	})
-	if got != "x" {
-		t.Fatalf("pprof label context broken: probe=%q", got)
 	}
 }

@@ -36,70 +36,61 @@ func spanNames(td *telemetry.TraceData) map[string]int {
 }
 
 func TestSearchTraceShardFanOut(t *testing.T) {
-	for _, tc := range []struct{ shards, workers int }{
-		{4, 0}, // serial per-shard loop
-		{4, 4}, // parallel fan-out
-	} {
-		t.Run(fmt.Sprintf("shards%d_workers%d", tc.shards, tc.workers), func(t *testing.T) {
-			e, _, tracer := tracedEngine(t, func(cfg *Config) {
-				cfg.IndexShards = tc.shards
-				cfg.SearchWorkers = tc.workers
-			})
-			src, dst := farPoints(t, e)
-			id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2500})
-			if err != nil {
-				t.Fatal(err)
-			}
-			req := requestAlong(e, e.Ride(id), 0.3, 0.7, 3600, 900)
+	const shards = 4
+	e, _, tracer := tracedEngine(t, func(cfg *Config) { cfg.IndexShards = shards })
+	src, dst := farPoints(t, e)
+	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := requestAlong(e, e.Ride(id), 0.3, 0.7, 3600, 900)
 
-			ms, err := e.Search(req)
-			if err != nil {
-				t.Fatal(err)
-			}
+	ms, err := e.Search(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			traces := tracer.Store().List(telemetry.TraceFilter{Op: "search"})
-			if len(traces) == 0 {
-				t.Fatal("no search trace recorded")
-			}
-			td := traces[0]
-			names := spanNames(td)
-			if names["search_shard"] != tc.shards {
-				t.Fatalf("search_shard spans = %d, want one per shard (%d); spans: %v",
-					names["search_shard"], tc.shards, names)
-			}
-			if names["side_lookup"] != 1 {
-				t.Fatalf("side_lookup spans = %d, want 1", names["side_lookup"])
-			}
+	traces := tracer.Store().List(telemetry.TraceFilter{Op: "search"})
+	if len(traces) == 0 {
+		t.Fatal("no search trace recorded")
+	}
+	td := traces[0]
+	names := spanNames(td)
+	if names["search_shard"] != shards {
+		t.Fatalf("search_shard spans = %d, want one per shard (%d); spans: %v",
+			names["search_shard"], shards, names)
+	}
+	if names["side_lookup"] != 1 {
+		t.Fatalf("side_lookup spans = %d, want 1", names["side_lookup"])
+	}
 
-			// The span tree nests shard spans under the search root, each
-			// stamped with its shard number and timings.
-			doc := td.Doc()
-			if len(doc.Tree) != 1 || doc.Tree[0].Name != "search" {
-				t.Fatalf("trace tree = %+v, want single search root", doc.Tree)
-			}
-			if got := doc.Tree[0].Attrs["matches"]; got != float64(len(ms)) {
-				t.Fatalf("root matches attr = %v, want %d", got, len(ms))
-			}
-			seen := make(map[float64]bool)
-			totalShardMatches := 0.0
-			for _, c := range doc.Tree[0].Children {
-				if c.Name != "search_shard" {
-					continue
-				}
-				sh, ok := c.Attrs["shard"].(float64)
-				if !ok || seen[sh] {
-					t.Fatalf("shard span attrs bad or duplicated: %+v", c.Attrs)
-				}
-				seen[sh] = true
-				if _, ok := c.Attrs["candidate_scan_s"]; !ok {
-					t.Fatalf("shard span missing candidate_scan_s: %+v", c.Attrs)
-				}
-				totalShardMatches += c.Attrs["matches"].(float64)
-			}
-			if totalShardMatches != float64(len(ms)) {
-				t.Fatalf("shard matches sum to %v, want %d", totalShardMatches, len(ms))
-			}
-		})
+	// The span tree nests shard spans under the search root, each
+	// stamped with its shard number and timings.
+	doc := td.Doc()
+	if len(doc.Tree) != 1 || doc.Tree[0].Name != "search" {
+		t.Fatalf("trace tree = %+v, want single search root", doc.Tree)
+	}
+	if got := doc.Tree[0].Attrs["matches"]; got != float64(len(ms)) {
+		t.Fatalf("root matches attr = %v, want %d", got, len(ms))
+	}
+	seen := make(map[float64]bool)
+	totalShardMatches := 0.0
+	for _, c := range doc.Tree[0].Children {
+		if c.Name != "search_shard" {
+			continue
+		}
+		sh, ok := c.Attrs["shard"].(float64)
+		if !ok || seen[sh] {
+			t.Fatalf("shard span attrs bad or duplicated: %+v", c.Attrs)
+		}
+		seen[sh] = true
+		if _, ok := c.Attrs["candidate_scan_s"]; !ok {
+			t.Fatalf("shard span missing candidate_scan_s: %+v", c.Attrs)
+		}
+		totalShardMatches += c.Attrs["matches"].(float64)
+	}
+	if totalShardMatches != float64(len(ms)) {
+		t.Fatalf("shard matches sum to %v, want %d", totalShardMatches, len(ms))
 	}
 }
 

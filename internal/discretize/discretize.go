@@ -54,9 +54,6 @@ type Config struct {
 	WalkDetourFactor float64
 	// Hotspots bias landmark extraction (optional).
 	Hotspots []geo.Point
-	// Parallelism bounds the worker count for the per-landmark Dijkstras
-	// (0 = GOMAXPROCS).
-	Parallelism int
 }
 
 // DefaultConfig returns the paper's parameter choices at the reproduction
@@ -216,10 +213,7 @@ func (d *Discretization) computeLandmarkDistances() error {
 	g := d.city.Graph
 	d.lmDist = make([][]float32, n)
 
-	workers := d.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
@@ -327,10 +321,7 @@ func (d *Discretization) assignNodesToLandmarks() {
 		d.nodeLandmarkDist[i] = float32(math.Inf(1))
 	}
 
-	workers := d.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	type hit struct {
 		node roadnet.NodeID
 		lm   int32

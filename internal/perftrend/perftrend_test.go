@@ -157,7 +157,7 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 		{
 			name: "per-match allocation comes back", file: "BENCH_search.json",
 			mutate: func(doc map[string]any) {
-				doc["BenchmarkSearchDense"].(map[string]any)["after"].(map[string]any)["allocs_per_op"] = 150.0
+				doc["BenchmarkSearchDense"].(map[string]any)["serial_loop"].(map[string]any)["allocs_per_op"] = 150.0
 			},
 			want: "search_dense_allocs_per_op",
 		},

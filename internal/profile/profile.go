@@ -24,7 +24,9 @@ package profile
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -45,15 +47,20 @@ const (
 	defaultFineSlots   = 64
 	defaultCoarseSlots = 48
 	defaultPinnedSlots = 16
-	defaultCoarseEvery = time.Hour
-	defaultTopN        = 64
-	defaultMaxRawBytes = 1 << 20
 
-	// defaultMutexFraction samples 1-in-N mutex contention events;
-	// defaultBlockRateNs samples blocking events longer than ~100µs.
-	// Both are set once when the profiler is built (runtime globals).
-	defaultMutexFraction = 64
-	defaultBlockRateNs   = 100_000
+	// coarseEvery is the coarse ring's cadence.
+	coarseEvery = time.Hour
+	// topN truncates each folded flat table.
+	topN = 64
+	// maxRawBytes caps each stored raw pprof blob; larger blobs keep
+	// their fold but drop the raw export.
+	maxRawBytes = 1 << 20
+
+	// mutexFraction samples 1-in-N mutex contention events;
+	// blockRateNs samples blocking events longer than ~100µs. Both are
+	// set once when the profiler is built (runtime globals).
+	mutexFraction = 64
+	blockRateNs   = 100_000
 
 	// captureDutyCycle bounds the worker to ≤1% of one core: after a
 	// capture whose active work took d, sleep at least 99×d (the same
@@ -87,18 +94,6 @@ type Config struct {
 	FineSlots   int
 	CoarseSlots int
 	PinnedSlots int
-	// CoarseEvery is the coarse ring's cadence (0 → 1h).
-	CoarseEvery time.Duration
-	// TopN truncates each folded flat table (0 → 64 rows).
-	TopN int
-	// MaxRawBytes caps each stored raw pprof blob (0 → 1 MiB);
-	// larger blobs keep their fold but drop the raw export.
-	MaxRawBytes int
-	// MutexFraction / BlockRate set the runtime's mutex and block
-	// sampling once at startup (0 → 64 / 100µs, negative → leave the
-	// process setting untouched).
-	MutexFraction int
-	BlockRate     int
 	// Logf, when set, receives one line per skipped or failed capture.
 	Logf func(format string, args ...any)
 }
@@ -118,8 +113,8 @@ type Capture struct {
 	// CPUWindowSeconds is the realized sampling window (shorter than
 	// configured when a Close interrupted it).
 	CPUWindowSeconds float64 `json:"cpu_window_seconds,omitempty"`
-	// CPUSkipped is set when the CPU arbiter was busy (a page-
-	// triggered capture or an operator profile held the slot).
+	// CPUSkipped is set when the runtime's one CPU-profile slot was
+	// taken (an operator's /debug/pprof/profile, another profiler).
 	CPUSkipped   bool           `json:"cpu_skipped,omitempty"`
 	Pinned       bool           `json:"pinned,omitempty"`
 	PinReason    string         `json:"pin_reason,omitempty"`
@@ -239,12 +234,11 @@ type Profiler struct {
 	prev           map[string]map[string]Sample // kind → cumulative baseline
 	workTotal      time.Duration
 
-	lifeMu   sync.Mutex
-	started  bool
-	closed   bool
-	sampling bool
-	stop     chan struct{}
-	done     chan struct{}
+	lifeMu  sync.Mutex
+	started bool
+	closed  bool
+	stop    chan struct{}
+	done    chan struct{}
 
 	captures *telemetry.Counter
 	capDur   *telemetry.Histogram
@@ -260,12 +254,12 @@ var (
 	prevMutexFraction int
 )
 
-func enableSampling(mutexFraction, blockRate int) {
+func enableSampling() {
 	sampleMu.Lock()
 	defer sampleMu.Unlock()
 	if sampleRefs == 0 {
 		prevMutexFraction = runtime.SetMutexProfileFraction(mutexFraction)
-		runtime.SetBlockProfileRate(blockRate)
+		runtime.SetBlockProfileRate(blockRateNs)
 	}
 	sampleRefs++
 }
@@ -295,21 +289,6 @@ func New(cfg Config) *Profiler {
 	if cfg.PinnedSlots <= 0 {
 		cfg.PinnedSlots = defaultPinnedSlots
 	}
-	if cfg.CoarseEvery <= 0 {
-		cfg.CoarseEvery = defaultCoarseEvery
-	}
-	if cfg.TopN <= 0 {
-		cfg.TopN = defaultTopN
-	}
-	if cfg.MaxRawBytes <= 0 {
-		cfg.MaxRawBytes = defaultMaxRawBytes
-	}
-	if cfg.MutexFraction == 0 {
-		cfg.MutexFraction = defaultMutexFraction
-	}
-	if cfg.BlockRate == 0 {
-		cfg.BlockRate = defaultBlockRateNs
-	}
 	p := &Profiler{
 		cfg:       cfg,
 		startTime: time.Now(),
@@ -319,10 +298,7 @@ func New(cfg Config) *Profiler {
 		prev:      make(map[string]map[string]Sample),
 		stop:      make(chan struct{}),
 	}
-	if cfg.MutexFraction > 0 && cfg.BlockRate > 0 {
-		enableSampling(cfg.MutexFraction, cfg.BlockRate)
-		p.sampling = true
-	}
+	enableSampling()
 	if reg := cfg.Registry; reg != nil {
 		p.captures = reg.Counter(CapturesTotalName, "profile captures taken", nil)
 		p.capDur = reg.Histogram(CaptureDurationName, "active capture work per profile capture", telemetry.DurationBuckets(), nil)
@@ -363,7 +339,7 @@ func (p *Profiler) loop(interval time.Duration) {
 			return
 		case <-timer.C:
 		}
-		c := p.capture("")
+		c := p.capture()
 		// Duty-cycle active work and the CPU window separately: the
 		// window is a passive wait that costs samples rather than a
 		// core, but SIGPROF delivery is not free either (measured
@@ -400,14 +376,14 @@ func (p *Profiler) Close() {
 	if done != nil {
 		<-done
 	}
-	if first && p.sampling {
+	if first {
 		disableSampling()
 	}
 }
 
 // CaptureNow takes one capture synchronously and stores it in the
 // rings. Safe to call while the worker runs (captures serialize).
-func (p *Profiler) CaptureNow() *Capture { return p.capture("") }
+func (p *Profiler) CaptureNow() *Capture { return p.capture() }
 
 // PinLatest pins the newest capture into the always-keep ring and
 // flags the next capture to pin too, bracketing the event with
@@ -429,7 +405,23 @@ func (p *Profiler) AttachTo(slo *telemetry.SLOEngine) {
 	slo.OnPage(func(st telemetry.SLOStatus) { p.PinLatest("slo-page:" + st.Name) })
 }
 
-func (p *Profiler) capture(trigger string) *Capture {
+// ErrCPUBusy reports that another CPU profile owns the runtime's
+// single profiling slot; the caller should skip this window.
+var ErrCPUBusy = errors.New("profile: another CPU profile is already running")
+
+// startCPU starts a CPU profile writing to w; pprof.StopCPUProfile ends
+// it. The runtime allows one CPU profile at a time, and a Profiler's
+// captures already serialise on its capMu, so the only contender is
+// someone outside it (net/http/pprof, a second Profiler, a test): the
+// loser gets ErrCPUBusy and skips its window.
+func startCPU(w io.Writer) error {
+	if err := pprof.StartCPUProfile(w); err != nil {
+		return fmt.Errorf("%w: %v", ErrCPUBusy, err)
+	}
+	return nil
+}
+
+func (p *Profiler) capture() *Capture {
 	p.capMu.Lock()
 	defer p.capMu.Unlock()
 
@@ -440,7 +432,7 @@ func (p *Profiler) capture(trigger string) *Capture {
 	if p.cfg.CPUWindow > 0 {
 		var buf bytes.Buffer
 		t0 := time.Now()
-		if err := acquireCPU(&buf); err != nil {
+		if err := startCPU(&buf); err != nil {
 			c.CPUSkipped = true
 			p.logf("profile: cpu window skipped: %v", err)
 		} else {
@@ -452,16 +444,16 @@ func (p *Profiler) capture(trigger string) *Capture {
 			}
 			timer.Stop()
 			windowEnd := time.Now()
-			releaseCPU()
+			pprof.StopCPUProfile()
 			c.CPUWindowSeconds = windowEnd.Sub(armed).Seconds()
 			work += armed.Sub(t0)
 			foldStart := time.Now()
 			if parsed, err := parsePprof(buf.Bytes()); err != nil {
 				p.logf("profile: cpu parse: %v", err)
 			} else if vi := parsed.valueIndex("cpu"); vi >= 0 {
-				c.Profiles = append(c.Profiles, foldParsed(parsed, vi).finish(KindCPU, "nanoseconds", p.cfg.TopN))
+				c.Profiles = append(c.Profiles, foldParsed(parsed, vi).finish(KindCPU, "nanoseconds", topN))
 			}
-			if len(buf.Bytes()) <= p.cfg.MaxRawBytes {
+			if len(buf.Bytes()) <= maxRawBytes {
 				c.raw["cpu"] = buf.Bytes()
 			}
 			work += time.Since(foldStart)
@@ -475,12 +467,12 @@ func (p *Profiler) capture(trigger string) *Capture {
 	// heap: inuse_space is a live gauge, alloc_space cumulative.
 	if raw, parsed, ok := p.lookup("heap"); ok {
 		if vi := parsed.valueIndex("inuse_space"); vi >= 0 {
-			c.Profiles = append(c.Profiles, foldParsed(parsed, vi).finish(KindHeapInuse, "bytes", p.cfg.TopN))
+			c.Profiles = append(c.Profiles, foldParsed(parsed, vi).finish(KindHeapInuse, "bytes", topN))
 		}
 		if vi := parsed.valueIndex("alloc_space"); vi >= 0 {
 			pending = append(pending, pendingFold{KindHeapAlloc, "bytes", foldParsed(parsed, vi)})
 		}
-		if len(raw) <= p.cfg.MaxRawBytes {
+		if len(raw) <= maxRawBytes {
 			c.raw["heap"] = raw
 		}
 	}
@@ -494,7 +486,7 @@ func (p *Profiler) capture(trigger string) *Capture {
 		if vi := parsed.valueIndex("delay"); vi >= 0 {
 			pending = append(pending, pendingFold{kind.kind, "nanoseconds", foldParsed(parsed, vi)})
 		}
-		if len(raw) <= p.cfg.MaxRawBytes {
+		if len(raw) <= maxRawBytes {
 			c.raw[kind.lookup] = raw
 		}
 	}
@@ -514,10 +506,7 @@ func (p *Profiler) capture(trigger string) *Capture {
 		// First capture: the delta is "since the profiler started",
 		// which is the interval it actually covers.
 		p.prev[pf.kind] = snap
-		c.Profiles = append(c.Profiles, pf.f.finish(pf.kind, pf.unit, p.cfg.TopN))
-	}
-	if trigger != "" && p.pinNext == "" {
-		p.pinNext = trigger
+		c.Profiles = append(c.Profiles, pf.f.finish(pf.kind, pf.unit, topN))
 	}
 	if p.pinNext != "" {
 		c.Pinned = true
@@ -526,7 +515,7 @@ func (p *Profiler) capture(trigger string) *Capture {
 		p.pinned.add(c)
 	}
 	p.fine.add(c)
-	if p.lastCoarseUnix == 0 || c.Unix-p.lastCoarseUnix >= p.cfg.CoarseEvery.Seconds() {
+	if p.lastCoarseUnix == 0 || c.Unix-p.lastCoarseUnix >= coarseEvery.Seconds() {
 		p.coarse.add(c)
 		p.lastCoarseUnix = c.Unix
 	}

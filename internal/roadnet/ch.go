@@ -82,10 +82,6 @@ type CHConfig struct {
 	// ErrCHBudgetExceeded when the deadline passes mid-contraction.
 	// Zero means no budget.
 	Budget time.Duration
-	// WitnessSettleLimit caps the nodes each witness search settles
-	// (0 → 80). Lower is faster preprocessing but more (redundant)
-	// shortcuts; correctness is unaffected either way.
-	WitnessSettleLimit int
 	// CoreSize is the number of highest-ranked nodes left uncontracted
 	// and covered by the exact distance table (0 → min(n, 2048)).
 	// Larger cores are empirically faster at every measured size —
@@ -100,8 +96,11 @@ type CHConfig struct {
 var ErrCHBudgetExceeded = fmt.Errorf("roadnet: CH preprocessing budget exceeded")
 
 const (
-	defaultWitnessSettleLimit = 80
-	defaultCoreSize           = 2048
+	// witnessSettleLimit caps the nodes each witness search settles.
+	// Lower is faster preprocessing but more (redundant) shortcuts;
+	// correctness is unaffected either way.
+	witnessSettleLimit = 80
+	defaultCoreSize    = 2048
 )
 
 // CH is a built contraction hierarchy over a Graph. Immutable; safe for
@@ -318,7 +317,6 @@ type chBuilder struct {
 	delNbr     []int32 // contracted-neighbor count (priority term)
 	level      []int32 // hierarchy depth bound (priority term)
 	stratum    []int32 // nested-dissection stratum (dominant priority term)
-	settleCap  int
 
 	// Witness-search scratch (one bounded Dijkstra per incoming arc of
 	// the node under contraction).
@@ -356,12 +354,8 @@ func BuildCH(g *Graph, cfg CHConfig) (*CH, error) {
 		rank:       make([]int32, n),
 		delNbr:     make([]int32, n),
 		level:      make([]int32, n),
-		settleCap:  cfg.WitnessSettleLimit,
 		wdist:      make([]float64, n),
 		wstamp:     make([]uint32, n),
-	}
-	if b.settleCap <= 0 {
-		b.settleCap = defaultWitnessSettleLimit
 	}
 	b.stratum = ndStrata(g)
 	for v := 0; v < n; v++ {
@@ -653,7 +647,7 @@ func (b *chBuilder) witness(u, v NodeID, maxW float64) {
 			return
 		}
 		settled++
-		if settled > b.settleCap {
+		if settled > witnessSettleLimit {
 			return
 		}
 		for _, a := range b.out[x] {

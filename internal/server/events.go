@@ -56,22 +56,12 @@ func (s *Server) handleRideTimeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	for key := range q {
-		switch key {
-		case "limit":
-		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (want limit)", key)})
-			return
-		}
+	if !allowParams(w, q, "limit") {
+		return
 	}
-	limit := 0 // all retained events (per-ride rings are small)
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 || n > maxEventListLimit {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("limit must be an integer in [1, %d]", maxEventListLimit)})
-			return
-		}
-		limit = n
+	limit, ok := parseLimit(w, q, maxEventListLimit) // 0: all retained events (per-ride rings are small)
+	if !ok {
+		return
 	}
 	evs := s.journal.Timeline(id)
 	if evs == nil {
@@ -92,13 +82,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	for key := range q {
-		switch key {
-		case "type", "since", "limit":
-		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (want type, since, limit)", key)})
-			return
-		}
+	if !allowParams(w, q, "type", "since", "limit") {
+		return
 	}
 	var f journal.TailFilter
 	if v := q.Get("type"); v != "" {
@@ -117,13 +102,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		f.SinceSeq = n
 	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 || n > maxEventListLimit {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("limit must be an integer in [1, %d]", maxEventListLimit)})
-			return
-		}
-		f.Limit = n
+	var ok bool
+	if f.Limit, ok = parseLimit(w, q, maxEventListLimit); !ok {
+		return
 	}
 	writeJSON(w, http.StatusOK, EventsResponse{
 		Events:  s.journal.Tail(f),

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"runtime/pprof"
 	"strconv"
 	"time"
@@ -37,12 +36,6 @@ func WithRecorder(rec *telemetry.Recorder) Option {
 // worst state into /v1/healthz, and includes slo.json in debug bundles.
 func WithSLO(slo *telemetry.SLOEngine) Option {
 	return func(s *Server) { s.slo = slo }
-}
-
-// WithCPUProfiler includes the profiler's most recent page-triggered
-// capture as cpu.pprof in debug bundles.
-func WithCPUProfiler(p *profile.CPUProfiler) Option {
-	return func(s *Server) { s.cpuProfiler = p }
 }
 
 // DefaultSLOs returns the serving objectives the paper's evaluation
@@ -90,13 +83,8 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	// A typo'd parameter (windows_s, maxpoints) would otherwise silently
 	// fall back to defaults — dashboards would chart the wrong window and
 	// never know. Same contract as /v1/traces and /v1/events.
-	for key := range q {
-		switch key {
-		case "name", "window_s", "since_s", "max_points":
-		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (want name, window_s, since_s, max_points)", key)})
-			return
-		}
+	if !allowParams(w, q, "name", "window_s", "since_s", "max_points") {
+		return
 	}
 	var hq telemetry.HistoryQuery
 	hq.Name = q.Get("name")
@@ -144,8 +132,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	}
 	// /v1/slo takes no parameters; reject any so a future filtered form
 	// cannot be shadowed by today's ignore-everything behavior.
-	for key := range r.URL.Query() {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (endpoint takes none)", key)})
+	if !allowParams(w, r.URL.Query()) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SLOResponse{
@@ -195,13 +182,13 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 //	goroutine.pprof      goroutine profile, pprof protobuf
 //	goroutines.txt       goroutine dump, human-readable
 //	heap.pprof           heap profile
-//	cpu.pprof            last page-triggered CPU capture (when present)
 //	profiles.json        continuous-profiler capture summaries (when
 //	                     the engine has Config.Profiling)
 //	profile-<id>-<raw>.pprof
-//	                     raw blobs of every pinned capture — the
-//	                     profiles bracketing SLO pages travel with the
-//	                     bundle, each loadable by `go tool pprof`
+//	                     raw blobs (cpu, heap, mutex, block) of every
+//	                     pinned capture — the profiles bracketing SLO
+//	                     pages travel with the bundle, each loadable
+//	                     by `go tool pprof`
 //
 // It serves GET /v1/debug/bundle and the SIGQUIT dump in xarserver.
 func (s *Server) WriteDebugBundle(w io.Writer) error {
@@ -326,15 +313,6 @@ func (s *Server) WriteDebugBundle(w io.Writer) error {
 		return pprof.Lookup("heap").WriteTo(w, 0)
 	}); err != nil {
 		return err
-	}
-	if s.cpuProfiler != nil {
-		if path := s.cpuProfiler.LastProfile(); path != "" {
-			if b, err := os.ReadFile(path); err == nil {
-				if err := addBytes("cpu.pprof", b); err != nil {
-					return err
-				}
-			}
-		}
 	}
 	if p := s.eng.Profiler(); p != nil {
 		if err := addJSON("profiles.json", ProfileListResponse{Profiles: p.List(profile.ListFilter{})}); err != nil {

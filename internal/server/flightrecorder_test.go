@@ -30,7 +30,15 @@ type recorderEnv struct {
 	now float64
 }
 
+// newRecorderEnv profiles on demand only, with no CPU window: /v1/profiles
+// and debug bundles have content, tests stay deterministic.
 func newRecorderEnv(t testing.TB) *recorderEnv {
+	t.Helper()
+	return newRecorderEnvCPU(t, -1)
+}
+
+// newRecorderEnvCPU is newRecorderEnv with the profiler's CPU window set.
+func newRecorderEnvCPU(t testing.TB, cpuWindow time.Duration) *recorderEnv {
 	t.Helper()
 	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
 	if err != nil {
@@ -48,10 +56,7 @@ func newRecorderEnv(t testing.TB) *recorderEnv {
 	cfg.Tracer = tracer
 	cfg.Quality = qc
 	cfg.Memory = memsize.NewRegistry()
-	// On-demand captures only (no background worker, no CPU window):
-	// /v1/profiles and debug bundles have content, tests stay
-	// deterministic.
-	cfg.Profiling = profile.New(profile.Config{Registry: reg, CPUWindow: -1})
+	cfg.Profiling = profile.New(profile.Config{Registry: reg, CPUWindow: cpuWindow})
 	eng, err := core.NewEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +265,75 @@ func TestSLOTransitionsToPage(t *testing.T) {
 	}
 }
 
+// fetchBundle GETs /v1/debug/bundle and untars it into name → content.
+func (env *recorderEnv) fetchBundle(t *testing.T) map[string][]byte {
+	t.Helper()
+	resp, err := http.Get(env.srv.URL + "/v1/debug/bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("bundle status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/gzip" {
+		t.Fatalf("content type %q", ct)
+	}
+
+	gz, err := gzip.NewReader(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := map[string][]byte{}
+	tr := tar.NewReader(gz)
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[hdr.Name] = b
+	}
+	return members
+}
+
+// TestPageShipsCPUProfilesInBundle: with the continuous profiler attached
+// to the SLO engine, a page transition pins the capture bracket around it
+// and the bundle carries both captures' raw CPU profiles.
+func TestPageShipsCPUProfilesInBundle(t *testing.T) {
+	env := newRecorderEnvCPU(t, 20*time.Millisecond)
+	p := env.eng.Profiler()
+	p.AttachTo(env.slo)
+
+	p.CaptureNow() // the capture before the incident
+	for i := 0; i < 186; i++ {
+		env.tick(50, 500*time.Microsecond)
+	}
+	for i := 0; i < 18; i++ {
+		env.tick(50, 100*time.Millisecond)
+	}
+	if st := env.slo.WorstState(); st != telemetry.SLOPage {
+		t.Fatalf("SLO state = %v, want page", st)
+	}
+	p.CaptureNow() // the capture after it
+
+	cpu := 0
+	for name, b := range env.fetchBundle(t) {
+		if strings.HasPrefix(name, "profile-") && strings.HasSuffix(name, "-cpu.pprof") && len(b) > 0 {
+			cpu++
+		}
+	}
+	if cpu != 2 {
+		t.Fatalf("bundle carries %d pinned CPU profiles, want the 2 bracketing the page", cpu)
+	}
+}
+
 // TestDebugBundle exercises GET /v1/debug/bundle end-to-end: real
 // traffic, then untar and verify every expected member — acceptance
 // criterion 5.
@@ -293,38 +367,7 @@ func TestDebugBundle(t *testing.T) {
 	env.eng.Profiler().CaptureNow()
 	env.eng.Profiler().PinLatest("bundle test")
 
-	resp, err := http.Get(env.srv.URL + "/v1/debug/bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bundle status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/gzip" {
-		t.Fatalf("content type %q", ct)
-	}
-
-	gz, err := gzip.NewReader(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := map[string][]byte{}
-	tr := tar.NewReader(gz)
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := io.ReadAll(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members[hdr.Name] = b
-	}
+	members := env.fetchBundle(t)
 
 	for _, want := range []string{
 		"config.json", "quality.json", "slo.json", "history.json",

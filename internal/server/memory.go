@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 )
@@ -28,13 +27,8 @@ func (s *Server) handleMemory(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	// Unknown parameters are rejected, same contract as
 	// /v1/metrics/history: a typo must not silently change semantics.
-	for key := range q {
-		switch key {
-		case "sweep":
-		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (want sweep)", key)})
-			return
-		}
+	if !allowParams(w, q, "sweep") {
+		return
 	}
 	fresh := false
 	if v := q.Get("sweep"); v != "" {

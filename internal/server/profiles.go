@@ -40,13 +40,8 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	for key := range q {
-		switch key {
-		case "pinned", "since_s", "limit":
-		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (want pinned, since_s, limit)", key)})
-			return
-		}
+	if !allowParams(w, q, "pinned", "since_s", "limit") {
+		return
 	}
 	var f profile.ListFilter
 	if v := q.Get("pinned"); v != "" {
@@ -82,13 +77,8 @@ func (s *Server) handleProfileByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	for key := range q {
-		switch key {
-		case "kind", "format":
-		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (want kind, format)", key)})
-			return
-		}
+	if !allowParams(w, q, "kind", "format") {
+		return
 	}
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
@@ -150,13 +140,8 @@ func (s *Server) handleProfileDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	for key := range q {
-		switch key {
-		case "from", "to", "kind", "limit":
-		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (want from, to, kind, limit)", key)})
-			return
-		}
+	if !allowParams(w, q, "from", "to", "kind", "limit") {
+		return
 	}
 	from, err1 := strconv.ParseUint(q.Get("from"), 10, 64)
 	to, err2 := strconv.ParseUint(q.Get("to"), 10, 64)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 
 	"xar/internal/quality"
@@ -34,8 +33,7 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	// No parameters today; reject any so a future filtered form cannot
 	// be shadowed by ignore-everything behavior (same contract as
 	// /v1/slo and /v1/metrics/history).
-	for key := range r.URL.Query() {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (endpoint takes none)", key)})
+	if !allowParams(w, r.URL.Query()) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.qualityResponse())

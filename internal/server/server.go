@@ -44,7 +44,10 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"xar/internal/audit"
@@ -52,7 +55,6 @@ import (
 	"xar/internal/geo"
 	"xar/internal/index"
 	"xar/internal/journal"
-	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
 	"xar/internal/telemetry"
@@ -65,18 +67,17 @@ type Server struct {
 	social *core.SocialGraph
 	mux    *http.ServeMux
 
-	reg         *telemetry.Registry
-	tracer      *telemetry.Tracer
-	recorder    *telemetry.Recorder
-	slo         *telemetry.SLOEngine
-	cpuProfiler *profile.CPUProfiler
-	journal     *journal.Journal
-	auditor     *audit.Auditor
-	quality     *quality.Collector
-	accessLog   *slog.Logger
-	inflight    *telemetry.Gauge
-	build       telemetry.Build
-	started     time.Time
+	reg       *telemetry.Registry
+	tracer    *telemetry.Tracer
+	recorder  *telemetry.Recorder
+	slo       *telemetry.SLOEngine
+	journal   *journal.Journal
+	auditor   *audit.Auditor
+	quality   *quality.Collector
+	accessLog *slog.Logger
+	inflight  *telemetry.Gauge
+	build     telemetry.Build
+	started   time.Time
 }
 
 // Option customizes a Server.
@@ -97,7 +98,7 @@ func WithAccessLog(l *slog.Logger) Option {
 
 // WithTracer enables request-scoped tracing: each head-sampled request
 // (or any request arriving with a sampled W3C traceparent) becomes a
-// trace rooted at its route, with the engine's per-shard search fan-out,
+// trace rooted at its route, with the engine's per-shard search spans,
 // book attempts and shortest-path calls as child spans, browsable via
 // GET /v1/traces. Pass the same tracer the engine was configured with so
 // bare engine traces (sim, bench) and HTTP traces share one store.
@@ -388,18 +389,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := SearchResponse{Matches: make([]MatchJSON, len(matches))}
 	for i, m := range matches {
-		resp.Matches[i] = MatchJSON{
-			RideID:         int64(m.Ride),
-			PickupCluster:  m.PickupCluster,
-			DropoffCluster: m.DropoffCluster,
-			WalkSourceM:    m.WalkSource,
-			WalkDestM:      m.WalkDest,
-			DetourEstM:     m.DetourEstimate,
-			PickupETA:      m.PickupETA,
-			DropoffETA:     m.DropoffETA,
-		}
+		resp.Matches[i] = matchJSON(m)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// matchJSON is a match's wire form.
+func matchJSON(m core.Match) MatchJSON {
+	return MatchJSON{
+		RideID:         int64(m.Ride),
+		PickupCluster:  m.PickupCluster,
+		DropoffCluster: m.DropoffCluster,
+		WalkSourceM:    m.WalkSource,
+		WalkDestM:      m.WalkDest,
+		DetourEstM:     m.DetourEstimate,
+		PickupETA:      m.PickupETA,
+		DropoffETA:     m.DropoffETA,
+	}
 }
 
 // BatchSearchRequest is the POST /v1/search/batch body — the shape of an
@@ -440,7 +446,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	for i, sr := range req.Requests {
 		reqs[i] = sr.request()
 	}
-	results, errs := s.eng.SearchBatchCtx(r.Context(), reqs, req.K, 0)
+	results, errs := s.eng.SearchBatchCtx(r.Context(), reqs, req.K)
 	resp := BatchSearchResponse{Results: make([]BatchSearchResult, len(reqs))}
 	for i := range reqs {
 		if errs[i] != nil {
@@ -449,16 +455,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		ms := make([]MatchJSON, len(results[i]))
 		for j, m := range results[i] {
-			ms[j] = MatchJSON{
-				RideID:         int64(m.Ride),
-				PickupCluster:  m.PickupCluster,
-				DropoffCluster: m.DropoffCluster,
-				WalkSourceM:    m.WalkSource,
-				WalkDestM:      m.WalkDest,
-				DetourEstM:     m.DetourEstimate,
-				PickupETA:      m.PickupETA,
-				DropoffETA:     m.DropoffETA,
-			}
+			ms[j] = matchJSON(m)
 		}
 		resp.Results[i].Matches = ms
 	}
@@ -588,14 +585,55 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // --- plumbing ---
 
+// maxBodyBytes bounds every request body the server reads; a full
+// maxBatchSize batch is ≈ 40 KB.
+const maxBodyBytes = 1 << 20
+
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
 	return true
+}
+
+// allowParams reports whether every parameter of q is one of names;
+// otherwise it has answered 400 naming the allowed set. A typo'd
+// parameter must not silently fall back to the default listing.
+func allowParams(w http.ResponseWriter, q url.Values, names ...string) bool {
+	for key := range q {
+		if !slices.Contains(names, key) {
+			want := "endpoint takes none"
+			if len(names) > 0 {
+				want = "want " + strings.Join(names, ", ")
+			}
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (%s)", key, want)})
+			return false
+		}
+	}
+	return true
+}
+
+// parseLimit reads the optional limit parameter, an integer in [1, max]
+// (0 when absent); ok is false once it has answered 400.
+func parseLimit(w http.ResponseWriter, q url.Values, max int) (n int, ok bool) {
+	v := q.Get("limit")
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 || n > max {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("limit must be an integer in [1, %d]", max)})
+		return 0, false
+	}
+	return n, true
 }
 
 func pathID(w http.ResponseWriter, r *http.Request) (int64, bool) {

@@ -460,3 +460,50 @@ func TestSearchBatchOverHTTP(t *testing.T) {
 		t.Fatalf("oversized batch: %d", code)
 	}
 }
+
+// TestRequestBodyLimit: a body past maxBodyBytes is refused with 413
+// before it is buffered, and the largest legitimate body — a full
+// maxBatchSize batch — is nowhere near the limit.
+func TestRequestBodyLimit(t *testing.T) {
+	env := newTestEnv(t)
+	src, dst := env.corners()
+	one := SearchRequest{Source: src, Dest: dst, Earliest: 0, Latest: 5000, WalkLimit: 900}
+	batchOf := func(n int) []byte {
+		reqs := make([]SearchRequest, n)
+		for i := range reqs {
+			reqs[i] = one
+		}
+		b, err := json.Marshal(BatchSearchRequest{Requests: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	single, err := json.Marshal(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		want       int
+	}{
+		{"oversized search", "/v1/search", append(bytes.Repeat([]byte(" "), maxBodyBytes), single...), http.StatusRequestEntityTooLarge},
+		{"oversized batch", "/v1/search/batch", batchOf(40 * maxBatchSize), http.StatusRequestEntityTooLarge},
+		{"full batch", "/v1/search/batch", batchOf(maxBatchSize), http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.want == http.StatusRequestEntityTooLarge && len(tc.body) <= maxBodyBytes {
+				t.Fatalf("test body is %d bytes, not past the %d limit", len(tc.body), maxBodyBytes)
+			}
+			resp, err := http.Post(env.srv.URL+tc.path, "application/json", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("%d-byte body: status %d, want %d", len(tc.body), resp.StatusCode, tc.want)
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -36,13 +35,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	// Unknown parameters are rejected rather than silently ignored: a
 	// typo like "min_mss" otherwise returns an unfiltered listing that
 	// looks like a successful filtered one.
-	for key := range q {
-		switch key {
-		case "op", "min_ms", "status", "limit":
-		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown query parameter %q (want op, min_ms, status, limit)", key)})
-			return
-		}
+	if !allowParams(w, q, "op", "min_ms", "status", "limit") {
+		return
 	}
 	f := telemetry.TraceFilter{Op: q.Get("op")}
 	if v := q.Get("min_ms"); v != "" {
@@ -63,13 +57,9 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: `status must be "ok" or "error"`})
 		return
 	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 || n > maxTraceListLimit {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("limit must be an integer in [1, %d]", maxTraceListLimit)})
-			return
-		}
-		f.Limit = n
+	var ok bool
+	if f.Limit, ok = parseLimit(w, q, maxTraceListLimit); !ok {
+		return
 	}
 	writeJSON(w, http.StatusOK, TracesResponse{Traces: telemetry.Docs(s.tracer.Store().List(f))})
 }

@@ -19,8 +19,8 @@ import (
 //
 // State rules, evaluated every recorder tick:
 //
-//	page: shortBurn ≥ PageBurn AND longBurn ≥ 1   (fast, confirmed burn)
-//	warn: shortBurn ≥ WarnBurn OR  longBurn ≥ 1   (elevated or slow burn)
+//	page: shortBurn ≥ pageBurn AND longBurn ≥ 1   (fast, confirmed burn)
+//	warn: shortBurn ≥ warnBurn OR  longBurn ≥ 1   (elevated or slow burn)
 //	ok:   otherwise
 //
 // The long-window guard on page keeps a single spiky short window from
@@ -139,17 +139,19 @@ func RatioObjective(name, description, bad string, badMatch Labels, total string
 	}
 }
 
-// SLOConfig tunes the evaluation windows and burn thresholds.
+// Short-window burn rates of the state rules above: warnBurn yields
+// warn; pageBurn, confirmed by the long window, yields page.
+const (
+	warnBurn = 2
+	pageBurn = 10
+)
+
+// SLOConfig tunes the evaluation windows.
 type SLOConfig struct {
 	// ShortWindow is the fast-burn window (0 → 5m).
 	ShortWindow time.Duration
 	// LongWindow is the slow-burn window (0 → 30m).
 	LongWindow time.Duration
-	// WarnBurn is the short-window burn rate that yields warn (0 → 2).
-	WarnBurn float64
-	// PageBurn is the short-window burn rate that, confirmed by the long
-	// window, yields page (0 → 10).
-	PageBurn float64
 }
 
 func (c SLOConfig) withDefaults() SLOConfig {
@@ -158,12 +160,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	}
 	if c.LongWindow <= 0 {
 		c.LongWindow = 30 * time.Minute
-	}
-	if c.WarnBurn <= 0 {
-		c.WarnBurn = 2
-	}
-	if c.PageBurn <= 0 {
-		c.PageBurn = 10
 	}
 	return c
 }
@@ -213,7 +209,7 @@ func NewSLOEngine(rec *Recorder, cfg SLOConfig, objs ...Objective) *SLOEngine {
 
 // OnPage registers fn to run (synchronously, on the tick goroutine)
 // whenever an objective transitions into SLOPage — the hook the
-// page-triggered CPU profiler attaches to.
+// continuous profiler pins its capture bracket from.
 func (e *SLOEngine) OnPage(fn func(SLOStatus)) {
 	e.mu.Lock()
 	e.onPage = append(e.onPage, fn)
@@ -240,9 +236,9 @@ func (e *SLOEngine) evaluate() {
 		switch {
 		case nShort <= 0:
 			st = SLOOk // no data: assume healthy rather than flapping
-		case burnShort >= e.cfg.PageBurn && burnLong >= 1:
+		case burnShort >= pageBurn && burnLong >= 1:
 			st = SLOPage
-		case burnShort >= e.cfg.WarnBurn || burnLong >= 1:
+		case burnShort >= warnBurn || burnLong >= 1:
 			st = SLOWarn
 		}
 

@@ -73,7 +73,7 @@ func TestSLOPageOnLatencySpike(t *testing.T) {
 		f.tick(100, 0.001)
 	}
 	// Spike: every observation breaches 10ms. badFraction → 1.0, budget
-	// 0.05 → burn 20 ≥ PageBurn(10); long window accumulates past 1×.
+	// 0.05 → burn 20 ≥ pageBurn(10); long window accumulates past 1×.
 	var paged atomic.Int32
 	f.slo.OnPage(func(st SLOStatus) { paged.Add(1) })
 	for i := 0; i < 12; i++ { // 2 minutes of pure badness
@@ -108,7 +108,7 @@ func TestSLOWarnOnModerateBurn(t *testing.T) {
 	for i := 0; i < 36; i++ {
 		f.tick(100, 0.001)
 	}
-	// 15% bad → burn 3: above WarnBurn(2), below PageBurn(10).
+	// 15% bad → burn 3: above warnBurn(2), below pageBurn(10).
 	for i := 0; i < 12; i++ {
 		f.tick(85, 0.001)
 		f.tick(15, 0.5)
@@ -156,7 +156,7 @@ func TestRatioObjective(t *testing.T) {
 		t.Fatalf("healthy ratio state = %v, want ok (burn=%v)", st.State, st.BurnShort)
 	}
 	for i := 0; i < 12; i++ {
-		step(100, 100) // 100% conflicts: burn 10 ≥ PageBurn
+		step(100, 100) // 100% conflicts: burn 10 ≥ pageBurn
 	}
 	if st := slo.Statuses()[0]; st.State != SLOPage {
 		t.Fatalf("conflict-storm state = %v, want page (burn short=%v long=%v)",

@@ -28,8 +28,8 @@ import (
 //     finished trace is a single slice of value-type SpanData records —
 //     no per-span goroutines, channels or maps.
 //
-// Spans within one trace may end concurrently (the parallel search
-// fan-out): each End stamps only the span's own record, lock-free, and
+// Spans within one trace may end concurrently (a batch's searches
+// under one request root): each End stamps only the span's own record, lock-free, and
 // the root's End performs the single batched copy into the store.
 
 // TraceID is a 128-bit W3C trace identifier (non-zero when valid).
@@ -153,7 +153,7 @@ func (a Attr) Value() any {
 //
 // A span is owned by the goroutine that started it until End; attributes
 // must be set by that owner. Different spans of one trace may be owned
-// by different goroutines (the search fan-out) — the shared trace record
+// by different goroutines (a search batch) — the shared trace record
 // is locked only inside End.
 //
 // A span must not be touched after its trace's root has ended: sealing
