@@ -629,6 +629,39 @@ func BenchmarkSearchDense(b *testing.B) {
 	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
 }
 
+// BenchmarkReplayCandidates counts what a search has to look at over a
+// whole ride life-cycle: a fixed 2 000-trip replay in the paper's protocol
+// (track, search, book the best match or else offer a ride) on the default
+// engine with the quality funnel on, reporting the candidates a search
+// examined and the matches it returned. Both are exact counts of a
+// deterministic replay — `make bench-trend` holds candidates/search in an
+// exact band; ns/op is the whole replay and claims nothing.
+func BenchmarkReplayCandidates(b *testing.B) {
+	w := world(b)
+	wcfg := workload.DefaultConfig(2000, w.Scale.Seed+3)
+	wcfg.StartHour, wcfg.EndHour = 8, 10
+	trips, err := workload.Generate(w.City, wcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m core.Metrics
+	for i := 0; i < b.N; i++ {
+		cfg := core.DefaultConfig()
+		cfg.Quality = quality.New(nil)
+		eng, err := core.NewEngine(w.Disc, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Run(&sim.XARSystem{Engine: eng}, trips, sim.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+		m = eng.Metrics()
+		eng.Close()
+	}
+	b.ReportMetric(float64(m.CandidatesExamined)/float64(m.Searches), "candidates/search")
+	b.ReportMetric(float64(m.SearchMatches)/float64(m.Searches), "matches/search")
+}
+
 // seededConcurrentXAR builds an XAR system over a ride index of the
 // given stripe count, preloaded with the world's offers. Each stripe
 // count's procs1 row already includes its per-stripe visit cost, so it

@@ -12,9 +12,9 @@
 //
 // -smoke runs the repo's own benchmarks in -dir (`go test -run '^$'
 // -bench … -benchmem`) and appends the fresh measurements to the
-// default-configuration search ns/op series and to the allocs/op series
-// of the dense search, create and book (exact bands: the counts are
-// deterministic), so the gate compares this machine's hot paths today
+// default-configuration search ns/op series and to the exact-band series
+// (allocs/op of the dense search, create and book; candidates per search
+// of the replay), so the gate compares this machine's hot paths today
 // against the committed history, not just artifact against artifact.
 package main
 
@@ -38,7 +38,7 @@ func main() {
 	dir := flag.String("dir", ".", "repository root holding the BENCH_*.json artifacts")
 	out := flag.String("out", "-", "trajectory output path (\"-\" = stdout)")
 	gate := flag.Bool("gate", false, "exit 1 when the newest point of any banded series is outside its band")
-	smoke := flag.Bool("smoke", false, "run short fresh benchmarks in -dir and append them to the default-search ns/op and the search/create/book allocs/op series")
+	smoke := flag.Bool("smoke", false, "run short fresh benchmarks in -dir and append them to the default-search ns/op, the search/create/book allocs/op and the replay candidates/search series")
 	benchtime := flag.String("benchtime", "300ms", "benchtime for -smoke")
 	flag.Parse()
 
@@ -108,17 +108,18 @@ func allocsLine(bench string) *regexp.Regexp {
 	return regexp.MustCompile(`(?m)^` + bench + `\S*\s+\d+\s.*\s(\d+) allocs/op`)
 }
 
-// smokeRuns lists what -smoke measures: the instrumented-but-idle
-// search's ns/op and the dense search's allocs/op for benchtime; and
-// the write path's allocs/op at a fixed iteration count, because create
+// smokeRuns lists what -smoke measures: for benchtime, the idle search's
+// ns/op, the dense search's allocs/op and the replay's candidates/search;
+// and the write path's allocs/op at a fixed iteration count, because create
 // and book amortize the growth of posting lists and the ride map over
 // the run — their per-op count is exact only at the count the band was
 // recorded at.
 func smokeRuns(benchtime string) []smokeRun {
 	return []smokeRun{
-		{bench: "^(BenchmarkSearchTelemetry|BenchmarkSearchDense)$", benchtime: benchtime, series: []smokeSeries{
+		{bench: "^(BenchmarkSearchTelemetry|BenchmarkSearchDense|BenchmarkReplayCandidates)$", benchtime: benchtime, series: []smokeSeries{
 			{"BenchmarkSearchTelemetry", "default_search_ns_per_op", regexp.MustCompile(`(?m)^BenchmarkSearchTelemetry/off\S*\s+\d+\s+([\d.]+) ns/op`)},
 			{"BenchmarkSearchDense", "search_dense_allocs_per_op", allocsLine("BenchmarkSearchDense")},
+			{"BenchmarkReplayCandidates", "replay_candidates_per_search", regexp.MustCompile(`(?m)^BenchmarkReplayCandidates\S*\s.*\s([\d.]+) candidates/search`)},
 		}},
 		{bench: "^(BenchmarkFig4bCreateXAR|BenchmarkFig4cBookXAR)$", benchtime: "2000x", series: []smokeSeries{
 			{"BenchmarkFig4bCreateXAR", "create_allocs_per_op", allocsLine("BenchmarkFig4bCreateXAR")},

@@ -8,6 +8,7 @@ package core
 
 import (
 	"log/slog"
+	"strings"
 	"testing"
 
 	"xar/internal/audit"
@@ -127,9 +128,10 @@ func TestAuditFaultInjection(t *testing.T) {
 		t.Fatalf("detour repair left violations: %+v", rep.Violations)
 	}
 
-	// Fault 2 — capacity: corrupt the seat ledger.
+	// Fault 2 — capacity: corrupt the seat ledger (a seat vanishes; the
+	// ride still has one, so its index registration stays right).
 	var savedSeats int
-	mutate(2, func(r *index.Ride) { savedSeats = r.SeatsAvail; r.SeatsAvail = -1 })
+	mutate(2, func(r *index.Ride) { savedSeats = r.SeatsAvail; r.SeatsAvail-- })
 	got = labels(a.Audit())
 	if len(got) != 1 || !got[audit.InvCapacity][2] {
 		t.Fatalf("capacity fault: labels = %v, want exactly {%s: ride 2}", got, audit.InvCapacity)
@@ -138,6 +140,58 @@ func TestAuditFaultInjection(t *testing.T) {
 	if rep := a.Audit(); !rep.Clean() {
 		t.Fatalf("capacity repair left violations: %+v", rep.Violations)
 	}
+
+	// Faults 2b, 2c — the listed-iff-bookable invariant, broken from each
+	// side by flipping SeatsAvail behind the engine's back: the ledger is
+	// off (capacity) and the index disagrees with it (index_consistency),
+	// with findings that name the direction.
+	indexFindings := func(rep audit.Report, ride int64) string {
+		var details []string
+		for _, v := range rep.Violations {
+			if v.Invariant == audit.InvIndexConsistency && v.Ride == ride {
+				details = append(details, v.Detail)
+			}
+		}
+		return strings.Join(details, "; ")
+	}
+	seatFault := func(id index.RideID, seats int, want ...string) {
+		t.Helper()
+		var saved int
+		mutate(id, func(r *index.Ride) { saved = r.SeatsAvail; r.SeatsAvail = seats })
+		rep := a.Audit()
+		ride := int64(id)
+		if got := labels(rep); len(got) != 2 || !got[audit.InvCapacity][ride] || !got[audit.InvIndexConsistency][ride] || len(got[audit.InvIndexConsistency]) != 1 {
+			t.Fatalf("ride %d with %d seats: labels = %v, want exactly {%s, %s: ride %d}",
+				id, seats, got, audit.InvCapacity, audit.InvIndexConsistency, id)
+		}
+		for _, w := range want {
+			if found := indexFindings(rep, ride); !strings.Contains(found, w) {
+				t.Fatalf("ride %d with %d seats: index findings %q lack %q", id, seats, found, w)
+			}
+		}
+		mutate(id, func(r *index.Ride) { r.SeatsAvail = saved })
+		if rep := a.Audit(); !rep.Clean() {
+			t.Fatalf("seat repair left violations: %+v", rep.Violations)
+		}
+	}
+	seatFault(2, 0, "full ride is listed / still has supports")
+	src, dst := farPoints(t, e)
+	full, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 5000, Seats: 2, DetourLimit: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := requestAlong(e, e.Ride(full), 0.2, 0.8, 600, 900)
+	ms, err := e.Search(req)
+	if err != nil || len(ms) != 1 || ms[0].Ride != full {
+		t.Fatalf("search for the two-seat ride returned %+v (err %v)", ms, err)
+	}
+	if _, err := e.Book(ms[0], req); err != nil {
+		t.Fatal(err)
+	}
+	if rep := a.Audit(); !rep.Clean() {
+		t.Fatalf("a ride booked full flagged: %+v", rep.Violations)
+	}
+	seatFault(full, 1, "ride with a free seat and uncrossed route has no supports")
 
 	// Fault 3 — index_consistency: drop ride 3 from one of its cluster
 	// lists behind the engine's back; its schedule still supports the
@@ -193,8 +247,8 @@ func TestAuditFaultInjection(t *testing.T) {
 			}
 		}
 	}
-	if sweeps != 8 {
-		t.Fatalf("xar_audit_sweeps_total = %v, want 8", sweeps)
+	if sweeps != 13 {
+		t.Fatalf("xar_audit_sweeps_total = %v, want 13", sweeps)
 	}
 	for _, inv := range audit.Invariants() {
 		if byInv[inv] < 1 {

@@ -221,7 +221,7 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 
 	// Phase 3 — validate-and-commit under the shard's write lock: the
 	// splice is only applied if the ride is untouched since the snapshot
-	// (same revision ⇒ same route, seats, budget and progress).
+	// (same revision ⇒ same route, budget and progress, and still a seat).
 	sh.Lock()
 	defer sh.Unlock()
 	r = sh.Ix.Ride(m.Ride)
@@ -231,10 +231,6 @@ func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, d
 	}
 	if r.Rev != rev {
 		return Booking{}, true, nil // stale splice: retry
-	}
-	if r.SeatsAvail <= 0 { // unreachable while Rev is stable; defensive
-		e.m.bookingsFailed.Add(1)
-		return Booking{}, false, ErrRideFull
 	}
 
 	// Commit: route, via-points, ETAs, budget, seats; then rebuild the

@@ -35,9 +35,9 @@ func (e *Engine) CancelBookingCtx(ctx context.Context, id index.RideID, pickup, 
 			span.EndAt(now)
 		}(time.Now())
 	}
-	// Cancellation is rare; it holds its ride's shard write lock for the
-	// whole re-stitch rather than running the optimistic protocol —
-	// simpler, and it stalls only 1/N of concurrent searches.
+	// Cancellation is rare; it holds its ride's stripe write lock for the
+	// whole re-stitch rather than running the optimistic protocol: simpler,
+	// but on the default one stripe every search and write waits it out.
 	sh := e.ix.ShardFor(id)
 	sh.Lock()
 	defer sh.Unlock()
@@ -117,10 +117,7 @@ func (e *Engine) CancelBookingCtx(ctx context.Context, id index.RideID, pickup, 
 		r.DetourLimit = 0
 	}
 	e.m.cancellations.Add(1)
-	r.SeatsAvail++
-	if r.SeatsAvail >= r.SeatsTotal {
-		r.SeatsAvail = r.SeatsTotal - 1 // driver still occupies one
-	}
+	r.SeatsAvail++ // the Reregister below lists the ride again if it was full
 	// The vehicle position is re-derived on the next Track: route indices
 	// changed, so reset progress conservatively to the route start of the
 	// first remaining segment.

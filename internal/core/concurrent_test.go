@@ -224,6 +224,112 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 }
 
+// TestConcurrentFillSearchCancel races the three operations that move a
+// ride across the listed/unlisted line: bookers take the last seat of
+// two-seat rides (the commit's Reregister unlists the ride), a canceller
+// hands each seat back (its Reregister lists the ride again), and
+// searchers read the lists meanwhile. A match is a promise made under the
+// read lock — the ride had a seat — so every booking ends in success or in
+// one of the stale-match errors, and once every seat is back the index is
+// consistent and lists every ride again.
+func TestConcurrentFillSearchCancel(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		e := concurrentEngine(t, shards)
+		src, dst := farPoints(t, e)
+		var reqs []Request
+		for i := 0; i < 6; i++ {
+			id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: float64(1000 + 100*i), Seats: 2, DetourLimit: 3000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, requestAlong(e, e.Ride(id), 0.3, 0.7, 3600, 900))
+		}
+		iters := 150
+		if testing.Short() {
+			iters = 40
+		}
+
+		// Unbuffered: a booker waits for the canceller to take its booking,
+		// so fills and cancellations alternate even on one processor.
+		taken := make(chan Booking)
+		var filled, staleFull atomic.Int32
+		var bookers, searchers sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			bookers.Add(1)
+			go func(w int) {
+				defer bookers.Done()
+				for i := 0; i < iters; i++ {
+					req := reqs[(w+i)%len(reqs)]
+					ms, err := e.Search(req)
+					if err != nil {
+						t.Errorf("search: %v", err)
+						return
+					}
+					if len(ms) == 0 {
+						continue
+					}
+					switch bk, err := e.Book(ms[(w+i)%len(ms)], req); err {
+					case nil:
+						filled.Add(1)
+						taken <- bk
+					case ErrRideFull:
+						staleFull.Add(1) // the seat went between the search and the booking
+					case ErrNoLongerFeasible, ErrDetourExceeded:
+					default:
+						t.Errorf("unexpected booking error: %v", err)
+					}
+				}
+			}(w)
+		}
+		cancelled := make(chan struct{})
+		go func() {
+			defer close(cancelled)
+			for bk := range taken {
+				if err := e.CancelBooking(bk.Ride, bk.PickupNode, bk.DropoffNode); err != nil {
+					t.Errorf("cancel on ride %d: %v", bk.Ride, err)
+				}
+			}
+		}()
+		stop := make(chan struct{})
+		for w := 0; w < 3; w++ {
+			searchers.Add(1)
+			go func(w int) {
+				defer searchers.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := e.Search(reqs[(w+i)%len(reqs)]); err != nil {
+						t.Errorf("search: %v", err)
+						return
+					}
+				}
+			}(w)
+		}
+		bookers.Wait()
+		close(taken)
+		<-cancelled
+		close(stop)
+		searchers.Wait()
+
+		t.Logf("%d stripes: %d bookings filled a ride and were cancelled, %d stale matches met a full ride", e.Index().NumShards(), filled.Load(), staleFull.Load())
+		if filled.Load() < int32(len(reqs)) {
+			t.Fatalf("%d bookings filled a ride: the race never ran", filled.Load())
+		}
+		if err := e.Index().CheckInvariants(); err != nil {
+			t.Fatalf("index invariants after the race: %v", err)
+		}
+		if got := e.Index().Stats().FullRides; got != 0 {
+			t.Fatalf("every seat was handed back, index reports %d full rides", got)
+		}
+		if ms, err := e.Search(reqs[0]); err != nil || len(ms) != len(reqs) {
+			t.Fatalf("a search along the corridor matches %d rides (err %v), want all %d back in the lists", len(ms), err, len(reqs))
+		}
+	}
+}
+
 // TestShardingDeterministicReplay replays one serial workload against an
 // unsharded (1-stripe) and a 16-stripe engine over the same
 // discretization and asserts identical observable behaviour: the same

@@ -21,7 +21,7 @@ import (
 // rides, re-registered) and tracks the fleet to the middle of the first
 // ride's route (crossed pass-throughs, compacted support tables); no
 // ride is re-registered after being tracked, so every pass-through run
-// still starts at route index 0 — what referenceSupports assumes.
+// still starts at route index 0 and referenceSearch needs no regFrom.
 func denseFixture(t testing.TB, cfg Config, window float64) (*Engine, []Request) {
 	t.Helper()
 	e, err := NewEngine(newTestEngine(t).disc, cfg)
@@ -84,8 +84,11 @@ type refSupport struct {
 // referenceSupports rebuilds Index.Supports(r, c) as it was — a per-call
 // filter, copy and detour sort over the ride's supports of c — from the
 // ride's public schedule and the cluster distances alone, sharing
-// nothing with the flat table, its sort or its compaction.
-func referenceSupports(e *Engine, r *index.Ride, c int) []refSupport {
+// nothing with the flat table, its sort or its compaction. from is the
+// route index the ride's registration started at: its Progress when it
+// was last (re-)registered, which is where pass-through runs are cut and
+// numbered from.
+func referenceSupports(e *Engine, r *index.Ride, c, from int) []refSupport {
 	d := e.disc
 	segmentOf := func(idx int) int {
 		for s := 0; s+1 < len(r.Via); s++ {
@@ -100,7 +103,7 @@ func referenceSupports(e *Engine, r *index.Ride, c int) []refSupport {
 	}
 	var out []refSupport
 	order := -1
-	for i := 0; i < len(r.Route); {
+	for i := from; i < len(r.Route); {
 		pc := d.ClusterOfNode(r.Route[i])
 		if pc < 0 {
 			i++
@@ -139,12 +142,15 @@ func referenceSupports(e *Engine, r *index.Ride, c int) []refSupport {
 }
 
 // referenceSearch is the search as it ran on per-call sorted supports
-// and without the candidate table: every ride of the fleet is tried
-// against the request, taking — by exhaustive minimum — the least-walk
-// pair of clusters that list it in-window, one on each side, and the old
-// detour-and-order scan over referenceSupports. It also returns how many
+// and without the candidate table or the posting lists: every ride of the
+// fleet with a free seat is tried against the request, taking — by
+// exhaustive minimum — the least-walk pair of clusters it reaches
+// in-window (earliest support of the cluster, what a list would hold it
+// under), one on each side, and the old detour-and-order scan over
+// referenceSupports. regFrom gives referenceSupports' from for rides
+// re-registered after being tracked (absent: 0). It also returns how many
 // rides it turned away for their walk alone.
-func referenceSearch(t testing.TB, e *Engine, req Request) (out []Match, walkRejected int) {
+func referenceSearch(t testing.TB, e *Engine, req Request, regFrom map[index.RideID]int) (out []Match, walkRejected int) {
 	t.Helper()
 	srcSide, err := e.walkableSide(req.Source, req.WalkLimit)
 	if err != nil {
@@ -156,20 +162,28 @@ func referenceSearch(t testing.TB, e *Engine, req Request) (out []Match, walkRej
 	}
 	for i := 0; i < e.ix.NumShards(); i++ {
 		ix := e.ix.Shard(i).Ix
-		// listing returns the clusters of side that list the ride with an
-		// arrival in [EarliestDeparture, t2], in side (ascending walk) order.
-		listing := func(side []sideCandidate, id index.RideID, t2 float64) (in []sideCandidate) {
+		// listing returns the clusters of side the ride reaches with an
+		// earliest arrival in [EarliestDeparture, t2], in side (ascending
+		// walk) order.
+		listing := func(side []sideCandidate, r *index.Ride, t2 float64) (in []sideCandidate) {
 			for _, sc := range side {
-				if eta, ok := ix.HasPotentialRide(sc.Cluster, id); ok && eta >= req.EarliestDeparture && eta <= t2 {
+				eta := math.Inf(1)
+				for _, s := range referenceSupports(e, r, sc.Cluster, regFrom[r.ID]) {
+					eta = min(eta, s.eta)
+				}
+				if eta >= req.EarliestDeparture && eta <= t2 {
 					in = append(in, sc)
 				}
 			}
 			return in
 		}
 		ix.Rides(func(r *index.Ride) bool {
-			srcs := listing(srcSide, r.ID, req.LatestDeparture)
-			dsts := listing(dstSide, r.ID, req.LatestDeparture+e.cfg.DestWindowSlack)
-			if len(srcs) == 0 || len(dsts) == 0 || r.SeatsAvail <= 0 {
+			if r.SeatsAvail <= 0 {
+				return true
+			}
+			srcs := listing(srcSide, r, req.LatestDeparture)
+			dsts := listing(dstSide, r, req.LatestDeparture+e.cfg.DestWindowSlack)
+			if len(srcs) == 0 || len(dsts) == 0 {
 				return true
 			}
 			var src, dst sideCandidate
@@ -193,8 +207,8 @@ func referenceSearch(t testing.TB, e *Engine, req Request) (out []Match, walkRej
 			}
 			bestTotal, found := r.DetourLimit+1, false
 			var bm Match
-			dups := referenceSupports(e, r, dst.Cluster)
-			for _, s := range referenceSupports(e, r, src.Cluster) {
+			dups := referenceSupports(e, r, dst.Cluster, regFrom[r.ID])
+			for _, s := range referenceSupports(e, r, src.Cluster, regFrom[r.ID]) {
 				if s.detour >= bestTotal {
 					break
 				}
@@ -237,7 +251,7 @@ func TestSearchEqualsSupportsReference(t *testing.T) {
 		if err != nil && err != ErrNotServable {
 			t.Fatal(err)
 		}
-		want, rejected := referenceSearch(t, e, reqs[i])
+		want, rejected := referenceSearch(t, e, reqs[i], nil)
 		walkRejected += rejected
 		if !slices.Equal(got, want) {
 			t.Fatalf("request %d: search returned %d matches, reference %d\n got  %+v\n want %+v", i, len(got), len(want), got, want)

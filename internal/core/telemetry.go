@@ -112,13 +112,13 @@ func newEngineTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, sampl
 }
 
 // registerShardGauges exposes the per-stripe ride occupancy of the
-// sharded index (xar_index_shard_rides, labeled shard=N). Uniform values
-// across shards confirm the ID-mod-N striping is balanced; a skewed
-// shard would concentrate lock contention. Every shard's series is
-// registered eagerly — a freshly started server reports all of them,
-// including the empty ones — and one scrape hook sweeps the current
-// counts out of the sharded index (each read takes only that shard's
-// read lock) before any exposition render.
+// sharded index (xar_index_shard_rides, labeled shard=N; uniform values
+// confirm the ID-mod-N striping is balanced) and, beside it, how many of
+// those rides are full (xar_index_full_rides: in no posting list, so no
+// search examines them and no funnel stage counts them). Every series is
+// registered eagerly — a freshly started server reports them all — and
+// one scrape hook sweeps the current counts out of the index (one
+// stripe's read lock at a time) before any exposition render.
 func registerShardGauges(reg *telemetry.Registry, v index.View) {
 	gauges := make([]*telemetry.Gauge, v.NumShards())
 	for i := range gauges {
@@ -126,10 +126,12 @@ func registerShardGauges(reg *telemetry.Registry, v index.View) {
 			"Active rides per index shard (balanced values mean balanced lock striping).",
 			telemetry.L("shard", strconv.Itoa(i)))
 	}
+	full := reg.Gauge("xar_index_full_rides", "Registered rides with no free seat (listed again when a cancellation frees one).", nil)
 	refresh := func() {
 		for i, g := range gauges {
 			g.Set(float64(v.ShardLen(i)))
 		}
+		full.Set(float64(v.Stats().FullRides))
 	}
 	refresh()
 	reg.OnScrape(refresh)

@@ -335,7 +335,24 @@ func TestShardGaugesFreshEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf(`xar_index_shard_rides{shard="%d"} 1`, int(id)%4)
-	if !strings.Contains(b.String(), want) {
-		t.Fatalf("post-create exposition missing %q:\n%s", want, b.String())
+	if !strings.Contains(b.String(), want) || !strings.Contains(b.String(), "xar_index_full_rides 0\n") {
+		t.Fatalf("post-create exposition missing %q or a zero xar_index_full_rides:\n%s", want, b.String())
+	}
+
+	// A two-seat ride booked once is full: one gauge, summed over stripes.
+	id, err = e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 9000, Seats: 2, DetourLimit: 2500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, ms := mustSearchAlong(t, e, e.Ride(id), 0.3, 0.7, 600, 900)
+	if _, err := e.Book(ms[0], req); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "xar_index_full_rides 1\n") {
+		t.Fatalf("exposition after filling ride %d lacks xar_index_full_rides 1:\n%s", id, b.String())
 	}
 }

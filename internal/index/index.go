@@ -3,9 +3,11 @@ package index
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"xar/internal/discretize"
+	"xar/internal/roadnet"
 )
 
 // Config tunes the index.
@@ -176,9 +178,13 @@ func (ix *Index) Reregister(r *Ride) error {
 }
 
 // register computes pt entries and the support table and fills cluster
-// lists.
+// lists — of a ride with a free seat: a full one is nobody's potential ride
+// (Definition 1) and is in no list until a cancellation re-registers it.
 func (ix *Index) register(r *Ride) {
-	r.pt = r.pt[:0]
+	r.pt, r.support = r.pt[:0], nil
+	if r.SeatsAvail <= 0 {
+		return
+	}
 
 	// 1. Pass-through clusters: walk the route, map node → cluster, and
 	// emit one entry per maximal run of equal cluster within a segment.
@@ -407,6 +413,7 @@ func (ix *Index) ClusterListLen(c int) int {
 // and support records the current fleet induces.
 type Stats struct {
 	Rides           int
+	FullRides       int // registered rides with no free seat: in no list
 	Clusters        int
 	ListEntries     int // Σ per-cluster potential-ride tuples
 	SupportRecords  int // Σ per-ride (cluster → pass-through) refs
@@ -427,6 +434,9 @@ func (ix *Index) Stats() Stats {
 	for _, r := range ix.rides {
 		s.PassThroughRuns += len(r.pt)
 		s.SupportRecords += len(r.support)
+		if r.SeatsAvail <= 0 {
+			s.FullRides++
+		}
 	}
 	return s
 }
@@ -461,7 +471,8 @@ func (ix *Index) CheckInvariants() error {
 //     every entry points at a live (non-crossed) pass-through entry;
 //   - a ride appears in a cluster list iff it has ≥1 support there;
 //   - a ride is listed under exactly its minimum support ETA (the key
-//     unregister and Advance find it by).
+//     unregister and Advance find it by);
+//   - a ride has supports (is listed) iff it has a free seat and route ahead.
 func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 	// Keyed lookups need a well-formed list; a damaged one is reported as
 	// such and left out of the membership check below.
@@ -488,7 +499,15 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 			}
 		}
 	}
+	inCluster := func(n roadnet.NodeID) bool { return ix.disc.ClusterOfNode(n) >= 0 }
 	for id, r := range ix.rides {
+		ahead := r.Route[min(r.Progress, len(r.Route)):]
+		switch {
+		case r.SeatsAvail <= 0 && len(r.support) > 0:
+			dst = append(dst, Inconsistency{Ride: id, Cluster: -1, Detail: "full ride is listed / still has supports"})
+		case r.SeatsAvail > 0 && len(r.support) == 0 && slices.ContainsFunc(ahead, inCluster):
+			dst = append(dst, Inconsistency{Ride: id, Cluster: -1, Detail: "ride with a free seat and uncrossed route has no supports"})
+		}
 		for i, s := range r.support {
 			if i > 0 && compareSupports(r.support[i-1], s) >= 0 {
 				dst = append(dst, Inconsistency{Ride: id, Cluster: int(s.Cluster), Detail: fmt.Sprintf("support table order violated at %d", i)})

@@ -516,6 +516,7 @@ func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 			before := append([]Support(nil), snap.support...)
 			if rng.Intn(4) == 0 {
 				r.DetourLimit = float64(rng.Intn(2000))
+				r.SeatsAvail = rng.Intn(3) // a third of these fill the ride or find it full
 				if err := ix.Reregister(r); err != nil {
 					t.Fatal(err)
 				}
@@ -541,6 +542,88 @@ func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+	}
+}
+
+// TestFullRideLeavesEveryList: re-registering a ride with no free seat
+// takes it out of exactly the lists it was in and leaves it registered,
+// trackable and consistent; re-registering it with a seat again (what a
+// cancellation does, progress reset) lists exactly what inserting an
+// identical fresh ride lists.
+func TestFullRideLeavesEveryList(t *testing.T) {
+	d := testWorld(t)
+	ix, fresh := newTestIndex(t, d), newTestIndex(t, d)
+	from, to := pickCrossingNodes(t, d)
+	r := makeRide(t, d, ix, from, to, 0, 1500)
+	other := makeRide(t, d, ix, from, to, 60, 1500)
+	for _, ride := range []*Ride{r, other} {
+		if err := ix.Insert(ride); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clusters := r.ReachableClusters()
+	before := ix.Stats()
+	if len(clusters) == 0 || before.FullRides != 0 {
+		t.Fatalf("ride reaches %d clusters, index reports %d full rides", len(clusters), before.FullRides)
+	}
+
+	r.SeatsAvail = 0
+	if err := ix.Reregister(r); err != nil {
+		t.Fatal(err)
+	}
+	full := ix.Stats()
+	if full.Rides != 2 || full.FullRides != 1 {
+		t.Fatalf("after filling: %+v, want both rides registered and one full", full)
+	}
+	if got, want := full.ListEntries, before.ListEntries-len(clusters); got != want {
+		t.Fatalf("list entries %d → %d, want %d (one per cluster the ride was listed in)", before.ListEntries, got, want)
+	}
+	if got, want := full.SupportRecords, before.SupportRecords/2; got != want {
+		t.Fatalf("support records %d → %d, want the other ride's %d", before.SupportRecords, got, want)
+	}
+	for _, c := range clusters {
+		if _, ok := ix.HasPotentialRide(c, r.ID); ok {
+			t.Fatalf("full ride still listed in cluster %d", c)
+		}
+		if ids := ix.PotentialRides(c, math.Inf(-1), math.Inf(1), nil); slices.Contains(ids, r.ID) || !slices.Contains(ids, other.ID) {
+			t.Fatalf("cluster %d lists %v, want ride %d and not ride %d", c, ids, other.ID, r.ID)
+		}
+	}
+	if err := ix.Advance(r.ID, len(r.Route)/2); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Stats(); got != full {
+		t.Fatalf("tracking a full ride changed the index: %+v → %+v", full, got)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	r.SeatsAvail, r.Progress = 1, 0
+	if err := ix.Reregister(r); err != nil {
+		t.Fatal(err)
+	}
+	for _, ride := range []*Ride{r, other} {
+		twin := ride.Clone()
+		twin.pt, twin.support = nil, nil
+		if err := fresh.Insert(twin); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ride.support, twin.support) || !slices.Equal(ride.pt, twin.pt) {
+			t.Fatalf("ride %d: registration after the seat came back differs from a fresh insert", ride.ID)
+		}
+	}
+	if got, want := ix.Stats(), fresh.Stats(); got != want {
+		t.Fatalf("stats %+v, a fresh index holding the same rides %+v", got, want)
+	}
+	for c := 0; c < d.NumClusters(); c++ {
+		got := ix.PotentialRides(c, math.Inf(-1), math.Inf(1), nil)
+		if want := fresh.PotentialRides(c, math.Inf(-1), math.Inf(1), nil); !slices.Equal(got, want) {
+			t.Fatalf("cluster %d lists %v, a fresh index %v", c, got, want)
+		}
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

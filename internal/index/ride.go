@@ -1,9 +1,11 @@
 // Package index implements the XAR in-memory indexing structure (§VI of
 // the paper): rides with via-points and segments, per-segment pass-through
 // clusters, reachable clusters under the detour test, and per-cluster
-// potential-ride lists sorted by estimated time of arrival. (The paper's
-// second order, by ride ID, is subsumed by each ride's own support table:
-// it answers "is this ride listed there, and under which ETA".)
+// potential-ride lists sorted by estimated time of arrival — potential:
+// a ride with no free seat stays registered (tracked; a cancellation can
+// free a seat) but is in no list. (The paper's second order, by ride ID,
+// is subsumed by each ride's own support table: it answers "is this ride
+// listed there, and under which ETA".)
 //
 // The index is the component that eliminates shortest-path computation
 // from the search path: all spatial reasoning during a search happens in
@@ -23,7 +25,6 @@ package index
 import (
 	"cmp"
 	"fmt"
-	"math"
 
 	"xar/internal/geo"
 	"xar/internal/roadnet"
@@ -250,15 +251,6 @@ func (r *Ride) ReachableClusters() []int {
 		}
 	}
 	return out
-}
-
-// ArrivalAt returns the ride's remaining-route ETA bounds (departure of
-// the current position and arrival at the destination).
-func (r *Ride) ArrivalAt() (start, end float64) {
-	if len(r.RouteETA) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	return r.RouteETA[0], r.RouteETA[len(r.RouteETA)-1]
 }
 
 // segmentOf returns the segment index containing route index idx.

@@ -10,8 +10,8 @@ import (
 )
 
 // DefaultShards is the shard count used when the caller passes 0: one.
-// Stripes are keyed by ride ID, and every cluster's list holds rides of
-// every stripe, so a search must visit all of them — N stripes multiply
+// Stripes are keyed by ride ID, and a cluster's potential rides are spread
+// over every stripe, so a search must visit all of them — N stripes multiply
 // its list probes, lock pairs and candidate-set resets by N and divide
 // nothing for readers. What a stripe buys is write concurrency: with one,
 // a writer waits out the searches in flight (each a few microseconds to a
@@ -194,6 +194,7 @@ func (v View) Stats() Stats {
 		st := sh.Ix.Stats()
 		sh.RUnlock()
 		out.Rides += st.Rides
+		out.FullRides += st.FullRides
 		out.ListEntries += st.ListEntries
 		out.SupportRecords += st.SupportRecords
 		out.PassThroughRuns += st.PassThroughRuns

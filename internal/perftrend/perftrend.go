@@ -314,6 +314,11 @@ var extractors = []extractor{
 		unit: "allocs/op", dir: Exact, min: lim(1), max: lim(1),
 		get: path("BenchmarkSearchDense", "serial_loop", "allocs_per_op")},
 
+	// Candidates per search over a 2 000-trip replay: an exact count (53.99 with full rides listed).
+	{file: "BENCH_search.json", bench: "BenchmarkReplayCandidates", metric: "replay_candidates_per_search",
+		unit: "candidates/search", dir: Exact, min: lim(3.929), max: lim(3.929),
+		get: path("BenchmarkReplayCandidates", "after", "candidates_per_search")},
+
 	// --- BENCH_routing.json (trig-free A*, grouped support table) --
 	// The write path's allocations at a fixed 2000 iterations: the path
 	// (one allocation, not one per doubling), the ride's tables, and the
@@ -324,8 +329,8 @@ var extractors = []extractor{
 		unit: "allocs/op", dir: Exact, min: lim(10), max: lim(10),
 		get: path("BenchmarkFig4bCreateXAR", "after", "allocs_per_op")},
 	{file: "BENCH_routing.json", bench: "BenchmarkFig4cBookXAR", metric: "book_allocs_per_op",
-		unit: "allocs/op", dir: Exact, min: lim(23), max: lim(23),
-		get: path("BenchmarkFig4cBookXAR", "after", "allocs_per_op")},
+		unit: "allocs/op", dir: Exact, min: lim(21), max: lim(21),
+		get: path("BenchmarkFig4cBookXAR", "full_rides_unlisted", "allocs_per_op")},
 
 	// --- BENCH_index.json (one index stripe, blocked posting lists) -
 	// The same benchmark on today's default configuration, ≈ 400–550 ns:

@@ -162,6 +162,13 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 			want: "search_dense_allocs_per_op",
 		},
 		{
+			name: "full rides come back into the posting lists", file: "BENCH_search.json",
+			mutate: func(doc map[string]any) {
+				doc["BenchmarkReplayCandidates"].(map[string]any)["after"].(map[string]any)["candidates_per_search"] = 53.99
+			},
+			want: "replay_candidates_per_search",
+		},
+		{
 			// The 16-stripe search the default used to be: inside the
 			// historical series' 8000 ns roof, outside this one's.
 			name: "default search pays for stripes again", file: "BENCH_index.json",
@@ -173,7 +180,7 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 		{
 			name: "per-node allocation comes back", file: "BENCH_routing.json",
 			mutate: func(doc map[string]any) {
-				doc["BenchmarkFig4cBookXAR"].(map[string]any)["after"].(map[string]any)["allocs_per_op"] = 31.0
+				doc["BenchmarkFig4cBookXAR"].(map[string]any)["full_rides_unlisted"].(map[string]any)["allocs_per_op"] = 31.0
 			},
 			want: "book_allocs_per_op",
 		},

@@ -34,8 +34,6 @@ const (
 	// combined walking limit (the two sides' least-walk clusters that
 	// list the ride in-window already exceed it).
 	WalkLimit
-	// Capacity: the ride had no seat left.
-	Capacity
 	// DetourBound: an order-feasible support pair exists, but every one
 	// exceeds the ride's remaining detour budget.
 	DetourBound
@@ -52,7 +50,6 @@ const (
 var stageNames = [NumStages]string{
 	WindowMiss:      "window_miss",
 	WalkLimit:       "walk_limit",
-	Capacity:        "capacity",
 	DetourBound:     "detour_bound",
 	OrderInfeasible: "order_infeasible",
 	Matched:         "matched",
@@ -76,17 +73,15 @@ func Stages() []string { return append([]string(nil), stageNames[:]...) }
 // ConstraintNone counts requests no single relaxation unlocked (multiple
 // binding constraints, or genuinely unservable corridors).
 const (
-	ConstraintWalk     = "walk_limit"
-	ConstraintWindow   = "window"
-	ConstraintCapacity = "capacity"
-	ConstraintDetour   = "detour_bound"
-	ConstraintOrder    = "order_infeasible"
-	ConstraintNone     = "none"
+	ConstraintWalk   = "walk_limit"
+	ConstraintWindow = "window"
+	ConstraintDetour = "detour_bound"
+	ConstraintOrder  = "order_infeasible"
+	ConstraintNone   = "none"
 )
 
 var constraintNames = []string{
-	ConstraintWalk, ConstraintWindow, ConstraintCapacity,
-	ConstraintDetour, ConstraintOrder, ConstraintNone,
+	ConstraintWalk, ConstraintWindow, ConstraintDetour, ConstraintOrder, ConstraintNone,
 }
 
 // Constraints returns every unlock label the shadow matcher can emit.

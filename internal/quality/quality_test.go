@@ -33,12 +33,12 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.AddFunnel(&[NumStages]uint64{1, 2, 3}, 6)
 	c.ObserveSlack(0.5)
 	c.ObserveEpsilonConsumption(0.5)
-	c.Unlock(ConstraintCapacity)
+	c.Unlock(ConstraintDetour)
 	c.ShadowTask(TaskNoMatch)
 	c.ShadowDropped()
 	c.ObserveRegret(10, true)
 	c.SetShadowEnabled(true)
-	if c.Examined() != 0 || c.FunnelTotal(Matched) != 0 || c.UnlockTotal(ConstraintCapacity) != 0 {
+	if c.Examined() != 0 || c.FunnelTotal(Matched) != 0 || c.UnlockTotal(ConstraintDetour) != 0 {
 		t.Fatal("nil collector reported non-zero")
 	}
 	s := c.Snapshot()
@@ -72,7 +72,7 @@ func TestFunnelAccumulationAndExposition(t *testing.T) {
 
 	counts := [NumStages]uint64{}
 	counts[WindowMiss] = 3
-	counts[Capacity] = 1
+	counts[WalkLimit] = 1
 	counts[Matched] = 2
 	c.AddFunnel(&counts, 6)
 	c.AddFunnel(&[NumStages]uint64{}, 0) // all-zero: no examined growth
@@ -121,8 +121,8 @@ func TestSlackAndEpsilonSummaries(t *testing.T) {
 func TestShadowStats(t *testing.T) {
 	c := New(nil)
 	c.SetShadowEnabled(true)
-	c.Unlock(ConstraintCapacity)
-	c.Unlock(ConstraintCapacity)
+	c.Unlock(ConstraintDetour)
+	c.Unlock(ConstraintDetour)
 	c.Unlock(ConstraintNone)
 	c.Unlock("bogus") // ignored
 	c.ShadowTask(TaskNoMatch)
@@ -133,14 +133,14 @@ func TestShadowStats(t *testing.T) {
 	c.ObserveRegret(0, true)    // rematched, no better alternative
 	c.ObserveRegret(999, false) // nothing found: regret unmeasurable
 
-	if got := c.UnlockTotal(ConstraintCapacity); got != 2 {
-		t.Fatalf("capacity unlocks = %d", got)
+	if got := c.UnlockTotal(ConstraintDetour); got != 2 {
+		t.Fatalf("detour unlocks = %d", got)
 	}
 	s := c.Snapshot()
 	if !s.Shadow.Enabled {
 		t.Fatal("enabled flag lost")
 	}
-	if s.Shadow.Unlocks[ConstraintCapacity] != 2 || s.Shadow.Unlocks[ConstraintNone] != 1 {
+	if s.Shadow.Unlocks[ConstraintDetour] != 2 || s.Shadow.Unlocks[ConstraintNone] != 1 {
 		t.Fatalf("unlocks = %v", s.Shadow.Unlocks)
 	}
 	if s.Shadow.Tasks[TaskNoMatch] != 1 || s.Shadow.Tasks[TaskRegret] != 1 || s.Shadow.Dropped != 1 {

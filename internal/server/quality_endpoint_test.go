@@ -76,6 +76,14 @@ func TestQualityEndpoint(t *testing.T) {
 			t.Errorf("shadow unlocks missing constraint %q: %v", con, qr.Shadow.Unlocks)
 		}
 	}
+	// A full ride is in no list, so no search examines one: seat
+	// saturation is the xar_index_full_rides gauge, not a stage or a key.
+	if len(qr.Funnel) != 5 || len(qr.Shadow.Unlocks) != 5 {
+		t.Errorf("funnel has %d stages and unlocks %d keys, want 5 and 5: %v %v", len(qr.Funnel), len(qr.Shadow.Unlocks), qr.Funnel, qr.Shadow.Unlocks)
+	}
+	if _, ok := qr.Funnel["capacity"]; ok {
+		t.Errorf("funnel still reports a capacity stage: %v", qr.Funnel)
+	}
 }
 
 // TestQualityEndpointValidation: unknown query parameters are rejected
