@@ -633,9 +633,11 @@ func BenchmarkSearchDense(b *testing.B) {
 // whole ride life-cycle: a fixed 2 000-trip replay in the paper's protocol
 // (track, search, book the best match or else offer a ride) on the default
 // engine with the quality funnel on, reporting the candidates a search
-// examined and the matches it returned. Both are exact counts of a
-// deterministic replay — `make bench-trend` holds candidates/search in an
-// exact band; ns/op is the whole replay and claims nothing.
+// examined, the matches it returned and the shortest paths a booking
+// searched (the rest of its legs it cut out of the old route). All are
+// exact counts of a deterministic replay — `make bench-trend` holds
+// candidates/search and paths/book in exact bands; ns/op is the whole
+// replay and claims nothing.
 func BenchmarkReplayCandidates(b *testing.B) {
 	w := world(b)
 	wcfg := workload.DefaultConfig(2000, w.Scale.Seed+3)
@@ -660,6 +662,7 @@ func BenchmarkReplayCandidates(b *testing.B) {
 	}
 	b.ReportMetric(float64(m.CandidatesExamined)/float64(m.Searches), "candidates/search")
 	b.ReportMetric(float64(m.SearchMatches)/float64(m.Searches), "matches/search")
+	b.ReportMetric(float64(m.ShortestPaths-m.RidesCreated)/float64(m.Bookings), "paths/book")
 }
 
 // seededConcurrentXAR builds an XAR system over a ride index of the

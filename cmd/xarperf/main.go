@@ -14,7 +14,7 @@
 // -bench … -benchmem`) and appends the fresh measurements to the
 // default-configuration search ns/op series and to the exact-band series
 // (allocs/op of the dense search, create and book; candidates per search
-// of the replay), so the gate compares this machine's hot paths today
+// and paths per booking of the replay), so the gate compares this machine's hot paths today
 // against the committed history, not just artifact against artifact.
 package main
 
@@ -38,7 +38,7 @@ func main() {
 	dir := flag.String("dir", ".", "repository root holding the BENCH_*.json artifacts")
 	out := flag.String("out", "-", "trajectory output path (\"-\" = stdout)")
 	gate := flag.Bool("gate", false, "exit 1 when the newest point of any banded series is outside its band")
-	smoke := flag.Bool("smoke", false, "run short fresh benchmarks in -dir and append them to the default-search ns/op, the search/create/book allocs/op and the replay candidates/search series")
+	smoke := flag.Bool("smoke", false, "run short fresh benchmarks in -dir and append them to the default-search ns/op, the search/create/book allocs/op and the replay candidates/search and paths/book series")
 	benchtime := flag.String("benchtime", "300ms", "benchtime for -smoke")
 	flag.Parse()
 
@@ -109,7 +109,8 @@ func allocsLine(bench string) *regexp.Regexp {
 }
 
 // smokeRuns lists what -smoke measures: for benchtime, the idle search's
-// ns/op, the dense search's allocs/op and the replay's candidates/search;
+// ns/op, the dense search's allocs/op and the replay's candidates/search
+// and paths/book;
 // and the write path's allocs/op at a fixed iteration count, because create
 // and book amortize the growth of posting lists and the ride map over
 // the run — their per-op count is exact only at the count the band was
@@ -120,6 +121,7 @@ func smokeRuns(benchtime string) []smokeRun {
 			{"BenchmarkSearchTelemetry", "default_search_ns_per_op", regexp.MustCompile(`(?m)^BenchmarkSearchTelemetry/off\S*\s+\d+\s+([\d.]+) ns/op`)},
 			{"BenchmarkSearchDense", "search_dense_allocs_per_op", allocsLine("BenchmarkSearchDense")},
 			{"BenchmarkReplayCandidates", "replay_candidates_per_search", regexp.MustCompile(`(?m)^BenchmarkReplayCandidates\S*\s.*\s([\d.]+) candidates/search`)},
+			{"BenchmarkReplayCandidates", "replay_paths_per_book", regexp.MustCompile(`(?m)^BenchmarkReplayCandidates\S*\s.*\s([\d.]+) paths/book`)},
 		}},
 		{bench: "^(BenchmarkFig4bCreateXAR|BenchmarkFig4cBookXAR)$", benchtime: "2000x", series: []smokeSeries{
 			{"BenchmarkFig4bCreateXAR", "create_allocs_per_op", allocsLine("BenchmarkFig4bCreateXAR")},

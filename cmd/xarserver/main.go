@@ -74,8 +74,7 @@ func main() {
 	cols := flag.Int("cols", 22, "city lattice columns")
 	seed := flag.Int64("seed", 42, "random seed")
 	eps := flag.Float64("eps", 1000, "epsilon (= 4δ) in meters")
-	useALT := flag.Bool("alt", true, "accelerate shortest paths with ALT")
-	router := flag.String("router", "", "shortest-path engine: astar, alt, or ch (empty = auto: ch when -ch-file is given, else by -alt)")
+	router := flag.String("router", "", "shortest-path engine: astar, alt, or ch (empty = auto: ch when -ch-file is given, else alt)")
 	chFile := flag.String("ch-file", "", "load a contraction-hierarchy artifact (xardiscretize -ch-out) instead of preprocessing in-process")
 	chBudget := flag.Duration("ch-budget", 30*time.Second, "CH preprocessing budget when -router ch builds in-process; exceeding it falls back to ALT")
 	accessLog := flag.Bool("access-log", false, "emit a structured access-log record per request")
@@ -127,7 +126,6 @@ func main() {
 	}
 
 	ecfg := core.DefaultConfig()
-	ecfg.UseALTPaths = *useALT
 	ecfg.Router = *router
 	ecfg.CHBudget = *chBudget
 	if *chFile != "" {

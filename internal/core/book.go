@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -333,15 +334,27 @@ func (e *Engine) refineDetourEstimate(r *index.Ride, sSeg, dSeg, puLM, doLM int,
 }
 
 // spliceRoute builds the new route and via-point list for a pickup in
-// segment sSeg and a drop-off in segment dSeg (sSeg ≤ dSeg), running at
-// most four shortest-path searches (three when sSeg == dSeg) on the
-// caller-supplied finder; each becomes a "path_search" span of the
-// context's trace. r may be a snapshot; only Route and Via are read.
+// segment sSeg and a drop-off in segment dSeg (sSeg ≤ dSeg) out of at
+// most four legs (three when sSeg == dSeg). A via-to-via segment of a
+// route is one shortest path — a create, a booking and a cancellation
+// each lay it down as one — and so is every stretch of it: a leg whose
+// two ends lie in order on the segment it replaces is that stretch, and
+// only the others are searched, on the caller-supplied finder, each a
+// "path_search" span of the context's trace. The count returned is of
+// those searches. r may be a snapshot; only Route and Via are read.
 func (e *Engine) spliceRoute(ctx context.Context, f pathFinder, r *index.Ride, sSeg, dSeg int, pu, do roadnet.NodeID) ([]roadnet.NodeID, []index.ViaPoint, int, error) {
-	sp := func(a, b roadnet.NodeID) ([]roadnet.NodeID, error) {
+	runs := 0
+	// leg returns a shortest path a → b; old is the segment it replaces.
+	leg := func(a, b roadnet.NodeID, old []roadnet.NodeID) ([]roadnet.NodeID, error) {
 		if a == b {
 			return []roadnet.NodeID{a}, nil
 		}
+		if i := slices.Index(old, a); i >= 0 {
+			if j := slices.Index(old[i:], b); j > 0 {
+				return old[i : i+j+1], nil
+			}
+		}
+		runs++
 		res := e.tracedShortestPath(ctx, f, a, b)
 		if !res.Reachable() {
 			return nil, ErrUnreachable
@@ -350,27 +363,23 @@ func (e *Engine) spliceRoute(ctx context.Context, f pathFinder, r *index.Ride, s
 	}
 
 	b := routeBuilder{}
-	runs := 0
+	s1, s2 := r.Via[sSeg], r.Via[sSeg+1]
+	oldS := r.Route[s1.RouteIdx : s2.RouteIdx+1]
 
 	if sSeg == dSeg {
-		// s1 → pu → do → s2: three searches.
-		s1 := r.Via[sSeg]
-		s2 := r.Via[sSeg+1]
-		p1, err := sp(s1.Node, pu)
+		// s1 → pu → do → s2: three legs.
+		p1, err := leg(s1.Node, pu, oldS)
 		if err != nil {
 			return nil, nil, runs, err
 		}
-		runs++
-		p2, err := sp(pu, do)
+		p2, err := leg(pu, do, oldS)
 		if err != nil {
 			return nil, nil, runs, err
 		}
-		runs++
-		p3, err := sp(do, s2.Node)
+		p3, err := leg(do, s2.Node, oldS)
 		if err != nil {
 			return nil, nil, runs, err
 		}
-		runs++
 
 		b.appendRoute(r.Route[:s1.RouteIdx+1])
 		b.copyVias(r.Via[:sSeg+1], 0)
@@ -386,29 +395,25 @@ func (e *Engine) spliceRoute(ctx context.Context, f pathFinder, r *index.Ride, s
 		return b.route, b.via, runs, nil
 	}
 
-	// Different segments: s1 → pu → s2 … d1 → do → d2 — four searches.
-	s1, s2 := r.Via[sSeg], r.Via[sSeg+1]
+	// Different segments: s1 → pu → s2 … d1 → do → d2 — four legs.
 	d1, d2 := r.Via[dSeg], r.Via[dSeg+1]
-	p1, err := sp(s1.Node, pu)
+	oldD := r.Route[d1.RouteIdx : d2.RouteIdx+1]
+	p1, err := leg(s1.Node, pu, oldS)
 	if err != nil {
 		return nil, nil, runs, err
 	}
-	runs++
-	p2, err := sp(pu, s2.Node)
+	p2, err := leg(pu, s2.Node, oldS)
 	if err != nil {
 		return nil, nil, runs, err
 	}
-	runs++
-	p3, err := sp(d1.Node, do)
+	p3, err := leg(d1.Node, do, oldD)
 	if err != nil {
 		return nil, nil, runs, err
 	}
-	runs++
-	p4, err := sp(do, d2.Node)
+	p4, err := leg(do, d2.Node, oldD)
 	if err != nil {
 		return nil, nil, runs, err
 	}
-	runs++
 
 	b.appendRoute(r.Route[:s1.RouteIdx+1])
 	b.copyVias(r.Via[:sSeg+1], 0)

@@ -705,13 +705,13 @@ func TestEngineWithALTPathsIdenticalBehavior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewEngine(d, DefaultConfig())
+	plainCfg := DefaultConfig()
+	plainCfg.Router = RouterAStar
+	plain, err := NewEngine(d, plainCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	altCfg := DefaultConfig()
-	altCfg.UseALTPaths = true
-	fast, err := NewEngine(d, altCfg)
+	fast, err := NewEngine(d, DefaultConfig()) // Router "" is ALT
 	if err != nil {
 		t.Fatal(err)
 	}

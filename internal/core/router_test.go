@@ -23,8 +23,9 @@ func routerTestDisc(t *testing.T) *discretize.Discretization {
 }
 
 // TestRouterResolution covers the Config.Router decision table:
-// explicit values, auto-selection, the CH-budget fallback to ALT, and
-// rejection of unknown routers.
+// explicit values, auto-selection (ALT, or CH when a hierarchy is
+// given; UseALTPaths decides nothing), the CH-budget fallback to ALT,
+// and rejection of unknown routers.
 func TestRouterResolution(t *testing.T) {
 	d := routerTestDisc(t)
 	ch, err := roadnet.BuildCH(d.City().Graph, roadnet.CHConfig{})
@@ -36,8 +37,8 @@ func TestRouterResolution(t *testing.T) {
 		mut  func(*Config)
 		want string
 	}{
-		{"default is astar", func(c *Config) {}, RouterAStar},
-		{"alt via compat flag", func(c *Config) { c.UseALTPaths = true }, RouterALT},
+		{"default is alt", func(c *Config) {}, RouterALT},
+		{"compat flag has no effect", func(c *Config) { c.UseALTPaths = true }, RouterALT},
 		{"explicit astar wins over compat flag", func(c *Config) { c.UseALTPaths = true; c.Router = RouterAStar }, RouterAStar},
 		{"prebuilt CH implies ch", func(c *Config) { c.CH = ch }, RouterCH},
 		{"explicit ch builds in-process", func(c *Config) { c.Router = RouterCH }, RouterCH},
@@ -73,11 +74,12 @@ func TestRouterResolution(t *testing.T) {
 // property.
 func TestRouterCHEquivalence(t *testing.T) {
 	d := routerTestDisc(t)
-	ref, err := NewEngine(d, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Router = RouterAStar
+	ref, err := NewEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
 	cfg.Router = RouterCH
 	che, err := NewEngine(d, cfg)
 	if err != nil {

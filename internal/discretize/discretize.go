@@ -451,23 +451,28 @@ func (d *Discretization) computeGridInfo(id grid.ID) *GridInfo {
 	}
 
 	// Walkable clusters: all landmarks within W straight-line, walking
-	// distance = detour factor × haversine, keep the minimum per cluster,
-	// sort ascending.
-	byCluster := map[int]float64{}
+	// distance = detour factor × haversine, keep the minimum per cluster
+	// (a side has about a dozen: a scan of the list, not a map), sort
+	// ascending.
+	acc := make([]WalkableCluster, 0, 16)
 	d.lmIndex.within(centroid, d.cfg.MaxWalk/d.cfg.WalkDetourFactor, func(lmID int, straight float64) {
 		walk := straight * d.cfg.WalkDetourFactor
 		if walk > d.cfg.MaxWalk {
 			return
 		}
 		c := d.landmarkCluster[lmID]
-		if cur, ok := byCluster[c]; !ok || walk < cur {
-			byCluster[c] = walk
+		for i := range acc {
+			if wc := &acc[i]; wc.Cluster == c {
+				if walk < wc.Walk {
+					wc.Walk = walk
+				}
+				return
+			}
 		}
+		acc = append(acc, WalkableCluster{Cluster: c, Walk: walk})
 	})
-	gi.Walkable = make([]WalkableCluster, 0, len(byCluster))
-	for c, w := range byCluster {
-		gi.Walkable = append(gi.Walkable, WalkableCluster{Cluster: c, Walk: w})
-	}
+	gi.Walkable = make([]WalkableCluster, len(acc)) // cached for good: exact size
+	copy(gi.Walkable, acc)
 	sort.Slice(gi.Walkable, func(i, j int) bool {
 		if gi.Walkable[i].Walk != gi.Walkable[j].Walk {
 			return gi.Walkable[i].Walk < gi.Walkable[j].Walk
@@ -532,6 +537,9 @@ func newPointBuckets(pts []geo.Point, box geo.BBox, cellMeters float64) *pointBu
 	if cellMeters <= 0 {
 		cellMeters = 500
 	}
+	for _, p := range pts {
+		box = box.Extend(p) // within relies on box holding every point
+	}
 	midLat := (box.MinLat + box.MaxLat) / 2
 	b := &pointBuckets{
 		pts:  pts,
@@ -569,10 +577,32 @@ func (b *pointBuckets) rc(p geo.Point) (int, int) {
 	return r, c
 }
 
+// flatSlack shaves the flat lower bound within rejects points by: for
+// coordinate differences under flatMaxDeg degrees, sin x ≥ x·(1 − x²/6)
+// costs the bound under 1e-4 of its square, and rounding far less.
+const (
+	flatSlack  = 2e-4
+	flatMaxDeg = 2.0
+)
+
+// within calls visit for every point at haversine distance ≤ radius of
+// p. The scanned buckets cover a square of about four times the circle's
+// area, so most points are turned away by a flat-map distance that costs
+// four multiplications and never exceeds the haversine: with x, y half
+// the latitude and longitude differences, the haversine distance is
+// 2R·asin √(sin²x + cos φ₁ cos φ₂ sin²y) ≥ 2R·√(x² + cos²φ y²)·(1 − max(x,y)²/6)
+// for φ the latitude farthest from the equator among p's and the box's
+// edges (the box holds every point). A point the bound does not exclude
+// gets the haversine as before, so the visited set and its distances are
+// those of the plain scan.
 func (b *pointBuckets) within(p geo.Point, radius float64, visit func(i int, d float64)) {
 	if radius < 0 {
 		return
 	}
+	farLat := math.Max(math.Abs(p.Lat), math.Max(math.Abs(b.box.MinLat), math.Abs(b.box.MaxLat)))
+	mLat, mLng := geo.MetersPerDegreeLat(), geo.MetersPerDegreeLng(farLat)
+	kLat, kLng := mLat*mLat*(1-flatSlack), mLng*mLng*(1-flatSlack)
+	r2 := radius * radius
 	span := int(radius/b.cell) + 1
 	r0, c0 := b.rc(p)
 	for r := r0 - span; r <= r0+span; r++ {
@@ -584,7 +614,12 @@ func (b *pointBuckets) within(p geo.Point, radius float64, visit func(i int, d f
 				continue
 			}
 			for _, i := range b.buckets[r*b.cols+c] {
-				if d := geo.Haversine(p, b.pts[i]); d <= radius {
+				q := b.pts[i]
+				dLat, dLng := q.Lat-p.Lat, q.Lng-p.Lng
+				if math.Abs(dLat) < flatMaxDeg && math.Abs(dLng) < flatMaxDeg && dLat*dLat*kLat+dLng*dLng*kLng > r2 {
+					continue
+				}
+				if d := geo.Haversine(p, q); d <= radius {
 					visit(int(i), d)
 				}
 			}

@@ -3,6 +3,8 @@ package discretize
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -227,6 +229,54 @@ func TestGridInfoWalkableSortedAndBounded(t *testing.T) {
 			}
 			seen[wc.Cluster] = true
 		}
+	}
+}
+
+// TestGridInfoEqualsExhaustiveScan compares the walkable-cluster list of
+// every grid of a generated city, entry for entry and bit for bit, with
+// the definition computed the long way: a haversine to every landmark,
+// the minimum per cluster in a map, a sort. The bucket scan's flat
+// lower bound may only skip landmarks the haversine would turn away.
+func TestGridInfoEqualsExhaustiveScan(t *testing.T) {
+	d := testDisc(t)
+	cfg := d.Config()
+	cells := d.Grid.CellsWithin(d.City().Graph.BBox().Center(), 1e7, nil)
+	if int64(len(cells)) != d.Grid.NumCells() {
+		t.Fatalf("enumerated %d of %d cells", len(cells), d.Grid.NumCells())
+	}
+	entries := 0
+	for _, id := range cells {
+		centroid := d.Grid.Centroid(id)
+		byCluster := map[int]float64{}
+		for lm, l := range d.Landmarks {
+			straight := geo.Haversine(centroid, l.Point)
+			walk := straight * cfg.WalkDetourFactor
+			if straight > cfg.MaxWalk/cfg.WalkDetourFactor || walk > cfg.MaxWalk {
+				continue
+			}
+			c := d.ClusterOfLandmark(lm)
+			if cur, ok := byCluster[c]; !ok || walk < cur {
+				byCluster[c] = walk
+			}
+		}
+		want := make([]WalkableCluster, 0, len(byCluster))
+		for c, w := range byCluster {
+			want = append(want, WalkableCluster{Cluster: c, Walk: w})
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Walk != want[j].Walk {
+				return want[i].Walk < want[j].Walk
+			}
+			return want[i].Cluster < want[j].Cluster
+		})
+		got := d.Info(id).Walkable
+		if !slices.Equal(got, want) {
+			t.Fatalf("grid %v:\n got  %v\n want %v", id, got, want)
+		}
+		entries += len(got)
+	}
+	if entries < len(cells) {
+		t.Fatalf("only %d walkable entries over %d grids", entries, len(cells))
 	}
 }
 

@@ -331,6 +331,13 @@ var extractors = []extractor{
 	{file: "BENCH_routing.json", bench: "BenchmarkFig4cBookXAR", metric: "book_allocs_per_op",
 		unit: "allocs/op", dir: Exact, min: lim(21), max: lim(21),
 		get: path("BenchmarkFig4cBookXAR", "full_rides_unlisted", "allocs_per_op")},
+	// Shortest paths searched per booking over the 2 000-trip replay: an
+	// exact count (3.485 when every leg of a splice is searched and an
+	// empty one counted; a leg the old route already holds is cut out of
+	// it, ISSUE 18).
+	{file: "BENCH_routing.json", bench: "BenchmarkReplayCandidates", metric: "replay_paths_per_book",
+		unit: "paths/book", dir: Exact, min: lim(2.821), max: lim(2.821),
+		get: path("default_alt_sliced_legs", "BenchmarkReplayCandidates", "after", "paths_per_book")},
 
 	// --- BENCH_index.json (one index stripe, blocked posting lists) -
 	// The same benchmark on today's default configuration, ≈ 400–550 ns:

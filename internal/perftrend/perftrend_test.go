@@ -184,6 +184,13 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 			},
 			want: "book_allocs_per_op",
 		},
+		{
+			name: "a booking searches every leg again", file: "BENCH_routing.json",
+			mutate: func(doc map[string]any) {
+				doc["default_alt_sliced_legs"].(map[string]any)["BenchmarkReplayCandidates"].(map[string]any)["after"].(map[string]any)["paths_per_book"] = 3.485
+			},
+			want: "replay_paths_per_book",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,13 +18,13 @@ import (
 //
 //	h(v) = max_L max( d(L,t) − d(L,v),  d(v,L) − d(t,L) )
 //
-// XAR computes shortest paths only at ride creation and booking, but a
-// city-scale deployment still runs thousands of those per hour. ALT
-// touches several times fewer nodes than the straight-line heuristic but
-// pays 2·k loads for each, and 2·k Dijkstras of preprocessing: a query
-// costs a third (880 nodes) to a half (3 520) less than plain A*'s, not
-// a multiple (BENCH_ch.json has the head-to-head, BenchmarkAblationALT
-// the engine view).
+// XAR computes shortest paths only at ride creation and booking, but
+// those are where its time goes, and ALT is the engine's default router.
+// It touches several times fewer nodes than the straight-line heuristic
+// but pays 2·k loads for each, and 2·k Dijkstras of preprocessing: a
+// query costs a third (880 nodes) to a half (3 520) less than plain
+// A*'s, not a multiple (BENCH_ch.json has the head-to-head,
+// BENCH_routing.json the engine view).
 type ALT struct {
 	g    *Graph
 	seed []NodeID
@@ -109,13 +109,16 @@ func NewALT(g *Graph, k int) (*ALT, error) {
 // NumSeeds returns the number of ALT landmarks.
 func (a *ALT) NumSeeds() int { return len(a.seed) }
 
-// heuristic returns the ALT lower bound on d(v → t). An unreachable
-// (+Inf) table entry needs no guard: Inf−Inf is NaN and −Inf never
-// exceeds h, so both drop out of the max, and a +Inf difference arises
-// only where v really cannot reach t.
-func (a *ALT) heuristic(v, t NodeID) float64 {
+// heuristic returns the ALT lower bound on d(v → t).
+func (a *ALT) heuristic(v, t NodeID) float64 { return altBound(a.row(v), a.row(t)) }
+
+// altBound is the ALT lower bound on d(v → t) from the two nodes' table
+// rows. An unreachable (+Inf) table entry needs no guard: Inf−Inf is NaN
+// and −Inf never exceeds h, so both drop out of the max, and a +Inf
+// difference arises only where v really cannot reach t.
+func altBound(rv, rt []float64) float64 {
 	var h float64
-	for rv, rt := a.row(v), a.row(t); len(rv) >= 2 && len(rt) >= 2; rv, rt = rv[2:], rt[2:] {
+	for ; len(rv) >= 2 && len(rt) >= 2; rv, rt = rv[2:], rt[2:] {
 		// d(L→t) − d(L→v) ≤ d(v→t)  and  d(v→L) − d(t→L) ≤ d(v→t).
 		if c := rt[0] - rv[0]; c > h {
 			h = c
@@ -144,7 +147,8 @@ func (a *ALT) NewSearcher() *ALTSearcher {
 // count differs.
 func (as *ALTSearcher) ShortestPath(source, target NodeID) SPResult {
 	a := as.alt
-	return as.s.astar(source, target, func(v NodeID) float64 { return a.heuristic(v, target) })
+	rt := a.row(target) // the same row for every node the search touches
+	return as.s.astar(source, target, func(v NodeID) float64 { return altBound(a.row(v), rt) })
 }
 
 // SettledNodes reports how many nodes the last search settled — the

@@ -3,6 +3,8 @@ package roadnet
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"xar/internal/geo"
@@ -269,6 +271,92 @@ func TestVisitEarlyStop(t *testing.T) {
 	})
 	if count != 2 {
 		t.Fatalf("visit called %d times after early stop, want 2", count)
+	}
+}
+
+// swapPQ is the textbook binary heap — sift by swapping — that pq is
+// measured against: pq moves a hole instead, and must pop the same items
+// in the same order, ties included, or equal-length routes would change.
+type swapPQ []pqItem
+
+func (q *swapPQ) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent].prio <= h[i].prio {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func (q *swapPQ) pop() pqItem {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	*q = h
+	for i := 0; ; {
+		l, r, small := 2*i+1, 2*i+2, i
+		if l < n && h[l].prio < h[small].prio {
+			small = l
+		}
+		if r < n && h[r].prio < h[small].prio {
+			small = r
+		}
+		if small == i {
+			return top
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+}
+
+// TestPQPopOrder drains pq after random interleavings of push and pop,
+// on distinct keys and on a handful of heavily duplicated ones: the keys
+// come out sorted, and item for item as the swapping heap pops them.
+func TestPQPopOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		distinct := 1 + r.Intn(1000)
+		if trial%2 == 0 {
+			distinct = 1 + r.Intn(4) // duplicates
+		}
+		var q pq
+		var ref swapPQ
+		var pushed, popped []float64
+		check := func() {
+			got, want := q.pop(), ref.pop()
+			if got != want {
+				t.Fatalf("trial %d: popped %+v, the swapping heap %+v", trial, got, want)
+			}
+			popped = append(popped, got.prio)
+		}
+		for i, n := 0, r.Intn(300); i < n; i++ {
+			it := pqItem{node: NodeID(i), prio: float64(r.Intn(distinct))}
+			q.push(it)
+			ref.push(it)
+			pushed = append(pushed, it.prio)
+			if r.Intn(4) == 0 {
+				check()
+				// The final drain is compared with a sort of what is
+				// still queued now plus what is pushed from here on.
+				pushed, popped = pushed[:0], popped[:0]
+				for _, it := range q {
+					pushed = append(pushed, it.prio)
+				}
+			}
+		}
+		for q.Len() > 0 {
+			check()
+		}
+		sort.Float64s(pushed)
+		if len(ref) != 0 || !slices.Equal(popped, pushed) {
+			t.Fatalf("trial %d: drained %v, sorted %v", trial, popped, pushed)
+		}
 	}
 }
 

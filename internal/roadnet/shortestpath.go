@@ -18,45 +18,54 @@ type pq []pqItem
 
 func (q pq) Len() int { return len(q) }
 
-// push inserts it and sifts it up.
+// push inserts it: the free slot at the tail moves up past every parent
+// that is larger, and it is written once. Same comparisons, and so the
+// same heap layout, as sifting with swaps.
 func (q *pq) push(it pqItem) {
 	*q = append(*q, it)
 	h := *q
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h[parent].prio <= h[i].prio {
+		if h[parent].prio <= it.prio {
 			break
 		}
-		h[parent], h[i] = h[i], h[parent]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = it
 }
 
-// pop removes and returns the minimum-prio item.
+// pop removes and returns the minimum-prio item. The last item is held
+// aside while the hole at the root moves down past every smaller child
+// (the left one on a tie, the right one only when strictly smaller), then
+// written once — half the stores of a swap per level.
 func (q *pq) pop() pqItem {
 	h := *q
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h = h[:n]
 	*q = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h[l].prio < h[small].prio {
-			small = l
-		}
-		if r < n && h[r].prio < h[small].prio {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+		if r := c + 1; r < n && h[r].prio < h[c].prio {
+			c = r
+		}
+		if h[c].prio >= last.prio {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = last
 	return top
 }
 
@@ -152,26 +161,34 @@ func (s *Searcher) astar(source, target NodeID, h func(NodeID) float64) SPResult
 	}
 	s.reset()
 	hs := h(source)
-	s.labels[source] = label{h: hs, prev: InvalidNode, stamp: s.gen}
+	labels, gen := s.labels, s.gen
+	labels[source] = label{h: hs, prev: InvalidNode, stamp: gen}
 	s.queue.push(pqItem{node: source, prio: hs})
 	for s.queue.Len() > 0 {
 		it := s.queue.pop()
 		v := it.node
-		lv := &s.labels[v]
+		lv := &labels[v]
 		if v == target {
 			return SPResult{Dist: lv.dist, Path: s.buildPath(v)}
 		}
-		if it.prio > lv.dist+lv.h { // stale entry
+		dv := lv.dist
+		if it.prio > dv+lv.h { // stale entry
 			continue
 		}
-		for _, e := range s.g.Out(v) {
-			lw := &s.labels[e.To]
-			if lw.stamp != s.gen {
-				lw.h = h(e.To) // first touch; relax stamps it
+		out := s.g.out[v]
+		for i := range out {
+			e := &out[i] // by index: an Edge is 32 bytes, two of them are used
+			nd := dv + e.Length
+			lw := &labels[e.To]
+			switch {
+			case lw.stamp != gen: // first touch: the one evaluation of h
+				*lw = label{dist: nd, h: h(e.To), prev: v, stamp: gen}
+			case nd < lw.dist:
+				lw.dist, lw.prev = nd, v
+			default:
+				continue
 			}
-			if nd := lv.dist + e.Length; s.relax(e.To, nd, v) {
-				s.queue.push(pqItem{node: e.To, prio: nd + lw.h})
-			}
+			s.queue.push(pqItem{node: e.To, prio: nd + lw.h})
 		}
 	}
 	return SPResult{Dist: math.Inf(1)}

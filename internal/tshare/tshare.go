@@ -139,7 +139,7 @@ type Engine struct {
 	mu       sync.RWMutex
 	taxis    map[TaxiID]*Taxi
 	cells    map[grid.ID][]cellEntry // sorted by eta
-	searcher *roadnet.Searcher
+	searcher *roadnet.ALTSearcher
 	nextID   TaxiID
 
 	// pathQueries counts single-pair path queries: the shortest paths of
@@ -160,13 +160,19 @@ func New(city *roadnet.City, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The router XAR defaults to, so that Fig 4b/4c compare two indexes
+	// and not two routers.
+	alt, err := roadnet.NewALT(city.Graph, 0)
+	if err != nil {
+		return nil, err
+	}
 	return &Engine{
 		cfg:      cfg,
 		city:     city,
 		gs:       gs,
 		taxis:    make(map[TaxiID]*Taxi),
 		cells:    make(map[grid.ID][]cellEntry),
-		searcher: roadnet.NewSearcher(city.Graph),
+		searcher: alt.NewSearcher(),
 	}, nil
 }
 
