@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
-	"time"
 
 	"xar/internal/index"
 	"xar/internal/journal"
@@ -14,17 +14,18 @@ import (
 )
 
 // bookMaxAttempts bounds the optimistic-commit retry loop. Conflicts
-// need a concurrent mutation of the same ride between a booking's
+// need a concurrent mutation of the same ride between a write's
 // snapshot and its commit; even under heavy contention most retries
 // succeed on the second attempt, so a small bound suffices — beyond it
-// the match is genuinely contended and reported no-longer-feasible.
+// the ride is genuinely contended and the write reported
+// no-longer-feasible.
 const bookMaxAttempts = 4
 
 // Book confirms a match (§VIII-B). It re-validates the match against the
 // ride's current state (the ride may have moved or accepted other
 // bookings since the search), chooses the concrete pickup and drop-off
 // landmarks, computes the at-most-four shortest paths the paper
-// prescribes, splices the new via-points into the route, charges the
+// prescribes, stitches the new via-points into the route, charges the
 // exact detour against the ride's remaining budget, consumes a seat and
 // re-registers the ride's cluster information.
 //
@@ -33,15 +34,14 @@ const bookMaxAttempts = 4
 // is allowed to overshoot the remaining budget by at most 4ε, matching
 // the paper's guarantee.
 //
-// Concurrency: booking is optimistic. The expensive splice (up to four
-// shortest paths) runs outside any lock against a snapshot of the ride
-// taken under the shard's read lock; the commit then re-checks, under
-// the shard's write lock, that the ride's revision counter is unchanged
-// before applying the new route. A concurrent booking/cancel/advance on
-// the same ride bumps the revision and forces a retry (counted in
+// Concurrency: booking and cancelling are optimistic (retryConflicts).
+// The shortest paths run outside any lock against a snapshot of the ride
+// taken under its stripe's read lock; the commit then re-checks, under
+// the write lock, that the ride's revision counter is unchanged before
+// applying the new route. A concurrent booking/cancel/advance on the
+// same ride bumps the revision and forces a retry (counted in
 // Metrics.BookConflictRetries and xar_book_conflict_retries_total);
-// rides on other shards — and searches everywhere — are never blocked by
-// the splice.
+// searches, and writes to other rides, never wait for a shortest path.
 func (e *Engine) Book(m Match, req Request) (Booking, error) {
 	return e.BookCtx(context.Background(), m, req)
 }
@@ -55,16 +55,8 @@ func (e *Engine) BookCtx(ctx context.Context, m Match, req Request) (bk Booking,
 	if err := req.Validate(); err != nil {
 		return Booking{}, err
 	}
-	ctx, span := e.tel.startOp(ctx, opBook)
-	if e.tel != nil || span != nil {
-		defer func(start time.Time) {
-			now := time.Now()
-			span.SetError(err)
-			// Observe before End: sealing recycles the trace record.
-			e.tel.observeOp(opBook, now.Sub(start), span, err)
-			span.EndAt(now)
-		}(time.Now())
-	}
+	ctx, span, start := e.tel.beginOp(ctx, opBook)
+	defer e.tel.endOp(opBook, start, span, &err)
 
 	// Reject unknown rides before anything else (kept first so the error
 	// does not depend on where the match's clusters lie). The existence
@@ -90,188 +82,204 @@ func (e *Engine) BookCtx(ctx context.Context, m Match, req Request) (bk Booking,
 	if walkSrc+walkDst > req.WalkLimit {
 		return Booking{}, ErrNoLongerFeasible
 	}
-	puNode := e.disc.Landmarks[puLM].Node
-	doNode := e.disc.Landmarks[doLM].Node
+	bk = Booking{
+		Ride:            m.Ride,
+		PickupLandmark:  puLM,
+		DropoffLandmark: doLM,
+		PickupNode:      e.disc.Landmarks[puLM].Node,
+		DropoffNode:     e.disc.Landmarks[doLM].Node,
+		WalkSource:      walkSrc,
+		WalkDest:        walkDst,
+	}
+	err = e.retryConflicts(ctx, span, "book_attempt", m.Ride, func(ctx context.Context) (bool, error) {
+		return e.tryBook(ctx, m, &bk)
+	})
+	if err != nil {
+		if errors.Is(err, ErrUnknownRide) || errors.Is(err, ErrRideFull) {
+			e.m.bookingsFailed.Add(1)
+		}
+		return Booking{}, err
+	}
+	e.recordEvent(journal.Booked, m.Ride, span, bk.DetourActual,
+		"pu="+strconv.FormatInt(int64(bk.PickupNode), 10)+" do="+strconv.FormatInt(int64(bk.DropoffNode), 10))
+	e.recordEvent(journal.SpliceCommitted, m.Ride, span, bk.DetourActual,
+		"sp_runs="+strconv.Itoa(bk.ShortestPathRuns))
+	// Greedy-regret sampling: re-match the request in the background
+	// against what is still bookable.
+	e.shadow.offerRegret(req, bk.WalkSource+bk.WalkDest)
+	return bk, nil
+}
 
+// retryConflicts runs an optimistic write of one ride — try snapshots the
+// ride, computes with no lock held and commits iff the ride's revision is
+// unchanged (snapshot, commit) — until an attempt does not conflict, at
+// most bookMaxAttempts times. Each attempt is a span named attemptSpan; the
+// operation's span gets the number of attempts lost as conflict_retries.
+func (e *Engine) retryConflicts(ctx context.Context, span *telemetry.Span, attemptSpan string, ride index.RideID, try func(context.Context) (conflict bool, err error)) error {
 	for attempt := 1; ; attempt++ {
-		actx, aspan := telemetry.ChildSpan(ctx, "book_attempt")
+		actx, aspan := telemetry.ChildSpan(ctx, attemptSpan)
 		aspan.SetInt("attempt", int64(attempt))
-		b, conflict, berr := e.tryBook(actx, m, puLM, doLM, puNode, doNode, walkSrc, walkDst)
+		conflict, err := try(actx)
 		if conflict {
 			// An attribute, not a span error: a conflict that retries into
 			// success must not classify the whole trace as errored.
 			aspan.SetStr("outcome", "conflict")
 		} else {
-			aspan.SetError(berr)
+			aspan.SetError(err)
 		}
 		aspan.End()
 		if !conflict {
 			span.SetInt("conflict_retries", int64(attempt-1))
-			if berr == nil {
-				e.recordEvent(journal.Booked, m.Ride, span, b.DetourActual,
-					"pu="+strconv.FormatInt(int64(puNode), 10)+" do="+strconv.FormatInt(int64(doNode), 10))
-				e.recordEvent(journal.SpliceCommitted, m.Ride, span, b.DetourActual,
-					"sp_runs="+strconv.Itoa(b.ShortestPathRuns))
-				// Greedy-regret sampling: re-match the request in the
-				// background against what is still bookable.
-				e.shadow.offerRegret(req, b.WalkSource+b.WalkDest)
-			}
-			return b, berr
+			return err
 		}
-		e.recordEvent(journal.BookConflictRetried, m.Ride, span, float64(attempt), "")
+		e.recordEvent(journal.BookConflictRetried, ride, span, float64(attempt), "")
 		e.m.bookConflictRetries.Add(1)
 		if e.tel != nil && e.tel.bookConflicts != nil {
 			e.tel.bookConflicts.Inc()
 		}
 		if attempt >= bookMaxAttempts {
 			span.SetInt("conflict_retries", int64(attempt))
-			return Booking{}, ErrNoLongerFeasible
+			return ErrNoLongerFeasible
 		}
 	}
 }
 
-// tryBook runs one optimistic attempt: snapshot under the read lock,
-// splice unlocked, validate-and-commit under the write lock. conflict
-// reports that the ride mutated between snapshot and commit and the
-// caller should retry.
-func (e *Engine) tryBook(ctx context.Context, m Match, puLM, doLM int, puNode, doNode roadnet.NodeID, walkSrc, walkDst float64) (bk Booking, conflict bool, err error) {
-	sh := e.ix.ShardFor(m.Ride)
-
-	// Phase 1 — snapshot: validate against current state under the read
-	// lock and copy what the splice needs.
+// snapshot is the first phase of an optimistic write: under the ride's
+// stripe's read lock it runs check against the ride and, if that passes,
+// copies what the unlocked phase computes against — the route, the
+// schedule and the scalars a commit derives the ride's next state from.
+func (e *Engine) snapshot(id index.RideID, check func(*index.Ride) error) (index.Ride, error) {
+	sh := e.ix.ShardFor(id)
 	sh.RLock()
-	r := sh.Ix.Ride(m.Ride)
+	defer sh.RUnlock()
+	r := sh.Ix.Ride(id)
 	if r == nil {
-		sh.RUnlock()
-		e.m.bookingsFailed.Add(1)
-		return Booking{}, false, ErrUnknownRide
+		return index.Ride{}, ErrUnknownRide
 	}
-	if r.SeatsAvail <= 0 {
-		sh.RUnlock()
-		e.m.bookingsFailed.Add(1)
-		return Booking{}, false, ErrRideFull
+	if err := check(r); err != nil {
+		return index.Ride{}, err
 	}
-	// Re-derive the best valid support pair; the search's snapshot may be
-	// stale.
-	ps, pd := bestSupportPair(r, m.PickupCluster, m.DropoffCluster, 0)
-	if ps == nil {
-		sh.RUnlock()
-		return Booking{}, false, ErrNoLongerFeasible
-	}
-	sSeg, dSeg, freshEstimate := int(ps.Seg), int(pd.Seg), ps.Detour+pd.Detour
-	if sSeg > dSeg {
-		sh.RUnlock()
-		return Booking{}, false, ErrNoLongerFeasible
-	}
-	// The vehicle must not have passed the splice start.
-	if r.Via[sSeg].RouteIdx < r.Progress {
-		sh.RUnlock()
-		return Booking{}, false, ErrNoLongerFeasible
-	}
-	rev := r.Rev
-	detourBudget, departure := r.DetourLimit, r.Departure
-	shadow := &index.Ride{
-		ID:    r.ID,
-		Route: append([]roadnet.NodeID(nil), r.Route...),
-		Via:   append([]index.ViaPoint(nil), r.Via...),
-	}
-	sh.RUnlock()
+	return index.Ride{
+		ID: r.ID, Rev: r.Rev, Departure: r.Departure, Progress: r.Progress, SeatsAvail: r.SeatsAvail,
+		DetourLimit: r.DetourLimit, DetourLimitInitial: r.DetourLimitInitial, BaseRouteLen: r.BaseRouteLen,
+		Route: slices.Clone(r.Route), Via: slices.Clone(r.Via),
+	}, nil
+}
 
-	// Phase 2 — compute: path length, refined estimate, the ≤4
-	// shortest-path splice and its ETAs, all against the snapshot, no
-	// lock held.
-	oldLen, perr := e.disc.City().Graph.PathLength(shadow.Route)
-	if perr != nil {
-		return Booking{}, false, fmt.Errorf("xar: corrupt route on ride %d: %w", shadow.ID, perr)
+// commit is the last phase: under the write lock, next — a snapshot the
+// unlocked phase has turned into the ride's next state — is applied iff
+// the ride is untouched since the snapshot (same revision ⇒ same route,
+// schedule, budget, seats and progress), and the ride's cluster
+// registrations are rebuilt, which bumps Rev. conflict reports a changed
+// revision: next was computed against stale state and the caller retries.
+// The new route's ETAs are computed first, before the lock is taken. A
+// ride's Route, RouteETA and Via are replaced, never written in place, so
+// the caller may still read next's after they are the ride's.
+func (e *Engine) commit(next *index.Ride) (conflict bool, err error) {
+	next.RouteETA = e.computeETAs(next.Route, next.Departure)
+	for i := range next.Via {
+		next.Via[i].ETA = next.RouteETA[next.Via[i].RouteIdx]
+	}
+	sh := e.ix.ShardFor(next.ID)
+	sh.Lock()
+	defer sh.Unlock()
+	r := sh.Ix.Ride(next.ID)
+	if r == nil {
+		return false, ErrUnknownRide
+	}
+	if r.Rev != next.Rev {
+		return true, nil
+	}
+	r.Route, r.RouteETA, r.Via = next.Route, next.RouteETA, next.Via
+	r.SeatsAvail, r.DetourLimit, r.Progress = next.SeatsAvail, max(next.DetourLimit, 0), next.Progress
+	return false, sh.Ix.Reregister(r)
+}
+
+// tryBook runs one optimistic attempt at the booking bk describes (ride,
+// landmarks, nodes, walks) and on success fills in what it cost.
+func (e *Engine) tryBook(ctx context.Context, m Match, bk *Booking) (conflict bool, err error) {
+	// Phase 1 — snapshot, once the match still holds against the ride's
+	// current state.
+	var sSeg, dSeg int
+	var estimate float64
+	next, err := e.snapshot(m.Ride, func(r *index.Ride) error {
+		if r.SeatsAvail <= 0 {
+			return ErrRideFull
+		}
+		// Re-derive the best valid support pair; the search's snapshot may
+		// be stale.
+		ps, pd := bestSupportPair(r, m.PickupCluster, m.DropoffCluster, 0)
+		if ps == nil || ps.Seg > pd.Seg {
+			return ErrNoLongerFeasible
+		}
+		sSeg, dSeg, estimate = int(ps.Seg), int(pd.Seg), ps.Detour+pd.Detour
+		// The vehicle must not have passed the splice start.
+		if r.Via[sSeg].RouteIdx < r.Progress {
+			return ErrNoLongerFeasible
+		}
+		return nil
+	})
+	if err != nil {
+		return false, err
+	}
+
+	// Phase 2 — compute: path length, refined estimate and the
+	// ≤4-shortest-path stitch, all against the snapshot, no lock held.
+	g := e.disc.City().Graph
+	oldLen, err := g.PathLength(next.Route)
+	if err != nil {
+		return false, fmt.Errorf("xar: corrupt route on ride %d: %w", next.ID, err)
 	}
 	// Refine the detour estimate with the precomputed landmark-distance
 	// matrix now that the concrete pickup/drop-off landmarks are known.
 	// Still no shortest-path computation: this is a table lookup chain,
 	// and it is the "approximated detour" the paper's Figure 3a compares
-	// against the exact splice cost.
-	estimate := e.refineDetourEstimate(shadow, sSeg, dSeg, puLM, doLM, freshEstimate)
+	// against the exact stitch cost.
+	estimate = e.refineDetourEstimate(&next, sSeg, dSeg, bk.PickupLandmark, bk.DropoffLandmark, estimate)
 
+	// The next schedule: the pickup after via-point sSeg, the drop-off
+	// after dSeg (and after the pickup when the two are one).
+	sched := make([]viaEdit, 0, len(next.Via)+2)
+	for i, v := range next.Via {
+		sched = append(sched, viaEdit{v, i})
+		if i == sSeg {
+			sched = append(sched, viaEdit{index.ViaPoint{Node: bk.PickupNode, Kind: index.ViaPickup}, -1})
+		}
+		if i == dSeg {
+			sched = append(sched, viaEdit{index.ViaPoint{Node: bk.DropoffNode, Kind: index.ViaDropoff}, -1})
+		}
+	}
 	f := e.finder()
-	newRoute, newVia, spRuns, serr := e.spliceRoute(ctx, f, shadow, sSeg, dSeg, puNode, doNode)
+	next.Route, next.Via, bk.ShortestPathRuns, err = e.stitch(ctx, f, &next, sched)
 	e.release(f)
-	// Counted here, not at commit: a splice that is then rejected or
-	// loses the optimistic race has run its searches all the same.
-	e.m.shortestPaths.Add(uint64(spRuns))
-	if serr != nil {
-		return Booking{}, false, serr
+	if err != nil {
+		return false, err
 	}
-	newLen, perr := e.disc.City().Graph.PathLength(newRoute)
-	if perr != nil {
-		return Booking{}, false, fmt.Errorf("xar: spliced route invalid: %w", perr)
+	newLen, err := g.PathLength(next.Route)
+	if err != nil {
+		return false, fmt.Errorf("xar: stitched route invalid: %w", err)
 	}
-	detour := newLen - oldLen
-	if detour < 0 {
-		detour = 0
-	}
+	detour := max(newLen-oldLen, 0)
 	allowance := 0.0
 	if !e.cfg.StrictDetour {
 		allowance = 4 * e.disc.Epsilon()
 	}
-	if detour > detourBudget+allowance {
-		return Booking{}, false, ErrDetourExceeded
+	budget := next.DetourLimit
+	if detour > budget+allowance {
+		return false, ErrDetourExceeded
 	}
-	newETA := e.computeETAs(newRoute, departure)
-	for i := range newVia {
-		newVia[i].ETA = newETA[newVia[i].RouteIdx]
-	}
+	next.DetourLimit -= detour
+	next.SeatsAvail--
 
-	// Phase 3 — validate-and-commit under the shard's write lock: the
-	// splice is only applied if the ride is untouched since the snapshot
-	// (same revision ⇒ same route, budget and progress, and still a seat).
-	sh.Lock()
-	defer sh.Unlock()
-	r = sh.Ix.Ride(m.Ride)
-	if r == nil {
-		e.m.bookingsFailed.Add(1)
-		return Booking{}, false, ErrUnknownRide
+	// Phase 3 — commit iff the ride is at the snapshot's revision.
+	if conflict, err := e.commit(&next); conflict || err != nil {
+		return conflict, err
 	}
-	if r.Rev != rev {
-		return Booking{}, true, nil // stale splice: retry
-	}
-
-	// Commit: route, via-points, ETAs, budget, seats; then rebuild the
-	// cluster registrations (bumps Rev).
-	r.Route, r.RouteETA, r.Via = newRoute, newETA, newVia
-	r.DetourLimit -= detour
-	if r.DetourLimit < 0 {
-		r.DetourLimit = 0
-	}
-	r.SeatsAvail--
-	if rerr := sh.Ix.Reregister(r); rerr != nil {
-		return Booking{}, false, rerr
-	}
-
 	e.m.bookings.Add(1)
-	e.observeBookingQuality(detourBudget, detour, estimate)
-
-	var puETA, doETA float64
-	for _, v := range r.Via {
-		if v.Node == puNode && v.Kind == index.ViaPickup {
-			puETA = v.ETA
-		}
-		if v.Node == doNode && v.Kind == index.ViaDropoff {
-			doETA = v.ETA
-		}
-	}
-	return Booking{
-		Ride:             r.ID,
-		PickupLandmark:   puLM,
-		DropoffLandmark:  doLM,
-		PickupNode:       puNode,
-		DropoffNode:      doNode,
-		PickupETA:        puETA,
-		DropoffETA:       doETA,
-		WalkSource:       walkSrc,
-		WalkDest:         walkDst,
-		DetourEstimate:   estimate,
-		DetourActual:     detour,
-		ShortestPathRuns: spRuns,
-	}, false, nil
+	e.observeBookingQuality(budget, detour, estimate)
+	bk.PickupETA, bk.DropoffETA = next.Via[sSeg+1].ETA, next.Via[dSeg+2].ETA
+	bk.DetourEstimate, bk.DetourActual = estimate, detour
+	return false, nil
 }
 
 // observeBookingQuality records a confirmed booking's approximation-gap
@@ -333,153 +341,69 @@ func (e *Engine) refineDetourEstimate(r *index.Ride, sSeg, dSeg, puLM, doLM int,
 	return est
 }
 
-// spliceRoute builds the new route and via-point list for a pickup in
-// segment sSeg and a drop-off in segment dSeg (sSeg ≤ dSeg) out of at
-// most four legs (three when sSeg == dSeg). A via-to-via segment of a
-// route is one shortest path — a create, a booking and a cancellation
-// each lay it down as one — and so is every stretch of it: a leg whose
-// two ends lie in order on the segment it replaces is that stretch, and
-// only the others are searched, on the caller-supplied finder, each a
-// "path_search" span of the context's trace. The count returned is of
-// those searches. r may be a snapshot; only Route and Via are read.
-func (e *Engine) spliceRoute(ctx context.Context, f pathFinder, r *index.Ride, sSeg, dSeg int, pu, do roadnet.NodeID) ([]roadnet.NodeID, []index.ViaPoint, int, error) {
-	runs := 0
-	// leg returns a shortest path a → b; old is the segment it replaces.
-	leg := func(a, b roadnet.NodeID, old []roadnet.NodeID) ([]roadnet.NodeID, error) {
-		if a == b {
-			return []roadnet.NodeID{a}, nil
+// viaEdit is one via-point of a ride's next schedule: the via-point it is
+// in the current one (was indexes Ride.Via), or a new one (was < 0).
+type viaEdit struct {
+	index.ViaPoint
+	was int
+}
+
+// stitch lays r's route through the schedule next, which starts and ends
+// at via-points r already has: the concatenation of one shortest path per
+// leg, allocated once at its exact length, and the via-points at their
+// places on it (ETAs are the commit's to fill in). A via-to-via segment
+// of a route is one shortest path — create, book and cancel each lay it
+// down as one — and so is every stretch of it: a leg whose two ends lie
+// in order on the one segment of r it replaces is that stretch (a segment
+// between two via-points that stay neighbours is kept whole), and only
+// the other legs are searched, on the caller's finder, each a
+// "path_search" span of the context's trace. runs counts those searches:
+// at most four when next adds a pickup and a drop-off, at most two when
+// it leaves a pair out. r may be a snapshot; only Route and Via are read.
+func (e *Engine) stitch(ctx context.Context, f pathFinder, r *index.Ride, next []viaEdit) (route []roadnet.NodeID, via []index.ViaPoint, runs int, err error) {
+	// legs[i] is the leg into next[i+1], without the node it starts at.
+	legs := make([][]roadnet.NodeID, len(next)-1)
+	n, lo := 1, 0
+	for i := range legs {
+		a, b := next[i], next[i+1]
+		// The leg replaces r's route between lo, the last current
+		// via-point at or before a, and hi, the first at or after b.
+		if a.was >= 0 {
+			lo = a.was
 		}
-		if i := slices.Index(old, a); i >= 0 {
-			if j := slices.Index(old[i:], b); j > 0 {
-				return old[i : i+j+1], nil
+		hi := b.was
+		for j := i + 2; hi < 0; j++ {
+			hi = next[j].was
+		}
+		if a.Node == b.Node {
+			continue
+		}
+		if hi == lo+1 {
+			old := r.Route[r.Via[lo].RouteIdx : r.Via[hi].RouteIdx+1]
+			if p := slices.Index(old, a.Node); p >= 0 {
+				if q := slices.Index(old[p:], b.Node); q > 0 {
+					legs[i] = old[p+1 : p+q+1]
+					n += q
+					continue
+				}
 			}
 		}
 		runs++
-		res := e.tracedShortestPath(ctx, f, a, b)
+		res := e.tracedShortestPath(ctx, f, a.Node, b.Node)
 		if !res.Reachable() {
-			return nil, ErrUnreachable
+			return nil, nil, runs, ErrUnreachable
 		}
-		return res.Path, nil
+		legs[i] = res.Path[1:]
+		n += len(legs[i])
 	}
-
-	b := routeBuilder{}
-	s1, s2 := r.Via[sSeg], r.Via[sSeg+1]
-	oldS := r.Route[s1.RouteIdx : s2.RouteIdx+1]
-
-	if sSeg == dSeg {
-		// s1 → pu → do → s2: three legs.
-		p1, err := leg(s1.Node, pu, oldS)
-		if err != nil {
-			return nil, nil, runs, err
+	route = append(make([]roadnet.NodeID, 0, n), next[0].Node)
+	via = make([]index.ViaPoint, len(next))
+	for i, v := range next {
+		if i > 0 {
+			route = append(route, legs[i-1]...)
 		}
-		p2, err := leg(pu, do, oldS)
-		if err != nil {
-			return nil, nil, runs, err
-		}
-		p3, err := leg(do, s2.Node, oldS)
-		if err != nil {
-			return nil, nil, runs, err
-		}
-
-		b.appendRoute(r.Route[:s1.RouteIdx+1])
-		b.copyVias(r.Via[:sSeg+1], 0)
-		b.appendPath(p1)
-		b.addVia(pu, index.ViaPickup)
-		b.appendPath(p2)
-		b.addVia(do, index.ViaDropoff)
-		b.appendPath(p3)
-		b.markVia(s2)
-		delta := (len(b.route) - 1) - s2.RouteIdx
-		b.appendRoute(r.Route[s2.RouteIdx+1:])
-		b.copyVias(r.Via[sSeg+2:], delta)
-		return b.route, b.via, runs, nil
+		via[i] = v.ViaPoint
+		via[i].RouteIdx = len(route) - 1
 	}
-
-	// Different segments: s1 → pu → s2 … d1 → do → d2 — four legs.
-	d1, d2 := r.Via[dSeg], r.Via[dSeg+1]
-	oldD := r.Route[d1.RouteIdx : d2.RouteIdx+1]
-	p1, err := leg(s1.Node, pu, oldS)
-	if err != nil {
-		return nil, nil, runs, err
-	}
-	p2, err := leg(pu, s2.Node, oldS)
-	if err != nil {
-		return nil, nil, runs, err
-	}
-	p3, err := leg(d1.Node, do, oldD)
-	if err != nil {
-		return nil, nil, runs, err
-	}
-	p4, err := leg(do, d2.Node, oldD)
-	if err != nil {
-		return nil, nil, runs, err
-	}
-
-	b.appendRoute(r.Route[:s1.RouteIdx+1])
-	b.copyVias(r.Via[:sSeg+1], 0)
-	b.appendPath(p1)
-	b.addVia(pu, index.ViaPickup)
-	b.appendPath(p2)
-	b.markVia(s2)
-	deltaMid := (len(b.route) - 1) - s2.RouteIdx
-	// Middle chunk: everything strictly between s2 and d1, then d1 and
-	// any untouched via-points in between (shifted by deltaMid).
-	b.appendRoute(r.Route[s2.RouteIdx+1 : d1.RouteIdx+1])
-	b.copyVias(r.Via[sSeg+2:dSeg+1], deltaMid)
-	b.appendPath(p3)
-	b.addVia(do, index.ViaDropoff)
-	b.appendPath(p4)
-	b.markVia(d2)
-	deltaSuf := (len(b.route) - 1) - d2.RouteIdx
-	b.appendRoute(r.Route[d2.RouteIdx+1:])
-	b.copyVias(r.Via[dSeg+2:], deltaSuf)
-	return b.route, b.via, runs, nil
-}
-
-// routeBuilder assembles a spliced route while tracking via positions.
-type routeBuilder struct {
-	route []roadnet.NodeID
-	via   []index.ViaPoint
-}
-
-// appendRoute appends raw route nodes (no deduplication needed: chunks
-// are contiguous slices of the old route).
-func (b *routeBuilder) appendRoute(nodes []roadnet.NodeID) {
-	b.route = append(b.route, nodes...)
-}
-
-// appendPath appends a shortest path, skipping its first node (already
-// present as the last node of the route so far).
-func (b *routeBuilder) appendPath(path []roadnet.NodeID) {
-	if len(b.route) > 0 && len(path) > 0 && b.route[len(b.route)-1] == path[0] {
-		path = path[1:]
-	}
-	b.route = append(b.route, path...)
-}
-
-// addVia records a new via-point at the current route end.
-func (b *routeBuilder) addVia(node roadnet.NodeID, kind index.ViaKind) {
-	b.via = append(b.via, index.ViaPoint{
-		RouteIdx: len(b.route) - 1,
-		Node:     node,
-		Kind:     kind,
-	})
-}
-
-// markVia re-records an existing via-point at the current route end.
-func (b *routeBuilder) markVia(v index.ViaPoint) {
-	b.via = append(b.via, index.ViaPoint{
-		RouteIdx: len(b.route) - 1,
-		Node:     v.Node,
-		Kind:     v.Kind,
-	})
-}
-
-// copyVias carries over untouched via-points from the old ride. Old route
-// chunks are appended verbatim, so each via's new position is its old
-// RouteIdx plus the chunk's displacement delta.
-func (b *routeBuilder) copyVias(vias []index.ViaPoint, delta int) {
-	for _, v := range vias {
-		b.via = append(b.via, index.ViaPoint{RouteIdx: v.RouteIdx + delta, Node: v.Node, Kind: v.Kind})
-	}
+	return route, via, runs, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"xar/internal/index"
 	"xar/internal/journal"
@@ -22,109 +21,79 @@ func (e *Engine) CancelBooking(id index.RideID, pickup, dropoff roadnet.NodeID) 
 	return e.CancelBookingCtx(context.Background(), id, pickup, dropoff)
 }
 
-// CancelBookingCtx is CancelBooking with trace propagation: the re-stitch
-// shortest paths become "path_search" spans of the context's trace.
+// CancelBookingCtx is CancelBooking with trace propagation: a
+// cancellation runs the optimistic protocol a booking runs
+// (retryConflicts), so its attempts are "cancel_attempt" spans, their
+// shortest paths "path_search" children, and a lost commit counts as a
+// conflict retry; ErrNoLongerFeasible also means the ride stayed contended
+// for bookMaxAttempts attempts.
 func (e *Engine) CancelBookingCtx(ctx context.Context, id index.RideID, pickup, dropoff roadnet.NodeID) (err error) {
-	ctx, span := e.tel.startOp(ctx, opCancel)
-	if e.tel != nil || span != nil {
-		defer func(start time.Time) {
-			now := time.Now()
-			span.SetError(err)
-			// Observe before End: sealing recycles the trace record.
-			e.tel.observeOp(opCancel, now.Sub(start), span, err)
-			span.EndAt(now)
-		}(time.Now())
-	}
-	// Cancellation is rare; it holds its ride's stripe write lock for the
-	// whole re-stitch rather than running the optimistic protocol: simpler,
-	// but on the default one stripe every search and write waits it out.
-	sh := e.ix.ShardFor(id)
-	sh.Lock()
-	defer sh.Unlock()
-
-	r := sh.Ix.Ride(id)
-	if r == nil {
-		return ErrUnknownRide
-	}
-
-	puIdx, doIdx := -1, -1
-	for i, v := range r.Via {
-		if puIdx < 0 && v.Kind == index.ViaPickup && v.Node == pickup {
-			puIdx = i
-			continue
-		}
-		if puIdx >= 0 && doIdx < 0 && v.Kind == index.ViaDropoff && v.Node == dropoff {
-			doIdx = i
-		}
-	}
-	if puIdx < 0 || doIdx < 0 {
-		return fmt.Errorf("xar: no booking with pickup %d and drop-off %d on ride %d", pickup, dropoff, id)
-	}
-	if r.Via[puIdx].RouteIdx < r.Progress {
-		return ErrNoLongerFeasible // rider already picked up (or passed)
-	}
-
-	// Remaining via-point sequence without the cancelled pair.
-	keep := make([]index.ViaPoint, 0, len(r.Via)-2)
-	for i, v := range r.Via {
-		if i == puIdx || i == doIdx {
-			continue
-		}
-		keep = append(keep, v)
-	}
-
-	// Re-stitch the route with shortest paths between consecutive kept
-	// via-points. (Cancellation is rarer than booking; the simpler full
-	// re-stitch is acceptable here, unlike the hot booking path.)
-	route := []roadnet.NodeID{keep[0].Node}
-	viaIdx := make([]int, len(keep))
-	f := e.finder()
-	for i := 1; i < len(keep); i++ {
-		if keep[i].Node == keep[i-1].Node {
-			viaIdx[i] = len(route) - 1
-			continue
-		}
-		e.m.shortestPaths.Add(1)
-		res := e.tracedShortestPath(ctx, f, keep[i-1].Node, keep[i].Node)
-		if !res.Reachable() {
-			e.release(f)
-			return ErrUnreachable
-		}
-		route = append(route, res.Path[1:]...)
-		viaIdx[i] = len(route) - 1
-	}
-	e.release(f)
-
-	newLen, err := e.disc.City().Graph.PathLength(route)
+	ctx, span, start := e.tel.beginOp(ctx, opCancel)
+	defer e.tel.endOp(opCancel, start, span, &err)
+	var spent float64
+	err = e.retryConflicts(ctx, span, "cancel_attempt", id, func(ctx context.Context) (conflict bool, err error) {
+		spent, conflict, err = e.tryCancel(ctx, id, pickup, dropoff)
+		return conflict, err
+	})
 	if err != nil {
-		return fmt.Errorf("xar: cancel re-stitch produced an invalid route: %w", err)
-	}
-
-	r.Route = route
-	r.RouteETA = e.computeETAs(route, r.Departure)
-	r.Via = r.Via[:0]
-	for i, v := range keep {
-		r.Via = append(r.Via, index.ViaPoint{
-			RouteIdx: viaIdx[i], Node: v.Node, ETA: r.RouteETA[viaIdx[i]], Kind: v.Kind,
-		})
-	}
-	spent := newLen - r.BaseRouteLen
-	if spent < 0 {
-		spent = 0
-	}
-	r.DetourLimit = r.DetourLimitInitial - spent
-	if r.DetourLimit < 0 {
-		r.DetourLimit = 0
-	}
-	e.m.cancellations.Add(1)
-	r.SeatsAvail++ // the Reregister below lists the ride again if it was full
-	// The vehicle position is re-derived on the next Track: route indices
-	// changed, so reset progress conservatively to the route start of the
-	// first remaining segment.
-	r.Progress = 0
-	if err := sh.Ix.Reregister(r); err != nil {
 		return err
 	}
+	e.m.cancellations.Add(1)
 	e.recordEvent(journal.Cancelled, id, span, spent, "")
 	return nil
+}
+
+// tryCancel runs one optimistic attempt; spent is the detour the ride's
+// remaining bookings cost, in meters over its booking-free route.
+func (e *Engine) tryCancel(ctx context.Context, id index.RideID, pickup, dropoff roadnet.NodeID) (spent float64, conflict bool, err error) {
+	puIdx, doIdx := -1, -1
+	next, err := e.snapshot(id, func(r *index.Ride) error {
+		for i, v := range r.Via {
+			if puIdx < 0 && v.Kind == index.ViaPickup && v.Node == pickup {
+				puIdx = i
+			} else if puIdx >= 0 && v.Kind == index.ViaDropoff && v.Node == dropoff {
+				doIdx = i
+				break
+			}
+		}
+		if doIdx < 0 {
+			return fmt.Errorf("xar: no booking with pickup %d and drop-off %d on ride %d", pickup, dropoff, id)
+		}
+		if r.Via[puIdx].RouteIdx < r.Progress {
+			return ErrNoLongerFeasible // rider already picked up (or passed)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, false, err
+	}
+
+	// The next schedule leaves the pair out; the one or two legs that close
+	// the gaps are searched with no lock held.
+	sched := make([]viaEdit, 0, len(next.Via)-2)
+	for i, v := range next.Via {
+		if i != puIdx && i != doIdx {
+			sched = append(sched, viaEdit{v, i})
+		}
+	}
+	// The route up to the via-point before the pickup stays as it is, so a
+	// vehicle short of it keeps its place; one past it (and short of the
+	// pickup) is put back there, onto the leg that replaces the one it was on.
+	next.Progress = min(next.Progress, next.Via[puIdx-1].RouteIdx)
+	f := e.finder()
+	next.Route, next.Via, _, err = e.stitch(ctx, f, &next, sched)
+	e.release(f)
+	if err != nil {
+		return 0, false, err
+	}
+	newLen, err := e.disc.City().Graph.PathLength(next.Route)
+	if err != nil {
+		return 0, false, fmt.Errorf("xar: cancel re-stitch produced an invalid route: %w", err)
+	}
+	// The budget is recomputed from the driver's original tolerance.
+	spent = max(newLen-next.BaseRouteLen, 0)
+	next.DetourLimit = next.DetourLimitInitial - spent
+	next.SeatsAvail++ // the commit's Reregister lists the ride again if it was full
+	conflict, err = e.commit(&next)
+	return spent, conflict, err
 }

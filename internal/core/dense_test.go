@@ -182,7 +182,7 @@ func referenceSearch(t testing.TB, e *Engine, req Request, regFrom map[index.Rid
 				return true
 			}
 			srcs := listing(srcSide, r, req.LatestDeparture)
-			dsts := listing(dstSide, r, req.LatestDeparture+e.cfg.DestWindowSlack)
+			dsts := listing(dstSide, r, req.LatestDeparture+destWindowSlack)
 			if len(srcs) == 0 || len(dsts) == 0 {
 				return true
 			}
@@ -277,7 +277,7 @@ func TestSearchEqualsSupportsReference(t *testing.T) {
 // TestMatchesLieInTheirWindows: with a five-minute departure window,
 // every returned match's pickup cluster lists the ride with an arrival
 // inside the window, and its drop-off cluster inside the window extended
-// by DestWindowSlack.
+// by destWindowSlack.
 func TestMatchesLieInTheirWindows(t *testing.T) {
 	e, reqs := denseFixture(t, DefaultConfig(), 300)
 	matches := 0
@@ -294,7 +294,7 @@ func TestMatchesLieInTheirWindows(t *testing.T) {
 				t.Fatalf("request %d ride %d: pickup cluster %d ETA %.0f (listed %v) outside [%.0f, %.0f]",
 					i, m.Ride, m.PickupCluster, pu, okP, req.EarliestDeparture, req.LatestDeparture)
 			}
-			if hi := req.LatestDeparture + e.cfg.DestWindowSlack; !okD || do < req.EarliestDeparture || do > hi {
+			if hi := req.LatestDeparture + destWindowSlack; !okD || do < req.EarliestDeparture || do > hi {
 				t.Fatalf("request %d ride %d: drop-off cluster %d ETA %.0f (listed %v) outside [%.0f, %.0f]",
 					i, m.Ride, m.DropoffCluster, do, okD, req.EarliestDeparture, hi)
 			}

@@ -60,10 +60,6 @@ type Config struct {
 	// DefaultSeats applies to offers that leave Seats zero. The paper's
 	// simulation assumes taxi capacity 4 including the driver.
 	DefaultSeats int
-	// DestWindowSlack (seconds) widens the destination-side time window:
-	// the ride reaches the drop-off cluster after the pickup, up to one
-	// maximum trip duration later.
-	DestWindowSlack float64
 	// StrictDetour rejects bookings whose exact detour exceeds the
 	// remaining budget at all; the default allows the paper's additive
 	// 4ε approximation overshoot.
@@ -194,13 +190,17 @@ type Config struct {
 	ProfileInterval time.Duration
 }
 
+// destWindowSlack (seconds) widens the destination-side time window: the
+// ride reaches the drop-off cluster after the pickup, up to one maximum
+// trip duration later.
+const destWindowSlack = 3600.0
+
 // DefaultConfig returns production defaults.
 func DefaultConfig() Config {
 	return Config{
 		Index:              index.DefaultConfig(),
 		DefaultDetourLimit: 2000,
 		DefaultSeats:       4,
-		DestWindowSlack:    3600,
 	}
 }
 
@@ -291,8 +291,9 @@ func (b Booking) ApproxError() float64 {
 // a search takes brief read locks, a mutation its ride's stripe's write
 // lock) and lists only rides with a free seat, shortest-path computation
 // runs on pooled per-goroutine searchers outside any lock, and bookings
-// commit optimistically (validate → compute unlocked →
-// re-validate-and-commit under the write lock, retrying on conflict).
+// and cancellations commit optimistically (snapshot → compute unlocked →
+// commit under the write lock iff the ride is unchanged, retrying on
+// conflict).
 // See DESIGN.md §Concurrency model.
 type Engine struct {
 	cfg  Config
@@ -556,6 +557,7 @@ func (e *Engine) Profiler() *profile.Profiler {
 func (e *Engine) tracedShortestPath(ctx context.Context, f pathFinder, a, b roadnet.NodeID) roadnet.SPResult {
 	_, span := telemetry.ChildSpan(ctx, "path_search")
 	res := f.ShortestPath(a, b)
+	e.m.shortestPaths.Add(1)
 	if e.routeQueries != nil {
 		e.routeQueries.Inc()
 	}
@@ -628,16 +630,8 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 	if detour < 0 {
 		return 0, fmt.Errorf("xar: negative detour limit %v", detour)
 	}
-	ctx, span := e.tel.startOp(ctx, opCreate)
-	if e.tel != nil || span != nil {
-		defer func(start time.Time) {
-			now := time.Now()
-			span.SetError(err)
-			// Observe before End: sealing recycles the trace record.
-			e.tel.observeOp(opCreate, now.Sub(start), span, err)
-			span.EndAt(now)
-		}(time.Now())
-	}
+	ctx, span, start := e.tel.beginOp(ctx, opCreate)
+	defer e.tel.endOp(opCreate, start, span, &err)
 
 	// Snap + route + ETAs touch only the immutable city/graph: no lock.
 	city := e.disc.City()
@@ -649,7 +643,6 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 	if srcNode == dstNode {
 		return 0, fmt.Errorf("xar: offer endpoints snap to the same road node")
 	}
-	e.m.shortestPaths.Add(1)
 	f := e.finder()
 	res := e.tracedShortestPath(ctx, f, srcNode, dstNode)
 	e.release(f)
@@ -705,7 +698,7 @@ func (e *Engine) ConfigSummary() map[string]any {
 	return map[string]any{
 		"default_detour_limit_m": e.cfg.DefaultDetourLimit,
 		"default_seats":          e.cfg.DefaultSeats,
-		"dest_window_slack_s":    e.cfg.DestWindowSlack,
+		"dest_window_slack_s":    destWindowSlack,
 		"strict_detour":          e.cfg.StrictDetour,
 		"router":                 e.router,
 		"use_congestion_profile": e.cfg.UseCongestionProfile,

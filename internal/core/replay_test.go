@@ -44,7 +44,7 @@ func TestReplaySearchEqualsReference(t *testing.T) {
 			bk := filling[0]
 			filling = filling[1:]
 			if e.CancelBooking(bk.Ride, bk.PickupNode, bk.DropoffNode) == nil {
-				regFrom[bk.Ride] = 0
+				regFrom[bk.Ride] = e.Ride(bk.Ride).Progress // a cancellation keeps the vehicle's place
 				relisted++
 			}
 		}

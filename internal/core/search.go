@@ -29,7 +29,7 @@ const maxCandidateEvents = 8
 //	falls in the departure window (binary search on the time order).
 //
 //	Step 2 — destination side: the same from the destination, with the
-//	window extended by DestWindowSlack; then intersect the two candidate
+//	window extended by destWindowSlack; then intersect the two candidate
 //	sets (membership tests against the source side's candidate set).
 //
 // Finally each surviving ride is checked for combined walking distance
@@ -411,7 +411,7 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 	// Step 2: destination-side candidates and intersection R1 ∩ R2.
 	// The destination window extends past the departure window because
 	// the drop-off happens after the pickup.
-	destT2 := req.LatestDeparture + e.cfg.DestWindowSlack
+	destT2 := req.LatestDeparture + destWindowSlack
 	inBoth := 0
 	for _, dc := range dstSide {
 		s.ids = ix.PotentialRides(dc.Cluster, req.EarliestDeparture, destT2, s.ids[:0])

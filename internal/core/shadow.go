@@ -182,13 +182,9 @@ func (m *shadowMatcher) runNoMatch(req Request) {
 
 	// Widen the departure window by the engine's destination slack on
 	// both sides — the same scale the index's window logic works at.
-	widen := m.e.cfg.DestWindowSlack
-	if widen <= 0 {
-		widen = 3600
-	}
 	windowReq := req
-	windowReq.EarliestDeparture -= widen
-	windowReq.LatestDeparture += widen
+	windowReq.EarliestDeparture -= destWindowSlack
+	windowReq.LatestDeparture += destWindowSlack
 	try(quality.ConstraintWindow, windowReq, 0)
 
 	try(quality.ConstraintDetour, req, relaxDetour)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"time"
 
 	"xar/internal/geo"
 	"xar/internal/index"
@@ -181,40 +180,19 @@ func (e *Engine) TrackPosition(id index.RideID, report geo.Point) (bool, error) 
 
 // TrackPositionCtx is TrackPosition with trace propagation.
 func (e *Engine) TrackPositionCtx(ctx context.Context, id index.RideID, report geo.Point) (arrived bool, err error) {
-	_, span := e.tel.startOp(ctx, opTrack)
-	if e.tel != nil || span != nil {
-		defer func(start time.Time) {
-			now := time.Now()
-			span.SetError(err)
-			// Observe before End: sealing recycles the trace record.
-			e.tel.observeOp(opTrack, now.Sub(start), span, err)
-			span.EndAt(now)
-		}(time.Now())
-	}
-	sh := e.ix.ShardFor(id)
-	sh.Lock()
-	defer sh.Unlock()
-
-	r := sh.Ix.Ride(id)
-	if r == nil {
-		return false, ErrUnknownRide
-	}
 	g := e.disc.City().Graph
-	bestIdx, bestD := r.Progress, -1.0
-	// Scan the remaining route for the closest node to the report. Routes
-	// are a few hundred nodes; a linear scan beats maintaining another
-	// spatial index per ride.
-	for i := r.Progress; i < len(r.Route); i++ {
-		d := geo.Haversine(report, g.Point(r.Route[i]))
-		if bestD < 0 || d < bestD {
-			bestD = d
-			bestIdx = i
+	return e.advance(ctx, id, func(r *index.Ride) int {
+		// Scan the remaining route for the closest node to the report.
+		// Routes are a few hundred nodes; a linear scan beats maintaining
+		// another spatial index per ride.
+		bestIdx, bestD := r.Progress, -1.0
+		for i := r.Progress; i < len(r.Route); i++ {
+			d := geo.Haversine(report, g.Point(r.Route[i]))
+			if bestD < 0 || d < bestD {
+				bestD = d
+				bestIdx = i
+			}
 		}
-	}
-	if bestIdx > r.Progress {
-		if err := sh.Ix.Advance(id, bestIdx); err != nil {
-			return false, err
-		}
-	}
-	return r.Progress == len(r.Route)-1, nil
+		return bestIdx
+	})
 }

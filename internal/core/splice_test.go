@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -136,13 +137,17 @@ func TestReplayIdenticalUnderAStarAndDefault(t *testing.T) {
 	}
 }
 
-// TestSpliceSlicedLegsAreShortest checks spliceRoute against its
-// definition on rides that already carry bookings: for pickups and
-// drop-offs on the old segment (in order and reversed), at its via nodes
-// and anywhere else, the spliced route is exactly as long as one built
-// from plain-A* searches for every leg, the via-points keep their order
-// and sit where RouteIdx says, and the count returned is of the legs that
-// were neither empty nor a stretch of the old segment.
+// TestSpliceSlicedLegsAreShortest checks stitch against its definition on
+// a ride whose schedule real bookings and cancellations grow and shrink:
+// for booking edits (pickups and drop-offs on the old segment, in order
+// and reversed, at its via nodes and anywhere else) and for cancel edits
+// (every booking the ride carries), the stitched route is exactly as long
+// as one built from a plain-A* search for every leg that changed plus the
+// kept segments, which come out node for node; the via-points keep their
+// order and sit where RouteIdx says; the count returned is of the legs
+// that were neither empty nor a stretch of the one old segment they
+// replace — at most four a booking, two a cancellation; and the route is
+// allocated at its exact length.
 func TestSpliceSlicedLegsAreShortest(t *testing.T) {
 	e := newTestEngine(t)
 	g := e.disc.City().Graph
@@ -160,11 +165,78 @@ func TestSpliceSlicedLegsAreShortest(t *testing.T) {
 		i := slices.Index(seg, a)
 		return i >= 0 && slices.Index(seg[i:], b) > 0
 	}
-	var spliced, sliced int
-	for round := 0; round < 4; round++ {
-		r := e.Ride(id) // 2, 4, 6, 8 via-points
+	var stitched, sliced, kept int
+	// check stitches r through next and holds the result to the definition.
+	check := func(what string, r *index.Ride, next []viaEdit, maxRuns int) {
+		t.Helper()
+		route, via, runs, err := e.stitch(context.Background(), f, r, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stitched++
+		if len(route) != cap(route) {
+			t.Fatalf("%s: route of %d nodes has capacity %d", what, len(route), cap(route))
+		}
+		if len(via) != len(next) || via[0].RouteIdx != 0 || via[len(via)-1].RouteIdx != len(route)-1 {
+			t.Fatalf("%s: via-points %+v over a %d-node route", what, via, len(route))
+		}
+		for i, v := range via {
+			if v.Node != next[i].Node || v.Kind != next[i].Kind {
+				t.Fatalf("%s: via %d is %+v, want node %d kind %v", what, i, v, next[i].Node, next[i].Kind)
+			}
+			if route[v.RouteIdx] != v.Node || (i > 0 && v.RouteIdx < via[i-1].RouteIdx) {
+				t.Fatalf("%s: via %d (%+v) misplaced or out of order", what, i, v)
+			}
+		}
+		oldSeg := func(lo, hi int) []roadnet.NodeID { return r.Route[r.Via[lo].RouteIdx : r.Via[hi].RouteIdx+1] }
+		want, wantRuns, legs := 0.0, 0, 0
+		for i := 0; i+1 < len(next); i++ {
+			a, b := next[i], next[i+1]
+			if a.was >= 0 && b.was == a.was+1 {
+				// Both ends stay neighbours: the old segment, node for node.
+				if !slices.Equal(route[via[i].RouteIdx:via[i+1].RouteIdx+1], oldSeg(a.was, b.was)) {
+					t.Fatalf("%s: kept segment %d→%d was not copied", what, a.was, b.was)
+				}
+				kl, err := g.PathLength(oldSeg(a.was, b.was))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += kl
+				kept++
+				continue
+			}
+			legs++
+			want += oracle.ShortestPath(a.Node, b.Node).Dist
+			lo, hi := i, i+1
+			for next[lo].was < 0 {
+				lo--
+			}
+			for next[hi].was < 0 {
+				hi++
+			}
+			lo, hi = next[lo].was, next[hi].was
+			if a.Node != b.Node && !(hi == lo+1 && onSegment(oldSeg(lo, hi), a.Node, b.Node)) {
+				wantRuns++
+			}
+		}
+		got, err := g.PathLength(route)
+		if err != nil {
+			t.Fatalf("%s: stitched route is not a path: %v", what, err)
+		}
+		if math.Abs(got-want) > 1e-6 {
+			t.Fatalf("%s: stitched route %.9f m, plain A* for its %d changed legs %.9f m", what, got, legs, want)
+		}
+		if runs != wantRuns || runs > maxRuns || legs > maxRuns {
+			t.Fatalf("%s: %d searches for %d changed legs, want %d (at most %d)", what, runs, legs, wantRuns, maxRuns)
+		}
+		sliced += legs - runs
+	}
+
+	var booked []Booking
+	for round := 0; round < 8; round++ {
+		r := e.Ride(id)
 		nSeg := len(r.Via) - 1
-		for trial := 0; trial < 150; trial++ {
+		for trial := 0; trial < 75; trial++ {
 			sSeg := rng.Intn(nSeg)
 			dSeg := sSeg + rng.Intn(nSeg-sSeg)
 			pick := func(seg int) roadnet.NodeID {
@@ -175,79 +247,56 @@ func TestSpliceSlicedLegsAreShortest(t *testing.T) {
 				return old[rng.Intn(len(old))] // ends included: empty legs
 			}
 			pu, do := pick(sSeg), pick(dSeg)
-
-			route, via, runs, err := e.spliceRoute(context.Background(), f, r, sSeg, dSeg, pu, do)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spliced++
-
-			// The legs, and the old route between and around them.
-			s1, s2 := r.Via[sSeg], r.Via[sSeg+1]
-			d1, d2 := r.Via[dSeg], r.Via[dSeg+1]
-			oldS := r.Route[s1.RouteIdx : s2.RouteIdx+1]
-			oldD := r.Route[d1.RouteIdx : d2.RouteIdx+1]
-			type leg struct {
-				a, b roadnet.NodeID
-				old  []roadnet.NodeID
-			}
-			legs := []leg{{s1.Node, pu, oldS}, {pu, do, oldS}, {do, s2.Node, oldS}}
-			kept := [][]roadnet.NodeID{r.Route[:s1.RouteIdx+1], r.Route[s2.RouteIdx:]}
-			if sSeg != dSeg {
-				legs = []leg{{s1.Node, pu, oldS}, {pu, s2.Node, oldS}, {d1.Node, do, oldD}, {do, d2.Node, oldD}}
-				kept = [][]roadnet.NodeID{r.Route[:s1.RouteIdx+1], r.Route[s2.RouteIdx : d1.RouteIdx+1], r.Route[d2.RouteIdx:]}
-			}
-			want, wantRuns := 0.0, 0
-			for _, l := range legs {
-				want += oracle.ShortestPath(l.a, l.b).Dist
-				if l.a != l.b && !onSegment(l.old, l.a, l.b) {
-					wantRuns++
+			var next []viaEdit
+			for i, v := range r.Via {
+				next = append(next, viaEdit{v, i})
+				if i == sSeg {
+					next = append(next, viaEdit{index.ViaPoint{Node: pu, Kind: index.ViaPickup}, -1})
+				}
+				if i == dSeg {
+					next = append(next, viaEdit{index.ViaPoint{Node: do, Kind: index.ViaDropoff}, -1})
 				}
 			}
-			for _, k := range kept {
-				kl, err := g.PathLength(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want += kl
-			}
-			got, err := g.PathLength(route)
-			if err != nil {
-				t.Fatalf("spliced route is not a path: %v", err)
-			}
-			if math.Abs(got-want) > 1e-6 {
-				t.Fatalf("round %d trial %d (segs %d,%d pu %d do %d): spliced route %.9f m, four A* searches %.9f m", round, trial, sSeg, dSeg, pu, do, got, want)
-			}
-			if runs != wantRuns || runs > len(legs) {
-				t.Fatalf("round %d trial %d: %d searches, want %d of %d legs", round, trial, runs, wantRuns, len(legs))
-			}
-			sliced += len(legs) - runs
-
-			wantVia := slices.Clone(r.Via[:sSeg+1])
-			wantVia = append(wantVia, index.ViaPoint{Node: pu, Kind: index.ViaPickup})
-			wantVia = append(wantVia, r.Via[sSeg+1:dSeg+1]...)
-			wantVia = append(wantVia, index.ViaPoint{Node: do, Kind: index.ViaDropoff})
-			wantVia = append(wantVia, r.Via[dSeg+1:]...)
-			if len(via) != len(wantVia) || via[0].RouteIdx != 0 || via[len(via)-1].RouteIdx != len(route)-1 {
-				t.Fatalf("round %d trial %d: via-points %+v over a %d-node route", round, trial, via, len(route))
-			}
-			for i, v := range via {
-				if v.Node != wantVia[i].Node || v.Kind != wantVia[i].Kind {
-					t.Fatalf("round %d trial %d: via %d is %+v, want node %d kind %v", round, trial, i, v, wantVia[i].Node, wantVia[i].Kind)
-				}
-				if route[v.RouteIdx] != v.Node || (i > 0 && v.RouteIdx < via[i-1].RouteIdx) {
-					t.Fatalf("round %d trial %d: via %d (%+v) misplaced or out of order", round, trial, i, v)
+			check(fmt.Sprintf("round %d trial %d (book segs %d,%d pu %d do %d)", round, trial, sSeg, dSeg, pu, do), r, next, 4)
+		}
+		for _, bk := range booked {
+			puIdx, doIdx := -1, -1
+			for i, v := range r.Via {
+				if puIdx < 0 && v.Kind == index.ViaPickup && v.Node == bk.PickupNode {
+					puIdx = i
+				} else if puIdx >= 0 && doIdx < 0 && v.Kind == index.ViaDropoff && v.Node == bk.DropoffNode {
+					doIdx = i
 				}
 			}
+			var next []viaEdit
+			for i, v := range r.Via {
+				if doIdx >= 0 && i != puIdx && i != doIdx {
+					next = append(next, viaEdit{v, i})
+				}
+			}
+			if len(next) != len(r.Via)-2 {
+				t.Fatalf("round %d: booking %+v is not on the ride", round, bk)
+			}
+			check(fmt.Sprintf("round %d (cancel pu %d do %d)", round, bk.PickupNode, bk.DropoffNode), r, next, 2)
 		}
 
-		// One more real booking, so that the next round splices a ride with
-		// two more via-points.
+		// Move the real ride on: mostly one more booking, sometimes a
+		// cancellation, so that the next round edits a schedule that a mixed
+		// sequence of both has built.
+		if len(booked) > 1 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(booked))
+			if err := e.CancelBooking(id, booked[k].PickupNode, booked[k].DropoffNode); err != nil {
+				t.Fatal(err)
+			}
+			booked = slices.Delete(booked, k, k+1)
+			continue
+		}
 		for try := 0; ; try++ {
 			a := 0.05 + rng.Float64()*0.6
 			req := requestAlong(e, r, a, a+0.1+rng.Float64()*0.25, 1e6, 1000)
 			if ms, _ := e.Search(req); len(ms) > 0 {
-				if _, err := e.Book(ms[0], req); err == nil {
+				if bk, err := e.Book(ms[0], req); err == nil {
+					booked = append(booked, bk)
 					break
 				}
 			}
@@ -256,8 +305,8 @@ func TestSpliceSlicedLegsAreShortest(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d splices, %d legs taken from the old segment or empty", spliced, sliced)
-	if sliced < spliced {
-		t.Fatal("too few legs were sliced for the test to mean anything")
+	t.Logf("%d stitches, %d changed legs taken from the old segment or empty, %d kept segments copied", stitched, sliced, kept)
+	if sliced < stitched/2 || kept < stitched {
+		t.Fatal("too few legs were sliced or kept for the test to mean anything")
 	}
 }

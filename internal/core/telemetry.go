@@ -149,6 +149,31 @@ func (t *engineTelemetry) startOp(ctx context.Context, op string) (context.Conte
 	return t.tracer.StartSpan(ctx, op)
 }
 
+// beginOp is startOp plus the operation's clock for the always-recorded
+// operations (create, book, cancel, track); `defer endOp` closes both. An
+// engine that neither measures nor traces reads no clock in either half.
+func (t *engineTelemetry) beginOp(ctx context.Context, op string) (context.Context, *telemetry.Span, time.Time) {
+	ctx, span := t.startOp(ctx, op)
+	if t == nil && span == nil {
+		return ctx, nil, time.Time{}
+	}
+	return ctx, span, time.Now()
+}
+
+// endOp records the operation's outcome and duration and ends its span,
+// on one clock read. err points at the caller's named result, so a
+// deferred endOp sees what the operation returned.
+func (t *engineTelemetry) endOp(op string, start time.Time, span *telemetry.Span, err *error) {
+	if t == nil && span == nil {
+		return
+	}
+	now := time.Now()
+	span.SetError(*err)
+	// Observe before End: sealing recycles the trace record.
+	t.observeOp(op, now.Sub(start), span, *err)
+	span.EndAt(now)
+}
+
 // observeOp records one whole-operation duration, counts err into the
 // op's error counter, and emits the slow-op log line when the configured
 // threshold is crossed. A non-nil span stamps the histogram bucket with

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"time"
 
 	"xar/internal/index"
 	"xar/internal/journal"
@@ -21,16 +20,22 @@ func (e *Engine) Track(id index.RideID, now float64) (bool, error) {
 
 // TrackCtx is Track with trace propagation.
 func (e *Engine) TrackCtx(ctx context.Context, id index.RideID, now float64) (arrived bool, err error) {
-	_, span := e.tel.startOp(ctx, opTrack)
-	if e.tel != nil || span != nil {
-		defer func(start time.Time) {
-			now := time.Now()
-			span.SetError(err)
-			// Observe before End: sealing recycles the trace record.
-			e.tel.observeOp(opTrack, now.Sub(start), span, err)
-			span.EndAt(now)
-		}(time.Now())
-	}
+	return e.advance(ctx, id, func(r *index.Ride) int {
+		pos := r.Progress
+		for pos+1 < len(r.RouteETA) && r.RouteETA[pos+1] <= now {
+			pos++
+		}
+		return pos
+	})
+}
+
+// advance is the one tracking step: under the ride's stripe's write lock
+// it moves the ride to the route index position picks (never backwards),
+// journals the pickups and drop-offs passed on the way and reports
+// arrival at the destination.
+func (e *Engine) advance(ctx context.Context, id index.RideID, position func(*index.Ride) int) (arrived bool, err error) {
+	_, span, start := e.tel.beginOp(ctx, opTrack)
+	defer e.tel.endOp(opTrack, start, span, &err)
 	sh := e.ix.ShardFor(id)
 	sh.Lock()
 	defer sh.Unlock()
@@ -41,11 +46,7 @@ func (e *Engine) TrackCtx(ctx context.Context, id index.RideID, now float64) (ar
 		return false, ErrUnknownRide
 	}
 	oldPos := r.Progress
-	pos := oldPos
-	for pos+1 < len(r.RouteETA) && r.RouteETA[pos+1] <= now {
-		pos++
-	}
-	if pos != oldPos {
+	if pos := position(r); pos > oldPos {
 		if err := sh.Ix.Advance(id, pos); err != nil {
 			return false, err
 		}
@@ -66,7 +67,7 @@ func (e *Engine) TrackCtx(ctx context.Context, id index.RideID, now float64) (ar
 			}
 		}
 	}
-	return pos == len(r.Route)-1, nil
+	return r.Progress == len(r.Route)-1, nil
 }
 
 // TrackAll advances every active ride to the given time and removes the

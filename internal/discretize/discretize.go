@@ -52,8 +52,6 @@ type Config struct {
 	// WalkDetourFactor converts straight-line distance to walking
 	// distance (sidewalk detours); 1.0 = pure haversine. Typical: 1.2.
 	WalkDetourFactor float64
-	// Hotspots bias landmark extraction (optional).
-	Hotspots []geo.Point
 }
 
 // DefaultConfig returns the paper's parameter choices at the reproduction
@@ -181,7 +179,6 @@ func Build(city *roadnet.City, cfg Config) (*Discretization, error) {
 	lms, err := landmark.Extract(g, landmark.Config{
 		MinSeparation: cfg.LandmarkMinSep,
 		MaxLandmarks:  cfg.MaxLandmarks,
-		Hotspots:      cfg.Hotspots,
 	})
 	if err != nil {
 		return nil, err

@@ -329,8 +329,8 @@ var extractors = []extractor{
 		unit: "allocs/op", dir: Exact, min: lim(10), max: lim(10),
 		get: path("BenchmarkFig4bCreateXAR", "after", "allocs_per_op")},
 	{file: "BENCH_routing.json", bench: "BenchmarkFig4cBookXAR", metric: "book_allocs_per_op",
-		unit: "allocs/op", dir: Exact, min: lim(21), max: lim(21),
-		get: path("BenchmarkFig4cBookXAR", "full_rides_unlisted", "allocs_per_op")},
+		unit: "allocs/op", dir: Exact, min: lim(17), max: lim(17),
+		get: path("BenchmarkFig4cBookXAR", "one_stitcher", "allocs_per_op")},
 	// Shortest paths searched per booking over the 2 000-trip replay: an
 	// exact count (3.485 when every leg of a splice is searched and an
 	// empty one counted; a leg the old route already holds is cut out of

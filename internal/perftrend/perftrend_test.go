@@ -180,7 +180,7 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 		{
 			name: "per-node allocation comes back", file: "BENCH_routing.json",
 			mutate: func(doc map[string]any) {
-				doc["BenchmarkFig4cBookXAR"].(map[string]any)["full_rides_unlisted"].(map[string]any)["allocs_per_op"] = 31.0
+				doc["BenchmarkFig4cBookXAR"].(map[string]any)["one_stitcher"].(map[string]any)["allocs_per_op"] = 31.0
 			},
 			want: "book_allocs_per_op",
 		},

@@ -59,6 +59,52 @@ func TestRideTimelineEndpoint(t *testing.T) {
 	}
 }
 
+// TestGPSTrackedRideTimeline: a ride advanced by GPS reports journals the
+// riders it picks up and drops off, and counts its track calls, exactly as
+// one advanced by the clock does.
+func TestGPSTrackedRideTimeline(t *testing.T) {
+	env := newTracedEnv(t)
+	src, dst := env.corners()
+	var created CreateRideResponse
+	env.do(t, "POST", "/v1/rides", CreateRideRequest{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2500}, &created)
+	r := env.eng.Ride(1)
+	g := env.city.Graph
+	sr := SearchRequest{
+		Source: toJSON(g.Point(r.Route[len(r.Route)/3])), Dest: toJSON(g.Point(r.Route[2*len(r.Route)/3])),
+		Latest: 5000, WalkLimit: 900,
+	}
+	var found SearchResponse
+	env.do(t, "POST", "/v1/search", sr, &found)
+	if len(found.Matches) == 0 {
+		t.Fatal("corridor search found no match on the seeded world")
+	}
+	if code := env.do(t, "POST", "/v1/bookings", BookRequest{Match: found.Matches[0], Request: sr}, nil); code != http.StatusCreated {
+		t.Fatalf("book: %d", code)
+	}
+
+	// Report from the destination: the vehicle has passed every via-point.
+	r = env.eng.Ride(1)
+	gps := toJSON(g.Point(r.Route[len(r.Route)-1]))
+	var tr TrackResponse
+	if code := env.do(t, "POST", "/v1/track", TrackRequest{RideID: 1, GPS: &gps}, &tr); code != http.StatusOK || !tr.Arrived {
+		t.Fatalf("gps track from the destination: %d, arrived %v", code, tr.Arrived)
+	}
+	var tl TimelineResponse
+	if code := env.do(t, "GET", "/v1/rides/1/timeline", nil, &tl); code != http.StatusOK {
+		t.Fatalf("timeline: %d", code)
+	}
+	counts := map[journal.EventType]int{}
+	for _, ev := range tl.Events {
+		counts[ev.Type]++
+	}
+	if counts[journal.PickedUp] != 1 || counts[journal.DroppedOff] != 1 {
+		t.Fatalf("timeline of a GPS-tracked ride with one rider: %v", counts)
+	}
+	if n := env.eng.Metrics().TrackCalls; n != 1 {
+		t.Fatalf("Metrics.TrackCalls = %d after one GPS report", n)
+	}
+}
+
 // TestEventsEndpoint covers the global tail's filters and the since
 // cursor contract.
 func TestEventsEndpoint(t *testing.T) {

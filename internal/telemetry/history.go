@@ -90,7 +90,7 @@ type Recorder struct {
 
 	stopOnce sync.Once
 	stop     chan struct{}
-	done     chan struct{}
+	running  sync.WaitGroup // the Start goroutine, if Start ran
 }
 
 type seriesKey struct{ name, sig string }
@@ -130,7 +130,6 @@ func NewRecorder(reg *Registry, cfg RecorderConfig) *Recorder {
 		times:    make([]float64, slots),
 		series:   make(map[seriesKey]*recSeries),
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 }
 
@@ -152,8 +151,9 @@ func (rec *Recorder) OnTick(fn func()) {
 
 // Start launches the wall-clock ticker goroutine. Stop ends it.
 func (rec *Recorder) Start() {
+	rec.running.Add(1)
 	go func() {
-		defer close(rec.done)
+		defer rec.running.Done()
 		t := time.NewTicker(rec.interval)
 		defer t.Stop()
 		for {
@@ -171,14 +171,7 @@ func (rec *Recorder) Start() {
 // Idempotent; a recorder that was never started stops immediately.
 func (rec *Recorder) Stop() {
 	rec.stopOnce.Do(func() { close(rec.stop) })
-	select {
-	case <-rec.done:
-	default:
-		select {
-		case <-rec.done:
-		case <-time.After(time.Second):
-		}
-	}
+	rec.running.Wait()
 }
 
 // TickNow takes one snapshot stamped with the current wall clock.

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -306,6 +308,48 @@ func TestRecorderStartStop(t *testing.T) {
 		t.Fatalf("recorder ticked after Stop: %d → %d", n, got)
 	}
 	rec.Stop() // idempotent
+}
+
+// TestRecorderStopWaitsExactlyForStart: a recorder that was never started
+// has nothing to wait for, and a started one is gone when Stop returns —
+// an in-flight tick included.
+func TestRecorderStopWaitsExactlyForStart(t *testing.T) {
+	idle := NewRecorder(NewRegistry(), RecorderConfig{Interval: time.Hour})
+	start := time.Now()
+	idle.Stop()
+	idle.Stop()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Stop on a recorder that never started took %v", d)
+	}
+
+	before := runtime.NumGoroutine()
+	rec := NewRecorder(NewRegistry(), RecorderConfig{Interval: time.Millisecond, Retention: time.Second})
+	inTick, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var finished atomic.Bool
+	rec.OnTick(func() {
+		once.Do(func() { close(inTick) })
+		<-release
+		finished.Store(true)
+	})
+	rec.Start()
+	<-inTick
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+	}()
+	rec.Stop()
+	if !finished.Load() {
+		t.Fatal("Stop returned while the recorder goroutine was still inside a tick")
+	}
+	rec.Stop() // idempotent
+	var after int
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if after = runtime.NumGoroutine(); after <= before {
+			return
+		}
+	}
+	t.Fatalf("goroutines leaked past Stop: %d before, %d after", before, after)
 }
 
 func TestQuantileFromCumBuckets(t *testing.T) {
