@@ -356,42 +356,37 @@ func BenchmarkAblationNoReachablePrecompute(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGreedySearchLinear: the paper's log₂ n binary search
-// over k vs a linear scan k = 1, 2, 3, … (both call GREEDY).
-func BenchmarkAblationGreedySearchLinear(b *testing.B) {
+// BenchmarkAblationGreedySearchProbes: GREEDYSEARCH answering every probe
+// of its binary search from one farthest-first traversal vs the paper's
+// literal algorithm, a fresh GREEDY per probe (internal/cluster's oracle).
+func BenchmarkAblationGreedySearchProbes(b *testing.B) {
 	w := world(b)
 	n := len(w.Disc.Landmarks)
 	dist := func(i, j int) float64 {
-		a := w.Disc.LandmarkDist(i, j)
-		if bd := w.Disc.LandmarkDist(j, i); bd > a {
-			return bd
-		}
-		return a
+		return max(w.Disc.LandmarkDist(i, j), w.Disc.LandmarkDist(j, i))
 	}
 	delta := w.Scale.Epsilon / 4
 
-	b.Run("binary", func(b *testing.B) {
+	b.Run("traversal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := cluster.GreedySearch(n, dist, delta); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("linear", func(b *testing.B) {
+	b.Run("from_scratch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			found := false
-			for k := 1; k <= n; k++ {
+			for lo, hi := 1, n; lo <= hi; {
+				k := (lo + hi) / 2
 				res, err := cluster.Greedy(n, dist, k)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if res.Radius <= 2*delta {
-					found = true
-					break
+					hi = k - 1
+				} else {
+					lo = k + 1
 				}
-			}
-			if !found {
-				b.Fatal("linear scan found no feasible k")
 			}
 		}
 	})

@@ -17,7 +17,6 @@ import (
 
 	"xar/internal/cluster"
 	"xar/internal/discretize"
-	"xar/internal/landmark"
 	"xar/internal/memsize"
 	"xar/internal/roadnet"
 	"xar/internal/stats"
@@ -35,7 +34,7 @@ func main() {
 	maxDrive := flag.Float64("delta-drive", 1000, "max grid→landmark driving distance Δ")
 	maxWalk := flag.Float64("walk", 1000, "system walking limit W")
 	sweep := flag.Bool("sweep", false, "sweep ε and print cluster counts (Fig 3b)")
-	trace := flag.Bool("trace", false, "print the GREEDYSEARCH binary-search trace")
+	trace := flag.Bool("trace", false, "print the GREEDYSEARCH binary-search trace (Build does not keep it: costs one extra clustering of the built landmark matrix per ε)")
 	saveTo := flag.String("save", "", "write the graph+discretization artifact to this file")
 	loadFrom := flag.String("load", "", "load a previously saved artifact instead of building")
 	buildCH := flag.Bool("ch", false, "also run contraction-hierarchy preprocessing over the road graph")
@@ -133,18 +132,9 @@ func main() {
 		}
 
 		if *trace {
-			lms, err := landmark.Extract(city.Graph, landmark.Config{MinSeparation: *minSep})
-			if err != nil {
-				log.Fatal(err)
-			}
 			dist := func(i, j int) float64 {
-				a := d.LandmarkDist(i, j)
-				if b := d.LandmarkDist(j, i); b > a {
-					return b
-				}
-				return a
+				return max(d.LandmarkDist(i, j), d.LandmarkDist(j, i))
 			}
-			_ = lms
 			_, tr, err := cluster.GreedySearch(len(d.Landmarks), dist, e/4)
 			if err != nil {
 				log.Fatal(err)

@@ -10,7 +10,9 @@
 //   - Greedy: the classic Gonzalez farthest-point 2-approximation for
 //     METRIC K-CENTER, the subroutine of the paper's algorithm;
 //   - GreedySearch: the paper's bicriteria algorithm — binary search on k
-//     over log₂ n calls to Greedy — with the Theorem 6 guarantee
+//     over log₂ n probes of Greedy's radius, all answered by one
+//     farthest-first traversal since Greedy's centres for k are a prefix
+//     of its centres for any larger k — with the Theorem 6 guarantee
 //     (k_ALG ≤ k_OPT, max intra-cluster distance ≤ 4δ);
 //   - Exact: an exponential-time exact minimum clique partition used by
 //     tests and small instances to validate the guarantee.
@@ -159,11 +161,90 @@ type SearchTrace struct {
 	Radius float64
 }
 
+// traversal is one resumable run of Greedy's farthest-first order. That
+// order is deterministic from item 0, so the centres Greedy picks for k
+// are the first k of the centres it picks for any larger k, and the
+// k-centre radius for every k up to the number of centres held is the
+// farthest distance left after the k-th was added.
+type traversal struct {
+	dist    DistFunc
+	minDist []float64 // distance to the nearest of centers
+	assign  []int     // index in centers of that nearest centre
+	centers []int
+	radius  []float64 // radius[k-1] is Greedy(n, dist, k).Radius
+	next    int       // the item the next centre would be
+	done    bool      // every item coincides with a centre: Greedy stops here for any larger k
+}
+
+func newTraversal(n int, dist DistFunc) *traversal {
+	t := &traversal{dist: dist, minDist: make([]float64, n), assign: make([]int, n)}
+	for i := range t.minDist {
+		t.minDist[i] = math.Inf(1)
+	}
+	return t
+}
+
+// probe extends the traversal to k centres if it holds fewer and returns
+// what Greedy(n, dist, k) reports as K and Radius.
+func (t *traversal) probe(k int) (int, float64) {
+	for len(t.centers) < k && !t.done {
+		c, ci := t.next, len(t.centers)
+		t.centers = append(t.centers, c)
+		// Relax all items against the new centre and find the next
+		// farthest item in the same pass.
+		far, farD := -1, -1.0
+		for i := range t.minDist {
+			if d := t.dist(c, i); d < t.minDist[i] {
+				t.minDist[i] = d
+				t.assign[i] = ci
+			}
+			if t.minDist[i] > farD {
+				farD = t.minDist[i]
+				far = i
+			}
+		}
+		t.radius = append(t.radius, farD)
+		t.next = far
+		t.done = farD == 0
+	}
+	k = min(k, len(t.centers))
+	return k, t.radius[k-1]
+}
+
+// result returns Greedy(n, dist, k) for a k the traversal has reached.
+// When it has gone past k, assignments to later centres are redone by one
+// pass over the first k — in Greedy's order, so ties fall the same way.
+func (t *traversal) result(k int) Result {
+	res := Result{K: k, Assign: t.assign, Centers: t.centers[:k:k], Radius: t.radius[k-1]}
+	if k == len(t.centers) {
+		return res
+	}
+	for i := range t.minDist {
+		t.minDist[i] = math.Inf(1)
+	}
+	for ci, c := range res.Centers {
+		for i := range t.minDist {
+			if d := t.dist(c, i); d < t.minDist[i] {
+				t.minDist[i] = d
+				t.assign[i] = ci
+			}
+		}
+	}
+	return res
+}
+
 // GreedySearch is the paper's bicriteria algorithm for
 // CLUSTERMINIMIZATION. Given the inter-landmark threshold δ (delta), it
-// binary-searches k ∈ [1, n], calling Greedy each time: if the greedy
-// radius exceeds 2δ the lower half is discarded, otherwise the upper
-// half. The smallest probed k whose radius is ≤ 2δ becomes k_ALG.
+// binary-searches k ∈ [1, n] on Greedy's radius: if the radius for k
+// exceeds 2δ the lower half is discarded, otherwise the upper half. The
+// smallest probed k whose radius is ≤ 2δ becomes k_ALG, and the Result is
+// Greedy(n, dist, k_ALG).
+//
+// The paper calls Greedy afresh for each of its log₂ n probes. Here one
+// farthest-first traversal answers them all: it is extended only when a
+// probe asks for more centres than it holds, so the distance evaluations
+// are n per centre up to the largest k probed, plus n·k_ALG to rebuild
+// the assignment when the traversal went past k_ALG.
 //
 // Theorem 6: k_ALG ≤ k_OPT and every pair of items sharing a cluster is
 // within 4δ (triangle inequality through the shared center at ≤ 2δ).
@@ -177,40 +258,33 @@ func GreedySearch(n int, dist DistFunc, delta float64) (Result, []SearchTrace, e
 		return Result{}, nil, fmt.Errorf("cluster: delta must be >= 0, got %v", delta)
 	}
 
+	t := newTraversal(n, dist)
 	var trace []SearchTrace
 	lo, hi := 1, n
-	best := Result{}
-	found := false
+	best := 0 // smallest feasible K seen; 0 = none
 	for lo <= hi {
 		k := (lo + hi) / 2
-		res, err := Greedy(n, dist, k)
-		if err != nil {
-			return Result{}, nil, err
-		}
-		trace = append(trace, SearchTrace{K: k, Radius: res.Radius})
-		if res.Radius <= 2*delta {
-			// Feasible: remember the smallest feasible k seen.
-			if !found || res.K < best.K {
-				best = res
-				found = true
+		got, radius := t.probe(k)
+		trace = append(trace, SearchTrace{K: k, Radius: radius})
+		if radius <= 2*delta {
+			if best == 0 || got < best {
+				best = got
 			}
 			hi = k - 1
 		} else {
 			lo = k + 1
 		}
 	}
-	if !found {
-		// Even k = n can fail only if the greedy stopped early with
-		// coincident points; k = n always yields radius 0, so probe it.
-		res, err := Greedy(n, dist, n)
-		if err != nil {
-			return Result{}, nil, err
+	if best == 0 {
+		// k = n has radius 0 and the search above ends on it, so nothing
+		// feasible means a dist that is no metric (NaN, +Inf). Report
+		// that probe and fail unless it holds after all.
+		got, radius := t.probe(n)
+		trace = append(trace, SearchTrace{K: n, Radius: radius})
+		if radius > 2*delta {
+			return Result{}, trace, fmt.Errorf("cluster: no feasible clustering found (radius %v > 2δ=%v at k=n)", radius, 2*delta)
 		}
-		trace = append(trace, SearchTrace{K: n, Radius: res.Radius})
-		if res.Radius > 2*delta {
-			return Result{}, trace, fmt.Errorf("cluster: no feasible clustering found (radius %v > 2δ=%v at k=n)", res.Radius, 2*delta)
-		}
-		best = res
+		best = got
 	}
-	return best, trace, nil
+	return t.result(best), trace, nil
 }

@@ -8,12 +8,13 @@
 // and every grid carries a sorted list of walkable clusters within the
 // system walking limit W.
 //
-// Pre-processing runs once per region: landmark extraction, a shortest-
-// path Dijkstra per landmark (parallelized across CPUs), GREEDYSEARCH
-// clustering with the (k_OPT, 4δ) bicriteria guarantee, and cluster-to-
-// cluster distance tables. Per-grid attributes are computed lazily and
-// cached, since only a fraction of the implicit 100 m grids is ever
-// touched by a workload.
+// Pre-processing runs once per region: landmark extraction, a one-to-all
+// Dijkstra sweep per landmark (roadnet's kernel, parallelized across
+// CPUs), GREEDYSEARCH clustering with the (k_OPT, 4δ) bicriteria
+// guarantee — one farthest-first traversal answering every probe — and
+// cluster-to-cluster distance tables. Per-grid attributes are computed
+// lazily and cached, since only a fraction of the implicit 100 m grids is
+// ever touched by a workload.
 package discretize
 
 import (
@@ -204,7 +205,11 @@ func Build(city *roadnet.City, cfg Config) (*Discretization, error) {
 }
 
 // computeLandmarkDistances fills lmDist[i][j] = driving distance from
-// landmark i to landmark j, one full Dijkstra per landmark, parallelized.
+// landmark i to landmark j: one sweep of roadnet's one-to-all kernel per
+// landmark, the landmarks shared out over GOMAXPROCS workers. A worker
+// owns one Searcher and one distance array for all its sweeps and writes
+// each landmark's float32 row straight from that array; rows are disjoint,
+// so the workers share nothing they write.
 func (d *Discretization) computeLandmarkDistances() error {
 	n := len(d.Landmarks)
 	g := d.city.Graph
@@ -221,10 +226,11 @@ func (d *Discretization) computeLandmarkDistances() error {
 		go func() {
 			defer wg.Done()
 			s := roadnet.NewSearcher(g)
+			var all []float64
 			for i := range jobs {
-				all := s.DistancesToAll(d.Landmarks[i].Node)
+				all = s.DistancesToAll(d.Landmarks[i].Node, all)
 				row := make([]float32, n)
-				for j := 0; j < n; j++ {
+				for j := range row {
 					row[j] = float32(all[d.Landmarks[j].Node])
 				}
 				d.lmDist[i] = row
@@ -237,9 +243,9 @@ func (d *Discretization) computeLandmarkDistances() error {
 	close(jobs)
 	wg.Wait()
 
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if math.IsInf(float64(d.lmDist[i][j]), 1) {
+	for i, row := range d.lmDist {
+		for j, v := range row {
+			if math.IsInf(float64(v), 1) {
 				return fmt.Errorf("discretize: landmark %d cannot reach landmark %d; network not strongly connected", i, j)
 			}
 		}

@@ -1,10 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"xar/internal/discretize"
 	"xar/internal/roadnet"
@@ -74,15 +74,18 @@ func buildNeighbors(disc *discretize.Discretization) [][]neighborEntry {
 	k := disc.NumClusters()
 	neighbors := make([][]neighborEntry, k)
 	for c := 0; c < k; c++ {
-		row := make([]neighborEntry, 0, k)
-		for o := 0; o < k; o++ {
-			row = append(row, neighborEntry{Cluster: int32(o), Dist: disc.ClusterDist(c, o)})
+		row := make([]neighborEntry, k)
+		for o := range row {
+			row[o] = neighborEntry{Cluster: int32(o), Dist: disc.ClusterDist(c, o)}
 		}
-		sort.Slice(row, func(i, j int) bool {
-			if row[i].Dist != row[j].Dist {
-				return row[i].Dist < row[j].Dist
+		slices.SortFunc(row, func(a, b neighborEntry) int {
+			switch {
+			case a.Dist < b.Dist:
+				return -1
+			case a.Dist > b.Dist:
+				return 1
 			}
-			return row[i].Cluster < row[j].Cluster
+			return cmp.Compare(a.Cluster, b.Cluster)
 		})
 		neighbors[c] = row
 	}

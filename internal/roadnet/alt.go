@@ -2,7 +2,6 @@ package roadnet
 
 import (
 	"fmt"
-	"math"
 
 	"xar/internal/geo"
 	"xar/internal/memsize"
@@ -87,21 +86,22 @@ func NewALT(g *Graph, k int) (*ALT, error) {
 		}
 	}
 
+	// Two sweeps of the one-to-all kernel per seed, each copied out of one
+	// reused distance array into the seed's column of the node-major table
+	// (+Inf where a node and the seed cannot reach each other).
 	w := 2 * k
 	a.tab = make([]float64, g.NumNodes()*w)
-	for i := range a.tab {
-		a.tab[i] = math.Inf(1)
-	}
 	s := NewSearcher(g)
+	var dist []float64
 	for i, l := range a.seed {
-		s.DistancesWithin(l, math.Inf(1), func(v NodeID, d float64) bool {
-			a.tab[int(v)*w+2*i] = d
-			return true
-		})
-		s.DistancesWithinReverse(l, math.Inf(1), func(v NodeID, d float64) bool {
-			a.tab[int(v)*w+2*i+1] = d
-			return true
-		})
+		dist = s.DistancesToAll(l, dist)
+		for v, d := range dist {
+			a.tab[v*w+2*i] = d
+		}
+		dist = s.DistancesToAllReverse(l, dist)
+		for v, d := range dist {
+			a.tab[v*w+2*i+1] = d
+		}
 	}
 	return a, nil
 }

@@ -71,7 +71,7 @@ func TestRoutersMatchDijkstraExactly(t *testing.T) {
 			pairs, unreachable := 0, 0
 			for s := 0; s < 100; s++ {
 				src := NodeID(r.Intn(g.NumNodes()))
-				want := oracle.DistancesToAll(src)
+				want := oracle.DistancesToAll(src, nil)
 				for k := 0; k < 21; k++ {
 					dst := NodeID(r.Intn(g.NumNodes()))
 					pairs++

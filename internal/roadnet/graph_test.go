@@ -251,11 +251,11 @@ func TestReverseBoundedSearch(t *testing.T) {
 func TestDistancesToAll(t *testing.T) {
 	g := buildTriangle(t)
 	s := NewSearcher(g)
-	d := s.DistancesToAll(0)
+	d := s.DistancesToAll(0, nil)
 	if d[0] != 0 || d[1] != 100 || d[2] != 200 {
 		t.Fatalf("distances = %v", d)
 	}
-	dRev := s.DistancesToAll(2)
+	dRev := s.DistancesToAll(2, nil)
 	if !math.IsInf(dRev[0], 1) {
 		t.Fatalf("node 0 should be unreachable from 2, got %v", dRev[0])
 	}

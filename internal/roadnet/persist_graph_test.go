@@ -65,7 +65,7 @@ func TestLoadGraphRejectsEdgeShorterThanChord(t *testing.T) {
 func checkExactFrom(t *testing.T, g *Graph, src NodeID) {
 	t.Helper()
 	s := NewSearcher(g)
-	want := NewSearcher(g).DistancesToAll(src)
+	want := NewSearcher(g).DistancesToAll(src, nil)
 	for v := range want {
 		if got := s.ShortestPath(src, NodeID(v)); got.Dist != want[v] {
 			t.Fatalf("%d→%d: A* %v, Dijkstra %v", src, v, got.Dist, want[v])

@@ -95,6 +95,7 @@ type Searcher struct {
 	labels []label
 	gen    uint32
 	queue  pq
+	sw     sweep // one-to-all scratch; see DistancesToAll
 }
 
 // NewSearcher creates a Searcher bound to g.
@@ -256,22 +257,6 @@ func (s *Searcher) bounded(source NodeID, radius float64, visit Visit, reverse b
 			}
 		}
 	}
-}
-
-// DistancesToAll runs an unbounded Dijkstra from source and returns the
-// full distance array (+Inf for unreachable nodes). Used to build the
-// landmark–landmark distance matrix during pre-processing, where the
-// O(n log n) per landmark cost is paid once per region.
-func (s *Searcher) DistancesToAll(source NodeID) []float64 {
-	out := make([]float64, s.g.NumNodes())
-	for i := range out {
-		out[i] = math.Inf(1)
-	}
-	s.bounded(source, math.Inf(1), func(v NodeID, d float64) bool {
-		out[v] = d
-		return true
-	}, false)
-	return out
 }
 
 // TravelTime converts a path to a free-flow travel time in seconds using
