@@ -231,7 +231,12 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 // searchers read the lists meanwhile. A match is a promise made under the
 // read lock — the ride had a seat — so every booking ends in success or in
 // one of the stale-match errors, and once every seat is back the index is
-// consistent and lists every ride again.
+// consistent and lists every ride again. Each booker also offers a ride
+// of its own, hours after the others, before every attempt and completes
+// it after — it lives across the booker's wait for the canceller — so
+// slots are released and taken again under the searchers' feet, half of
+// whose searches look in that later window, where the candidate they
+// fetch by slot is whichever ride holds it then.
 func TestConcurrentFillSearchCancel(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		e := concurrentEngine(t, shards)
@@ -252,31 +257,47 @@ func TestConcurrentFillSearchCancel(t *testing.T) {
 		// Unbuffered: a booker waits for the canceller to take its booking,
 		// so fills and cancellations alternate even on one processor.
 		taken := make(chan Booking)
-		var filled, staleFull atomic.Int32
+		var filled, staleFull, sawChurn atomic.Int32
 		var bookers, searchers sync.WaitGroup
-		for w := 0; w < 3; w++ {
+		const churnDeparture = 40000 // outside every booker's window
+		churnReq := reqs[0]
+		churnReq.EarliestDeparture, churnReq.LatestDeparture = churnDeparture-3600, churnDeparture+3600
+		const nBookers = 3
+		attempt := func(w, i int) {
+			req := reqs[(w+i)%len(reqs)]
+			ms, err := e.Search(req)
+			if err != nil {
+				t.Errorf("search: %v", err)
+				return
+			}
+			if len(ms) == 0 {
+				return
+			}
+			switch bk, err := e.Book(ms[(w+i)%len(ms)], req); err {
+			case nil:
+				filled.Add(1)
+				taken <- bk
+			case ErrRideFull:
+				staleFull.Add(1) // the seat went between the search and the booking
+			case ErrNoLongerFeasible, ErrDetourExceeded:
+			default:
+				t.Errorf("unexpected booking error: %v", err)
+			}
+		}
+		for w := 0; w < nBookers; w++ {
 			bookers.Add(1)
 			go func(w int) {
 				defer bookers.Done()
 				for i := 0; i < iters; i++ {
-					req := reqs[(w+i)%len(reqs)]
-					ms, err := e.Search(req)
+					churn, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: churnDeparture, Seats: 2, DetourLimit: 3000})
 					if err != nil {
-						t.Errorf("search: %v", err)
+						t.Errorf("churn create: %v", err)
 						return
 					}
-					if len(ms) == 0 {
-						continue
-					}
-					switch bk, err := e.Book(ms[(w+i)%len(ms)], req); err {
-					case nil:
-						filled.Add(1)
-						taken <- bk
-					case ErrRideFull:
-						staleFull.Add(1) // the seat went between the search and the booking
-					case ErrNoLongerFeasible, ErrDetourExceeded:
-					default:
-						t.Errorf("unexpected booking error: %v", err)
+					attempt(w, i)
+					if !e.CompleteRide(churn) {
+						t.Errorf("churn ride %d was not there to complete", churn)
+						return
 					}
 				}
 			}(w)
@@ -301,9 +322,17 @@ func TestConcurrentFillSearchCancel(t *testing.T) {
 						return
 					default:
 					}
-					if _, err := e.Search(reqs[(w+i)%len(reqs)]); err != nil {
+					req := reqs[(w+i)%len(reqs)]
+					if i%2 == 1 {
+						req = churnReq
+					}
+					ms, err := e.Search(req)
+					if err != nil {
 						t.Errorf("search: %v", err)
 						return
+					}
+					if i%2 == 1 {
+						sawChurn.Add(int32(len(ms)))
 					}
 				}
 			}(w)
@@ -317,6 +346,14 @@ func TestConcurrentFillSearchCancel(t *testing.T) {
 		t.Logf("%d stripes: %d bookings filled a ride and were cancelled, %d stale matches met a full ride", e.Index().NumShards(), filled.Load(), staleFull.Load())
 		if filled.Load() < int32(len(reqs)) {
 			t.Fatalf("%d bookings filled a ride: the race never ran", filled.Load())
+		}
+		slots := 0
+		for i := 0; i < e.ix.NumShards(); i++ {
+			slots += e.ix.Shard(i).Ix.NumSlots()
+		}
+		t.Logf("%d rides came and went through %d slots, searches in their window matched them %d times", nBookers*iters, slots-len(reqs), sawChurn.Load())
+		if most := len(reqs) + nBookers*e.ix.NumShards(); slots > most {
+			t.Fatalf("%d rides that came and went left %d slots for %d resident rides on %d stripes, want at most %d: a released slot must be the next one taken", nBookers*iters, slots, len(reqs), e.ix.NumShards(), most)
 		}
 		if err := e.Index().CheckInvariants(); err != nil {
 			t.Fatalf("index invariants after the race: %v", err)

@@ -95,6 +95,21 @@ func TestMemoryReportComponents(t *testing.T) {
 	if rep.IndexBytes == 0 || rep.RidesPerGB <= 0 {
 		t.Fatalf("index frontier: IndexBytes=%d RidesPerGB=%f", rep.IndexBytes, rep.RidesPerGB)
 	}
+	// On a quiescent engine the index component is the deep walk of the
+	// index — slot tables, free lists and cluster directories included,
+	// reached by reflection like everything else — less what the walk
+	// meets on the way and earlier components own: the road graph and the
+	// discretization. What is left over is the Sharded header the View
+	// points at, which the per-stripe walk does not visit.
+	var owned uint64
+	for _, c := range rep.Components {
+		if c.Name == "graph" || c.Name == "discretization" || c.Name == "index" {
+			owned += c.Bytes
+		}
+	}
+	if deep := memsize.Of(e.Index()); deep < owned || deep-owned > 256 {
+		t.Fatalf("memsize.Of(Index()) = %d, graph + discretization + index components = %d (index %d)", deep, owned, rep.IndexBytes)
+	}
 	var sum uint64
 	for _, c := range rep.Components {
 		sum += c.Bytes

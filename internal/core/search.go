@@ -209,8 +209,8 @@ type shardSearchResult struct {
 }
 
 // searchScratch holds the working set of one search: the candidate set
-// and posting-list pull buffer of the shard being visited, and the
-// matches of every shard visited so far. One scratch is reused across
+// and posting-list pull buffer (slots) of the shard being visited, and
+// the matches of every shard visited so far. One scratch is reused across
 // every shard a search visits and, through Engine.scratchPool, across
 // searches — so a search's allocations do not grow with the shards it
 // visits, the candidates it examines or the matches it finds
@@ -218,7 +218,7 @@ type shardSearchResult struct {
 // the single-threaded latency at the unsharded level.
 type searchScratch struct {
 	set     *candSet
-	ids     []index.RideID
+	slots   []int32
 	matches []Match
 	order   []*Match // sort buffer of the merge, into matches
 }
@@ -394,11 +394,11 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 	// lists ascend by walk, so the first cluster to produce a ride is the
 	// least-walk one that does.
 	set := s.set
-	set.reset()
+	set.reset(ix.NumSlots())
 	for _, sc := range srcSide {
-		s.ids = ix.PotentialRides(sc.Cluster, req.EarliestDeparture, req.LatestDeparture, s.ids[:0])
-		for _, id := range s.ids {
-			set.add(id, sc)
+		s.slots = ix.PotentialSlots(sc.Cluster, req.EarliestDeparture, req.LatestDeparture, s.slots[:0])
+		for _, slot := range s.slots {
+			set.add(slot, sc)
 		}
 	}
 	if len(set.cands) == 0 {
@@ -414,9 +414,9 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 	destT2 := req.LatestDeparture + destWindowSlack
 	inBoth := 0
 	for _, dc := range dstSide {
-		s.ids = ix.PotentialRides(dc.Cluster, req.EarliestDeparture, destT2, s.ids[:0])
-		for _, id := range s.ids {
-			if c := set.find(id); c != nil && c.dst.Cluster < 0 {
+		s.slots = ix.PotentialSlots(dc.Cluster, req.EarliestDeparture, destT2, s.slots[:0])
+		for _, slot := range s.slots {
+			if c := set.find(slot); c != nil && c.dst.Cluster < 0 {
 				c.dst = dc
 				inBoth++
 			}
@@ -449,19 +449,22 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 	// Final checks on the intersection, in insertion order — so which
 	// candidates a capped journal sample shows is the same run to run.
 	for i := range set.cands {
-		id, src, dst := set.cands[i].id, set.cands[i].src, set.cands[i].dst
+		src, dst := set.cands[i].src, set.cands[i].dst
 		if dst.Cluster < 0 {
 			continue
 		}
-		r := ix.Ride(id)
+		r := ix.RideAt(set.cands[i].slot)
 		if r == nil {
-			// Stale posting: the ride left the index between the window
-			// scan and this lookup — it is in no window anymore.
+			// A listed slot is an occupied one for as long as the shard's
+			// lock is held, and it has been since the windows were read:
+			// only a damaged index (which the auditor reports) gets here.
+			// The ride is in no window a consistent index would serve.
 			if track {
 				res.funnel[quality.WindowMiss]++
 			}
 			continue
 		}
+		id := r.ID
 		// Combined walking distance within the requester's limit. The
 		// per-side lists were pruned by the full limit, so the sum needs
 		// its own check — and no other cluster pair can pass it: src and

@@ -79,9 +79,11 @@ func (e *Engine) TrackAll(now float64) (completed int, err error) {
 		toAdvance = append(toAdvance, r.ID)
 		return true
 	})
-	// View.Rides walks Go maps. Ascending ride ID makes the sequence of
-	// Advance and CompleteRide calls — and with it the journal's event
-	// order and the index's block layout — a function of the inputs.
+	// View.Rides walks each stripe's slot table: repeatable, but slots are
+	// recycled, so slot order is not ride order. Ascending ride ID keeps
+	// the sequence of Advance and CompleteRide calls — and with it the
+	// journal's event order and the index's block layout — what it was
+	// before rides had slots.
 	slices.Sort(toAdvance)
 
 	for _, id := range toAdvance {

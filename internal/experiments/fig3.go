@@ -101,7 +101,23 @@ type Fig3cdRow struct {
 	IndexMB      float64
 	SearchMeanMS float64
 	SearchP95MS  float64
+	// Where a ride's bytes go (Figure 3c's figure per ride, without the
+	// road graph and the discretization the index points at): its support
+	// records, its cluster directory, its posting-list entries, and the
+	// rest — route nodes and ETAs, via-points, pass-through runs, the
+	// ride itself and its places in the slot table and the ID map.
+	Rides                                              int
+	SupportsPerRide, DirectoryPerRide, PostingsPerRide float64
+	RestPerRide                                        float64
 }
+
+// Record sizes of internal/index (its TestSupportRecordSize pins them):
+// a support record, a directory key, a posting-list entry.
+const (
+	supportBytes   = 24
+	directoryBytes = 8
+	postingBytes   = 16
+)
 
 // Fig3cd sweeps ε, loads each configuration with the world's ride
 // offers, and measures the in-memory index size (Figure 3c) and the ride
@@ -142,14 +158,27 @@ func Fig3cd(w *World, epsilons []float64) ([]Fig3cdRow, error) {
 			lat.AddDuration(time.Since(start))
 		}
 		bytes := memsize.Of(eng.Index())
-		rows = append(rows, Fig3cdRow{
+		row := Fig3cdRow{
 			Epsilon:      eps,
 			Clusters:     d.NumClusters(),
 			IndexBytes:   bytes,
 			IndexMB:      float64(bytes) / (1 << 20),
 			SearchMeanMS: lat.Mean(),
 			SearchP95MS:  lat.Percentile(95),
-		})
+		}
+		// The split: one directory key per (ride, supported cluster) —
+		// which is one posting entry — plus a sentinel per listed ride;
+		// the rest is what the rides own beyond those three.
+		if st := eng.Index().Stats(); st.Rides > 0 {
+			rides := float64(st.Rides)
+			row.Rides = st.Rides
+			row.SupportsPerRide = supportBytes * float64(st.SupportRecords) / rides
+			row.DirectoryPerRide = directoryBytes * float64(st.ListEntries+st.Rides-st.FullRides) / rides
+			row.PostingsPerRide = postingBytes * float64(st.ListEntries) / rides
+			owned := float64(bytes - memsize.Of(d)) // d holds the road graph too
+			row.RestPerRide = owned/rides - row.SupportsPerRide - row.DirectoryPerRide - row.PostingsPerRide
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -165,9 +194,11 @@ func RenderFig3b(rows []Fig3bRow) string {
 
 // RenderFig3cd renders Figure 3c/3d rows.
 func RenderFig3cd(rows []Fig3cdRow) string {
-	t := stats.NewTable("eps_m", "clusters", "index_MB", "search_mean_ms", "search_p95_ms")
+	t := stats.NewTable("eps_m", "clusters", "index_MB", "search_mean_ms", "search_p95_ms",
+		"rides", "B/ride_supports", "B/ride_directory", "B/ride_postings", "B/ride_rest")
 	for _, r := range rows {
-		t.AddRow(r.Epsilon, r.Clusters, r.IndexMB, r.SearchMeanMS, r.SearchP95MS)
+		t.AddRow(r.Epsilon, r.Clusters, r.IndexMB, r.SearchMeanMS, r.SearchP95MS,
+			r.Rides, r.SupportsPerRide, r.DirectoryPerRide, r.PostingsPerRide, r.RestPerRide)
 	}
 	return "Fig 3c/3d — index memory and search time vs cluster count\n" + t.String()
 }

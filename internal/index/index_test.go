@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -179,7 +180,7 @@ func TestReachableRespectsDetourLimit(t *testing.T) {
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
-	for _, ref := range r.support {
+	for _, ref := range clusteredSupports(r) {
 		c := ref.Cluster
 		if ref.Detour > r.DetourLimit+1e-9 {
 			t.Fatalf("cluster %d reachable with detour %.1f > limit %.1f", c, ref.Detour, r.DetourLimit)
@@ -417,14 +418,15 @@ func TestSupportsOrdering(t *testing.T) {
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
+	table := clusteredSupports(r)
 	for _, c := range r.ReachableClusters() {
 		sups := r.Supports(c)
 		if len(sups) == 0 {
 			t.Fatalf("cluster %d has no supports", c)
 		}
 		for i, s := range sups {
-			if int(s.Cluster) != c {
-				t.Fatalf("Supports(%d) returned a support of cluster %d", c, s.Cluster)
+			if at := slices.Index(r.support, s); at < 0 || int(table[at].Cluster) != c {
+				t.Fatalf("Supports(%d) returned a support that is not in cluster %d's group (table position %d)", c, c, at)
 			}
 			if i > 0 && (s.Detour < sups[i-1].Detour || s.Detour == sups[i-1].Detour && s.Order <= sups[i-1].Order) {
 				t.Fatal("supports not sorted by (detour, route position)")
@@ -643,16 +645,41 @@ func makeLegRide(t testing.TB, d *discretize.Discretization, ix *Index, stops []
 	return r
 }
 
+// clusteredSupport is a support record together with the cluster it
+// serves — what a record was before the directory took the cluster over.
+type clusteredSupport struct {
+	Cluster int32
+	Support
+}
+
+// compareSupports is the support table's order: by cluster, then
+// ascending detour, ties by ascending route position.
+func compareSupports(a, b clusteredSupport) int {
+	return cmp.Or(cmp.Compare(a.Cluster, b.Cluster), cmp.Compare(a.Detour, b.Detour), cmp.Compare(a.Order, b.Order))
+}
+
+// clusteredSupports reads the ride's table out through its directory: one
+// record per support, in table order, labelled with its group's cluster.
+func clusteredSupports(r *Ride) []clusteredSupport {
+	out := make([]clusteredSupport, 0, len(r.support))
+	for g := 0; g+1 < len(r.dir); g++ {
+		for _, s := range r.group(g) {
+			out = append(out, clusteredSupport{r.dir[g].Cluster, s})
+		}
+	}
+	return out
+}
+
 // referenceSupports re-derives a ride's support records the slow way —
 // every live pass-through against every cluster, no neighbor table, no
 // grouping — and sorts them with the comparator that defines the table.
-func referenceSupports(ix *Index, r *Ride) []Support {
-	var recs []Support
+func referenceSupports(ix *Index, r *Ride) []clusteredSupport {
+	var recs []clusteredSupport
 	for pi, e := range r.pt {
 		if e.Crossed {
 			continue
 		}
-		recs = append(recs, Support{Cluster: e.Cluster, Order: int32(pi), Seg: e.Seg, ETA: e.ETA})
+		recs = append(recs, clusteredSupport{e.Cluster, Support{Order: int32(pi), Seg: e.Seg, ETA: e.ETA}})
 		c, via := int(e.Cluster), -1
 		if int(e.Seg)+1 < len(r.Via) {
 			via = ix.disc.ClusterOfNode(r.Via[e.Seg+1].Node)
@@ -669,7 +696,7 @@ func referenceSupports(ix *Index, r *Ride) []Support {
 					continue
 				}
 			}
-			recs = append(recs, Support{Cluster: int32(o), Order: int32(pi), Seg: e.Seg, Detour: detour, ETA: e.ETA + dist/ix.cfg.AvgSpeed})
+			recs = append(recs, clusteredSupport{int32(o), Support{Order: int32(pi), Seg: e.Seg, Detour: detour, ETA: e.ETA + dist/ix.cfg.AvgSpeed}})
 		}
 	}
 	slices.SortFunc(recs, compareSupports)
@@ -688,8 +715,9 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	check := func(r *Ride, when string) {
 		t.Helper()
-		if want := referenceSupports(ix, r); !slices.Equal(r.support, want) {
-			t.Fatalf("ride %d %s: table of %d supports differs from the sorted %d records", r.ID, when, len(r.support), len(want))
+		got, want := clusteredSupports(r), referenceSupports(ix, r)
+		if len(got) != len(r.support) || !slices.Equal(got, want) {
+			t.Fatalf("ride %d %s: table of %d supports (%d reached through the directory) differs from the sorted %d records", r.ID, when, len(r.support), len(got), len(want))
 		}
 	}
 	repeats, ties := 0, 0
@@ -709,8 +737,8 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(r, "after Insert")
-		for i := 1; i < len(r.support); i++ {
-			if a, b := r.support[i-1], r.support[i]; a.Cluster == b.Cluster {
+		for i, table := 1, clusteredSupports(r); i < len(table); i++ {
+			if a, b := table[i-1], table[i]; a.Cluster == b.Cluster {
 				if a.Seg != b.Seg {
 					repeats++
 				}
@@ -772,7 +800,7 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 	if err := ix.Insert(r2); err != nil {
 		t.Fatal(err)
 	}
-	c := int(r.support[0].Cluster)
+	c := int(r.dir[0].Cluster)
 	l := &ix.clusters[c]
 	if l.len() != 2 || len(l.blocks) != 1 {
 		t.Fatalf("cluster %d lists %d rides in %d blocks, want both rides in one", c, l.len(), len(l.blocks))

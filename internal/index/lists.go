@@ -6,18 +6,21 @@ import (
 )
 
 // listEntry pairs a potential ride with its estimated arrival time in a
-// cluster — the ⟨r, t⟩ tuples of §VI.
+// cluster — the ⟨r, t⟩ tuples of §VI. The ride is named by its slot in
+// the index's slot table (Index.slots), not by its ID: a slot is four
+// bytes, bounded by the live fleet, and what the search's candidate set
+// and ride lookup are indexed by. 16 bytes, no pointer.
 type listEntry struct {
-	Ride RideID
 	ETA  float64
+	Slot int32
 }
 
-// before is the list order: ascending ETA, equal ETAs by ride ID.
+// before is the list order: ascending ETA, equal ETAs by slot.
 func (e listEntry) before(o listEntry) bool {
 	if e.ETA != o.ETA {
 		return e.ETA < o.ETA
 	}
-	return e.Ride < o.Ride
+	return e.Slot < o.Slot
 }
 
 // blockCap bounds a block of a clusterList. A write moves at most one
@@ -27,12 +30,12 @@ func (e listEntry) before(o listEntry) bool {
 const blockCap = 512
 
 // clusterList holds the potential rides of one cluster in one order — by
-// (ETA, ride) — cut into blocks of at most blockCap entries: time-window
+// (ETA, slot) — cut into blocks of at most blockCap entries: time-window
 // retrieval is a binary search over the block tails and one inside a
 // block; insertion and removal are the same search plus a move inside
 // one block. There is no by-ride order: whoever removes or re-times a
-// ride knows the ETA it is listed under (Ride.ListETA), which makes the
-// entry's position a keyed lookup too.
+// ride knows its slot and the ETA it is listed under (Ride.ListETA),
+// which makes the entry's position a keyed lookup too.
 //
 // No block is empty and the concatenation of the blocks is strictly
 // ascending (structuralDefect verifies both).
@@ -76,8 +79,8 @@ func posIn(b []listEntry, e listEntry) int {
 
 // add inserts the tuple. The caller guarantees the ride is not already
 // listed.
-func (l *clusterList) add(r RideID, eta float64) {
-	e := listEntry{Ride: r, ETA: eta}
+func (l *clusterList) add(slot int32, eta float64) {
+	e := listEntry{ETA: eta, Slot: slot}
 	l.n++
 	bi := l.blockFor(e)
 	if bi == len(l.blocks) {
@@ -107,9 +110,9 @@ func (l *clusterList) add(r RideID, eta float64) {
 	l.blocks[bi] = slices.Insert(b, i, e)
 }
 
-// find locates the tuple ⟨r, eta⟩.
-func (l *clusterList) find(r RideID, eta float64) (bi, i int, ok bool) {
-	e := listEntry{Ride: r, ETA: eta}
+// find locates the tuple ⟨slot, eta⟩.
+func (l *clusterList) find(slot int32, eta float64) (bi, i int, ok bool) {
+	e := listEntry{ETA: eta, Slot: slot}
 	if bi = l.blockFor(e); bi == len(l.blocks) {
 		return 0, 0, false
 	}
@@ -119,15 +122,15 @@ func (l *clusterList) find(r RideID, eta float64) (bi, i int, ok bool) {
 }
 
 // has reports whether the ride is listed under exactly eta.
-func (l *clusterList) has(r RideID, eta float64) bool {
-	_, _, ok := l.find(r, eta)
+func (l *clusterList) has(slot int32, eta float64) bool {
+	_, _, ok := l.find(slot, eta)
 	return ok
 }
 
 // remove deletes the ride's tuple, given the ETA it is listed under; it
 // reports whether the tuple was present. A stale key removes nothing.
-func (l *clusterList) remove(r RideID, eta float64) bool {
-	bi, i, ok := l.find(r, eta)
+func (l *clusterList) remove(slot int32, eta float64) bool {
+	bi, i, ok := l.find(slot, eta)
 	if !ok {
 		return false
 	}
@@ -141,17 +144,19 @@ func (l *clusterList) remove(r RideID, eta float64) bool {
 }
 
 // updateETA moves the ride's tuple from arrival estimate was to now.
-func (l *clusterList) updateETA(r RideID, was, now float64) {
-	if l.remove(r, was) {
-		l.add(r, now)
+func (l *clusterList) updateETA(slot int32, was, now float64) {
+	if l.remove(slot, was) {
+		l.add(slot, now)
 	}
 }
 
-// windowIDs appends to dst the ride IDs with ETA in [t1, t2] (inclusive):
-// a binary search over the block tails, one inside that block, then a
-// run across blocks. The endpoints are range-checked first, so an empty
-// or out-of-window list costs two comparisons.
-func (l *clusterList) windowIDs(t1, t2 float64, dst []RideID) []RideID {
+// window appends to dst the slots listed with an ETA in [t1, t2]
+// (inclusive): a binary search over the block tails, one inside that
+// block, then a run across blocks. The endpoints are range-checked first,
+// so an empty or out-of-window list costs two comparisons. T is int32 for
+// the search, which works in slots, and RideID for PotentialRides, which
+// translates the appended slots in place.
+func window[T ~int32 | ~int64](l *clusterList, t1, t2 float64, dst []T) []T {
 	bs := l.blocks
 	if t2 < t1 || len(bs) == 0 || bs[0][0].ETA > t2 {
 		return dst
@@ -183,7 +188,7 @@ func (l *clusterList) windowIDs(t1, t2 float64, dst []RideID) []RideID {
 			if a[i].ETA > t2 {
 				return dst
 			}
-			dst = append(dst, a[i].Ride)
+			dst = append(dst, T(a[i].Slot))
 		}
 		if lo++; lo == len(bs) {
 			return dst
@@ -192,13 +197,13 @@ func (l *clusterList) windowIDs(t1, t2 float64, dst []RideID) []RideID {
 	}
 }
 
-// scanIDs is the ablation variant of windowIDs: a full scan that ignores
-// the order. Benchmarks use it to quantify the value of the sorted list.
-func (l *clusterList) scanIDs(t1, t2 float64, dst []RideID) []RideID {
+// scan is the ablation variant of window: a full scan that ignores the
+// order. Benchmarks use it to quantify the value of the sorted list.
+func scan[T ~int32 | ~int64](l *clusterList, t1, t2 float64, dst []T) []T {
 	for _, b := range l.blocks {
 		for _, e := range b {
 			if e.ETA >= t1 && e.ETA <= t2 {
-				dst = append(dst, e.Ride)
+				dst = append(dst, T(e.Slot))
 			}
 		}
 	}
@@ -206,10 +211,10 @@ func (l *clusterList) scanIDs(t1, t2 float64, dst []RideID) []RideID {
 }
 
 // structuralDefect describes the first violation of the block
-// invariants — an empty or oversized block, entries out of (ETA, ride)
-// order, a count that disagrees with len() — with the offending ride, or
-// returns "" for a well-formed list.
-func (l *clusterList) structuralDefect() (RideID, string) {
+// invariants — an empty or oversized block, entries out of (ETA, slot)
+// order, a count that disagrees with len() — with the offending slot (-1
+// when no one entry is at fault), or returns "" for a well-formed list.
+func (l *clusterList) structuralDefect() (int32, string) {
 	n := 0
 	var prev listEntry
 	for bi, b := range l.blocks {
@@ -218,14 +223,14 @@ func (l *clusterList) structuralDefect() (RideID, string) {
 		}
 		for i, e := range b {
 			if n > 0 && !prev.before(e) {
-				return e.Ride, fmt.Sprintf("(ETA, ride) order violated at block %d entry %d", bi, i)
+				return e.Slot, fmt.Sprintf("(ETA, slot) order violated at block %d entry %d", bi, i)
 			}
 			prev = e
 			n++
 		}
 	}
 	if n != l.n {
-		return 0, fmt.Sprintf("blocks hold %d entries, len() says %d", n, l.n)
+		return -1, fmt.Sprintf("blocks hold %d entries, len() says %d", n, l.n)
 	}
-	return 0, ""
+	return -1, ""
 }

@@ -6,16 +6,16 @@ import (
 	"testing"
 )
 
-// refList is the model the block list is tested against: ride → the ETA
+// refList is the model the block list is tested against: slot → the ETA
 // it is listed under.
-type refList map[RideID]float64
+type refList map[int32]float64
 
-// window returns the rides with ETA in [t1, t2] in list order.
-func (r refList) window(t1, t2 float64) []RideID {
+// window returns the slots with ETA in [t1, t2] in list order.
+func (r refList) window(t1, t2 float64) []int32 {
 	var in []listEntry
 	for id, eta := range r {
 		if eta >= t1 && eta <= t2 {
-			in = append(in, listEntry{Ride: id, ETA: eta})
+			in = append(in, listEntry{Slot: id, ETA: eta})
 		}
 	}
 	slices.SortFunc(in, func(a, b listEntry) int {
@@ -24,9 +24,9 @@ func (r refList) window(t1, t2 float64) []RideID {
 		}
 		return 1
 	})
-	out := make([]RideID, len(in))
+	out := make([]int32, len(in))
 	for i, e := range in {
-		out[i] = e.Ride
+		out[i] = e.Slot
 	}
 	return out
 }
@@ -49,7 +49,7 @@ func checkList(t *testing.T, l *clusterList, ref refList) {
 			if n > 0 && !prev.before(e) {
 				t.Fatalf("block %d entry %d: %v does not follow %v", bi, i, e, prev)
 			}
-			if eta, ok := ref[e.Ride]; !ok || eta != e.ETA {
+			if eta, ok := ref[e.Slot]; !ok || eta != e.ETA {
 				t.Fatalf("block %d entry %d: %v, model has (%v, %v)", bi, i, e, eta, ok)
 			}
 			prev = e
@@ -64,13 +64,13 @@ func checkList(t *testing.T, l *clusterList, ref refList) {
 	}
 }
 
-// anyRide returns some ride of the model (the smallest ID at or after a
+// anyRide returns some slot of the model (the smallest at or after a
 // random probe, so the choice depends on rng alone, not on map order).
-func anyRide(rng *rand.Rand, ref refList, idSpace int) (RideID, bool) {
+func anyRide(rng *rand.Rand, ref refList, idSpace int) (int32, bool) {
 	if len(ref) == 0 {
 		return 0, false
 	}
-	for id := RideID(rng.Intn(idSpace)); ; id = (id + 1) % RideID(idSpace) {
+	for id := int32(rng.Intn(idSpace)); ; id = (id + 1) % int32(idSpace) {
 		if _, ok := ref[id]; ok {
 			return id, true
 		}
@@ -88,7 +88,7 @@ func TestBlockListModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var l clusterList
 		ref := refList{}
-		nextID := RideID(0)
+		nextID := int32(0)
 
 		// Time-ordered arrivals (three rides per ETA) leave full blocks.
 		for ; nextID < 2*blockCap+100; nextID++ {
@@ -111,7 +111,7 @@ func TestBlockListModel(t *testing.T) {
 				id, eta := nextID, float64(rng.Intn(maxETA))
 				nextID++
 				last := l.blocks[len(l.blocks)-1]
-				pastTail := last[len(last)-1].before(listEntry{Ride: id, ETA: eta})
+				pastTail := last[len(last)-1].before(listEntry{Slot: id, ETA: eta})
 				nb := len(l.blocks)
 				l.add(id, eta)
 				ref[id] = eta
@@ -138,19 +138,19 @@ func TestBlockListModel(t *testing.T) {
 				if id, ok := anyRide(rng, ref, idSpace); ok {
 					other, _ := anyRide(rng, ref, idSpace)
 					for _, key := range []listEntry{
-						{Ride: id, ETA: ref[id] + 0.5},           // an ETA nobody has
-						{Ride: id, ETA: ref[id] + 1},             // a neighbour's ETA
-						{Ride: id, ETA: ref[other]},              // some other ride's ETA
-						{Ride: idSpace + 7, ETA: ref[id]},        // a ride nobody listed, at a listed ETA
-						{Ride: nextID, ETA: float64(maxETA + 1)}, // past the tail
+						{Slot: id, ETA: ref[id] + 0.5},           // an ETA nobody has
+						{Slot: id, ETA: ref[id] + 1},             // a neighbour's ETA
+						{Slot: id, ETA: ref[other]},              // some other ride's ETA
+						{Slot: idSpace + 7, ETA: ref[id]},        // a ride nobody listed, at a listed ETA
+						{Slot: nextID, ETA: float64(maxETA + 1)}, // past the tail
 					} {
-						if eta, listed := ref[key.Ride]; listed && eta == key.ETA {
+						if eta, listed := ref[key.Slot]; listed && eta == key.ETA {
 							continue // other shares id's ETA: not stale
 						}
-						if l.has(key.Ride, key.ETA) || l.remove(key.Ride, key.ETA) {
+						if l.has(key.Slot, key.ETA) || l.remove(key.Slot, key.ETA) {
 							t.Fatalf("seed %d op %d: stale key %v found", seed, op, key)
 						}
-						l.updateETA(key.Ride, key.ETA, 0) // must not list the ride twice
+						l.updateETA(key.Slot, key.ETA, 0) // must not list the ride twice
 						staleKeys++
 					}
 				}
@@ -158,10 +158,10 @@ func TestBlockListModel(t *testing.T) {
 				t1 := float64(rng.Intn(maxETA)) - 0.5*float64(rng.Intn(2))
 				t2 := t1 + float64(rng.Intn(maxETA/4))
 				want := ref.window(t1, t2)
-				if got := l.windowIDs(t1, t2, nil); !slices.Equal(got, want) {
+				if got := window[int32](&l, t1, t2, nil); !slices.Equal(got, want) {
 					t.Fatalf("seed %d op %d: window [%v, %v] = %d rides, model has %d", seed, op, t1, t2, len(got), len(want))
 				}
-				got := l.scanIDs(t1, t2, nil)
+				got := scan[int32](&l, t1, t2, nil)
 				slices.Sort(got)
 				slices.Sort(want)
 				if !slices.Equal(got, want) {
@@ -185,10 +185,10 @@ func TestBlockListModel(t *testing.T) {
 		for len(ref) > 0 {
 			nb := len(l.blocks)
 			e := l.blocks[0][rng.Intn(len(l.blocks[0]))]
-			if !l.remove(e.Ride, e.ETA) {
+			if !l.remove(e.Slot, e.ETA) {
 				t.Fatalf("seed %d: drain: remove(%v) reported absent", seed, e)
 			}
-			delete(ref, e.Ride)
+			delete(ref, e.Slot)
 			if len(l.blocks) < nb {
 				dropped++
 			}
@@ -205,19 +205,19 @@ func TestBlockListWindowInclusive(t *testing.T) {
 	l.add(1, 10)
 	l.add(2, 20)
 	l.add(3, 30)
-	if got := l.windowIDs(10, 30, nil); !slices.Equal(got, []RideID{1, 2, 3}) {
+	if got := window[int32](&l, 10, 30, nil); !slices.Equal(got, []int32{1, 2, 3}) {
 		t.Fatalf("inclusive window = %v", got)
 	}
-	if got := l.windowIDs(10.5, 29.5, nil); !slices.Equal(got, []RideID{2}) {
+	if got := window[int32](&l, 10.5, 29.5, nil); !slices.Equal(got, []int32{2}) {
 		t.Fatalf("inner window = %v", got)
 	}
 	for _, w := range [][2]float64{{31, 40}, {0, 9}, {21, 29}, {30, 10}} {
-		if got := l.windowIDs(w[0], w[1], nil); len(got) != 0 {
+		if got := window[int32](&l, w[0], w[1], nil); len(got) != 0 {
 			t.Fatalf("window %v = %v, want empty", w, got)
 		}
 	}
-	if got := l.windowIDs(20, 20, []RideID{99}); !slices.Equal(got, []RideID{99, 2}) {
-		t.Fatalf("windowIDs must append to dst, got %v", got)
+	if got := window(&l, 20, 20, []RideID{99}); !slices.Equal(got, []RideID{99, 2}) {
+		t.Fatalf("window must append to dst, got %v", got)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestBlockListSplitKeepsBothHalves(t *testing.T) {
 		var l clusterList
 		ref := refList{}
 		for i := 0; i < blockCap; i++ {
-			l.add(RideID(i), float64(2*i))
-			ref[RideID(i)] = float64(2 * i)
+			l.add(int32(i), float64(2*i))
+			ref[int32(i)] = float64(2 * i)
 		}
 		// A second block, so position blockCap−1 is still an insert, not an
 		// append past the tail.
@@ -249,13 +249,13 @@ func TestStructuralDefectCatchesDamage(t *testing.T) {
 	build := func() *clusterList {
 		var l clusterList
 		for i := 0; i < 2*blockCap; i++ {
-			l.add(RideID(i), float64(i/2))
+			l.add(int32(i), float64(i/2))
 		}
 		return &l
 	}
 	for name, damage := range map[string]func(l *clusterList){
 		"empty block":     func(l *clusterList) { l.blocks = append(l.blocks, nil) },
-		"oversized block": func(l *clusterList) { l.blocks[1] = append(l.blocks[1], listEntry{Ride: 1 << 20, ETA: 1e9}); l.n++ },
+		"oversized block": func(l *clusterList) { l.blocks[1] = append(l.blocks[1], listEntry{Slot: 1 << 20, ETA: 1e9}); l.n++ },
 		"order in block":  func(l *clusterList) { b := l.blocks[0]; b[3], b[4] = b[4], b[3] },
 		"order across":    func(l *clusterList) { l.blocks[0], l.blocks[1] = l.blocks[1], l.blocks[0] },
 		"duplicate tuple": func(l *clusterList) { l.blocks[0][1] = l.blocks[0][0] },

@@ -4,8 +4,13 @@
 // potential-ride lists sorted by estimated time of arrival — potential:
 // a ride with no free seat stays registered (tracked; a cancellation can
 // free a seat) but is in no list. (The paper's second order, by ride ID,
-// is subsumed by each ride's own support table: it answers "is this ride
-// listed there, and under which ETA".)
+// is subsumed by each ride's own support table and its cluster directory:
+// they answer "is this ride listed there, and under which ETA".)
+//
+// Every registered ride holds a slot of its index's slot table for as
+// long as it is registered; posting lists name rides by slot, and a
+// search reads its candidates, their rides and their supports by array
+// index. The by-ID map serves the entry points that start from an ID.
 //
 // The index is the component that eliminates shortest-path computation
 // from the search path: all spatial reasoning during a search happens in
@@ -23,8 +28,8 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 
 	"xar/internal/geo"
 	"xar/internal/roadnet"
@@ -117,16 +122,23 @@ type Ride struct {
 	Rev uint64
 
 	// Index registration state (maintained by Index): the pass-through
-	// runs in route order, and the flat support table sorted by
-	// (Cluster, Detour, Order) — see Supports.
+	// runs in route order, the flat support table — one group per
+	// supported cluster in ascending cluster order, each sorted by
+	// (Detour, Order) — and the directory that says where each group
+	// starts (see Supports). slot is the ride's place in the slot table of
+	// the index it is registered in.
 	pt      []ptEntry
 	support []Support
+	dir     []dirEntry
+	slot    int32
 }
 
 // Clone returns a deep copy of the ride: a snapshot that stays valid
 // (and race-free) after the engine releases the ride's shard lock.
 // Registration state is cloned too, so read-only helpers like
-// PassThroughClusters and ReachableClusters work on the copy.
+// PassThroughClusters and ReachableClusters work on the copy. The slot
+// the copy carries means nothing outside the index the original is in:
+// Insert assigns the receiving index's own.
 func (r *Ride) Clone() *Ride {
 	if r == nil {
 		return nil
@@ -137,6 +149,7 @@ func (r *Ride) Clone() *Ride {
 	c.Via = append([]ViaPoint(nil), r.Via...)
 	c.pt = append([]ptEntry(nil), r.pt...)
 	c.support = append([]Support(nil), r.support...)
+	c.dir = append([]dirEntry(nil), r.dir...)
 	return &c
 }
 
@@ -151,51 +164,56 @@ type ptEntry struct {
 }
 
 // Support is one way a ride can serve a cluster: pass-through run Order
-// reaches Cluster with the given extra driving and arrival estimate. A
-// ride's supports live in one flat table (Ride.support).
+// reaches the cluster with the given extra driving and arrival estimate.
+// A ride's supports live in one flat table (Ride.support); which cluster
+// a record serves is the directory's to say, not the record's. 24 bytes.
 type Support struct {
-	Cluster int32
-	Order   int32   // position of the supporting pass-through along the route
-	Seg     int32   // segment of the supporting pass-through
-	Detour  float64 // meters of extra driving
-	ETA     float64 // seconds since epoch
+	Order  int32   // position of the supporting pass-through along the route
+	Seg    int32   // segment of the supporting pass-through
+	Detour float64 // meters of extra driving
+	ETA    float64 // seconds since epoch
 }
 
-// compareSupports is the support table's order: by cluster, then
-// ascending detour, ties by ascending route position.
-func compareSupports(a, b Support) int {
-	if c := cmp.Compare(a.Cluster, b.Cluster); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Detour, b.Detour); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Order, b.Order)
+// dirEntry is one key of a ride's cluster directory: the supports of
+// Cluster start at support[Start] and run to the next entry's Start. A
+// directory is strictly ascending by cluster and ends with a sentinel
+// {dirEnd, len(support)}, so every group has a successor to end at.
+type dirEntry struct {
+	Cluster int32
+	Start   int32
+}
+
+// dirEnd is the sentinel's cluster: above every real one.
+const dirEnd = math.MaxInt32
+
+// group returns the supports of directory entry g.
+func (r *Ride) group(g int) []Support {
+	return r.support[r.dir[g].Start:r.dir[g+1].Start]
 }
 
 // Supports returns the ways the ride can currently serve cluster c, in
 // ascending detour order, equal detours by ascending route position. It
-// is a sub-slice of the ride's support table — no copy, nothing to
-// sort; the caller must hold the owning shard's lock and must not
-// modify it. Every entry refers to a pass-through the vehicle has not
-// crossed: Advance compacts crossed ones out under the same write lock
-// that marks them.
+// is a sub-slice of the ride's support table, found by a binary search of
+// the directory's keys — a few cache lines, where the records of a dense
+// ride span kilobytes — no copy, nothing to sort; the caller must hold
+// the owning shard's lock and must not modify it. Every entry refers to a
+// pass-through the vehicle has not crossed: Advance compacts crossed ones
+// out under the same write lock that marks them.
 func (r *Ride) Supports(c int) []Support {
-	sup, key := r.support, int32(c)
-	lo, hi := 0, len(sup)
+	dir, key := r.dir, int32(c)
+	lo, hi := 0, len(dir)-1 // the sentinel is no key
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if sup[mid].Cluster < key {
+		if dir[mid].Cluster < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	end := lo
-	for end < len(sup) && sup[end].Cluster == key {
-		end++
+	if lo >= len(dir)-1 || dir[lo].Cluster != key {
+		return nil
 	}
-	return sup[lo:end]
+	return r.group(lo)
 }
 
 // ListETA returns the arrival estimate the ride is listed under in
@@ -245,10 +263,8 @@ func (r *Ride) PassThroughClusters() []int {
 // serve (the union of supported clusters over valid pass-throughs).
 func (r *Ride) ReachableClusters() []int {
 	var out []int
-	for i, s := range r.support {
-		if i == 0 || s.Cluster != r.support[i-1].Cluster {
-			out = append(out, int(s.Cluster))
-		}
+	for g := 0; g+1 < len(r.dir); g++ {
+		out = append(out, int(r.dir[g].Cluster))
 	}
 	return out
 }

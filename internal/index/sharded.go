@@ -12,7 +12,8 @@ import (
 // DefaultShards is the shard count used when the caller passes 0: one.
 // Stripes are keyed by ride ID, and a cluster's potential rides are spread
 // over every stripe, so a search must visit all of them — N stripes multiply
-// its list probes, lock pairs and candidate-set resets by N and divide
+// its list probes and lock pairs by N (each stripe has its own slot table,
+// so the candidate set is reset and re-addressed per stripe too) and divide
 // nothing for readers. What a stripe buys is write concurrency: with one,
 // a writer waits out the searches in flight (each a few microseconds to a
 // few hundred) and writers to different rides serialize.
@@ -20,8 +21,9 @@ const DefaultShards = 1
 
 // Sharded stripes the ride index across N independently locked shards,
 // keyed by ride ID (ride IDs are sequential, so id mod N is uniform).
-// Each shard is a complete Index (its own ride map and cluster posting
-// lists) restricted to the rides assigned to it; the O(k²)
+// Each shard is a complete Index (its own ride map, slot table and cluster
+// posting lists) restricted to the rides assigned to it — a slot means
+// something only inside its stripe; the O(k²)
 // cluster-neighbor table is built once and shared read-only by every
 // shard. A search takes each shard's read lock only while reading that
 // shard's posting lists; create/book/cancel/track lock exactly one shard
@@ -161,8 +163,9 @@ func (v View) ShardLen(i int) int {
 }
 
 // Rides calls f for every registered ride until f returns false, one
-// shard at a time under that shard's read lock. f must treat the ride as
-// read-only and must not call back into the index.
+// shard at a time under that shard's read lock, each shard in slot order
+// — the same sequence every time the same operations built the index. f
+// must treat the ride as read-only and must not call back into the index.
 func (v View) Rides(f func(*Ride) bool) {
 	for i := range v.s.shards {
 		sh := &v.s.shards[i]
