@@ -100,10 +100,12 @@ func (e *Engine) BookCtx(ctx context.Context, m Match, req Request) (bk Booking,
 		}
 		return Booking{}, err
 	}
-	e.recordEvent(journal.Booked, m.Ride, span, bk.DetourActual,
-		"pu="+strconv.FormatInt(int64(bk.PickupNode), 10)+" do="+strconv.FormatInt(int64(bk.DropoffNode), 10))
-	e.recordEvent(journal.SpliceCommitted, m.Ride, span, bk.DetourActual,
-		"sp_runs="+strconv.Itoa(bk.ShortestPathRuns))
+	if e.jr != nil { // the notes are built for a journal only
+		e.recordEvent(journal.Booked, m.Ride, span, bk.DetourActual,
+			"pu="+strconv.FormatInt(int64(bk.PickupNode), 10)+" do="+strconv.FormatInt(int64(bk.DropoffNode), 10))
+		e.recordEvent(journal.SpliceCommitted, m.Ride, span, bk.DetourActual,
+			"sp_runs="+strconv.Itoa(bk.ShortestPathRuns))
+	}
 	// Greedy-regret sampling: re-match the request in the background
 	// against what is still bookable.
 	e.shadow.offerRegret(req, bk.WalkSource+bk.WalkDest)

@@ -672,7 +672,9 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 	// Insert returns, a concurrent search + book can journal "booked",
 	// and the causality invariant (no lifecycle event before created)
 	// must hold by construction, not by luck.
-	e.recordEvent(journal.Created, r.ID, span, detour, "seats="+strconv.Itoa(seats))
+	if e.jr != nil { // the note is built for a journal only
+		e.recordEvent(journal.Created, r.ID, span, detour, "seats="+strconv.Itoa(seats))
+	}
 	// Only the registration itself needs the ride's shard — one write
 	// lock, no shortest-path work inside it.
 	sh := e.ix.ShardFor(r.ID)

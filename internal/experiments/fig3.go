@@ -111,12 +111,13 @@ type Fig3cdRow struct {
 	RestPerRide                                        float64
 }
 
-// Record sizes of internal/index (its TestSupportRecordSize pins them):
-// a support record, a directory key, a posting-list entry.
+// Record sizes of internal/index (its TestSupportRecordSize and
+// TestPostingBytesPerEntry pin them): a support record, a directory key,
+// a posting-list entry (an 8-byte ETA and a 4-byte slot, in two columns).
 const (
 	supportBytes   = 24
 	directoryBytes = 8
-	postingBytes   = 16
+	postingBytes   = 12
 )
 
 // Fig3cd sweeps ε, loads each configuration with the world's ride

@@ -436,29 +436,23 @@ func (ix *Index) Advance(id RideID, pos int) error {
 // returns the extended slice — the O(log n) retrieval step of the
 // optimized search. A slot is good for RideAt under the same lock hold.
 func (ix *Index) PotentialSlots(c int, t1, t2 float64, dst []int32) []int32 {
-	return readWindow(ix, c, t1, t2, dst)
+	if c < 0 || c >= len(ix.clusters) {
+		return dst
+	}
+	if ix.cfg.LinearWindowScan {
+		return ix.clusters[c].scan(t1, t2, dst)
+	}
+	return ix.clusters[c].window(t1, t2, dst)
 }
 
 // PotentialRides is PotentialSlots in ride IDs (diagnostics, probes and
 // tests; the search works in slots).
 func (ix *Index) PotentialRides(c int, t1, t2 float64, dst []RideID) []RideID {
-	n := len(dst)
-	dst = readWindow(ix, c, t1, t2, dst)
-	for i, slot := range dst[n:] {
-		dst[n+i] = ix.slots[slot].ID
+	var buf [blockCap]int32 // a window past one block's worth spills to the heap
+	for _, slot := range ix.PotentialSlots(c, t1, t2, buf[:0]) {
+		dst = append(dst, ix.slots[slot].ID)
 	}
 	return dst
-}
-
-// readWindow reads cluster c's window [t1, t2] as slots of type T.
-func readWindow[T ~int32 | ~int64](ix *Index, c int, t1, t2 float64, dst []T) []T {
-	if c < 0 || c >= len(ix.clusters) {
-		return dst
-	}
-	if ix.cfg.LinearWindowScan {
-		return scan(&ix.clusters[c], t1, t2, dst)
-	}
-	return window(&ix.clusters[c], t1, t2, dst)
 }
 
 // HasPotentialRide reports whether ride id is in cluster c's potential
@@ -544,9 +538,10 @@ func (ix *Index) CheckInvariants() error {
 //
 //   - the slot table and the by-ID map hold the same rides, each at the
 //     slot it carries, and the free list names exactly the empty slots;
-//   - a cluster list's blocks are non-empty, within the cap, strictly
-//     ascending by (ETA, slot) across the whole list, and count len(),
-//     and every entry names an occupied slot;
+//   - a cluster list's blocks have two columns of one length, are
+//     non-empty, within the cap, strictly ascending by (ETA, slot) across
+//     the whole list, and count len(), and every entry names an occupied
+//     slot;
 //   - a ride's directory is strictly ascending by cluster, has no empty
 //     group and ends at len(support); each group is sorted by (detour,
 //     position) and every entry points at a live (non-crossed)
@@ -571,7 +566,8 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 			damaged[int32(c)] = true
 		}
 		for _, b := range l.blocks {
-			for _, e := range b {
+			for i := range min(len(b.eta), len(b.slot)) { // the pairs a damaged block still has
+				e := b.at(i)
 				r := ix.rideAtChecked(e.Slot)
 				if r == nil {
 					dst = append(dst, Inconsistency{Cluster: c, Detail: fmt.Sprintf("posting entry names slot %d, which is free or out of range", e.Slot)})

@@ -813,25 +813,27 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 		}
 		return false
 	}
-	b := l.blocks[0]
-	b[0], b[1] = b[1], b[0]
+	b := &l.blocks[0]
+	swap := func() { b.eta[0], b.eta[1], b.slot[0], b.slot[1] = b.eta[1], b.eta[0], b.slot[1], b.slot[0] }
+	swap()
 	if !reported("order violated") {
 		t.Error("a block out of (ETA, ride) order must be reported")
 	}
-	b[0], b[1] = b[1], b[0]
+	swap()
 
-	l.blocks = append(l.blocks, nil)
+	l.blocks = append(l.blocks, block{})
 	if !reported("holds 0 entries") {
 		t.Error("an empty block must be reported")
 	}
 	l.blocks = l.blocks[:1]
+	b = &l.blocks[0]
 
-	listed := b[1].ETA
-	b[1].ETA += 30 // still in order, but no longer the key Advance and unregister look up
+	listed := b.eta[1]
+	b.eta[1] += 30 // still in order, but no longer the key Advance and unregister look up
 	if !reported("!= min support ETA") || !reported("the list omits it") {
 		t.Error("a ride listed under another ETA than its earliest support must be reported, both ways")
 	}
-	b[1].ETA = listed
+	b.eta[1] = listed
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatalf("damage undone, still reported: %v", err)
 	}

@@ -9,7 +9,9 @@ import (
 // cluster — the ⟨r, t⟩ tuples of §VI. The ride is named by its slot in
 // the index's slot table (Index.slots), not by its ID: a slot is four
 // bytes, bounded by the live fleet, and what the search's candidate set
-// and ride lookup are indexed by. 16 bytes, no pointer.
+// and ride lookup are indexed by. It is the key adds, removals and the
+// audit compare by; a list stores its tuples as two columns (block), never
+// as a slice of these.
 type listEntry struct {
 	ETA  float64
 	Slot int32
@@ -29,6 +31,45 @@ func (e listEntry) before(o listEntry) bool {
 // prefetch stream of a few-hundred-entry window.
 const blockCap = 512
 
+// block is a run of tuples as two parallel columns: tuple i is (eta[i],
+// slot[i]), 12 bytes and no pointer. The binary searches read the ETA
+// column; a window copies a stretch of the slot column and reads no ETA
+// between its two ends.
+type block struct {
+	eta  []float64
+	slot []int32
+}
+
+func (b *block) len() int { return len(b.eta) }
+
+func (b *block) at(i int) listEntry { return listEntry{ETA: b.eta[i], Slot: b.slot[i]} }
+
+// tailETA is the ETA of b's last tuple.
+func (b *block) tailETA() float64 { return b.eta[len(b.eta)-1] }
+
+// before reports whether tuple i of b sorts before e. It reads the slot
+// column only on an ETA tie.
+func (b *block) before(i int, e listEntry) bool {
+	if eta := b.eta[i]; eta != e.ETA {
+		return eta < e.ETA
+	}
+	return b.slot[i] < e.Slot
+}
+
+// pos returns the position of the first tuple of b that is not before e.
+func (b *block) pos(e listEntry) int {
+	lo, hi := 0, len(b.eta)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.before(mid, e) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // clusterList holds the potential rides of one cluster in one order — by
 // (ETA, slot) — cut into blocks of at most blockCap entries: time-window
 // retrieval is a binary search over the block tails and one inside a
@@ -37,10 +78,11 @@ const blockCap = 512
 // ride knows its slot and the ETA it is listed under (Ride.ListETA),
 // which makes the entry's position a keyed lookup too.
 //
-// No block is empty and the concatenation of the blocks is strictly
-// ascending (structuralDefect verifies both).
+// No block is empty, a block's two columns are equally long and the
+// concatenation of the blocks is strictly ascending (structuralDefect
+// verifies all three).
 type clusterList struct {
-	blocks [][]listEntry
+	blocks []block
 	n      int
 }
 
@@ -53,22 +95,7 @@ func (l *clusterList) blockFor(e listEntry) int {
 	lo, hi := 0, len(l.blocks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if b := l.blocks[mid]; b[len(b)-1].before(e) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// posIn returns the position of the first entry of b that is not before
-// e.
-func posIn(b []listEntry, e listEntry) int {
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b[mid].before(e) {
+		if b := &l.blocks[mid]; b.before(b.len()-1, e) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -88,26 +115,28 @@ func (l *clusterList) add(slot int32, eta float64) {
 		// order: fill the last block, then open a new one. Blocks grow by
 		// append; a pre-sized one would cost blockCap entries for every
 		// cluster a single ride touches.
-		if last := bi - 1; last >= 0 && len(l.blocks[last]) < blockCap {
-			l.blocks[last] = append(l.blocks[last], e)
+		if last := bi - 1; last >= 0 && l.blocks[last].len() < blockCap {
+			b := &l.blocks[last]
+			b.eta, b.slot = append(b.eta, eta), append(b.slot, slot)
 		} else {
-			l.blocks = append(l.blocks, []listEntry{e})
+			l.blocks = append(l.blocks, block{eta: []float64{eta}, slot: []int32{slot}})
 		}
 		return
 	}
-	b := l.blocks[bi]
-	i := posIn(b, e)
-	if len(b) == blockCap {
+	b := &l.blocks[bi]
+	i := b.pos(e)
+	if b.len() == blockCap {
 		// Full: the upper half moves to a new block of its own.
-		upper := slices.Clone(b[blockCap/2:])
-		b = b[:blockCap/2]
+		const half = blockCap / 2
+		upper := block{eta: slices.Clone(b.eta[half:]), slot: slices.Clone(b.slot[half:])}
+		b.eta, b.slot = b.eta[:half], b.slot[:half]
 		l.blocks = slices.Insert(l.blocks, bi+1, upper)
-		l.blocks[bi] = b
-		if i > len(b) {
-			bi, b, i = bi+1, upper, i-len(b)
+		if i > half {
+			bi, i = bi+1, i-half
 		}
+		b = &l.blocks[bi] // Insert may have moved the blocks
 	}
-	l.blocks[bi] = slices.Insert(b, i, e)
+	b.eta, b.slot = slices.Insert(b.eta, i, eta), slices.Insert(b.slot, i, slot)
 }
 
 // find locates the tuple ⟨slot, eta⟩.
@@ -116,9 +145,9 @@ func (l *clusterList) find(slot int32, eta float64) (bi, i int, ok bool) {
 	if bi = l.blockFor(e); bi == len(l.blocks) {
 		return 0, 0, false
 	}
-	b := l.blocks[bi]
-	i = posIn(b, e)
-	return bi, i, b[i] == e // i < len(b): b's tail is not before e
+	b := &l.blocks[bi]
+	i = b.pos(e)
+	return bi, i, b.at(i) == e // i < b.len(): b's tail is not before e
 }
 
 // has reports whether the ride is listed under exactly eta.
@@ -135,8 +164,8 @@ func (l *clusterList) remove(slot int32, eta float64) bool {
 		return false
 	}
 	l.n--
-	if b := l.blocks[bi]; len(b) > 1 {
-		l.blocks[bi] = slices.Delete(b, i, i+1)
+	if b := &l.blocks[bi]; b.len() > 1 {
+		b.eta, b.slot = slices.Delete(b.eta, i, i+1), slices.Delete(b.slot, i, i+1)
 	} else {
 		l.blocks = slices.Delete(l.blocks, bi, bi+1)
 	}
@@ -151,59 +180,70 @@ func (l *clusterList) updateETA(slot int32, was, now float64) {
 }
 
 // window appends to dst the slots listed with an ETA in [t1, t2]
-// (inclusive): a binary search over the block tails, one inside that
-// block, then a run across blocks. The endpoints are range-checked first,
-// so an empty or out-of-window list costs two comparisons. T is int32 for
-// the search, which works in slots, and RideID for PotentialRides, which
-// translates the appended slots in place.
-func window[T ~int32 | ~int64](l *clusterList, t1, t2 float64, dst []T) []T {
+// (inclusive): a binary search over the block tails and one inside that
+// block find where the window starts, then every block's stretch of the
+// slot column is copied in one append — whole, while the block's tail is
+// inside the window; up to the first ETA past t2, found by a second binary
+// search, in the block where the window ends. No ETA between the window's
+// two ends is read. The endpoints are range-checked first, so an empty or
+// out-of-window list costs two comparisons; a NaN bound holds nothing, as
+// in scan.
+func (l *clusterList) window(t1, t2 float64, dst []int32) []int32 {
 	bs := l.blocks
-	if t2 < t1 || len(bs) == 0 || bs[0][0].ETA > t2 {
+	if !(t1 <= t2) || len(bs) == 0 || bs[0].eta[0] > t2 {
 		return dst
 	}
-	if last := bs[len(bs)-1]; last[len(last)-1].ETA < t1 {
+	if bs[len(bs)-1].tailETA() < t1 {
 		return dst
 	}
 	lo, hi := 0, len(bs)-1 // the last block's tail is known to reach t1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if b := bs[mid]; b[len(b)-1].ETA < t1 {
+		if bs[mid].tailETA() < t1 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	a := bs[lo]
-	i, hi := 0, len(a)
+	eta := bs[lo].eta
+	i, hi := 0, len(eta)
 	for i < hi {
 		mid := int(uint(i+hi) >> 1)
-		if a[mid].ETA < t1 {
+		if eta[mid] < t1 {
 			i = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	for {
-		for ; i < len(a); i++ {
-			if a[i].ETA > t2 {
-				return dst
+	for ; lo < len(bs); lo, i = lo+1, 0 {
+		b := &bs[lo]
+		if b.tailETA() <= t2 {
+			dst = append(dst, b.slot[i:]...)
+			continue
+		}
+		eta = b.eta
+		j, hi := i, len(eta)-1 // the tail is known to be past t2
+		for j < hi {
+			mid := int(uint(j+hi) >> 1)
+			if eta[mid] <= t2 {
+				j = mid + 1
+			} else {
+				hi = mid
 			}
-			dst = append(dst, T(a[i].Slot))
 		}
-		if lo++; lo == len(bs) {
-			return dst
-		}
-		a, i = bs[lo], 0
+		return append(dst, b.slot[i:j]...)
 	}
+	return dst
 }
 
 // scan is the ablation variant of window: a full scan that ignores the
 // order. Benchmarks use it to quantify the value of the sorted list.
-func scan[T ~int32 | ~int64](l *clusterList, t1, t2 float64, dst []T) []T {
-	for _, b := range l.blocks {
-		for _, e := range b {
-			if e.ETA >= t1 && e.ETA <= t2 {
-				dst = append(dst, T(e.Slot))
+func (l *clusterList) scan(t1, t2 float64, dst []int32) []int32 {
+	for bi := range l.blocks {
+		b := &l.blocks[bi]
+		for i, eta := range b.eta {
+			if eta >= t1 && eta <= t2 {
+				dst = append(dst, b.slot[i])
 			}
 		}
 	}
@@ -211,17 +251,23 @@ func scan[T ~int32 | ~int64](l *clusterList, t1, t2 float64, dst []T) []T {
 }
 
 // structuralDefect describes the first violation of the block
-// invariants — an empty or oversized block, entries out of (ETA, slot)
-// order, a count that disagrees with len() — with the offending slot (-1
-// when no one entry is at fault), or returns "" for a well-formed list.
+// invariants — columns of different lengths, an empty or oversized block,
+// entries out of (ETA, slot) order, a count that disagrees with len() —
+// with the offending slot (-1 when no one entry is at fault), or returns
+// "" for a well-formed list.
 func (l *clusterList) structuralDefect() (int32, string) {
 	n := 0
 	var prev listEntry
-	for bi, b := range l.blocks {
-		if len(b) == 0 || len(b) > blockCap {
-			return 0, fmt.Sprintf("block %d holds %d entries (want 1..%d)", bi, len(b), blockCap)
+	for bi := range l.blocks {
+		b := &l.blocks[bi]
+		if len(b.eta) != len(b.slot) {
+			return -1, fmt.Sprintf("block %d holds %d ETAs and %d slots", bi, len(b.eta), len(b.slot))
 		}
-		for i, e := range b {
+		if b.len() == 0 || b.len() > blockCap {
+			return -1, fmt.Sprintf("block %d holds %d entries (want 1..%d)", bi, b.len(), blockCap)
+		}
+		for i := range b.eta {
+			e := b.at(i)
 			if n > 0 && !prev.before(e) {
 				return e.Slot, fmt.Sprintf("(ETA, slot) order violated at block %d entry %d", bi, i)
 			}

@@ -1,9 +1,13 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
+
+	"xar/internal/memsize"
 )
 
 // refList is the model the block list is tested against: slot → the ETA
@@ -39,13 +43,17 @@ func checkList(t *testing.T, l *clusterList, ref refList) {
 	n := 0
 	var prev listEntry
 	for bi, b := range l.blocks {
-		if len(b) == 0 {
+		if len(b.eta) != len(b.slot) {
+			t.Fatalf("block %d holds %d ETAs and %d slots", bi, len(b.eta), len(b.slot))
+		}
+		if len(b.eta) == 0 {
 			t.Fatalf("block %d is empty", bi)
 		}
-		if len(b) > blockCap {
-			t.Fatalf("block %d holds %d entries, cap is %d", bi, len(b), blockCap)
+		if len(b.eta) > blockCap {
+			t.Fatalf("block %d holds %d entries, cap is %d", bi, len(b.eta), blockCap)
 		}
-		for i, e := range b {
+		for i, eta := range b.eta {
+			e := listEntry{ETA: eta, Slot: b.slot[i]}
 			if n > 0 && !prev.before(e) {
 				t.Fatalf("block %d entry %d: %v does not follow %v", bi, i, e, prev)
 			}
@@ -97,9 +105,9 @@ func TestBlockListModel(t *testing.T) {
 			ref[nextID] = eta
 			checkList(t, &l, ref)
 		}
-		if len(l.blocks) != 3 || len(l.blocks[0]) != blockCap || len(l.blocks[1]) != blockCap {
+		if len(l.blocks) != 3 || l.blocks[0].len() != blockCap || l.blocks[1].len() != blockCap {
 			t.Fatalf("seed %d: %d time-ordered appends left %d blocks (first two %d, %d entries), want full blocks",
-				seed, nextID, len(l.blocks), len(l.blocks[0]), len(l.blocks[1]))
+				seed, nextID, len(l.blocks), l.blocks[0].len(), l.blocks[1].len())
 		}
 
 		// Random phase over the same ETA range, so ties are everywhere.
@@ -110,8 +118,8 @@ func TestBlockListModel(t *testing.T) {
 			case p < 9: // add
 				id, eta := nextID, float64(rng.Intn(maxETA))
 				nextID++
-				last := l.blocks[len(l.blocks)-1]
-				pastTail := last[len(last)-1].before(listEntry{Slot: id, ETA: eta})
+				last := &l.blocks[len(l.blocks)-1]
+				pastTail := last.at(last.len() - 1).before(listEntry{Slot: id, ETA: eta})
 				nb := len(l.blocks)
 				l.add(id, eta)
 				ref[id] = eta
@@ -158,13 +166,10 @@ func TestBlockListModel(t *testing.T) {
 				t1 := float64(rng.Intn(maxETA)) - 0.5*float64(rng.Intn(2))
 				t2 := t1 + float64(rng.Intn(maxETA/4))
 				want := ref.window(t1, t2)
-				if got := window[int32](&l, t1, t2, nil); !slices.Equal(got, want) {
+				if got := l.window(t1, t2, nil); !slices.Equal(got, want) {
 					t.Fatalf("seed %d op %d: window [%v, %v] = %d rides, model has %d", seed, op, t1, t2, len(got), len(want))
 				}
-				got := scan[int32](&l, t1, t2, nil)
-				slices.Sort(got)
-				slices.Sort(want)
-				if !slices.Equal(got, want) {
+				if got := l.scan(t1, t2, nil); !slices.Equal(got, want) {
 					t.Fatalf("seed %d op %d: linear scan of [%v, %v] disagrees with the model", seed, op, t1, t2)
 				}
 			}
@@ -184,7 +189,7 @@ func TestBlockListModel(t *testing.T) {
 		dropped := 0
 		for len(ref) > 0 {
 			nb := len(l.blocks)
-			e := l.blocks[0][rng.Intn(len(l.blocks[0]))]
+			e := l.blocks[0].at(rng.Intn(l.blocks[0].len()))
 			if !l.remove(e.Slot, e.ETA) {
 				t.Fatalf("seed %d: drain: remove(%v) reported absent", seed, e)
 			}
@@ -205,24 +210,25 @@ func TestBlockListWindowInclusive(t *testing.T) {
 	l.add(1, 10)
 	l.add(2, 20)
 	l.add(3, 30)
-	if got := window[int32](&l, 10, 30, nil); !slices.Equal(got, []int32{1, 2, 3}) {
+	if got := l.window(10, 30, nil); !slices.Equal(got, []int32{1, 2, 3}) {
 		t.Fatalf("inclusive window = %v", got)
 	}
-	if got := window[int32](&l, 10.5, 29.5, nil); !slices.Equal(got, []int32{2}) {
+	if got := l.window(10.5, 29.5, nil); !slices.Equal(got, []int32{2}) {
 		t.Fatalf("inner window = %v", got)
 	}
 	for _, w := range [][2]float64{{31, 40}, {0, 9}, {21, 29}, {30, 10}} {
-		if got := window[int32](&l, w[0], w[1], nil); len(got) != 0 {
+		if got := l.window(w[0], w[1], nil); len(got) != 0 {
 			t.Fatalf("window %v = %v, want empty", w, got)
 		}
 	}
-	if got := window(&l, 20, 20, []RideID{99}); !slices.Equal(got, []RideID{99, 2}) {
+	if got := l.window(20, 20, []int32{99}); !slices.Equal(got, []int32{99, 2}) {
 		t.Fatalf("window must append to dst, got %v", got)
 	}
 }
 
 // TestBlockListSplitKeepsBothHalves inserts into every position of a full
-// block — the two ends and the split point included.
+// block — the two ends and the split point included — and checks that in
+// both halves slot i still pairs with ETA i.
 func TestBlockListSplitKeepsBothHalves(t *testing.T) {
 	for _, at := range []int{0, 1, blockCap/2 - 1, blockCap / 2, blockCap/2 + 1, blockCap - 1} {
 		var l clusterList
@@ -241,6 +247,132 @@ func TestBlockListSplitKeepsBothHalves(t *testing.T) {
 		if len(l.blocks) != 3 {
 			t.Fatalf("insert at %d: %d blocks, want the full one split in two", at, len(l.blocks))
 		}
+		lower, upper := l.blocks[0], l.blocks[1]
+		if lower.len()+upper.len() != blockCap+1 || min(lower.len(), upper.len()) != blockCap/2 {
+			t.Fatalf("insert at %d: halves of %d and %d entries", at, lower.len(), upper.len())
+		}
+		for _, b := range []block{lower, upper} {
+			for i, slot := range b.slot {
+				if want := float64(2 * slot); slot != 5000 && b.eta[i] != want {
+					t.Fatalf("insert at %d: slot %d sits beside ETA %v, it was added with %v", at, slot, b.eta[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestPostingBytesPerEntry: a posting costs 12 bytes — a full block
+// measures as its two column headers plus blockCap × (8 + 4).
+func TestPostingBytesPerEntry(t *testing.T) {
+	var l clusterList
+	for i := 0; i < blockCap; i++ {
+		l.add(int32(i), float64(i))
+	}
+	if len(l.blocks) != 1 || l.blocks[0].len() != blockCap {
+		t.Fatalf("%d time-ordered adds left %d blocks", blockCap, len(l.blocks))
+	}
+	headers := uint64(unsafe.Sizeof(block{}))
+	if got, want := memsize.Of(l.blocks[0]), headers+blockCap*12; got != want || headers != 48 {
+		t.Fatalf("a full block measures %d bytes, want %d (two slice headers, %d, and %d × 12)", got, want, headers, blockCap)
+	}
+}
+
+// TestWindowEqualsScanOnRandomLists: over random lists of zero to four
+// blocks with ties everywhere, window, scan and the model's filter agree
+// — same slots, same (list) order, appended behind a prefix of dst that
+// survives — on random windows and on the ones aimed at each edge of the
+// read: both bounds on one entry's ETA, t2 on a block's tail, a window
+// that ends in the first or in the last block, one that falls between two
+// neighbours, an inverted one, infinite and NaN bounds.
+func TestWindowEqualsScanOnRandomLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	prefix := []int32{-7, -8}
+	cases, hit := 0, map[string]int{}
+	check := func(l *clusterList, ref refList, t1, t2 float64, kind string) {
+		t.Helper()
+		cases++
+		want := ref.window(t1, t2)
+		got, lin := l.window(t1, t2, slices.Clone(prefix)), l.scan(t1, t2, slices.Clone(prefix))
+		for name, out := range map[string][]int32{"window": got, "scan": lin} {
+			if !slices.Equal(out[:len(prefix)], prefix) || !slices.Equal(out[len(prefix):], want) {
+				t.Fatalf("%s window [%v, %v] of a %d-block list: %s appended %d slots, the model holds %d", kind, t1, t2, len(l.blocks), name, len(out)-len(prefix), len(want))
+			}
+		}
+		if len(want) > 0 {
+			hit[kind]++
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		// Time-ordered adds fill blocks to the cap; the removals and
+		// re-adds that follow split some and thin others. Even ETAs leave
+		// room for a window between two neighbours.
+		var l clusterList
+		ref := refList{}
+		n := rng.Intn(4*blockCap - 200)
+		if trial < 3 {
+			n = trial // the empty list and the one- and two-entry ones
+		}
+		perETA := 1 + rng.Intn(4)
+		for i := 0; i < n; i++ {
+			l.add(int32(i), float64(2*(i/perETA)))
+			ref[int32(i)] = float64(2 * (i / perETA))
+		}
+		maxETA := 2 * (n/perETA + 1)
+		for i := rng.Intn(n/4 + 1); i > 0; i-- {
+			id, _ := anyRide(rng, ref, n)
+			now := float64(2 * rng.Intn(maxETA/2))
+			l.updateETA(id, ref[id], now)
+			ref[id] = now
+		}
+		checkList(t, &l, ref)
+		for bi := 0; bi+1 < len(l.blocks); bi++ {
+			if l.blocks[bi].tailETA() == l.blocks[bi+1].eta[0] {
+				hit["tie across a block boundary"]++
+			}
+		}
+
+		inf := math.Inf(1)
+		check(&l, ref, -inf, inf, "all-time")
+		check(&l, ref, -inf, float64(rng.Intn(maxETA)), "open-start")
+		check(&l, ref, float64(rng.Intn(maxETA)), inf, "open-end")
+		check(&l, ref, inf, -inf, "inverted")
+		check(&l, ref, float64(maxETA), 0, "inverted")
+		check(&l, ref, math.NaN(), inf, "NaN")
+		check(&l, ref, 0, math.NaN(), "NaN")
+		for bi := range l.blocks {
+			b := &l.blocks[bi]
+			start := float64(rng.Intn(maxETA))
+			check(&l, ref, min(start, b.tailETA()), b.tailETA(), "t2 on a block's tail")
+			check(&l, ref, b.tailETA(), b.tailETA(), "t2 on a block's tail")
+			e := b.eta[rng.Intn(b.len())]
+			check(&l, ref, e, e, "both bounds on an entry's ETA")
+			check(&l, ref, e+0.5, e+1.5, "between two neighbours")
+			check(&l, ref, min(start, e), e, "t2 on an entry's ETA")
+			switch bi {
+			case 0:
+				check(&l, ref, -inf, e, "ends in the first block")
+			case len(l.blocks) - 1:
+				check(&l, ref, start, e+1, "ends in the last block")
+			}
+		}
+		for i := 0; i < 25; i++ {
+			t1 := float64(rng.Intn(maxETA)) - 0.5*float64(rng.Intn(2))
+			check(&l, ref, t1, t1+float64(rng.Intn(maxETA)), "random")
+		}
+	}
+	if cases < 2000 {
+		t.Fatalf("%d windows checked, want at least 2000", cases)
+	}
+	for _, kind := range []string{"tie across a block boundary", "all-time", "open-start", "open-end", "t2 on a block's tail",
+		"both bounds on an entry's ETA", "t2 on an entry's ETA", "ends in the first block", "ends in the last block", "random"} {
+		if hit[kind] == 0 {
+			t.Errorf("no non-empty case of kind %q", kind)
+		}
+	}
+	for _, kind := range []string{"inverted", "NaN", "between two neighbours"} {
+		if hit[kind] != 0 {
+			t.Errorf("%d windows of kind %q held entries", hit[kind], kind)
+		}
 	}
 }
 
@@ -253,21 +385,38 @@ func TestStructuralDefectCatchesDamage(t *testing.T) {
 		}
 		return &l
 	}
+	columnDefects := map[string]string{ // named with both lengths
+		"truncated slot column": "block 1 holds 512 ETAs and 511 slots",
+		"truncated ETA column":  "block 0 holds 509 ETAs and 512 slots",
+	}
 	for name, damage := range map[string]func(l *clusterList){
-		"empty block":     func(l *clusterList) { l.blocks = append(l.blocks, nil) },
-		"oversized block": func(l *clusterList) { l.blocks[1] = append(l.blocks[1], listEntry{Slot: 1 << 20, ETA: 1e9}); l.n++ },
-		"order in block":  func(l *clusterList) { b := l.blocks[0]; b[3], b[4] = b[4], b[3] },
-		"order across":    func(l *clusterList) { l.blocks[0], l.blocks[1] = l.blocks[1], l.blocks[0] },
-		"duplicate tuple": func(l *clusterList) { l.blocks[0][1] = l.blocks[0][0] },
-		"stale count":     func(l *clusterList) { l.n-- },
+		"empty block": func(l *clusterList) { l.blocks = append(l.blocks, block{}) },
+		"oversized block": func(l *clusterList) {
+			b := &l.blocks[1]
+			b.eta, b.slot = append(b.eta, 1e9), append(b.slot, 1<<20)
+			l.n++
+		},
+		"order in block": func(l *clusterList) { s := l.blocks[0].slot; s[2], s[3] = s[3], s[2] },
+		"order across":   func(l *clusterList) { l.blocks[0], l.blocks[1] = l.blocks[1], l.blocks[0] },
+		"duplicate tuple": func(l *clusterList) {
+			b := &l.blocks[0]
+			b.eta[1], b.slot[1] = b.eta[0], b.slot[0]
+		},
+		"stale count":           func(l *clusterList) { l.n-- },
+		"truncated slot column": func(l *clusterList) { b := &l.blocks[1]; b.slot = b.slot[:len(b.slot)-1] },
+		"truncated ETA column":  func(l *clusterList) { b := &l.blocks[0]; b.eta = b.eta[:len(b.eta)-3] },
 	} {
 		l := build()
 		if _, defect := l.structuralDefect(); defect != "" {
 			t.Fatalf("%s: intact list reported %q", name, defect)
 		}
 		damage(l)
-		if _, defect := l.structuralDefect(); defect == "" {
+		_, defect := l.structuralDefect()
+		if defect == "" {
 			t.Errorf("%s: not detected", name)
+		}
+		if want := columnDefects[name]; want != "" && defect != want {
+			t.Errorf("%s: reported as %q, want %q", name, defect, want)
 		}
 	}
 }

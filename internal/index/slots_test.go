@@ -13,15 +13,12 @@ import (
 	"xar/internal/roadnet"
 )
 
-// TestSupportRecordSize pins the two record layouts the memory figures
-// rest on: a support without its cluster, a posting entry that names its
-// ride by slot.
+// TestSupportRecordSize pins the two record layouts of a ride's support
+// table that the memory figures rest on: a support without its cluster
+// and a directory key. (TestPostingBytesPerEntry pins a posting's.)
 func TestSupportRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(Support{}); got != 24 {
 		t.Errorf("Support is %d bytes, want 24", got)
-	}
-	if got := unsafe.Sizeof(listEntry{}); got != 16 {
-		t.Errorf("posting entry is %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(dirEntry{}); got != 8 {
 		t.Errorf("directory entry is %d bytes, want 8", got)
@@ -49,12 +46,12 @@ func listedSlotsAreOccupied(t *testing.T, ix *Index, when string) {
 	t.Helper()
 	for c := range ix.clusters {
 		for _, b := range ix.clusters[c].blocks {
-			for _, e := range b {
-				if e.Slot < 0 || int(e.Slot) >= len(ix.slots) || ix.slots[e.Slot] == nil {
-					t.Fatalf("%s: cluster %d lists slot %d, which is free or out of range", when, c, e.Slot)
+			for _, slot := range b.slot {
+				if slot < 0 || int(slot) >= len(ix.slots) || ix.slots[slot] == nil {
+					t.Fatalf("%s: cluster %d lists slot %d, which is free or out of range", when, c, slot)
 				}
-				if r := ix.slots[e.Slot]; len(r.Supports(c)) == 0 {
-					t.Fatalf("%s: cluster %d lists slot %d, whose ride %d has no supports there", when, c, e.Slot, r.ID)
+				if r := ix.slots[slot]; len(r.Supports(c)) == 0 {
+					t.Fatalf("%s: cluster %d lists slot %d, whose ride %d has no supports there", when, c, slot, r.ID)
 				}
 			}
 		}
@@ -331,14 +328,17 @@ func TestInconsistenciesCatchSlotAndDirectoryDamage(t *testing.T) {
 		return false
 	}
 	c := int(a.dir[0].Cluster)
-	entry := &ix.clusters[c].blocks[0][0]
+	first := &ix.clusters[c].blocks[0]
+	entry, cols := &first.slot[0], *first
 	dirCopy := slices.Clone(a.dir)
 	for name, damage := range map[string]struct {
 		do, undo func()
 		want     string
 	}{
-		"entry names a free slot":      {func() { entry.Slot = 2 }, func() { entry.Slot = a.slot }, "free or out of range"},
-		"entry names no slot":          {func() { entry.Slot = 99 }, func() { entry.Slot = a.slot }, "free or out of range"},
+		"entry names a free slot":      {func() { *entry = 2 }, func() { *entry = a.slot }, "free or out of range"},
+		"entry names no slot":          {func() { *entry = 99 }, func() { *entry = a.slot }, "free or out of range"},
+		"slot column cut short":        {func() { first.slot = cols.slot[:1] }, func() { *first = cols }, "holds 2 ETAs and 1 slots"},
+		"ETA column cut short":         {func() { first.eta = cols.eta[:1] }, func() { *first = cols }, "holds 1 ETAs and 2 slots"},
 		"ride at another slot":         {func() { ix.slots[0], ix.slots[1] = b, a }, func() { ix.slots[0], ix.slots[1] = a, b }, "is not at slot"},
 		"slot holds an unfiled ride":   {func() { delete(ix.rides, b.ID) }, func() { ix.rides[b.ID] = b }, "the ID map does not file there"},
 		"free list misses a slot":      {func() { ix.free = nil }, func() { ix.free = []int32{2} }, "free list holds 0 slots"},

@@ -157,7 +157,7 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 		{
 			name: "per-match allocation comes back", file: "BENCH_search.json",
 			mutate: func(doc map[string]any) {
-				doc["BenchmarkSearchDense"].(map[string]any)["slots"].(map[string]any)["allocs_per_op"] = 150.0
+				doc["BenchmarkSearchDense"].(map[string]any)["columns"].(map[string]any)["allocs_per_op"] = 150.0
 			},
 			want: "search_dense_allocs_per_op",
 		},
@@ -180,7 +180,7 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 		{
 			name: "per-node allocation comes back", file: "BENCH_routing.json",
 			mutate: func(doc map[string]any) {
-				doc["BenchmarkFig4cBookXAR"].(map[string]any)["slots"].(map[string]any)["allocs_per_op"] = 31.0
+				doc["BenchmarkFig4cBookXAR"].(map[string]any)["columns"].(map[string]any)["allocs_per_op"] = 31.0
 			},
 			want: "book_allocs_per_op",
 		},
