@@ -139,7 +139,7 @@ bench-ch-smoke:
 	$(GO) run ./cmd/xarbench -ch-bench -ch-reps 4 -ch-min-speedup 5 -ch-out bench-ch-smoke.json
 
 # bench-parallel-smoke: one iteration of each concurrent-engine
-# benchmark at every stripe count and GOMAXPROCS step — verifies the
+# benchmark at every GOMAXPROCS step (procsP) — verifies the
 # parallel paths run, not their throughput (use `go test -bench Parallel
 # -benchtime 1s .` for real numbers; BENCH_parallel.json records a
 # measured curve).

@@ -560,22 +560,6 @@ func BenchmarkSearchThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchThroughputStripes is BenchmarkSearchThroughput's serial
-// search loop across index stripe counts — what every stripe adds to a
-// search that must visit them all (the sweep of BENCH_index.json).
-func BenchmarkSearchThroughputStripes(b *testing.B) {
-	w := world(b)
-	for _, stripes := range []int{1, 2, 4, 16} {
-		b.Run(fmt.Sprintf("stripes%d", stripes), func(b *testing.B) {
-			sys, requests := seededConcurrentXAR(b, w, stripes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, _ = sys.Search(benchRequest(w, requests, i), 0)
-			}
-		})
-	}
-}
-
 // BenchmarkSearchDense measures the search whose cost is per-candidate
 // work, which the earliest-fifth split of the benchmarks above never
 // reaches (most of their searches match nothing): one hour of trips,
@@ -660,54 +644,24 @@ func BenchmarkReplayCandidates(b *testing.B) {
 	b.ReportMetric(float64(m.ShortestPaths-m.RidesCreated)/float64(m.Bookings), "paths/book")
 }
 
-// seededConcurrentXAR builds an XAR system over a ride index of the
-// given stripe count, preloaded with the world's offers. Each stripe
-// count's procs1 row already includes its per-stripe visit cost, so it
-// is the honest baseline that count's scaling curve divides by.
-func seededConcurrentXAR(b *testing.B, w *experiments.World, stripes int) (*sim.XARSystem, []workload.Trip) {
-	b.Helper()
-	cfg := core.DefaultConfig()
-	cfg.DefaultDetourLimit = w.Scale.DetourLimit
-	cfg.IndexShards = stripes
-	eng, err := core.NewEngine(w.Disc, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := &sim.XARSystem{Engine: eng}
-	offers, requests := w.SplitOffersRequests()
-	for _, o := range offers {
-		_, _ = sys.Create(sim.Offer{
-			Source: o.Pickup, Dest: o.Dropoff,
-			Departure: o.RequestTime, Seats: 4, DetourLimit: w.Scale.DetourLimit,
+// forProcs runs f as sub-benchmark procsP at GOMAXPROCS ∈ {1, 2, 4, 8}.
+func forProcs(b *testing.B, f func(b *testing.B)) {
+	for _, procs := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("procs%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(b)
 		})
-	}
-	return sys, requests
-}
-
-// forStripesAndProcs runs f as sub-benchmark stripesS/procsP at
-// GOMAXPROCS ∈ {1, 2, 4, 8} for the default single index and for 16
-// stripes — what a write-heavy many-core deployment would set, and the
-// default until the stripe sweep of BENCH_index.json.
-func forStripesAndProcs(b *testing.B, f func(b *testing.B, stripes int)) {
-	for _, stripes := range []int{1, 16} {
-		for _, procs := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("stripes%d/procs%d", stripes, procs), func(b *testing.B) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				f(b, stripes)
-			})
-		}
 	}
 }
 
 // BenchmarkSearchThroughputParallel drives concurrent searches with
-// b.RunParallel against 1 and 16 index stripes at GOMAXPROCS ∈ {1, 2, 4,
-// 8}. On multi-core hardware the searches/s metric should scale
-// near-linearly with procs at either stripe count (searches share read
-// locks); the measured curve is recorded in BENCH_parallel.json.
+// b.RunParallel at GOMAXPROCS ∈ {1, 2, 4, 8}. On multi-core hardware the
+// searches/s metric should scale near-linearly with procs (searches share
+// the read lock); the measured curve is recorded in BENCH_parallel.json.
 func BenchmarkSearchThroughputParallel(b *testing.B) {
 	w := world(b)
-	forStripesAndProcs(b, func(b *testing.B, stripes int) {
-		sys, requests := seededConcurrentXAR(b, w, stripes)
+	forProcs(b, func(b *testing.B) {
+		sys, requests := seededXAR(b, w)
 		var ctr atomic.Int64
 		start := time.Now()
 		b.ResetTimer()
@@ -899,9 +853,8 @@ func runSearchMemsize(b *testing.B, withAccounting bool) {
 // construction, nothing per op), versus full component accounting with
 // the background sweeper duty-cycling as fast as its budget allows
 // ("on"). The sweep takes per-component locks one component at a time —
-// per-shard read locks on the index, ring mutexes on the journal — so
-// the hot path only ever contends briefly with one shard's walk. The
-// acceptance budget is ≤5% (BENCH_memory.json).
+// the read lock on the index, ring mutexes on the journal — which
+// searches share. The acceptance budget is ≤5% (BENCH_memory.json).
 func BenchmarkSearchMemsize(b *testing.B) {
 	b.Run("off", func(b *testing.B) { runSearchMemsize(b, false) })
 	b.Run("on", func(b *testing.B) { runSearchMemsize(b, true) })
@@ -1132,7 +1085,6 @@ func BenchmarkMixedWorkloadJournal(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 		cfg := core.DefaultConfig()
 		cfg.DefaultDetourLimit = w.Scale.DetourLimit
-		cfg.IndexShards = 16
 		cfg.Journal = jr
 		eng, err := core.NewEngine(w.Disc, cfg)
 		if err != nil {
@@ -1195,13 +1147,12 @@ func BenchmarkMixedWorkloadJournal(b *testing.B) {
 // BenchmarkMixedWorkloadParallel is the contention benchmark: concurrent
 // goroutines issue a mixed stream — 1 create per 16 operations, a
 // booking attempt after 1 in 8 successful searches, searches otherwise —
-// so the index write lock(s), the optimistic book-commit path and pooled
-// path-searchers are all exercised together under b.RunParallel, at 1
-// and 16 index stripes.
+// so the index write lock, the optimistic book-commit path and pooled
+// path-searchers are all exercised together under b.RunParallel.
 func BenchmarkMixedWorkloadParallel(b *testing.B) {
 	w := world(b)
-	forStripesAndProcs(b, func(b *testing.B, stripes int) {
-		sys, requests := seededConcurrentXAR(b, w, stripes)
+	forProcs(b, func(b *testing.B) {
+		sys, requests := seededXAR(b, w)
 		offers, _ := w.SplitOffersRequests()
 		var ctr atomic.Int64
 		start := time.Now()

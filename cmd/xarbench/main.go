@@ -17,7 +17,7 @@
 //
 // -parallel N switches to the concurrent-engine throughput mode instead
 // of figure replays: N goroutines drive a mixed create/search/book
-// workload against a 16-shard engine and the run reports QPS plus
+// workload against a default engine and the run reports QPS plus
 // p50/p95/p99 latency per operation from the telemetry histograms (the
 // same series /v1/metrics/prom exposes). Combine with GOMAXPROCS to
 // sweep the scaling curve recorded in BENCH_parallel.json.
@@ -276,11 +276,11 @@ func runAudit(w *experiments.World, eng *core.Engine) {
 		Quality: w.Quality,
 	}})
 	rep := auditor.Audit()
-	log.Printf("audit: checked %d live rides across %d shards + %d journaled timelines in %.1f ms",
-		rep.RidesChecked, rep.Shards, rep.JournalRides, rep.DurationSeconds*1e3)
+	log.Printf("audit: checked %d live rides + %d journaled timelines in %.1f ms",
+		rep.RidesChecked, rep.JournalRides, rep.DurationSeconds*1e3)
 	if !rep.Clean() {
 		for _, v := range rep.Violations {
-			log.Printf("audit: VIOLATION [%s] ride %d shard %d: %s", v.Invariant, v.Ride, v.Shard, v.Detail)
+			log.Printf("audit: VIOLATION [%s] ride %d: %s", v.Invariant, v.Ride, v.Detail)
 		}
 		log.Fatalf("audit: %d invariant violation(s) — failing", len(rep.Violations))
 	}
@@ -311,9 +311,9 @@ func dumpProm(reg *telemetry.Registry, path string) error {
 // runParallel is the standalone form of BenchmarkMixedWorkloadParallel:
 // `workers` goroutines drive a mixed stream — 1 create per 16
 // operations, a booking attempt after 1 in 8 successful searches,
-// searches otherwise — against a default-configuration engine (one index
-// stripe) preloaded with the world's offers. Throughput comes from wall
-// time; latency quantiles come from the xar_op_duration_seconds telemetry
+// searches otherwise — against a default-configuration engine preloaded
+// with the world's offers. Throughput comes from wall time; latency
+// quantiles come from the xar_op_duration_seconds telemetry
 // histograms the engine records into (the same series xarserver exposes
 // at /v1/metrics/prom).
 func runParallel(w *experiments.World, workers, ops int) (*core.Engine, error) {
@@ -331,7 +331,6 @@ func runParallel(w *experiments.World, workers, ops int) (*core.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := eng.Index().NumShards()
 	sys := &sim.XARSystem{Engine: eng}
 	offers, requests := w.SplitOffersRequests()
 	for _, o := range offers {
@@ -340,8 +339,8 @@ func runParallel(w *experiments.World, workers, ops int) (*core.Engine, error) {
 			Departure: o.RequestTime, Seats: 4, DetourLimit: w.Scale.DetourLimit,
 		})
 	}
-	log.Printf("parallel mode: %d goroutines, %d ops, GOMAXPROCS=%d, %d index shards, %d seeded rides",
-		workers, ops, runtime.GOMAXPROCS(0), shards, eng.NumRides())
+	log.Printf("parallel mode: %d goroutines, %d ops, GOMAXPROCS=%d, %d seeded rides",
+		workers, ops, runtime.GOMAXPROCS(0), eng.NumRides())
 
 	var next, searches, matched, creates, bookings atomic.Int64
 	start := time.Now()
@@ -395,7 +394,6 @@ func runParallel(w *experiments.World, workers, ops int) (*core.Engine, error) {
 	res := struct {
 		Workers     int                  `json:"workers"`
 		Gomaxprocs  int                  `json:"gomaxprocs"`
-		IndexShards int                  `json:"index_shards"`
 		Ops         int64                `json:"ops"`
 		WallSeconds float64              `json:"wall_seconds"`
 		QPS         float64              `json:"qps"`
@@ -407,7 +405,6 @@ func runParallel(w *experiments.World, workers, ops int) (*core.Engine, error) {
 	}{
 		Workers:     workers,
 		Gomaxprocs:  runtime.GOMAXPROCS(0),
-		IndexShards: shards,
 		Ops:         next.Load() - int64(workers), // each goroutine overshoots by one
 		WallSeconds: wall.Seconds(),
 		Searches:    searches.Load(),

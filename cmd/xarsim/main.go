@@ -250,11 +250,11 @@ func printProfile(c *profile.Capture) {
 func finalAudit(auditor *audit.Auditor, jr *journal.Journal) {
 	rep := auditor.Audit()
 	st := jr.Stats()
-	log.Printf("audit: checked %d live rides across %d shards + %d journaled timelines (%d events) in %.1f ms",
-		rep.RidesChecked, rep.Shards, rep.JournalRides, st.Events, rep.DurationSeconds*1e3)
+	log.Printf("audit: checked %d live rides + %d journaled timelines (%d events) in %.1f ms",
+		rep.RidesChecked, rep.JournalRides, st.Events, rep.DurationSeconds*1e3)
 	if total := auditor.TotalViolations(); total > 0 {
 		for _, v := range rep.Violations {
-			log.Printf("audit: VIOLATION [%s] ride %d shard %d: %s", v.Invariant, v.Ride, v.Shard, v.Detail)
+			log.Printf("audit: VIOLATION [%s] ride %d: %s", v.Invariant, v.Ride, v.Detail)
 		}
 		log.Fatalf("audit: %d invariant violation(s) across all sweeps — failing", total)
 	}

@@ -16,8 +16,8 @@
 //     monotone, via-points in route order, occupancy never exceeds the
 //     vehicle's seats at any waypoint, seat accounting exact.
 //   - index_consistency: each ride appears in exactly the cluster lists
-//     its schedule implies, across all shards (the search index can only
-//     miss or hallucinate matches if this breaks).
+//     its schedule implies (the search index can only miss or
+//     hallucinate matches if this breaks).
 //   - causality: journal event sequences are well-formed — no lifecycle
 //     event before the ride's created event, no double-terminal.
 //   - funnel_accounting: every candidate a search examined was classified
@@ -25,9 +25,9 @@
 //     classification gap means the match-quality telemetry under-reports
 //     why searches fail.
 //
-// The auditor never takes more than one shard lock at a time (it audits
-// per-shard snapshots captured under single read-lock holds), so it can
-// run at any cadence against a loaded engine.
+// The auditor checks a snapshot captured under a single hold of the
+// index's read lock and holds no lock while it checks, so it can run at
+// any cadence against a loaded engine.
 package audit
 
 import (
@@ -62,7 +62,6 @@ func Invariants() []string {
 type Violation struct {
 	Invariant string `json:"invariant"`
 	Ride      int64  `json:"ride_id,omitempty"`
-	Shard     int    `json:"shard"`
 	Detail    string `json:"detail"`
 	// TraceID cross-links the ride's most recent journaled trace, when
 	// the journal has one — the span tree of the operation that most
@@ -74,7 +73,6 @@ type Violation struct {
 type Report struct {
 	UnixSeconds     float64     `json:"unix"`
 	DurationSeconds float64     `json:"duration_seconds"`
-	Shards          int         `json:"shards"`
 	RidesChecked    int         `json:"rides_checked"`
 	JournalRides    int         `json:"journal_rides_checked"`
 	Violations      []Violation `json:"violations"`
@@ -172,7 +170,7 @@ func New(cfg Config) *Auditor {
 // Interval returns the background sweep cadence.
 func (a *Auditor) Interval() time.Duration { return a.ival }
 
-// Audit runs one synchronous sweep over every shard plus the journal and
+// Audit runs one synchronous sweep over the index plus the journal and
 // returns the report. Violations are counted, logged, cross-linked and
 // folded into the auditor's cumulative state exactly as background
 // sweeps are.
@@ -180,23 +178,20 @@ func (a *Auditor) Audit() Report {
 	start := time.Now()
 	rep := Report{UnixSeconds: float64(start.UnixNano()) / 1e9}
 	if v := a.t.View; v != (index.View{}) {
-		rep.Shards = v.NumShards()
-		for i := 0; i < rep.Shards; i++ {
-			rides, incs := v.AuditShard(i)
-			rep.RidesChecked += len(rides)
-			for _, r := range rides {
-				a.checkRide(r, i, &rep)
+		rides, incs := v.Audit()
+		rep.RidesChecked = len(rides)
+		for _, r := range rides {
+			a.checkRide(r, &rep)
+		}
+		for _, inc := range incs {
+			cl := ""
+			if inc.Cluster >= 0 {
+				cl = fmt.Sprintf("cluster %d: ", inc.Cluster)
 			}
-			for _, inc := range incs {
-				cl := ""
-				if inc.Cluster >= 0 {
-					cl = fmt.Sprintf("cluster %d: ", inc.Cluster)
-				}
-				rep.Violations = append(rep.Violations, Violation{
-					Invariant: InvIndexConsistency, Ride: int64(inc.Ride), Shard: i,
-					Detail: cl + inc.Detail,
-				})
-			}
+			rep.Violations = append(rep.Violations, Violation{
+				Invariant: InvIndexConsistency, Ride: int64(inc.Ride),
+				Detail: cl + inc.Detail,
+			})
 		}
 	}
 	a.checkCausality(&rep)
@@ -228,7 +223,7 @@ func (a *Auditor) checkFunnelAccounting(rep *Report) {
 		}
 		if classified < examined {
 			rep.Violations = append(rep.Violations, Violation{
-				Invariant: InvFunnelAccounting, Shard: -1,
+				Invariant: InvFunnelAccounting,
 				Detail: fmt.Sprintf("funnel classified %d of %d examined candidates (gap %d)",
 					classified, examined, examined-classified),
 			})
@@ -239,10 +234,10 @@ func (a *Auditor) checkFunnelAccounting(rep *Report) {
 
 // checkRide verifies the detour_bound and capacity invariants on one
 // ride clone (no locks held).
-func (a *Auditor) checkRide(r *index.Ride, shard int, rep *Report) {
+func (a *Auditor) checkRide(r *index.Ride, rep *Report) {
 	add := func(inv, detail string) {
 		rep.Violations = append(rep.Violations, Violation{
-			Invariant: inv, Ride: int64(r.ID), Shard: shard, Detail: detail,
+			Invariant: inv, Ride: int64(r.ID), Detail: detail,
 		})
 	}
 
@@ -353,7 +348,7 @@ func (a *Auditor) checkCausality(rep *Report) {
 				terminals++
 				if terminals == 2 {
 					rep.Violations = append(rep.Violations, Violation{
-						Invariant: InvCausality, Ride: ride, Shard: -1, TraceID: ev.TraceID,
+						Invariant: InvCausality, Ride: ride, TraceID: ev.TraceID,
 						Detail: "double-terminal: more than one completed event",
 					})
 				}
@@ -362,7 +357,7 @@ func (a *Auditor) checkCausality(rep *Report) {
 				if !created && !flagged {
 					flagged = true
 					rep.Violations = append(rep.Violations, Violation{
-						Invariant: InvCausality, Ride: ride, Shard: -1, TraceID: ev.TraceID,
+						Invariant: InvCausality, Ride: ride, TraceID: ev.TraceID,
 						Detail: fmt.Sprintf("%s event before created", ev.Type),
 					})
 				}
@@ -387,7 +382,7 @@ func (a *Auditor) finish(rep *Report) {
 			c.Inc()
 		}
 		a.logger.Error("audit: invariant violation",
-			"invariant", vio.Invariant, "ride", vio.Ride, "shard", vio.Shard,
+			"invariant", vio.Invariant, "ride", vio.Ride,
 			"detail", vio.Detail, "trace_id", vio.TraceID)
 		if a.store != nil && vio.TraceID != "" {
 			if id, ok := telemetry.ParseTraceID(vio.TraceID); ok {

@@ -4,7 +4,7 @@ package core
 // engine's state behind its back — the exact failure modes the auditor
 // exists to catch — and assert each seeded fault surfaces as exactly its
 // own `invariant` label. Lives in package core (not audit) because the
-// faults need white-box access to the sharded index under its locks.
+// faults need white-box access to the index under its lock.
 
 import (
 	"log/slog"
@@ -103,10 +103,9 @@ func TestAuditFaultInjection(t *testing.T) {
 	e, jr, a, reg := auditedEngine(t)
 
 	mutate := func(id index.RideID, f func(r *index.Ride)) {
-		sh := e.ix.ShardFor(id)
-		sh.Lock()
-		f(sh.Ix.Ride(id))
-		sh.Unlock()
+		e.ix.Lock()
+		f(e.ix.Ix.Ride(id))
+		e.ix.Unlock()
 	}
 
 	// Baseline: a healthy engine audits clean.
@@ -196,16 +195,15 @@ func TestAuditFaultInjection(t *testing.T) {
 	// Fault 3 — index_consistency: drop ride 3 from one of its cluster
 	// lists behind the engine's back; its schedule still supports the
 	// cluster, so the index and the schedule now disagree.
-	sh := e.ix.ShardFor(3)
-	sh.RLock()
-	clusters := sh.Ix.Ride(3).ReachableClusters()
-	sh.RUnlock()
+	e.ix.RLock()
+	clusters := e.ix.Ix.Ride(3).ReachableClusters()
+	e.ix.RUnlock()
 	if len(clusters) == 0 {
 		t.Fatal("ride 3 supports no clusters; cannot seed index fault")
 	}
-	sh.Lock()
-	dropped := sh.Ix.DropFromClusterList(clusters[0], 3)
-	sh.Unlock()
+	e.ix.Lock()
+	dropped := e.ix.Ix.DropFromClusterList(clusters[0], 3)
+	e.ix.Unlock()
 	if !dropped {
 		t.Fatalf("ride 3 was not listed in cluster %d", clusters[0])
 	}

@@ -36,7 +36,7 @@ const bookMaxAttempts = 4
 //
 // Concurrency: booking and cancelling are optimistic (retryConflicts).
 // The shortest paths run outside any lock against a snapshot of the ride
-// taken under its stripe's read lock; the commit then re-checks, under
+// taken under the index's read lock; the commit then re-checks, under
 // the write lock, that the ride's revision counter is unchanged before
 // applying the new route. A concurrent booking/cancel/advance on the
 // same ride bumps the revision and forces a retry (counted in
@@ -61,10 +61,9 @@ func (e *Engine) BookCtx(ctx context.Context, m Match, req Request) (bk Booking,
 	// Reject unknown rides before anything else (kept first so the error
 	// does not depend on where the match's clusters lie). The existence
 	// check is racy by design — tryBook re-validates under the lock.
-	sh := e.ix.ShardFor(m.Ride)
-	sh.RLock()
-	known := sh.Ix.Ride(m.Ride) != nil
-	sh.RUnlock()
+	e.ix.RLock()
+	known := e.ix.Ix.Ride(m.Ride) != nil
+	e.ix.RUnlock()
 	if !known {
 		e.m.bookingsFailed.Add(1)
 		return Booking{}, ErrUnknownRide
@@ -146,15 +145,14 @@ func (e *Engine) retryConflicts(ctx context.Context, span *telemetry.Span, attem
 	}
 }
 
-// snapshot is the first phase of an optimistic write: under the ride's
-// stripe's read lock it runs check against the ride and, if that passes,
-// copies what the unlocked phase computes against — the route, the
+// snapshot is the first phase of an optimistic write: under the index's
+// read lock it runs check against the ride and, if that passes, copies
+// what the unlocked phase computes against — the route, the
 // schedule and the scalars a commit derives the ride's next state from.
 func (e *Engine) snapshot(id index.RideID, check func(*index.Ride) error) (index.Ride, error) {
-	sh := e.ix.ShardFor(id)
-	sh.RLock()
-	defer sh.RUnlock()
-	r := sh.Ix.Ride(id)
+	e.ix.RLock()
+	defer e.ix.RUnlock()
+	r := e.ix.Ix.Ride(id)
 	if r == nil {
 		return index.Ride{}, ErrUnknownRide
 	}
@@ -182,10 +180,9 @@ func (e *Engine) commit(next *index.Ride) (conflict bool, err error) {
 	for i := range next.Via {
 		next.Via[i].ETA = next.RouteETA[next.Via[i].RouteIdx]
 	}
-	sh := e.ix.ShardFor(next.ID)
-	sh.Lock()
-	defer sh.Unlock()
-	r := sh.Ix.Ride(next.ID)
+	e.ix.Lock()
+	defer e.ix.Unlock()
+	r := e.ix.Ix.Ride(next.ID)
 	if r == nil {
 		return false, ErrUnknownRide
 	}
@@ -194,7 +191,7 @@ func (e *Engine) commit(next *index.Ride) (conflict bool, err error) {
 	}
 	r.Route, r.RouteETA, r.Via = next.Route, next.RouteETA, next.Via
 	r.SeatsAvail, r.DetourLimit, r.Progress = next.SeatsAvail, max(next.DetourLimit, 0), next.Progress
-	return false, sh.Ix.Reregister(r)
+	return false, e.ix.Ix.Reregister(r)
 }
 
 // tryBook runs one optimistic attempt at the booking bk describes (ride,

@@ -2,9 +2,9 @@ package core
 
 import "xar/internal/discretize"
 
-// candidate is one ride of a shard's candidate set, named by its slot in
-// that shard's index: the least-walk source cluster whose window produced
-// it and, once the destination side has produced it too, the least-walk
+// candidate is one ride of a search's candidate set, named by its slot in
+// the index: the least-walk source cluster whose window produced it and,
+// once the destination side has produced it too, the least-walk
 // destination cluster (dst.Cluster is -1 until then).
 type candidate struct {
 	slot     int32
@@ -13,10 +13,9 @@ type candidate struct {
 
 // candSet is the R1/R2 working set of the two-sided search: candidates
 // in insertion order, found by slot through an array of stamps as long as
-// the shard's slot table. A stamp is live only while its epoch equals the
-// set's, so reset is O(1) — no clearing between the shards a search
-// visits — and the set allocates only when a slot table has outgrown
-// every one it served before.
+// the index's slot table. A stamp is live only while its epoch equals the
+// set's, so reset is O(1) — no clearing between the searches a pooled set
+// serves — and the set allocates only when the slot table has outgrown it.
 type candSet struct {
 	cands  []candidate
 	stamps []candStamp

@@ -37,7 +37,7 @@ func checkCandSet(t *testing.T, s *candSet, n int, oracle map[int32]sideCandidat
 // TestCandSetGrowKeepsEveryCandidate runs searches' worth of adds —
 // duplicates included, which keep the first source side — against a map
 // oracle, over slot tables that grow between one reset and the next (and
-// shrink back: a search visits stripes of different sizes with one set).
+// shrink back, which one index's slot table never does).
 // The stamps only ever grow at a reset, when the set is empty, so there is
 // no rehash for a candidate to survive: what has to hold is that every
 // candidate of the round is found, nothing of an earlier round is, and a

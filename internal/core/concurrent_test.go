@@ -3,7 +3,6 @@ package core
 import (
 	"log/slog"
 	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,9 +16,8 @@ import (
 	"xar/internal/telemetry"
 )
 
-// concurrentEngine builds an engine for the stress tests with an
-// explicit stripe count.
-func concurrentEngine(t testing.TB, shards int) *Engine {
+// concurrentEngine builds an engine for the stress tests.
+func concurrentEngine(t testing.TB) *Engine {
 	t.Helper()
 	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
 	if err != nil {
@@ -30,7 +28,6 @@ func concurrentEngine(t testing.TB, shards int) *Engine {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.IndexShards = shards
 	// Tracing on under -race: the span lifecycle (spans ending on every
 	// op goroutine, ring-buffer inserts, sealing) is exactly the
 	// synchronization the stress test should exercise.
@@ -39,7 +36,7 @@ func concurrentEngine(t testing.TB, shards int) *Engine {
 		SlowThreshold: time.Millisecond,
 	})
 	// Journal on for the same reason: every op goroutine appends into the
-	// striped event rings while others read timelines.
+	// event rings while others read timelines.
 	cfg.Journal = journal.New(journal.Config{})
 	e, err := NewEngine(d, cfg)
 	if err != nil {
@@ -53,174 +50,164 @@ func concurrentEngine(t testing.TB, shards int) *Engine {
 // Create/Search/Book/Cancel/Track/Complete while the test asserts the
 // engine's invariants hold — seats never negative, bookings only land
 // on live rides, cross-structure index invariants intact, and the
-// metrics counters mutually consistent. Run it with -race: the sharded
+// metrics counters mutually consistent. Run it with -race: the locked
 // index, pooled searchers and optimistic booking protocol are exactly
 // the code paths whose synchronization it exercises.
 func TestConcurrentMixedWorkload(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{
-		{"defaultShards", 0},
-		{"fourShards", 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := concurrentEngine(t, tc.shards)
-			src, dst := farPoints(t, e)
+	e := concurrentEngine(t)
+	src, dst := farPoints(t, e)
 
-			const goroutines = 8
-			iters := 120
-			if testing.Short() {
-				iters = 30
-			}
+	const goroutines = 8
+	iters := 120
+	if testing.Short() {
+		iters = 30
+	}
 
-			// Shared live-ride pool the goroutines sample from.
-			var poolMu sync.Mutex
-			var pool []index.RideID
-			pickRide := func(rng *rand.Rand) (index.RideID, bool) {
-				poolMu.Lock()
-				defer poolMu.Unlock()
-				if len(pool) == 0 {
-					return 0, false
-				}
-				return pool[rng.Intn(len(pool))], true
-			}
+	// Shared live-ride pool the goroutines sample from.
+	var poolMu sync.Mutex
+	var pool []index.RideID
+	pickRide := func(rng *rand.Rand) (index.RideID, bool) {
+		poolMu.Lock()
+		defer poolMu.Unlock()
+		if len(pool) == 0 {
+			return 0, false
+		}
+		return pool[rng.Intn(len(pool))], true
+	}
 
-			var violations atomic.Int32
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					var myBookings []Booking
-					for i := 0; i < iters; i++ {
-						switch op := rng.Intn(10); {
-						case op < 2: // create
-							id, err := e.CreateRide(RideOffer{
-								Source: src, Dest: dst,
-								Departure:   float64(rng.Intn(2000)),
-								DetourLimit: 2000 + float64(rng.Intn(2000)),
-								Seats:       2 + rng.Intn(3),
-							})
-							if err == nil {
-								poolMu.Lock()
-								pool = append(pool, id)
-								poolMu.Unlock()
-							}
-						case op < 6: // search (+ book a found match)
-							id, ok := pickRide(rng)
-							if !ok {
-								continue
-							}
-							r := e.Ride(id)
-							if r == nil {
-								continue
-							}
-							req := requestAlong(e, r, 0.1+rng.Float64()*0.3, 0.6+rng.Float64()*0.3, 3600, 900)
-							ms, err := e.Search(req)
-							if err != nil || len(ms) == 0 {
-								continue
-							}
-							m := ms[rng.Intn(len(ms))]
-							bk, err := e.Book(m, req)
-							switch err {
-							case nil:
-								myBookings = append(myBookings, bk)
-							case ErrUnknownRide, ErrRideFull, ErrNoLongerFeasible, ErrDetourExceeded, ErrUnreachable:
-								// expected under concurrent mutation
-							default:
-								t.Errorf("unexpected booking error: %v", err)
-								violations.Add(1)
-							}
-						case op < 7: // cancel one of my bookings
-							if len(myBookings) == 0 {
-								continue
-							}
-							bk := myBookings[len(myBookings)-1]
-							myBookings = myBookings[:len(myBookings)-1]
-							_ = e.CancelBooking(bk.Ride, bk.PickupNode, bk.DropoffNode)
-						case op < 9: // track by wall clock
-							if id, ok := pickRide(rng); ok {
-								_, _ = e.Track(id, float64(rng.Intn(4000)))
-							}
-						default: // complete (rarely: keep the pool populated)
-							if rng.Intn(4) == 0 {
-								if id, ok := pickRide(rng); ok {
-									e.CompleteRide(id)
-								}
-							}
-						}
-						// Seats must never go negative on any observable
-						// snapshot.
+	var violations atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var myBookings []Booking
+			for i := 0; i < iters; i++ {
+				switch op := rng.Intn(10); {
+				case op < 2: // create
+					id, err := e.CreateRide(RideOffer{
+						Source: src, Dest: dst,
+						Departure:   float64(rng.Intn(2000)),
+						DetourLimit: 2000 + float64(rng.Intn(2000)),
+						Seats:       2 + rng.Intn(3),
+					})
+					if err == nil {
+						poolMu.Lock()
+						pool = append(pool, id)
+						poolMu.Unlock()
+					}
+				case op < 6: // search (+ book a found match)
+					id, ok := pickRide(rng)
+					if !ok {
+						continue
+					}
+					r := e.Ride(id)
+					if r == nil {
+						continue
+					}
+					req := requestAlong(e, r, 0.1+rng.Float64()*0.3, 0.6+rng.Float64()*0.3, 3600, 900)
+					ms, err := e.Search(req)
+					if err != nil || len(ms) == 0 {
+						continue
+					}
+					m := ms[rng.Intn(len(ms))]
+					bk, err := e.Book(m, req)
+					switch err {
+					case nil:
+						myBookings = append(myBookings, bk)
+					case ErrUnknownRide, ErrRideFull, ErrNoLongerFeasible, ErrDetourExceeded, ErrUnreachable:
+						// expected under concurrent mutation
+					default:
+						t.Errorf("unexpected booking error: %v", err)
+						violations.Add(1)
+					}
+				case op < 7: // cancel one of my bookings
+					if len(myBookings) == 0 {
+						continue
+					}
+					bk := myBookings[len(myBookings)-1]
+					myBookings = myBookings[:len(myBookings)-1]
+					_ = e.CancelBooking(bk.Ride, bk.PickupNode, bk.DropoffNode)
+				case op < 9: // track by wall clock
+					if id, ok := pickRide(rng); ok {
+						_, _ = e.Track(id, float64(rng.Intn(4000)))
+					}
+				default: // complete (rarely: keep the pool populated)
+					if rng.Intn(4) == 0 {
 						if id, ok := pickRide(rng); ok {
-							if r := e.Ride(id); r != nil && (r.SeatsAvail < 0 || r.SeatsAvail > r.SeatsTotal-1) {
-								t.Errorf("ride %d seats out of range: %d/%d", r.ID, r.SeatsAvail, r.SeatsTotal)
-								violations.Add(1)
-							}
+							e.CompleteRide(id)
 						}
 					}
-				}(int64(1000 + g))
-			}
-			wg.Wait()
-
-			if violations.Load() > 0 {
-				t.Fatalf("%d invariant violations during the run", violations.Load())
-			}
-			if err := e.Index().CheckInvariants(); err != nil {
-				t.Fatalf("index invariants after stress: %v", err)
-			}
-			m := e.Metrics()
-			if int(m.RidesCreated)-int(m.RidesCompleted) != e.NumRides() {
-				t.Fatalf("created %d − completed %d ≠ live %d",
-					m.RidesCreated, m.RidesCompleted, e.NumRides())
-			}
-			// Every booked ride at the end must still be live or have been
-			// completed; no seat count may be negative.
-			e.Index().Rides(func(r *index.Ride) bool {
-				if r.SeatsAvail < 0 {
-					t.Errorf("ride %d has negative seats", r.ID)
 				}
-				return true
-			})
-			// Booking on a completed (removed) ride must fail cleanly.
-			if id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 0, DetourLimit: 1500}); err == nil {
-				e.CompleteRide(id)
-				if _, err := e.Book(Match{Ride: id}, Request{Source: src, Dest: dst, LatestDeparture: 100, WalkLimit: 500}); err != ErrUnknownRide {
-					t.Fatalf("booking a completed ride: err = %v, want ErrUnknownRide", err)
-				}
-			}
-			// Every journaled timeline must come back strictly
-			// seq-ascending after the concurrent run, and a full audit
-			// sweep — schedules, index, journal causality — must be
-			// silent on the quiesced engine.
-			checked := 0
-			e.Journal().PerRide(func(ride int64, evs []journal.Event, _ bool) bool {
-				checked++
-				for i := 1; i < len(evs); i++ {
-					if evs[i-1].Seq >= evs[i].Seq {
-						t.Errorf("ride %d timeline not seq-ascending at %d", ride, i)
-						return false
+				// Seats must never go negative on any observable
+				// snapshot.
+				if id, ok := pickRide(rng); ok {
+					if r := e.Ride(id); r != nil && (r.SeatsAvail < 0 || r.SeatsAvail > r.SeatsTotal-1) {
+						t.Errorf("ride %d seats out of range: %d/%d", r.ID, r.SeatsAvail, r.SeatsTotal)
+						violations.Add(1)
 					}
 				}
-				return true
-			})
-			if checked == 0 {
-				t.Fatal("stress run journaled no rides")
 			}
-			auditor := audit.New(audit.Config{
-				Target: audit.Target{
-					View:    e.Index(),
-					Graph:   e.disc.City().Graph,
-					Epsilon: e.disc.Epsilon(),
-					Journal: e.Journal(),
-				},
-				Logger: slog.New(slog.NewTextHandler(discardWriter{}, nil)),
-			})
-			if rep := auditor.Audit(); !rep.Clean() {
-				t.Fatalf("audit after stress: %+v", rep.Violations)
+		}(int64(1000 + g))
+	}
+	wg.Wait()
+
+	if violations.Load() > 0 {
+		t.Fatalf("%d invariant violations during the run", violations.Load())
+	}
+	if err := e.Index().CheckInvariants(); err != nil {
+		t.Fatalf("index invariants after stress: %v", err)
+	}
+	m := e.Metrics()
+	if int(m.RidesCreated)-int(m.RidesCompleted) != e.NumRides() {
+		t.Fatalf("created %d − completed %d ≠ live %d",
+			m.RidesCreated, m.RidesCompleted, e.NumRides())
+	}
+	// Every booked ride at the end must still be live or have been
+	// completed; no seat count may be negative.
+	e.Index().Rides(func(r *index.Ride) bool {
+		if r.SeatsAvail < 0 {
+			t.Errorf("ride %d has negative seats", r.ID)
+		}
+		return true
+	})
+	// Booking on a completed (removed) ride must fail cleanly.
+	if id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 0, DetourLimit: 1500}); err == nil {
+		e.CompleteRide(id)
+		if _, err := e.Book(Match{Ride: id}, Request{Source: src, Dest: dst, LatestDeparture: 100, WalkLimit: 500}); err != ErrUnknownRide {
+			t.Fatalf("booking a completed ride: err = %v, want ErrUnknownRide", err)
+		}
+	}
+	// Every journaled timeline must come back strictly
+	// seq-ascending after the concurrent run, and a full audit
+	// sweep — schedules, index, journal causality — must be
+	// silent on the quiesced engine.
+	checked := 0
+	e.Journal().PerRide(func(ride int64, evs []journal.Event, _ bool) bool {
+		checked++
+		for i := 1; i < len(evs); i++ {
+			if evs[i-1].Seq >= evs[i].Seq {
+				t.Errorf("ride %d timeline not seq-ascending at %d", ride, i)
+				return false
 			}
-		})
+		}
+		return true
+	})
+	if checked == 0 {
+		t.Fatal("stress run journaled no rides")
+	}
+	auditor := audit.New(audit.Config{
+		Target: audit.Target{
+			View:    e.Index(),
+			Graph:   e.disc.City().Graph,
+			Epsilon: e.disc.Epsilon(),
+			Journal: e.Journal(),
+		},
+		Logger: slog.New(slog.NewTextHandler(discardWriter{}, nil)),
+	})
+	if rep := auditor.Audit(); !rep.Clean() {
+		t.Fatalf("audit after stress: %+v", rep.Violations)
 	}
 }
 
@@ -238,220 +225,126 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 // whose searches look in that later window, where the candidate they
 // fetch by slot is whichever ride holds it then.
 func TestConcurrentFillSearchCancel(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		e := concurrentEngine(t, shards)
-		src, dst := farPoints(t, e)
-		var reqs []Request
-		for i := 0; i < 6; i++ {
-			id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: float64(1000 + 100*i), Seats: 2, DetourLimit: 3000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			reqs = append(reqs, requestAlong(e, e.Ride(id), 0.3, 0.7, 3600, 900))
-		}
-		iters := 150
-		if testing.Short() {
-			iters = 40
-		}
-
-		// Unbuffered: a booker waits for the canceller to take its booking,
-		// so fills and cancellations alternate even on one processor.
-		taken := make(chan Booking)
-		var filled, staleFull, sawChurn atomic.Int32
-		var bookers, searchers sync.WaitGroup
-		const churnDeparture = 40000 // outside every booker's window
-		churnReq := reqs[0]
-		churnReq.EarliestDeparture, churnReq.LatestDeparture = churnDeparture-3600, churnDeparture+3600
-		const nBookers = 3
-		attempt := func(w, i int) {
-			req := reqs[(w+i)%len(reqs)]
-			ms, err := e.Search(req)
-			if err != nil {
-				t.Errorf("search: %v", err)
-				return
-			}
-			if len(ms) == 0 {
-				return
-			}
-			switch bk, err := e.Book(ms[(w+i)%len(ms)], req); err {
-			case nil:
-				filled.Add(1)
-				taken <- bk
-			case ErrRideFull:
-				staleFull.Add(1) // the seat went between the search and the booking
-			case ErrNoLongerFeasible, ErrDetourExceeded:
-			default:
-				t.Errorf("unexpected booking error: %v", err)
-			}
-		}
-		for w := 0; w < nBookers; w++ {
-			bookers.Add(1)
-			go func(w int) {
-				defer bookers.Done()
-				for i := 0; i < iters; i++ {
-					churn, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: churnDeparture, Seats: 2, DetourLimit: 3000})
-					if err != nil {
-						t.Errorf("churn create: %v", err)
-						return
-					}
-					attempt(w, i)
-					if !e.CompleteRide(churn) {
-						t.Errorf("churn ride %d was not there to complete", churn)
-						return
-					}
-				}
-			}(w)
-		}
-		cancelled := make(chan struct{})
-		go func() {
-			defer close(cancelled)
-			for bk := range taken {
-				if err := e.CancelBooking(bk.Ride, bk.PickupNode, bk.DropoffNode); err != nil {
-					t.Errorf("cancel on ride %d: %v", bk.Ride, err)
-				}
-			}
-		}()
-		stop := make(chan struct{})
-		for w := 0; w < 3; w++ {
-			searchers.Add(1)
-			go func(w int) {
-				defer searchers.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					req := reqs[(w+i)%len(reqs)]
-					if i%2 == 1 {
-						req = churnReq
-					}
-					ms, err := e.Search(req)
-					if err != nil {
-						t.Errorf("search: %v", err)
-						return
-					}
-					if i%2 == 1 {
-						sawChurn.Add(int32(len(ms)))
-					}
-				}
-			}(w)
-		}
-		bookers.Wait()
-		close(taken)
-		<-cancelled
-		close(stop)
-		searchers.Wait()
-
-		t.Logf("%d stripes: %d bookings filled a ride and were cancelled, %d stale matches met a full ride", e.Index().NumShards(), filled.Load(), staleFull.Load())
-		if filled.Load() < int32(len(reqs)) {
-			t.Fatalf("%d bookings filled a ride: the race never ran", filled.Load())
-		}
-		slots := 0
-		for i := 0; i < e.ix.NumShards(); i++ {
-			slots += e.ix.Shard(i).Ix.NumSlots()
-		}
-		t.Logf("%d rides came and went through %d slots, searches in their window matched them %d times", nBookers*iters, slots-len(reqs), sawChurn.Load())
-		if most := len(reqs) + nBookers*e.ix.NumShards(); slots > most {
-			t.Fatalf("%d rides that came and went left %d slots for %d resident rides on %d stripes, want at most %d: a released slot must be the next one taken", nBookers*iters, slots, len(reqs), e.ix.NumShards(), most)
-		}
-		if err := e.Index().CheckInvariants(); err != nil {
-			t.Fatalf("index invariants after the race: %v", err)
-		}
-		if got := e.Index().Stats().FullRides; got != 0 {
-			t.Fatalf("every seat was handed back, index reports %d full rides", got)
-		}
-		if ms, err := e.Search(reqs[0]); err != nil || len(ms) != len(reqs) {
-			t.Fatalf("a search along the corridor matches %d rides (err %v), want all %d back in the lists", len(ms), err, len(reqs))
-		}
-	}
-}
-
-// TestShardingDeterministicReplay replays one serial workload against an
-// unsharded (1-stripe) and a 16-stripe engine over the same
-// discretization and asserts identical observable behaviour: the same
-// ride IDs, the same search results and the same booking
-// accepted/rejected outcomes. Sharding is a pure partition of the index
-// by ride ID — it must not change any single-threaded result.
-func TestShardingDeterministicReplay(t *testing.T) {
-	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := discretize.Build(city, discretize.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	newEng := func(shards int) *Engine {
-		cfg := DefaultConfig()
-		cfg.IndexShards = shards
-		e, err := NewEngine(d, cfg)
+	e := concurrentEngine(t)
+	src, dst := farPoints(t, e)
+	var reqs []Request
+	for i := 0; i < 6; i++ {
+		id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: float64(1000 + 100*i), Seats: 2, DetourLimit: 3000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
+		reqs = append(reqs, requestAlong(e, e.Ride(id), 0.3, 0.7, 3600, 900))
 	}
-	e1, e16 := newEng(1), newEng(16)
-
-	g := city.Graph
-	rng := rand.New(rand.NewSource(7))
-	var ids []index.RideID
-	for i := 0; i < 24; i++ {
-		o := RideOffer{
-			Source:      g.Point(roadnet.NodeID(rng.Intn(g.NumNodes()))),
-			Dest:        g.Point(roadnet.NodeID(rng.Intn(g.NumNodes()))),
-			Departure:   float64(rng.Intn(2000)),
-			DetourLimit: 1500 + float64(rng.Intn(2000)),
-		}
-		id1, err1 := e1.CreateRide(o)
-		id16, err16 := e16.CreateRide(o)
-		if (err1 == nil) != (err16 == nil) || id1 != id16 {
-			t.Fatalf("create diverged: (%v,%v) vs (%v,%v)", id1, err1, id16, err16)
-		}
-		if err1 == nil {
-			ids = append(ids, id1)
-		}
-	}
-	if len(ids) == 0 {
-		t.Fatal("no rides created")
+	iters := 150
+	if testing.Short() {
+		iters = 40
 	}
 
-	accepted1, accepted16 := 0, 0
-	for i := 0; i < 80; i++ {
-		id := ids[rng.Intn(len(ids))]
-		r := e1.Ride(id)
-		if r == nil {
-			continue
+	// Unbuffered: a booker waits for the canceller to take its booking,
+	// so fills and cancellations alternate even on one processor.
+	taken := make(chan Booking)
+	var filled, staleFull, sawChurn atomic.Int32
+	var bookers, searchers sync.WaitGroup
+	const churnDeparture = 40000 // outside every booker's window
+	churnReq := reqs[0]
+	churnReq.EarliestDeparture, churnReq.LatestDeparture = churnDeparture-3600, churnDeparture+3600
+	const nBookers = 3
+	attempt := func(w, i int) {
+		req := reqs[(w+i)%len(reqs)]
+		ms, err := e.Search(req)
+		if err != nil {
+			t.Errorf("search: %v", err)
+			return
 		}
-		req := requestAlong(e1, r, 0.1+rng.Float64()*0.4, 0.55+rng.Float64()*0.4, 3600, 900)
-		ms1, err1 := e1.Search(req)
-		ms16, err16 := e16.Search(req)
-		if (err1 == nil) != (err16 == nil) || !reflect.DeepEqual(ms1, ms16) {
-			t.Fatalf("search %d diverged: %d matches (%v) vs %d matches (%v)", i, len(ms1), err1, len(ms16), err16)
+		if len(ms) == 0 {
+			return
 		}
-		if err1 != nil || len(ms1) == 0 {
-			continue
+		switch bk, err := e.Book(ms[(w+i)%len(ms)], req); err {
+		case nil:
+			filled.Add(1)
+			taken <- bk
+		case ErrRideFull:
+			staleFull.Add(1) // the seat went between the search and the booking
+		case ErrNoLongerFeasible, ErrDetourExceeded:
+		default:
+			t.Errorf("unexpected booking error: %v", err)
 		}
-		bk1, berr1 := e1.Book(ms1[0], req)
-		bk16, berr16 := e16.Book(ms16[0], req)
-		if (berr1 == nil) != (berr16 == nil) {
-			t.Fatalf("booking %d diverged: %v vs %v", i, berr1, berr16)
-		}
-		if berr1 == nil {
-			accepted1++
-			accepted16++
-			if bk1.Ride != bk16.Ride || bk1.DetourActual != bk16.DetourActual {
-				t.Fatalf("booking %d results differ: %+v vs %+v", i, bk1, bk16)
+	}
+	for w := 0; w < nBookers; w++ {
+		bookers.Add(1)
+		go func(w int) {
+			defer bookers.Done()
+			for i := 0; i < iters; i++ {
+				churn, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: churnDeparture, Seats: 2, DetourLimit: 3000})
+				if err != nil {
+					t.Errorf("churn create: %v", err)
+					return
+				}
+				attempt(w, i)
+				if !e.CompleteRide(churn) {
+					t.Errorf("churn ride %d was not there to complete", churn)
+					return
+				}
+			}
+		}(w)
+	}
+	cancelled := make(chan struct{})
+	go func() {
+		defer close(cancelled)
+		for bk := range taken {
+			if err := e.CancelBooking(bk.Ride, bk.PickupNode, bk.DropoffNode); err != nil {
+				t.Errorf("cancel on ride %d: %v", bk.Ride, err)
 			}
 		}
+	}()
+	stop := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		searchers.Add(1)
+		go func(w int) {
+			defer searchers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				req := reqs[(w+i)%len(reqs)]
+				if i%2 == 1 {
+					req = churnReq
+				}
+				ms, err := e.Search(req)
+				if err != nil {
+					t.Errorf("search: %v", err)
+					return
+				}
+				if i%2 == 1 {
+					sawChurn.Add(int32(len(ms)))
+				}
+			}
+		}(w)
 	}
-	if accepted1 == 0 {
-		t.Skip("no bookings landed; layout-dependent")
+	bookers.Wait()
+	close(taken)
+	<-cancelled
+	close(stop)
+	searchers.Wait()
+
+	t.Logf("%d bookings filled a ride and were cancelled, %d stale matches met a full ride", filled.Load(), staleFull.Load())
+	if filled.Load() < int32(len(reqs)) {
+		t.Fatalf("%d bookings filled a ride: the race never ran", filled.Load())
 	}
-	if e1.NumRides() != e16.NumRides() {
-		t.Fatalf("ride counts diverged: %d vs %d", e1.NumRides(), e16.NumRides())
+	slots := e.ix.Ix.NumSlots()
+	t.Logf("%d rides came and went through %d slots, searches in their window matched them %d times", nBookers*iters, slots-len(reqs), sawChurn.Load())
+	if most := len(reqs) + nBookers; slots > most {
+		t.Fatalf("%d rides that came and went left %d slots for %d resident rides, want at most %d: a released slot must be the next one taken", nBookers*iters, slots, len(reqs), most)
 	}
-	if err := e16.Index().CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if err := e.Index().CheckInvariants(); err != nil {
+		t.Fatalf("index invariants after the race: %v", err)
+	}
+	if got := e.Index().Stats().FullRides; got != 0 {
+		t.Fatalf("every seat was handed back, index reports %d full rides", got)
+	}
+	if ms, err := e.Search(reqs[0]); err != nil || len(ms) != len(reqs) {
+		t.Fatalf("a search along the corridor matches %d rides (err %v), want all %d back in the lists", len(ms), err, len(reqs))
 	}
 }

@@ -54,10 +54,9 @@ func TestOptimisticConflicts(t *testing.T) {
 	// Re-registering is what every commit ends with: it bumps the revision
 	// and leaves the ride's state alone, so it can go on for ever.
 	touchAlways := func() {
-		sh := e.ix.ShardFor(id)
-		sh.Lock()
-		defer sh.Unlock()
-		if err := sh.Ix.Reregister(sh.Ix.Ride(id)); err != nil {
+		e.ix.Lock()
+		defer e.ix.Unlock()
+		if err := e.ix.Ix.Reregister(e.ix.Ix.Ride(id)); err != nil {
 			t.Error(err)
 		}
 	}

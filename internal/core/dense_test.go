@@ -160,82 +160,79 @@ func referenceSearch(t testing.TB, e *Engine, req Request, regFrom map[index.Rid
 	if err != nil {
 		return nil, 0
 	}
-	for i := 0; i < e.ix.NumShards(); i++ {
-		ix := e.ix.Shard(i).Ix
-		// listing returns the clusters of side the ride reaches with an
-		// earliest arrival in [EarliestDeparture, t2], in side (ascending
-		// walk) order.
-		listing := func(side []sideCandidate, r *index.Ride, t2 float64) (in []sideCandidate) {
-			for _, sc := range side {
-				eta := math.Inf(1)
-				for _, s := range referenceSupports(e, r, sc.Cluster, regFrom[r.ID]) {
-					eta = min(eta, s.eta)
-				}
-				if eta >= req.EarliestDeparture && eta <= t2 {
-					in = append(in, sc)
-				}
+	// listing returns the clusters of side the ride reaches with an
+	// earliest arrival in [EarliestDeparture, t2], in side (ascending
+	// walk) order.
+	listing := func(side []sideCandidate, r *index.Ride, t2 float64) (in []sideCandidate) {
+		for _, sc := range side {
+			eta := math.Inf(1)
+			for _, s := range referenceSupports(e, r, sc.Cluster, regFrom[r.ID]) {
+				eta = min(eta, s.eta)
 			}
-			return in
+			if eta >= req.EarliestDeparture && eta <= t2 {
+				in = append(in, sc)
+			}
 		}
-		ix.Rides(func(r *index.Ride) bool {
-			if r.SeatsAvail <= 0 {
-				return true
-			}
-			srcs := listing(srcSide, r, req.LatestDeparture)
-			dsts := listing(dstSide, r, req.LatestDeparture+destWindowSlack)
-			if len(srcs) == 0 || len(dsts) == 0 {
-				return true
-			}
-			var src, dst sideCandidate
-			best := math.Inf(1)
-			for _, sc := range srcs {
-				for _, dc := range dsts {
-					if total := sc.Walk + dc.Walk; total < best {
-						best, src, dst = total, sc, dc
-					}
-				}
-			}
-			if best > req.WalkLimit {
-				walkRejected++
-				return true
-			}
-			// A pair fits, so each side's first listed cluster must be one
-			// that does: that pair is the only one the search tries.
-			if first := srcs[0].Walk + dsts[0].Walk; first > req.WalkLimit {
-				t.Fatalf("ride %d: clusters %d→%d walk %.0f m, within the limit, but the sides' first listed clusters %d→%d walk %.0f m",
-					r.ID, src.Cluster, dst.Cluster, best, srcs[0].Cluster, dsts[0].Cluster, first)
-			}
-			bestTotal, found := r.DetourLimit+1, false
-			var bm Match
-			dups := referenceSupports(e, r, dst.Cluster, regFrom[r.ID])
-			for _, s := range referenceSupports(e, r, src.Cluster, regFrom[r.ID]) {
-				if s.detour >= bestTotal {
-					break
-				}
-				for _, d := range dups {
-					total := s.detour + d.detour
-					if total >= bestTotal {
-						break
-					}
-					if d.order < s.order || d.eta < s.eta || total > r.DetourLimit {
-						continue
-					}
-					bestTotal, found = total, true
-					bm = Match{
-						Ride: r.ID, PickupCluster: src.Cluster, DropoffCluster: dst.Cluster,
-						WalkSource: src.Walk, WalkDest: dst.Walk,
-						DetourEstimate: total, PickupETA: s.eta, DropoffETA: d.eta,
-						pickupOrder: s.order, dropoffOrder: d.order, pickupSegv: s.seg, dropoffSegv: d.seg,
-					}
-					break
-				}
-			}
-			if found {
-				out = append(out, bm)
-			}
-			return true
-		})
+		return in
 	}
+	e.ix.Ix.Rides(func(r *index.Ride) bool {
+		if r.SeatsAvail <= 0 {
+			return true
+		}
+		srcs := listing(srcSide, r, req.LatestDeparture)
+		dsts := listing(dstSide, r, req.LatestDeparture+destWindowSlack)
+		if len(srcs) == 0 || len(dsts) == 0 {
+			return true
+		}
+		var src, dst sideCandidate
+		best := math.Inf(1)
+		for _, sc := range srcs {
+			for _, dc := range dsts {
+				if total := sc.Walk + dc.Walk; total < best {
+					best, src, dst = total, sc, dc
+				}
+			}
+		}
+		if best > req.WalkLimit {
+			walkRejected++
+			return true
+		}
+		// A pair fits, so each side's first listed cluster must be one
+		// that does: that pair is the only one the search tries.
+		if first := srcs[0].Walk + dsts[0].Walk; first > req.WalkLimit {
+			t.Fatalf("ride %d: clusters %d→%d walk %.0f m, within the limit, but the sides' first listed clusters %d→%d walk %.0f m",
+				r.ID, src.Cluster, dst.Cluster, best, srcs[0].Cluster, dsts[0].Cluster, first)
+		}
+		bestTotal, found := r.DetourLimit+1, false
+		var bm Match
+		dups := referenceSupports(e, r, dst.Cluster, regFrom[r.ID])
+		for _, s := range referenceSupports(e, r, src.Cluster, regFrom[r.ID]) {
+			if s.detour >= bestTotal {
+				break
+			}
+			for _, d := range dups {
+				total := s.detour + d.detour
+				if total >= bestTotal {
+					break
+				}
+				if d.order < s.order || d.eta < s.eta || total > r.DetourLimit {
+					continue
+				}
+				bestTotal, found = total, true
+				bm = Match{
+					Ride: r.ID, PickupCluster: src.Cluster, DropoffCluster: dst.Cluster,
+					WalkSource: src.Walk, WalkDest: dst.Walk,
+					DetourEstimate: total, PickupETA: s.eta, DropoffETA: d.eta,
+					pickupOrder: s.order, dropoffOrder: d.order, pickupSegv: s.seg, dropoffSegv: d.seg,
+				}
+				break
+			}
+		}
+		if found {
+			out = append(out, bm)
+		}
+		return true
+	})
 	slices.SortFunc(out, func(a, b Match) int { return compareMatches(&a, &b) })
 	return out, walkRejected
 }
@@ -287,7 +284,7 @@ func TestMatchesLieInTheirWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range ms {
-			ix := e.ix.ShardFor(m.Ride).Ix
+			ix := e.ix.Ix
 			pu, okP := ix.HasPotentialRide(m.PickupCluster, m.Ride)
 			do, okD := ix.HasPotentialRide(m.DropoffCluster, m.Ride)
 			if !okP || pu < req.EarliestDeparture || pu > req.LatestDeparture {

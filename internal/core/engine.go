@@ -113,24 +113,14 @@ type Config struct {
 	// threshold falls back to slog.Default().
 	SlowOpLogger *slog.Logger
 	// Tracer, when non-nil, records request-scoped span trees: each
-	// head-sampled engine operation becomes a trace whose spans cover the
-	// index stripes a search visits, each optimistic-book attempt and each
+	// head-sampled engine operation becomes a trace whose spans cover a
+	// search's side lookup, each optimistic-book attempt and each
 	// shortest-path call, stored in the tracer's ring buffer and served
 	// via /v1/traces. Slow and errored traces are always kept. Nil
 	// disables root minting, but the engine still records child spans
 	// into traces begun upstream (an HTTP middleware root in the
 	// context). See DESIGN.md §Tracing model.
 	Tracer *telemetry.Tracer
-	// IndexShards is the ride-index stripe count (0 →
-	// index.DefaultShards, one). With N > 1 rides are partitioned by ID
-	// across independently locked shards: create/book/cancel/track lock
-	// one shard, and every search visits all N — so each stripe adds its
-	// share of list probes and a lock pair to every search (16 stripes
-	// roughly double the search, BENCH_index.json) and buys only write
-	// concurrency. Raise it on write-heavy many-core deployments where a
-	// mutex profile shows writers queueing on the index lock; with one
-	// stripe a writer waits out the searches in flight.
-	IndexShards int
 	// Journal, when non-nil, records every ride-lifecycle event
 	// (created, booked, splice-committed, conflict-retried, cancelled,
 	// picked-up, dropped-off, completed — plus search-candidate events
@@ -147,7 +137,7 @@ type Config struct {
 	// collector is deliberately separate from Telemetry so the quality
 	// layer can be toggled without perturbing the latency baselines. Nil
 	// leaves the search loop free of funnel counting (one nil check per
-	// shard). See OBSERVABILITY.md "Match quality".
+	// search). See OBSERVABILITY.md "Match quality".
 	Quality *quality.Collector
 	// ShadowSampleRate enables the shadow counterfactual matcher on top
 	// of Quality: 1-in-N no-match searches are re-run off the request
@@ -287,11 +277,11 @@ func (b Booking) ApproxError() float64 {
 }
 
 // Engine is the XAR run-time unit. Safe for concurrent use: the ride
-// index sits behind one RWMutex (Config.IndexShards stripes when raised;
-// a search takes brief read locks, a mutation its ride's stripe's write
-// lock) and lists only rides with a free seat, shortest-path computation
-// runs on pooled per-goroutine searchers outside any lock, and bookings
-// and cancellations commit optimistically (snapshot → compute unlocked →
+// index sits behind one RWMutex (a search holds the read lock while it
+// reads, a mutation the write lock while it writes) and lists only rides
+// with a free seat, shortest-path computation runs on pooled
+// per-goroutine searchers outside any lock, and bookings and
+// cancellations commit optimistically (snapshot → compute unlocked →
 // commit under the write lock iff the ride is unchanged, retrying on
 // conflict).
 // See DESIGN.md §Concurrency model.
@@ -299,7 +289,7 @@ type Engine struct {
 	cfg  Config
 	disc *discretize.Discretization
 
-	ix *index.Sharded
+	ix *index.Locked
 
 	// finders pools pathFinder instances (the Graph and ALT landmark
 	// tables are immutable and shared; only the O(n) stamp/dist/prev
@@ -310,7 +300,7 @@ type Engine struct {
 
 	// scratchPool recycles per-search working sets (candidate
 	// set, posting-list pull buffer, match buffer) so a search allocates
-	// nothing per shard it visits, candidate it examines or match it finds.
+	// nothing per candidate it examines or match it finds.
 	scratchPool sync.Pool
 
 	// router is the effective routing algorithm ("astar", "alt", "ch")
@@ -352,9 +342,6 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	if cfg.DefaultSeats < 0 {
 		return nil, fmt.Errorf("xar: negative DefaultSeats")
 	}
-	if cfg.IndexShards < 0 {
-		return nil, fmt.Errorf("xar: negative IndexShards")
-	}
 	if cfg.ShadowSampleRate < 0 {
 		return nil, fmt.Errorf("xar: negative ShadowSampleRate")
 	}
@@ -370,7 +357,7 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	if cfg.Index.AvgSpeed == 0 {
 		cfg.Index = index.DefaultConfig()
 	}
-	ix, err := index.NewSharded(disc, cfg.Index, cfg.IndexShards)
+	ix, err := index.New(disc, cfg.Index)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +408,7 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		disc:      disc,
-		ix:        ix,
+		ix:        &index.Locked{Ix: ix},
 		router:    router,
 		newFinder: newFinder,
 		jr:        cfg.Journal,
@@ -437,7 +424,7 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 			telemetry.L("algo", router))
 	}
 	if cfg.Telemetry != nil {
-		registerShardGauges(cfg.Telemetry, ix.View())
+		registerIndexGauges(cfg.Telemetry, e.ix.View())
 		// Cumulative match rate as a gauge so the flight recorder picks
 		// up its history alongside the op-latency series.
 		cfg.Telemetry.GaugeFunc("xar_match_rate",
@@ -465,7 +452,7 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 			cfg.Memory.Register("ch", cfg.CH)
 		}
 		cfg.Memory.Register("discretization", disc)
-		cfg.Memory.Register("index", ix.View())
+		cfg.Memory.Register("index", e.ix.View())
 		if cfg.Journal != nil {
 			cfg.Memory.Register("journal", cfg.Journal)
 		}
@@ -591,7 +578,7 @@ func (e *Engine) Disc() *discretize.Discretization { return e.disc }
 
 // Index returns a read-only, internally synchronized view of the ride
 // index (memory measurement, invariant checks, diagnostics). The view's
-// methods take the shard locks they need, so it is safe to use while the
+// methods take the index's read lock, so it is safe to use while the
 // engine serves traffic; deep-size measurement via reflection remains
 // quiescent-only.
 func (e *Engine) Index() index.View { return e.ix.View() }
@@ -675,12 +662,11 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 	if e.jr != nil { // the note is built for a journal only
 		e.recordEvent(journal.Created, r.ID, span, detour, "seats="+strconv.Itoa(seats))
 	}
-	// Only the registration itself needs the ride's shard — one write
-	// lock, no shortest-path work inside it.
-	sh := e.ix.ShardFor(r.ID)
-	sh.Lock()
-	err = sh.Ix.Insert(r)
-	sh.Unlock()
+	// Only the registration itself needs the index — one write lock, no
+	// shortest-path work inside it.
+	e.ix.Lock()
+	err = e.ix.Ix.Insert(r)
+	e.ix.Unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -706,7 +692,6 @@ func (e *Engine) ConfigSummary() map[string]any {
 		"use_congestion_profile": e.cfg.UseCongestionProfile,
 		"search_sample_rate":     sampleRate,
 		"slow_op_threshold_ms":   float64(e.cfg.SlowOpThreshold) / float64(time.Millisecond),
-		"index_shards":           e.ix.NumShards(),
 		"quality":                e.quality != nil,
 		"shadow_sample_rate":     e.cfg.ShadowSampleRate,
 		"memory_accounting":      e.mem != nil,
@@ -746,7 +731,7 @@ func (e *Engine) computeETAs(route []roadnet.NodeID, start float64) []float64 {
 }
 
 // Ride returns a snapshot of a ride (nil if unknown): a deep copy taken
-// under the owning shard's read lock, so the caller can inspect it
+// under the index's read lock, so the caller can inspect it
 // without racing concurrent bookings or tracking.
 func (e *Engine) Ride(id index.RideID) *index.Ride {
 	return e.ix.Snapshot(id)
@@ -757,10 +742,9 @@ func (e *Engine) CompleteRide(id index.RideID) bool {
 	if e.tel != nil {
 		defer func(start time.Time) { e.tel.observeOp(opComplete, time.Since(start), nil, nil) }(time.Now())
 	}
-	sh := e.ix.ShardFor(id)
-	sh.Lock()
-	removed := sh.Ix.Remove(id)
-	sh.Unlock()
+	e.ix.Lock()
+	removed := e.ix.Ix.Remove(id)
+	e.ix.Unlock()
 	if !removed {
 		return false
 	}

@@ -12,11 +12,10 @@ import (
 // feature per via-point — ready for any web map. Client apps poll this
 // to draw the vehicle's path and stops.
 func (e *Engine) RouteGeoJSON(id index.RideID) ([]byte, error) {
-	sh := e.ix.ShardFor(id)
-	sh.RLock()
-	defer sh.RUnlock()
+	e.ix.RLock()
+	defer e.ix.RUnlock()
 
-	r := sh.Ix.Ride(id)
+	r := e.ix.Ix.Ride(id)
 	if r == nil {
 		return nil, ErrUnknownRide
 	}

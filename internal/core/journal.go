@@ -13,7 +13,7 @@ func (e *Engine) Journal() *journal.Journal { return e.jr }
 // recordEvent files one ride-lifecycle event into the journal with the
 // operation span's trace ID as cross-link. One branch when journaling is
 // off; the journal itself never takes engine locks, so emit sites may
-// sit inside a shard critical section.
+// sit inside an index critical section.
 func (e *Engine) recordEvent(t journal.EventType, ride index.RideID, span *telemetry.Span, value float64, note string) {
 	if e.jr == nil {
 		return

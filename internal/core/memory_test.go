@@ -99,8 +99,8 @@ func TestMemoryReportComponents(t *testing.T) {
 	// index — slot tables, free lists and cluster directories included,
 	// reached by reflection like everything else — less what the walk
 	// meets on the way and earlier components own: the road graph and the
-	// discretization. What is left over is the Sharded header the View
-	// points at, which the per-stripe walk does not visit.
+	// discretization. What is left over is the Locked header the View
+	// points at, which the walk of the Index does not visit.
 	var owned uint64
 	for _, c := range rep.Components {
 		if c.Name == "graph" || c.Name == "discretization" || c.Name == "index" {

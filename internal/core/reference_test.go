@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -188,22 +187,16 @@ func TestSearchValidityAndRecallAgainstReference(t *testing.T) {
 			return true
 		})
 	}
-	if refFound == 0 {
-		t.Skip("reference found nothing; world too sparse")
-	}
-	// Validity: XAR may be *stricter* than the reference (its ordering
-	// and ETA constraints use index estimates) but must rarely claim a
-	// match the exact model rejects. Allow a tiny tolerance for ETA
-	// estimation differences at window boundaries.
-	if frac := float64(bogus) / math.Max(1, float64(xarFound)); frac > 0.05 {
-		t.Fatalf("%.1f%% of XAR matches (%d/%d) are infeasible for the reference",
-			100*frac, bogus, xarFound)
-	}
-	// Recall: the cluster index must surface most exact-feasible rides.
-	recall := float64(bothFound) / float64(refFound)
-	t.Logf("reference feasible %d, XAR recalled %d (%.0f%%), XAR matches %d, bogus %d",
-		refFound, bothFound, 100*recall, xarFound, bogus)
-	if recall < 0.5 {
-		t.Fatalf("recall %.0f%% below 50%%", 100*recall)
+	// The fixture, the requests and the search are deterministic, so the
+	// four counts are exact: 296 (ride, request) pairs the strict
+	// reference deems feasible, 254 of them matched (recall 86 % — the
+	// cluster approximation may legally miss borderline cases; EXPERIMENTS.md
+	// E1 states the figure), 481 XAR matches in all — XAR's ordering and
+	// ETA constraints use index estimates, and the loose reference grants
+	// every one of them within 4ε — and none bogus, the paper's
+	// correctness claim. A PR that moves any of the four says why.
+	got := [4]int{refFound, bothFound, xarFound, bogus}
+	if want := [4]int{296, 254, 481, 0}; got != want {
+		t.Fatalf("reference feasible, recalled, XAR matches, bogus = %v, want %v", got, want)
 	}
 }

@@ -38,21 +38,18 @@ const maxCandidateEvents = 8
 // a free seat: the index lists a ride only while it has one. Matches are
 // returned sorted by total walking distance, which the paper minimizes.
 //
-// Concurrency: the index is one shard by default, Config.IndexShards
-// stripes of rides otherwise, and every step after the (lock-free)
-// walkable-side lookup is shard-local — a ride's source candidates,
-// destination candidates, intersection and final checks all live in the
-// shard that owns the ride. The search therefore visits shards one at a
-// time, holding only that shard's read lock, and merges the per-shard
-// matches at the end.
+// Concurrency: the walkable-side lookup reads only the immutable
+// discretization; everything after it — both sides' windows, the
+// intersection and the final checks — runs under one hold of the index's
+// read lock, and the sort after it is released.
 func (e *Engine) Search(req Request) ([]Match, error) {
 	return e.SearchCtx(context.Background(), req)
 }
 
 // SearchCtx is Search with trace propagation: when the context's trace
 // is recording (or Config.Tracer head-samples this call as a new root),
-// the search records a span tree — the side lookup plus one span per
-// index shard visited, each carrying its shard number and match count.
+// the search records its span with the match count and a side_lookup
+// child.
 // A trace-recorded search is also timed into the op histogram
 // regardless of the 1-in-N SearchSampleRate decision, so every trace
 // has a matching exemplar-capable observation; the finer per-stage and
@@ -184,53 +181,46 @@ type rejectedCandidate struct {
 	stage int
 }
 
-// shardSearchResult carries one shard's match count plus its stage
-// timings (zero unless the search is traced); the matches themselves go
-// to the searchScratch.
-type shardSearchResult struct {
-	matches             int
-	cand, final, detour time.Duration
-	// funnel counts this shard's candidate eliminations per quality
-	// stage (all zero unless the engine has a quality collector). Local
-	// ints here, one batched atomic add after the merge — the funnel
+// scanResult is what the locked part of a search reports beside the
+// matches it leaves in the scratch.
+type scanResult struct {
+	// candEnd is the instant the candidate stage ended and the final
+	// checks began, detour the time bestSupportPair took (both zero
+	// unless the search is metrics-sampled).
+	candEnd time.Time
+	detour  time.Duration
+	// funnel counts the candidate eliminations per quality stage (all
+	// zero unless the engine has a quality collector). Local ints here,
+	// one batched atomic add after the lock is released — the funnel
 	// never adds per-candidate atomics to the hot loop. examined is the
 	// candidate-set size (|R1|), counted independently of the stages
 	// so the auditor's funnel_accounting invariant cross-checks the
 	// classification rather than restating it.
 	funnel   [quality.NumStages]uint64
 	examined uint64
-	// rejects are the per-candidate rejection records (nil unless the
-	// search asked for them via searchOpts.rej).
-	rejects []rejectedCandidate
-	// end is the shard span's close instant (zero unless this shard
-	// recorded a span); the stripe loop reuses it as the next shard
-	// span's start, halving the traced loop's clock reads.
-	end time.Time
 }
 
-// searchScratch holds the working set of one search: the candidate set
-// and posting-list pull buffer (slots) of the shard being visited, and
-// the matches of every shard visited so far. One scratch is reused across
-// every shard a search visits and, through Engine.scratchPool, across
-// searches — so a search's allocations do not grow with the shards it
-// visits, the candidates it examines or the matches it finds
-// (TestSearchAllocsDoNotScaleWithMatches); that reuse is also what keeps
-// the single-threaded latency at the unsharded level.
+// searchScratch holds the working set of one search: the candidate set,
+// the posting-list pull buffer (slots), the matches and the buffer they
+// are sorted through. Scratches are reused across searches through
+// Engine.scratchPool, so a search's allocations do not grow with the
+// candidates it examines or the matches it finds
+// (TestSearchAllocsDoNotScaleWithMatches).
 type searchScratch struct {
 	set     *candSet
 	slots   []int32
 	matches []Match
-	order   []*Match // sort buffer of the merge, into matches
+	order   []*Match // sort buffer, into matches
 }
 
 func newSearchScratch() *searchScratch {
 	return &searchScratch{set: newCandSet()}
 }
 
-// search runs the two-step lookup: the side lookup, then the index
-// stripes one after the other, then the merge. span is the operation's
-// span (nil when the call is not trace-recorded); fine reports the
-// metrics 1-in-N sampling decision, which alone gates the per-stage and
+// search runs the two-step lookup: the side lookup, then the scan of the
+// index under its read lock, then the sort. span is the operation's span
+// (nil when the call is not trace-recorded); fine reports the metrics
+// 1-in-N sampling decision, which alone gates the per-stage and
 // per-candidate clocks — exactly the pre-trace semantics. A
 // trace-recorded but metrics-unsampled search records its span tree and
 // the op histogram, nothing finer, keeping the traced hot path lean.
@@ -262,58 +252,36 @@ func (e *Engine) search(span *telemetry.Span, req Request, timed, fine bool, opt
 		}
 		return nil, err
 	}
-	// The side-lookup end instant doubles as the first shard span's
-	// start, and each shard span's close instant as the next one's.
-	var start time.Time
+	// The side-lookup end instant doubles as the candidate stage's start.
 	if timed {
-		start = time.Now()
+		now := time.Now()
 		if sideSpan != nil {
 			sideSpan.SetInt("src_clusters", int64(len(srcSide)))
 			sideSpan.SetInt("dst_clusters", int64(len(dstSide)))
-			sideSpan.EndAt(start)
+			sideSpan.EndAt(now)
 		}
 		if tel != nil {
-			tel.stages[stageSideLookup].ObserveDuration(start.Sub(mark))
+			tel.stages[stageSideLookup].ObserveDuration(now.Sub(mark))
 		}
+		mark = now
 	}
 
 	scratch := e.scratchPool.Get().(*searchScratch)
 	defer e.scratchPool.Put(scratch)
-	scratch.matches = scratch.matches[:0]
-	var candTime, finalTime, detourTime time.Duration
-	var funnel [quality.NumStages]uint64
-	var examined uint64
-	for i, nsh := 0, e.ix.NumShards(); i < nsh; i++ {
-		res := e.searchShard(span, i, req, srcSide, dstSide, fine, scratch, start, opts)
-		start = res.end
-		candTime += res.cand
-		finalTime += res.final
-		detourTime += res.detour
-		if opts.qc != nil {
-			examined += res.examined
-			for st, n := range res.funnel {
-				funnel[st] += n
-			}
-			if opts.rej != nil {
-				*opts.rej = append(*opts.rej, res.rejects...)
-			}
-		}
-	}
+	e.ix.RLock()
+	res := scanIndex(e.ix.Ix, req, srcSide, dstSide, fine, scratch, opts)
+	e.ix.RUnlock()
 	if opts.qc != nil {
-		opts.qc.AddFunnel(&funnel, examined)
-		e.m.candidatesExamined.Add(examined)
-		if span != nil && examined > 0 {
-			span.SetInt("candidates", int64(examined))
-			for st, n := range funnel {
+		opts.qc.AddFunnel(&res.funnel, res.examined)
+		e.m.candidatesExamined.Add(res.examined)
+		if span != nil && res.examined > 0 {
+			span.SetInt("candidates", int64(res.examined))
+			for st, n := range res.funnel {
 				if n > 0 && st != quality.Matched {
 					span.SetInt("rejected_"+quality.StageName(st), int64(n))
 				}
 			}
 		}
-	}
-	var sortMark time.Time
-	if tel != nil {
-		sortMark = time.Now()
 	}
 	// A match is 96 bytes: order pointers to them, then copy each once
 	// into the slice the caller owns.
@@ -331,10 +299,16 @@ func (e *Engine) search(span *telemetry.Span, req Request, timed, fine bool, opt
 		}
 	}
 	if tel != nil {
-		tel.stages[stageCandidate].ObserveDuration(candTime)
-		tel.stages[stageFinalCheck].ObserveDuration(finalTime + time.Since(sortMark))
-		if detourTime > 0 {
-			tel.stages[stageDetourCheck].ObserveDuration(detourTime)
+		// The sort is part of the final stage.
+		cand, final := res.candEnd.Sub(mark), time.Since(res.candEnd)
+		tel.stages[stageCandidate].ObserveDuration(cand)
+		tel.stages[stageFinalCheck].ObserveDuration(final)
+		if res.detour > 0 {
+			tel.stages[stageDetourCheck].ObserveDuration(res.detour)
+		}
+		if span != nil {
+			span.SetFloat("candidate_scan_s", cand.Seconds())
+			span.SetFloat("final_check_s", final.Seconds())
 		}
 	}
 	return out, nil
@@ -349,50 +323,14 @@ func compareMatches(a, b *Match) int {
 	return cmp.Compare(a.Ride, b.Ride)
 }
 
-// searchShard runs steps 1+2 and the final checks against one shard's
-// posting lists, under that shard's read lock only. When the trace
-// records, the shard gets its own "search_shard" span carrying the
-// shard number and match count — the per-shard breakdown that
-// explains a straggling stripe; when the search is also metrics-sampled
-// (fine) the span additionally carries the candidate/final stage split.
-// Matches are appended to s.matches.
-func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, srcSide, dstSide []sideCandidate, fine bool, s *searchScratch, start time.Time, opts searchOpts) (res shardSearchResult) {
-	span := parent.ChildAt("search_shard", start)
-	var mark time.Time
-	inFinal := false
-	if span != nil {
-		span.SetInt("shard", int64(shard))
-		defer func() {
-			// One clock read closes both the open stage clock and the
-			// span; res.end hands the instant forward to the serial loop.
-			now := time.Now()
-			if fine {
-				if inFinal {
-					res.final = now.Sub(mark)
-				} else {
-					res.cand = now.Sub(mark)
-				}
-				span.SetFloat("candidate_scan_s", res.cand.Seconds())
-				span.SetFloat("final_check_s", res.final.Seconds())
-			}
-			span.SetInt("matches", int64(res.matches))
-			span.EndAt(now)
-			res.end = now
-		}()
-		if fine {
-			mark = span.StartTime() // the span already holds a start instant
-		}
-	} else if fine {
-		mark = time.Now()
-	}
-	sh := e.ix.Shard(shard)
-	sh.RLock()
-	defer sh.RUnlock()
-	ix := sh.Ix
+// scanIndex runs steps 1+2 and the final checks against the posting
+// lists; the caller holds the index's read lock. The matches go to
+// s.matches, unsorted.
+func scanIndex(ix *index.Index, req Request, srcSide, dstSide []sideCandidate, fine bool, s *searchScratch, opts searchOpts) (res scanResult) {
+	s.matches = s.matches[:0]
 
-	// Step 1: source-side candidates among this shard's rides. The side
-	// lists ascend by walk, so the first cluster to produce a ride is the
-	// least-walk one that does.
+	// Step 1: source-side candidates. The side lists ascend by walk, so
+	// the first cluster to produce a ride is the least-walk one that does.
 	set := s.set
 	set.reset(ix.NumSlots())
 	for _, sc := range srcSide {
@@ -402,8 +340,8 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 		}
 	}
 	if len(set.cands) == 0 {
-		if span == nil && fine {
-			res.cand = time.Since(mark)
+		if fine {
+			res.candEnd = time.Now()
 		}
 		return res
 	}
@@ -423,17 +361,13 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 		}
 	}
 	if fine {
-		now := time.Now()
-		res.cand = now.Sub(mark)
-		mark = now
-		inFinal = true
+		res.candEnd = time.Now()
 	}
 
 	// Funnel accounting (quality collector only): every ride in the set
 	// is one examined candidate and lands in exactly one stage. Candidates
 	// that fell out of the R1∩R2 intersection missed the destination
-	// window; the final loop classifies the survivors. Local counts
-	// here, one batched atomic add after the merge.
+	// window; the final loop classifies the survivors.
 	track := opts.qc != nil
 	if track {
 		res.examined = uint64(len(set.cands))
@@ -442,7 +376,7 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 	reject := func(id index.RideID, stage int) {
 		res.funnel[stage]++
 		if opts.rej != nil {
-			res.rejects = append(res.rejects, rejectedCandidate{id: id, stage: stage})
+			*opts.rej = append(*opts.rej, rejectedCandidate{id: id, stage: stage})
 		}
 	}
 
@@ -455,7 +389,7 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 		}
 		r := ix.RideAt(set.cands[i].slot)
 		if r == nil {
-			// A listed slot is an occupied one for as long as the shard's
+			// A listed slot is an occupied one for as long as the index
 			// lock is held, and it has been since the windows were read:
 			// only a damaged index (which the auditor reports) gets here.
 			// The ride is in no window a consistent index would serve.
@@ -507,10 +441,6 @@ func (e *Engine) searchShard(parent *telemetry.Span, shard int, req Request, src
 			pickupSegv:     int(ps.Seg),
 			dropoffSegv:    int(pd.Seg),
 		})
-		res.matches++
-	}
-	if span == nil && fine {
-		res.final = time.Since(mark)
 	}
 	return res
 }
@@ -539,8 +469,8 @@ func (e *Engine) walkableSide(p geo.Point, limit float64) ([]sideCandidate, erro
 // pair in Ride.Supports order, pickup side first. relax is zero except in
 // shadow re-runs: relaxDetour lifts the budget, relaxOrder the
 // pickup-before-drop-off requirement. The caller holds (at least) the
-// read lock of the shard owning r, and the pair points into r's support
-// table — valid only under that lock.
+// index's read lock, and the pair points into r's support table — valid
+// only under that lock.
 func bestSupportPair(r *index.Ride, cs, cd int, relax relaxFlags) (ps, pd *index.Support) {
 	sups, dups := r.Supports(cs), r.Supports(cd)
 	limit := r.DetourLimit

@@ -100,26 +100,26 @@ func (e *Engine) RankSocially(matches []Match, requester UserID, g *SocialGraph)
 		return matches
 	}
 	type ranked struct {
-		m    Match
-		dist int
-		pos  int
+		m     Match
+		owner int64
+		dist  int
+		pos   int
 	}
 	rs := make([]ranked, len(matches))
+	// One read-lock hold fetches every owner; the graph distances are
+	// computed after it is released.
+	e.ix.RLock()
 	for i, m := range matches {
-		d := SocialRankDepth + 1
-		// Owner is immutable after creation; a brief per-ride shard read
-		// lock suffices (matches in one ranking may span shards).
-		sh := e.ix.ShardFor(m.Ride)
-		sh.RLock()
-		var owner int64
-		if r := sh.Ix.Ride(m.Ride); r != nil {
-			owner = r.Owner
+		rs[i] = ranked{m: m, dist: SocialRankDepth + 1, pos: i}
+		if r := e.ix.Ix.Ride(m.Ride); r != nil {
+			rs[i].owner = r.Owner
 		}
-		sh.RUnlock()
-		if owner != 0 {
-			d = g.Distance(requester, UserID(owner), SocialRankDepth)
+	}
+	e.ix.RUnlock()
+	for i := range rs {
+		if rs[i].owner != 0 {
+			rs[i].dist = g.Distance(requester, UserID(rs[i].owner), SocialRankDepth)
 		}
-		rs[i] = ranked{m: m, dist: d, pos: i}
 	}
 	sort.SliceStable(rs, func(i, j int) bool {
 		if rs[i].dist != rs[j].dist {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"log/slog"
-	"strconv"
 	"time"
 
 	"xar/internal/index"
@@ -111,27 +110,20 @@ func newEngineTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, sampl
 	return t
 }
 
-// registerShardGauges exposes the per-stripe ride occupancy of the
-// sharded index (xar_index_shard_rides, labeled shard=N; uniform values
-// confirm the ID-mod-N striping is balanced) and, beside it, how many of
-// those rides are full (xar_index_full_rides: in no posting list, so no
-// search examines them and no funnel stage counts them). Every series is
-// registered eagerly — a freshly started server reports them all — and
-// one scrape hook sweeps the current counts out of the index (one
-// stripe's read lock at a time) before any exposition render.
-func registerShardGauges(reg *telemetry.Registry, v index.View) {
-	gauges := make([]*telemetry.Gauge, v.NumShards())
-	for i := range gauges {
-		gauges[i] = reg.Gauge("xar_index_shard_rides",
-			"Active rides per index shard (balanced values mean balanced lock striping).",
-			telemetry.L("shard", strconv.Itoa(i)))
-	}
+// registerIndexGauges exposes the index's occupancy: how many rides are
+// registered (xar_index_rides) and how many of those are full
+// (xar_index_full_rides: in no posting list, so no search examines them
+// and no funnel stage counts them). Both are registered eagerly — a
+// freshly started server reports them — and one scrape hook fills both
+// from one View.Stats call before any exposition render, so their ratio
+// is of one instant.
+func registerIndexGauges(reg *telemetry.Registry, v index.View) {
+	rides := reg.Gauge("xar_index_rides", "Rides registered in the index.", nil)
 	full := reg.Gauge("xar_index_full_rides", "Registered rides with no free seat (listed again when a cancellation frees one).", nil)
 	refresh := func() {
-		for i, g := range gauges {
-			g.Set(float64(v.ShardLen(i)))
-		}
-		full.Set(float64(v.Stats().FullRides))
+		st := v.Stats()
+		rides.Set(float64(st.Rides))
+		full.Set(float64(st.FullRides))
 	}
 	refresh()
 	reg.OnScrape(refresh)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -35,62 +34,55 @@ func spanNames(td *telemetry.TraceData) map[string]int {
 	return out
 }
 
-func TestSearchTraceShardFanOut(t *testing.T) {
-	const shards = 4
-	e, _, tracer := tracedEngine(t, func(cfg *Config) { cfg.IndexShards = shards })
-	src, dst := farPoints(t, e)
-	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := requestAlong(e, e.Ride(id), 0.3, 0.7, 3600, 900)
+// TestSearchTraceTree pins the shape of a search trace: a "search" root
+// carrying the match count, one "side_lookup" child and nothing else —
+// and, only when the search is also metrics-sampled, the stage split as
+// attributes of the root.
+func TestSearchTraceTree(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		sampleRate int
+		stageSplit bool
+	}{
+		{"metrics-sampled", 1, true},
+		{"trace only", 1 << 20, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _, tracer := tracedEngine(t, func(cfg *Config) { cfg.SearchSampleRate = tc.sampleRate })
+			src, dst := farPoints(t, e)
+			id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := e.Search(requestAlong(e, e.Ride(id), 0.3, 0.7, 3600, 900))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) == 0 {
+				t.Fatal("the search along the ride matched nothing")
+			}
 
-	ms, err := e.Search(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	traces := tracer.Store().List(telemetry.TraceFilter{Op: "search"})
-	if len(traces) == 0 {
-		t.Fatal("no search trace recorded")
-	}
-	td := traces[0]
-	names := spanNames(td)
-	if names["search_shard"] != shards {
-		t.Fatalf("search_shard spans = %d, want one per shard (%d); spans: %v",
-			names["search_shard"], shards, names)
-	}
-	if names["side_lookup"] != 1 {
-		t.Fatalf("side_lookup spans = %d, want 1", names["side_lookup"])
-	}
-
-	// The span tree nests shard spans under the search root, each
-	// stamped with its shard number and timings.
-	doc := td.Doc()
-	if len(doc.Tree) != 1 || doc.Tree[0].Name != "search" {
-		t.Fatalf("trace tree = %+v, want single search root", doc.Tree)
-	}
-	if got := doc.Tree[0].Attrs["matches"]; got != float64(len(ms)) {
-		t.Fatalf("root matches attr = %v, want %d", got, len(ms))
-	}
-	seen := make(map[float64]bool)
-	totalShardMatches := 0.0
-	for _, c := range doc.Tree[0].Children {
-		if c.Name != "search_shard" {
-			continue
-		}
-		sh, ok := c.Attrs["shard"].(float64)
-		if !ok || seen[sh] {
-			t.Fatalf("shard span attrs bad or duplicated: %+v", c.Attrs)
-		}
-		seen[sh] = true
-		if _, ok := c.Attrs["candidate_scan_s"]; !ok {
-			t.Fatalf("shard span missing candidate_scan_s: %+v", c.Attrs)
-		}
-		totalShardMatches += c.Attrs["matches"].(float64)
-	}
-	if totalShardMatches != float64(len(ms)) {
-		t.Fatalf("shard matches sum to %v, want %d", totalShardMatches, len(ms))
+			traces := tracer.Store().List(telemetry.TraceFilter{Op: "search"})
+			if len(traces) != 1 {
+				t.Fatalf("%d search traces recorded, want 1", len(traces))
+			}
+			doc := traces[0].Doc()
+			if len(doc.Tree) != 1 || doc.Tree[0].Name != "search" {
+				t.Fatalf("trace tree = %+v, want single search root", doc.Tree)
+			}
+			root := doc.Tree[0]
+			if len(root.Children) != 1 || root.Children[0].Name != "side_lookup" || len(root.Children[0].Children) != 0 {
+				t.Fatalf("search has children %+v, want exactly one side_lookup leaf", root.Children)
+			}
+			if got := root.Attrs["matches"]; got != float64(len(ms)) {
+				t.Fatalf("root matches attr = %v, want %d", got, len(ms))
+			}
+			for _, attr := range []string{"candidate_scan_s", "final_check_s"} {
+				if _, ok := root.Attrs[attr]; ok != tc.stageSplit {
+					t.Fatalf("search span has %s: %v, want %v; attrs %+v", attr, ok, tc.stageSplit, root.Attrs)
+				}
+			}
+		})
 	}
 }
 
@@ -224,7 +216,7 @@ func TestTraceExemplarCrossLink(t *testing.T) {
 func TestEngineContinuesUpstreamTrace(t *testing.T) {
 	// An engine with no tracer of its own must still record child spans
 	// into a trace begun upstream (the HTTP middleware's root).
-	e, _ := newInstrumentedEngine(t, func(cfg *Config) { cfg.IndexShards = 2 })
+	e, _ := newInstrumentedEngine(t, nil)
 	upstream := telemetry.NewTracer(telemetry.TracerConfig{SampleRate: 1})
 	ctx, root := upstream.StartRoot(context.Background(), "/v1/search", telemetry.TraceID{}, telemetry.SpanID{})
 
@@ -243,13 +235,10 @@ func TestEngineContinuesUpstreamTrace(t *testing.T) {
 		t.Fatal("upstream trace not stored")
 	}
 	names := spanNames(td)
-	for _, want := range []string{"create", "path_search", "search", "search_shard", "side_lookup"} {
+	for _, want := range []string{"create", "path_search", "search", "side_lookup"} {
 		if names[want] == 0 {
 			t.Fatalf("upstream trace missing %q spans; got %v", want, names)
 		}
-	}
-	if names["search_shard"] != 2 {
-		t.Fatalf("search_shard spans = %d, want 2", names["search_shard"])
 	}
 }
 
@@ -309,16 +298,15 @@ func TestSlowOpLogCarriesTraceID(t *testing.T) {
 	}
 }
 
-func TestShardGaugesFreshEngine(t *testing.T) {
-	// Satellite: a freshly started engine must expose every shard's
-	// series — including empty ones — and refresh them at scrape time.
-	e, reg := newInstrumentedEngine(t, func(cfg *Config) { cfg.IndexShards = 4 })
+func TestIndexGaugesFreshEngine(t *testing.T) {
+	// A freshly started engine must expose both occupancy gauges — at
+	// zero — and refresh them at scrape time.
+	e, reg := newInstrumentedEngine(t, nil)
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		want := fmt.Sprintf(`xar_index_shard_rides{shard="%d"} 0`, i)
+	for _, want := range []string{"xar_index_rides 0\n", "xar_index_full_rides 0\n"} {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("fresh engine exposition missing %q:\n%s", want, b.String())
 		}
@@ -326,21 +314,19 @@ func TestShardGaugesFreshEngine(t *testing.T) {
 
 	// After a mutation, the next scrape reflects the new counts.
 	src, dst := farPoints(t, e)
-	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2500})
-	if err != nil {
+	if _, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2500}); err != nil {
 		t.Fatal(err)
 	}
 	b.Reset()
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf(`xar_index_shard_rides{shard="%d"} 1`, int(id)%4)
-	if !strings.Contains(b.String(), want) || !strings.Contains(b.String(), "xar_index_full_rides 0\n") {
-		t.Fatalf("post-create exposition missing %q or a zero xar_index_full_rides:\n%s", want, b.String())
+	if !strings.Contains(b.String(), "xar_index_rides 1\n") || !strings.Contains(b.String(), "xar_index_full_rides 0\n") {
+		t.Fatalf("post-create exposition lacks xar_index_rides 1 or a zero xar_index_full_rides:\n%s", b.String())
 	}
 
-	// A two-seat ride booked once is full: one gauge, summed over stripes.
-	id, err = e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 9000, Seats: 2, DetourLimit: 2500})
+	// A two-seat ride booked once is full.
+	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 9000, Seats: 2, DetourLimit: 2500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +338,7 @@ func TestShardGaugesFreshEngine(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "xar_index_full_rides 1\n") {
-		t.Fatalf("exposition after filling ride %d lacks xar_index_full_rides 1:\n%s", id, b.String())
+	if !strings.Contains(b.String(), "xar_index_rides 2\n") || !strings.Contains(b.String(), "xar_index_full_rides 1\n") {
+		t.Fatalf("exposition after filling ride %d lacks xar_index_rides 2 or xar_index_full_rides 1:\n%s", id, b.String())
 	}
 }

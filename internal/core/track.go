@@ -29,30 +29,29 @@ func (e *Engine) TrackCtx(ctx context.Context, id index.RideID, now float64) (ar
 	})
 }
 
-// advance is the one tracking step: under the ride's stripe's write lock
-// it moves the ride to the route index position picks (never backwards),
+// advance is the one tracking step: under the index's write lock it
+// moves the ride to the route index position picks (never backwards),
 // journals the pickups and drop-offs passed on the way and reports
 // arrival at the destination.
 func (e *Engine) advance(ctx context.Context, id index.RideID, position func(*index.Ride) int) (arrived bool, err error) {
 	_, span, start := e.tel.beginOp(ctx, opTrack)
 	defer e.tel.endOp(opTrack, start, span, &err)
-	sh := e.ix.ShardFor(id)
-	sh.Lock()
-	defer sh.Unlock()
+	e.ix.Lock()
+	defer e.ix.Unlock()
 
 	e.m.trackCalls.Add(1)
-	r := sh.Ix.Ride(id)
+	r := e.ix.Ix.Ride(id)
 	if r == nil {
 		return false, ErrUnknownRide
 	}
 	oldPos := r.Progress
 	if pos := position(r); pos > oldPos {
-		if err := sh.Ix.Advance(id, pos); err != nil {
+		if err := e.ix.Ix.Advance(id, pos); err != nil {
 			return false, err
 		}
 		// Journal the pickups / drop-offs the vehicle just passed. Still
-		// under the shard lock, which is safe: the journal takes only
-		// its own stripe locks and never calls back into the index.
+		// under the index lock, which is safe: the journal takes only
+		// its own locks and never calls back into the index.
 		if e.jr != nil {
 			for _, v := range r.Via {
 				if v.RouteIdx <= oldPos || v.RouteIdx > pos {
@@ -79,7 +78,7 @@ func (e *Engine) TrackAll(now float64) (completed int, err error) {
 		toAdvance = append(toAdvance, r.ID)
 		return true
 	})
-	// View.Rides walks each stripe's slot table: repeatable, but slots are
+	// View.Rides walks the slot table: repeatable, but slots are
 	// recycled, so slot order is not ride order. Ascending ride ID keeps
 	// the sequence of Advance and CompleteRide calls — and with it the
 	// journal's event order and the index's block layout — what it was

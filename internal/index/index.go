@@ -75,18 +75,12 @@ type neighborEntry struct {
 	Dist    float64
 }
 
-// New builds an empty index over disc.
+// New builds an empty index over disc, with its O(k²) neighbor table:
+// per cluster, every cluster sorted by ascending distance.
 func New(disc *discretize.Discretization, cfg Config) (*Index, error) {
 	if cfg.AvgSpeed <= 0 {
 		return nil, fmt.Errorf("index: AvgSpeed must be positive, got %v", cfg.AvgSpeed)
 	}
-	return newWithNeighbors(disc, cfg, buildNeighbors(disc)), nil
-}
-
-// buildNeighbors computes the per-cluster sorted neighbor table. The
-// table is immutable after construction and O(k²), so sharded indexes
-// build it once and share it read-only across all shards.
-func buildNeighbors(disc *discretize.Discretization) [][]neighborEntry {
 	k := disc.NumClusters()
 	neighbors := make([][]neighborEntry, k)
 	for c := 0; c < k; c++ {
@@ -105,20 +99,14 @@ func buildNeighbors(disc *discretize.Discretization) [][]neighborEntry {
 		})
 		neighbors[c] = row
 	}
-	return neighbors
-}
-
-// newWithNeighbors assembles an empty index around a prebuilt (possibly
-// shared) neighbor table.
-func newWithNeighbors(disc *discretize.Discretization, cfg Config, neighbors [][]neighborEntry) *Index {
 	return &Index{
 		cfg:       cfg,
 		disc:      disc,
 		rides:     make(map[RideID]*Ride),
-		clusters:  make([]clusterList, disc.NumClusters()),
+		clusters:  make([]clusterList, k),
 		neighbors: neighbors,
-		supOff:    make([]int32, disc.NumClusters()),
-	}
+		supOff:    make([]int32, k),
+	}, nil
 }
 
 // Disc exposes the discretization the index was built over.

@@ -91,6 +91,23 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewShardedRefusesStripes: the benchmark module's constructor still
+// takes a stripe count; asking for more than the one index there is must
+// fail by name, not be served by one stripe in silence.
+func TestNewShardedRefusesStripes(t *testing.T) {
+	d := testWorld(t)
+	for _, n := range []int{0, 1} {
+		l, err := NewSharded(d, DefaultConfig(), n)
+		if err != nil || l.NumShards() != 1 || l.Shard(0) != l || l.ShardFor(7) != l {
+			t.Fatalf("NewSharded(n=%d) = %v, %v; want the one locked index", n, l, err)
+		}
+	}
+	_, err := NewSharded(d, DefaultConfig(), 2)
+	if err == nil || !strings.Contains(err.Error(), "striping was removed") {
+		t.Fatalf("NewSharded(n=2) err = %v, want one naming the removal", err)
+	}
+}
+
 func TestInsertValidation(t *testing.T) {
 	d := testWorld(t)
 	ix := newTestIndex(t, d)

@@ -18,11 +18,10 @@
 // when a ride is created and when a booking is confirmed, exactly as the
 // paper prescribes.
 //
-// A single Index is not safe for concurrent use. The core engine reaches
-// it through Sharded: one Index behind an RWMutex by default, or rides
-// partitioned across N lock-striped instances keyed by ride ID, where
-// searches take brief per-shard read locks and mutations exclude only
-// the one shard that owns the ride. Rides carry a revision counter
+// An Index is not safe for concurrent use. The core engine reaches it
+// through Locked — the one Index behind one RWMutex: a search holds the
+// read lock while it reads, a mutation the write lock while it writes
+// (never while it computes a shortest path). Rides carry a revision counter
 // (Ride.Rev) that the engine's optimistic booking protocol compares to
 // detect concurrent mutation between snapshot and commit.
 package index
@@ -134,7 +133,7 @@ type Ride struct {
 }
 
 // Clone returns a deep copy of the ride: a snapshot that stays valid
-// (and race-free) after the engine releases the ride's shard lock.
+// (and race-free) after the engine releases the index lock.
 // Registration state is cloned too, so read-only helpers like
 // PassThroughClusters and ReachableClusters work on the copy. The slot
 // the copy carries means nothing outside the index the original is in:
@@ -196,7 +195,7 @@ func (r *Ride) group(g int) []Support {
 // is a sub-slice of the ride's support table, found by a binary search of
 // the directory's keys — a few cache lines, where the records of a dense
 // ride span kilobytes — no copy, nothing to sort; the caller must hold
-// the owning shard's lock and must not modify it. Every entry refers to a
+// the index lock and must not modify it. Every entry refers to a
 // pass-through the vehicle has not crossed: Advance compacts crossed ones
 // out under the same write lock that marks them.
 func (r *Ride) Supports(c int) []Support {

@@ -140,12 +140,12 @@ func steps(doc any) []any {
 var extractors = []extractor{
 	// --- BENCH_tracing.json (tracing PR) ---------------------------
 	// The historical "search ns/op" series: the instrumented-but-idle
-	// search hot path on the 16-stripe default index, re-measured by
+	// search hot path on the then 16-stripe index, re-measured by
 	// every later PR as its regression check. Absolute time on the
 	// shared VM drifts ±15% between batches (the committed points span
 	// 2444–3701), so the band is a loose absolute roof, not a tight
-	// delta. Closed: the default index has one stripe since
-	// BENCH_index.json, and default_search_ns_per_op below continues it.
+	// delta. Closed: the index is one structure since BENCH_index.json,
+	// and default_search_ns_per_op below continues it.
 	{file: "BENCH_tracing.json", bench: "BenchmarkSearchTelemetry", metric: "off_ns_per_op",
 		unit: "ns/op", dir: LowerBetter, max: lim(8000),
 		get: path("baseline", "BenchmarkSearchTelemetry/off_ns_per_op")},
@@ -186,15 +186,15 @@ var extractors = []extractor{
 		get: ratio([]string{"BenchmarkMixedWorkloadJournal", "onAudit", "ns_per_op"},
 			[]string{"BenchmarkMixedWorkloadJournal", "on", "ns_per_op"})},
 
-	// --- BENCH_parallel.json (sharded-engine PR) -------------------
-	// The unsharded serial engine vs the growth seed's measurement:
+	// --- BENCH_parallel.json (concurrent-engine PR) ----------------
+	// The serial engine vs the growth seed's measurement:
 	// the one absolute baseline that predates all observability work.
 	{file: "BENCH_parallel.json", bench: "BenchmarkSearchThroughput", metric: "serial_ns_per_op",
 		unit: "ns/op", dir: LowerBetter, max: lim(1200),
 		get: path("go_bench", "serial_regression_check", "BenchmarkSearchThroughput_ns_per_op")},
 	{file: "BENCH_parallel.json", bench: "BenchmarkMixedWorkloadParallel", metric: "procs8_ops_per_s",
 		unit: "ops/s", dir: HigherBetter, min: lim(30000),
-		get: path("go_bench", "BenchmarkMixedWorkloadParallel", "stripes1", "procs8", "ops_per_s")},
+		get: path("go_bench", "BenchmarkMixedWorkloadParallel", "procs8", "ops_per_s")},
 
 	// --- BENCH_ch.json (contraction-hierarchy PR) ------------------
 	// The CH routing engine's reason to exist: ≥10x over ALT at the
@@ -343,12 +343,12 @@ var extractors = []extractor{
 		unit: "paths/book", dir: Exact, min: lim(2.821), max: lim(2.821),
 		get: path("default_alt_sliced_legs", "BenchmarkReplayCandidates", "after", "paths_per_book")},
 
-	// --- BENCH_index.json (one index stripe, blocked posting lists) -
+	// --- BENCH_index.json (one index, blocked posting lists) --------
 	// The same benchmark on today's default configuration, ≈ 400–550 ns:
 	// a fifth of the historical series' points, whose 8000 ns roof would
 	// wave a tenfold regression through. This is the series `xarperf
-	// -smoke` feeds; its roof trips on the old 16-stripe cost (≈ 1800 ns
-	// on the blocked lists, ≈ 2500 before).
+	// -smoke` feeds; its roof trips on what 16 ride-ID stripes cost a
+	// search (≈ 1800 ns on the blocked lists, ≈ 2500 before).
 	{file: "BENCH_index.json", bench: "BenchmarkSearchTelemetry", metric: "default_search_ns_per_op",
 		unit: "ns/op", dir: LowerBetter, max: lim(1000),
 		get: path("default_search", "BenchmarkSearchTelemetry/off", "ns_per_op")},

@@ -169,7 +169,7 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 			want: "replay_candidates_per_search",
 		},
 		{
-			// The 16-stripe search the default used to be: inside the
+			// What a search over 16 ride-ID stripes cost: inside the
 			// historical series' 8000 ns roof, outside this one's.
 			name: "default search pays for stripes again", file: "BENCH_index.json",
 			mutate: func(doc map[string]any) {

@@ -45,7 +45,7 @@ func WithSLO(slo *telemetry.SLOEngine) Option {
 //     headline sub-millisecond search, §X Fig 4a — give live deployments
 //     headroom above the benchmark's ~0.5µs).
 //   - book-conflict-rate: optimistic-commit retries stay under 10% of
-//     bookings (sustained conflict storms mean shard contention).
+//     bookings (sustained conflict storms mean many writers on few rides).
 //   - http-error-rate: 5xx responses stay under 1% of requests.
 //
 // The server does not evaluate these itself; pass them to
@@ -176,7 +176,6 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 //	                     violating rides (auditor + journal wired)
 //	history.json         recorded metric time-series (when recording)
 //	metrics.prom         current scrape, Prometheus text format
-//	shards.json          per-shard ride occupancy (index balance)
 //	traces_slowest.json  the 20 slowest retained traces (when tracing)
 //	traces_errors.json   retained error traces (when tracing)
 //	goroutine.pprof      goroutine profile, pprof protobuf
@@ -271,19 +270,6 @@ func (s *Server) WriteDebugBundle(w io.Writer) error {
 		}
 	}
 	if err := addFrom("metrics.prom", s.reg.WritePrometheus); err != nil {
-		return err
-	}
-
-	view := s.eng.Index()
-	shards := make([]int, view.NumShards())
-	for i := range shards {
-		shards[i] = view.ShardLen(i)
-	}
-	if err := addJSON("shards.json", map[string]any{
-		"num_shards":      len(shards),
-		"rides_per_shard": shards,
-		"total_rides":     view.NumRides(),
-	}); err != nil {
 		return err
 	}
 

@@ -371,7 +371,7 @@ func TestDebugBundle(t *testing.T) {
 
 	for _, want := range []string{
 		"config.json", "quality.json", "slo.json", "history.json",
-		"memory.json", "metrics.prom", "shards.json",
+		"memory.json", "metrics.prom",
 		"traces_slowest.json", "traces_errors.json", "goroutine.pprof",
 		"goroutines.txt", "heap.pprof", "profiles.json",
 	} {
@@ -404,8 +404,12 @@ func TestDebugBundle(t *testing.T) {
 	if err := json.Unmarshal(members["config.json"], &cfg); err != nil {
 		t.Fatalf("config.json: %v", err)
 	}
-	if cfg["index_shards"].(float64) < 1 || cfg["road_nodes"].(float64) < 100 {
+	if cfg["active_rides"].(float64) != 1 || cfg["road_nodes"].(float64) < 100 {
 		t.Fatalf("config.json implausible: %v", cfg)
+	}
+	// The index is one structure: nothing per shard to report.
+	if _, ok := members["shards.json"]; ok || cfg["index_shards"] != nil {
+		t.Fatalf("bundle still describes index shards (shards.json present: %v, config index_shards: %v)", ok, cfg["index_shards"])
 	}
 	var qr QualityResponse
 	if err := json.Unmarshal(members["quality.json"], &qr); err != nil {
@@ -434,13 +438,6 @@ func TestDebugBundle(t *testing.T) {
 	}
 	if len(errTraces.Traces) == 0 {
 		t.Fatal("traces_errors.json has no traces despite a failed booking")
-	}
-	var shards map[string]any
-	if err := json.Unmarshal(members["shards.json"], &shards); err != nil {
-		t.Fatalf("shards.json: %v", err)
-	}
-	if shards["total_rides"].(float64) != 1 {
-		t.Fatalf("shards.json total_rides = %v, want 1", shards["total_rides"])
 	}
 	var mem core.MemoryReport
 	if err := json.Unmarshal(members["memory.json"], &mem); err != nil {

@@ -104,7 +104,7 @@ func TestMetricNameHygiene(t *testing.T) {
 		"xar_shadow_tasks_total",
 		"xar_build_info",
 		"xar_match_rate",
-		"xar_index_shard_rides",
+		"xar_index_rides",
 		"xar_index_full_rides",
 		"xar_memsize_bytes",
 		"xar_memsize_total_bytes",

@@ -98,7 +98,7 @@ func WithAccessLog(l *slog.Logger) Option {
 
 // WithTracer enables request-scoped tracing: each head-sampled request
 // (or any request arriving with a sampled W3C traceparent) becomes a
-// trace rooted at its route, with the engine's per-shard search spans,
+// trace rooted at its route, with the engine's operation spans,
 // book attempts and shortest-path calls as child spans, browsable via
 // GET /v1/traces. Pass the same tracer the engine was configured with so
 // bare engine traces (sim, bench) and HTTP traces share one store.

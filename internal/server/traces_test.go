@@ -170,7 +170,7 @@ func spanNamesInDoc(doc telemetry.TraceDoc) map[string]int {
 // TestTracesEndpoint drives a search over HTTP and asserts the trace is
 // browsable: listed under op=search (the engine span inside the HTTP
 // root), and resolvable by ID to a tree that descends route → search →
-// side_lookup + per-shard fan-out.
+// side_lookup.
 func TestTracesEndpoint(t *testing.T) {
 	env := newTracedEnv(t)
 	body := env.searchBody(t)
@@ -209,8 +209,8 @@ func TestTracesEndpoint(t *testing.T) {
 	if names["/v1/search"] != 1 || names["search"] != 1 || names["side_lookup"] != 1 {
 		t.Fatalf("span names = %v", names)
 	}
-	if names["search_shard"] == 0 {
-		t.Fatalf("no per-shard fan-out spans: %v", names)
+	if names["search_shard"] != 0 {
+		t.Fatalf("a search trace has a per-shard span: %v", names)
 	}
 	if byID.Status != "ok" {
 		t.Fatalf("status = %q", byID.Status)

@@ -12,7 +12,7 @@ import (
 // Request-scoped tracing. The aggregate histograms answer "how slow is
 // the p99"; the trace layer answers "why was THIS request slow": every
 // sampled operation records a tree of spans — the HTTP request, the
-// engine operation under it, the per-shard search fan-out, each
+// engine operation under it, a search's side lookup, each
 // optimistic-book attempt, each pooled A*/ALT path call — keyed by a
 // 128-bit W3C trace ID that also appears in the access log, the slow-op
 // log and the histogram exemplars, so metrics, logs and traces
@@ -272,8 +272,7 @@ func (s *Span) End() {
 
 // EndAt is End with a caller-supplied end instant, for instrumentation
 // that already read the clock (a stage boundary doubling as the span
-// end) — on the 16-way search fan-out the saved clock reads are a
-// measured win. now must come from time.Now on the ending goroutine.
+// end). now must come from time.Now on the ending goroutine.
 func (s *Span) EndAt(now time.Time) {
 	if s == nil {
 		return
@@ -322,14 +321,14 @@ func (td *TraceData) HasSpan(name string) bool {
 
 // maxSpansPerTrace bounds one trace's memory: a pathological request
 // (a TrackAll over a huge fleet under one span) cannot grow without
-// limit. 512 spans cover a 64-shard search fan-out plus a four-attempt
+// limit. 512 spans cover a batch of searches plus a four-attempt
 // booking with room to spare.
 const maxSpansPerTrace = 512
 
-// spanArenaSize is the per-trace block of preallocated spans: root +
-// side lookup + a 16-shard fan-out + book attempts fit without touching
-// the allocator again; rarer, wider traces spill to individual
-// allocations. The whole record (arena included) is recycled through
+// spanArenaSize is the per-trace block of preallocated spans: an HTTP
+// root, the operation, four book attempts and their four path searches
+// each fit without touching the allocator again; rarer, wider traces
+// spill to individual allocations. The whole record (arena included) is recycled through
 // the tracer's pool: sealing copies the spans and their attributes into
 // right-sized slices for the store, so the stored trace retains nothing
 // of the ~10 KB working block and the span hot path is allocation-free
@@ -344,8 +343,8 @@ const spanArenaSize = 24
 // just stamps the span's own (exclusively owned) duration and done
 // flag, and the root's End walks the arena once, batch-copying every
 // finished span into right-sized SpanData/Attr slices for the store.
-// Correct usage orders every child End before the root's (the fan-out
-// joins its workers first), which is exactly the happens-before edge
+// Correct usage orders every child End before the root's (whoever hands
+// children to other goroutines joins them first), which is exactly the happens-before edge
 // the seal scan needs.
 type traceRec struct {
 	tracer    *Tracer
@@ -368,7 +367,7 @@ type traceRec struct {
 // incarnation), or heap-allocates past the arena, tracking the spilled
 // span so the seal scan finds it (up to maxSpansPerTrace; beyond that
 // the span still works but goes unrecorded). Lock-free on the arena
-// path: concurrent fan-out spans claim slots atomically.
+// path: spans opened concurrently claim slots atomically.
 func (r *traceRec) newSpan() *Span {
 	if n := int(r.arenaNext.Add(1)); n <= spanArenaSize {
 		s := &r.arena[n-1]
@@ -625,30 +624,18 @@ func ChildSpan(ctx context.Context, name string) (context.Context, *Span) {
 }
 
 // Child opens a child span directly off s, nil-safe, without threading a
-// context — the hot-path form for fan-out sites that hold the parent
-// span and whose children spawn no spans of their own (the per-shard
-// search loop creates 16 of these per traced search; skipping the
-// context allocation and lookup there is a measured win).
+// context — the hot-path form for sites that hold the parent span and
+// whose children spawn no spans of their own (a search's side lookup),
+// which skips the context allocation and lookup.
 func (s *Span) Child(name string) *Span {
-	return s.ChildAt(name, time.Time{})
-}
-
-// ChildAt is Child with a caller-supplied start instant, for fan-out
-// sites where one span's end doubles as the next span's start (the
-// serial shard loop) — sharing the clock read halves the fan-out's
-// time.Now traffic. A zero start falls back to reading the clock.
-func (s *Span) ChildAt(name string, start time.Time) *Span {
 	if s == nil {
 		return nil
-	}
-	if start.IsZero() {
-		start = time.Now()
 	}
 	c := s.rec.newSpan()
 	c.name = name
 	c.id = newSpanID()
 	c.parent = s.id
-	c.start = start
+	c.start = time.Now()
 	return c
 }
 

@@ -317,7 +317,7 @@ func TestSpanCap(t *testing.T) {
 }
 
 func TestConcurrentSpanEnds(t *testing.T) {
-	// The search fan-out ends per-shard spans from worker goroutines.
+	// Children of one span may end on other goroutines.
 	tr := NewTracer(TracerConfig{})
 	ctx, root := tr.StartSpan(context.Background(), "search")
 	const workers = 16
@@ -326,8 +326,8 @@ func TestConcurrentSpanEnds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, s := ChildSpan(ctx, "search_shard")
-			s.SetInt("shard", int64(i))
+			_, s := ChildSpan(ctx, "worker")
+			s.SetInt("worker", int64(i))
 			s.End()
 		}(i)
 	}
