@@ -139,9 +139,11 @@ bench-ch-smoke:
 	$(GO) run ./cmd/xarbench -ch-bench -ch-reps 4 -ch-min-speedup 5 -ch-out bench-ch-smoke.json
 
 # bench-parallel-smoke: one iteration of each concurrent-engine
-# benchmark at every GOMAXPROCS step (procsP) — verifies the
-# parallel paths run, not their throughput (use `go test -bench Parallel
-# -benchtime 1s .` for real numbers; BENCH_parallel.json records a
-# measured curve).
+# benchmark at every GOMAXPROCS step (procsP), plus one of
+# BenchmarkMixedWorkloadJournal, which records into the journal's single
+# lock from 8 goroutines with and without the auditor sweeping — verifies
+# the parallel paths run, not their throughput (use `go test -bench
+# Parallel -benchtime 1s .` for real numbers; BENCH_parallel.json records
+# a measured curve).
 bench-parallel-smoke:
-	$(GO) test -run '^$$' -bench 'Parallel' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Parallel|BenchmarkMixedWorkloadJournal' -benchtime 1x .

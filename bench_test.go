@@ -1067,9 +1067,9 @@ func TestSearchProfilingOverheadSmoke(t *testing.T) {
 // BenchmarkMixedWorkloadJournal is the journal's contention benchmark:
 // the mixed create/search/book stream of BenchmarkMixedWorkloadParallel
 // at GOMAXPROCS 8, with the journal off versus on (every create and book
-// appends into the striped event rings from all goroutines). Recording
-// takes one stripe lock per event — ride ring and tail share live behind
-// the same mutex — so there is no journal-wide serialization point. The
+// appends into the event rings from all goroutines). Recording takes the
+// journal's one mutex per event for a sequence number, a ride-ring slot
+// and a tail slot; EXPERIMENTS.md records what that lock costs. The
 // ≤5% budget is enforced on the serial search path (BenchmarkSearchJournal);
 // here the on/off delta is reported, not budgeted: on a single-core CI VM
 // the 8-goroutine stream's variance is dominated by preemption churn

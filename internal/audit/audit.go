@@ -132,12 +132,12 @@ type Auditor struct {
 	sweeps     *telemetry.Counter
 	violations map[string]*telemetry.Counter
 
+	worker telemetry.Worker
+
 	mu     sync.Mutex
 	last   Report
 	total  uint64
 	recent []int64 // violating ride IDs, newest first, deduped
-	stop   chan struct{}
-	done   chan struct{}
 }
 
 // New builds an auditor over cfg.Target.
@@ -323,8 +323,8 @@ func (a *Auditor) checkRide(r *index.Ride, rep *Report) {
 }
 
 // checkCausality replays each ride's journaled event sequence. Rides
-// whose rings wrapped are exempt from before-created findings (the
-// created event may have been legitimately overwritten); a terminal
+// whose rings overwrote an event are exempt from before-created findings
+// (the created event may have been legitimately overwritten); a terminal
 // event is the last thing a ride records, so double-terminal detection
 // survives wraparound.
 func (a *Auditor) checkCausality(rep *Report) {
@@ -419,42 +419,15 @@ func (a *Auditor) finish(rep *Report) {
 // Start launches the background sweeper at the configured interval.
 // Idempotent while running.
 func (a *Auditor) Start() {
-	a.mu.Lock()
-	if a.stop != nil {
-		a.mu.Unlock()
-		return
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	a.stop, a.done = stop, done
-	a.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(a.ival)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				a.Audit()
-			}
-		}
-	}()
+	a.worker.Start(a.ival, func() time.Duration {
+		a.Audit()
+		return a.ival
+	})
 }
 
-// Stop halts the background sweeper and waits for it to exit. No-op when
-// not running.
-func (a *Auditor) Stop() {
-	a.mu.Lock()
-	stop, done := a.stop, a.done
-	a.stop, a.done = nil, nil
-	a.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
+// Stop halts the background sweeper and waits for it to exit. Final: a
+// stopped auditor does not start again. No-op when not running.
+func (a *Auditor) Stop() { a.worker.Stop() }
 
 // LastReport returns a copy of the most recent sweep's report.
 func (a *Auditor) LastReport() Report {

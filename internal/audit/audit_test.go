@@ -113,6 +113,25 @@ func TestCausalityWraparoundExemption(t *testing.T) {
 	}
 }
 
+// TestCausalityFullRingIsNotWrapped: a ring holding exactly its capacity
+// has lost nothing, so a missing created event is still a finding; only
+// an overwritten event earns the exemption.
+func TestCausalityFullRingIsNotWrapped(t *testing.T) {
+	j := journal.New(journal.Config{PerRideCapacity: 4})
+	for i := 0; i < 4; i++ {
+		j.Record(journal.Event{Type: journal.Booked, Ride: 12})
+	}
+	rep := newJournalAuditor(j, nil).Audit()
+	if len(rep.Violations) != 1 || rep.Violations[0].Invariant != InvCausality {
+		t.Fatalf("4 booked events in a 4-slot ring, no created: violations = %+v, want one causality", rep.Violations)
+	}
+
+	j.Record(journal.Event{Type: journal.Booked, Ride: 12})
+	if rep := newJournalAuditor(j, nil).Audit(); !rep.Clean() {
+		t.Fatalf("5 events in a 4-slot ring overwrote one and are exempt: %+v", rep.Violations)
+	}
+}
+
 func TestCountersAndState(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	j := journal.New(journal.Config{})

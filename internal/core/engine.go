@@ -522,7 +522,7 @@ func (e *Engine) Close() {
 		e.shadow.close()
 	}
 	if e.mem != nil {
-		e.mem.close()
+		e.mem.worker.Stop()
 	}
 	if e.profiler != nil {
 		e.profiler.Close()

@@ -16,22 +16,12 @@ import (
 // plus the live rides-per-GB frontier, and attributes heap allocations
 // to code sites via the runtime's sampled heap profile. Everything runs
 // off the request path: a sweep takes per-component locks one component
-// at a time, and the worker duty-cycles itself so sweeping can never
-// consume more than ~5% of one core regardless of fleet size.
+// at a time, and the worker duty-cycles itself (telemetry.Throttle) so
+// sweeping stays near 1% of one core regardless of fleet size.
 
 // DefaultMemSweepInterval is the background sweep cadence used by
 // callers that enable the sweeper without choosing an interval.
 const DefaultMemSweepInterval = 30 * time.Second
-
-// memSweepDutyCycle bounds sweeper CPU: after a sweep that took d, the
-// worker sleeps at least memSweepDutyCycle×d before the next one, so
-// the sweep loop's duty cycle stays ≤ 1/(1+99) = 1% of one core even
-// when a huge fleet makes sweeps slow. The headroom matters on small
-// hosts: the walk's direct CPU is only part of its cost (the reflection
-// walk also produces transient garbage the GC must chase), and the
-// search hot path's ≤5% overhead budget has to absorb both even when
-// the sweeper shares a single core with serving.
-const memSweepDutyCycle = 99
 
 // HeapStats is the runtime.MemStats slice the memory report carries:
 // enough to judge GC pressure and compare the tracked component total
@@ -126,9 +116,7 @@ type memoryMonitor struct {
 	last       *MemoryReport
 	sweepCount uint64
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	worker telemetry.Worker
 }
 
 func newMemoryMonitor(comps *memsize.Registry, telreg *telemetry.Registry, rides func() int, interval time.Duration) *memoryMonitor {
@@ -237,42 +225,14 @@ func (m *memoryMonitor) lastReport() *MemoryReport {
 	return m.last
 }
 
-// start launches the background sweep worker.
+// start launches the background sweep worker, duty-cycled against the
+// sweep's own cost: the reflection walk's direct CPU is only part of it
+// (the walk also leaves transient garbage the GC must chase), and the
+// search hot path's ≤5% overhead budget has to absorb both.
 func (m *memoryMonitor) start() {
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
-	go m.loop()
-}
-
-func (m *memoryMonitor) loop() {
-	defer close(m.done)
-	timer := time.NewTimer(m.interval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-timer.C:
-			start := time.Now()
-			m.sweepNow()
-			elapsed := time.Since(start)
-			// The duty-cycle budget: never sweep more often than one part
-			// in (1+memSweepDutyCycle) of wall time.
-			delay := m.interval
-			if floor := elapsed * memSweepDutyCycle; floor > delay {
-				delay = floor
-			}
-			timer.Reset(delay)
-		}
-	}
-}
-
-// close stops the worker (idempotent; no-op when never started).
-func (m *memoryMonitor) close() {
-	m.stopOnce.Do(func() {
-		if m.stop != nil {
-			close(m.stop)
-			<-m.done
-		}
+	m.worker.Start(m.interval, func() time.Duration {
+		start := time.Now()
+		m.sweepNow()
+		return telemetry.Throttle(m.interval, time.Since(start))
 	})
 }

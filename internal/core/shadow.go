@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xar/internal/quality"
+	"xar/internal/telemetry"
 )
 
 // The shadow counterfactual matcher re-runs a sample of requests off
@@ -74,15 +75,11 @@ type shadowMatcher struct {
 }
 
 func newShadowMatcher(e *Engine, qc *quality.Collector, rate int) *shadowMatcher {
-	mask := uint32(1)
-	for int(mask) < rate {
-		mask <<= 1
-	}
 	m := &shadowMatcher{
 		e:          e,
 		qc:         qc,
 		tasks:      make(chan shadowTask, shadowQueueDepth),
-		sampleMask: mask - 1,
+		sampleMask: telemetry.SampleMask(rate),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}

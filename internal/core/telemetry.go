@@ -80,15 +80,11 @@ func newEngineTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, sampl
 	if sampleRate <= 0 {
 		sampleRate = DefaultSearchSampleRate
 	}
-	mask := uint32(1)
-	for int(mask) < sampleRate {
-		mask <<= 1
-	}
 	t := &engineTelemetry{
 		ops:        make(map[string]*telemetry.Histogram, 6),
 		stages:     make(map[string]*telemetry.Histogram, 5),
 		errs:       make(map[string]*telemetry.Counter, 6),
-		sampleMask: mask - 1,
+		sampleMask: telemetry.SampleMask(sampleRate),
 		tracer:     tracer,
 		slowThresh: slowThresh,
 		slowLog:    slowLog,

@@ -12,15 +12,13 @@
 // ones when the ride table fills, so an active fleet's timelines survive
 // a churn of finished rides.
 //
-// Recording is lock-striped by ride ID and never blocks on consumers;
-// the auditor (internal/audit) replays per-ride sequences to verify
-// journal causality invariants.
+// Recording takes one journal-wide mutex for a few slice writes and
+// never blocks on consumers; the auditor (internal/audit) replays
+// per-ride sequences to verify journal causality invariants.
 package journal
 
 import (
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xar/internal/memsize"
@@ -82,8 +80,8 @@ func KnownType(t EventType) bool {
 // short strings, so a ring slot costs well under 100 bytes amortized.
 type Event struct {
 	// Seq is the journal-global sequence number: a total order over all
-	// recorded events, assigned atomically at Record time. Timelines and
-	// tails are returned in ascending Seq.
+	// recorded events, assigned under the journal's lock at Record time,
+	// so every ring holds its events in ascending Seq.
 	Seq  uint64    `json:"seq"`
 	Type EventType `json:"type"`
 	Ride int64     `json:"ride_id"`
@@ -108,24 +106,19 @@ const (
 	DefaultPerRideCapacity = 32
 	DefaultMaxRides        = 4096
 	DefaultTailCapacity    = 4096
-	DefaultStripes         = 8
 )
 
 // Config sizes a Journal.
 type Config struct {
 	// PerRideCapacity is each ride ring's event capacity (0 → 32).
 	PerRideCapacity int
-	// MaxRides bounds the number of per-ride rings retained across all
-	// stripes (0 → 4096). When full, terminal (completed) rides are
-	// evicted first, then the oldest ride.
+	// MaxRides bounds the number of per-ride rings retained (0 → 4096).
+	// When full, terminal (completed) rides are evicted first, then the
+	// oldest ride.
 	MaxRides int
-	// TailCapacity is the global tail's total capacity (0 → 4096). The
-	// tail is striped with the ride table — each stripe retains its
-	// share of the most recent events — so Tail approximates "the most
-	// recent TailCapacity events fleet-wide" without a global lock.
+	// TailCapacity is the global tail's capacity: Tail sees the most
+	// recent TailCapacity events fleet-wide (0 → 4096).
 	TailCapacity int
-	// Stripes is the lock-stripe count for the per-ride table (0 → 8).
-	Stripes int
 	// Registry, when non-nil, registers the xar_ride_events_total{type}
 	// counters (one per event type, eagerly, so a fresh process exposes
 	// every series at zero).
@@ -135,50 +128,24 @@ type Config struct {
 // Journal is the ride-lifecycle event log. Safe for concurrent use; a
 // nil *Journal is a valid no-op recorder (Record returns immediately).
 type Journal struct {
-	seq        atomic.Uint64
 	perRideCap int
-	stripes    []stripe
+	maxRides   int
 	counters   map[EventType]*telemetry.Counter
-}
 
-// stripe is one lock-striped slice of the per-ride table plus its share
-// of the global tail. Recording takes exactly one stripe lock: both the
-// ride ring and the tail slot live behind the same mutex, so the hot
-// path never funnels every goroutine through a journal-wide lock.
-type stripe struct {
-	mu    sync.Mutex
-	rides map[int64]*rideLog
-	order []int64 // first-event order, scanned for eviction
-	max   int     // ride capacity of this stripe
-	tail  eventRing
+	// mu guards everything below. Recording holds it for the sequence
+	// number, one ride-ring slot and one tail slot.
+	mu        sync.Mutex
+	seq       uint64
+	rides     map[int64]*rideLog
+	order     []int64 // first-event order, scanned for eviction
+	terminals int     // rides in the table with a Completed event
+	tail      telemetry.Ring[Event]
 }
 
 // rideLog is one ride's fixed-capacity event ring.
 type rideLog struct {
-	buf      []Event
-	next     int
-	full     bool // the ring wrapped: oldest events were overwritten
+	telemetry.Ring[Event]
 	terminal bool // a Completed event was recorded
-}
-
-func (l *rideLog) add(ev Event) {
-	l.buf[l.next] = ev
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.full = true
-	}
-}
-
-// events returns the retained events oldest-first (ring order).
-func (l *rideLog) events() []Event {
-	if !l.full {
-		return append([]Event(nil), l.buf[:l.next]...)
-	}
-	out := make([]Event, 0, len(l.buf))
-	out = append(out, l.buf[l.next:]...)
-	out = append(out, l.buf[:l.next]...)
-	return out
 }
 
 // New builds a journal.
@@ -192,28 +159,11 @@ func New(cfg Config) *Journal {
 	if cfg.TailCapacity <= 0 {
 		cfg.TailCapacity = DefaultTailCapacity
 	}
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = DefaultStripes
-	}
-	if cfg.Stripes > cfg.MaxRides {
-		cfg.Stripes = cfg.MaxRides
-	}
 	j := &Journal{
 		perRideCap: cfg.PerRideCapacity,
-		stripes:    make([]stripe, cfg.Stripes),
-	}
-	per := cfg.MaxRides / cfg.Stripes
-	if per < 1 {
-		per = 1
-	}
-	tailPer := cfg.TailCapacity / cfg.Stripes
-	if tailPer < 1 {
-		tailPer = 1
-	}
-	for i := range j.stripes {
-		j.stripes[i].rides = make(map[int64]*rideLog)
-		j.stripes[i].max = per
-		j.stripes[i].tail.init(tailPer)
+		maxRides:   cfg.MaxRides,
+		rides:      make(map[int64]*rideLog),
+		tail:       telemetry.NewRing(make([]Event, cfg.TailCapacity)),
 	}
 	if cfg.Registry != nil {
 		j.counters = make(map[EventType]*telemetry.Counter, len(Types()))
@@ -227,23 +177,19 @@ func New(cfg Config) *Journal {
 }
 
 // MeasureMem implements memsize.Measurer: the per-ride ring table, the
-// eviction order, and the tail ring of each stripe are walked under that
-// stripe's mutex — one stripe at a time, so recording on the other
-// stripes never stalls. The counters map is immutable after New and
-// needs no lock. Nil-receiver-safe like Record.
+// eviction order and the tail ring, walked under the journal's mutex.
+// The counters map is immutable after New and needs no lock.
+// Nil-receiver-safe like Record.
 func (j *Journal) MeasureMem(a *memsize.Accumulator) {
 	if j == nil {
 		return
 	}
 	a.Add(j.counters)
-	for i := range j.stripes {
-		st := &j.stripes[i]
-		st.mu.Lock()
-		a.Add(st.rides)
-		a.Add(st.order)
-		a.Add(st.tail.buf)
-		st.mu.Unlock()
-	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	a.Add(j.rides)
+	a.Add(j.order)
+	a.Add(j.tail)
 }
 
 // Record files one event: assigns its sequence number, stamps the wall
@@ -254,48 +200,50 @@ func (j *Journal) Record(ev Event) {
 	if j == nil {
 		return
 	}
-	ev.Seq = j.seq.Add(1)
 	if ev.Unix == 0 {
 		ev.Unix = float64(time.Now().UnixNano()) / 1e9
 	}
 	if c := j.counters[ev.Type]; c != nil {
 		c.Inc()
 	}
-	st := &j.stripes[uint64(ev.Ride)%uint64(len(j.stripes))]
-	st.mu.Lock()
-	l := st.rides[ev.Ride]
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.seq++
+	ev.Seq = j.seq
+	l := j.rides[ev.Ride]
 	if l == nil {
-		if len(st.rides) >= st.max {
-			st.evict()
+		if len(j.rides) >= j.maxRides {
+			j.evict()
 		}
-		l = &rideLog{buf: make([]Event, j.perRideCap)}
-		st.rides[ev.Ride] = l
-		st.order = append(st.order, ev.Ride)
+		l = &rideLog{Ring: telemetry.NewRing(make([]Event, j.perRideCap))}
+		j.rides[ev.Ride] = l
+		j.order = append(j.order, ev.Ride)
 	}
-	l.add(ev)
-	if ev.Type == Completed {
+	l.Add(ev)
+	if ev.Type == Completed && !l.terminal {
 		l.terminal = true
+		j.terminals++
 	}
-	st.tail.add(ev)
-	st.mu.Unlock()
+	j.tail.Add(ev)
 }
 
 // evict drops one ride log to make room: the oldest terminal ride if any
 // (finished rides' timelines are kept only as long as space allows),
-// else the oldest ride outright. Called with the stripe lock held.
-func (st *stripe) evict() {
-	victim := -1
-	for i, id := range st.order {
-		if l := st.rides[id]; l != nil && l.terminal {
-			victim = i
-			break
+// else the oldest ride outright. The terminal count spares the scan when
+// no ride has finished. Called with j.mu held.
+func (j *Journal) evict() {
+	victim := 0
+	if j.terminals > 0 {
+		for i, id := range j.order {
+			if j.rides[id].terminal {
+				victim = i
+				j.terminals--
+				break
+			}
 		}
 	}
-	if victim < 0 {
-		victim = 0
-	}
-	delete(st.rides, st.order[victim])
-	st.order = append(st.order[:victim], st.order[victim+1:]...)
+	delete(j.rides, j.order[victim])
+	j.order = append(j.order[:victim], j.order[victim+1:]...)
 }
 
 // Timeline returns the retained events of one ride in ascending sequence
@@ -305,28 +253,20 @@ func (j *Journal) Timeline(ride int64) []Event {
 	return evs
 }
 
-// timeline additionally reports whether the ride's ring wrapped (oldest
-// events lost) — the auditor needs that to avoid false "before created"
+// timeline additionally reports whether the ride's ring overwrote an
+// event — the auditor needs that to avoid false "before created"
 // causality findings on long-lived rides.
 func (j *Journal) timeline(ride int64) ([]Event, bool) {
 	if j == nil {
 		return nil, false
 	}
-	st := &j.stripes[uint64(ride)%uint64(len(j.stripes))]
-	st.mu.Lock()
-	l := st.rides[ride]
-	var evs []Event
-	wrapped := false
-	if l != nil {
-		evs = l.events()
-		wrapped = l.full
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	l := j.rides[ride]
+	if l == nil {
+		return nil, false
 	}
-	st.mu.Unlock()
-	// Concurrent recorders can interleave between sequence assignment
-	// and ring insert, so ring order is only approximately Seq order;
-	// the query surface guarantees ascending Seq.
-	sort.Slice(evs, func(a, b int) bool { return evs[a].Seq < evs[b].Seq })
-	return evs, wrapped
+	return l.AppendTo(nil), l.Overwritten()
 }
 
 // LastTraceID returns the most recent non-empty trace ID in the ride's
@@ -343,27 +283,24 @@ func (j *Journal) LastTraceID(ride int64) string {
 }
 
 // PerRide calls f once per tracked ride with its retained events
-// (ascending Seq) and whether the ride's ring wrapped, until f returns
-// false. Each stripe's ride set is snapshotted under its lock and f runs
-// outside any lock, so f may query the journal. Iteration order is
-// unspecified.
+// (ascending Seq) and whether the ride's ring overwrote an event, until
+// f returns false. The ride set is snapshotted under the lock and f runs
+// outside it, so f may query the journal. Rides are visited in
+// first-event order.
 func (j *Journal) PerRide(f func(ride int64, events []Event, wrapped bool) bool) {
 	if j == nil {
 		return
 	}
-	for si := range j.stripes {
-		st := &j.stripes[si]
-		st.mu.Lock()
-		ids := append([]int64(nil), st.order...)
-		st.mu.Unlock()
-		for _, id := range ids {
-			evs, wrapped := j.timeline(id)
-			if evs == nil {
-				continue // evicted between snapshot and read
-			}
-			if !f(id, evs, wrapped) {
-				return
-			}
+	j.mu.Lock()
+	ids := append([]int64(nil), j.order...)
+	j.mu.Unlock()
+	for _, id := range ids {
+		evs, wrapped := j.timeline(id)
+		if evs == nil {
+			continue // evicted between snapshot and read
+		}
+		if !f(id, evs, wrapped) {
+			return
 		}
 	}
 }
@@ -381,8 +318,8 @@ type TailFilter struct {
 
 const defaultTailLimit = 100
 
-// Tail returns the most recent matching events from the striped tail
-// rings, merged and ascending by Seq. Nil-receiver-safe.
+// Tail returns the most recent matching events from the tail ring,
+// ascending by Seq. Nil-receiver-safe.
 func (j *Journal) Tail(f TailFilter) []Event {
 	if j == nil {
 		return nil
@@ -391,14 +328,9 @@ func (j *Journal) Tail(f TailFilter) []Event {
 	if limit <= 0 {
 		limit = defaultTailLimit
 	}
-	var all []Event
-	for si := range j.stripes {
-		st := &j.stripes[si]
-		st.mu.Lock()
-		all = st.tail.appendTo(all)
-		st.mu.Unlock()
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Seq < all[b].Seq })
+	j.mu.Lock()
+	all := j.tail.AppendTo(nil)
+	j.mu.Unlock()
 	out := make([]Event, 0, limit)
 	for _, ev := range all {
 		if f.Type != "" && ev.Type != f.Type {
@@ -421,7 +353,9 @@ func (j *Journal) LastSeq() uint64 {
 	if j == nil {
 		return 0
 	}
-	return j.seq.Load()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.seq
 }
 
 // Stats summarizes journal occupancy.
@@ -437,40 +371,7 @@ func (j *Journal) Stats() Stats {
 	if j == nil {
 		return Stats{}
 	}
-	s := Stats{Events: j.seq.Load()}
-	for i := range j.stripes {
-		st := &j.stripes[i]
-		st.mu.Lock()
-		s.Rides += len(st.rides)
-		st.mu.Unlock()
-	}
-	return s
-}
-
-// eventRing is one stripe's tail share: a fixed-capacity
-// overwrite-oldest buffer of event values. Not self-locking — callers
-// hold the owning stripe's mutex.
-type eventRing struct {
-	buf  []Event
-	next int
-	full bool
-}
-
-func (r *eventRing) init(capacity int) { r.buf = make([]Event, capacity) }
-
-func (r *eventRing) add(ev Event) {
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-func (r *eventRing) appendTo(out []Event) []Event {
-	if !r.full {
-		return append(out, r.buf[:r.next]...)
-	}
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return Stats{Rides: len(j.rides), Events: j.seq}
 }

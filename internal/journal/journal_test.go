@@ -78,12 +78,15 @@ func TestPerRideRingWraparound(t *testing.T) {
 }
 
 func TestEvictionPrefersTerminalRides(t *testing.T) {
-	// One stripe so capacity bounds are deterministic.
-	j := New(Config{MaxRides: 3, Stripes: 1})
+	// The default config: MaxRides bounds the whole table, so the
+	// terminal ride is the victim wherever it sits.
+	j := New(Config{})
 	j.Record(Event{Type: Created, Ride: 1})
 	j.Record(Event{Type: Created, Ride: 2})
 	j.Record(Event{Type: Completed, Ride: 2}) // ride 2 is terminal
-	j.Record(Event{Type: Created, Ride: 3})
+	for id := int64(3); id <= DefaultMaxRides; id++ {
+		j.Record(Event{Type: Created, Ride: id})
+	}
 
 	// Retention after completion: the finished ride's timeline is still
 	// queryable while space allows.
@@ -92,20 +95,26 @@ func TestEvictionPrefersTerminalRides(t *testing.T) {
 	}
 
 	// Table is full; a new ride must evict terminal ride 2, not live 1.
-	j.Record(Event{Type: Created, Ride: 4})
+	j.Record(Event{Type: Created, Ride: DefaultMaxRides + 1})
 	if j.Timeline(2) != nil {
 		t.Fatal("terminal ride should be evicted first")
 	}
-	for _, id := range []int64{1, 3, 4} {
+	for _, id := range []int64{1, 3, DefaultMaxRides, DefaultMaxRides + 1} {
 		if j.Timeline(id) == nil {
 			t.Fatalf("live ride %d should survive eviction", id)
 		}
 	}
+	if got := j.Stats().Rides; got != DefaultMaxRides {
+		t.Fatalf("journal retains %d rides, want exactly MaxRides %d", got, DefaultMaxRides)
+	}
 
 	// No terminal rides left: the oldest live ride goes.
-	j.Record(Event{Type: Created, Ride: 5})
+	j.Record(Event{Type: Created, Ride: DefaultMaxRides + 2})
 	if j.Timeline(1) != nil {
 		t.Fatal("oldest live ride should be evicted when no terminal candidates exist")
+	}
+	if j.Timeline(3) == nil {
+		t.Fatal("only the oldest live ride should be evicted")
 	}
 }
 
@@ -149,17 +158,19 @@ func TestTailFilters(t *testing.T) {
 }
 
 func TestTailRingWraparound(t *testing.T) {
-	// One stripe so the tail is a single ring with exact retention.
-	j := New(Config{TailCapacity: 8, Stripes: 1})
-	for i := 0; i < 20; i++ {
-		j.Record(Event{Type: Created, Ride: int64(i)})
+	// The default config, events bunched on three rides: the tail keeps
+	// exactly the most recent TailCapacity events fleet-wide.
+	const n = DefaultTailCapacity + 12
+	j := New(Config{})
+	for i := 0; i < n; i++ {
+		j.Record(Event{Type: Booked, Ride: int64(i % 3)})
 	}
-	all := j.Tail(TailFilter{})
-	if len(all) != 8 {
-		t.Fatalf("tail retains %d events, want 8", len(all))
+	all := j.Tail(TailFilter{Limit: 10000})
+	if len(all) != DefaultTailCapacity {
+		t.Fatalf("tail retains %d events, want %d", len(all), DefaultTailCapacity)
 	}
-	if all[0].Seq != 13 || all[7].Seq != 20 {
-		t.Fatalf("tail seq range [%d,%d], want [13,20]", all[0].Seq, all[7].Seq)
+	if all[0].Seq != 13 || all[len(all)-1].Seq != n {
+		t.Fatalf("tail seq range [%d,%d], want [13,%d]", all[0].Seq, all[len(all)-1].Seq, n)
 	}
 }
 
@@ -205,7 +216,7 @@ func TestKnownType(t *testing.T) {
 // under -race) and checks the query-surface ordering guarantees:
 // timelines and tails are strictly seq-ascending with no duplicates.
 func TestConcurrentRecorders(t *testing.T) {
-	j := New(Config{PerRideCapacity: 64, MaxRides: 64, Stripes: 4})
+	j := New(Config{PerRideCapacity: 64, MaxRides: 64})
 	const goroutines = 8
 	const perG = 500
 	var wg sync.WaitGroup

@@ -33,7 +33,6 @@ func TestJournalRingsFixedMemory(t *testing.T) {
 		PerRideCapacity: 16,
 		MaxRides:        256,
 		TailCapacity:    512,
-		Stripes:         4,
 	}
 	j := journal.New(cfg)
 
@@ -60,7 +59,6 @@ func TestJournalRingsFixedMemory(t *testing.T) {
 		PerRideCapacity: 2 * cfg.PerRideCapacity,
 		MaxRides:        2 * cfg.MaxRides,
 		TailCapacity:    2 * cfg.TailCapacity,
-		Stripes:         4,
 	})
 	fillJournal(big, 4*cfg.MaxRides, 4*cfg.PerRideCapacity, 0)
 	if bigSize := memsize.Of(big); bigSize < sizeFull+sizeFull/4 {
@@ -85,7 +83,7 @@ func fillTraces(tr *telemetry.Tracer, n int, tag string) {
 }
 
 func TestTraceRingStoreFixedMemory(t *testing.T) {
-	tr := telemetry.NewTracer(telemetry.TracerConfig{SampleRate: 1, Capacity: 256, Stripes: 4})
+	tr := telemetry.NewTracer(telemetry.TracerConfig{SampleRate: 1, Capacity: 256})
 	store := tr.Store()
 
 	fillTraces(tr, 1024, "warm")
@@ -101,7 +99,7 @@ func TestTraceRingStoreFixedMemory(t *testing.T) {
 	}
 
 	// Capacity is the knob: a double-size store is measurably larger.
-	bigTr := telemetry.NewTracer(telemetry.TracerConfig{SampleRate: 1, Capacity: 512, Stripes: 4})
+	bigTr := telemetry.NewTracer(telemetry.TracerConfig{SampleRate: 1, Capacity: 512})
 	fillTraces(bigTr, 2048, "big")
 	if bigSize := memsize.Of(bigTr.Store()); bigSize < sizeFull+sizeFull/4 {
 		t.Fatalf("double-capacity store not measurably larger: %d vs %d", bigSize, sizeFull)

@@ -104,7 +104,6 @@ func TestMeasurerMatchesDeepWalk(t *testing.T) {
 		PerRideCapacity: 16,
 		MaxRides:        256,
 		TailCapacity:    512,
-		Stripes:         4,
 	})
 	fillJournal(j, 512, 32, 0)
 
@@ -130,7 +129,7 @@ func TestSiteProfiler(t *testing.T) {
 	// One ~24 MB tail-ring allocation inside journal.New: far beyond the
 	// default 512 KiB sampling rate, so the profile records it with
 	// near-certainty and attribution must land on xar/internal/journal.
-	big := journal.New(journal.Config{TailCapacity: 1 << 18, Stripes: 1})
+	big := journal.New(journal.Config{TailCapacity: 1 << 18})
 	// Heap-profile records publish at GC boundaries; two cycles flush the
 	// allocation above into the snapshot MemProfile reads.
 	runtime.GC()

@@ -9,14 +9,14 @@
 // plus an always-keep ring of captures pinned by SLO page
 // transitions).
 //
-// The worker runs under the same duty-cycle discipline as the memory
-// monitor: after a capture whose active work took d, the next one is
-// at least 99×d away, bounding fold cost to ≤1% of one core. The
-// passive CPU sampling window (the profiler sleeping while the
-// runtime samples) is deliberately excluded from d — it costs
-// samples, not a core — so the default 60s cadence holds with a 1s
-// window; it instead carries its own 9× floor bounding SIGPROF
-// exposure to ≤10% of wall time however short the interval. The
+// The worker is a telemetry.Worker under the same duty-cycle discipline
+// as the memory sweeper (telemetry.Throttle): after a capture whose
+// active work took d, the next one is at least 99×d away, bounding fold
+// cost to ≤1% of one core. The passive CPU sampling window (the
+// profiler sleeping while the runtime samples) is deliberately excluded
+// from d — it costs samples, not a core — so the default 60s cadence
+// holds with a 1s window; it instead carries its own 9× floor bounding
+// SIGPROF exposure to ≤10% of wall time however short the interval. The
 // overhead gauge the profiler publishes (xar_profile_overhead_ratio)
 // tracks the active-work definition only.
 package profile
@@ -62,10 +62,6 @@ const (
 	mutexFraction = 64
 	blockRateNs   = 100_000
 
-	// captureDutyCycle bounds the worker to ≤1% of one core: after a
-	// capture whose active work took d, sleep at least 99×d (the same
-	// discipline as memSweepDutyCycle in internal/core).
-	captureDutyCycle = 99
 	// windowDutyCycle bounds the passive CPU sampling window to ≤10%
 	// of wall time: SIGPROF delivery is cheap but not free, so an
 	// aggressive interval must not degenerate into an always-sampled
@@ -169,41 +165,6 @@ type ListFilter struct {
 	Limit      int     // 0 → all
 }
 
-// capRing is a fixed-capacity overwrite-oldest ring of captures.
-type capRing struct {
-	slots []*Capture
-	next  int
-	count int
-}
-
-func newCapRing(n int) capRing { return capRing{slots: make([]*Capture, n)} }
-
-func (r *capRing) add(c *Capture) {
-	if len(r.slots) == 0 {
-		return
-	}
-	r.slots[r.next] = c
-	r.next = (r.next + 1) % len(r.slots)
-	if r.count < len(r.slots) {
-		r.count++
-	}
-}
-
-func (r *capRing) newest() *Capture {
-	if r.count == 0 {
-		return nil
-	}
-	return r.slots[(r.next-1+len(r.slots))%len(r.slots)]
-}
-
-// each visits oldest → newest.
-func (r *capRing) each(fn func(*Capture)) {
-	start := r.next - r.count
-	for i := 0; i < r.count; i++ {
-		fn(r.slots[(start+i+len(r.slots))%len(r.slots)])
-	}
-}
-
 // pendingFold is a cumulative fold awaiting delta subtraction at
 // commit time.
 type pendingFold struct {
@@ -226,19 +187,17 @@ type Profiler struct {
 	// mu guards the rings, delta baselines, pin state and counters.
 	mu             sync.Mutex
 	nextID         uint64
-	fine           capRing
-	coarse         capRing
-	pinned         capRing
+	fine           telemetry.Ring[*Capture]
+	coarse         telemetry.Ring[*Capture]
+	pinned         telemetry.Ring[*Capture]
 	lastCoarseUnix float64
 	pinNext        string
 	prev           map[string]map[string]Sample // kind → cumulative baseline
 	workTotal      time.Duration
 
-	lifeMu  sync.Mutex
-	started bool
-	closed  bool
-	stop    chan struct{}
-	done    chan struct{}
+	worker    telemetry.Worker
+	stop      chan struct{} // closed by Close: interrupts a CPU window
+	closeOnce sync.Once
 
 	captures *telemetry.Counter
 	capDur   *telemetry.Histogram
@@ -292,9 +251,9 @@ func New(cfg Config) *Profiler {
 	p := &Profiler{
 		cfg:       cfg,
 		startTime: time.Now(),
-		fine:      newCapRing(cfg.FineSlots),
-		coarse:    newCapRing(cfg.CoarseSlots),
-		pinned:    newCapRing(cfg.PinnedSlots),
+		fine:      telemetry.NewRing(make([]*Capture, cfg.FineSlots)),
+		coarse:    telemetry.NewRing(make([]*Capture, cfg.CoarseSlots)),
+		pinned:    telemetry.NewRing(make([]*Capture, cfg.PinnedSlots)),
 		prev:      make(map[string]map[string]Sample),
 		stop:      make(chan struct{}),
 	}
@@ -319,26 +278,7 @@ func (p *Profiler) Start(interval time.Duration) {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	p.lifeMu.Lock()
-	defer p.lifeMu.Unlock()
-	if p.started || p.closed {
-		return
-	}
-	p.started = true
-	p.done = make(chan struct{})
-	go p.loop(interval)
-}
-
-func (p *Profiler) loop(interval time.Duration) {
-	defer close(p.done)
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-timer.C:
-		}
+	p.worker.Start(interval, func() time.Duration {
 		c := p.capture()
 		// Duty-cycle active work and the CPU window separately: the
 		// window is a passive wait that costs samples rather than a
@@ -347,38 +287,21 @@ func (p *Profiler) loop(interval time.Duration) {
 		// windows), so it gets its own, looser budget instead of the
 		// 99x work floor — which would stretch the default 60s
 		// cadence to ~100s for a 1s window.
-		delay := interval
-		if c != nil {
-			if floor := time.Duration(c.WorkSeconds*float64(time.Second)) * captureDutyCycle; floor > delay {
-				delay = floor
-			}
-			if floor := time.Duration(c.CPUWindowSeconds*float64(time.Second)) * windowDutyCycle; floor > delay {
-				delay = floor
-			}
-		}
-		timer.Reset(delay)
-	}
+		work := time.Duration(c.WorkSeconds * float64(time.Second))
+		window := time.Duration(c.CPUWindowSeconds * float64(time.Second))
+		return max(telemetry.Throttle(interval, work), window*windowDutyCycle)
+	})
 }
 
 // Close stops the worker, interrupting a mid-capture CPU window, and
 // restores the runtime sampling rates. Safe to call more than once
 // and concurrently with captures.
 func (p *Profiler) Close() {
-	p.lifeMu.Lock()
-	var done chan struct{}
-	first := !p.closed
-	if first {
-		p.closed = true
+	p.closeOnce.Do(func() {
 		close(p.stop)
-	}
-	done = p.done
-	p.lifeMu.Unlock()
-	if done != nil {
-		<-done
-	}
-	if first {
+		p.worker.Stop()
 		disableSampling()
-	}
+	})
 }
 
 // CaptureNow takes one capture synchronously and stores it in the
@@ -392,10 +315,10 @@ func (p *Profiler) PinLatest(reason string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.pinNext = reason
-	if c := p.fine.newest(); c != nil && !c.Pinned {
+	if c, ok := p.fine.Newest(); ok && !c.Pinned {
 		c.Pinned = true
 		c.PinReason = reason
-		p.pinned.add(c)
+		p.pinned.Add(c)
 	}
 }
 
@@ -512,11 +435,11 @@ func (p *Profiler) capture() *Capture {
 		c.Pinned = true
 		c.PinReason = p.pinNext
 		p.pinNext = ""
-		p.pinned.add(c)
+		p.pinned.Add(c)
 	}
-	p.fine.add(c)
+	p.fine.Add(c)
 	if p.lastCoarseUnix == 0 || c.Unix-p.lastCoarseUnix >= coarseEvery.Seconds() {
-		p.coarse.add(c)
+		p.coarse.Add(c)
 		p.lastCoarseUnix = c.Unix
 	}
 	work += time.Since(commitStart)
@@ -597,15 +520,11 @@ func (p *Profiler) goroutineStates() map[string]int {
 // find returns the stored capture with the given id, or nil.
 // Caller holds p.mu.
 func (p *Profiler) find(id uint64) *Capture {
-	var found *Capture
-	for _, r := range []*capRing{&p.fine, &p.coarse, &p.pinned} {
-		r.each(func(c *Capture) {
+	for _, r := range []*telemetry.Ring[*Capture]{&p.fine, &p.coarse, &p.pinned} {
+		for _, c := range r.AppendTo(nil) {
 			if c.ID == id {
-				found = c
+				return c
 			}
-		})
-		if found != nil {
-			return found
 		}
 	}
 	return nil
@@ -627,7 +546,7 @@ func (p *Profiler) Get(id uint64) (Capture, bool) {
 func (p *Profiler) Newest() (Capture, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if c := p.fine.newest(); c != nil {
+	if c, ok := p.fine.Newest(); ok {
 		return *c, true
 	}
 	return Capture{}, false
@@ -638,8 +557,8 @@ func (p *Profiler) List(f ListFilter) []Summary {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	byID := make(map[uint64]*Summary)
-	collect := func(name string, r *capRing) {
-		r.each(func(c *Capture) {
+	collect := func(name string, r *telemetry.Ring[*Capture]) {
+		for _, c := range r.AppendTo(nil) {
 			s := byID[c.ID]
 			if s == nil {
 				kinds := make([]string, 0, len(c.Profiles))
@@ -655,7 +574,7 @@ func (p *Profiler) List(f ListFilter) []Summary {
 				byID[c.ID] = s
 			}
 			s.Rings = append(s.Rings, name)
-		})
+		}
 	}
 	collect("fine", &p.fine)
 	collect("coarse", &p.coarse)
@@ -706,9 +625,9 @@ func (p *Profiler) MeasureMem(a *memsize.Accumulator) {
 		return
 	}
 	p.mu.Lock()
-	a.Add(p.fine.slots)
-	a.Add(p.coarse.slots)
-	a.Add(p.pinned.slots)
+	a.Add(p.fine)
+	a.Add(p.coarse)
+	a.Add(p.pinned)
 	a.Add(p.prev)
 	p.mu.Unlock()
 }

@@ -133,7 +133,7 @@ func TestRingWraparoundRetentionAndMemory(t *testing.T) {
 	}
 	add := func(c *Capture) {
 		p.mu.Lock()
-		p.fine.add(c)
+		p.fine.Add(c)
 		p.mu.Unlock()
 	}
 	for i := uint64(1); i <= 8; i++ {

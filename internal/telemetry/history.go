@@ -88,9 +88,7 @@ type Recorder struct {
 
 	onTick []func()
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	running  sync.WaitGroup // the Start goroutine, if Start ran
+	worker Worker
 }
 
 type seriesKey struct{ name, sig string }
@@ -129,7 +127,6 @@ func NewRecorder(reg *Registry, cfg RecorderConfig) *Recorder {
 		slots:    slots,
 		times:    make([]float64, slots),
 		series:   make(map[seriesKey]*recSeries),
-		stop:     make(chan struct{}),
 	}
 }
 
@@ -149,30 +146,17 @@ func (rec *Recorder) OnTick(fn func()) {
 	rec.mu.Unlock()
 }
 
-// Start launches the wall-clock ticker goroutine. Stop ends it.
+// Start launches the wall-clock tick worker. Stop ends it.
 func (rec *Recorder) Start() {
-	rec.running.Add(1)
-	go func() {
-		defer rec.running.Done()
-		t := time.NewTicker(rec.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-rec.stop:
-				return
-			case now := <-t.C:
-				rec.TickAt(float64(now.UnixNano()) / 1e9)
-			}
-		}
-	}()
+	rec.worker.Start(rec.interval, func() time.Duration {
+		rec.TickNow()
+		return rec.interval
+	})
 }
 
-// Stop terminates the Start goroutine and waits for it to exit.
+// Stop terminates the tick worker and waits for it to exit.
 // Idempotent; a recorder that was never started stops immediately.
-func (rec *Recorder) Stop() {
-	rec.stopOnce.Do(func() { close(rec.stop) })
-	rec.running.Wait()
-}
+func (rec *Recorder) Stop() { rec.worker.Stop() }
 
 // TickNow takes one snapshot stamped with the current wall clock.
 func (rec *Recorder) TickNow() { rec.TickAt(float64(time.Now().UnixNano()) / 1e9) }

@@ -501,13 +501,10 @@ type TracerConfig struct {
 	// always-keep slow ring, so a burst of fast traffic cannot evict the
 	// outliers worth debugging. 0 disables the slow ring.
 	SlowThreshold time.Duration
-	// Capacity is the total normal-ring capacity in traces
+	// Capacity is the normal ring's capacity in traces
 	// (0 → DefaultTraceCapacity). The slow and error rings each hold an
 	// additional Capacity/4.
 	Capacity int
-	// Stripes is the normal ring's lock-stripe count
-	// (0 → DefaultTraceStripes).
-	Stripes int
 }
 
 // Tracer mints sampled root spans and owns the trace store. Safe for
@@ -525,20 +522,23 @@ type Tracer struct {
 
 // NewTracer builds a tracer and its ring-buffer store.
 func NewTracer(cfg TracerConfig) *Tracer {
-	rate := cfg.SampleRate
-	if rate <= 0 {
-		rate = 1
+	return &Tracer{
+		store: NewTraceStore(cfg.Capacity),
+		mask:  SampleMask(cfg.SampleRate),
+		slow:  cfg.SlowThreshold,
+		recs:  sync.Pool{New: func() any { return new(traceRec) }},
 	}
+}
+
+// SampleMask returns the mask of a 1-in-rate head sampler, the rate
+// rounded up to a power of two: an event samples when its sequence
+// number & mask == 0. Rates 0 and 1 sample every event.
+func SampleMask(rate int) uint32 {
 	mask := uint32(1)
 	for int(mask) < rate {
 		mask <<= 1
 	}
-	return &Tracer{
-		store: NewTraceStore(cfg.Capacity, cfg.Stripes),
-		mask:  mask - 1,
-		slow:  cfg.SlowThreshold,
-		recs:  sync.Pool{New: func() any { return new(traceRec) }},
-	}
+	return mask - 1
 }
 
 // Store returns the tracer's ring-buffer trace store.

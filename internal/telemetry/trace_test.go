@@ -203,7 +203,7 @@ func TestNilTracer(t *testing.T) {
 }
 
 func TestErrorTraceKept(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 8, Stripes: 1})
+	tr := NewTracer(TracerConfig{Capacity: 8})
 	_, s := tr.StartSpan(context.Background(), "book")
 	s.SetErrorMsg("ride not found")
 	errID := s.TraceID()
@@ -228,7 +228,7 @@ func TestErrorTraceKept(t *testing.T) {
 }
 
 func TestSlowTraceKept(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 8, Stripes: 1, SlowThreshold: time.Nanosecond})
+	tr := NewTracer(TracerConfig{Capacity: 8, SlowThreshold: time.Nanosecond})
 	_, s := tr.StartSpan(context.Background(), "search")
 	time.Sleep(time.Millisecond)
 	slowID := s.TraceID()
@@ -279,7 +279,7 @@ func TestSlowestOrdering(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 4, Stripes: 1})
+	tr := NewTracer(TracerConfig{Capacity: 4})
 	var first TraceID
 	for i := 0; i < 8; i++ {
 		_, s := tr.StartSpan(context.Background(), "search")

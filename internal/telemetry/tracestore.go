@@ -10,111 +10,93 @@ import (
 
 // Trace-store sizing defaults.
 const (
-	// DefaultTraceCapacity is the normal ring's total capacity in traces.
-	// A trace is a few KB (spans × ~200 B), so the default store tops out
+	// DefaultTraceCapacity is the normal ring's capacity in traces. A
+	// trace is a few KB (spans × ~200 B), so the default store tops out
 	// around a few MB — bounded, allocation-recycling, restart-free.
 	DefaultTraceCapacity = 1024
-	// DefaultTraceStripes is the normal ring's lock-stripe count: inserts
-	// hash by trace ID across independent mutexes so concurrent request
-	// completions don't serialize on one lock.
-	DefaultTraceStripes = 8
 	// minSideRing is the floor for the slow/error rings' capacity.
 	minSideRing = 64
 )
 
-// TraceStore is a fixed-size, lock-striped ring buffer of finished
-// traces with two always-keep side rings:
+// TraceStore is a fixed-size ring buffer of finished traces with two
+// always-keep side rings, all behind one mutex:
 //
-//   - normal: head-sampled traffic, striped by trace ID; new traces
-//     overwrite the oldest in their stripe.
+//   - normal: head-sampled traffic; new traces overwrite the oldest.
 //   - slow: traces over the tracer's SlowThreshold. Kept separately so
 //     a flood of fast requests can never evict the outliers — the whole
 //     point of keeping traces is explaining the p99.
 //   - error: traces whose any span failed, same reasoning.
 //
-// Reads (Get/List/Slowest) copy slice headers under each stripe's lock;
-// TraceData values are immutable after sealing, so handing out pointers
-// is safe.
+// Reads (Get/List/Slowest) copy pointers under the lock; TraceData
+// values are immutable after sealing, so handing them out is safe.
 type TraceStore struct {
-	stripes []traceRing
-	slow    traceRing
-	errs    traceRing
+	mu     sync.Mutex
+	normal Ring[*TraceData]
+	slow   Ring[*TraceData]
+	errs   Ring[*TraceData]
 }
 
-// NewTraceStore builds a store with the given normal-ring capacity and
-// stripe count (0 → defaults). The slow and error rings each hold
+// NewTraceStore builds a store with the given normal-ring capacity
+// (0 → DefaultTraceCapacity). The slow and error rings each hold
 // capacity/4 (min 64).
-func NewTraceStore(capacity, stripes int) *TraceStore {
+func NewTraceStore(capacity int) *TraceStore {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	if stripes <= 0 {
-		stripes = DefaultTraceStripes
+	side := max(capacity/4, minSideRing)
+	return &TraceStore{
+		normal: NewRing(make([]*TraceData, capacity)),
+		slow:   NewRing(make([]*TraceData, side)),
+		errs:   NewRing(make([]*TraceData, side)),
 	}
-	if stripes > capacity {
-		stripes = capacity
-	}
-	side := capacity / 4
-	if side < minSideRing {
-		side = minSideRing
-	}
-	s := &TraceStore{stripes: make([]traceRing, stripes)}
-	per := capacity / stripes
-	if per < 1 {
-		per = 1
-	}
-	for i := range s.stripes {
-		s.stripes[i].init(per)
-	}
-	s.slow.init(side)
-	s.errs.init(side)
-	return s
 }
 
 // Add files a finished trace under the keep policy. slow is the tracer's
 // pre-computed SlowThreshold verdict (the store itself is
 // policy-agnostic about durations).
 func (s *TraceStore) Add(td *TraceData, slow bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch {
 	case td.Errored():
-		s.errs.add(td)
+		s.errs.Add(td)
 	case slow:
-		s.slow.add(td)
+		s.slow.Add(td)
 	default:
-		s.stripes[int(td.ID[15])%len(s.stripes)].add(td)
+		s.normal.Add(td)
 	}
 }
 
 // Get returns the stored trace with the given ID.
 func (s *TraceStore) Get(id TraceID) (*TraceData, bool) {
-	if td := s.stripes[int(id[15])%len(s.stripes)].get(id); td != nil {
-		return td, true
-	}
-	if td := s.slow.get(id); td != nil {
-		return td, true
-	}
-	if td := s.errs.get(id); td != nil {
-		return td, true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return findTrace(s.all(nil), id)
+}
+
+func findTrace(tds []*TraceData, id TraceID) (*TraceData, bool) {
+	for _, td := range tds {
+		if td.ID == id {
+			return td, true
+		}
 	}
 	return nil, false
 }
 
-// MeasureMem implements memsize.Measurer: every ring's buffer — and the
-// sealed, immutable traces it retains — is walked under that ring's
-// mutex, one ring at a time, so concurrent Adds only ever wait on the
-// single ring being measured.
-func (s *TraceStore) MeasureMem(a *memsize.Accumulator) {
-	for i := range s.stripes {
-		s.stripes[i].measureMem(a)
-	}
-	s.slow.measureMem(a)
-	s.errs.measureMem(a)
+// all appends every stored trace to dst. Caller holds s.mu.
+func (s *TraceStore) all(dst []*TraceData) []*TraceData {
+	return s.errs.AppendTo(s.slow.AppendTo(s.normal.AppendTo(dst)))
 }
 
-func (r *traceRing) measureMem(a *memsize.Accumulator) {
-	r.mu.Lock()
-	a.Add(r.buf)
-	r.mu.Unlock()
+// MeasureMem implements memsize.Measurer: every ring's buffer — and the
+// sealed, immutable traces it retains — is walked under the store's
+// mutex.
+func (s *TraceStore) MeasureMem(a *memsize.Accumulator) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a.Add(s.normal)
+	a.Add(s.slow)
+	a.Add(s.errs)
 }
 
 // TraceFilter selects traces for List.
@@ -180,75 +162,18 @@ func (s *TraceStore) Slowest(n int) []*TraceData {
 
 // Len returns the number of stored traces.
 func (s *TraceStore) Len() int {
-	n := s.slow.len() + s.errs.len()
-	for i := range s.stripes {
-		n += s.stripes[i].len()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.normal.Len() + s.slow.Len() + s.errs.Len()
 }
 
 // snapshot collects every stored trace sorted newest-first.
 func (s *TraceStore) snapshot() []*TraceData {
-	var all []*TraceData
-	for i := range s.stripes {
-		all = s.stripes[i].appendTo(all)
-	}
-	all = s.slow.appendTo(all)
-	all = s.errs.appendTo(all)
+	s.mu.Lock()
+	all := s.all(nil)
+	s.mu.Unlock()
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Start.After(all[j].Start) })
 	return all
-}
-
-// traceRing is one fixed-capacity overwrite-oldest buffer.
-type traceRing struct {
-	mu   sync.Mutex
-	buf  []*TraceData
-	next int
-	full bool
-}
-
-func (r *traceRing) init(capacity int) { r.buf = make([]*TraceData, capacity) }
-
-func (r *traceRing) add(td *TraceData) {
-	r.mu.Lock()
-	r.buf[r.next] = td
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-func (r *traceRing) get(id TraceID) *TraceData {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, td := range r.buf {
-		if td != nil && td.ID == id {
-			return td
-		}
-	}
-	return nil
-}
-
-func (r *traceRing) len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-func (r *traceRing) appendTo(dst []*TraceData) []*TraceData {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, td := range r.buf {
-		if td != nil {
-			dst = append(dst, td)
-		}
-	}
-	return dst
 }
 
 // ForceError copies the stored trace with the given ID into the
@@ -258,13 +183,14 @@ func (r *traceRing) appendTo(dst []*TraceData) []*TraceData {
 // whether the trace was found; a trace already in the error ring is not
 // duplicated.
 func (s *TraceStore) ForceError(id TraceID) bool {
-	if s.errs.get(id) != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := findTrace(s.errs.AppendTo(nil), id); ok {
 		return true
 	}
-	td, ok := s.Get(id)
-	if !ok {
-		return false
+	td, ok := findTrace(s.all(nil), id)
+	if ok {
+		s.errs.Add(td)
 	}
-	s.errs.add(td)
-	return true
+	return ok
 }
