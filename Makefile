@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-telemetry bench-tracing bench-recorder bench-audit bench-quality bench-quality-smoke bench-memory bench-memory-smoke bench-profile bench-profile-smoke bench-parallel-smoke audit-smoke bench-scale bench-scale-smoke bench-ch bench-ch-smoke bench-trend
+.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke bench-scale bench-scale-smoke bench-ch bench-ch-smoke bench-trend
 
 all: build vet test
 
@@ -9,6 +9,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -19,80 +20,21 @@ race:
 # bench-smoke: one fast pass over the headline benchmarks — enough to
 # catch perf regressions in CI without regenerating every figure.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkSearchTelemetry|BenchmarkSearchTracing|BenchmarkSearchRecorder|BenchmarkSearchJournal|BenchmarkSearchQuality|BenchmarkSearchMemsize|BenchmarkSearchDense$$' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkSearchObservers|BenchmarkSearchDense$$' -benchtime 100x .
 
-# bench-telemetry: the observability overhead comparison (off vs on)
-# backing the ≤5% search hot-path budget; see README "Observability".
-bench-telemetry:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchTelemetry' -benchtime 3s -count 4 .
+# bench-observers: every observer's cost on the loaded search hot path,
+# one BenchmarkSearchObservers arm per configuration, each read against
+# its baseline arm; see OBSERVABILITY.md "Overhead budgets".
+bench-observers:
+	$(GO) test -run '^$$' -bench 'BenchmarkSearchObservers' -benchtime 2s -count 3 .
 
-# bench-tracing: the request-tracing overhead comparison (off vs
-# head-sampled vs always-on) backing BENCH_tracing.json; see README
-# "Tracing".
-bench-tracing:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchTracing' -benchtime 3s -count 4 .
-
-# bench-recorder: the flight-recorder overhead comparison (registry
-# alone vs a recorder snapshotting it at a 5 ms cadence) backing
-# BENCH_recorder.json; see OBSERVABILITY.md.
-bench-recorder:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchRecorder' -benchtime 3s -count 4 .
-
-# bench-audit: the event-journal + invariant-auditor overhead comparison
-# (off vs journal-on vs journal + background sweeps — 50 ms cadence on
-# the serial search path, 1 s under the parallel mixed workload) backing
-# BENCH_audit.json; see OBSERVABILITY.md "Event journal & auditing".
-bench-audit:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchJournal|BenchmarkMixedWorkloadJournal' -benchtime 1.5s -count 3 .
-
-# bench-quality: the match-quality accounting overhead comparison (no
-# collector vs funnel + gap histograms vs funnel + shadow matcher at the
-# production 1-in-8 sample) backing BENCH_quality.json's ≤5% budget; see
-# OBSERVABILITY.md "Match quality".
-bench-quality:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchQuality' -benchtime 3s -count 4 .
-
-# bench-quality-smoke: the CI fence for the same comparison — interleaved
-# off/on arms with a deliberately loose 25% bound that absorbs shared-
-# runner drift but catches structural regressions (a lock or per-candidate
-# allocation added to the search hot path). The strict ≤5% budget is
-# judged on quiet hardware and recorded in BENCH_quality.json, whose
-# committed numbers `go test` re-checks (TestQualityBenchRecordMeetsBudget).
-bench-quality-smoke:
-	XAR_QUALITY_SMOKE=1 $(GO) test -run 'TestSearchQualityOverheadSmoke' -v .
-
-# bench-memory: the memory-accounting overhead comparison (no memsize
-# registry vs full component accounting with the background sweeper at a
-# 1 ms requested cadence, duty-cycled to ≤1% of one core) backing
-# BENCH_memory.json's ≤5% budget; see OBSERVABILITY.md "Memory".
-bench-memory:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchMemsize' -benchtime 2s -count 3 .
-
-# bench-memory-smoke: the CI fence for the same comparison plus the
-# coverage check — interleaved off/on arms under a loose 25% bound that
-# absorbs shared-runner drift, then a loaded-engine sweep asserting the
-# tracked components explain the live heap within 20%. The strict ≤5%
-# budget is judged on the committed BENCH_memory.json numbers, which
-# `go test` re-checks (TestMemoryBenchRecordMeetsBudget).
-bench-memory-smoke:
-	XAR_MEMORY_SMOKE=1 $(GO) test -run 'TestMemorySweepOverheadSmoke' -v .
-
-# bench-profile: the continuous-profiling overhead comparison (no
-# profiler vs the capture worker at a 1 ms requested cadence, throttled
-# by its ≤1%-of-core fold and ≤10%-of-wall CPU-window duty floors)
-# backing BENCH_profile.json's ≤5% budget; see OBSERVABILITY.md
-# "Continuous profiling".
-bench-profile:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchProfiling|BenchmarkSearchTelemetry/off' -benchmem -benchtime 2s -count 3 .
-
-# bench-profile-smoke: the CI fence for the same comparison — interleaved
-# off/on arms under a loose 25% bound that absorbs shared-runner drift,
-# then a liveness check that the profiler actually captured every delta
-# kind during the run and self-reported a sane overhead gauge. The strict
-# ≤5% budget is judged on the committed BENCH_profile.json numbers, which
-# `go test` re-checks (TestProfileBenchRecordMeetsBudget).
-bench-profile-smoke:
-	XAR_PROFILE_SMOKE=1 $(GO) test -run 'TestSearchProfilingOverheadSmoke' -v .
+# bench-observers-smoke: the live fence CI runs — every arm in three
+# interleaved rounds, each budgeted arm held to max(budget, 1.25) × its
+# baseline's best round, then a loaded-engine memory sweep that must
+# explain the live heap within 20% and a profiler that must capture
+# every delta kind.
+bench-observers-smoke:
+	XAR_OBSERVER_SMOKE=1 $(GO) test -run 'TestObserverOverheadSmoke' -v .
 
 # bench-trend: the performance-regression sentinel — fold every committed
 # BENCH_*.json into the longitudinal trajectory (BENCH_trajectory.json),

@@ -1,15 +1,23 @@
-// Schema checks over the committed BENCH_*.json artifacts. The bench
-// records are hand-curated measurement documents (see OBSERVABILITY.md
-// "Overhead budgets"); this test keeps them machine-readable — a
-// malformed edit fails CI instead of silently breaking whatever tooling
-// parses them next — and re-verifies that the numbers recorded for the
-// quality funnel actually meet the budget the docs claim.
+// Consistency checks between the code and what the repository states
+// about its benchmarks: the committed BENCH_*.json records stay
+// machine-readable, every benchmark or test name a Makefile or CI
+// pattern passes to `go test` exists, and OBSERVABILITY.md's overhead
+// budgets are BenchmarkSearchObservers' own. Each would otherwise go
+// stale silently.
 package xar
 
 import (
 	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -37,8 +45,8 @@ func TestBenchArtifactSchemas(t *testing.T) {
 			t.Errorf("%s: empty document", p)
 			continue
 		}
-		// The hand-written overhead records (vs the tool-emitted frontier
-		// and CH reports) all carry provenance: a description, the
+		// The hand-written records (vs the tool-emitted frontier and CH
+		// reports) all carry provenance: a description, the
 		// measurement date, and the hardware it was measured on.
 		if _, ok := doc["description"]; !ok {
 			continue
@@ -53,119 +61,6 @@ func TestBenchArtifactSchemas(t *testing.T) {
 		if err := json.Unmarshal(doc["hardware"], &hw); err != nil || len(hw) == 0 {
 			t.Errorf("%s: hardware block missing or empty", p)
 		}
-	}
-}
-
-// TestQualityBenchRecordMeetsBudget parses the committed
-// BENCH_quality.json and re-checks the acceptance criterion it records:
-// the BenchmarkSearchQuality off-vs-on same-batch delta is within the
-// ≤5% observability budget. The live-measurement counterpart is the
-// bench-quality-smoke CI fence (TestSearchQualityOverheadSmoke).
-func TestQualityBenchRecordMeetsBudget(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_quality.json")
-	if err != nil {
-		t.Fatalf("BENCH_quality.json must be committed alongside the quality layer: %v", err)
-	}
-	var doc struct {
-		Bench struct {
-			Off struct {
-				Ns float64 `json:"ns_per_op"`
-			} `json:"off"`
-			On struct {
-				Ns float64 `json:"ns_per_op"`
-			} `json:"on"`
-			OnShadow struct {
-				Ns float64 `json:"ns_per_op"`
-			} `json:"onShadow"`
-		} `json:"BenchmarkSearchQuality"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_quality.json: %v", err)
-	}
-	off, on := doc.Bench.Off.Ns, doc.Bench.On.Ns
-	if off <= 0 || on <= 0 || doc.Bench.OnShadow.Ns <= 0 {
-		t.Fatalf("BENCH_quality.json: BenchmarkSearchQuality off/on/onShadow ns_per_op must all be recorded and positive (got %v/%v/%v)",
-			off, on, doc.Bench.OnShadow.Ns)
-	}
-	if on > off*1.05 {
-		t.Errorf("recorded quality overhead is %.1f%% (off %.0f ns/op, on %.0f ns/op) — the committed record violates the ≤5%% budget it documents",
-			100*(on-off)/off, off, on)
-	}
-}
-
-// TestMemoryBenchRecordMeetsBudget parses the committed
-// BENCH_memory.json and re-checks the acceptance criterion it records:
-// BenchmarkSearchMemsize with the accounting sweeper running stays
-// within the ≤5% search hot-path budget. The live-measurement
-// counterpart is the bench-memory-smoke CI fence
-// (TestMemorySweepOverheadSmoke).
-func TestMemoryBenchRecordMeetsBudget(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_memory.json")
-	if err != nil {
-		t.Fatalf("BENCH_memory.json must be committed alongside the memory-accounting layer: %v", err)
-	}
-	var doc struct {
-		Bench struct {
-			Off struct {
-				Ns float64 `json:"ns_per_op"`
-			} `json:"off"`
-			On struct {
-				Ns float64 `json:"ns_per_op"`
-			} `json:"on"`
-		} `json:"BenchmarkSearchMemsize"`
-		Coverage struct {
-			Ratio float64 `json:"tracked_coverage_ratio"`
-		} `json:"coverage"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_memory.json: %v", err)
-	}
-	off, on := doc.Bench.Off.Ns, doc.Bench.On.Ns
-	if off <= 0 || on <= 0 {
-		t.Fatalf("BENCH_memory.json: BenchmarkSearchMemsize off/on ns_per_op must both be recorded and positive (got %v/%v)", off, on)
-	}
-	if on > off*1.05 {
-		t.Errorf("recorded memory-accounting overhead is %.1f%% (off %.0f ns/op, on %.0f ns/op) — the committed record violates the ≤5%% budget it documents",
-			100*(on-off)/off, off, on)
-	}
-	// The coverage acceptance criterion: tracked components explain the
-	// live heap within 20%.
-	if r := doc.Coverage.Ratio; r < 0.80 || r > 1.20 {
-		t.Errorf("recorded tracked_coverage_ratio %.2f outside the 20%% acceptance fence", r)
-	}
-}
-
-// TestProfileBenchRecordMeetsBudget parses the committed
-// BENCH_profile.json and re-checks the acceptance criterion it records:
-// BenchmarkSearchProfiling with the continuous profiler duty-cycling at
-// its floors stays within the ≤5% search hot-path budget. The
-// live-measurement counterpart is the bench-profile-smoke CI fence
-// (TestSearchProfilingOverheadSmoke).
-func TestProfileBenchRecordMeetsBudget(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_profile.json")
-	if err != nil {
-		t.Fatalf("BENCH_profile.json must be committed alongside the continuous-profiling layer: %v", err)
-	}
-	var doc struct {
-		Bench struct {
-			Off struct {
-				Ns float64 `json:"ns_per_op"`
-			} `json:"off"`
-			On struct {
-				Ns float64 `json:"ns_per_op"`
-			} `json:"on"`
-		} `json:"BenchmarkSearchProfiling"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_profile.json: %v", err)
-	}
-	off, on := doc.Bench.Off.Ns, doc.Bench.On.Ns
-	if off <= 0 || on <= 0 {
-		t.Fatalf("BENCH_profile.json: BenchmarkSearchProfiling off/on ns_per_op must both be recorded and positive (got %v/%v)", off, on)
-	}
-	if on > off*1.05 {
-		t.Errorf("recorded continuous-profiling overhead is %.1f%% (off %.0f ns/op, on %.0f ns/op) — the committed record violates the ≤5%% budget it documents",
-			100*(on-off)/off, off, on)
 	}
 }
 
@@ -215,4 +110,154 @@ func TestTrajectoryArtifactSchema(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBenchPatternsNameRealBenchmarks: every `|` alternative of every
+// -bench and -run pattern that the Makefile and the CI workflow pass to
+// `go test … .` must match a Benchmark or Test func of this package.
+// `go test` runs whatever matches and says nothing about an
+// alternative that matches nothing, so a renamed benchmark would
+// otherwise drop out of a smoke run unnoticed.
+func TestBenchPatternsNameRealBenchmarks(t *testing.T) {
+	var funcs []string
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs = append(funcs, fn.Name.Name)
+			}
+		}
+	}
+	flagRE := regexp.MustCompile(`-(bench|run) '([^']*)'`)
+	checked := 0
+	for _, file := range []string{"Makefile", ".github/workflows/ci.yml"} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(raw), "\n") {
+			line = strings.TrimSpace(line)
+			if !strings.Contains(line, " test ") || !strings.HasSuffix(line, " .") {
+				continue // not a `go test` of this package
+			}
+			line = strings.ReplaceAll(line, "$$", "$") // make's escape; no-op in YAML
+			for _, m := range flagRE.FindAllStringSubmatch(line, -1) {
+				prefix := map[string]string{"bench": "Benchmark", "run": "Test"}[m[1]]
+				for _, alt := range splitTopLevel(m[2], '|') {
+					if alt == "^$" {
+						continue
+					}
+					re, err := regexp.Compile(splitTopLevel(alt, '/')[0])
+					if err != nil {
+						t.Errorf("%s:%d: -%s alternative %q: %v", file, n+1, m[1], alt, err)
+						continue
+					}
+					found := false
+					for _, f := range funcs {
+						found = found || strings.HasPrefix(f, prefix) && re.MatchString(f)
+					}
+					if !found {
+						t.Errorf("%s:%d: -%s alternative %q matches no %s func of package xar", file, n+1, m[1], alt, prefix)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no -bench or -run pattern found to check")
+	}
+}
+
+// splitTopLevel splits a pattern at every sep outside brackets and
+// parentheses, the way `go test` splits -bench and -run patterns into
+// alternatives (|) and sub-benchmark levels (/).
+func splitTopLevel(pattern string, sep byte) []string {
+	var parts []string
+	depth, class, start := 0, false, 0
+	for i := 0; i < len(pattern); i++ {
+		switch c := pattern[i]; {
+		case c == '\\':
+			i++
+		case class:
+			class = c != ']'
+		case c == '[':
+			class = true
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == sep && depth == 0:
+			parts = append(parts, pattern[start:i])
+			start = i + 1
+		}
+	}
+	return append(parts, pattern[start:])
+}
+
+// TestOverheadBudgetsTableMatchesArms: every row of OBSERVABILITY.md's
+// "Overhead budgets" table names an arm of BenchmarkSearchObservers
+// with that arm's baseline and budget, and every budgeted arm has a
+// row, so the documented budgets are the ones the smoke fence applies.
+func TestOverheadBudgetsTableMatchesArms(t *testing.T) {
+	raw, err := os.ReadFile("OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## Overhead budgets\n")
+	if !ok {
+		t.Fatal(`OBSERVABILITY.md has no "## Overhead budgets" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	arms := map[string]observerArm{}
+	for _, arm := range observerArms {
+		arms[arm.name] = arm
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		if len(cells) != 4 || !strings.HasPrefix(strings.TrimSpace(cells[0]), "`") {
+			continue // not a data row of the Arm | Observer | Baseline | Budget table
+		}
+		name := strings.Trim(strings.TrimSpace(cells[0]), "`")
+		baseline := strings.Trim(strings.TrimSpace(cells[2]), "`")
+		budget, err := parseBudget(strings.TrimSpace(cells[3]))
+		if err != nil {
+			t.Errorf("row %s: %v", name, err)
+			continue
+		}
+		rows[name] = true
+		arm, ok := arms[name]
+		switch {
+		case !ok:
+			t.Errorf("row %s names no arm of BenchmarkSearchObservers", name)
+		case arm.baseline != baseline || math.Abs(arm.budget-budget) > 1e-9:
+			t.Errorf("row %s reads %.2f over %s; the arm is %.2f over %s", name, budget, baseline, arm.budget, arm.baseline)
+		}
+	}
+	for _, arm := range observerArms {
+		if arm.budget > 0 && !rows[arm.name] {
+			t.Errorf("arm %s (%.2f over %s) has no row in the Overhead budgets table", arm.name, arm.budget, arm.baseline)
+		}
+	}
+}
+
+// parseBudget reads a budget cell: "≤5%" is a 1.05 ratio, "≤3.5×" a 3.5 one.
+func parseBudget(cell string) (float64, error) {
+	s := strings.TrimPrefix(cell, "≤")
+	if v, ok := strings.CutSuffix(s, "%"); ok {
+		f, err := strconv.ParseFloat(v, 64)
+		return 1 + f/100, err
+	}
+	if v, ok := strings.CutSuffix(s, "×"); ok {
+		return strconv.ParseFloat(v, 64)
+	}
+	return 0, fmt.Errorf("budget %q is neither ≤N%% nor ≤N×", cell)
 }

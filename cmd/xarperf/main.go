@@ -115,10 +115,16 @@ func allocsLine(bench string) *regexp.Regexp {
 // and book amortize the growth of posting lists and the ride map over
 // the run — their per-op count is exact only at the count the band was
 // recorded at.
+//
+// `go test -bench` splits a pattern at every unparenthesised `/` into
+// per-level patterns, and a top-level benchmark that matches only a
+// prefix of the levels runs just its sub-benchmarks — a `/^bare$` level
+// applied to the whole pattern would silently drop the dense and replay
+// lines. Hence one `|` alternative per depth.
 func smokeRuns(benchtime string) []smokeRun {
 	return []smokeRun{
-		{bench: "^(BenchmarkSearchTelemetry|BenchmarkSearchDense|BenchmarkReplayCandidates)$", benchtime: benchtime, series: []smokeSeries{
-			{"BenchmarkSearchTelemetry", "default_search_ns_per_op", regexp.MustCompile(`(?m)^BenchmarkSearchTelemetry/off\S*\s+\d+\s+([\d.]+) ns/op`)},
+		{bench: "^(BenchmarkSearchDense|BenchmarkReplayCandidates)$|^BenchmarkSearchObservers$/^bare$", benchtime: benchtime, series: []smokeSeries{
+			{"BenchmarkSearchObservers/bare", "default_search_ns_per_op", regexp.MustCompile(`(?m)^BenchmarkSearchObservers/bare\S*\s+\d+\s+([\d.]+) ns/op`)},
 			{"BenchmarkSearchDense", "search_dense_allocs_per_op", allocsLine("BenchmarkSearchDense")},
 			{"BenchmarkReplayCandidates", "replay_candidates_per_search", regexp.MustCompile(`(?m)^BenchmarkReplayCandidates\S*\s.*\s([\d.]+) candidates/search`)},
 			{"BenchmarkReplayCandidates", "replay_paths_per_book", regexp.MustCompile(`(?m)^BenchmarkReplayCandidates\S*\s.*\s([\d.]+) paths/book`)},

@@ -46,7 +46,7 @@ type HeapStats struct {
 	LastGCUnix    float64 `json:"last_gc_unix,omitempty"`
 	// TrackedCoverageRatio is tracked_total_bytes / heap_alloc_bytes —
 	// how much of the live heap the component registry explains. The
-	// bench-memory smoke test fences this against drift.
+	// bench-observers smoke test fences this against drift.
 	TrackedCoverageRatio float64 `json:"tracked_coverage_ratio"`
 }
 

@@ -82,10 +82,8 @@ func TestCommittedArtifactsPassGate(t *testing.T) {
 		}
 	}
 	for _, file := range []string{
-		"BENCH_audit.json", "BENCH_ch.json", "BENCH_index.json", "BENCH_memory.json",
-		"BENCH_parallel.json", "BENCH_profile.json", "BENCH_quality.json",
-		"BENCH_recorder.json", "BENCH_routing.json", "BENCH_scale.json",
-		"BENCH_search.json", "BENCH_tracing.json",
+		"BENCH_ch.json", "BENCH_index.json", "BENCH_parallel.json",
+		"BENCH_routing.json", "BENCH_scale.json", "BENCH_search.json",
 	} {
 		if !sources[file] {
 			t.Errorf("committed artifact %s contributed no points to the trajectory", file)
@@ -97,12 +95,6 @@ func TestCommittedArtifactsPassGate(t *testing.T) {
 		if strings.Contains(w, "shape drift") {
 			t.Errorf("extractor defeated by committed artifact: %s", w)
 		}
-	}
-	// The headline search series is longitudinal: one point per
-	// observability PR that re-measured it.
-	s := tr.Benchmarks["BenchmarkSearchTelemetry"]["off_ns_per_op"]
-	if s == nil || len(s.Points) < 4 {
-		t.Fatalf("headline search ns/op series too short: %+v", s)
 	}
 }
 
@@ -131,20 +123,11 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 			want: "distance_mismatches_total",
 		},
 		{
-			name: "memsize overhead blowup", file: "BENCH_memory.json",
+			name: "search hot path regression", file: "BENCH_parallel.json",
 			mutate: func(doc map[string]any) {
-				b := doc["BenchmarkSearchMemsize"].(map[string]any)
-				off := b["off"].(map[string]any)["ns_per_op"].(float64)
-				b["on"].(map[string]any)["ns_per_op"] = 2 * off
+				doc["go_bench"].(map[string]any)["serial_regression_check"].(map[string]any)["BenchmarkSearchThroughput_ns_per_op"] = 2500.0
 			},
-			want: "memsize_overhead_ratio",
-		},
-		{
-			name: "search hot path regression", file: "BENCH_quality.json",
-			mutate: func(doc map[string]any) {
-				doc["regression_check"].(map[string]any)["BenchmarkSearchTelemetry/off"].(map[string]any)["ns_per_op"] = 25000.0
-			},
-			want: "off_ns_per_op",
+			want: "serial_ns_per_op",
 		},
 		{
 			name: "rides per GB collapse", file: "BENCH_scale.json",
@@ -225,11 +208,11 @@ func TestSmokePointGatesAgainstBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.AddPoint("BenchmarkSearchTelemetry", "default_search_ns_per_op", Point{Source: "smoke", Value: 550})
+	tr.AddPoint("BenchmarkSearchObservers/bare", "default_search_ns_per_op", Point{Source: "smoke", Value: 550})
 	if got := tr.Gate(); len(got) != 0 {
 		t.Fatalf("healthy smoke point tripped the gate: %v", got)
 	}
-	tr.AddPoint("BenchmarkSearchTelemetry", "default_search_ns_per_op", Point{Source: "smoke", Value: 1800})
+	tr.AddPoint("BenchmarkSearchObservers/bare", "default_search_ns_per_op", Point{Source: "smoke", Value: 1800})
 	got := tr.Gate()
 	if len(got) != 1 || !strings.Contains(got[0], "smoke") {
 		t.Fatalf("regressed smoke point not caught: %v", got)

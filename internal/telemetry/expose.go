@@ -129,12 +129,12 @@ type SeriesJSON struct {
 	// Value is set for counters and gauges.
 	Value *float64 `json:"value,omitempty"`
 	// Histogram payload.
-	Count   *uint64            `json:"count,omitempty"`
-	Sum     *float64           `json:"sum,omitempty"`
-	Buckets map[string]uint64  `json:"buckets,omitempty"` // le → cumulative count
-	P50     *float64           `json:"p50,omitempty"`
-	P95     *float64           `json:"p95,omitempty"`
-	P99     *float64           `json:"p99,omitempty"`
+	Count   *uint64           `json:"count,omitempty"`
+	Sum     *float64          `json:"sum,omitempty"`
+	Buckets map[string]uint64 `json:"buckets,omitempty"` // le → cumulative count
+	P50     *float64          `json:"p50,omitempty"`
+	P95     *float64          `json:"p95,omitempty"`
+	P99     *float64          `json:"p99,omitempty"`
 }
 
 // FamilyJSON is one metric family in the JSON dump.

@@ -27,10 +27,10 @@ func TestParseTraceIDRejects(t *testing.T) {
 	for _, s := range []string{
 		"",
 		"abc",
-		strings.Repeat("0", 32),                  // zero ID is invalid
-		strings.Repeat("g", 32),                  // non-hex
-		strings.Repeat("a", 31),                  // short
-		strings.Repeat("a", 33),                  // long
+		strings.Repeat("0", 32), // zero ID is invalid
+		strings.Repeat("g", 32), // non-hex
+		strings.Repeat("a", 31), // short
+		strings.Repeat("a", 33), // long
 		strings.ToUpper(NewTraceID().String())[:31] + "Z", // stray non-hex
 	} {
 		if _, ok := ParseTraceID(s); ok {
