@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke bench-scale bench-scale-smoke bench-ch bench-ch-smoke bench-trend
+.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke bench-scale bench-scale-smoke bench-trend
 
 all: build vet test
 
@@ -66,19 +66,6 @@ bench-scale-smoke:
 	$(GO) run ./cmd/xarload -rows 16 -cols 10 -requests 800 \
 		-rates 200,400 -ops-per-step 400 -warmup 200 \
 		-out bench-scale-smoke.json -gate-p99-ms 250 -gate-match-rate 0.005
-
-# bench-ch: the routing head-to-head (plain A* vs ALT vs CH) at three
-# city sizes, written to BENCH_ch.json and gated on a ≥10x CH/ALT
-# speedup at the largest size with zero distance mismatches against the
-# exact reference. See DESIGN.md §12 "Routing: CH model".
-bench-ch:
-	$(GO) run ./cmd/xarbench -ch-bench -ch-min-speedup 10 -ch-out BENCH_ch.json
-
-# bench-ch-smoke: the same head-to-head as a CI regression fence — the
-# relaxed 5x gate absorbs noisy shared runners; the zero-mismatch gate
-# is exact either way.
-bench-ch-smoke:
-	$(GO) run ./cmd/xarbench -ch-bench -ch-reps 4 -ch-min-speedup 5 -ch-out bench-ch-smoke.json
 
 # bench-parallel-smoke: one iteration of each concurrent-engine
 # benchmark at every GOMAXPROCS step (procsP), plus one of

@@ -1,9 +1,9 @@
 // Consistency checks between the code and what the repository states
-// about its benchmarks: the committed BENCH_*.json records stay
-// machine-readable, every benchmark or test name a Makefile or CI
-// pattern passes to `go test` exists, and OBSERVABILITY.md's overhead
-// budgets are BenchmarkSearchObservers' own. Each would otherwise go
-// stale silently.
+// about its benchmarks and tools: the committed BENCH_*.json records
+// stay machine-readable, every benchmark or test name a Makefile or CI
+// pattern passes to `go test` exists, every flag a documented command
+// passes a cmd tool exists, and OBSERVABILITY.md's overhead budgets are
+// BenchmarkSearchObservers' own. Each would otherwise go stale silently.
 package xar
 
 import (
@@ -45,9 +45,9 @@ func TestBenchArtifactSchemas(t *testing.T) {
 			t.Errorf("%s: empty document", p)
 			continue
 		}
-		// The hand-written records (vs the tool-emitted frontier and CH
-		// reports) all carry provenance: a description, the
-		// measurement date, and the hardware it was measured on.
+		// The hand-written records (vs the tool-emitted frontier) all
+		// carry provenance: a description, the measurement date, and
+		// the hardware it was measured on.
 		if _, ok := doc["description"]; !ok {
 			continue
 		}
@@ -260,4 +260,130 @@ func parseBudget(cell string) (float64, error) {
 		return strconv.ParseFloat(v, 64)
 	}
 	return 0, fmt.Errorf("budget %q is neither ≤N%% nor ≤N×", cell)
+}
+
+// TestCmdFlagsInDocsExist: every flag a documented command hands a cmd
+// tool — `go run ./cmd/<tool> -flag …` or `<tool> -flag …` on a command
+// line of the Makefile, the CI workflow, README.md or the verify skill —
+// is one that tool's main registers. The flag package rejects an
+// unknown flag only when the command runs, and nothing runs the docs.
+func TestCmdFlagsInDocsExist(t *testing.T) {
+	registers := map[string]bool{"String": true, "Int": true, "Bool": true, "Float64": true, "Int64": true, "Duration": true}
+	dirs, err := filepath.Glob("cmd/*")
+	if err != nil || len(dirs) == 0 {
+		t.Fatalf("no cmd tools found: %v", err)
+	}
+	tools := map[string]map[string]bool{}
+	var names []string
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags := map[string]bool{}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !registers[sel.Sel.Name] {
+					return true
+				}
+				pkg, ok := sel.X.(*ast.Ident)
+				lit, isLit := call.Args[0].(*ast.BasicLit)
+				if ok && pkg.Name == "flag" && isLit && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					flags[name] = true
+				}
+				return true
+			})
+		}
+		if len(flags) == 0 {
+			t.Fatalf("%s registers no flags: the parse is broken", dir)
+		}
+		flags["h"], flags["help"] = true, true // the flag package's own
+		tools[filepath.Base(dir)] = flags
+		names = append(names, filepath.Base(dir))
+	}
+	// A tool name, then its arguments up to whatever ends a shell
+	// command (pipe, list, redirect, comment) or the code span.
+	toolRE := regexp.MustCompile("(?:^|[\\s/])(" + strings.Join(names, "|") + ")\\b((?:[ \\t]+[^\\s|;&>#`]+)*)")
+	flagRE := regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9_-]*)`)
+	checked := 0
+	for _, file := range []string{"Makefile", ".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range commandChunks(file, string(raw)) {
+			for _, m := range toolRE.FindAllStringSubmatch(c.code, -1) {
+				for _, tok := range strings.Fields(m[2]) {
+					f := flagRE.FindStringSubmatch(tok)
+					if f == nil {
+						continue
+					}
+					checked++
+					if !tools[m[1]][f[1]] {
+						t.Errorf("%s:%d: %s registers no -%s flag (%q)", file, c.line, m[1], f[1], m[1]+m[2])
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no documented cmd flag found to check")
+	}
+}
+
+// codeChunk is one piece of a document that is shown as a command.
+type codeChunk struct {
+	line int
+	code string
+}
+
+// commandChunks returns what a document shows as commands, each with the
+// line it starts on: every non-comment line of a Makefile or workflow,
+// and every fenced-block line and inline code span of a Markdown file. A
+// backslash-continued line is joined to the lines it continues into.
+func commandChunks(name, text string) []codeChunk {
+	md := strings.HasSuffix(name, ".md")
+	lines := strings.Split(text, "\n")
+	var out []codeChunk
+	fenced := false
+	for i := 0; i < len(lines); i++ {
+		if md && strings.HasPrefix(strings.TrimSpace(lines[i]), "```") {
+			fenced = !fenced
+			lines[i] = ""
+			continue
+		}
+		if md && !fenced {
+			continue // prose: only its code spans count, below
+		}
+		start, code := i, lines[i]
+		lines[i] = ""
+		for strings.HasSuffix(code, "\\") && i+1 < len(lines) {
+			i++
+			code = strings.TrimSuffix(code, "\\") + " " + lines[i]
+			lines[i] = ""
+		}
+		if !strings.HasPrefix(strings.TrimSpace(code), "#") {
+			out = append(out, codeChunk{start + 1, code})
+		}
+	}
+	if md {
+		prose := strings.Join(lines, "\n") // fenced lines blanked, numbering kept
+		for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatchIndex(prose, -1) {
+			out = append(out, codeChunk{strings.Count(prose[:m[0]], "\n") + 1, strings.ReplaceAll(prose[m[2]:m[3]], "\n", " ")})
+		}
+	}
+	return out
 }

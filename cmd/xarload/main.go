@@ -244,21 +244,11 @@ func main() {
 		experiments.WriteQuality(log.Writer(), world.Quality.Snapshot())
 	}
 	if eng != nil {
-		if rep := eng.LastMemReport(); rep != nil {
-			parts := make([]string, 0, len(rep.Components))
-			for _, c := range rep.Components {
-				parts = append(parts, fmt.Sprintf("%s=%.1fMB", c.Name, float64(c.Bytes)/(1<<20)))
-			}
-			log.Printf("memory: %d rides, %.0f rides/GB of index; %s",
-				rep.ActiveRides, rep.RidesPerGB, strings.Join(parts, " "))
-		}
+		experiments.WriteMemory(log.Writer(), eng.LastMemReport())
 	}
 	if prof != nil {
 		if c, ok := prof.Newest(); ok {
-			log.Printf("profile of the last step (capture %d):", c.ID)
-			for _, line := range profile.SummaryLines(&c, 5) {
-				log.Printf("  %s", line)
-			}
+			experiments.WriteProfile(log.Writer(), fmt.Sprintf("last step, capture %d", c.ID), &c)
 		}
 	}
 	frontier.Mode = *mode

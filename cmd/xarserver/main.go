@@ -56,6 +56,7 @@ import (
 	"xar/internal/audit"
 	"xar/internal/core"
 	"xar/internal/discretize"
+	"xar/internal/experiments"
 	"xar/internal/journal"
 	"xar/internal/memsize"
 	"xar/internal/profile"
@@ -237,15 +238,7 @@ func main() {
 	// server.New seeded the first accounting sweep (it registers the
 	// trace store and recorder as components first), so the startup
 	// summary reflects the complete component set.
-	if rep := eng.LastMemReport(); rep != nil {
-		parts := ""
-		for _, c := range rep.Components {
-			parts += fmt.Sprintf(" %s=%.1fMB", c.Name, float64(c.Bytes)/(1<<20))
-		}
-		log.Printf("memory accounting on (sweep every %v):%s; tracked %.1f MB, heap %.1f MB",
-			*memSweep, parts,
-			float64(rep.TrackedTotalBytes)/(1<<20), float64(rep.Heap.HeapAllocBytes)/(1<<20))
-	}
+	experiments.WriteMemory(log.Writer(), eng.LastMemReport())
 
 	// SIGQUIT writes a one-shot diagnostic bundle instead of Go's default
 	// stack-dump-and-exit — the flight recorder's goroutine dump is in the

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"xar/internal/audit"
-	"xar/internal/core"
 	"xar/internal/experiments"
 	"xar/internal/journal"
 	"xar/internal/memsize"
@@ -143,17 +142,13 @@ func main() {
 		}
 		report(w, &sim.XARSystem{Engine: eng}, xcfg)
 		if prof != nil {
-			if c := prof.CaptureNow(); c != nil {
-				printProfile(c)
-			}
+			experiments.WriteProfile(os.Stdout, "replay delta", prof.CaptureNow())
 		}
 		if w.Quality != nil {
 			eng.ShadowFlush()
 			experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())
 		}
-		if rep := eng.MemSweep(); rep != nil {
-			printMemory(rep)
-		}
+		experiments.WriteMemory(os.Stdout, eng.MemSweep())
 		if *traceOut != "" {
 			if err := experiments.DumpTraces(w.Tracer, *traceOut, *traceTop); err != nil {
 				log.Fatal(err)
@@ -204,44 +199,6 @@ func report(w *experiments.World, sys sim.System, cfg sim.Config) {
 		fmt.Printf("rider walking: %s\n", res.Walks.Summary("m"))
 	}
 	fmt.Printf("active rides at end: %d\n", sys.ActiveRides())
-}
-
-// printMemory prints the post-replay component accounting: which
-// subsystem owns the bytes, and the rides-per-GB capacity extrapolation
-// the ROADMAP's compaction arc is judged by.
-func printMemory(rep *core.MemoryReport) {
-	fmt.Printf("\n--- memory ---\n")
-	for _, c := range rep.Components {
-		fmt.Printf("  %-16s %8.1f MB\n", c.Name, float64(c.Bytes)/(1<<20))
-	}
-	fmt.Printf("  %-16s %8.1f MB (heap in use %.1f MB, %.0f%% tracked)\n",
-		"tracked total", float64(rep.TrackedTotalBytes)/(1<<20),
-		float64(rep.Heap.HeapInUseBytes)/(1<<20), 100*rep.Heap.TrackedCoverageRatio)
-	fmt.Printf("  %d active rides, %.0f rides/GB of index\n", rep.ActiveRides, rep.RidesPerGB)
-	if len(rep.Subsystems) > 0 {
-		fmt.Printf("  top allocating subsystems since start:\n")
-		for i, s := range rep.Subsystems {
-			if i >= 5 {
-				break
-			}
-			fmt.Printf("    %-24s %8.1f MB in use\n", s.Subsystem, float64(s.InUseBytes)/(1<<20))
-		}
-	}
-}
-
-// printProfile prints the replay's profile deltas: for each kind that
-// saw samples between the bracketing captures, the top-5 symbols and
-// their share — where the replay's allocations went and which locks it
-// contended.
-func printProfile(c *profile.Capture) {
-	lines := profile.SummaryLines(c, 5)
-	if len(lines) == 0 {
-		return
-	}
-	fmt.Printf("\n--- profile (replay delta) ---\n")
-	for _, l := range lines {
-		fmt.Printf("  %s\n", l)
-	}
 }
 
 // finalAudit runs the post-replay synchronous sweep and exits non-zero

@@ -7,9 +7,60 @@ import (
 	"log"
 	"os"
 
+	"xar/internal/core"
+	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/telemetry"
 )
+
+// WriteMemory writes an engine's memory report — which component owns
+// the retained bytes, how much of the live heap (runtime HeapAlloc, the
+// denominator of TrackedCoverageRatio) that explains, rides per GB of
+// index, and the five subsystems holding the most live heap. It is the
+// post-run summary xarsim and xarload share, and what xarserver prints
+// at startup. A nil report (memory accounting off) writes nothing.
+func WriteMemory(w io.Writer, rep *core.MemoryReport) {
+	if rep == nil {
+		return
+	}
+	const mb = 1 << 20
+	fmt.Fprintf(w, "\n--- memory ---\n")
+	for _, c := range rep.Components {
+		fmt.Fprintf(w, "  %-16s %8.1f MB\n", c.Name, float64(c.Bytes)/mb)
+	}
+	fmt.Fprintf(w, "  %-16s %8.1f MB (heap alloc %.1f MB, %.0f%% tracked)\n",
+		"tracked total", float64(rep.TrackedTotalBytes)/mb,
+		float64(rep.Heap.HeapAllocBytes)/mb, 100*rep.Heap.TrackedCoverageRatio)
+	fmt.Fprintf(w, "  %d active rides, %.0f rides/GB of index\n", rep.ActiveRides, rep.RidesPerGB)
+	if len(rep.Subsystems) > 0 {
+		fmt.Fprintf(w, "  top subsystems by live heap:\n")
+		for i, s := range rep.Subsystems {
+			if i >= 5 {
+				break
+			}
+			fmt.Fprintf(w, "    %-24s %8.1f MB in use\n", s.Subsystem, float64(s.InUseBytes)/mb)
+		}
+	}
+}
+
+// WriteProfile writes a capture's top-5 symbols per kind under the
+// heading "profile (title)". Taken right after a baseline capture, the
+// cumulative kinds (heap_alloc, mutex, block) are deltas, so the block
+// attributes just the work between the two. A nil capture, or one with
+// no samples, writes nothing.
+func WriteProfile(w io.Writer, title string, c *profile.Capture) {
+	if c == nil {
+		return
+	}
+	lines := profile.SummaryLines(c, 5)
+	if len(lines) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "\n--- profile (%s) ---\n", title)
+	for _, l := range lines {
+		fmt.Fprintf(w, "  %s\n", l)
+	}
+}
 
 // WriteQuality writes a run's match-quality picture — the candidate
 // funnel, the approximation-gap distributions, and (when the shadow

@@ -70,8 +70,8 @@ type World struct {
 	// -trace-out wire this to dump the slowest traces).
 	Tracer *telemetry.Tracer
 	// Journal, when non-nil, records ride-lifecycle events during the
-	// replay (cmd/xarsim -audit / cmd/xarbench -audit wire this so the
-	// post-replay audit can check journal causality).
+	// replay (cmd/xarsim -audit wires this so the post-replay audit can
+	// check journal causality).
 	Journal *journal.Journal
 	// Quality, when non-nil, collects the match-quality funnel and
 	// approximation-gap histograms during the replay (cmd/xarsim

@@ -5,8 +5,8 @@
 // band, and gates CI on every observation of every banded series.
 //
 // The committed BENCH files are point-in-time artifacts. The bands
-// here restate their prose claims ("10x CH speedup", "0 mismatches",
-// "1 alloc") as machine-checked ranges. Work counts are exact; absolute
+// here restate their prose claims ("1 alloc", "0 harness errors") as
+// machine-checked ranges. Work counts are exact; absolute
 // times get loose roofs, because identical code drifts ±20% in ns/op
 // between runs on the shared hosts the files were measured on. No band
 // judges observer overhead: that is TestObserverOverheadSmoke's live
@@ -134,39 +134,6 @@ var extractors = []extractor{
 	{file: "BENCH_parallel.json", bench: "BenchmarkMixedWorkloadParallel", metric: "procs8_ops_per_s",
 		unit: "ops/s", dir: HigherBetter, min: lim(30000),
 		get: path("go_bench", "BenchmarkMixedWorkloadParallel", "procs8", "ops_per_s")},
-
-	// --- BENCH_ch.json (contraction-hierarchy PR) ------------------
-	// The CH routing engine's reason to exist: ≥10x over ALT at the
-	// largest benchmarked city (measured 12.9x; 18.5x before ALT's
-	// queries got 1.7x faster), exact distances.
-	{file: "BENCH_ch.json", bench: "xarbench -ch-bench", metric: "ch_speedup_vs_alt_largest",
-		unit: "x", dir: HigherBetter, min: lim(10),
-		get: func(doc any) (float64, bool) {
-			m, _ := doc.(map[string]any)
-			sizes, _ := m["sizes"].([]any)
-			if len(sizes) == 0 {
-				return 0, false
-			}
-			return num(sizes[len(sizes)-1], "ch_speedup_vs_alt")
-		}},
-	{file: "BENCH_ch.json", bench: "xarbench -ch-bench", metric: "distance_mismatches_total",
-		unit: "count", dir: Exact, min: lim(0), max: lim(0),
-		get: func(doc any) (float64, bool) {
-			m, _ := doc.(map[string]any)
-			sizes, ok := m["sizes"].([]any)
-			if !ok {
-				return 0, false
-			}
-			var total float64
-			for _, s := range sizes {
-				v, ok := num(s, "distance_mismatches")
-				if !ok {
-					return 0, false
-				}
-				total += v
-			}
-			return total, true
-		}},
 
 	// --- BENCH_scale.json (load-harness PR, tool-emitted) ----------
 	// Only the lowest-rate step's client p99 is gated — it measures

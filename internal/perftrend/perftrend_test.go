@@ -82,8 +82,8 @@ func TestCommittedArtifactsPassGate(t *testing.T) {
 		}
 	}
 	for _, file := range []string{
-		"BENCH_ch.json", "BENCH_index.json", "BENCH_parallel.json",
-		"BENCH_routing.json", "BENCH_scale.json", "BENCH_search.json",
+		"BENCH_index.json", "BENCH_parallel.json", "BENCH_routing.json",
+		"BENCH_scale.json", "BENCH_search.json",
 	} {
 		if !sources[file] {
 			t.Errorf("committed artifact %s contributed no points to the trajectory", file)
@@ -107,21 +107,6 @@ func TestGateFailsOnSeededRegression(t *testing.T) {
 		mutate     func(doc map[string]any)
 		want       string // substring of the expected violation
 	}{
-		{
-			name: "ch speedup collapse", file: "BENCH_ch.json",
-			mutate: func(doc map[string]any) {
-				sizes := doc["sizes"].([]any)
-				sizes[len(sizes)-1].(map[string]any)["ch_speedup_vs_alt"] = 2.0
-			},
-			want: "ch_speedup_vs_alt_largest",
-		},
-		{
-			name: "ch distance mismatch", file: "BENCH_ch.json",
-			mutate: func(doc map[string]any) {
-				doc["sizes"].([]any)[0].(map[string]any)["distance_mismatches"] = 3.0
-			},
-			want: "distance_mismatches_total",
-		},
 		{
 			name: "search hot path regression", file: "BENCH_parallel.json",
 			mutate: func(doc map[string]any) {

@@ -22,8 +22,9 @@ import (
 // It touches several times fewer nodes than the straight-line heuristic
 // but pays 2·k loads for each, and 2·k Dijkstras of preprocessing: a
 // query costs a third (880 nodes) to a half (3 520) less than plain
-// A*'s, not a multiple (BENCH_ch.json has the head-to-head,
-// BENCH_routing.json the engine view).
+// A*'s, not a multiple (the repository benchmark's traced pass times
+// the routers on each workload's own legs, roadnet.query_us.*;
+// BENCH_routing.json has the engine view).
 type ALT struct {
 	g    *Graph
 	seed []NodeID

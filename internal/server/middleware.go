@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"log"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"xar/internal/telemetry"
@@ -47,22 +50,48 @@ type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int
+	wrote  bool // the status line has gone out
 }
 
 func (w *statusWriter) WriteHeader(status int) {
 	w.status = status
+	w.wrote = true
 	w.ResponseWriter.WriteHeader(status)
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
+	w.wrote = true
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += n
 	return n, err
 }
 
+// serveRecovering runs next and turns a panic into a 500: the uniform
+// JSON error body when nothing was written yet, and the value and stack
+// logged as net/http would log them. It returns the panic value (nil
+// when next returned), so the middleware still closes its books on the
+// request — net/http alone would drop the connection and leave the
+// in-flight gauge, the 5xx count and the root span behind.
+func serveRecovering(next http.HandlerFunc, w *statusWriter, r *http.Request) (panicked any) {
+	defer func() {
+		if panicked = recover(); panicked == nil {
+			return
+		}
+		log.Printf("http: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, panicked, debug.Stack())
+		if !w.wrote {
+			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal server error"})
+		}
+		w.status = http.StatusInternalServerError
+	}()
+	next(w, r)
+	return nil
+}
+
 // instrument wraps a handler with the serving-side telemetry: in-flight
 // gauge, per-route latency histogram, status-class counters, response
 // bytes, request-scoped tracing, and the optional structured access log.
+// A handler that panics is answered with a 500 and recorded like any
+// other failed request (serveRecovering).
 //
 // Trace semantics: every request gets a trace ID — taken from a valid
 // incoming W3C traceparent, minted otherwise — and the ID is echoed in
@@ -90,7 +119,7 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.Handler {
 		w.Header().Set("X-Xar-Trace-Id", trace.String())
 
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next(sw, r)
+		panicked := serveRecovering(next, sw, r)
 		d := time.Since(start)
 		s.inflight.Add(-1)
 
@@ -99,7 +128,9 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.Handler {
 			span.SetStr("path", r.URL.Path)
 			span.SetInt("status", int64(sw.status))
 			span.SetInt("bytes", int64(sw.bytes))
-			if sw.status >= 500 {
+			if panicked != nil {
+				span.SetErrorMsg(fmt.Sprintf("panic: %v", panicked))
+			} else if sw.status >= 500 {
 				span.SetErrorMsg(http.StatusText(sw.status))
 			}
 			span.End()

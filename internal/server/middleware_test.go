@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -191,6 +192,38 @@ func TestMiddlewareStatusClasses(t *testing.T) {
 	// render time.
 	if v := promValue(t, text, "xar_http_inflight_requests"); v != 1 {
 		t.Fatalf("inflight = %v", v)
+	}
+}
+
+// TestMiddlewareRecoversPanic: a panicking handler is answered with a
+// 500 and the uniform error body, and the request is booked like any
+// other failure — in-flight back to zero, one 5xx, the root span closed
+// with the panic as its error.
+func TestMiddlewareRecoversPanic(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tr := telemetry.NewTracer(telemetry.TracerConfig{SampleRate: 1})
+	srv := &Server{reg: reg, tracer: tr, inflight: reg.Gauge(httpInflightName, "", nil)}
+	h := srv.instrument("/x", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
+
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Fatalf("body %q is not the JSON error envelope (%v)", rec.Body.String(), err)
+	}
+	if v := srv.inflight.Value(); v != 0 {
+		t.Fatalf("in-flight = %v after the panic, want 0", v)
+	}
+	if v := reg.Counter(httpRequestsName, "", telemetry.L("route", "/x", "code", "5xx")).Value(); v != 1 {
+		t.Fatalf("5xx count = %d, want 1", v)
+	}
+	id, _ := telemetry.ParseTraceID(rec.Header().Get("X-Xar-Trace-Id"))
+	td, ok := tr.Store().Get(id)
+	if !ok || !strings.Contains(td.Err, "panic: boom") {
+		t.Fatalf("root span not closed with the panic (found %v, trace %+v)", ok, td)
 	}
 }
 
