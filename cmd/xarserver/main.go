@@ -88,7 +88,7 @@ func main() {
 	enableSLO := flag.Bool("slo", true, "evaluate burn-rate SLOs (/v1/slo, /v1/healthz status); needs the flight recorder")
 	sloSearchP95 := flag.Float64("slo-search-p95-ms", 5, "search-latency SLO threshold in milliseconds (p95)")
 	bundleDir := flag.String("bundle-dir", ".", "directory SIGQUIT-triggered debug bundles are written to")
-	enableJournal := flag.Bool("journal", true, "record ride-lifecycle events into the fixed-memory journal; serves /v1/rides/{id}/timeline and /v1/events")
+	enableJournal := flag.Bool("journal", true, "record ride-lifecycle events into the bounded journal; serves /v1/rides/{id}/timeline and /v1/events")
 	auditInterval := flag.Duration("audit-interval", 30*time.Second, "background invariant-audit sweep cadence (0 disables the auditor)")
 	enableQuality := flag.Bool("quality", true, "collect the match-quality funnel and approximation-gap histograms; serves /v1/quality")
 	shadowSample := flag.Int("shadow-sample", 8, "shadow-match 1-in-N no-match requests and bookings off the request path (0 disables; needs -quality)")

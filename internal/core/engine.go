@@ -124,7 +124,7 @@ type Config struct {
 	// Journal, when non-nil, records every ride-lifecycle event
 	// (created, booked, splice-committed, conflict-retried, cancelled,
 	// picked-up, dropped-off, completed — plus search-candidate events
-	// for metrics-sampled searches) into fixed-memory per-ride rings
+	// for metrics-sampled searches) into bounded per-ride rings
 	// with trace-ID cross-links. Nil leaves the hot paths free of
 	// journaling (one nil check per emit site). See OBSERVABILITY.md
 	// "Event journal & auditing".

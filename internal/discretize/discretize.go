@@ -580,32 +580,16 @@ func (b *pointBuckets) rc(p geo.Point) (int, int) {
 	return r, c
 }
 
-// flatSlack shaves the flat lower bound within rejects points by: for
-// coordinate differences under flatMaxDeg degrees, sin x ≥ x·(1 − x²/6)
-// costs the bound under 1e-4 of its square, and rounding far less.
-const (
-	flatSlack  = 2e-4
-	flatMaxDeg = 2.0
-)
-
 // within calls visit for every point at haversine distance ≤ radius of
 // p. The scanned buckets cover a square of about four times the circle's
-// area, so most points are turned away by a flat-map distance that costs
-// four multiplications and never exceeds the haversine: with x, y half
-// the latitude and longitude differences, the haversine distance is
-// 2R·asin √(sin²x + cos φ₁ cos φ₂ sin²y) ≥ 2R·√(x² + cos²φ y²)·(1 − max(x,y)²/6)
-// for φ the latitude farthest from the equator among p's and the box's
-// edges (the box holds every point). A point the bound does not exclude
-// gets the haversine as before, so the visited set and its distances are
-// those of the plain scan.
+// area, so most points are turned away by geo.FlatBound (the box holds
+// every point); the rest get the haversine as before, so the visited set
+// and its distances are those of the plain scan.
 func (b *pointBuckets) within(p geo.Point, radius float64, visit func(i int, d float64)) {
 	if radius < 0 {
 		return
 	}
-	farLat := math.Max(math.Abs(p.Lat), math.Max(math.Abs(b.box.MinLat), math.Abs(b.box.MaxLat)))
-	mLat, mLng := geo.MetersPerDegreeLat(), geo.MetersPerDegreeLng(farLat)
-	kLat, kLng := mLat*mLat*(1-flatSlack), mLng*mLng*(1-flatSlack)
-	r2 := radius * radius
+	flat := geo.NewFlatBound(p, b.box)
 	span := int(radius/b.cell) + 1
 	r0, c0 := b.rc(p)
 	for r := r0 - span; r <= r0+span; r++ {
@@ -618,8 +602,7 @@ func (b *pointBuckets) within(p geo.Point, radius float64, visit func(i int, d f
 			}
 			for _, i := range b.buckets[r*b.cols+c] {
 				q := b.pts[i]
-				dLat, dLng := q.Lat-p.Lat, q.Lng-p.Lng
-				if math.Abs(dLat) < flatMaxDeg && math.Abs(dLng) < flatMaxDeg && dLat*dLat*kLat+dLng*dLng*kLng > r2 {
+				if flat.Beyond(q, radius) {
 					continue
 				}
 				if d := geo.Haversine(p, q); d <= radius {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xar/internal/geo"
+	"xar/internal/grid"
 	"xar/internal/roadnet"
 )
 
@@ -71,6 +72,83 @@ func TestBuildGolden(t *testing.T) {
 	if got := hashDiscretization(d); got != buildGolden {
 		t.Errorf("discretization hash = %s, want %s", got, buildGolden)
 	}
+}
+
+// gridInfoGolden is the hash of every cell's GridInfo on the same region
+// as buildGolden, computed before NodeIndex.Nearest and the landmark
+// bucket scan shared one flat lower bound. The prefilter may skip work;
+// it may not change a landmark, a distance or a walkable list.
+const gridInfoGolden = "b6c294c754c88d8a8529500858660504f5bc8a649b542d108e9ee6a28c395899"
+
+// hashGridInfo folds every cell's landmark, drive distance and walkable
+// clusters, row by row, bit for bit.
+func hashGridInfo(d *Discretization, cells []grid.ID) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, id := range cells {
+		gi := d.Info(id)
+		put(uint64(id))
+		put(uint64(int64(gi.Landmark)))
+		put(math.Float64bits(gi.DriveDist))
+		put(uint64(len(gi.Walkable)))
+		for _, wc := range gi.Walkable {
+			put(uint64(int64(wc.Cluster)))
+			put(math.Float64bits(wc.Walk))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestGridInfoGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the benchmark-sized region")
+	}
+	d := benchRegion(t)
+	cells := d.Grid.CellsWithin(d.City().Graph.BBox().Center(), 1e7, nil)
+	if int64(len(cells)) != d.Grid.NumCells() || len(cells) != 15290 {
+		t.Fatalf("enumerated %d of %d cells, want 15290", len(cells), d.Grid.NumCells())
+	}
+	if got := hashGridInfo(d, cells); got != gridInfoGolden {
+		t.Errorf("grid info hash = %s, want %s", got, gridInfoGolden)
+	}
+}
+
+// benchRegion builds the benchmark-sized region of TestBuildGolden.
+func benchRegion(tb testing.TB) *Discretization {
+	tb.Helper()
+	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(80, 44, 42))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Delta = 250
+	d, err := Build(city, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkGridInfoCold times computeGridInfo — what the first search to
+// touch a cell pays — and NodeIndex.Nearest alone, over every cell
+// centroid of the benchmark-sized region.
+func BenchmarkGridInfoCold(b *testing.B) {
+	d := benchRegion(b)
+	cells := d.Grid.CellsWithin(d.City().Graph.BBox().Center(), 1e7, nil)
+	b.Run("nearest", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d.City().Index.Nearest(d.Grid.Centroid(cells[i%len(cells)]))
+		}
+	})
+	b.Run("grid_info", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d.computeGridInfo(cells[i%len(cells)])
+		}
+	})
 }
 
 // A landmark the rest cannot drive back from — a cul-de-sac entered by a

@@ -70,6 +70,35 @@ func TestHaversineMetricProperties(t *testing.T) {
 	}
 }
 
+// TestFlatBoundNeverExceedsHaversine: whenever Beyond turns a point away
+// at radius r, the haversine is above r; and at r 1 % under the
+// haversine the bound turns away most city-scale pairs (it is tight).
+func TestFlatBoundNeverExceedsHaversine(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	box := NewBBox(Point{Lat: 40.55, Lng: -74.15}, Point{Lat: 40.95, Lng: -73.75}).Pad(500)
+	tight := 0
+	const trials = 20000
+	for i := 0; i < trials; i++ {
+		p, q := nycPoint(r), nycPoint(r)
+		if i%2 == 0 { // half the pairs within a few hundred meters
+			q = Destination(p, r.Float64()*360, r.Float64()*500)
+		}
+		d := Haversine(p, q)
+		f := NewFlatBound(p, box)
+		for _, radius := range []float64{0, d / 2, d * (1 - 1e-3), d, d * (1 + 1e-9), 2 * d} {
+			if f.Beyond(q, radius) && d <= radius {
+				t.Fatalf("Beyond(%v, %v) from %v, but haversine %v", q, radius, p, d)
+			}
+		}
+		if f.Beyond(q, d*0.99) {
+			tight++
+		}
+	}
+	if tight < trials*99/100 {
+		t.Fatalf("bound turned away %d of %d pairs at 0.99×distance, want ≥ 99%%", tight, trials)
+	}
+}
+
 func TestDestinationInvertsHaversine(t *testing.T) {
 	// quick.Check: Destination(p, bearing, d) must be d away from p and at
 	// roughly the requested bearing for any city-scale d.

@@ -1,4 +1,4 @@
-// Package journal records ride-lifecycle events into fixed-memory ring
+// Package journal records ride-lifecycle events into bounded ring
 // storage: every ride keeps its most recent events keyed by ride ID, and
 // a global tail ring keeps the most recent events across the fleet. The
 // journal is the system's flight log of *what happened to each ride* —
@@ -7,10 +7,12 @@
 // ride look like this" and a trace answers "why was it slow".
 //
 // Memory is bounded by construction: at most MaxRides per-ride rings of
-// PerRideCapacity events each plus TailCapacity tail slots, all
-// overwrite-oldest. Terminal rides (completed) are evicted before live
-// ones when the ride table fills, so an active fleet's timelines survive
-// a churn of finished rides.
+// at most PerRideCapacity events each plus TailCapacity tail slots, all
+// overwrite-oldest. The tail is allocated up front; a ride's ring grows
+// with its events (most rides hold a handful), so a fleet of short
+// timelines costs what it holds. Terminal rides (completed) are evicted
+// before live ones when the ride table fills, so an active fleet's
+// timelines survive a churn of finished rides.
 //
 // Recording takes one journal-wide mutex for a few slice writes and
 // never blocks on consumers; the auditor (internal/audit) replays
@@ -110,7 +112,7 @@ const (
 
 // Config sizes a Journal.
 type Config struct {
-	// PerRideCapacity is each ride ring's event capacity (0 → 32).
+	// PerRideCapacity is the most events a ride's ring holds (0 → 32).
 	PerRideCapacity int
 	// MaxRides bounds the number of per-ride rings retained (0 → 4096).
 	// When full, terminal (completed) rides are evicted first, then the
@@ -142,7 +144,9 @@ type Journal struct {
 	tail      telemetry.Ring[Event]
 }
 
-// rideLog is one ride's fixed-capacity event ring.
+// rideLog is one ride's event ring: one slot at its first event,
+// doubled whenever it fills, up to PerRideCapacity; from then on it
+// overwrites the oldest event.
 type rideLog struct {
 	telemetry.Ring[Event]
 	terminal bool // a Completed event was recorded
@@ -215,9 +219,11 @@ func (j *Journal) Record(ev Event) {
 		if len(j.rides) >= j.maxRides {
 			j.evict()
 		}
-		l = &rideLog{Ring: telemetry.NewRing(make([]Event, j.perRideCap))}
+		l = &rideLog{Ring: telemetry.NewRing(make([]Event, 1))}
 		j.rides[ev.Ride] = l
 		j.order = append(j.order, ev.Ride)
+	} else if n := l.Cap(); l.Len() == n && n < j.perRideCap {
+		l.Grow(make([]Event, min(2*n, j.perRideCap)))
 	}
 	l.Add(ev)
 	if ev.Type == Completed && !l.terminal {

@@ -77,6 +77,45 @@ func TestPerRideRingWraparound(t *testing.T) {
 	}
 }
 
+// TestRideRingGrowsWithItsEvents: a ride's ring holds min(next power of
+// two ≥ k, PerRideCapacity) slots after k events — the default capacity
+// and one that is not a power of two — its timeline is the last
+// min(k, cap) events in Seq order, and it reports wrapped iff an event
+// was overwritten.
+func TestRideRingGrowsWithItsEvents(t *testing.T) {
+	for _, perRide := range []int{DefaultPerRideCapacity, 6} {
+		j := New(Config{PerRideCapacity: perRide})
+		var seqs []uint64
+		for k := 1; k <= 2*perRide; k++ {
+			j.Record(Event{Type: Booked, Ride: 5, Value: float64(k)})
+			seqs = append(seqs, j.LastSeq())
+			j.Record(Event{Type: Created, Ride: 6}) // interleaved: Seq is journal-wide
+
+			wantCap := 1
+			for wantCap < k {
+				wantCap *= 2
+			}
+			wantCap = min(wantCap, perRide)
+			if got := j.rides[5].Cap(); got != wantCap {
+				t.Fatalf("PerRideCapacity %d, %d events: ring capacity %d, want %d", perRide, k, got, wantCap)
+			}
+			evs, wrapped := j.timeline(5)
+			kept := seqs[max(0, k-wantCap):]
+			if len(evs) != len(kept) {
+				t.Fatalf("PerRideCapacity %d, %d events: timeline holds %d, want %d", perRide, k, len(evs), len(kept))
+			}
+			for i, ev := range evs {
+				if ev.Seq != kept[i] {
+					t.Fatalf("PerRideCapacity %d, %d events: timeline[%d].Seq = %d, want %d", perRide, k, i, ev.Seq, kept[i])
+				}
+			}
+			if want := k > wantCap; wrapped != want {
+				t.Fatalf("PerRideCapacity %d, %d events: wrapped = %v, want %v", perRide, k, wrapped, want)
+			}
+		}
+	}
+}
+
 func TestEvictionPrefersTerminalRides(t *testing.T) {
 	// The default config: MaxRides bounds the whole table, so the
 	// terminal ride is the victim wherever it sits.

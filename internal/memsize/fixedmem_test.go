@@ -71,6 +71,22 @@ func TestJournalRingsFixedMemory(t *testing.T) {
 	}
 }
 
+// TestJournalMemoryFollowsEvents: a ride's ring is allocated as its
+// events arrive, so a thousand one-event timelines cost a small fraction
+// of a thousand full ones. A tail of a few slots keeps the comparison
+// about the rides.
+func TestJournalMemoryFollowsEvents(t *testing.T) {
+	cfg := journal.Config{MaxRides: 1000, TailCapacity: 8}
+	short, full := journal.New(cfg), journal.New(cfg)
+	fillJournal(short, 1000, 1, 0)
+	fillJournal(full, 1000, journal.DefaultPerRideCapacity, 0)
+	shortSize, fullSize := memsize.Of(short), memsize.Of(full)
+	if shortSize*8 >= fullSize {
+		t.Fatalf("1 000 one-event rides measure %d bytes, not under 1/8 of 1 000 full rides' %d", shortSize, fullSize)
+	}
+	t.Logf("1 000 rides: %d bytes at one event each, %d at %d", shortSize, fullSize, journal.DefaultPerRideCapacity)
+}
+
 // fillTraces records n root spans (every one sampled) through a tracer.
 func fillTraces(tr *telemetry.Tracer, n int, tag string) {
 	for i := 0; i < n; i++ {

@@ -69,13 +69,16 @@ func (idx *NodeIndex) bucketOf(p geo.Point) int {
 
 // Nearest returns the node closest to p (by haversine) and its distance.
 // It expands bucket rings until the best candidate provably beats any
-// node in unexplored rings. Returns InvalidNode only for an empty graph.
+// node in unexplored rings. A node geo.FlatBound puts beyond the best
+// distance so far gets no haversine: it could not have won it. Returns
+// InvalidNode only for an empty graph.
 func (idx *NodeIndex) Nearest(p geo.Point) (NodeID, float64) {
 	if idx.g.NumNodes() == 0 {
 		return InvalidNode, math.Inf(1)
 	}
 	r0 := int((p.Lat - idx.box.MinLat) / idx.dLat)
 	c0 := int((p.Lng - idx.box.MinLng) / idx.dLng)
+	flat := geo.NewFlatBound(p, idx.box)
 	best := InvalidNode
 	bestD := math.Inf(1)
 	maxRing := idx.rows
@@ -101,8 +104,11 @@ func (idx *NodeIndex) Nearest(p geo.Point) (NodeID, float64) {
 					continue
 				}
 				for _, n := range idx.buckets[r*idx.cols+c] {
-					d := geo.Haversine(p, idx.g.Point(n))
-					if d < bestD {
+					q := idx.g.Point(n)
+					if flat.Beyond(q, bestD) {
+						continue
+					}
+					if d := geo.Haversine(p, q); d < bestD {
 						bestD = d
 						best = n
 					}

@@ -1,6 +1,6 @@
 package telemetry
 
-// Ring is a fixed-capacity overwrite-oldest buffer — the storage under
+// Ring is a bounded overwrite-oldest buffer — the storage under
 // every observer store: the trace store's rings, the journal's per-ride
 // and tail rings, the profiler's capture rings. It is not self-locking;
 // the owning store's mutex guards it.
@@ -29,8 +29,24 @@ func (r *Ring[T]) Add(v T) {
 	}
 }
 
+// Grow moves the retained values into buf, oldest first, and continues
+// there: the next Add lands after the last of them, and the capacity
+// becomes len(buf), which must be at least one and at least Len().
+// Overwritten carries over. The caller allocates buf, as for NewRing.
+func (r *Ring[T]) Grow(buf []T) {
+	if len(buf) == 0 || len(buf) < r.n {
+		panic("telemetry: Ring.Grow into a buffer smaller than its values")
+	}
+	r.AppendTo(buf[:0])
+	r.buf = buf
+	r.next = r.n % len(buf)
+}
+
 // Len returns the number of retained values.
 func (r *Ring[T]) Len() int { return r.n }
+
+// Cap returns the number of values the ring holds before it overwrites.
+func (r *Ring[T]) Cap() int { return len(r.buf) }
 
 // Overwritten reports whether any Add displaced a retained value.
 func (r *Ring[T]) Overwritten() bool { return r.overwritten }

@@ -45,6 +45,50 @@ func TestRingAgainstModel(t *testing.T) {
 	}
 }
 
+// TestRingGrow grows rings caught at every fill level and wrap offset:
+// the values keep their oldest-to-newest order, the next Add lands after
+// the last of them, and Overwritten is what it was (false until a value
+// is displaced, true after).
+func TestRingGrow(t *testing.T) {
+	for capacity := 1; capacity <= 4; capacity++ {
+		for adds := 0; adds <= 3*capacity; adds++ {
+			r := NewRing(make([]int, capacity))
+			var model []int
+			for v := 0; v < adds; v++ {
+				r.Add(v)
+				if model = append(model, v); len(model) > capacity {
+					model = model[1:]
+				}
+			}
+			wasOverwritten := r.Overwritten()
+			r.Grow(make([]int, 2*capacity))
+			if r.Cap() != 2*capacity || r.Len() != len(model) || r.Overwritten() != wasOverwritten {
+				t.Fatalf("cap %d after %d adds: grown to Cap %d Len %d Overwritten %v, want %d %d %v",
+					capacity, adds, r.Cap(), r.Len(), r.Overwritten(), 2*capacity, len(model), wasOverwritten)
+			}
+			if got := r.AppendTo(nil); !slices.Equal(got, model) {
+				t.Fatalf("cap %d after %d adds: grown ring holds %v, want %v", capacity, adds, got, model)
+			}
+			// Fill the new room: nothing is displaced, order continues.
+			for v := adds; r.Len() < r.Cap(); v++ {
+				r.Add(v)
+				model = append(model, v)
+			}
+			if got := r.AppendTo(nil); !slices.Equal(got, model) || r.Overwritten() != wasOverwritten {
+				t.Fatalf("cap %d after %d adds: filled grown ring holds %v (overwritten %v), want %v (%v)",
+					capacity, adds, got, r.Overwritten(), model, wasOverwritten)
+			}
+			if newest, _ := r.Newest(); newest != model[len(model)-1] {
+				t.Fatalf("cap %d after %d adds: Newest %d, want %d", capacity, adds, newest, model[len(model)-1])
+			}
+			r.Add(-1)
+			if got := r.AppendTo(nil); !r.Overwritten() || !slices.Equal(got, append(model[1:], -1)) {
+				t.Fatalf("cap %d after %d adds: the add past the grown capacity left %v", capacity, adds, got)
+			}
+		}
+	}
+}
+
 func TestSampleMask(t *testing.T) {
 	for _, c := range []struct {
 		rate int
