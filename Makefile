@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke bench-scale bench-scale-smoke bench-trend
+.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke bench-scale bench-scale-smoke
 
 all: build vet test
 
@@ -30,19 +30,11 @@ bench-observers:
 
 # bench-observers-smoke: the live fence CI runs — every arm in three
 # interleaved rounds, each budgeted arm held to max(budget, 1.25) × its
-# baseline's best round, then a loaded-engine memory sweep that must
-# explain the live heap within 20% and a profiler that must capture
-# every delta kind.
+# baseline's best round and the bare arm to 1 000 ns, then a
+# loaded-engine memory sweep that must explain the live heap within 20%
+# and a profiler that must capture every delta kind.
 bench-observers-smoke:
 	XAR_OBSERVER_SMOKE=1 $(GO) test -run 'TestObserverOverheadSmoke' -v .
-
-# bench-trend: the performance-regression sentinel — fold every committed
-# BENCH_*.json into the longitudinal trajectory (BENCH_trajectory.json),
-# run a fresh search micro-benchmark on this machine, and gate on every
-# banded series (committed history and the fresh point alike). See
-# OBSERVABILITY.md "Performance trend".
-bench-trend:
-	$(GO) run ./cmd/xarperf -gate -smoke -out BENCH_trajectory.json
 
 # audit-smoke: a small clean replay through `xarsim -audit` must journal
 # every lifecycle event, sweep the invariant auditor on the simulated

@@ -64,54 +64,6 @@ func TestBenchArtifactSchemas(t *testing.T) {
 	}
 }
 
-// TestTrajectoryArtifactSchema keeps the committed longitudinal
-// trajectory (BENCH_trajectory.json, emitted by `make bench-trend` /
-// cmd/xarperf) machine-readable: right schema tag, non-empty benchmark
-// map, and every series carrying a direction and at least one point.
-// The numbers themselves are judged by the perftrend gate, not here.
-func TestTrajectoryArtifactSchema(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_trajectory.json")
-	if err != nil {
-		t.Fatalf("BENCH_trajectory.json must be committed alongside the perf-trend sentinel (regenerate with `make bench-trend`): %v", err)
-	}
-	var doc struct {
-		Schema     string `json:"schema"`
-		Benchmarks map[string]map[string]struct {
-			Direction string `json:"direction"`
-			Min       *float64
-			Max       *float64
-			Points    []struct {
-				Source string  `json:"source"`
-				Value  float64 `json:"value"`
-			} `json:"points"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_trajectory.json: %v", err)
-	}
-	if doc.Schema != "xar-bench-trend/v1" {
-		t.Fatalf("schema = %q, want xar-bench-trend/v1", doc.Schema)
-	}
-	if len(doc.Benchmarks) == 0 {
-		t.Fatal("trajectory records no benchmarks")
-	}
-	for bench, byMetric := range doc.Benchmarks {
-		for metric, s := range byMetric {
-			if s.Direction == "" {
-				t.Errorf("%s %s: missing direction", bench, metric)
-			}
-			if len(s.Points) == 0 {
-				t.Errorf("%s %s: series has no points", bench, metric)
-			}
-			for _, p := range s.Points {
-				if p.Source == "" {
-					t.Errorf("%s %s: point without a source artifact", bench, metric)
-				}
-			}
-		}
-	}
-}
-
 // TestBenchPatternsNameRealBenchmarks: every `|` alternative of every
 // -bench and -run pattern that the Makefile and the CI workflow pass to
 // `go test … .` must match a Benchmark or Test func of this package.

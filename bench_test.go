@@ -38,9 +38,9 @@ var (
 )
 
 // world lazily builds the shared benchmark world: a mid-size city and
-// trip stream reused across benchmarks.
-func world(b *testing.B) *experiments.World {
-	b.Helper()
+// trip stream reused across benchmarks and the exact work counts.
+func world(tb testing.TB) *experiments.World {
+	tb.Helper()
 	benchOnce.Do(func() {
 		s := experiments.DefaultScale()
 		s.CityRows = 30
@@ -49,17 +49,17 @@ func world(b *testing.B) *experiments.World {
 		benchWorld, benchErr = experiments.BuildWorld(s)
 	})
 	if benchErr != nil {
-		b.Fatal(benchErr)
+		tb.Fatal(benchErr)
 	}
 	return benchWorld
 }
 
 // seededXAR returns an XAR system preloaded with the world's offers.
-func seededXAR(b *testing.B, w *experiments.World) (*sim.XARSystem, []workload.Trip) {
-	b.Helper()
+func seededXAR(tb testing.TB, w *experiments.World) (*sim.XARSystem, []workload.Trip) {
+	tb.Helper()
 	eng, err := w.NewXAREngine()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sys := &sim.XARSystem{Engine: eng}
 	offers, requests := w.SplitOffersRequests()
@@ -231,11 +231,24 @@ func BenchmarkFig4cBookTShare(b *testing.B) {
 
 func benchBookLoop(b *testing.B, w *experiments.World, sys sim.System, requests []workload.Trip) {
 	b.Helper()
-	booked := 0
 	b.ResetTimer()
-	for i := 0; booked < b.N; i++ {
+	bookLoop(b, b.N, w, sys, requests)
+}
+
+// stopwatch is what bookLoop brackets its untimed work with: a
+// *testing.B, or a mallocMeter counting the allocations in between.
+type stopwatch interface {
+	StartTimer()
+	StopTimer()
+}
+
+// bookLoop books n matches with sw running only across the bookings.
+// Call it with sw running.
+func bookLoop(sw stopwatch, n int, w *experiments.World, sys sim.System, requests []workload.Trip) {
+	booked := 0
+	for i := 0; booked < n; i++ {
 		req := benchRequest(w, requests, i)
-		b.StopTimer()
+		sw.StopTimer()
 		cands, _ := sys.Search(req, 1)
 		if len(cands) == 0 {
 			// Become a driver, like the paper's simulation protocol.
@@ -244,10 +257,10 @@ func benchBookLoop(b *testing.B, w *experiments.World, sys sim.System, requests 
 				Departure: req.Earliest + (req.Latest-req.Earliest)/2,
 				Seats:     4, DetourLimit: w.Scale.DetourLimit,
 			})
-			b.StartTimer()
+			sw.StartTimer()
 			continue
 		}
-		b.StartTimer()
+		sw.StartTimer()
 		if _, err := sys.Book(cands[0], req); err == nil {
 			booked++
 		}
@@ -443,19 +456,33 @@ func reportRate(b *testing.B, start time.Time, unit string) {
 // reaches (most of their searches match nothing): one hour of trips,
 // every fifth a ride and the rest requests — the split of the repository
 // benchmark's search_dense workload — on the default engine, so a search
-// examines hundreds of candidates and returns dozens of matches.
-// allocs/op is exact and gated by `make bench-trend`.
+// examines hundreds of candidates and returns dozens of matches. Its
+// allocations per search are TestExactWorkCounts' search_dense_allocs.
 func BenchmarkSearchDense(b *testing.B) {
-	w := world(b)
+	eng, reqs := denseFleet(b, world(b))
+	matches := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms, _ := eng.Search(reqs[i%len(reqs)])
+		matches += len(ms)
+	}
+	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+}
+
+// denseFleet builds BenchmarkSearchDense's engine and the requests it
+// searches with.
+func denseFleet(tb testing.TB, w *experiments.World) (*core.Engine, []core.Request) {
+	tb.Helper()
 	wcfg := workload.DefaultConfig(5000, w.Scale.Seed+2)
 	wcfg.StartHour, wcfg.EndHour = 8, 9
 	trips, err := workload.Generate(w.City, wcfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng, err := core.NewEngine(w.Disc, core.DefaultConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var reqs []core.Request
 	for i, t := range trips {
@@ -476,50 +503,7 @@ func BenchmarkSearchDense(b *testing.B) {
 		w.Disc.Info(w.Disc.GridAt(t.Pickup))
 		w.Disc.Info(w.Disc.GridAt(t.Dropoff))
 	}
-	matches := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ms, _ := eng.Search(reqs[i%len(reqs)])
-		matches += len(ms)
-	}
-	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
-}
-
-// BenchmarkReplayCandidates counts what a search has to look at over a
-// whole ride life-cycle: a fixed 2 000-trip replay in the paper's protocol
-// (track, search, book the best match or else offer a ride) on the default
-// engine with the quality funnel on, reporting the candidates a search
-// examined, the matches it returned and the shortest paths a booking
-// searched (the rest of its legs it cut out of the old route). All are
-// exact counts of a deterministic replay — `make bench-trend` holds
-// candidates/search and paths/book in exact bands; ns/op is the whole
-// replay and claims nothing.
-func BenchmarkReplayCandidates(b *testing.B) {
-	w := world(b)
-	wcfg := workload.DefaultConfig(2000, w.Scale.Seed+3)
-	wcfg.StartHour, wcfg.EndHour = 8, 10
-	trips, err := workload.Generate(w.City, wcfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var m core.Metrics
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.Quality = quality.New(nil)
-		eng, err := core.NewEngine(w.Disc, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(&sim.XARSystem{Engine: eng}, trips, sim.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-		m = eng.Metrics()
-		eng.Close()
-	}
-	b.ReportMetric(float64(m.CandidatesExamined)/float64(m.Searches), "candidates/search")
-	b.ReportMetric(float64(m.SearchMatches)/float64(m.Searches), "matches/search")
-	b.ReportMetric(float64(m.ShortestPaths-m.RidesCreated)/float64(m.Bookings), "paths/book")
+	return eng, reqs
 }
 
 // forProcs runs f as sub-benchmark procsP at GOMAXPROCS ∈ {1, 2, 4, 8}.
@@ -681,12 +665,18 @@ func BenchmarkSearchObservers(b *testing.B) {
 // reads as 2×, not 1.05×.
 const smokeFence = 1.25
 
+// bareSearchRoofNs is the most the bare arm's best round may take: a
+// default-configuration search reads ≈ 300–550 ns, and the roof trips
+// on what 16 ride-ID stripes cost it (≈ 1 800 ns).
+const bareSearchRoofNs = 1000
+
 // TestObserverOverheadSmoke is the live fence behind `make
 // bench-observers-smoke`: every arm runs in three interleaved rounds,
-// and a budgeted arm fails when its best round over its baseline's
-// best exceeds max(budget, smokeFence). It then checks that memory
-// accounting explains the live heap and that the profiler captured, so
-// neither arm measured a no-op.
+// a budgeted arm fails when its best round over its baseline's best
+// exceeds max(budget, smokeFence), and the bare arm fails past
+// bareSearchRoofNs. It then checks that memory accounting explains the
+// live heap and that the profiler captured, so neither arm measured a
+// no-op.
 // Gated behind XAR_OBSERVER_SMOKE=1 so `go test ./...` stays fast.
 func TestObserverOverheadSmoke(t *testing.T) {
 	if os.Getenv("XAR_OBSERVER_SMOKE") == "" {
@@ -701,6 +691,10 @@ func TestObserverOverheadSmoke(t *testing.T) {
 				best[arm.name] = ns
 			}
 		}
+	}
+	t.Logf("%-15s %5.0f ns/op (roof %d)", "bare", best["bare"], bareSearchRoofNs)
+	if best["bare"] > bareSearchRoofNs {
+		t.Errorf("bare search takes %.0f ns/op, past its %d ns roof", best["bare"], bareSearchRoofNs)
 	}
 	for _, arm := range observerArms {
 		if arm.baseline == "" {

@@ -9,11 +9,6 @@ import (
 	"xar/internal/journal"
 )
 
-// maxEventListLimit caps GET /v1/events?limit=... and
-// GET /v1/rides/{id}/timeline?limit=... — same cap and contract as
-// /v1/traces.
-const maxEventListLimit = 10000
-
 // WithJournal serves the engine's ride-lifecycle event journal at
 // GET /v1/rides/{id}/timeline and GET /v1/events. Pass the same journal
 // the engine was configured with (core.Config.Journal).
@@ -59,7 +54,7 @@ func (s *Server) handleRideTimeline(w http.ResponseWriter, r *http.Request) {
 	if !allowParams(w, q, "limit") {
 		return
 	}
-	limit, ok := parseLimit(w, q, maxEventListLimit) // 0: all retained events (per-ride rings are small)
+	limit, ok := parseLimit(w, q) // 0: all retained events (per-ride rings are small)
 	if !ok {
 		return
 	}
@@ -103,7 +98,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		f.SinceSeq = n
 	}
 	var ok bool
-	if f.Limit, ok = parseLimit(w, q, maxEventListLimit); !ok {
+	if f.Limit, ok = parseLimit(w, q); !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, EventsResponse{

@@ -7,12 +7,15 @@
 //
 // The raw export is the exact gzipped protobuf the runtime produced,
 // so `curl .../v1/profiles/12?format=pprof&kind=cpu | go tool pprof -`
-// works. All three endpoints 400 on unknown query parameters, same
-// contract as /v1/metrics/history.
+// works. All three endpoints 400 on unknown query parameters, and the
+// two listings on a limit outside [1, maxListLimit] (absent: every
+// capture, or 30 diff rows) or a since_s that is negative or not
+// finite — the contract of /v1/traces and /v1/events.
 package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -54,19 +57,17 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := q.Get("since_s"); v != "" {
 		sec, err := strconv.ParseFloat(v, 64)
-		if err != nil || sec < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad since_s %q", v)})
+		// ParseFloat accepts "NaN" and "±Inf": NaN would filter nothing
+		// and +Inf everything, so reject both alongside negatives.
+		if err != nil || math.IsNaN(sec) || math.IsInf(sec, 0) || sec < 0 {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "since_s must be a non-negative finite number of unix seconds"})
 			return
 		}
 		f.Since = sec
 	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad limit %q", v)})
-			return
-		}
-		f.Limit = n
+	var ok bool
+	if f.Limit, ok = parseLimit(w, q); !ok { // 0: every capture in the rings
+		return
 	}
 	writeJSON(w, http.StatusOK, ProfileListResponse{Profiles: p.List(f)})
 }
@@ -153,14 +154,12 @@ func (s *Server) handleProfileDiff(w http.ResponseWriter, r *http.Request) {
 	if kind == "" {
 		kind = profile.KindCPU
 	}
-	limit := 30
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad limit %q", v)})
-			return
-		}
-		limit = n
+	limit, ok := parseLimit(w, q)
+	if !ok {
+		return
+	}
+	if limit == 0 {
+		limit = 30
 	}
 	d, err := p.DiffCaptures(from, to, kind, limit)
 	if err != nil {

@@ -150,6 +150,50 @@ func TestProfileDiff(t *testing.T) {
 	}
 }
 
+// TestProfilesQueryBounds holds both listings to the /v1/traces and
+// /v1/events contract: since_s is a non-negative finite number and limit
+// an integer in [1, maxListLimit]. NaN once filtered nothing, +Inf
+// answered an empty 200, and no limit was capped.
+func TestProfilesQueryBounds(t *testing.T) {
+	env := newTracedEnv(t)
+	profCaptures(t, env, 2)
+
+	diff := "/v1/profiles/diff?from=1&to=2&kind=" + profile.KindHeapAlloc
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/profiles?since_s=NaN", http.StatusBadRequest},
+		{"/v1/profiles?since_s=Inf", http.StatusBadRequest},
+		{"/v1/profiles?since_s=-Inf", http.StatusBadRequest},
+		{"/v1/profiles?since_s=-1", http.StatusBadRequest},
+		{"/v1/profiles?since_s=0", http.StatusOK},
+		{"/v1/profiles?limit=-1", http.StatusBadRequest},
+		{"/v1/profiles?limit=0", http.StatusBadRequest},
+		{"/v1/profiles?limit=NaN", http.StatusBadRequest},
+		{fmt.Sprintf("/v1/profiles?limit=%d", maxListLimit+1), http.StatusBadRequest},
+		{fmt.Sprintf("/v1/profiles?limit=%d", maxListLimit), http.StatusOK},
+		{diff + "&limit=-1", http.StatusBadRequest},
+		{diff + "&limit=0", http.StatusBadRequest},
+		{fmt.Sprintf("%s&limit=%d", diff, maxListLimit+1), http.StatusBadRequest},
+		{fmt.Sprintf("%s&limit=%d", diff, maxListLimit), http.StatusOK},
+	} {
+		if code := env.do(t, "GET", tc.path, nil, nil); code != tc.want {
+			t.Errorf("GET %s = %d, want %d", tc.path, code, tc.want)
+		}
+	}
+
+	// With no limit, the list holds every capture and the diff 30 rows.
+	var list ProfileListResponse
+	if code := env.do(t, "GET", "/v1/profiles?since_s=0", nil, &list); code != http.StatusOK || len(list.Profiles) != 2 {
+		t.Errorf("since_s=0: code %d, %d profiles, want 2", code, len(list.Profiles))
+	}
+	var d profile.Diff
+	if code := env.do(t, "GET", diff, nil, &d); code != http.StatusOK || len(d.Rows) == 0 || len(d.Rows) > 30 {
+		t.Errorf("diff without limit: code %d, %d rows, want 1–30", code, len(d.Rows))
+	}
+}
+
 // TestProfilesUnknownParamsAnd404 pins the shared endpoint contracts:
 // typo'd query parameters are 400s on all three routes, and a server
 // whose engine has no profiler serves 404 with a hint, parameter

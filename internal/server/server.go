@@ -621,16 +621,22 @@ func allowParams(w http.ResponseWriter, q url.Values, names ...string) bool {
 	return true
 }
 
-// parseLimit reads the optional limit parameter, an integer in [1, max]
-// (0 when absent); ok is false once it has answered 400.
-func parseLimit(w http.ResponseWriter, q url.Values, max int) (n int, ok bool) {
+// maxListLimit caps the limit parameter of every listing route
+// (/v1/traces, /v1/events, /v1/rides/{id}/timeline, /v1/profiles,
+// /v1/profiles/diff); the rings behind them hold far fewer entries than
+// this, so anything larger is a client bug.
+const maxListLimit = 10000
+
+// parseLimit reads the optional limit parameter, an integer in [1,
+// maxListLimit] (0 when absent); ok is false once it has answered 400.
+func parseLimit(w http.ResponseWriter, q url.Values) (n int, ok bool) {
 	v := q.Get("limit")
 	if v == "" {
 		return 0, true
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 || n > max {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("limit must be an integer in [1, %d]", max)})
+	if err != nil || n <= 0 || n > maxListLimit {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("limit must be an integer in [1, %d]", maxListLimit)})
 		return 0, false
 	}
 	return n, true

@@ -9,10 +9,6 @@ import (
 	"xar/internal/telemetry"
 )
 
-// maxTraceListLimit caps GET /v1/traces?limit=...; the ring store holds
-// far fewer traces than this, so anything larger is a client bug.
-const maxTraceListLimit = 10000
-
 // Trace browsing endpoints. These serve the tracer's ring-buffer store —
 // the same store the engine's spans land in — so a slow histogram bucket
 // exemplar or an X-Xar-Trace-Id response header resolves to a full span
@@ -58,7 +54,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ok bool
-	if f.Limit, ok = parseLimit(w, q, maxTraceListLimit); !ok {
+	if f.Limit, ok = parseLimit(w, q); !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, TracesResponse{Traces: telemetry.Docs(s.tracer.Store().List(f))})
