@@ -35,7 +35,7 @@ func main() {
 	maxWalk := flag.Float64("walk", 1000, "system walking limit W")
 	sweep := flag.Bool("sweep", false, "sweep ε and print cluster counts (Fig 3b)")
 	trace := flag.Bool("trace", false, "print the GREEDYSEARCH binary-search trace (Build does not keep it: costs one extra clustering of the built landmark matrix per ε)")
-	saveTo := flag.String("save", "", "write the graph+discretization artifact to this file")
+	saveTo := flag.String("save", "", "write the discretization artifact (bound to the road graph by fingerprint) to this file")
 	loadFrom := flag.String("load", "", "load a previously saved artifact instead of building")
 	buildCH := flag.Bool("ch", false, "also run contraction-hierarchy preprocessing over the road graph")
 	chOut := flag.String("ch-out", "", "write the CH artifact to this file (implies -ch)")

@@ -102,38 +102,3 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage must be rejected")
 	}
 }
-
-func TestGraphSaveLoadRoundTrip(t *testing.T) {
-	city := testCity(t)
-	var buf bytes.Buffer
-	if err := city.Graph.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := roadnet.LoadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != city.Graph.NumNodes() || g2.NumEdges() != city.Graph.NumEdges() {
-		t.Fatalf("size mismatch: %d/%d vs %d/%d",
-			g2.NumNodes(), g2.NumEdges(), city.Graph.NumNodes(), city.Graph.NumEdges())
-	}
-	if g2.Fingerprint() != city.Graph.Fingerprint() {
-		t.Fatal("fingerprint changed across save/load")
-	}
-	// A discretization built on the loaded graph behaves identically.
-	s1 := roadnet.NewSearcher(city.Graph)
-	s2 := roadnet.NewSearcher(g2)
-	for v := 0; v < g2.NumNodes(); v += 29 {
-		a := s1.ShortestPath(0, roadnet.NodeID(v))
-		b := s2.ShortestPath(0, roadnet.NodeID(v))
-		if a.Dist != b.Dist {
-			t.Fatalf("distance to %d differs: %v vs %v", v, a.Dist, b.Dist)
-		}
-	}
-}
-
-func TestLoadGraphRejectsGarbage(t *testing.T) {
-	if _, err := roadnet.LoadGraph(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("garbage must be rejected")
-	}
-}

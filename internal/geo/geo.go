@@ -1,6 +1,6 @@
 // Package geo provides the geographic primitives that every other layer of
 // the XAR system builds on: WGS-84 points, great-circle (haversine)
-// distances, bearings, destination projection, and bounding boxes.
+// distances, destination projection, and bounding boxes.
 //
 // All distances are expressed in meters and all angles in degrees unless a
 // name says otherwise. The package is deliberately dependency-free; the
@@ -97,26 +97,9 @@ func (f FlatBound) Beyond(q Point, r float64) bool {
 	return math.Abs(dLat) < flatMaxDeg && math.Abs(dLng) < flatMaxDeg && dLat*dLat*f.kLat+dLng*dLng*f.kLng > r*r
 }
 
-// Bearing returns the initial great-circle bearing from a to b in degrees
-// in [0, 360).
-func Bearing(a, b Point) float64 {
-	lat1 := radians(a.Lat)
-	lat2 := radians(b.Lat)
-	dLng := radians(b.Lng - a.Lng)
-
-	y := math.Sin(dLng) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLng)
-	brng := degrees(math.Atan2(y, x))
-	if brng < 0 {
-		brng += 360
-	}
-	return brng
-}
-
 // Destination returns the point reached by travelling distMeters from p
-// along the given initial bearing (degrees). It is the inverse of
-// Haversine+Bearing and is used by the synthetic city generator to lay out
-// road geometry.
+// along the given initial bearing (degrees, clockwise from north). It is
+// used by the synthetic city generator to lay out road geometry.
 func Destination(p Point, bearingDeg, distMeters float64) Point {
 	lat1 := radians(p.Lat)
 	lng1 := radians(p.Lng)

@@ -118,26 +118,27 @@ func TestDestinationInvertsHaversine(t *testing.T) {
 	}
 }
 
+// TestBearingCardinal pins Destination's bearing convention: degrees
+// clockwise from north.
 func TestBearingCardinal(t *testing.T) {
 	p := Point{Lat: 40.75, Lng: -73.98}
+	const d = 1000.0
 	cases := []struct {
-		name string
-		to   Point
-		want float64
+		name       string
+		bearing    float64
+		dLat, dLng float64 // expected displacement in meters
 	}{
-		{"north", Point{Lat: 40.76, Lng: -73.98}, 0},
-		{"east", Point{Lat: 40.75, Lng: -73.97}, 90},
-		{"south", Point{Lat: 40.74, Lng: -73.98}, 180},
-		{"west", Point{Lat: 40.75, Lng: -73.99}, 270},
+		{"north", 0, d, 0},
+		{"east", 90, 0, d},
+		{"south", 180, -d, 0},
+		{"west", 270, 0, -d},
 	}
 	for _, tc := range cases {
-		got := Bearing(p, tc.to)
-		diff := math.Abs(got - tc.want)
-		if diff > 180 {
-			diff = 360 - diff
-		}
-		if diff > 1.0 {
-			t.Errorf("%s: bearing = %.2f, want %.2f", tc.name, got, tc.want)
+		q := Destination(p, tc.bearing, d)
+		dLat := (q.Lat - p.Lat) * MetersPerDegreeLat()
+		dLng := (q.Lng - p.Lng) * MetersPerDegreeLng(p.Lat)
+		if math.Abs(dLat-tc.dLat) > 1 || math.Abs(dLng-tc.dLng) > 1 {
+			t.Errorf("%s: moved %.2f m north, %.2f m east; want %.0f, %.0f", tc.name, dLat, dLng, tc.dLat, tc.dLng)
 		}
 	}
 }

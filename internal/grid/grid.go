@@ -44,7 +44,7 @@ func (id ID) String() string {
 }
 
 // System is an implicit uniform grid over a bounding box. Cells are
-// approximately CellSize × CellSize meters: latitude rows use the constant
+// approximately cellSize × cellSize meters: latitude rows use the constant
 // meters-per-degree-latitude, and columns use the meters-per-degree-
 // longitude at the region's central latitude, so cells are square to
 // within the cos(lat) variation across the box (negligible at city scale).
@@ -89,9 +89,6 @@ func NewSystem(box geo.BBox, cellSize float64) (*System, error) {
 	return s, nil
 }
 
-// CellSize returns the configured cell edge length in meters.
-func (s *System) CellSize() float64 { return s.cellSize }
-
 // Rows and Cols report the grid dimensions.
 func (s *System) Rows() int32 { return s.rows }
 
@@ -130,26 +127,6 @@ func (s *System) Contains(id ID) bool {
 	}
 	row, col := id.RC()
 	return row >= 0 && row < s.rows && col >= 0 && col < s.cols
-}
-
-// Neighbors appends to dst the IDs of the up-to-8 cells adjacent to id
-// (Moore neighborhood), clipped to the region, and returns the extended
-// slice. T-Share's expanding ring search is built on top of this.
-func (s *System) Neighbors(id ID, dst []ID) []ID {
-	row, col := id.RC()
-	for dr := int32(-1); dr <= 1; dr++ {
-		for dc := int32(-1); dc <= 1; dc++ {
-			if dr == 0 && dc == 0 {
-				continue
-			}
-			r, c := row+dr, col+dc
-			if r < 0 || r >= s.rows || c < 0 || c >= s.cols {
-				continue
-			}
-			dst = append(dst, fromRC(r, c))
-		}
-	}
-	return dst
 }
 
 // Ring appends to dst the cells at Chebyshev distance exactly k from id

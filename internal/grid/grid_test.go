@@ -112,30 +112,6 @@ func TestDeterministicMapping(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	s := mustSystem(t, 100)
-	center := s.At(geo.Point{Lat: 40.75, Lng: -73.95})
-	nbrs := s.Neighbors(center, nil)
-	if len(nbrs) != 8 {
-		t.Fatalf("interior cell must have 8 neighbors, got %d", len(nbrs))
-	}
-	seen := map[ID]bool{center: true}
-	for _, n := range nbrs {
-		if seen[n] {
-			t.Fatalf("duplicate or self neighbor %v", n)
-		}
-		seen[n] = true
-		if ChebyshevDist(center, n) != 1 {
-			t.Fatalf("neighbor %v at Chebyshev distance %d", n, ChebyshevDist(center, n))
-		}
-	}
-	// A corner cell has exactly 3 neighbors.
-	corner := fromRC(0, 0)
-	if got := len(s.Neighbors(corner, nil)); got != 3 {
-		t.Fatalf("corner cell has %d neighbors, want 3", got)
-	}
-}
-
 func TestRing(t *testing.T) {
 	s := mustSystem(t, 100)
 	center := s.At(geo.Point{Lat: 40.75, Lng: -73.95})

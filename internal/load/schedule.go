@@ -7,9 +7,9 @@
 // (Gil Tene's "coordinated omission"). This package fixes that by
 // construction:
 //
-//   - Arrivals follow a fixed schedule (constant, Poisson, or stepped
-//     ramp) computed before the run starts. The schedule never reacts
-//     to server behavior — that is what "open loop" means.
+//   - Arrivals follow a fixed schedule (constant or Poisson) computed
+//     before the run starts. The schedule never reacts to server
+//     behavior — that is what "open loop" means.
 //   - Latency is measured from each operation's *intended* send time,
 //     not from when the generator actually got around to sending it. A
 //     stalled server therefore shows up as the queueing delay it
@@ -28,9 +28,7 @@ package load
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -88,42 +86,4 @@ func Poisson(rate float64, n int, seed int64) Schedule {
 		ts[i] = time.Duration(t * float64(time.Second))
 	}
 	return offsets{ts: ts, rate: rate}
-}
-
-// RampStep is one plateau of a stepped-ramp schedule.
-type RampStep struct {
-	// Rate is the plateau's offered rate in ops/second.
-	Rate float64
-	// Duration is how long the plateau lasts.
-	Duration time.Duration
-}
-
-// Ramp concatenates constant-rate plateaus into one schedule — the
-// in-run form of a rate sweep, used to watch a single engine instance
-// cross its saturation knee without restarting between steps. The
-// reported OfferedRate is the time-weighted mean.
-func Ramp(steps []RampStep) Schedule {
-	if len(steps) == 0 {
-		panic("load: Ramp needs at least one step")
-	}
-	var ts []time.Duration
-	base := time.Duration(0)
-	totalOps, totalDur := 0.0, 0.0
-	for _, s := range steps {
-		if s.Rate <= 0 || s.Duration <= 0 {
-			panic(fmt.Sprintf("load: Ramp step needs rate > 0 and duration > 0, got %+v", s))
-		}
-		n := int(math.Floor(s.Rate * s.Duration.Seconds()))
-		for i := 0; i < n; i++ {
-			ts = append(ts, base+time.Duration(float64(i)/s.Rate*float64(time.Second)))
-		}
-		base += s.Duration
-		totalOps += float64(n)
-		totalDur += s.Duration.Seconds()
-	}
-	if len(ts) == 0 {
-		panic("load: Ramp produced no arrivals; steps too short for their rates")
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	return offsets{ts: ts, rate: totalOps / totalDur}
 }

@@ -55,29 +55,6 @@ func TestPoissonSchedule(t *testing.T) {
 	}
 }
 
-func TestRampSchedule(t *testing.T) {
-	s := Ramp([]RampStep{
-		{Rate: 10, Duration: time.Second},
-		{Rate: 100, Duration: time.Second},
-	})
-	if s.Len() != 110 {
-		t.Fatalf("Len = %d, want 110", s.Len())
-	}
-	// Time-weighted mean rate over 2 seconds of 110 arrivals.
-	if got := s.OfferedRate(); math.Abs(got-55) > 1e-9 {
-		t.Fatalf("OfferedRate = %v, want 55", got)
-	}
-	for i := 1; i < s.Len(); i++ {
-		if s.At(i) < s.At(i-1) {
-			t.Fatalf("ramp arrivals not monotone at %d", i)
-		}
-	}
-	// The second plateau starts after the first's duration.
-	if s.At(10) < time.Second {
-		t.Fatalf("plateau 2 first arrival at %v, want ≥ 1s", s.At(10))
-	}
-}
-
 func TestParseMix(t *testing.T) {
 	m, err := ParseMix("search=0.6, book=0.3,cancel=0.1")
 	if err != nil {

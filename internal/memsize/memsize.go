@@ -218,20 +218,3 @@ func (w *walker) referents(v reflect.Value) uint64 {
 		return 0 // scalar kinds have no referents
 	}
 }
-
-// Report pairs a label with a measured size for table output.
-type Report struct {
-	Label string
-	Bytes uint64
-}
-
-// MB converts the measurement to megabytes.
-func (r Report) MB() float64 { return float64(r.Bytes) / (1 << 20) }
-
-// GB converts the measurement to gigabytes.
-func (r Report) GB() float64 { return float64(r.Bytes) / (1 << 30) }
-
-// Measure is a convenience constructor: Measure("index", idx).
-func Measure(label string, v interface{}) Report {
-	return Report{Label: label, Bytes: Of(v)}
-}

@@ -126,16 +126,3 @@ func TestNilInnerValues(t *testing.T) {
 		t.Fatalf("struct of nil refs = %d, want 40", got)
 	}
 }
-
-func TestReport(t *testing.T) {
-	r := Measure("idx", make([]byte, 1<<20))
-	if r.Label != "idx" {
-		t.Fatalf("label = %q", r.Label)
-	}
-	if r.MB() < 1.0 || r.MB() > 1.01 {
-		t.Fatalf("1 MiB slice reported as %.4f MB", r.MB())
-	}
-	if r.GB() < 0.0009 || r.GB() > 0.0011 {
-		t.Fatalf("GB conversion wrong: %v", r.GB())
-	}
-}

@@ -179,21 +179,9 @@ func (g *Graph) AddBidirectional(a, b NodeID, length, speed float64, class RoadC
 	return g.AddEdge(b, a, length, speed, class)
 }
 
-// Degree returns the total degree (in + out) of node id.
-func (g *Graph) Degree(id NodeID) int { return len(g.out[id]) + len(g.in[id]) }
-
 // BBox returns the bounding box of all node geometry.
 func (g *Graph) BBox() geo.BBox {
 	return geo.NewBBox(g.pts...)
-}
-
-// PathPoints converts a node path into its geometry.
-func (g *Graph) PathPoints(path []NodeID) []geo.Point {
-	pts := make([]geo.Point, len(path))
-	for i, n := range path {
-		pts[i] = g.pts[n]
-	}
-	return pts
 }
 
 // PathLength returns the summed edge length of a node path, looking up the

@@ -3,81 +3,11 @@ package roadnet
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
-
-	"xar/internal/geo"
 )
-
-// graphSnapshot is the gob wire format of a Graph.
-type graphSnapshot struct {
-	Version int
-	Points  []geo.Point
-	From    []int32
-	To      []int32
-	Length  []float64
-	Speed   []float64
-	Class   []uint8
-}
-
-const snapshotVersion = 1
-
-// Save serializes the graph. Together with Load it lets deployments run
-// the expensive pre-processing once per region (the paper's model) and
-// ship the artifact.
-func (g *Graph) Save(w io.Writer) error {
-	snap := graphSnapshot{
-		Version: snapshotVersion,
-		Points:  g.pts,
-		From:    make([]int32, 0, g.edgeCnt),
-		To:      make([]int32, 0, g.edgeCnt),
-		Length:  make([]float64, 0, g.edgeCnt),
-		Speed:   make([]float64, 0, g.edgeCnt),
-		Class:   make([]uint8, 0, g.edgeCnt),
-	}
-	for from, edges := range g.out {
-		for _, e := range edges {
-			snap.From = append(snap.From, int32(from))
-			snap.To = append(snap.To, int32(e.To))
-			snap.Length = append(snap.Length, e.Length)
-			snap.Speed = append(snap.Speed, e.Speed)
-			snap.Class = append(snap.Class, uint8(e.Class))
-		}
-	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// LoadGraph deserializes a graph written by Save.
-func LoadGraph(r io.Reader) (*Graph, error) {
-	var snap graphSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("roadnet: decode graph: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("roadnet: unsupported snapshot version %d", snap.Version)
-	}
-	if len(snap.From) != len(snap.To) || len(snap.From) != len(snap.Length) ||
-		len(snap.From) != len(snap.Speed) || len(snap.From) != len(snap.Class) {
-		return nil, fmt.Errorf("roadnet: corrupt snapshot: ragged edge arrays")
-	}
-	g := &Graph{}
-	for _, p := range snap.Points {
-		if !p.Valid() {
-			return nil, fmt.Errorf("roadnet: corrupt snapshot: invalid point %v", p)
-		}
-		g.AddNode(p)
-	}
-	for i := range snap.From {
-		if err := g.AddEdge(NodeID(snap.From[i]), NodeID(snap.To[i]),
-			snap.Length[i], snap.Speed[i], RoadClass(snap.Class[i])); err != nil {
-			return nil, fmt.Errorf("roadnet: corrupt snapshot: %w", err)
-		}
-	}
-	return g, nil
-}
 
 // chMagic is the header of the persisted CH format; the trailing byte
 // is the format version. Bump it on any wire change.

@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
@@ -589,19 +590,27 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // maxBatchSize batch is ≈ 40 KB.
 const maxBodyBytes = 1 << 20
 
+// decode reads exactly one JSON value into v; only whitespace may follow
+// it. Anything else after the value, a second object included, is a 400
+// rather than silently dropped.
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeJSON(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
-		return false
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data")
+		}
 	}
-	return true
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	return false
 }
 
 // allowParams reports whether every parameter of q is one of names;

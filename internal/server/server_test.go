@@ -15,9 +15,10 @@ import (
 )
 
 type testEnv struct {
-	srv  *httptest.Server
-	eng  *core.Engine
-	city *roadnet.City
+	srv     *httptest.Server
+	handler http.Handler
+	eng     *core.Engine
+	city    *roadnet.City
 }
 
 func newTestEnv(t testing.TB) *testEnv {
@@ -36,9 +37,10 @@ func newTestEnv(t testing.TB) *testEnv {
 	}
 	social := core.NewSocialGraph()
 	social.AddFriendship(1, 30)
-	s := httptest.NewServer(New(eng, social).Handler())
+	h := New(eng, social).Handler()
+	s := httptest.NewServer(h)
 	t.Cleanup(s.Close)
-	return &testEnv{srv: s, eng: eng, city: city}
+	return &testEnv{srv: s, handler: h, eng: eng, city: city}
 }
 
 func (env *testEnv) do(t testing.TB, method, path string, body, out interface{}) int {
@@ -489,6 +491,7 @@ func TestRequestBodyLimit(t *testing.T) {
 		want       int
 	}{
 		{"oversized search", "/v1/search", append(bytes.Repeat([]byte(" "), maxBodyBytes), single...), http.StatusRequestEntityTooLarge},
+		{"oversized trailing whitespace", "/v1/search", append(single, bytes.Repeat([]byte(" "), maxBodyBytes)...), http.StatusRequestEntityTooLarge},
 		{"oversized batch", "/v1/search/batch", batchOf(40 * maxBatchSize), http.StatusRequestEntityTooLarge},
 		{"full batch", "/v1/search/batch", batchOf(maxBatchSize), http.StatusOK},
 	} {

@@ -64,20 +64,6 @@ func (s *Sample) Max() float64 {
 	return s.xs[len(s.xs)-1]
 }
 
-// Stddev returns the population standard deviation, or NaN if empty.
-func (s *Sample) Stddev() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s.xs)))
-}
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.xs)
