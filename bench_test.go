@@ -498,10 +498,6 @@ func denseFleet(tb testing.TB, w *experiments.World) (*core.Engine, []core.Reque
 			EarliestDeparture: t.RequestTime, LatestDeparture: t.RequestTime + w.Scale.WindowSlack,
 			WalkLimit: w.Scale.WalkLimit,
 		})
-		// Per-grid attributes are computed on first use; do that here so
-		// the measured allocations are the search's own.
-		w.Disc.Info(w.Disc.GridAt(t.Pickup))
-		w.Disc.Info(w.Disc.GridAt(t.Dropoff))
 	}
 	return eng, reqs
 }

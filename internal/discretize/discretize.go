@@ -12,16 +12,17 @@
 // Dijkstra sweep per landmark (roadnet's kernel, parallelized across
 // CPUs), GREEDYSEARCH clustering with the (k_OPT, 4δ) bicriteria
 // guarantee — one farthest-first traversal answering every probe — and
-// cluster-to-cluster distance tables. Per-grid attributes are computed
-// lazily and cached, since only a fraction of the implicit 100 m grids is
-// ever touched by a workload.
+// cluster-to-cluster distance tables. The grid tier is built with the
+// rest: one dense row-major table holding every cell's attributes, so a
+// search's side lookup is an array read.
 package discretize
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"xar/internal/cluster"
@@ -137,29 +138,25 @@ type Discretization struct {
 	// Measured guarantee: max intra-cluster landmark distance (≤ 4δ).
 	epsilon float64
 
-	// Lazy per-grid cache.
-	mu        sync.RWMutex
-	gridCache map[grid.ID]*GridInfo
+	// The grid tier: every cell's attributes in row-major order
+	// (Grid.Index), walkable lists sub-slicing one exact-size array per row.
+	cells []GridInfo
 
 	// Landmark spatial buckets for walkable-cluster queries.
 	lmIndex *pointBuckets
 }
 
-// MeasureMem implements memsize.Measurer. Everything except the lazy
-// gridCache is immutable after Build; the whole structure is walked
-// under the read lock that guards the cache, which also covers the
-// immutable rest for free. The road graph this structure points at is
-// reached by the walk too — register the graph first so the shared
+// MeasureMem implements memsize.Measurer. The structure is immutable
+// after Build, so it is walked without a lock. The road graph it points
+// at is reached by the walk too — register the graph first so the shared
 // accumulator attributes it separately and this component reports only
-// discretization-owned bytes (grids, landmarks, clusters, distance
-// tables, grid cache).
+// discretization-owned bytes (landmarks, clusters, distance tables, the
+// grid table).
 func (d *Discretization) MeasureMem(a *memsize.Accumulator) {
 	if d == nil {
 		return
 	}
-	d.mu.RLock()
 	a.Add(d)
-	d.mu.RUnlock()
 }
 
 // Build runs the full pre-processing pipeline for city under cfg.
@@ -189,59 +186,72 @@ func Build(city *roadnet.City, cfg Config) (*Discretization, error) {
 		city:      city,
 		Grid:      gs,
 		Landmarks: lms,
-		gridCache: make(map[grid.ID]*GridInfo),
 		lmIndex:   newPointBuckets(landmark.Points(lms), g.BBox().Pad(cfg.MaxWalk+cfg.GridCellSize), cfg.MaxWalk),
 	}
 
 	if err := d.computeLandmarkDistances(); err != nil {
 		return nil, err
 	}
-	if err := d.clusterLandmarks(); err != nil {
+	// GREEDYSEARCH is serial and the node table parallel; neither reads
+	// what the other writes, so they run side by side.
+	clustered := make(chan error, 1)
+	go func() { clustered <- d.clusterLandmarks() }()
+	d.assignNodesToLandmarks()
+	if err := <-clustered; err != nil {
 		return nil, err
 	}
 	d.computeClusterDistances()
-	d.assignNodesToLandmarks()
+	d.buildGridTable()
 	return d, nil
 }
 
-// computeLandmarkDistances fills lmDist[i][j] = driving distance from
-// landmark i to landmark j: one sweep of roadnet's one-to-all kernel per
-// landmark, the landmarks shared out over GOMAXPROCS workers. A worker
-// owns one Searcher and one distance array for all its sweeps and writes
-// each landmark's float32 row straight from that array; rows are disjoint,
-// so the workers share nothing they write.
-func (d *Discretization) computeLandmarkDistances() error {
-	n := len(d.Landmarks)
-	g := d.city.Graph
-	d.lmDist = make([][]float32, n)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+// parallel shares the indices 0 … n−1 out over GOMAXPROCS workers (at
+// most n). newWorker runs once on each worker's goroutine and returns the
+// function that handles one index, so a worker keeps its scratch across
+// every index it is handed. Each stage that uses it writes disjoint rows
+// or merges by a rule that ignores order, so what it builds does not
+// depend on the number of workers.
+func parallel(n int, newWorker func() func(i int)) {
 	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := roadnet.NewSearcher(g)
-			var all []float64
+			do := newWorker()
 			for i := range jobs {
-				all = s.DistancesToAll(d.Landmarks[i].Node, all)
-				row := make([]float32, n)
-				for j := range row {
-					row[j] = float32(all[d.Landmarks[j].Node])
-				}
-				d.lmDist[i] = row
+				do(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := range n {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
+}
+
+// computeLandmarkDistances fills lmDist[i][j] = driving distance from
+// landmark i to landmark j: one sweep of roadnet's one-to-all kernel per
+// landmark, the landmarks shared out over the workers. A worker owns one
+// Searcher and one distance array for all its sweeps and writes each
+// landmark's float32 row straight from that array.
+func (d *Discretization) computeLandmarkDistances() error {
+	n := len(d.Landmarks)
+	g := d.city.Graph
+	d.lmDist = make([][]float32, n)
+	parallel(n, func() func(int) {
+		s := roadnet.NewSearcher(g)
+		var all []float64
+		return func(i int) {
+			all = s.DistancesToAll(d.Landmarks[i].Node, all)
+			row := make([]float32, n)
+			for j := range row {
+				row[j] = float32(all[d.Landmarks[j].Node])
+			}
+			d.lmDist[i] = row
+		}
+	})
 
 	for i, row := range d.lmDist {
 		for j, v := range row {
@@ -286,34 +296,39 @@ func (d *Discretization) clusterLandmarks() error {
 // computeClusterDistances fills the directed cluster distance table:
 // dist(C, C') = min over landmark pairs (a ∈ C, b ∈ C') of the driving
 // distance a→b, as the paper defines ("the distance between the closest
-// pair of landmarks belonging to the two clusters").
+// pair of landmarks belonging to the two clusters"), the rows shared out
+// over the workers.
 func (d *Discretization) computeClusterDistances() {
 	k := len(d.Clusters)
 	d.clusterDist = make([][]float32, k)
-	for i := 0; i < k; i++ {
-		d.clusterDist[i] = make([]float32, k)
-		for j := 0; j < k; j++ {
-			if i == j {
-				continue
-			}
-			best := float32(math.Inf(1))
-			for _, a := range d.Clusters[i].Landmarks {
-				row := d.lmDist[a]
-				for _, b := range d.Clusters[j].Landmarks {
-					if row[b] < best {
-						best = row[b]
+	parallel(k, func() func(int) {
+		return func(i int) {
+			dist := make([]float32, k)
+			for j := range dist {
+				if i == j {
+					continue
+				}
+				best := float32(math.Inf(1))
+				for _, a := range d.Clusters[i].Landmarks {
+					row := d.lmDist[a]
+					for _, b := range d.Clusters[j].Landmarks {
+						if row[b] < best {
+							best = row[b]
+						}
 					}
 				}
+				dist[j] = best
 			}
-			d.clusterDist[i][j] = best
+			d.clusterDist[i] = dist
 		}
-	}
+	})
 }
 
 // assignNodesToLandmarks computes, for every road node, the landmark
 // minimizing the node→landmark driving distance, considering only
 // landmarks within Δ. One bounded reverse Dijkstra per landmark (radius
-// Δ); ties broken by the lowest landmark ID, the paper's rule.
+// Δ); ties broken by the lowest landmark ID, the paper's rule, so the
+// order the workers merge in does not matter.
 func (d *Discretization) assignNodesToLandmarks() {
 	g := d.city.Graph
 	nNodes := g.NumNodes()
@@ -324,46 +339,68 @@ func (d *Discretization) assignNodesToLandmarks() {
 		d.nodeLandmarkDist[i] = float32(math.Inf(1))
 	}
 
-	workers := runtime.GOMAXPROCS(0)
 	type hit struct {
 		node roadnet.NodeID
 		lm   int32
 		dist float32
 	}
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := roadnet.NewSearcher(g)
-			var local []hit
-			for lmID := range jobs {
-				local = local[:0]
-				s.DistancesWithinReverse(d.Landmarks[lmID].Node, d.cfg.MaxDriveToLandmark,
-					func(v roadnet.NodeID, dist float64) bool {
-						local = append(local, hit{node: v, lm: int32(lmID), dist: float32(dist)})
-						return true
-					})
-				mu.Lock()
-				for _, h := range local {
-					cur := d.nodeLandmarkDist[h.node]
-					curLM := d.nodeLandmark[h.node]
-					if h.dist < cur || (h.dist == cur && (curLM == -1 || h.lm < curLM)) {
-						d.nodeLandmarkDist[h.node] = h.dist
-						d.nodeLandmark[h.node] = h.lm
-					}
+	parallel(len(d.Landmarks), func() func(int) {
+		s := roadnet.NewSearcher(g)
+		var local []hit
+		return func(lmID int) {
+			local = local[:0]
+			s.DistancesWithinReverse(d.Landmarks[lmID].Node, d.cfg.MaxDriveToLandmark,
+				func(v roadnet.NodeID, dist float64) bool {
+					local = append(local, hit{node: v, lm: int32(lmID), dist: float32(dist)})
+					return true
+				})
+			mu.Lock()
+			for _, h := range local {
+				cur := d.nodeLandmarkDist[h.node]
+				curLM := d.nodeLandmark[h.node]
+				if h.dist < cur || (h.dist == cur && (curLM == -1 || h.lm < curLM)) {
+					d.nodeLandmarkDist[h.node] = h.dist
+					d.nodeLandmark[h.node] = h.lm
 				}
-				mu.Unlock()
 			}
-		}()
-	}
-	for i := range d.Landmarks {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+			mu.Unlock()
+		}
+	})
+}
+
+// buildGridTable fills the grid tier: every cell's GridInfo, in one dense
+// row-major table, the rows shared out over the workers. A worker collects
+// a row's walkable lists in one arena it reuses for every row, then gives
+// the row one exact-size copy that the row's lists are sub-slices of
+// (capped at their length, so a deep size counts each entry once). An
+// empty list stays nil.
+func (d *Discretization) buildGridTable() {
+	rows, cols := int(d.Grid.Rows()), int(d.Grid.Cols())
+	d.cells = make([]GridInfo, rows*cols)
+	parallel(rows, func() func(int) {
+		var arena []WalkableCluster
+		ends := make([]int, cols)
+		return func(r int) {
+			row := d.cells[r*cols : (r+1)*cols]
+			arena = arena[:0]
+			for c := range row {
+				arena = d.fillGridInfo(&row[c], d.Grid.Cell(int32(r), int32(c)), arena)
+				ends[c] = len(arena)
+			}
+			if len(arena) == 0 {
+				return
+			}
+			own := slices.Clone(arena)
+			start := 0
+			for c, end := range ends {
+				if end > start {
+					row[c].Walkable = own[start:end:end]
+				}
+				start = end
+			}
+		}
+	})
 }
 
 // Config returns the build configuration.
@@ -413,34 +450,22 @@ func (d *Discretization) ClusterOfNode(v roadnet.NodeID) int {
 // GridAt maps a point to its grid cell.
 func (d *Discretization) GridAt(p geo.Point) grid.ID { return d.Grid.At(p) }
 
-// Info returns the per-grid attributes, computing and caching them on
-// first use. It returns nil for grid.Invalid.
+// Info returns the per-grid attributes: a bounds check and an index into
+// the table Build filled. It returns nil for grid.Invalid and for any ID
+// outside the grid.
 func (d *Discretization) Info(id grid.ID) *GridInfo {
-	if id == grid.Invalid || !d.Grid.Contains(id) {
+	i := d.Grid.Index(id)
+	if i < 0 {
 		return nil
 	}
-	d.mu.RLock()
-	gi, ok := d.gridCache[id]
-	d.mu.RUnlock()
-	if ok {
-		return gi
-	}
-	gi = d.computeGridInfo(id)
-	d.mu.Lock()
-	if prev, ok := d.gridCache[id]; ok {
-		gi = prev // another goroutine won the race; keep one canonical value
-	} else {
-		d.gridCache[id] = gi
-	}
-	d.mu.Unlock()
-	return gi
+	return &d.cells[i]
 }
 
-// computeGridInfo derives a grid's nearest landmark and walkable-cluster
-// list from the node tables and the landmark spatial index.
-func (d *Discretization) computeGridInfo(id grid.ID) *GridInfo {
+// fillGridInfo sets a cell's nearest landmark in gi and appends its
+// walkable-cluster list, sorted, to arena.
+func (d *Discretization) fillGridInfo(gi *GridInfo, id grid.ID, arena []WalkableCluster) []WalkableCluster {
 	centroid := d.Grid.Centroid(id)
-	gi := &GridInfo{Landmark: -1, DriveDist: math.NaN()}
+	gi.Landmark, gi.DriveDist = -1, math.NaN()
 
 	// Driving association: the grid inherits the assignment of its
 	// nearest road node (the grid is 100 m; its traffic enters the
@@ -453,36 +478,58 @@ func (d *Discretization) computeGridInfo(id grid.ID) *GridInfo {
 		}
 	}
 
-	// Walkable clusters: all landmarks within W straight-line, walking
-	// distance = detour factor × haversine, keep the minimum per cluster
-	// (a side has about a dozen: a scan of the list, not a map), sort
-	// ascending.
-	acc := make([]WalkableCluster, 0, 16)
-	d.lmIndex.within(centroid, d.cfg.MaxWalk/d.cfg.WalkDetourFactor, func(lmID int, straight float64) {
-		walk := straight * d.cfg.WalkDetourFactor
-		if walk > d.cfg.MaxWalk {
-			return
-		}
-		c := d.landmarkCluster[lmID]
-		for i := range acc {
-			if wc := &acc[i]; wc.Cluster == c {
-				if walk < wc.Walk {
+	// Walkable clusters: every landmark within W on foot, walking
+	// distance = detour factor × haversine, the minimum per cluster (a
+	// side has about a dozen: a scan of the list, not a map), sorted
+	// ascending. The scanned buckets cover a square of about four times
+	// the circle's area. Before its haversine, geo.FlatBound turns a
+	// landmark away if it lies beyond the circle, or if it lies beyond
+	// its cluster's minimum so far and so cannot lower it. Either way the
+	// haversine would have turned it away too, so the lists are those of
+	// the plain scan, bit for bit; the haversine's two cosines are
+	// computed once for the cell and once per landmark at construction.
+	ix, detour := d.lmIndex, d.cfg.WalkDetourFactor
+	radius := d.cfg.MaxWalk / detour
+	cosP := geo.CosLat(centroid)
+	flat := geo.NewFlatBound(centroid, ix.box)
+	start := len(arena)
+	span := int(radius/ix.cell) + 1
+	r0, c0 := ix.rc(centroid)
+	for r := max(r0-span, 0); r <= min(r0+span, ix.rows-1); r++ {
+		for c := max(c0-span, 0); c <= min(c0+span, ix.cols-1); c++ {
+			for _, lm := range ix.buckets[r*ix.cols+c] {
+				q := ix.pts[lm]
+				if flat.Beyond(q, radius) {
+					continue
+				}
+				cl := d.landmarkCluster[lm]
+				var wc *WalkableCluster
+				for i := start; i < len(arena); i++ {
+					if arena[i].Cluster == cl {
+						wc = &arena[i]
+						break
+					}
+				}
+				if wc != nil && flat.Beyond(q, wc.Walk/detour) {
+					continue
+				}
+				straight := geo.HaversineCos(centroid, q, cosP, ix.cos[lm])
+				walk := straight * detour
+				if straight > radius || walk > d.cfg.MaxWalk {
+					continue
+				}
+				if wc == nil {
+					arena = append(arena, WalkableCluster{Cluster: cl, Walk: walk})
+				} else if walk < wc.Walk {
 					wc.Walk = walk
 				}
-				return
 			}
 		}
-		acc = append(acc, WalkableCluster{Cluster: c, Walk: walk})
+	}
+	slices.SortFunc(arena[start:], func(a, b WalkableCluster) int {
+		return cmp.Or(cmp.Compare(a.Walk, b.Walk), cmp.Compare(a.Cluster, b.Cluster))
 	})
-	gi.Walkable = make([]WalkableCluster, len(acc)) // cached for good: exact size
-	copy(gi.Walkable, acc)
-	sort.Slice(gi.Walkable, func(i, j int) bool {
-		if gi.Walkable[i].Walk != gi.Walkable[j].Walk {
-			return gi.Walkable[i].Walk < gi.Walkable[j].Walk
-		}
-		return gi.Walkable[i].Cluster < gi.Walkable[j].Cluster
-	})
-	return gi
+	return arena
 }
 
 // WalkableWithin prunes a grid's walkable-cluster list to the request's
@@ -529,6 +576,7 @@ func (d *Discretization) Servable(p geo.Point) bool {
 // pointBuckets is a tiny uniform bucket index over a fixed point set.
 type pointBuckets struct {
 	pts        []geo.Point
+	cos        []float64 // geo.CosLat of each point
 	box        geo.BBox
 	cell       float64
 	dLat, dLng float64
@@ -541,11 +589,12 @@ func newPointBuckets(pts []geo.Point, box geo.BBox, cellMeters float64) *pointBu
 		cellMeters = 500
 	}
 	for _, p := range pts {
-		box = box.Extend(p) // within relies on box holding every point
+		box = box.Extend(p) // the flat bound relies on box holding every point
 	}
 	midLat := (box.MinLat + box.MaxLat) / 2
 	b := &pointBuckets{
 		pts:  pts,
+		cos:  make([]float64, len(pts)),
 		box:  box,
 		cell: cellMeters,
 		dLat: cellMeters / geo.MetersPerDegreeLat(),
@@ -555,6 +604,7 @@ func newPointBuckets(pts []geo.Point, box geo.BBox, cellMeters float64) *pointBu
 	b.cols = int((box.MaxLng-box.MinLng)/b.dLng) + 2
 	b.buckets = make([][]int32, b.rows*b.cols)
 	for i, p := range pts {
+		b.cos[i] = geo.CosLat(p)
 		r, c := b.rc(p)
 		k := r*b.cols + c
 		b.buckets[k] = append(b.buckets[k], int32(i))
@@ -578,37 +628,4 @@ func (b *pointBuckets) rc(p geo.Point) (int, int) {
 		c = b.cols - 1
 	}
 	return r, c
-}
-
-// within calls visit for every point at haversine distance ≤ radius of
-// p. The scanned buckets cover a square of about four times the circle's
-// area, so most points are turned away by geo.FlatBound (the box holds
-// every point); the rest get the haversine as before, so the visited set
-// and its distances are those of the plain scan.
-func (b *pointBuckets) within(p geo.Point, radius float64, visit func(i int, d float64)) {
-	if radius < 0 {
-		return
-	}
-	flat := geo.NewFlatBound(p, b.box)
-	span := int(radius/b.cell) + 1
-	r0, c0 := b.rc(p)
-	for r := r0 - span; r <= r0+span; r++ {
-		if r < 0 || r >= b.rows {
-			continue
-		}
-		for c := c0 - span; c <= c0+span; c++ {
-			if c < 0 || c >= b.cols {
-				continue
-			}
-			for _, i := range b.buckets[r*b.cols+c] {
-				q := b.pts[i]
-				if flat.Beyond(q, radius) {
-					continue
-				}
-				if d := geo.Haversine(p, q); d <= radius {
-					visit(int(i), d)
-				}
-			}
-		}
-	}
 }

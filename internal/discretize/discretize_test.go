@@ -309,14 +309,27 @@ func TestWalkableWithinPruning(t *testing.T) {
 	}
 }
 
+// Info is nil for grid.Invalid and every ID outside the grid, and reads
+// the table without allocating.
 func TestInfoInvalidGrid(t *testing.T) {
 	d := testDisc(t)
-	if d.Info(grid.Invalid) != nil {
-		t.Fatal("Info(Invalid) must be nil")
+	rows, cols := d.Grid.Rows(), d.Grid.Cols()
+	last := d.Grid.Cell(rows-1, cols-1)
+	for _, id := range []grid.ID{grid.Invalid, -2, last + 1, last + 1<<24, grid.ID(1) << 56} {
+		if d.Info(id) != nil {
+			t.Fatalf("Info(%d) must be nil", int64(id))
+		}
+	}
+	if d.Info(last) == nil || d.Info(d.Grid.Cell(0, 0)) == nil {
+		t.Fatal("the corner cells must have info")
+	}
+	center := d.GridAt(d.City().Graph.BBox().Center())
+	if allocs := testing.AllocsPerRun(100, func() { d.Info(center) }); allocs != 0 {
+		t.Fatalf("Info allocates %v per call", allocs)
 	}
 }
 
-func TestInfoCacheConcurrent(t *testing.T) {
+func TestInfoConcurrent(t *testing.T) {
 	d := testDisc(t)
 	r := rand.New(rand.NewSource(5))
 	pts := make([]geo.Point, 64)
@@ -339,7 +352,7 @@ func TestInfoCacheConcurrent(t *testing.T) {
 	for w := 1; w < 8; w++ {
 		for i := range pts {
 			if results[w][i] != results[0][i] {
-				t.Fatalf("non-canonical cached GridInfo for point %d", i)
+				t.Fatalf("non-canonical GridInfo for point %d", i)
 			}
 		}
 	}

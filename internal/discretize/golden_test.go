@@ -133,20 +133,27 @@ func benchRegion(tb testing.TB) *Discretization {
 	return d
 }
 
-// BenchmarkGridInfoCold times computeGridInfo — what the first search to
-// touch a cell pays — and NodeIndex.Nearest alone, over every cell
-// centroid of the benchmark-sized region.
-func BenchmarkGridInfoCold(b *testing.B) {
+// BenchmarkGridTable times the grid tier of the benchmark-sized region:
+// the whole table per op at the benchmark's GOMAXPROCS, and per cell
+// centroid NodeIndex.Nearest alone and the per-cell oracle the table
+// replaced.
+func BenchmarkGridTable(b *testing.B) {
 	d := benchRegion(b)
-	cells := d.Grid.CellsWithin(d.City().Graph.BBox().Center(), 1e7, nil)
+	cells := allCells(d)
+	b.Run("table", func(b *testing.B) {
+		e := *d
+		for i := 0; i < b.N; i++ {
+			e.buildGridTable()
+		}
+	})
 	b.Run("nearest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d.City().Index.Nearest(d.Grid.Centroid(cells[i%len(cells)]))
 		}
 	})
-	b.Run("grid_info", func(b *testing.B) {
+	b.Run("oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			d.computeGridInfo(cells[i%len(cells)])
+			computeGridInfo(d, cells[i%len(cells)])
 		}
 	})
 }

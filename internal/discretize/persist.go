@@ -4,17 +4,16 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sync"
 
 	"xar/internal/grid"
 	"xar/internal/landmark"
 	"xar/internal/roadnet"
 )
 
-// discSnapshot is the gob wire format of a Discretization. The grid
-// system and lazy per-grid cache are rebuilt on load; everything the
-// expensive pre-processing computed (landmark Dijkstras, clustering,
-// node assignments) is stored.
+// discSnapshot is the gob wire format of a Discretization. Everything
+// the expensive pre-processing computed (landmark Dijkstras, clustering,
+// node assignments) is stored; the grid system, the cluster distances and
+// the per-grid table are derived from it and rebuilt on load.
 type discSnapshot struct {
 	Version          int
 	GraphFingerprint uint64
@@ -93,8 +92,6 @@ func Load(r io.Reader, city *roadnet.City) (*Discretization, error) {
 		nodeLandmark:     snap.NodeLandmark,
 		nodeLandmarkDist: snap.NodeLandmarkDist,
 		epsilon:          snap.Epsilon,
-		gridCache:        make(map[grid.ID]*GridInfo),
-		mu:               sync.RWMutex{},
 		lmIndex: newPointBuckets(landmark.Points(snap.Landmarks),
 			city.Graph.BBox().Pad(snap.Cfg.MaxWalk+snap.Cfg.GridCellSize), snap.Cfg.MaxWalk),
 	}
@@ -121,5 +118,6 @@ func Load(r io.Reader, city *roadnet.City) (*Discretization, error) {
 		}
 	}
 	d.computeClusterDistances()
+	d.buildGridTable()
 	return d, nil
 }

@@ -54,25 +54,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Grid queries agree.
-	g := city.Graph
-	for v := 0; v < g.NumNodes(); v += 17 {
-		p := g.Point(roadnet.NodeID(v))
-		a := orig.Info(orig.GridAt(p))
-		b := loaded.Info(loaded.GridAt(p))
-		if (a == nil) != (b == nil) {
-			t.Fatalf("grid info presence differs at node %d", v)
-		}
-		if a == nil {
-			continue
-		}
-		if a.Landmark != b.Landmark || len(a.Walkable) != len(b.Walkable) {
-			t.Fatalf("grid info differs at node %d: %+v vs %+v", v, a, b)
-		}
-		for i := range a.Walkable {
-			if a.Walkable[i] != b.Walkable[i] {
-				t.Fatalf("walkable entry %d differs at node %d", i, v)
-			}
+	// The grid table Load rebuilds is Build's, on every cell.
+	if len(loaded.cells) != len(orig.cells) {
+		t.Fatalf("grid table of %d cells vs %d", len(loaded.cells), len(orig.cells))
+	}
+	for _, id := range allCells(orig) {
+		if a, b := orig.Info(id), loaded.Info(id); !sameGridInfo(a, b) {
+			t.Fatalf("grid info differs at cell %v: %+v vs %+v", id, a, b)
 		}
 	}
 }

@@ -47,14 +47,23 @@ func degrees(rad float64) float64 { return rad * 180 / math.Pi }
 // It is the walking-distance metric of the XAR system and the admissible
 // heuristic of the road-network A* search.
 func Haversine(a, b Point) float64 {
-	lat1 := radians(a.Lat)
-	lat2 := radians(b.Lat)
+	return HaversineCos(a, b, CosLat(a), CosLat(b))
+}
+
+// CosLat returns the cosine of p's latitude, the per-point factor of
+// Haversine. A caller measuring between fixed point sets computes it once
+// per point and passes it to HaversineCos.
+func CosLat(p Point) float64 { return math.Cos(radians(p.Lat)) }
+
+// HaversineCos is Haversine(a, b) given cosA = CosLat(a) and
+// cosB = CosLat(b), without computing the two cosines again.
+func HaversineCos(a, b Point, cosA, cosB float64) float64 {
 	dLat := radians(b.Lat - a.Lat)
 	dLng := radians(b.Lng - a.Lng)
 
 	s1 := math.Sin(dLat / 2)
 	s2 := math.Sin(dLng / 2)
-	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
+	h := s1*s1 + cosA*cosB*s2*s2
 	if h > 1 {
 		h = 1
 	}

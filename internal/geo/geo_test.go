@@ -43,6 +43,47 @@ func TestHaversineSmallScaleMatchesPlanar(t *testing.T) {
 	}
 }
 
+// haversineRef is the formula with both cosines inline, as Haversine was
+// written before HaversineCos took them as arguments.
+func haversineRef(a, b Point) float64 {
+	lat1 := radians(a.Lat)
+	lat2 := radians(b.Lat)
+	dLat := radians(b.Lat - a.Lat)
+	dLng := radians(b.Lng - a.Lng)
+	s1 := math.Sin(dLat / 2)
+	s2 := math.Sin(dLng / 2)
+	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
+	if h > 1 {
+		h = 1
+	}
+	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(h))
+}
+
+// Haversine and HaversineCos with precomputed cosines return the inline
+// formula's bits, on city-scale pairs and on far and antipodal ones where
+// h clamps to 1: every distance and golden hash built on them holds.
+func TestHaversineCosBitEqual(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	check := func(a, b Point) {
+		t.Helper()
+		want := haversineRef(a, b)
+		cosA, cosB := CosLat(a), CosLat(b)
+		if got := Haversine(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Haversine(%v, %v) = %v, inline formula %v", a, b, got, want)
+		}
+		if got := HaversineCos(a, b, cosA, cosB); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("HaversineCos(%v, %v) = %v, inline formula %v", a, b, got, want)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		check(nycPoint(r), nycPoint(r))
+		check(Point{Lat: r.Float64()*180 - 90, Lng: r.Float64()*360 - 180},
+			Point{Lat: r.Float64()*180 - 90, Lng: r.Float64()*360 - 180})
+	}
+	check(Point{Lat: 0, Lng: 0}, Point{Lat: 0, Lng: 180})
+	check(timesSquare, timesSquare)
+}
+
 func nycPoint(r *rand.Rand) Point {
 	return Point{
 		Lat: 40.55 + r.Float64()*0.4,

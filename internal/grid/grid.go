@@ -129,6 +129,29 @@ func (s *System) Contains(id ID) bool {
 	return row >= 0 && row < s.rows && col >= 0 && col < s.cols
 }
 
+// Cell returns the ID of the cell at row, col, or Invalid outside the
+// region.
+func (s *System) Cell(row, col int32) ID {
+	if row < 0 || row >= s.rows || col < 0 || col >= s.cols {
+		return Invalid
+	}
+	return fromRC(row, col)
+}
+
+// Index returns the cell's position in row-major order, row·Cols + col —
+// the index of its entry in a table holding one entry per cell — or -1
+// if id addresses no cell of the system.
+func (s *System) Index(id ID) int {
+	if id < 0 {
+		return -1
+	}
+	row, col := int64(id)>>colBits, int64(id&(1<<colBits-1))
+	if row >= int64(s.rows) || col >= int64(s.cols) {
+		return -1
+	}
+	return int(row)*int(s.cols) + int(col)
+}
+
 // Ring appends to dst the cells at Chebyshev distance exactly k from id
 // (the k-th square ring), clipped to the region. Ring(id, 0, dst) appends
 // id itself. The T-Share baseline expands rings in increasing k order,

@@ -103,6 +103,36 @@ func TestCentroidRoundTrip(t *testing.T) {
 	}
 }
 
+// Cell and Index are inverse on the region: row-major positions 0 … n−1,
+// each once, and -1 / Invalid for everything outside it — including IDs
+// whose row overflows int32, which Contains would fold back in.
+func TestCellIndexRowMajor(t *testing.T) {
+	s := mustSystem(t, 100)
+	next := 0
+	for r := int32(0); r < s.Rows(); r++ {
+		for c := int32(0); c < s.Cols(); c++ {
+			id := s.Cell(r, c)
+			if id != fromRC(r, c) || s.Index(id) != next {
+				t.Fatalf("Cell(%d, %d) = %v at index %d, want %v at %d", r, c, id, s.Index(id), fromRC(r, c), next)
+			}
+			next++
+		}
+	}
+	if int64(next) != s.NumCells() {
+		t.Fatalf("indexed %d of %d cells", next, s.NumCells())
+	}
+	for _, rc := range [][2]int32{{-1, 0}, {0, -1}, {s.Rows(), 0}, {0, s.Cols()}} {
+		if id := s.Cell(rc[0], rc[1]); id != Invalid {
+			t.Errorf("Cell(%d, %d) = %v, want Invalid", rc[0], rc[1], id)
+		}
+	}
+	for _, id := range []ID{Invalid, -2, fromRC(s.Rows(), 0), fromRC(0, s.Cols()), ID(1) << 56, ID(1)<<62 | 5} {
+		if i := s.Index(id); i != -1 {
+			t.Errorf("Index(%d) = %d, want -1", int64(id), i)
+		}
+	}
+}
+
 func TestDeterministicMapping(t *testing.T) {
 	s1 := mustSystem(t, 100)
 	s2 := mustSystem(t, 100)
