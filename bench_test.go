@@ -1,8 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§X). Each BenchmarkFigN* corresponds to an experiment in
-// DESIGN.md's index (E1–E10); the cmd/xarbench binary prints the same
-// rows with configurable scale. Ablation benchmarks quantify the design
-// choices DESIGN.md calls out.
+// Benchmarks timing the paper's evaluation operations (§X). Each
+// BenchmarkFigN* times the loop of one experiment in DESIGN.md's index
+// (E5–E9); cmd/xarbench -fig regenerates every table and figure, E1–E10,
+// with configurable scale. Ablation benchmarks time the design choices
+// DESIGN.md calls out that measure their own loops.
 package xar
 
 import (
@@ -96,60 +96,6 @@ func benchRequest(w *experiments.World, trips []workload.Trip, i int) sim.Reques
 		Source: t.Pickup, Dest: t.Dropoff,
 		Earliest: t.RequestTime, Latest: t.RequestTime + w.Scale.WindowSlack,
 		WalkLimit: w.Scale.WalkLimit,
-	}
-}
-
-// BenchmarkFig3aDetourQuality — E1: full simulation measuring the detour
-// approximation-error CDF against the ε guarantee.
-func BenchmarkFig3aDetourQuality(b *testing.B) {
-	w := world(b)
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3a(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.FracUnder1E, "frac<=eps")
-		b.ReportMetric(r.FracUnder2E, "frac<=2eps")
-		b.ReportMetric(r.MaxError, "max_err_m")
-	}
-}
-
-// BenchmarkFig3bClustersVsEpsilon — E2: cluster counts for an ε sweep.
-func BenchmarkFig3bClustersVsEpsilon(b *testing.B) {
-	w := world(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig3b(w, []float64{500, 1000, 2000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[0].Clusters), "clusters@eps500")
-		b.ReportMetric(float64(rows[len(rows)-1].Clusters), "clusters@eps2000")
-	}
-}
-
-// BenchmarkFig3cIndexMemory — E3: index bytes versus cluster count.
-func BenchmarkFig3cIndexMemory(b *testing.B) {
-	w := world(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig3cd(w, []float64{800, 1600})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].IndexMB, "MB@fine")
-		b.ReportMetric(rows[1].IndexMB, "MB@coarse")
-	}
-}
-
-// BenchmarkFig3dSearchVsClusters — E4: search latency versus clusters.
-func BenchmarkFig3dSearchVsClusters(b *testing.B) {
-	w := world(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig3cd(w, []float64{800, 1600})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].SearchMeanMS, "ms@fine")
-		b.ReportMetric(rows[1].SearchMeanMS, "ms@coarse")
 	}
 }
 
@@ -313,54 +259,7 @@ func fig5b(b *testing.B, xar bool, ratio int) {
 	}
 }
 
-// BenchmarkFig6Modes — E10: the four-mode comparison.
-func BenchmarkFig6Modes(b *testing.B) {
-	w := world(b)
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, m := range r.Modes {
-			switch m.Mode {
-			case "RS":
-				b.ReportMetric(float64(m.Cars), "rs_cars")
-			case "RS+PT":
-				b.ReportMetric(float64(m.Cars), "rspt_cars")
-			}
-		}
-	}
-}
-
 // --- Ablations (DESIGN.md §4) ---
-
-// BenchmarkAblationLinearScanList: by-ETA binary search vs linear scan
-// of the potential-ride lists.
-func BenchmarkAblationLinearScanList(b *testing.B) {
-	w := world(b)
-	for i := 0; i < b.N; i++ {
-		row, err := experiments.AblationSortedLists(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(row.OnMeanMS, "sorted_ms")
-		b.ReportMetric(row.OffMeanMS, "linear_ms")
-	}
-}
-
-// BenchmarkAblationNoReachablePrecompute: reachable-cluster expansion at
-// registration time vs pass-through-only indexing.
-func BenchmarkAblationNoReachablePrecompute(b *testing.B) {
-	w := world(b)
-	for i := 0; i < b.N; i++ {
-		row, err := experiments.AblationReachablePrecompute(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(row.OnMatches), "matches_on")
-		b.ReportMetric(float64(row.OffMatches), "matches_off")
-	}
-}
 
 // BenchmarkAblationGreedySearchProbes: GREEDYSEARCH answering every probe
 // of its binary search from one farthest-first traversal vs the paper's
@@ -580,7 +479,10 @@ var observerArms = []observerArm{
 		cfg.Memory = memsize.NewRegistry()
 		cfg.MemSweepInterval = time.Millisecond
 	}},
-	{name: "profiling", baseline: "telemetry", budget: 1.05, configure: withProfiler},
+	{name: "profiling", baseline: "telemetry", budget: 1.05,
+		attach: func(_ *experiments.World, cfg core.Config, _ *core.Engine) func() {
+			return startProfiler(cfg.Telemetry).Close
+		}},
 }
 
 func withTracer(rate int) func(*core.Config) {
@@ -591,9 +493,12 @@ func withTracer(rate int) func(*core.Config) {
 
 func withJournal(cfg *core.Config) { cfg.Journal = journal.New(journal.Config{}) }
 
-func withProfiler(cfg *core.Config) {
-	cfg.Profiling = profile.New(profile.Config{Registry: cfg.Telemetry, CPUWindow: 50 * time.Millisecond})
-	cfg.ProfileInterval = time.Millisecond
+// startProfiler starts a continuous profiler recording into reg at the
+// arms' 1 ms cadence; the caller closes it.
+func startProfiler(reg *telemetry.Registry) *profile.Profiler {
+	p := profile.New(profile.Config{Registry: reg, CPUWindow: 50 * time.Millisecond})
+	p.Start(time.Millisecond)
+	return p
 }
 
 // startAuditor sweeps eng's index and jr every interval until the
@@ -740,18 +645,20 @@ func TestObserverOverheadSmoke(t *testing.T) {
 	// every delta kind, and its self-reported overhead must respect
 	// the duty-cycle budget (generous 5% fence on the ≤1% target —
 	// the gauge excludes the passive CPU window by design).
-	peng, pcfg := observerEngine(t, w, observerArm{configure: withProfiler})
+	peng, pcfg := observerEngine(t, w, observerArm{})
 	defer peng.Close()
 	reg := pcfg.Telemetry
+	prof := startProfiler(reg)
+	defer prof.Close()
 	sys := &sim.XARSystem{Engine: peng}
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; time.Now().Before(deadline); i++ {
 		_, _ = sys.Search(benchRequest(w, w.Trips, i), 0)
-		if c, ok := peng.Profiler().Newest(); ok && c.ID >= 2 {
+		if c, ok := prof.Newest(); ok && c.ID >= 2 {
 			break
 		}
 	}
-	c, ok := peng.Profiler().Newest()
+	c, ok := prof.Newest()
 	if !ok || c.ID < 2 {
 		t.Fatal("profiler produced fewer than 2 captures under 10 s of load")
 	}

@@ -159,13 +159,6 @@ func main() {
 		ecfg.Memory = memsize.NewRegistry()
 		ecfg.MemSweepInterval = *memSweep
 	}
-	if *profileInterval > 0 {
-		ecfg.Profiling = profile.New(profile.Config{
-			Registry: reg,
-			Logf:     log.Printf,
-		})
-		ecfg.ProfileInterval = *profileInterval
-	}
 	eng, err := core.NewEngine(disc, ecfg)
 	if err != nil {
 		log.Fatal(err)
@@ -187,6 +180,15 @@ func main() {
 	}
 	if qc != nil {
 		opts = append(opts, server.WithQuality(qc))
+	}
+	// The continuous profiler watches the process, not the engine: it is
+	// started here and handed to the server, which serves its rings.
+	var prof *profile.Profiler
+	if *profileInterval > 0 {
+		prof = profile.New(profile.Config{Registry: reg, Logf: log.Printf})
+		prof.Start(*profileInterval)
+		defer prof.Close()
+		opts = append(opts, server.WithProfiler(prof))
 	}
 	if *auditInterval > 0 {
 		acfg := audit.Config{
@@ -227,8 +229,8 @@ func main() {
 			// A page pins the continuous profiler's capture bracket, so
 			// the flat tables and raw CPU profiles around the incident
 			// survive ring eviction and ship in the debug bundle.
-			if p := eng.Profiler(); p != nil {
-				p.AttachTo(slo)
+			if prof != nil {
+				prof.AttachTo(slo)
 			}
 		}
 	} else if *enableSLO {
@@ -236,8 +238,8 @@ func main() {
 	}
 	srv := server.New(eng, core.NewSocialGraph(), opts...)
 	// server.New seeded the first accounting sweep (it registers the
-	// trace store and recorder as components first), so the startup
-	// summary reflects the complete component set.
+	// profiler, trace store and recorder as components first), so the
+	// startup summary reflects the complete component set.
 	experiments.WriteMemory(log.Writer(), eng.LastMemReport())
 
 	// SIGQUIT writes a one-shot diagnostic bundle instead of Go's default

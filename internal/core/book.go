@@ -30,9 +30,8 @@ const bookMaxAttempts = 4
 // re-registers the ride's cluster information.
 //
 // The exact detour may exceed the cluster-approximated estimate by up to
-// the additive 4ε bound; unless Config.StrictDetour is set, the booking
-// is allowed to overshoot the remaining budget by at most 4ε, matching
-// the paper's guarantee.
+// the additive 4ε bound, so the booking is allowed to overshoot the
+// remaining budget by at most 4ε, matching the paper's guarantee.
 //
 // Concurrency: booking and cancelling are optimistic (retryConflicts).
 // The shortest paths run outside any lock against a snapshot of the ride
@@ -259,12 +258,8 @@ func (e *Engine) tryBook(ctx context.Context, m Match, bk *Booking) (conflict bo
 		return false, fmt.Errorf("xar: stitched route invalid: %w", err)
 	}
 	detour := max(newLen-oldLen, 0)
-	allowance := 0.0
-	if !e.cfg.StrictDetour {
-		allowance = 4 * e.disc.Epsilon()
-	}
 	budget := next.DetourLimit
-	if detour > budget+allowance {
+	if detour > budget+4*e.disc.Epsilon() {
 		return false, ErrDetourExceeded
 	}
 	next.DetourLimit -= detour

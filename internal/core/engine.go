@@ -24,7 +24,6 @@ import (
 	"xar/internal/index"
 	"xar/internal/journal"
 	"xar/internal/memsize"
-	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
 	"xar/internal/telemetry"
@@ -60,10 +59,6 @@ type Config struct {
 	// DefaultSeats applies to offers that leave Seats zero. The paper's
 	// simulation assumes taxi capacity 4 including the driver.
 	DefaultSeats int
-	// StrictDetour rejects bookings whose exact detour exceeds the
-	// remaining budget at all; the default allows the paper's additive
-	// 4ε approximation overshoot.
-	StrictDetour bool
 	// UseALTPaths is a no-op: ALT is what an empty Router means, so there
 	// is nothing left for it to turn on. Callers may keep assigning it;
 	// setting Router "astar" is the only way to plain A*.
@@ -87,12 +82,16 @@ type Config struct {
 	// and no prebuilt CH is given; exceeding it falls back to ALT
 	// instead of failing engine construction. 0 → unbudgeted.
 	CHBudget time.Duration
-	// UseCongestionProfile scales ETA computation by the time-of-day
-	// congestion factor (roadnet.SpeedFactor): rides departing in the AM
-	// or PM peak take up to ~1.8× longer than free flow, which the
-	// paper's "time of arrival is estimated from historical travel
-	// times" prescribes. Route geometry is unaffected.
-	UseCongestionProfile bool
+	// Observers are what watches the engine; the zero value watches
+	// nothing. Embedded, so cfg.Telemetry names cfg.Observers.Telemetry.
+	Observers
+}
+
+// Observers are the engine's optional instruments and the rates and
+// cadences beside them. The continuous profiler is not among them: it
+// watches the process, not the engine, and the server takes it
+// (server.WithProfiler).
+type Observers struct {
 	// Telemetry, when non-nil, records per-operation latency histograms
 	// (xar_op_duration_seconds) and the per-stage search breakdown
 	// (xar_search_stage_duration_seconds) into the registry. Nil leaves
@@ -166,18 +165,6 @@ type Config struct {
 	// ≤1%-of-one-core budget no matter how large the fleet grows. 0
 	// leaves sweeping on-demand only (MemSweep / the HTTP handler).
 	MemSweepInterval time.Duration
-
-	// Profiling attaches a continuous profiler. The engine owns its
-	// lifecycle: with ProfileInterval > 0 the capture worker starts in
-	// NewEngine and stops in Close; with 0 the profiler stays
-	// capture-on-demand (CaptureNow / the HTTP handlers). With Memory
-	// also set, the profiler's rings are registered as the "profiles"
-	// memory component. See OBSERVABILITY.md "Continuous profiling".
-	Profiling *profile.Profiler
-	// ProfileInterval is the capture cadence (requires Profiling). The
-	// worker duty-cycles its active work the same way the memory
-	// sweeper does, staying within ≤1% of one core.
-	ProfileInterval time.Duration
 }
 
 // destWindowSlack (seconds) widens the destination-side time window: the
@@ -311,13 +298,12 @@ type Engine struct {
 	// algo label. Nil without telemetry.
 	routeQueries *telemetry.Counter
 
-	m        metrics
-	tel      *engineTelemetry   // nil → uninstrumented
-	jr       *journal.Journal   // nil → no event journaling
-	quality  *quality.Collector // nil → no funnel/approximation accounting
-	shadow   *shadowMatcher     // nil → no counterfactual re-matching
-	mem      *memoryMonitor     // nil → no memory accounting
-	profiler *profile.Profiler  // nil → no continuous profiling
+	m       metrics
+	tel     *engineTelemetry   // nil → uninstrumented
+	jr      *journal.Journal   // nil → no event journaling
+	quality *quality.Collector // nil → no funnel/approximation accounting
+	shadow  *shadowMatcher     // nil → no counterfactual re-matching
+	mem     *memoryMonitor     // nil → no memory accounting
 }
 
 // Router values for Config.Router, and the strings Engine.Router()
@@ -347,12 +333,6 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	}
 	if cfg.ShadowSampleRate > 0 && cfg.Quality == nil {
 		return nil, fmt.Errorf("xar: ShadowSampleRate requires Config.Quality")
-	}
-	if cfg.ProfileInterval < 0 {
-		return nil, fmt.Errorf("xar: negative ProfileInterval")
-	}
-	if cfg.ProfileInterval > 0 && cfg.Profiling == nil {
-		return nil, fmt.Errorf("xar: ProfileInterval requires Config.Profiling")
 	}
 	if cfg.Index.AvgSpeed == 0 {
 		cfg.Index = index.DefaultConfig()
@@ -464,15 +444,6 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 			e.mem.start()
 		}
 	}
-	if cfg.Profiling != nil {
-		e.profiler = cfg.Profiling
-		if cfg.Memory != nil {
-			cfg.Memory.Register("profiles", cfg.Profiling)
-		}
-		if cfg.ProfileInterval > 0 {
-			e.profiler.Start(cfg.ProfileInterval)
-		}
-	}
 	return e, nil
 }
 
@@ -524,16 +495,6 @@ func (e *Engine) Close() {
 	if e.mem != nil {
 		e.mem.worker.Stop()
 	}
-	if e.profiler != nil {
-		e.profiler.Close()
-	}
-}
-
-// Profiler returns the engine's continuous profiler (nil when
-// Config.Profiling was not set). The server serves its rings at
-// /v1/profiles.
-func (e *Engine) Profiler() *profile.Profiler {
-	return e.profiler
 }
 
 // tracedShortestPath runs one pooled shortest-path search under a
@@ -687,17 +648,13 @@ func (e *Engine) ConfigSummary() map[string]any {
 		"default_detour_limit_m": e.cfg.DefaultDetourLimit,
 		"default_seats":          e.cfg.DefaultSeats,
 		"dest_window_slack_s":    destWindowSlack,
-		"strict_detour":          e.cfg.StrictDetour,
 		"router":                 e.router,
-		"use_congestion_profile": e.cfg.UseCongestionProfile,
 		"search_sample_rate":     sampleRate,
 		"slow_op_threshold_ms":   float64(e.cfg.SlowOpThreshold) / float64(time.Millisecond),
 		"quality":                e.quality != nil,
 		"shadow_sample_rate":     e.cfg.ShadowSampleRate,
 		"memory_accounting":      e.mem != nil,
 		"mem_sweep_interval_s":   e.cfg.MemSweepInterval.Seconds(),
-		"profiling":              e.profiler != nil,
-		"profile_interval_s":     e.cfg.ProfileInterval.Seconds(),
 		"epsilon_m":              e.disc.Epsilon(),
 		"num_clusters":           e.disc.NumClusters(),
 		"num_landmarks":          len(e.disc.Landmarks),
@@ -707,9 +664,7 @@ func (e *Engine) ConfigSummary() map[string]any {
 }
 
 // computeETAs returns cumulative arrival times along a route starting at
-// start: per-edge free-flow travel times, optionally scaled by the
-// time-of-day congestion profile at each edge's (estimated) traversal
-// time — the "historical travel times" of §VI.
+// start: the sum of per-edge free-flow travel times.
 func (e *Engine) computeETAs(route []roadnet.NodeID, start float64) []float64 {
 	g := e.disc.City().Graph
 	etas := make([]float64, len(route))
@@ -720,10 +675,6 @@ func (e *Engine) computeETAs(route []roadnet.NodeID, start float64) []float64 {
 			// Route invariant violated; fall back to straight-line time
 			// rather than corrupting every downstream ETA.
 			t = geo.Haversine(g.Point(route[i-1]), g.Point(route[i])) / 7.0
-		}
-		if e.cfg.UseCongestionProfile {
-			hour := etas[i-1] / 3600 // seconds of day → hour, 24h periodic
-			t *= roadnet.SpeedFactor(hour)
 		}
 		etas[i] = etas[i-1] + t
 	}

@@ -750,52 +750,3 @@ func TestEngineWithALTPathsIdenticalBehavior(t *testing.T) {
 		}
 	}
 }
-
-func TestCongestionProfileSlowsPeakRides(t *testing.T) {
-	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := discretize.Build(city, discretize.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.UseCongestionProfile = true
-	e, err := NewEngine(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, dst := farPoints(t, e)
-
-	duration := func(departure float64) float64 {
-		id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: departure})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := e.Ride(id)
-		dur := r.RouteETA[len(r.RouteETA)-1] - r.RouteETA[0]
-		e.CompleteRide(id)
-		return dur
-	}
-	night := duration(3 * 3600)    // 3am: free flow
-	amPeak := duration(8.5 * 3600) // 8:30am: rush hour
-	if amPeak < night*1.3 {
-		t.Fatalf("peak ride %.0fs not meaningfully slower than night ride %.0fs", amPeak, night)
-	}
-	// Without the profile, departure time does not matter.
-	plain, err := NewEngine(d, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2dur := func(dep float64) float64 {
-		id, _ := plain.CreateRide(RideOffer{Source: src, Dest: dst, Departure: dep})
-		r := plain.Ride(id)
-		dur := r.RouteETA[len(r.RouteETA)-1] - r.RouteETA[0]
-		plain.CompleteRide(id)
-		return dur
-	}
-	if math.Abs(e2dur(3*3600)-e2dur(8.5*3600)) > 1e-6 {
-		t.Fatal("free-flow engine must be time-invariant")
-	}
-}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
-	"xar/internal/discretize"
 	"xar/internal/geo"
 	"xar/internal/roadnet"
 )
@@ -84,45 +85,97 @@ func TestDetourBudgetExhaustion(t *testing.T) {
 	}
 }
 
-func TestStrictDetourRejectsOvershoot(t *testing.T) {
-	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
-	if err != nil {
-		t.Fatal(err)
+// padFinder lengthens the next path it is asked for: it walks the first
+// road edge out of the path's start that has a way back, there and back,
+// until it has added at least *pad meters, then sets *added to what it
+// added and *pad to zero. The route stays a valid one, exactly *added
+// longer than the shortest.
+type padFinder struct {
+	pathFinder
+	g          *roadnet.Graph
+	pad, added *float64
+}
+
+func (f padFinder) ShortestPath(a, b roadnet.NodeID) roadnet.SPResult {
+	res := f.pathFinder.ShortestPath(a, b)
+	if *f.pad <= 0 || !res.Reachable() {
+		return res
 	}
-	d, err := discretize.Build(city, discretize.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	for _, out := range f.g.Out(a) {
+		back, err := f.g.PathLength([]roadnet.NodeID{out.To, a})
+		if err != nil {
+			continue
+		}
+		path := []roadnet.NodeID{a}
+		for *f.added = 0; *f.added < *f.pad; *f.added += out.Length + back {
+			path = append(path, out.To, a)
+		}
+		*f.pad = 0
+		return roadnet.SPResult{Dist: res.Dist + *f.added, Path: append(path, res.Path[1:]...)}
 	}
-	cfg := DefaultConfig()
-	cfg.StrictDetour = true
-	e, err := NewEngine(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := city.Graph
-	src := g.Point(0)
-	dst := g.Point(roadnet.NodeID(g.NumNodes() - 1))
-	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 0, DetourLimit: 1500})
+	panic("no two-way edge out of the path's start")
+}
+
+// TestBookingAllowanceIsFourEpsilon pins Theorem 6's additive 4ε: a
+// booking's exact detour may overshoot the ride's remaining budget by up
+// to 4ε and no further. The same booking is made twice with its first
+// searched path padded, once past budget + 4ε and once just past the
+// budget.
+func TestBookingAllowanceIsFourEpsilon(t *testing.T) {
+	e := newTestEngine(t)
+	src, dst := farPoints(t, e)
+	const budget = 500.0
+	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 0, Seats: 4, DetourLimit: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := e.Ride(id)
-	// Every successful strict-mode booking must respect the budget with
-	// zero allowance.
-	for i := 0; i < 5; i++ {
-		req := requestAlong(e, r, 0.25, 0.75, 1e6, 900)
-		ms, err := e.Search(req)
-		if err != nil || len(ms) == 0 {
-			break
+	// A request one block off the route whose pickup landmark is off it
+	// too, so booking it searches at least one path.
+	g := e.disc.City().Graph
+	var req Request
+	var m Match
+	for i := 1; m.Ride == 0 && i < len(r.Route)-2; i++ {
+		for _, out := range g.Out(r.Route[i]) {
+			req = Request{Source: g.Point(out.To), Dest: g.Point(r.Route[len(r.Route)-2]), LatestDeparture: 7200, WalkLimit: 300}
+			ms, _ := e.Search(req)
+			if len(ms) == 0 || slices.Contains(r.Route, out.To) {
+				continue
+			}
+			if lm, _ := e.disc.NearestLandmarkInCluster(req.Source, ms[0].PickupCluster); !slices.Contains(r.Route, e.disc.Landmarks[lm].Node) {
+				m = ms[0]
+				break
+			}
 		}
-		before := r.DetourLimit
-		bk, err := e.Book(ms[0], req)
-		if err != nil {
-			break
-		}
-		if bk.DetourActual > before+1e-6 {
-			t.Fatalf("strict mode allowed detour %.1f > budget %.1f", bk.DetourActual, before)
-		}
+	}
+	if m.Ride == 0 {
+		t.Fatal("no match picks up off the route")
+	}
+	var pad, added float64
+	e.finders = sync.Pool{New: func() any { return padFinder{e.newFinder(), g, &pad, &added} }}
+	allowance := 4 * e.disc.Epsilon()
+
+	pad = budget + allowance + 1
+	if _, err := e.Book(m, req); err != ErrDetourExceeded || pad != 0 {
+		t.Fatalf("a detour at least %.0f m past budget + 4ε: err %v (path padded: %v), want ErrDetourExceeded", added-budget-allowance, err, pad == 0)
+	}
+	if after := e.Ride(id); after.SeatsAvail != r.SeatsAvail || after.DetourLimit != budget || !slices.Equal(after.Route, r.Route) {
+		t.Fatalf("a refused booking changed the ride: %+v", after)
+	}
+
+	pad = budget + 1
+	bk, err := e.Book(m, req)
+	if err != nil {
+		t.Fatalf("%.0f m of padding on a %.0f m budget, with 4ε = %.0f m: %v", added, budget, allowance, err)
+	}
+	if bk.DetourActual < added || bk.DetourActual <= budget || bk.DetourActual > budget+allowance {
+		t.Fatalf("booked detour %.1f m with %.1f m of padding: want in (budget %.0f, budget + 4ε %.0f]", bk.DetourActual, added, budget, budget+allowance)
+	}
+	if got := e.Ride(id).DetourLimit; got != 0 {
+		t.Fatalf("an overshooting booking left %.1f m of budget, want 0", got)
+	}
+	if err := e.Index().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"xar/internal/discretize"
 	"xar/internal/journal"
 	"xar/internal/memsize"
-	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
 	"xar/internal/telemetry"
@@ -35,13 +34,6 @@ func newMemEngine(t testing.TB, interval time.Duration) *Engine {
 	cfg.Journal = journal.New(journal.Config{Registry: cfg.Telemetry})
 	cfg.Quality = quality.New(cfg.Telemetry)
 	cfg.ShadowSampleRate = 1
-	// Continuous profiler on the same cadence as the sweeper (CPU
-	// window disabled so test captures are fast and cannot contend
-	// with other tests' profiles). interval 0 → capture-on-demand.
-	cfg.Profiling = profile.New(profile.Config{
-		Registry: cfg.Telemetry, CPUWindow: -1,
-	})
-	cfg.ProfileInterval = interval
 	e, err := NewEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +194,8 @@ func TestMemoryGaugesPublished(t *testing.T) {
 
 // TestEngineCloseStopsBackgroundWorkers is the goroutine-leak regression
 // test: an engine with every background worker enabled (shadow matcher,
-// memory sweeper, continuous profiler) must return to the baseline
-// goroutine count after Close.
+// memory sweeper) must return to the baseline goroutine count after
+// Close.
 func TestEngineCloseStopsBackgroundWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -224,16 +216,6 @@ func TestEngineCloseStopsBackgroundWorkers(t *testing.T) {
 	}
 	if e.LastMemReport() == nil {
 		t.Fatal("background sweeper never produced a report")
-	}
-	// Let the 1 ms profile worker produce at least one capture too.
-	for time.Now().Before(deadline) {
-		if _, ok := e.Profiler().Newest(); ok {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, ok := e.Profiler().Newest(); !ok {
-		t.Fatal("background profiler never produced a capture")
 	}
 
 	e.Close()

@@ -7,16 +7,11 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"xar/internal/core"
 	"xar/internal/discretize"
-	"xar/internal/journal"
-	"xar/internal/memsize"
 	"xar/internal/mmtp"
-	"xar/internal/quality"
 	"xar/internal/roadnet"
-	"xar/internal/telemetry"
 	"xar/internal/transit"
 	"xar/internal/tshare"
 	"xar/internal/workload"
@@ -61,32 +56,11 @@ type World struct {
 	City  *roadnet.City
 	Disc  *discretize.Discretization
 	Trips []workload.Trip
-	// Telemetry, when non-nil, is handed to the sim replays so the
-	// figure harness records into the same latency histograms a live
-	// xarserver exposes (cmd/xarbench -prom wires this).
-	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, records request-scoped span trees for the
-	// replayed operations (cmd/xarsim -trace-out / cmd/xarbench
-	// -trace-out wire this to dump the slowest traces).
-	Tracer *telemetry.Tracer
-	// Journal, when non-nil, records ride-lifecycle events during the
-	// replay (cmd/xarsim -audit wires this so the post-replay audit can
-	// check journal causality).
-	Journal *journal.Journal
-	// Quality, when non-nil, collects the match-quality funnel and
-	// approximation-gap histograms during the replay (cmd/xarsim
-	// -quality / cmd/xarload wire this for their post-run summaries).
-	Quality *quality.Collector
-	// ShadowSampleRate, when > 0 alongside Quality, runs the shadow
-	// counterfactual matcher at that 1-in-N sample rate.
-	ShadowSampleRate int
-	// Memory, when non-nil, turns on per-component memory accounting in
-	// the engines built over this world (cmd/xarload -mem-sweep /
-	// cmd/xarsim wire this for their memory summaries).
-	Memory *memsize.Registry
-	// MemSweepInterval starts the engine's background sweep worker on
-	// that cadence (requires Memory; 0 → on-demand sweeps only).
-	MemSweepInterval time.Duration
+	// Observers are handed to every engine NewXAREngine builds, so the
+	// figure harness records into the same instruments a live xarserver
+	// exposes (cmd/xarbench -prom, cmd/xarsim -trace-out / -audit /
+	// -quality, cmd/xarload wire them for their post-run summaries).
+	core.Observers
 }
 
 // BuildWorld generates the city, discretization (ε = Scale.Epsilon) and
@@ -125,26 +99,15 @@ func maxTripDist(city *roadnet.City) float64 {
 	return d * 0.9
 }
 
-// NewXAREngine builds a fresh XAR engine over the world. When the world
-// carries a telemetry registry the engine records into it directly —
-// ops and the per-stage search breakdown, unsampled (rate 1) so the
-// figure replays trace every search.
+// NewXAREngine builds a fresh XAR engine over the world, watched by the
+// world's observers. With telemetry on and no sample rate set, every
+// search is timed (rate 1): the figure replays trace every search.
 func (w *World) NewXAREngine() (*core.Engine, error) {
 	cfg := core.DefaultConfig()
 	cfg.DefaultDetourLimit = w.Scale.DetourLimit
-	if w.Telemetry != nil {
-		cfg.Telemetry = w.Telemetry
+	cfg.Observers = w.Observers
+	if cfg.Telemetry != nil && cfg.SearchSampleRate == 0 {
 		cfg.SearchSampleRate = 1
-	}
-	cfg.Tracer = w.Tracer
-	cfg.Journal = w.Journal
-	cfg.Quality = w.Quality
-	if w.Quality != nil {
-		cfg.ShadowSampleRate = w.ShadowSampleRate
-	}
-	cfg.Memory = w.Memory
-	if w.Memory != nil {
-		cfg.MemSweepInterval = w.MemSweepInterval
 	}
 	return core.NewEngine(w.Disc, cfg)
 }

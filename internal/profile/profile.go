@@ -1,5 +1,5 @@
 // Package profile implements always-on continuous profiling for the
-// engine: a background worker that periodically captures delta
+// process: a background worker that periodically captures delta
 // profiles — a short duty-cycled CPU window, heap in-use and
 // allocation deltas, mutex and block contention deltas, and goroutine
 // counts by state — folds each capture into per-function /
@@ -174,8 +174,8 @@ type pendingFold struct {
 }
 
 // Profiler is the continuous profiler. Build with New, then either
-// Start a background worker (the engine does this when
-// Config.ProfileInterval > 0) or call CaptureNow directly.
+// Start a background worker (xarserver does this when -profile-interval
+// > 0) or call CaptureNow directly.
 type Profiler struct {
 	cfg       Config
 	startTime time.Time

@@ -2,7 +2,6 @@ package roadnet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"xar/internal/geo"
@@ -192,20 +191,4 @@ func (c *City) RandomPoint(rng *rand.Rand) geo.Point {
 		Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
 		Lng: box.MinLng + rng.Float64()*(box.MaxLng-box.MinLng),
 	}
-}
-
-// SpeedFactor models time-of-day congestion: free-flow speeds are divided
-// by the returned factor. hour is in [0,24). The profile has AM and PM
-// peaks like urban traffic counts.
-func SpeedFactor(hour float64) float64 {
-	hour = math.Mod(hour, 24)
-	if hour < 0 {
-		hour += 24
-	}
-	peak := func(center, width, height float64) float64 {
-		d := hour - center
-		return height * math.Exp(-d*d/(2*width*width))
-	}
-	// Base factor 1.0 (free flow at night), up to ~1.8 in peaks.
-	return 1.0 + peak(8.5, 1.5, 0.8) + peak(17.5, 1.8, 0.8) + peak(13, 2.5, 0.2)
 }

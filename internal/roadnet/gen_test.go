@@ -173,48 +173,12 @@ func TestNodeIndexNearestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestNodeIndexWithin(t *testing.T) {
-	city := genTestCity(t, 15, 10, 6)
-	g := city.Graph
-	p := g.BBox().Center()
-	got := city.Index.Within(p, 500, nil)
-	want := 0
-	for i := 0; i < g.NumNodes(); i++ {
-		if geo.Haversine(p, g.Point(NodeID(i))) <= 500 {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Fatalf("Within found %d nodes, brute force %d", len(got), want)
-	}
-	if len(city.Index.Within(p, -1, nil)) != 0 {
-		t.Fatal("negative radius must return nothing")
-	}
-}
-
 func TestEmptyGraphNearest(t *testing.T) {
 	g := &Graph{}
 	g.AddNode(geo.Point{Lat: 40.7, Lng: -74})
 	idx := NewNodeIndex(g, 250)
 	if n, _ := idx.Nearest(geo.Point{Lat: 40.7, Lng: -74}); n != 0 {
 		t.Fatalf("single-node graph nearest = %d", n)
-	}
-}
-
-func TestSpeedFactorProfile(t *testing.T) {
-	if f := SpeedFactor(3); f > 1.15 {
-		t.Fatalf("3am factor = %v, want near free flow", f)
-	}
-	am := SpeedFactor(8.5)
-	pm := SpeedFactor(17.5)
-	if am < 1.5 || pm < 1.5 {
-		t.Fatalf("peak factors %v / %v, want > 1.5", am, pm)
-	}
-	if SpeedFactor(8.5) != SpeedFactor(8.5+24) {
-		t.Fatal("profile must be 24h periodic")
-	}
-	if SpeedFactor(-15.5) != SpeedFactor(8.5) {
-		t.Fatal("negative hours must wrap")
 	}
 }
 

@@ -118,30 +118,3 @@ func (idx *NodeIndex) Nearest(p geo.Point) (NodeID, float64) {
 	}
 	return best, bestD
 }
-
-// Within appends to dst all nodes within radius meters of p and returns
-// the extended slice.
-func (idx *NodeIndex) Within(p geo.Point, radius float64, dst []NodeID) []NodeID {
-	if radius < 0 {
-		return dst
-	}
-	rSpan := int(radius/idx.cell) + 1
-	r0 := int((p.Lat - idx.box.MinLat) / idx.dLat)
-	c0 := int((p.Lng - idx.box.MinLng) / idx.dLng)
-	for r := r0 - rSpan; r <= r0+rSpan; r++ {
-		if r < 0 || r >= idx.rows {
-			continue
-		}
-		for c := c0 - rSpan; c <= c0+rSpan; c++ {
-			if c < 0 || c >= idx.cols {
-				continue
-			}
-			for _, n := range idx.buckets[r*idx.cols+c] {
-				if geo.Haversine(p, idx.g.Point(n)) <= radius {
-					dst = append(dst, n)
-				}
-			}
-		}
-	}
-	return dst
-}

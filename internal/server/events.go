@@ -42,8 +42,7 @@ type EventsResponse struct {
 // Timelines outlive the ride: a completed ride's events remain readable
 // until the journal evicts them for space.
 func (s *Server) handleRideTimeline(w http.ResponseWriter, r *http.Request) {
-	if s.journal == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "event journal disabled (server built without a journal)"})
+	if disabled(w, s.journal == nil, "event journal disabled (server built without a journal)") {
 		return
 	}
 	id, ok := pathID(w, r)
@@ -72,8 +71,7 @@ func (s *Server) handleRideTimeline(w http.ResponseWriter, r *http.Request) {
 // handleEvents serves the global event tail with type/since/limit
 // filters, ascending by sequence number.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.journal == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "event journal disabled (server built without a journal)"})
+	if disabled(w, s.journal == nil, "event journal disabled (server built without a journal)") {
 		return
 	}
 	q := r.URL.Query()

@@ -75,8 +75,7 @@ func DefaultSLOs(searchP95 time.Duration) []telemetry.Objective {
 }
 
 func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
-	if s.recorder == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "metrics history disabled (server built without a recorder)"})
+	if disabled(w, s.recorder == nil, "metrics history disabled (server built without a recorder)") {
 		return
 	}
 	q := r.URL.Query()
@@ -126,8 +125,7 @@ type SLOResponse struct {
 }
 
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if s.slo == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "SLOs disabled (server built without an SLO engine)"})
+	if disabled(w, s.slo == nil, "SLOs disabled (server built without an SLO engine)") {
 		return
 	}
 	// /v1/slo takes no parameters; reject any so a future filtered form
@@ -181,8 +179,8 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 //	goroutine.pprof      goroutine profile, pprof protobuf
 //	goroutines.txt       goroutine dump, human-readable
 //	heap.pprof           heap profile
-//	profiles.json        continuous-profiler capture summaries (when
-//	                     the engine has Config.Profiling)
+//	profiles.json        continuous-profiler capture summaries (when a
+//	                     profiler is wired)
 //	profile-<id>-<raw>.pprof
 //	                     raw blobs (cpu, heap, mutex, block) of every
 //	                     pinned capture — the profiles bracketing SLO
@@ -300,7 +298,7 @@ func (s *Server) WriteDebugBundle(w io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	if p := s.eng.Profiler(); p != nil {
+	if p := s.profiler; p != nil {
 		if err := addJSON("profiles.json", ProfileListResponse{Profiles: p.List(profile.ListFilter{})}); err != nil {
 			return err
 		}

@@ -21,13 +21,15 @@ import (
 )
 
 // recorderEnv is a testEnv with the full flight-recorder stack wired:
-// shared registry, tracer, recorder (manual ticking), SLO engine.
+// shared registry, tracer, recorder (manual ticking), SLO engine, and a
+// continuous profiler the env owns.
 type recorderEnv struct {
 	*testEnv
-	reg *telemetry.Registry
-	rec *telemetry.Recorder
-	slo *telemetry.SLOEngine
-	now float64
+	reg  *telemetry.Registry
+	rec  *telemetry.Recorder
+	slo  *telemetry.SLOEngine
+	prof *profile.Profiler
+	now  float64
 }
 
 // newRecorderEnv profiles on demand only, with no CPU window: /v1/profiles
@@ -56,7 +58,6 @@ func newRecorderEnvCPU(t testing.TB, cpuWindow time.Duration) *recorderEnv {
 	cfg.Tracer = tracer
 	cfg.Quality = qc
 	cfg.Memory = memsize.NewRegistry()
-	cfg.Profiling = profile.New(profile.Config{Registry: reg, CPUWindow: cpuWindow})
 	eng, err := core.NewEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -67,13 +68,15 @@ func newRecorderEnvCPU(t testing.TB, cpuWindow time.Duration) *recorderEnv {
 	})
 	slo := telemetry.NewSLOEngine(rec, telemetry.SLOConfig{},
 		DefaultSLOs(10*time.Millisecond)...)
+	prof := profile.New(profile.Config{Registry: reg, CPUWindow: cpuWindow})
+	t.Cleanup(prof.Close)
 	s := httptest.NewServer(New(eng, core.NewSocialGraph(),
 		WithTelemetry(reg), WithTracer(tracer),
-		WithRecorder(rec), WithSLO(slo), WithQuality(qc)).Handler())
+		WithRecorder(rec), WithSLO(slo), WithQuality(qc), WithProfiler(prof)).Handler())
 	t.Cleanup(s.Close)
 	return &recorderEnv{
 		testEnv: &testEnv{srv: s, eng: eng, city: city},
-		reg:     reg, rec: rec, slo: slo,
+		reg:     reg, rec: rec, slo: slo, prof: prof,
 		now: 100_000,
 	}
 }
@@ -308,7 +311,7 @@ func (env *recorderEnv) fetchBundle(t *testing.T) map[string][]byte {
 // and the bundle carries both captures' raw CPU profiles.
 func TestPageShipsCPUProfilesInBundle(t *testing.T) {
 	env := newRecorderEnvCPU(t, 20*time.Millisecond)
-	p := env.eng.Profiler()
+	p := env.prof
 	p.AttachTo(env.slo)
 
 	p.CaptureNow() // the capture before the incident
@@ -363,9 +366,9 @@ func TestDebugBundle(t *testing.T) {
 	env.tick(10, time.Millisecond)
 	// Two on-demand captures, the newest pinned — the bundle must carry
 	// the summary list plus the pinned capture's raw blobs.
-	env.eng.Profiler().CaptureNow()
-	env.eng.Profiler().CaptureNow()
-	env.eng.Profiler().PinLatest("bundle test")
+	env.prof.CaptureNow()
+	env.prof.CaptureNow()
+	env.prof.PinLatest("bundle test")
 
 	members := env.fetchBundle(t)
 

@@ -20,8 +20,7 @@ import (
 //	        time) but not free — dashboards polling this endpoint
 //	        should rely on the background cadence.
 func (s *Server) handleMemory(w http.ResponseWriter, r *http.Request) {
-	if s.eng.MemComponents() == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "memory accounting disabled (engine built without a memsize registry)"})
+	if disabled(w, s.eng.MemComponents() == nil, "memory accounting disabled (engine built without a memsize registry)") {
 		return
 	}
 	q := r.URL.Query()

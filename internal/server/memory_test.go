@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,8 +12,9 @@ import (
 )
 
 // TestMemoryEndpoint: GET /v1/memory on a fully-wired server reports the
-// complete component breakdown — engine components plus the server-side
-// trace store — with a live rides-per-GB frontier point.
+// complete component breakdown — engine components, then the server-side
+// profiler rings and trace store, in that attribution order — with a live
+// rides-per-GB frontier point.
 func TestMemoryEndpoint(t *testing.T) {
 	env := newTracedEnv(t)
 	// Load the engine: one ride plus a search (which also feeds the
@@ -26,19 +28,21 @@ func TestMemoryEndpoint(t *testing.T) {
 	if code := env.do(t, "GET", "/v1/memory?sweep=true", nil, &rep); code != http.StatusOK {
 		t.Fatalf("GET /v1/memory = %d", code)
 	}
-	if len(rep.Components) < 6 {
-		t.Fatalf("only %d components reported, want >= 6: %+v", len(rep.Components), rep.Components)
-	}
+	var names []string
 	byName := map[string]uint64{}
 	var sum uint64
 	for _, c := range rep.Components {
+		names = append(names, c.Name)
 		byName[c.Name] = c.Bytes
 		sum += c.Bytes
 	}
-	for _, want := range []string{"graph", "discretization", "index", "journal", "quality", "traces"} {
+	for _, want := range []string{"graph", "discretization", "index", "journal", "quality", "profiles", "traces"} {
 		if byName[want] == 0 {
 			t.Errorf("component %q missing or zero (have %v)", want, byName)
 		}
+	}
+	if tail := names[max(len(names)-2, 0):]; !slices.Equal(tail, []string{"profiles", "traces"}) {
+		t.Errorf("components in order %v, want the engine's then profiles, traces", names)
 	}
 	if sum != rep.TrackedTotalBytes {
 		t.Fatalf("component sum %d != tracked total %d", sum, rep.TrackedTotalBytes)

@@ -34,7 +34,7 @@ func TestMetricNameHygiene(t *testing.T) {
 	env.doRaw(t, "POST", "/v1/bookings", `{"ride_id": 999999}`, nil)
 	env.auditor.Audit()
 	// One capture so the xar_profile_* families materialize.
-	env.eng.Profiler().CaptureNow()
+	env.prof.CaptureNow()
 
 	resp := env.doRaw(t, "GET", "/v1/metrics/prom", "", nil)
 	if resp.StatusCode != http.StatusOK {

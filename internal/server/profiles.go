@@ -1,5 +1,5 @@
-// Continuous-profiling endpoints: the engine's profile rings served
-// over HTTP.
+// Continuous-profiling endpoints: the process profiler's rings served
+// over HTTP (WithProfiler).
 //
 //	GET /v1/profiles                      — list capture summaries (filter: pinned, since_s, limit)
 //	GET /v1/profiles/{id}                 — one capture's flat tables (?kind= narrows, ?format=pprof exports raw)
@@ -28,18 +28,19 @@ type ProfileListResponse struct {
 	Profiles []profile.Summary `json:"profiles"`
 }
 
-func (s *Server) profilerOr404(w http.ResponseWriter) *profile.Profiler {
-	p := s.eng.Profiler()
-	if p == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "continuous profiling disabled (engine built without Config.Profiling)"})
-		return nil
-	}
-	return p
+// WithProfiler serves the continuous profiler's rings at /v1/profiles,
+// /v1/profiles/{id} and /v1/profiles/diff, adds profiles.json and the
+// pinned captures' raw blobs to debug bundles, and, when the engine has
+// memory accounting, registers the rings as the "profiles" component.
+// The caller owns the profiler's lifecycle (Start, Close, AttachTo).
+func WithProfiler(p *profile.Profiler) Option {
+	return func(s *Server) { s.profiler = p }
 }
 
+const profilingDisabled = "continuous profiling disabled (server built without a profiler, as by xarserver -profile-interval 0)"
+
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	p := s.profilerOr404(w)
-	if p == nil {
+	if disabled(w, s.profiler == nil, profilingDisabled) {
 		return
 	}
 	q := r.URL.Query()
@@ -69,12 +70,11 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	if f.Limit, ok = parseLimit(w, q); !ok { // 0: every capture in the rings
 		return
 	}
-	writeJSON(w, http.StatusOK, ProfileListResponse{Profiles: p.List(f)})
+	writeJSON(w, http.StatusOK, ProfileListResponse{Profiles: s.profiler.List(f)})
 }
 
 func (s *Server) handleProfileByID(w http.ResponseWriter, r *http.Request) {
-	p := s.profilerOr404(w)
-	if p == nil {
+	if disabled(w, s.profiler == nil, profilingDisabled) {
 		return
 	}
 	q := r.URL.Query()
@@ -86,7 +86,7 @@ func (s *Server) handleProfileByID(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid profile id"})
 		return
 	}
-	c, ok := p.Get(id)
+	c, ok := s.profiler.Get(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no capture %d in the rings (evicted or never taken)", id)})
 		return
@@ -136,8 +136,7 @@ func kindsOf(c *profile.Capture) []string {
 }
 
 func (s *Server) handleProfileDiff(w http.ResponseWriter, r *http.Request) {
-	p := s.profilerOr404(w)
-	if p == nil {
+	if disabled(w, s.profiler == nil, profilingDisabled) {
 		return
 	}
 	q := r.URL.Query()
@@ -161,7 +160,7 @@ func (s *Server) handleProfileDiff(w http.ResponseWriter, r *http.Request) {
 	if limit == 0 {
 		limit = 30
 	}
-	d, err := p.DiffCaptures(from, to, kind, limit)
+	d, err := s.profiler.DiffCaptures(from, to, kind, limit)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
 		return

@@ -12,7 +12,7 @@ import (
 )
 
 // profCaptures takes n on-demand captures through the traced env's
-// engine profiler, with a burst of HTTP traffic before each so the
+// profiler, with a burst of HTTP traffic before each so the
 // deltas have content.
 func profCaptures(t testing.TB, env *tracedEnv, n int) {
 	t.Helper()
@@ -23,7 +23,7 @@ func profCaptures(t testing.TB, env *tracedEnv, n int) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
-		if c := env.eng.Profiler().CaptureNow(); c == nil {
+		if c := env.prof.CaptureNow(); c == nil {
 			t.Fatal("CaptureNow returned nil")
 		}
 	}
@@ -58,7 +58,7 @@ func TestProfilesList(t *testing.T) {
 	if code := env.do(t, "GET", "/v1/profiles?pinned=true", nil, &list); code != http.StatusOK || len(list.Profiles) != 0 {
 		t.Fatalf("pinned pre-pin: code %d, %d profiles", code, len(list.Profiles))
 	}
-	env.eng.Profiler().PinLatest("endpoint test")
+	env.prof.PinLatest("endpoint test")
 	if code := env.do(t, "GET", "/v1/profiles?pinned=true", nil, &list); code != http.StatusOK || len(list.Profiles) != 1 {
 		t.Fatalf("pinned post-pin: code %d, %d profiles", code, len(list.Profiles))
 	}
@@ -196,8 +196,8 @@ func TestProfilesQueryBounds(t *testing.T) {
 
 // TestProfilesUnknownParamsAnd404 pins the shared endpoint contracts:
 // typo'd query parameters are 400s on all three routes, and a server
-// whose engine has no profiler serves 404 with a hint, parameter
-// validation notwithstanding.
+// built without a profiler serves 404 with a hint, parameter validation
+// notwithstanding.
 func TestProfilesUnknownParamsAnd404(t *testing.T) {
 	env := newTracedEnv(t)
 	profCaptures(t, env, 1)

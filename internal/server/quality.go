@@ -26,8 +26,7 @@ type QualityResponse struct {
 }
 
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	if s.quality == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "match-quality accounting disabled (server built without a quality collector)"})
+	if disabled(w, s.quality == nil, "match-quality accounting disabled (server built without a quality collector)") {
 		return
 	}
 	// No parameters today; reject any so a future filtered form cannot

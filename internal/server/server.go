@@ -56,6 +56,7 @@ import (
 	"xar/internal/geo"
 	"xar/internal/index"
 	"xar/internal/journal"
+	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
 	"xar/internal/telemetry"
@@ -75,6 +76,7 @@ type Server struct {
 	journal   *journal.Journal
 	auditor   *audit.Auditor
 	quality   *quality.Collector
+	profiler  *profile.Profiler
 	accessLog *slog.Logger
 	inflight  *telemetry.Gauge
 	build     telemetry.Build
@@ -123,11 +125,14 @@ func New(eng *core.Engine, social *core.SocialGraph, opts ...Option) *Server {
 	// healthz reports the same resolved values.
 	s.build = telemetry.RegisterBuildInfo(s.reg)
 	if mr := eng.MemComponents(); mr != nil {
-		// The server owns two more memory-holding components; register
+		// The server holds three more memory-holding components; register
 		// them after the engine's (attribution order favors earlier
 		// components, and nothing here shares structure with them), then
 		// sweep once so /v1/memory and the xar_memsize gauges are live
 		// before the background worker's first tick.
+		if s.profiler != nil {
+			mr.Register("profiles", s.profiler)
+		}
 		if s.tracer != nil {
 			mr.Register("traces", s.tracer.Store())
 		}
@@ -611,6 +616,16 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	}
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 	return false
+}
+
+// disabled answers 404 with msg when off — a route whose observer the
+// server was built without — and reports off. The 404 comes before any
+// parameter check.
+func disabled(w http.ResponseWriter, off bool, msg string) bool {
+	if off {
+		writeJSON(w, http.StatusNotFound, errorBody{Error: msg})
+	}
+	return off
 }
 
 // allowParams reports whether every parameter of q is one of names;

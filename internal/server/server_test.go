@@ -510,3 +510,34 @@ func TestRequestBodyLimit(t *testing.T) {
 		})
 	}
 }
+
+// TestDisabledRoutes pins the one reply every observer route gives on a
+// server built without its observer: 404 and this exact body, ahead of
+// any parameter check.
+func TestDisabledRoutes(t *testing.T) {
+	env := newTestEnv(t)
+	const (
+		journal  = `{"error":"event journal disabled (server built without a journal)"}`
+		tracing  = `{"error":"tracing disabled (server built without a tracer)"}`
+		profiles = `{"error":"continuous profiling disabled (server built without a profiler, as by xarserver -profile-interval 0)"}`
+	)
+	for path, want := range map[string]string{
+		"/v1/rides/1/timeline": journal,
+		"/v1/events?bogus=1":   journal,
+		"/v1/traces":           tracing,
+		"/v1/traces/0123456789abcdef0123456789abcdef": tracing,
+		"/v1/metrics/history?bogus=1":                 `{"error":"metrics history disabled (server built without a recorder)"}`,
+		"/v1/slo":                                     `{"error":"SLOs disabled (server built without an SLO engine)"}`,
+		"/v1/quality":                                 `{"error":"match-quality accounting disabled (server built without a quality collector)"}`,
+		"/v1/memory":                                  `{"error":"memory accounting disabled (engine built without a memsize registry)"}`,
+		"/v1/profiles":                                profiles,
+		"/v1/profiles/1":                              profiles,
+		"/v1/profiles/diff?bogus=1":                   profiles,
+	} {
+		rec := httptest.NewRecorder()
+		env.handler.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusNotFound || rec.Body.String() != want+"\n" {
+			t.Errorf("GET %s = %d %q, want 404 %q", path, rec.Code, rec.Body.String(), want+"\n")
+		}
+	}
+}

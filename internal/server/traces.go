@@ -23,8 +23,7 @@ type TracesResponse struct {
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "tracing disabled (server built without a tracer)"})
+	if disabled(w, s.tracer == nil, "tracing disabled (server built without a tracer)") {
 		return
 	}
 	q := r.URL.Query()
@@ -61,8 +60,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "tracing disabled (server built without a tracer)"})
+	if disabled(w, s.tracer == nil, "tracing disabled (server built without a tracer)") {
 		return
 	}
 	id, ok := telemetry.ParseTraceID(r.PathValue("id"))

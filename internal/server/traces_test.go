@@ -25,10 +25,10 @@ import (
 )
 
 // tracedEnv is testEnv plus an always-sampling tracer shared between the
-// engine and the server, a ride-event journal, an invariant auditor and
-// a match-quality collector with the shadow matcher at sample rate 1 —
-// the full wiring a production binary uses, at trace rate 1 so every
-// request records.
+// engine and the server, a ride-event journal, an invariant auditor, a
+// match-quality collector with the shadow matcher at sample rate 1 and a
+// continuous profiler — the full wiring a production binary uses, at
+// trace rate 1 so every request records.
 type tracedEnv struct {
 	*testEnv
 	tracer  *telemetry.Tracer
@@ -36,6 +36,7 @@ type tracedEnv struct {
 	journal *journal.Journal
 	auditor *audit.Auditor
 	quality *quality.Collector
+	prof    *profile.Profiler
 }
 
 func newTracedEnv(t testing.TB) *tracedEnv {
@@ -61,14 +62,15 @@ func newTracedEnv(t testing.TB) *tracedEnv {
 	// On-demand sweeps only (no background worker): /v1/memory and the
 	// xar_memsize_* gauges are live, and tests stay deterministic.
 	cfg.Memory = memsize.NewRegistry()
-	// Same policy for the continuous profiler: captures only when a test
-	// asks (CaptureNow), no CPU window, no capture worker.
-	cfg.Profiling = profile.New(profile.Config{Registry: reg, CPUWindow: -1})
 	eng, err := core.NewEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
+	// Same policy for the continuous profiler: captures only when a test
+	// asks (CaptureNow), no CPU window, no capture worker.
+	prof := profile.New(profile.Config{Registry: reg, CPUWindow: -1})
+	t.Cleanup(prof.Close)
 	auditor := audit.New(audit.Config{
 		Target: audit.Target{
 			View:    eng.Index(),
@@ -82,7 +84,7 @@ func newTracedEnv(t testing.TB) *tracedEnv {
 		TraceStore: tr.Store(),
 	})
 	s := httptest.NewServer(New(eng, nil,
-		WithTelemetry(reg), WithTracer(tr), WithJournal(jr), WithAuditor(auditor), WithQuality(qc)).Handler())
+		WithTelemetry(reg), WithTracer(tr), WithJournal(jr), WithAuditor(auditor), WithQuality(qc), WithProfiler(prof)).Handler())
 	t.Cleanup(s.Close)
 	return &tracedEnv{
 		testEnv: &testEnv{srv: s, eng: eng, city: city},
@@ -91,6 +93,7 @@ func newTracedEnv(t testing.TB) *tracedEnv {
 		journal: jr,
 		auditor: auditor,
 		quality: qc,
+		prof:    prof,
 	}
 }
 
