@@ -223,7 +223,7 @@ func main() {
 		defer rec.Stop()
 		opts = append(opts, server.WithRecorder(rec))
 		if *enableSLO {
-			slo := telemetry.NewSLOEngine(rec, telemetry.SLOConfig{},
+			slo := telemetry.NewSLOEngine(rec,
 				server.DefaultSLOs(time.Duration(*sloSearchP95*float64(time.Millisecond)))...)
 			opts = append(opts, server.WithSLO(slo))
 			// A page pins the continuous profiler's capture bracket, so

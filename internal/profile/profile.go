@@ -4,10 +4,9 @@
 // allocation deltas, mutex and block contention deltas, and goroutine
 // counts by state — folds each capture into per-function /
 // per-package flat tables, and stores them in fixed-memory
-// overwrite-oldest rings (a fine ring of every capture and a coarse
-// one-per-hour ring, mirroring telemetry.Recorder's two resolutions,
-// plus an always-keep ring of captures pinned by SLO page
-// transitions).
+// overwrite-oldest rings (a fine ring of every capture, a coarse
+// one-per-hour ring for the longer view, and an always-keep ring of
+// captures pinned by SLO page transitions).
 //
 // The worker is a telemetry.Worker under the same duty-cycle discipline
 // as the memory sweeper (telemetry.Throttle): after a capture whose

@@ -324,10 +324,7 @@ func newSLOFixture() *sloFixture {
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram(telemetry.OpDurationName, "op latency", telemetry.DurationBuckets(), telemetry.L("op", "search"))
 	rec := telemetry.NewRecorder(reg, telemetry.RecorderConfig{Interval: 10 * time.Second, Retention: time.Hour})
-	slo := telemetry.NewSLOEngine(rec, telemetry.SLOConfig{
-		ShortWindow: time.Minute,
-		LongWindow:  5 * time.Minute,
-	}, telemetry.LatencyObjective("search-p95", telemetry.OpDurationName, telemetry.L("op", "search"), 0.010, 0.95))
+	slo := telemetry.NewSLOEngine(rec, telemetry.LatencyObjective("search-p95", telemetry.OpDurationName, telemetry.L("op", "search"), 0.010, 0.95))
 	return &sloFixture{h: h, rec: rec, slo: slo, now: 10_000}
 }
 
@@ -341,10 +338,10 @@ func (f *sloFixture) tick(n int, v float64) {
 
 // page drives the fixture from healthy to a page transition.
 func (f *sloFixture) page() {
-	for i := 0; i < 36; i++ {
+	for i := 0; i < 216; i++ {
 		f.tick(100, 0.001)
 	}
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 60; i++ {
 		f.tick(100, 0.5)
 	}
 }

@@ -42,8 +42,8 @@ func WithSLO(slo *telemetry.SLOEngine) Option {
 // implies, thresholds on the DurationBuckets grid:
 //
 //   - search-p95: 95% of engine searches under searchP95 (the paper's
-//     headline sub-millisecond search, §X Fig 4a — give live deployments
-//     headroom above the benchmark's ~0.5µs).
+//     headline sub-millisecond search, §X Fig 4a; xarserver's 5 ms
+//     default leaves live deployments headroom above it).
 //   - book-conflict-rate: optimistic-commit retries stay under 10% of
 //     bookings (sustained conflict storms mean many writers on few rides).
 //   - http-error-rate: 5xx responses stay under 1% of requests.

@@ -66,7 +66,7 @@ func newRecorderEnvCPU(t testing.TB, cpuWindow time.Duration) *recorderEnv {
 		Interval:  10 * time.Second,
 		Retention: time.Hour,
 	})
-	slo := telemetry.NewSLOEngine(rec, telemetry.SLOConfig{},
+	slo := telemetry.NewSLOEngine(rec,
 		DefaultSLOs(10*time.Millisecond)...)
 	prof := profile.New(profile.Config{Registry: reg, CPUWindow: cpuWindow})
 	t.Cleanup(prof.Close)

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -18,9 +20,9 @@ import (
 // without an external Prometheus. The recorder closes that gap with the
 // same design constraints as the rest of the package:
 //
-//   - Fixed memory. Retention/interval slots are allocated once per
-//     series; ticking overwrites the oldest slot. No growth, no GC churn
-//     proportional to uptime.
+//   - Fixed memory. Retention/interval snapshots live in one Ring; a
+//     tick into a full ring reuses the evicted snapshot's vector. No
+//     growth, no GC churn proportional to uptime.
 //   - Off the hot path. Instruments are read only at tick time (default
 //     every 10s); recording a request costs exactly what it cost before
 //     the recorder existed.
@@ -31,12 +33,13 @@ import (
 //
 // Snapshots store cumulative values (counter totals, histogram bucket
 // counts), so any window's rate or quantile is a subtraction between two
-// slots — the windowed math never loses information to pre-aggregation.
+// snapshots — the windowed math never loses information to
+// pre-aggregation.
 
 // Default recorder cadence and retention: 10-second snapshots kept for
-// one hour (360 slots). A histogram series costs slots×(buckets+1)
-// uint64s ≈ 92 KB at the standard 31-bound layout; a few dozen series
-// stay comfortably under a few MB.
+// one hour (360 snapshots). A histogram series costs 2+len(bounds)+1
+// float64s per snapshot ≈ 98 KB an hour at the standard 31-bound layout;
+// a few dozen series stay comfortably under a few MB.
 const (
 	DefaultRecorderInterval  = 10 * time.Second
 	DefaultRecorderRetention = time.Hour
@@ -51,58 +54,56 @@ type RecorderConfig struct {
 	Retention time.Duration
 }
 
-// recSeries is the retained history of one instrument: parallel rings of
-// cumulative values, one slot per tick. Slots older than the series'
-// first tick (a series registered mid-flight) are invalid.
+// recSeries is one instrument's place in the snapshots: its cells start
+// at off in every snapshot's vector — one cell for a counter or gauge;
+// count, sum and len(bounds)+1 cumulative bucket counts for a histogram.
+// Counts are stored as float64, exact below 2^53.
 type recSeries struct {
 	name   string
 	labels Labels
 	kind   Kind
-
-	firstTick uint64 // global tick number of this series' first snapshot
-
-	vals []float64 // counters: cumulative total; gauges: value
-
-	// Histogram rings: cumulative count/sum plus per-bucket cumulative
-	// counts flattened as slot*(len(bounds)+1)+bucket.
-	counts  []uint64
-	sums    []float64
-	bounds  []float64
-	buckets []uint64
+	off    int
+	bounds []float64
 }
 
-// Recorder snapshots a Registry's instruments into per-series rings.
+// recSnap is one tick: its stamp and every series' cumulative values at
+// the series' offsets. Series only ever append cells, so a series is in
+// exactly the snapshots whose vector reaches its offset — a suffix of
+// the ring, however late it was registered.
+type recSnap struct {
+	unix float64
+	vals []float64
+}
+
+// Recorder snapshots a Registry's instruments into a ring of snapshots.
 // Safe for concurrent Tick/History/FamilyDelta use; ticks serialize.
 type Recorder struct {
 	reg      *Registry
 	interval time.Duration
-	slots    int
 
 	mu     sync.RWMutex
-	times  []float64 // unix seconds per slot
-	next   int       // slot the next tick writes
-	filled int       // valid slots (≤ slots)
-	tick   uint64    // total ticks taken since construction
+	snaps  Ring[recSnap]
+	width  int // cells per snapshot: every known series' cells
 	series map[seriesKey]*recSeries
 	order  []*recSeries
 
-	onTick []func()
+	onTick []func(unix float64)
 
 	worker Worker
 }
 
 type seriesKey struct{ name, sig string }
 
-// MeasureMem implements memsize.Measurer: the time ring, the series
-// table, and every series' value rings are walked under the recorder's
-// read lock, so measurement is safe against a concurrent tick (ticks
-// take the write lock). Nil-receiver-safe.
+// MeasureMem implements memsize.Measurer: the snapshot ring and the
+// series table are walked under the recorder's read lock, so measurement
+// is safe against a concurrent tick (ticks take the write lock).
+// Nil-receiver-safe.
 func (r *Recorder) MeasureMem(a *memsize.Accumulator) {
 	if r == nil {
 		return
 	}
 	r.mu.RLock()
-	a.Add(r.times)
+	a.Add(r.snaps)
 	a.Add(r.series)
 	a.Add(r.order)
 	r.mu.RUnlock()
@@ -117,15 +118,10 @@ func NewRecorder(reg *Registry, cfg RecorderConfig) *Recorder {
 	if cfg.Retention <= 0 {
 		cfg.Retention = DefaultRecorderRetention
 	}
-	slots := int(cfg.Retention / cfg.Interval)
-	if slots < 2 {
-		slots = 2
-	}
 	return &Recorder{
 		reg:      reg,
 		interval: cfg.Interval,
-		slots:    slots,
-		times:    make([]float64, slots),
+		snaps:    NewRing(make([]recSnap, max(2, int(cfg.Retention/cfg.Interval)))),
 		series:   make(map[seriesKey]*recSeries),
 	}
 }
@@ -135,12 +131,13 @@ func (rec *Recorder) Interval() time.Duration { return rec.interval }
 
 // Retention returns the configured history span.
 func (rec *Recorder) Retention() time.Duration {
-	return time.Duration(rec.slots) * rec.interval
+	return time.Duration(rec.snaps.Cap()) * rec.interval
 }
 
-// OnTick registers fn to run after every snapshot (outside the
-// recorder's lock) — the hook the SLO engine evaluates on.
-func (rec *Recorder) OnTick(fn func()) {
+// OnTick registers fn to run with each snapshot's stamp after the
+// snapshot is taken (outside the recorder's lock) — the hook the SLO
+// engine evaluates on.
+func (rec *Recorder) OnTick(fn func(unix float64)) {
 	rec.mu.Lock()
 	rec.onTick = append(rec.onTick, fn)
 	rec.mu.Unlock()
@@ -174,94 +171,95 @@ func (rec *Recorder) TickAt(unix float64) {
 	fams := rec.reg.snapshotFamilies()
 
 	rec.mu.Lock()
-	slot := rec.next
-	rec.times[slot] = unix
+	// A full ring's oldest snapshot is about to be evicted: its vector
+	// takes the new values, so memory stays bounded by retention.
+	var vals []float64
+	if rec.snaps.Len() == rec.snaps.Cap() {
+		oldest, _ := rec.snaps.Oldest()
+		vals = oldest.vals
+	}
+	vals = slices.Grow(vals[:0], rec.width)[:rec.width]
 	for _, f := range fams {
 		for _, s := range f.snapshotSeries() {
 			key := seriesKey{name: f.name, sig: s.labels.signature()}
 			rs, ok := rec.series[key]
 			if !ok {
-				rs = &recSeries{
-					name:      f.name,
-					labels:    s.labels,
-					kind:      f.kind,
-					firstTick: rec.tick,
-				}
-				switch f.kind {
-				case KindHistogram:
+				rs = &recSeries{name: f.name, labels: s.labels, kind: f.kind, off: rec.width}
+				width := 1
+				if f.kind == KindHistogram {
 					rs.bounds = s.hist.Bounds()
-					rs.counts = make([]uint64, rec.slots)
-					rs.sums = make([]float64, rec.slots)
-					rs.buckets = make([]uint64, rec.slots*(len(rs.bounds)+1))
-				default:
-					rs.vals = make([]float64, rec.slots)
+					width = 2 + len(rs.bounds) + 1
 				}
+				rec.width += width
+				vals = append(vals, make([]float64, width)...)
 				rec.series[key] = rs
 				rec.order = append(rec.order, rs)
 			}
+			cells := vals[rs.off:]
 			switch f.kind {
 			case KindCounter:
-				rs.vals[slot] = float64(s.counter.Value())
+				cells[0] = float64(s.counter.Value())
 			case KindGauge:
 				if s.gaugeFn != nil {
-					rs.vals[slot] = s.gaugeFn()
+					cells[0] = s.gaugeFn()
 				} else if s.gauge != nil {
-					rs.vals[slot] = s.gauge.Value()
+					cells[0] = s.gauge.Value()
 				}
 			case KindHistogram:
 				h := s.hist
-				rs.counts[slot] = h.Count()
-				rs.sums[slot] = h.Sum()
-				nb := len(rs.bounds) + 1
-				cells := h.BucketCounts()
+				cells[0], cells[1] = float64(h.Count()), h.Sum()
 				cum := uint64(0)
-				for i := 0; i < nb && i < len(cells); i++ {
-					cum += cells[i]
-					rs.buckets[slot*nb+i] = cum
+				for i, c := range h.BucketCounts() {
+					cum += c
+					cells[2+i] = float64(cum)
 				}
 			}
 		}
 	}
-	rec.next = (rec.next + 1) % rec.slots
-	if rec.filled < rec.slots {
-		rec.filled++
-	}
-	rec.tick++
-	hooks := make([]func(), len(rec.onTick))
-	copy(hooks, rec.onTick)
+	rec.snaps.Add(recSnap{unix: unix, vals: vals})
+	hooks := slices.Clone(rec.onTick)
 	rec.mu.Unlock()
 
 	for _, fn := range hooks {
-		fn()
+		fn(unix)
 	}
 }
 
-// chronSlots returns the valid slot indices oldest→newest. Caller holds
-// at least the read lock.
-func (rec *Recorder) chronSlots() []int {
-	out := make([]int, 0, rec.filled)
-	start := 0
-	if rec.filled == rec.slots {
-		start = rec.next // oldest slot once the ring has wrapped
-	}
-	for i := 0; i < rec.filled; i++ {
-		out = append(out, (start+i)%rec.slots)
-	}
-	return out
+// firstHolding returns the position in snaps (oldest first) of the
+// oldest snapshot holding rs, or len(snaps) when none does.
+func firstHolding(snaps []recSnap, rs *recSeries) int {
+	return sort.Search(len(snaps), func(i int) bool { return len(snaps[i].vals) > rs.off })
 }
 
-// seriesValidFrom returns the chronological position (index into
-// chronSlots) of rs's first valid slot, or -1 when none survive.
-func (rec *Recorder) seriesValidFrom(rs *recSeries) int {
-	oldestTick := rec.tick - uint64(rec.filled)
-	if rs.firstTick <= oldestTick {
-		return 0
+// windowDelta is rs's change over the window ending at snapshot p: from
+// the newest snapshot at least win seconds older — or, when the window
+// reaches back past from (rs's first snapshot), from itself — to p. ok
+// is false when p is rs's first snapshot or the pair spans no time.
+func windowDelta(rs *recSeries, snaps []recSnap, p, from int, win float64) (d FamilyDelta, ok bool) {
+	if p <= from {
+		return d, false
 	}
-	p := int(rs.firstTick - oldestTick)
-	if p >= rec.filled {
-		return -1
+	a := p - 1
+	for a > from && snaps[p].unix-snaps[a].unix < win {
+		a--
 	}
-	return p
+	if d.Dt = snaps[p].unix - snaps[a].unix; d.Dt <= 0 {
+		return d, false
+	}
+	cur, old := snaps[p].vals[rs.off:], snaps[a].vals[rs.off:]
+	if rs.kind != KindHistogram {
+		d.Counter = max(0, cur[0]-old[0])
+		return d, true
+	}
+	d.Count = uint64(cur[0] - old[0])
+	d.Counter = float64(d.Count)
+	d.Sum = cur[1] - old[1]
+	d.Bounds = rs.bounds
+	d.Buckets = make([]uint64, len(rs.bounds)+1)
+	for i := range d.Buckets {
+		d.Buckets[i] = uint64(cur[2+i] - old[2+i])
+	}
+	return d, true
 }
 
 // --- windowed queries ---
@@ -318,7 +316,7 @@ type HistoryDump struct {
 	Series           []HistorySeries `json:"series"`
 }
 
-// History renders the retained rings as windowed series.
+// History renders the retained snapshots as windowed series.
 func (rec *Recorder) History(q HistoryQuery) HistoryDump {
 	if q.Window <= 0 {
 		q.Window = DefaultHistoryWindow
@@ -330,30 +328,26 @@ func (rec *Recorder) History(q HistoryQuery) HistoryDump {
 		IntervalSeconds:  rec.interval.Seconds(),
 		RetentionSeconds: rec.Retention().Seconds(),
 		WindowSeconds:    q.Window.Seconds(),
-		Snapshots:        rec.filled,
+		Snapshots:        rec.snaps.Len(),
 	}
-	if rec.filled == 0 {
+	if rec.snaps.Len() == 0 {
 		return dump
 	}
-	chron := rec.chronSlots()
-	times := make([]float64, len(chron))
-	for p, s := range chron {
-		times[p] = rec.times[s]
-	}
-	latest := times[len(times)-1]
+	snaps := rec.snaps.AppendTo(make([]recSnap, 0, rec.snaps.Len()))
+	latest := snaps[len(snaps)-1].unix
 
-	// firstPoint is the chronological position of the first point the
-	// query's Since bound admits.
+	// firstPoint is the position of the first point the query's Since
+	// bound admits.
 	firstPoint := 0
 	if q.Since > 0 {
 		cut := latest - q.Since.Seconds()
-		for firstPoint < len(times) && times[firstPoint] < cut {
+		for firstPoint < len(snaps) && snaps[firstPoint].unix < cut {
 			firstPoint++
 		}
 	}
 	stride := 1
 	if q.MaxPoints > 0 {
-		if n := len(times) - firstPoint; n > q.MaxPoints {
+		if n := len(snaps) - firstPoint; n > q.MaxPoints {
 			stride = (n + q.MaxPoints - 1) / q.MaxPoints
 		}
 	}
@@ -363,8 +357,8 @@ func (rec *Recorder) History(q HistoryQuery) HistoryDump {
 		if q.Name != "" && rs.name != q.Name {
 			continue
 		}
-		validFrom := rec.seriesValidFrom(rs)
-		if validFrom < 0 {
+		from := firstHolding(snaps, rs)
+		if from == len(snaps) {
 			continue
 		}
 		hs := HistorySeries{Name: rs.name, Type: rs.kind.String()}
@@ -374,76 +368,38 @@ func (rec *Recorder) History(q HistoryQuery) HistoryDump {
 				hs.Labels[l.Name] = l.Value
 			}
 		}
-		start := firstPoint
-		if validFrom > start {
-			start = validFrom
-		}
 		// Stride from the newest point backwards so the latest snapshot is
 		// always included.
-		for p := len(chron) - 1; p >= start; p -= stride {
-			pt := rec.pointAt(rs, chron, times, p, validFrom, win)
-			hs.Points = append(hs.Points, pt)
+		for p := len(snaps) - 1; p >= max(firstPoint, from); p -= stride {
+			hs.Points = append(hs.Points, pointAt(rs, snaps, p, from, win))
 		}
-		// Reverse into chronological order.
-		for i, j := 0, len(hs.Points)-1; i < j; i, j = i+1, j-1 {
-			hs.Points[i], hs.Points[j] = hs.Points[j], hs.Points[i]
-		}
+		slices.Reverse(hs.Points)
 		dump.Series = append(dump.Series, hs)
 	}
 	return dump
 }
 
-// pointAt builds the windowed point for chronological position p: the
-// delta between slot p and the newest slot at least win seconds older
-// (clamped to the series' first valid slot). Caller holds the read lock.
-func (rec *Recorder) pointAt(rs *recSeries, chron []int, times []float64, p, validFrom int, win float64) HistoryPoint {
-	pt := HistoryPoint{Unix: times[p]}
-	slot := chron[p]
+// pointAt builds the windowed point for snapshot p of rs, which the
+// snapshots hold from position from on. Caller holds the read lock.
+func pointAt(rs *recSeries, snaps []recSnap, p, from int, win float64) HistoryPoint {
+	pt := HistoryPoint{Unix: snaps[p].unix}
 	if rs.kind == KindGauge {
-		v := rs.vals[slot]
+		v := snaps[p].vals[rs.off]
 		pt.Value = &v
 		return pt
 	}
-	// Anchor: newest position ≤ p whose stamp is at least win older.
-	anchor := -1
-	for a := p - 1; a >= validFrom; a-- {
-		if times[p]-times[a] >= win {
-			anchor = a
-			break
-		}
-		anchor = a // fall back to the oldest valid slot inside the window
+	d, ok := windowDelta(rs, snaps, p, from, win)
+	if !ok {
+		return pt // the series' first point, or a zero-width window
 	}
-	if anchor < 0 {
-		// First point of the series: no delta to compute.
-		return pt
-	}
-	aSlot := chron[anchor]
-	dt := times[p] - times[anchor]
-	if dt <= 0 {
-		return pt
-	}
-	switch rs.kind {
-	case KindCounter:
-		d := rs.vals[slot] - rs.vals[aSlot]
-		if d < 0 {
-			d = 0
-		}
-		rate := d / dt
-		pt.Rate = &rate
-	case KindHistogram:
-		dc := rs.counts[slot] - rs.counts[aSlot]
-		rate := float64(dc) / dt
-		pt.Rate = &rate
-		pt.Count = &dc
-		if dc > 0 {
-			nb := len(rs.bounds) + 1
-			delta := make([]uint64, nb)
-			for i := 0; i < nb; i++ {
-				delta[i] = rs.buckets[slot*nb+i] - rs.buckets[aSlot*nb+i]
-			}
-			p50 := quantileFromCumBuckets(rs.bounds, delta, dc, 0.50)
-			p95 := quantileFromCumBuckets(rs.bounds, delta, dc, 0.95)
-			p99 := quantileFromCumBuckets(rs.bounds, delta, dc, 0.99)
+	rate := d.Counter / d.Dt
+	pt.Rate = &rate
+	if rs.kind == KindHistogram {
+		pt.Count = &d.Count
+		if d.Count > 0 {
+			p50 := quantileFromCumBuckets(d.Bounds, d.Buckets, d.Count, 0.50)
+			p95 := quantileFromCumBuckets(d.Bounds, d.Buckets, d.Count, 0.95)
+			p99 := quantileFromCumBuckets(d.Bounds, d.Buckets, d.Count, 0.99)
 			pt.P50, pt.P95, pt.P99 = &p50, &p95, &p99
 		}
 	}
@@ -473,76 +429,31 @@ type FamilyDelta struct {
 func (rec *Recorder) FamilyDelta(name string, match Labels, window time.Duration) (FamilyDelta, bool) {
 	rec.mu.RLock()
 	defer rec.mu.RUnlock()
-	if rec.filled < 2 {
-		return FamilyDelta{}, false
-	}
-	chron := rec.chronSlots()
-	times := make([]float64, len(chron))
-	for p, s := range chron {
-		times[p] = rec.times[s]
-	}
-	p := len(chron) - 1
+	snaps := rec.snaps.AppendTo(make([]recSnap, 0, rec.snaps.Len()))
 	var out FamilyDelta
 	found := false
 	for _, rs := range rec.order {
 		if rs.name != name || !labelsContain(rs.labels, match) {
 			continue
 		}
-		validFrom := rec.seriesValidFrom(rs)
-		if validFrom < 0 || validFrom >= p {
+		d, ok := windowDelta(rs, snaps, len(snaps)-1, firstHolding(snaps, rs), window.Seconds())
+		if !ok {
 			continue
-		}
-		anchor := validFrom
-		for a := p - 1; a >= validFrom; a-- {
-			anchor = a
-			if times[p]-times[a] >= window.Seconds() {
-				break
-			}
-		}
-		slot, aSlot := chron[p], chron[anchor]
-		dt := times[p] - times[anchor]
-		if dt <= 0 {
-			continue
-		}
-		if dt > out.Dt {
-			out.Dt = dt
 		}
 		found = true
-		switch rs.kind {
-		case KindCounter, KindGauge:
-			d := rs.vals[slot] - rs.vals[aSlot]
-			if d < 0 {
-				d = 0
-			}
-			out.Counter += d
-		case KindHistogram:
-			dc := rs.counts[slot] - rs.counts[aSlot]
-			out.Count += dc
-			out.Counter += float64(dc)
-			out.Sum += rs.sums[slot] - rs.sums[aSlot]
-			nb := len(rs.bounds) + 1
-			if out.Buckets == nil {
-				out.Bounds = rs.bounds
-				out.Buckets = make([]uint64, nb)
-			}
-			if len(out.Buckets) == nb {
-				for i := 0; i < nb; i++ {
-					out.Buckets[i] += rs.buckets[slot*nb+i] - rs.buckets[aSlot*nb+i]
-				}
+		out.Dt = max(out.Dt, d.Dt)
+		out.Counter += d.Counter
+		out.Count += d.Count
+		out.Sum += d.Sum
+		if out.Buckets == nil {
+			out.Bounds, out.Buckets = d.Bounds, d.Buckets
+		} else if len(out.Buckets) == len(d.Buckets) {
+			for i, c := range d.Buckets {
+				out.Buckets[i] += c
 			}
 		}
 	}
 	return out, found
-}
-
-// Quantile estimates the q-quantile of a histogram FamilyDelta by the
-// same in-bucket interpolation Histogram.Quantile uses. NaN when the
-// window saw no observations.
-func (d FamilyDelta) Quantile(q float64) float64 {
-	if d.Count == 0 || len(d.Bounds) == 0 {
-		return math.NaN()
-	}
-	return quantileFromCumBuckets(d.Bounds, d.Buckets, d.Count, q)
 }
 
 // FractionAbove returns the fraction of the window's observations
@@ -574,7 +485,9 @@ func nearestBoundIndex(bounds []float64, v float64) int {
 }
 
 // quantileFromCumBuckets interpolates the q-quantile from cumulative
-// (le-style) bucket counts whose final cell is +Inf overflow.
+// (le-style) bucket counts whose final cell is +Inf overflow — the one
+// interpolation behind Histogram.Quantile and the recorder's windowed
+// quantiles.
 func quantileFromCumBuckets(bounds []float64, cum []uint64, total uint64, q float64) float64 {
 	if total == 0 {
 		return math.NaN()

@@ -1,12 +1,20 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"xar/internal/memsize"
 )
 
 // tickSeries drives rec with one tick per second of simulated time,
@@ -67,8 +75,8 @@ func TestRecorderWraparound(t *testing.T) {
 	c := reg.Counter("xar_test_events_total", "test", nil)
 	// 6 slots of 10s = 1 minute retention.
 	rec := NewRecorder(reg, RecorderConfig{Interval: 10 * time.Second, Retention: time.Minute})
-	if rec.slots != 6 {
-		t.Fatalf("slots = %d, want 6", rec.slots)
+	if got := rec.Retention(); got != time.Minute {
+		t.Fatalf("retention = %v, want 1m (6 slots)", got)
 	}
 
 	// 20 ticks into a 6-slot ring: wraps 3×. Rate ramps so each window
@@ -327,7 +335,7 @@ func TestRecorderStopWaitsExactlyForStart(t *testing.T) {
 	inTick, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	var finished atomic.Bool
-	rec.OnTick(func() {
+	rec.OnTick(func(float64) {
 		once.Do(func() { close(inTick) })
 		<-release
 		finished.Store(true)
@@ -367,5 +375,392 @@ func TestQuantileFromCumBuckets(t *testing.T) {
 	}
 	if got := quantileFromCumBuckets(bounds, cum, 0, 0.5); !math.IsNaN(got) {
 		t.Fatalf("empty quantile = %v, want NaN", got)
+	}
+}
+
+// --- oracle ---
+
+// oracleSeries is one instrument the oracle test registered.
+type oracleSeries struct {
+	name   string
+	labels Labels
+	kind   Kind
+	bounds []float64
+	c      *Counter
+	g      *Gauge
+	h      *Histogram
+}
+
+// oracleSample is one series' cumulative values at one tick.
+type oracleSample struct {
+	v     float64 // counter total or gauge value
+	count uint64
+	sum   float64
+	cum   []uint64 // cumulative bucket counts, +Inf last
+}
+
+type oracleTick struct {
+	unix float64
+	at   map[int]oracleSample // series index → sample; absent before the series existed
+}
+
+// recorderOracle keeps every tick in a plain slice, trimmed to the newest
+// keep, and answers History and FamilyDelta by brute force over it.
+type recorderOracle struct {
+	interval time.Duration
+	keep     int
+	famOrder map[string]int
+	series   []*oracleSeries // in the order the recorder first snapshots them
+	pending  []*oracleSeries // registered since the last tick
+	ticks    []oracleTick
+}
+
+func (o *recorderOracle) register(s *oracleSeries) {
+	if _, ok := o.famOrder[s.name]; !ok {
+		o.famOrder[s.name] = len(o.famOrder)
+	}
+	o.pending = append(o.pending, s)
+}
+
+func (o *recorderOracle) tick(unix float64) {
+	// A tick walks families in registration order, then each family's
+	// series in registration order.
+	sort.SliceStable(o.pending, func(i, j int) bool {
+		return o.famOrder[o.pending[i].name] < o.famOrder[o.pending[j].name]
+	})
+	o.series = append(o.series, o.pending...)
+	o.pending = nil
+	t := oracleTick{unix: unix, at: map[int]oracleSample{}}
+	for i, s := range o.series {
+		var smp oracleSample
+		switch s.kind {
+		case KindCounter:
+			smp.v = float64(s.c.Value())
+		case KindGauge:
+			smp.v = s.g.Value()
+		case KindHistogram:
+			smp.count, smp.sum = s.h.Count(), s.h.Sum()
+			total := uint64(0)
+			for _, c := range s.h.BucketCounts() {
+				total += c
+				smp.cum = append(smp.cum, total)
+			}
+		}
+		t.at[i] = smp
+	}
+	o.ticks = append(o.ticks, t)
+	if len(o.ticks) > o.keep {
+		o.ticks = o.ticks[len(o.ticks)-o.keep:]
+	}
+}
+
+// first returns the oldest retained tick holding series i, or -1.
+func (o *recorderOracle) first(i int) int {
+	for k, t := range o.ticks {
+		if _, ok := t.at[i]; ok {
+			return k
+		}
+	}
+	return -1
+}
+
+// anchor returns the tick a delta ending at tick p of series i starts
+// from: the newest earlier tick at least win seconds older, else the
+// oldest earlier one holding the series; false when there is none or the
+// pair spans no time.
+func (o *recorderOracle) anchor(i, p int, win float64) (int, bool) {
+	a := -1
+	for k := 0; k < p; k++ {
+		if _, ok := o.ticks[k].at[i]; !ok {
+			continue
+		}
+		if a < 0 || o.ticks[p].unix-o.ticks[k].unix >= win {
+			a = k
+		}
+	}
+	return a, a >= 0 && o.ticks[p].unix-o.ticks[a].unix > 0
+}
+
+func (o *recorderOracle) point(i, p int, win float64) HistoryPoint {
+	s, cur := o.series[i], o.ticks[p].at[i]
+	pt := HistoryPoint{Unix: o.ticks[p].unix}
+	if s.kind == KindGauge {
+		v := cur.v
+		pt.Value = &v
+		return pt
+	}
+	a, ok := o.anchor(i, p, win)
+	if !ok {
+		return pt
+	}
+	old, dt := o.ticks[a].at[i], o.ticks[p].unix-o.ticks[a].unix
+	switch s.kind {
+	case KindCounter:
+		rate := math.Max(0, cur.v-old.v) / dt
+		pt.Rate = &rate
+	case KindHistogram:
+		dc := cur.count - old.count
+		rate := float64(dc) / dt
+		pt.Rate, pt.Count = &rate, &dc
+		if dc > 0 {
+			delta := make([]uint64, len(cur.cum))
+			for b := range delta {
+				delta[b] = cur.cum[b] - old.cum[b]
+			}
+			q := func(x float64) *float64 {
+				v := quantileFromCumBuckets(s.bounds, delta, dc, x)
+				return &v
+			}
+			pt.P50, pt.P95, pt.P99 = q(0.50), q(0.95), q(0.99)
+		}
+	}
+	return pt
+}
+
+func (o *recorderOracle) history(q HistoryQuery) HistoryDump {
+	if q.Window <= 0 {
+		q.Window = DefaultHistoryWindow
+	}
+	d := HistoryDump{
+		IntervalSeconds:  o.interval.Seconds(),
+		RetentionSeconds: (time.Duration(o.keep) * o.interval).Seconds(),
+		WindowSeconds:    q.Window.Seconds(),
+		Snapshots:        len(o.ticks),
+	}
+	last := len(o.ticks) - 1
+	if last < 0 {
+		return d
+	}
+	first := 0
+	for q.Since > 0 && o.ticks[first].unix < o.ticks[last].unix-q.Since.Seconds() {
+		first++
+	}
+	stride := 1
+	if n := last + 1 - first; q.MaxPoints > 0 && n > q.MaxPoints {
+		stride = (n + q.MaxPoints - 1) / q.MaxPoints
+	}
+	for i, s := range o.series {
+		from := o.first(i)
+		if (q.Name != "" && s.name != q.Name) || from < 0 {
+			continue
+		}
+		hs := HistorySeries{Name: s.name, Type: s.kind.String()}
+		if len(s.labels) > 0 {
+			hs.Labels = map[string]string{}
+			for _, l := range s.labels {
+				hs.Labels[l.Name] = l.Value
+			}
+		}
+		for p := last; p >= first && p >= from; p -= stride {
+			hs.Points = append([]HistoryPoint{o.point(i, p, q.Window.Seconds())}, hs.Points...)
+		}
+		d.Series = append(d.Series, hs)
+	}
+	return d
+}
+
+func (o *recorderOracle) familyDelta(name string, match Labels, window time.Duration) (FamilyDelta, bool) {
+	var out FamilyDelta
+	found := false
+	p := len(o.ticks) - 1
+	for i, s := range o.series {
+		matched := s.name == name
+		for _, m := range match {
+			matched = matched && slices.Contains(s.labels, m)
+		}
+		if !matched || p < 0 {
+			continue
+		}
+		a, ok := o.anchor(i, p, window.Seconds())
+		if !ok {
+			continue
+		}
+		found = true
+		cur, old := o.ticks[p].at[i], o.ticks[a].at[i]
+		out.Dt = math.Max(out.Dt, o.ticks[p].unix-o.ticks[a].unix)
+		if s.kind != KindHistogram {
+			out.Counter += math.Max(0, cur.v-old.v)
+			continue
+		}
+		dc := cur.count - old.count
+		out.Count += dc
+		out.Counter += float64(dc)
+		out.Sum += cur.sum - old.sum
+		if out.Buckets == nil {
+			out.Bounds, out.Buckets = s.bounds, make([]uint64, len(cur.cum))
+		}
+		if len(out.Buckets) == len(cur.cum) {
+			for b := range cur.cum {
+				out.Buckets[b] += cur.cum[b] - old.cum[b]
+			}
+		}
+	}
+	return out, found
+}
+
+// TestRecorderAgainstOracle drives recorders of several shapes with
+// seeded random counter, gauge and histogram updates — series born
+// mid-flight, ticks far past wraparound, repeated stamps — and compares
+// every History and FamilyDelta answer, field for field, against a plain
+// slice that keeps every tick and trims to the newest Retention/Interval.
+func TestRecorderAgainstOracle(t *testing.T) {
+	shapes := []RecorderConfig{
+		{Interval: 10 * time.Second, Retention: time.Minute},      // 6 slots
+		{Interval: 10 * time.Second, Retention: 10 * time.Second}, // floored to 2 slots
+		{Interval: time.Second, Retention: 3 * time.Second},
+		{Interval: 7 * time.Second, Retention: 100 * time.Second}, // 14 slots
+	}
+	families := []struct {
+		name   string
+		kind   Kind
+		bounds []float64
+	}{
+		{"xar_oracle_ops_total", KindCounter, nil},
+		{"xar_oracle_depth", KindGauge, nil},
+		{"xar_oracle_seconds", KindHistogram, DurationBuckets()},
+		{"xar_oracle_bytes", KindHistogram, []float64{1, 10, 100, 1000}},
+	}
+	ops := []string{"a", "b", "c"}
+	for si, cfg := range shapes {
+		rng := rand.New(rand.NewPCG(uint64(si), 38))
+		reg := NewRegistry()
+		rec := NewRecorder(reg, cfg)
+		o := &recorderOracle{interval: cfg.Interval, keep: max(2, int(cfg.Retention/cfg.Interval)), famOrder: map[string]int{}}
+		if got, want := rec.Retention(), time.Duration(o.keep)*cfg.Interval; got != want {
+			t.Fatalf("shape %d: Retention = %v, want %v", si, got, want)
+		}
+		var all []*oracleSeries
+		register := func() {
+			f := families[rng.IntN(len(families))]
+			s := &oracleSeries{name: f.name, kind: f.kind, bounds: f.bounds,
+				labels: L("op", ops[rng.IntN(len(ops))], "id", fmt.Sprint(len(all)))}
+			switch f.kind {
+			case KindCounter:
+				s.c = reg.Counter(f.name, "oracle", s.labels)
+			case KindGauge:
+				s.g = reg.Gauge(f.name, "oracle", s.labels)
+			case KindHistogram:
+				s.h = reg.Histogram(f.name, "oracle", f.bounds, s.labels)
+			}
+			all = append(all, s)
+			o.register(s)
+		}
+		register()
+		now := 1e6
+		slots := o.keep
+		for step := 0; step < 40*slots; step++ {
+			if rng.IntN(12) == 0 && len(all) < 24 {
+				register()
+			}
+			for _, s := range all {
+				switch s.kind {
+				case KindCounter:
+					s.c.Add(uint64(rng.IntN(20)))
+				case KindGauge:
+					s.g.Set(rng.NormFloat64() * 100)
+				case KindHistogram:
+					for n := rng.IntN(6); n > 0; n-- {
+						if s.name == "xar_oracle_bytes" {
+							s.h.Observe(rng.Float64() * 2000) // some land in +Inf
+						} else {
+							s.h.Observe(math.Exp(rng.NormFloat64()*2 - 5))
+						}
+					}
+				}
+			}
+			switch r := rng.IntN(10); {
+			case r == 0: // repeated stamp: every delta ending here spans dt == 0
+			case r < 7:
+				now += cfg.Interval.Seconds()
+			default:
+				now += cfg.Interval.Seconds() * (0.3 + 2*rng.Float64())
+			}
+			rec.TickAt(now)
+			o.tick(now)
+
+			span := 3 * float64(cfg.Retention)
+			// window is a whole number of intervals half the time, so
+			// snapshot pairs land exactly on the window's edge.
+			window := func() time.Duration {
+				if rng.IntN(2) == 0 {
+					return time.Duration(1+rng.IntN(slots+1)) * cfg.Interval
+				}
+				return time.Duration(rng.Float64() * span)
+			}
+			for k := 0; k < 2; k++ {
+				q := HistoryQuery{}
+				if rng.IntN(3) > 0 {
+					q.Window = window()
+				}
+				if rng.IntN(2) == 0 {
+					q.Since = time.Duration(rng.Float64() * span / 2)
+				}
+				if rng.IntN(2) == 0 {
+					q.MaxPoints = 1 + rng.IntN(slots+2)
+				}
+				switch rng.IntN(3) {
+				case 0:
+					q.Name = families[rng.IntN(len(families))].name
+				case 1:
+					q.Name = "xar_oracle_absent"
+				}
+				if got, want := rec.History(q), o.history(q); !reflect.DeepEqual(got, want) {
+					gj, _ := json.Marshal(got)
+					wj, _ := json.Marshal(want)
+					t.Fatalf("shape %d step %d: History(%+v)\n got %s\nwant %s", si, step, q, gj, wj)
+				}
+			}
+			for k := 0; k < 3; k++ {
+				name := families[rng.IntN(len(families))].name
+				var match Labels
+				switch rng.IntN(4) {
+				case 1:
+					match = L("op", ops[rng.IntN(len(ops))])
+				case 2:
+					match = L("op", ops[rng.IntN(len(ops))], "id", fmt.Sprint(rng.IntN(len(all))))
+				case 3:
+					match = L("op", "z")
+				}
+				win := window()
+				got, gotOK := rec.FamilyDelta(name, match, win)
+				want, wantOK := o.familyDelta(name, match, win)
+				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+					t.Fatalf("shape %d step %d: FamilyDelta(%s, %v, %v) = %+v, %v; want %+v, %v",
+						si, step, name, match, win, got, gotOK, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestRecorderMemoryFixedAcrossWraps: once the ring has gone round, ticks
+// reuse what it holds — three wraps measure within 10% of one.
+func TestRecorderMemoryFixedAcrossWraps(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("xar_test_events_total", "test", nil)
+	g := reg.Gauge("xar_test_depth", "test", nil)
+	h := reg.Histogram("xar_test_duration_seconds", "test", DurationBuckets(), L("op", "search"))
+	rec := NewRecorder(reg, RecorderConfig{Interval: time.Second, Retention: time.Minute})
+	slots := int(rec.Retention() / rec.Interval())
+	now := 0.0
+	tick := func(n int) {
+		for i := 0; i < n; i++ {
+			c.Inc()
+			g.Set(float64(i))
+			h.Observe(0.001 * float64(i%50))
+			now++
+			rec.TickAt(now)
+		}
+	}
+	measure := func() uint64 {
+		a := memsize.NewAccumulator()
+		rec.MeasureMem(a)
+		return a.Total()
+	}
+	tick(slots)
+	one := measure()
+	tick(2 * slots)
+	if three := measure(); three*10 > one*11 || three*10 < one*9 {
+		t.Fatalf("recorder holds %d bytes after three wraps, %d after one", three, one)
 	}
 }

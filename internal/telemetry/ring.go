@@ -2,8 +2,8 @@ package telemetry
 
 // Ring is a bounded overwrite-oldest buffer — the storage under
 // every observer store: the trace store's rings, the journal's per-ride
-// and tail rings, the profiler's capture rings. It is not self-locking;
-// the owning store's mutex guards it.
+// and tail rings, the profiler's capture rings, the flight recorder's
+// snapshots. It is not self-locking; the owning store's mutex guards it.
 type Ring[T any] struct {
 	buf         []T
 	next        int // slot the next Add writes
@@ -58,6 +58,16 @@ func (r *Ring[T]) Newest() (T, bool) {
 		return zero, false
 	}
 	return r.buf[(r.next+len(r.buf)-1)%len(r.buf)], true
+}
+
+// Oldest returns the least recently added value — the one the next Add
+// overwrites once the ring is full (false when empty).
+func (r *Ring[T]) Oldest() (T, bool) {
+	if r.n == 0 {
+		var zero T
+		return zero, false
+	}
+	return r.buf[(r.next+len(r.buf)-r.n)%len(r.buf)], true
 }
 
 // AppendTo appends the retained values to dst, oldest to newest.

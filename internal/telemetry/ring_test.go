@@ -31,6 +31,9 @@ func TestRingAgainstModel(t *testing.T) {
 			if got, ok := r.Newest(); !ok || got != model[len(model)-1] {
 				t.Fatalf("cap %d step %d: Newest = %d,%v, want %d", capacity, step, got, ok, model[len(model)-1])
 			}
+			if got, ok := r.Oldest(); !ok || got != model[0] {
+				t.Fatalf("cap %d step %d: Oldest = %d,%v, want %d", capacity, step, got, ok, model[0])
+			}
 			if got := r.AppendTo([]int{-1}); !slices.Equal(got[1:], model) || got[0] != -1 {
 				t.Fatalf("cap %d step %d: AppendTo = %v, want [-1] + %v", capacity, step, got, model)
 			}
@@ -40,6 +43,9 @@ func TestRingAgainstModel(t *testing.T) {
 		}
 	}
 	var empty Ring[int]
+	if _, ok := empty.Oldest(); ok {
+		t.Fatal("zero ring has no oldest value")
+	}
 	if _, ok := empty.Newest(); ok || empty.Len() != 0 || len(empty.AppendTo(nil)) != 0 || empty.Overwritten() {
 		t.Fatal("zero ring should read as empty")
 	}

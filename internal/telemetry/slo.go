@@ -146,23 +146,12 @@ const (
 	pageBurn = 10
 )
 
-// SLOConfig tunes the evaluation windows.
-type SLOConfig struct {
-	// ShortWindow is the fast-burn window (0 → 5m).
-	ShortWindow time.Duration
-	// LongWindow is the slow-burn window (0 → 30m).
-	LongWindow time.Duration
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = 5 * time.Minute
-	}
-	if c.LongWindow <= 0 {
-		c.LongWindow = 30 * time.Minute
-	}
-	return c
-}
+// The two evaluation windows: fast burns show in the short one, slow
+// steady burns in the long one.
+const (
+	sloShortWindow = 5 * time.Minute
+	sloLongWindow  = 30 * time.Minute
+)
 
 // SLOStatus is one objective's latest evaluation — the /v1/slo element.
 type SLOStatus struct {
@@ -186,19 +175,17 @@ type SLOStatus struct {
 // SLOEngine evaluates objectives against a Recorder on every tick.
 type SLOEngine struct {
 	rec  *Recorder
-	cfg  SLOConfig
 	objs []Objective
 
-	mu      sync.Mutex
-	states  []SLOStatus
-	onPage  []func(SLOStatus)
-	lastEvl float64
+	mu     sync.Mutex
+	states []SLOStatus
+	onPage []func(SLOStatus)
 }
 
 // NewSLOEngine builds an engine over rec and hooks it to the recorder's
 // tick, so states stay current without a separate evaluation loop.
-func NewSLOEngine(rec *Recorder, cfg SLOConfig, objs ...Objective) *SLOEngine {
-	e := &SLOEngine{rec: rec, cfg: cfg.withDefaults(), objs: objs}
+func NewSLOEngine(rec *Recorder, objs ...Objective) *SLOEngine {
+	e := &SLOEngine{rec: rec, objs: objs}
 	e.states = make([]SLOStatus, len(objs))
 	for i, o := range objs {
 		e.states[i] = SLOStatus{Name: o.Name, Description: o.Description, Budget: o.Budget, State: SLOOk}
@@ -216,9 +203,9 @@ func (e *SLOEngine) OnPage(fn func(SLOStatus)) {
 	e.mu.Unlock()
 }
 
-// evaluate recomputes every objective's state from recorder history.
-func (e *SLOEngine) evaluate() {
-	now := e.latestTickUnix()
+// evaluate recomputes every objective's state from recorder history as
+// of the snapshot stamped now.
+func (e *SLOEngine) evaluate(now float64) {
 	type fired struct {
 		fns []func(SLOStatus)
 		st  SLOStatus
@@ -227,8 +214,8 @@ func (e *SLOEngine) evaluate() {
 
 	e.mu.Lock()
 	for i, o := range e.objs {
-		fShort, nShort := o.badFraction(e.rec, e.cfg.ShortWindow)
-		fLong, _ := o.badFraction(e.rec, e.cfg.LongWindow)
+		fShort, nShort := o.badFraction(e.rec, sloShortWindow)
+		fLong, _ := o.badFraction(e.rec, sloLongWindow)
 		burnShort := fShort / o.Budget
 		burnLong := fLong / o.Budget
 
@@ -264,7 +251,6 @@ func (e *SLOEngine) evaluate() {
 		}
 		e.states[i] = cur
 	}
-	e.lastEvl = now
 	e.mu.Unlock()
 
 	for _, p := range pages {
@@ -272,16 +258,6 @@ func (e *SLOEngine) evaluate() {
 			fn(p.st)
 		}
 	}
-}
-
-func (e *SLOEngine) latestTickUnix() float64 {
-	e.rec.mu.RLock()
-	defer e.rec.mu.RUnlock()
-	if e.rec.filled == 0 {
-		return 0
-	}
-	newest := (e.rec.next - 1 + e.rec.slots) % e.rec.slots
-	return e.rec.times[newest]
 }
 
 // Statuses returns the latest evaluation of every objective.

@@ -7,7 +7,8 @@ import (
 )
 
 // sloFixture builds a registry with a latency histogram, a recorder
-// (10s ticks), and an SLO engine with tight windows for fast tests.
+// (10s ticks, an hour retained), and an SLO engine over it: its 5m short
+// window spans 30 ticks, its 30m long window 180.
 type sloFixture struct {
 	reg *Registry
 	h   *Histogram
@@ -21,10 +22,7 @@ func newSLOFixture(t *testing.T) *sloFixture {
 	reg := NewRegistry()
 	h := reg.Histogram(OpDurationName, "op latency", DurationBuckets(), L("op", "search"))
 	rec := NewRecorder(reg, RecorderConfig{Interval: 10 * time.Second, Retention: time.Hour})
-	slo := NewSLOEngine(rec, SLOConfig{
-		ShortWindow: time.Minute,
-		LongWindow:  5 * time.Minute,
-	}, LatencyObjective("search-p95", OpDurationName, L("op", "search"), 0.010, 0.95))
+	slo := NewSLOEngine(rec, LatencyObjective("search-p95", OpDurationName, L("op", "search"), 0.010, 0.95))
 	return &sloFixture{reg: reg, h: h, rec: rec, slo: slo, now: 10_000}
 }
 
@@ -49,9 +47,9 @@ func (f *sloFixture) state(t *testing.T) SLOStatus {
 
 func TestSLOHealthyStaysOk(t *testing.T) {
 	f := newSLOFixture(t)
-	// 36 ticks (6 min) of healthy traffic: all observations at 1ms,
+	// 216 ticks (36 min) of healthy traffic: all observations at 1ms,
 	// objective is p95 < 10ms.
-	for i := 0; i < 36; i++ {
+	for i := 0; i < 216; i++ {
 		f.tick(100, 0.001)
 	}
 	st := f.state(t)
@@ -69,14 +67,14 @@ func TestSLOHealthyStaysOk(t *testing.T) {
 func TestSLOPageOnLatencySpike(t *testing.T) {
 	f := newSLOFixture(t)
 	// Healthy baseline long enough to fill the long window.
-	for i := 0; i < 36; i++ {
+	for i := 0; i < 216; i++ {
 		f.tick(100, 0.001)
 	}
 	// Spike: every observation breaches 10ms. badFraction → 1.0, budget
 	// 0.05 → burn 20 ≥ pageBurn(10); long window accumulates past 1×.
 	var paged atomic.Int32
 	f.slo.OnPage(func(st SLOStatus) { paged.Add(1) })
-	for i := 0; i < 12; i++ { // 2 minutes of pure badness
+	for i := 0; i < 60; i++ { // 10 minutes of pure badness
 		f.tick(100, 0.5)
 	}
 	st := f.state(t)
@@ -95,7 +93,7 @@ func TestSLOPageOnLatencySpike(t *testing.T) {
 
 	// Recovery: healthy traffic flushes the short window first (warn),
 	// then the long window (ok).
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 240; i++ {
 		f.tick(500, 0.001)
 	}
 	if st := f.state(t); st.State != SLOOk {
@@ -105,11 +103,11 @@ func TestSLOPageOnLatencySpike(t *testing.T) {
 
 func TestSLOWarnOnModerateBurn(t *testing.T) {
 	f := newSLOFixture(t)
-	for i := 0; i < 36; i++ {
+	for i := 0; i < 216; i++ {
 		f.tick(100, 0.001)
 	}
 	// 15% bad → burn 3: above warnBurn(2), below pageBurn(10).
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 60; i++ {
 		f.tick(85, 0.001)
 		f.tick(15, 0.5)
 	}
@@ -138,7 +136,7 @@ func TestRatioObjective(t *testing.T) {
 	conflicts := reg.Counter("xar_book_conflicts_total", "t", nil)
 	ops := reg.Counter("xar_ops_total", "t", L("op", "book"))
 	rec := NewRecorder(reg, RecorderConfig{Interval: 10 * time.Second, Retention: time.Hour})
-	slo := NewSLOEngine(rec, SLOConfig{ShortWindow: time.Minute, LongWindow: 5 * time.Minute},
+	slo := NewSLOEngine(rec,
 		RatioObjective("book-conflicts", "booking conflict-retry rate < 10%",
 			"xar_book_conflicts_total", nil, "xar_ops_total", L("op", "book"), 0.10))
 
@@ -149,13 +147,13 @@ func TestRatioObjective(t *testing.T) {
 		rec.TickAt(now)
 		now += 10
 	}
-	for i := 0; i < 36; i++ {
+	for i := 0; i < 216; i++ {
 		step(1, 100) // 1% conflicts: healthy
 	}
 	if st := slo.Statuses()[0]; st.State != SLOOk {
 		t.Fatalf("healthy ratio state = %v, want ok (burn=%v)", st.State, st.BurnShort)
 	}
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 60; i++ {
 		step(100, 100) // 100% conflicts: burn 10 ≥ pageBurn
 	}
 	if st := slo.Statuses()[0]; st.State != SLOPage {

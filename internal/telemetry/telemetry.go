@@ -420,37 +420,11 @@ func (h *Histogram) BucketCounts() []uint64 {
 // fixed-bucket approximation. Returns NaN for an empty histogram; +Inf
 // observations in the overflow cell return the largest finite bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
+	cum := h.BucketCounts()
+	for i := 1; i < len(cum); i++ {
+		cum[i] += cum[i-1]
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i := range h.cells {
-		c := float64(h.cells[i].Load())
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			if i >= len(h.upper) { // overflow cell: no finite upper bound
-				return h.upper[len(h.upper)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.upper[i-1]
-			}
-			frac := (rank - cum) / c
-			return lo + frac*(h.upper[i]-lo)
-		}
-		cum += c
-	}
-	return h.upper[len(h.upper)-1]
+	return quantileFromCumBuckets(h.upper, cum, cum[len(cum)-1], q)
 }
 
 // --- bucket layouts ---

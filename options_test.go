@@ -29,7 +29,7 @@ func TestEveryServingOptionHasASetter(t *testing.T) {
 		"xar/internal/index":      {"Config"},
 		"xar/internal/discretize": {"Config"},
 		"xar/internal/roadnet":    {"CHConfig"},
-		"xar/internal/telemetry":  {"TracerConfig", "RecorderConfig", "SLOConfig"},
+		"xar/internal/telemetry":  {"TracerConfig", "RecorderConfig"},
 		"xar/internal/profile":    {"Config"},
 		"xar/internal/journal":    {"Config"},
 		"xar/internal/audit":      {"Config"},
