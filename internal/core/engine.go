@@ -66,7 +66,7 @@ type Config struct {
 	// Router selects the shortest-path engine: "astar", "alt", or "ch".
 	// Empty picks the fastest exact one at hand — "ch" when CH is set,
 	// else "alt" (8 landmarks: two full Dijkstras each at construction,
-	// ≈ 10 ms and 128 B a node on 3 520 nodes). All three return
+	// a few ms and 64 B a node on 3 520 nodes). All three return
 	// identical distances; only speed (and preprocessing cost) differs,
 	// and plain "astar" is kept as the oracle the other two are tested
 	// against. Router "ch" without a prebuilt CH builds one at engine

@@ -96,24 +96,47 @@ func TestALTMatchesOnRandomGraphs(t *testing.T) {
 	}
 }
 
-func TestALTHeuristicAdmissible(t *testing.T) {
-	city := genTestCity(t, 15, 10, 3)
-	g := city.Graph
-	alt, err := NewALT(g, 6)
-	if err != nil {
-		t.Fatal(err)
+// TestALTBoundAdmissible checks the bound the A* loop rests on with no
+// tolerance: for every pair (v, t) of two graphs, unreachable pairs and
+// v = t included, h(v, t) ≤ the one-to-all kernel's d(v → t), and
+// h(t, t) = 0. The integer rounding, not a slack, is what makes it hold.
+func TestALTBoundAdmissible(t *testing.T) {
+	graphs := map[string]*Graph{
+		"city30x16": genTestCity(t, 30, 16, 5).Graph,
+		"scatter":   scatterGraph(t, rand.New(rand.NewSource(3)), 400),
 	}
-	plain := NewSearcher(g)
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		v := NodeID(r.Intn(g.NumNodes()))
-		tgt := NodeID(r.Intn(g.NumNodes()))
-		res := plain.ShortestPath(v, tgt)
-		if !res.Reachable() {
-			continue
+	for name, g := range graphs {
+		alt, err := NewALT(g, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if h := alt.heuristic(v, tgt); h > res.Dist+1e-6 {
-			t.Fatalf("heuristic %v exceeds true distance %v for %d→%d", h, res.Dist, v, tgt)
+		n := g.NumNodes()
+		rts := make([][]int32, n)
+		for tgt := range rts {
+			rts[tgt] = make([]int32, 2*alt.NumSeeds())
+			alt.shaveRow(NodeID(tgt), rts[tgt])
+		}
+		s := NewSearcher(g)
+		var dist []float64
+		unreachable := 0
+		for v := 0; v < n; v++ {
+			dist = s.DistancesToAll(NodeID(v), dist)
+			rv := alt.row(NodeID(v))
+			for tgt, d := range dist {
+				h := float64(altBound(rv, rts[tgt])) / quantaPerMetre
+				if h > d {
+					t.Fatalf("%s: h(%d, %d) = %v exceeds the driving distance %v", name, v, tgt, h, d)
+				}
+				if v == tgt && h != 0 {
+					t.Fatalf("%s: h(%d, %d) = %v, want 0", name, v, tgt, h)
+				}
+				if math.IsInf(d, 1) {
+					unreachable++
+				}
+			}
+		}
+		if name == "scatter" && unreachable == 0 {
+			t.Fatalf("%s: no unreachable pair; the +Inf case needs some", name)
 		}
 	}
 }
@@ -129,17 +152,17 @@ func TestALTSettlesFewerNodes(t *testing.T) {
 	plain := NewSearcher(g)
 	r := rand.New(rand.NewSource(6))
 
-	var altSettled, plainSettled int
+	var altLabelled, plainLabelled int
 	for trial := 0; trial < 40; trial++ {
 		a := NodeID(r.Intn(g.NumNodes()))
 		b := NodeID(r.Intn(g.NumNodes()))
 		fast.ShortestPath(a, b)
-		altSettled += fast.SettledNodes()
+		altLabelled += fast.LabelledNodes()
 		plain.ShortestPath(a, b)
-		plainSettled += plain.SettledNodes()
+		plainLabelled += plain.LabelledNodes()
 	}
-	if altSettled >= plainSettled {
-		t.Fatalf("ALT settled %d nodes, plain A* %d; expected a reduction", altSettled, plainSettled)
+	if altLabelled >= plainLabelled {
+		t.Fatalf("ALT labelled %d nodes, plain A* %d; expected a reduction", altLabelled, plainLabelled)
 	}
 }
 
@@ -162,25 +185,48 @@ func BenchmarkShortestPathPlainAStar(b *testing.B) {
 	}
 }
 
+// legPairs draws n source–target pairs of g whose chord lies in [lo, hi)
+// metres.
+func legPairs(g *Graph, r *rand.Rand, n int, lo, hi float64) [][2]NodeID {
+	pairs := make([][2]NodeID, 0, n)
+	for len(pairs) < n {
+		a, b := NodeID(r.Intn(g.NumNodes())), NodeID(r.Intn(g.NumNodes()))
+		if c := g.chord(a, b); c >= lo && c < hi {
+			pairs = append(pairs, [2]NodeID{a, b})
+		}
+	}
+	return pairs
+}
+
+// BenchmarkShortestPathALT times warm ALT queries: random pairs of the
+// 40x22 city, then the 80x44 city's short legs (chord under 1.5 km, like
+// most of a replay's booking legs) and its 2–6 km pairs.
 func BenchmarkShortestPathALT(b *testing.B) {
-	city, err := GenerateCity(DefaultCityConfig(40, 22, 5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := city.Graph
-	alt, err := NewALT(g, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := alt.NewSearcher()
-	r := rand.New(rand.NewSource(1))
-	pairs := make([][2]NodeID, 64)
-	for i := range pairs {
-		pairs[i] = [2]NodeID{NodeID(r.Intn(g.NumNodes())), NodeID(r.Intn(g.NumNodes()))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		s.ShortestPath(p[0], p[1])
+	for _, bc := range []struct {
+		name       string
+		rows, cols int
+		lo, hi     float64
+	}{
+		{"random40x22", 40, 22, 0, math.Inf(1)},
+		{"short80x44", 80, 44, 0, 1500},
+		{"2to6km80x44", 80, 44, 2000, 6000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			city, err := GenerateCity(DefaultCityConfig(bc.rows, bc.cols, 5))
+			if err != nil {
+				b.Fatal(err)
+			}
+			alt, err := NewALT(city.Graph, 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := alt.NewSearcher()
+			pairs := legPairs(city.Graph, rand.New(rand.NewSource(1)), 64, bc.lo, bc.hi)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				s.ShortestPath(p[0], p[1])
+			}
+		})
 	}
 }

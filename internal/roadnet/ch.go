@@ -935,9 +935,10 @@ func (ch *CH) NewSearcher() *CHSearcher {
 	}
 }
 
-// SettledNodes reports how many nodes the last query settled across
-// both directions — the quantity CH shrinks. For benchmarks and tests.
-func (cs *CHSearcher) SettledNodes() int { return len(cs.fwd.reached) + len(cs.bwd.reached) }
+// ProcessedNodes reports how many nodes the last query's two cones
+// processed (each pops a node once) — the quantity CH shrinks. For
+// benchmarks and tests.
+func (cs *CHSearcher) ProcessedNodes() int { return len(cs.fwd.reached) + len(cs.bwd.reached) }
 
 // ShortestPath returns the exact shortest path from source to target,
 // identical (up to floating-point association) to Searcher.ShortestPath.

@@ -3,7 +3,9 @@ package roadnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"xar/internal/geo"
 )
@@ -39,6 +41,54 @@ func scatterGraph(t testing.TB, r *rand.Rand, n int) *Graph {
 	return g
 }
 
+// router is one single-pair search under test.
+type router struct {
+	name string
+	sp   func(a, b NodeID) SPResult
+}
+
+// routersOf returns plain A*, ALT with k seeds and CH built with cfg, all
+// over g.
+func routersOf(t testing.TB, g *Graph, k int, cfg CHConfig) []router {
+	t.Helper()
+	alt, err := NewALT(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := BuildCH(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []router{
+		{"astar", NewSearcher(g).ShortestPath},
+		{"alt", alt.NewSearcher().ShortestPath},
+		{"ch", ch.NewSearcher().ShortestPath},
+	}
+}
+
+// checkExact fails t unless rt answers src→dst with want bit for bit: a
+// path from src to dst whose PathLength is exactly want, or no path
+// where want is +Inf.
+func checkExact(t testing.TB, g *Graph, rt router, src, dst NodeID, want float64) {
+	t.Helper()
+	got := rt.sp(src, dst)
+	if got.Dist != want {
+		t.Fatalf("%s %d→%d: dist %v, Dijkstra %v (diff %g)", rt.name, src, dst, got.Dist, want, got.Dist-want)
+	}
+	if !got.Reachable() {
+		if got.Path != nil {
+			t.Fatalf("%s %d→%d: unreachable pair returned a path", rt.name, src, dst)
+		}
+		return
+	}
+	if len(got.Path) == 0 || got.Path[0] != src || got.Path[len(got.Path)-1] != dst {
+		t.Fatalf("%s %d→%d: path %v", rt.name, src, dst, got.Path)
+	}
+	if pl, err := g.PathLength(got.Path); err != nil || pl != got.Dist {
+		t.Fatalf("%s %d→%d: path length %v (err %v), dist %v", rt.name, src, dst, pl, err, got.Dist)
+	}
+}
+
 // TestRoutersMatchDijkstraExactly is the exactness oracle of the three
 // routers: against plain Dijkstra (DistancesToAll) from the same source,
 // A*, ALT and CH each return the bit-identical distance, a path whose
@@ -50,23 +100,8 @@ func TestRoutersMatchDijkstraExactly(t *testing.T) {
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			alt, err := NewALT(g, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ch, err := BuildCH(g, CHConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			routers := routersOf(t, g, 8, CHConfig{})
 			oracle := NewSearcher(g)
-			routers := []struct {
-				name string
-				sp   func(a, b NodeID) SPResult
-			}{
-				{"astar", NewSearcher(g).ShortestPath},
-				{"alt", alt.NewSearcher().ShortestPath},
-				{"ch", ch.NewSearcher().ShortestPath},
-			}
 			r := rand.New(rand.NewSource(7))
 			pairs, unreachable := 0, 0
 			for s := 0; s < 100; s++ {
@@ -79,22 +114,7 @@ func TestRoutersMatchDijkstraExactly(t *testing.T) {
 						unreachable++
 					}
 					for _, rt := range routers {
-						got := rt.sp(src, dst)
-						if got.Dist != want[dst] {
-							t.Fatalf("%s %d→%d: dist %v, Dijkstra %v (diff %g)", rt.name, src, dst, got.Dist, want[dst], got.Dist-want[dst])
-						}
-						if !got.Reachable() {
-							if got.Path != nil {
-								t.Fatalf("%s %d→%d: unreachable pair returned a path", rt.name, src, dst)
-							}
-							continue
-						}
-						if got.Path[0] != src || got.Path[len(got.Path)-1] != dst {
-							t.Fatalf("%s %d→%d: path runs %d…%d", rt.name, src, dst, got.Path[0], got.Path[len(got.Path)-1])
-						}
-						if pl, err := g.PathLength(got.Path); err != nil || pl != got.Dist {
-							t.Fatalf("%s %d→%d: path length %v (err %v), dist %v", rt.name, src, dst, pl, err, got.Dist)
-						}
+						checkExact(t, g, rt, src, dst, want[dst])
 					}
 				}
 			}
@@ -108,22 +128,153 @@ func TestRoutersMatchDijkstraExactly(t *testing.T) {
 	}
 }
 
-// TestHeuristicsConsistent checks the property the A* loop rests on, for
-// both heuristics, on every edge: h(u) ≤ Length(u,v) + h(v), and
-// h(t) == 0.
+// combGraph is a one-way corridor c_0→c_1→…→c_{n−1} running east, with a
+// one-way road back west beside it: each c_i turns off to the back road's
+// b_i, and the back road b_{n−1}→…→b_0 rejoins the corridor only at c_0.
+// Toward a target ahead on the corridor, the turn-off at c_i raises the
+// ALT bound by about twice the way back to c_0, far past the ring of
+// buckets, so those keys wait in the overflow heap. One more node is
+// isolated: a search toward it drains the heap.
+func combGraph(t testing.TB, r *rand.Rand, n int) *Graph {
+	t.Helper()
+	g := &Graph{}
+	origin := geo.Point{Lat: 40.7, Lng: -74.0}
+	for i := 0; i < n; i++ {
+		g.AddNode(geo.Destination(origin, 90, float64(i)*200))
+	}
+	for i := 0; i < n; i++ {
+		g.AddNode(geo.Destination(g.Point(NodeID(i)), 0, 150))
+	}
+	g.AddNode(geo.Destination(origin, 180, 300))
+	arc := func(from, to int) {
+		length := g.chord(NodeID(from), NodeID(to)) * (1 + r.Float64()/2)
+		if err := g.AddEdge(NodeID(from), NodeID(to), length, 10, ClassStreet); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if i+1 < n {
+			arc(i, i+1)
+		}
+		arc(i, n+i)
+		if i > 0 {
+			arc(n+i, n+i-1)
+		}
+	}
+	arc(n, 0)
+	return g
+}
+
+// TestAStarOverflowHeap runs every pair of the comb, where keys run past
+// the ring: every router must still match Dijkstra bit for bit, and the
+// ALT searcher must have used its overflow heap.
+func TestAStarOverflowHeap(t *testing.T) {
+	g := combGraph(t, rand.New(rand.NewSource(8)), 40)
+	routers := routersOf(t, g, 8, CHConfig{CoreSize: 8})
+	alt, err := NewALT(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := alt.NewSearcher()
+	routers = append(routers, router{"alt (overflow watched)", as.ShortestPath})
+	oracle := NewSearcher(g)
+	for src := 0; src < g.NumNodes(); src++ {
+		want := oracle.DistancesToAll(NodeID(src), nil)
+		for dst := range want {
+			for _, rt := range routers {
+				checkExact(t, g, rt, NodeID(src), NodeID(dst), want[dst])
+			}
+		}
+	}
+	if cap(as.s.kq.over) == 0 {
+		t.Fatal("no key went past the ring: the comb no longer tests the overflow heap")
+	}
+}
+
+// TestAStarEmptiesTheTargetsBucket pins the stop rule at its edge. The
+// arcs are 130–200 m, so the buckets are 8 m wide. The target is first
+// labelled 330 m through a node whose bound is 0 (key 130), while the
+// 328 m route runs through a node whose key, 328, lies in the same bucket
+// [328, 336) as that label: the loop must empty that bucket before it
+// stops.
+func TestAStarEmptiesTheTargetsBucket(t *testing.T) {
+	g := &Graph{}
+	p := geo.Point{Lat: 40.7, Lng: -74.0}
+	s := g.AddNode(p)
+	v := g.AddNode(geo.Destination(p, 90, 0.1))
+	b := g.AddNode(geo.Destination(p, 0, 0.1))
+	tgt := g.AddNode(geo.Destination(p, 45, 0.2))
+	for _, a := range []struct {
+		from, to NodeID
+		length   float64
+	}{{s, v, 130}, {v, tgt, 200}, {s, b, 130}, {b, tgt, 198}} {
+		if err := g.AddEdge(a.from, a.to, a.length, 10, ClassStreet); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := func(u NodeID) int32 {
+		if u == b {
+			return 198 * quantaPerMetre
+		}
+		return 0
+	}
+	res := NewSearcher(g).astar(s, tgt, h)
+	if res.Dist != 328 || !slices.Equal(res.Path, []NodeID{s, b, tgt}) {
+		t.Fatalf("got %v via %v, want 328 via %v", res.Dist, res.Path, []NodeID{s, b, tgt})
+	}
+}
+
+// TestLabelAndRowSize pins the two records the A* loop reads for every
+// node it touches: a label is 32 bytes, two to a cache line, and an ALT
+// row at the default 8 seeds is 64 bytes, one cache line.
+func TestLabelAndRowSize(t *testing.T) {
+	if n := unsafe.Sizeof(label{}); n != 32 {
+		t.Fatalf("label is %d bytes, want 32", n)
+	}
+	alt, err := NewALT(genTestCity(t, 15, 10, 3).Graph, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(alt.row(0)) * int(unsafe.Sizeof(int32(0))); n != 64 {
+		t.Fatalf("an ALT row is %d bytes, want 64", n)
+	}
+}
+
+// altHeuristic is the ALT bound the A* loop takes for v toward t, in
+// metres.
+func altHeuristic(a *ALT, v, t NodeID) float64 {
+	rt := make([]int32, 2*a.NumSeeds())
+	a.shaveRow(t, rt)
+	return float64(altBound(a.row(v), rt)) / quantaPerMetre
+}
+
+// chordHeuristic is the chord bound the A* loop takes, in metres.
+func chordHeuristic(g *Graph) func(v, t NodeID) float64 {
+	return func(v, t NodeID) float64 { return float64(chordQuanta(g, v, t)) / quantaPerMetre }
+}
+
+// TestHeuristicsConsistent checks both heuristics, as the A* loop takes
+// them, on every edge: h(u) ≤ Length(u,v) + h(v) + one quantum, and
+// h(t) == 0. The loop's exactness rests on admissibility alone
+// (TestALTBoundAdmissible); consistency is what keeps it from expanding a
+// node twice, and rounding to quanta keeps it only to within one quantum:
+// both bounds are rounded down, each by less than a quantum, so a node's
+// bound can exceed an edge plus its neighbour's by up to that much, and
+// the loop corrects such a label inside its bucket.
 func TestHeuristicsConsistent(t *testing.T) {
 	graphs := map[string]*Graph{
 		"city":    genTestCity(t, 30, 16, 5).Graph,
 		"scatter": scatterGraph(t, rand.New(rand.NewSource(3)), 400),
 	}
+	const tol = 1.0 / quantaPerMetre
 	for name, g := range graphs {
 		alt, err := NewALT(g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		heuristics := map[string]func(v, t NodeID) float64{
-			"chord": g.chordBound,
-			"alt":   alt.heuristic,
+			"chord": chordHeuristic(g),
+			"alt":   func(v, t NodeID) float64 { return altHeuristic(alt, v, t) },
 		}
 		r := rand.New(rand.NewSource(9))
 		for trial := 0; trial < 25; trial++ {
@@ -135,16 +286,9 @@ func TestHeuristicsConsistent(t *testing.T) {
 				for u := 0; u < g.NumNodes(); u++ {
 					hu := h(NodeID(u), tgt)
 					for _, e := range g.Out(NodeID(u)) {
-						// ALT differences of float path sums carry their
-						// rounding (≲ 1e-11 m here); the chord bound is
-						// shaved and needs no allowance.
-						tol := 0.0
-						if hname == "alt" {
-							tol = 1e-9
-						}
 						if hv := h(e.To, tgt); hu > e.Length+hv+tol {
-							t.Fatalf("%s/%s: edge %d→%d (%.6f m) toward %d: h(u)=%v > len+h(v)=%v",
-								name, hname, u, e.To, e.Length, tgt, hu, e.Length+hv)
+							t.Fatalf("%s/%s: edge %d→%d (%.6f m) toward %d: h(u)=%v > len+h(v)+quantum=%v",
+								name, hname, u, e.To, e.Length, tgt, hu, e.Length+hv+tol)
 						}
 					}
 				}
@@ -154,8 +298,8 @@ func TestHeuristicsConsistent(t *testing.T) {
 }
 
 // TestAStarEvaluatesHeuristicOncePerNode is the loop's work counter: a
-// search evaluates h exactly once for every node it touches, however
-// often the node is re-relaxed or popped.
+// search evaluates h exactly once for every node it labels, however
+// often the node is relabelled or expanded.
 func TestAStarEvaluatesHeuristicOncePerNode(t *testing.T) {
 	g := genTestCity(t, 30, 16, 5).Graph
 	alt, err := NewALT(g, 8)
@@ -164,18 +308,24 @@ func TestAStarEvaluatesHeuristicOncePerNode(t *testing.T) {
 	}
 	s := NewSearcher(g)
 	r := rand.New(rand.NewSource(4))
+	rt := make([]int32, 2*alt.NumSeeds())
 	for trial := 0; trial < 50; trial++ {
 		src, tgt := NodeID(r.Intn(g.NumNodes())), NodeID(r.Intn(g.NumNodes()))
 		if src == tgt {
 			continue
 		}
-		for hname, h := range map[string]func(v, t NodeID) float64{"chord": g.chordBound, "alt": alt.heuristic} {
+		alt.shaveRow(tgt, rt)
+		heuristics := map[string]func(v NodeID) int32{
+			"chord": func(v NodeID) int32 { return chordQuanta(g, v, tgt) },
+			"alt":   func(v NodeID) int32 { return altBound(alt.row(v), rt) },
+		}
+		for hname, h := range heuristics {
 			evals := make([]int, g.NumNodes())
 			total := 0
-			res := s.astar(src, tgt, func(v NodeID) float64 {
+			res := s.astar(src, tgt, func(v NodeID) int32 {
 				evals[v]++
 				total++
-				return h(v, tgt)
+				return h(v)
 			})
 			if !res.Reachable() {
 				t.Fatalf("%s: %d→%d unreachable in a connected city", hname, src, tgt)
@@ -185,8 +335,8 @@ func TestAStarEvaluatesHeuristicOncePerNode(t *testing.T) {
 					t.Fatalf("%s: %d→%d evaluated h(%d) %d times", hname, src, tgt, v, n)
 				}
 			}
-			if touched := s.SettledNodes(); total != touched {
-				t.Fatalf("%s: %d→%d: %d evaluations for %d touched nodes", hname, src, tgt, total, touched)
+			if labelled := s.LabelledNodes(); total != labelled {
+				t.Fatalf("%s: %d→%d: %d evaluations for %d labelled nodes", hname, src, tgt, total, labelled)
 			}
 		}
 	}

@@ -382,8 +382,12 @@ func TestTravelTime(t *testing.T) {
 	if math.Abs(tt-20) > 1e-9 { // 200m at 10 m/s
 		t.Fatalf("travel time = %v, want 20", tt)
 	}
-	if _, err := g.TravelTime([]NodeID{2, 0}); err == nil {
+	_, err = g.TravelTime([]NodeID{0, 1, 2, 0})
+	if err == nil {
 		t.Fatal("non-adjacent path must error")
+	}
+	if want := "roadnet: path step 3: nodes 2→0 not adjacent"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
 }
 

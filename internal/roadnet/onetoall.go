@@ -4,22 +4,33 @@ import "math"
 
 // flatAdj is one direction of a Graph's adjacency in compressed rows: the
 // arcs leaving node v are to[off[v]:off[v+1]] with lengths w[...]. The
-// one-to-all kernel reads 12 bytes an arc from three flat arrays where
-// g.out holds a 32-byte Edge behind a slice header per node.
+// one-to-all kernel and the A* loop read 12 bytes an arc from three flat
+// arrays where g.out holds a 32-byte Edge behind a slice header per node.
 type flatAdj struct {
 	off []int32
 	to  []NodeID
 	w   []float64
-	// The kernel's bucket queue: a distance d is queued in bucket
-	// int(d·inv), and the buckets that hold anything at one time fit in a
-	// ring of mask+1 slots.
+	// The one-to-all kernel's bucket queue: a distance d is queued in
+	// bucket int(d·inv), and the buckets that hold anything at one time
+	// fit in a ring of mask+1 slots.
 	inv  float64
 	mask int
+	// The A* loop's (keyQueue): buckets a power of two metres wide, the
+	// widest not over a sixteenth of the shortest arc and never under one
+	// quantum (4 m on the generated cities, whose shortest arc is 94 m),
+	// in a ring that spans twice the longest arc, at least 64 slots (one
+	// word of its bitmap) and at most maxKeySlots.
+	keyInv  float64
+	keyMask int
 }
 
 // maxBucketSpan bounds the ring of buckets: the bucket width is the
 // shortest arc, widened until the longest arc spans at most this many.
 const maxBucketSpan = 1024
+
+// maxKeySlots bounds the A* loop's ring; keys past it wait in its
+// overflow heap.
+const maxKeySlots = 1 << 12
 
 func flatten(adj [][]Edge, edges int) *flatAdj {
 	f := &flatAdj{
@@ -52,6 +63,17 @@ func flatten(adj [][]Edge, edges int) *flatAdj {
 		slots <<= 1
 	}
 	f.mask = slots - 1
+
+	kw := 1.0 / quantaPerMetre
+	for maxW > 0 && kw*32 <= minW {
+		kw *= 2
+	}
+	f.keyInv = 1 / kw
+	slots = 64
+	for slots < maxKeySlots && float64(slots) < 2*maxW*f.keyInv+2 {
+		slots <<= 1
+	}
+	f.keyMask = slots - 1
 	return f
 }
 
@@ -61,15 +83,24 @@ func (f *flatAdj) current(g *Graph) bool {
 	return f != nil && len(f.off) == len(g.pts)+1 && len(f.to) == g.edgeCnt
 }
 
-// sweep is a Searcher's one-to-all scratch, built at its first
-// DistancesToAll: the flat adjacency of each direction it has swept and
-// the ring of buckets. It belongs to the Searcher and not to the Graph, so
-// concurrent sweeps share nothing that is written (flattening costs about
-// one sweep) and the copy dies with the pre-processing that needed it
-// rather than staying in every deep size taken through the graph.
+// sweep is a Searcher's flat adjacency, built at its first query, and the
+// one-to-all kernel's ring of buckets. It belongs to the Searcher and not
+// to the Graph, so the copy dies with the pre-processing that needed it
+// rather than staying in every deep size taken through the graph. Only
+// the ring is written, so searchers may share a flat adjacency: an ALT
+// builds one and hands it to all of its searchers.
 type sweep struct {
 	fwd, rev *flatAdj
 	buckets  [][]NodeID
+}
+
+// forward returns the flat forward adjacency, flattening g first if it
+// has none or g has grown since.
+func (s *Searcher) forward() *flatAdj {
+	if !s.sw.fwd.current(s.g) {
+		s.sw.fwd = flatten(s.g.out, s.g.edgeCnt)
+	}
+	return s.sw.fwd
 }
 
 // DistancesToAll is the one-to-all kernel: an unbounded Dijkstra from
@@ -91,10 +122,7 @@ type sweep struct {
 // arc, and floating-point addition is monotone, so that minimum does not
 // depend on the order nodes were expanded in.
 func (s *Searcher) DistancesToAll(source NodeID, dist []float64) []float64 {
-	if !s.sw.fwd.current(s.g) {
-		s.sw.fwd = flatten(s.g.out, s.g.edgeCnt)
-	}
-	return s.sw.run(s.sw.fwd, source, dist)
+	return s.sw.run(s.forward(), source, dist)
 }
 
 // DistancesToAllReverse is DistancesToAll on the reverse graph: every

@@ -1,19 +1,24 @@
 package roadnet
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
-// pqItem is one entry of the binary-heap priority queue used by all the
-// searches in this file. prio is the ordering key (distance, or distance
-// plus heuristic for A*).
+// pqItem is one entry of the binary-heap priority queue. prio is the
+// ordering key.
 type pqItem struct {
 	node NodeID
 	prio float64
 }
 
-// pq is a hand-rolled typed binary min-heap on prio. container/heap
-// would box every pqItem through interface{} (one allocation per push on
-// the Dijkstra/A* hot path); the typed version reuses one backing slice
-// across searches and allocates only when the slice grows.
+// pq is a hand-rolled typed binary min-heap on prio: the queue of the
+// bounded searches (DistancesWithin), of CH's preprocessing, and the
+// overflow of the A* loop's bucket ring. container/heap would box every
+// pqItem through interface{} (one allocation per push); the typed version
+// reuses one backing slice across searches and allocates only when the
+// slice grows.
 type pq []pqItem
 
 func (q pq) Len() int { return len(q) }
@@ -78,13 +83,30 @@ type SPResult struct {
 // Reachable reports whether the search found the target.
 func (r SPResult) Reachable() bool { return !math.IsInf(r.Dist, 1) }
 
+// quantaPerMetre is the resolution of an A* heuristic value: the loop
+// takes h in sixteenths of a metre, so that the ALT bound is a max of
+// int32s and a label stays 32 bytes.
+const quantaPerMetre = 16
+
+// label.slot outside the ring.
+const (
+	notQueued  int32 = -1
+	inOverflow int32 = -2
+)
+
 // label is the per-node scratch of one search: tentative distance,
-// heuristic value (evaluated once, at first touch), predecessor, and the
-// generation mark that makes reset O(1).
+// heuristic value in quanta (evaluated once, at first touch),
+// predecessor, the generation mark that makes reset O(1), and the node's
+// place in the A* loop's bucket queue — its ring slot (or notQueued,
+// inOverflow) and its neighbours in that slot's list. 32 bytes, two to a
+// cache line.
 type label struct {
-	dist, h float64
-	prev    NodeID
-	stamp   uint32
+	dist       float64
+	h          int32
+	stamp      uint32
+	prev       NodeID
+	slot       int32
+	next, back NodeID
 }
 
 // Searcher bundles the per-search scratch state so that a read-only Graph
@@ -94,8 +116,9 @@ type Searcher struct {
 	g      *Graph
 	labels []label
 	gen    uint32
-	queue  pq
-	sw     sweep // one-to-all scratch; see DistancesToAll
+	queue  pq       // DistancesWithin's heap
+	kq     keyQueue // the A* loop's
+	sw     sweep    // flat adjacency and one-to-all scratch; see DistancesToAll
 }
 
 // NewSearcher creates a Searcher bound to g.
@@ -125,9 +148,10 @@ func (s *Searcher) relax(v NodeID, d float64, from NodeID) bool {
 	return true
 }
 
-// SettledNodes reports how many nodes the last search touched — the
-// quantity a tighter heuristic reduces. Exposed for benchmarks and tests.
-func (s *Searcher) SettledNodes() int {
+// LabelledNodes reports how many nodes the last search labelled — every
+// node it reached, expanded or not: the quantity a tighter heuristic
+// reduces. Exposed for benchmarks and tests.
+func (s *Searcher) LabelledNodes() int {
 	n := 0
 	for i := range s.labels {
 		if s.labels[i].stamp == s.gen {
@@ -150,49 +174,209 @@ func (s *Searcher) buildPath(target NodeID) []NodeID {
 	return path
 }
 
-// astar is the one A* loop behind every heuristic search: it settles
-// nodes in order of distance + h and stops when target is popped. h must
-// never exceed the remaining driving distance and must be 0 at target;
-// it is evaluated once per touched node and cached in the node's label.
-// A node is re-queued whenever its distance improves, so an admissible h
-// is enough for exact distances — consistency only saves work.
-func (s *Searcher) astar(source, target NodeID, h func(NodeID) float64) SPResult {
+// keyQueue is the A* loop's monotone bucket queue (Dial's), keyed on
+// k = dist + h. Bucket b holds the nodes with ⌊k·inv⌋ = b; the buckets
+// from the one being emptied, cur, onwards fit in a ring of mask+1 slots,
+// each slot an intrusive doubly linked list threaded through the labels,
+// so a node is relabelled in place and never queued twice. A bitmap marks
+// the slots whose list is not empty, so the loop steps over a run of empty
+// buckets a word at a time. Keys past the ring wait in an overflow heap
+// until their bucket comes up.
+type keyQueue struct {
+	head []NodeID // the first node of each slot's list, where full marks it
+	full []uint64 // bit slot: the slot's list is not empty
+	over pq
+	inv  float64 // flatAdj.keyInv: a power of two, so k·inv is exact
+	mask int
+	cur  int
+}
+
+// maxBucket caps a bucket index, so that converting k·inv to an int is
+// defined for every key; keys beyond it share the last bucket.
+const maxBucket = 1 << 62
+
+func (q *keyQueue) bucket(k float64) int {
+	if b := k * q.inv; b < maxBucket {
+		return int(b)
+	}
+	return maxBucket
+}
+
+// gap returns how many slots past slot, which is empty, the next
+// non-empty one lies, or 0 when every slot is empty.
+func (q *keyQueue) gap(slot int) int {
+	n := len(q.full)
+	w := slot >> 6
+	x := q.full[w] &^ (uint64(2)<<(slot&63) - 1) // the slots past slot in its word
+	// The words after it, wrapping round to slot's own: what is left there
+	// lies before slot, the ring's last slots.
+	for i := 1; x == 0; i++ {
+		if i > n {
+			return 0
+		}
+		w = (w + 1) & (n - 1)
+		x = q.full[w]
+	}
+	return (w<<6 + bits.TrailingZeros64(x) - slot) & q.mask
+}
+
+func key(lb *label) float64 { return lb.dist + float64(lb.h)/quantaPerMetre }
+
+// push queues v, which is not in the ring, under its current key: into
+// the bucket being emptied if the key lies below it (the loop is
+// label-correcting inside a bucket), onto the overflow heap if the key
+// lies past the ring.
+func (s *Searcher) push(v NodeID) {
+	q := &s.kq
+	k := key(&s.labels[v])
+	if b := q.bucket(k); b <= q.cur+q.mask {
+		s.link(v, int32(max(b, q.cur)&q.mask))
+	} else {
+		s.labels[v].slot = inOverflow
+		q.over.push(pqItem{node: v, prio: k})
+	}
+}
+
+// link puts v at the front of slot's list.
+func (s *Searcher) link(v NodeID, slot int32) {
+	q, lv := &s.kq, &s.labels[v]
+	f, w, bit := InvalidNode, slot>>6, uint64(1)<<(slot&63)
+	if q.full[w]&bit != 0 {
+		f = q.head[slot]
+		s.labels[f].back = v
+	} else {
+		q.full[w] |= bit
+	}
+	lv.slot, lv.next, lv.back = slot, f, InvalidNode
+	q.head[slot] = v
+}
+
+// unlink takes v, which is in the ring, out of its slot's list.
+func (s *Searcher) unlink(v NodeID) {
+	q, lv := &s.kq, &s.labels[v]
+	if lv.back != InvalidNode {
+		s.labels[lv.back].next = lv.next
+	} else if q.head[lv.slot] = lv.next; lv.next == InvalidNode {
+		q.full[lv.slot>>6] &^= 1 << (lv.slot & 63)
+	}
+	if lv.next != InvalidNode {
+		s.labels[lv.next].back = lv.back
+	}
+	lv.slot = notQueued
+}
+
+// pop removes and returns a node of the lowest non-empty bucket. It
+// returns InvalidNode when the queue is empty or when the lower edge of
+// that bucket lies past limit, the target's label: every key queued is
+// then larger than limit, and so, h being admissible, is the length of
+// any path through its node.
+func (s *Searcher) pop(limit float64) NodeID {
+	q := &s.kq
+	for {
+		slot := q.cur & q.mask
+		if q.full[slot>>6]&(1<<(slot&63)) != 0 {
+			v := q.head[slot]
+			s.unlink(v)
+			return v
+		}
+		// Bucket cur is empty (and, the loop never queueing below cur,
+		// stays so): move to the next one that holds a node, in the ring
+		// or at the top of the overflow heap.
+		next := 0
+		if d := q.gap(slot); d > 0 {
+			next = q.cur + d
+		}
+		if len(q.over) > 0 {
+			if b := max(q.cur+1, q.bucket(q.over[0].prio)); next == 0 || b < next {
+				next = b
+			}
+		}
+		if next == 0 {
+			return InvalidNode
+		}
+		q.cur = next
+		if float64(q.cur) > limit*q.inv {
+			return InvalidNode
+		}
+		// Keys the ring could not hold when they were queued enter it when
+		// their bucket comes up; an entry whose node has since been
+		// relabelled or linked is stale.
+		for len(q.over) > 0 && q.bucket(q.over[0].prio) <= q.cur {
+			it := q.over.pop()
+			if lv := &s.labels[it.node]; lv.slot == inOverflow && it.prio == key(lv) {
+				s.link(it.node, int32(q.cur&q.mask))
+			}
+		}
+	}
+}
+
+// astar is the one A* loop behind every heuristic search: a
+// label-correcting search in key order over the flat adjacency, with the
+// bucket queue above. h returns a lower bound on the remaining driving
+// distance in quanta; it is evaluated once per labelled node and cached
+// in the node's label, and must be 0 at target. The target is labelled
+// but never queued, and the search stops once no queued key can undercut
+// its label, so an admissible h is enough for exact distances —
+// consistency only saves work.
+func (s *Searcher) astar(source, target NodeID, h func(NodeID) int32) SPResult {
 	if source == target {
 		return SPResult{Dist: 0, Path: []NodeID{source}}
 	}
+	adj := s.forward()
 	s.reset()
-	hs := h(source)
+	q := &s.kq
+	if len(q.head) <= adj.keyMask {
+		q.head = make([]NodeID, adj.keyMask+1)
+		q.full = make([]uint64, (adj.keyMask+1)/64)
+	}
+	q.full = q.full[:(adj.keyMask+1)/64]
+	clear(q.full)
+	q.over, q.inv, q.mask = q.over[:0], adj.keyInv, adj.keyMask
 	labels, gen := s.labels, s.gen
-	labels[source] = label{h: hs, prev: InvalidNode, stamp: gen}
-	s.queue.push(pqItem{node: source, prio: hs})
-	for s.queue.Len() > 0 {
-		it := s.queue.pop()
-		v := it.node
+	off, to, w := adj.off, adj.to, adj.w
+
+	labels[source] = label{h: h(source), prev: InvalidNode, stamp: gen}
+	q.cur = q.bucket(key(&labels[source]))
+	s.push(source)
+	dt := math.Inf(1) // the target's label
+	for v := s.pop(dt); v != InvalidNode; v = s.pop(dt) {
 		lv := &labels[v]
-		if v == target {
-			return SPResult{Dist: lv.dist, Path: s.buildPath(v)}
+		if key(lv) >= dt {
+			continue // in the last bucket, past the target's label
 		}
 		dv := lv.dist
-		if it.prio > dv+lv.h { // stale entry
-			continue
-		}
-		out := s.g.out[v]
-		for i := range out {
-			e := &out[i] // by index: an Edge is 32 bytes, two of them are used
-			nd := dv + e.Length
-			lw := &labels[e.To]
+		for e := off[v]; e < off[v+1]; e++ {
+			u := to[e]
+			nd := dv + w[e]
+			lu := &labels[u]
 			switch {
-			case lw.stamp != gen: // first touch: the one evaluation of h
-				*lw = label{dist: nd, h: h(e.To), prev: v, stamp: gen}
-			case nd < lw.dist:
-				lw.dist, lw.prev = nd, v
+			case lu.stamp != gen: // first touch: the one evaluation of h
+				*lu = label{dist: nd, h: h(u), prev: v, stamp: gen, slot: notQueued}
+			case nd < lu.dist:
+				lu.dist, lu.prev = nd, v
+				if lu.slot >= 0 {
+					s.unlink(u)
+				}
 			default:
 				continue
 			}
-			s.queue.push(pqItem{node: e.To, prio: nd + lw.h})
+			if u == target {
+				dt = nd
+				continue
+			}
+			s.push(u)
 		}
 	}
-	return SPResult{Dist: math.Inf(1)}
+	if math.IsInf(dt, 1) {
+		return SPResult{Dist: dt}
+	}
+	return SPResult{Dist: dt, Path: s.buildPath(target)}
+}
+
+// chordQuanta is the plain A* heuristic in quanta: Graph.chordBound,
+// rounded down.
+func chordQuanta(g *Graph, v, t NodeID) int32 {
+	return int32(g.chordBound(v, t) * quantaPerMetre)
 }
 
 // ShortestPath runs A* from source to target on edge lengths with the
@@ -202,7 +386,7 @@ func (s *Searcher) astar(source, target NodeID, h func(NodeID) float64) SPResult
 // and when a booking is confirmed.
 func (s *Searcher) ShortestPath(source, target NodeID) SPResult {
 	g := s.g
-	return s.astar(source, target, func(v NodeID) float64 { return g.chordBound(v, target) })
+	return s.astar(source, target, func(v NodeID) int32 { return chordQuanta(g, v, target) })
 }
 
 // Visit is the callback of the bounded searches. Returning false stops the
@@ -260,7 +444,8 @@ func (s *Searcher) bounded(source NodeID, radius float64, visit Visit, reverse b
 }
 
 // TravelTime converts a path to a free-flow travel time in seconds using
-// each edge's speed. It returns an error for non-adjacent steps.
+// each edge's speed. It returns an error naming the first step that is
+// not an edge.
 func (g *Graph) TravelTime(path []NodeID) (float64, error) {
 	var total float64
 	for i := 1; i < len(path); i++ {
@@ -276,17 +461,9 @@ func (g *Graph) TravelTime(path []NodeID) (float64, error) {
 			}
 		}
 		if !found {
-			return 0, errNotAdjacent(path[i-1], path[i])
+			return 0, fmt.Errorf("roadnet: path step %d: nodes %d→%d not adjacent", i, path[i-1], path[i])
 		}
 		total += best
 	}
 	return total, nil
 }
-
-type notAdjacentError struct{ from, to NodeID }
-
-func (e notAdjacentError) Error() string {
-	return "roadnet: nodes not adjacent in path"
-}
-
-func errNotAdjacent(from, to NodeID) error { return notAdjacentError{from, to} }
