@@ -262,19 +262,18 @@ func fig5b(b *testing.B, xar bool, ratio int) {
 // --- Ablations (DESIGN.md §4) ---
 
 // BenchmarkAblationGreedySearchProbes: GREEDYSEARCH answering every probe
-// of its binary search from one farthest-first traversal vs the paper's
-// literal algorithm, a fresh GREEDY per probe (internal/cluster's oracle).
+// of its binary search from one pruned farthest-first traversal, as
+// discretize.Build runs it, vs the paper's literal algorithm, a fresh
+// GREEDY per probe (internal/cluster's oracle).
 func BenchmarkAblationGreedySearchProbes(b *testing.B) {
 	w := world(b)
 	n := len(w.Disc.Landmarks)
-	dist := func(i, j int) float64 {
-		return max(w.Disc.LandmarkDist(i, j), w.Disc.LandmarkDist(j, i))
-	}
+	dist, lower := w.Disc.LandmarkMetric()
 	delta := w.Scale.Epsilon / 4
 
 	b.Run("traversal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cluster.GreedySearch(n, dist, delta); err != nil {
+			if _, _, err := cluster.GreedySearchBounded(n, dist, lower, delta); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -132,10 +132,8 @@ func main() {
 		}
 
 		if *trace {
-			dist := func(i, j int) float64 {
-				return max(d.LandmarkDist(i, j), d.LandmarkDist(j, i))
-			}
-			_, tr, err := cluster.GreedySearch(len(d.Landmarks), dist, e/4)
+			dist, lower := d.LandmarkMetric()
+			_, tr, err := cluster.GreedySearchBounded(len(d.Landmarks), dist, lower, e/4)
 			if err != nil {
 				log.Fatal(err)
 			}

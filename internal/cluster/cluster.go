@@ -12,7 +12,8 @@
 //   - GreedySearch: the paper's bicriteria algorithm — binary search on k
 //     over log₂ n probes of Greedy's radius, all answered by one
 //     farthest-first traversal since Greedy's centres for k are a prefix
-//     of its centres for any larger k — with the Theorem 6 guarantee
+//     of its centres for any larger k, each pass skipping the distances
+//     the triangle inequality rules out — with the Theorem 6 guarantee
 //     (k_ALG ≤ k_OPT, max intra-cluster distance ≤ 4δ);
 //   - Exact: an exponential-time exact minimum clique partition used by
 //     tests and small instances to validate the guarantee.
@@ -161,23 +162,55 @@ type SearchTrace struct {
 	Radius float64
 }
 
+// pruneSlack widens the triangle-inequality test in relax by a relative
+// margin. The distances the discretization passes are float32
+// roundings of float64 path sums, each within a relative η ≈ 2⁻²⁴ of a
+// true metric, so a triangle of them may miss by a few parts in 2²⁴.
+// Stored values that close to a metric still give dist(c, i) ≥ m once
+// dist(a, c) ≥ 2m·(1+η)/(1−η); 2m·pruneSlack covers that for any η up to
+// 2⁻²⁰, sixteen times float32's rounding.
+const pruneSlack = 1 + 0x1p-19
+
+// RowBound returns, for item c, a row of lower bounds on its distances:
+// row[j] ≤ dist(c, j) for every item j. GreedySearchBounded reads it once
+// per centre.
+type RowBound func(c int) []float32
+
 // traversal is one resumable run of Greedy's farthest-first order. That
 // order is deterministic from item 0, so the centres Greedy picks for k
 // are the first k of the centres it picks for any larger k, and the
 // k-centre radius for every k up to the number of centres held is the
 // farthest distance left after the k-th was added.
+//
+// Each pass evaluates only the distances the triangle inequality leaves
+// open (see relax); what it skips could not have moved an item, so
+// centres, assignment and radii are Greedy's, bit for bit.
 type traversal struct {
 	dist    DistFunc
+	lower   RowBound  // nil, or the bounds GreedySearchBounded was given
 	minDist []float64 // distance to the nearest of centers
 	assign  []int     // index in centers of that nearest centre
 	centers []int
 	radius  []float64 // radius[k-1] is Greedy(n, dist, k).Radius
 	next    int       // the item the next centre would be
 	done    bool      // every item coincides with a centre: Greedy stops here for any larger k
+
+	// The pass in progress: its centre c, lower(c) (nil without bounds),
+	// and gap[a] = dist(c, centers[a]) wherever gapAt[a] == stamp. Each
+	// pass takes a new stamp, so gap is never cleared.
+	c     int
+	row   []float32
+	gap   []float64
+	gapAt []int
+	stamp int
 }
 
-func newTraversal(n int, dist DistFunc) *traversal {
-	t := &traversal{dist: dist, minDist: make([]float64, n), assign: make([]int, n)}
+func newTraversal(n int, dist DistFunc, lower RowBound) *traversal {
+	t := &traversal{
+		dist: dist, lower: lower,
+		minDist: make([]float64, n), assign: make([]int, n),
+		gap: make([]float64, n), gapAt: make([]int, n),
+	}
 	for i := range t.minDist {
 		t.minDist[i] = math.Inf(1)
 	}
@@ -190,19 +223,7 @@ func (t *traversal) probe(k int) (int, float64) {
 	for len(t.centers) < k && !t.done {
 		c, ci := t.next, len(t.centers)
 		t.centers = append(t.centers, c)
-		// Relax all items against the new centre and find the next
-		// farthest item in the same pass.
-		far, farD := -1, -1.0
-		for i := range t.minDist {
-			if d := t.dist(c, i); d < t.minDist[i] {
-				t.minDist[i] = d
-				t.assign[i] = ci
-			}
-			if t.minDist[i] > farD {
-				farD = t.minDist[i]
-				far = i
-			}
-		}
+		far, farD := t.relax(ci)
 		t.radius = append(t.radius, farD)
 		t.next = far
 		t.done = farD == 0
@@ -211,9 +232,68 @@ func (t *traversal) probe(k int) (int, float64) {
 	return k, t.radius[k-1]
 }
 
+// relax is Greedy's pass for centre number ci: every item strictly nearer
+// to it than to its current centre moves to it, and the pass returns the
+// item then farthest from its centre, the first on a tie.
+//
+// It evaluates dist(c, i) only where c might improve on item i's distance
+// m to its centre a. By the triangle inequality dist(c, i) ≥ dist(a, c) −
+// m, so c cannot when dist(a, c) ≥ 2m. The checks run cheapest first: r,
+// a lower bound on dist(a, c) that costs nothing; the row's bound on
+// dist(c, i) itself; then dist(a, c) (gapAtLeast). An item at +Inf (no
+// finite distance yet) is always evaluated, and NaN proves nothing.
+func (t *traversal) relax(ci int) (far int, farD float64) {
+	c := t.centers[ci]
+	var row []float32
+	if t.lower != nil {
+		row = t.lower(c)
+	}
+	t.c, t.row = c, row
+	t.stamp++
+	// c was the farthest item when it was picked, so every earlier centre
+	// is at least radius[ci-1] from it.
+	r := 0.0
+	if ci > 0 {
+		r = t.radius[ci-1]
+	}
+	far, farD = -1, -1.0
+	for i, m := range t.minDist {
+		open := !(m < math.Inf(1))
+		if !open {
+			bound := 2 * m * pruneSlack
+			open = bound > r && !(row != nil && float64(row[i]) >= m) && !t.gapAtLeast(t.assign[i], bound)
+		}
+		if open {
+			if d := t.dist(c, i); d < m {
+				t.minDist[i] = d
+				t.assign[i] = ci
+				m = d
+			}
+		}
+		if m > farD {
+			farD, far = m, i
+		}
+	}
+	return far, farD
+}
+
+// gapAtLeast reports whether dist(c, centers[a]) ≥ bound is certain.
+func (t *traversal) gapAtLeast(a int, bound float64) bool {
+	if t.gapAt[a] != t.stamp {
+		ca := t.centers[a]
+		if t.row != nil && float64(t.row[ca]) >= bound {
+			return true
+		}
+		t.gap[a], t.gapAt[a] = t.dist(t.c, ca), t.stamp
+	}
+	return t.gap[a] >= bound
+}
+
 // result returns Greedy(n, dist, k) for a k the traversal has reached.
-// When it has gone past k, assignments to later centres are redone by one
-// pass over the first k — in Greedy's order, so ties fall the same way.
+// When it has gone past k, assignments to later centres are redone by
+// relaxing against the first k again — in Greedy's order, so ties fall
+// the same way, and pruned the same way, since radius[ci-1] still bounds
+// centre ci's distance to every centre before it.
 func (t *traversal) result(k int) Result {
 	res := Result{K: k, Assign: t.assign, Centers: t.centers[:k:k], Radius: t.radius[k-1]}
 	if k == len(t.centers) {
@@ -222,13 +302,8 @@ func (t *traversal) result(k int) Result {
 	for i := range t.minDist {
 		t.minDist[i] = math.Inf(1)
 	}
-	for ci, c := range res.Centers {
-		for i := range t.minDist {
-			if d := t.dist(c, i); d < t.minDist[i] {
-				t.minDist[i] = d
-				t.assign[i] = ci
-			}
-		}
+	for ci := range res.Centers {
+		t.relax(ci)
 	}
 	return res
 }
@@ -243,14 +318,27 @@ func (t *traversal) result(k int) Result {
 // The paper calls Greedy afresh for each of its log₂ n probes. Here one
 // farthest-first traversal answers them all: it is extended only when a
 // probe asks for more centres than it holds, so the distance evaluations
-// are n per centre up to the largest k probed, plus n·k_ALG to rebuild
-// the assignment when the traversal went past k_ALG.
+// are at most n per centre up to the largest k probed, plus n·k_ALG to
+// rebuild the assignment when the traversal went past k_ALG. Most are
+// skipped: a pass evaluates only the items and centre-to-centre distances
+// the triangle inequality leaves open, and the result stays Greedy's, bit
+// for bit.
 //
 // Theorem 6: k_ALG ≤ k_OPT and every pair of items sharing a cluster is
 // within 4δ (triangle inequality through the shared center at ≤ 2δ).
 //
 // The returned trace contains every probe, mirroring the paper's output.
 func GreedySearch(n int, dist DistFunc, delta float64) (Result, []SearchTrace, error) {
+	return GreedySearchBounded(n, dist, nil, delta)
+}
+
+// GreedySearchBounded is GreedySearch given also lower bounds on dist,
+// one row per item. Each pass for a new centre c reads lower(c) before it
+// evaluates dist, and skips every distance the row alone settles. That
+// pays when the rows are much cheaper than dist: for the symmetrized
+// metric max(d(i→j), d(j→i)), d(c→·) is one row of the directed table
+// where dist reads a column too. A nil lower is GreedySearch.
+func GreedySearchBounded(n int, dist DistFunc, lower RowBound, delta float64) (Result, []SearchTrace, error) {
 	if n <= 0 {
 		return Result{}, nil, fmt.Errorf("cluster: n must be positive, got %d", n)
 	}
@@ -258,7 +346,7 @@ func GreedySearch(n int, dist DistFunc, delta float64) (Result, []SearchTrace, e
 		return Result{}, nil, fmt.Errorf("cluster: delta must be >= 0, got %v", delta)
 	}
 
-	t := newTraversal(n, dist)
+	t := newTraversal(n, dist, lower)
 	var trace []SearchTrace
 	lo, hi := 1, n
 	best := 0 // smallest feasible K seen; 0 = none

@@ -320,28 +320,16 @@ type pathFinder interface {
 	ShortestPath(a, b roadnet.NodeID) roadnet.SPResult
 }
 
-// NewEngine builds an engine over a discretization.
-func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
-	if cfg.DefaultDetourLimit < 0 {
-		return nil, fmt.Errorf("xar: negative DefaultDetourLimit")
-	}
-	if cfg.DefaultSeats < 0 {
-		return nil, fmt.Errorf("xar: negative DefaultSeats")
-	}
-	if cfg.ShadowSampleRate < 0 {
-		return nil, fmt.Errorf("xar: negative ShadowSampleRate")
-	}
-	if cfg.ShadowSampleRate > 0 && cfg.Quality == nil {
-		return nil, fmt.Errorf("xar: ShadowSampleRate requires Config.Quality")
-	}
-	if cfg.Index.AvgSpeed == 0 {
-		cfg.Index = index.DefaultConfig()
-	}
-	ix, err := index.New(disc, cfg.Index)
-	if err != nil {
-		return nil, err
-	}
-	g := disc.City().Graph
+// routing is what NewEngine builds for shortest paths.
+type routing struct {
+	router    string // the effective algorithm, after auto-selection and CH-budget fallback
+	newFinder func() pathFinder
+	alt       *roadnet.ALT // the ALT tables, retained for memory accounting; nil unless ALT
+	ch        *roadnet.CH  // what becomes Config.CH: the hierarchy given or built
+}
+
+// newRouting selects the router cfg asks for and builds its tables over g.
+func newRouting(g *roadnet.Graph, cfg Config) (routing, error) {
 	router := cfg.Router
 	if router == "" {
 		router = RouterALT
@@ -360,37 +348,76 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 				slog.Warn("CH preprocessing budget exceeded; falling back to ALT", "err", err)
 				router = RouterALT
 			case err != nil:
-				return nil, err
+				return routing{}, err
 			default:
 				ch = built
 			}
 		}
 		cfg.CH = ch
 	}
-	var newFinder func() pathFinder
-	var altTables *roadnet.ALT // retained for memory accounting
+	rt := routing{router: router, ch: cfg.CH}
 	switch router {
 	case RouterAStar:
-		newFinder = func() pathFinder { return roadnet.NewSearcher(g) }
+		rt.newFinder = func() pathFinder { return roadnet.NewSearcher(g) }
 	case RouterALT:
 		alt, err := roadnet.NewALT(g, 0) // 0: roadnet's default landmark count (8)
 		if err != nil {
-			return nil, err
+			return routing{}, err
 		}
-		altTables = alt
-		newFinder = func() pathFinder { return alt.NewSearcher() }
+		rt.alt = alt
+		rt.newFinder = func() pathFinder { return alt.NewSearcher() }
 	case RouterCH:
 		ch := cfg.CH
-		newFinder = func() pathFinder { return ch.NewSearcher() }
+		rt.newFinder = func() pathFinder { return ch.NewSearcher() }
 	default:
-		return nil, fmt.Errorf("xar: unknown Router %q (want astar, alt, or ch)", cfg.Router)
+		return routing{}, fmt.Errorf("xar: unknown Router %q (want astar, alt, or ch)", cfg.Router)
 	}
+	return rt, nil
+}
+
+// NewEngine builds an engine over a discretization. The index and the
+// router's tables are built side by side; NewEngine returns after both.
+func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
+	if cfg.DefaultDetourLimit < 0 {
+		return nil, fmt.Errorf("xar: negative DefaultDetourLimit")
+	}
+	if cfg.DefaultSeats < 0 {
+		return nil, fmt.Errorf("xar: negative DefaultSeats")
+	}
+	if cfg.ShadowSampleRate < 0 {
+		return nil, fmt.Errorf("xar: negative ShadowSampleRate")
+	}
+	if cfg.ShadowSampleRate > 0 && cfg.Quality == nil {
+		return nil, fmt.Errorf("xar: ShadowSampleRate requires Config.Quality")
+	}
+	if cfg.Index.AvgSpeed == 0 {
+		cfg.Index = index.DefaultConfig()
+	}
+	// The index's neighbour table and the router's tables read only the
+	// discretization and its graph, so they are built side by side.
+	var ix *index.Index
+	var ixErr error
+	ixBuilt := make(chan struct{})
+	go func() {
+		defer close(ixBuilt)
+		ix, ixErr = index.New(disc, cfg.Index)
+	}()
+	g := disc.City().Graph
+	rt, rtErr := newRouting(g, cfg)
+	<-ixBuilt
+	if ixErr != nil {
+		return nil, ixErr
+	}
+	if rtErr != nil {
+		return nil, rtErr
+	}
+	cfg.CH = rt.ch
 	e := &Engine{
 		cfg:       cfg,
 		disc:      disc,
 		ix:        &index.Locked{Ix: ix},
-		router:    router,
-		newFinder: newFinder,
+		router:    rt.router,
+		newFinder: rt.newFinder,
 		jr:        cfg.Journal,
 	}
 	e.finders.New = func() any { return e.newFinder() }
@@ -401,7 +428,7 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	if cfg.Telemetry != nil {
 		e.routeQueries = cfg.Telemetry.Counter("xar_route_queries_total",
 			"Shortest-path queries served, by routing algorithm.",
-			telemetry.L("algo", router))
+			telemetry.L("algo", rt.router))
 	}
 	if cfg.Telemetry != nil {
 		registerIndexGauges(cfg.Telemetry, e.ix.View())
@@ -425,8 +452,8 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 		// reports only the bytes it uniquely owns and the shares sum
 		// cleanly.
 		cfg.Memory.Register("graph", g)
-		if altTables != nil {
-			cfg.Memory.Register("alt", altTables)
+		if rt.alt != nil {
+			cfg.Memory.Register("alt", rt.alt)
 		}
 		if cfg.CH != nil {
 			cfg.Memory.Register("ch", cfg.CH)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -131,5 +133,29 @@ func TestRouteQueriesCounter(t *testing.T) {
 		telemetry.L("algo", RouterCH))
 	if c.Value() == 0 {
 		t.Fatal("xar_route_queries_total{algo=ch} did not advance after a create")
+	}
+}
+
+// NewEngine builds the index's neighbour table on every worker and the
+// ALT tables beside it: both must come out the same at any GOMAXPROCS.
+// reflect.DeepEqual walks the unexported tables (the index's neighbour
+// rows; through a searcher, the ALT landmark table and adjacency).
+func TestNewEngineTablesIndependentOfGOMAXPROCS(t *testing.T) {
+	d := routerTestDisc(t)
+	build := func(procs int) *Engine {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		e, err := NewEngine(d, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
+	}
+	one, four := build(1), build(4)
+	if !reflect.DeepEqual(one.ix.Ix, four.ix.Ix) {
+		t.Fatal("index (neighbour table) differs between GOMAXPROCS 1 and 4")
+	}
+	if !reflect.DeepEqual(one.newFinder(), four.newFinder()) {
+		t.Fatal("ALT tables differ between GOMAXPROCS 1 and 4")
 	}
 }

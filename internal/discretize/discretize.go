@@ -69,8 +69,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every distance must be a finite
+// number: NaN fails every comparison below, so it is named first.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"GridCellSize", c.GridCellSize},
+		{"LandmarkMinSep", c.LandmarkMinSep},
+		{"Delta", c.Delta},
+		{"MaxDriveToLandmark", c.MaxDriveToLandmark},
+		{"MaxWalk", c.MaxWalk},
+		{"WalkDetourFactor", c.WalkDetourFactor},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("discretize: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	switch {
 	case c.GridCellSize <= 0:
 		return fmt.Errorf("discretize: GridCellSize must be positive, got %v", c.GridCellSize)
@@ -205,13 +221,14 @@ func Build(city *roadnet.City, cfg Config) (*Discretization, error) {
 	return d, nil
 }
 
-// parallel shares the indices 0 … n−1 out over GOMAXPROCS workers (at
-// most n). newWorker runs once on each worker's goroutine and returns the
-// function that handles one index, so a worker keeps its scratch across
-// every index it is handed. Each stage that uses it writes disjoint rows
-// or merges by a rule that ignores order, so what it builds does not
-// depend on the number of workers.
-func parallel(n int, newWorker func() func(i int)) {
+// Parallel shares the indices 0 … n−1 out over GOMAXPROCS workers (at
+// most n) and returns when every index is handled. newWorker runs once on
+// each worker's goroutine and returns the function that handles one
+// index, so a worker keeps its scratch across every index it is handed.
+// Each stage that uses it writes disjoint rows or merges by a rule that
+// ignores order, so what it builds does not depend on the number of
+// workers. The index's neighbour table is built on it too.
+func Parallel(n int, newWorker func() func(i int)) {
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	for range min(runtime.GOMAXPROCS(0), n) {
@@ -240,7 +257,7 @@ func (d *Discretization) computeLandmarkDistances() error {
 	n := len(d.Landmarks)
 	g := d.city.Graph
 	d.lmDist = make([][]float32, n)
-	parallel(n, func() func(int) {
+	Parallel(n, func() func(int) {
 		s := roadnet.NewSearcher(g)
 		var all []float64
 		return func(i int) {
@@ -263,21 +280,10 @@ func (d *Discretization) computeLandmarkDistances() error {
 	return nil
 }
 
-// clusterLandmarks runs GREEDYSEARCH over the symmetrized landmark
-// distances. Symmetrization with max(d(i→j), d(j→i)) preserves the
-// triangle inequality that Theorem 6's proof uses, and is conservative:
-// the ε it certifies bounds driving distance in both directions.
+// clusterLandmarks runs GREEDYSEARCH over LandmarkMetric.
 func (d *Discretization) clusterLandmarks() error {
-	n := len(d.Landmarks)
-	dist := func(i, j int) float64 {
-		a := float64(d.lmDist[i][j])
-		b := float64(d.lmDist[j][i])
-		if a > b {
-			return a
-		}
-		return b
-	}
-	res, _, err := cluster.GreedySearch(n, dist, d.cfg.Delta)
+	dist, lower := d.LandmarkMetric()
+	res, _, err := cluster.GreedySearchBounded(len(d.Landmarks), dist, lower, d.cfg.Delta)
 	if err != nil {
 		return err
 	}
@@ -293,6 +299,20 @@ func (d *Discretization) clusterLandmarks() error {
 	return nil
 }
 
+// LandmarkMetric returns the metric GREEDYSEARCH clusters the landmarks
+// under, dist(i, j) = max(d(i→j), d(j→i)) over the directed driving
+// distances, and lower(i) = d(i→·), which is never above it and needs
+// none of the column reads dist makes. lower returns the landmark table's
+// own row i: read it, never write it.
+// Symmetrization with max preserves the triangle inequality that
+// Theorem 6's proof uses, and is conservative: the ε it certifies bounds
+// driving distance in both directions.
+func (d *Discretization) LandmarkMetric() (dist cluster.DistFunc, lower cluster.RowBound) {
+	dist = func(i, j int) float64 { return float64(max(d.lmDist[i][j], d.lmDist[j][i])) }
+	lower = func(i int) []float32 { return d.lmDist[i] }
+	return dist, lower
+}
+
 // computeClusterDistances fills the directed cluster distance table:
 // dist(C, C') = min over landmark pairs (a ∈ C, b ∈ C') of the driving
 // distance a→b, as the paper defines ("the distance between the closest
@@ -301,7 +321,7 @@ func (d *Discretization) clusterLandmarks() error {
 func (d *Discretization) computeClusterDistances() {
 	k := len(d.Clusters)
 	d.clusterDist = make([][]float32, k)
-	parallel(k, func() func(int) {
+	Parallel(k, func() func(int) {
 		return func(i int) {
 			dist := make([]float32, k)
 			for j := range dist {
@@ -345,7 +365,7 @@ func (d *Discretization) assignNodesToLandmarks() {
 		dist float32
 	}
 	var mu sync.Mutex
-	parallel(len(d.Landmarks), func() func(int) {
+	Parallel(len(d.Landmarks), func() func(int) {
 		s := roadnet.NewSearcher(g)
 		var local []hit
 		return func(lmID int) {
@@ -378,7 +398,7 @@ func (d *Discretization) assignNodesToLandmarks() {
 func (d *Discretization) buildGridTable() {
 	rows, cols := int(d.Grid.Rows()), int(d.Grid.Cols())
 	d.cells = make([]GridInfo, rows*cols)
-	parallel(rows, func() func(int) {
+	Parallel(rows, func() func(int) {
 		var arena []WalkableCluster
 		ends := make([]int, cols)
 		return func(r int) {

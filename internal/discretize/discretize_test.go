@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,6 +48,36 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every float field rejects NaN and ±Inf by name: NaN passed every
+// comparison Validate made, so -f NaN built a region with no minimum
+// landmark separation and -walk NaN one in which nothing was servable.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"GridCellSize", func(c *Config, v float64) { c.GridCellSize = v }},
+		{"LandmarkMinSep", func(c *Config, v float64) { c.LandmarkMinSep = v }},
+		{"Delta", func(c *Config, v float64) { c.Delta = v }},
+		{"MaxDriveToLandmark", func(c *Config, v float64) { c.MaxDriveToLandmark = v }},
+		{"MaxWalk", func(c *Config, v float64) { c.MaxWalk = v }},
+		{"WalkDetourFactor", func(c *Config, v float64) { c.WalkDetourFactor = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			f.set(&cfg, v)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: err = %v, want an error naming the field", f.name, v, err)
+			}
+			if _, err := Build(&roadnet.City{Graph: &roadnet.Graph{}}, cfg); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("Build with %s = %v: err = %v, want the Validate error", f.name, v, err)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,15 +63,21 @@ func TestBuildGolden(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Delta = 250 // ε = 1000 m, the benchmark's setting
-	d, err := Build(city, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Landmarks) != 1701 || d.NumClusters() != 339 {
-		t.Errorf("landmarks, clusters = %d, %d, want 1701, 339", len(d.Landmarks), d.NumClusters())
-	}
-	if got := hashDiscretization(d); got != buildGolden {
-		t.Errorf("discretization hash = %s, want %s", got, buildGolden)
+	// Every parallel stage writes disjoint rows, and GREEDYSEARCH runs
+	// beside the node table: the worker count must not show.
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		d, err := Build(city, cfg)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Landmarks) != 1701 || d.NumClusters() != 339 {
+			t.Errorf("GOMAXPROCS %d: landmarks, clusters = %d, %d, want 1701, 339", procs, len(d.Landmarks), d.NumClusters())
+		}
+		if got := hashDiscretization(d); got != buildGolden {
+			t.Errorf("GOMAXPROCS %d: discretization hash = %s, want %s", procs, got, buildGolden)
+		}
 	}
 }
 

@@ -70,35 +70,40 @@ type buildSupport struct {
 	Support
 }
 
+// neighborEntry is 8 bytes: the cluster distances are float32 in the
+// discretization already, so Dist holds them exactly.
 type neighborEntry struct {
 	Cluster int32
-	Dist    float64
+	Dist    float32
 }
 
 // New builds an empty index over disc, with its O(k²) neighbor table:
-// per cluster, every cluster sorted by ascending distance.
+// per cluster, every cluster sorted by ascending distance, the rows
+// shared out over the workers.
 func New(disc *discretize.Discretization, cfg Config) (*Index, error) {
 	if cfg.AvgSpeed <= 0 {
 		return nil, fmt.Errorf("index: AvgSpeed must be positive, got %v", cfg.AvgSpeed)
 	}
 	k := disc.NumClusters()
 	neighbors := make([][]neighborEntry, k)
-	for c := 0; c < k; c++ {
-		row := make([]neighborEntry, k)
-		for o := range row {
-			row[o] = neighborEntry{Cluster: int32(o), Dist: disc.ClusterDist(c, o)}
-		}
-		slices.SortFunc(row, func(a, b neighborEntry) int {
-			switch {
-			case a.Dist < b.Dist:
-				return -1
-			case a.Dist > b.Dist:
-				return 1
+	discretize.Parallel(k, func() func(int) {
+		return func(c int) {
+			row := make([]neighborEntry, k)
+			for o := range row {
+				row[o] = neighborEntry{Cluster: int32(o), Dist: float32(disc.ClusterDist(c, o))}
 			}
-			return cmp.Compare(a.Cluster, b.Cluster)
-		})
-		neighbors[c] = row
-	}
+			slices.SortFunc(row, func(a, b neighborEntry) int {
+				switch {
+				case a.Dist < b.Dist:
+					return -1
+				case a.Dist > b.Dist:
+					return 1
+				}
+				return cmp.Compare(a.Cluster, b.Cluster)
+			})
+			neighbors[c] = row
+		}
+	})
 	return &Index{
 		cfg:       cfg,
 		disc:      disc,
@@ -268,17 +273,18 @@ func (ix *Index) register(r *Ride) {
 			viaCluster = int32(ix.disc.ClusterOfNode(r.Via[e.Seg+1].Node))
 		}
 		for _, nb := range ix.neighbors[c] {
-			if nb.Dist > r.DetourLimit {
+			nbDist := float64(nb.Dist)
+			if nbDist > r.DetourLimit {
 				break // sorted: everything after is farther
 			}
 			if nb.Cluster == c {
 				continue
 			}
-			detour := nb.Dist
+			detour := nbDist
 			if viaCluster >= 0 {
 				dCVia := ix.disc.ClusterDist(int(c), int(viaCluster))
 				dC2Via := ix.disc.ClusterDist(int(nb.Cluster), int(viaCluster))
-				detour = nb.Dist + dC2Via - dCVia
+				detour = nbDist + dC2Via - dCVia
 				if detour < 0 {
 					detour = 0
 				}
@@ -286,7 +292,7 @@ func (ix *Index) register(r *Ride) {
 					continue
 				}
 			}
-			eta := e.ETA + nb.Dist/ix.cfg.AvgSpeed
+			eta := e.ETA + nbDist/ix.cfg.AvgSpeed
 			buf = append(buf, buildSupport{nb.Cluster, Support{Order: int32(pi), Seg: e.Seg, Detour: detour, ETA: eta}})
 			if off[nb.Cluster]++; off[nb.Cluster] == 1 {
 				groups++

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"xar/internal/cluster"
 	"xar/internal/core"
 	"xar/internal/experiments"
 	"xar/internal/quality"
@@ -22,9 +23,10 @@ const writeOps = 2000
 // TestExactWorkCounts holds the engine's work to exact counts on the
 // benchmark world. None depends on the machine: a search allocates only
 // the slice it returns, create and book allocate a fixed handful each,
-// and a replay's candidates per search and shortest paths per booking
-// (≤ 4 by the paper's splice, §VIII-B) are counters of a deterministic
-// run. A change that moves one changes its constant here and says why.
+// a replay's candidates per search and shortest paths per booking (≤ 4
+// by the paper's splice, §VIII-B) are counters of a deterministic run,
+// and so are the distances GREEDYSEARCH evaluates on the world's
+// landmarks. A change that moves one changes its constant here and says why.
 func TestExactWorkCounts(t *testing.T) {
 	w := world(t)
 
@@ -65,6 +67,20 @@ func TestExactWorkCounts(t *testing.T) {
 		bookLoop(&m, writeOps, w, sys, requests)
 		m.StopTimer()
 		wantAllocs(t, m.mean(writeOps), 11)
+	})
+
+	t.Run("greedy_dist_evals", func(t *testing.T) {
+		dist, lower := w.Disc.LandmarkMetric()
+		evals := 0
+		counted := func(i, j int) float64 { evals++; return dist(i, j) }
+		if _, _, err := cluster.GreedySearchBounded(len(w.Disc.Landmarks), counted, lower, w.Disc.Config().Delta); err != nil {
+			t.Fatal(err)
+		}
+		// 36 612 = n·(largest k probed + k*) if a pass evaluates every
+		// item instead of what the triangle inequality leaves open.
+		if evals != 2507 {
+			t.Errorf("%d distance evaluations, want 2507", evals)
+		}
 	})
 
 	replay := sync.OnceValues(func() (core.Metrics, error) { return replayMetrics(w) })
