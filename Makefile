@@ -64,7 +64,6 @@ bench-scale-smoke:
 # BenchmarkMixedWorkloadJournal, which records into the journal's single
 # lock from 8 goroutines with and without the auditor sweeping — verifies
 # the parallel paths run, not their throughput (use `go test -bench
-# Parallel -benchtime 1s .` for real numbers; BENCH_parallel.json records
-# a measured curve).
+# Parallel -benchtime 1s .` for real numbers).
 bench-parallel-smoke:
 	$(GO) test -run '^$$' -bench 'Parallel|BenchmarkMixedWorkloadJournal' -benchtime 1x .

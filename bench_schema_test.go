@@ -1,6 +1,6 @@
 // Consistency checks between the code and what the repository states
-// about its benchmarks and tools: the committed BENCH_*.json records
-// stay machine-readable, every benchmark or test name a Makefile or CI
+// about its benchmarks and tools: the committed BENCH_scale.json
+// frontier stays machine-readable, every benchmark or test name a Makefile or CI
 // pattern passes to `go test` exists, every flag a documented command
 // passes a cmd tool exists, and OBSERVABILITY.md's overhead budgets are
 // BenchmarkSearchObservers' own. Each would otherwise go stale silently.
@@ -19,48 +19,30 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
+
+	"xar/internal/load"
 )
 
+// TestBenchArtifactSchemas: BENCH_scale.json, the one measured record
+// the repository keeps (`make bench-scale` rewrites it), is the frontier
+// xarload emits: its schema tag and at least one rate step.
 func TestBenchArtifactSchemas(t *testing.T) {
-	paths, err := filepath.Glob("BENCH_*.json")
+	raw, err := os.ReadFile("BENCH_scale.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) == 0 {
-		t.Fatal("no BENCH_*.json artifacts found — run from the repo root")
+	var doc struct {
+		Schema string            `json:"schema"`
+		Steps  []json.RawMessage `json:"steps"`
 	}
-	for _, p := range paths {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			t.Errorf("%s: %v", p, err)
-			continue
-		}
-		var doc map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Errorf("%s: not a JSON object: %v", p, err)
-			continue
-		}
-		if len(doc) == 0 {
-			t.Errorf("%s: empty document", p)
-			continue
-		}
-		// The hand-written records (vs the tool-emitted frontier) all
-		// carry provenance: a description, the measurement date, and
-		// the hardware it was measured on.
-		if _, ok := doc["description"]; !ok {
-			continue
-		}
-		var date string
-		if err := json.Unmarshal(doc["date"], &date); err != nil {
-			t.Errorf("%s: date is not a string: %v", p, err)
-		} else if _, err := time.Parse("2006-01-02", date); err != nil {
-			t.Errorf("%s: date %q is not YYYY-MM-DD", p, date)
-		}
-		var hw map[string]any
-		if err := json.Unmarshal(doc["hardware"], &hw); err != nil || len(hw) == 0 {
-			t.Errorf("%s: hardware block missing or empty", p)
-		}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("BENCH_scale.json: not a JSON object: %v", err)
+	}
+	if doc.Schema != load.FrontierSchema {
+		t.Errorf("BENCH_scale.json: schema %q, want %q", doc.Schema, load.FrontierSchema)
+	}
+	if len(doc.Steps) == 0 {
+		t.Error("BENCH_scale.json: no steps")
 	}
 }
 

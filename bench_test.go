@@ -413,7 +413,7 @@ func forProcs(b *testing.B, f func(b *testing.B)) {
 // BenchmarkSearchThroughputParallel drives concurrent searches with
 // b.RunParallel at GOMAXPROCS ∈ {1, 2, 4, 8}. On multi-core hardware the
 // searches/s metric should scale near-linearly with procs (searches share
-// the read lock); the measured curve is recorded in BENCH_parallel.json.
+// the read lock).
 func BenchmarkSearchThroughputParallel(b *testing.B) {
 	w := world(b)
 	forProcs(b, func(b *testing.B) {

@@ -37,10 +37,6 @@ func main() {
 	trace := flag.Bool("trace", false, "print the GREEDYSEARCH binary-search trace (Build does not keep it: costs one extra clustering of the built landmark matrix per ε)")
 	saveTo := flag.String("save", "", "write the discretization artifact (bound to the road graph by fingerprint) to this file")
 	loadFrom := flag.String("load", "", "load a previously saved artifact instead of building")
-	buildCH := flag.Bool("ch", false, "also run contraction-hierarchy preprocessing over the road graph")
-	chOut := flag.String("ch-out", "", "write the CH artifact to this file (implies -ch)")
-	chBudget := flag.Duration("ch-budget", 0, "CH preprocessing time budget (0 = unbudgeted)")
-	chCore := flag.Int("ch-core", 0, "CH core size: top nodes covered by the exact distance table (0 = default)")
 	flag.Parse()
 
 	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(*rows, *cols, *seed))
@@ -50,33 +46,6 @@ func main() {
 	fmt.Printf("city: %d nodes, %d edges, %.1f x %.1f km\n",
 		city.Graph.NumNodes(), city.Graph.NumEdges(),
 		city.Graph.BBox().WidthMeters()/1000, city.Graph.BBox().HeightMeters()/1000)
-
-	if *chOut != "" {
-		*buildCH = true
-	}
-	if *buildCH {
-		ch, err := roadnet.BuildCH(city.Graph, roadnet.CHConfig{Budget: *chBudget, CoreSize: *chCore})
-		if err != nil {
-			log.Fatal(err)
-		}
-		k := ch.CoreSize()
-		fmt.Printf("CH preprocessing in %v: %d shortcuts, %d search arcs, core %d (distance table %.1f MB)\n",
-			ch.BuildTime().Round(time.Millisecond), ch.NumShortcuts(), ch.NumArcs(),
-			k, float64(k)*float64(k)*12/(1<<20))
-		if *chOut != "" {
-			f, err := os.Create(*chOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := ch.SaveCH(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("saved CH artifact to %s\n", *chOut)
-		}
-	}
 
 	if *loadFrom != "" {
 		f, err := os.Open(*loadFrom)

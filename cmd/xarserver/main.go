@@ -3,7 +3,7 @@
 // integration assumes. See internal/server for the API.
 //
 //	xarserver -addr :8080 -rows 40 -cols 22
-//	xarserver -router ch -ch-file city.ch   # CH routing from a prebuilt artifact
+//	xarserver -router astar                 # plain A* instead of ALT
 //	curl -s localhost:8080/v1/healthz
 //	curl -s localhost:8080/v1/metrics/prom     # Prometheus scrape
 //	curl -s -X POST localhost:8080/v1/search -d '{
@@ -75,9 +75,7 @@ func main() {
 	cols := flag.Int("cols", 22, "city lattice columns")
 	seed := flag.Int64("seed", 42, "random seed")
 	eps := flag.Float64("eps", 1000, "epsilon (= 4δ) in meters")
-	router := flag.String("router", "", "shortest-path engine: astar, alt, or ch (empty = auto: ch when -ch-file is given, else alt)")
-	chFile := flag.String("ch-file", "", "load a contraction-hierarchy artifact (xardiscretize -ch-out) instead of preprocessing in-process")
-	chBudget := flag.Duration("ch-budget", 30*time.Second, "CH preprocessing budget when -router ch builds in-process; exceeding it falls back to ALT")
+	router := flag.String("router", "", "shortest-path engine: astar or alt (empty = alt)")
 	accessLog := flag.Bool("access-log", false, "emit a structured access-log record per request")
 	slowMS := flag.Float64("slow-ms", 250, "slow-operation log threshold in milliseconds (0 disables)")
 	traceSample := flag.Int("trace-sample", 64, "record 1-in-N requests as traces into /v1/traces (0 disables tracing; sampled incoming traceparents always record)")
@@ -128,20 +126,6 @@ func main() {
 
 	ecfg := core.DefaultConfig()
 	ecfg.Router = *router
-	ecfg.CHBudget = *chBudget
-	if *chFile != "" {
-		f, err := os.Open(*chFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ch, err := roadnet.LoadCH(f, city.Graph)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		ecfg.CH = ch
-		log.Printf("loaded CH artifact %s: %d shortcuts, core %d", *chFile, ch.NumShortcuts(), ch.CoreSize())
-	}
 	ecfg.Telemetry = reg
 	ecfg.Tracer = tracer
 	ecfg.SlowOpThreshold = time.Duration(*slowMS * float64(time.Millisecond))

@@ -63,25 +63,12 @@ type Config struct {
 	// is nothing left for it to turn on. Callers may keep assigning it;
 	// setting Router "astar" is the only way to plain A*.
 	UseALTPaths bool
-	// Router selects the shortest-path engine: "astar", "alt", or "ch".
-	// Empty picks the fastest exact one at hand — "ch" when CH is set,
-	// else "alt" (8 landmarks: two full Dijkstras each at construction,
-	// a few ms and 64 B a node on 3 520 nodes). All three return
-	// identical distances; only speed (and preprocessing cost) differs,
-	// and plain "astar" is kept as the oracle the other two are tested
-	// against. Router "ch" without a prebuilt CH builds one at engine
-	// construction under CHBudget and falls back to ALT if the budget is
-	// exceeded; the effective choice is reported by Router() /
-	// ConfigSummary and stamped on telemetry.
+	// Router selects the shortest-path engine: "astar" or "alt". Empty
+	// means "alt" (8 landmarks: two full Dijkstras each at construction,
+	// a few ms and 64 B a node on 3 520 nodes). Both return identical
+	// distances; plain "astar" is kept as the oracle ALT is tested
+	// against. Any other value fails NewEngine.
 	Router string
-	// CH is a prebuilt contraction hierarchy over the discretization's
-	// road graph (roadnet.BuildCH, or LoadCH of an xardiscretize -ch
-	// artifact). Implies Router "ch" when Router is empty.
-	CH *roadnet.CH
-	// CHBudget bounds in-process CH preprocessing when Router is "ch"
-	// and no prebuilt CH is given; exceeding it falls back to ALT
-	// instead of failing engine construction. 0 → unbudgeted.
-	CHBudget time.Duration
 	// Observers are what watches the engine; the zero value watches
 	// nothing. Embedded, so cfg.Telemetry names cfg.Observers.Telemetry.
 	Observers
@@ -150,7 +137,7 @@ type Observers struct {
 	ShadowSampleRate int
 	// Memory, when non-nil, turns on live per-component memory
 	// accounting: the engine registers every memory-owning subsystem it
-	// builds or is given (road graph, ALT tables, CH, discretization,
+	// builds or is given (road graph, ALT tables, discretization,
 	// ride index, journal, quality collector) into the registry in
 	// attribution order — shared substrates first, so each component's
 	// bytes are non-overlapping — and exposes sweeps via MemSweep /
@@ -290,9 +277,8 @@ type Engine struct {
 	// nothing per candidate it examines or match it finds.
 	scratchPool sync.Pool
 
-	// router is the effective routing algorithm ("astar", "alt", "ch")
-	// after auto-selection and CH-budget fallback — the value stamped on
-	// spans and xar_route_queries_total.
+	// router is the effective routing algorithm ("astar" or "alt") —
+	// the value stamped on spans and xar_route_queries_total.
 	router string
 	// routeQueries counts shortest-path queries under the effective
 	// algo label. Nil without telemetry.
@@ -311,7 +297,6 @@ type Engine struct {
 const (
 	RouterAStar = "astar"
 	RouterALT   = "alt"
-	RouterCH    = "ch"
 )
 
 // pathFinder is the slice of the routing layer the engine needs; both
@@ -322,55 +307,26 @@ type pathFinder interface {
 
 // routing is what NewEngine builds for shortest paths.
 type routing struct {
-	router    string // the effective algorithm, after auto-selection and CH-budget fallback
+	router    string // the effective algorithm: cfg.Router, or "alt" when empty
 	newFinder func() pathFinder
 	alt       *roadnet.ALT // the ALT tables, retained for memory accounting; nil unless ALT
-	ch        *roadnet.CH  // what becomes Config.CH: the hierarchy given or built
 }
 
 // newRouting selects the router cfg asks for and builds its tables over g.
 func newRouting(g *roadnet.Graph, cfg Config) (routing, error) {
-	router := cfg.Router
-	if router == "" {
-		router = RouterALT
-		if cfg.CH != nil {
-			router = RouterCH
-		}
-	}
-	if router == RouterCH {
-		ch := cfg.CH
-		if ch == nil {
-			built, err := roadnet.BuildCH(g, roadnet.CHConfig{Budget: cfg.CHBudget})
-			switch {
-			case errors.Is(err, roadnet.ErrCHBudgetExceeded):
-				// The documented degradation path: serve with ALT now
-				// rather than not at all; Router() exposes the fallback.
-				slog.Warn("CH preprocessing budget exceeded; falling back to ALT", "err", err)
-				router = RouterALT
-			case err != nil:
-				return routing{}, err
-			default:
-				ch = built
-			}
-		}
-		cfg.CH = ch
-	}
-	rt := routing{router: router, ch: cfg.CH}
-	switch router {
+	rt := routing{router: cfg.Router}
+	switch rt.router {
 	case RouterAStar:
 		rt.newFinder = func() pathFinder { return roadnet.NewSearcher(g) }
-	case RouterALT:
+	case "", RouterALT:
 		alt, err := roadnet.NewALT(g, 0) // 0: roadnet's default landmark count (8)
 		if err != nil {
 			return routing{}, err
 		}
-		rt.alt = alt
+		rt.router, rt.alt = RouterALT, alt
 		rt.newFinder = func() pathFinder { return alt.NewSearcher() }
-	case RouterCH:
-		ch := cfg.CH
-		rt.newFinder = func() pathFinder { return ch.NewSearcher() }
 	default:
-		return routing{}, fmt.Errorf("xar: unknown Router %q (want astar, alt, or ch)", cfg.Router)
+		return routing{}, fmt.Errorf("xar: unknown Router %q (want astar or alt)", cfg.Router)
 	}
 	return rt, nil
 }
@@ -411,7 +367,6 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	if rtErr != nil {
 		return nil, rtErr
 	}
-	cfg.CH = rt.ch
 	e := &Engine{
 		cfg:       cfg,
 		disc:      disc,
@@ -454,9 +409,6 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 		cfg.Memory.Register("graph", g)
 		if rt.alt != nil {
 			cfg.Memory.Register("alt", rt.alt)
-		}
-		if cfg.CH != nil {
-			cfg.Memory.Register("ch", cfg.CH)
 		}
 		cfg.Memory.Register("discretization", disc)
 		cfg.Memory.Register("index", e.ix.View())
@@ -549,8 +501,7 @@ func (e *Engine) tracedShortestPath(ctx context.Context, f pathFinder, a, b road
 	return res
 }
 
-// Router returns the effective routing algorithm ("astar", "alt", or
-// "ch") after auto-selection and any CH-budget fallback.
+// Router returns the effective routing algorithm, "astar" or "alt".
 func (e *Engine) Router() string { return e.router }
 
 // finder checks a pathFinder out of the pool; release returns it. The

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
-
-	"xar/internal/memsize"
 )
 
 // This file implements contraction hierarchies (CH; Geisberger, Sanders,
@@ -78,10 +75,6 @@ type chArc struct {
 
 // CHConfig tunes preprocessing.
 type CHConfig struct {
-	// Budget bounds total preprocessing time; Build returns
-	// ErrCHBudgetExceeded when the deadline passes mid-contraction.
-	// Zero means no budget.
-	Budget time.Duration
 	// CoreSize is the number of highest-ranked nodes left uncontracted
 	// and covered by the exact distance table (0 → min(n, 2048)).
 	// Larger cores are empirically faster at every measured size —
@@ -90,10 +83,6 @@ type CHConfig struct {
 	// table grows quadratically (~50 MB at the 2048 cap).
 	CoreSize int
 }
-
-// ErrCHBudgetExceeded is returned by BuildCH when preprocessing ran out
-// of its time budget. Callers fall back to ALT.
-var ErrCHBudgetExceeded = fmt.Errorf("roadnet: CH preprocessing budget exceeded")
 
 const (
 	// witnessSettleLimit caps the nodes each witness search settles.
@@ -145,19 +134,6 @@ type CH struct {
 	coreOut [][]coreArc // arcs among core nodes, forward orientation
 	coreD   []float64
 	corePar []int32
-
-	shortcuts int
-	buildTime time.Duration
-}
-
-// MeasureMem implements memsize.Measurer. A built CH is immutable, so
-// the walk takes no locks; the CSR arrays and the core distance table
-// are counted from slice headers via the leaf-type fast path.
-func (c *CH) MeasureMem(a *memsize.Accumulator) {
-	if c == nil {
-		return
-	}
-	a.Add(c)
 }
 
 // chExp is one arc's path-expansion record.
@@ -178,27 +154,12 @@ type coreArc struct {
 	Up     bool
 }
 
-// Graph returns the road graph the hierarchy was built on.
-func (ch *CH) Graph() *Graph { return ch.g }
-
-// NumShortcuts returns the number of shortcut arcs in the hierarchy.
-func (ch *CH) NumShortcuts() int { return ch.shortcuts }
-
-// CoreSize returns the number of uncontracted nodes covered by the
-// distance table.
-func (ch *CH) CoreSize() int { return ch.coreK }
-
-// NumArcs returns the total arc count of the search graphs (original
-// deduplicated arcs plus shortcuts).
-func (ch *CH) NumArcs() int { return len(ch.upTo) + len(ch.downTo) }
-
 // setArcs flattens per-node arc lists into the struct-of-arrays CSR
 // layout, sorting each node's arcs by head, then resolves every
 // shortcut's constituent-arc indices and validates the arcs against
 // the graph: duplicate arcs, unresolvable constituents, or an original
 // arc whose weight is not the graph's edge length are all structural
-// corruption (BuildCH never produces them, so they only trip on
-// persisted input).
+// defects BuildCH must never produce.
 func (ch *CH) setArcs(up, down [][]chArc) error {
 	n := len(up)
 	ch.upOff = make([]int32, n+1)
@@ -302,9 +263,6 @@ func (ch *CH) arcIndex(off []int32, to []NodeID, v, head NodeID) int32 {
 	return noArc
 }
 
-// BuildTime returns how long preprocessing took.
-func (ch *CH) BuildTime() time.Duration { return ch.buildTime }
-
 // chBuilder carries the mutable state of preprocessing: the "core"
 // graph of not-yet-contracted nodes, which shrinks as nodes contract
 // and grows shortcut arcs.
@@ -333,11 +291,6 @@ func BuildCH(g *Graph, cfg CHConfig) (*CH, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("roadnet: CH over an empty graph")
-	}
-	start := time.Now()
-	var deadline time.Time
-	if cfg.Budget > 0 {
-		deadline = start.Add(cfg.Budget)
 	}
 	coreK := cfg.CoreSize
 	if coreK <= 0 {
@@ -382,10 +335,6 @@ func BuildCH(g *Graph, cfg CHConfig) (*CH, error) {
 			queue.push(pqItem{node: v, prio: p})
 			continue
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return nil, fmt.Errorf("%w (contracted %d/%d nodes in %v)",
-				ErrCHBudgetExceeded, order, n, time.Since(start).Round(time.Millisecond))
-		}
 		b.contract(v)
 		b.rank[v] = order
 		order++
@@ -409,9 +358,6 @@ func BuildCH(g *Graph, cfg CHConfig) (*CH, error) {
 	down := make([][]chArc, n)
 	for u := 0; u < n; u++ {
 		for _, a := range b.out[u] {
-			if a.Middle != noMiddle {
-				ch.shortcuts++
-			}
 			if b.rank[a.To] > b.rank[u] {
 				up[u] = append(up[u], a)
 			} else {
@@ -422,24 +368,13 @@ func BuildCH(g *Graph, cfg CHConfig) (*CH, error) {
 	if err := ch.setArcs(up, down); err != nil {
 		return nil, fmt.Errorf("roadnet: CH build produced inconsistent arcs: %w", err)
 	}
-	// The distance table (one Dijkstra per core node) is the dominant
-	// preprocessing cost when little or nothing gets contracted, so the
-	// budget covers it too.
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		return nil, fmt.Errorf("%w (contracted %d/%d nodes in %v)",
-			ErrCHBudgetExceeded, order, n, time.Since(start).Round(time.Millisecond))
-	}
 	ch.finalizeCore()
-	ch.buildTime = time.Since(start)
 	return ch, nil
 }
 
 // finalizeCore derives the core node set from ranks, collects the arcs
 // among core nodes, and fills the exact distance/predecessor table with
-// one Dijkstra per core node. Shared by BuildCH and LoadCH (the table
-// is recomputed on load rather than persisted: it is fully determined
-// by the arcs, and K Dijkstras over a few-hundred-node core are
-// milliseconds).
+// one Dijkstra per core node.
 func (ch *CH) finalizeCore() {
 	n := len(ch.rank)
 	coreFloor := int32(n - ch.coreK)
@@ -1148,8 +1083,8 @@ func sortByDist(entries []chEntry, labels []chLabel) {
 }
 
 // sortArcs orders an arc list by head for binary search; parallel arcs
-// (possible only in hand-crafted or persisted inputs, never from
-// BuildCH's deduplicating addArc) keep the minimum weight first so
+// (possible only in hand-crafted inputs, never from BuildCH's
+// deduplicating addArc) keep the minimum weight first so
 // lookups find the arc a Dijkstra would have used.
 func sortArcs(arcs []chArc) {
 	sort.Slice(arcs, func(i, j int) bool {

@@ -6,20 +6,11 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCHValidation(t *testing.T) {
 	if _, err := BuildCH(&Graph{}, CHConfig{}); err == nil {
 		t.Fatal("empty graph must be rejected")
-	}
-}
-
-func TestCHBudgetExceeded(t *testing.T) {
-	city := genTestCity(t, 20, 12, 3)
-	_, err := BuildCH(city.Graph, CHConfig{Budget: time.Nanosecond})
-	if !errors.Is(err, ErrCHBudgetExceeded) {
-		t.Fatalf("want ErrCHBudgetExceeded, got %v", err)
 	}
 }
 

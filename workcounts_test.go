@@ -1,17 +1,26 @@
 package xar
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"xar/internal/cluster"
 	"xar/internal/core"
 	"xar/internal/experiments"
+	"xar/internal/geo"
+	"xar/internal/journal"
 	"xar/internal/quality"
+	"xar/internal/server"
 	"xar/internal/sim"
+	"xar/internal/telemetry"
 	"xar/internal/workload"
 )
 
@@ -20,13 +29,23 @@ import (
 // the run, so a mean is exact only at a fixed count.
 const writeOps = 2000
 
+// serverOps is how many requests each server allocation count sends, a
+// multiple of traceSample: the tracer head-samples by sequence number,
+// so the sequence holds a whole number of sampling periods.
+const (
+	traceSample = 64 // xarserver's default -trace-sample
+	serverOps   = 32 * traceSample
+)
+
 // TestExactWorkCounts holds the engine's work to exact counts on the
 // benchmark world. None depends on the machine: a search allocates only
 // the slice it returns, create and book allocate a fixed handful each,
 // a replay's candidates per search and shortest paths per booking (≤ 4
 // by the paper's splice, §VIII-B) are counters of a deterministic run,
 // and so are the distances GREEDYSEARCH evaluates on the world's
-// landmarks. A change that moves one changes its constant here and says why.
+// landmarks. The server counts add the HTTP layer — codec, middleware
+// and the observers xarserver wires by default — on top of the engine's.
+// A change that moves one changes its constant here and says why.
 func TestExactWorkCounts(t *testing.T) {
 	w := world(t)
 
@@ -83,47 +102,185 @@ func TestExactWorkCounts(t *testing.T) {
 		}
 	})
 
-	replay := sync.OnceValues(func() (core.Metrics, error) { return replayMetrics(w) })
+	t.Run("server_search_allocs", func(t *testing.T) {
+		skipUnderRace(t)
+		pinRuntime(t)
+		_, h, requests := shippedServer(t, w)
+		var m mallocMeter
+		for i := 0; i < serverOps; i++ {
+			serve(t, &m, h, "/v1/search", searchBody(w, requests, i))
+		}
+		wantAllocs(t, m.mean(serverOps), 23)
+	})
+	t.Run("server_create_allocs", func(t *testing.T) {
+		skipUnderRace(t)
+		pinRuntime(t)
+		_, h, _ := shippedServer(t, w)
+		var m mallocMeter
+		for i := 0; i < serverOps; i++ {
+			trip := w.Trips[i%len(w.Trips)]
+			serve(t, &m, h, "/v1/rides", server.CreateRideRequest{
+				Source: pointJSON(trip.Pickup), Dest: pointJSON(trip.Dropoff),
+				Departure: trip.RequestTime, Seats: 4, DetourLimit: w.Scale.DetourLimit,
+			})
+		}
+		wantAllocs(t, m.mean(serverOps), 33)
+	})
+	t.Run("server_book_allocs", func(t *testing.T) {
+		skipUnderRace(t)
+		pinRuntime(t)
+		eng, h, requests := shippedServer(t, w)
+		var m mallocMeter
+		// bookLoop's protocol: a request with no match becomes a driver.
+		// Searches and creates go to the engine, outside the count.
+		for i, sent := 0, 0; sent < serverOps; i++ {
+			req := benchRequest(w, requests, i)
+			ms, _ := eng.SearchK(core.Request{
+				Source: req.Source, Dest: req.Dest,
+				EarliestDeparture: req.Earliest, LatestDeparture: req.Latest, WalkLimit: req.WalkLimit,
+			}, 1)
+			if len(ms) == 0 {
+				_, _ = eng.CreateRide(core.RideOffer{
+					Source: req.Source, Dest: req.Dest,
+					Departure: req.Earliest + (req.Latest-req.Earliest)/2,
+					Seats:     4, DetourLimit: w.Scale.DetourLimit,
+				})
+				continue
+			}
+			serve(t, &m, h, "/v1/bookings", server.BookRequest{
+				Match: server.MatchJSON{
+					RideID: int64(ms[0].Ride), PickupCluster: ms[0].PickupCluster, DropoffCluster: ms[0].DropoffCluster,
+				},
+				Request: searchBody(w, requests, i),
+			})
+			sent++
+		}
+		wantAllocs(t, m.mean(serverOps), 42)
+	})
+
+	replay := sync.OnceValues(func() (replayCounts, error) { return replayMetrics(w) })
 	t.Run("replay_candidates_per_search", func(t *testing.T) {
-		m, err := replay()
+		rc, err := replay()
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := rc.engine
 		// 53.99 if full rides get back into the posting lists.
 		wantRounded(t, float64(m.CandidatesExamined)/float64(m.Searches), 3.929)
 	})
 	t.Run("replay_paths_per_book", func(t *testing.T) {
-		m, err := replay()
+		rc, err := replay()
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := rc.engine
 		// 3.485 if a splice searches a leg the old route already holds.
 		wantRounded(t, float64(m.ShortestPaths-m.RidesCreated)/float64(m.Bookings), 2.821)
 	})
+	t.Run("replay_refused_per_book", func(t *testing.T) {
+		rc, err := replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A refusal is a match the search offered that Book then turned
+		// down. The replay has no other writer, so every one is the
+		// cluster approximation offering what the exact splice refuses.
+		if rc.refused != 16 || rc.engine.Bookings != 1494 {
+			t.Errorf("%d refused per %d confirmed bookings, want 16 per 1 494 (0.011)", rc.refused, rc.engine.Bookings)
+		}
+	})
+}
+
+// shippedServer is xarserver's request path over an engine seeded with
+// the world's offers. It wires the observers xarserver runs by default
+// on a request: telemetry, the 1-in-64 tracer, the journal and the
+// quality funnel. The shadow matcher, memory sweeps, the flight recorder
+// and the auditor work off the request path, and the slow-op log and
+// the access log write nothing here, so none is wired.
+func shippedServer(t *testing.T, w *experiments.World) (*core.Engine, http.Handler, []workload.Trip) {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{
+		SampleRate:    traceSample,
+		SlowThreshold: 50 * time.Millisecond, // xarserver's default -trace-slow-ms
+	})
+	jr := journal.New(journal.Config{Registry: reg})
+	qc := quality.New(reg)
+	cfg := core.DefaultConfig()
+	cfg.DefaultDetourLimit = w.Scale.DetourLimit
+	cfg.Telemetry, cfg.Tracer, cfg.Journal, cfg.Quality = reg, tracer, jr, qc
+	eng, err := core.NewEngine(w.Disc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	offers, requests := w.SplitOffersRequests()
+	offerAll(&sim.XARSystem{Engine: eng}, w, offers)
+	srv := server.New(eng, core.NewSocialGraph(), server.WithTelemetry(reg),
+		server.WithTracer(tracer), server.WithJournal(jr), server.WithQuality(qc))
+	return eng, srv.Handler(), requests
+}
+
+// serve POSTs body to path through h with m running only across the
+// handler: the request and its recorder are built, and the reply
+// checked, with m stopped. Any status below 500 is an answer.
+func serve(t *testing.T, m *mallocMeter, h http.Handler, path string, body any) {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw))
+	rec := httptest.NewRecorder()
+	m.StartTimer()
+	h.ServeHTTP(rec, r)
+	m.StopTimer()
+	if rec.Code >= 500 {
+		t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+	}
+}
+
+func searchBody(w *experiments.World, requests []workload.Trip, i int) server.SearchRequest {
+	req := benchRequest(w, requests, i)
+	return server.SearchRequest{
+		Source: pointJSON(req.Source), Dest: pointJSON(req.Dest),
+		Earliest: req.Earliest, Latest: req.Latest, WalkLimit: req.WalkLimit,
+	}
+}
+
+func pointJSON(p geo.Point) server.PointJSON { return server.PointJSON{Lat: p.Lat, Lng: p.Lng} }
+
+// replayCounts is what replayMetrics reads off a replay: the engine's
+// counters and the bookings the replay had refused.
+type replayCounts struct {
+	engine  core.Metrics
+	refused int
 }
 
 // replayMetrics runs a fixed 2 000-trip replay in the paper's protocol
 // (track, search, book the best match or else offer a ride) on the
 // default engine with the quality funnel on, which counts the candidates
-// a search examines, and returns the engine's counters.
-func replayMetrics(w *experiments.World) (core.Metrics, error) {
+// a search examines, and returns the engine's counters with the
+// replay's refused bookings.
+func replayMetrics(w *experiments.World) (replayCounts, error) {
 	wcfg := workload.DefaultConfig(2000, w.Scale.Seed+3)
 	wcfg.StartHour, wcfg.EndHour = 8, 10
 	trips, err := workload.Generate(w.City, wcfg)
 	if err != nil {
-		return core.Metrics{}, err
+		return replayCounts{}, err
 	}
 	cfg := core.DefaultConfig()
 	cfg.Quality = quality.New(nil)
 	eng, err := core.NewEngine(w.Disc, cfg)
 	if err != nil {
-		return core.Metrics{}, err
+		return replayCounts{}, err
 	}
 	defer eng.Close()
-	if _, err := sim.Run(&sim.XARSystem{Engine: eng}, trips, sim.DefaultConfig()); err != nil {
-		return core.Metrics{}, err
+	res, err := sim.Run(&sim.XARSystem{Engine: eng}, trips, sim.DefaultConfig())
+	if err != nil {
+		return replayCounts{}, err
 	}
-	return eng.Metrics(), nil
+	return replayCounts{engine: eng.Metrics(), refused: res.FailedBooks}, nil
 }
 
 func skipUnderRace(t *testing.T) {
