@@ -22,7 +22,6 @@ import (
 	"xar/internal/core"
 	"xar/internal/experiments"
 	"xar/internal/journal"
-	"xar/internal/memsize"
 	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
@@ -474,10 +473,10 @@ var observerArms = []observerArm{
 	{name: "quality_shadow", baseline: "quality", budget: 3.5, configure: func(cfg *core.Config) {
 		cfg.Quality, cfg.ShadowSampleRate = quality.New(nil), 8
 	}},
-	{name: "memsize", baseline: "telemetry", budget: 1.05, configure: func(cfg *core.Config) {
-		cfg.Memory = memsize.NewRegistry()
-		cfg.MemSweepInterval = time.Millisecond
-	}},
+	{name: "memsize", baseline: "telemetry", budget: 1.05,
+		attach: func(_ *experiments.World, _ core.Config, eng *core.Engine) func() {
+			return startMemSweeper(eng)
+		}},
 	{name: "profiling", baseline: "telemetry", budget: 1.05,
 		attach: func(_ *experiments.World, cfg core.Config, _ *core.Engine) func() {
 			return startProfiler(cfg.Telemetry).Close
@@ -491,6 +490,19 @@ func withTracer(rate int) func(*core.Config) {
 }
 
 func withJournal(cfg *core.Config) { cfg.Journal = journal.New(journal.Config{}) }
+
+// startMemSweeper sweeps eng's memory components at the arms' 1 ms
+// cadence, duty-cycled as xarserver's sweeper is, until the returned
+// stop is called.
+func startMemSweeper(eng *core.Engine) (stop func()) {
+	var w telemetry.Worker
+	w.Start(time.Millisecond, func() time.Duration {
+		start := time.Now()
+		eng.MemSweep()
+		return telemetry.Throttle(time.Millisecond, time.Since(start))
+	})
+	return w.Stop
+}
 
 // startProfiler starts a continuous profiler recording into reg at the
 // arms' 1 ms cadence; the caller closes it.
@@ -615,7 +627,6 @@ func TestObserverOverheadSmoke(t *testing.T) {
 	w := benchWorld
 	ecfg := core.DefaultConfig()
 	ecfg.DefaultDetourLimit = w.Scale.DetourLimit
-	ecfg.Memory = memsize.NewRegistry()
 	ecfg.Journal = journal.New(journal.Config{})
 	eng, err := core.NewEngine(w.Disc, ecfg)
 	if err != nil {
@@ -625,9 +636,6 @@ func TestObserverOverheadSmoke(t *testing.T) {
 	offerAll(&sim.XARSystem{Engine: eng}, w, w.Trips)
 	runtime.GC()
 	rep := eng.MemSweep()
-	if rep == nil {
-		t.Fatal("MemSweep returned nil")
-	}
 	ratio := rep.Heap.TrackedCoverageRatio
 	t.Logf("coverage: %d components, tracked %.1f MB, heap alloc %.1f MB (ratio %.2f)",
 		len(rep.Components), float64(rep.TrackedTotalBytes)/(1<<20),

@@ -37,7 +37,6 @@ import (
 	"xar/internal/core"
 	"xar/internal/experiments"
 	"xar/internal/load"
-	"xar/internal/memsize"
 	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/server"
@@ -145,11 +144,6 @@ func main() {
 			world.Quality = quality.New(reg)
 			world.ShadowSampleRate = *shadowSample
 		}
-		// Component accounting: each rate step's Observe hook runs a
-		// synchronous sweep, so BENCH_scale.json records which subsystem
-		// owns the bytes, not just the process totals. No background
-		// worker — the sweep runs between steps, never during one.
-		world.Memory = memsize.NewRegistry()
 		if *profileF {
 			// Capture-on-demand profiler: one capture per rate step (in
 			// the Observe hook, between steps) attributes the step's
@@ -231,6 +225,8 @@ func main() {
 			}
 		}
 		if eng != nil {
+			// A synchronous sweep between steps, never during one, so
+			// BENCH_scale.json records which subsystem owns the bytes.
 			step.Memory = load.MeasureEngine(eng)
 		}
 	}

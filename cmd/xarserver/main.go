@@ -28,8 +28,8 @@
 //	-audit-interval 30s    background invariant-audit sweep cadence (0 disables)
 //	-quality               collect the match-quality funnel and gap histograms (/v1/quality)
 //	-shadow-sample 8       shadow-match 1-in-N no-match requests and bookings (0 disables; needs -quality)
-//	-mem-sweep 30s         per-component memory accounting sweep cadence (/v1/memory,
-//	                       xar_memsize_bytes{component}, xar_rides_per_gb; 0 disables)
+//	-mem-sweep 30s         memory-accounting sweep cadence (xar_memsize_bytes{component},
+//	                       xar_rides_per_gb; 0: no sweeps until /v1/memory asks for one)
 //	-profile-interval 60s  continuous-profiling capture cadence (/v1/profiles,
 //	                       /v1/profiles/diff, xar_profile_* metrics; 0 disables)
 //
@@ -58,7 +58,6 @@ import (
 	"xar/internal/discretize"
 	"xar/internal/experiments"
 	"xar/internal/journal"
-	"xar/internal/memsize"
 	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
@@ -90,7 +89,7 @@ func main() {
 	auditInterval := flag.Duration("audit-interval", 30*time.Second, "background invariant-audit sweep cadence (0 disables the auditor)")
 	enableQuality := flag.Bool("quality", true, "collect the match-quality funnel and approximation-gap histograms; serves /v1/quality")
 	shadowSample := flag.Int("shadow-sample", 8, "shadow-match 1-in-N no-match requests and bookings off the request path (0 disables; needs -quality)")
-	memSweep := flag.Duration("mem-sweep", core.DefaultMemSweepInterval, "per-component memory accounting sweep cadence; serves /v1/memory and the xar_memsize/xar_rides_per_gb gauges (0 disables)")
+	memSweep := flag.Duration("mem-sweep", 30*time.Second, "memory-accounting sweep cadence for the xar_memsize/xar_rides_per_gb gauges; the first sweep runs at startup (0: none at startup or after; /v1/memory still sweeps on demand)")
 	profileInterval := flag.Duration("profile-interval", profile.DefaultInterval, "continuous-profiling capture cadence; serves /v1/profiles and the xar_profile_* metrics (0 disables)")
 	flag.Parse()
 
@@ -138,10 +137,6 @@ func main() {
 		ecfg.ShadowSampleRate = *shadowSample
 	} else if *shadowSample > 0 {
 		log.Printf("the shadow matcher needs -quality; running without it")
-	}
-	if *memSweep > 0 {
-		ecfg.Memory = memsize.NewRegistry()
-		ecfg.MemSweepInterval = *memSweep
 	}
 	eng, err := core.NewEngine(disc, ecfg)
 	if err != nil {
@@ -221,10 +216,20 @@ func main() {
 		log.Printf("SLOs need the flight recorder; start with -history-interval > 0 to enable them")
 	}
 	srv := server.New(eng, core.NewSocialGraph(), opts...)
-	// server.New seeded the first accounting sweep (it registers the
-	// profiler, trace store and recorder as components first), so the
-	// startup summary reflects the complete component set.
-	experiments.WriteMemory(log.Writer(), eng.LastMemReport())
+	if *memSweep > 0 {
+		// server.New registered the profiler, trace store and recorder as
+		// components, so the startup summary covers the complete set.
+		experiments.WriteMemory(log.Writer(), eng.MemSweep())
+		// The sweeper duty-cycles itself: after a sweep that took d it
+		// waits at least 99×d, however large the fleet grows.
+		var sweeper telemetry.Worker
+		sweeper.Start(*memSweep, func() time.Duration {
+			start := time.Now()
+			eng.MemSweep()
+			return telemetry.Throttle(*memSweep, time.Since(start))
+		})
+		defer sweeper.Stop()
+	}
 
 	// SIGQUIT writes a one-shot diagnostic bundle instead of Go's default
 	// stack-dump-and-exit — the flight recorder's goroutine dump is in the

@@ -17,7 +17,6 @@ import (
 	"xar/internal/audit"
 	"xar/internal/experiments"
 	"xar/internal/journal"
-	"xar/internal/memsize"
 	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/sim"
@@ -46,7 +45,6 @@ func main() {
 	auditInterval := flag.Float64("audit-interval", 300, "simulated seconds between -audit sweeps during the replay")
 	qualityFlag := flag.Bool("quality", false, "collect the XAR replay's match-quality funnel (and shadow counterfactuals at -shadow-sample) and print the summary after the run")
 	shadowSample := flag.Int("shadow-sample", 8, "with -quality, shadow-match 1-in-N no-match requests and bookings (0 disables the shadow matcher)")
-	memFlag := flag.Bool("mem", true, "account per-component memory on the XAR engine and print the breakdown + rides/GB after the replay (sweeps run on demand only, never during the replay)")
 	profileFlag := flag.Bool("profile", true, "profile the XAR replay (allocation and contention deltas bracketing the run) and print the top-5 symbols per kind after it")
 	flag.Parse()
 
@@ -109,9 +107,6 @@ func main() {
 		if *qualityFlag {
 			w.Quality = quality.New(nil)
 			w.ShadowSampleRate = *shadowSample
-		}
-		if *memFlag {
-			w.Memory = memsize.NewRegistry()
 		}
 		eng, err := w.NewXAREngine()
 		if err != nil {

@@ -23,7 +23,6 @@ import (
 	"xar/internal/geo"
 	"xar/internal/index"
 	"xar/internal/journal"
-	"xar/internal/memsize"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
 	"xar/internal/telemetry"
@@ -75,8 +74,10 @@ type Config struct {
 }
 
 // Observers are the engine's optional instruments and the rates and
-// cadences beside them. The continuous profiler is not among them: it
-// watches the process, not the engine, and the server takes it
+// thresholds beside them. Memory accounting is not among them: every
+// engine keeps its component registry (MemComponents) and sweeps when
+// asked (MemSweep). Nor is the continuous profiler: it watches the
+// process, not the engine, and the server takes it
 // (server.WithProfiler).
 type Observers struct {
 	// Telemetry, when non-nil, records per-operation latency histograms
@@ -135,23 +136,6 @@ type Observers struct {
 	// eligible request (tests). Requires Quality; counterfactual
 	// searches never touch metrics, traces, the journal, or the funnel.
 	ShadowSampleRate int
-	// Memory, when non-nil, turns on live per-component memory
-	// accounting: the engine registers every memory-owning subsystem it
-	// builds or is given (road graph, ALT tables, discretization,
-	// ride index, journal, quality collector) into the registry in
-	// attribution order — shared substrates first, so each component's
-	// bytes are non-overlapping — and exposes sweeps via MemSweep /
-	// LastMemReport. With Telemetry also set, every sweep publishes
-	// xar_memsize_bytes{component}, xar_memsize_total_bytes, and the
-	// xar_rides_per_gb frontier gauge, all of which the flight recorder
-	// picks up like any other series. See OBSERVABILITY.md "Memory".
-	Memory *memsize.Registry
-	// MemSweepInterval starts a background sweep worker on that cadence
-	// (requires Memory). The worker duty-cycles itself — it sleeps at
-	// least 99× the last sweep's duration — so accounting stays within a
-	// ≤1%-of-one-core budget no matter how large the fleet grows. 0
-	// leaves sweeping on-demand only (MemSweep / the HTTP handler).
-	MemSweepInterval time.Duration
 }
 
 // destWindowSlack (seconds) widens the destination-side time window: the
@@ -289,7 +273,7 @@ type Engine struct {
 	jr      *journal.Journal   // nil → no event journaling
 	quality *quality.Collector // nil → no funnel/approximation accounting
 	shadow  *shadowMatcher     // nil → no counterfactual re-matching
-	mem     *memoryMonitor     // nil → no memory accounting
+	mem     memoryMonitor      // the component registry and its last sweep
 }
 
 // Router values for Config.Router, and the strings Engine.Router()
@@ -400,62 +384,24 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 			cfg.Quality.SetShadowEnabled(true)
 		}
 	}
-	if cfg.Memory != nil {
-		// Attribution order matters: shared substrates first (the graph
-		// is reachable from the ALT tables, the discretization, and the
-		// index; the discretization from the index), so each component
-		// reports only the bytes it uniquely owns and the shares sum
-		// cleanly.
-		cfg.Memory.Register("graph", g)
-		if rt.alt != nil {
-			cfg.Memory.Register("alt", rt.alt)
-		}
-		cfg.Memory.Register("discretization", disc)
-		cfg.Memory.Register("index", e.ix.View())
-		if cfg.Journal != nil {
-			cfg.Memory.Register("journal", cfg.Journal)
-		}
-		if cfg.Quality != nil {
-			cfg.Memory.Register("quality", cfg.Quality)
-		}
-		e.mem = newMemoryMonitor(cfg.Memory, cfg.Telemetry, e.NumRides, cfg.MemSweepInterval)
-		if cfg.MemSweepInterval > 0 {
-			e.mem.start()
-		}
+	// Attribution order matters: shared substrates first (the graph is
+	// reachable from the ALT tables, the discretization, and the index;
+	// the discretization from the index), so each component reports only
+	// the bytes it uniquely owns and the shares sum cleanly.
+	mr := &e.mem.comps
+	mr.Register("graph", g)
+	if rt.alt != nil {
+		mr.Register("alt", rt.alt)
+	}
+	mr.Register("discretization", disc)
+	mr.Register("index", e.ix.View())
+	if cfg.Journal != nil {
+		mr.Register("journal", cfg.Journal)
+	}
+	if cfg.Quality != nil {
+		mr.Register("quality", cfg.Quality)
 	}
 	return e, nil
-}
-
-// MemComponents returns the engine's memory-accounting registry (nil
-// when Config.Memory was not set). The server uses it to register its
-// own components (trace store, flight recorder) alongside the engine's.
-func (e *Engine) MemComponents() *memsize.Registry {
-	if e.mem == nil {
-		return nil
-	}
-	return e.mem.comps
-}
-
-// MemSweep runs one synchronous memory sweep — component walk, heap
-// profile, gauge publication — and returns the report. Nil when memory
-// accounting is off. Sweeps serialize with the background worker; the
-// walk takes per-component locks one component at a time and is safe
-// while the engine serves traffic.
-func (e *Engine) MemSweep() *MemoryReport {
-	if e.mem == nil {
-		return nil
-	}
-	return e.mem.sweepNow()
-}
-
-// LastMemReport returns the most recent sweep's report without
-// triggering a new sweep (nil when accounting is off or no sweep has
-// completed yet).
-func (e *Engine) LastMemReport() *MemoryReport {
-	if e.mem == nil {
-		return nil
-	}
-	return e.mem.lastReport()
 }
 
 // Quality returns the engine's match-quality collector (nil when
@@ -463,16 +409,12 @@ func (e *Engine) LastMemReport() *MemoryReport {
 func (e *Engine) Quality() *quality.Collector { return e.quality }
 
 // Close stops the engine's background work — the shadow counterfactual
-// matcher's worker (after draining its queue) and the memory-accounting
-// sweep worker. The engine itself stays fully usable (searches,
-// bookings); only the background loops end. Safe to call more than
-// once, and a no-op when neither was configured.
+// matcher's worker, after draining its queue. The engine itself stays
+// fully usable (searches, bookings); only the background loop ends.
+// Safe to call more than once, and a no-op without the shadow matcher.
 func (e *Engine) Close() {
 	if e.shadow != nil {
 		e.shadow.close()
-	}
-	if e.mem != nil {
-		e.mem.worker.Stop()
 	}
 }
 
@@ -631,8 +573,6 @@ func (e *Engine) ConfigSummary() map[string]any {
 		"slow_op_threshold_ms":   float64(e.cfg.SlowOpThreshold) / float64(time.Millisecond),
 		"quality":                e.quality != nil,
 		"shadow_sample_rate":     e.cfg.ShadowSampleRate,
-		"memory_accounting":      e.mem != nil,
-		"mem_sweep_interval_s":   e.cfg.MemSweepInterval.Seconds(),
 		"epsilon_m":              e.disc.Epsilon(),
 		"num_clusters":           e.disc.NumClusters(),
 		"num_landmarks":          len(e.disc.Landmarks),

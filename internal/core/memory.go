@@ -3,25 +3,19 @@ package core
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"xar/internal/memsize"
 	"xar/internal/telemetry"
 )
 
-// Memory observability: the engine owns a memsize component registry
-// (Config.Memory) into which every memory-owning subsystem registers at
-// construction, and a budgeted background sweeper that periodically
-// walks the registered components, publishes xar_memsize_bytes gauges
-// plus the live rides-per-GB frontier, and attributes heap allocations
-// to code sites via the runtime's sampled heap profile. Everything runs
-// off the request path: a sweep takes per-component locks one component
-// at a time, and the worker duty-cycles itself (telemetry.Throttle) so
-// sweeping stays near 1% of one core regardless of fleet size.
-
-// DefaultMemSweepInterval is the background sweep cadence used by
-// callers that enable the sweeper without choosing an interval.
-const DefaultMemSweepInterval = 30 * time.Second
+// Memory observability: every engine owns a memsize component registry
+// into which each memory-owning subsystem registers at construction.
+// A sweep walks the registered components, publishes xar_memsize_bytes
+// gauges plus the live rides-per-GB frontier, and keeps the report.
+// Sweeps run off the request path and only when asked for (MemSweep);
+// a caller that wants a cadence — xarserver — runs its own worker.
+// Which code allocated the heap is the continuous profiler's question
+// (internal/profile's heap_inuse and heap_alloc folds), not this one's.
 
 // HeapStats is the runtime.MemStats slice the memory report carries:
 // enough to judge GC pressure and compare the tracked component total
@@ -56,16 +50,12 @@ type MemorySweepInfo struct {
 	Count uint64 `json:"count"`
 	// DurationSeconds is the component walk's cost for this sweep.
 	DurationSeconds float64 `json:"duration_seconds"`
-	// IntervalSeconds is the configured background cadence (0 when the
-	// sweeper runs on demand only).
-	IntervalSeconds float64 `json:"interval_seconds"`
 }
 
 // MemoryReport is one full memory observation: the per-component
-// retained-byte breakdown, the rides-per-GB frontier point, runtime
-// heap/GC statistics, and the top allocation sites. Served at
-// GET /v1/memory, embedded in debug bundles as memory.json, and
-// summarized by the cmd tools.
+// retained-byte breakdown, the rides-per-GB frontier point and runtime
+// heap/GC statistics. Served at GET /v1/memory, embedded in debug
+// bundles as memory.json, and summarized by the cmd tools.
 type MemoryReport struct {
 	Unix        float64 `json:"unix"`
 	ActiveRides int     `json:"active_rides"`
@@ -88,92 +78,68 @@ type MemoryReport struct {
 	RidesPerGB float64 `json:"rides_per_gb"`
 
 	Heap HeapStats `json:"heap"`
-
-	// AllocSites are the top-K allocation sites by live bytes, with
-	// allocation churn deltas since the previous sweep; Subsystems
-	// aggregates the full profile by package path.
-	AllocSites []memsize.Site           `json:"alloc_sites,omitempty"`
-	Subsystems []memsize.SubsystemAlloc `json:"alloc_subsystems,omitempty"`
 }
 
-// memoryMonitor owns the component registry, the allocation-site
-// profiler, the published gauges, and the optional background worker.
+// memoryMonitor is the engine's component registry and its last sweep.
 type memoryMonitor struct {
-	comps    *memsize.Registry
-	sites    *memsize.SiteProfiler
-	rides    func() int
-	interval time.Duration // 0 → no background worker
-
-	// Instruments; all nil when the engine has no telemetry registry.
-	byComponent map[string]*telemetry.Gauge
-	telreg      *telemetry.Registry
-	total       *telemetry.Gauge
-	ridesPerGB  *telemetry.Gauge
-	sweeps      *telemetry.Counter
-	sweepDur    *telemetry.Histogram
-
-	mu         sync.Mutex // serializes sweeps, guards last/sweepCount
-	last       *MemoryReport
-	sweepCount uint64
-
-	worker telemetry.Worker
+	comps memsize.Registry
+	mu    sync.Mutex // serializes sweeps, guards last
+	last  *MemoryReport
 }
 
-func newMemoryMonitor(comps *memsize.Registry, telreg *telemetry.Registry, rides func() int, interval time.Duration) *memoryMonitor {
-	m := &memoryMonitor{
-		comps:    comps,
-		sites:    &memsize.SiteProfiler{},
-		rides:    rides,
-		interval: interval,
-	}
-	if telreg != nil {
-		m.telreg = telreg
-		m.byComponent = make(map[string]*telemetry.Gauge)
-		m.total = telreg.Gauge("xar_memsize_total_bytes",
-			"Total retained bytes across all tracked components, from the last memory sweep.", nil)
-		m.ridesPerGB = telreg.Gauge("xar_rides_per_gb",
-			"Active rides per GB of ride-index memory (the capacity frontier), from the last memory sweep.", nil)
-		m.sweeps = telreg.Counter("xar_memsize_sweeps_total",
-			"Completed memory-accounting sweeps.", nil)
-		m.sweepDur = telreg.Histogram("xar_memsize_sweep_duration_seconds",
-			"Duration of one memory-accounting sweep (component walk).",
-			telemetry.DurationBuckets(), nil)
-	}
-	return m
-}
+// MemComponents returns the engine's memory-accounting registry. The
+// server registers its own components (profiler rings, trace store,
+// flight recorder) there, after the engine's.
+func (e *Engine) MemComponents() *memsize.Registry { return &e.mem.comps }
 
-// sweepNow runs one full sweep: component walk, heap-profile read,
-// MemStats snapshot, gauge publication. Sweeps serialize on m.mu, so a
-// manual sweep and the background worker never duplicate work
-// concurrently.
-func (m *memoryMonitor) sweepNow() *MemoryReport {
+// MemSweep runs one synchronous memory sweep — component walk, MemStats
+// snapshot, gauge publication — and returns the report. Sweeps
+// serialize; the walk takes per-component locks one component at a time
+// and is safe while the engine serves traffic. The xar_memsize_* and
+// xar_rides_per_gb instruments register at the first sweep.
+func (e *Engine) MemSweep() *MemoryReport {
+	m := &e.mem
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return e.sweepLocked()
+}
 
-	// Heap snapshot first: the component walk and the profile read
-	// allocate transient scratch (the walker's seen set, the profile
-	// record buffer) that would otherwise inflate HeapAlloc and skew the
-	// coverage ratio against the very structures being measured.
+// LastMemReport returns the most recent sweep's report, sweeping first
+// when none has run yet.
+func (e *Engine) LastMemReport() *MemoryReport {
+	m := &e.mem
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.last == nil {
+		return e.sweepLocked()
+	}
+	return m.last
+}
+
+func (e *Engine) sweepLocked() *MemoryReport {
+	m := &e.mem
+	// Heap snapshot first: the component walk allocates transient
+	// scratch (the walker's seen set) that would otherwise inflate
+	// HeapAlloc and skew the coverage ratio against the very structures
+	// being measured.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	sw := m.comps.Sweep()
-	sites, subs := m.sites.Profile()
-	rides := m.rides()
+	rides := e.NumRides()
 
 	indexBytes := sw.Component("index")
 	rpg := 0.0
 	if indexBytes > 0 {
 		rpg = float64(rides) / (float64(indexBytes) / (1 << 30))
 	}
-	m.sweepCount++
+	var count uint64 = 1
+	if m.last != nil {
+		count = m.last.Sweep.Count + 1
+	}
 	rep := &MemoryReport{
-		Unix:        sw.Unix,
-		ActiveRides: rides,
-		Sweep: MemorySweepInfo{
-			Count:           m.sweepCount,
-			DurationSeconds: sw.DurationSeconds,
-			IntervalSeconds: m.interval.Seconds(),
-		},
+		Unix:              sw.Unix,
+		ActiveRides:       rides,
+		Sweep:             MemorySweepInfo{Count: count, DurationSeconds: sw.DurationSeconds},
 		Components:        sw.Components,
 		TrackedTotalBytes: sw.TotalBytes,
 		IndexBytes:        indexBytes,
@@ -188,8 +154,6 @@ func (m *memoryMonitor) sweepNow() *MemoryReport {
 			NumGC:           ms.NumGC,
 			GCCPUFraction:   ms.GCCPUFraction,
 		},
-		AllocSites: sites,
-		Subsystems: subs,
 	}
 	if ms.LastGC > 0 {
 		rep.Heap.LastGCUnix = float64(ms.LastGC) / 1e9
@@ -198,41 +162,24 @@ func (m *memoryMonitor) sweepNow() *MemoryReport {
 		rep.Heap.TrackedCoverageRatio = float64(sw.TotalBytes) / float64(ms.HeapAlloc)
 	}
 
-	if m.telreg != nil {
+	if reg := e.cfg.Telemetry; reg != nil {
+		// The registry returns the live instrument on every later call.
 		for _, c := range sw.Components {
-			g := m.byComponent[c.Name]
-			if g == nil {
-				g = m.telreg.Gauge("xar_memsize_bytes",
-					"Retained bytes of one tracked component, from the last memory sweep.",
-					telemetry.L("component", c.Name))
-				m.byComponent[c.Name] = g
-			}
-			g.Set(float64(c.Bytes))
+			reg.Gauge("xar_memsize_bytes",
+				"Retained bytes of one tracked component, from the last memory sweep.",
+				telemetry.L("component", c.Name)).Set(float64(c.Bytes))
 		}
-		m.total.Set(float64(sw.TotalBytes))
-		m.ridesPerGB.Set(rpg)
-		m.sweeps.Inc()
-		m.sweepDur.Observe(sw.DurationSeconds)
+		reg.Gauge("xar_memsize_total_bytes",
+			"Total retained bytes across all tracked components, from the last memory sweep.", nil).
+			Set(float64(sw.TotalBytes))
+		reg.Gauge("xar_rides_per_gb",
+			"Active rides per GB of ride-index memory (the capacity frontier), from the last memory sweep.", nil).
+			Set(rpg)
+		reg.Counter("xar_memsize_sweeps_total", "Completed memory-accounting sweeps.", nil).Inc()
+		reg.Histogram("xar_memsize_sweep_duration_seconds",
+			"Duration of one memory-accounting sweep (component walk).",
+			telemetry.DurationBuckets(), nil).Observe(sw.DurationSeconds)
 	}
 	m.last = rep
 	return rep
-}
-
-// lastReport returns the most recent sweep's report (nil before any).
-func (m *memoryMonitor) lastReport() *MemoryReport {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last
-}
-
-// start launches the background sweep worker, duty-cycled against the
-// sweep's own cost: the reflection walk's direct CPU is only part of it
-// (the walk also leaves transient garbage the GC must chase), and the
-// search hot path's ≤5% overhead budget has to absorb both.
-func (m *memoryMonitor) start() {
-	m.worker.Start(m.interval, func() time.Duration {
-		start := time.Now()
-		m.sweepNow()
-		return telemetry.Throttle(m.interval, time.Since(start))
-	})
 }

@@ -14,10 +14,9 @@ import (
 	"xar/internal/telemetry"
 )
 
-// newMemEngine builds an engine with full memory accounting (registry,
-// journal, quality, telemetry) and the background sweeper at interval
-// (0 = on-demand sweeps only).
-func newMemEngine(t testing.TB, interval time.Duration) *Engine {
+// newMemEngine builds an engine with every memory-owning component
+// (journal, quality) and telemetry, so sweeps publish their gauges.
+func newMemEngine(t testing.TB) *Engine {
 	t.Helper()
 	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
 	if err != nil {
@@ -28,8 +27,6 @@ func newMemEngine(t testing.TB, interval time.Duration) *Engine {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Memory = memsize.NewRegistry()
-	cfg.MemSweepInterval = interval
 	cfg.Telemetry = telemetry.NewRegistry()
 	cfg.Journal = journal.New(journal.Config{Registry: cfg.Telemetry})
 	cfg.Quality = quality.New(cfg.Telemetry)
@@ -58,14 +55,11 @@ func fillRides(t testing.TB, e *Engine, n int) {
 // engine-registered component with non-zero shares, a rides-per-GB point
 // derived from the index share, and sane heap/sweep metadata.
 func TestMemoryReportComponents(t *testing.T) {
-	e := newMemEngine(t, 0)
+	e := newMemEngine(t)
 	defer e.Close()
 	fillRides(t, e, 40)
 
 	rep := e.MemSweep()
-	if rep == nil {
-		t.Fatal("MemSweep returned nil with accounting enabled")
-	}
 	want := []string{"graph", "discretization", "index", "journal", "quality"}
 	for _, name := range want {
 		var found *memsize.ComponentBytes
@@ -115,7 +109,7 @@ func TestMemoryReportComponents(t *testing.T) {
 	if rep.Sweep.Count == 0 {
 		t.Fatal("sweep count not incremented")
 	}
-	if got := e.LastMemReport(); got == nil || got.Sweep.Count < rep.Sweep.Count {
+	if got := e.LastMemReport(); got != rep {
 		t.Fatal("LastMemReport did not return the latest sweep")
 	}
 }
@@ -125,7 +119,7 @@ func TestMemoryReportComponents(t *testing.T) {
 // bytes grow proportionally (the journal component must grow too, until
 // its rings saturate).
 func TestMemoryAccountingTracksGrowth(t *testing.T) {
-	e := newMemEngine(t, 0)
+	e := newMemEngine(t)
 	defer e.Close()
 
 	base := e.MemSweep()
@@ -169,7 +163,7 @@ func TestMemoryAccountingTracksGrowth(t *testing.T) {
 // the total, the frontier gauge and the sweep counter into the engine's
 // telemetry registry (the same series /v1/metrics/history snapshots).
 func TestMemoryGaugesPublished(t *testing.T) {
-	e := newMemEngine(t, 0)
+	e := newMemEngine(t)
 	defer e.Close()
 	fillRides(t, e, 10)
 	e.MemSweep()
@@ -192,14 +186,30 @@ func TestMemoryGaugesPublished(t *testing.T) {
 	}
 }
 
+// TestLastMemReportSweepsOnce: before any sweep LastMemReport runs the
+// first one; after it, it returns that report without sweeping again.
+func TestLastMemReportSweepsOnce(t *testing.T) {
+	e := newMemEngine(t)
+	defer e.Close()
+	first := e.LastMemReport()
+	if first.Sweep.Count != 1 || len(first.Components) == 0 {
+		t.Fatalf("first report: count %d, %d components", first.Sweep.Count, len(first.Components))
+	}
+	if again := e.LastMemReport(); again != first {
+		t.Fatalf("LastMemReport swept again: count %d", again.Sweep.Count)
+	}
+	if next := e.MemSweep(); next.Sweep.Count != 2 {
+		t.Fatalf("MemSweep after the first report: count %d, want 2", next.Sweep.Count)
+	}
+}
+
 // TestEngineCloseStopsBackgroundWorkers is the goroutine-leak regression
-// test: an engine with every background worker enabled (shadow matcher,
-// memory sweeper) must return to the baseline goroutine count after
-// Close.
+// test: an engine with its one background worker (the shadow matcher)
+// enabled must return to the baseline goroutine count after Close.
 func TestEngineCloseStopsBackgroundWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	e := newMemEngine(t, time.Millisecond)
+	e := newMemEngine(t)
 	fillRides(t, e, 5)
 	// Exercise the shadow worker so its queue has seen traffic.
 	src, dst := farPoints(t, e)
@@ -208,14 +218,6 @@ func TestEngineCloseStopsBackgroundWorkers(t *testing.T) {
 			Source: src, Dest: dst,
 			EarliestDeparture: 0, LatestDeparture: 5000, WalkLimit: 900,
 		})
-	}
-	// Let the 1 ms sweeper fire at least once.
-	deadline := time.Now().Add(2 * time.Second)
-	for e.LastMemReport() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if e.LastMemReport() == nil {
-		t.Fatal("background sweeper never produced a report")
 	}
 
 	e.Close()
@@ -237,7 +239,7 @@ func TestEngineCloseStopsBackgroundWorkers(t *testing.T) {
 // from 8 goroutines at once — the -race proof that every Measurer's
 // locking story holds against live writes.
 func TestConcurrentSweepDuringMutation(t *testing.T) {
-	e := newMemEngine(t, 0)
+	e := newMemEngine(t)
 	defer e.Close()
 	fillRides(t, e, 10)
 	src, dst := farPoints(t, e)
@@ -250,10 +252,7 @@ func TestConcurrentSweepDuringMutation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				if w%2 == 0 {
-					if rep := e.MemSweep(); rep == nil {
-						t.Error("sweep returned nil mid-run")
-						return
-					}
+					e.MemSweep()
 					continue
 				}
 				_, err := e.CreateRide(RideOffer{
@@ -273,7 +272,7 @@ func TestConcurrentSweepDuringMutation(t *testing.T) {
 	wg.Wait()
 
 	rep := e.MemSweep()
-	if rep == nil || rep.ActiveRides != 10+workers/2*25 {
+	if rep.ActiveRides != 10+workers/2*25 {
 		t.Fatalf("post-race state: %+v", rep)
 	}
 }

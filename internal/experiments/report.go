@@ -15,14 +15,11 @@ import (
 
 // WriteMemory writes an engine's memory report — which component owns
 // the retained bytes, how much of the live heap (runtime HeapAlloc, the
-// denominator of TrackedCoverageRatio) that explains, rides per GB of
-// index, and the five subsystems holding the most live heap. It is the
-// post-run summary xarsim and xarload share, and what xarserver prints
-// at startup. A nil report (memory accounting off) writes nothing.
+// denominator of TrackedCoverageRatio) that explains, and rides per GB
+// of index. It is the post-run summary xarsim and xarload share, and
+// what xarserver prints at startup. Which code holds the live heap is
+// WriteProfile's heap_inuse table.
 func WriteMemory(w io.Writer, rep *core.MemoryReport) {
-	if rep == nil {
-		return
-	}
 	const mb = 1 << 20
 	fmt.Fprintf(w, "\n--- memory ---\n")
 	for _, c := range rep.Components {
@@ -32,15 +29,6 @@ func WriteMemory(w io.Writer, rep *core.MemoryReport) {
 		"tracked total", float64(rep.TrackedTotalBytes)/mb,
 		float64(rep.Heap.HeapAllocBytes)/mb, 100*rep.Heap.TrackedCoverageRatio)
 	fmt.Fprintf(w, "  %d active rides, %.0f rides/GB of index\n", rep.ActiveRides, rep.RidesPerGB)
-	if len(rep.Subsystems) > 0 {
-		fmt.Fprintf(w, "  top subsystems by live heap:\n")
-		for i, s := range rep.Subsystems {
-			if i >= 5 {
-				break
-			}
-			fmt.Fprintf(w, "    %-24s %8.1f MB in use\n", s.Subsystem, float64(s.InUseBytes)/mb)
-		}
-	}
 }
 
 // WriteProfile writes a capture's top-5 symbols per kind under the

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"xar/internal/core"
-	"xar/internal/memsize"
 	"xar/internal/profile"
 	"xar/internal/workload"
 )
@@ -209,22 +208,18 @@ type MemoryStats struct {
 	SysBytes       uint64 `json:"sys_bytes"`
 	RSSBytes       uint64 `json:"rss_bytes,omitempty"`
 	ActiveRides    int    `json:"active_rides"`
-	// IndexBytes is the deep size of the live ride index — the
-	// reproduction's stand-in for the paper's Classmexer measurement
-	// (Fig 3c), now tracked per load step. With component accounting on
-	// (engine Config.Memory) this is the index *component*: ride state
-	// only, the static world attributed to its own components. Without
-	// accounting it falls back to a quiescent memsize.Of walk of the
-	// whole index view, which pulls the discretization in too — the two
-	// modes are not comparable.
+	// IndexBytes is the live ride index's share of the engine's memory
+	// sweep — the reproduction's stand-in for the paper's Classmexer
+	// measurement (Fig 3c), tracked per load step: ride state only, the
+	// static world attributed to its own components.
 	IndexBytes uint64 `json:"index_bytes"`
 	// RidesPerGB extrapolates index capacity: active rides per GB of
 	// index memory. The ROADMAP's memory-compaction arc is judged by
 	// moving this number up.
 	RidesPerGB float64 `json:"rides_per_gb"`
 	// Components is the per-component retained-byte breakdown from the
-	// engine's accounting sweep (absent without Config.Memory): which
-	// subsystem owns the bytes, not just how many there are.
+	// engine's accounting sweep: which subsystem owns the bytes, not
+	// just how many there are.
 	Components map[string]uint64 `json:"components,omitempty"`
 	// TrackedTotalBytes sums Components — the registry's estimate of all
 	// tracked retained memory.
@@ -232,31 +227,23 @@ type MemoryStats struct {
 }
 
 // MeasureEngine captures the in-process engine's memory state: Go heap,
-// OS RSS, and the component breakdown from a fresh accounting sweep
-// (engines without Config.Memory fall back to a quiescent deep walk of
-// the index view).
+// OS RSS, and the component breakdown from a fresh accounting sweep.
 func MeasureEngine(eng *core.Engine) *MemoryStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	rep := eng.MemSweep()
 	st := &MemoryStats{
-		HeapAllocBytes: ms.HeapAlloc,
-		SysBytes:       ms.Sys,
-		RSSBytes:       readRSS(),
-		ActiveRides:    eng.NumRides(),
+		HeapAllocBytes:    ms.HeapAlloc,
+		SysBytes:          ms.Sys,
+		RSSBytes:          readRSS(),
+		ActiveRides:       eng.NumRides(),
+		IndexBytes:        rep.IndexBytes,
+		RidesPerGB:        rep.RidesPerGB,
+		TrackedTotalBytes: rep.TrackedTotalBytes,
+		Components:        make(map[string]uint64, len(rep.Components)),
 	}
-	if rep := eng.MemSweep(); rep != nil {
-		st.IndexBytes = rep.IndexBytes
-		st.RidesPerGB = rep.RidesPerGB
-		st.TrackedTotalBytes = rep.TrackedTotalBytes
-		st.Components = make(map[string]uint64, len(rep.Components))
-		for _, c := range rep.Components {
-			st.Components[c.Name] = c.Bytes
-		}
-		return st
-	}
-	st.IndexBytes = memsize.Of(eng.Index())
-	if st.IndexBytes > 0 && st.ActiveRides > 0 {
-		st.RidesPerGB = float64(st.ActiveRides) / (float64(st.IndexBytes) / (1 << 30))
+	for _, c := range rep.Components {
+		st.Components[c.Name] = c.Bytes
 	}
 	return st
 }

@@ -1,7 +1,6 @@
 package memsize_test
 
 import (
-	"runtime"
 	"testing"
 
 	"xar/internal/journal"
@@ -117,53 +116,4 @@ func TestMeasurerMatchesDeepWalk(t *testing.T) {
 	if measured > 2*deep || deep > 2*measured {
 		t.Fatalf("MeasureMem %d bytes vs deep walk %d bytes: more than 2x apart", measured, deep)
 	}
-}
-
-// TestSiteProfiler: the heap profiler attributes a large retained
-// allocation made inside an xar package to that package's subsystem, and
-// first-call deltas are reported as zero (no baseline).
-func TestSiteProfiler(t *testing.T) {
-	if runtime.MemProfileRate == 0 {
-		t.Skip("heap profiling disabled")
-	}
-	// One ~24 MB tail-ring allocation inside journal.New: far beyond the
-	// default 512 KiB sampling rate, so the profile records it with
-	// near-certainty and attribution must land on xar/internal/journal.
-	big := journal.New(journal.Config{TailCapacity: 1 << 18})
-	// Heap-profile records publish at GC boundaries; two cycles flush the
-	// allocation above into the snapshot MemProfile reads.
-	runtime.GC()
-	runtime.GC()
-
-	var p memsize.SiteProfiler
-	sites, subs := p.Profile()
-	if len(sites) == 0 || len(subs) == 0 {
-		t.Fatal("empty profile")
-	}
-	var journalInUse uint64
-	for _, s := range subs {
-		if s.Subsystem == "xar/internal/journal" {
-			journalInUse = s.InUseBytes
-		}
-	}
-	if journalInUse == 0 {
-		t.Fatalf("journal subsystem absent from profile: %+v", subs)
-	}
-	for _, s := range sites {
-		if s.AllocBytesDelta != 0 {
-			t.Fatalf("first profile reported a nonzero delta: %+v", s)
-		}
-		if s.Subsystem == "" || s.Func == "" {
-			t.Fatalf("site missing attribution: %+v", s)
-		}
-	}
-
-	// Second call has a baseline: deltas are defined (>= 0 by
-	// construction) and the site list stays bounded by TopK.
-	p.TopK = 5
-	sites, _ = p.Profile()
-	if len(sites) > 5 {
-		t.Fatalf("TopK=5 returned %d sites", len(sites))
-	}
-	runtime.KeepAlive(big)
 }

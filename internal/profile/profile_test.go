@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"xar/internal/journal"
 	"xar/internal/memsize"
 	"xar/internal/telemetry"
 )
@@ -107,6 +108,38 @@ func TestHeapAllocIsDelta(t *testing.T) {
 	if r == nil || r.Flat < 1<<20 {
 		t.Fatalf("allocForProfile delta = %+v, want ≥1MiB", r)
 	}
+}
+
+// TestHeapInuseAttributesJournalTail: a capture's heap_inuse package
+// table charges a large retained allocation to the package that made
+// it. One 2^18-slot journal tail is 20 MiB, far beyond the 512 KiB
+// sampling rate, and the journal allocates it itself (the ring only
+// wraps caller-allocated storage), so it lands on xar/internal/journal.
+func TestHeapInuseAttributesJournalTail(t *testing.T) {
+	if runtime.MemProfileRate == 0 {
+		t.Skip("heap profiling disabled")
+	}
+	big := journal.New(journal.Config{TailCapacity: 1 << 18})
+	// Heap-profile records publish at GC boundaries; two cycles flush
+	// the allocation above into the profile a capture reads.
+	runtime.GC()
+	runtime.GC()
+	p := New(quickConfig(nil))
+	defer p.Close()
+	f := p.CaptureNow().Folded(KindHeapInuse)
+	if f == nil {
+		t.Fatal("heap_inuse missing")
+	}
+	var got int64
+	for _, pk := range f.Packages {
+		if pk.Pkg == "xar/internal/journal" {
+			got = pk.Flat
+		}
+	}
+	if got < 16<<20 {
+		t.Fatalf("xar/internal/journal holds %d B in use, want ≥ 16 MiB (packages %+v)", got, f.Packages)
+	}
+	runtime.KeepAlive(big)
 }
 
 func TestRingWraparoundRetentionAndMemory(t *testing.T) {

@@ -164,9 +164,8 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 //	config.json          engine configuration + world dimensions
 //	quality.json         match-quality funnel, slack distribution and
 //	                     shadow-matcher stats (when a collector is wired)
-//	memory.json          per-component memory breakdown, rides/GB, heap
-//	                     stats and top allocation sites (when the engine
-//	                     has memory accounting)
+//	memory.json          per-component memory breakdown, rides/GB and
+//	                     heap stats from the last sweep
 //	slo.json             objective states (when an SLO engine is wired)
 //	audit.json           invariant-auditor state + last sweep report
 //	                     (when an auditor is wired)
@@ -258,14 +257,8 @@ func (s *Server) WriteDebugBundle(w io.Writer) error {
 			return err
 		}
 	}
-	if s.eng.MemComponents() != nil {
-		rep := s.eng.LastMemReport()
-		if rep == nil {
-			rep = s.eng.MemSweep()
-		}
-		if err := addJSON("memory.json", rep); err != nil {
-			return err
-		}
+	if err := addJSON("memory.json", s.eng.LastMemReport()); err != nil {
+		return err
 	}
 	if err := addFrom("metrics.prom", s.reg.WritePrometheus); err != nil {
 		return err

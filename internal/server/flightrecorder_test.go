@@ -13,7 +13,6 @@ import (
 
 	"xar/internal/core"
 	"xar/internal/discretize"
-	"xar/internal/memsize"
 	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
@@ -57,7 +56,6 @@ func newRecorderEnvCPU(t testing.TB, cpuWindow time.Duration) *recorderEnv {
 	cfg.Telemetry = reg
 	cfg.Tracer = tracer
 	cfg.Quality = qc
-	cfg.Memory = memsize.NewRegistry()
 	eng, err := core.NewEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)

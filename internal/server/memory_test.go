@@ -2,12 +2,17 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"xar/internal/core"
+	"xar/internal/discretize"
+	"xar/internal/roadnet"
 	"xar/internal/telemetry"
 )
 
@@ -105,21 +110,58 @@ func TestMemoryEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestMemoryEndpointDisabled: without a memsize registry on the engine
-// the endpoint 404s with an explanatory JSON error.
-func TestMemoryEndpointDisabled(t *testing.T) {
-	env := newTestEnv(t)
-	resp, err := http.Get(env.srv.URL + "/v1/memory")
+// TestMemoryEndpointAlwaysOn: an engine built from core.DefaultConfig()
+// plus a telemetry registry keeps its component registry. It exposes no
+// xar_memsize_ series before any sweep, and /v1/memory answers with the
+// engine's components in attribution order.
+func TestMemoryEndpointAlwaysOn(t *testing.T) {
+	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/v1/memory without accounting = %d, want 404", resp.StatusCode)
+	d, err := discretize.Build(city, discretize.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	var body errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
-		t.Fatalf("404 body not a JSON error (%v, %+v)", err, body)
+	reg := telemetry.NewRegistry()
+	cfg := core.DefaultConfig()
+	cfg.Telemetry = reg
+	eng, err := core.NewEngine(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(eng, nil, WithTelemetry(reg)).Handler())
+	t.Cleanup(srv.Close)
+	env := &testEnv{srv: srv, eng: eng, city: city}
+
+	prom := func() string {
+		resp, err := http.Get(srv.URL + "/v1/metrics/prom")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	if strings.Contains(prom(), "xar_memsize_") {
+		t.Fatal("xar_memsize_ series exposed before any sweep")
+	}
+	var rep core.MemoryReport
+	if code := env.do(t, "GET", "/v1/memory?sweep=true", nil, &rep); code != http.StatusOK {
+		t.Fatalf("GET /v1/memory?sweep=true = %d", code)
+	}
+	var names []string
+	for _, c := range rep.Components {
+		names = append(names, c.Name)
+	}
+	if want := []string{"graph", "alt", "discretization", "index"}; !slices.Equal(names, want) {
+		t.Fatalf("components %v, want %v", names, want)
+	}
+	if !strings.Contains(prom(), "xar_memsize_bytes{component=\"index\"}") {
+		t.Fatal("the sweep published no xar_memsize_bytes for the index")
 	}
 }
 

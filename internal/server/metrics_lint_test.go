@@ -33,8 +33,10 @@ func TestMetricNameHygiene(t *testing.T) {
 	}
 	env.doRaw(t, "POST", "/v1/bookings", `{"ride_id": 999999}`, nil)
 	env.auditor.Audit()
-	// One capture so the xar_profile_* families materialize.
+	// One capture and one memory sweep so the xar_profile_* and
+	// xar_memsize_* families materialize.
 	env.prof.CaptureNow()
+	env.eng.MemSweep()
 
 	resp := env.doRaw(t, "GET", "/v1/metrics/prom", "", nil)
 	if resp.StatusCode != http.StatusOK {

@@ -23,7 +23,7 @@
 //	GET    /v1/traces/{id}      one trace as a span tree
 //	GET    /v1/quality          match-quality funnel, slack, shadow stats
 //	GET    /v1/memory           per-component memory breakdown, rides/GB,
-//	                            heap stats, top allocation sites
+//	                            heap stats
 //	GET    /v1/profiles         continuous-profiler capture list (filter:
 //	                            pinned, since_s, limit)
 //	GET    /v1/profiles/{id}    one capture's flat profile tables (?kind=
@@ -124,22 +124,18 @@ func New(eng *core.Engine, social *core.SocialGraph, opts ...Option) *Server {
 	// Every exposition carries the build identity (info-gauge idiom);
 	// healthz reports the same resolved values.
 	s.build = telemetry.RegisterBuildInfo(s.reg)
-	if mr := eng.MemComponents(); mr != nil {
-		// The server holds three more memory-holding components; register
-		// them after the engine's (attribution order favors earlier
-		// components, and nothing here shares structure with them), then
-		// sweep once so /v1/memory and the xar_memsize gauges are live
-		// before the background worker's first tick.
-		if s.profiler != nil {
-			mr.Register("profiles", s.profiler)
-		}
-		if s.tracer != nil {
-			mr.Register("traces", s.tracer.Store())
-		}
-		if s.recorder != nil {
-			mr.Register("recorder", s.recorder)
-		}
-		eng.MemSweep()
+	// The server holds three more memory-holding components; register
+	// them after the engine's (attribution order favors earlier
+	// components, and nothing here shares structure with them).
+	mr := eng.MemComponents()
+	if s.profiler != nil {
+		mr.Register("profiles", s.profiler)
+	}
+	if s.tracer != nil {
+		mr.Register("traces", s.tracer.Store())
+	}
+	if s.recorder != nil {
+		mr.Register("recorder", s.recorder)
 	}
 
 	handle := func(pattern, route string, h http.HandlerFunc) {

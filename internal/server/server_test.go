@@ -529,7 +529,6 @@ func TestDisabledRoutes(t *testing.T) {
 		"/v1/metrics/history?bogus=1":                 `{"error":"metrics history disabled (server built without a recorder)"}`,
 		"/v1/slo":                                     `{"error":"SLOs disabled (server built without an SLO engine)"}`,
 		"/v1/quality":                                 `{"error":"match-quality accounting disabled (server built without a quality collector)"}`,
-		"/v1/memory":                                  `{"error":"memory accounting disabled (engine built without a memsize registry)"}`,
 		"/v1/profiles":                                profiles,
 		"/v1/profiles/1":                              profiles,
 		"/v1/profiles/diff?bogus=1":                   profiles,

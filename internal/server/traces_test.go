@@ -17,7 +17,6 @@ import (
 	"xar/internal/core"
 	"xar/internal/discretize"
 	"xar/internal/journal"
-	"xar/internal/memsize"
 	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
@@ -59,9 +58,6 @@ func newTracedEnv(t testing.TB) *tracedEnv {
 	cfg.Journal = jr
 	cfg.Quality = qc
 	cfg.ShadowSampleRate = 1
-	// On-demand sweeps only (no background worker): /v1/memory and the
-	// xar_memsize_* gauges are live, and tests stay deterministic.
-	cfg.Memory = memsize.NewRegistry()
 	eng, err := core.NewEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)
