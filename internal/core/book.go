@@ -207,10 +207,13 @@ func (e *Engine) tryBook(ctx context.Context, m Match, bk *Booking) (conflict bo
 		// Re-derive the best valid support pair; the search's snapshot may
 		// be stale.
 		ps, pd := bestSupportPair(r, m.PickupCluster, m.DropoffCluster, 0)
-		if ps == nil || ps.Seg > pd.Seg {
+		if ps == nil {
 			return ErrNoLongerFeasible
 		}
-		sSeg, dSeg, estimate = int(ps.Seg), int(pd.Seg), ps.Detour+pd.Detour
+		sSeg, dSeg, estimate = r.SupportSeg(*ps), r.SupportSeg(*pd), ps.Detour+pd.Detour
+		if sSeg > dSeg {
+			return ErrNoLongerFeasible
+		}
 		// The vehicle must not have passed the splice start.
 		if r.Via[sSeg].RouteIdx < r.Progress {
 			return ErrNoLongerFeasible

@@ -434,12 +434,12 @@ func scanIndex(ix *index.Index, req Request, srcSide, dstSide []sideCandidate, f
 			WalkSource:     src.Walk,
 			WalkDest:       dst.Walk,
 			DetourEstimate: ps.Detour + pd.Detour,
-			PickupETA:      ps.ETA,
-			DropoffETA:     pd.ETA,
+			PickupETA:      r.SupportETA(*ps),
+			DropoffETA:     r.SupportETA(*pd),
 			pickupOrder:    int(ps.Order),
 			dropoffOrder:   int(pd.Order),
-			pickupSegv:     int(ps.Seg),
-			dropoffSegv:    int(pd.Seg),
+			pickupSegv:     r.SupportSeg(*ps),
+			dropoffSegv:    r.SupportSeg(*pd),
 		})
 	}
 	return res
@@ -464,13 +464,15 @@ func (e *Engine) walkableSide(p geo.Point, limit float64) ([]sideCandidate, erro
 // bestSupportPair validates that the ride can serve pickup cluster cs
 // then drop-off cluster cd within its remaining detour budget, using only
 // the precomputed supports: it returns the support pair (ps, pd) with
-// ps.Order ≤ pd.Order and ps.ETA ≤ pd.ETA minimizing combined detour, or
-// nil, nil when none fits the budget; equal totals resolve to the first
-// pair in Ride.Supports order, pickup side first. relax is zero except in
-// shadow re-runs: relaxDetour lifts the budget, relaxOrder the
-// pickup-before-drop-off requirement. The caller holds (at least) the
-// index's read lock, and the pair points into r's support table — valid
-// only under that lock.
+// ps.Order ≤ pd.Order and an ETA no earlier than ps's minimizing combined
+// detour, or nil, nil when none fits the budget; equal totals resolve to
+// the first pair in Ride.Supports order, pickup side first. A drop-off
+// support at a later-or-equal run arrives earlier than the pickup's only
+// if its Dist is smaller (Ride.SupportETA), so only then are the two
+// ETAs computed. relax is zero except in shadow re-runs: relaxDetour
+// lifts the budget, relaxOrder the pickup-before-drop-off requirement.
+// The caller holds (at least) the index's read lock, and the pair points
+// into r's support table — valid only under that lock.
 func bestSupportPair(r *index.Ride, cs, cd int, relax relaxFlags) (ps, pd *index.Support) {
 	sups, dups := r.Supports(cs), r.Supports(cd)
 	limit := r.DetourLimit
@@ -490,7 +492,7 @@ func bestSupportPair(r *index.Ride, cs, cd int, relax relaxFlags) (ps, pd *index
 			if total >= bestTotal {
 				break
 			}
-			if !ignoreOrder && (d.Order < s.Order || d.ETA < s.ETA) {
+			if !ignoreOrder && (d.Order < s.Order || d.Dist < s.Dist && r.SupportETA(*d) < r.SupportETA(*s)) {
 				continue // drop-off support (or its estimate) precedes the pickup's
 			}
 			if total > limit {
@@ -514,7 +516,7 @@ func classifyDetourReject(r *index.Ride, cs, cd int) int {
 	dups := r.Supports(cd)
 	for _, s := range r.Supports(cs) {
 		for _, d := range dups {
-			if d.Order >= s.Order && d.ETA >= s.ETA {
+			if d.Order >= s.Order && r.SupportETA(d) >= r.SupportETA(s) {
 				return quality.DetourBound
 			}
 		}

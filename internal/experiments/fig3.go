@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"xar/internal/discretize"
+	"xar/internal/index"
 	"xar/internal/memsize"
 	"xar/internal/sim"
 	"xar/internal/stats"
@@ -115,7 +117,7 @@ type Fig3cdRow struct {
 // TestPostingBytesPerEntry pin them): a support record, a directory key,
 // a posting-list entry (an 8-byte ETA and a 4-byte slot, in two columns).
 const (
-	supportBytes   = 24
+	supportBytes   = float64(unsafe.Sizeof(index.Support{}))
 	directoryBytes = 8
 	postingBytes   = 12
 )

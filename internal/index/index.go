@@ -212,7 +212,7 @@ func (ix *Index) Reregister(r *Ride) error {
 // lists — of a ride with a free seat: a full one is nobody's potential ride
 // (Definition 1) and is in no list until a cancellation re-registers it.
 func (ix *Index) register(r *Ride) {
-	r.pt, r.support, r.dir = nil, nil, nil
+	r.pt, r.support, r.dir, r.avgSpeed = nil, nil, nil, ix.cfg.AvgSpeed
 	if r.SeatsAvail <= 0 {
 		return
 	}
@@ -260,7 +260,7 @@ func (ix *Index) register(r *Ride) {
 	for pi := range r.pt {
 		e := &r.pt[pi]
 		c := e.Cluster
-		buf = append(buf, buildSupport{c, Support{Order: int32(pi), Seg: e.Seg, ETA: e.ETA}})
+		buf = append(buf, buildSupport{c, Support{Order: int32(pi)}})
 		if off[c]++; off[c] == 1 {
 			groups++
 		}
@@ -292,8 +292,7 @@ func (ix *Index) register(r *Ride) {
 					continue
 				}
 			}
-			eta := e.ETA + nbDist/ix.cfg.AvgSpeed
-			buf = append(buf, buildSupport{nb.Cluster, Support{Order: int32(pi), Seg: e.Seg, Detour: detour, ETA: eta}})
+			buf = append(buf, buildSupport{nb.Cluster, Support{Order: int32(pi), Dist: nb.Dist, Detour: detour}})
 			if off[nb.Cluster]++; off[nb.Cluster] == 1 {
 				groups++
 			}
@@ -327,10 +326,10 @@ func (ix *Index) register(r *Ride) {
 	// under the cluster at its earliest support ETA.
 	for g := range dir[:groups] {
 		group := r.group(g)
-		eta := group[0].ETA
+		eta := r.SupportETA(group[0])
 		for i := 1; i < len(group); i++ {
 			s := group[i]
-			eta = min(eta, s.ETA)
+			eta = min(eta, r.SupportETA(s))
 			j := i
 			for ; j > 0 && group[j-1].Detour > s.Detour; j-- {
 				group[j] = group[j-1]
@@ -347,7 +346,7 @@ func (ix *Index) register(r *Ride) {
 // registration state.
 func (ix *Index) unregister(r *Ride) {
 	for g := 0; g+1 < len(r.dir); g++ {
-		eta, _ := minETA(r.group(g))
+		eta, _ := r.minETA(r.group(g))
 		ix.clusters[r.dir[g].Cluster].remove(r.slot, eta)
 	}
 	r.pt, r.support, r.dir = nil, nil, nil
@@ -399,11 +398,12 @@ func (ix *Index) Advance(id RideID, pos int) error {
 		c, i, end, start := dir[g].Cluster, dir[g].Start, dir[g+1].Start, w
 		was, now := math.Inf(1), math.Inf(1)
 		for ; i < end; i++ {
-			was = min(was, sup[i].ETA)
+			eta := r.SupportETA(sup[i])
+			was = min(was, eta)
 			if r.pt[sup[i].Order].Crossed {
 				continue
 			}
-			now = min(now, sup[i].ETA)
+			now = min(now, eta)
 			sup[w] = sup[i]
 			w++
 		}
@@ -539,7 +539,10 @@ func (ix *Index) CheckInvariants() error {
 //   - a ride's directory is strictly ascending by cluster, has no empty
 //     group and ends at len(support); each group is sorted by (detour,
 //     position) and every entry points at a live (non-crossed)
-//     pass-through entry;
+//     pass-through entry, with the cluster distance from that entry's
+//     cluster to the group's (0 on its own);
+//   - a ride's pass-through ETAs never decrease in run order (the pair
+//     loop of a search skips the ETAs this rules out);
 //   - a ride appears in a cluster list iff it has ≥1 support there;
 //   - a ride is listed under exactly its minimum support ETA (the key
 //     unregister and Advance find it by);
@@ -586,6 +589,11 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 		case r.SeatsAvail > 0 && len(r.support) == 0 && slices.ContainsFunc(ahead, inCluster):
 			dst = append(dst, Inconsistency{Ride: id, Cluster: -1, Detail: "ride with a free seat and uncrossed route has no supports"})
 		}
+		for pi := 1; pi < len(r.pt); pi++ {
+			if r.pt[pi].ETA < r.pt[pi-1].ETA {
+				dst = append(dst, Inconsistency{Ride: id, Cluster: -1, Detail: fmt.Sprintf("pass-through %d has ETA %v, before run %d's %v", pi, r.pt[pi].ETA, pi-1, r.pt[pi-1].ETA)})
+			}
+		}
 		if defect := r.directoryDefect(); defect != "" {
 			// The group walk below reads the table through the directory.
 			dst = append(dst, Inconsistency{Ride: id, Cluster: -1, Detail: defect})
@@ -597,8 +605,16 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 				if i > 0 && (group[i-1].Detour > s.Detour || group[i-1].Detour == s.Detour && group[i-1].Order >= s.Order) {
 					dst = append(dst, Inconsistency{Ride: id, Cluster: int(c), Detail: fmt.Sprintf("support table order violated at %d", start+i)})
 				}
-				if int(s.Order) >= len(r.pt) || r.pt[s.Order].Crossed || r.pt[s.Order].Seg != s.Seg {
+				if s.Order < 0 || int(s.Order) >= len(r.pt) || r.pt[s.Order].Crossed {
 					dst = append(dst, Inconsistency{Ride: id, Cluster: int(c), Detail: fmt.Sprintf("support %d does not point at a live pass-through", start+i)})
+					continue
+				}
+				want := float32(0)
+				if from := r.pt[s.Order].Cluster; from != c {
+					want = float32(ix.disc.ClusterDist(int(from), int(c)))
+				}
+				if s.Dist != want {
+					dst = append(dst, Inconsistency{Ride: id, Cluster: int(c), Detail: fmt.Sprintf("support %d holds distance %v, its pass-through's cluster is %v away", start+i, s.Dist, want)})
 				}
 			}
 			if !damaged[c] {

@@ -663,10 +663,13 @@ func makeLegRide(t testing.TB, d *discretize.Discretization, ix *Index, stops []
 }
 
 // clusteredSupport is a support record together with the cluster it
-// serves — what a record was before the directory took the cluster over.
+// serves — what a record was before the directory took the cluster over
+// — and the segment and arrival estimate it answers for.
 type clusteredSupport struct {
 	Cluster int32
 	Support
+	Seg int
+	ETA float64
 }
 
 // compareSupports is the support table's order: by cluster, then
@@ -676,12 +679,13 @@ func compareSupports(a, b clusteredSupport) int {
 }
 
 // clusteredSupports reads the ride's table out through its directory: one
-// record per support, in table order, labelled with its group's cluster.
+// record per support, in table order, labelled with its group's cluster
+// and with the segment and ETA the ride derives for it.
 func clusteredSupports(r *Ride) []clusteredSupport {
 	out := make([]clusteredSupport, 0, len(r.support))
 	for g := 0; g+1 < len(r.dir); g++ {
 		for _, s := range r.group(g) {
-			out = append(out, clusteredSupport{r.dir[g].Cluster, s})
+			out = append(out, clusteredSupport{r.dir[g].Cluster, s, r.SupportSeg(s), r.SupportETA(s)})
 		}
 	}
 	return out
@@ -690,16 +694,20 @@ func clusteredSupports(r *Ride) []clusteredSupport {
 // referenceSupports re-derives a ride's support records the slow way —
 // every live pass-through against every cluster, no neighbor table, no
 // grouping — and sorts them with the comparator that defines the table.
+// Each record's segment and ETA come from the route at the run's first
+// node: the segment holding it, and its ETA plus the cluster distance at
+// the index's average speed.
 func referenceSupports(ix *Index, r *Ride) []clusteredSupport {
 	var recs []clusteredSupport
 	for pi, e := range r.pt {
 		if e.Crossed {
 			continue
 		}
-		recs = append(recs, clusteredSupport{e.Cluster, Support{Order: int32(pi), Seg: e.Seg, ETA: e.ETA}})
+		seg, eta := r.segmentOf(int(e.FirstIdx)), r.RouteETA[e.FirstIdx]
+		recs = append(recs, clusteredSupport{e.Cluster, Support{Order: int32(pi)}, seg, eta})
 		c, via := int(e.Cluster), -1
-		if int(e.Seg)+1 < len(r.Via) {
-			via = ix.disc.ClusterOfNode(r.Via[e.Seg+1].Node)
+		if seg+1 < len(r.Via) {
+			via = ix.disc.ClusterOfNode(r.Via[seg+1].Node)
 		}
 		for o := 0; o < ix.disc.NumClusters(); o++ {
 			dist := ix.disc.ClusterDist(c, o)
@@ -713,11 +721,29 @@ func referenceSupports(ix *Index, r *Ride) []clusteredSupport {
 					continue
 				}
 			}
-			recs = append(recs, clusteredSupport{int32(o), Support{Order: int32(pi), Seg: e.Seg, Detour: detour, ETA: e.ETA + dist/ix.cfg.AvgSpeed}})
+			recs = append(recs, clusteredSupport{int32(o), Support{Order: int32(pi), Dist: float32(dist), Detour: detour}, seg, eta + dist/ix.cfg.AvgSpeed})
 		}
 	}
 	slices.SortFunc(recs, compareSupports)
 	return recs
+}
+
+// checkSupportTable fails t unless r's table, read through its
+// directory, is element for element referenceSupports — every derived
+// segment equal and every derived ETA bit for bit the route's — and
+// returns the reference records.
+func checkSupportTable(t testing.TB, ix *Index, r *Ride, when string) []clusteredSupport {
+	t.Helper()
+	got, want := clusteredSupports(r), referenceSupports(ix, r)
+	if len(got) != len(r.support) || !slices.Equal(got, want) {
+		t.Fatalf("ride %d %s: table of %d supports (%d reached through the directory) differs from the sorted %d records", r.ID, when, len(r.support), len(got), len(want))
+	}
+	for i := range got { // == on float64 is bit-equality short of -0 and NaN
+		if math.Float64bits(got[i].ETA) != math.Float64bits(want[i].ETA) {
+			t.Fatalf("ride %d %s: support %d ETA %v, the route says %v", r.ID, when, i, got[i].ETA, want[i].ETA)
+		}
+	}
+	return want
 }
 
 // TestSupportTableMatchesSortedRecords: the table register builds by
@@ -730,13 +756,6 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 	ix := newTestIndex(t, d)
 	g := d.City().Graph
 	rng := rand.New(rand.NewSource(5))
-	check := func(r *Ride, when string) {
-		t.Helper()
-		got, want := clusteredSupports(r), referenceSupports(ix, r)
-		if len(got) != len(r.support) || !slices.Equal(got, want) {
-			t.Fatalf("ride %d %s: table of %d supports (%d reached through the directory) differs from the sorted %d records", r.ID, when, len(r.support), len(got), len(want))
-		}
-	}
 	repeats, ties := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		stops := make([]roadnet.NodeID, 2+rng.Intn(4))
@@ -753,7 +772,7 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 		if err := ix.Insert(r); err != nil {
 			t.Fatal(err)
 		}
-		check(r, "after Insert")
+		checkSupportTable(t, ix, r, "after Insert")
 		for i, table := 1, clusteredSupports(r); i < len(table); i++ {
 			if a, b := table[i-1], table[i]; a.Cluster == b.Cluster {
 				if a.Seg != b.Seg {
@@ -768,12 +787,12 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 		if err := ix.Reregister(r); err != nil {
 			t.Fatal(err)
 		}
-		check(r, "after Reregister")
+		checkSupportTable(t, ix, r, "after Reregister")
 		for pos := rng.Intn(8); pos < len(r.Route); pos += 1 + rng.Intn(12) {
 			if err := ix.Advance(r.ID, pos); err != nil {
 				t.Fatal(err)
 			}
-			check(r, "after Advance")
+			checkSupportTable(t, ix, r, "after Advance")
 		}
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -785,8 +804,9 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 }
 
 // TestInconsistenciesCatchSupportTableDamage: the audit reports a
-// support table that is out of order, and a support left pointing at a
-// crossed pass-through.
+// support table that is out of order, a support left pointing at a
+// crossed pass-through, a support distance one ulp off the cluster
+// distance, and pass-through ETAs out of route order.
 func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 	d := testWorld(t)
 	ix := newTestIndex(t, d)
@@ -810,6 +830,46 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 		t.Fatal("a support of a crossed pass-through must be reported")
 	}
 	r.pt[r.support[0].Order].Crossed = false
+
+	// The two facts a support's derived ETA rests on: its distance is the
+	// cluster distance from its run's cluster (0 on its own), and runs
+	// arrive in route order.
+	rideReports := func(detail string) bool {
+		for _, inc := range ix.Inconsistencies(nil) {
+			if inc.Ride == r.ID && strings.Contains(inc.Detail, detail) {
+				return true
+			}
+		}
+		return false
+	}
+	own := slices.IndexFunc(r.support, func(s Support) bool { return s.Dist == 0 })
+	nb := slices.IndexFunc(r.support, func(s Support) bool { return s.Dist > 0 })
+	if own < 0 || nb < 0 {
+		t.Fatalf("ride has no own-cluster (%d) or no neighbour (%d) support", own, nb)
+	}
+	for _, i := range []int{own, nb} {
+		dist := r.support[i].Dist
+		r.support[i].Dist = math.Nextafter32(dist, float32(math.Inf(1)))
+		if !rideReports("holds distance") {
+			t.Errorf("support %d's distance %v nudged one ulp must be reported", i, dist)
+		}
+		r.support[i].Dist = dist
+	}
+	pi := 1
+	for pi < len(r.pt) && r.pt[pi].ETA == r.pt[pi-1].ETA {
+		pi++
+	}
+	if pi == len(r.pt) {
+		t.Fatal("the ride's pass-through runs all arrive at once")
+	}
+	r.pt[pi-1].ETA, r.pt[pi].ETA = r.pt[pi].ETA, r.pt[pi-1].ETA
+	if !rideReports("before run") {
+		t.Error("two pass-through runs' ETAs swapped must be reported")
+	}
+	r.pt[pi-1].ETA, r.pt[pi].ETA = r.pt[pi].ETA, r.pt[pi-1].ETA
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("damage undone, still reported: %v", err)
+	}
 
 	// Damaged blocks of a cluster list: each defect is reported under the
 	// cluster it sits in.

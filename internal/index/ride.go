@@ -124,12 +124,14 @@ type Ride struct {
 	// runs in route order, the flat support table — one group per
 	// supported cluster in ascending cluster order, each sorted by
 	// (Detour, Order) — and the directory that says where each group
-	// starts (see Supports). slot is the ride's place in the slot table of
-	// the index it is registered in.
-	pt      []ptEntry
-	support []Support
-	dir     []dirEntry
-	slot    int32
+	// starts (see Supports). avgSpeed is the index's AvgSpeed the table
+	// was built under, which SupportETA divides by; slot is the ride's
+	// place in the slot table of the index it is registered in.
+	pt       []ptEntry
+	support  []Support
+	dir      []dirEntry
+	avgSpeed float64
+	slot     int32
 }
 
 // Clone returns a deep copy of the ride: a snapshot that stays valid
@@ -163,14 +165,27 @@ type ptEntry struct {
 }
 
 // Support is one way a ride can serve a cluster: pass-through run Order
-// reaches the cluster with the given extra driving and arrival estimate.
-// A ride's supports live in one flat table (Ride.support); which cluster
-// a record serves is the directory's to say, not the record's. 24 bytes.
+// reaches the cluster Dist meters away with Detour meters of extra
+// driving. A ride's supports live in one flat table (Ride.support); which
+// cluster a record serves is the directory's to say, not the record's,
+// and the run's segment and the arrival estimate are the run's to say
+// (SupportSeg, SupportETA). 16 bytes.
 type Support struct {
 	Order  int32   // position of the supporting pass-through along the route
-	Seg    int32   // segment of the supporting pass-through
+	Dist   float32 // cluster distance from the run's cluster; 0 on its own
 	Detour float64 // meters of extra driving
-	ETA    float64 // seconds since epoch
+}
+
+// SupportSeg returns the segment of the pass-through run s names.
+func (r *Ride) SupportSeg(s Support) int { return int(r.pt[s.Order].Seg) }
+
+// SupportETA returns the arrival estimate of support s: its run's ETA
+// plus the cluster distance at the index's average speed. Pass-through
+// ETAs never decrease along the route, and the sum and the quotient are
+// monotone, so of two supports, one at a later-or-equal run no nearer
+// than the other never arrives earlier.
+func (r *Ride) SupportETA(s Support) float64 {
+	return r.pt[s.Order].ETA + float64(s.Dist)/r.avgSpeed
 }
 
 // dirEntry is one key of a ride's cluster directory: the supports of
@@ -220,17 +235,17 @@ func (r *Ride) Supports(c int) []Support {
 // whether it has any. register and Advance list the ride at exactly this
 // value, which is what lets them find the tuple again by key.
 func (r *Ride) ListETA(c int) (float64, bool) {
-	return minETA(r.Supports(c))
+	return r.minETA(r.Supports(c))
 }
 
 // minETA returns the earliest ETA of one cluster's supports.
-func minETA(group []Support) (float64, bool) {
+func (r *Ride) minETA(group []Support) (float64, bool) {
 	if len(group) == 0 {
 		return 0, false
 	}
-	eta := group[0].ETA
+	eta := r.SupportETA(group[0])
 	for _, s := range group[1:] {
-		eta = min(eta, s.ETA)
+		eta = min(eta, r.SupportETA(s))
 	}
 	return eta, true
 }

@@ -17,8 +17,8 @@ import (
 // table that the memory figures rest on: a support without its cluster
 // and a directory key. (TestPostingBytesPerEntry pins a posting's.)
 func TestSupportRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Support{}); got != 24 {
-		t.Errorf("Support is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(Support{}); got != 16 {
+		t.Errorf("Support is %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(dirEntry{}); got != 8 {
 		t.Errorf("directory entry is %d bytes, want 8", got)

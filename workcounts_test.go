@@ -61,6 +61,13 @@ func TestExactWorkCounts(t *testing.T) {
 		m.StopTimer()
 		wantAllocs(t, m.mean(len(reqs)), 1) // the returned slice
 	})
+	t.Run("dense_index_bytes_per_ride", func(t *testing.T) {
+		// The memory registry's index component: the index's own deep
+		// size, the discretization and the graph it points at left out.
+		eng, _ := denseFleet(t, w)
+		rep := eng.MemSweep()
+		wantRounded(t, float64(rep.IndexBytes)/float64(rep.ActiveRides), 3290.436) // 4 142.588 with 24-byte supports
+	})
 	t.Run("create_allocs", func(t *testing.T) {
 		skipUnderRace(t)
 		pinRuntime(t)
