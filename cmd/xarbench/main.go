@@ -9,7 +9,6 @@
 //	xarbench -fig 5a          # search time vs k (E8)
 //	xarbench -fig 5b          # look-to-book sweep (E9)
 //	xarbench -fig 6           # taxi vs RS vs PT vs RS+PT (E10)
-//	xarbench -fig ablations   # design-choice ablations
 //	xarbench -fig all         # everything
 //
 // Scale flags (-rows, -cols, -requests, -eps, -seed) trade fidelity for
@@ -34,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("xarbench: ")
 
-	fig := flag.String("fig", "all", "figure to regenerate: 3a|3b|3cd|4|5a|5b|6|ablations|all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3a|3b|3cd|4|5a|5b|6|all")
 	rows := flag.Int("rows", 40, "city lattice rows (streets)")
 	cols := flag.Int("cols", 22, "city lattice columns (avenues)")
 	requests := flag.Int("requests", 4000, "trip stream length")
@@ -122,7 +121,7 @@ func main() {
 
 	figs := strings.Split(*fig, ",")
 	if *fig == "all" {
-		figs = []string{"3a", "3b", "3cd", "4", "5a", "5b", "6", "ablations"}
+		figs = []string{"3a", "3b", "3cd", "4", "5a", "5b", "6"}
 	}
 	for _, f := range figs {
 		if err := run(w, strings.TrimSpace(f)); err != nil {
@@ -226,17 +225,6 @@ func run(w *experiments.World, fig string) error {
 			return err
 		}
 		fmt.Println(r.Table())
-
-	case "ablations":
-		a, err := experiments.AblationSortedLists(w)
-		if err != nil {
-			return err
-		}
-		b, err := experiments.AblationReachablePrecompute(w)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderAblations([]experiments.AblationRow{a, b}))
 
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)

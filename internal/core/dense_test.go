@@ -133,7 +133,7 @@ func referenceSupports(e *Engine, r *index.Ride, c, from int) []refSupport {
 				continue
 			}
 		}
-		out = append(out, refSupport{order: order, seg: seg, detour: detour, eta: eta + dist/e.cfg.Index.AvgSpeed})
+		out = append(out, refSupport{order: order, seg: seg, detour: detour, eta: eta + dist/index.AvgSpeed})
 	}
 	// Supports held at most a dozen entries per cluster, where sort.Slice
 	// is an insertion sort: equal detours stayed in route order.

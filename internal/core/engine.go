@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -50,24 +51,16 @@ var (
 
 // Config tunes the engine.
 type Config struct {
-	// Index is passed through to the in-memory index.
-	Index index.Config
 	// DefaultDetourLimit (meters) applies to offers that leave
 	// DetourLimit zero.
 	DefaultDetourLimit float64
 	// DefaultSeats applies to offers that leave Seats zero. The paper's
 	// simulation assumes taxi capacity 4 including the driver.
 	DefaultSeats int
-	// UseALTPaths is a no-op: ALT is what an empty Router means, so there
-	// is nothing left for it to turn on. Callers may keep assigning it;
-	// setting Router "astar" is the only way to plain A*.
+	// UseALTPaths is a no-op: every engine routes with ALT, so there is
+	// nothing left for it to turn on. It stays only because
+	// benchmark/httpserver.go still assigns it.
 	UseALTPaths bool
-	// Router selects the shortest-path engine: "astar" or "alt". Empty
-	// means "alt" (8 landmarks: two full Dijkstras each at construction,
-	// a few ms and 64 B a node on 3 520 nodes). Both return identical
-	// distances; plain "astar" is kept as the oracle ALT is tested
-	// against. Any other value fails NewEngine.
-	Router string
 	// Observers are what watches the engine; the zero value watches
 	// nothing. Embedded, so cfg.Telemetry names cfg.Observers.Telemetry.
 	Observers
@@ -90,11 +83,12 @@ type Observers struct {
 	// sub-microsecond hot path, so timing every one would dominate its
 	// cost; unsampled searches pay a single atomic increment. 0 →
 	// DefaultSearchSampleRate; 1 → trace every search (tests,
-	// low-traffic deployments). Other operations are always recorded.
+	// low-traffic deployments); negative fails NewEngine. Other
+	// operations are always recorded.
 	SearchSampleRate int
 	// SlowOpThreshold enables the slow-operation log: any engine
 	// operation taking at least this long is logged at Warn level.
-	// Zero disables the log.
+	// Zero disables the log; negative fails NewEngine.
 	SlowOpThreshold time.Duration
 	// SlowOpLogger receives slow-operation records; nil with a non-zero
 	// threshold falls back to slog.Default().
@@ -146,7 +140,6 @@ const destWindowSlack = 3600.0
 // DefaultConfig returns production defaults.
 func DefaultConfig() Config {
 	return Config{
-		Index:              index.DefaultConfig(),
 		DefaultDetourLimit: 2000,
 		DefaultSeats:       4,
 	}
@@ -177,11 +170,14 @@ func (r Request) Validate() error {
 	if !r.Source.Valid() || !r.Dest.Valid() {
 		return fmt.Errorf("xar: invalid request coordinates")
 	}
+	if math.IsNaN(r.EarliestDeparture) || math.IsNaN(r.LatestDeparture) {
+		return fmt.Errorf("xar: NaN in departure window [%v, %v]", r.EarliestDeparture, r.LatestDeparture)
+	}
 	if r.LatestDeparture < r.EarliestDeparture {
 		return fmt.Errorf("xar: inverted departure window [%v, %v]", r.EarliestDeparture, r.LatestDeparture)
 	}
-	if r.WalkLimit < 0 {
-		return fmt.Errorf("xar: negative walk limit %v", r.WalkLimit)
+	if r.WalkLimit < 0 || math.IsNaN(r.WalkLimit) {
+		return fmt.Errorf("xar: walk limit %v is negative or NaN", r.WalkLimit)
 	}
 	return nil
 }
@@ -253,6 +249,8 @@ type Engine struct {
 	// tables are immutable and shared; only the O(n) stamp/dist/prev
 	// scratch is per-instance), so shortest-path work never holds any
 	// engine lock and concurrent creates/bookings never contend.
+	// newFinder makes one: an ALT searcher (tests swap in plain A* as
+	// their oracle).
 	finders   sync.Pool
 	newFinder func() pathFinder
 
@@ -261,11 +259,8 @@ type Engine struct {
 	// nothing per candidate it examines or match it finds.
 	scratchPool sync.Pool
 
-	// router is the effective routing algorithm ("astar" or "alt") —
-	// the value stamped on spans and xar_route_queries_total.
-	router string
-	// routeQueries counts shortest-path queries under the effective
-	// algo label. Nil without telemetry.
+	// routeQueries counts shortest-path queries under the algo label
+	// RouterALT. Nil without telemetry.
 	routeQueries *telemetry.Counter
 
 	m       metrics
@@ -276,53 +271,30 @@ type Engine struct {
 	mem     memoryMonitor      // the component registry and its last sweep
 }
 
-// Router values for Config.Router, and the strings Engine.Router()
-// reports.
-const (
-	RouterAStar = "astar"
-	RouterALT   = "alt"
-)
+// RouterALT is the routing algorithm every engine runs, as Engine.Router()
+// reports it and as spans and xar_route_queries_total label it.
+const RouterALT = "alt"
 
-// pathFinder is the slice of the routing layer the engine needs; both
-// the plain A* Searcher and the ALT-accelerated variant satisfy it.
+// pathFinder is the slice of the routing layer the engine needs; the ALT
+// searcher satisfies it, and so does plain A* (roadnet.Searcher).
 type pathFinder interface {
 	ShortestPath(a, b roadnet.NodeID) roadnet.SPResult
-}
-
-// routing is what NewEngine builds for shortest paths.
-type routing struct {
-	router    string // the effective algorithm: cfg.Router, or "alt" when empty
-	newFinder func() pathFinder
-	alt       *roadnet.ALT // the ALT tables, retained for memory accounting; nil unless ALT
-}
-
-// newRouting selects the router cfg asks for and builds its tables over g.
-func newRouting(g *roadnet.Graph, cfg Config) (routing, error) {
-	rt := routing{router: cfg.Router}
-	switch rt.router {
-	case RouterAStar:
-		rt.newFinder = func() pathFinder { return roadnet.NewSearcher(g) }
-	case "", RouterALT:
-		alt, err := roadnet.NewALT(g, 0) // 0: roadnet's default landmark count (8)
-		if err != nil {
-			return routing{}, err
-		}
-		rt.router, rt.alt = RouterALT, alt
-		rt.newFinder = func() pathFinder { return alt.NewSearcher() }
-	default:
-		return routing{}, fmt.Errorf("xar: unknown Router %q (want astar or alt)", cfg.Router)
-	}
-	return rt, nil
 }
 
 // NewEngine builds an engine over a discretization. The index and the
 // router's tables are built side by side; NewEngine returns after both.
 func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
-	if cfg.DefaultDetourLimit < 0 {
-		return nil, fmt.Errorf("xar: negative DefaultDetourLimit")
+	if !finite(cfg.DefaultDetourLimit) || cfg.DefaultDetourLimit < 0 {
+		return nil, fmt.Errorf("xar: DefaultDetourLimit %v is negative or not finite", cfg.DefaultDetourLimit)
 	}
 	if cfg.DefaultSeats < 0 {
 		return nil, fmt.Errorf("xar: negative DefaultSeats")
+	}
+	if cfg.SearchSampleRate < 0 {
+		return nil, fmt.Errorf("xar: negative SearchSampleRate")
+	}
+	if cfg.SlowOpThreshold < 0 {
+		return nil, fmt.Errorf("xar: negative SlowOpThreshold")
 	}
 	if cfg.ShadowSampleRate < 0 {
 		return nil, fmt.Errorf("xar: negative ShadowSampleRate")
@@ -330,33 +302,26 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	if cfg.ShadowSampleRate > 0 && cfg.Quality == nil {
 		return nil, fmt.Errorf("xar: ShadowSampleRate requires Config.Quality")
 	}
-	if cfg.Index.AvgSpeed == 0 {
-		cfg.Index = index.DefaultConfig()
-	}
-	// The index's neighbour table and the router's tables read only the
-	// discretization and its graph, so they are built side by side.
+	// The index's neighbour table and the ALT tables (8 landmarks: two
+	// full Dijkstras each) read only the discretization and its graph, so
+	// they are built side by side.
 	var ix *index.Index
-	var ixErr error
 	ixBuilt := make(chan struct{})
 	go func() {
 		defer close(ixBuilt)
-		ix, ixErr = index.New(disc, cfg.Index)
+		ix = index.New(disc)
 	}()
 	g := disc.City().Graph
-	rt, rtErr := newRouting(g, cfg)
+	alt, err := roadnet.NewALT(g, 0) // 0: roadnet's default landmark count (8)
 	<-ixBuilt
-	if ixErr != nil {
-		return nil, ixErr
-	}
-	if rtErr != nil {
-		return nil, rtErr
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		cfg:       cfg,
 		disc:      disc,
 		ix:        &index.Locked{Ix: ix},
-		router:    rt.router,
-		newFinder: rt.newFinder,
+		newFinder: func() pathFinder { return alt.NewSearcher() },
 		jr:        cfg.Journal,
 	}
 	e.finders.New = func() any { return e.newFinder() }
@@ -367,7 +332,7 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	if cfg.Telemetry != nil {
 		e.routeQueries = cfg.Telemetry.Counter("xar_route_queries_total",
 			"Shortest-path queries served, by routing algorithm.",
-			telemetry.L("algo", rt.router))
+			telemetry.L("algo", RouterALT))
 	}
 	if cfg.Telemetry != nil {
 		registerIndexGauges(cfg.Telemetry, e.ix.View())
@@ -390,9 +355,7 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 	// the bytes it uniquely owns and the shares sum cleanly.
 	mr := &e.mem.comps
 	mr.Register("graph", g)
-	if rt.alt != nil {
-		mr.Register("alt", rt.alt)
-	}
+	mr.Register("alt", alt)
 	mr.Register("discretization", disc)
 	mr.Register("index", e.ix.View())
 	if cfg.Journal != nil {
@@ -421,7 +384,7 @@ func (e *Engine) Close() {
 // tracedShortestPath runs one pooled shortest-path search under a
 // "path_search" span when the context's trace is recording; the span
 // carries the endpoints and the resulting distance, so a slow create /
-// book / cancel trace shows exactly which A*/ALT call dominated.
+// book / cancel trace shows exactly which ALT call dominated.
 // Without a recording trace this is one context lookup plus the search.
 func (e *Engine) tracedShortestPath(ctx context.Context, f pathFinder, a, b roadnet.NodeID) roadnet.SPResult {
 	_, span := telemetry.ChildSpan(ctx, "path_search")
@@ -434,7 +397,7 @@ func (e *Engine) tracedShortestPath(ctx context.Context, f pathFinder, a, b road
 		span.SetInt("from", int64(a))
 		span.SetInt("to", int64(b))
 		span.SetFloat("dist", res.Dist)
-		span.SetStr("algo", e.router)
+		span.SetStr("algo", RouterALT)
 		if !res.Reachable() {
 			span.SetErrorMsg("unreachable")
 		}
@@ -443,8 +406,8 @@ func (e *Engine) tracedShortestPath(ctx context.Context, f pathFinder, a, b road
 	return res
 }
 
-// Router returns the effective routing algorithm, "astar" or "alt".
-func (e *Engine) Router() string { return e.router }
+// Router returns the routing algorithm, RouterALT.
+func (e *Engine) Router() string { return RouterALT }
 
 // finder checks a pathFinder out of the pool; release returns it. The
 // checkout pattern (rather than a per-engine instance) is what lets any
@@ -484,6 +447,9 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 	if !offer.Source.Valid() || !offer.Dest.Valid() {
 		return 0, fmt.Errorf("xar: invalid offer coordinates")
 	}
+	if !finite(offer.Departure) {
+		return 0, fmt.Errorf("xar: offer departure %v is not finite", offer.Departure)
+	}
 	seats := offer.Seats
 	if seats == 0 {
 		seats = e.cfg.DefaultSeats
@@ -495,8 +461,8 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 	if detour == 0 {
 		detour = e.cfg.DefaultDetourLimit
 	}
-	if detour < 0 {
-		return 0, fmt.Errorf("xar: negative detour limit %v", detour)
+	if !finite(detour) || detour < 0 {
+		return 0, fmt.Errorf("xar: detour limit %v is negative or not finite", detour)
 	}
 	ctx, span, start := e.tel.beginOp(ctx, opCreate)
 	defer e.tel.endOp(opCreate, start, span, &err)
@@ -555,6 +521,9 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 	return r.ID, nil
 }
 
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // ConfigSummary returns the engine's effective configuration and world
 // dimensions as a flat, JSON-friendly map — the "what exactly was this
 // process running" member of the diagnostic bundle. Only scalars derived
@@ -568,7 +537,7 @@ func (e *Engine) ConfigSummary() map[string]any {
 		"default_detour_limit_m": e.cfg.DefaultDetourLimit,
 		"default_seats":          e.cfg.DefaultSeats,
 		"dest_window_slack_s":    destWindowSlack,
-		"router":                 e.router,
+		"router":                 RouterALT,
 		"search_sample_rate":     sampleRate,
 		"slow_op_threshold_ms":   float64(e.cfg.SlowOpThreshold) / float64(time.Millisecond),
 		"quality":                e.quality != nil,

@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"xar/internal/discretize"
 	"xar/internal/geo"
@@ -43,6 +45,8 @@ func farPoints(t testing.TB, e *Engine) (geo.Point, geo.Point) {
 	return a, b
 }
 
+// TestNewEngineValidation: a negative or non-finite default, rate or
+// threshold fails NewEngine by name instead of meaning "default" or "off".
 func TestNewEngineValidation(t *testing.T) {
 	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(10, 8, 1))
 	if err != nil {
@@ -52,15 +56,85 @@ func TestNewEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultConfig()
-	bad.DefaultDetourLimit = -1
-	if _, err := NewEngine(d, bad); err == nil {
-		t.Fatal("negative default detour must be rejected")
+	for _, tc := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"DefaultDetourLimit", func(c *Config) { c.DefaultDetourLimit = -1 }},
+		{"DefaultDetourLimit", func(c *Config) { c.DefaultDetourLimit = math.NaN() }},
+		{"DefaultDetourLimit", func(c *Config) { c.DefaultDetourLimit = math.Inf(1) }},
+		{"DefaultSeats", func(c *Config) { c.DefaultSeats = -2 }},
+		{"SearchSampleRate", func(c *Config) { c.SearchSampleRate = -1 }},
+		{"SlowOpThreshold", func(c *Config) { c.SlowOpThreshold = -time.Millisecond }},
+		{"ShadowSampleRate", func(c *Config) { c.ShadowSampleRate = -8 }},
+		{"ShadowSampleRate", func(c *Config) { c.ShadowSampleRate = 8 }}, // without Quality
+	} {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		if _, err := NewEngine(d, cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: NewEngine err = %v, want a rejection naming the field", tc.field, err)
+		}
 	}
-	bad = DefaultConfig()
-	bad.DefaultSeats = -2
-	if _, err := NewEngine(d, bad); err == nil {
-		t.Fatal("negative default seats must be rejected")
+}
+
+// TestNonFiniteInputsRefused: an offer with a NaN or infinite departure
+// or detour limit and a request with NaN in any field are refused by
+// CreateRide, Search and Book — before anything reaches the index (a NaN
+// ETA would break the posting-list order, a NaN budget refuses nothing,
+// a NaN walk limit lets any walk through). Infinite request windows
+// stay legal, and the match the refused bookings named still books.
+func TestNonFiniteInputsRefused(t *testing.T) {
+	e := newTestEngine(t)
+	src, dst := farPoints(t, e)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, offer := range []RideOffer{
+		{Source: src, Dest: dst, Departure: nan},
+		{Source: src, Dest: dst, Departure: inf},
+		{Source: src, Dest: dst, Departure: -inf},
+		{Source: src, Dest: dst, Departure: 0, DetourLimit: nan},
+		{Source: src, Dest: dst, Departure: 0, DetourLimit: inf},
+	} {
+		if id, err := e.CreateRide(offer); err == nil {
+			t.Errorf("CreateRide(departure %v, detour %v) registered ride %d", offer.Departure, offer.DetourLimit, id)
+		}
+	}
+	if n := e.NumRides(); n != 0 {
+		t.Fatalf("%d rides registered from refused offers", n)
+	}
+	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, ms := mustSearchAlong(t, e, e.Ride(id), 0.3, 0.7, 600, 900)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Request)
+	}{
+		{"NaN earliest departure", func(r *Request) { r.EarliestDeparture = nan }},
+		{"NaN latest departure", func(r *Request) { r.LatestDeparture = nan }},
+		{"NaN walk limit", func(r *Request) { r.WalkLimit = nan }},
+		{"NaN source", func(r *Request) { r.Source.Lat = nan }},
+		{"NaN destination", func(r *Request) { r.Dest.Lng = nan }},
+	} {
+		bad := req
+		tc.mut(&bad)
+		if _, err := e.Search(bad); err == nil {
+			t.Errorf("%s: Search accepted the request", tc.name)
+		}
+		if bk, err := e.Book(ms[0], bad); err == nil {
+			t.Errorf("%s: Book confirmed %+v", tc.name, bk)
+		}
+	}
+	open := req
+	open.EarliestDeparture, open.LatestDeparture = -inf, inf
+	if got, err := e.Search(open); err != nil || len(got) == 0 {
+		t.Fatalf("Search over (-Inf, +Inf) = %d matches, %v; want the ride", len(got), err)
+	}
+	if _, err := e.Book(ms[0], req); err != nil {
+		t.Fatalf("the match the refused bookings named no longer books: %v", err)
+	}
+	if err := e.Index().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -705,13 +779,8 @@ func TestEngineWithALTPathsIdenticalBehavior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainCfg := DefaultConfig()
-	plainCfg.Router = RouterAStar
-	plain, err := NewEngine(d, plainCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := NewEngine(d, DefaultConfig()) // Router "" is ALT
+	plain := astarEngine(t, d)
+	fast, err := NewEngine(d, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

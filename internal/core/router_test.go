@@ -3,7 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
-	"strings"
+	"sync"
 	"testing"
 
 	"xar/internal/discretize"
@@ -24,10 +24,29 @@ func routerTestDisc(t *testing.T) *discretize.Discretization {
 	return d
 }
 
-// TestRouterResolution covers the Config.Router decision table:
-// explicit values, the empty default (ALT; UseALTPaths decides
-// nothing), and rejection of every other name — "ch" included, which
-// must fail loudly rather than fall back.
+// astarEngine builds an engine whose shortest paths run on plain A*
+// (roadnet.Searcher) instead of ALT: the oracle the engine's router is
+// tested against. Both pool and constructor are swapped, so no ALT
+// searcher can serve it.
+func astarEngine(t *testing.T, d *discretize.Discretization) *Engine {
+	t.Helper()
+	e, err := NewEngine(d, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.City().Graph
+	e.newFinder = func() pathFinder { return roadnet.NewSearcher(g) }
+	e.finders = sync.Pool{New: func() any { return e.newFinder() }}
+	f := e.finder()
+	defer e.release(f)
+	if _, ok := f.(*roadnet.Searcher); !ok {
+		t.Fatal("the oracle engine does not search with plain A*")
+	}
+	return e
+}
+
+// TestRouterResolution: every engine routes with ALT, and UseALTPaths
+// decides nothing.
 func TestRouterResolution(t *testing.T) {
 	d := routerTestDisc(t)
 	cases := []struct {
@@ -37,7 +56,6 @@ func TestRouterResolution(t *testing.T) {
 	}{
 		{"default is alt", func(c *Config) {}, RouterALT},
 		{"compat flag has no effect", func(c *Config) { c.UseALTPaths = true }, RouterALT},
-		{"explicit astar wins over compat flag", func(c *Config) { c.UseALTPaths = true; c.Router = RouterAStar }, RouterAStar},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,14 +72,6 @@ func TestRouterResolution(t *testing.T) {
 				t.Fatalf("ConfigSummary router = %v, want %q", got, tc.want)
 			}
 		})
-	}
-	for _, name := range []string{"ch", "dijkstra-on-a-gpu"} {
-		cfg := DefaultConfig()
-		cfg.Router = name
-		_, err := NewEngine(d, cfg)
-		if err == nil || !strings.Contains(err.Error(), "astar") || !strings.Contains(err.Error(), "alt") {
-			t.Fatalf("Router %q: err = %v, want a rejection naming astar and alt", name, err)
-		}
 	}
 }
 

@@ -32,12 +32,7 @@ func TestReplayIdenticalUnderAStarAndDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleCfg := DefaultConfig()
-	oracleCfg.Router = RouterAStar
-	oracle, err := NewEngine(d, oracleCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := astarEngine(t, d)
 	reg := telemetry.NewRegistry()
 	cfg := DefaultConfig()
 	cfg.Telemetry = reg

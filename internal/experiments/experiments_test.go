@@ -236,32 +236,3 @@ func TestFig6ModeOrdering(t *testing.T) {
 		t.Fatal("table rendering broken")
 	}
 }
-
-func TestAblationSortedLists(t *testing.T) {
-	w := tinyWorld(t)
-	row, err := AblationSortedLists(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both configurations must find the same matches (correctness), the
-	// linear scan being the slower path at scale.
-	if row.OnMatches != row.OffMatches {
-		t.Fatalf("sorted (%d) vs linear (%d) matches differ", row.OnMatches, row.OffMatches)
-	}
-	if !strings.Contains(RenderAblations([]AblationRow{row}), "sorted-lists") {
-		t.Fatal("render broken")
-	}
-}
-
-func TestAblationReachablePrecompute(t *testing.T) {
-	w := tinyWorld(t)
-	row, err := AblationReachablePrecompute(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without the reachable-cluster expansion the index misses matches.
-	if row.OffMatches >= row.OnMatches {
-		t.Fatalf("ablated index found %d matches vs %d with precompute",
-			row.OffMatches, row.OnMatches)
-	}
-}

@@ -10,31 +10,14 @@ import (
 	"xar/internal/roadnet"
 )
 
-// Config tunes the index.
-type Config struct {
-	// AvgSpeed (m/s) converts cluster distances into the ETA estimates
-	// attached to reachable clusters (pass-through ETAs come from the
-	// route itself).
-	AvgSpeed float64
-	// LinearWindowScan replaces the binary searches of a window read by a
-	// scan of the whole list (ablation).
-	LinearWindowScan bool
-	// NoReachablePrecompute disables the reachable-cluster expansion at
-	// registration time (ablation): only pass-through clusters are
-	// indexed, so searches only see rides passing directly through a
-	// walkable cluster.
-	NoReachablePrecompute bool
-}
-
-// DefaultConfig returns production settings.
-func DefaultConfig() Config {
-	return Config{AvgSpeed: 7.0}
-}
+// AvgSpeed (m/s) converts cluster distances into the ETA estimates
+// attached to reachable clusters (pass-through ETAs come from the route
+// itself).
+const AvgSpeed = 7.0
 
 // Index is the XAR in-memory ride index built over a region
 // discretization. Not safe for concurrent use (see package comment).
 type Index struct {
-	cfg  Config
 	disc *discretize.Discretization
 
 	// rides finds a ride by ID (Ride, book, cancel, track); slots holds
@@ -50,8 +33,6 @@ type Index struct {
 	// neighbors[c] lists all clusters sorted by ascending distance from
 	// c, so "clusters within d of C" is a prefix.
 	neighbors [][]neighborEntry
-
-	nextID RideID
 
 	// ptBuf, supBuf and supOff are register's scratch (reused across
 	// calls; the index has a single writer): the ride's pass-through runs
@@ -80,10 +61,7 @@ type neighborEntry struct {
 // New builds an empty index over disc, with its O(k²) neighbor table:
 // per cluster, every cluster sorted by ascending distance, the rows
 // shared out over the workers.
-func New(disc *discretize.Discretization, cfg Config) (*Index, error) {
-	if cfg.AvgSpeed <= 0 {
-		return nil, fmt.Errorf("index: AvgSpeed must be positive, got %v", cfg.AvgSpeed)
-	}
+func New(disc *discretize.Discretization) *Index {
 	k := disc.NumClusters()
 	neighbors := make([][]neighborEntry, k)
 	discretize.Parallel(k, func() func(int) {
@@ -105,13 +83,12 @@ func New(disc *discretize.Discretization, cfg Config) (*Index, error) {
 		}
 	})
 	return &Index{
-		cfg:       cfg,
 		disc:      disc,
 		rides:     make(map[RideID]*Ride),
 		clusters:  make([]clusterList, k),
 		neighbors: neighbors,
 		supOff:    make([]int32, k),
-	}, nil
+	}
 }
 
 // Disc exposes the discretization the index was built over.
@@ -139,12 +116,6 @@ func (ix *Index) Rides(f func(*Ride) bool) {
 			return
 		}
 	}
-}
-
-// NextID allocates a fresh ride ID.
-func (ix *Index) NextID() RideID {
-	ix.nextID++
-	return ix.nextID
 }
 
 // Insert registers a fully-populated ride (ID, route, route ETAs,
@@ -212,7 +183,7 @@ func (ix *Index) Reregister(r *Ride) error {
 // lists — of a ride with a free seat: a full one is nobody's potential ride
 // (Definition 1) and is in no list until a cancellation re-registers it.
 func (ix *Index) register(r *Ride) {
-	r.pt, r.support, r.dir, r.avgSpeed = nil, nil, nil, ix.cfg.AvgSpeed
+	r.pt, r.support, r.dir = nil, nil, nil
 	if r.SeatsAvail <= 0 {
 		return
 	}
@@ -265,9 +236,6 @@ func (ix *Index) register(r *Ride) {
 			groups++
 		}
 
-		if ix.cfg.NoReachablePrecompute {
-			continue
-		}
 		viaCluster := int32(-1)
 		if int(e.Seg)+1 < len(r.Via) {
 			viaCluster = int32(ix.disc.ClusterOfNode(r.Via[e.Seg+1].Node))
@@ -432,9 +400,6 @@ func (ix *Index) Advance(id RideID, pos int) error {
 func (ix *Index) PotentialSlots(c int, t1, t2 float64, dst []int32) []int32 {
 	if c < 0 || c >= len(ix.clusters) {
 		return dst
-	}
-	if ix.cfg.LinearWindowScan {
-		return ix.clusters[c].scan(t1, t2, dst)
 	}
 	return ix.clusters[c].window(t1, t2, dst)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"xar/internal/discretize"
@@ -26,18 +27,13 @@ func testWorld(t testing.TB) *discretize.Discretization {
 	return d
 }
 
-func newTestIndex(t testing.TB, d *discretize.Discretization) *Index {
-	t.Helper()
-	ix, err := New(d, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix
-}
+// testRideIDs hands makeRide its ride IDs (the engine allocates through
+// Locked.NextID).
+var testRideIDs atomic.Int64
 
 // makeRide builds a ride between two road nodes with a shortest-path
 // route, constant-speed ETAs and a detour limit.
-func makeRide(t testing.TB, d *discretize.Discretization, ix *Index, from, to roadnet.NodeID, depart, detour float64) *Ride {
+func makeRide(t testing.TB, d *discretize.Discretization, from, to roadnet.NodeID, depart, detour float64) *Ride {
 	t.Helper()
 	s := roadnet.NewSearcher(d.City().Graph)
 	res := s.ShortestPath(from, to)
@@ -45,7 +41,7 @@ func makeRide(t testing.TB, d *discretize.Discretization, ix *Index, from, to ro
 		t.Fatalf("no route %d→%d", from, to)
 	}
 	r := &Ride{
-		ID:          ix.NextID(),
+		ID:          RideID(testRideIDs.Add(1)),
 		Source:      d.City().Graph.Point(from),
 		Dest:        d.City().Graph.Point(to),
 		Departure:   depart,
@@ -84,13 +80,6 @@ func pickCrossingNodes(t testing.TB, d *discretize.Discretization) (roadnet.Node
 	return 0, roadnet.NodeID(g.NumNodes() - 1)
 }
 
-func TestNewValidation(t *testing.T) {
-	d := testWorld(t)
-	if _, err := New(d, Config{AvgSpeed: 0}); err == nil {
-		t.Fatal("zero speed must be rejected")
-	}
-}
-
 // TestNewShardedRefusesStripes: the benchmark module's constructor still
 // takes a stripe count; asking for more than the one index there is must
 // fail by name, not be served by one stripe in silence.
@@ -110,28 +99,28 @@ func TestNewShardedRefusesStripes(t *testing.T) {
 
 func TestInsertValidation(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	if err := ix.Insert(nil); err == nil {
 		t.Fatal("nil ride must be rejected")
 	}
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 1500)
+	r := makeRide(t, d, from, to, 0, 1500)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Insert(r); err == nil {
 		t.Fatal("duplicate ID must be rejected")
 	}
-	bad := makeRide(t, d, ix, from, to, 0, 1500)
+	bad := makeRide(t, d, from, to, 0, 1500)
 	bad.RouteETA = bad.RouteETA[:1]
 	if err := ix.Insert(bad); err == nil {
 		t.Fatal("inconsistent ETAs must be rejected")
 	}
-	bad2 := makeRide(t, d, ix, from, to, 0, -5)
+	bad2 := makeRide(t, d, from, to, 0, -5)
 	if err := ix.Insert(bad2); err == nil {
 		t.Fatal("negative detour must be rejected")
 	}
-	bad3 := makeRide(t, d, ix, from, to, 0, 1500)
+	bad3 := makeRide(t, d, from, to, 0, 1500)
 	bad3.Via = bad3.Via[:1]
 	if err := ix.Insert(bad3); err == nil {
 		t.Fatal("single via-point must be rejected")
@@ -140,9 +129,9 @@ func TestInsertValidation(t *testing.T) {
 
 func TestInsertPopulatesClusters(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 1000, 1500)
+	r := makeRide(t, d, from, to, 1000, 1500)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +156,9 @@ func TestInsertPopulatesClusters(t *testing.T) {
 
 func TestPassThroughETAsMatchRoute(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 500, 1500)
+	r := makeRide(t, d, from, to, 500, 1500)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +180,9 @@ func TestPassThroughETAsMatchRoute(t *testing.T) {
 
 func TestReachableRespectsDetourLimit(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 800)
+	r := makeRide(t, d, from, to, 0, 800)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +202,9 @@ func TestReachableRespectsDetourLimit(t *testing.T) {
 
 func TestZeroDetourOnlyPassThrough(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 0)
+	r := makeRide(t, d, from, to, 0, 0)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +221,9 @@ func TestZeroDetourOnlyPassThrough(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 1500)
+	r := makeRide(t, d, from, to, 0, 1500)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +249,10 @@ func TestRemove(t *testing.T) {
 
 func TestPotentialRidesTimeWindow(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r1 := makeRide(t, d, ix, from, to, 0, 1200)
-	r2 := makeRide(t, d, ix, from, to, 3600, 1200)
+	r1 := makeRide(t, d, from, to, 0, 1200)
+	r2 := makeRide(t, d, from, to, 3600, 1200)
 	if err := ix.Insert(r1); err != nil {
 		t.Fatal(err)
 	}
@@ -308,49 +297,11 @@ func TestPotentialRidesTimeWindow(t *testing.T) {
 	}
 }
 
-func TestLinearWindowScanMatchesBinary(t *testing.T) {
-	d := testWorld(t)
-	cfgLin := DefaultConfig()
-	cfgLin.LinearWindowScan = true
-	ixA := newTestIndex(t, d)
-	ixB, err := New(d, cfgLin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, to := pickCrossingNodes(t, d)
-	for i := 0; i < 10; i++ {
-		ra := makeRide(t, d, ixA, from, to, float64(i*600), 1000)
-		rb := *ra
-		rb.ID = ra.ID
-		if err := ixA.Insert(ra); err != nil {
-			t.Fatal(err)
-		}
-		rb2 := makeRide(t, d, ixB, from, to, float64(i*600), 1000)
-		rb2.ID = ra.ID // align IDs
-		ixB.nextID = ra.ID
-		if err := ixB.Insert(rb2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shared := 0
-	for c := 0; c < d.NumClusters(); c++ {
-		if ixA.ClusterListLen(c) > 0 {
-			shared = c
-			break
-		}
-	}
-	a := ixA.PotentialRides(shared, 0, 4000, nil)
-	b := ixB.PotentialRides(shared, 0, 4000, nil)
-	if len(a) != len(b) {
-		t.Fatalf("binary window %d rides, linear %d", len(a), len(b))
-	}
-}
-
 func TestAdvanceRemovesObsoleteClusters(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 1000)
+	r := makeRide(t, d, from, to, 0, 1000)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -379,12 +330,12 @@ func TestAdvanceRemovesObsoleteClusters(t *testing.T) {
 
 func TestAdvanceValidation(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	if err := ix.Advance(999, 1); err == nil {
 		t.Fatal("advancing an unknown ride must error")
 	}
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 1000)
+	r := makeRide(t, d, from, to, 0, 1000)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +356,9 @@ func TestAdvanceValidation(t *testing.T) {
 
 func TestAdvanceIncremental(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 1000)
+	r := makeRide(t, d, from, to, 0, 1000)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +380,9 @@ func TestAdvanceIncremental(t *testing.T) {
 
 func TestSupportsOrdering(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 1500)
+	r := makeRide(t, d, from, to, 0, 1500)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -457,9 +408,9 @@ func TestSupportsOrdering(t *testing.T) {
 
 func TestReregisterAfterDetourShrink(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 2000)
+	r := makeRide(t, d, from, to, 0, 2000)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -476,39 +427,15 @@ func TestReregisterAfterDetourShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reregister of an unknown ride errors.
-	ghost := makeRide(t, d, ix, from, to, 0, 100)
+	ghost := makeRide(t, d, from, to, 0, 100)
 	if err := ix.Reregister(ghost); err == nil {
 		t.Fatal("reregistering an uninserted ride must error")
 	}
 }
 
-func TestNoReachablePrecomputeAblation(t *testing.T) {
-	d := testWorld(t)
-	cfg := DefaultConfig()
-	cfg.NoReachablePrecompute = true
-	ix, err := New(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 2000)
-	if err := ix.Insert(r); err != nil {
-		t.Fatal(err)
-	}
-	pts := map[int]bool{}
-	for _, c := range r.PassThroughClusters() {
-		pts[c] = true
-	}
-	for _, c := range r.ReachableClusters() {
-		if !pts[c] {
-			t.Fatalf("ablated index indexed non-pass-through cluster %d", c)
-		}
-	}
-}
-
 func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	g := d.City().Graph
 	rng := rand.New(rand.NewSource(77))
 	var live []RideID
@@ -520,7 +447,7 @@ func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 			if from == to {
 				continue
 			}
-			r := makeRide(t, d, ix, from, to, float64(rng.Intn(7200)), float64(rng.Intn(2000)))
+			r := makeRide(t, d, from, to, float64(rng.Intn(7200)), float64(rng.Intn(2000)))
 			if err := ix.Insert(r); err != nil {
 				t.Fatal(err)
 			}
@@ -571,10 +498,10 @@ func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 // identical fresh ride lists.
 func TestFullRideLeavesEveryList(t *testing.T) {
 	d := testWorld(t)
-	ix, fresh := newTestIndex(t, d), newTestIndex(t, d)
+	ix, fresh := New(d), New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 1500)
-	other := makeRide(t, d, ix, from, to, 60, 1500)
+	r := makeRide(t, d, from, to, 0, 1500)
+	other := makeRide(t, d, from, to, 60, 1500)
 	for _, ride := range []*Ride{r, other} {
 		if err := ix.Insert(ride); err != nil {
 			t.Fatal(err)
@@ -649,11 +576,11 @@ func TestFullRideLeavesEveryList(t *testing.T) {
 // makeLegRide is makeRide over several legs: the route visits stops in
 // order (shortest path per leg) and every inner stop is a via-point, so
 // the ride has len(stops)−1 segments and can revisit a cluster.
-func makeLegRide(t testing.TB, d *discretize.Discretization, ix *Index, stops []roadnet.NodeID, depart, detour float64) *Ride {
+func makeLegRide(t testing.TB, d *discretize.Discretization, stops []roadnet.NodeID, depart, detour float64) *Ride {
 	t.Helper()
-	r := makeRide(t, d, ix, stops[0], stops[1], depart, detour)
+	r := makeRide(t, d, stops[0], stops[1], depart, detour)
 	for _, next := range stops[2:] {
-		leg := makeRide(t, d, ix, r.Route[len(r.Route)-1], next, r.RouteETA[len(r.RouteETA)-1], detour)
+		leg := makeRide(t, d, r.Route[len(r.Route)-1], next, r.RouteETA[len(r.RouteETA)-1], detour)
 		r.Via[len(r.Via)-1].Kind = ViaPickup
 		r.Route = append(r.Route, leg.Route[1:]...)
 		r.RouteETA = append(r.RouteETA, leg.RouteETA[1:]...)
@@ -721,7 +648,7 @@ func referenceSupports(ix *Index, r *Ride) []clusteredSupport {
 					continue
 				}
 			}
-			recs = append(recs, clusteredSupport{int32(o), Support{Order: int32(pi), Dist: float32(dist), Detour: detour}, seg, eta + dist/ix.cfg.AvgSpeed})
+			recs = append(recs, clusteredSupport{int32(o), Support{Order: int32(pi), Dist: float32(dist), Detour: detour}, seg, eta + dist/AvgSpeed})
 		}
 	}
 	slices.SortFunc(recs, compareSupports)
@@ -753,7 +680,7 @@ func checkSupportTable(t testing.TB, ix *Index, r *Ride, when string) []clustere
 // it — on multi-leg rides that revisit clusters and tie on detour.
 func TestSupportTableMatchesSortedRecords(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	g := d.City().Graph
 	rng := rand.New(rand.NewSource(5))
 	repeats, ties := 0, 0
@@ -768,7 +695,7 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 		if trial%3 == 0 { // out and back: every cluster twice
 			stops = append(stops, stops[0])
 		}
-		r := makeLegRide(t, d, ix, stops, float64(rng.Intn(7200)), float64(rng.Intn(2500)))
+		r := makeLegRide(t, d, stops, float64(rng.Intn(7200)), float64(rng.Intn(2500)))
 		if err := ix.Insert(r); err != nil {
 			t.Fatal(err)
 		}
@@ -809,9 +736,9 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 // distance, and pass-through ETAs out of route order.
 func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	r := makeRide(t, d, ix, from, to, 0, 1500)
+	r := makeRide(t, d, from, to, 0, 1500)
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
@@ -873,7 +800,7 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 
 	// Damaged blocks of a cluster list: each defect is reported under the
 	// cluster it sits in.
-	r2 := makeRide(t, d, ix, from, to, 60, 1500)
+	r2 := makeRide(t, d, from, to, 60, 1500)
 	if err := ix.Insert(r2); err != nil {
 		t.Fatal(err)
 	}
@@ -917,11 +844,10 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 }
 
 func TestNextIDMonotonic(t *testing.T) {
-	d := testWorld(t)
-	ix := newTestIndex(t, d)
-	prev := ix.NextID()
+	var l Locked
+	prev := l.NextID()
 	for i := 0; i < 100; i++ {
-		id := ix.NextID()
+		id := l.NextID()
 		if id <= prev {
 			t.Fatalf("NextID not monotonic: %d after %d", id, prev)
 		}
@@ -931,10 +857,10 @@ func TestNextIDMonotonic(t *testing.T) {
 
 func TestRidesIteration(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
 	for i := 0; i < 5; i++ {
-		r := makeRide(t, d, ix, from, to, float64(i), 500)
+		r := makeRide(t, d, from, to, float64(i), 500)
 		if err := ix.Insert(r); err != nil {
 			t.Fatal(err)
 		}
@@ -967,12 +893,12 @@ func TestViaKindString(t *testing.T) {
 
 func TestStatsTracksOccupancy(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	if s := ix.Stats(); s.Rides != 0 || s.ListEntries != 0 {
 		t.Fatalf("empty index stats: %+v", s)
 	}
 	from, to := pickCrossingNodes(t, d)
-	r1 := makeRide(t, d, ix, from, to, 0, 1500)
+	r1 := makeRide(t, d, from, to, 0, 1500)
 	if err := ix.Insert(r1); err != nil {
 		t.Fatal(err)
 	}
@@ -983,7 +909,7 @@ func TestStatsTracksOccupancy(t *testing.T) {
 	if s1.ListEntries != len(r1.ReachableClusters()) {
 		t.Fatalf("list entries %d != reachable clusters %d", s1.ListEntries, len(r1.ReachableClusters()))
 	}
-	r2 := makeRide(t, d, ix, from, to, 100, 1500)
+	r2 := makeRide(t, d, from, to, 100, 1500)
 	if err := ix.Insert(r2); err != nil {
 		t.Fatal(err)
 	}

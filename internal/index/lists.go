@@ -186,8 +186,7 @@ func (l *clusterList) updateETA(slot int32, was, now float64) {
 // inside the window; up to the first ETA past t2, found by a second binary
 // search, in the block where the window ends. No ETA between the window's
 // two ends is read. The endpoints are range-checked first, so an empty or
-// out-of-window list costs two comparisons; a NaN bound holds nothing, as
-// in scan.
+// out-of-window list costs two comparisons; a NaN bound holds nothing.
 func (l *clusterList) window(t1, t2 float64, dst []int32) []int32 {
 	bs := l.blocks
 	if !(t1 <= t2) || len(bs) == 0 || bs[0].eta[0] > t2 {
@@ -232,20 +231,6 @@ func (l *clusterList) window(t1, t2 float64, dst []int32) []int32 {
 			}
 		}
 		return append(dst, b.slot[i:j]...)
-	}
-	return dst
-}
-
-// scan is the ablation variant of window: a full scan that ignores the
-// order. Benchmarks use it to quantify the value of the sorted list.
-func (l *clusterList) scan(t1, t2 float64, dst []int32) []int32 {
-	for bi := range l.blocks {
-		b := &l.blocks[bi]
-		for i, eta := range b.eta {
-			if eta >= t1 && eta <= t2 {
-				dst = append(dst, b.slot[i])
-			}
-		}
 	}
 	return dst
 }

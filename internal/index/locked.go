@@ -23,8 +23,8 @@ type Locked struct {
 	nextID atomic.Int64
 }
 
-// NextID allocates a fresh ride ID (lock-free; IDs are sequential, so a
-// serial workload produces the same IDs a bare Index would).
+// NextID allocates a fresh ride ID (lock-free; IDs are sequential from 1,
+// so a serial workload always produces the same IDs).
 func (l *Locked) NextID() RideID { return RideID(l.nextID.Add(1)) }
 
 // NumRides returns the active ride count.
@@ -111,27 +111,30 @@ func (v View) Audit() (rides []*Ride, incs []Inconsistency) {
 
 // What follows is not API: it is the set of names benchmark/probes.go and
 // benchmark/httpserver.go compile against from when rides were striped
-// over N indexes by ID (core.Config.UseALTPaths is the one other such
-// name). This repository's PRs may not edit benchmark/, so each stays as
-// the thinnest thing that compiles over the one locked index, nothing
-// else calls them, and they leave with those two files' next revision.
+// over N indexes by ID and the index took a configuration
+// (core.Config.UseALTPaths is the one other such name). This repository's
+// PRs may not edit benchmark/, so each stays as the thinnest thing that
+// compiles over the one locked index, nothing else calls them, and they
+// leave with those two files' next revision.
 type (
 	Sharded = Locked
 	Shard   = Locked
 )
 
+// Config has no fields: the index has nothing left to tune.
+type Config struct{}
+
+// DefaultConfig returns the empty Config.
+func DefaultConfig() Config { return Config{} }
+
 // NewSharded builds an empty locked index. n is what the probe passes
 // back from NumShards; more than one stripe is an error, not a request
 // silently served by one.
-func NewSharded(disc *discretize.Discretization, cfg Config, n int) (*Sharded, error) {
+func NewSharded(disc *discretize.Discretization, _ Config, n int) (*Sharded, error) {
 	if n > 1 {
 		return nil, fmt.Errorf("index: %d shards requested, but ride-ID striping was removed: the index is one Index behind one lock", n)
 	}
-	ix, err := New(disc, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Locked{Ix: ix}, nil
+	return &Locked{Ix: New(disc)}, nil
 }
 
 func (l *Locked) Shard(int) *Shard       { return l }

@@ -124,14 +124,12 @@ type Ride struct {
 	// runs in route order, the flat support table — one group per
 	// supported cluster in ascending cluster order, each sorted by
 	// (Detour, Order) — and the directory that says where each group
-	// starts (see Supports). avgSpeed is the index's AvgSpeed the table
-	// was built under, which SupportETA divides by; slot is the ride's
-	// place in the slot table of the index it is registered in.
-	pt       []ptEntry
-	support  []Support
-	dir      []dirEntry
-	avgSpeed float64
-	slot     int32
+	// starts (see Supports); slot is the ride's place in the slot table
+	// of the index it is registered in.
+	pt      []ptEntry
+	support []Support
+	dir     []dirEntry
+	slot    int32
 }
 
 // Clone returns a deep copy of the ride: a snapshot that stays valid
@@ -180,12 +178,12 @@ type Support struct {
 func (r *Ride) SupportSeg(s Support) int { return int(r.pt[s.Order].Seg) }
 
 // SupportETA returns the arrival estimate of support s: its run's ETA
-// plus the cluster distance at the index's average speed. Pass-through
-// ETAs never decrease along the route, and the sum and the quotient are
-// monotone, so of two supports, one at a later-or-equal run no nearer
-// than the other never arrives earlier.
+// plus the cluster distance at AvgSpeed. Pass-through ETAs never decrease
+// along the route, and the sum and the quotient are monotone, so of two
+// supports, one at a later-or-equal run no nearer than the other never
+// arrives earlier.
 func (r *Ride) SupportETA(s Support) float64 {
-	return r.pt[s.Order].ETA + float64(s.Dist)/r.avgSpeed
+	return r.pt[s.Order].ETA + float64(s.Dist)/AvgSpeed
 }
 
 // dirEntry is one key of a ride's cluster directory: the supports of

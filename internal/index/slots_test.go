@@ -34,7 +34,7 @@ func randomRide(t testing.TB, rng *rand.Rand, ix *Index) *Ride {
 	if from == to {
 		to = (to + 1) % roadnet.NodeID(g.NumNodes())
 	}
-	return makeRide(t, ix.disc, ix, from, to, float64(rng.Intn(7200)), float64(rng.Intn(2000)))
+	return makeRide(t, ix.disc, from, to, float64(rng.Intn(7200)), float64(rng.Intn(2000)))
 }
 
 // listedSlotsAreOccupied walks every posting list directly: each entry
@@ -69,7 +69,7 @@ func listedSlotsAreOccupied(t *testing.T, ix *Index, when string) {
 // index and take that index's slots, not the ones they carry.
 func TestSlotLifecycleAgainstModel(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	rng := rand.New(rand.NewSource(2210))
 	all := func(c int) []RideID { return ix.PotentialRides(c, math.Inf(-1), math.Inf(1), nil) }
 
@@ -173,7 +173,7 @@ func TestSlotLifecycleAgainstModel(t *testing.T) {
 
 	// Clones into a second index, highest slot first: each takes the next
 	// slot of that index whatever it carried, and the original stays put.
-	second := newTestIndex(t, d)
+	second := New(d)
 	order := slices.Clone(live)
 	slices.SortFunc(order, func(a, b RideID) int { return int(slotOf[b] - slotOf[a]) })
 	for i, id := range order {
@@ -213,7 +213,7 @@ func TestSlotLifecycleAgainstModel(t *testing.T) {
 // has no table and supports nothing.
 func TestSupportsThroughDirectoryEqualsLinearFilter(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	g := d.City().Graph
 	rng := rand.New(rand.NewSource(9))
 	k := d.NumClusters()
@@ -258,7 +258,7 @@ func TestSupportsThroughDirectoryEqualsLinearFilter(t *testing.T) {
 				stops[i] = (stops[i] + 1) % roadnet.NodeID(g.NumNodes())
 			}
 		}
-		r := makeLegRide(t, d, ix, stops, float64(rng.Intn(3600)), float64(500+rng.Intn(2000)))
+		r := makeLegRide(t, d, stops, float64(rng.Intn(3600)), float64(500+rng.Intn(2000)))
 		if err := ix.Insert(r); err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestSupportsThroughDirectoryEqualsLinearFilter(t *testing.T) {
 		t.Fatalf("%d present and %d absent (ride, cluster) pairs, %d compactions: want all three", present, absent, compactions)
 	}
 
-	full := makeRide(t, d, ix, 0, roadnet.NodeID(g.NumNodes()-1), 0, 1500)
+	full := makeRide(t, d, 0, roadnet.NodeID(g.NumNodes()-1), 0, 1500)
 	full.SeatsAvail = 0
 	if err := ix.Insert(full); err != nil {
 		t.Fatal(err)
@@ -305,11 +305,11 @@ func TestSupportsThroughDirectoryEqualsLinearFilter(t *testing.T) {
 // audit to name each.
 func TestInconsistenciesCatchSlotAndDirectoryDamage(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	from, to := pickCrossingNodes(t, d)
-	a := makeRide(t, d, ix, from, to, 0, 1500)
-	b := makeRide(t, d, ix, from, to, 60, 1500)
-	gone := makeRide(t, d, ix, from, to, 120, 1500)
+	a := makeRide(t, d, from, to, 0, 1500)
+	b := makeRide(t, d, from, to, 60, 1500)
+	gone := makeRide(t, d, from, to, 120, 1500)
 	for _, r := range []*Ride{a, b, gone} {
 		if err := ix.Insert(r); err != nil {
 			t.Fatal(err)
@@ -367,7 +367,7 @@ func TestInconsistenciesCatchSlotAndDirectoryDamage(t *testing.T) {
 // size by exactly their bytes.
 func TestMemsizeReachesSlotTableAndDirectories(t *testing.T) {
 	d := testWorld(t)
-	ix := newTestIndex(t, d)
+	ix := New(d)
 	rng := rand.New(rand.NewSource(4))
 	var ids []RideID
 	for i := 0; i < 40; i++ {

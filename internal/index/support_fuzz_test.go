@@ -49,8 +49,8 @@ func FuzzSupportTable(f *testing.F) {
 		}
 		depart, budget, rebudget := float64(word()%7200), float64(word()%3000), float64(word()%3000)
 
-		ix := newTestIndex(t, d)
-		ride := makeLegRide(t, d, ix, stops, depart, budget)
+		ix := New(d)
+		ride := makeLegRide(t, d, stops, depart, budget)
 		check := func(when string) {
 			t.Helper()
 			want := checkSupportTable(t, ix, ride, when)

@@ -15,7 +15,7 @@ import (
 // TestEveryServingOptionHasASetter holds the serving path's Config
 // structs to the rule they were pruned by: an exported field stays only
 // while some file other than the one declaring it — a tool, the server,
-// the benchmark, a test reaching an ablation path — sets it, either as a
+// the benchmark, a test — sets it, either as a
 // key of a composite literal of that struct or as the target of an
 // assignment. A field nothing sets is a constant with a default-filling
 // branch around it; make it one.
@@ -28,7 +28,6 @@ func TestEveryServingOptionHasASetter(t *testing.T) {
 	// has no name of its own, so the loop below never reaches into it.
 	serving := map[string][]string{ // import path → struct names
 		"xar/internal/core":       {"Config", "Observers"},
-		"xar/internal/index":      {"Config"},
 		"xar/internal/discretize": {"Config"},
 		"xar/internal/roadnet":    {"CHConfig"},
 		"xar/internal/telemetry":  {"TracerConfig", "RecorderConfig"},

@@ -1,6 +1,7 @@
 package xar
 
 import (
+	"math"
 	"testing"
 )
 
@@ -76,6 +77,57 @@ func TestFacadeLifecycle(t *testing.T) {
 	}
 	if sys.NumRides() != 0 {
 		t.Fatal("fleet not empty after completion")
+	}
+}
+
+// TestFacadeRefusesNonFiniteInputs: the System refuses what the engine
+// refuses — an offer with a non-finite departure or detour limit, a
+// request with NaN in it — and leaves the fleet as it was.
+func TestFacadeRefusesNonFiniteInputs(t *testing.T) {
+	sys, err := New(smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sys.RandomServablePoint(1)
+	b := sys.RandomServablePoint(99)
+	nan := math.NaN()
+	for _, offer := range []RideOffer{
+		{Source: a, Dest: b, Departure: nan, DetourLimit: 2000},
+		{Source: a, Dest: b, Departure: math.Inf(1), DetourLimit: 2000},
+		{Source: a, Dest: b, Departure: 1000, DetourLimit: nan},
+		{Source: a, Dest: b, Departure: 1000, DetourLimit: math.Inf(1)},
+	} {
+		if id, err := sys.CreateRide(offer); err == nil {
+			t.Errorf("CreateRide(departure %v, detour %v) registered ride %d", offer.Departure, offer.DetourLimit, id)
+		}
+	}
+	if _, err := sys.CreateRide(RideOffer{Source: a, Dest: b, Departure: 1000, DetourLimit: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Source: a, Dest: b, EarliestDeparture: 900, LatestDeparture: 1900, WalkLimit: 1000}
+	ms, err := sys.Search(req)
+	if err != nil || len(ms) == 0 {
+		t.Fatalf("search along the ride: %d matches, %v", len(ms), err)
+	}
+	for name, mut := range map[string]func(*Request){
+		"NaN earliest departure": func(r *Request) { r.EarliestDeparture = nan },
+		"NaN latest departure":   func(r *Request) { r.LatestDeparture = nan },
+		"NaN walk limit":         func(r *Request) { r.WalkLimit = nan },
+	} {
+		bad := req
+		mut(&bad)
+		if _, err := sys.Search(bad); err == nil {
+			t.Errorf("%s: Search accepted the request", name)
+		}
+		if bk, err := sys.Book(ms[0], bad); err == nil {
+			t.Errorf("%s: Book confirmed %+v", name, bk)
+		}
+	}
+	if sys.NumRides() != 1 {
+		t.Fatalf("NumRides = %d, want the one valid offer", sys.NumRides())
+	}
+	if err := sys.Engine().Index().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
