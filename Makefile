@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke bench-scale bench-scale-smoke
+.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke
 
 all: build vet test
 
@@ -41,23 +41,6 @@ bench-observers-smoke:
 # clock, and exit zero with no violations — the correctness gate CI runs.
 audit-smoke:
 	$(GO) run ./cmd/xarsim -rows 12 -cols 8 -requests 200 -audit
-
-# bench-scale: the open-loop, coordinated-omission-safe rate sweep —
-# xarload drives the full HTTP path on a Poisson arrival schedule across
-# a rate ladder and writes the throughput/latency/memory frontier to
-# BENCH_scale.json (client quantiles from intended send time, server-side
-# histogram cross-check, heap/RSS and memsize rides-per-GB per step).
-# See OBSERVABILITY.md "Load testing".
-bench-scale:
-	$(GO) run ./cmd/xarload -rates 200,500,1000,2000,4000 -ops-per-step 2000 -out BENCH_scale.json
-
-# bench-scale-smoke: a small-scale xarload sweep against an in-process
-# server, gated on the lowest-rate p99 and every step's match rate — the
-# CI regression fence for serving latency under load.
-bench-scale-smoke:
-	$(GO) run ./cmd/xarload -rows 16 -cols 10 -requests 800 \
-		-rates 200,400 -ops-per-step 400 -warmup 200 \
-		-out bench-scale-smoke.json -gate-p99-ms 250 -gate-match-rate 0.005
 
 # bench-parallel-smoke: one iteration of each concurrent-engine
 # benchmark at every GOMAXPROCS step (procsP), plus one of

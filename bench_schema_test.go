@@ -1,13 +1,12 @@
 // Consistency checks between the code and what the repository states
-// about its benchmarks and tools: the committed BENCH_scale.json
-// frontier stays machine-readable, every benchmark or test name a Makefile or CI
-// pattern passes to `go test` exists, every flag a documented command
-// passes a cmd tool exists, and OBSERVABILITY.md's overhead budgets are
-// BenchmarkSearchObservers' own. Each would otherwise go stale silently.
+// about its benchmarks and tools: every benchmark or test name a
+// Makefile or CI pattern passes to `go test` exists, every cmd tool and
+// every flag a documented command hands one exists, and
+// OBSERVABILITY.md's overhead budgets are BenchmarkSearchObservers'
+// own. Each would otherwise go stale silently.
 package xar
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -19,32 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"xar/internal/load"
 )
-
-// TestBenchArtifactSchemas: BENCH_scale.json, the one measured record
-// the repository keeps (`make bench-scale` rewrites it), is the frontier
-// xarload emits: its schema tag and at least one rate step.
-func TestBenchArtifactSchemas(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_scale.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema string            `json:"schema"`
-		Steps  []json.RawMessage `json:"steps"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_scale.json: not a JSON object: %v", err)
-	}
-	if doc.Schema != load.FrontierSchema {
-		t.Errorf("BENCH_scale.json: schema %q, want %q", doc.Schema, load.FrontierSchema)
-	}
-	if len(doc.Steps) == 0 {
-		t.Error("BENCH_scale.json: no steps")
-	}
-}
 
 // TestBenchPatternsNameRealBenchmarks: every `|` alternative of every
 // -bench and -run pattern that the Makefile and the CI workflow pass to
@@ -196,11 +170,12 @@ func parseBudget(cell string) (float64, error) {
 	return 0, fmt.Errorf("budget %q is neither ≤N%% nor ≤N×", cell)
 }
 
-// TestCmdFlagsInDocsExist: every flag a documented command hands a cmd
-// tool — `go run ./cmd/<tool> -flag …` or `<tool> -flag …` on a command
-// line of the Makefile, the CI workflow, README.md or the verify skill —
-// is one that tool's main registers. The flag package rejects an
-// unknown flag only when the command runs, and nothing runs the docs.
+// TestCmdFlagsInDocsExist: every cmd tool a command line of the
+// Makefile, the CI workflow, README.md or the verify skill cites as
+// `./cmd/<tool>` has a directory, and every flag such a line hands a
+// tool — `go run ./cmd/<tool> -flag …` or `<tool> -flag …` — is one that
+// tool's main registers. The flag package rejects an unknown flag only
+// when the command runs, and nothing runs the docs.
 func TestCmdFlagsInDocsExist(t *testing.T) {
 	registers := map[string]bool{"String": true, "Int": true, "Bool": true, "Float64": true, "Int64": true, "Duration": true}
 	dirs, err := filepath.Glob("cmd/*")
@@ -252,6 +227,7 @@ func TestCmdFlagsInDocsExist(t *testing.T) {
 	// command (pipe, list, redirect, comment) or the code span.
 	toolRE := regexp.MustCompile("(?:^|[\\s/])(" + strings.Join(names, "|") + ")\\b((?:[ \\t]+[^\\s|;&>#`]+)*)")
 	flagRE := regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9_-]*)`)
+	dirRE := regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?cmd/([\w-]+)`)
 	checked := 0
 	for _, file := range []string{"Makefile", ".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(file)
@@ -259,6 +235,11 @@ func TestCmdFlagsInDocsExist(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range commandChunks(file, string(raw)) {
+			for _, m := range dirRE.FindAllStringSubmatch(c.code, -1) {
+				if tools[m[1]] == nil {
+					t.Errorf("%s:%d: cites cmd/%s, which has no directory (%q)", file, c.line, m[1], strings.TrimSpace(c.code))
+				}
+			}
 			for _, m := range toolRE.FindAllStringSubmatch(c.code, -1) {
 				for _, tok := range strings.Fields(m[2]) {
 					f := flagRE.FindStringSubmatch(tok)

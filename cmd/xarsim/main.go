@@ -47,6 +47,11 @@ func main() {
 	shadowSample := flag.Int("shadow-sample", 8, "with -quality, shadow-match 1-in-N no-match requests and bookings (0 disables the shadow matcher)")
 	profileFlag := flag.Bool("profile", true, "profile the XAR replay (allocation and contention deltas bracketing the run) and print the top-5 symbols per kind after it")
 	flag.Parse()
+	switch *system {
+	case "xar", "tshare", "both":
+	default:
+		log.Fatalf("unknown -system %q (want xar|tshare|both)", *system)
+	}
 
 	scale := experiments.DefaultScale()
 	scale.CityRows = *rows

@@ -16,9 +16,9 @@ import (
 // WriteMemory writes an engine's memory report — which component owns
 // the retained bytes, how much of the live heap (runtime HeapAlloc, the
 // denominator of TrackedCoverageRatio) that explains, and rides per GB
-// of index. It is the post-run summary xarsim and xarload share, and
-// what xarserver prints at startup. Which code holds the live heap is
-// WriteProfile's heap_inuse table.
+// of index. It is xarsim's post-run summary and what xarserver prints
+// at startup. Which code holds the live heap is WriteProfile's
+// heap_inuse table.
 func WriteMemory(w io.Writer, rep *core.MemoryReport) {
 	const mb = 1 << 20
 	fmt.Fprintf(w, "\n--- memory ---\n")
@@ -53,7 +53,7 @@ func WriteProfile(w io.Writer, title string, c *profile.Capture) {
 // WriteQuality writes a run's match-quality picture — the candidate
 // funnel, the approximation-gap distributions, and (when the shadow
 // matcher ran) the constraint attribution and greedy-regret stats — the
-// post-run summary xarsim, xarbench and xarload share.
+// post-run summary xarsim and xarbench share.
 func WriteQuality(w io.Writer, s quality.Snapshot) {
 	fmt.Fprintf(w, "\n--- match quality ---\n")
 	fmt.Fprintf(w, "candidates examined: %d\n", s.CandidatesExamined)

@@ -59,7 +59,7 @@ type World struct {
 	// Observers are handed to every engine NewXAREngine builds, so the
 	// figure harness records into the same instruments a live xarserver
 	// exposes (cmd/xarbench -prom, cmd/xarsim -trace-out / -audit /
-	// -quality, cmd/xarload wire them for their post-run summaries).
+	// -quality wire them for their post-run summaries).
 	core.Observers
 }
 

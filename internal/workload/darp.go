@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -12,8 +13,8 @@ import (
 
 // This file loads Cordeau–Laporte DARP benchmark instances (the a/b
 // series used throughout the dial-a-ride literature) as trip streams, so
-// the load harness and replays can run on the standard academic
-// instances next to the synthetic NYC-shaped generator.
+// replays can run on the standard academic instances next to the
+// synthetic NYC-shaped generator.
 //
 // Instance layout:
 //
@@ -41,6 +42,12 @@ type DARPInstance struct {
 	Trips       []Trip
 }
 
+// The names of the header's and a row's fields, for error messages.
+var (
+	darpHeaderFields = [5]string{"vehicles", "requests", "max route duration", "capacity", "max ride time"}
+	darpRowFields    = [7]string{"id", "x", "y", "service duration", "load change", "window early", "window late"}
+)
+
 // darpNode is one parsed instance row.
 type darpNode struct {
 	x, y        float64
@@ -65,9 +72,9 @@ func ReadDARP(r io.Reader) (*DARPInstance, error) {
 	inst := &DARPInstance{}
 	hdr := make([]float64, 5)
 	for i := 0; i < 5; i++ {
-		hdr[i], err = strconv.ParseFloat(fields[i], 64)
+		hdr[i], err = parseDARPNumber(fields[i])
 		if err != nil {
-			return nil, fmt.Errorf("workload: darp header field %d: %w", i, err)
+			return nil, fmt.Errorf("workload: darp header field %d (%s): %w", i, darpHeaderFields[i], err)
 		}
 	}
 	inst.Vehicles = int(hdr[0])
@@ -108,9 +115,9 @@ func ReadDARP(r io.Reader) (*DARPInstance, error) {
 		}
 		var v [7]float64
 		for i := 1; i < 7; i++ {
-			v[i], err = strconv.ParseFloat(fields[i], 64)
+			v[i], err = parseDARPNumber(fields[i])
 			if err != nil {
-				return nil, fmt.Errorf("workload: darp node %d field %d: %w", id, i, err)
+				return nil, fmt.Errorf("workload: darp node %d field %d (%s): %w", id, i, darpRowFields[i], err)
 			}
 		}
 		if v[6] < v[5] {
@@ -146,6 +153,18 @@ func ReadDARP(r io.Reader) (*DARPInstance, error) {
 		})
 	}
 	return inst, nil
+}
+
+// parseDARPNumber parses one numeric field and refuses NaN and ±Inf,
+// which strconv.ParseFloat accepts: a NaN window passes the inversion
+// check, and one non-finite coordinate spoils the bounding square
+// MapToBBox projects every trip through.
+func parseDARPNumber(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not finite", s)
+	}
+	return v, err
 }
 
 // nextDARPRow returns the next non-empty, non-comment whitespace-split

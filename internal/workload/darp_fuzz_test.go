@@ -2,13 +2,14 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
-// FuzzReadDARP checks the instance parser never panics and that every
-// instance it accepts survives a write/read round trip with its trip
-// stream intact.
+// FuzzReadDARP checks the instance parser never panics, that every
+// instance it accepts has finite coordinates and request times, and
+// that it survives a write/read round trip with its trip stream intact.
 func FuzzReadDARP(f *testing.F) {
 	f.Add(sampleDARP)
 	f.Add("1 1 480 3 30\n0 0 0 0 0 0 480\n1 -1 2 3 1 60 75\n2 3 -4 3 -1 0 480\n3 0 0 0 0 0 480\n")
@@ -17,6 +18,7 @@ func FuzzReadDARP(f *testing.F) {
 	f.Add("")
 	f.Add("2 3 480\n")
 	f.Add("1 1 480 3 30\n1 0 0 3 1 50 10\n")
+	f.Add("1 1 480 3 30\n1 NaN 2 3 1 60 75\n2 3 -4 3 -1 0 480\n")
 	f.Fuzz(func(t *testing.T, s string) {
 		inst, err := ReadDARP(strings.NewReader(s))
 		if err != nil {
@@ -24,6 +26,13 @@ func FuzzReadDARP(f *testing.F) {
 		}
 		if len(inst.Trips) != inst.Requests {
 			t.Fatalf("accepted instance with %d trips for n=%d", len(inst.Trips), inst.Requests)
+		}
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		for _, tr := range inst.Trips {
+			if !finite(tr.Pickup.Lat) || !finite(tr.Pickup.Lng) || !finite(tr.Dropoff.Lat) ||
+				!finite(tr.Dropoff.Lng) || !finite(tr.RequestTime) {
+				t.Fatalf("accepted trip %d with a non-finite field: %+v", tr.ID, tr)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteDARP(&buf, inst); err != nil {

@@ -77,6 +77,33 @@ func TestReadDARPRejects(t *testing.T) {
 	}
 }
 
+// TestReadDARPRejectsNonFinite: strconv.ParseFloat reads "NaN" and
+// "Inf", so the parser must refuse them itself, naming where it found
+// one. A NaN window also slips past the inversion check, and a single
+// non-finite coordinate ruins MapToBBox for every trip.
+func TestReadDARPRejectsNonFinite(t *testing.T) {
+	const (
+		head = "1 1 480 3 30\n"
+		pu   = "1 0 0 3 1 60 75\n"
+		do   = "2 1 1 3 -1 0 480\n"
+	)
+	for _, tc := range []struct{ name, in, want string }{
+		{"NaN header", "1 1 NaN 3 30\n" + pu + do, "header field 2 (max route duration)"},
+		{"Inf header", "1 1 480 3 +Inf\n" + pu + do, "header field 4 (max ride time)"},
+		{"NaN pickup x", head + "1 NaN 0 3 1 60 75\n" + do, "node 1 field 1 (x)"},
+		{"Inf dropoff y", head + pu + "2 1 +Inf 3 -1 0 480\n", "node 2 field 2 (y)"},
+		{"NaN early", head + "1 0 0 3 1 NaN 75\n" + do, "node 1 field 5 (window early)"},
+		{"NaN late", head + pu + "2 1 1 3 -1 0 nan\n", "node 2 field 6 (window late)"},
+		{"-Inf service", head + pu + "2 1 1 -inf -1 0 480\n", "node 2 field 3 (service duration)"},
+		{"NaN depot load", head + "0 0 0 0 NaN 0 480\n" + pu + do, "node 0 field 4 (load change)"},
+	} {
+		_, err := ReadDARP(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestDARPRoundTrip pins the loader's replay contract: write → read
 // preserves request count, ordering, coordinates, and request times, so
 // an instance-driven load run is reproducible from its exported form.
