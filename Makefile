@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke
+.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke unlinked
 
 all: build vet test
 
@@ -50,3 +50,9 @@ audit-smoke:
 # Parallel -benchtime 1s .` for real numbers).
 bench-parallel-smoke:
 	$(GO) test -run '^$$' -bench 'Parallel|BenchmarkMixedWorkloadJournal' -benchtime 1x .
+
+# unlinked: list every non-test function that no program links, from
+# builds of every main package with inlining off; fails on one of 20
+# lines or more (internal/tools/unlinked).
+unlinked:
+	$(GO) run ./internal/tools/unlinked

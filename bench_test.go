@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"xar/internal/audit"
-	"xar/internal/cluster"
 	"xar/internal/core"
 	"xar/internal/experiments"
 	"xar/internal/journal"
@@ -259,41 +258,6 @@ func fig5b(b *testing.B, xar bool, ratio int) {
 }
 
 // --- Ablations (DESIGN.md §4) ---
-
-// BenchmarkAblationGreedySearchProbes: GREEDYSEARCH answering every probe
-// of its binary search from one pruned farthest-first traversal, as
-// discretize.Build runs it, vs the paper's literal algorithm, a fresh
-// GREEDY per probe (internal/cluster's oracle).
-func BenchmarkAblationGreedySearchProbes(b *testing.B) {
-	w := world(b)
-	n := len(w.Disc.Landmarks)
-	dist, lower := w.Disc.LandmarkMetric()
-	delta := w.Scale.Epsilon / 4
-
-	b.Run("traversal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := cluster.GreedySearchBounded(n, dist, lower, delta); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("from_scratch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for lo, hi := 1, n; lo <= hi; {
-				k := (lo + hi) / 2
-				res, err := cluster.Greedy(n, dist, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Radius <= 2*delta {
-					hi = k - 1
-				} else {
-					lo = k + 1
-				}
-			}
-		}
-	})
-}
 
 // BenchmarkAblationBookingFullReroute: XAR's ≤4-shortest-path splice vs
 // naively recomputing the whole route via every via-point. The splice

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,6 +48,16 @@ func main() {
 	shadowSample := flag.Int("shadow-sample", 8, "with -quality, shadow-match 1-in-N no-match requests and bookings (0 disables the shadow matcher)")
 	profileFlag := flag.Bool("profile", true, "profile the run (allocation and contention deltas bracketing the workload) and print the top-5 symbols per kind after it")
 	flag.Parse()
+	figs := figures
+	if *fig != "all" {
+		figs = strings.Split(*fig, ",")
+		for i, f := range figs {
+			figs[i] = strings.TrimSpace(f)
+			if !slices.Contains(figures, figs[i]) {
+				log.Fatalf("unknown -fig %q (want %s|all, or a comma-separated list)", figs[i], strings.Join(figures, "|"))
+			}
+		}
+	}
 
 	scale := experiments.DefaultScale()
 	scale.CityRows = *rows
@@ -119,12 +130,8 @@ func main() {
 		w.ShadowSampleRate = *shadowSample
 	}
 
-	figs := strings.Split(*fig, ",")
-	if *fig == "all" {
-		figs = []string{"3a", "3b", "3cd", "4", "5a", "5b", "6"}
-	}
 	for _, f := range figs {
-		if err := run(w, strings.TrimSpace(f)); err != nil {
+		if err := run(w, f); err != nil {
 			log.Fatalf("fig %s: %v", f, err)
 		}
 	}
@@ -167,6 +174,9 @@ func dumpProm(reg *telemetry.Registry, path string) error {
 	}
 	return nil
 }
+
+// figures lists the -fig names run knows; -fig all runs each in turn.
+var figures = []string{"3a", "3b", "3cd", "4", "5a", "5b", "6"}
 
 func run(w *experiments.World, fig string) error {
 	start := time.Now()
@@ -227,8 +237,7 @@ func run(w *experiments.World, fig string) error {
 		fmt.Println(r.Table())
 
 	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)
-		os.Exit(2)
+		return fmt.Errorf("unknown figure")
 	}
 	return nil
 }

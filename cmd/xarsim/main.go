@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"time"
 
@@ -51,6 +52,18 @@ func main() {
 	case "xar", "tshare", "both":
 	default:
 		log.Fatalf("unknown -system %q (want xar|tshare|both)", *system)
+	}
+	if !(*historyInterval > 0 && *historyInterval < math.Inf(1)) {
+		log.Fatalf("-history-interval must be a positive, finite number of seconds, got %v", *historyInterval)
+	}
+	if !(*auditInterval > 0 && *auditInterval < math.Inf(1)) {
+		log.Fatalf("-audit-interval must be a positive, finite number of seconds, got %v", *auditInterval)
+	}
+	if *lookToBook < 1 {
+		log.Fatalf("-looktobook must be at least 1, got %d", *lookToBook)
+	}
+	if *k < 0 {
+		log.Fatalf("-k must be 0 (all) or positive, got %d", *k)
 	}
 
 	scale := experiments.DefaultScale()

@@ -5,18 +5,18 @@
 //
 // The problem is NP-complete (Theorem 4: it is minimum clique partition
 // on the δ-threshold graph) and ln n hard to approximate in the number of
-// clusters (Theorem 5), so the package provides:
+// clusters (Theorem 5), so the package provides one algorithm,
+// GreedySearch: the paper's bicriteria algorithm, with the Theorem 6
+// guarantee (k_ALG ≤ k_OPT, max intra-cluster distance ≤ 4δ). It binary
+// searches k over log₂ n probes of the radius of Greedy, the Gonzalez
+// farthest-point 2-approximation for METRIC K-CENTER. One farthest-first
+// traversal answers every probe, since Greedy's centres for k are a
+// prefix of its centres for any larger k, and each pass skips the
+// distances the triangle inequality rules out.
 //
-//   - Greedy: the classic Gonzalez farthest-point 2-approximation for
-//     METRIC K-CENTER, the subroutine of the paper's algorithm;
-//   - GreedySearch: the paper's bicriteria algorithm — binary search on k
-//     over log₂ n probes of Greedy's radius, all answered by one
-//     farthest-first traversal since Greedy's centres for k are a prefix
-//     of its centres for any larger k, each pass skipping the distances
-//     the triangle inequality rules out — with the Theorem 6 guarantee
-//     (k_ALG ≤ k_OPT, max intra-cluster distance ≤ 4δ);
-//   - Exact: an exponential-time exact minimum clique partition used by
-//     tests and small instances to validate the guarantee.
+// Greedy itself, an exact minimum clique partition (Exact) and the
+// paper's ILP with a branch-and-bound solver are test code: the oracles
+// GreedySearch is checked against.
 //
 // Distances are supplied by a DistFunc, typically landmark-to-landmark
 // shortest driving distances symmetrized with max(d(i→j), d(j→i)) so the
@@ -71,87 +71,6 @@ func (r Result) MaxIntra(dist DistFunc) float64 {
 		}
 	}
 	return worst
-}
-
-// Validate checks structural invariants of a Result against n items:
-// every item assigned, cluster indices in range, every cluster non-empty.
-func (r Result) Validate(n int) error {
-	if len(r.Assign) != n {
-		return fmt.Errorf("cluster: assignment covers %d of %d items", len(r.Assign), n)
-	}
-	seen := make([]bool, r.K)
-	for i, c := range r.Assign {
-		if c < 0 || c >= r.K {
-			return fmt.Errorf("cluster: item %d assigned to cluster %d out of [0,%d)", i, c, r.K)
-		}
-		seen[c] = true
-	}
-	for c, ok := range seen {
-		if !ok {
-			return fmt.Errorf("cluster: cluster %d is empty", c)
-		}
-	}
-	return nil
-}
-
-// Greedy is the Gonzalez farthest-point algorithm for METRIC K-CENTER:
-// pick an arbitrary first center (item 0 — deterministic), then k−1 times
-// pick the item farthest from its nearest chosen center. It guarantees a
-// radius at most twice the optimal k-center radius.
-//
-// Runs in O(nk) distance evaluations.
-func Greedy(n int, dist DistFunc, k int) (Result, error) {
-	if n <= 0 {
-		return Result{}, fmt.Errorf("cluster: n must be positive, got %d", n)
-	}
-	if k <= 0 {
-		return Result{}, fmt.Errorf("cluster: k must be positive, got %d", k)
-	}
-	if k > n {
-		k = n
-	}
-	centers := make([]int, 0, k)
-	minDist := make([]float64, n) // distance to nearest chosen center
-	assign := make([]int, n)
-	for i := range minDist {
-		minDist[i] = math.Inf(1)
-	}
-
-	next := 0 // deterministic first center
-	for len(centers) < k {
-		c := next
-		ci := len(centers)
-		centers = append(centers, c)
-		// Relax all items against the new center and find the next
-		// farthest item in the same pass.
-		far, farD := -1, -1.0
-		for i := 0; i < n; i++ {
-			if d := dist(c, i); d < minDist[i] {
-				minDist[i] = d
-				assign[i] = ci
-			}
-			if minDist[i] > farD {
-				farD = minDist[i]
-				far = i
-			}
-		}
-		next = far
-		if farD == 0 {
-			break // all items coincide with chosen centers
-		}
-	}
-	radius := 0.0
-	for _, d := range minDist {
-		if d > radius {
-			radius = d
-		}
-	}
-	return Result{
-		K:       len(centers),
-		Assign:  assign,
-		Centers: centers,
-		Radius:  radius,
-	}, nil
 }
 
 // SearchTrace records one binary-search probe of GreedySearch: the k that

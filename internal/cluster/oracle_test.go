@@ -1,10 +1,95 @@
 package cluster
 
+// The test oracles for GreedySearch: the paper's GREEDY, run afresh for
+// one k, and an exact minimum clique partition. ilp_test.go holds the
+// paper's ILP and a branch-and-bound that solves it.
+
 import (
 	"fmt"
 	"math"
 	"math/bits"
 )
+
+// Validate checks structural invariants of a Result against n items:
+// every item assigned, cluster indices in range, every cluster non-empty.
+func (r Result) Validate(n int) error {
+	if len(r.Assign) != n {
+		return fmt.Errorf("cluster: assignment covers %d of %d items", len(r.Assign), n)
+	}
+	seen := make([]bool, r.K)
+	for i, c := range r.Assign {
+		if c < 0 || c >= r.K {
+			return fmt.Errorf("cluster: item %d assigned to cluster %d out of [0,%d)", i, c, r.K)
+		}
+		seen[c] = true
+	}
+	for c, ok := range seen {
+		if !ok {
+			return fmt.Errorf("cluster: cluster %d is empty", c)
+		}
+	}
+	return nil
+}
+
+// Greedy is the Gonzalez farthest-point algorithm for METRIC K-CENTER:
+// pick an arbitrary first center (item 0 — deterministic), then k−1 times
+// pick the item farthest from its nearest chosen center. It guarantees a
+// radius at most twice the optimal k-center radius.
+//
+// Runs in O(nk) distance evaluations.
+func Greedy(n int, dist DistFunc, k int) (Result, error) {
+	if n <= 0 {
+		return Result{}, fmt.Errorf("cluster: n must be positive, got %d", n)
+	}
+	if k <= 0 {
+		return Result{}, fmt.Errorf("cluster: k must be positive, got %d", k)
+	}
+	if k > n {
+		k = n
+	}
+	centers := make([]int, 0, k)
+	minDist := make([]float64, n) // distance to nearest chosen center
+	assign := make([]int, n)
+	for i := range minDist {
+		minDist[i] = math.Inf(1)
+	}
+
+	next := 0 // deterministic first center
+	for len(centers) < k {
+		c := next
+		ci := len(centers)
+		centers = append(centers, c)
+		// Relax all items against the new center and find the next
+		// farthest item in the same pass.
+		far, farD := -1, -1.0
+		for i := 0; i < n; i++ {
+			if d := dist(c, i); d < minDist[i] {
+				minDist[i] = d
+				assign[i] = ci
+			}
+			if minDist[i] > farD {
+				farD = minDist[i]
+				far = i
+			}
+		}
+		next = far
+		if farD == 0 {
+			break // all items coincide with chosen centers
+		}
+	}
+	radius := 0.0
+	for _, d := range minDist {
+		if d > radius {
+			radius = d
+		}
+	}
+	return Result{
+		K:       len(centers),
+		Assign:  assign,
+		Centers: centers,
+		Radius:  radius,
+	}, nil
+}
 
 // MaxExactItems bounds the instance size accepted by Exact. The dynamic
 // program enumerates subsets (O(3ⁿ) time, O(2ⁿ) space), so 20 items is

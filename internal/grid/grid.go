@@ -181,41 +181,6 @@ func (s *System) Ring(id ID, k int32, dst []ID) []ID {
 	return dst
 }
 
-// CellsWithin appends to dst every cell whose centroid is within radius
-// meters of p, and returns the extended slice. Used when precomputing
-// walkable clusters for the grids around a landmark.
-func (s *System) CellsWithin(p geo.Point, radius float64, dst []ID) []ID {
-	if radius < 0 {
-		return dst
-	}
-	kLat := int32(math.Ceil(radius/s.cellSize)) + 1
-	center := s.At(p)
-	var row, col int32
-	if center == Invalid {
-		// Project the point into the region's coordinate space anyway so
-		// near-boundary points still see in-region cells.
-		row = int32(math.Floor((p.Lat - s.origin.Lat) / s.dLat))
-		col = int32(math.Floor((p.Lng - s.origin.Lng) / s.dLng))
-	} else {
-		row, col = center.RC()
-	}
-	for r := row - kLat; r <= row+kLat; r++ {
-		if r < 0 || r >= s.rows {
-			continue
-		}
-		for c := col - kLat; c <= col+kLat; c++ {
-			if c < 0 || c >= s.cols {
-				continue
-			}
-			id := fromRC(r, c)
-			if geo.Haversine(p, s.Centroid(id)) <= radius {
-				dst = append(dst, id)
-			}
-		}
-	}
-	return dst
-}
-
 // ChebyshevDist returns the Chebyshev (ring) distance between two cells,
 // i.e. the number of rings separating them. It approximates driving
 // proximity for the grid-based baseline.

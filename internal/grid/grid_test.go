@@ -180,44 +180,6 @@ func TestRingClipsAtBoundary(t *testing.T) {
 	}
 }
 
-func TestCellsWithin(t *testing.T) {
-	s := mustSystem(t, 100)
-	p := geo.Point{Lat: 40.75, Lng: -73.95}
-	cells := s.CellsWithin(p, 300, nil)
-	if len(cells) == 0 {
-		t.Fatal("no cells within 300 m")
-	}
-	// Roughly pi*r^2 / cell area = pi*9 = ~28 cells.
-	if len(cells) < 20 || len(cells) > 40 {
-		t.Fatalf("got %d cells within 300 m, want ~28", len(cells))
-	}
-	for _, id := range cells {
-		if d := geo.Haversine(p, s.Centroid(id)); d > 300 {
-			t.Fatalf("cell %v centroid at %.1f m > 300 m", id, d)
-		}
-	}
-	// All cells with centroid within radius must be present: check against
-	// a brute-force scan over a superset ring.
-	brute := 0
-	for k := int32(0); k <= 5; k++ {
-		for _, id := range s.Ring(s.At(p), k, nil) {
-			if geo.Haversine(p, s.Centroid(id)) <= 300 {
-				brute++
-			}
-		}
-	}
-	if brute != len(cells) {
-		t.Fatalf("CellsWithin found %d, brute force found %d", len(cells), brute)
-	}
-}
-
-func TestCellsWithinNegativeRadius(t *testing.T) {
-	s := mustSystem(t, 100)
-	if got := s.CellsWithin(geo.Point{Lat: 40.75, Lng: -73.95}, -1, nil); len(got) != 0 {
-		t.Fatal("negative radius must yield no cells")
-	}
-}
-
 func TestChebyshevDist(t *testing.T) {
 	a := fromRC(10, 10)
 	cases := []struct {

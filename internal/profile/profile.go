@@ -670,16 +670,6 @@ func TopLines(c *Capture, kind string, n int) []string {
 	return lines
 }
 
-// TopSymbol returns the hottest function of kind and its share of the
-// kind's total, for per-step attribution in bench artifacts.
-func TopSymbol(c *Capture, kind string) (string, float64) {
-	f := c.Folded(kind)
-	if f == nil || len(f.Rows) == 0 || f.Total == 0 || f.Rows[0].Flat == 0 {
-		return "", 0
-	}
-	return f.Rows[0].Func, float64(f.Rows[0].Flat) / float64(f.Total)
-}
-
 // SummaryLines renders a capture as per-kind top-n blocks — the
 // post-run summary the cmd tools print. Kinds with no samples are
 // omitted; a capture taken right after a baseline capture therefore
