@@ -18,9 +18,11 @@ race:
 	$(GO) test -race ./...
 
 # bench-smoke: one fast pass over the headline benchmarks — enough to
-# catch perf regressions in CI without regenerating every figure.
+# catch perf regressions in CI without regenerating every figure — and
+# over the routers' (ALT, plain A*, CH) warm single-pair queries.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkSearchObservers|BenchmarkSearchDense$$' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkShortestPath(ALT|PlainAStar|CH)' -benchtime 100x ./internal/roadnet
 
 # bench-observers: every observer's cost on the loaded search hot path,
 # one BenchmarkSearchObservers arm per configuration, each read against

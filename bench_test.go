@@ -20,12 +20,14 @@ import (
 	"xar/internal/audit"
 	"xar/internal/core"
 	"xar/internal/experiments"
+	"xar/internal/index"
 	"xar/internal/journal"
 	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
 	"xar/internal/sim"
 	"xar/internal/telemetry"
+	"xar/internal/tshare"
 	"xar/internal/workload"
 )
 
@@ -117,23 +119,16 @@ func BenchmarkFig4aSearchTShare(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4bCreateXAR / TShare — E6: ride/taxi creation.
+// BenchmarkFig4bCreateXAR / TShare — E6: ride/taxi creation, into a
+// fleet of the world's size whatever b.N (see createLoop).
 func BenchmarkFig4bCreateXAR(b *testing.B) {
 	w := world(b)
 	eng, err := w.NewXAREngine()
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := &sim.XARSystem{Engine: eng}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := w.Trips[i%len(w.Trips)]
-		_, _ = sys.Create(sim.Offer{
-			Source: t.Pickup, Dest: t.Dropoff,
-			Departure: t.RequestTime, Seats: 4, DetourLimit: w.Scale.DetourLimit,
-		})
-	}
+	createLoop(b, w, &sim.XARSystem{Engine: eng}, func(id int64) { eng.CompleteRide(index.RideID(id)) })
 }
 
 func BenchmarkFig4bCreateTShare(b *testing.B) {
@@ -142,14 +137,43 @@ func BenchmarkFig4bCreateTShare(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := &sim.TShareSystem{Engine: eng}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := w.Trips[i%len(w.Trips)]
-		_, _ = sys.Create(sim.Offer{
+	createLoop(b, w, &sim.TShareSystem{Engine: eng}, func(id int64) { eng.Remove(tshare.TaxiID(id)) })
+}
+
+// createLoop times b.N creations of the world's trips in turn. The fleet
+// is filled to the world's size first, and whenever a tenth of that has
+// been created on top, as many of the oldest rides are retired, both off
+// the timer; a fleet that grew with b.N would make ns/op a function of
+// b.N (T-Share's cell lists, sorted arrays, grow with it).
+func createLoop(b *testing.B, w *experiments.World, sys sim.System, retire func(int64)) {
+	b.Helper()
+	n := len(w.Trips)
+	batch := max(1, n/10)
+	var fleet []int64
+	create := func(i int) {
+		t := w.Trips[i%n]
+		if id, err := sys.Create(sim.Offer{
 			Source: t.Pickup, Dest: t.Dropoff,
 			Departure: t.RequestTime, Seats: 4, DetourLimit: w.Scale.DetourLimit,
-		})
+		}); err == nil {
+			fleet = append(fleet, id)
+		}
+	}
+	for i := range n {
+		create(i)
+	}
+	base := len(fleet)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(fleet) >= base+batch {
+			b.StopTimer()
+			for _, id := range fleet[:batch] {
+				retire(id)
+			}
+			fleet = fleet[batch:]
+			b.StartTimer()
+		}
+		create(i)
 	}
 }
 

@@ -12,27 +12,39 @@ func TestALTValidation(t *testing.T) {
 	}
 }
 
+// TestALTSeedCount pins NewALT's seed contract: k ≤ 0 means 8, a k up
+// to 8 picks k distinct seeds and fills the row with the last one's
+// columns, a graph with fewer nodes gets one seed a node, and k > 8 is an
+// error.
 func TestALTSeedCount(t *testing.T) {
 	city := genTestCity(t, 15, 10, 3)
-	a, err := NewALT(city.Graph, 6)
+	a, err := NewALT(city.Graph, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumSeeds() != 6 {
+	if a.NumSeeds() != 3 {
 		t.Fatalf("seeds = %d", a.NumSeeds())
 	}
-	// k larger than the graph clamps.
+	for v := range a.tab {
+		r := a.tab[v]
+		for i := 6; i < len(r); i += 2 {
+			if r[i] != r[4] || r[i+1] != r[5] {
+				t.Fatalf("node %d's row %v does not repeat the last seed's columns", v, r)
+			}
+		}
+	}
+	// k larger than the graph gives one seed a node.
 	small := &Graph{}
 	p := city.Graph.Point(0)
 	small.AddNode(p)
 	n2 := small.AddNode(city.Graph.Point(1))
 	_ = small.AddBidirectional(0, n2, 0, 10, ClassStreet)
-	a2, err := NewALT(small, 100)
+	a2, err := NewALT(small, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2.NumSeeds() != 2 {
-		t.Fatalf("clamped seeds = %d", a2.NumSeeds())
+	if a2.NumSeeds() != 2 || a2.seed[0] == a2.seed[1] {
+		t.Fatalf("seeds on two nodes = %v", a2.seed)
 	}
 	// k <= 0 defaults.
 	a3, err := NewALT(city.Graph, 0)
@@ -41,6 +53,10 @@ func TestALTSeedCount(t *testing.T) {
 	}
 	if a3.NumSeeds() != 8 {
 		t.Fatalf("default seeds = %d", a3.NumSeeds())
+	}
+	// More than a row holds is refused.
+	if _, err := NewALT(city.Graph, 9); err == nil {
+		t.Fatal("9 seeds must be rejected")
 	}
 }
 
@@ -111,19 +127,18 @@ func TestALTBoundAdmissible(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := g.NumNodes()
-		rts := make([][]int32, n)
+		rts := make([]altRow, n)
 		for tgt := range rts {
-			rts[tgt] = make([]int32, 2*alt.NumSeeds())
-			alt.shaveRow(NodeID(tgt), rts[tgt])
+			rts[tgt] = alt.tab[tgt].shaved()
 		}
 		s := NewSearcher(g)
 		var dist []float64
 		unreachable := 0
 		for v := 0; v < n; v++ {
 			dist = s.DistancesToAll(NodeID(v), dist)
-			rv := alt.row(NodeID(v))
+			rv := &alt.tab[v]
 			for tgt, d := range dist {
-				h := float64(altBound(rv, rts[tgt])) / quantaPerMetre
+				h := float64(rts[tgt].bound(rv)) / quantaPerMetre
 				if h > d {
 					t.Fatalf("%s: h(%d, %d) = %v exceeds the driving distance %v", name, v, tgt, h, d)
 				}

@@ -186,7 +186,7 @@ func TestAStarOverflowHeap(t *testing.T) {
 			}
 		}
 	}
-	if cap(as.s.kq.over) == 0 {
+	if cap(as.s.ring.over) == 0 {
 		t.Fatal("no key went past the ring: the comb no longer tests the overflow heap")
 	}
 }
@@ -218,34 +218,137 @@ func TestAStarEmptiesTheTargetsBucket(t *testing.T) {
 		}
 		return 0
 	}
-	res := NewSearcher(g).astar(s, tgt, h)
+	res := NewSearcher(g).astar(s, tgt, nil, h)
 	if res.Dist != 328 || !slices.Equal(res.Path, []NodeID{s, b, tgt}) {
 		t.Fatalf("got %v via %v, want 328 via %v", res.Dist, res.Path, []NodeID{s, b, tgt})
 	}
 }
 
 // TestLabelAndRowSize pins the two records the A* loop reads for every
-// node it touches: a label is 32 bytes, two to a cache line, and an ALT
-// row at the default 8 seeds is 64 bytes, one cache line.
+// node it touches: a label is 24 bytes and an ALT row is 64 bytes, one
+// cache line.
 func TestLabelAndRowSize(t *testing.T) {
-	if n := unsafe.Sizeof(label{}); n != 32 {
-		t.Fatalf("label is %d bytes, want 32", n)
+	if n := unsafe.Sizeof(label{}); n != 24 {
+		t.Fatalf("label is %d bytes, want 24", n)
 	}
-	alt, err := NewALT(genTestCity(t, 15, 10, 3).Graph, 0)
+	if n := unsafe.Sizeof(altRow{}); n != 64 {
+		t.Fatalf("an ALT row is %d bytes, want 64", n)
+	}
+}
+
+// TestGenerationWrap runs queries across the wrap of a searcher's 32-bit
+// generation, which clears every label's stamp once. Before the jump each
+// searcher stamps labels with generations 1 to 12 from other sources;
+// after it, the generations restart at 1, and only the clear keeps those
+// labels, their queue marks included, from reading as the new search's.
+// ALT, plain A* and DistancesWithin must each match Dijkstra bit for bit
+// on both sides of the wrap.
+func TestGenerationWrap(t *testing.T) {
+	g := genTestCity(t, 30, 16, 5).Graph
+	alt, err := NewALT(g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(alt.row(0)) * int(unsafe.Sizeof(int32(0))); n != 64 {
-		t.Fatalf("an ALT row is %d bytes, want 64", n)
+	as, ps, bs := alt.NewSearcher(), NewSearcher(g), NewSearcher(g)
+	routers := []router{{"alt", as.ShortestPath}, {"astar", ps.ShortestPath}}
+	oracle := NewSearcher(g)
+	r := rand.New(rand.NewSource(21))
+	const radius = 1500
+	within := func(src NodeID, want []float64) {
+		t.Helper()
+		seen, last := 0, 0.0
+		bs.DistancesWithin(src, radius, func(v NodeID, d float64) bool {
+			if d != want[v] || d < last {
+				t.Fatalf("DistancesWithin %d→%d: %v after %v, Dijkstra %v", src, v, d, last, want[v])
+			}
+			seen, last = seen+1, d
+			return true
+		})
+		n := 0
+		for _, d := range want {
+			if d <= radius {
+				n++
+			}
+		}
+		if seen != n {
+			t.Fatalf("DistancesWithin from %d settled %d nodes, Dijkstra %d within %v m", src, seen, n, radius)
+		}
+	}
+	var want []float64
+	for step := 0; step < 24; step++ {
+		if step == 12 {
+			for _, s := range []*Searcher{as.s, ps, bs} {
+				s.gen = math.MaxUint32 - 5
+			}
+		}
+		src, dst := NodeID(r.Intn(g.NumNodes())), NodeID(r.Intn(g.NumNodes()))
+		want = oracle.DistancesToAll(src, want)
+		for _, rt := range routers {
+			checkExact(t, g, rt, src, dst, want[dst])
+		}
+		within(src, want)
+	}
+	for _, s := range []*Searcher{as.s, ps, bs} {
+		if s.gen == 0 || s.gen > 12 {
+			t.Fatalf("generation %d: the searches did not cross the wrap", s.gen)
+		}
+	}
+}
+
+// TestWarmQueryAllocatesOnlyItsPath pins the A* loop's allocation
+// contract: once a searcher has answered a set of queries, answering them
+// again allocates one object a query, the returned path. Short legs and
+// full trips of the 80x44 city, and every reachable pair of the comb,
+// whose keys overflow the ring, for ALT and plain A*.
+func TestWarmQueryAllocatesOnlyItsPath(t *testing.T) {
+	city := genTestCity(t, 80, 44, 42).Graph
+	comb := combGraph(t, rand.New(rand.NewSource(8)), 40)
+	var combPairs [][2]NodeID
+	oracle := NewSearcher(comb)
+	var want []float64
+	for src := 0; src < comb.NumNodes(); src++ {
+		want = oracle.DistancesToAll(NodeID(src), want)
+		for dst, d := range want {
+			if !math.IsInf(d, 1) {
+				combPairs = append(combPairs, [2]NodeID{NodeID(src), NodeID(dst)})
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		g     *Graph
+		pairs [][2]NodeID
+	}{
+		{"short80x44", city, legPairs(city, rand.New(rand.NewSource(2)), 200, 300, 2500)},
+		{"trips80x44", city, legPairs(city, rand.New(rand.NewSource(3)), 200, 0, math.Inf(1))},
+		{"comb", comb, combPairs},
+	} {
+		alt, err := NewALT(c.g, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rt := range []router{{"alt", alt.NewSearcher().ShortestPath}, {"astar", NewSearcher(c.g).ShortestPath}} {
+			for _, p := range c.pairs {
+				rt.sp(p[0], p[1])
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(len(c.pairs), func() {
+				p := c.pairs[i%len(c.pairs)]
+				rt.sp(p[0], p[1])
+				i++
+			})
+			if allocs != 1 {
+				t.Errorf("%s/%s: %v allocations a warm query, want 1", c.name, rt.name, allocs)
+			}
+		}
 	}
 }
 
 // altHeuristic is the ALT bound the A* loop takes for v toward t, in
 // metres.
 func altHeuristic(a *ALT, v, t NodeID) float64 {
-	rt := make([]int32, 2*a.NumSeeds())
-	a.shaveRow(t, rt)
-	return float64(altBound(a.row(v), rt)) / quantaPerMetre
+	rt := a.tab[t].shaved()
+	return float64(rt.bound(&a.tab[v])) / quantaPerMetre
 }
 
 // chordHeuristic is the chord bound the A* loop takes, in metres.
@@ -308,21 +411,20 @@ func TestAStarEvaluatesHeuristicOncePerNode(t *testing.T) {
 	}
 	s := NewSearcher(g)
 	r := rand.New(rand.NewSource(4))
-	rt := make([]int32, 2*alt.NumSeeds())
 	for trial := 0; trial < 50; trial++ {
 		src, tgt := NodeID(r.Intn(g.NumNodes())), NodeID(r.Intn(g.NumNodes()))
 		if src == tgt {
 			continue
 		}
-		alt.shaveRow(tgt, rt)
+		rt := alt.tab[tgt].shaved()
 		heuristics := map[string]func(v NodeID) int32{
 			"chord": func(v NodeID) int32 { return chordQuanta(g, v, tgt) },
-			"alt":   func(v NodeID) int32 { return altBound(alt.row(v), rt) },
+			"alt":   func(v NodeID) int32 { return rt.bound(&alt.tab[v]) },
 		}
 		for hname, h := range heuristics {
 			evals := make([]int, g.NumNodes())
 			total := 0
-			res := s.astar(src, tgt, func(v NodeID) int32 {
+			res := s.astar(src, tgt, nil, func(v NodeID) int32 {
 				evals[v]++
 				total++
 				return h(v)

@@ -15,11 +15,10 @@ type flatAdj struct {
 	// fit in a ring of mask+1 slots.
 	inv  float64
 	mask int
-	// The A* loop's (keyQueue): buckets a power of two metres wide, the
-	// widest not over a sixteenth of the shortest arc and never under one
-	// quantum (4 m on the generated cities, whose shortest arc is 94 m),
-	// in a ring that spans twice the longest arc, at least 64 slots (one
-	// word of its bitmap) and at most maxKeySlots.
+	// The A* loop's (ring): buckets a power of two metres wide, the widest
+	// not over a sixteenth of the shortest arc and never under one quantum
+	// (4 m on the generated cities, whose shortest arc is 94 m), in a ring
+	// that spans twice the longest arc, of 64 to maxKeySlots slots.
 	keyInv  float64
 	keyMask int
 }

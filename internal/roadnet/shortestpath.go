@@ -3,7 +3,6 @@ package roadnet
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // pqItem is one entry of the binary-heap priority queue. prio is the
@@ -85,10 +84,10 @@ func (r SPResult) Reachable() bool { return !math.IsInf(r.Dist, 1) }
 
 // quantaPerMetre is the resolution of an A* heuristic value: the loop
 // takes h in sixteenths of a metre, so that the ALT bound is a max of
-// int32s and a label stays 32 bytes.
+// int32s and a label stays 24 bytes.
 const quantaPerMetre = 16
 
-// label.slot outside the ring.
+// label.mark outside the ring.
 const (
 	notQueued  int32 = -1
 	inOverflow int32 = -2
@@ -96,17 +95,14 @@ const (
 
 // label is the per-node scratch of one search: tentative distance,
 // heuristic value in quanta (evaluated once, at first touch),
-// predecessor, the generation mark that makes reset O(1), and the node's
-// place in the A* loop's bucket queue — its ring slot (or notQueued,
-// inOverflow) and its neighbours in that slot's list. 32 bytes, two to a
-// cache line.
+// predecessor, the generation mark that makes reset O(1), and the ring
+// slot of the node's live entry (or notQueued, inOverflow). 24 bytes.
 type label struct {
-	dist       float64
-	h          int32
-	stamp      uint32
-	prev       NodeID
-	slot       int32
-	next, back NodeID
+	dist  float64
+	h     int32
+	stamp uint32
+	prev  NodeID
+	mark  int32
 }
 
 // Searcher bundles the per-search scratch state so that a read-only Graph
@@ -116,9 +112,9 @@ type Searcher struct {
 	g      *Graph
 	labels []label
 	gen    uint32
-	queue  pq       // DistancesWithin's heap
-	kq     keyQueue // the A* loop's
-	sw     sweep    // flat adjacency and one-to-all scratch; see DistancesToAll
+	queue  pq    // DistancesWithin's heap
+	ring   ring  // the A* loop's
+	sw     sweep // flat adjacency and one-to-all scratch; see DistancesToAll
 }
 
 // NewSearcher creates a Searcher bound to g.
@@ -174,173 +170,167 @@ func (s *Searcher) buildPath(target NodeID) []NodeID {
 	return path
 }
 
-// keyQueue is the A* loop's monotone bucket queue (Dial's), keyed on
-// k = dist + h. Bucket b holds the nodes with ⌊k·inv⌋ = b; the buckets
-// from the one being emptied, cur, onwards fit in a ring of mask+1 slots,
-// each slot an intrusive doubly linked list threaded through the labels,
-// so a node is relabelled in place and never queued twice. A bitmap marks
-// the slots whose list is not empty, so the loop steps over a run of empty
-// buckets a word at a time. Keys past the ring wait in an overflow heap
-// until their bucket comes up.
-type keyQueue struct {
-	head []NodeID // the first node of each slot's list, where full marks it
-	full []uint64 // bit slot: the slot's list is not empty
-	over pq
-	inv  float64 // flatAdj.keyInv: a power of two, so k·inv is exact
-	mask int
-	cur  int
+// ring is the A* loop's monotone bucket queue (Dial's), keyed on
+// k = dist + h: bucket b holds the nodes queued with ⌊k·inv⌋ = b, and the
+// buckets from cur, the one being emptied, to hi fit in a ring of mask+1
+// slots, each a stack. A relabelled node is pushed again and its old
+// entry left behind; its label marks the slot of the newest entry, which
+// lies above any older one there, so a pop skips an entry whose node is
+// marked elsewhere or was expanded since. The stacks share one pool of
+// entries that reuses popped ones; entry 0 is never used, so 0 ends a
+// stack. Keys past the ring wait in an overflow heap.
+type ring struct {
+	top     []int32 // each slot's top entry, 0 if empty
+	ent     []ringEntry
+	free    int32 // the first reusable entry, 0 if none
+	over    pq
+	inv     float64 // flatAdj.keyInv: a power of two, so k·inv is exact
+	mask    int
+	cur, hi int
+}
+
+// ringEntry is a node and the entry below it, or the next reusable one.
+type ringEntry struct {
+	node NodeID
+	next int32
+}
+
+// start readies q for a search over adj, sizing it the first time: a
+// pool of half as many entries as the graph's n nodes, more than twice
+// the most a search holds at once (708 of 3 520 nodes on the 80x44
+// city's random pairs, ALT; 306, plain A*). A search that needs more
+// grows it once, and the searcher keeps it.
+func (q *ring) start(adj *flatAdj, n int) {
+	if len(q.top) <= adj.keyMask {
+		q.top = make([]int32, adj.keyMask+1)
+		q.ent = make([]ringEntry, 1, 1+n/2)
+	}
+	q.ent, q.free, q.over = q.ent[:1], 0, q.over[:0]
+	q.inv, q.mask = adj.keyInv, adj.keyMask
+}
+
+// stop empties the slots a search left filled, cur's to hi's (where cur
+// is past hi the ring is empty already, and clearing it is harmless).
+func (q *ring) stop() {
+	if lo, hi := q.cur&q.mask, q.hi&q.mask; lo <= hi {
+		clear(q.top[lo : hi+1])
+	} else { // round the end of the ring
+		clear(q.top[lo : q.mask+1])
+		clear(q.top[:hi+1])
+	}
 }
 
 // maxBucket caps a bucket index, so that converting k·inv to an int is
 // defined for every key; keys beyond it share the last bucket.
 const maxBucket = 1 << 62
 
-func (q *keyQueue) bucket(k float64) int {
+func (q *ring) bucket(k float64) int {
 	if b := k * q.inv; b < maxBucket {
 		return int(b)
 	}
 	return maxBucket
 }
 
-// gap returns how many slots past slot, which is empty, the next
-// non-empty one lies, or 0 when every slot is empty.
-func (q *keyQueue) gap(slot int) int {
-	n := len(q.full)
-	w := slot >> 6
-	x := q.full[w] &^ (uint64(2)<<(slot&63) - 1) // the slots past slot in its word
-	// The words after it, wrapping round to slot's own: what is left there
-	// lies before slot, the ring's last slots.
-	for i := 1; x == 0; i++ {
-		if i > n {
-			return 0
-		}
-		w = (w + 1) & (n - 1)
-		x = q.full[w]
+// stack pushes v, whose label is lv, onto bucket b's stack.
+func (q *ring) stack(v NodeID, lv *label, b int) {
+	slot, i := int32(b&q.mask), q.free
+	if i > 0 {
+		q.free = q.ent[i].next
+		q.ent[i] = ringEntry{v, q.top[slot]}
+	} else {
+		i = int32(len(q.ent))
+		q.ent = append(q.ent, ringEntry{v, q.top[slot]})
 	}
-	return (w<<6 + bits.TrailingZeros64(x) - slot) & q.mask
+	q.top[slot], lv.mark, q.hi = i, slot, max(q.hi, b)
 }
 
 func key(lb *label) float64 { return lb.dist + float64(lb.h)/quantaPerMetre }
 
-// push queues v, which is not in the ring, under its current key: into
-// the bucket being emptied if the key lies below it (the loop is
-// label-correcting inside a bucket), onto the overflow heap if the key
-// lies past the ring.
-func (s *Searcher) push(v NodeID) {
-	q := &s.kq
-	k := key(&s.labels[v])
-	if b := q.bucket(k); b <= q.cur+q.mask {
-		s.link(v, int32(max(b, q.cur)&q.mask))
-	} else {
-		s.labels[v].slot = inOverflow
-		q.over.push(pqItem{node: v, prio: k})
-	}
-}
-
-// link puts v at the front of slot's list.
-func (s *Searcher) link(v NodeID, slot int32) {
-	q, lv := &s.kq, &s.labels[v]
-	f, w, bit := InvalidNode, slot>>6, uint64(1)<<(slot&63)
-	if q.full[w]&bit != 0 {
-		f = q.head[slot]
-		s.labels[f].back = v
-	} else {
-		q.full[w] |= bit
-	}
-	lv.slot, lv.next, lv.back = slot, f, InvalidNode
-	q.head[slot] = v
-}
-
-// unlink takes v, which is in the ring, out of its slot's list.
-func (s *Searcher) unlink(v NodeID) {
-	q, lv := &s.kq, &s.labels[v]
-	if lv.back != InvalidNode {
-		s.labels[lv.back].next = lv.next
-	} else if q.head[lv.slot] = lv.next; lv.next == InvalidNode {
-		q.full[lv.slot>>6] &^= 1 << (lv.slot & 63)
-	}
-	if lv.next != InvalidNode {
-		s.labels[lv.next].back = lv.back
-	}
-	lv.slot = notQueued
-}
-
-// pop removes and returns a node of the lowest non-empty bucket. It
-// returns InvalidNode when the queue is empty or when the lower edge of
-// that bucket lies past limit, the target's label: every key queued is
-// then larger than limit, and so, h being admissible, is the length of
-// any path through its node.
-func (s *Searcher) pop(limit float64) NodeID {
-	q := &s.kq
-	for {
-		slot := q.cur & q.mask
-		if q.full[slot>>6]&(1<<(slot&63)) != 0 {
-			v := q.head[slot]
-			s.unlink(v)
-			return v
-		}
-		// Bucket cur is empty (and, the loop never queueing below cur,
-		// stays so): move to the next one that holds a node, in the ring
-		// or at the top of the overflow heap.
-		next := 0
-		if d := q.gap(slot); d > 0 {
-			next = q.cur + d
-		}
-		if len(q.over) > 0 {
-			if b := max(q.cur+1, q.bucket(q.over[0].prio)); next == 0 || b < next {
-				next = b
-			}
-		}
-		if next == 0 {
-			return InvalidNode
-		}
-		q.cur = next
-		if float64(q.cur) > limit*q.inv {
-			return InvalidNode
-		}
-		// Keys the ring could not hold when they were queued enter it when
-		// their bucket comes up; an entry whose node has since been
-		// relabelled or linked is stale.
-		for len(q.over) > 0 && q.bucket(q.over[0].prio) <= q.cur {
-			it := q.over.pop()
-			if lv := &s.labels[it.node]; lv.slot == inOverflow && it.prio == key(lv) {
-				s.link(it.node, int32(q.cur&q.mask))
-			}
+// advance moves cur from its bucket, now empty for good (nothing is
+// queued below cur), to the next one holding an entry, in the ring or on
+// the overflow heap. It reports false when the queue is empty or that
+// bucket's lower edge lies past limit, the target's label: every queued
+// key, and so, h being admissible, every path through its node, is then
+// longer.
+func (s *Searcher) advance(limit float64) bool {
+	q := &s.ring
+	next := 0
+	for b := q.cur + 1; b <= q.hi; b++ {
+		if q.top[b&q.mask] > 0 {
+			next = b
+			break
 		}
 	}
+	if len(q.over) > 0 {
+		if b := max(q.cur+1, q.bucket(q.over[0].prio)); next == 0 || b < next {
+			next = b
+		}
+	}
+	if next == 0 || float64(next) > limit*q.inv {
+		return false
+	}
+	q.cur = next
+	// Keys the ring could not hold when they were queued enter it when
+	// their bucket comes up; an entry whose node has since been relabelled
+	// is stale.
+	for len(q.over) > 0 && q.bucket(q.over[0].prio) <= q.cur {
+		it := q.over.pop()
+		if lv := &s.labels[it.node]; lv.mark == inOverflow && it.prio == key(lv) {
+			q.stack(it.node, lv, q.cur)
+		}
+	}
+	return true
 }
 
 // astar is the one A* loop behind every heuristic search: a
-// label-correcting search in key order over the flat adjacency, with the
-// bucket queue above. h returns a lower bound on the remaining driving
-// distance in quanta; it is evaluated once per labelled node and cached
-// in the node's label, and must be 0 at target. The target is labelled
-// but never queued, and the search stops once no queued key can undercut
-// its label, so an admissible h is enough for exact distances —
-// consistency only saves work.
-func (s *Searcher) astar(source, target NodeID, h func(NodeID) int32) SPResult {
+// label-correcting search in key order over the flat adjacency and the
+// ring above. The lower bound on the remaining distance, in quanta, is
+// read off tab, ALT's rows (inline, no closure), or, where tab is
+// nil, got from h; it is evaluated once per labelled node and must be 0
+// at target. The target is labelled but never queued, and the search
+// stops once no queued key can undercut its label, so an admissible bound
+// is enough for exact distances — consistency only saves work.
+func (s *Searcher) astar(source, target NodeID, tab []altRow, h func(NodeID) int32) SPResult {
 	if source == target {
 		return SPResult{Dist: 0, Path: []NodeID{source}}
 	}
 	adj := s.forward()
 	s.reset()
-	q := &s.kq
-	if len(q.head) <= adj.keyMask {
-		q.head = make([]NodeID, adj.keyMask+1)
-		q.full = make([]uint64, (adj.keyMask+1)/64)
+	q := &s.ring
+	q.start(adj, len(s.labels))
+	var rt altRow // the target's shaved row, where tab is set
+	var hs int32
+	if tab != nil {
+		rt = tab[target].shaved()
+		hs = rt.bound(&tab[source])
+	} else {
+		hs = h(source)
 	}
-	q.full = q.full[:(adj.keyMask+1)/64]
-	clear(q.full)
-	q.over, q.inv, q.mask = q.over[:0], adj.keyInv, adj.keyMask
 	labels, gen := s.labels, s.gen
 	off, to, w := adj.off, adj.to, adj.w
 
-	labels[source] = label{h: h(source), prev: InvalidNode, stamp: gen}
-	q.cur = q.bucket(key(&labels[source]))
-	s.push(source)
+	ls := &labels[source]
+	*ls = label{h: hs, prev: InvalidNode, stamp: gen}
+	q.cur, q.hi = q.bucket(key(ls)), 0
+	q.stack(source, ls, q.cur)
 	dt := math.Inf(1) // the target's label
-	for v := s.pop(dt); v != InvalidNode; v = s.pop(dt) {
+	for {
+		slot := int32(q.cur & q.mask)
+		i := q.top[slot]
+		if i == 0 {
+			if !s.advance(dt) {
+				break
+			}
+			continue
+		}
+		e := &q.ent[i]
+		v := e.node
+		q.top[slot], e.next, q.free = e.next, q.free, i
 		lv := &labels[v]
+		if lv.mark != slot {
+			continue // stale: v was queued again since, or expanded
+		}
+		lv.mark = notQueued
 		if key(lv) >= dt {
 			continue // in the last bucket, past the target's label
 		}
@@ -350,13 +340,19 @@ func (s *Searcher) astar(source, target NodeID, h func(NodeID) int32) SPResult {
 			nd := dv + w[e]
 			lu := &labels[u]
 			switch {
-			case lu.stamp != gen: // first touch: the one evaluation of h
-				*lu = label{dist: nd, h: h(u), prev: v, stamp: gen, slot: notQueued}
+			case lu.stamp != gen: // first touch: the one evaluation of the bound
+				var hu int32
+				if tab != nil {
+					hu = rt.bound(&tab[u])
+				} else {
+					hu = h(u)
+				}
+				// Field by field, as a composite literal is copied over from
+				// the stack in pieces that stall store forwarding; the mark
+				// is the push's to set (the target is never pushed).
+				lu.dist, lu.h, lu.stamp, lu.prev = nd, hu, gen, v
 			case nd < lu.dist:
 				lu.dist, lu.prev = nd, v
-				if lu.slot >= 0 {
-					s.unlink(u)
-				}
 			default:
 				continue
 			}
@@ -364,9 +360,18 @@ func (s *Searcher) astar(source, target NodeID, h func(NodeID) int32) SPResult {
 				dt = nd
 				continue
 			}
-			s.push(u)
+			// Queue u in the bucket being emptied if its key lies below it
+			// (label-correcting inside a bucket), past the ring on the heap.
+			k := key(lu)
+			if b := q.bucket(k); b <= q.cur+q.mask {
+				q.stack(u, lu, max(b, q.cur))
+			} else {
+				lu.mark = inOverflow
+				q.over.push(pqItem{node: u, prio: k})
+			}
 		}
 	}
+	q.stop()
 	if math.IsInf(dt, 1) {
 		return SPResult{Dist: dt}
 	}
@@ -386,7 +391,7 @@ func chordQuanta(g *Graph, v, t NodeID) int32 {
 // and when a booking is confirmed.
 func (s *Searcher) ShortestPath(source, target NodeID) SPResult {
 	g := s.g
-	return s.astar(source, target, func(v NodeID) int32 { return chordQuanta(g, v, target) })
+	return s.astar(source, target, nil, func(v NodeID) int32 { return chordQuanta(g, v, target) })
 }
 
 // Visit is the callback of the bounded searches. Returning false stops the
