@@ -34,7 +34,7 @@ bench-observers:
 # interleaved rounds, each budgeted arm held to max(budget, 1.25) × its
 # baseline's best round and the bare arm to 1 000 ns, then a
 # loaded-engine memory sweep that must explain the live heap within 20%
-# and a profiler that must capture every delta kind.
+# and a profiler that must capture its heap, mutex and block blobs.
 bench-observers-smoke:
 	XAR_OBSERVER_SMOKE=1 $(GO) test -run 'TestObserverOverheadSmoke' -v .
 

@@ -1,7 +1,8 @@
 // Consistency checks between the code and what the repository states
 // about its benchmarks and tools: every benchmark or test name a
 // Makefile or CI pattern passes to `go test` exists, every cmd tool and
-// every flag a documented command hands one exists, and
+// every flag a documented command hands one exists, the endpoint tables
+// of OBSERVABILITY.md and README.md name the server's routes, and
 // OBSERVABILITY.md's overhead budgets are BenchmarkSearchObservers'
 // own. Each would otherwise go stale silently.
 package xar
@@ -301,4 +302,74 @@ func commandChunks(name, text string) []codeChunk {
 		}
 	}
 	return out
+}
+
+// TestObservabilityRoutesMatchServer: OBSERVABILITY.md's Endpoints
+// table names exactly the server's GET routes, save the two ride reads
+// (/v1/rides/{id} and its /route) that serve clients rather than
+// operators, and every row of README.md's table is a route the server
+// has. The routes are read off internal/server/server.go's handle("…")
+// calls.
+func TestObservabilityRoutesMatchServer(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "internal/server/server.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		fn, ok := call.Fun.(*ast.Ident)
+		lit, isLit := call.Args[0].(*ast.BasicLit)
+		if ok && fn.Name == "handle" && isLit && lit.Kind == token.STRING {
+			pattern, _ := strconv.Unquote(lit.Value)
+			routes[pattern] = true
+		}
+		return true
+	})
+	if len(routes) == 0 {
+		t.Fatal(`no handle("…") route found in internal/server/server.go: the parse is broken`)
+	}
+	rowRE := regexp.MustCompile("(?m)^\\| `((?:GET|POST|DELETE) /[^`]*)` \\|")
+	rows := func(file, section string) map[string]bool {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		if section != "" {
+			_, after, ok := strings.Cut(text, "\n## "+section+"\n")
+			if !ok {
+				t.Fatalf("%s has no %q section", file, section)
+			}
+			text, _, _ = strings.Cut(after, "\n## ")
+		}
+		out := map[string]bool{}
+		for _, m := range rowRE.FindAllStringSubmatch(text, -1) {
+			out[m[1]] = true
+		}
+		if len(out) == 0 {
+			t.Fatalf("%s: no endpoint rows found", file)
+		}
+		return out
+	}
+
+	obs := rows("OBSERVABILITY.md", "Endpoints")
+	for r := range routes {
+		if strings.HasPrefix(r, "GET ") && r != "GET /v1/rides/{id}" && r != "GET /v1/rides/{id}/route" && !obs[r] {
+			t.Errorf("OBSERVABILITY.md's Endpoints table lacks the server's %s", r)
+		}
+	}
+	for r := range obs {
+		if !routes[r] {
+			t.Errorf("OBSERVABILITY.md's Endpoints table names %s, which the server does not route", r)
+		}
+	}
+	for r := range rows("README.md", "") {
+		if !routes[r] {
+			t.Errorf("README.md's endpoint table names %s, which the server does not route", r)
+		}
+	}
 }

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"xar/internal/experiments"
-	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/telemetry"
 )
@@ -46,7 +45,6 @@ func main() {
 	historyOut := flag.String("history-out", "", "record the run's telemetry on a 1s wall-clock cadence and write the time-series as JSON to this file")
 	qualityFlag := flag.Bool("quality", false, "collect the match-quality funnel across the replayed engines (and shadow counterfactuals at -shadow-sample) and print the summary after the run")
 	shadowSample := flag.Int("shadow-sample", 8, "with -quality, shadow-match 1-in-N no-match requests and bookings (0 disables the shadow matcher)")
-	profileFlag := flag.Bool("profile", true, "profile the run (allocation and contention deltas bracketing the workload) and print the top-5 symbols per kind after it")
 	flag.Parse()
 	figs := figures
 	if *fig != "all" {
@@ -109,17 +107,6 @@ func main() {
 		time.Since(start).Round(time.Millisecond),
 		w.City.Graph.NumNodes(), len(w.Disc.Landmarks), w.Disc.NumClusters(), w.Disc.Epsilon())
 
-	var prof *profile.Profiler
-	if *profileFlag {
-		// Bracket the workload with captures: the cumulative kinds
-		// (heap_alloc, mutex, block) delta between them, so the summary
-		// attributes the replays alone — world building lands in the
-		// discarded baseline. The CPU window is disabled; a post-run
-		// window would sample idle.
-		prof = profile.New(profile.Config{CPUWindow: -1, Logf: log.Printf})
-		prof.CaptureNow()
-	}
-
 	if *qualityFlag {
 		// One collector shared by every engine the figure replays build,
 		// so the printed funnel aggregates the whole run. The replays'
@@ -134,9 +121,6 @@ func main() {
 		if err := run(w, f); err != nil {
 			log.Fatalf("fig %s: %v", f, err)
 		}
-	}
-	if prof != nil {
-		experiments.WriteProfile(os.Stdout, "run delta", prof.CaptureNow())
 	}
 	if w.Quality != nil {
 		experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())

@@ -30,7 +30,9 @@
 //	-mem-sweep 30s         memory-accounting sweep cadence (xar_memsize_bytes{component},
 //	                       xar_rides_per_gb; 0: no sweeps until /v1/memory asks for one)
 //	-profile-interval 60s  continuous-profiling capture cadence (/v1/profiles,
-//	                       /v1/profiles/diff, xar_profile_* metrics; 0 disables)
+//	                       xar_profile_* metrics; 0 disables); read a capture with
+//	                       go tool pprof -top 'http://localhost:8080/v1/profiles/12?format=pprof&kind=heap'
+//	                       and compare two with go tool pprof -diff_base=<older> <newer>
 //
 // Build identity (xar_build_info, /v1/healthz build section) is stamped
 // at link time:

@@ -18,7 +18,6 @@ import (
 	"xar/internal/audit"
 	"xar/internal/experiments"
 	"xar/internal/journal"
-	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/sim"
 	"xar/internal/telemetry"
@@ -46,7 +45,6 @@ func main() {
 	auditInterval := flag.Float64("audit-interval", 300, "simulated seconds between -audit sweeps during the replay")
 	qualityFlag := flag.Bool("quality", false, "collect the XAR replay's match-quality funnel (and shadow counterfactuals at -shadow-sample) and print the summary after the run")
 	shadowSample := flag.Int("shadow-sample", 8, "with -quality, shadow-match 1-in-N no-match requests and bookings (0 disables the shadow matcher)")
-	profileFlag := flag.Bool("profile", true, "profile the XAR replay (allocation and contention deltas bracketing the run) and print the top-5 symbols per kind after it")
 	flag.Parse()
 	switch *system {
 	case "xar", "tshare", "both":
@@ -143,20 +141,7 @@ func main() {
 			xcfg.Auditor = auditor
 			xcfg.AuditInterval = *auditInterval
 		}
-		var prof *profile.Profiler
-		if *profileFlag {
-			// Bracket the replay with captures: the cumulative kinds
-			// (heap_alloc, mutex, block) delta between them, so the
-			// summary attributes the replay alone — world building and
-			// engine construction land in the discarded baseline. The CPU
-			// window is disabled; a post-run window would sample idle.
-			prof = profile.New(profile.Config{CPUWindow: -1, Logf: log.Printf})
-			prof.CaptureNow()
-		}
 		report(w, &sim.XARSystem{Engine: eng}, xcfg)
-		if prof != nil {
-			experiments.WriteProfile(os.Stdout, "replay delta", prof.CaptureNow())
-		}
 		if w.Quality != nil {
 			eng.ShadowFlush()
 			experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())

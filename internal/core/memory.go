@@ -14,8 +14,9 @@ import (
 // gauges plus the live rides-per-GB frontier, and keeps the report.
 // Sweeps run off the request path and only when asked for (MemSweep);
 // a caller that wants a cadence — xarserver — runs its own worker.
-// Which code allocated the heap is the continuous profiler's question
-// (internal/profile's heap_inuse and heap_alloc folds), not this one's.
+// Which code allocated the heap is a heap profile's question (`go tool
+// pprof` on the continuous profiler's heap blob or the debug bundle's
+// heap.pprof), not this one's.
 
 // HeapStats is the runtime.MemStats slice the memory report carries:
 // enough to judge GC pressure and compare the tracked component total

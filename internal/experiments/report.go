@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"xar/internal/core"
-	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/telemetry"
 )
@@ -17,8 +16,8 @@ import (
 // the retained bytes, how much of the live heap (runtime HeapAlloc, the
 // denominator of TrackedCoverageRatio) that explains, and rides per GB
 // of index. It is xarsim's post-run summary and what xarserver prints
-// at startup. Which code holds the live heap is WriteProfile's
-// heap_inuse table.
+// at startup. Which code holds the live heap is `go tool pprof
+// -sample_index=inuse_space -top` on a heap profile.
 func WriteMemory(w io.Writer, rep *core.MemoryReport) {
 	const mb = 1 << 20
 	fmt.Fprintf(w, "\n--- memory ---\n")
@@ -29,25 +28,6 @@ func WriteMemory(w io.Writer, rep *core.MemoryReport) {
 		"tracked total", float64(rep.TrackedTotalBytes)/mb,
 		float64(rep.Heap.HeapAllocBytes)/mb, 100*rep.Heap.TrackedCoverageRatio)
 	fmt.Fprintf(w, "  %d active rides, %.0f rides/GB of index\n", rep.ActiveRides, rep.RidesPerGB)
-}
-
-// WriteProfile writes a capture's top-5 symbols per kind under the
-// heading "profile (title)". Taken right after a baseline capture, the
-// cumulative kinds (heap_alloc, mutex, block) are deltas, so the block
-// attributes just the work between the two. A nil capture, or one with
-// no samples, writes nothing.
-func WriteProfile(w io.Writer, title string, c *profile.Capture) {
-	if c == nil {
-		return
-	}
-	lines := profile.SummaryLines(c, 5)
-	if len(lines) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n--- profile (%s) ---\n", title)
-	for _, l := range lines {
-		fmt.Fprintf(w, "  %s\n", l)
-	}
 }
 
 // WriteQuality writes a run's match-quality picture — the candidate

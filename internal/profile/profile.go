@@ -1,17 +1,22 @@
 // Package profile implements always-on continuous profiling for the
-// process: a background worker that periodically captures delta
-// profiles — a short duty-cycled CPU window, heap in-use and
-// allocation deltas, mutex and block contention deltas, and goroutine
-// counts by state — folds each capture into per-function /
-// per-package flat tables, and stores them in fixed-memory
+// process: a background worker that periodically captures the
+// runtime's profiles — a short duty-cycled CPU window, the heap, mutex
+// and block profiles, and goroutine counts by state — and stores the
+// pprof blobs the runtime wrote, unparsed, in fixed-memory
 // overwrite-oldest rings (a fine ring of every capture, a coarse
 // one-per-hour ring for the longer view, and an always-keep ring of
 // captures pinned by SLO page transitions).
 //
+// Reading a capture is `go tool pprof`'s job: -top on one blob says
+// where the time or the bytes went, and -diff_base=<older> <newer>
+// says what changed between two captures (the heap's alloc_space and
+// the mutex and block delays are cumulative, so only a diff isolates
+// an interval).
+//
 // The worker is a telemetry.Worker under the same duty-cycle discipline
 // as the memory sweeper (telemetry.Throttle): after a capture whose
-// active work took d, the next one is at least 99×d away, bounding fold
-// cost to ≤1% of one core. The passive CPU sampling window (the
+// active work took d, the next one is at least 99×d away, bounding
+// capture cost to ≤1% of one core. The passive CPU sampling window (the
 // profiler sleeping while the runtime samples) is deliberately excluded
 // from d — it costs samples, not a core — so the default 60s cadence
 // holds with a 1s window; it instead carries its own 9× floor bounding
@@ -43,16 +48,16 @@ const (
 	// DefaultCPUWindow is the CPU sampling window inside each capture.
 	DefaultCPUWindow = time.Second
 
-	defaultFineSlots   = 64
-	defaultCoarseSlots = 48
-	defaultPinnedSlots = 16
+	// fineSlots, coarseSlots and pinnedSlots size the three rings;
+	// memory is fixed at their capacity.
+	fineSlots   = 64
+	coarseSlots = 48
+	pinnedSlots = 16
 
 	// coarseEvery is the coarse ring's cadence.
 	coarseEvery = time.Hour
-	// topN truncates each folded flat table.
-	topN = 64
-	// maxRawBytes caps each stored raw pprof blob; larger blobs keep
-	// their fold but drop the raw export.
+	// maxRawBytes caps each stored pprof blob; a larger one is dropped
+	// and named in the capture's Dropped list.
 	maxRawBytes = 1 << 20
 
 	// mutexFraction samples 1-in-N mutex contention events;
@@ -84,26 +89,25 @@ type Config struct {
 	// CPUWindow is the CPU sampling window per capture (0 → 1s,
 	// negative → CPU capture disabled).
 	CPUWindow time.Duration
-	// FineSlots / CoarseSlots / PinnedSlots size the three rings
-	// (0 → 64 / 48 / 16). Memory is fixed at ring capacity.
-	FineSlots   int
-	CoarseSlots int
-	PinnedSlots int
 	// Logf, when set, receives one line per skipped or failed capture.
 	Logf func(format string, args ...any)
 }
 
-// Capture is one profiling snapshot: every kind folded to a flat
-// table, goroutine counts by state, and the raw pprof blobs backing
-// the folds (loadable by `go tool pprof`). Captures are immutable
-// once stored except for the pin flag, which only mutates under the
-// profiler's lock.
+// Kinds names the pprof blobs a capture can hold, in capture order.
+var Kinds = []string{"cpu", "heap", "mutex", "block"}
+
+// Capture is one profiling snapshot: goroutine counts by state and
+// the pprof blobs the runtime wrote (loadable by `go tool pprof`).
+// Captures are immutable once stored except for the pin flag, which
+// only mutates under the profiler's lock.
 type Capture struct {
 	ID   uint64  `json:"id"`
 	Unix float64 `json:"unix"`
-	// WorkSeconds is the capture's active cost — acquiring/stopping
-	// the CPU profile, snapshotting and folding — and excludes the
-	// passive CPU window. It is what the duty cycle budgets.
+	// WorkSeconds is the capture's active cost — starting the CPU
+	// profile and writing the other profiles — and excludes the
+	// passive CPU window and the runtime's flush of it on stop (up to
+	// 100 ms asleep in its profile writer). It is what the duty cycle
+	// budgets.
 	WorkSeconds float64 `json:"work_seconds"`
 	// CPUWindowSeconds is the realized sampling window (shorter than
 	// configured when a Close interrupted it).
@@ -115,33 +119,26 @@ type Capture struct {
 	PinReason    string         `json:"pin_reason,omitempty"`
 	NumGoroutine int            `json:"num_goroutine"`
 	Goroutines   map[string]int `json:"goroutines_by_state,omitempty"`
-	Profiles     []*Folded      `json:"profiles"`
+	// Kinds lists the blobs the capture holds; Dropped those the
+	// runtime wrote past maxRawBytes, which were not kept.
+	Kinds   []string `json:"kinds"`
+	Dropped []string `json:"dropped,omitempty"`
 
-	raw map[string][]byte // raw pprof blobs: cpu, heap, mutex, block
+	raw map[string][]byte // kind → pprof blob
 }
 
-// Folded returns the flat table for kind, or nil.
-func (c *Capture) Folded(kind string) *Folded {
-	for _, f := range c.Profiles {
-		if f.Kind == kind {
-			return f
-		}
-	}
-	return nil
-}
+// Raw returns the pprof blob of kind (one of Kinds), or nil.
+func (c *Capture) Raw(kind string) []byte { return c.raw[kind] }
 
-// Raw returns the raw pprof blob named name (cpu, heap, mutex or
-// block — heap backs both heap kinds), or nil.
-func (c *Capture) Raw(name string) []byte { return c.raw[name] }
-
-// RawNames lists the capture's raw blobs in stable order.
-func (c *Capture) RawNames() []string {
-	names := make([]string, 0, len(c.raw))
-	for n := range c.raw {
-		names = append(names, n)
+// keep stores blob as kind, or names it in Dropped when it is over
+// the memory cap.
+func (c *Capture) keep(kind string, blob []byte) {
+	if len(blob) > maxRawBytes {
+		c.Dropped = append(c.Dropped, kind)
+		return
 	}
-	sort.Strings(names)
-	return names
+	c.raw[kind] = blob
+	c.Kinds = append(c.Kinds, kind)
 }
 
 // Summary is the list-endpoint view of a capture.
@@ -155,6 +152,7 @@ type Summary struct {
 	WorkSeconds  float64  `json:"work_seconds"`
 	NumGoroutine int      `json:"num_goroutine"`
 	Kinds        []string `json:"kinds"`
+	Dropped      []string `json:"dropped,omitempty"`
 }
 
 // ListFilter narrows List.
@@ -162,14 +160,6 @@ type ListFilter struct {
 	PinnedOnly bool
 	Since      float64 // unix seconds; 0 → no lower bound
 	Limit      int     // 0 → all
-}
-
-// pendingFold is a cumulative fold awaiting delta subtraction at
-// commit time.
-type pendingFold struct {
-	kind string
-	unit string
-	f    *folder
 }
 
 // Profiler is the continuous profiler. Build with New, then either
@@ -183,7 +173,7 @@ type Profiler struct {
 	capMu    sync.Mutex
 	stackBuf []byte
 
-	// mu guards the rings, delta baselines, pin state and counters.
+	// mu guards the rings, pin state and counters.
 	mu             sync.Mutex
 	nextID         uint64
 	fine           telemetry.Ring[*Capture]
@@ -191,7 +181,6 @@ type Profiler struct {
 	pinned         telemetry.Ring[*Capture]
 	lastCoarseUnix float64
 	pinNext        string
-	prev           map[string]map[string]Sample // kind → cumulative baseline
 	workTotal      time.Duration
 
 	worker    telemetry.Worker
@@ -234,26 +223,20 @@ func disableSampling() {
 
 // New builds a Profiler and applies the mutex/block sampling rates.
 // It does not start the worker; see Start.
-func New(cfg Config) *Profiler {
+func New(cfg Config) *Profiler { return newWithRings(cfg, fineSlots, coarseSlots, pinnedSlots) }
+
+// newWithRings is New with the three ring sizes given; the package's
+// tests shrink the rings through it.
+func newWithRings(cfg Config, fine, coarse, pinned int) *Profiler {
 	if cfg.CPUWindow == 0 {
 		cfg.CPUWindow = DefaultCPUWindow
-	}
-	if cfg.FineSlots <= 0 {
-		cfg.FineSlots = defaultFineSlots
-	}
-	if cfg.CoarseSlots <= 0 {
-		cfg.CoarseSlots = defaultCoarseSlots
-	}
-	if cfg.PinnedSlots <= 0 {
-		cfg.PinnedSlots = defaultPinnedSlots
 	}
 	p := &Profiler{
 		cfg:       cfg,
 		startTime: time.Now(),
-		fine:      telemetry.NewRing(make([]*Capture, cfg.FineSlots)),
-		coarse:    telemetry.NewRing(make([]*Capture, cfg.CoarseSlots)),
-		pinned:    telemetry.NewRing(make([]*Capture, cfg.PinnedSlots)),
-		prev:      make(map[string]map[string]Sample),
+		fine:      telemetry.NewRing(make([]*Capture, fine)),
+		coarse:    telemetry.NewRing(make([]*Capture, coarse)),
+		pinned:    telemetry.NewRing(make([]*Capture, pinned)),
 		stop:      make(chan struct{}),
 	}
 	enableSampling()
@@ -347,9 +330,8 @@ func (p *Profiler) capture() *Capture {
 	p.capMu.Lock()
 	defer p.capMu.Unlock()
 
-	c := &Capture{raw: make(map[string][]byte)}
+	c := &Capture{raw: make(map[string][]byte, len(Kinds))}
 	var work time.Duration
-	var pending []pendingFold
 
 	if p.cfg.CPUWindow > 0 {
 		var buf bytes.Buffer
@@ -369,67 +351,32 @@ func (p *Profiler) capture() *Capture {
 			pprof.StopCPUProfile()
 			c.CPUWindowSeconds = windowEnd.Sub(armed).Seconds()
 			work += armed.Sub(t0)
-			foldStart := time.Now()
-			if parsed, err := parsePprof(buf.Bytes()); err != nil {
-				p.logf("profile: cpu parse: %v", err)
-			} else if vi := parsed.valueIndex("cpu"); vi >= 0 {
-				c.Profiles = append(c.Profiles, foldParsed(parsed, vi).finish(KindCPU, "nanoseconds", topN))
-			}
-			if len(buf.Bytes()) <= maxRawBytes {
-				c.raw["cpu"] = buf.Bytes()
-			}
-			work += time.Since(foldStart)
+			c.keep("cpu", buf.Bytes())
 		}
 	}
 
 	workStart := time.Now()
 	c.NumGoroutine = runtime.NumGoroutine()
 	c.Goroutines = p.goroutineStates()
-
-	// heap: inuse_space is a live gauge, alloc_space cumulative.
-	if raw, parsed, ok := p.lookup("heap"); ok {
-		if vi := parsed.valueIndex("inuse_space"); vi >= 0 {
-			c.Profiles = append(c.Profiles, foldParsed(parsed, vi).finish(KindHeapInuse, "bytes", topN))
-		}
-		if vi := parsed.valueIndex("alloc_space"); vi >= 0 {
-			pending = append(pending, pendingFold{KindHeapAlloc, "bytes", foldParsed(parsed, vi)})
-		}
-		if len(raw) <= maxRawBytes {
-			c.raw["heap"] = raw
-		}
-	}
-	// mutex/block: the runtime writes delay in nanoseconds, cumulative
-	// since the sampling rate was set.
-	for _, kind := range []struct{ lookup, kind string }{{"mutex", KindMutex}, {"block", KindBlock}} {
-		raw, parsed, ok := p.lookup(kind.lookup)
-		if !ok {
+	// heap's alloc_space and the mutex and block delays are cumulative
+	// (since the process, or since New set the sampling rates); a diff
+	// against an older capture isolates the interval.
+	for _, kind := range Kinds[1:] {
+		var buf bytes.Buffer
+		if err := pprof.Lookup(kind).WriteTo(&buf, 0); err != nil {
+			p.logf("profile: %s: %v", kind, err)
 			continue
 		}
-		if vi := parsed.valueIndex("delay"); vi >= 0 {
-			pending = append(pending, pendingFold{kind.kind, "nanoseconds", foldParsed(parsed, vi)})
-		}
-		if len(raw) <= maxRawBytes {
-			c.raw[kind.lookup] = raw
-		}
+		c.keep(kind, buf.Bytes())
 	}
 	work += time.Since(workStart)
 
-	// Commit: assign the id, subtract cumulative baselines, pin, ring.
+	// Commit: assign the id, pin, ring.
 	commitStart := time.Now()
 	p.mu.Lock()
 	p.nextID++
 	c.ID = p.nextID
 	c.Unix = float64(time.Now().UnixNano()) / 1e9
-	for _, pf := range pending {
-		snap := pf.f.snapshot()
-		if prev, ok := p.prev[pf.kind]; ok {
-			pf.f.subtract(prev)
-		}
-		// First capture: the delta is "since the profiler started",
-		// which is the interval it actually covers.
-		p.prev[pf.kind] = snap
-		c.Profiles = append(c.Profiles, pf.f.finish(pf.kind, pf.unit, topN))
-	}
 	if p.pinNext != "" {
 		c.Pinned = true
 		c.PinReason = p.pinNext
@@ -457,26 +404,6 @@ func (p *Profiler) capture() *Capture {
 	}
 	p.mu.Unlock()
 	return c
-}
-
-// lookup serializes a runtime profile to its pprof protobuf form and
-// parses it back.
-func (p *Profiler) lookup(name string) ([]byte, *parsedProfile, bool) {
-	prof := pprof.Lookup(name)
-	if prof == nil {
-		return nil, nil, false
-	}
-	var buf bytes.Buffer
-	if err := prof.WriteTo(&buf, 0); err != nil {
-		p.logf("profile: %s: %v", name, err)
-		return nil, nil, false
-	}
-	parsed, err := parsePprof(buf.Bytes())
-	if err != nil {
-		p.logf("profile: %s parse: %v", name, err)
-		return nil, nil, false
-	}
-	return buf.Bytes(), parsed, true
 }
 
 // goroutineStates counts goroutines by scheduler state ("running",
@@ -530,8 +457,8 @@ func (p *Profiler) find(id uint64) *Capture {
 }
 
 // Get returns a copy of the capture with the given id. The copy
-// shares the (immutable) fold tables and raw blobs; the mutable pin
-// flag is snapshotted under the lock.
+// shares the (immutable) blobs; the mutable pin flag is snapshotted
+// under the lock.
 func (p *Profiler) Get(id uint64) (Capture, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -560,15 +487,11 @@ func (p *Profiler) List(f ListFilter) []Summary {
 		for _, c := range r.AppendTo(nil) {
 			s := byID[c.ID]
 			if s == nil {
-				kinds := make([]string, 0, len(c.Profiles))
-				for _, fd := range c.Profiles {
-					kinds = append(kinds, fd.Kind)
-				}
 				s = &Summary{
 					ID: c.ID, Unix: c.Unix,
 					Pinned: c.Pinned, PinReason: c.PinReason,
 					CPUSkipped: c.CPUSkipped, WorkSeconds: c.WorkSeconds,
-					NumGoroutine: c.NumGoroutine, Kinds: kinds,
+					NumGoroutine: c.NumGoroutine, Kinds: c.Kinds, Dropped: c.Dropped,
 				}
 				byID[c.ID] = s
 			}
@@ -595,30 +518,9 @@ func (p *Profiler) List(f ListFilter) []Summary {
 	return out
 }
 
-// DiffCaptures computes the symbol-level delta of one kind between
-// two stored captures ("what regressed between 12:00 and 12:05").
-func (p *Profiler) DiffCaptures(fromID, toID uint64, kind string, limit int) (*Diff, error) {
-	from, ok := p.Get(fromID)
-	if !ok {
-		return nil, fmt.Errorf("profile: capture %d not found", fromID)
-	}
-	to, ok := p.Get(toID)
-	if !ok {
-		return nil, fmt.Errorf("profile: capture %d not found", toID)
-	}
-	ff, tf := from.Folded(kind), to.Folded(kind)
-	if ff == nil || tf == nil {
-		return nil, fmt.Errorf("profile: kind %q not present in both captures", kind)
-	}
-	d := diffFolded(ff, tf, limit)
-	d.FromID, d.ToID = from.ID, to.ID
-	d.FromUnix, d.ToUnix = from.Unix, to.Unix
-	return d, nil
-}
-
-// MeasureMem implements memsize.Measurer: the rings, their captures
-// (folds + raw blobs) and the delta baselines, walked under the
-// profiler's lock. Nil-receiver-safe.
+// MeasureMem implements memsize.Measurer: the rings and their
+// captures' blobs, walked under the profiler's lock.
+// Nil-receiver-safe.
 func (p *Profiler) MeasureMem(a *memsize.Accumulator) {
 	if p == nil {
 		return
@@ -627,66 +529,5 @@ func (p *Profiler) MeasureMem(a *memsize.Accumulator) {
 	a.Add(p.fine)
 	a.Add(p.coarse)
 	a.Add(p.pinned)
-	a.Add(p.prev)
 	p.mu.Unlock()
-}
-
-// formatValue renders a flat value in its unit for log summaries.
-func formatValue(v int64, unit string) string {
-	switch unit {
-	case "nanoseconds":
-		return time.Duration(v).Round(10 * time.Microsecond).String()
-	case "bytes":
-		switch {
-		case v >= 1<<20:
-			return fmt.Sprintf("%.1fMB", float64(v)/(1<<20))
-		case v >= 1<<10:
-			return fmt.Sprintf("%.1fKB", float64(v)/(1<<10))
-		}
-		return fmt.Sprintf("%dB", v)
-	}
-	return fmt.Sprintf("%d", v)
-}
-
-// TopLines renders kind's top-n rows as "flat  func" lines for the
-// cmd tools' post-run summaries. Returns nil when the kind is absent
-// or empty.
-func TopLines(c *Capture, kind string, n int) []string {
-	f := c.Folded(kind)
-	if f == nil || len(f.Rows) == 0 || f.Total == 0 {
-		return nil
-	}
-	if n > len(f.Rows) {
-		n = len(f.Rows)
-	}
-	lines := make([]string, 0, n)
-	for _, row := range f.Rows[:n] {
-		if row.Flat == 0 {
-			break
-		}
-		lines = append(lines, fmt.Sprintf("%10s %5.1f%%  %s",
-			formatValue(row.Flat, f.Unit), 100*float64(row.Flat)/float64(f.Total), row.Func))
-	}
-	return lines
-}
-
-// SummaryLines renders a capture as per-kind top-n blocks — the
-// post-run summary the cmd tools print. Kinds with no samples are
-// omitted; a capture taken right after a baseline capture therefore
-// summarizes just the work between the two (the cumulative kinds are
-// deltas against the previous capture).
-func SummaryLines(c *Capture, n int) []string {
-	var lines []string
-	for _, kind := range Kinds {
-		top := TopLines(c, kind, n)
-		if len(top) == 0 {
-			continue
-		}
-		f := c.Folded(kind)
-		lines = append(lines, fmt.Sprintf("%s (total %s):", kind, formatValue(f.Total, f.Unit)))
-		for _, l := range top {
-			lines = append(lines, "  "+l)
-		}
-	}
-	return lines
 }

@@ -1,15 +1,17 @@
 package profile
 
 import (
+	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"xar/internal/journal"
 	"xar/internal/memsize"
 	"xar/internal/telemetry"
 )
@@ -28,19 +30,16 @@ func TestCaptureNowKindsAndMetrics(t *testing.T) {
 	if c.ID != 1 {
 		t.Fatalf("first capture id = %d, want 1", c.ID)
 	}
-	for _, kind := range []string{KindHeapInuse, KindHeapAlloc, KindMutex, KindBlock} {
-		if c.Folded(kind) == nil {
-			t.Errorf("kind %s missing from capture", kind)
-		}
+	if got, want := strings.Join(c.Kinds, ","), "heap,mutex,block"; got != want {
+		t.Errorf("kinds = %s, want %s (no cpu with the CPU window disabled)", got, want)
 	}
-	if c.Folded(KindCPU) != nil {
-		t.Error("cpu fold present with CPU window disabled")
+	for _, kind := range c.Kinds {
+		if len(c.Raw(kind)) == 0 {
+			t.Errorf("%s blob missing", kind)
+		}
 	}
 	if c.NumGoroutine <= 0 || len(c.Goroutines) == 0 {
 		t.Errorf("goroutine accounting empty: n=%d states=%v", c.NumGoroutine, c.Goroutines)
-	}
-	if c.Raw("heap") == nil {
-		t.Error("raw heap blob missing")
 	}
 	// Counter registered and incremented: re-requesting the same family
 	// returns the live instrument.
@@ -73,77 +72,30 @@ func TestCaptureCPUWindow(t *testing.T) {
 	if c.CPUWindowSeconds < 0.04 {
 		t.Errorf("cpu window = %.3fs, want ≈0.05s", c.CPUWindowSeconds)
 	}
-	raw := c.Raw("cpu")
-	if raw == nil {
-		t.Fatal("raw cpu blob missing")
-	}
-	parsed, err := parsePprof(raw)
+	// The blob is the gzipped protobuf the runtime wrote;
+	// TestRawExportsLoadInGoToolPprof loads it in the toolchain.
+	gz, err := gzip.NewReader(bytes.NewReader(c.Raw("cpu")))
 	if err != nil {
-		t.Fatalf("raw cpu export does not reparse: %v", err)
+		t.Fatalf("cpu blob is not gzipped: %v", err)
 	}
-	if parsed.valueIndex("cpu") < 0 {
-		t.Error("cpu sample type missing from raw export")
-	}
-}
-
-func TestHeapAllocIsDelta(t *testing.T) {
-	p := New(quickConfig(nil))
-	defer p.Close()
-	// The runtime's heap profile reflects the most recently completed
-	// GC cycle; force one before each capture so the delta brackets
-	// exactly the allocation below.
-	runtime.GC()
-	p.CaptureNow()
-	allocForProfile()
-	profileTestSink = nil
-	runtime.GC()
-	c2 := p.CaptureNow()
-	f := c2.Folded(KindHeapAlloc)
-	if f == nil {
-		t.Fatal("heap_alloc missing")
-	}
-	// The delta capture must attribute the ~4MiB allocForProfile just
-	// allocated, and as a delta, not the process-lifetime cumulative.
-	r := f.Row("xar/internal/profile.allocForProfile")
-	if r == nil || r.Flat < 1<<20 {
-		t.Fatalf("allocForProfile delta = %+v, want ≥1MiB", r)
+	if _, err := io.ReadAll(gz); err != nil {
+		t.Fatalf("cpu blob gunzip: %v", err)
 	}
 }
 
-// TestHeapInuseAttributesJournalTail: a capture's heap_inuse package
-// table charges a large retained allocation to the package that made
-// it. One 2^18-slot journal tail is 20 MiB, far beyond the 512 KiB
-// sampling rate, and the journal allocates it itself (the ring only
-// wraps caller-allocated storage), so it lands on xar/internal/journal.
-func TestHeapInuseAttributesJournalTail(t *testing.T) {
-	if runtime.MemProfileRate == 0 {
-		t.Skip("heap profiling disabled")
+// TestOverCapBlobIsDropped: a blob past maxRawBytes is not kept, and
+// the capture names it in Dropped instead of Kinds.
+func TestOverCapBlobIsDropped(t *testing.T) {
+	c := &Capture{raw: map[string][]byte{}}
+	c.keep("heap", make([]byte, maxRawBytes))
+	c.keep("mutex", make([]byte, maxRawBytes+1))
+	if len(c.Kinds) != 1 || c.Kinds[0] != "heap" || len(c.Dropped) != 1 || c.Dropped[0] != "mutex" || c.Raw("mutex") != nil {
+		t.Fatalf("kinds %v, dropped %v", c.Kinds, c.Dropped)
 	}
-	big := journal.New(journal.Config{TailCapacity: 1 << 18})
-	// Heap-profile records publish at GC boundaries; two cycles flush
-	// the allocation above into the profile a capture reads.
-	runtime.GC()
-	runtime.GC()
-	p := New(quickConfig(nil))
-	defer p.Close()
-	f := p.CaptureNow().Folded(KindHeapInuse)
-	if f == nil {
-		t.Fatal("heap_inuse missing")
-	}
-	var got int64
-	for _, pk := range f.Packages {
-		if pk.Pkg == "xar/internal/journal" {
-			got = pk.Flat
-		}
-	}
-	if got < 16<<20 {
-		t.Fatalf("xar/internal/journal holds %d B in use, want ≥ 16 MiB (packages %+v)", got, f.Packages)
-	}
-	runtime.KeepAlive(big)
 }
 
 func TestRingWraparoundRetentionAndMemory(t *testing.T) {
-	p := New(Config{CPUWindow: -1, FineSlots: 8, CoarseSlots: 2, PinnedSlots: 2})
+	p := newWithRings(Config{CPUWindow: -1}, 8, 2, 2)
 	defer p.Close()
 
 	// Fixed-memory fence, the memsize pattern: fill the fine ring with
@@ -153,13 +105,9 @@ func TestRingWraparoundRetentionAndMemory(t *testing.T) {
 	// deterministic (real captures drift with the process's
 	// allocation-site set).
 	synth := func(id uint64) *Capture {
-		rows := make([]Sample, 64)
-		for i := range rows {
-			rows[i] = Sample{Func: fmt.Sprintf("pkg.fn%02d", i), Pkg: "pkg", Flat: int64(i + 1)}
-		}
 		return &Capture{
 			ID:         id,
-			Profiles:   []*Folded{{Kind: KindCPU, Unit: "nanoseconds", Total: 64, Rows: rows}},
+			Kinds:      []string{"cpu"},
 			Goroutines: map[string]int{"running": 1},
 			raw:        map[string][]byte{"cpu": make([]byte, 32<<10)},
 		}
@@ -193,7 +141,7 @@ func TestRingWraparoundRetentionAndMemory(t *testing.T) {
 	// Retention with real captures: oldest evicted from the fine ring,
 	// newest kept. (The very first capture legitimately survives in
 	// the coarse ring — that is the second resolution doing its job.)
-	p2 := New(Config{CPUWindow: -1, FineSlots: 4, CoarseSlots: 2})
+	p2 := newWithRings(Config{CPUWindow: -1}, 4, 2, pinnedSlots)
 	defer p2.Close()
 	for i := 0; i < 8; i++ {
 		p2.CaptureNow()
@@ -218,7 +166,7 @@ func TestRingWraparoundRetentionAndMemory(t *testing.T) {
 }
 
 func TestPinLatestSurvivesFineEviction(t *testing.T) {
-	p := New(Config{CPUWindow: -1, FineSlots: 4, PinnedSlots: 4})
+	p := newWithRings(Config{CPUWindow: -1}, 4, coarseSlots, 4)
 	defer p.Close()
 	c := p.CaptureNow()
 	p.PinLatest("slo-page:test")
@@ -240,31 +188,6 @@ func TestPinLatestSurvivesFineEviction(t *testing.T) {
 	pinned := p.List(ListFilter{PinnedOnly: true})
 	if len(pinned) != 2 {
 		t.Fatalf("pinned list = %d entries, want 2", len(pinned))
-	}
-}
-
-func TestDiffCaptures(t *testing.T) {
-	p := New(quickConfig(nil))
-	defer p.Close()
-	c1 := p.CaptureNow()
-	allocForProfile()
-	profileTestSink = nil
-	c2 := p.CaptureNow()
-	d, err := p.DiffCaptures(c1.ID, c2.ID, KindHeapAlloc, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.FromID != c1.ID || d.ToID != c2.ID || d.Unit != "bytes" {
-		t.Fatalf("diff header = %+v", d)
-	}
-	if len(d.Rows) == 0 {
-		t.Fatal("diff between an idle and an allocating interval has no rows")
-	}
-	if _, err := p.DiffCaptures(c1.ID, 999, KindHeapAlloc, 0); err == nil {
-		t.Error("diff against a missing capture did not error")
-	}
-	if _, err := p.DiffCaptures(c1.ID, c2.ID, "bogus", 0); err == nil {
-		t.Error("diff of an unknown kind did not error")
 	}
 }
 
@@ -306,9 +229,10 @@ func TestStartIsIdempotentAndCloseIsFinal(t *testing.T) {
 }
 
 // TestConcurrentCaptureServeMutate is the 8-goroutine race stress:
-// capture, list/get/diff and pin mutation all interleave under -race.
+// capture, list/get, blob reads and pin mutation all interleave under
+// -race.
 func TestConcurrentCaptureServeMutate(t *testing.T) {
-	p := New(Config{CPUWindow: -1, FineSlots: 8, Logf: func(string, ...any) {}})
+	p := newWithRings(Config{CPUWindow: -1, Logf: func(string, ...any) {}}, 8, coarseSlots, pinnedSlots)
 	defer p.Close()
 	p.CaptureNow()
 	const workers = 8
@@ -326,10 +250,11 @@ func TestConcurrentCaptureServeMutate(t *testing.T) {
 					for _, s := range p.List(ListFilter{Limit: 4}) {
 						p.Get(s.ID)
 					}
-				case 2: // diff whatever exists
-					sums := p.List(ListFilter{})
-					if len(sums) >= 2 {
-						p.DiffCaptures(sums[len(sums)-1].ID, sums[0].ID, KindHeapInuse, 5)
+				case 2: // read the newest capture's blobs
+					if c, ok := p.Newest(); ok {
+						for _, kind := range c.Kinds {
+							_ = len(c.Raw(kind))
+						}
 					}
 				case 3: // mutate pins and measure
 					p.PinLatest(fmt.Sprintf("stress-%d-%d", w, i))
@@ -422,7 +347,7 @@ func TestCaptureSkipsWhenCPUSlotHeld(t *testing.T) {
 	if !c.CPUSkipped {
 		t.Fatal("capture did not skip while the CPU slot was held")
 	}
-	if c.Folded(KindHeapInuse) == nil {
+	if c.Raw("heap") == nil {
 		t.Error("skipped CPU window dropped the rest of the capture")
 	}
 }

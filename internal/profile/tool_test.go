@@ -3,18 +3,40 @@ package profile
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestRawExportsLoadInGoToolPprof is gated behind XAR_PPROF_TOOL=1: it
-// shells out to `go tool pprof`.
-func TestRawExportsLoadInGoToolPprof(t *testing.T) {
-	if os.Getenv("XAR_PPROF_TOOL") == "" {
-		t.Skip("set XAR_PPROF_TOOL=1 to run the go-tool-pprof load check")
+// allocForProfile keeps a named symbol alive in the heap profile.
+var profileTestSink [][]byte
+
+func allocForProfile() {
+	for i := 0; i < 64; i++ {
+		profileTestSink = append(profileTestSink, make([]byte, 64<<10))
 	}
-	p := New(Config{CPUWindow: 300 * time.Millisecond})
+}
+
+// pprofTool runs `go tool pprof args...` and returns its output.
+func pprofTool(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := exec.Command("go", append([]string{"tool", "pprof"}, args...)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool pprof %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	return string(out)
+}
+
+// TestRawExportsLoadInGoToolPprof: every blob a capture holds loads in
+// `go tool pprof`, and a diff of two captures' heap blobs
+// (-diff_base) attributes the allocation made between them to the
+// function that made it — the interval delta the profiler leaves to
+// the toolchain.
+func TestRawExportsLoadInGoToolPprof(t *testing.T) {
+	p := New(Config{CPUWindow: 100 * time.Millisecond})
 	defer p.Close()
 	stop := make(chan struct{})
 	go func() {
@@ -28,22 +50,44 @@ func TestRawExportsLoadInGoToolPprof(t *testing.T) {
 			}
 		}
 	}()
-	c := p.CaptureNow()
+	// The runtime's heap profile reflects the most recently completed
+	// GC cycle; force one before each capture so the pair brackets
+	// exactly the allocation below.
+	runtime.GC()
+	c1 := p.CaptureNow()
+	allocForProfile()
+	profileTestSink = nil
+	runtime.GC()
+	c2 := p.CaptureNow()
 	close(stop)
+
 	dir := t.TempDir()
-	for _, name := range c.RawNames() {
-		path := dir + "/" + name + ".pprof"
-		if err := os.WriteFile(path, c.Raw(name), 0o644); err != nil {
+	write := func(c *Capture, kind string) string {
+		path := filepath.Join(dir, strconv.FormatUint(c.ID, 10)+"-"+kind+".pprof")
+		if err := os.WriteFile(path, c.Raw(kind), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out, err := exec.Command("go", "tool", "pprof", "-top", "-nodecount=3", path).CombinedOutput()
-		if err != nil {
-			t.Errorf("%s: go tool pprof failed: %v\n%s", name, err, out)
-			continue
-		}
-		if !strings.Contains(string(out), "Showing nodes") && !strings.Contains(string(out), "flat") {
-			t.Errorf("%s: unexpected pprof output:\n%s", name, out)
-		}
-		t.Logf("%s:\n%s", name, out)
+		return path
 	}
+	if len(c2.Kinds) != len(Kinds) {
+		t.Errorf("capture %d holds %v, want %v", c2.ID, c2.Kinds, Kinds)
+	}
+	for _, kind := range c2.Kinds {
+		if out := pprofTool(t, "-top", "-nodecount=3", write(c2, kind)); !strings.Contains(out, "flat") {
+			t.Errorf("%s: unexpected pprof output:\n%s", kind, out)
+		}
+	}
+
+	out := pprofTool(t, "-unit=B", "-sample_index=alloc_space", "-diff_base="+write(c1, "heap"), "-top", write(c2, "heap"))
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) >= 6 && f[5] == "xar/internal/profile.allocForProfile" { // may be followed by "(inline)"
+			flat, err := strconv.ParseInt(strings.TrimSuffix(f[0], "B"), 10, 64)
+			if err != nil || flat < 1<<20 {
+				t.Fatalf("allocForProfile flat %q, want ≥ 1 MiB:\n%s", f[0], out)
+			}
+			return
+		}
+	}
+	t.Fatalf("allocForProfile missing from the -diff_base top:\n%s", out)
 }

@@ -177,14 +177,16 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 //	traces_errors.json   retained error traces (when tracing)
 //	goroutine.pprof      goroutine profile, pprof protobuf
 //	goroutines.txt       goroutine dump, human-readable
-//	heap.pprof           heap profile
+//	heap.pprof           heap profile: `go tool pprof -sample_index=
+//	                     inuse_space -top` names the code holding the
+//	                     live heap
 //	profiles.json        continuous-profiler capture summaries (when a
 //	                     profiler is wired)
-//	profile-<id>-<raw>.pprof
-//	                     raw blobs (cpu, heap, mutex, block) of every
+//	profile-<id>-<kind>.pprof
+//	                     the blobs (cpu, heap, mutex, block) of every
 //	                     pinned capture — the profiles bracketing SLO
-//	                     pages travel with the bundle, each loadable
-//	                     by `go tool pprof`
+//	                     pages travel with the bundle; `go tool pprof
+//	                     -diff_base=<older> <newer>` compares two
 //
 // It serves GET /v1/debug/bundle and the SIGQUIT dump in xarserver.
 func (s *Server) WriteDebugBundle(w io.Writer) error {
@@ -303,8 +305,8 @@ func (s *Server) WriteDebugBundle(w io.Writer) error {
 			if !ok {
 				continue
 			}
-			for _, name := range c.RawNames() {
-				if err := addBytes(fmt.Sprintf("profile-%d-%s.pprof", c.ID, name), c.Raw(name)); err != nil {
+			for _, kind := range c.Kinds {
+				if err := addBytes(fmt.Sprintf("profile-%d-%s.pprof", c.ID, kind), c.Raw(kind)); err != nil {
 					return err
 				}
 			}

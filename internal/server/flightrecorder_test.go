@@ -7,12 +7,17 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"xar/internal/core"
 	"xar/internal/discretize"
+	"xar/internal/journal"
 	"xar/internal/profile"
 	"xar/internal/quality"
 	"xar/internal/roadnet"
@@ -267,7 +272,7 @@ func TestSLOTransitionsToPage(t *testing.T) {
 }
 
 // fetchBundle GETs /v1/debug/bundle and untars it into name → content.
-func (env *recorderEnv) fetchBundle(t *testing.T) map[string][]byte {
+func (env *testEnv) fetchBundle(t *testing.T) map[string][]byte {
 	t.Helper()
 	resp, err := http.Get(env.srv.URL + "/v1/debug/bundle")
 	if err != nil {
@@ -333,6 +338,58 @@ func TestPageShipsCPUProfilesInBundle(t *testing.T) {
 	if cpu != 2 {
 		t.Fatalf("bundle carries %d pinned CPU profiles, want the 2 bracketing the page", cpu)
 	}
+}
+
+// TestBundleNamesLeakingComponent is the drill for a leak in one memory
+// component: a server whose journal tail holds 2^18 events (20 MiB, far
+// past the heap profile's 512 KiB sampling rate) is filled, and the
+// debug bundle's heap.pprof alone, read by `go tool pprof`, must name
+// the journal's package among the live heap's top frames. The journal
+// allocates its tail itself (the ring only wraps caller storage), so
+// the bytes land on xar/internal/journal.
+func TestBundleNamesLeakingComponent(t *testing.T) {
+	if runtime.MemProfileRate == 0 {
+		t.Skip("heap profiling disabled")
+	}
+	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := discretize.Build(city, discretize.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := journal.New(journal.Config{TailCapacity: 1 << 18})
+	for i := 0; i < 1<<18; i++ {
+		jr.Record(journal.Event{Type: journal.Created, Ride: int64(i % 64), Unix: 1})
+	}
+	cfg := core.DefaultConfig()
+	cfg.Journal = jr
+	eng, err := core.NewEngine(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	s := httptest.NewServer(New(eng, nil, WithJournal(jr)).Handler())
+	t.Cleanup(s.Close)
+	env := &testEnv{srv: s, eng: eng, city: city}
+
+	// Heap-profile records publish at GC boundaries; two cycles flush
+	// the tail's allocation into the profile the bundle writes.
+	runtime.GC()
+	runtime.GC()
+	path := filepath.Join(t.TempDir(), "heap.pprof")
+	if err := os.WriteFile(path, env.fetchBundle(t)["heap.pprof"], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command("go", "tool", "pprof", "-sample_index=inuse_space", "-top", "-nodecount=10", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool pprof: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "xar/internal/journal.") {
+		t.Fatalf("the bundle's heap profile does not name xar/internal/journal in its top 10:\n%s", out)
+	}
+	runtime.KeepAlive(jr)
 }
 
 // TestDebugBundle exercises GET /v1/debug/bundle end-to-end: real

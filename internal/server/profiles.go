@@ -1,22 +1,26 @@
 // Continuous-profiling endpoints: the process profiler's rings served
 // over HTTP (WithProfiler).
 //
-//	GET /v1/profiles                      — list capture summaries (filter: pinned, since_s, limit)
-//	GET /v1/profiles/{id}                 — one capture's flat tables (?kind= narrows, ?format=pprof exports raw)
-//	GET /v1/profiles/diff?from=&to=&kind= — symbol-level delta between two captures
+//	GET /v1/profiles       — list capture summaries (filter: pinned, since_s, limit)
+//	GET /v1/profiles/{id}  — one capture's summary (?format=pprof&kind=cpu|heap|mutex|block exports a blob)
 //
-// The raw export is the exact gzipped protobuf the runtime produced,
-// so `curl .../v1/profiles/12?format=pprof&kind=cpu | go tool pprof -`
-// works. All three endpoints 400 on unknown query parameters, and the
-// two listings on a limit outside [1, maxListLimit] (absent: every
-// capture, or 30 diff rows) or a since_s that is negative or not
-// finite — the contract of /v1/traces and /v1/events.
+// The export is the exact gzipped protobuf the runtime produced, and
+// `go tool pprof` fetches it itself:
+//
+//	go tool pprof -top 'http://host/v1/profiles/12?format=pprof&kind=cpu'
+//
+// What changed between two captures is the tool's diff:
+// `go tool pprof -diff_base=<older> <newer>`. Both endpoints 400 on
+// unknown query parameters, and the listing on a limit outside
+// [1, maxListLimit] (absent: every capture) or a since_s that is
+// negative or not finite — the contract of /v1/traces and /v1/events.
 package server
 
 import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,10 +32,10 @@ type ProfileListResponse struct {
 	Profiles []profile.Summary `json:"profiles"`
 }
 
-// WithProfiler serves the continuous profiler's rings at /v1/profiles,
-// /v1/profiles/{id} and /v1/profiles/diff, adds profiles.json and the
-// pinned captures' raw blobs to debug bundles, and, when the engine has
-// memory accounting, registers the rings as the "profiles" component.
+// WithProfiler serves the continuous profiler's rings at /v1/profiles
+// and /v1/profiles/{id}, adds profiles.json and the pinned captures'
+// blobs to debug bundles, and, when the engine has memory accounting,
+// registers the rings as the "profiles" component.
 // The caller owns the profiler's lifecycle (Start, Close, AttachTo).
 func WithProfiler(p *profile.Profiler) Option {
 	return func(s *Server) { s.profiler = p }
@@ -93,77 +97,29 @@ func (s *Server) handleProfileByID(w http.ResponseWriter, r *http.Request) {
 	}
 	switch q.Get("format") {
 	case "", "json":
-		if kind := q.Get("kind"); kind != "" {
-			f := c.Folded(kind)
-			if f == nil {
-				writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("capture %d has no %q profile (has %s)", id, kind, strings.Join(kindsOf(&c), ", "))})
-				return
-			}
-			writeJSON(w, http.StatusOK, f)
+		if q.Has("kind") {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "kind selects a pprof blob; add format=pprof"})
 			return
 		}
 		writeJSON(w, http.StatusOK, &c)
 	case "pprof":
-		// The raw export: kind names a runtime profile blob ("heap"
-		// backs both heap_inuse and heap_alloc); default cpu.
-		name := q.Get("kind")
-		if name == "" {
-			name = "cpu"
+		kind := q.Get("kind")
+		if kind == "" {
+			kind = "cpu"
 		}
-		switch name {
-		case profile.KindHeapInuse, profile.KindHeapAlloc:
-			name = "heap"
+		if !slices.Contains(profile.Kinds, kind) {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad kind %q (want %s)", kind, strings.Join(profile.Kinds, ", "))})
+			return
 		}
-		raw := c.Raw(name)
+		raw := c.Raw(kind)
 		if raw == nil {
-			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("capture %d has no raw %q blob (has %s)", id, name, strings.Join(c.RawNames(), ", "))})
+			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("capture %d has no %q blob (has %s)", id, kind, strings.Join(c.Kinds, ", "))})
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("profile-%d-%s.pprof", id, name)))
+		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("profile-%d-%s.pprof", id, kind)))
 		_, _ = w.Write(raw)
 	default:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad format %q (want json or pprof)", q.Get("format"))})
 	}
-}
-
-func kindsOf(c *profile.Capture) []string {
-	kinds := make([]string, 0, len(c.Profiles))
-	for _, f := range c.Profiles {
-		kinds = append(kinds, f.Kind)
-	}
-	return kinds
-}
-
-func (s *Server) handleProfileDiff(w http.ResponseWriter, r *http.Request) {
-	if disabled(w, s.profiler == nil, profilingDisabled) {
-		return
-	}
-	q := r.URL.Query()
-	if !allowParams(w, q, "from", "to", "kind", "limit") {
-		return
-	}
-	from, err1 := strconv.ParseUint(q.Get("from"), 10, 64)
-	to, err2 := strconv.ParseUint(q.Get("to"), 10, 64)
-	if err1 != nil || err2 != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "from and to must be capture ids (see GET /v1/profiles)"})
-		return
-	}
-	kind := q.Get("kind")
-	if kind == "" {
-		kind = profile.KindCPU
-	}
-	limit, ok := parseLimit(w, q)
-	if !ok {
-		return
-	}
-	if limit == 0 {
-		limit = 30
-	}
-	d, err := s.profiler.DiffCaptures(from, to, kind, limit)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, d)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"xar/internal/profile"
@@ -13,7 +14,7 @@ import (
 
 // profCaptures takes n on-demand captures through the traced env's
 // profiler, with a burst of HTTP traffic before each so the
-// deltas have content.
+// blobs have content.
 func profCaptures(t testing.TB, env *tracedEnv, n int) {
 	t.Helper()
 	body := env.searchBody(t)
@@ -42,7 +43,7 @@ func TestProfilesList(t *testing.T) {
 	if len(list.Profiles) != 3 {
 		t.Fatalf("listed %d captures, want 3", len(list.Profiles))
 	}
-	// Newest first, every summary carrying its delta kinds.
+	// Newest first, every summary naming the blobs its capture holds.
 	if list.Profiles[0].ID <= list.Profiles[1].ID {
 		t.Errorf("list not newest-first: %d then %d", list.Profiles[0].ID, list.Profiles[1].ID)
 	}
@@ -67,8 +68,8 @@ func TestProfilesList(t *testing.T) {
 	}
 }
 
-// TestProfileByID exercises GET /v1/profiles/{id}: the full capture,
-// kind narrowing, and the raw pprof export (which must gunzip — the
+// TestProfileByID exercises GET /v1/profiles/{id}: the capture's
+// summary, and the pprof export of each kind (which must gunzip — the
 // blob `go tool pprof` loads).
 func TestProfileByID(t *testing.T) {
 	env := newTracedEnv(t)
@@ -78,79 +79,55 @@ func TestProfileByID(t *testing.T) {
 	if code := env.do(t, "GET", "/v1/profiles/2", nil, &c); code != http.StatusOK {
 		t.Fatalf("get: %d", code)
 	}
-	if c.ID != 2 || len(c.Profiles) == 0 {
-		t.Fatalf("capture: id %d, %d folds", c.ID, len(c.Profiles))
+	if got := strings.Join(c.Kinds, ","); c.ID != 2 || got != "heap,mutex,block" {
+		t.Fatalf("capture: id %d, kinds %s, want 2 and heap,mutex,block (no CPU window)", c.ID, got)
+	}
+	if c.NumGoroutine <= 0 || len(c.Goroutines) == 0 {
+		t.Errorf("summary carries no goroutine counts: n=%d by state %v", c.NumGoroutine, c.Goroutines)
 	}
 
-	var f profile.Folded
-	if code := env.do(t, "GET", "/v1/profiles/2?kind="+profile.KindHeapAlloc, nil, &f); code != http.StatusOK {
-		t.Fatalf("kind get: %d", code)
-	}
-	if f.Kind != profile.KindHeapAlloc {
-		t.Fatalf("fold kind %q", f.Kind)
-	}
-
-	resp := env.doRaw(t, "GET", "/v1/profiles/2?format=pprof&kind="+profile.KindHeapInuse, "", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("raw export: %d", resp.StatusCode)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("raw export is not the gzipped protobuf pprof expects: %v", err)
-	}
-	if _, err := io.ReadAll(gz); err != nil {
-		t.Fatalf("raw export gunzip: %v", err)
+	for _, kind := range c.Kinds {
+		resp := env.doRaw(t, "GET", "/v1/profiles/2?format=pprof&kind="+kind, "", nil)
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s export: %d %v", kind, resp.StatusCode, err)
+		}
+		gz, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s export is not the gzipped protobuf pprof expects: %v", kind, err)
+		}
+		if _, err := io.ReadAll(gz); err != nil {
+			t.Fatalf("%s export gunzip: %v", kind, err)
+		}
 	}
 
-	// Misses and malformed requests.
+	// Misses and malformed requests. heap_inuse and heap_alloc are not
+	// kinds: the heap blob carries both sample types.
 	for path, want := range map[string]int{
-		"/v1/profiles/9999":            http.StatusNotFound, // evicted / never taken
-		"/v1/profiles/2?kind=bogus":    http.StatusNotFound,
-		"/v1/profiles/2?format=potato": http.StatusBadRequest,
-		"/v1/profiles/notanid":         http.StatusBadRequest,
+		"/v1/profiles/9999":                           http.StatusNotFound, // evicted / never taken
+		"/v1/profiles/2?format=pprof":                 http.StatusNotFound, // cpu, absent with no window
+		"/v1/profiles/2?format=pprof&kind=bogus":      http.StatusBadRequest,
+		"/v1/profiles/2?format=pprof&kind=heap_inuse": http.StatusBadRequest,
+		"/v1/profiles/2?format=pprof&kind=heap_alloc": http.StatusBadRequest,
+		"/v1/profiles/2?kind=heap":                    http.StatusBadRequest, // kind without format=pprof
+		"/v1/profiles/2?format=potato":                http.StatusBadRequest,
+		"/v1/profiles/notanid":                        http.StatusBadRequest,
+		"/v1/profiles/diff":                           http.StatusBadRequest, // no diff route: "diff" is not an id
 	} {
 		if code := env.do(t, "GET", path, nil, nil); code != want {
 			t.Errorf("GET %s = %d, want %d", path, code, want)
 		}
 	}
-}
-
-// TestProfileDiff exercises GET /v1/profiles/diff: the symbol-level
-// delta between two captures of a delta kind.
-func TestProfileDiff(t *testing.T) {
-	env := newTracedEnv(t)
-	profCaptures(t, env, 2)
-
-	var d profile.Diff
-	path := fmt.Sprintf("/v1/profiles/diff?from=1&to=2&kind=%s", profile.KindHeapAlloc)
-	if code := env.do(t, "GET", path, nil, &d); code != http.StatusOK {
-		t.Fatalf("diff: %d", code)
-	}
-	if d.FromID != 1 || d.ToID != 2 || d.Kind != profile.KindHeapAlloc {
-		t.Fatalf("diff header: %+v", d)
-	}
-	if len(d.Rows) == 0 {
-		t.Fatal("diff between two loaded captures has no symbol rows")
-	}
-	for _, r := range d.Rows {
-		if r.Func == "" {
-			t.Fatalf("diff row without a symbol: %+v", r)
-		}
-	}
-
-	if code := env.do(t, "GET", "/v1/profiles/diff?from=1&to=9999", nil, nil); code != http.StatusNotFound {
-		t.Errorf("diff against a missing capture = %d, want 404", code)
-	}
-	if code := env.do(t, "GET", "/v1/profiles/diff?from=1", nil, nil); code != http.StatusBadRequest {
-		t.Errorf("diff without to = %d, want 400", code)
+	resp := env.doRaw(t, "GET", "/v1/profiles/2?format=pprof&kind=heap_alloc", "", nil)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "cpu, heap, mutex, block") {
+		t.Errorf("bad-kind answer does not name the valid kinds: %s", body)
 	}
 }
 
-// TestProfilesQueryBounds holds both listings to the /v1/traces and
+// TestProfilesQueryBounds holds the listing to the /v1/traces and
 // /v1/events contract: since_s is a non-negative finite number and limit
 // an integer in [1, maxListLimit]. NaN once filtered nothing, +Inf
 // answered an empty 200, and no limit was capped.
@@ -158,7 +135,6 @@ func TestProfilesQueryBounds(t *testing.T) {
 	env := newTracedEnv(t)
 	profCaptures(t, env, 2)
 
-	diff := "/v1/profiles/diff?from=1&to=2&kind=" + profile.KindHeapAlloc
 	for _, tc := range []struct {
 		path string
 		want int
@@ -173,29 +149,21 @@ func TestProfilesQueryBounds(t *testing.T) {
 		{"/v1/profiles?limit=NaN", http.StatusBadRequest},
 		{fmt.Sprintf("/v1/profiles?limit=%d", maxListLimit+1), http.StatusBadRequest},
 		{fmt.Sprintf("/v1/profiles?limit=%d", maxListLimit), http.StatusOK},
-		{diff + "&limit=-1", http.StatusBadRequest},
-		{diff + "&limit=0", http.StatusBadRequest},
-		{fmt.Sprintf("%s&limit=%d", diff, maxListLimit+1), http.StatusBadRequest},
-		{fmt.Sprintf("%s&limit=%d", diff, maxListLimit), http.StatusOK},
 	} {
 		if code := env.do(t, "GET", tc.path, nil, nil); code != tc.want {
 			t.Errorf("GET %s = %d, want %d", tc.path, code, tc.want)
 		}
 	}
 
-	// With no limit, the list holds every capture and the diff 30 rows.
+	// With no limit, the list holds every capture.
 	var list ProfileListResponse
 	if code := env.do(t, "GET", "/v1/profiles?since_s=0", nil, &list); code != http.StatusOK || len(list.Profiles) != 2 {
 		t.Errorf("since_s=0: code %d, %d profiles, want 2", code, len(list.Profiles))
 	}
-	var d profile.Diff
-	if code := env.do(t, "GET", diff, nil, &d); code != http.StatusOK || len(d.Rows) == 0 || len(d.Rows) > 30 {
-		t.Errorf("diff without limit: code %d, %d rows, want 1–30", code, len(d.Rows))
-	}
 }
 
 // TestProfilesUnknownParamsAnd404 pins the shared endpoint contracts:
-// typo'd query parameters are 400s on all three routes, and a server
+// typo'd query parameters are 400s on both routes, and a server
 // built without a profiler serves 404 with a hint, parameter validation
 // notwithstanding.
 func TestProfilesUnknownParamsAnd404(t *testing.T) {
@@ -205,7 +173,6 @@ func TestProfilesUnknownParamsAnd404(t *testing.T) {
 	for _, path := range []string{
 		"/v1/profiles?pined=true",
 		"/v1/profiles/1?knd=cpu",
-		"/v1/profiles/diff?from=1&to=1&kinds=cpu",
 	} {
 		if code := env.do(t, "GET", path, nil, nil); code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d, want 400", path, code)
@@ -216,7 +183,7 @@ func TestProfilesUnknownParamsAnd404(t *testing.T) {
 	// /v1/metrics/history's contract.
 	bare := newTestEnv(t)
 	for _, path := range []string{
-		"/v1/profiles", "/v1/profiles/1", "/v1/profiles/diff?bogus=1",
+		"/v1/profiles", "/v1/profiles/1",
 	} {
 		if code := bare.do(t, "GET", path, nil, nil); code != http.StatusNotFound {
 			t.Errorf("profiler-less GET %s = %d, want 404", path, code)

@@ -26,10 +26,8 @@
 //	                            heap stats
 //	GET    /v1/profiles         continuous-profiler capture list (filter:
 //	                            pinned, since_s, limit)
-//	GET    /v1/profiles/{id}    one capture's flat profile tables (?kind=
-//	                            narrows, ?format=pprof exports the raw blob)
-//	GET    /v1/profiles/diff    symbol-level delta between two captures
-//	                            (from, to, kind, limit)
+//	GET    /v1/profiles/{id}    one capture's summary (?format=pprof&kind=
+//	                            cpu|heap|mutex|block exports a pprof blob)
 //	GET    /v1/healthz          liveness + uptime + engine counters
 //
 // Every route is wrapped in telemetry middleware: per-route request and
@@ -162,7 +160,6 @@ func New(eng *core.Engine, social *core.SocialGraph, opts ...Option) *Server {
 	handle("GET /v1/quality", "/v1/quality", s.handleQuality)
 	handle("GET /v1/memory", "/v1/memory", s.handleMemory)
 	handle("GET /v1/profiles", "/v1/profiles", s.handleProfiles)
-	handle("GET /v1/profiles/diff", "/v1/profiles/diff", s.handleProfileDiff)
 	handle("GET /v1/profiles/{id}", "/v1/profiles/{id}", s.handleProfileByID)
 	handle("GET /v1/debug/bundle", "/v1/debug/bundle", s.handleDebugBundle)
 	handle("GET /v1/healthz", "/v1/healthz", s.handleHealth)
@@ -642,9 +639,9 @@ func allowParams(w http.ResponseWriter, q url.Values, names ...string) bool {
 }
 
 // maxListLimit caps the limit parameter of every listing route
-// (/v1/traces, /v1/events, /v1/rides/{id}/timeline, /v1/profiles,
-// /v1/profiles/diff); the rings behind them hold far fewer entries than
-// this, so anything larger is a client bug.
+// (/v1/traces, /v1/events, /v1/rides/{id}/timeline, /v1/profiles);
+// the rings behind them hold far fewer entries than this, so anything
+// larger is a client bug.
 const maxListLimit = 10000
 
 // parseLimit reads the optional limit parameter, an integer in [1,

@@ -531,7 +531,6 @@ func TestDisabledRoutes(t *testing.T) {
 		"/v1/quality":                                 `{"error":"match-quality accounting disabled (server built without a quality collector)"}`,
 		"/v1/profiles":                                profiles,
 		"/v1/profiles/1":                              profiles,
-		"/v1/profiles/diff?bogus=1":                   profiles,
 	} {
 		rec := httptest.NewRecorder()
 		env.handler.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
