@@ -73,7 +73,7 @@ func TestCaptureCPUWindow(t *testing.T) {
 		t.Errorf("cpu window = %.3fs, want ≈0.05s", c.CPUWindowSeconds)
 	}
 	// The blob is the gzipped protobuf the runtime wrote;
-	// TestRawExportsLoadInGoToolPprof loads it in the toolchain.
+	// TestParseRuntimeHeapProfile loads it in the toolchain.
 	gz, err := gzip.NewReader(bytes.NewReader(c.Raw("cpu")))
 	if err != nil {
 		t.Fatalf("cpu blob is not gzipped: %v", err)
