@@ -12,7 +12,9 @@
 //	xarbench -fig all         # everything
 //
 // Scale flags (-rows, -cols, -requests, -eps, -seed) trade fidelity for
-// runtime; the defaults complete in a few minutes.
+// runtime; the defaults complete in a few minutes. The tables print
+// the latencies each replay measures itself; the tool exports no
+// telemetry (a live xarserver serves it at /v1/metrics/prom).
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 
 	"xar/internal/experiments"
 	"xar/internal/quality"
-	"xar/internal/telemetry"
 )
 
 func main() {
@@ -39,10 +40,6 @@ func main() {
 	requests := flag.Int("requests", 4000, "trip stream length")
 	eps := flag.Float64("eps", 1000, "epsilon in meters (paper: 1 km)")
 	seed := flag.Int64("seed", 42, "random seed")
-	prom := flag.String("prom", "", "after the run, dump the shared latency histograms in Prometheus text format to this file (\"-\" = stdout)")
-	traceOut := flag.String("trace-out", "", "dump the slowest XAR traces as JSON to this file")
-	traceTop := flag.Int("trace-top", 20, "how many slowest traces -trace-out keeps")
-	historyOut := flag.String("history-out", "", "record the run's telemetry on a 1s wall-clock cadence and write the time-series as JSON to this file")
 	qualityFlag := flag.Bool("quality", false, "collect the match-quality funnel across the replayed engines (and shadow counterfactuals at -shadow-sample) and print the summary after the run")
 	shadowSample := flag.Int("shadow-sample", 8, "with -quality, shadow-match 1-in-N no-match requests and bookings (0 disables the shadow matcher)")
 	flag.Parse()
@@ -71,38 +68,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *prom != "" || *historyOut != "" {
-		// The replays then record into the same histogram series a live
-		// xarserver exposes at /v1/metrics/prom — one telemetry source
-		// for figure reproduction and serving.
-		w.Telemetry = telemetry.NewRegistry()
-	}
-	var rec *telemetry.Recorder
-	if *historyOut != "" {
-		// Wall-clock cadence: figure replays run in real time, so a 1s
-		// tick captures how latency and throughput evolve over the run.
-		rec = telemetry.NewRecorder(w.Telemetry, telemetry.RecorderConfig{
-			Interval:  time.Second,
-			Retention: 2 * time.Hour,
-		})
-		rec.Start()
-		defer func() {
-			rec.Stop()
-			rec.TickNow()
-			if err := experiments.DumpHistory(rec, *historyOut); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-	if *traceOut != "" {
-		// Head-sample at the production default under the high-volume
-		// replays; the slow side-ring still keeps every outlier past
-		// 5 ms, which is what -trace-out exists to capture.
-		w.Tracer = telemetry.NewTracer(telemetry.TracerConfig{
-			SampleRate:    64,
-			SlowThreshold: 5 * time.Millisecond,
-		})
-	}
 	log.Printf("world ready in %v: %d road nodes, %d landmarks, %d clusters (measured ε=%.0f m)",
 		time.Since(start).Round(time.Millisecond),
 		w.City.Graph.NumNodes(), len(w.Disc.Landmarks), w.Disc.NumClusters(), w.Disc.Epsilon())
@@ -113,7 +78,7 @@ func main() {
 		// engines are internal to the experiments package and outlive the
 		// summary unflushed, so a handful of shadow tasks may still be in
 		// flight when it prints — counters are cumulative lower bounds.
-		w.Quality = quality.New(w.Telemetry)
+		w.Quality = quality.New(nil)
 		w.ShadowSampleRate = *shadowSample
 	}
 
@@ -125,38 +90,6 @@ func main() {
 	if w.Quality != nil {
 		experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())
 	}
-
-	if *prom != "" {
-		if err := dumpProm(w.Telemetry, *prom); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *traceOut != "" {
-		if err := experiments.DumpTraces(w.Tracer, *traceOut, *traceTop); err != nil {
-			log.Fatal(err)
-		}
-	}
-}
-
-// dumpProm writes the registry in Prometheus text format to path
-// ("-" = stdout).
-func dumpProm(reg *telemetry.Registry, path string) error {
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := reg.WritePrometheus(out); err != nil {
-		return err
-	}
-	if path != "-" {
-		log.Printf("telemetry exposition written to %s", path)
-	}
-	return nil
 }
 
 // figures lists the -fig names run knows; -fig all runs each in turn.

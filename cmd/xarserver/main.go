@@ -18,10 +18,10 @@
 //	-trace-sample 64       head-sample 1-in-N requests into /v1/traces (0 disables)
 //	-trace-slow-ms 50      always keep traces slower than this
 //	-pprof                 mount net/http/pprof under /debug/pprof/
-//	-history-interval 10s  flight-recorder snapshot cadence (0 disables history+SLOs)
+//	-history-interval 10s  flight-recorder snapshot cadence; the burn-rate SLOs at /v1/slo
+//	                       and in /v1/healthz run on it (0 disables history and SLOs)
 //	-history-retention 1h  how much metric history /v1/metrics/history retains
-//	-slo                   evaluate burn-rate SLOs at /v1/slo and in /v1/healthz
-//	-slo-search-p95-ms 5   search-latency objective threshold
+//	-slo-search-p95-ms 5   search-latency objective threshold (positive and finite)
 //	-bundle-dir DIR        SIGQUIT writes a debug bundle tar.gz here (also GET /v1/debug/bundle)
 //	-journal               journal ride-lifecycle events (/v1/rides/{id}/timeline, /v1/events)
 //	-audit-interval 30s    background invariant-audit sweep cadence (0 disables)
@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -82,7 +83,6 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (opt-in; exposes internals)")
 	historyInterval := flag.Duration("history-interval", 10*time.Second, "flight-recorder snapshot cadence for /v1/metrics/history (0 disables history and SLOs)")
 	historyRetention := flag.Duration("history-retention", time.Hour, "how much metric history the flight recorder retains")
-	enableSLO := flag.Bool("slo", true, "evaluate burn-rate SLOs (/v1/slo, /v1/healthz status); needs the flight recorder")
 	sloSearchP95 := flag.Float64("slo-search-p95-ms", 5, "search-latency SLO threshold in milliseconds (p95)")
 	bundleDir := flag.String("bundle-dir", ".", "directory SIGQUIT-triggered debug bundles are written to")
 	enableJournal := flag.Bool("journal", true, "record ride-lifecycle events into the bounded journal; serves /v1/rides/{id}/timeline and /v1/events")
@@ -92,6 +92,9 @@ func main() {
 	memSweep := flag.Duration("mem-sweep", 30*time.Second, "memory-accounting sweep cadence for the xar_memsize/xar_rides_per_gb gauges; the first sweep runs at startup (0: none at startup or after; /v1/memory still sweeps on demand)")
 	profileInterval := flag.Duration("profile-interval", profile.DefaultInterval, "continuous-profiling capture cadence; serves /v1/profiles and the xar_profile_* metrics (0 disables)")
 	flag.Parse()
+	if !(*sloSearchP95 > 0 && *sloSearchP95 < math.Inf(1)) {
+		log.Fatalf("-slo-search-p95-ms must be a positive, finite number of milliseconds, got %v", *sloSearchP95)
+	}
 
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterRuntimeMetrics(reg)
@@ -199,20 +202,15 @@ func main() {
 		})
 		rec.Start()
 		defer rec.Stop()
-		opts = append(opts, server.WithRecorder(rec))
-		if *enableSLO {
-			slo := telemetry.NewSLOEngine(rec,
-				server.DefaultSLOs(time.Duration(*sloSearchP95*float64(time.Millisecond)))...)
-			opts = append(opts, server.WithSLO(slo))
-			// A page pins the continuous profiler's capture bracket, so
-			// the flat tables and raw CPU profiles around the incident
-			// survive ring eviction and ship in the debug bundle.
-			if prof != nil {
-				prof.AttachTo(slo)
-			}
+		slo := telemetry.NewSLOEngine(rec,
+			server.DefaultSLOs(time.Duration(*sloSearchP95*float64(time.Millisecond)))...)
+		opts = append(opts, server.WithRecorder(rec), server.WithSLO(slo))
+		// A page pins the continuous profiler's capture bracket, so the
+		// raw profiles around the incident survive ring eviction and ship
+		// in the debug bundle.
+		if prof != nil {
+			prof.AttachTo(slo)
 		}
-	} else if *enableSLO {
-		log.Printf("SLOs need the flight recorder; start with -history-interval > 0 to enable them")
 	}
 	srv := server.New(eng, core.NewSocialGraph(), opts...)
 	if *memSweep > 0 {

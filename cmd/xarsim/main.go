@@ -1,6 +1,7 @@
 // Command xarsim runs the paper's ride-share simulation (§X-A2) over a
 // synthetic city and demand stream, on XAR or on the T-Share baseline,
-// and prints throughput, match quality and latency statistics:
+// and prints throughput, match quality and latency statistics, measured
+// by the replay itself (the tool exports no telemetry):
 //
 //	xarsim -system xar -requests 10000
 //	xarsim -system tshare -requests 10000
@@ -20,7 +21,6 @@ import (
 	"xar/internal/journal"
 	"xar/internal/quality"
 	"xar/internal/sim"
-	"xar/internal/telemetry"
 )
 
 func main() {
@@ -37,10 +37,6 @@ func main() {
 	lookToBook := flag.Int("looktobook", 1, "searches per booking decision")
 	walkLimit := flag.Float64("walk", 1000, "walking limit in meters")
 	detour := flag.Float64("detour", 2000, "detour limit in meters")
-	traceOut := flag.String("trace-out", "", "dump the slowest XAR traces as JSON to this file")
-	traceTop := flag.Int("trace-top", 20, "how many slowest traces -trace-out keeps")
-	historyOut := flag.String("history-out", "", "record the XAR replay's telemetry on the simulated clock and write the time-series as JSON to this file (regenerates the latency-over-time curves behind figures 3a-3d)")
-	historyInterval := flag.Float64("history-interval", 60, "simulated seconds between -history-out snapshots")
 	auditFlag := flag.Bool("audit", false, "journal the XAR replay's ride-lifecycle events, sweep the invariant auditor on the simulated clock, run a full synchronous audit after the replay, and exit non-zero on any violation")
 	auditInterval := flag.Float64("audit-interval", 300, "simulated seconds between -audit sweeps during the replay")
 	qualityFlag := flag.Bool("quality", false, "collect the XAR replay's match-quality funnel (and shadow counterfactuals at -shadow-sample) and print the summary after the run")
@@ -50,9 +46,6 @@ func main() {
 	case "xar", "tshare", "both":
 	default:
 		log.Fatalf("unknown -system %q (want xar|tshare|both)", *system)
-	}
-	if !(*historyInterval > 0 && *historyInterval < math.Inf(1)) {
-		log.Fatalf("-history-interval must be a positive, finite number of seconds, got %v", *historyInterval)
 	}
 	if !(*auditInterval > 0 && *auditInterval < math.Inf(1)) {
 		log.Fatalf("-audit-interval must be a positive, finite number of seconds, got %v", *auditInterval)
@@ -89,34 +82,7 @@ func main() {
 	cfg.DetourLimit = *detour
 
 	if *system == "xar" || *system == "both" {
-		if *traceOut != "" {
-			// Trace every replayed op; the ring keeps recent traffic and
-			// the slow side-ring guarantees the outliers survive the run.
-			w.Tracer = telemetry.NewTracer(telemetry.TracerConfig{
-				SampleRate:    1,
-				SlowThreshold: 5 * time.Millisecond,
-			})
-		}
 		xcfg := cfg
-		var rec *telemetry.Recorder
-		if *historyOut != "" {
-			// The replay records into sim-level histograms and the
-			// recorder ticks on simulated time (trip request stamps), so
-			// retention is sized to the stream's simulated span — a
-			// multi-hour demand day fits regardless of replay speed.
-			reg := telemetry.NewRegistry()
-			interval := time.Duration(*historyInterval * float64(time.Second))
-			span := time.Duration(0)
-			if n := len(w.Trips); n > 0 {
-				span = time.Duration((w.Trips[n-1].RequestTime - w.Trips[0].RequestTime) * float64(time.Second))
-			}
-			rec = telemetry.NewRecorder(reg, telemetry.RecorderConfig{
-				Interval:  interval,
-				Retention: span + 3*interval,
-			})
-			xcfg.Telemetry = reg
-			xcfg.Recorder = rec
-		}
 		if *auditFlag {
 			w.Journal = journal.New(journal.Config{})
 		}
@@ -147,16 +113,6 @@ func main() {
 			experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())
 		}
 		experiments.WriteMemory(os.Stdout, eng.MemSweep())
-		if *traceOut != "" {
-			if err := experiments.DumpTraces(w.Tracer, *traceOut, *traceTop); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if rec != nil {
-			if err := experiments.DumpHistory(rec, *historyOut); err != nil {
-				log.Fatal(err)
-			}
-		}
 		if auditor != nil {
 			finalAudit(auditor, w.Journal)
 		}

@@ -136,11 +136,12 @@ func main() {
 	fmt.Printf("route GeoJSON: %d features (1 LineString + %d via-points)\n",
 		len(doc.Features), len(doc.Features)-1)
 
-	// Metrics after the session.
-	var metrics core.Metrics
-	mustGet(base+"/v1/metrics", &metrics)
+	// Engine counters after the session, from the health check.
+	var after server.HealthResponse
+	mustGet(base+"/v1/healthz", &after)
+	m := after.Engine
 	fmt.Printf("\nservice metrics: %d searches, %d rides, %d bookings, %d shortest paths total\n",
-		metrics.Searches, metrics.RidesCreated, metrics.Bookings, metrics.ShortestPaths)
+		m.Searches, m.RidesCreated, m.Bookings, m.ShortestPaths)
 
 	// Shutdown scrape: what a Prometheus server would have collected.
 	// Keep the xar_* series (op/stage/HTTP histograms); the full dump

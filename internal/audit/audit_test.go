@@ -173,16 +173,21 @@ func TestCountersAndState(t *testing.T) {
 
 func snapshotAudit(t *testing.T, reg *telemetry.Registry) (sweeps float64, byInv map[string]float64) {
 	t.Helper()
+	// The exposition names exactly the series that exist, so a missing
+	// eager registration stays missing here.
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	sweeps = float64(reg.Counter("xar_audit_sweeps_total", "", nil).Value())
 	byInv = map[string]float64{}
-	for _, fam := range reg.Snapshot() {
-		switch fam.Name {
-		case "xar_audit_sweeps_total":
-			sweeps = *fam.Series[0].Value
-		case "xar_audit_violations_total":
-			for _, s := range fam.Series {
-				byInv[s.Labels["invariant"]] = *s.Value
-			}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `xar_audit_violations_total{invariant="`)
+		if !ok {
+			continue
 		}
+		inv, _, _ := strings.Cut(rest, `"`)
+		byInv[inv] = float64(reg.Counter("xar_audit_violations_total", "", telemetry.L("invariant", inv)).Value())
 	}
 	return sweeps, byInv
 }

@@ -233,25 +233,12 @@ func TestAuditFaultInjection(t *testing.T) {
 
 	// Cumulative accounting: every family's counter moved, sweeps counted,
 	// and the violating rides are queued for the debug bundle.
-	var sweeps float64
-	byInv := map[string]float64{}
-	for _, fam := range reg.Snapshot() {
-		switch fam.Name {
-		case "xar_audit_sweeps_total":
-			sweeps = *fam.Series[0].Value
-		case "xar_audit_violations_total":
-			for _, s := range fam.Series {
-				byInv[s.Labels["invariant"]] = *s.Value
-			}
-		}
-	}
-	if sweeps != 13 {
+	if sweeps := reg.Counter("xar_audit_sweeps_total", "", nil).Value(); sweeps != 13 {
 		t.Fatalf("xar_audit_sweeps_total = %v, want 13", sweeps)
 	}
 	for _, inv := range audit.Invariants() {
-		if byInv[inv] < 1 {
-			t.Fatalf("xar_audit_violations_total{invariant=%q} = %v, want ≥ 1 (all: %v)",
-				inv, byInv[inv], byInv)
+		if n := reg.Counter("xar_audit_violations_total", "", telemetry.L("invariant", inv)).Value(); n < 1 {
+			t.Fatalf("xar_audit_violations_total{invariant=%q} = %v, want ≥ 1", inv, n)
 		}
 	}
 	recent := a.RecentViolatingRides()

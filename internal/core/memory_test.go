@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -168,10 +169,16 @@ func TestMemoryGaugesPublished(t *testing.T) {
 	fillRides(t, e, 10)
 	e.MemSweep()
 
-	snap := e.cfg.Telemetry.Snapshot()
-	var seen = map[string]bool{}
-	for _, inst := range snap {
-		seen[inst.Name] = true
+	var sb strings.Builder
+	if err := e.cfg.Telemetry.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			seen[name] = true
+		}
 	}
 	for _, name := range []string{
 		"xar_memsize_bytes",

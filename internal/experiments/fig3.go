@@ -36,8 +36,6 @@ func Fig3a(w *World) (*Fig3aResult, error) {
 	cfg.WalkLimit = w.Scale.WalkLimit
 	cfg.WindowSlack = w.Scale.WindowSlack
 	cfg.DetourLimit = w.Scale.DetourLimit
-	// The engine (NewXAREngine) records into w.Telemetry itself — ops
-	// plus stage breakdown — so the sim harness must not also record.
 	res, err := sim.Run(&sim.XARSystem{Engine: eng}, w.Trips, cfg)
 	if err != nil {
 		return nil, err

@@ -23,9 +23,6 @@ func Fig4(w *World) (*Fig4Result, error) {
 	cfg.WalkLimit = w.Scale.WalkLimit
 	cfg.WindowSlack = w.Scale.WindowSlack
 	cfg.DetourLimit = w.Scale.DetourLimit
-	// Only the XAR replay records into the shared histograms — via the
-	// engine itself (NewXAREngine attaches w.Telemetry); mixing the
-	// T-Share baseline into the same series would corrupt the figures.
 
 	xeng, err := w.NewXAREngine()
 	if err != nil {

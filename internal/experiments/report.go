@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"log"
-	"os"
 
 	"xar/internal/core"
 	"xar/internal/quality"
-	"xar/internal/telemetry"
 )
 
 // WriteMemory writes an engine's memory report — which component owns
@@ -63,36 +59,4 @@ func WriteQuality(w io.Writer, s quality.Snapshot) {
 				r.WithRegret, r.Rematched, r.MeanM, r.MaxM)
 		}
 	}
-}
-
-// DumpTraces writes the run's n slowest traces (full span trees) to path.
-func DumpTraces(tr *telemetry.Tracer, path string, n int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := telemetry.WriteSlowest(f, tr.Store(), n); err != nil {
-		return err
-	}
-	log.Printf("wrote %d slowest traces to %s (of %d retained)", n, path, tr.Store().Len())
-	return f.Close()
-}
-
-// DumpHistory writes the recorder's full retained time-series as JSON.
-func DumpHistory(rec *telemetry.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	dump := rec.History(telemetry.HistoryQuery{})
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(dump); err != nil {
-		return err
-	}
-	log.Printf("wrote %d history snapshots (%d series) to %s",
-		dump.Snapshots, len(dump.Series), path)
-	return f.Close()
 }

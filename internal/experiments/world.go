@@ -56,10 +56,9 @@ type World struct {
 	City  *roadnet.City
 	Disc  *discretize.Discretization
 	Trips []workload.Trip
-	// Observers are handed to every engine NewXAREngine builds, so the
-	// figure harness records into the same instruments a live xarserver
-	// exposes (cmd/xarbench -prom, cmd/xarsim -trace-out / -audit /
-	// -quality wire them for their post-run summaries).
+	// Observers are handed to every engine NewXAREngine builds: the
+	// journal behind cmd/xarsim -audit and the collector behind the
+	// tools' -quality summaries.
 	core.Observers
 }
 
@@ -100,15 +99,11 @@ func maxTripDist(city *roadnet.City) float64 {
 }
 
 // NewXAREngine builds a fresh XAR engine over the world, watched by the
-// world's observers. With telemetry on and no sample rate set, every
-// search is timed (rate 1): the figure replays trace every search.
+// world's observers.
 func (w *World) NewXAREngine() (*core.Engine, error) {
 	cfg := core.DefaultConfig()
 	cfg.DefaultDetourLimit = w.Scale.DetourLimit
 	cfg.Observers = w.Observers
-	if cfg.Telemetry != nil && cfg.SearchSampleRate == 0 {
-		cfg.SearchSampleRate = 1
-	}
 	return core.NewEngine(w.Disc, cfg)
 }
 

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -220,23 +221,26 @@ func TestCounters(t *testing.T) {
 	j.Record(Event{Type: Booked, Ride: 1})
 	j.Record(Event{Type: Booked, Ride: 1})
 
-	got := map[string]float64{}
-	for _, fam := range reg.Snapshot() {
-		if fam.Name != "xar_ride_events_total" {
-			continue
-		}
-		for _, s := range fam.Series {
-			if s.Value != nil {
-				got[s.Labels["type"]] = *s.Value
-			}
+	// Eager registration: every type present in the exposition, even at
+	// zero, and no other.
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(sb.String(), "\nxar_ride_events_total{"); n != len(Types()) {
+		t.Fatalf("exposed %d type series, want %d:\n%s", n, len(Types()), sb.String())
+	}
+	for _, typ := range Types() {
+		if !strings.Contains(sb.String(), `xar_ride_events_total{type="`+string(typ)+`"} `) {
+			t.Fatalf("no series for type %q:\n%s", typ, sb.String())
 		}
 	}
-	// Eager registration: every type present, even at zero.
-	if len(got) != len(Types()) {
-		t.Fatalf("exposed %d type series, want %d: %v", len(got), len(Types()), got)
+	got := func(typ string) uint64 {
+		return reg.Counter("xar_ride_events_total", "", telemetry.L("type", typ)).Value()
 	}
-	if got["created"] != 1 || got["booked"] != 2 || got["completed"] != 0 {
-		t.Fatalf("counter values wrong: %v", got)
+	if got("created") != 1 || got("booked") != 2 || got("completed") != 0 {
+		t.Fatalf("counter values wrong: created %d booked %d completed %d",
+			got("created"), got("booked"), got("completed"))
 	}
 }
 

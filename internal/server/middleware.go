@@ -165,12 +165,3 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_ = s.reg.WritePrometheus(w)
 }
-
-// handleMetricsJSON serves the same registry as JSON, with approximate
-// p50/p95/p99 per histogram for humans and dashboards without a
-// Prometheus server.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = s.reg.WriteJSON(w)
-}

@@ -330,28 +330,3 @@ func TestHealthzUptimeAndEngine(t *testing.T) {
 		t.Fatalf("ratios with no searches should be 0: %+v", h)
 	}
 }
-
-// TestMetricsJSONEndpoint checks the JSON twin parses and includes
-// percentile estimates.
-func TestMetricsJSONEndpoint(t *testing.T) {
-	env, _ := newInstrumentedEnv(t)
-	env.do(t, "GET", "/v1/healthz", nil, nil)
-
-	var fams []telemetry.FamilyJSON
-	if code := env.do(t, "GET", "/v1/metrics/json", nil, &fams); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	found := false
-	for _, f := range fams {
-		if f.Name == "xar_http_request_duration_seconds" {
-			for _, s := range f.Series {
-				if s.Labels["route"] == "/v1/healthz" && s.Count != nil && *s.Count >= 1 && s.P50 != nil {
-					found = true
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatal("JSON dump missing healthz duration series with percentiles")
-	}
-}

@@ -16,9 +16,9 @@
 //	POST   /v1/track            advance a ride (by time or GPS report)
 //	GET    /v1/rides/{id}/timeline  the ride's journaled event timeline
 //	GET    /v1/events           global event tail (filter: type, since, limit)
-//	GET    /v1/metrics          engine counters
 //	GET    /v1/metrics/prom     full telemetry, Prometheus text format
-//	GET    /v1/metrics/json     full telemetry, JSON with percentiles
+//	GET    /v1/metrics/history  the flight recorder's time-series
+//	GET    /v1/slo              burn-rate objective states
 //	GET    /v1/traces           recent traces (filter: op, min_ms, status)
 //	GET    /v1/traces/{id}      one trace as a span tree
 //	GET    /v1/quality          match-quality funnel, slack, shadow stats
@@ -28,6 +28,7 @@
 //	                            pinned, since_s, limit)
 //	GET    /v1/profiles/{id}    one capture's summary (?format=pprof&kind=
 //	                            cpu|heap|mutex|block exports a pprof blob)
+//	GET    /v1/debug/bundle     one-shot diagnostic tar.gz
 //	GET    /v1/healthz          liveness + uptime + engine counters
 //
 // Every route is wrapped in telemetry middleware: per-route request and
@@ -150,9 +151,7 @@ func New(eng *core.Engine, social *core.SocialGraph, opts ...Option) *Server {
 	handle("POST /v1/bookings", "/v1/bookings", s.handleBook)
 	handle("DELETE /v1/bookings", "/v1/bookings", s.handleCancel)
 	handle("POST /v1/track", "/v1/track", s.handleTrack)
-	handle("GET /v1/metrics", "/v1/metrics", s.handleMetrics)
 	handle("GET /v1/metrics/prom", "/v1/metrics/prom", s.handleMetricsProm)
-	handle("GET /v1/metrics/json", "/v1/metrics/json", s.handleMetricsJSON)
 	handle("GET /v1/traces", "/v1/traces", s.handleTraces)
 	handle("GET /v1/traces/{id}", "/v1/traces/{id}", s.handleTraceByID)
 	handle("GET /v1/metrics/history", "/v1/metrics/history", s.handleMetricsHistory)
@@ -527,10 +526,6 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, TrackResponse{Arrived: arrived})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.eng.Metrics())
 }
 
 // HealthResponse is the GET /v1/healthz body. Beyond the static

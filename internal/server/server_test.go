@@ -154,13 +154,20 @@ func TestRideLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("track: %d arrived=%v", code, tr.Arrived)
 	}
 
-	// Metrics reflect the session.
-	var metrics core.Metrics
-	if code := env.do(t, "GET", "/v1/metrics", nil, &metrics); code != http.StatusOK {
-		t.Fatalf("metrics: %d", code)
+	// The engine counters in healthz reflect the session.
+	var health HealthResponse
+	if code := env.do(t, "GET", "/v1/healthz", nil, &health); code != http.StatusOK {
+		t.Fatalf("healthz: %d", code)
 	}
-	if metrics.RidesCreated != 1 || metrics.Bookings != 1 || metrics.Searches != 1 {
-		t.Fatalf("metrics: %+v", metrics)
+	if m := health.Engine; m.RidesCreated != 1 || m.Bookings != 1 || m.Searches != 1 {
+		t.Fatalf("healthz engine: %+v", m)
+	}
+	// The engine counters have one route: /v1/metrics and
+	// /v1/metrics/json do not exist.
+	for _, gone := range []string{"/v1/metrics", "/v1/metrics/json"} {
+		if code := env.do(t, "GET", gone, nil, nil); code != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404", gone, code)
+		}
 	}
 
 	// Delete.

@@ -76,7 +76,7 @@ func CompareRideShare(eng *core.Engine, trips []workload.Trip, cfg ModesConfig) 
 	lastTrack := -1.0
 	for _, trip := range trips {
 		now := trip.RequestTime
-		if simCfg.TrackInterval > 0 && (lastTrack < 0 || now-lastTrack >= simCfg.TrackInterval) {
+		if lastTrack < 0 || now-lastTrack >= TrackInterval {
 			sys.Advance(now)
 			lastTrack = now
 		}
@@ -124,7 +124,7 @@ func CompareRideShare(eng *core.Engine, trips []workload.Trip, cfg ModesConfig) 
 		// Becomes a driver: own car, own shortest route.
 		id, cerr := sys.Create(Offer{
 			Source: trip.Pickup, Dest: trip.Dropoff,
-			Departure: now + simCfg.WindowSlack/2, Seats: simCfg.Seats,
+			Departure: now + simCfg.WindowSlack/2, Seats: Seats,
 			DetourLimit: simCfg.DetourLimit,
 		})
 		if cerr != nil {
@@ -169,7 +169,7 @@ func CompareTransitPlusRideShare(eng *core.Engine, planner *mmtp.Planner, trips 
 	lastTrack := -1.0
 	for _, tr := range trips {
 		now := tr.RequestTime
-		if cfg.Sim.TrackInterval > 0 && (lastTrack < 0 || now-lastTrack >= cfg.Sim.TrackInterval) {
+		if lastTrack < 0 || now-lastTrack >= TrackInterval {
 			sys.Advance(now)
 			lastTrack = now
 		}
@@ -193,7 +193,7 @@ func CompareTransitPlusRideShare(eng *core.Engine, planner *mmtp.Planner, trips 
 				}
 				if _, cerr := sys.Create(Offer{
 					Source: leg.From, Dest: leg.To,
-					Departure: leg.Start, Seats: cfg.Sim.Seats,
+					Departure: leg.Start, Seats: Seats,
 					DetourLimit: cfg.Sim.DetourLimit,
 				}); cerr == nil {
 					m.Cars++

@@ -14,7 +14,6 @@ import (
 	"xar/internal/audit"
 	"xar/internal/geo"
 	"xar/internal/stats"
-	"xar/internal/telemetry"
 	"xar/internal/workload"
 )
 
@@ -60,6 +59,14 @@ type System interface {
 	ActiveRides() int
 }
 
+// Seats is every created ride's capacity, a taxi's as the paper counts
+// it.
+const Seats = 4
+
+// TrackInterval runs tracking whenever simulated time advances by this
+// many seconds.
+const TrackInterval = 120
+
 // Config tunes a replay run.
 type Config struct {
 	// K caps the matches requested per search (0 = all).
@@ -68,32 +75,15 @@ type Config struct {
 	WalkLimit float64
 	// WindowSlack is each request's departure-window length (seconds).
 	WindowSlack float64
-	// Seats and DetourLimit configure created rides.
-	Seats       int
+	// DetourLimit bounds created rides' detours (meters).
 	DetourLimit float64
-	// TrackInterval runs tracking whenever simulated time advances by
-	// this many seconds (0 disables tracking).
-	TrackInterval float64
 	// LookToBook performs this many searches per request before acting
 	// (≥1); the paper's Figure 5b sweeps it.
 	LookToBook int
-	// Telemetry, when non-nil, records the replay's search/create/book
-	// durations into the same xar_op_duration_seconds histograms the
-	// live engine uses (see telemetry.OpDuration), so figure
-	// reproduction and production serving report from one telemetry
-	// source. Leave the engine itself uninstrumented when setting this,
-	// or operations are counted twice.
-	Telemetry *telemetry.Registry
-	// Recorder, when non-nil, is ticked on the replay's simulated clock
-	// (trip request times) at the recorder's own interval, so the
-	// retained history spans simulated hours regardless of how fast the
-	// replay executes. Pair it with Telemetry over the same registry;
-	// do not Start() the recorder's wall-clock loop as well.
-	Recorder *telemetry.Recorder
 	// Auditor, when non-nil, runs a synchronous invariant sweep whenever
-	// the replay's simulated clock advances by AuditInterval seconds —
-	// the correctness twin of Recorder ticking. Do not Start() the
-	// auditor's wall-clock loop as well; a replay outruns wall time.
+	// the replay's simulated clock advances by AuditInterval seconds. Do
+	// not Start() the auditor's wall-clock loop as well; a replay
+	// outruns wall time.
 	Auditor *audit.Auditor
 	// AuditInterval is the simulated-seconds cadence for Auditor
 	// (0 → 300).
@@ -103,12 +93,10 @@ type Config struct {
 // DefaultConfig returns the paper's simulation settings.
 func DefaultConfig() Config {
 	return Config{
-		WalkLimit:     1000,
-		WindowSlack:   900,
-		Seats:         4, // taxi capacity incl. driver, per the paper
-		DetourLimit:   2000,
-		TrackInterval: 120,
-		LookToBook:    1,
+		WalkLimit:   1000,
+		WindowSlack: 900,
+		DetourLimit: 2000,
+		LookToBook:  1,
 	}
 }
 
@@ -145,20 +133,8 @@ func Run(sys System, trips []workload.Trip, cfg Config) (*Result, error) {
 	if cfg.LookToBook < 1 {
 		cfg.LookToBook = 1
 	}
-	// Optional shared histograms alongside the in-memory Samples.
-	var hSearch, hCreate, hBook *telemetry.Histogram
-	if cfg.Telemetry != nil {
-		hSearch = telemetry.OpDuration(cfg.Telemetry, "search")
-		hCreate = telemetry.OpDuration(cfg.Telemetry, "create")
-		hBook = telemetry.OpDuration(cfg.Telemetry, "book")
-	}
 	res := &Result{SystemName: sys.Name()}
 	lastTrack := -1.0
-	lastSnap := -1.0
-	snapEvery := 0.0
-	if cfg.Recorder != nil {
-		snapEvery = cfg.Recorder.Interval().Seconds()
-	}
 	lastAudit := -1.0
 	auditEvery := 0.0
 	if cfg.Auditor != nil {
@@ -169,13 +145,9 @@ func Run(sys System, trips []workload.Trip, cfg Config) (*Result, error) {
 	}
 	for _, trip := range trips {
 		now := trip.RequestTime
-		if cfg.TrackInterval > 0 && (lastTrack < 0 || now-lastTrack >= cfg.TrackInterval) {
+		if lastTrack < 0 || now-lastTrack >= TrackInterval {
 			sys.Advance(now)
 			lastTrack = now
-		}
-		if snapEvery > 0 && (lastSnap < 0 || now-lastSnap >= snapEvery) {
-			cfg.Recorder.TickAt(now)
-			lastSnap = now
 		}
 		if auditEvery > 0 && (lastAudit < 0 || now-lastAudit >= auditEvery) {
 			cfg.Auditor.Audit()
@@ -198,11 +170,7 @@ func Run(sys System, trips []workload.Trip, cfg Config) (*Result, error) {
 		for look := 0; look < cfg.LookToBook; look++ {
 			start := time.Now()
 			cands, serr = sys.Search(req, cfg.K)
-			d := time.Since(start)
-			res.SearchTimes.AddDuration(d)
-			if hSearch != nil {
-				hSearch.ObserveDuration(d)
-			}
+			res.SearchTimes.AddDuration(time.Since(start))
 		}
 		if serr != nil {
 			if isNotServable(serr) {
@@ -217,11 +185,7 @@ func Run(sys System, trips []workload.Trip, cfg Config) (*Result, error) {
 		for _, c := range cands { // least-walk first (systems sort)
 			start := time.Now()
 			br, berr := sys.Book(c, req)
-			d := time.Since(start)
-			res.BookTimes.AddDuration(d)
-			if hBook != nil {
-				hBook.ObserveDuration(d)
-			}
+			res.BookTimes.AddDuration(time.Since(start))
 			if berr != nil {
 				res.FailedBooks++
 				continue
@@ -241,16 +205,12 @@ func Run(sys System, trips []workload.Trip, cfg Config) (*Result, error) {
 			Source:      trip.Pickup,
 			Dest:        trip.Dropoff,
 			Departure:   now + cfg.WindowSlack/2,
-			Seats:       cfg.Seats,
+			Seats:       Seats,
 			DetourLimit: cfg.DetourLimit,
 		}
 		start := time.Now()
 		_, cerr := sys.Create(offer)
-		d := time.Since(start)
-		res.CreateTimes.AddDuration(d)
-		if hCreate != nil {
-			hCreate.ObserveDuration(d)
-		}
+		res.CreateTimes.AddDuration(time.Since(start))
 		if cerr != nil {
 			if isNotServable(cerr) {
 				res.NotServable++
@@ -262,13 +222,6 @@ func Run(sys System, trips []workload.Trip, cfg Config) (*Result, error) {
 			continue
 		}
 		res.Created++
-	}
-	// Final snapshot so the tail of the stream (since the last cadence
-	// tick) is part of the recorded history.
-	if cfg.Recorder != nil && len(trips) > 0 {
-		if last := trips[len(trips)-1].RequestTime; last > lastSnap {
-			cfg.Recorder.TickAt(last)
-		}
 	}
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -119,92 +118,4 @@ func formatValue(v float64) string {
 		return "NaN"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// --- JSON exposition ---
-
-// SeriesJSON is one series in the JSON dump.
-type SeriesJSON struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	// Value is set for counters and gauges.
-	Value *float64 `json:"value,omitempty"`
-	// Histogram payload.
-	Count   *uint64           `json:"count,omitempty"`
-	Sum     *float64          `json:"sum,omitempty"`
-	Buckets map[string]uint64 `json:"buckets,omitempty"` // le → cumulative count
-	P50     *float64          `json:"p50,omitempty"`
-	P95     *float64          `json:"p95,omitempty"`
-	P99     *float64          `json:"p99,omitempty"`
-}
-
-// FamilyJSON is one metric family in the JSON dump.
-type FamilyJSON struct {
-	Name   string       `json:"name"`
-	Help   string       `json:"help,omitempty"`
-	Type   string       `json:"type"`
-	Series []SeriesJSON `json:"series"`
-}
-
-// Snapshot returns the registry contents as renderable structs — the
-// JSON twin of WritePrometheus, also used by the /v1/metrics/json
-// endpoint and by xarbench's telemetry dump.
-func (r *Registry) Snapshot() []FamilyJSON {
-	r.runScrapeHooks()
-	fams := r.snapshotFamilies()
-	out := make([]FamilyJSON, 0, len(fams))
-	for _, f := range fams {
-		fj := FamilyJSON{Name: f.name, Help: f.help, Type: f.kind.String()}
-		for _, s := range f.snapshotSeries() {
-			sj := SeriesJSON{}
-			if len(s.labels) > 0 {
-				sj.Labels = make(map[string]string, len(s.labels))
-				for _, l := range s.labels {
-					sj.Labels[l.Name] = l.Value
-				}
-			}
-			switch f.kind {
-			case KindCounter:
-				v := float64(s.counter.Value())
-				sj.Value = &v
-			case KindGauge:
-				v := 0.0
-				if s.gaugeFn != nil {
-					v = s.gaugeFn()
-				} else if s.gauge != nil {
-					v = s.gauge.Value()
-				}
-				sj.Value = &v
-			case KindHistogram:
-				h := s.hist
-				count := h.Count()
-				sum := h.Sum()
-				sj.Count = &count
-				sj.Sum = &sum
-				counts := h.BucketCounts()
-				bounds := h.Bounds()
-				sj.Buckets = make(map[string]uint64, len(counts))
-				cum := uint64(0)
-				for i, bound := range bounds {
-					cum += counts[i]
-					sj.Buckets[formatValue(bound)] = cum
-				}
-				cum += counts[len(counts)-1]
-				sj.Buckets["+Inf"] = cum
-				if count > 0 {
-					p50, p95, p99 := h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
-					sj.P50, sj.P95, sj.P99 = &p50, &p95, &p99
-				}
-			}
-			fj.Series = append(fj.Series, sj)
-		}
-		out = append(out, fj)
-	}
-	return out
-}
-
-// WriteJSON renders the registry as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

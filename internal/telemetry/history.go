@@ -26,10 +26,9 @@ import (
 //   - Off the hot path. Instruments are read only at tick time (default
 //     every 10s); recording a request costs exactly what it cost before
 //     the recorder existed.
-//   - One clock domain choice per deployment. Live servers tick on wall
-//     time (Start); simulation replays tick on simulated time (TickAt),
-//     which is how xarsim regenerates the paper's time-of-day figures
-//     from recorder output.
+//   - Wall time. The recorder ticks on its own loop (Start) or on
+//     demand (TickNow); TickAt takes the tick's time explicitly, so a
+//     test replays hours of ticks in microseconds.
 //
 // Snapshots store cumulative values (counter totals, histogram bucket
 // counts), so any window's rate or quantile is a subtraction between two
@@ -126,9 +125,6 @@ func NewRecorder(reg *Registry, cfg RecorderConfig) *Recorder {
 	}
 }
 
-// Interval returns the configured snapshot cadence.
-func (rec *Recorder) Interval() time.Duration { return rec.interval }
-
 // Retention returns the configured history span.
 func (rec *Recorder) Retention() time.Duration {
 	return time.Duration(rec.snaps.Cap()) * rec.interval
@@ -159,8 +155,6 @@ func (rec *Recorder) Stop() { rec.worker.Stop() }
 func (rec *Recorder) TickNow() { rec.TickAt(float64(time.Now().UnixNano()) / 1e9) }
 
 // TickAt takes one snapshot stamped with the given unix-seconds instant.
-// Simulation replays call this with simulated time, so the recorded
-// series carry time-of-day semantics regardless of replay speed.
 // Timestamps must be non-decreasing across ticks; a regressing stamp is
 // recorded as given (windowed queries then clamp to zero-width windows).
 func (rec *Recorder) TickAt(unix float64) {
@@ -307,7 +301,7 @@ type HistorySeries struct {
 }
 
 // HistoryDump is the History result — the /v1/metrics/history body and
-// the xarsim/xarbench -history-out file format.
+// the debug bundle's history.json.
 type HistoryDump struct {
 	IntervalSeconds  float64         `json:"interval_seconds"`
 	RetentionSeconds float64         `json:"retention_seconds"`

@@ -741,7 +741,7 @@ func TestRecorderMemoryFixedAcrossWraps(t *testing.T) {
 	g := reg.Gauge("xar_test_depth", "test", nil)
 	h := reg.Histogram("xar_test_duration_seconds", "test", DurationBuckets(), L("op", "search"))
 	rec := NewRecorder(reg, RecorderConfig{Interval: time.Second, Retention: time.Minute})
-	slots := int(rec.Retention() / rec.Interval())
+	slots := int(rec.Retention() / rec.interval)
 	now := 0.0
 	tick := func(n int) {
 		for i := 0; i < n; i++ {

@@ -1,11 +1,8 @@
 package telemetry
 
 // Canonical instrument names shared by the engine, the HTTP layer and
-// the sim/bench harness. Registration is idempotent, so any subsystem
-// can call these helpers and record into the same series — the engine
-// instruments operations from the inside (cmd/xarserver), the replay
-// harness from the outside (cmd/xarbench); a deployment wires exactly
-// one of the two to a registry so an operation is never double-counted.
+// the SLO objectives. Registration is idempotent, so any subsystem can
+// call these helpers and record into the same series.
 const (
 	// OpDurationName times whole engine operations, labeled op=search|
 	// create|book|cancel|track|complete.

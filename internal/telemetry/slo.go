@@ -91,10 +91,15 @@ type Objective struct {
 // 1−q: for q=0.95 at most 5% of observations may exceed the threshold.
 // The threshold is snapped to the nearest histogram bucket bound, so
 // pick thresholds on the bucket grid (DurationBuckets: 5/decade) for
-// exact accounting.
+// exact accounting. A threshold that is not positive and finite has no
+// bound to snap to (0, a negative value or NaN would snap to the first
+// and page forever), so it panics like a quantile outside (0,1).
 func LatencyObjective(name, metric string, match Labels, threshold float64, q float64) Objective {
 	if q <= 0 || q >= 1 {
 		panic("telemetry: LatencyObjective quantile must be in (0,1)")
+	}
+	if !(threshold > 0 && threshold < math.Inf(1)) {
+		panic("telemetry: LatencyObjective threshold must be positive and finite")
 	}
 	return Objective{
 		Name:        name,

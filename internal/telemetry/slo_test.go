@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,6 +44,46 @@ func (f *sloFixture) state(t *testing.T) SLOStatus {
 		t.Fatalf("statuses = %d, want 1", len(sts))
 	}
 	return sts[0]
+}
+
+// TestLatencyObjectiveThreshold: a threshold that is not positive and
+// finite is refused when the objective is declared. NaN, 0 and −5 ms
+// would snap to the first bucket bound (10 µs) and page on healthy
+// 100 µs searches, which a 5 ms threshold reads as ok.
+func TestLatencyObjectiveThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		threshold float64
+		valid     bool
+	}{
+		{"5ms", 0.005, true},
+		{"NaN", math.NaN(), false},
+		{"zero", 0, false},
+		{"-5ms", -0.005, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var obj Objective
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				obj = LatencyObjective("search-p95", OpDurationName, L("op", "search"), tc.threshold, 0.95)
+				return false
+			}()
+			if panicked != !tc.valid {
+				t.Fatalf("LatencyObjective(threshold %v) panicked = %v, want %v", tc.threshold, panicked, !tc.valid)
+			}
+			if !tc.valid {
+				return
+			}
+			f := newSLOFixture(t)
+			f.slo = NewSLOEngine(f.rec, obj)
+			for i := 0; i < 40; i++ {
+				f.tick(100, 0.0001)
+			}
+			if st := f.state(t); st.State != SLOOk {
+				t.Fatalf("state = %v, want ok (burn short=%v)", st.State, st.BurnShort)
+			}
+		})
+	}
 }
 
 func TestSLOHealthyStaysOk(t *testing.T) {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"math"
 	"runtime"
 	"strconv"
@@ -154,34 +153,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if !infSeen {
 		t.Fatal("no +Inf bucket emitted")
-	}
-}
-
-func TestJSONExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("xar_c", "", nil).Add(7)
-	SearchStage(r, "side_lookup").Observe(0.001)
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var fams []FamilyJSON
-	if err := json.Unmarshal([]byte(sb.String()), &fams); err != nil {
-		t.Fatalf("JSON dump does not parse: %v", err)
-	}
-	if len(fams) != 2 {
-		t.Fatalf("families = %d", len(fams))
-	}
-	byName := map[string]FamilyJSON{}
-	for _, f := range fams {
-		byName[f.Name] = f
-	}
-	if c := byName["xar_c"]; c.Type != "counter" || c.Series[0].Value == nil || *c.Series[0].Value != 7 {
-		t.Fatalf("counter family: %+v", c)
-	}
-	hs := byName[SearchStageName].Series[0]
-	if hs.Count == nil || *hs.Count != 1 || hs.Buckets["+Inf"] != 1 {
-		t.Fatalf("histogram series: %+v", hs)
 	}
 }
 

@@ -1,15 +1,10 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"io"
-	"time"
-)
+import "time"
 
 // JSON rendering of stored traces: the span tree served by
-// GET /v1/traces[/{id}] and dumped by `xarbench -trace-out` /
-// `xarsim -trace-out`. Kept in the telemetry package so the HTTP layer
-// and the CLI harnesses emit byte-identical shapes.
+// GET /v1/traces[/{id}] and written into the debug bundle's
+// traces_slowest.json and traces_errors.json.
 
 // SpanDoc is one span in the rendered tree.
 type SpanDoc struct {
@@ -104,15 +99,4 @@ func Docs(tds []*TraceData) []TraceDoc {
 		out[i] = td.Doc()
 	}
 	return out
-}
-
-// WriteSlowest dumps the store's n slowest traces as indented JSON —
-// the `-trace-out` payload of xarsim and xarbench, shaped like the
-// GET /v1/traces response so the same tooling reads both.
-func WriteSlowest(w io.Writer, store *TraceStore, n int) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Traces []TraceDoc `json:"traces"`
-	}{Docs(store.Slowest(n))})
 }

@@ -146,8 +146,7 @@ func (s *TraceStore) List(f TraceFilter) []*TraceData {
 }
 
 // Slowest returns the n longest stored traces, longest first — the
-// shape `xarbench -trace-out` and `xarsim -trace-out` dump for offline
-// inspection.
+// debug bundle's traces_slowest.json.
 func (s *TraceStore) Slowest(n int) []*TraceData {
 	if n <= 0 {
 		return nil

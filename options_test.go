@@ -34,6 +34,7 @@ func TestEveryServingOptionHasASetter(t *testing.T) {
 		"xar/internal/profile":    {"Config"},
 		"xar/internal/journal":    {"Config"},
 		"xar/internal/audit":      {"Config"},
+		"xar/internal/sim":        {"Config"},
 	}
 
 	type parsed struct {
