@@ -18,11 +18,13 @@ race:
 	$(GO) test -race ./...
 
 # bench-smoke: one fast pass over the headline benchmarks — enough to
-# catch perf regressions in CI without regenerating every figure — and
-# over the routers' (ALT, plain A*, CH) warm single-pair queries.
+# catch perf regressions in CI without regenerating every figure — over
+# the routers' (ALT, plain A*, CH) warm single-pair queries, and over the
+# index's ride registration on the repository benchmark's 80x44 city.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkSearchObservers|BenchmarkSearchDense$$' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkShortestPath(ALT|PlainAStar|CH)' -benchtime 100x ./internal/roadnet
+	$(GO) test -run '^$$' -bench 'BenchmarkRegister$$' -benchtime 100x ./internal/index
 
 # bench-observers: every observer's cost on the loaded search hot path,
 # one BenchmarkSearchObservers arm per configuration, each read against

@@ -175,7 +175,7 @@ func (e *Engine) snapshot(id index.RideID, check func(*index.Ride) error) (index
 // ride's Route, RouteETA and Via are replaced, never written in place, so
 // the caller may still read next's after they are the ride's.
 func (e *Engine) commit(next *index.Ride) (conflict bool, err error) {
-	next.RouteETA = e.computeETAs(next.Route, next.Departure)
+	next.RouteETA = e.disc.City().Graph.RouteETAs(next.Route, next.Departure)
 	for i := range next.Via {
 		next.Via[i].ETA = next.RouteETA[next.Via[i].RouteIdx]
 	}

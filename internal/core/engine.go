@@ -497,7 +497,7 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 		DetourLimitInitial: detour,
 		BaseRouteLen:       res.Dist,
 	}
-	r.RouteETA = e.computeETAs(res.Path, offer.Departure)
+	r.RouteETA = e.disc.City().Graph.RouteETAs(res.Path, offer.Departure)
 	r.Via = []index.ViaPoint{
 		{RouteIdx: 0, Node: srcNode, ETA: r.RouteETA[0], Kind: index.ViaSource},
 		{RouteIdx: len(res.Path) - 1, Node: dstNode, ETA: r.RouteETA[len(res.Path)-1], Kind: index.ViaDest},
@@ -548,24 +548,6 @@ func (e *Engine) ConfigSummary() map[string]any {
 		"road_nodes":             e.disc.City().Graph.NumNodes(),
 		"active_rides":           e.NumRides(),
 	}
-}
-
-// computeETAs returns cumulative arrival times along a route starting at
-// start: the sum of per-edge free-flow travel times.
-func (e *Engine) computeETAs(route []roadnet.NodeID, start float64) []float64 {
-	g := e.disc.City().Graph
-	etas := make([]float64, len(route))
-	etas[0] = start
-	for i := 1; i < len(route); i++ {
-		t, err := g.TravelTime(route[i-1 : i+1])
-		if err != nil {
-			// Route invariant violated; fall back to straight-line time
-			// rather than corrupting every downstream ETA.
-			t = geo.Haversine(g.Point(route[i-1]), g.Point(route[i])) / 7.0
-		}
-		etas[i] = etas[i-1] + t
-	}
-	return etas
 }
 
 // Ride returns a snapshot of a ride (nil if unknown): a deep copy taken

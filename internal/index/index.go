@@ -34,21 +34,27 @@ type Index struct {
 	// c, so "clusters within d of C" is a prefix.
 	neighbors [][]neighborEntry
 
-	// ptBuf, supBuf and supOff are register's scratch (reused across
-	// calls; the index has a single writer): the ride's pass-through runs
-	// and its support records in emission order, and per cluster the
-	// records' count, then their group's write position (all zero between
-	// calls).
+	// ptBuf, supBuf, runEnd, viaCol and supOff are register's scratch
+	// (reused across calls; the index has a single writer): the ride's
+	// pass-through runs, its support records in emission order, where
+	// each run's records end, one run's gathered distances to its
+	// via-point's cluster, and per cluster the records' count, then their
+	// group's write position (all zero between calls).
 	ptBuf  []ptEntry
 	supBuf []buildSupport
+	runEnd []int32
+	viaCol []float64
 	supOff []int32
 }
 
 // buildSupport is a support record on its way into a ride's table: until
-// the records are grouped, each has to say which cluster it serves.
+// the records are grouped, each has to say which cluster it serves. The
+// run it comes from is the one whose stretch of the buffer holds it, so
+// a record is 16 bytes.
 type buildSupport struct {
 	cluster int32
-	Support
+	dist    float32
+	detour  float64
 }
 
 // neighborEntry is 8 bytes: the cluster distances are float32 in the
@@ -140,6 +146,9 @@ func (ix *Index) Insert(r *Ride) error {
 	if r.DetourLimit < 0 {
 		return fmt.Errorf("index: ride %d has negative detour limit", r.ID)
 	}
+	if err := checkLimit(r); err != nil {
+		return err
+	}
 	if n := len(ix.free); n > 0 {
 		r.slot, ix.free = ix.free[n-1], ix.free[:n-1]
 		ix.slots[r.slot] = r
@@ -173,9 +182,22 @@ func (ix *Index) Reregister(r *Ride) error {
 	if _, ok := ix.rides[r.ID]; !ok {
 		return fmt.Errorf("index: ride %d not registered", r.ID)
 	}
+	if err := checkLimit(r); err != nil {
+		return err
+	}
 	r.Rev++
 	ix.unregister(r)
 	ix.register(r)
+	return nil
+}
+
+// checkLimit refuses a NaN or infinite detour limit: no comparison with
+// NaN holds, so register would cut no neighbour row at it and list the
+// ride under every cluster, as it would under +Inf.
+func checkLimit(r *Ride) error {
+	if math.IsNaN(r.DetourLimit) || math.IsInf(r.DetourLimit, 0) {
+		return fmt.Errorf("index: ride %d has detour limit %v, want a finite one", r.ID, r.DetourLimit)
+	}
 	return nil
 }
 
@@ -218,74 +240,40 @@ func (ix *Index) register(r *Ride) {
 	r.pt = make([]ptEntry, len(pt))
 	copy(r.pt, pt)
 
-	// 2. Reachable clusters per pass-through entry, with the detour test
-	//    d(C,C') + d(C',v_{i+1}) − d(C,v_{i+1}) ≤ d  (§VI).
-	// Distances to the via-point are approximated by distances to the
-	// via-point's cluster, consistent with the ε error budget; via-points
-	// outside any cluster skip the refinement (conservative superset —
-	// the booking-time shortest paths remain the ground truth). Supports
-	// collect in the index's build buffer in ascending route position,
-	// each (cluster, position) at most once, counted per cluster.
-	// groups counts the clusters with any.
-	buf, off, groups := ix.supBuf[:0], ix.supOff, 0
-	for pi := range r.pt {
-		e := &r.pt[pi]
-		c := e.Cluster
-		buf = append(buf, buildSupport{c, Support{Order: int32(pi)}})
-		if off[c]++; off[c] == 1 {
-			groups++
-		}
-
-		viaCluster := int32(-1)
-		if int(e.Seg)+1 < len(r.Via) {
-			viaCluster = int32(ix.disc.ClusterOfNode(r.Via[e.Seg+1].Node))
-		}
-		for _, nb := range ix.neighbors[c] {
-			nbDist := float64(nb.Dist)
-			if nbDist > r.DetourLimit {
-				break // sorted: everything after is farther
-			}
-			if nb.Cluster == c {
-				continue
-			}
-			detour := nbDist
-			if viaCluster >= 0 {
-				dCVia := ix.disc.ClusterDist(int(c), int(viaCluster))
-				dC2Via := ix.disc.ClusterDist(int(nb.Cluster), int(viaCluster))
-				detour = nbDist + dC2Via - dCVia
-				if detour < 0 {
-					detour = 0
-				}
-				if detour > r.DetourLimit {
-					continue
-				}
-			}
-			buf = append(buf, buildSupport{nb.Cluster, Support{Order: int32(pi), Dist: nb.Dist, Detour: detour}})
-			if off[nb.Cluster]++; off[nb.Cluster] == 1 {
-				groups++
-			}
-		}
-	}
-	ix.supBuf = buf
-
-	// 3. Group instead of sort: a counting pass lays the clusters' groups
-	// out in ascending cluster order in the ride's exact-size table —
-	// writing the directory as it goes — and a stable scatter fills each
-	// in ascending route position.
-	sup := make([]Support, len(buf))
-	dir := make([]dirEntry, 0, groups+1)
-	next := int32(0)
-	for c, n := range off {
-		if n > 0 { // an absent cluster's slot stays zero
-			dir = append(dir, dirEntry{Cluster: int32(c), Start: next})
-			off[c] = next
-			next += n
-		}
-	}
-	dir = append(dir, dirEntry{Cluster: dirEnd, Start: next})
+	// 2. The reachable clusters of every pass-through run (reachable),
+	// then the records per cluster, and the clusters with any, counted.
+	buf := ix.reachable(r)
+	off, groups := ix.supOff, 0
 	for _, s := range buf {
-		sup[off[s.cluster]] = s.Support
+		groups += b2i(off[s.cluster] == 0)
 		off[s.cluster]++
+	}
+
+	// 3. Group instead of sort: a walk over every cluster lays the groups
+	// out in ascending cluster order in the ride's exact-size table —
+	// writing the directory as it goes — and a stable scatter, run by run,
+	// fills each in ascending route position. The walk has no branch
+	// either: every cluster writes its key at the next free slot, which
+	// advances only for one with records, and an absent cluster's offset
+	// stays zero.
+	sup := make([]Support, len(buf))
+	dir := make([]dirEntry, groups+1)
+	g, next := 0, int32(0)
+	for c, n := range off {
+		present := int32(b2i(n > 0))
+		dir[g] = dirEntry{Cluster: int32(c), Start: next}
+		off[c] = next & -present
+		next += n
+		g += int(present)
+	}
+	dir[groups] = dirEntry{Cluster: dirEnd, Start: next}
+	start := int32(0)
+	for pi, end := range ix.runEnd {
+		for _, s := range buf[start:end] {
+			sup[off[s.cluster]] = Support{Order: int32(pi), Dist: s.dist, Detour: s.detour}
+			off[s.cluster]++
+		}
+		start = end
 	}
 	r.support, r.dir = sup, dir
 
@@ -308,6 +296,92 @@ func (ix *Index) register(r *Ride) {
 		off[c] = 0
 		ix.clusters[c].add(r.slot, eta)
 	}
+}
+
+// reachable writes the ride's support records into the index's build
+// buffer, in ascending route position, and returns them: per pass-through
+// run its own cluster first, then every cluster C' the run's cluster C
+// reaches under the detour test (§VI)
+//
+//	d(C,C') + d(C',v_{i+1}) − d(C,v_{i+1}) ≤ d.
+//
+// Distances to the via-point are approximated by distances to the
+// via-point's cluster, consistent with the ε error budget; via-points
+// outside any cluster skip the refinement (conservative superset — the
+// booking-time shortest paths remain the ground truth).
+//
+// It is a flat kernel with no data-dependent branch per neighbour: the
+// prefix of C's distance-sorted row within the budget is cut once, the
+// distances from that prefix to the via-point's cluster are gathered
+// into one column, and every candidate record is written, the write
+// position advancing by a keep flag. The flag is the negated test,
+// !(detour > d), so a NaN detour (+Inf − +Inf, between unreachable
+// clusters) is kept.
+func (ix *Index) reachable(r *Ride) []buildSupport {
+	buf, ends, limit := ix.supBuf[:0], ix.runEnd[:0], r.DetourLimit
+	for pi := range r.pt {
+		e := &r.pt[pi]
+		c := e.Cluster
+		row := ix.neighbors[c]
+		row = row[:budgetCut(row, limit)]
+		buf = slices.Grow(buf, 1+len(row))
+		buf = append(buf, buildSupport{cluster: c})
+		w := len(buf)
+		buf = buf[:w+len(row)]
+
+		via := -1
+		if int(e.Seg)+1 < len(r.Via) {
+			via = ix.disc.ClusterOfNode(r.Via[e.Seg+1].Node)
+		}
+		if via < 0 {
+			for _, nb := range row {
+				buf[w] = buildSupport{nb.Cluster, nb.Dist, float64(nb.Dist)}
+				w += b2i(nb.Cluster != c)
+			}
+		} else {
+			col := slices.Grow(ix.viaCol[:0], len(row))[:len(row)]
+			for i, nb := range row {
+				col[i] = ix.disc.ClusterDist(int(nb.Cluster), via)
+			}
+			ix.viaCol = col
+			dCVia := ix.disc.ClusterDist(int(c), via)
+			for i, nb := range row {
+				detour := float64(nb.Dist) + col[i] - dCVia
+				if detour < 0 {
+					detour = 0
+				}
+				buf[w] = buildSupport{nb.Cluster, nb.Dist, detour}
+				w += b2i(!(detour > limit)) & b2i(nb.Cluster != c)
+			}
+		}
+		buf = buf[:w]
+		ends = append(ends, int32(w))
+	}
+	ix.supBuf, ix.runEnd = buf, ends
+	return buf
+}
+
+// budgetCut returns the length of the prefix of a distance-sorted
+// neighbour row whose entries are within limit, !(Dist > limit). It scans
+// from the front: the prefix is a few cache lines the kernel reads next
+// anyway, where a binary search's first probes land in lines nothing else
+// reads, one dependent miss after another, and the loop's one branch is
+// mispredicted only where it exits.
+func budgetCut(row []neighborEntry, limit float64) int {
+	n := 0
+	for n < len(row) && !(float64(row[n].Dist) > limit) {
+		n++
+	}
+	return n
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a flag
+// read, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // unregister removes the ride from all cluster lists and clears its

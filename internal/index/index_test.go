@@ -127,6 +127,44 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteDetourLimitRefused: no comparison with NaN holds, so a
+// NaN budget cuts no neighbour row and lists a ride under every cluster,
+// as +Inf would — on this world all 32, where 500 m lists it under 19.
+// Insert refuses both, and Reregister refuses them before it touches the
+// ride's registration or its revision.
+func TestNonFiniteDetourLimitRefused(t *testing.T) {
+	d := testWorld(t)
+	ix := New(d)
+	from, to := pickCrossingNodes(t, d)
+	nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, limit := range nonFinite {
+		if err := ix.Insert(makeRide(t, d, from, to, 0, limit)); err == nil {
+			t.Errorf("Insert took detour limit %v", limit)
+		}
+	}
+	if n := ix.NumRides(); n != 0 {
+		t.Fatalf("%d rides registered after refused inserts", n)
+	}
+	r := makeRide(t, d, from, to, 0, 500)
+	if err := ix.Insert(r); err != nil {
+		t.Fatal(err)
+	}
+	listed, stats, rev := r.ReachableClusters(), ix.Stats(), r.Rev
+	for _, limit := range nonFinite {
+		r.DetourLimit = limit
+		if err := ix.Reregister(r); err == nil {
+			t.Errorf("Reregister took detour limit %v", limit)
+		}
+	}
+	r.DetourLimit = 500
+	if got := r.ReachableClusters(); !slices.Equal(got, listed) || ix.Stats() != stats || r.Rev != rev {
+		t.Fatalf("refused Reregister changed the ride: clusters %v → %v, rev %d → %d", listed, got, rev, r.Rev)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInsertPopulatesClusters(t *testing.T) {
 	d := testWorld(t)
 	ix := New(d)

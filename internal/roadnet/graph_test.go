@@ -391,6 +391,49 @@ func TestTravelTime(t *testing.T) {
 	}
 }
 
+// TestRouteETAsStepByStep: RouteETAs is, bit for bit, start plus the
+// running sum of each step's TravelTime — and of the straight line at
+// 7 m/s over a step that is not an edge — on city routes and on one
+// route that jumps.
+func TestRouteETAsStepByStep(t *testing.T) {
+	city, err := GenerateCity(DefaultCityConfig(12, 8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := city.Graph
+	s := NewSearcher(g)
+	r := rand.New(rand.NewSource(9))
+	jumps := 0
+	for trial := 0; trial < 40; trial++ {
+		route := s.ShortestPath(NodeID(r.Intn(g.NumNodes())), NodeID(r.Intn(g.NumNodes()))).Path
+		if len(route) == 0 {
+			continue
+		}
+		if trial%4 == 0 { // back to the first node, mostly not an edge
+			route = append(route, route[0])
+		}
+		start := float64(r.Intn(86400))
+		got := g.RouteETAs(route, start)
+		want := start
+		for i := range route {
+			if i > 0 {
+				step, err := g.TravelTime(route[i-1 : i+1])
+				if err != nil {
+					step = geo.Haversine(g.Point(route[i-1]), g.Point(route[i])) / 7.0
+					jumps++
+				}
+				want += step
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d: ETA %d = %v, step by step %v", trial, i, got[i], want)
+			}
+		}
+	}
+	if jumps == 0 {
+		t.Fatal("no route took a step that is not an edge")
+	}
+}
+
 func TestPathLengthErrors(t *testing.T) {
 	g := buildTriangle(t)
 	if _, err := g.PathLength([]NodeID{2, 1}); err == nil {

@@ -103,7 +103,7 @@ func (e *Engine) Book(m Match, req Request) error {
 
 	e.unregister(t)
 	t.Route = route
-	t.RouteETA = e.computeETAs(route, depart)
+	t.RouteETA = e.city.Graph.RouteETAs(route, depart)
 	t.Via = t.Via[:0]
 	for i, s := range stops {
 		t.Via = append(t.Via, Via{RouteIdx: viaIdx[i], Node: s.node, ETA: t.RouteETA[viaIdx[i]]})

@@ -242,7 +242,7 @@ func (e *Engine) Create(offer Offer) (TaxiID, error) {
 		DetourLimit: detour,
 		cells:       make(map[grid.ID]struct{}),
 	}
-	t.RouteETA = e.computeETAs(res.Path, offer.Departure)
+	t.RouteETA = e.city.Graph.RouteETAs(res.Path, offer.Departure)
 	t.Via = []Via{
 		{RouteIdx: 0, Node: src, ETA: t.RouteETA[0]},
 		{RouteIdx: len(res.Path) - 1, Node: dst, ETA: t.RouteETA[len(res.Path)-1]},
@@ -250,20 +250,6 @@ func (e *Engine) Create(offer Offer) (TaxiID, error) {
 	e.register(t)
 	e.taxis[t.ID] = t
 	return t.ID, nil
-}
-
-func (e *Engine) computeETAs(route []roadnet.NodeID, start float64) []float64 {
-	g := e.city.Graph
-	etas := make([]float64, len(route))
-	etas[0] = start
-	for i := 1; i < len(route); i++ {
-		t, err := g.TravelTime(route[i-1 : i+1])
-		if err != nil {
-			t = geo.Haversine(g.Point(route[i-1]), g.Point(route[i])) / 7.0
-		}
-		etas[i] = etas[i-1] + t
-	}
-	return etas
 }
 
 // register adds the taxi to the cell lists of every cell on its
