@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -234,5 +235,37 @@ func TestFig6ModeOrdering(t *testing.T) {
 	}
 	if !strings.Contains(r.Table(), "Fig 6") {
 		t.Fatal("table rendering broken")
+	}
+}
+
+// TestFig6CountsExact pins what each Figure 6 mode serves on the tests'
+// tiny world: trips served, cars used and the mean travel, walk and
+// wait minutes (to six decimals). The world, the engines, the transit
+// network and the planner are deterministic, so any change to a setting
+// the comparison reads (walk speed, leg limits, search window) moves a
+// number here.
+func TestFig6CountsExact(t *testing.T) {
+	r, err := Fig6(tinyWorld(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range r.Modes {
+		got = append(got, fmt.Sprintf("%s served=%d cars=%d travel=%.6f walk=%.6f wait=%.6f",
+			m.Mode, m.Served, m.Cars, m.TravelTime.Mean(), m.WalkTime.Mean(), m.WaitTime.Mean()))
+	}
+	want := []string{
+		"Taxi served=300 cars=300 travel=3.367394 walk=0.000000 wait=2.000000",
+		"RS served=300 cars=90 travel=12.483992 walk=3.324079 wait=6.271194",
+		"PT served=300 cars=0 travel=17.062605 walk=15.105274 wait=1.102053",
+		"RS+PT served=300 cars=96 travel=14.647653 walk=12.183229 wait=1.433047",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("modes = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("mode %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
 	}
 }
