@@ -26,14 +26,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net, err := transit.Generate(city, transit.DefaultGenConfig())
+	net, err := transit.Generate(city)
 	if err != nil {
 		log.Fatal(err)
 	}
-	planner, err := mmtp.NewPlanner(net, mmtp.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	planner := mmtp.NewPlanner(net)
 	fmt.Printf("transit network: %d stops, %d route directions\n", len(net.Stops), len(net.Routes))
 
 	// Stand up XAR and seed it with morning ride offers so the planner
@@ -81,7 +78,7 @@ func main() {
 
 	// Aider mode: replace infeasible segments (walk > 1 km or wait > 10
 	// min) with shared rides.
-	aid, err := mmtp.Aider(it, eng, mmtp.DefaultIntegrationConfig())
+	aid, err := mmtp.Aider(it, eng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +87,7 @@ func main() {
 	printItinerary(aid.Itinerary)
 
 	// Enhancer mode: try shared rides over C(k+1,2) hop combinations.
-	enh, err := mmtp.Enhancer(it, eng, mmtp.DefaultIntegrationConfig())
+	enh, err := mmtp.Enhancer(it, eng)
 	if err != nil {
 		log.Fatal(err)
 	}

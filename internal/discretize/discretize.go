@@ -51,10 +51,11 @@ type Config struct {
 	// MaxWalk is W: the system-wide maximum walking distance; walkable
 	// cluster lists only contain clusters within W.
 	MaxWalk float64
-	// WalkDetourFactor converts straight-line distance to walking
-	// distance (sidewalk detours); 1.0 = pure haversine. Typical: 1.2.
-	WalkDetourFactor float64
 }
+
+// walkDetourFactor converts straight-line distance to walking distance
+// (sidewalk detours).
+const walkDetourFactor = 1.2
 
 // DefaultConfig returns the paper's parameter choices at the reproduction
 // scale: 100 m grids, ε = 1 km (δ = 250 m), Δ = 1 km, W = 1 km.
@@ -65,7 +66,6 @@ func DefaultConfig() Config {
 		Delta:              250,
 		MaxDriveToLandmark: 1000,
 		MaxWalk:            1000,
-		WalkDetourFactor:   1.2,
 	}
 }
 
@@ -81,7 +81,6 @@ func (c Config) Validate() error {
 		{"Delta", c.Delta},
 		{"MaxDriveToLandmark", c.MaxDriveToLandmark},
 		{"MaxWalk", c.MaxWalk},
-		{"WalkDetourFactor", c.WalkDetourFactor},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("discretize: %s must be finite, got %v", f.name, f.v)
@@ -98,8 +97,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("discretize: MaxDriveToLandmark must be positive, got %v", c.MaxDriveToLandmark)
 	case c.MaxWalk < 0:
 		return fmt.Errorf("discretize: MaxWalk must be >= 0, got %v", c.MaxWalk)
-	case c.WalkDetourFactor < 1:
-		return fmt.Errorf("discretize: WalkDetourFactor must be >= 1, got %v", c.WalkDetourFactor)
 	}
 	return nil
 }
@@ -508,8 +505,8 @@ func (d *Discretization) fillGridInfo(gi *GridInfo, id grid.ID, arena []Walkable
 	// haversine would have turned it away too, so the lists are those of
 	// the plain scan, bit for bit; the haversine's two cosines are
 	// computed once for the cell and once per landmark at construction.
-	ix, detour := d.lmIndex, d.cfg.WalkDetourFactor
-	radius := d.cfg.MaxWalk / detour
+	ix := d.lmIndex
+	radius := d.cfg.MaxWalk / walkDetourFactor
 	cosP := geo.CosLat(centroid)
 	flat := geo.NewFlatBound(centroid, ix.box)
 	start := len(arena)
@@ -530,11 +527,11 @@ func (d *Discretization) fillGridInfo(gi *GridInfo, id grid.ID, arena []Walkable
 						break
 					}
 				}
-				if wc != nil && flat.Beyond(q, wc.Walk/detour) {
+				if wc != nil && flat.Beyond(q, wc.Walk/walkDetourFactor) {
 					continue
 				}
 				straight := geo.HaversineCos(centroid, q, cosP, ix.cos[lm])
-				walk := straight * detour
+				walk := straight * walkDetourFactor
 				if straight > radius || walk > d.cfg.MaxWalk {
 					continue
 				}
@@ -566,7 +563,7 @@ func (gi *GridInfo) WalkableWithin(limit float64) []WalkableCluster {
 }
 
 // NearestLandmarkInCluster returns the landmark of cluster c closest to p
-// on foot and the walking distance (straight-line × WalkDetourFactor).
+// on foot and the walking distance (straight-line × walkDetourFactor).
 // It returns (-1, NaN) for an invalid cluster. Booking uses it to choose
 // the concrete pickup/drop-off landmark of a matched cluster.
 func (d *Discretization) NearestLandmarkInCluster(p geo.Point, c int) (int, float64) {
@@ -583,7 +580,7 @@ func (d *Discretization) NearestLandmarkInCluster(p geo.Point, c int) (int, floa
 	if best < 0 {
 		return -1, math.NaN()
 	}
-	return best, bestD * d.cfg.WalkDetourFactor
+	return best, bestD * walkDetourFactor
 }
 
 // Servable reports whether a point can be served by the system: its grid

@@ -34,12 +34,11 @@ func testDisc(t testing.TB) *Discretization {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{GridCellSize: 0, Delta: 1, MaxDriveToLandmark: 1, WalkDetourFactor: 1},
-		{GridCellSize: 100, Delta: 0, MaxDriveToLandmark: 1, WalkDetourFactor: 1},
-		{GridCellSize: 100, Delta: 1, MaxDriveToLandmark: 0, WalkDetourFactor: 1},
-		{GridCellSize: 100, Delta: 1, MaxDriveToLandmark: 1, WalkDetourFactor: 0.5},
-		{GridCellSize: 100, Delta: 1, MaxDriveToLandmark: 1, WalkDetourFactor: 1, MaxWalk: -1},
-		{GridCellSize: 100, Delta: 1, MaxDriveToLandmark: 1, WalkDetourFactor: 1, LandmarkMinSep: -1},
+		{GridCellSize: 0, Delta: 1, MaxDriveToLandmark: 1},
+		{GridCellSize: 100, Delta: 0, MaxDriveToLandmark: 1},
+		{GridCellSize: 100, Delta: 1, MaxDriveToLandmark: 0},
+		{GridCellSize: 100, Delta: 1, MaxDriveToLandmark: 1, MaxWalk: -1},
+		{GridCellSize: 100, Delta: 1, MaxDriveToLandmark: 1, LandmarkMinSep: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -64,7 +63,6 @@ func TestConfigValidateRejectsNonFinite(t *testing.T) {
 		{"Delta", func(c *Config, v float64) { c.Delta = v }},
 		{"MaxDriveToLandmark", func(c *Config, v float64) { c.MaxDriveToLandmark = v }},
 		{"MaxWalk", func(c *Config, v float64) { c.MaxWalk = v }},
-		{"WalkDetourFactor", func(c *Config, v float64) { c.WalkDetourFactor = v }},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -278,8 +276,8 @@ func TestGridInfoEqualsExhaustiveScan(t *testing.T) {
 		byCluster := map[int]float64{}
 		for lm, l := range d.Landmarks {
 			straight := geo.Haversine(centroid, l.Point)
-			walk := straight * cfg.WalkDetourFactor
-			if straight > cfg.MaxWalk/cfg.WalkDetourFactor || walk > cfg.MaxWalk {
+			walk := straight * walkDetourFactor
+			if straight > cfg.MaxWalk/walkDetourFactor || walk > cfg.MaxWalk {
 				continue
 			}
 			c := d.ClusterOfLandmark(lm)

@@ -57,8 +57,8 @@ func computeGridInfo(d *Discretization, id grid.ID) *GridInfo {
 		}
 	}
 	acc := make([]WalkableCluster, 0, 16)
-	d.lmIndex.within(centroid, d.cfg.MaxWalk/d.cfg.WalkDetourFactor, func(lmID int, straight float64) {
-		walk := straight * d.cfg.WalkDetourFactor
+	d.lmIndex.within(centroid, d.cfg.MaxWalk/walkDetourFactor, func(lmID int, straight float64) {
+		walk := straight * walkDetourFactor
 		if walk > d.cfg.MaxWalk {
 			return
 		}

@@ -16,10 +16,10 @@ type Fig6Result struct {
 
 // Fig6 serves the same request stream four ways.
 func Fig6(w *World) (*Fig6Result, error) {
-	cfg := sim.DefaultModesConfig()
-	cfg.Sim.WalkLimit = w.Scale.WalkLimit
-	cfg.Sim.WindowSlack = w.Scale.WindowSlack
-	cfg.Sim.DetourLimit = w.Scale.DetourLimit
+	cfg := sim.DefaultConfig()
+	cfg.WalkLimit = w.Scale.WalkLimit
+	cfg.WindowSlack = w.Scale.WindowSlack
+	cfg.DetourLimit = w.Scale.DetourLimit
 
 	taxi := sim.CompareTaxi(w.City, w.Trips)
 

@@ -24,9 +24,6 @@ type Scale struct {
 	CityRows, CityCols int
 	Seed               int64
 	Requests           int
-	// OfferFraction seeds this fraction of trips as pre-existing ride
-	// offers for latency experiments (paper: 20k rides / 100k requests).
-	OfferFraction float64
 	// Epsilon is the paper's ε (= 4δ); default 1 km as in §X-A3.
 	Epsilon float64
 	// WalkLimit/WindowSlack/DetourLimit mirror sim.Config.
@@ -38,15 +35,14 @@ type Scale struct {
 // DefaultScale returns the reproduction's standard scale.
 func DefaultScale() Scale {
 	return Scale{
-		CityRows:      40,
-		CityCols:      22,
-		Seed:          42,
-		Requests:      4000,
-		OfferFraction: 0.2,
-		Epsilon:       1000,
-		WalkLimit:     1000,
-		WindowSlack:   900,
-		DetourLimit:   2000,
+		CityRows:    40,
+		CityCols:    22,
+		Seed:        42,
+		Requests:    4000,
+		Epsilon:     1000,
+		WalkLimit:   1000,
+		WindowSlack: 900,
+		DetourLimit: 2000,
 	}
 }
 
@@ -119,18 +115,23 @@ func (w *World) NewTShare(haversine bool) (*tshare.Engine, error) {
 
 // NewPlanner builds the transit network and multi-modal planner.
 func (w *World) NewPlanner() (*mmtp.Planner, error) {
-	net, err := transit.Generate(w.City, transit.DefaultGenConfig())
+	net, err := transit.Generate(w.City)
 	if err != nil {
 		return nil, err
 	}
-	return mmtp.NewPlanner(net, mmtp.DefaultConfig())
+	return mmtp.NewPlanner(net), nil
 }
 
+// offerFraction is the share of the trip stream that seeds pre-existing
+// ride offers for the latency experiments: the paper's 20,000 rides per
+// 100,000 requests.
+const offerFraction = 0.2
+
 // SplitOffersRequests partitions the trip stream: the first
-// OfferFraction of trips seed rides, the rest are requests — the paper's
+// offerFraction of trips seed rides, the rest are requests — the paper's
 // "20,000 rides and 100,000 requests" setup for Figure 4.
 func (w *World) SplitOffersRequests() (offers, requests []workload.Trip) {
-	n := int(float64(len(w.Trips)) * w.Scale.OfferFraction)
+	n := int(float64(len(w.Trips)) * offerFraction)
 	if n < 1 {
 		n = 1
 	}

@@ -38,9 +38,6 @@ type Config struct {
 	// MaxLandmarks caps the number extracted (0 = no cap). The paper
 	// prunes 30k candidates to 16k; the cap plays that role.
 	MaxLandmarks int
-	// Hotspots optionally bias scores toward demand centers, mimicking
-	// the prevalence of real POIs in busy areas.
-	Hotspots []geo.Point
 }
 
 // Validate reports configuration errors.
@@ -73,7 +70,7 @@ func Extract(g *roadnet.Graph, cfg Config) ([]Landmark, error) {
 	cands := make([]cand, 0, g.NumNodes())
 	for i := 0; i < g.NumNodes(); i++ {
 		id := roadnet.NodeID(i)
-		cands = append(cands, cand{node: id, score: scoreNode(g, id, cfg.Hotspots)})
+		cands = append(cands, cand{node: id, score: scoreNode(g, id)})
 	}
 	// Decreasing score; ties broken by node ID for determinism.
 	sort.Slice(cands, func(i, j int) bool {
@@ -106,10 +103,9 @@ func Extract(g *roadnet.Graph, cfg Config) ([]Landmark, error) {
 }
 
 // scoreNode computes the deterministic importance of a node: total degree
-// weighted by the speed class of incident roads, plus a hotspot-proximity
-// bonus. Highway/avenue junctions — the analogue of stations and major
-// stops — score highest.
-func scoreNode(g *roadnet.Graph, id roadnet.NodeID, hotspots []geo.Point) float64 {
+// weighted by the speed class of incident roads. Highway/avenue
+// junctions — the analogue of stations and major stops — score highest.
+func scoreNode(g *roadnet.Graph, id roadnet.NodeID) float64 {
 	var s float64
 	classWeight := func(c roadnet.RoadClass) float64 {
 		switch c {
@@ -128,14 +124,6 @@ func scoreNode(g *roadnet.Graph, id roadnet.NodeID, hotspots []geo.Point) float6
 	}
 	for _, e := range g.In(id) {
 		s += classWeight(e.Class)
-	}
-	p := g.Point(id)
-	for _, h := range hotspots {
-		d := geo.Haversine(p, h)
-		// 1 bonus point at the hotspot decaying to ~0 at 2 km.
-		if d < 2000 {
-			s += (2000 - d) / 2000
-		}
 	}
 	return s
 }

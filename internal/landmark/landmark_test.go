@@ -137,29 +137,6 @@ func TestMaxLandmarksCap(t *testing.T) {
 	}
 }
 
-func TestHotspotBias(t *testing.T) {
-	city := testCity(t)
-	center := city.Graph.BBox().Center()
-	with, err := Extract(city.Graph, Config{MinSeparation: 100, MaxLandmarks: 30, Hotspots: []geo.Point{center}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Extract(city.Graph, Config{MinSeparation: 100, MaxLandmarks: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	avgDist := func(lms []Landmark) float64 {
-		var s float64
-		for _, lm := range lms {
-			s += geo.Haversine(lm.Point, center)
-		}
-		return s / float64(len(lms))
-	}
-	if avgDist(with) >= avgDist(without) {
-		t.Fatalf("hotspot bias ineffective: with=%.0f without=%.0f", avgDist(with), avgDist(without))
-	}
-}
-
 func TestZeroSeparationKeepsAll(t *testing.T) {
 	city := testCity(t)
 	lms, err := Extract(city.Graph, Config{MinSeparation: 0})

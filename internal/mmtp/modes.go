@@ -14,38 +14,31 @@ type RideProvider interface {
 	SearchK(req core.Request, k int) ([]core.Match, error)
 }
 
-// IntegrationConfig tunes the Aider and Enhancer modes.
-type IntegrationConfig struct {
-	// MaxLegWalk marks a walking leg infeasible when it exceeds this many
-	// meters (the paper's Figure 6 experiment uses 1 km).
-	MaxLegWalk float64
-	// MaxLegWait marks a leg infeasible when the wait before boarding
-	// exceeds this many seconds (the paper uses 10 min).
-	MaxLegWait float64
-	// WalkLimit is the walking threshold passed to XAR searches.
-	WalkLimit float64
-	// WindowSlack half-widths the departure window passed to XAR
-	// searches around the leg's start time.
-	WindowSlack float64
-	// RideSpeed estimates shared-ride in-vehicle speed (m/s) when
-	// composing the enhanced itinerary.
-	RideSpeed float64
-	// MaxEnhancerHops is the paper's k ≤ 4 bound: above it, only
+// The paper's Figure 6 setting for the Aider and Enhancer modes.
+const (
+	// maxLegWalk and maxLegWait bound a feasible leg: more than 1 km of
+	// walking or 10 minutes of waiting before boarding makes it
+	// infeasible.
+	maxLegWalk = 1000.0
+	maxLegWait = 600.0
+	// searchWalkLimit is the walking threshold passed to XAR searches,
+	// and searchWindowSlack the departure window's length after the
+	// leg's start, in seconds.
+	searchWalkLimit   = 1000.0
+	searchWindowSlack = 900.0
+	// rideSpeed estimates a shared ride's in-vehicle speed (m/s) when a
+	// match carries no usable drop-off ETA.
+	rideSpeed = 7.0
+	// maxEnhancerHops is the paper's k ≤ 4 bound: above it, only
 	// source→intermediate and intermediate→destination segments are
 	// tried (2k+1 combinations instead of C(k+1,2)).
-	MaxEnhancerHops int
-}
+	maxEnhancerHops = 4
+)
 
-// DefaultIntegrationConfig returns the paper's Figure 6 setting.
-func DefaultIntegrationConfig() IntegrationConfig {
-	return IntegrationConfig{
-		MaxLegWalk:      1000,
-		MaxLegWait:      600,
-		WalkLimit:       1000,
-		WindowSlack:     900,
-		RideSpeed:       7.0,
-		MaxEnhancerHops: 4,
-	}
+// Infeasible reports whether a commuter would refuse the leg: a walk of
+// more than 1 km, or a wait of more than 10 minutes before boarding.
+func (l Leg) Infeasible() bool {
+	return (l.Mode == LegWalk && l.Distance > maxLegWalk) || l.Wait > maxLegWait
 }
 
 // AiderResult reports what Aider changed.
@@ -61,7 +54,7 @@ type AiderResult struct {
 // walking distance or waiting time exceeds the commuter's tolerance. The
 // segment's own endpoints (not the trip's) and its time window go to the
 // ride search; a match replaces the leg.
-func Aider(it *Itinerary, xar RideProvider, cfg IntegrationConfig) (AiderResult, error) {
+func Aider(it *Itinerary, xar RideProvider) (AiderResult, error) {
 	res := AiderResult{Itinerary: it}
 	if it == nil || len(it.Legs) == 0 {
 		return res, nil
@@ -69,9 +62,7 @@ func Aider(it *Itinerary, xar RideProvider, cfg IntegrationConfig) (AiderResult,
 	out := &Itinerary{Depart: it.Depart, Arrive: it.Arrive}
 	shift := 0.0 // cumulative time saved so far
 	for _, leg := range it.Legs {
-		infeasible := (leg.Mode == LegWalk && leg.Distance > cfg.MaxLegWalk) ||
-			(leg.Wait > cfg.MaxLegWait)
-		if !infeasible {
+		if !leg.Infeasible() {
 			adjusted := leg
 			adjusted.Start -= shift
 			adjusted.End -= shift
@@ -83,8 +74,8 @@ func Aider(it *Itinerary, xar RideProvider, cfg IntegrationConfig) (AiderResult,
 			Source:            leg.From,
 			Dest:              leg.To,
 			EarliestDeparture: leg.Start - leg.Wait - shift,
-			LatestDeparture:   leg.Start - shift + cfg.WindowSlack,
-			WalkLimit:         cfg.WalkLimit,
+			LatestDeparture:   leg.Start - shift + searchWindowSlack,
+			WalkLimit:         searchWalkLimit,
 		}
 		res.Searches++
 		ms, err := xar.SearchK(req, 1)
@@ -99,7 +90,7 @@ func Aider(it *Itinerary, xar RideProvider, cfg IntegrationConfig) (AiderResult,
 			continue
 		}
 		m := ms[0]
-		rideLeg := composeRideLeg(leg.From, leg.To, m, leg.Start-leg.Wait-shift, cfg)
+		rideLeg := composeRideLeg(leg.From, leg.To, m, leg.Start-leg.Wait-shift)
 		saved := (leg.End - shift) - rideLeg.End
 		if saved < 0 {
 			saved = 0 // a slower ride still fixes the infeasibility
@@ -118,12 +109,12 @@ func Aider(it *Itinerary, xar RideProvider, cfg IntegrationConfig) (AiderResult,
 // composeRideLeg converts a match into an itinerary leg: walk-to-pickup
 // and walk-from-drop-off are folded into the leg's Wait/End accounting by
 // the caller; the leg itself covers pickup→drop-off.
-func composeRideLeg(from, to geo.Point, m core.Match, earliest float64, cfg IntegrationConfig) Leg {
+func composeRideLeg(from, to geo.Point, m core.Match, earliest float64) Leg {
 	start := math.Max(m.PickupETA, earliest)
 	dist := geo.Haversine(from, to)
 	end := m.DropoffETA
 	if end <= start {
-		end = start + dist/cfg.RideSpeed
+		end = start + dist/rideSpeed
 	}
 	return Leg{
 		Mode:      LegRideShare,
@@ -147,11 +138,11 @@ type EnhancerResult struct {
 
 // Enhancer implements the enhancer mode of §IX-B: it enumerates segment
 // combinations over the plan's hop points — all non-adjacent pairs when
-// the plan has ≤ MaxEnhancerHops intermediate hops (C(k+1,2) searches),
+// the plan has ≤ maxEnhancerHops intermediate hops (C(k+1,2) searches),
 // otherwise only source→hop and hop→destination pairs (2k+1 searches) —
 // and replaces the segment with a shared ride when one exists and reduces
 // the number of hops (and possibly the travel time).
-func Enhancer(it *Itinerary, xar RideProvider, cfg IntegrationConfig) (EnhancerResult, error) {
+func Enhancer(it *Itinerary, xar RideProvider) (EnhancerResult, error) {
 	res := EnhancerResult{Itinerary: it}
 	if it == nil || len(it.Legs) == 0 {
 		return res, nil
@@ -176,7 +167,7 @@ func Enhancer(it *Itinerary, xar RideProvider, cfg IntegrationConfig) (EnhancerR
 	k := len(points) - 2 // intermediate hop points
 	type segPair struct{ i, j int }
 	var pairs []segPair
-	if k <= cfg.MaxEnhancerHops {
+	if k <= maxEnhancerHops {
 		// All non-adjacent pairs: C(k+1, 2) combinations.
 		for i := 0; i < len(points); i++ {
 			for j := i + 2; j < len(points); j++ {
@@ -205,8 +196,8 @@ func Enhancer(it *Itinerary, xar RideProvider, cfg IntegrationConfig) (EnhancerR
 			Source:            from.p,
 			Dest:              to.p,
 			EarliestDeparture: from.arrival,
-			LatestDeparture:   from.arrival + cfg.WindowSlack,
-			WalkLimit:         cfg.WalkLimit,
+			LatestDeparture:   from.arrival + searchWindowSlack,
+			WalkLimit:         searchWalkLimit,
 		}
 		res.Searches++
 		ms, err := xar.SearchK(req, 1)
@@ -220,7 +211,7 @@ func Enhancer(it *Itinerary, xar RideProvider, cfg IntegrationConfig) (EnhancerR
 		if span <= bestSpan {
 			continue
 		}
-		cand := spliceRideLeg(it, from.legIdx, to.legIdx, composeRideLeg(from.p, to.p, ms[0], from.arrival, cfg))
+		cand := spliceRideLeg(it, from.legIdx, to.legIdx, composeRideLeg(from.p, to.p, ms[0], from.arrival))
 		// Only accept enhancements that do not degrade hops.
 		if cand.Hops() > res.HopsBefore {
 			continue

@@ -60,7 +60,7 @@ func longWaitItinerary() *Itinerary {
 func TestAiderReplacesLongWalk(t *testing.T) {
 	it := longWalkItinerary()
 	fp := &fakeProvider{match: true}
-	res, err := Aider(it, fp, DefaultIntegrationConfig())
+	res, err := Aider(it, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAiderReplacesLongWalk(t *testing.T) {
 func TestAiderReplacesLongWait(t *testing.T) {
 	it := longWaitItinerary()
 	fp := &fakeProvider{match: true}
-	res, err := Aider(it, fp, DefaultIntegrationConfig())
+	res, err := Aider(it, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestAiderReplacesLongWait(t *testing.T) {
 func TestAiderKeepsLegWhenNoRide(t *testing.T) {
 	it := longWalkItinerary()
 	fp := &fakeProvider{match: false}
-	res, err := Aider(it, fp, DefaultIntegrationConfig())
+	res, err := Aider(it, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAiderFeasiblePlanUntouched(t *testing.T) {
 		Legs: []Leg{{Mode: LegWalk, From: p0, To: p1, Start: 0, End: 230, Distance: 300}},
 	}
 	fp := &fakeProvider{match: true}
-	res, err := Aider(it, fp, DefaultIntegrationConfig())
+	res, err := Aider(it, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestAiderFeasiblePlanUntouched(t *testing.T) {
 
 func TestAiderNilItinerary(t *testing.T) {
 	fp := &fakeProvider{match: true}
-	if _, err := Aider(nil, fp, DefaultIntegrationConfig()); err != nil {
+	if _, err := Aider(nil, fp); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -152,7 +152,7 @@ func multiHopItinerary() *Itinerary {
 func TestEnhancerCombinationCount(t *testing.T) {
 	it := multiHopItinerary() // 4 legs → 5 points → k=3 intermediates
 	fp := &fakeProvider{match: false}
-	res, err := Enhancer(it, fp, DefaultIntegrationConfig())
+	res, err := Enhancer(it, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestEnhancerLinearFallbackAboveMaxHops(t *testing.T) {
 	}
 	it := &Itinerary{Depart: 0, Arrive: legs[len(legs)-1].End, Legs: legs}
 	fp := &fakeProvider{match: false}
-	res, err := Enhancer(it, fp, DefaultIntegrationConfig())
+	res, err := Enhancer(it, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestEnhancerLinearFallbackAboveMaxHops(t *testing.T) {
 func TestEnhancerReplacesWholeTrip(t *testing.T) {
 	it := multiHopItinerary()
 	fp := &fakeProvider{match: true}
-	res, err := Enhancer(it, fp, DefaultIntegrationConfig())
+	res, err := Enhancer(it, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestEnhancerReplacesWholeTrip(t *testing.T) {
 
 func TestEnhancerNilItinerary(t *testing.T) {
 	fp := &fakeProvider{match: true}
-	res, err := Enhancer(nil, fp, DefaultIntegrationConfig())
+	res, err := Enhancer(nil, fp)
 	if err != nil || res.Improved {
 		t.Fatalf("nil itinerary: %v %v", err, res.Improved)
 	}
@@ -256,7 +256,7 @@ func TestAiderWithRealEngine(t *testing.T) {
 	if err != nil || it == nil {
 		t.Fatalf("plan: %v", err)
 	}
-	res, err := Aider(it, eng, DefaultIntegrationConfig())
+	res, err := Aider(it, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

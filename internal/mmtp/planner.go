@@ -19,32 +19,24 @@ import (
 	"xar/internal/transit"
 )
 
-// Config tunes the planner.
-type Config struct {
-	// WalkSpeed in m/s (default 1.3).
-	WalkSpeed float64
-	// MaxWalkToStop bounds the access/egress walk radius in meters.
-	MaxWalkToStop float64
-	// TransferRadius bounds stop-to-stop walking transfers in meters.
-	TransferRadius float64
-	// BoardMargin is the minimum seconds between arriving at a stop and
-	// boarding a vehicle.
-	BoardMargin float64
-	// MaxDirectWalk: when the whole trip is shorter than this, a pure
-	// walking itinerary competes with transit.
-	MaxDirectWalk float64
-}
+// WalkSpeed is every traveller's walking speed in m/s: the planner's
+// access, egress, transfer and direct walks, and the walk times the
+// mode comparisons compose.
+const WalkSpeed = 1.3
 
-// DefaultConfig returns sensible urban defaults.
-func DefaultConfig() Config {
-	return Config{
-		WalkSpeed:      1.3,
-		MaxWalkToStop:  1200,
-		TransferRadius: 450,
-		BoardMargin:    30,
-		MaxDirectWalk:  2500,
-	}
-}
+// The planner's urban settings.
+const (
+	// maxWalkToStop bounds the access and egress walk radius in meters.
+	maxWalkToStop = 1200.0
+	// transferRadius bounds stop-to-stop walking transfers in meters.
+	transferRadius = 450.0
+	// boardMargin is the minimum seconds between arriving at a stop and
+	// boarding a vehicle.
+	boardMargin = 30.0
+	// maxDirectWalk: when the whole trip is shorter than this many
+	// meters, a pure walking itinerary competes with transit.
+	maxDirectWalk = 2500.0
+)
 
 // LegMode is the mode of one itinerary leg.
 type LegMode uint8
@@ -138,19 +130,12 @@ func (it *Itinerary) Hops() int {
 // Planner is a time-dependent multi-modal router. Safe for concurrent
 // use: Plan allocates per-query state.
 type Planner struct {
-	cfg Config
 	net *transit.Network
 }
 
 // NewPlanner builds a planner over a network.
-func NewPlanner(net *transit.Network, cfg Config) (*Planner, error) {
-	if cfg.WalkSpeed <= 0 {
-		return nil, fmt.Errorf("mmtp: WalkSpeed must be positive")
-	}
-	if cfg.MaxWalkToStop <= 0 || cfg.TransferRadius < 0 {
-		return nil, fmt.Errorf("mmtp: invalid walk radii")
-	}
-	return &Planner{cfg: cfg, net: net}, nil
+func NewPlanner(net *transit.Network) *Planner {
+	return &Planner{net: net}
 }
 
 // Network returns the planner's transit network.
@@ -194,8 +179,8 @@ func (p *Planner) Plan(src, dst geo.Point, departAfter float64) (*Itinerary, err
 	// Direct walk candidate.
 	directDist := geo.Haversine(src, dst)
 	var best *Itinerary
-	if directDist <= p.cfg.MaxDirectWalk {
-		walkT := directDist / p.cfg.WalkSpeed
+	if directDist <= maxDirectWalk {
+		walkT := directDist / WalkSpeed
 		best = &Itinerary{
 			Depart: departAfter,
 			Arrive: departAfter + walkT,
@@ -218,9 +203,9 @@ func (p *Planner) Plan(src, dst geo.Point, departAfter float64) (*Itinerary, err
 	var q paQueue
 
 	// Access walks.
-	ids, dists := p.net.StopsNear(src, p.cfg.MaxWalkToStop, nil, nil)
+	ids, dists := p.net.StopsNear(src, maxWalkToStop, nil, nil)
 	for i, s := range ids {
-		t := departAfter + dists[i]/p.cfg.WalkSpeed
+		t := departAfter + dists[i]/WalkSpeed
 		if t < arr[s] {
 			arr[s] = t
 			par[s] = parent{prevStop: transit.InvalidStop, mode: LegWalk, arrive: t, board: departAfter, walkDist: dists[i]}
@@ -240,7 +225,7 @@ func (p *Planner) Plan(src, dst geo.Point, departAfter float64) (*Itinerary, err
 			if rs.Idx >= len(r.Stops)-1 {
 				continue
 			}
-			dep, ok := r.NextDeparture(rs.Idx, arr[s]+p.cfg.BoardMargin)
+			dep, ok := r.NextDeparture(rs.Idx, arr[s]+boardMargin)
 			if !ok {
 				continue
 			}
@@ -253,12 +238,12 @@ func (p *Planner) Plan(src, dst geo.Point, departAfter float64) (*Itinerary, err
 			}
 		}
 		// Walking transfers.
-		tIDs, tDists := p.net.StopsNear(p.net.Stops[s].Point, p.cfg.TransferRadius, nil, nil)
+		tIDs, tDists := p.net.StopsNear(p.net.Stops[s].Point, transferRadius, nil, nil)
 		for i, o := range tIDs {
 			if o == s {
 				continue
 			}
-			t := arr[s] + tDists[i]/p.cfg.WalkSpeed
+			t := arr[s] + tDists[i]/WalkSpeed
 			if t < arr[o] {
 				arr[o] = t
 				par[o] = parent{prevStop: s, mode: LegWalk, board: arr[s], arrive: t, walkDist: tDists[i]}
@@ -268,7 +253,7 @@ func (p *Planner) Plan(src, dst geo.Point, departAfter float64) (*Itinerary, err
 	}
 
 	// Egress walks: best arrival at the destination.
-	eIDs, eDists := p.net.StopsNear(dst, p.cfg.MaxWalkToStop, nil, nil)
+	eIDs, eDists := p.net.StopsNear(dst, maxWalkToStop, nil, nil)
 	bestStop := transit.InvalidStop
 	bestT := math.Inf(1)
 	bestEgress := 0.0
@@ -276,7 +261,7 @@ func (p *Planner) Plan(src, dst geo.Point, departAfter float64) (*Itinerary, err
 		if math.IsInf(arr[s], 1) {
 			continue
 		}
-		t := arr[s] + eDists[i]/p.cfg.WalkSpeed
+		t := arr[s] + eDists[i]/WalkSpeed
 		if t < bestT {
 			bestT = t
 			bestStop = s
@@ -291,14 +276,12 @@ func (p *Planner) Plan(src, dst geo.Point, departAfter float64) (*Itinerary, err
 	}
 
 	it := p.reconstruct(par, bestStop, src, departAfter)
-	walkT := bestEgress / p.cfg.WalkSpeed
 	it.Legs = append(it.Legs, Leg{
 		Mode: LegWalk, From: p.net.Stops[bestStop].Point, To: dst,
 		Start: arr[bestStop], End: bestT, Distance: bestEgress,
 	})
 	it.Arrive = bestT
 	it.Depart = departAfter
-	_ = walkT
 	return mergeTransitLegs(it), nil
 }
 

@@ -16,25 +16,11 @@ func testWorld(t testing.TB) (*roadnet.City, *transit.Network, *Planner) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := transit.Generate(city, transit.DefaultGenConfig())
+	net, err := transit.Generate(city)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlanner(net, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return city, net, p
-}
-
-func TestNewPlannerValidation(t *testing.T) {
-	_, net, _ := testWorld(t)
-	if _, err := NewPlanner(net, Config{WalkSpeed: 0, MaxWalkToStop: 100}); err == nil {
-		t.Fatal("zero walk speed must be rejected")
-	}
-	if _, err := NewPlanner(net, Config{WalkSpeed: 1, MaxWalkToStop: 0}); err == nil {
-		t.Fatal("zero access radius must be rejected")
-	}
+	return city, net, NewPlanner(net)
 }
 
 func TestPlanDirectWalkShortTrip(t *testing.T) {

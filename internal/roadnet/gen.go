@@ -7,52 +7,48 @@ import (
 	"xar/internal/geo"
 )
 
+// The generated city is shaped like midtown Manhattan, the region of the
+// paper's NY taxi evaluation: block sizes, one-way share and speed mix
+// are fixed, only the lattice's size, its seed and the share of removed
+// street edges vary.
+const (
+	// streetSpacing is the north–south block length in meters,
+	// avenueSpacing the east–west block length.
+	streetSpacing, avenueSpacing = 110.0, 270.0
+	// jitter perturbs intersection geometry by up to this many meters so
+	// the network is not perfectly regular.
+	jitter = 8.0
+	// avenueSpeed and streetSpeed are free-flow speeds in m/s (~32 and
+	// ~23 km/h); the Broadway-like diagonal runs 15 % faster than an
+	// avenue.
+	avenueSpeed, streetSpeed = 9.0, 6.5
+)
+
+// origin is the lattice's south-west corner.
+var origin = geo.Point{Lat: 40.700, Lng: -74.020}
+
 // CityConfig parameterizes the synthetic Manhattan-style network
-// generator. The defaults (see DefaultCityConfig) produce a city whose
-// statistics — block sizes, one-way share, speed mix — track midtown
-// Manhattan, the region of the paper's NY taxi evaluation.
+// generator: the lattice's size, the share of street edges removed, and
+// the seed.
 type CityConfig struct {
-	// Origin is the south-west corner of the lattice.
-	Origin geo.Point
 	// Rows is the number of east–west streets, Cols the number of
 	// north–south avenues.
 	Rows, Cols int
-	// StreetSpacing is the north–south block length in meters (Manhattan:
-	// ~80 m), AvenueSpacing the east–west block length (~274 m).
-	StreetSpacing, AvenueSpacing float64
-	// Jitter perturbs intersection geometry by up to this many meters so
-	// the network is not perfectly regular.
-	Jitter float64
-	// OneWayStreets makes alternate streets one-way (as in Manhattan),
-	// which is what makes driving distance diverge from walking distance.
-	OneWayStreets bool
-	// AvenueSpeed and StreetSpeed are free-flow speeds in m/s.
-	AvenueSpeed, StreetSpeed float64
 	// RemoveEdgeFrac removes this fraction of street edges at random
 	// (parks, construction), creating detours. The generator keeps only
 	// the largest connected component afterwards.
 	RemoveEdgeFrac float64
-	// Diagonal adds a Broadway-like diagonal boulevard when true.
-	Diagonal bool
 	// Seed makes generation deterministic.
 	Seed int64
 }
 
-// DefaultCityConfig returns a midtown-Manhattan-shaped configuration with
-// the given lattice dimensions.
+// DefaultCityConfig returns the configuration of a rows×cols lattice
+// with 3 % of its street edges removed.
 func DefaultCityConfig(rows, cols int, seed int64) CityConfig {
 	return CityConfig{
-		Origin:         geo.Point{Lat: 40.700, Lng: -74.020},
 		Rows:           rows,
 		Cols:           cols,
-		StreetSpacing:  110,
-		AvenueSpacing:  270,
-		Jitter:         8,
-		OneWayStreets:  true,
-		AvenueSpeed:    9.0, // ~32 km/h
-		StreetSpeed:    6.5, // ~23 km/h
 		RemoveEdgeFrac: 0.03,
-		Diagonal:       true,
 		Seed:           seed,
 	}
 }
@@ -72,30 +68,20 @@ func GenerateCity(cfg CityConfig) (*City, error) {
 	if cfg.Rows < 2 || cfg.Cols < 2 {
 		return nil, fmt.Errorf("roadnet: lattice must be at least 2x2, got %dx%d", cfg.Rows, cfg.Cols)
 	}
-	if cfg.StreetSpacing <= 0 || cfg.AvenueSpacing <= 0 {
-		return nil, fmt.Errorf("roadnet: spacings must be positive")
-	}
-	if cfg.AvenueSpeed <= 0 || cfg.StreetSpeed <= 0 {
-		return nil, fmt.Errorf("roadnet: speeds must be positive")
-	}
 	if cfg.RemoveEdgeFrac < 0 || cfg.RemoveEdgeFrac > 0.5 {
 		return nil, fmt.Errorf("roadnet: RemoveEdgeFrac %v out of [0, 0.5]", cfg.RemoveEdgeFrac)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := &Graph{}
 
-	// Lay out intersections: row r, col c at Origin + r*StreetSpacing
-	// north + c*AvenueSpacing east, with jitter.
+	// Lay out intersections: row r, col c at origin + r*streetSpacing
+	// north + c*avenueSpacing east, with jitter.
 	nodeAt := make([]NodeID, cfg.Rows*cfg.Cols)
 	for r := 0; r < cfg.Rows; r++ {
 		for c := 0; c < cfg.Cols; c++ {
-			north := float64(r) * cfg.StreetSpacing
-			east := float64(c) * cfg.AvenueSpacing
-			if cfg.Jitter > 0 {
-				north += (rng.Float64()*2 - 1) * cfg.Jitter
-				east += (rng.Float64()*2 - 1) * cfg.Jitter
-			}
-			p := geo.Destination(cfg.Origin, 0, north)
+			north := float64(r)*streetSpacing + (rng.Float64()*2-1)*jitter
+			east := float64(c)*avenueSpacing + (rng.Float64()*2-1)*jitter
+			p := geo.Destination(origin, 0, north)
 			p = geo.Destination(p, 90, east)
 			nodeAt[r*cfg.Cols+c] = g.AddNode(p)
 		}
@@ -106,13 +92,14 @@ func GenerateCity(cfg CityConfig) (*City, error) {
 		for r := 0; r+1 < cfg.Rows; r++ {
 			a := nodeAt[r*cfg.Cols+c]
 			b := nodeAt[(r+1)*cfg.Cols+c]
-			if err := g.AddBidirectional(a, b, 0, cfg.AvenueSpeed, ClassAvenue); err != nil {
+			if err := g.AddBidirectional(a, b, 0, avenueSpeed, ClassAvenue); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	// Streets (east–west, along rows): alternate one-way when configured.
+	// Streets (east–west, along rows): alternate one-way, as in Manhattan,
+	// which is what makes driving distance diverge from walking distance.
 	// A random fraction is omitted entirely (parks, construction): since
 	// every intersection sits on a two-way avenue, omitting street edges
 	// cannot break strong connectivity, only lengthen detours.
@@ -124,17 +111,10 @@ func GenerateCity(cfg CityConfig) (*City, error) {
 			if cfg.RemoveEdgeFrac > 0 && rng.Float64() < cfg.RemoveEdgeFrac {
 				continue
 			}
-			var err error
-			if cfg.OneWayStreets {
-				if eastbound {
-					err = g.AddEdge(a, b, 0, cfg.StreetSpeed, ClassStreet)
-				} else {
-					err = g.AddEdge(b, a, 0, cfg.StreetSpeed, ClassStreet)
-				}
-			} else {
-				err = g.AddBidirectional(a, b, 0, cfg.StreetSpeed, ClassStreet)
+			if !eastbound {
+				a, b = b, a
 			}
-			if err != nil {
+			if err := g.AddEdge(a, b, 0, streetSpeed, ClassStreet); err != nil {
 				return nil, err
 			}
 		}
@@ -142,22 +122,17 @@ func GenerateCity(cfg CityConfig) (*City, error) {
 
 	// Broadway-like diagonal: a fast two-way boulevard cutting across the
 	// lattice, connecting (0,0)-ish to (Rows-1, Cols-1)-ish.
-	if cfg.Diagonal {
-		steps := cfg.Rows
-		if cfg.Cols < steps {
-			steps = cfg.Cols
-		}
-		prev := nodeAt[0]
-		for s := 1; s < steps; s++ {
-			r := s * (cfg.Rows - 1) / (steps - 1)
-			c := s * (cfg.Cols - 1) / (steps - 1)
-			cur := nodeAt[r*cfg.Cols+c]
-			if cur != prev {
-				if err := g.AddBidirectional(prev, cur, 0, cfg.AvenueSpeed*1.15, ClassHighway); err != nil {
-					return nil, err
-				}
-				prev = cur
+	steps := min(cfg.Rows, cfg.Cols)
+	prev := nodeAt[0]
+	for s := 1; s < steps; s++ {
+		r := s * (cfg.Rows - 1) / (steps - 1)
+		c := s * (cfg.Cols - 1) / (steps - 1)
+		cur := nodeAt[r*cfg.Cols+c]
+		if cur != prev {
+			if err := g.AddBidirectional(prev, cur, 0, avenueSpeed*1.15, ClassHighway); err != nil {
+				return nil, err
 			}
+			prev = cur
 		}
 	}
 

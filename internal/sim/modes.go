@@ -23,23 +23,6 @@ type ModeMetrics struct {
 	Served     int
 }
 
-// ModesConfig tunes the four-mode comparison.
-type ModesConfig struct {
-	Sim         Config
-	Integration mmtp.IntegrationConfig
-	WalkSpeed   float64 // m/s, for composing walk times
-}
-
-// DefaultModesConfig returns the paper's Figure 6 setting: segments with
-// more than 1 km of walking or 10 minutes of waiting are infeasible.
-func DefaultModesConfig() ModesConfig {
-	return ModesConfig{
-		Sim:         DefaultConfig(),
-		Integration: mmtp.DefaultIntegrationConfig(),
-		WalkSpeed:   1.3,
-	}
-}
-
 // CompareTaxi serves every trip with its own taxi: the dataset baseline.
 func CompareTaxi(city *roadnet.City, trips []workload.Trip) ModeMetrics {
 	m := ModeMetrics{Mode: "Taxi"}
@@ -69,10 +52,9 @@ func CompareTaxi(city *roadnet.City, trips []workload.Trip) ModeMetrics {
 
 // CompareRideShare replays the stream through a fresh XAR engine per the
 // §X-A2 protocol and converts the outcome into traveller metrics.
-func CompareRideShare(eng *core.Engine, trips []workload.Trip, cfg ModesConfig) (ModeMetrics, error) {
+func CompareRideShare(eng *core.Engine, trips []workload.Trip, simCfg Config) (ModeMetrics, error) {
 	m := ModeMetrics{Mode: "RS"}
 	sys := &XARSystem{Engine: eng}
-	simCfg := cfg.Sim
 	lastTrack := -1.0
 	for _, trip := range trips {
 		now := trip.RequestTime
@@ -102,7 +84,7 @@ func CompareRideShare(eng *core.Engine, trips []workload.Trip, cfg ModesConfig) 
 			if berr != nil {
 				continue
 			}
-			walkT := br.Walk / cfg.WalkSpeed
+			walkT := br.Walk / mmtp.WalkSpeed
 			waitT := match.PickupETA - now
 			if waitT < 0 {
 				waitT = 0
@@ -162,8 +144,9 @@ func CompareTransit(planner *mmtp.Planner, trips []workload.Trip) ModeMetrics {
 // every trip is planned on transit; infeasible segments query XAR for a
 // shared ride; segments that find none seed a new ride offer (the
 // commuter drives that leg and offers the seats), so later requests can
-// share it.
-func CompareTransitPlusRideShare(eng *core.Engine, planner *mmtp.Planner, trips []workload.Trip, cfg ModesConfig) (ModeMetrics, error) {
+// share it. Of cfg, only DetourLimit is read: the legs' searches use
+// mmtp's Figure 6 setting.
+func CompareTransitPlusRideShare(eng *core.Engine, planner *mmtp.Planner, trips []workload.Trip, cfg Config) (ModeMetrics, error) {
 	m := ModeMetrics{Mode: "RS+PT"}
 	sys := &XARSystem{Engine: eng}
 	lastTrack := -1.0
@@ -177,7 +160,7 @@ func CompareTransitPlusRideShare(eng *core.Engine, planner *mmtp.Planner, trips 
 		if err != nil || it == nil {
 			continue
 		}
-		res, aerr := mmtp.Aider(it, eng, cfg.Integration)
+		res, aerr := mmtp.Aider(it, eng)
 		if aerr != nil {
 			return m, fmt.Errorf("sim: aider failed: %w", aerr)
 		}
@@ -186,15 +169,13 @@ func CompareTransitPlusRideShare(eng *core.Engine, planner *mmtp.Planner, trips 
 		// offers it as a shared ride (new car on the road).
 		if res.Infeasible > res.Replaced {
 			for _, leg := range final.Legs {
-				infeasible := (leg.Mode == mmtp.LegWalk && leg.Distance > cfg.Integration.MaxLegWalk) ||
-					(leg.Wait > cfg.Integration.MaxLegWait)
-				if !infeasible {
+				if !leg.Infeasible() {
 					continue
 				}
 				if _, cerr := sys.Create(Offer{
 					Source: leg.From, Dest: leg.To,
 					Departure: leg.Start, Seats: Seats,
-					DetourLimit: cfg.Sim.DetourLimit,
+					DetourLimit: cfg.DetourLimit,
 				}); cerr == nil {
 					m.Cars++
 				}

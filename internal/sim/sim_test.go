@@ -164,7 +164,7 @@ func TestCompareRideShareUsesFewerCars(t *testing.T) {
 	sys := testXAR(t, city)
 	trips := testTrips(t, city, 300)
 	taxi := CompareTaxi(city, trips)
-	rs, err := CompareRideShare(sys.Engine, trips, DefaultModesConfig())
+	rs, err := CompareRideShare(sys.Engine, trips, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +178,11 @@ func TestCompareRideShareUsesFewerCars(t *testing.T) {
 
 func TestCompareTransit(t *testing.T) {
 	city := testCity(t)
-	net, err := transit.Generate(city, transit.DefaultGenConfig())
+	net, err := transit.Generate(city)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner, err := mmtp.NewPlanner(net, mmtp.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	planner := mmtp.NewPlanner(net)
 	trips := testTrips(t, city, 100)
 	pt := CompareTransit(planner, trips)
 	if pt.Served == 0 {
@@ -203,17 +200,14 @@ func TestCompareTransit(t *testing.T) {
 
 func TestCompareTransitPlusRideShare(t *testing.T) {
 	city := testCity(t)
-	net, err := transit.Generate(city, transit.DefaultGenConfig())
+	net, err := transit.Generate(city)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner, err := mmtp.NewPlanner(net, mmtp.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	planner := mmtp.NewPlanner(net)
 	sys := testXAR(t, city)
 	trips := testTrips(t, city, 150)
-	rspt, err := CompareTransitPlusRideShare(sys.Engine, planner, trips, DefaultModesConfig())
+	rspt, err := CompareTransitPlusRideShare(sys.Engine, planner, trips, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +217,7 @@ func TestCompareTransitPlusRideShare(t *testing.T) {
 	// RS+PT uses fewer cars than standalone ride sharing on the same
 	// demand (the paper reports ~50% fewer).
 	rsEngine := testXAR(t, city)
-	rs, err := CompareRideShare(rsEngine.Engine, trips, DefaultModesConfig())
+	rs, err := CompareRideShare(rsEngine.Engine, trips, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func testCity(t testing.TB) *roadnet.City {
 
 func testNetwork(t testing.TB) *Network {
 	t.Helper()
-	n, err := Generate(testCity(t), DefaultGenConfig())
+	n, err := Generate(testCity(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,14 @@ func TestGenerateNetworkShape(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	city := testCity(t)
-	bad := DefaultGenConfig()
-	bad.SubwayStopSpacing = 0
-	if _, err := Generate(city, bad); err == nil {
-		t.Fatal("zero stop spacing must be rejected")
+	// A 2×2 lattice is 110 m by 270 m: shorter than one stop spacing in
+	// both directions, so no line gets two stops.
+	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Generate(city); err == nil {
+		t.Fatal("a city too small for any line must be rejected")
 	}
 }
 

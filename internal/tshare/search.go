@@ -34,7 +34,7 @@ func (e *Engine) Search(req Request, k int) ([]Match, error) {
 		return nil, nil
 	}
 	// Side 2: taxis expected near the destination (window extended).
-	dCand := e.collectCandidates(dCell, req.EarliestDeparture, req.LatestDeparture+e.cfg.DestWindowSlack)
+	dCand := e.collectCandidates(dCell, req.EarliestDeparture, req.LatestDeparture+destWindowSlack)
 
 	// Intersect, preserving origin-side discovery order (closest rings
 	// first) so early termination at k favors nearby taxis.

@@ -52,21 +52,24 @@ type Config struct {
 	// HaversineValidation replaces shortest-path detour validation with
 	// haversine estimates (the Figure 5a alternate setting).
 	HaversineValidation bool
-	// DefaultSeats and DefaultDetourLimit mirror the XAR engine defaults.
-	DefaultSeats       int
+	// DefaultDetourLimit applies to offers that leave DetourLimit zero.
 	DefaultDetourLimit float64
-	// DestWindowSlack widens the destination-side time window (seconds).
-	DestWindowSlack float64
 }
+
+// defaultSeats applies to offers that leave Seats zero: the XAR engine's
+// default, a taxi of 4 including the driver.
+const defaultSeats = 4
+
+// destWindowSlack (seconds) widens the destination-side time window, as
+// the XAR engine's search does.
+const destWindowSlack = 3600.0
 
 // DefaultConfig returns the paper's benchmark configuration.
 func DefaultConfig() Config {
 	return Config{
 		GridCellSize:       1000,
 		MaxExpandGrids:     80,
-		DefaultSeats:       4,
 		DefaultDetourLimit: 2000,
-		DestWindowSlack:    3600,
 	}
 }
 
@@ -205,7 +208,7 @@ func (e *Engine) Taxi(id TaxiID) *Taxi {
 func (e *Engine) Create(offer Offer) (TaxiID, error) {
 	seats := offer.Seats
 	if seats == 0 {
-		seats = e.cfg.DefaultSeats
+		seats = defaultSeats
 	}
 	if seats < 2 {
 		return 0, fmt.Errorf("tshare: offer needs capacity >= 2, got %d", seats)

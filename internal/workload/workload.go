@@ -25,13 +25,13 @@ type Trip struct {
 	RequestTime float64
 }
 
-// Hotspot is a demand center: trips originate/terminate near hotspots
-// with probability proportional to Weight, scattered with a Gaussian of
+// hotspot is a demand center: trips originate/terminate near hotspots
+// with probability proportional to weight, scattered with a Gaussian of
 // the given sigma (meters).
-type Hotspot struct {
-	Center geo.Point
-	Weight float64
-	Sigma  float64
+type hotspot struct {
+	center geo.Point
+	weight float64
+	sigma  float64
 }
 
 // Config parameterizes generation.
@@ -40,18 +40,13 @@ type Config struct {
 	NumTrips int
 	// Seed makes the stream deterministic.
 	Seed int64
-	// Hotspots concentrate demand; nil derives a default midtown-heavy
-	// set from the city's bounding box.
-	Hotspots []Hotspot
 	// UniformFrac is the fraction of trip endpoints drawn uniformly from
-	// the city instead of from hotspots (background demand).
+	// the city instead of from its midtown-heavy hotspots (background
+	// demand).
 	UniformFrac float64
-	// HourlyWeights is the relative request intensity per hour of day;
-	// zero value uses an NYC-taxi-shaped profile.
-	HourlyWeights [24]float64
-	// MinTripDist / MaxTripDist bound straight-line trip lengths in
-	// meters (rejection sampling).
-	MinTripDist, MaxTripDist float64
+	// MaxTripDist bounds straight-line trip lengths in meters from above
+	// (rejection sampling); minTripDist bounds them from below.
+	MaxTripDist float64
 	// StartHour / EndHour bound request times (hours of day).
 	StartHour, EndHour float64
 }
@@ -62,12 +57,15 @@ func DefaultConfig(n int, seed int64) Config {
 		NumTrips:    n,
 		Seed:        seed,
 		UniformFrac: 0.3,
-		MinTripDist: 800,
 		MaxTripDist: 12000,
 		StartHour:   0,
 		EndHour:     24,
 	}
 }
+
+// minTripDist is the shortest straight-line trip in meters: shorter
+// trips are walked, not hailed.
+const minTripDist = 800.0
 
 // nycHourlyProfile approximates NYC taxi pickup counts by hour: a morning
 // ramp, lunchtime plateau, evening peak, late-night tail.
@@ -85,8 +83,8 @@ func Generate(city *roadnet.City, cfg Config) ([]Trip, error) {
 	if cfg.NumTrips <= 0 {
 		return nil, fmt.Errorf("workload: NumTrips must be positive, got %d", cfg.NumTrips)
 	}
-	if cfg.MinTripDist < 0 || cfg.MaxTripDist <= cfg.MinTripDist {
-		return nil, fmt.Errorf("workload: invalid trip distance bounds [%v, %v]", cfg.MinTripDist, cfg.MaxTripDist)
+	if cfg.MaxTripDist <= minTripDist {
+		return nil, fmt.Errorf("workload: invalid trip distance bounds [%v, %v]", minTripDist, cfg.MaxTripDist)
 	}
 	if cfg.UniformFrac < 0 || cfg.UniformFrac > 1 {
 		return nil, fmt.Errorf("workload: UniformFrac %v out of [0,1]", cfg.UniformFrac)
@@ -99,31 +97,16 @@ func Generate(city *roadnet.City, cfg Config) ([]Trip, error) {
 		geo.Point{Lat: box.MinLat, Lng: box.MinLng},
 		geo.Point{Lat: box.MaxLat, Lng: box.MaxLng},
 	)
-	if cfg.MinTripDist >= diag {
-		return nil, fmt.Errorf("workload: MinTripDist %v exceeds city diagonal %v", cfg.MinTripDist, diag)
+	if minTripDist >= diag {
+		return nil, fmt.Errorf("workload: minimum trip distance %v exceeds city diagonal %v", minTripDist, diag)
 	}
 
-	hotspots := cfg.Hotspots
-	if hotspots == nil {
-		hotspots = DefaultHotspots(city)
-	}
-	weights := cfg.HourlyWeights
-	zero := true
-	for _, w := range weights {
-		if w != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
-		weights = nycHourlyProfile
-	}
-
+	hotspots := midtownHotspots(city)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	sampler := newHourSampler(weights, cfg.StartHour, cfg.EndHour)
+	sampler := newHourSampler(nycHourlyProfile, cfg.StartHour, cfg.EndHour)
 	totalW := 0.0
 	for _, h := range hotspots {
-		totalW += h.Weight
+		totalW += h.weight
 	}
 
 	samplePoint := func() geo.Point {
@@ -132,8 +115,8 @@ func Generate(city *roadnet.City, cfg Config) ([]Trip, error) {
 		}
 		x := rng.Float64() * totalW
 		for _, h := range hotspots {
-			if x -= h.Weight; x <= 0 {
-				return gaussianAround(rng, h.Center, h.Sigma, box)
+			if x -= h.weight; x <= 0 {
+				return gaussianAround(rng, h.center, h.sigma, box)
 			}
 		}
 		return randomInBox(rng, box)
@@ -147,7 +130,7 @@ func Generate(city *roadnet.City, cfg Config) ([]Trip, error) {
 			pu = samplePoint()
 			do = samplePoint()
 			d := geo.Haversine(pu, do)
-			if d >= cfg.MinTripDist && d <= cfg.MaxTripDist {
+			if d >= minTripDist && d <= cfg.MaxTripDist {
 				ok = true
 				break
 			}
@@ -171,10 +154,10 @@ func Generate(city *roadnet.City, cfg Config) ([]Trip, error) {
 	return trips, nil
 }
 
-// DefaultHotspots derives a midtown-heavy hotspot set from the city's
+// midtownHotspots derives a midtown-heavy hotspot set from the city's
 // extents: a dominant center (midtown), a strong south pole (downtown /
 // financial district), and a weaker north pole (uptown).
-func DefaultHotspots(city *roadnet.City) []Hotspot {
+func midtownHotspots(city *roadnet.City) []hotspot {
 	box := city.Graph.BBox()
 	at := func(fracN, fracE float64) geo.Point {
 		return geo.Point{
@@ -183,10 +166,10 @@ func DefaultHotspots(city *roadnet.City) []Hotspot {
 		}
 	}
 	scale := box.HeightMeters()
-	return []Hotspot{
-		{Center: at(0.60, 0.50), Weight: 3.0, Sigma: scale * 0.10}, // midtown
-		{Center: at(0.15, 0.45), Weight: 2.0, Sigma: scale * 0.08}, // downtown
-		{Center: at(0.85, 0.55), Weight: 1.0, Sigma: scale * 0.10}, // uptown
+	return []hotspot{
+		{center: at(0.60, 0.50), weight: 3.0, sigma: scale * 0.10}, // midtown
+		{center: at(0.15, 0.45), weight: 2.0, sigma: scale * 0.08}, // downtown
+		{center: at(0.85, 0.55), weight: 1.0, sigma: scale * 0.10}, // uptown
 	}
 }
 

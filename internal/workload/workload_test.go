@@ -24,8 +24,7 @@ func TestGenerateValidation(t *testing.T) {
 		t.Fatal("zero trips must be rejected")
 	}
 	bad = DefaultConfig(10, 1)
-	bad.MinTripDist = 5000
-	bad.MaxTripDist = 1000
+	bad.MaxTripDist = minTripDist / 2
 	if _, err := Generate(city, bad); err == nil {
 		t.Fatal("inverted distance bounds must be rejected")
 	}
@@ -40,10 +39,12 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(city, bad); err == nil {
 		t.Fatal("inverted hour window must be rejected")
 	}
-	bad = DefaultConfig(10, 1)
-	bad.MinTripDist = 1e7
-	bad.MaxTripDist = 2e7
-	if _, err := Generate(city, bad); err == nil {
+	// A 2×2 lattice's diagonal (≈ 290 m) is shorter than minTripDist.
+	tiny, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Generate(tiny, DefaultConfig(10, 1)); err == nil {
 		t.Fatal("min distance beyond the city must be rejected")
 	}
 }
@@ -61,8 +62,8 @@ func TestGenerateBasicProperties(t *testing.T) {
 	box := city.Graph.BBox()
 	for i, tr := range trips {
 		d := geo.Haversine(tr.Pickup, tr.Dropoff)
-		if d < cfg.MinTripDist || d > cfg.MaxTripDist {
-			t.Fatalf("trip %d distance %.0f outside [%v, %v]", i, d, cfg.MinTripDist, cfg.MaxTripDist)
+		if d < minTripDist || d > cfg.MaxTripDist {
+			t.Fatalf("trip %d distance %.0f outside [%v, %v]", i, d, minTripDist, cfg.MaxTripDist)
 		}
 		if !box.Contains(tr.Pickup) || !box.Contains(tr.Dropoff) {
 			t.Fatalf("trip %d endpoint outside the city", i)
@@ -141,7 +142,7 @@ func TestHourWindowRestriction(t *testing.T) {
 
 func TestHotspotConcentration(t *testing.T) {
 	city := testCity(t)
-	hot := DefaultHotspots(city)
+	hot := midtownHotspots(city)
 	cfgHot := DefaultConfig(3000, 5)
 	cfgHot.UniformFrac = 0
 	cfgFlat := DefaultConfig(3000, 5)
@@ -160,7 +161,7 @@ func TestHotspotConcentration(t *testing.T) {
 		for _, tr := range trips {
 			best := math.Inf(1)
 			for _, h := range hot {
-				if d := geo.Haversine(tr.Pickup, h.Center); d < best {
+				if d := geo.Haversine(tr.Pickup, h.center); d < best {
 					best = d
 				}
 			}
