@@ -52,7 +52,7 @@ func (e *Engine) Search(req Request) ([]Match, error) {
 // child.
 // A trace-recorded search is also timed into the op histogram
 // regardless of the 1-in-N SearchSampleRate decision, so every trace
-// has a matching exemplar-capable observation; the finer per-stage and
+// has a matching observation in the op histogram; the finer per-stage and
 // per-candidate clocks stay gated on the metrics sample alone (a search
 // that is both sampled and traced gets stage timings as span
 // attributes too), so tracing adds no clock reads beyond its own spans.
@@ -117,8 +117,8 @@ func (e *Engine) SearchCtx(ctx context.Context, req Request) (out []Match, err e
 			span.SetError(err)
 		}
 		if e.tel != nil {
-			// Observe (and stamp the exemplar) before End: sealing
-			// recycles the trace record, so the span is not read after.
+			// Observe before End: sealing recycles the trace record,
+			// so the span is not read after.
 			e.tel.observeOp(opSearch, now.Sub(start), span, err)
 		}
 		span.EndAt(now)

@@ -164,18 +164,15 @@ func (t *engineTelemetry) endOp(op string, start time.Time, span *telemetry.Span
 
 // observeOp records one whole-operation duration, counts err into the
 // op's error counter, and emits the slow-op log line when the configured
-// threshold is crossed. A non-nil span stamps the histogram bucket with
-// a trace-ID exemplar and the slow-op record with the trace ID,
-// cross-linking metrics, logs and traces. Nil-receiver-safe.
+// threshold is crossed. A non-nil span stamps the slow-op record with
+// the trace ID, cross-linking logs and traces; a histogram bucket's
+// traces are GET /v1/traces?op=<op>&min_ms=<the bucket's lower bound>.
+// Nil-receiver-safe.
 func (t *engineTelemetry) observeOp(op string, d time.Duration, span *telemetry.Span, err error) {
 	if t == nil {
 		return
 	}
-	if span != nil {
-		t.ops[op].ObserveDurationExemplar(d, span.TraceID())
-	} else {
-		t.ops[op].ObserveDuration(d)
-	}
+	t.ops[op].ObserveDuration(d)
 	if err != nil {
 		t.errs[op].Inc()
 	}

@@ -172,47 +172,6 @@ func TestBookTracePathSearchSpans(t *testing.T) {
 	}
 }
 
-func TestTraceExemplarCrossLink(t *testing.T) {
-	e, reg, tracer := tracedEngine(t, nil)
-	src, dst := farPoints(t, e)
-	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: 2500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Search(requestAlong(e, e.Ride(id), 0.3, 0.7, 3600, 900)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The search histogram must carry a trace-ID exemplar that resolves
-	// in the tracer's store — the metrics→traces cross-link.
-	found := false
-	for _, ex := range telemetry.OpDuration(reg, "search").Exemplars() {
-		if ex == nil {
-			continue
-		}
-		tid, ok := telemetry.ParseTraceID(ex.TraceID)
-		if !ok {
-			t.Fatalf("exemplar trace_id %q does not parse", ex.TraceID)
-		}
-		if _, ok := tracer.Store().Get(tid); !ok {
-			t.Fatalf("exemplar trace %s not resolvable in the store", ex.TraceID)
-		}
-		found = true
-	}
-	if !found {
-		t.Fatal("no exemplar on the search histogram after a traced search")
-	}
-
-	// And the rendered exposition carries it on a bucket line.
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `# {trace_id="`) {
-		t.Fatal("Prometheus exposition has no exemplar suffix")
-	}
-}
-
 func TestEngineContinuesUpstreamTrace(t *testing.T) {
 	// An engine with no tracer of its own must still record child spans
 	// into a trace begun upstream (the HTTP middleware's root).

@@ -11,8 +11,8 @@ import (
 
 // Trace browsing endpoints. These serve the tracer's ring-buffer store —
 // the same store the engine's spans land in — so a slow histogram bucket
-// exemplar or an X-Xar-Trace-Id response header resolves to a full span
-// tree with one curl.
+// (op and min_ms = the bucket's lower bound) or an X-Xar-Trace-Id
+// response header resolves to full span trees with one curl.
 //
 //	GET /v1/traces?op=search&min_ms=5&status=error&limit=20
 //	GET /v1/traces/{id}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -359,10 +360,11 @@ func TestTraceparentUnsampledNotRecorded(t *testing.T) {
 	}
 }
 
-// TestExemplarResolvesOverHTTP is acceptance criterion 3's metrics half:
-// after traffic, a bucket line in /v1/metrics/prom carries a trace-ID
-// exemplar and that ID resolves via /v1/traces/{id}.
-func TestExemplarResolvesOverHTTP(t *testing.T) {
+// TestBucketResolvesToTracesOverHTTP is the metric-to-trace hop: after
+// traffic, the slowest non-empty op="search" bucket of /v1/metrics/prom
+// names its lower bound, and /v1/traces?op=search&min_ms=<that bound>
+// lists the search traces that landed in it.
+func TestBucketResolvesToTracesOverHTTP(t *testing.T) {
 	env := newTracedEnv(t)
 	body := env.searchBody(t)
 	for i := 0; i < 3; i++ {
@@ -379,18 +381,44 @@ func TestExemplarResolvesOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(raw)
-	re := regexp.MustCompile(`xar_op_duration_seconds_bucket\{[^}]*op="search"[^}]*\} \d+ # \{trace_id="([0-9a-f]{32})"\}`)
-	m := re.FindStringSubmatch(text)
-	if m == nil {
-		t.Fatalf("no search bucket exemplar in exposition:\n%s", firstLines(text, 40))
+	re := regexp.MustCompile(`(?m)^xar_op_duration_seconds_bucket\{op="search",le="([^"]+)"\} (\d+)$`)
+	lines := re.FindAllStringSubmatch(text, -1)
+	if len(lines) == 0 {
+		t.Fatalf("no search buckets in exposition:\n%s", firstLines(text, 40))
 	}
-	waitForTrace(t, env.tracer, m[1])
-	var doc telemetry.TraceDoc
-	if code := env.do(t, "GET", "/v1/traces/"+m[1], nil, &doc); code != http.StatusOK {
-		t.Fatalf("exemplar trace %s does not resolve: %d", m[1], code)
+	total := lines[len(lines)-1][2] // the +Inf bucket
+	if total == "0" {
+		t.Fatal("no search observed")
 	}
-	if doc.Root != "/v1/search" {
-		t.Fatalf("exemplar trace root = %q", doc.Root)
+	lower := 0.0 // the slowest non-empty bucket's lower bound, in seconds
+	for _, m := range lines {
+		if m[1] == "+Inf" || m[2] == total {
+			break
+		}
+		if lower, err = strconv.ParseFloat(m[1], 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lower == 0 {
+		t.Fatalf("every search landed in the first bucket:\n%s", firstLines(text, 40))
+	}
+	path := "/v1/traces?op=search&min_ms=" + strconv.FormatFloat(lower*1e3, 'g', -1, 64)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var got TracesResponse
+		if code := env.do(t, "GET", path, nil, &got); code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, code)
+		}
+		if len(got.Traces) > 0 {
+			for _, doc := range got.Traces {
+				if doc.Root != "/v1/search" || doc.DurationMS < lower*1e3 {
+					t.Fatalf("GET %s listed root %q at %.4f ms", path, doc.Root, doc.DurationMS)
+				}
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET %s listed no trace", path)
+		}
 	}
 }
 

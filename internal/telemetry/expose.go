@@ -44,28 +44,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func writeHistogram(b *strings.Builder, name string, labels Labels, h *Histogram) {
 	counts := h.BucketCounts()
 	bounds := h.Bounds()
-	exemplars := h.Exemplars()
 	cum := uint64(0)
 	for i, bound := range bounds {
 		cum += counts[i]
-		fmt.Fprintf(b, "%s_bucket%s %d%s\n", name, renderLabels(append(labels.clone(), Label{"le", formatValue(bound)})), cum, renderExemplar(exemplars[i]))
+		fmt.Fprintf(b, "%s_bucket%s %d\n", name, renderLabels(append(labels.clone(), Label{"le", formatValue(bound)})), cum)
 	}
 	cum += counts[len(counts)-1]
-	fmt.Fprintf(b, "%s_bucket%s %d%s\n", name, renderLabels(append(labels.clone(), Label{"le", "+Inf"})), cum, renderExemplar(exemplars[len(exemplars)-1]))
+	fmt.Fprintf(b, "%s_bucket%s %d\n", name, renderLabels(append(labels.clone(), Label{"le", "+Inf"})), cum)
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, renderLabels(labels), formatValue(h.Sum()))
 	fmt.Fprintf(b, "%s_count%s %d\n", name, renderLabels(labels), h.Count())
-}
-
-// renderExemplar formats the OpenMetrics exemplar suffix for one bucket
-// line: ` # {trace_id="…"} <value> <unix_ts>`. Empty when the slot has
-// never been stamped. Prometheus ≥ 2.26 parses these on the classic text
-// format; older scrapers ignore everything after the bucket value.
-func renderExemplar(e *Exemplar) string {
-	if e == nil {
-		return ""
-	}
-	return fmt.Sprintf(` # {trace_id="%s"} %s %s`,
-		escapeLabelValue(e.TraceID), formatValue(e.Value), formatValue(e.Unix))
 }
 
 func (ls Labels) clone() Labels {

@@ -1,16 +1,14 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
-// Exposition-format edge cases: label-value and HELP escaping, and the
-// exemplar suffix. Each test round-trips the rendered text through a
+// Exposition-format edge cases: label-value and HELP escaping. Each
+// test round-trips the rendered text through a
 // small line-format parser rather than string-matching the writer's own
 // output, so an escaping bug cannot cancel itself out.
 
@@ -19,15 +17,13 @@ type parsedLine struct {
 	name   string
 	labels map[string]string
 	value  float64
-
-	exemplar       bool
-	exemplarLabels map[string]string
-	exemplarValue  float64
-	exemplarTS     float64
 }
 
-// parseMetricLine parses `name{k="v",…} value[ # {k="v"} value ts]`,
-// unescaping label values per the Prometheus text format (\\, \", \n).
+// parseMetricLine parses `name{k="v",…} value [timestamp]`, the sample
+// line of text format 0.0.4, unescaping label values (\\, \", \n). The
+// timestamp is an integer (milliseconds since the epoch); anything else
+// after the value fails the line, as it fails a 0.0.4 scraper's whole
+// scrape.
 func parseMetricLine(t *testing.T, line string) parsedLine {
 	t.Helper()
 	p := parsedLine{labels: map[string]string{}}
@@ -57,30 +53,16 @@ func parseMetricLine(t *testing.T, line string) parsedLine {
 	if rest == "" {
 		return p
 	}
-	// Exemplar: `# {labels} value [ts]`.
-	if !strings.HasPrefix(rest, "# ") {
-		t.Fatalf("trailing garbage %q in line %q", rest, line)
-	}
-	p.exemplar = true
-	var ok bool
-	p.exemplarLabels, rest, ok = parseLabelSet(strings.TrimPrefix(rest, "# "))
-	if !ok {
-		t.Fatalf("bad exemplar label set in line %q", line)
-	}
-	fields := strings.Fields(rest)
-	if len(fields) < 1 || len(fields) > 2 {
-		t.Fatalf("exemplar needs value [ts], got %q in line %q", rest, line)
-	}
-	if p.exemplarValue, err = parseValue(fields[0]); err != nil {
-		t.Fatalf("bad exemplar value in line %q: %v", line, err)
-	}
-	if len(fields) == 2 {
-		if p.exemplarTS, err = parseValue(fields[1]); err != nil {
-			t.Fatalf("bad exemplar timestamp in line %q: %v", line, err)
-		}
+	if _, err := strconv.ParseInt(rest, 10, 64); err != nil {
+		t.Fatalf("text after the value is not an integer timestamp: %q in line %q", rest, line)
 	}
 	return p
 }
+
+// CheckSampleLine fails t unless line is a valid 0.0.4 sample line; the
+// external tests (package telemetry_test) reach parseMetricLine through
+// it.
+func CheckSampleLine(t *testing.T, line string) { parseMetricLine(t, line) }
 
 // parseLabelSet consumes a `{k="v",…}` block, returning the unescaped
 // labels and the remainder of the line.
@@ -222,91 +204,4 @@ func TestHelpEscaping(t *testing.T) {
 	if strings.Count(text, "\n") != strings.Count(strings.TrimRight(text, "\n"), "\n")+1 {
 		t.Fatal("unbalanced newlines")
 	}
-}
-
-func TestExemplarRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("xar_op_duration_seconds", "op latency", []float64{0.001, 0.01, 0.1}, L("op", "search"))
-	trace := NewTraceID()
-	h.ObserveDurationExemplar(5*time.Millisecond, trace)
-	h.ObserveDuration(2 * time.Millisecond) // plain observe must not disturb the exemplar
-
-	text := render(t, r)
-	p := findLine(t, text, "xar_op_duration_seconds_bucket", map[string]string{"op": "search", "le": "0.01"})
-	if p.value != 2 { // cumulative: both observations ≤ 10ms
-		t.Fatalf("bucket value = %g, want 2", p.value)
-	}
-	if !p.exemplar {
-		t.Fatalf("bucket line missing exemplar: %+v", p)
-	}
-	if got := p.exemplarLabels["trace_id"]; got != trace.String() {
-		t.Fatalf("exemplar trace_id = %q, want %q", got, trace)
-	}
-	if p.exemplarValue != 0.005 {
-		t.Fatalf("exemplar value = %g, want 0.005", p.exemplarValue)
-	}
-	if p.exemplarTS == 0 {
-		t.Fatal("exemplar missing timestamp")
-	}
-	if id, ok := ParseTraceID(p.exemplarLabels["trace_id"]); !ok || id != trace {
-		t.Fatal("exemplar trace_id does not parse back to the original ID")
-	}
-
-	// Buckets without a traced observation carry no exemplar.
-	p = findLine(t, text, "xar_op_duration_seconds_bucket", map[string]string{"op": "search", "le": "0.1"})
-	if p.exemplar {
-		t.Fatalf("untouched bucket has exemplar: %+v", p)
-	}
-}
-
-func TestExemplarZeroTraceIgnored(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	h.ObserveExemplar(0.5, TraceID{})
-	for i, e := range h.Exemplars() {
-		if e != nil {
-			t.Fatalf("bucket %d stamped by zero trace ID", i)
-		}
-	}
-	if h.Count() != 1 {
-		t.Fatal("zero-trace ObserveExemplar must still count the observation")
-	}
-}
-
-func TestExemplarLastWriterWins(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	first, second := NewTraceID(), NewTraceID()
-	h.ObserveExemplar(0.5, first)
-	h.ObserveExemplar(0.6, second)
-	ex := h.Exemplars()
-	if ex[0] == nil || ex[0].TraceID != second.String() {
-		t.Fatalf("exemplar = %+v, want last writer %s", ex[0], second)
-	}
-}
-
-func TestEveryLineParses(t *testing.T) {
-	// Whole-output sanity: every non-comment line of a realistic registry
-	// must parse under the line grammar, including +Inf buckets with
-	// exemplars.
-	r := NewRegistry()
-	r.Counter("c_total", "a counter", L("weird", `a"b\c`+"\nd")).Inc()
-	r.Gauge("g", "a gauge", nil).Set(3.5)
-	h := r.Histogram("h_seconds", "a histogram", []float64{0.1}, nil)
-	h.ObserveExemplar(5, NewTraceID()) // lands in +Inf
-	text := render(t, r)
-	n := 0
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parseMetricLine(t, line)
-		n++
-	}
-	if n < 5 {
-		t.Fatalf("parsed only %d lines:\n%s", n, text)
-	}
-	inf := findLine(t, text, "h_seconds_bucket", map[string]string{"le": "+Inf"})
-	if !inf.exemplar || inf.exemplarValue != 5 {
-		t.Fatalf("+Inf bucket exemplar = %+v", inf)
-	}
-	_ = fmt.Sprintf("%v", inf)
 }

@@ -285,21 +285,6 @@ type Histogram struct {
 	cells []atomic.Uint64 // len(upper)+1; last cell is +Inf overflow
 	count atomic.Uint64
 	sum   atomic.Uint64 // float64 bits
-
-	// ex holds one exemplar slot per bucket (last writer wins), set only
-	// by the ObserveExemplar path — plain Observe never touches it, so
-	// exemplars cost nothing unless a trace-recorded operation lands.
-	ex []atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one concrete observation in a bucket to the trace that
-// produced it (OpenMetrics exemplar semantics): a scrape shows not just
-// "37 observations ≤ 2.5 ms" but the trace ID of a real request in that
-// bucket, resolvable via GET /v1/traces/{id}.
-type Exemplar struct {
-	Value   float64
-	TraceID string
-	Unix    float64 // observation wall time, seconds since epoch
 }
 
 // NewHistogram builds a standalone histogram (use Registry.Histogram for
@@ -319,7 +304,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		upper: upper,
 		cells: make([]atomic.Uint64, len(upper)+1),
-		ex:    make([]atomic.Pointer[Exemplar], len(upper)+1),
 	}
 }
 
@@ -359,37 +343,6 @@ func (h *Histogram) AddSample(v float64, n uint64) {
 			return
 		}
 	}
-}
-
-// ObserveExemplar records one observation and stamps its bucket's
-// exemplar slot with the producing trace. Zero trace IDs fall back to a
-// plain Observe.
-func (h *Histogram) ObserveExemplar(v float64, trace TraceID) {
-	h.Observe(v)
-	if trace.IsZero() {
-		return
-	}
-	i := sort.SearchFloat64s(h.upper, v)
-	h.ex[i].Store(&Exemplar{
-		Value:   v,
-		TraceID: trace.String(),
-		Unix:    float64(time.Now().UnixNano()) / 1e9,
-	})
-}
-
-// ObserveDurationExemplar is ObserveExemplar for a duration in seconds.
-func (h *Histogram) ObserveDurationExemplar(d time.Duration, trace TraceID) {
-	h.ObserveExemplar(d.Seconds(), trace)
-}
-
-// Exemplars returns the per-bucket exemplar slots (nil entries where no
-// traced observation has landed); the last entry is the +Inf bucket.
-func (h *Histogram) Exemplars() []*Exemplar {
-	out := make([]*Exemplar, len(h.ex))
-	for i := range h.ex {
-		out[i] = h.ex[i].Load()
-	}
-	return out
 }
 
 // Count returns the number of observations.

@@ -14,9 +14,9 @@ import (
 // sampled operation records a tree of spans — the HTTP request, the
 // engine operation under it, a search's side lookup, each
 // optimistic-book attempt, each pooled A*/ALT path call — keyed by a
-// 128-bit W3C trace ID that also appears in the access log, the slow-op
-// log and the histogram exemplars, so metrics, logs and traces
-// cross-link on one identifier.
+// 128-bit W3C trace ID that also appears in the access log and the
+// slow-op log, so logs and traces cross-link on one identifier (a
+// metric's histogram bucket reaches its traces by op and duration).
 //
 // Cost model, matching the metrics layer's constraints:
 //
@@ -160,8 +160,8 @@ func (a Attr) Value() any {
 // recycles the trace record (and the arena slots its spans live in)
 // through a pool, so a straggler's writes could land in a later trace.
 // TraceID and SpanID stay valid on the span itself until the next trace
-// reuses its slot — reading them right after End (the exemplar path) is
-// fine; holding a span across new traces is not.
+// reuses its slot — reading them right after End is fine; holding a
+// span across new traces is not.
 type Span struct {
 	rec    *traceRec
 	trace  TraceID
