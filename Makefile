@@ -41,8 +41,9 @@ bench-observers-smoke:
 	XAR_OBSERVER_SMOKE=1 $(GO) test -run 'TestObserverOverheadSmoke' -v .
 
 # audit-smoke: a small clean replay through `xarsim -audit` must journal
-# every lifecycle event, sweep the invariant auditor on the simulated
-# clock, and exit zero with no violations — the correctness gate CI runs.
+# every lifecycle event, count every search's candidate funnel, sweep the
+# invariant auditor (all five invariant families) on the simulated clock,
+# and exit zero with no violations — the correctness gate CI runs.
 audit-smoke:
 	$(GO) run ./cmd/xarsim -rows 12 -cols 8 -requests 200 -audit
 

@@ -21,13 +21,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"slices"
 	"strings"
 	"time"
 
 	"xar/internal/experiments"
-	"xar/internal/quality"
 )
 
 func main() {
@@ -40,8 +38,6 @@ func main() {
 	requests := flag.Int("requests", 4000, "trip stream length")
 	eps := flag.Float64("eps", 1000, "epsilon in meters (paper: 1 km)")
 	seed := flag.Int64("seed", 42, "random seed")
-	qualityFlag := flag.Bool("quality", false, "collect the match-quality funnel across the replayed engines (and shadow counterfactuals at -shadow-sample) and print the summary after the run")
-	shadowSample := flag.Int("shadow-sample", 8, "with -quality, shadow-match 1-in-N no-match requests and bookings (0 disables the shadow matcher)")
 	flag.Parse()
 	figs := figures
 	if *fig != "all" {
@@ -72,23 +68,10 @@ func main() {
 		time.Since(start).Round(time.Millisecond),
 		w.City.Graph.NumNodes(), len(w.Disc.Landmarks), w.Disc.NumClusters(), w.Disc.Epsilon())
 
-	if *qualityFlag {
-		// One collector shared by every engine the figure replays build,
-		// so the printed funnel aggregates the whole run. The replays'
-		// engines are internal to the experiments package and outlive the
-		// summary unflushed, so a handful of shadow tasks may still be in
-		// flight when it prints — counters are cumulative lower bounds.
-		w.Quality = quality.New(nil)
-		w.ShadowSampleRate = *shadowSample
-	}
-
 	for _, f := range figs {
 		if err := run(w, f); err != nil {
 			log.Fatalf("fig %s: %v", f, err)
 		}
-	}
-	if w.Quality != nil {
-		experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())
 	}
 }
 

@@ -37,10 +37,8 @@ func main() {
 	lookToBook := flag.Int("looktobook", 1, "searches per booking decision")
 	walkLimit := flag.Float64("walk", 1000, "walking limit in meters")
 	detour := flag.Float64("detour", 2000, "detour limit in meters")
-	auditFlag := flag.Bool("audit", false, "journal the XAR replay's ride-lifecycle events, sweep the invariant auditor on the simulated clock, run a full synchronous audit after the replay, and exit non-zero on any violation")
+	auditFlag := flag.Bool("audit", false, "journal the XAR replay's ride-lifecycle events and count its match-quality funnel, sweep the invariant auditor on the simulated clock, run a full synchronous audit after the replay, and exit non-zero on any violation")
 	auditInterval := flag.Float64("audit-interval", 300, "simulated seconds between -audit sweeps during the replay")
-	qualityFlag := flag.Bool("quality", false, "collect the XAR replay's match-quality funnel (and shadow counterfactuals at -shadow-sample) and print the summary after the run")
-	shadowSample := flag.Int("shadow-sample", 8, "with -quality, shadow-match 1-in-N no-match requests and bookings (0 disables the shadow matcher)")
 	flag.Parse()
 	switch *system {
 	case "xar", "tshare", "both":
@@ -84,11 +82,10 @@ func main() {
 	if *system == "xar" || *system == "both" {
 		xcfg := cfg
 		if *auditFlag {
+			// The funnel collector lets the audit check funnel_accounting
+			// beside the journal and index invariants.
 			w.Journal = journal.New(journal.Config{})
-		}
-		if *qualityFlag {
 			w.Quality = quality.New(nil)
-			w.ShadowSampleRate = *shadowSample
 		}
 		eng, err := w.NewXAREngine()
 		if err != nil {
@@ -108,10 +105,6 @@ func main() {
 			xcfg.AuditInterval = *auditInterval
 		}
 		report(w, &sim.XARSystem{Engine: eng}, xcfg)
-		if w.Quality != nil {
-			eng.ShadowFlush()
-			experiments.WriteQuality(os.Stdout, w.Quality.Snapshot())
-		}
 		experiments.WriteMemory(os.Stdout, eng.MemSweep())
 		if auditor != nil {
 			finalAudit(auditor, w.Journal)

@@ -110,7 +110,7 @@ type Config struct {
 	// Interval is the background sweep cadence for Start (0 → 30s).
 	Interval time.Duration
 	// Registry, when non-nil, registers xar_audit_sweeps_total and
-	// xar_audit_violations_total{invariant} (all four labels eagerly, so
+	// xar_audit_violations_total{invariant} (all five labels eagerly, so
 	// a clean process still exposes the series at zero).
 	Registry *telemetry.Registry
 	// Logger receives one structured record per violation (nil →

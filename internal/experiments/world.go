@@ -53,8 +53,7 @@ type World struct {
 	Disc  *discretize.Discretization
 	Trips []workload.Trip
 	// Observers are handed to every engine NewXAREngine builds: the
-	// journal behind cmd/xarsim -audit and the collector behind the
-	// tools' -quality summaries.
+	// journal and the funnel collector behind cmd/xarsim -audit.
 	core.Observers
 }
 
