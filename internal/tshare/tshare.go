@@ -57,7 +57,7 @@ type Config struct {
 }
 
 // defaultSeats applies to offers that leave Seats zero: the XAR engine's
-// default, a taxi of 4 including the driver.
+// default of 4 seats.
 const defaultSeats = 4
 
 // destWindowSlack (seconds) widens the destination-side time window, as
