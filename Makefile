@@ -20,7 +20,8 @@ race:
 # bench-smoke: one fast pass over the headline benchmarks — enough to
 # catch perf regressions in CI without regenerating every figure — over
 # the routers' (ALT, plain A*, CH) warm single-pair queries, and over the
-# index's ride registration on the repository benchmark's 80x44 city.
+# index's ride registration on the repository benchmark's 80x44 city
+# (both of BenchmarkRegister's arms, warm and cold).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkSearchObservers|BenchmarkSearchDense$$' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkShortestPath(ALT|PlainAStar|CH)' -benchtime 100x ./internal/roadnet

@@ -141,7 +141,7 @@ type Discretization struct {
 
 	landmarkCluster []int       // landmark → cluster
 	lmDist          [][]float32 // directed landmark→landmark driving distance
-	clusterDist     [][]float32 // directed cluster→cluster distance (min landmark pair)
+	clusterDist     [][]float32 // by destination: clusterDist[b][a] = d(a→b), the min landmark pair
 
 	// Per-road-node landmark assignment: nearest landmark by driving
 	// distance node→landmark within Δ (lowest ID tie-break), or -1.
@@ -313,8 +313,10 @@ func (d *Discretization) LandmarkMetric() (dist cluster.DistFunc, lower cluster.
 // computeClusterDistances fills the directed cluster distance table:
 // dist(C, C') = min over landmark pairs (a ∈ C, b ∈ C') of the driving
 // distance a→b, as the paper defines ("the distance between the closest
-// pair of landmarks belonging to the two clusters"), the rows shared out
-// over the workers.
+// pair of landmarks belonging to the two clusters"). The rows are built
+// by source, shared out over the workers, each reading its landmarks' own
+// rows of the landmark table; the square table is then transposed in
+// place once, so that it is stored by destination (ClusterDistsTo).
 func (d *Discretization) computeClusterDistances() {
 	k := len(d.Clusters)
 	d.clusterDist = make([][]float32, k)
@@ -339,6 +341,11 @@ func (d *Discretization) computeClusterDistances() {
 			d.clusterDist[i] = dist
 		}
 	})
+	for i := range k {
+		for j := range i {
+			d.clusterDist[i][j], d.clusterDist[j][i] = d.clusterDist[j][i], d.clusterDist[i][j]
+		}
+	}
 }
 
 // assignNodesToLandmarks computes, for every road node, the landmark
@@ -442,7 +449,14 @@ func (d *Discretization) LandmarkDist(a, b int) float64 { return float64(d.lmDis
 
 // ClusterDist returns the directed distance from cluster a to cluster b:
 // the closest landmark pair, per the paper.
-func (d *Discretization) ClusterDist(a, b int) float64 { return float64(d.clusterDist[a][b]) }
+func (d *Discretization) ClusterDist(a, b int) float64 { return float64(d.clusterDist[b][a]) }
+
+// ClusterDistsTo returns the table's row for destination cluster b: entry
+// a is ClusterDist(a, b). A column of the by-source table is one row
+// here, so a caller that reads many clusters' distances to one cluster
+// reads one contiguous row. It is the table itself: read it, never write
+// it.
+func (d *Discretization) ClusterDistsTo(b int) []float32 { return d.clusterDist[b] }
 
 // LandmarkOfNode returns the landmark associated with a road node (the
 // one minimizing driving distance node→landmark within Δ) and that

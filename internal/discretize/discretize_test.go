@@ -155,28 +155,38 @@ func TestLandmarkDistanceTriangle(t *testing.T) {
 }
 
 func TestClusterDistIsClosestLandmarkPair(t *testing.T) {
-	d := testDisc(t)
-	r := rand.New(rand.NewSource(2))
+	checkClusterDists(t, testDisc(t))
+}
+
+// checkClusterDists requires, for every ordered pair of clusters (a, b),
+// that entry a of ClusterDistsTo(b) equals ClusterDist(a, b) and that
+// both equal the driving distance of the closest landmark pair a→b,
+// bit for bit; 0 from a cluster to itself.
+func checkClusterDists(t *testing.T, d *Discretization) {
+	t.Helper()
 	k := d.NumClusters()
-	for trial := 0; trial < 30; trial++ {
-		c1, c2 := r.Intn(k), r.Intn(k)
-		if c1 == c2 {
-			continue
+	for b := range k {
+		row := d.ClusterDistsTo(b)
+		if len(row) != k {
+			t.Fatalf("ClusterDistsTo(%d) has %d entries, want %d", b, len(row), k)
 		}
-		best := math.Inf(1)
-		for _, a := range d.Clusters[c1].Landmarks {
-			for _, b := range d.Clusters[c2].Landmarks {
-				if dd := d.LandmarkDist(a, b); dd < best {
-					best = dd
+		for a := range k {
+			best := math.Inf(1)
+			for _, x := range d.Clusters[a].Landmarks {
+				for _, y := range d.Clusters[b].Landmarks {
+					best = min(best, d.LandmarkDist(x, y))
 				}
 			}
+			if a == b {
+				best = 0
+			}
+			if got := d.ClusterDist(a, b); got != best {
+				t.Fatalf("ClusterDist(%d,%d) = %v, closest landmark pair %v", a, b, got, best)
+			}
+			if got := float64(row[a]); got != best {
+				t.Fatalf("ClusterDistsTo(%d)[%d] = %v, closest landmark pair %v", b, a, got, best)
+			}
 		}
-		if got := d.ClusterDist(c1, c2); math.Abs(got-best) > 0.5 {
-			t.Fatalf("ClusterDist(%d,%d) = %v, brute force %v", c1, c2, got, best)
-		}
-	}
-	if d.ClusterDist(0, 0) != 0 {
-		t.Fatal("self cluster distance must be 0")
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 const buildGolden = "16777a33e071de941df6e9566086c81c96851d793e2d5f49fce8308e1ff86156"
 
 // hashDiscretization folds every table Build derives from shortest paths
-// and clustering, bit for bit.
+// and clustering, bit for bit. The cluster table is read through
+// ClusterDist in source order, whatever order it is stored in.
 func hashDiscretization(d *Discretization) string {
 	h := sha256.New()
 	var b [8]byte
@@ -44,7 +45,14 @@ func hashDiscretization(d *Discretization) string {
 		put(uint64(c))
 	}
 	put(math.Float64bits(d.epsilon))
-	rows(d.clusterDist)
+	k := d.NumClusters()
+	put(uint64(k))
+	for a := range k {
+		put(uint64(k))
+		for b := range k {
+			put(uint64(math.Float32bits(float32(d.ClusterDist(a, b)))))
+		}
+	}
 	put(uint64(len(d.nodeLandmark)))
 	for i, lm := range d.nodeLandmark {
 		put(uint64(uint32(lm)))

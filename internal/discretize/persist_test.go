@@ -54,6 +54,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	checkClusterDists(t, loaded)
 	// The grid table Load rebuilds is Build's, on every cell.
 	if len(loaded.cells) != len(orig.cells) {
 		t.Fatalf("grid table of %d cells vs %d", len(loaded.cells), len(orig.cells))

@@ -339,12 +339,13 @@ func (ix *Index) reachable(r *Ride) []buildSupport {
 				w += b2i(nb.Cluster != c)
 			}
 		} else {
+			toVia := ix.disc.ClusterDistsTo(via)
 			col := slices.Grow(ix.viaCol[:0], len(row))[:len(row)]
 			for i, nb := range row {
-				col[i] = ix.disc.ClusterDist(int(nb.Cluster), via)
+				col[i] = float64(toVia[nb.Cluster])
 			}
 			ix.viaCol = col
-			dCVia := ix.disc.ClusterDist(int(c), via)
+			dCVia := float64(toVia[c])
 			for i, nb := range row {
 				detour := float64(nb.Dist) + col[i] - dCVia
 				if detour < 0 {
