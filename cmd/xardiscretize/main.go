@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"xar/internal/cluster"
@@ -35,8 +34,6 @@ func main() {
 	maxWalk := flag.Float64("walk", 1000, "system walking limit W")
 	sweep := flag.Bool("sweep", false, "sweep ε and print cluster counts (Fig 3b)")
 	trace := flag.Bool("trace", false, "print the GREEDYSEARCH binary-search trace (Build does not keep it: costs one extra clustering of the built landmark matrix per ε)")
-	saveTo := flag.String("save", "", "write the discretization artifact (bound to the road graph by fingerprint) to this file")
-	loadFrom := flag.String("load", "", "load a previously saved artifact instead of building")
 	flag.Parse()
 
 	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(*rows, *cols, *seed))
@@ -46,23 +43,6 @@ func main() {
 	fmt.Printf("city: %d nodes, %d edges, %.1f x %.1f km\n",
 		city.Graph.NumNodes(), city.Graph.NumEdges(),
 		city.Graph.BBox().WidthMeters()/1000, city.Graph.BBox().HeightMeters()/1000)
-
-	if *loadFrom != "" {
-		f, err := os.Open(*loadFrom)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		start := time.Now()
-		d, err := discretize.Load(f, city)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("loaded artifact in %v: %d landmarks, %d clusters, ε=%.0f m\n",
-			time.Since(start).Round(time.Millisecond),
-			len(d.Landmarks), d.NumClusters(), d.Epsilon())
-		return
-	}
 
 	epsilons := []float64{*eps}
 	if *sweep {
@@ -85,20 +65,6 @@ func main() {
 		build := time.Since(start)
 		table.AddRow(e, len(d.Landmarks), d.NumClusters(), d.Epsilon(),
 			int64(memsize.Of(d)), build.Round(time.Millisecond).String())
-
-		if *saveTo != "" && !*sweep {
-			f, err := os.Create(*saveTo)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := d.Save(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("saved discretization artifact to %s\n", *saveTo)
-		}
 
 		if *trace {
 			dist, lower := d.LandmarkMetric()
