@@ -22,9 +22,10 @@ type Metrics struct {
 	// heavy contention on individual rides.
 	BookConflictRetries uint64
 	// CandidatesExamined counts ride candidates that reached the search
-	// funnel (survived the posting-list window scan of step 1). Zero
-	// unless Config.Quality is set; when it is, this equals the sum of
-	// all xar_search_funnel_total stages by construction.
+	// funnel (survived the posting-list window scan of step 1): the
+	// quality collector's examined count. Zero unless Config.Quality is
+	// set; when it is, this equals the sum of all xar_search_funnel_total
+	// stages by construction.
 	CandidatesExamined uint64
 }
 
@@ -40,7 +41,6 @@ type metrics struct {
 	ridesCompleted      atomic.Uint64
 	shortestPaths       atomic.Uint64
 	bookConflictRetries atomic.Uint64
-	candidatesExamined  atomic.Uint64
 }
 
 // Metrics returns a consistent-enough snapshot of the counters (each
@@ -59,7 +59,7 @@ func (e *Engine) Metrics() Metrics {
 		ShortestPaths:  e.m.shortestPaths.Load(),
 
 		BookConflictRetries: e.m.bookConflictRetries.Load(),
-		CandidatesExamined:  e.m.candidatesExamined.Load(),
+		CandidatesExamined:  e.quality.Examined(),
 	}
 }
 

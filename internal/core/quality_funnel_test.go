@@ -73,7 +73,7 @@ func TestFunnelClassifiesMatched(t *testing.T) {
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("search: %v, %d matches", err, len(ms))
 	}
-	if got := qc.FunnelTotal(quality.Matched); got != uint64(len(ms)) {
+	if got := stageCount(qc, quality.Matched); got != uint64(len(ms)) {
 		t.Fatalf("matched stage = %d, want %d (one per returned match)", got, len(ms))
 	}
 	if qc.Examined() < uint64(len(ms)) {
@@ -127,7 +127,7 @@ func TestFunnelCapacityStage(t *testing.T) {
 	if got := qc.Examined() - after.CandidatesExamined; got != 1 {
 		t.Fatalf("search examined %d candidates after the cancellation, want 1", got)
 	}
-	if got := qc.FunnelTotal(quality.Matched) - after.Funnel["matched"]; got != 1 {
+	if got := stageCount(qc, quality.Matched) - after.Funnel["matched"]; got != 1 {
 		t.Fatalf("matched stage moved by %d after the cancellation, want 1", got)
 	}
 	if st := e.Index().Stats(); st.FullRides != 0 {
@@ -156,7 +156,7 @@ func TestFunnelOrderInfeasibleStage(t *testing.T) {
 			t.Fatal("backwards match accepted")
 		}
 	}
-	if len(ms) == 0 && qc.FunnelTotal(quality.OrderInfeasible)+qc.FunnelTotal(quality.DetourBound) == 0 {
+	if len(ms) == 0 && stageCount(qc, quality.OrderInfeasible)+stageCount(qc, quality.DetourBound) == 0 {
 		t.Fatalf("backwards no-match left no order/detour rejection; funnel: %v", e.Quality().Snapshot().Funnel)
 	}
 	assertFunnelBalanced(t, e)
@@ -213,7 +213,7 @@ func TestFunnelWalkLimitStage(t *testing.T) {
 	req := probe
 	req.WalkLimit = (longer + walkSrc + walkDst) / 2
 
-	before := qc.FunnelTotal(quality.WalkLimit)
+	before := stageCount(qc, quality.WalkLimit)
 	ms, err := e.Search(req)
 	if err != nil {
 		t.Fatal(err)
@@ -223,10 +223,15 @@ func TestFunnelWalkLimitStage(t *testing.T) {
 			t.Fatalf("ride matched with walk %v over limit %v", m.TotalWalk(), req.WalkLimit)
 		}
 	}
-	if qc.FunnelTotal(quality.WalkLimit) != before+1 {
-		t.Fatalf("walk_limit stage %d → %d, want +1", before, qc.FunnelTotal(quality.WalkLimit))
+	if stageCount(qc, quality.WalkLimit) != before+1 {
+		t.Fatalf("walk_limit stage %d → %d, want +1", before, stageCount(qc, quality.WalkLimit))
 	}
 	assertFunnelBalanced(t, e)
+}
+
+// stageCount reads one funnel stage's cumulative count.
+func stageCount(qc *quality.Collector, stage int) uint64 {
+	return qc.Snapshot().Funnel[quality.StageName(stage)]
 }
 
 // assertFunnelBalanced checks the funnel accounting identity after
@@ -336,7 +341,7 @@ func TestCheckDetourExactBoundary(t *testing.T) {
 	// ...while a budget just under it must reject as detour_bound (an
 	// order-feasible pair exists; only the budget binds).
 	if est > 1 {
-		before := e.Quality().FunnelTotal(quality.DetourBound)
+		before := stageCount(e.Quality(), quality.DetourBound)
 		underID, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, DetourLimit: est - 1})
 		if err != nil {
 			t.Fatal(err)
@@ -350,9 +355,9 @@ func TestCheckDetourExactBoundary(t *testing.T) {
 				t.Fatalf("budget %v matched with estimate %v", est-1, m.DetourEstimate)
 			}
 		}
-		if e.Quality().FunnelTotal(quality.DetourBound) != before+1 {
+		if stageCount(e.Quality(), quality.DetourBound) != before+1 {
 			t.Fatalf("under-budget rejection not classified detour_bound (total %d → %d)",
-				before, e.Quality().FunnelTotal(quality.DetourBound))
+				before, stageCount(e.Quality(), quality.DetourBound))
 		}
 	}
 	assertFunnelBalanced(t, e)
@@ -419,11 +424,12 @@ func TestShadowUnlocksCapacity(t *testing.T) {
 	}
 	e.ShadowFlush()
 
-	if got := qc.UnlockTotal(quality.ConstraintNone); got != 1 {
+	unlocks := qc.Snapshot().Shadow.Unlocks
+	if got := unlocks[quality.ConstraintNone]; got != 1 {
 		t.Fatalf("none unlock = %d, want 1; snapshot: %+v", got, qc.Snapshot().Shadow)
 	}
-	for _, con := range quality.Constraints() {
-		if got := qc.UnlockTotal(con); con != quality.ConstraintNone && got != 0 {
+	for con, got := range unlocks {
+		if con != quality.ConstraintNone && got != 0 {
 			t.Errorf("constraint %q unlocked %d times; no relaxation can reach a full ride", con, got)
 		}
 	}

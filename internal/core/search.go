@@ -273,7 +273,6 @@ func (e *Engine) search(span *telemetry.Span, req Request, timed, fine bool, opt
 	e.ix.RUnlock()
 	if opts.qc != nil {
 		opts.qc.AddFunnel(&res.funnel, res.examined)
-		e.m.candidatesExamined.Add(res.examined)
 		if span != nil && res.examined > 0 {
 			span.SetInt("candidates", int64(res.examined))
 			for st, n := range res.funnel {

@@ -64,9 +64,6 @@ func StageName(i int) string {
 	return stageNames[i]
 }
 
-// Stages returns all funnel stage names in classification order.
-func Stages() []string { return append([]string(nil), stageNames[:]...) }
-
 // Shadow-matcher constraint labels (xar_shadow_unlock_total{constraint}):
 // for a sampled no-match request, each single-constraint relaxation that
 // produces at least one match counts an unlock of that constraint.
@@ -83,9 +80,6 @@ const (
 var constraintNames = []string{
 	ConstraintWalk, ConstraintWindow, ConstraintDetour, ConstraintOrder, ConstraintNone,
 }
-
-// Constraints returns every unlock label the shadow matcher can emit.
-func Constraints() []string { return append([]string(nil), constraintNames...) }
 
 // Shadow task kinds (xar_shadow_tasks_total{kind}).
 const (
@@ -106,18 +100,17 @@ func RatioBuckets() []float64 {
 // telemetry registry. Safe for concurrent use; a nil *Collector is a
 // valid no-op for every method.
 type Collector struct {
-	// funnel/examined: the atomic twins of the Prometheus counters, read
-	// by Snapshot and the auditor without a scrape. AddFunnel orders the
-	// writes stages-first, examined-last, so a stable read of examined
-	// can never exceed the stage sum (see AccountingGap).
-	funnel   [NumStages]atomic.Uint64
+	// examined is the engine's own count of candidates; the stage counts
+	// are funnelCounters, which Snapshot and the auditor read without a
+	// scrape. AddFunnel orders the writes stages-first, examined-last, so
+	// a stable read of examined can never exceed the stage sum (see
+	// AccountingGap).
 	examined atomic.Uint64
 
 	funnelCounters [NumStages]*telemetry.Counter
 	slack          *telemetry.Histogram
 	epsConsumption *telemetry.Histogram
 
-	unlocks        []atomic.Uint64
 	unlockCounters []*telemetry.Counter
 	unlockIdx      map[string]int
 
@@ -149,15 +142,14 @@ func (c *Collector) MeasureMem(a *memsize.Accumulator) {
 
 // New builds a Collector registered into reg. A nil reg records into a
 // private, unexposed registry — identical cost, nothing scraped — so
-// callers that only want Snapshot need no registry plumbing.
+// callers that only want Snapshot need no registry plumbing. The counts
+// live in reg's counters, so a second Collector on the same registry
+// shares the first one's funnel and unlocks.
 func New(reg *telemetry.Registry) *Collector {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	c := &Collector{
-		unlocks:   make([]atomic.Uint64, len(constraintNames)),
-		unlockIdx: make(map[string]int, len(constraintNames)),
-	}
+	c := &Collector{unlockIdx: make(map[string]int, len(constraintNames))}
 	// Eager registration: a fresh process exposes every funnel stage and
 	// unlock constraint at zero, the same contract as the journal's
 	// per-type event counters.
@@ -202,20 +194,11 @@ func (c *Collector) AddFunnel(counts *[NumStages]uint64, examined uint64) {
 		if n == 0 {
 			continue
 		}
-		c.funnel[i].Add(n)
 		c.funnelCounters[i].Add(n)
 	}
 	if examined > 0 {
 		c.examined.Add(examined)
 	}
-}
-
-// FunnelTotal returns the cumulative count of one stage. Nil-safe.
-func (c *Collector) FunnelTotal(stage int) uint64 {
-	if c == nil || stage < 0 || stage >= NumStages {
-		return 0
-	}
-	return c.funnel[stage].Load()
 }
 
 // Examined returns the cumulative candidates examined (the funnel's
@@ -239,8 +222,8 @@ func (c *Collector) AccountingGap() (examined, classified uint64, stable bool) {
 	}
 	e1 := c.examined.Load()
 	var sum uint64
-	for i := range c.funnel {
-		sum += c.funnel[i].Load()
+	for _, ctr := range c.funnelCounters {
+		sum += ctr.Value()
 	}
 	e2 := c.examined.Load()
 	return e1, sum, e1 == e2
@@ -284,20 +267,7 @@ func (c *Collector) Unlock(constraint string) {
 	if !ok {
 		return
 	}
-	c.unlocks[i].Add(1)
 	c.unlockCounters[i].Inc()
-}
-
-// UnlockTotal returns the cumulative unlocks of one constraint. Nil-safe.
-func (c *Collector) UnlockTotal(constraint string) uint64 {
-	if c == nil {
-		return 0
-	}
-	i, ok := c.unlockIdx[constraint]
-	if !ok {
-		return 0
-	}
-	return c.unlocks[i].Load()
 }
 
 // ShadowTask counts one processed shadow task by kind. Nil-safe.
@@ -418,7 +388,7 @@ func (c *Collector) Snapshot() Snapshot {
 		return s
 	}
 	for i := 0; i < NumStages; i++ {
-		s.Funnel[stageNames[i]] = c.funnel[i].Load()
+		s.Funnel[stageNames[i]] = c.funnelCounters[i].Value()
 	}
 	s.CandidatesExamined = c.examined.Load()
 	s.DetourSlack = summarize(c.slack)
@@ -428,7 +398,7 @@ func (c *Collector) Snapshot() Snapshot {
 	s.Shadow.Tasks[TaskRegret] = c.taskRegret.Value()
 	s.Shadow.Dropped = c.droppedTasks.Value()
 	for i, name := range constraintNames {
-		s.Shadow.Unlocks[name] = c.unlocks[i].Load()
+		s.Shadow.Unlocks[name] = c.unlockCounters[i].Value()
 	}
 	c.mu.Lock()
 	s.Shadow.Regret = RegretStats{

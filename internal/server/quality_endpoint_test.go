@@ -48,7 +48,8 @@ func TestQualityEndpoint(t *testing.T) {
 	if code := env.do(t, "GET", "/v1/quality", nil, &qr); code != http.StatusOK {
 		t.Fatalf("quality: %d", code)
 	}
-	for _, st := range quality.Stages() {
+	for i := 0; i < quality.NumStages; i++ {
+		st := quality.StageName(i)
 		if _, ok := qr.Funnel[st]; !ok {
 			t.Errorf("funnel missing stage %q: %v", st, qr.Funnel)
 		}
@@ -71,7 +72,8 @@ func TestQualityEndpoint(t *testing.T) {
 	if qr.MatchRate <= 0 {
 		t.Fatalf("match_rate = %v after a matching search", qr.MatchRate)
 	}
-	for _, con := range quality.Constraints() {
+	for _, con := range []string{quality.ConstraintWalk, quality.ConstraintWindow,
+		quality.ConstraintDetour, quality.ConstraintOrder, quality.ConstraintNone} {
 		if _, ok := qr.Shadow.Unlocks[con]; !ok {
 			t.Errorf("shadow unlocks missing constraint %q: %v", con, qr.Shadow.Unlocks)
 		}
