@@ -662,8 +662,8 @@ func TestObserverOverheadSmoke(t *testing.T) {
 			t.Errorf("capture %d missing its %s blob", c.ID, kind)
 		}
 	}
-	if n := reg.Counter(profile.CapturesTotalName, "", nil).Value(); n < 2 {
-		t.Errorf("%s = %v, want >= 2", profile.CapturesTotalName, n)
+	if n := reg.Histogram(profile.CaptureDurationName, "", nil, nil).Count(); n < 2 {
+		t.Errorf("%s count = %v, want >= 2", profile.CaptureDurationName, n)
 	}
 	if ratio := reg.Gauge(profile.OverheadRatioName, "", nil).Value(); ratio > 0.05 {
 		t.Errorf("profiler self-reported overhead %.3f past the 5%% fence (duty-cycle target is 1%%)", ratio)

@@ -170,13 +170,9 @@ func (e *Engine) sweepLocked() *MemoryReport {
 				"Retained bytes of one tracked component, from the last memory sweep.",
 				telemetry.L("component", c.Name)).Set(float64(c.Bytes))
 		}
-		reg.Gauge("xar_memsize_total_bytes",
-			"Total retained bytes across all tracked components, from the last memory sweep.", nil).
-			Set(float64(sw.TotalBytes))
 		reg.Gauge("xar_rides_per_gb",
 			"Active rides per GB of ride-index memory (the capacity frontier), from the last memory sweep.", nil).
 			Set(rpg)
-		reg.Counter("xar_memsize_sweeps_total", "Completed memory-accounting sweeps.", nil).Inc()
 		reg.Histogram("xar_memsize_sweep_duration_seconds",
 			"Duration of one memory-accounting sweep (component walk).",
 			telemetry.DurationBuckets(), nil).Observe(sw.DurationSeconds)

@@ -161,7 +161,7 @@ func TestMemoryAccountingTracksGrowth(t *testing.T) {
 }
 
 // TestMemoryGaugesPublished: a sweep publishes the per-component gauges,
-// the total, the frontier gauge and the sweep counter into the engine's
+// the frontier gauge and the sweep-duration histogram into the engine's
 // telemetry registry (the same series /v1/metrics/history snapshots).
 func TestMemoryGaugesPublished(t *testing.T) {
 	e := newMemEngine(t)
@@ -182,9 +182,7 @@ func TestMemoryGaugesPublished(t *testing.T) {
 	}
 	for _, name := range []string{
 		"xar_memsize_bytes",
-		"xar_memsize_total_bytes",
 		"xar_rides_per_gb",
-		"xar_memsize_sweeps_total",
 		"xar_memsize_sweep_duration_seconds",
 	} {
 		if !seen[name] {

@@ -76,7 +76,6 @@ const (
 
 // Metric names the profiler publishes.
 const (
-	CapturesTotalName   = "xar_profile_captures_total"
 	CaptureDurationName = "xar_profile_capture_duration_seconds"
 	OverheadRatioName   = "xar_profile_overhead_ratio"
 )
@@ -187,7 +186,6 @@ type Profiler struct {
 	stop      chan struct{} // closed by Close: interrupts a CPU window
 	closeOnce sync.Once
 
-	captures *telemetry.Counter
 	capDur   *telemetry.Histogram
 	overhead *telemetry.Gauge
 }
@@ -241,7 +239,6 @@ func newWithRings(cfg Config, fine, coarse, pinned int) *Profiler {
 	}
 	enableSampling()
 	if reg := cfg.Registry; reg != nil {
-		p.captures = reg.Counter(CapturesTotalName, "profile captures taken", nil)
 		p.capDur = reg.Histogram(CaptureDurationName, "active capture work per profile capture", telemetry.DurationBuckets(), nil)
 		p.overhead = reg.Gauge(OverheadRatioName, "fraction of wall time spent on active capture work since the profiler started", nil)
 	}
@@ -391,8 +388,7 @@ func (p *Profiler) capture() *Capture {
 	work += time.Since(commitStart)
 	c.WorkSeconds = work.Seconds()
 	p.workTotal += work
-	if p.captures != nil {
-		p.captures.Inc()
+	if p.capDur != nil {
 		p.capDur.Observe(c.WorkSeconds)
 		if wall := time.Since(p.startTime).Seconds(); wall > 0 {
 			r := p.workTotal.Seconds() / wall

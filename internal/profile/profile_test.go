@@ -41,10 +41,10 @@ func TestCaptureNowKindsAndMetrics(t *testing.T) {
 	if c.NumGoroutine <= 0 || len(c.Goroutines) == 0 {
 		t.Errorf("goroutine accounting empty: n=%d states=%v", c.NumGoroutine, c.Goroutines)
 	}
-	// Counter registered and incremented: re-requesting the same family
-	// returns the live instrument.
-	if got := reg.Counter(CapturesTotalName, "", nil).Value(); got != 1 {
-		t.Fatalf("%s = %d, want 1", CapturesTotalName, got)
+	// Histogram registered and observed once per capture: re-requesting
+	// the same family returns the live instrument.
+	if got := reg.Histogram(CaptureDurationName, "", nil, nil).Count(); got != 1 {
+		t.Fatalf("%s count = %d, want 1", CaptureDurationName, got)
 	}
 }
 

@@ -195,7 +195,7 @@ func TestMemoryGaugesInHistory(t *testing.T) {
 	for _, s := range dump.Series {
 		found[s.Name] = true
 	}
-	for _, want := range []string{"xar_memsize_bytes", "xar_memsize_total_bytes", "xar_rides_per_gb"} {
+	for _, want := range []string{"xar_memsize_bytes", "xar_rides_per_gb"} {
 		if !found[want] {
 			t.Errorf("series %q absent from metrics history", want)
 		}

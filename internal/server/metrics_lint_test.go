@@ -109,11 +109,8 @@ func TestMetricNameHygiene(t *testing.T) {
 		"xar_index_rides",
 		"xar_index_full_rides",
 		"xar_memsize_bytes",
-		"xar_memsize_total_bytes",
 		"xar_rides_per_gb",
-		"xar_memsize_sweeps_total",
 		"xar_memsize_sweep_duration_seconds",
-		"xar_profile_captures_total",
 		"xar_profile_capture_duration_seconds",
 		"xar_profile_overhead_ratio",
 		"go_goroutines",
