@@ -18,12 +18,14 @@ race:
 	$(GO) test -race ./...
 
 # bench-smoke: one fast pass over the headline benchmarks — enough to
-# catch perf regressions in CI without regenerating every figure — over
-# the routers' (ALT, plain A*, CH) warm single-pair queries, and over the
-# index's ride registration on the repository benchmark's 80x44 city
-# (both of BenchmarkRegister's arms, warm and cold).
+# catch perf regressions in CI without regenerating every figure: XAR's
+# search, create and booking (the booking's write path: snapshot, stitch,
+# one route walk, commit), the routers' (ALT, plain A*, CH) warm
+# single-pair queries, and the index's ride registration on the
+# repository benchmark's 80x44 city (both of BenchmarkRegister's arms,
+# warm and cold).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkSearchObservers|BenchmarkSearchDense$$' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkFig4cBookXAR$$|BenchmarkSearchObservers|BenchmarkSearchDense$$' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkShortestPath(ALT|PlainAStar|CH)' -benchtime 100x ./internal/roadnet
 	$(GO) test -run '^$$' -bench 'BenchmarkRegister$$' -benchtime 100x ./internal/index
 

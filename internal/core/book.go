@@ -146,8 +146,11 @@ func (e *Engine) retryConflicts(ctx context.Context, span *telemetry.Span, attem
 
 // snapshot is the first phase of an optimistic write: under the index's
 // read lock it runs check against the ride and, if that passes, copies
-// what the unlocked phase computes against — the route, the
-// schedule and the scalars a commit derives the ride's next state from.
+// the scalars a commit derives the ride's next state from and shares the
+// route and the schedule the unlocked phase computes against. Sharing is
+// safe because a commit replaces a ride's Route and Via and never writes
+// into them: a snapshot held across another write's commit still reads
+// the route and schedule it was taken of.
 func (e *Engine) snapshot(id index.RideID, check func(*index.Ride) error) (index.Ride, error) {
 	e.ix.RLock()
 	defer e.ix.RUnlock()
@@ -161,7 +164,7 @@ func (e *Engine) snapshot(id index.RideID, check func(*index.Ride) error) (index
 	return index.Ride{
 		ID: r.ID, Rev: r.Rev, Departure: r.Departure, Progress: r.Progress, SeatsAvail: r.SeatsAvail,
 		DetourLimit: r.DetourLimit, DetourLimitInitial: r.DetourLimitInitial, BaseRouteLen: r.BaseRouteLen,
-		Route: slices.Clone(r.Route), Via: slices.Clone(r.Via),
+		Route: r.Route, Via: r.Via,
 	}, nil
 }
 
@@ -171,11 +174,12 @@ func (e *Engine) snapshot(id index.RideID, check func(*index.Ride) error) (index
 // schedule, budget, seats and progress), and the ride's cluster
 // registrations are rebuilt, which bumps Rev. conflict reports a changed
 // revision: next was computed against stale state and the caller retries.
-// The new route's ETAs are computed first, before the lock is taken. A
-// ride's Route, RouteETA and Via are replaced, never written in place, so
-// the caller may still read next's after they are the ride's.
+// next.RouteETA is the new route's, from the caller's walk of it; the
+// via-points' ETAs are read off it before the lock is taken. A ride's
+// Route, RouteETA and Via are replaced, never written in place, so the
+// caller may still read next's after they are the ride's, and a snapshot
+// may share them.
 func (e *Engine) commit(next *index.Ride) (conflict bool, err error) {
-	next.RouteETA = e.disc.City().Graph.RouteETAs(next.Route, next.Departure)
 	for i := range next.Via {
 		next.Via[i].ETA = next.RouteETA[next.Via[i].RouteIdx]
 	}
@@ -224,13 +228,10 @@ func (e *Engine) tryBook(ctx context.Context, m Match, bk *Booking) (conflict bo
 		return false, err
 	}
 
-	// Phase 2 — compute: path length, refined estimate and the
-	// ≤4-shortest-path stitch, all against the snapshot, no lock held.
-	g := e.disc.City().Graph
-	oldLen, err := g.PathLength(next.Route)
-	if err != nil {
-		return false, fmt.Errorf("xar: corrupt route on ride %d: %w", next.ID, err)
-	}
+	// Phase 2 — compute: refined estimate, the ≤4-shortest-path stitch
+	// and one walk of the new route, all against the snapshot, no lock
+	// held.
+	//
 	// Refine the detour estimate with the precomputed landmark-distance
 	// matrix now that the concrete pickup/drop-off landmarks are known.
 	// Still no shortest-path computation: this is a table lookup chain,
@@ -250,17 +251,27 @@ func (e *Engine) tryBook(ctx context.Context, m Match, bk *Booking) (conflict bo
 			sched = append(sched, viaEdit{index.ViaPoint{Node: bk.DropoffNode, Kind: index.ViaDropoff}, -1})
 		}
 	}
+	old, oldVia := next.Route, next.Via
 	f := e.finder()
 	next.Route, next.Via, bk.ShortestPathRuns, err = e.stitch(ctx, f, &next, sched)
 	e.release(f)
 	if err != nil {
 		return false, err
 	}
-	newLen, err := g.PathLength(next.Route)
+	// The new route keeps the old one up to via-point sSeg and from the
+	// old via-point dSeg+1 on, two places later in the new schedule: one
+	// walk sums both routes and times the new one.
+	walk, err := e.disc.City().Graph.WalkRoute(next.Route, next.Departure, roadnet.Splice{
+		Old:       old,
+		Part:      next.Via[sSeg].RouteIdx,
+		OldRejoin: oldVia[dSeg+1].RouteIdx,
+		NewRejoin: next.Via[dSeg+3].RouteIdx,
+	})
 	if err != nil {
-		return false, fmt.Errorf("xar: stitched route invalid: %w", err)
+		return false, fmt.Errorf("xar: splice on ride %d: %w", next.ID, err)
 	}
-	detour := max(newLen-oldLen, 0)
+	next.RouteETA = walk.ETA
+	detour := max(walk.Len-walk.OldLen, 0)
 	budget := next.DetourLimit
 	if detour > budget+4*e.disc.Epsilon() {
 		return false, ErrDetourExceeded

@@ -86,12 +86,13 @@ func (e *Engine) tryCancel(ctx context.Context, id index.RideID, pickup, dropoff
 	if err != nil {
 		return 0, false, err
 	}
-	newLen, err := e.disc.City().Graph.PathLength(next.Route)
+	walk, err := e.disc.City().Graph.WalkRoute(next.Route, next.Departure, roadnet.Splice{})
 	if err != nil {
 		return 0, false, fmt.Errorf("xar: cancel re-stitch produced an invalid route: %w", err)
 	}
+	next.RouteETA = walk.ETA
 	// The budget is recomputed from the driver's original tolerance.
-	spent = max(newLen-next.BaseRouteLen, 0)
+	spent = max(walk.Len-next.BaseRouteLen, 0)
 	next.DetourLimit = next.DetourLimitInitial - spent
 	next.SeatsAvail++ // the commit's Reregister lists the ride again if it was full
 	conflict, err = e.commit(&next)

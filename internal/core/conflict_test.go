@@ -188,3 +188,110 @@ func TestOptimisticConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSnapshotSharesRouteAcrossConflictingCommit: a write's snapshot
+// shares the ride's Route and Via rather than copying them, and still
+// reads them as they were after another write commits on the same ride,
+// since a commit replaces both and writes into neither. The engine's
+// finder pool is swapped for one whose first search, inside a booking
+// that runs one, takes a second snapshot of the same revision — the same
+// arrays the booking computes against — and books another rider on the
+// ride from a second goroutine while it reads them; the booking then
+// loses its commit and retries.
+func TestSnapshotSharesRouteAcrossConflictingCommit(t *testing.T) {
+	e := newTestEngine(t)
+	var hook func() // what the next search does first, once; nil: nothing
+	e.finders = sync.Pool{New: func() any {
+		return hookFinder{e.newFinder(), func() {
+			if h := hook; h != nil {
+				hook = nil
+				h()
+			}
+		}}
+	}}
+	src, dst := farPoints(t, e)
+	id, err := e.CreateRide(RideOffer{Source: src, Dest: dst, Departure: 1000, Seats: 4, DetourLimit: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherReq, otherMs := mustSearchAlong(t, e, e.Ride(id), 0.1, 0.3, 3600, 900)
+
+	fired := false
+	conflict := func() {
+		fired = true
+		snap, err := e.snapshot(id, func(*index.Ride) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.ix.RLock()
+		r := e.ix.Ix.Ride(id)
+		shared := &r.Route[0] == &snap.Route[0] && &r.Via[0] == &snap.Via[0]
+		e.ix.RUnlock()
+		if !shared {
+			t.Error("the snapshot copied the ride's route or schedule")
+		}
+		wantRoute, wantVia := slices.Clone(snap.Route), slices.Clone(snap.Via)
+		unchanged := func() bool { return slices.Equal(snap.Route, wantRoute) && slices.Equal(snap.Via, wantVia) }
+		done := make(chan error)
+		go func() {
+			_, err := e.Book(otherMs[0], otherReq)
+			done <- err
+		}()
+		for reading := true; reading; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("the conflicting booking: %v", err)
+				}
+				reading = false
+			default:
+				if !unchanged() {
+					t.Fatal("a snapshot changed while another write committed")
+				}
+			}
+		}
+		if !unchanged() {
+			t.Fatal("a snapshot does not read the route and schedule it was taken of after another write committed")
+		}
+		if got := e.Ride(id); len(got.Via) != len(wantVia)+2 || slices.Equal(got.Route, wantRoute) && slices.Equal(got.Via, wantVia) {
+			t.Fatalf("the conflicting booking did not replace the ride's schedule: %d via-points, snapshot %d", len(got.Via), len(wantVia))
+		}
+	}
+
+	// A rider picked up one block off the route: the first whose booking
+	// runs a search meets the conflict in it.
+	g, route := e.disc.City().Graph, e.Ride(id).Route
+	for i := len(route) / 2; !fired; i++ {
+		if i == len(route)-2 {
+			t.Fatal("no booking off the route ran a search")
+		}
+		for _, out := range g.Out(route[i]) {
+			if slices.Contains(route, out.To) {
+				continue
+			}
+			req := Request{Source: g.Point(out.To), Dest: g.Point(route[len(route)-2]), LatestDeparture: 7200, WalkLimit: 300}
+			ms, _ := e.Search(req)
+			if len(ms) == 0 {
+				continue
+			}
+			hook = conflict
+			bk, err := e.Book(ms[0], req)
+			hook = nil
+			if fired {
+				t.Logf("the booking after the conflict: %v", err)
+				break
+			}
+			if err == nil {
+				if err := e.CancelBooking(id, bk.PickupNode, bk.DropoffNode); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if n := e.Metrics().BookConflictRetries; n != 1 {
+		t.Fatalf("%d conflict retries, want the one the conflicting commit caused", n)
+	}
+	if err := e.Index().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -203,7 +203,11 @@ type Match struct {
 // paper's simulation minimizes when choosing among multiple matches.
 func (m Match) TotalWalk() float64 { return m.WalkSource + m.WalkDest }
 
-// Booking is the confirmed result of Book.
+// Booking is the confirmed result of Book. DetourEstimate is the detour
+// predicted before any shortest path ran: the landmark-distance chain
+// through the neighbouring via-points and the chosen pickup and drop-off
+// landmarks (refineDetourEstimate), or the matched supports'
+// cluster-distance detours when a via node has no landmark within Δ.
 type Booking struct {
 	Ride             index.RideID
 	PickupLandmark   int
@@ -214,14 +218,15 @@ type Booking struct {
 	DropoffETA       float64
 	WalkSource       float64
 	WalkDest         float64
-	DetourEstimate   float64 // what the index predicted (cluster distances)
+	DetourEstimate   float64 // predicted before any shortest path; see Booking
 	DetourActual     float64 // what the spliced route actually costs
 	ShortestPathRuns int     // ≤ 4, per §VIII-B
 }
 
-// ApproxError is the additive error of the cluster approximation for this
-// booking: how much the exact detour exceeded the estimate. The paper
-// bounds it by 4ε and evaluates its CDF in Figure 3a.
+// ApproxError is how much the exact detour exceeded DetourEstimate, the
+// landmark-distance estimate (the cluster estimate where a via node has
+// no landmark within Δ), and 0 when it did not. The paper bounds the
+// approximation's additive error by 4ε and evaluates its CDF in Figure 3a.
 func (b Booking) ApproxError() float64 {
 	e := b.DetourActual - b.DetourEstimate
 	if e < 0 {
@@ -483,6 +488,10 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 	if !res.Reachable() {
 		return 0, ErrUnreachable
 	}
+	walk, err := city.Graph.WalkRoute(res.Path, offer.Departure, roadnet.Splice{})
+	if err != nil {
+		return 0, fmt.Errorf("xar: offer route invalid: %w", err)
+	}
 
 	r := &index.Ride{
 		ID:                 e.ix.NextID(),
@@ -496,8 +505,8 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 		DetourLimit:        detour,
 		DetourLimitInitial: detour,
 		BaseRouteLen:       res.Dist,
+		RouteETA:           walk.ETA,
 	}
-	r.RouteETA = e.disc.City().Graph.RouteETAs(res.Path, offer.Departure)
 	r.Via = []index.ViaPoint{
 		{RouteIdx: 0, Node: srcNode, ETA: r.RouteETA[0], Kind: index.ViaSource},
 		{RouteIdx: len(res.Path) - 1, Node: dstNode, ETA: r.RouteETA[len(res.Path)-1], Kind: index.ViaDest},

@@ -213,14 +213,20 @@ func (ix *Index) register(r *Ride) {
 	// 1. Pass-through clusters: walk the route, map node → cluster, and
 	// emit one entry per maximal run of equal cluster within a segment —
 	// into the build buffer, so the ride's list is one exact-size
-	// allocation whatever its length.
+	// allocation whatever its length. The segment cursor moves forward
+	// with the walk: node i is in the last segment that starts at or
+	// before it (a via-point's node opens the segment after it, the
+	// destination's closes the last one).
 	pt := ix.ptBuf[:0]
+	seg, lastSeg := int32(0), int32(len(r.Via)-2)
 	for i := r.Progress; i < len(r.Route); i++ {
+		for seg < lastSeg && r.Via[seg+1].RouteIdx <= i {
+			seg++
+		}
 		c := ix.disc.ClusterOfNode(r.Route[i])
 		if c < 0 {
 			continue
 		}
-		seg := int32(r.segmentOf(i))
 		if n := len(pt); n > 0 && pt[n-1].Cluster == int32(c) && pt[n-1].Seg == seg && int(pt[n-1].LastIdx) == i-1 {
 			pt[n-1].LastIdx = int32(i)
 			continue
@@ -414,15 +420,18 @@ func (ix *Index) Advance(id RideID, pos int) error {
 	if pos != r.Progress {
 		r.Rev++ // progress invalidates in-flight optimistic bookings
 	}
+	was := r.Progress
 	r.Progress = pos
 
-	// Step 1: mark newly crossed pass-through entries.
+	// Step 1: is a pass-through entry newly crossed — its last node in
+	// [was, pos)? A run is crossed exactly when its LastIdx is behind
+	// Progress: register lists none behind the progress it runs at, and
+	// Progress moves back only in a commit, which re-registers.
 	crossed := false
-	for pi := range r.pt {
-		e := &r.pt[pi]
-		if !e.Crossed && int(e.LastIdx) < pos {
-			e.Crossed = true
+	for _, e := range r.pt {
+		if int(e.LastIdx) >= was && int(e.LastIdx) < pos {
 			crossed = true
+			break
 		}
 	}
 	if !crossed {
@@ -443,7 +452,7 @@ func (ix *Index) Advance(id RideID, pos int) error {
 		for ; i < end; i++ {
 			eta := r.SupportETA(sup[i])
 			was = min(was, eta)
-			if r.pt[sup[i].Order].Crossed {
+			if int(r.pt[sup[i].Order].LastIdx) < pos {
 				continue
 			}
 			now = min(now, eta)
@@ -463,7 +472,7 @@ func (ix *Index) Advance(id RideID, pos int) error {
 	dir[gw] = dirEntry{Cluster: dirEnd, Start: w}
 	r.support, r.dir = sup[:w], dir[:gw+1]
 	// Step 3 (remove crossed entries from the pass-through list) is
-	// implicit: entries stay marked Crossed and PassThroughClusters
+	// implicit: entries stay, behind Progress, and PassThroughClusters
 	// filters them out.
 	return nil
 }
@@ -645,7 +654,7 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 				if i > 0 && (group[i-1].Detour > s.Detour || group[i-1].Detour == s.Detour && group[i-1].Order >= s.Order) {
 					dst = append(dst, Inconsistency{Ride: id, Cluster: int(c), Detail: fmt.Sprintf("support table order violated at %d", start+i)})
 				}
-				if s.Order < 0 || int(s.Order) >= len(r.pt) || r.pt[s.Order].Crossed {
+				if s.Order < 0 || int(s.Order) >= len(r.pt) || int(r.pt[s.Order].LastIdx) < r.Progress {
 					dst = append(dst, Inconsistency{Ride: id, Cluster: int(c), Detail: fmt.Sprintf("support %d does not point at a live pass-through", start+i)})
 					continue
 				}

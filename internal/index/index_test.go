@@ -656,6 +656,21 @@ func clusteredSupports(r *Ride) []clusteredSupport {
 	return out
 }
 
+// segmentOf returns the segment index containing route index idx, the
+// slow way: a scan of the via-points, a boundary node in the segment it
+// opens. register keeps a cursor instead.
+func (r *Ride) segmentOf(idx int) int {
+	for s := 0; s+1 < len(r.Via); s++ {
+		if idx >= r.Via[s].RouteIdx && idx <= r.Via[s+1].RouteIdx {
+			if idx == r.Via[s+1].RouteIdx && s+2 < len(r.Via) {
+				continue // boundary node belongs to the next segment
+			}
+			return s
+		}
+	}
+	return len(r.Via) - 2
+}
+
 // referenceSupports re-derives a ride's support records the slow way —
 // every live pass-through against every cluster, no neighbor table, no
 // grouping — and sorts them with the comparator that defines the table.
@@ -665,7 +680,7 @@ func clusteredSupports(r *Ride) []clusteredSupport {
 func referenceSupports(ix *Index, r *Ride) []clusteredSupport {
 	var recs []clusteredSupport
 	for pi, e := range r.pt {
-		if e.Crossed {
+		if int(e.LastIdx) < r.Progress {
 			continue
 		}
 		seg, eta := r.segmentOf(int(e.FirstIdx)), r.RouteETA[e.FirstIdx]
@@ -790,11 +805,16 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 	}
 	r.support[0], r.support[last] = r.support[last], r.support[0]
 
-	r.pt[r.support[0].Order].Crossed = true // crossed, but not compacted out
-	if err := ix.CheckInvariants(); err == nil {
+	// Crossed, but not compacted out: Progress moves past the run's last
+	// node without Advance.
+	progress := r.Progress
+	r.Progress = int(r.pt[r.support[0].Order].LastIdx) + 1
+	if !slices.ContainsFunc(ix.Inconsistencies(nil), func(inc Inconsistency) bool {
+		return strings.Contains(inc.Detail, "does not point at a live pass-through")
+	}) {
 		t.Fatal("a support of a crossed pass-through must be reported")
 	}
-	r.pt[r.support[0].Order].Crossed = false
+	r.Progress = progress
 
 	// The two facts a support's derived ETA rests on: its distance is the
 	// cluster distance from its run's cluster (0 on its own), and runs

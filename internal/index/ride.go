@@ -152,14 +152,15 @@ func (r *Ride) Clone() *Ride {
 	return &c
 }
 
-// ptEntry is one pass-through cluster of one segment of the ride.
+// ptEntry is one pass-through cluster of one segment of the ride. The
+// vehicle has crossed it once LastIdx is behind the ride's Progress.
+// 24 bytes.
 type ptEntry struct {
 	Cluster  int32
 	Seg      int32 // segment index: between Via[Seg] and Via[Seg+1]
 	FirstIdx int32 // first route index inside the cluster (this run)
 	LastIdx  int32 // last route index inside the cluster (this run)
 	ETA      float64
-	Crossed  bool
 }
 
 // Support is one way a ride can serve a cluster: pass-through run Order
@@ -262,7 +263,7 @@ func (r *Ride) PassThroughClusters() []int {
 	var out []int
 	seen := map[int32]bool{}
 	for _, e := range r.pt {
-		if e.Crossed || seen[e.Cluster] {
+		if int(e.LastIdx) < r.Progress || seen[e.Cluster] {
 			continue
 		}
 		seen[e.Cluster] = true
@@ -279,17 +280,4 @@ func (r *Ride) ReachableClusters() []int {
 		out = append(out, int(r.dir[g].Cluster))
 	}
 	return out
-}
-
-// segmentOf returns the segment index containing route index idx.
-func (r *Ride) segmentOf(idx int) int {
-	for s := 0; s+1 < len(r.Via); s++ {
-		if idx >= r.Via[s].RouteIdx && idx <= r.Via[s+1].RouteIdx {
-			if idx == r.Via[s+1].RouteIdx && s+2 < len(r.Via) {
-				continue // boundary node belongs to the next segment
-			}
-			return s
-		}
-	}
-	return len(r.Via) - 2
 }

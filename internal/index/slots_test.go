@@ -13,15 +13,20 @@ import (
 	"xar/internal/roadnet"
 )
 
-// TestSupportRecordSize pins the two record layouts of a ride's support
-// table that the memory figures rest on: a support without its cluster
-// and a directory key. (TestPostingBytesPerEntry pins a posting's.)
+// TestSupportRecordSize pins the three record layouts of a ride's
+// registration that the memory figures rest on: a support without its
+// cluster, a directory key, and a pass-through run, whose crossing is
+// derived from Progress rather than stored. (TestPostingBytesPerEntry
+// pins a posting's.)
 func TestSupportRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(Support{}); got != 16 {
 		t.Errorf("Support is %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(dirEntry{}); got != 8 {
 		t.Errorf("directory entry is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(ptEntry{}); got != 24 {
+		t.Errorf("pass-through run is %d bytes, want 24", got)
 	}
 }
 

@@ -16,6 +16,7 @@ package roadnet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"xar/internal/geo"
 	"xar/internal/memsize"
@@ -198,6 +199,110 @@ func (g *Graph) PathLength(path []NodeID) (float64, error) {
 		total += l
 	}
 	return total, nil
+}
+
+// Splice says how a route replaces Old: the two share Old[:Part+1], the
+// new route's stretch from Part to NewRejoin replaces Old's from Part to
+// OldRejoin, and from there on they share Old[OldRejoin:], the new
+// route's [NewRejoin:]. The zero Splice names no old route.
+type Splice struct {
+	Old                  []NodeID
+	Part                 int
+	OldRejoin, NewRejoin int
+}
+
+// RouteWalk is what one walk of a route finds: its length, the old
+// route's when the walk was given a splice, and the arrival time at every
+// node.
+type RouteWalk struct {
+	Len, OldLen float64
+	ETA         []float64
+}
+
+// WalkRoute walks route once, leaving its first node at start. Each hop's
+// out-edges are scanned once for the shortest parallel edge's length,
+// summed left to right as PathLength sums them, and the fastest one's
+// free-flow time, as TravelTime counts it, summed into the ETAs. Given a
+// splice it sums sp.Old in the same order: the prefix and the suffix off
+// the hops the routes share, the replaced stretch hop by hop, so OldLen
+// is PathLength(sp.Old) bit for bit. A hop of either route that is not an
+// edge is an error, and so is a splice whose prefix or suffix the routes
+// do not share, or an empty route.
+func (g *Graph) WalkRoute(route []NodeID, start float64, sp Splice) (RouteWalk, error) {
+	n := len(route)
+	if n == 0 {
+		return RouteWalk{}, fmt.Errorf("roadnet: empty route")
+	}
+	part, rejoin := n-1, n-1 // without an old route every hop is shared
+	if sp.Old != nil {
+		if err := sp.check(route); err != nil {
+			return RouteWalk{}, err
+		}
+		part, rejoin = sp.Part, sp.NewRejoin
+	}
+	w := RouteWalk{ETA: make([]float64, n)}
+	w.ETA[0] = start
+	var err error
+	for i := 1; i < n; i++ {
+		if i == part+1 {
+			if w.OldLen, err = g.stretchLen(sp, w.Len); err != nil {
+				return RouteWalk{}, err
+			}
+		}
+		l, t, ok := g.hop(route[i-1], route[i])
+		if !ok {
+			return RouteWalk{}, fmt.Errorf("roadnet: path step %d: no edge %d→%d", i, route[i-1], route[i])
+		}
+		w.Len += l
+		w.ETA[i] = w.ETA[i-1] + t
+		if i > rejoin {
+			w.OldLen += l
+		}
+	}
+	if sp.Old != nil && part == n-1 {
+		if w.OldLen, err = g.stretchLen(sp, w.Len); err != nil {
+			return RouteWalk{}, err
+		}
+	}
+	return w, nil
+}
+
+// check reports a splice whose indices fall outside its routes or whose
+// prefix or suffix the routes do not share.
+func (sp Splice) check(route []NodeID) error {
+	if sp.Part < 0 || sp.Part > sp.OldRejoin || sp.OldRejoin >= len(sp.Old) || sp.Part > sp.NewRejoin || sp.NewRejoin >= len(route) {
+		return fmt.Errorf("roadnet: splice parting at %d and rejoining at %d and %d does not fit routes of %d and %d nodes", sp.Part, sp.OldRejoin, sp.NewRejoin, len(sp.Old), len(route))
+	}
+	if !slices.Equal(sp.Old[:sp.Part+1], route[:sp.Part+1]) || !slices.Equal(sp.Old[sp.OldRejoin:], route[sp.NewRejoin:]) {
+		return fmt.Errorf("roadnet: the routes do not share the splice's prefix up to %d and suffix from %d and %d", sp.Part, sp.OldRejoin, sp.NewRejoin)
+	}
+	return nil
+}
+
+// stretchLen adds the hops of sp.Old's replaced stretch to prefix, the
+// length of the prefix the routes share.
+func (g *Graph) stretchLen(sp Splice, prefix float64) (float64, error) {
+	for j := sp.Part + 1; j <= sp.OldRejoin; j++ {
+		l, ok := g.edgeLength(sp.Old[j-1], sp.Old[j])
+		if !ok {
+			return 0, fmt.Errorf("roadnet: old path step %d: no edge %d→%d", j, sp.Old[j-1], sp.Old[j])
+		}
+		prefix += l
+	}
+	return prefix, nil
+}
+
+// hop returns, from one scan of a's out-edges, the length of the
+// shortest edge to b (edgeLength's), the free-flow time of the fastest
+// (stepTime's), and whether there is one.
+func (g *Graph) hop(a, b NodeID) (length, time float64, ok bool) {
+	length, time = math.Inf(1), math.Inf(1)
+	for _, e := range g.out[a] {
+		if e.To == b {
+			length, time, ok = min(length, e.Length), min(time, e.Length/e.Speed), true
+		}
+	}
+	return length, time, ok
 }
 
 func (g *Graph) edgeLength(from, to NodeID) (float64, bool) {

@@ -391,10 +391,9 @@ func TestTravelTime(t *testing.T) {
 	}
 }
 
-// TestRouteETAsStepByStep: RouteETAs is, bit for bit, start plus the
-// running sum of each step's TravelTime — and of the straight line at
-// 7 m/s over a step that is not an edge — on city routes and on one
-// route that jumps.
+// TestRouteETAsStepByStep: WalkRoute's ETAs are, bit for bit, start plus
+// the running sum of each step's TravelTime on city routes, and a route
+// that jumps — a step that is not an edge — is refused, not timed.
 func TestRouteETAsStepByStep(t *testing.T) {
 	city, err := GenerateCity(DefaultCityConfig(12, 8, 3))
 	if err != nil {
@@ -409,23 +408,31 @@ func TestRouteETAsStepByStep(t *testing.T) {
 		if len(route) == 0 {
 			continue
 		}
-		if trial%4 == 0 { // back to the first node, mostly not an edge
-			route = append(route, route[0])
-		}
 		start := float64(r.Intn(86400))
-		got := g.RouteETAs(route, start)
+		if trial%4 == 0 { // back to the first node, mostly not an edge
+			jump := append(slices.Clone(route), route[0])
+			if _, err := g.TravelTime(jump); err != nil {
+				jumps++
+				if _, err := g.WalkRoute(jump, start, Splice{}); err == nil {
+					t.Fatalf("trial %d: a route that jumps %d→%d was walked", trial, route[len(route)-1], route[0])
+				}
+			}
+		}
+		w, err := g.WalkRoute(route, start, Splice{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := start
 		for i := range route {
 			if i > 0 {
 				step, err := g.TravelTime(route[i-1 : i+1])
 				if err != nil {
-					step = geo.Haversine(g.Point(route[i-1]), g.Point(route[i])) / 7.0
-					jumps++
+					t.Fatal(err)
 				}
 				want += step
 			}
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("trial %d: ETA %d = %v, step by step %v", trial, i, got[i], want)
+			if math.Float64bits(w.ETA[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d: ETA %d = %v, step by step %v", trial, i, w.ETA[i], want)
 			}
 		}
 	}

@@ -3,8 +3,6 @@ package roadnet
 import (
 	"fmt"
 	"math"
-
-	"xar/internal/geo"
 )
 
 // pqItem is one entry of the binary-heap priority queue. prio is the
@@ -448,24 +446,6 @@ func (s *Searcher) bounded(source NodeID, radius float64, visit Visit, reverse b
 			}
 		}
 	}
-}
-
-// RouteETAs returns the arrival time at every node of route, leaving its
-// first at start: each step adds the free-flow time of its fastest edge,
-// as TravelTime counts it, and a step that is not an edge the straight
-// line at 7 m/s rather than corrupting every later ETA. route must not be
-// empty.
-func (g *Graph) RouteETAs(route []NodeID, start float64) []float64 {
-	etas := make([]float64, len(route))
-	etas[0] = start
-	for i := 1; i < len(route); i++ {
-		t, ok := g.stepTime(route[i-1], route[i])
-		if !ok {
-			t = geo.Haversine(g.Point(route[i-1]), g.Point(route[i])) / 7.0
-		}
-		etas[i] = etas[i-1] + t
-	}
-	return etas
 }
 
 // TravelTime converts a path to a free-flow travel time in seconds using

@@ -32,11 +32,6 @@ func (e *Engine) Book(m Match, req Request) error {
 		}
 	}
 
-	oldLen, err := e.city.Graph.PathLength(t.Route)
-	if err != nil {
-		return fmt.Errorf("tshare: corrupt route on taxi %d: %w", t.ID, err)
-	}
-
 	// Insertion-based scheduling: only the segments receiving the pickup
 	// and the drop-off are recomputed with shortest paths; all other
 	// route chunks are reused verbatim. This keeps T-Share's booking
@@ -89,11 +84,19 @@ func (e *Engine) Book(m Match, req Request) error {
 		appendPath(res.Path)
 	}
 
-	newLen, err := e.city.Graph.PathLength(route)
+	// The new route keeps the old one up to stop pickupSeg and from the old
+	// stop dropoffSeg+1 on, two stops later in the new schedule: one walk
+	// sums both routes and times the new one.
+	walk, err := e.city.Graph.WalkRoute(route, depart, roadnet.Splice{
+		Old:       t.Route,
+		Part:      viaIdx[fresh.pickupSeg],
+		OldRejoin: t.Via[fresh.dropoffSeg+1].RouteIdx,
+		NewRejoin: viaIdx[fresh.dropoffSeg+3],
+	})
 	if err != nil {
-		return fmt.Errorf("tshare: spliced route invalid: %w", err)
+		return fmt.Errorf("tshare: splice on taxi %d: %w", t.ID, err)
 	}
-	detour := newLen - oldLen
+	detour := walk.Len - walk.OldLen
 	if detour < 0 {
 		detour = 0
 	}
@@ -103,7 +106,7 @@ func (e *Engine) Book(m Match, req Request) error {
 
 	e.unregister(t)
 	t.Route = route
-	t.RouteETA = e.city.Graph.RouteETAs(route, depart)
+	t.RouteETA = walk.ETA
 	t.Via = t.Via[:0]
 	for i, s := range stops {
 		t.Via = append(t.Via, Via{RouteIdx: viaIdx[i], Node: s.node, ETA: t.RouteETA[viaIdx[i]]})

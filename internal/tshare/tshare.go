@@ -237,6 +237,10 @@ func (e *Engine) Create(offer Offer) (TaxiID, error) {
 	if !res.Reachable() {
 		return 0, ErrUnreachable
 	}
+	walk, err := e.city.Graph.WalkRoute(res.Path, offer.Departure, roadnet.Splice{})
+	if err != nil {
+		return 0, fmt.Errorf("tshare: offer route invalid: %w", err)
+	}
 	e.nextID++
 	t := &Taxi{
 		ID:          e.nextID,
@@ -245,7 +249,7 @@ func (e *Engine) Create(offer Offer) (TaxiID, error) {
 		DetourLimit: detour,
 		cells:       make(map[grid.ID]struct{}),
 	}
-	t.RouteETA = e.city.Graph.RouteETAs(res.Path, offer.Departure)
+	t.RouteETA = walk.ETA
 	t.Via = []Via{
 		{RouteIdx: 0, Node: src, ETA: t.RouteETA[0]},
 		{RouteIdx: len(res.Path) - 1, Node: dst, ETA: t.RouteETA[len(res.Path)-1]},
