@@ -420,16 +420,16 @@ func (ix *Index) Advance(id RideID, pos int) error {
 	if pos != r.Progress {
 		r.Rev++ // progress invalidates in-flight optimistic bookings
 	}
-	was := r.Progress
+	prev := r.Progress
 	r.Progress = pos
 
 	// Step 1: is a pass-through entry newly crossed — its last node in
-	// [was, pos)? A run is crossed exactly when its LastIdx is behind
+	// [prev, pos)? A run is crossed exactly when its LastIdx is behind
 	// Progress: register lists none behind the progress it runs at, and
 	// Progress moves back only in a commit, which re-registers.
 	crossed := false
 	for _, e := range r.pt {
-		if int(e.LastIdx) >= was && int(e.LastIdx) < pos {
+		if int(e.LastIdx) >= prev && int(e.LastIdx) < pos {
 			crossed = true
 			break
 		}
