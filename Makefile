@@ -21,13 +21,15 @@ race:
 # catch perf regressions in CI without regenerating every figure: XAR's
 # search, create and booking (the booking's write path: snapshot, stitch,
 # one route walk, commit), the routers' (ALT, plain A*, CH) warm
-# single-pair queries, and the index's ride registration on the
-# repository benchmark's 80x44 city (both of BenchmarkRegister's arms,
-# warm and cold).
+# single-pair queries, the index's ride registration on the repository
+# benchmark's 80x44 city (both of BenchmarkRegister's arms, warm and
+# cold), and one mid-list posting-list edit pair at search_dense's list
+# lengths (BenchmarkListEditDense, with the tuples it shifts and the keys
+# it probes per op).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkFig4cBookXAR$$|BenchmarkSearchObservers|BenchmarkSearchDense$$' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkShortestPath(ALT|PlainAStar|CH)' -benchtime 100x ./internal/roadnet
-	$(GO) test -run '^$$' -bench 'BenchmarkRegister$$' -benchtime 100x ./internal/index
+	$(GO) test -run '^$$' -bench 'BenchmarkRegister$$|BenchmarkListEditDense$$' -benchtime 100x ./internal/index
 
 # bench-observers: every observer's cost on the loaded search hot path,
 # one BenchmarkSearchObservers arm per configuration, each read against

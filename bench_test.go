@@ -185,7 +185,7 @@ func BenchmarkFig4cBookXAR(b *testing.B) {
 	w := world(b)
 	sys, requests := seededXAR(b, w)
 	b.ReportAllocs()
-	benchBookLoop(b, w, sys, requests)
+	benchBookLoop(b, w, sys, requests, xarRetire(sys))
 }
 
 func BenchmarkFig4cBookTShare(b *testing.B) {
@@ -194,13 +194,18 @@ func BenchmarkFig4cBookTShare(b *testing.B) {
 	// search cheap; Book itself always runs the real shortest-path
 	// splice, which is what this benchmark measures.
 	sys, requests := seededTShare(b, w, true)
-	benchBookLoop(b, w, sys, requests)
+	benchBookLoop(b, w, sys, requests, func(id int64) { sys.Engine.Remove(tshare.TaxiID(id)) })
 }
 
-func benchBookLoop(b *testing.B, w *experiments.World, sys sim.System, requests []workload.Trip) {
+func benchBookLoop(b *testing.B, w *experiments.World, sys sim.System, requests []workload.Trip, retire func(int64)) {
 	b.Helper()
 	b.ResetTimer()
-	bookLoop(b, b.N, w, sys, requests)
+	bookLoop(b, b.N, w, sys, requests, retire)
+}
+
+// xarRetire completes an XAR system's ride, as bookLoop retires them.
+func xarRetire(sys *sim.XARSystem) func(int64) {
+	return func(id int64) { sys.Engine.CompleteRide(index.RideID(id)) }
 }
 
 // stopwatch is what bookLoop brackets its untimed work with: a
@@ -211,8 +216,13 @@ type stopwatch interface {
 }
 
 // bookLoop books n matches with sw running only across the bookings.
-// Call it with sw running.
-func bookLoop(sw stopwatch, n int, w *experiments.World, sys sim.System, requests []workload.Trip) {
+// Call it with sw running. Off the timer, a request with no match becomes
+// a driver, and once two tenths of the world's trips' worth of rides have
+// been offered so, the oldest tenth of them is retired: the fleet holds
+// near the world's size, as in createLoop, so ns/op does not follow n.
+func bookLoop(sw stopwatch, n int, w *experiments.World, sys sim.System, requests []workload.Trip, retire func(int64)) {
+	batch := max(1, len(w.Trips)/10)
+	var fleet []int64
 	booked := 0
 	for i := 0; booked < n; i++ {
 		req := benchRequest(w, requests, i)
@@ -220,11 +230,19 @@ func bookLoop(sw stopwatch, n int, w *experiments.World, sys sim.System, request
 		cands, _ := sys.Search(req, 1)
 		if len(cands) == 0 {
 			// Become a driver, like the paper's simulation protocol.
-			_, _ = sys.Create(sim.Offer{
+			if id, err := sys.Create(sim.Offer{
 				Source: req.Source, Dest: req.Dest,
 				Departure: req.Earliest + (req.Latest-req.Earliest)/2,
 				Seats:     4, DetourLimit: w.Scale.DetourLimit,
-			})
+			}); err == nil {
+				fleet = append(fleet, id)
+			}
+			if len(fleet) >= 2*batch {
+				for _, id := range fleet[:batch] {
+					retire(id)
+				}
+				fleet = fleet[batch:]
+			}
 			sw.StartTimer()
 			continue
 		}

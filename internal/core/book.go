@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync/atomic"
 
 	"xar/internal/index"
 	"xar/internal/journal"
@@ -253,7 +254,7 @@ func (e *Engine) tryBook(ctx context.Context, m Match, bk *Booking) (conflict bo
 	}
 	old, oldVia := next.Route, next.Via
 	f := e.finder()
-	next.Route, next.Via, bk.ShortestPathRuns, err = e.stitch(ctx, f, &next, sched)
+	next.Route, next.Via, bk.ShortestPathRuns, err = e.stitch(ctx, f, &next, sched, &e.m.bookLabels)
 	e.release(f)
 	if err != nil {
 		return false, err
@@ -368,7 +369,8 @@ type viaEdit struct {
 // "path_search" span of the context's trace. runs counts those searches:
 // at most four when next adds a pickup and a drop-off, at most two when
 // it leaves a pair out. r may be a snapshot; only Route and Via are read.
-func (e *Engine) stitch(ctx context.Context, f pathFinder, r *index.Ride, next []viaEdit) (route []roadnet.NodeID, via []index.ViaPoint, runs int, err error) {
+// The searches' labelled nodes are added to labels, unless it is nil.
+func (e *Engine) stitch(ctx context.Context, f pathFinder, r *index.Ride, next []viaEdit, labels *atomic.Uint64) (route []roadnet.NodeID, via []index.ViaPoint, runs int, err error) {
 	// legs[i] is the leg into next[i+1], without the node it starts at.
 	legs := make([][]roadnet.NodeID, len(next)-1)
 	n, lo := 1, 0
@@ -397,7 +399,7 @@ func (e *Engine) stitch(ctx context.Context, f pathFinder, r *index.Ride, next [
 			}
 		}
 		runs++
-		res := e.tracedShortestPath(ctx, f, a.Node, b.Node)
+		res := e.tracedShortestPath(ctx, f, a.Node, b.Node, labels)
 		if !res.Reachable() {
 			return nil, nil, runs, ErrUnreachable
 		}

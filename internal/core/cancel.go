@@ -81,7 +81,7 @@ func (e *Engine) tryCancel(ctx context.Context, id index.RideID, pickup, dropoff
 	// pickup) is put back there, onto the leg that replaces the one it was on.
 	next.Progress = min(next.Progress, next.Via[puIdx-1].RouteIdx)
 	f := e.finder()
-	next.Route, next.Via, _, err = e.stitch(ctx, f, &next, sched)
+	next.Route, next.Via, _, err = e.stitch(ctx, f, &next, sched, nil)
 	e.release(f)
 	if err != nil {
 		return 0, false, err

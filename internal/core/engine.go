@@ -18,6 +18,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xar/internal/discretize"
@@ -391,10 +392,14 @@ func (e *Engine) Close() {
 // carries the endpoints and the resulting distance, so a slow create /
 // book / cancel trace shows exactly which ALT call dominated.
 // Without a recording trace this is one context lookup plus the search.
-func (e *Engine) tracedShortestPath(ctx context.Context, f pathFinder, a, b roadnet.NodeID) roadnet.SPResult {
+// The nodes the search labelled are added to labels, unless it is nil.
+func (e *Engine) tracedShortestPath(ctx context.Context, f pathFinder, a, b roadnet.NodeID, labels *atomic.Uint64) roadnet.SPResult {
 	_, span := telemetry.ChildSpan(ctx, "path_search")
 	res := f.ShortestPath(a, b)
 	e.m.shortestPaths.Add(1)
+	if l, ok := f.(interface{ LabelledNodes() int }); ok && labels != nil {
+		labels.Add(uint64(l.LabelledNodes()))
+	}
 	if e.routeQueries != nil {
 		e.routeQueries.Inc()
 	}
@@ -483,7 +488,7 @@ func (e *Engine) CreateRideCtx(ctx context.Context, offer RideOffer) (id index.R
 		return 0, fmt.Errorf("xar: offer endpoints snap to the same road node")
 	}
 	f := e.finder()
-	res := e.tracedShortestPath(ctx, f, srcNode, dstNode)
+	res := e.tracedShortestPath(ctx, f, srcNode, dstNode, &e.m.createLabels)
 	e.release(f)
 	if !res.Reachable() {
 		return 0, ErrUnreachable

@@ -27,6 +27,11 @@ type Metrics struct {
 	// set; when it is, this equals the sum of all xar_search_funnel_total
 	// stages by construction.
 	CandidatesExamined uint64
+	// CreateLabels and BookLabels sum the nodes the path searches of
+	// creates and of booking attempts labelled (ALTSearcher.LabelledNodes):
+	// routing work in a unit no machine changes.
+	CreateLabels uint64
+	BookLabels   uint64
 }
 
 // metrics is the engine-internal atomic counter block.
@@ -41,6 +46,8 @@ type metrics struct {
 	ridesCompleted      atomic.Uint64
 	shortestPaths       atomic.Uint64
 	bookConflictRetries atomic.Uint64
+	createLabels        atomic.Uint64
+	bookLabels          atomic.Uint64
 }
 
 // Metrics returns a consistent-enough snapshot of the counters (each
@@ -60,6 +67,8 @@ func (e *Engine) Metrics() Metrics {
 
 		BookConflictRetries: e.m.bookConflictRetries.Load(),
 		CandidatesExamined:  e.quality.Examined(),
+		CreateLabels:        e.m.createLabels.Load(),
+		BookLabels:          e.m.bookLabels.Load(),
 	}
 }
 

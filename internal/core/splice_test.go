@@ -164,7 +164,7 @@ func TestSpliceSlicedLegsAreShortest(t *testing.T) {
 	// check stitches r through next and holds the result to the definition.
 	check := func(what string, r *index.Ride, next []viaEdit, maxRuns int) {
 		t.Helper()
-		route, via, runs, err := e.stitch(context.Background(), f, r, next)
+		route, via, runs, err := e.stitch(context.Background(), f, r, next, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

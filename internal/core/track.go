@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"slices"
 
 	"xar/internal/index"
@@ -20,6 +21,9 @@ func (e *Engine) Track(id index.RideID, now float64) (bool, error) {
 
 // TrackCtx is Track with trace propagation.
 func (e *Engine) TrackCtx(ctx context.Context, id index.RideID, now float64) (arrived bool, err error) {
+	if !finite(now) {
+		return false, fmt.Errorf("xar: track time %v is not finite", now)
+	}
 	return e.advance(ctx, id, func(r *index.Ride) int {
 		pos := r.Progress
 		for pos+1 < len(r.RouteETA) && r.RouteETA[pos+1] <= now {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -153,6 +154,22 @@ func TestFig4XARSearchFaster(t *testing.T) {
 	}
 	if !strings.Contains(r.Table(), "Fig 4a") {
 		t.Fatal("table rendering broken")
+	}
+}
+
+// TestFig4Micros pins the Fig 4 table's latency format: microseconds to
+// three significant figures, whatever the magnitude.
+func TestFig4Micros(t *testing.T) {
+	for _, c := range []struct {
+		ms   float64
+		want string
+	}{
+		{0.0114, "11.4"}, {0.011, "11.0"}, {0.00123, "1.23"}, {0.12345, "123"}, {1.2345, "1230"},
+		{48.76, "48800"}, {0.0000123, "0.0123"}, {0, "0"}, {math.NaN(), "-"},
+	} {
+		if got := micros(c.ms); got != c.want {
+			t.Errorf("micros(%v) = %q, want %q", c.ms, got, c.want)
+		}
 	}
 }
 

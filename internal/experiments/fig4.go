@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"xar/internal/sim"
 	"xar/internal/stats"
@@ -47,10 +49,10 @@ func Fig4(w *World) (*Fig4Result, error) {
 // Table renders the three sub-figures (4a search, 4b create, 4c book).
 func (r *Fig4Result) Table() string {
 	render := func(title string, pick func(*sim.Result) *stats.Sample) string {
-		t := stats.NewTable("system", "n", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms")
+		t := stats.NewTable("system", "n", "mean_us", "p50_us", "p95_us", "p99_us", "max_us")
 		for _, res := range []*sim.Result{r.XAR, r.TShare} {
 			s := pick(res)
-			t.AddRow(res.SystemName, s.N(), s.Mean(), s.Percentile(50), s.Percentile(95), s.Percentile(99), s.Max())
+			t.AddRow(res.SystemName, s.N(), micros(s.Mean()), micros(s.Percentile(50)), micros(s.Percentile(95)), micros(s.Percentile(99)), micros(s.Max()))
 		}
 		return title + "\n" + t.String()
 	}
@@ -60,6 +62,27 @@ func (r *Fig4Result) Table() string {
 	out += fmt.Sprintf("\nmatch rate: XAR %.1f%% (%d rides), T-Share %.1f%% (%d taxis)\n",
 		100*r.XAR.MatchRate(), r.XAR.Created, 100*r.TShare.MatchRate(), r.TShare.Created)
 	return out
+}
+
+// micros renders a latency the replay measured in milliseconds as
+// microseconds to three significant figures (0.0114 ms is "11.4", 1.2345
+// ms "1230"): an operation of a few microseconds keeps three figures,
+// where milliseconds to three decimals left it one or two. NaN, an empty
+// sample's, is "-".
+func micros(ms float64) string {
+	us := ms * 1000
+	switch {
+	case math.IsNaN(us):
+		return "-"
+	case us == 0 || math.IsInf(us, 0):
+		return strconv.FormatFloat(us, 'f', -1, 64)
+	}
+	e := int(math.Floor(math.Log10(math.Abs(us))))
+	if e >= 2 {
+		p := math.Pow(10, float64(e-2))
+		return strconv.FormatFloat(math.Round(us/p)*p, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(us, 'f', 2-e, 64)
 }
 
 // SearchSpeedup reports how many times faster XAR's mean search is.

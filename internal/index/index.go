@@ -29,6 +29,7 @@ type Index struct {
 	slots    []*Ride
 	free     []int32
 	clusters []clusterList
+	work     WriteWork // what the list edits did, since New
 
 	// neighbors[c] lists all clusters sorted by ascending distance from
 	// c, so "clusters within d of C" is a prefix.
@@ -300,7 +301,7 @@ func (ix *Index) register(r *Ride) {
 		}
 		c := dir[g].Cluster
 		off[c] = 0
-		ix.clusters[c].add(r.slot, eta)
+		ix.clusters[c].add(&ix.work, r.slot, eta)
 	}
 }
 
@@ -396,7 +397,7 @@ func b2i(b bool) int {
 func (ix *Index) unregister(r *Ride) {
 	for g := 0; g+1 < len(r.dir); g++ {
 		eta, _ := r.minETA(r.group(g))
-		ix.clusters[r.dir[g].Cluster].remove(r.slot, eta)
+		ix.clusters[r.dir[g].Cluster].remove(&ix.work, r.slot, eta)
 	}
 	r.pt, r.support, r.dir = nil, nil, nil
 }
@@ -460,13 +461,13 @@ func (ix *Index) Advance(id RideID, pos int) error {
 			w++
 		}
 		if w == start {
-			ix.clusters[c].remove(r.slot, was)
+			ix.clusters[c].remove(&ix.work, r.slot, was)
 			continue
 		}
 		dir[gw] = dirEntry{Cluster: c, Start: start}
 		gw++
 		if now != was {
-			ix.clusters[c].updateETA(r.slot, was, now)
+			ix.clusters[c].updateETA(&ix.work, r.slot, was, now)
 		}
 	}
 	dir[gw] = dirEntry{Cluster: dirEnd, Start: w}
@@ -518,6 +519,9 @@ func (ix *Index) ClusterListLen(c int) int {
 	}
 	return ix.clusters[c].len()
 }
+
+// WriteWork returns what the posting-list edits have done since New.
+func (ix *Index) WriteWork() WriteWork { return ix.work }
 
 // Stats summarizes the index's occupancy — the quantities behind the
 // paper's memory experiment (Figure 3c): how many cluster-list entries
@@ -755,5 +759,5 @@ func (r *Ride) directoryDefect() string {
 // the ride was listed.
 func (ix *Index) DropFromClusterList(c int, id RideID) bool {
 	eta, ok := ix.HasPotentialRide(c, id)
-	return ok && ix.clusters[c].remove(ix.rides[id].slot, eta)
+	return ok && ix.clusters[c].remove(&ix.work, ix.rides[id].slot, eta)
 }

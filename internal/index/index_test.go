@@ -883,11 +883,26 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 	}
 	swap()
 
-	l.blocks = append(l.blocks, block{})
+	l.blocks, l.fence = append(l.blocks, block{}), append(l.fence, b.tailETA())
 	if !reported("holds 0 entries") {
 		t.Error("an empty block must be reported")
 	}
-	l.blocks = l.blocks[:1]
+	l.blocks, l.fence = l.blocks[:1], nil
+	b = &l.blocks[0]
+
+	// The two rides in two blocks with the fence between them: well
+	// formed, then the fence off the first block's last ETA.
+	whole := *b
+	l.blocks = []block{{eta: whole.eta[:1:1], slot: whole.slot[:1:1]}, {eta: whole.eta[1:], slot: whole.slot[1:]}}
+	l.fence = []float64{whole.eta[0]}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("the list cut in two blocks is reported: %v", err)
+	}
+	l.fence[0]++
+	if !reported("fence 0 reads") {
+		t.Error("a fence off its block's last ETA must be reported under the cluster")
+	}
+	l.blocks, l.fence = []block{whole}, nil
 	b = &l.blocks[0]
 
 	listed := b.eta[1]

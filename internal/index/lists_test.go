@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -40,6 +41,9 @@ func (r refList) window(t1, t2 float64) []int32 {
 // merely agree.
 func checkList(t *testing.T, l *clusterList, ref refList) {
 	t.Helper()
+	if len(l.fence) != max(len(l.blocks)-1, 0) {
+		t.Fatalf("%d fences for %d blocks", len(l.fence), len(l.blocks))
+	}
 	n := 0
 	var prev listEntry
 	for bi, b := range l.blocks {
@@ -62,6 +66,9 @@ func checkList(t *testing.T, l *clusterList, ref refList) {
 			}
 			prev = e
 			n++
+		}
+		if bi < len(l.fence) && l.fence[bi] != b.eta[len(b.eta)-1] {
+			t.Fatalf("fence %d is %v, block %d ends at %v", bi, l.fence[bi], bi, b.eta[len(b.eta)-1])
 		}
 	}
 	if n != len(ref) || l.len() != n {
@@ -95,19 +102,23 @@ func TestBlockListModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		var l clusterList
+		var w WriteWork
 		ref := refList{}
 		nextID := int32(0)
 
 		// Time-ordered arrivals (three rides per ETA) leave full blocks.
-		for ; nextID < 2*blockCap+100; nextID++ {
+		for ; nextID < 2*blockCap+blockCap/2; nextID++ {
 			eta := float64(nextID / 3)
-			l.add(nextID, eta)
+			l.add(&w, nextID, eta)
 			ref[nextID] = eta
 			checkList(t, &l, ref)
 		}
 		if len(l.blocks) != 3 || l.blocks[0].len() != blockCap || l.blocks[1].len() != blockCap {
 			t.Fatalf("seed %d: %d time-ordered appends left %d blocks (first two %d, %d entries), want full blocks",
 				seed, nextID, len(l.blocks), l.blocks[0].len(), l.blocks[1].len())
+		}
+		if want := (WriteWork{Edits: int64(nextID), Probes: w.Probes}); w != want || w.Probes == 0 {
+			t.Fatalf("seed %d: time-ordered appends did %+v, want %d edits that shift and split nothing", seed, w, nextID)
 		}
 
 		// Random phase over the same ETA range, so ties are everywhere.
@@ -121,7 +132,7 @@ func TestBlockListModel(t *testing.T) {
 				last := &l.blocks[len(l.blocks)-1]
 				pastTail := last.at(last.len() - 1).before(listEntry{Slot: id, ETA: eta})
 				nb := len(l.blocks)
-				l.add(id, eta)
+				l.add(&w, id, eta)
 				ref[id] = eta
 				switch {
 				case pastTail:
@@ -131,7 +142,7 @@ func TestBlockListModel(t *testing.T) {
 				}
 			case p < 12: // remove
 				if id, ok := anyRide(rng, ref, idSpace); ok {
-					if !l.remove(id, ref[id]) {
+					if !l.remove(&w, id, ref[id]) {
 						t.Fatalf("seed %d op %d: remove(%d, %v) reported absent", seed, op, id, ref[id])
 					}
 					delete(ref, id)
@@ -139,7 +150,7 @@ func TestBlockListModel(t *testing.T) {
 			case p < 15: // re-time
 				if id, ok := anyRide(rng, ref, idSpace); ok {
 					now := float64(rng.Intn(maxETA))
-					l.updateETA(id, ref[id], now)
+					l.updateETA(&w, id, ref[id], now)
 					ref[id] = now
 				}
 			case p < 17: // stale or foreign key: reports absent, removes nothing
@@ -155,10 +166,10 @@ func TestBlockListModel(t *testing.T) {
 						if eta, listed := ref[key.Slot]; listed && eta == key.ETA {
 							continue // other shares id's ETA: not stale
 						}
-						if l.has(key.Slot, key.ETA) || l.remove(key.Slot, key.ETA) {
+						if l.has(key.Slot, key.ETA) || l.remove(&w, key.Slot, key.ETA) {
 							t.Fatalf("seed %d op %d: stale key %v found", seed, op, key)
 						}
-						l.updateETA(key.Slot, key.ETA, 0) // must not list the ride twice
+						l.updateETA(&w, key.Slot, key.ETA, 0) // must not list the ride twice
 						staleKeys++
 					}
 				}
@@ -187,7 +198,7 @@ func TestBlockListModel(t *testing.T) {
 		for len(ref) > 0 {
 			nb := len(l.blocks)
 			e := l.blocks[0].at(rng.Intn(l.blocks[0].len()))
-			if !l.remove(e.Slot, e.ETA) {
+			if !l.remove(&w, e.Slot, e.ETA) {
 				t.Fatalf("seed %d: drain: remove(%v) reported absent", seed, e)
 			}
 			delete(ref, e.Slot)
@@ -204,9 +215,10 @@ func TestBlockListModel(t *testing.T) {
 
 func TestBlockListWindowInclusive(t *testing.T) {
 	var l clusterList
-	l.add(1, 10)
-	l.add(2, 20)
-	l.add(3, 30)
+	var w WriteWork
+	l.add(&w, 1, 10)
+	l.add(&w, 2, 20)
+	l.add(&w, 3, 30)
 	if got := l.window(10, 30, nil); !slices.Equal(got, []int32{1, 2, 3}) {
 		t.Fatalf("inclusive window = %v", got)
 	}
@@ -224,34 +236,52 @@ func TestBlockListWindowInclusive(t *testing.T) {
 }
 
 // TestBlockListSplitKeepsBothHalves inserts into every position of a full
-// block — the two ends and the split point included — and checks that in
-// both halves slot i still pairs with ETA i.
+// block — the two ends and the middle included — and checks where the
+// block was cut and that in both parts slot i still pairs with ETA i. A
+// block with another after it is cut in the middle; the list's last
+// block, where rides arriving nearly in time order insert, is cut where
+// the tuple goes once that is past the middle, and the tuple ends the
+// lower part. Either way the upper part is born whole and the lower part
+// keeps the full block's columns.
 func TestBlockListSplitKeepsBothHalves(t *testing.T) {
-	for _, at := range []int{0, 1, blockCap/2 - 1, blockCap / 2, blockCap/2 + 1, blockCap - 1} {
-		var l clusterList
-		ref := refList{}
-		for i := 0; i < blockCap; i++ {
-			l.add(int32(i), float64(2*i))
-			ref[int32(i)] = float64(2 * i)
-		}
-		// A second block, so position blockCap−1 is still an insert, not an
-		// append past the tail.
-		l.add(9000, 1e6)
-		ref[9000] = 1e6
-		l.add(5000, float64(2*at-1))
-		ref[5000] = float64(2*at - 1)
-		checkList(t, &l, ref)
-		if len(l.blocks) != 3 {
-			t.Fatalf("insert at %d: %d blocks, want the full one split in two", at, len(l.blocks))
-		}
-		lower, upper := l.blocks[0], l.blocks[1]
-		if lower.len()+upper.len() != blockCap+1 || min(lower.len(), upper.len()) != blockCap/2 {
-			t.Fatalf("insert at %d: halves of %d and %d entries", at, lower.len(), upper.len())
-		}
-		for _, b := range []block{lower, upper} {
-			for i, slot := range b.slot {
-				if want := float64(2 * slot); slot != 5000 && b.eta[i] != want {
-					t.Fatalf("insert at %d: slot %d sits beside ETA %v, it was added with %v", at, slot, b.eta[i], want)
+	const half = blockCap / 2
+	for _, last := range []bool{false, true} {
+		for _, at := range []int{0, 1, half - 1, half, half + 1, blockCap - 1} {
+			var l clusterList
+			var w WriteWork
+			ref := refList{}
+			for i := 0; i < blockCap; i++ {
+				l.add(&w, int32(i), float64(2*i))
+				ref[int32(i)] = float64(2 * i)
+			}
+			if !last {
+				// A second block, so position blockCap−1 is still an
+				// insert, not an append past the tail.
+				l.add(&w, 9000, 1e6)
+				ref[9000] = 1e6
+			}
+			l.add(&w, 5000, float64(2*at-1))
+			ref[5000] = float64(2*at - 1)
+			checkList(t, &l, ref)
+			if want := 3 - b2i(last); len(l.blocks) != want || w.Splits != 1 {
+				t.Fatalf("last %v, insert at %d: %d blocks after %d splits, want the full one split in two", last, at, len(l.blocks), w.Splits)
+			}
+			lower, upper := l.blocks[0], l.blocks[1]
+			wantLower := half + b2i(at <= half)
+			if last && at > half {
+				wantLower = at + 1
+			}
+			if lower.len() != wantLower || lower.len()+upper.len() != blockCap+1 {
+				t.Fatalf("last %v, insert at %d: parts of %d and %d entries, want %d below", last, at, lower.len(), upper.len(), wantLower)
+			}
+			if cap(lower.eta) != blockCap || cap(upper.eta) != blockCap || cap(upper.slot) != blockCap {
+				t.Fatalf("last %v, insert at %d: parts have room for %d and %d ETAs, %d slots above; want blockCap", last, at, cap(lower.eta), cap(upper.eta), cap(upper.slot))
+			}
+			for _, b := range []block{lower, upper} {
+				for i, slot := range b.slot {
+					if want := float64(2 * slot); slot != 5000 && b.eta[i] != want {
+						t.Fatalf("last %v, insert at %d: slot %d sits beside ETA %v, it was added with %v", last, at, slot, b.eta[i], want)
+					}
 				}
 			}
 		}
@@ -259,11 +289,13 @@ func TestBlockListSplitKeepsBothHalves(t *testing.T) {
 }
 
 // TestPostingBytesPerEntry: a posting costs 12 bytes — a full block
-// measures as its two column headers plus blockCap × (8 + 4).
+// measures as its two column headers plus blockCap × (8 + 4) — and a
+// fence between two blocks 8.
 func TestPostingBytesPerEntry(t *testing.T) {
 	var l clusterList
+	var w WriteWork
 	for i := 0; i < blockCap; i++ {
-		l.add(int32(i), float64(i))
+		l.add(&w, int32(i), float64(i))
 	}
 	if len(l.blocks) != 1 || l.blocks[0].len() != blockCap {
 		t.Fatalf("%d time-ordered adds left %d blocks", blockCap, len(l.blocks))
@@ -271,6 +303,14 @@ func TestPostingBytesPerEntry(t *testing.T) {
 	headers := uint64(unsafe.Sizeof(block{}))
 	if got, want := memsize.Of(l.blocks[0]), headers+blockCap*12; got != want || headers != 48 {
 		t.Fatalf("a full block measures %d bytes, want %d (two slice headers, %d, and %d × 12)", got, want, headers, blockCap)
+	}
+	// A fence stands between each two blocks: five full blocks' four
+	// fences fill their array exactly, a slice header and 8 bytes each.
+	for i := blockCap; i < 5*blockCap; i++ {
+		l.add(&w, int32(i), float64(i))
+	}
+	if got := memsize.Of(l.fence); len(l.blocks) != 5 || len(l.fence) != 4 || got != 24+4*8 {
+		t.Fatalf("%d blocks' %d fences measure %d bytes, want a 24-byte header and 8 a fence", len(l.blocks), len(l.fence), got)
 	}
 }
 
@@ -302,6 +342,7 @@ func TestWindowEqualsScanOnRandomLists(t *testing.T) {
 		// re-adds that follow split some and thin others. Even ETAs leave
 		// room for a window between two neighbours.
 		var l clusterList
+		var w WriteWork
 		ref := refList{}
 		n := rng.Intn(4*blockCap - 200)
 		if trial < 3 {
@@ -309,14 +350,14 @@ func TestWindowEqualsScanOnRandomLists(t *testing.T) {
 		}
 		perETA := 1 + rng.Intn(4)
 		for i := 0; i < n; i++ {
-			l.add(int32(i), float64(2*(i/perETA)))
+			l.add(&w, int32(i), float64(2*(i/perETA)))
 			ref[int32(i)] = float64(2 * (i / perETA))
 		}
 		maxETA := 2 * (n/perETA + 1)
 		for i := rng.Intn(n/4 + 1); i > 0; i-- {
 			id, _ := anyRide(rng, ref, n)
 			now := float64(2 * rng.Intn(maxETA/2))
-			l.updateETA(id, ref[id], now)
+			l.updateETA(&w, id, ref[id], now)
 			ref[id] = now
 		}
 		checkList(t, &l, ref)
@@ -371,47 +412,62 @@ func TestWindowEqualsScanOnRandomLists(t *testing.T) {
 	}
 }
 
-// TestStructuralDefectCatchesDamage breaks each block invariant in turn.
+// TestStructuralDefectCatchesDamage breaks each block invariant in turn,
+// fences kept consistent with the damage where they would otherwise
+// report it first, and requires the report that names it.
 func TestStructuralDefectCatchesDamage(t *testing.T) {
 	build := func() *clusterList {
 		var l clusterList
+		var w WriteWork
 		for i := 0; i < 2*blockCap; i++ {
-			l.add(int32(i), float64(i/2))
+			l.add(&w, int32(i), float64(i/2))
 		}
 		return &l
 	}
-	columnDefects := map[string]string{ // named with both lengths
-		"truncated slot column": "block 1 holds 512 ETAs and 511 slots",
-		"truncated ETA column":  "block 0 holds 509 ETAs and 512 slots",
-	}
-	for name, damage := range map[string]func(l *clusterList){
-		"empty block": func(l *clusterList) { l.blocks = append(l.blocks, block{}) },
-		"oversized block": func(l *clusterList) {
+	for name, c := range map[string]struct {
+		damage func(l *clusterList)
+		want   string
+	}{
+		"empty block": {func(l *clusterList) {
+			l.blocks, l.fence = append(l.blocks, block{}), append(l.fence, l.blocks[1].tailETA())
+		}, fmt.Sprintf("block 2 holds 0 entries (want 1..%d)", blockCap)},
+		"oversized block": {func(l *clusterList) {
 			b := &l.blocks[1]
 			b.eta, b.slot = append(b.eta, 1e9), append(b.slot, 1<<20)
 			l.n++
-		},
-		"order in block": func(l *clusterList) { s := l.blocks[0].slot; s[2], s[3] = s[3], s[2] },
-		"order across":   func(l *clusterList) { l.blocks[0], l.blocks[1] = l.blocks[1], l.blocks[0] },
-		"duplicate tuple": func(l *clusterList) {
+		}, fmt.Sprintf("block 1 holds %d entries (want 1..%d)", blockCap+1, blockCap)},
+		"order in block": {func(l *clusterList) { s := l.blocks[0].slot; s[2], s[3] = s[3], s[2] }, "(ETA, slot) order violated at block 0 entry 3"},
+		"order across": {func(l *clusterList) {
+			l.blocks[0], l.blocks[1] = l.blocks[1], l.blocks[0]
+			l.fence[0] = l.blocks[0].tailETA()
+		}, "(ETA, slot) order violated at block 1 entry 0"},
+		"duplicate tuple": {func(l *clusterList) {
 			b := &l.blocks[0]
 			b.eta[1], b.slot[1] = b.eta[0], b.slot[0]
-		},
-		"stale count":           func(l *clusterList) { l.n-- },
-		"truncated slot column": func(l *clusterList) { b := &l.blocks[1]; b.slot = b.slot[:len(b.slot)-1] },
-		"truncated ETA column":  func(l *clusterList) { b := &l.blocks[0]; b.eta = b.eta[:len(b.eta)-3] },
+		}, "(ETA, slot) order violated at block 0 entry 1"},
+		"stale count":           {func(l *clusterList) { l.n-- }, fmt.Sprintf("blocks hold %d entries, len() says %d", 2*blockCap, 2*blockCap-1)},
+		"truncated slot column": {func(l *clusterList) { b := &l.blocks[1]; b.slot = b.slot[:len(b.slot)-1] }, fmt.Sprintf("block 1 holds %d ETAs and %d slots", blockCap, blockCap-1)},
+		"truncated ETA column": {func(l *clusterList) {
+			b := &l.blocks[0]
+			b.eta = b.eta[:len(b.eta)-3]
+			l.fence[0] = b.tailETA()
+		}, fmt.Sprintf("block 0 holds %d ETAs and %d slots", blockCap-3, blockCap)},
+		// The fence: off its block's tail (still ascending, so only the
+		// comparison with the tail sees it), missing, or one too many —
+		// the last block has none.
+		"fence off its tail": {func(l *clusterList) { l.fence[0] -= 0.5 }, fmt.Sprintf("fence 0 reads %v, its block's last ETA is %v", float64(blockCap/2-1)-0.5, float64(blockCap/2-1))},
+		"fence missing":      {func(l *clusterList) { l.fence = l.fence[:0] }, "0 fences for 2 blocks"},
+		"fence past the last block": {func(l *clusterList) {
+			l.fence = append(l.fence, l.blocks[1].tailETA())
+		}, "2 fences for 2 blocks"},
 	} {
 		l := build()
 		if _, defect := l.structuralDefect(); defect != "" {
 			t.Fatalf("%s: intact list reported %q", name, defect)
 		}
-		damage(l)
-		_, defect := l.structuralDefect()
-		if defect == "" {
-			t.Errorf("%s: not detected", name)
-		}
-		if want := columnDefects[name]; want != "" && defect != want {
-			t.Errorf("%s: reported as %q, want %q", name, defect, want)
+		c.damage(l)
+		if _, defect := l.structuralDefect(); defect != c.want {
+			t.Errorf("%s: reported as %q, want %q", name, defect, c.want)
 		}
 	}
 }

@@ -86,6 +86,13 @@ func (v View) Stats() Stats {
 	return v.l.Ix.Stats()
 }
 
+// WriteWork returns the index's posting-list edit counts.
+func (v View) WriteWork() WriteWork {
+	v.l.RLock()
+	defer v.l.RUnlock()
+	return v.l.Ix.WriteWork()
+}
+
 // CheckInvariants validates the index's cross-structure invariants.
 func (v View) CheckInvariants() error {
 	v.l.RLock()

@@ -109,12 +109,13 @@ type label struct {
 // can serve many concurrent searches: each goroutine owns one Searcher.
 // Reusing a Searcher across queries avoids reallocating the O(n) array.
 type Searcher struct {
-	g      *Graph
-	labels []label
-	gen    uint32
-	queue  pq    // DistancesWithin's heap
-	ring   ring  // the A* loop's
-	sw     sweep // flat adjacency and one-to-all scratch; see DistancesToAll
+	g        *Graph
+	labels   []label
+	gen      uint32
+	labelled int   // nodes the current generation has labelled
+	queue    pq    // DistancesWithin's heap
+	ring     ring  // the A* loop's
+	sw       sweep // flat adjacency and one-to-all scratch; see DistancesToAll
 }
 
 // NewSearcher creates a Searcher bound to g.
@@ -130,6 +131,7 @@ func (s *Searcher) reset() {
 		}
 		s.gen = 1
 	}
+	s.labelled = 0
 	s.queue = s.queue[:0]
 }
 
@@ -140,22 +142,18 @@ func (s *Searcher) relax(v NodeID, d float64, from NodeID) bool {
 	if lb.stamp == s.gen && d >= lb.dist {
 		return false
 	}
+	if lb.stamp != s.gen {
+		s.labelled++
+	}
 	lb.stamp, lb.dist, lb.prev = s.gen, d, from
 	return true
 }
 
 // LabelledNodes reports how many nodes the last search labelled — every
 // node it reached, expanded or not: the quantity a tighter heuristic
-// reduces. Exposed for benchmarks and tests.
-func (s *Searcher) LabelledNodes() int {
-	n := 0
-	for i := range s.labels {
-		if s.labels[i].stamp == s.gen {
-			n++
-		}
-	}
-	return n
-}
+// reduces. The searches count them as they label, so reading it costs
+// nothing: the engine sums it over every create's and booking's paths.
+func (s *Searcher) LabelledNodes() int { return s.labelled }
 
 func (s *Searcher) buildPath(target NodeID) []NodeID {
 	n := 0
@@ -311,6 +309,7 @@ func (s *Searcher) astar(source, target NodeID, tab []altRow, h func(NodeID) int
 
 	ls := &labels[source]
 	*ls = label{h: hs, prev: InvalidNode, stamp: gen}
+	s.labelled++
 	q.cur, q.hi = q.bucket(key(ls)), 0
 	q.stack(source, ls, q.cur)
 	dt := math.Inf(1) // the target's label
@@ -351,6 +350,7 @@ func (s *Searcher) astar(source, target NodeID, tab []altRow, h func(NodeID) int
 				// the stack in pieces that stall store forwarding; the mark
 				// is the push's to set (the target is never pushed).
 				lu.dist, lu.h, lu.stamp, lu.prev = nd, hu, gen, v
+				s.labelled++
 			case nd < lu.dist:
 				lu.dist, lu.prev = nd, v
 			default:

@@ -16,6 +16,7 @@ import (
 	"xar/internal/core"
 	"xar/internal/experiments"
 	"xar/internal/geo"
+	"xar/internal/index"
 	"xar/internal/journal"
 	"xar/internal/quality"
 	"xar/internal/server"
@@ -66,13 +67,17 @@ func TestExactWorkCounts(t *testing.T) {
 		// size, the discretization and the graph it points at left out.
 		eng, _ := denseFleet(t, w)
 		rep := eng.MemSweep()
-		// 3 290.436 with a per-ride average speed (8 B) and the index's
-		// config and ID counter (24 B over the 1 000 rides); 4 142.588
-		// with 24-byte supports besides; 3 282.412 with register's build
-		// records at 24 bytes, grown by append one at a time (the scratch's
-		// capacity counts); 3 275.676 with a stored crossed flag on each
-		// pass-through run (a 32-byte run where it is now 24).
-		wantRounded(t, float64(rep.IndexBytes)/float64(rep.ActiveRides), 3232.284)
+		// 3 232.284 with posting blocks of up to 512 tuples grown by
+		// append, no fences and the lower half of a split left in the full
+		// block's columns (half of them spare for good where rides arrive
+		// in time order); 3 290.436 with a per-ride average speed (8 B)
+		// and the index's config and ID counter (24 B over the 1 000
+		// rides) besides; 4 142.588 with 24-byte supports besides;
+		// 3 282.412 with register's build records at 24 bytes, grown by
+		// append one at a time (the scratch's capacity counts); 3 275.676
+		// with a stored crossed flag on each pass-through run (a 32-byte
+		// run where it is now 24).
+		wantRounded(t, float64(rep.IndexBytes)/float64(rep.ActiveRides), 3212.340)
 	})
 	t.Run("create_allocs", func(t *testing.T) {
 		skipUnderRace(t)
@@ -108,10 +113,59 @@ func TestExactWorkCounts(t *testing.T) {
 		sys, requests := seededXAR(t, w)
 		var m mallocMeter
 		m.StartTimer()
-		bookLoop(&m, writeOps, w, sys, requests)
+		bookLoop(&m, writeOps, w, sys, requests, xarRetire(sys))
 		m.StopTimer()
 		// 11 when a booking's snapshot cloned the route and the schedule.
 		wantAllocs(t, m.mean(writeOps), 9)
+	})
+
+	t.Run("write_work", func(t *testing.T) {
+		// What the write path did, in units no machine changes: the
+		// posting-list edits' tuples, shifts, splits and search probes
+		// (index.WriteWork) and the nodes the path searches labelled, on
+		// create_allocs' 2 000 creates, across book_allocs' 2 000
+		// bookings, and across the first 300 bookings on the dense fleet.
+		// With 512-tuple blocks and no fences the three read shifts
+		// 2 342 683, 87 816 and 1 484 323 (4 948 a dense booking, 5.8×
+		// today's 852), splits 90, 0 and 0, probes 479 319, 403 456 and
+		// 75 994 (9.78 an edit on the dense fleet, 9.27 today); most lists
+		// of the booking world are shorter than a block either way.
+		check := func(what string, got index.WriteWork, labels uint64, want index.WriteWork, wantLabels uint64) {
+			t.Helper()
+			if got != want || labels != wantLabels {
+				t.Errorf("%s: %+v and %d labelled nodes, want %+v and %d", what, got, labels, want, wantLabels)
+			}
+		}
+		eng, err := w.NewXAREngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		offerEach(&sim.XARSystem{Engine: eng}, w)
+		check("create", eng.Index().WriteWork(), eng.Metrics().CreateLabels,
+			index.WriteWork{Edits: 58283, Shifted: 523506, Splits: 661, Probes: 468879}, 81823)
+
+		sys, requests := seededXAR(t, w)
+		wm := workMeter{eng: sys.Engine}
+		wm.StartTimer()
+		bookLoop(&wm, writeOps, w, sys, requests, xarRetire(sys))
+		wm.StopTimer()
+		check("book", wm.work, wm.labels, index.WriteWork{Edits: 51957, Shifted: 87727, Probes: 373087}, 140629)
+
+		dense, reqs := denseFleet(t, w)
+		dm := workMeter{eng: dense}
+		books := 0
+		for _, req := range reqs {
+			if books == denseBooks {
+				break
+			}
+			if ms, _ := dense.SearchK(req, 0); len(ms) > 0 {
+				dm.StartTimer()
+				_, _ = dense.Book(ms[0], req)
+				dm.StopTimer()
+				books++
+			}
+		}
+		check("dense book", dm.work, dm.labels, index.WriteWork{Edits: 7769, Shifted: 255676, Splits: 2, Probes: 72032}, 20841)
 	})
 
 	t.Run("greedy_dist_evals", func(t *testing.T) {
@@ -216,6 +270,30 @@ func TestExactWorkCounts(t *testing.T) {
 			t.Errorf("%d refused per %d confirmed bookings, want 16 per 1 494 (0.011)", rc.refused, rc.engine.Bookings)
 		}
 	})
+}
+
+// denseBooks is how many bookings write_work makes on the dense fleet:
+// the repository benchmark's search_dense booking tail, the first
+// requests that find a match, each booking its first.
+const denseBooks = 300
+
+// workMeter sums the posting-list work and the booking path searches'
+// labelled nodes an engine does while it runs.
+type workMeter struct {
+	eng        *core.Engine
+	w0, work   index.WriteWork
+	l0, labels uint64
+}
+
+func (m *workMeter) StartTimer() { m.w0, m.l0 = m.eng.Index().WriteWork(), m.eng.Metrics().BookLabels }
+
+func (m *workMeter) StopTimer() {
+	w := m.eng.Index().WriteWork()
+	m.work.Edits += w.Edits - m.w0.Edits
+	m.work.Shifted += w.Shifted - m.w0.Shifted
+	m.work.Splits += w.Splits - m.w0.Splits
+	m.work.Probes += w.Probes - m.w0.Probes
+	m.labels += m.eng.Metrics().BookLabels - m.l0
 }
 
 // offerEach offers the world's trips to sys one at a time, writeOps of
