@@ -520,9 +520,6 @@ func (ix *Index) ClusterListLen(c int) int {
 	return ix.clusters[c].len()
 }
 
-// WriteWork returns what the posting-list edits have done since New.
-func (ix *Index) WriteWork() WriteWork { return ix.work }
-
 // Stats summarizes the index's occupancy — the quantities behind the
 // paper's memory experiment (Figure 3c): how many cluster-list entries
 // and support records the current fleet induces.

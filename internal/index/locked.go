@@ -86,11 +86,12 @@ func (v View) Stats() Stats {
 	return v.l.Ix.Stats()
 }
 
-// WriteWork returns the index's posting-list edit counts.
+// WriteWork returns what the index's posting-list edits have done since
+// it was built.
 func (v View) WriteWork() WriteWork {
 	v.l.RLock()
 	defer v.l.RUnlock()
-	return v.l.Ix.WriteWork()
+	return v.l.Ix.work
 }
 
 // CheckInvariants validates the index's cross-structure invariants.
