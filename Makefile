@@ -25,11 +25,15 @@ race:
 # benchmark's 80x44 city (both of BenchmarkRegister's arms, warm and
 # cold), and one mid-list posting-list edit pair at search_dense's list
 # lengths (BenchmarkListEditDense, with the tuples it shifts and the keys
-# it probes per op).
+# it probes per op), and the shared bucket grid's two hot uses on the
+# same city: the region's grid table (every cell's centroid snap and
+# walkable-landmark scan) and one centroid snap, the create path's
+# nearest-node query (BenchmarkGridTable/table and /nearest).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkFig4cBookXAR$$|BenchmarkSearchObservers|BenchmarkSearchDense$$' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkShortestPath(ALT|PlainAStar|CH)' -benchtime 100x ./internal/roadnet
 	$(GO) test -run '^$$' -bench 'BenchmarkRegister$$|BenchmarkListEditDense$$' -benchtime 100x ./internal/index
+	$(GO) test -run '^$$' -bench 'BenchmarkGridTable/(table|nearest)$$' -benchtime 100x ./internal/discretize
 
 # bench-observers: every observer's cost on the loaded search hot path,
 # one BenchmarkSearchObservers arm per configuration, each read against

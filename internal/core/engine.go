@@ -194,10 +194,6 @@ type Match struct {
 	DetourEstimate float64 // meters of extra driving, cluster-approximated
 	PickupETA      float64 // ride's estimated arrival in the pickup cluster
 	DropoffETA     float64
-	pickupOrder    int // route order of the supporting pass-through
-	dropoffOrder   int
-	pickupSegv     int // segment of the supporting pass-through (pickup)
-	dropoffSegv    int // segment of the supporting pass-through (drop-off)
 }
 
 // TotalWalk is the match's combined walking distance, the quantity the

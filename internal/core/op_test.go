@@ -206,14 +206,17 @@ func opSeeds(d *discretize.Discretization) [][]byte {
 
 // refused reports whether the engine must turn op down whatever the
 // history: a non-finite value where only a finite one means anything, a
-// point off the globe, fewer than two seats.
+// point off the globe, fewer than two seats, a departure window that
+// ends before it starts. The window judged is the one Apply builds,
+// [T, T+Span]: a negative Span too small to move T leaves a valid
+// window, and a NaN at either end fails the comparison.
 func refused(op Op) bool {
 	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	switch op.Kind {
 	case OpCreate:
 		return !op.Source.Valid() || !op.Dest.Valid() || !finite(op.T) || !finite(op.Limit) || op.Limit < 0 || op.N == 1
 	case OpSearch:
-		return !op.Source.Valid() || !op.Dest.Valid() || math.IsNaN(op.T) || math.IsNaN(op.T+op.Span) || op.Span < 0 || !(op.Limit >= 0)
+		return !op.Source.Valid() || !op.Dest.Valid() || !(op.T+op.Span >= op.T) || !(op.Limit >= 0)
 	case OpTrack:
 		return !finite(op.T)
 	}

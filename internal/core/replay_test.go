@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"xar/internal/index"
@@ -62,7 +61,7 @@ func TestReplaySearchEqualsReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _ := referenceSearch(t, e, req, regFrom)
-		if !slices.Equal(got, want) {
+		if !equalReference(e, got, want) {
 			t.Fatalf("trip %d: search returned %d matches, reference %d\n got  %+v\n want %+v", i, len(got), len(want), got, want)
 		}
 		searches++

@@ -282,7 +282,7 @@ func (e *Engine) search(span *telemetry.Span, req Request, timed, fine bool, opt
 			}
 		}
 	}
-	// A match is 96 bytes: order pointers to them, then copy each once
+	// A match is 64 bytes: order pointers to them, then copy each once
 	// into the slice the caller owns.
 	order := scratch.order[:0]
 	for i := range scratch.matches {
@@ -435,10 +435,6 @@ func scanIndex(ix *index.Index, req Request, srcSide, dstSide []sideCandidate, f
 			DetourEstimate: ps.Detour + pd.Detour,
 			PickupETA:      r.SupportETA(*ps),
 			DropoffETA:     r.SupportETA(*pd),
-			pickupOrder:    int(ps.Order),
-			dropoffOrder:   int(pd.Order),
-			pickupSegv:     r.SupportSeg(*ps),
-			dropoffSegv:    r.SupportSeg(*pd),
 		})
 	}
 	return res

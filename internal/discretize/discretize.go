@@ -155,8 +155,12 @@ type Discretization struct {
 	// (Grid.Index), walkable lists sub-slicing one exact-size array per row.
 	cells []GridInfo
 
-	// Landmark spatial buckets for walkable-cluster queries.
-	lmIndex *pointBuckets
+	// Landmark spatial buckets for walkable-cluster queries, over the
+	// grid system's box, which holds every landmark (a node of the graph)
+	// as the scan's geo.FlatBound requires; and geo.CosLat of each
+	// landmark.
+	lmIndex *geo.Buckets
+	lmCos   []float64
 }
 
 // MeasureMem implements memsize.Measurer. The structure is immutable
@@ -182,7 +186,8 @@ func Build(city *roadnet.City, cfg Config) (*Discretization, error) {
 		return nil, fmt.Errorf("discretize: empty road network")
 	}
 
-	gs, err := grid.NewSystem(g.BBox().Pad(cfg.MaxWalk+cfg.GridCellSize), cfg.GridCellSize)
+	box := g.BBox().Pad(cfg.MaxWalk + cfg.GridCellSize)
+	gs, err := grid.NewSystem(box, cfg.GridCellSize)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +204,11 @@ func Build(city *roadnet.City, cfg Config) (*Discretization, error) {
 		city:      city,
 		Grid:      gs,
 		Landmarks: lms,
-		lmIndex:   newPointBuckets(landmark.Points(lms), g.BBox().Pad(cfg.MaxWalk+cfg.GridCellSize), cfg.MaxWalk),
+		lmIndex:   geo.NewBuckets(box, cmp.Or(cfg.MaxWalk, 500), landmark.Points(lms)), // 500 m cells when W = 0
+		lmCos:     make([]float64, len(lms)),
+	}
+	for i, lm := range lms {
+		d.lmCos[i] = geo.CosLat(lm.Point)
 	}
 
 	if err := d.computeLandmarkDistances(); err != nil {
@@ -522,14 +531,13 @@ func (d *Discretization) fillGridInfo(gi *GridInfo, id grid.ID, arena []Walkable
 	ix := d.lmIndex
 	radius := d.cfg.MaxWalk / walkDetourFactor
 	cosP := geo.CosLat(centroid)
-	flat := geo.NewFlatBound(centroid, ix.box)
+	flat := geo.NewFlatBound(centroid, ix.Box)
 	start := len(arena)
-	span := int(radius/ix.cell) + 1
-	r0, c0 := ix.rc(centroid)
-	for r := max(r0-span, 0); r <= min(r0+span, ix.rows-1); r++ {
-		for c := max(c0-span, 0); c <= min(c0+span, ix.cols-1); c++ {
-			for _, lm := range ix.buckets[r*ix.cols+c] {
-				q := ix.pts[lm]
+	r0, r1, c0, c1 := ix.Square(centroid, radius)
+	for r := r0; r <= r1; r++ {
+		for c := c0; c <= c1; c++ {
+			for _, lm := range ix.Bucket(r, c) {
+				q := d.Landmarks[lm].Point
 				if flat.Beyond(q, radius) {
 					continue
 				}
@@ -544,7 +552,7 @@ func (d *Discretization) fillGridInfo(gi *GridInfo, id grid.ID, arena []Walkable
 				if wc != nil && flat.Beyond(q, wc.Walk/walkDetourFactor) {
 					continue
 				}
-				straight := geo.HaversineCos(centroid, q, cosP, ix.cos[lm])
+				straight := geo.HaversineCos(centroid, q, cosP, d.lmCos[lm])
 				walk := straight * walkDetourFactor
 				if straight > radius || walk > d.cfg.MaxWalk {
 					continue
@@ -602,61 +610,4 @@ func (d *Discretization) NearestLandmarkInCluster(p geo.Point, c int) (int, floa
 func (d *Discretization) Servable(p geo.Point) bool {
 	gi := d.Info(d.GridAt(p))
 	return gi != nil && (gi.Landmark >= 0 || len(gi.Walkable) > 0)
-}
-
-// pointBuckets is a tiny uniform bucket index over a fixed point set.
-type pointBuckets struct {
-	pts        []geo.Point
-	cos        []float64 // geo.CosLat of each point
-	box        geo.BBox
-	cell       float64
-	dLat, dLng float64
-	rows, cols int
-	buckets    [][]int32
-}
-
-func newPointBuckets(pts []geo.Point, box geo.BBox, cellMeters float64) *pointBuckets {
-	if cellMeters <= 0 {
-		cellMeters = 500
-	}
-	for _, p := range pts {
-		box = box.Extend(p) // the flat bound relies on box holding every point
-	}
-	midLat := (box.MinLat + box.MaxLat) / 2
-	b := &pointBuckets{
-		pts:  pts,
-		cos:  make([]float64, len(pts)),
-		box:  box,
-		cell: cellMeters,
-		dLat: cellMeters / geo.MetersPerDegreeLat(),
-		dLng: cellMeters / geo.MetersPerDegreeLng(midLat),
-	}
-	b.rows = int((box.MaxLat-box.MinLat)/b.dLat) + 2
-	b.cols = int((box.MaxLng-box.MinLng)/b.dLng) + 2
-	b.buckets = make([][]int32, b.rows*b.cols)
-	for i, p := range pts {
-		b.cos[i] = geo.CosLat(p)
-		r, c := b.rc(p)
-		k := r*b.cols + c
-		b.buckets[k] = append(b.buckets[k], int32(i))
-	}
-	return b
-}
-
-func (b *pointBuckets) rc(p geo.Point) (int, int) {
-	r := int((p.Lat - b.box.MinLat) / b.dLat)
-	c := int((p.Lng - b.box.MinLng) / b.dLng)
-	if r < 0 {
-		r = 0
-	}
-	if r >= b.rows {
-		r = b.rows - 1
-	}
-	if c < 0 {
-		c = 0
-	}
-	if c >= b.cols {
-		c = b.cols - 1
-	}
-	return r, c
 }

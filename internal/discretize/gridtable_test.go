@@ -12,30 +12,24 @@ import (
 )
 
 // within is the landmark scan the per-cell oracle ran: visit for every
-// point at haversine distance ≤ radius of p, each point the flat bound
+// landmark at haversine distance ≤ radius of p, each one the flat bound
 // does not turn away paying for a plain geo.Haversine.
-func (b *pointBuckets) within(p geo.Point, radius float64, visit func(i int, d float64)) {
+func within(d *Discretization, p geo.Point, radius float64, visit func(i int, dist float64)) {
 	if radius < 0 {
 		return
 	}
-	flat := geo.NewFlatBound(p, b.box)
-	span := int(radius/b.cell) + 1
-	r0, c0 := b.rc(p)
-	for r := r0 - span; r <= r0+span; r++ {
-		if r < 0 || r >= b.rows {
-			continue
-		}
-		for c := c0 - span; c <= c0+span; c++ {
-			if c < 0 || c >= b.cols {
-				continue
-			}
-			for _, i := range b.buckets[r*b.cols+c] {
-				q := b.pts[i]
+	b := d.lmIndex
+	flat := geo.NewFlatBound(p, b.Box)
+	r0, r1, c0, c1 := b.Square(p, radius)
+	for r := r0; r <= r1; r++ {
+		for c := c0; c <= c1; c++ {
+			for _, i := range b.Bucket(r, c) {
+				q := d.Landmarks[i].Point
 				if flat.Beyond(q, radius) {
 					continue
 				}
-				if d := geo.Haversine(p, q); d <= radius {
-					visit(int(i), d)
+				if dist := geo.Haversine(p, q); dist <= radius {
+					visit(int(i), dist)
 				}
 			}
 		}
@@ -57,7 +51,7 @@ func computeGridInfo(d *Discretization, id grid.ID) *GridInfo {
 		}
 	}
 	acc := make([]WalkableCluster, 0, 16)
-	d.lmIndex.within(centroid, d.cfg.MaxWalk/walkDetourFactor, func(lmID int, straight float64) {
+	within(d, centroid, d.cfg.MaxWalk/walkDetourFactor, func(lmID int, straight float64) {
 		walk := straight * walkDetourFactor
 		if walk > d.cfg.MaxWalk {
 			return

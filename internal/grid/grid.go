@@ -95,9 +95,6 @@ func (s *System) Rows() int32 { return s.rows }
 // Cols reports the number of grid columns.
 func (s *System) Cols() int32 { return s.cols }
 
-// NumCells returns the total number of (implicit) cells.
-func (s *System) NumCells() int64 { return int64(s.rows) * int64(s.cols) }
-
 // At maps a point to its unique grid cell, or Invalid if the point falls
 // outside the covered region. Every in-region point maps to exactly one
 // cell (many-to-one, per Definition 1).
@@ -179,24 +176,4 @@ func (s *System) Ring(id ID, k int32, dst []ID) []ID {
 		dst = add(r, col+k)
 	}
 	return dst
-}
-
-// ChebyshevDist returns the Chebyshev (ring) distance between two cells,
-// i.e. the number of rings separating them. It approximates driving
-// proximity for the grid-based baseline.
-func ChebyshevDist(a, b ID) int32 {
-	ar, ac := a.RC()
-	br, bc := b.RC()
-	dr := ar - br
-	if dr < 0 {
-		dr = -dr
-	}
-	dc := ac - bc
-	if dc < 0 {
-		dc = -dc
-	}
-	if dr > dc {
-		return dr
-	}
-	return dc
 }

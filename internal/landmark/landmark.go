@@ -13,6 +13,7 @@ package landmark
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"xar/internal/geo"
@@ -42,8 +43,8 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.MinSeparation < 0 {
-		return fmt.Errorf("landmark: MinSeparation must be >= 0, got %v", c.MinSeparation)
+	if !(c.MinSeparation >= 0) || math.IsInf(c.MinSeparation, 1) {
+		return fmt.Errorf("landmark: MinSeparation must be finite and >= 0, got %v", c.MinSeparation)
 	}
 	if c.MaxLandmarks < 0 {
 		return fmt.Errorf("landmark: MaxLandmarks must be >= 0, got %v", c.MaxLandmarks)
@@ -80,21 +81,23 @@ func Extract(g *roadnet.Graph, cfg Config) ([]Landmark, error) {
 		return cands[i].node < cands[j].node
 	})
 
-	// Greedy minimum-separation filter, accelerated with a bucket grid so
-	// extraction is near-linear rather than quadratic.
+	// Greedy minimum-separation filter, accelerated with a bucket grid
+	// over the kept landmarks, so extraction is near-linear rather than
+	// quadratic. Its cells are f on a side, and no smaller than 100 m: a
+	// cell count that grows as 1/f² would cost more than the filter.
 	var kept []Landmark
-	bucket := newSepGrid(g.BBox(), cfg.MinSeparation)
+	cell := max(cfg.MinSeparation, 100)
+	bucket := geo.NewBuckets(g.BBox().Pad(cell), cell, nil)
 	for _, c := range cands {
 		if cfg.MaxLandmarks > 0 && len(kept) >= cfg.MaxLandmarks {
 			break
 		}
 		p := g.Point(c.node)
-		if cfg.MinSeparation > 0 && bucket.hasWithin(p, cfg.MinSeparation) {
+		if cfg.MinSeparation > 0 && hasWithin(bucket, kept, p, cfg.MinSeparation) {
 			continue
 		}
-		lm := Landmark{ID: len(kept), Node: c.node, Point: p, Score: c.score}
-		kept = append(kept, lm)
-		bucket.add(p)
+		bucket.Add(int32(len(kept)), p)
+		kept = append(kept, Landmark{ID: len(kept), Node: c.node, Point: p, Score: c.score})
 	}
 	if len(kept) == 0 {
 		return nil, fmt.Errorf("landmark: extraction produced no landmarks")
@@ -128,72 +131,13 @@ func scoreNode(g *roadnet.Graph, id roadnet.NodeID) float64 {
 	return s
 }
 
-// sepGrid is a uniform bucket grid supporting "is any kept landmark
-// within r of p" queries for the separation filter.
-type sepGrid struct {
-	box        geo.BBox
-	cell       float64
-	dLat, dLng float64
-	rows, cols int
-	buckets    map[int][]geo.Point
-}
-
-func newSepGrid(box geo.BBox, sep float64) *sepGrid {
-	cell := sep
-	if cell <= 0 {
-		cell = 100
-	}
-	box = box.Pad(cell)
-	midLat := (box.MinLat + box.MaxLat) / 2
-	g := &sepGrid{
-		box:     box,
-		cell:    cell,
-		dLat:    cell / geo.MetersPerDegreeLat(),
-		dLng:    cell / geo.MetersPerDegreeLng(midLat),
-		buckets: map[int][]geo.Point{},
-	}
-	g.rows = int((box.MaxLat-box.MinLat)/g.dLat) + 2
-	g.cols = int((box.MaxLng-box.MinLng)/g.dLng) + 2
-	return g
-}
-
-func (g *sepGrid) rc(p geo.Point) (int, int) {
-	r := int((p.Lat - g.box.MinLat) / g.dLat)
-	c := int((p.Lng - g.box.MinLng) / g.dLng)
-	if r < 0 {
-		r = 0
-	}
-	if r >= g.rows {
-		r = g.rows - 1
-	}
-	if c < 0 {
-		c = 0
-	}
-	if c >= g.cols {
-		c = g.cols - 1
-	}
-	return r, c
-}
-
-func (g *sepGrid) add(p geo.Point) {
-	r, c := g.rc(p)
-	k := r*g.cols + c
-	g.buckets[k] = append(g.buckets[k], p)
-}
-
-func (g *sepGrid) hasWithin(p geo.Point, radius float64) bool {
-	r0, c0 := g.rc(p)
-	span := int(radius/g.cell) + 1
-	for r := r0 - span; r <= r0+span; r++ {
-		if r < 0 || r >= g.rows {
-			continue
-		}
-		for c := c0 - span; c <= c0+span; c++ {
-			if c < 0 || c >= g.cols {
-				continue
-			}
-			for _, q := range g.buckets[r*g.cols+c] {
-				if geo.Haversine(p, q) < radius {
+// hasWithin reports whether a kept landmark lies closer than radius to p.
+func hasWithin(b *geo.Buckets, kept []Landmark, p geo.Point, radius float64) bool {
+	r0, r1, c0, c1 := b.Square(p, radius)
+	for r := r0; r <= r1; r++ {
+		for c := c0; c <= c1; c++ {
+			for _, i := range b.Bucket(r, c) {
+				if geo.Haversine(p, kept[i].Point) < radius {
 					return true
 				}
 			}
@@ -209,13 +153,4 @@ func Points(lms []Landmark) []geo.Point {
 		pts[i] = lm.Point
 	}
 	return pts
-}
-
-// Nodes extracts the road nodes of a landmark set.
-func Nodes(lms []Landmark) []roadnet.NodeID {
-	ns := make([]roadnet.NodeID, len(lms))
-	for i, lm := range lms {
-		ns[i] = lm.Node
-	}
-	return ns
 }

@@ -1,6 +1,7 @@
 package landmark
 
 import (
+	"math"
 	"testing"
 
 	"xar/internal/geo"
@@ -17,8 +18,10 @@ func testCity(t *testing.T) *roadnet.City {
 }
 
 func TestValidate(t *testing.T) {
-	if err := (Config{MinSeparation: -1}).Validate(); err == nil {
-		t.Fatal("negative separation must be rejected")
+	for _, f := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := (Config{MinSeparation: f}).Validate(); err == nil {
+			t.Fatalf("separation %v must be rejected", f)
+		}
 	}
 	if err := (Config{MaxLandmarks: -1}).Validate(); err == nil {
 		t.Fatal("negative cap must be rejected")
@@ -148,19 +151,18 @@ func TestZeroSeparationKeepsAll(t *testing.T) {
 	}
 }
 
-func TestPointsAndNodes(t *testing.T) {
+func TestPoints(t *testing.T) {
 	city := testCity(t)
 	lms, err := Extract(city.Graph, Config{MinSeparation: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts := Points(lms)
-	ns := Nodes(lms)
-	if len(pts) != len(lms) || len(ns) != len(lms) {
+	if len(pts) != len(lms) {
 		t.Fatal("length mismatch")
 	}
 	for i := range lms {
-		if pts[i] != lms[i].Point || ns[i] != lms[i].Node {
+		if pts[i] != lms[i].Point {
 			t.Fatalf("element %d mismatch", i)
 		}
 	}

@@ -11,15 +11,8 @@ import (
 // are snapped to road nodes through this index before any shortest-path
 // work happens.
 type NodeIndex struct {
-	g        *Graph
-	box      geo.BBox
-	cell     float64 // bucket edge, meters
-	dLat     float64
-	dLng     float64
-	rows     int
-	cols     int
-	buckets  [][]NodeID
-	diagonal float64
+	g *Graph
+	b *geo.Buckets
 }
 
 // NewNodeIndex builds an index over every node of g with buckets of
@@ -29,92 +22,42 @@ func NewNodeIndex(g *Graph, cellMeters float64) *NodeIndex {
 	if cellMeters <= 0 {
 		cellMeters = 250
 	}
-	box := g.BBox().Pad(cellMeters)
-	midLat := (box.MinLat + box.MaxLat) / 2
-	idx := &NodeIndex{
-		g:    g,
-		box:  box,
-		cell: cellMeters,
-		dLat: cellMeters / geo.MetersPerDegreeLat(),
-		dLng: cellMeters / geo.MetersPerDegreeLng(midLat),
-	}
-	idx.rows = int(math.Ceil((box.MaxLat-box.MinLat)/idx.dLat)) + 1
-	idx.cols = int(math.Ceil((box.MaxLng-box.MinLng)/idx.dLng)) + 1
-	idx.buckets = make([][]NodeID, idx.rows*idx.cols)
-	for i := 0; i < g.NumNodes(); i++ {
-		b := idx.bucketOf(g.Point(NodeID(i)))
-		idx.buckets[b] = append(idx.buckets[b], NodeID(i))
-	}
-	idx.diagonal = math.Hypot(box.WidthMeters(), box.HeightMeters())
-	return idx
-}
-
-func (idx *NodeIndex) bucketOf(p geo.Point) int {
-	r := int((p.Lat - idx.box.MinLat) / idx.dLat)
-	c := int((p.Lng - idx.box.MinLng) / idx.dLng)
-	if r < 0 {
-		r = 0
-	}
-	if r >= idx.rows {
-		r = idx.rows - 1
-	}
-	if c < 0 {
-		c = 0
-	}
-	if c >= idx.cols {
-		c = idx.cols - 1
-	}
-	return r*idx.cols + c
+	return &NodeIndex{g: g, b: geo.NewBuckets(g.BBox().Pad(cellMeters), cellMeters, g.pts)}
 }
 
 // Nearest returns the node closest to p (by haversine) and its distance.
-// It expands bucket rings until the best candidate provably beats any
-// node in unexplored rings. A node geo.FlatBound puts beyond the best
-// distance so far gets no haversine: it could not have won it. Returns
-// InvalidNode only for an empty graph.
+// It expands bucket rings around p's cell until the best candidate
+// provably beats any node in unexplored rings; among nodes at the same
+// distance the first scanned wins. A node geo.FlatBound puts beyond the
+// best distance so far gets no haversine: it could not have won it.
+// Returns InvalidNode only for an empty graph.
 func (idx *NodeIndex) Nearest(p geo.Point) (NodeID, float64) {
 	if idx.g.NumNodes() == 0 {
 		return InvalidNode, math.Inf(1)
 	}
-	r0 := int((p.Lat - idx.box.MinLat) / idx.dLat)
-	c0 := int((p.Lng - idx.box.MinLng) / idx.dLng)
-	flat := geo.NewFlatBound(p, idx.box)
+	r0, c0 := idx.b.CellOf(p)
+	flat := geo.NewFlatBound(p, idx.b.Box)
 	best := InvalidNode
 	bestD := math.Inf(1)
-	maxRing := idx.rows
-	if idx.cols > maxRing {
-		maxRing = idx.cols
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		// Any node in an unexplored ring is at least (ring-1)*cell away,
-		// so once bestD beats that bound we can stop.
-		if best != InvalidNode && bestD < float64(ring-1)*idx.cell {
-			break
-		}
-		for r := r0 - ring; r <= r0+ring; r++ {
-			if r < 0 || r >= idx.rows {
+	visit := func(bucket []int32) {
+		for _, n := range bucket {
+			q := idx.g.pts[n]
+			if flat.Beyond(q, bestD) {
 				continue
 			}
-			for c := c0 - ring; c <= c0+ring; c++ {
-				if c < 0 || c >= idx.cols {
-					continue
-				}
-				// Only the ring border (interior already scanned).
-				if ring > 0 && r != r0-ring && r != r0+ring && c != c0-ring && c != c0+ring {
-					continue
-				}
-				for _, n := range idx.buckets[r*idx.cols+c] {
-					q := idx.g.Point(n)
-					if flat.Beyond(q, bestD) {
-						continue
-					}
-					if d := geo.Haversine(p, q); d < bestD {
-						bestD = d
-						best = n
-					}
-				}
+			if d := geo.Haversine(p, q); d < bestD {
+				bestD = d
+				best = NodeID(n)
 			}
 		}
+	}
+	for ring := 0; ring <= max(idx.b.Rows, idx.b.Cols); ring++ {
+		// Any node in an unexplored ring is at least (ring-1)*cell away,
+		// so once bestD beats that bound we can stop.
+		if best != InvalidNode && bestD < float64(ring-1)*idx.b.Cell {
+			break
+		}
+		idx.b.Ring(r0, c0, ring, visit)
 	}
 	return best, bestD
 }

@@ -101,7 +101,7 @@ type Network struct {
 	Routes []Route
 
 	byStop  [][]routeStop // stop → occurrences in routes
-	buckets *stopBuckets
+	buckets *geo.Buckets  // the stops, 500 m cells
 }
 
 // NewNetwork assembles a network and validates referential integrity.
@@ -139,7 +139,7 @@ func NewNetwork(stops []Stop, routes []Route) (*Network, error) {
 		pts[i] = s.Point
 	}
 	if len(pts) > 0 {
-		n.buckets = newStopBuckets(pts, geo.NewBBox(pts...).Pad(2000), 500)
+		n.buckets = geo.NewBuckets(geo.NewBBox(pts...).Pad(2000), 500, pts)
 	}
 	return n, nil
 }
@@ -154,13 +154,20 @@ func (n *Network) RouteOf(rs routeStop) *Route { return &n.Routes[rs.Route] }
 // StopsNear appends to dst the stops within radius meters of p, with
 // their straight-line distances, and returns the extended slices.
 func (n *Network) StopsNear(p geo.Point, radius float64, dst []StopID, dist []float64) ([]StopID, []float64) {
-	if n.buckets == nil {
+	if n.buckets == nil || radius < 0 {
 		return dst, dist
 	}
-	n.buckets.within(p, radius, func(i int, d float64) {
-		dst = append(dst, StopID(i))
-		dist = append(dist, d)
-	})
+	r0, r1, c0, c1 := n.buckets.Square(p, radius)
+	for r := r0; r <= r1; r++ {
+		for c := c0; c <= c1; c++ {
+			for _, i := range n.buckets.Bucket(r, c) {
+				if d := geo.Haversine(p, n.Stops[i].Point); d <= radius {
+					dst = append(dst, StopID(i))
+					dist = append(dist, d)
+				}
+			}
+		}
+	}
 	return dst, dist
 }
 
@@ -182,75 +189,4 @@ func NewRoute(id int, name string, mode Mode, stopIDs []StopID, stops []Stop, sp
 		r.cum[i+1] = r.cum[i] + r.legTime[i]
 	}
 	return r, nil
-}
-
-// stopBuckets is the usual uniform bucket index over the stop set.
-type stopBuckets struct {
-	pts        []geo.Point
-	box        geo.BBox
-	cell       float64
-	dLat, dLng float64
-	rows, cols int
-	buckets    [][]int32
-}
-
-func newStopBuckets(pts []geo.Point, box geo.BBox, cellMeters float64) *stopBuckets {
-	midLat := (box.MinLat + box.MaxLat) / 2
-	b := &stopBuckets{
-		pts:  pts,
-		box:  box,
-		cell: cellMeters,
-		dLat: cellMeters / geo.MetersPerDegreeLat(),
-		dLng: cellMeters / geo.MetersPerDegreeLng(midLat),
-	}
-	b.rows = int((box.MaxLat-box.MinLat)/b.dLat) + 2
-	b.cols = int((box.MaxLng-box.MinLng)/b.dLng) + 2
-	b.buckets = make([][]int32, b.rows*b.cols)
-	for i, p := range pts {
-		r, c := b.rc(p)
-		k := r*b.cols + c
-		b.buckets[k] = append(b.buckets[k], int32(i))
-	}
-	return b
-}
-
-func (b *stopBuckets) rc(p geo.Point) (int, int) {
-	r := int((p.Lat - b.box.MinLat) / b.dLat)
-	c := int((p.Lng - b.box.MinLng) / b.dLng)
-	if r < 0 {
-		r = 0
-	}
-	if r >= b.rows {
-		r = b.rows - 1
-	}
-	if c < 0 {
-		c = 0
-	}
-	if c >= b.cols {
-		c = b.cols - 1
-	}
-	return r, c
-}
-
-func (b *stopBuckets) within(p geo.Point, radius float64, visit func(i int, d float64)) {
-	if radius < 0 {
-		return
-	}
-	span := int(radius/b.cell) + 1
-	r0, c0 := b.rc(p)
-	for r := r0 - span; r <= r0+span; r++ {
-		if r < 0 || r >= b.rows {
-			continue
-		}
-		for c := c0 - span; c <= c0+span; c++ {
-			if c < 0 || c >= b.cols {
-				continue
-			}
-			for _, i := range b.buckets[r*b.cols+c] {
-				if d := geo.Haversine(p, b.pts[i]); d <= radius {
-					visit(int(i), d)
-				}
-			}
-		}
-	}
 }
