@@ -33,7 +33,7 @@ func main() {
 	maxDrive := flag.Float64("delta-drive", 1000, "max grid→landmark driving distance Δ")
 	maxWalk := flag.Float64("walk", 1000, "system walking limit W")
 	sweep := flag.Bool("sweep", false, "sweep ε and print cluster counts (Fig 3b)")
-	trace := flag.Bool("trace", false, "print the GREEDYSEARCH binary-search trace (Build does not keep it: costs one extra clustering of the built landmark matrix per ε)")
+	trace := flag.Bool("trace", false, "print the GREEDYSEARCH binary-search trace (Build does not keep it: costs one more exact landmark table and clustering per ε)")
 	flag.Parse()
 
 	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(*rows, *cols, *seed))
@@ -67,7 +67,11 @@ func main() {
 			int64(memsize.Of(d)), build.Round(time.Millisecond).String())
 
 		if *trace {
-			dist, lower := d.LandmarkMetric()
+			exact, _, err := discretize.LandmarkTable(city.Graph, d.Landmarks)
+			if err != nil {
+				log.Fatal(err)
+			}
+			dist, lower := discretize.LandmarkMetric(exact)
 			_, tr, err := cluster.GreedySearchBounded(len(d.Landmarks), dist, lower, e/4)
 			if err != nil {
 				log.Fatal(err)

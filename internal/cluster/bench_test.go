@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xar/internal/cluster"
+	"xar/internal/discretize"
 	"xar/internal/experiments"
 )
 
@@ -20,7 +21,11 @@ func BenchmarkAblationGreedySearchProbes(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := len(w.Disc.Landmarks)
-	dist, lower := w.Disc.LandmarkMetric()
+	exact, _, err := discretize.LandmarkTable(w.Disc.City().Graph, w.Disc.Landmarks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dist, lower := discretize.LandmarkMetric(exact)
 	delta := w.Scale.Epsilon / 4
 
 	b.Run("traversal", func(b *testing.B) {

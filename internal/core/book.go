@@ -238,7 +238,7 @@ func (e *Engine) tryBook(ctx context.Context, m Match, bk *Booking) (conflict bo
 	// Still no shortest-path computation: this is a table lookup chain,
 	// and it is the "approximated detour" the paper's Figure 3a compares
 	// against the exact stitch cost.
-	estimate = e.refineDetourEstimate(&next, sSeg, dSeg, bk.PickupLandmark, bk.DropoffLandmark, estimate)
+	estimate = e.refineDetourEstimate(e.disc, &next, sSeg, dSeg, bk.PickupLandmark, bk.DropoffLandmark, estimate)
 
 	// The next schedule: the pickup after via-point sSeg, the drop-off
 	// after dSeg (and after the pickup when the two are one).
@@ -315,17 +315,23 @@ func (e *Engine) observeBookingQuality(budget, detour, estimate float64) {
 	}
 }
 
+// landmarkTable is what refineDetourEstimate reads landmark distances
+// from: the region, whose resident table keeps each to within half a unit
+// (Discretization.LandmarkDist), so that a chain of six lookups is within
+// three units of the exact chain; tests pass the exact table.
+type landmarkTable interface{ LandmarkDist(a, b int) float64 }
+
 // refineDetourEstimate predicts the booking's exact splice detour from
 // the precomputed landmark-to-landmark driving distances: the chain
 // through the via-points' landmarks and the chosen pickup/drop-off
 // landmarks. Falls back to the cluster-level estimate when a via node
 // has no landmark within Δ.
-func (e *Engine) refineDetourEstimate(r *index.Ride, sSeg, dSeg, puLM, doLM int, fallback float64) float64 {
+func (e *Engine) refineDetourEstimate(t landmarkTable, r *index.Ride, sSeg, dSeg, puLM, doLM int, fallback float64) float64 {
 	lmOf := func(v roadnet.NodeID) int {
 		lm, _ := e.disc.LandmarkOfNode(v)
 		return lm
 	}
-	d := e.disc.LandmarkDist
+	d := t.LandmarkDist
 	if sSeg == dSeg {
 		s1, s2 := lmOf(r.Via[sSeg].Node), lmOf(r.Via[sSeg+1].Node)
 		if s1 < 0 || s2 < 0 {

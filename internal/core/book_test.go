@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"xar/internal/discretize"
 	"xar/internal/index"
+	"xar/internal/workload"
 )
 
 // validateRide checks full structural consistency of a ride after
@@ -198,5 +200,89 @@ func TestBookingRefusedWhenVehiclePassedSegment(t *testing.T) {
 		// Booking may legally succeed if a valid later support exists;
 		// but the resulting ride must still be structurally sound.
 		validateRide(t, e, r)
+	}
+}
+
+// exactLandmarks is a landmark table of discretize.LandmarkTable's, the
+// exact float32 distances the region keeps only to a unit.
+type exactLandmarks [][]float32
+
+func (t exactLandmarks) LandmarkDist(a, b int) float64 { return float64(t[a][b]) }
+
+// TestLandmarkTableResolution holds the region's resident landmark table
+// to its unit, the longest exact entry / 65 535, against the exact
+// kernel's table: every entry within unit/2, 0 on the diagonal, and
+// every booking of a replay-shaped history estimated by a chain within
+// three units of the same chain read from the exact table. The chain is
+// recomputed from a snapshot taken before the booking and must first give
+// the booking's own estimate.
+func TestLandmarkTableResolution(t *testing.T) {
+	e := newTestEngine(t)
+	exact, longest, err := discretize.LandmarkTable(e.disc.City().Graph, e.disc.Landmarks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := float64(longest) / math.MaxUint16
+	tol := 1e-9 * float64(longest) // float64 rounding of the unit's product
+	for a, row := range exact {
+		for b, v := range row {
+			got := e.disc.LandmarkDist(a, b)
+			if a == b && got != 0 {
+				t.Fatalf("LandmarkDist(%d, %d) = %v, want 0", a, b, got)
+			}
+			if math.Abs(got-float64(v)) > unit/2+tol {
+				t.Fatalf("LandmarkDist(%d, %d) = %v, exact %v: off by more than unit/2 = %v", a, b, got, v, unit/2)
+			}
+		}
+	}
+
+	wcfg := workload.DefaultConfig(2000, 17)
+	wcfg.StartHour, wcfg.EndHour = 8, 10
+	trips, err := workload.Generate(e.disc.City(), wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastTrack, chains, worst := 0.0, 0, 0.0
+	for _, trip := range trips {
+		now := trip.RequestTime
+		if now-lastTrack >= 120 {
+			if _, err := e.TrackAll(now); err != nil {
+				t.Fatal(err)
+			}
+			lastTrack = now
+		}
+		req := Request{
+			Source: trip.Pickup, Dest: trip.Dropoff,
+			EarliestDeparture: now, LatestDeparture: now + 900,
+			WalkLimit: 1000,
+		}
+		ms, err := e.Search(req)
+		if err != nil || len(ms) == 0 {
+			_, _ = e.CreateRide(RideOffer{Source: trip.Pickup, Dest: trip.Dropoff, Departure: now + 120})
+			continue
+		}
+		m := ms[0]
+		r := e.Ride(m.Ride)
+		bk, err := e.Book(m, req)
+		if err != nil {
+			continue
+		}
+		ps, pd := bestSupportPair(r, m.PickupCluster, m.DropoffCluster, 0)
+		sSeg, dSeg, fallback := r.SupportSeg(*ps), r.SupportSeg(*pd), ps.Detour+pd.Detour
+		resident := e.refineDetourEstimate(e.disc, r, sSeg, dSeg, bk.PickupLandmark, bk.DropoffLandmark, fallback)
+		if resident != bk.DetourEstimate {
+			t.Fatalf("ride %d: chain from the snapshot %v, booking's estimate %v", m.Ride, resident, bk.DetourEstimate)
+		}
+		exactChain := e.refineDetourEstimate(exactLandmarks(exact), r, sSeg, dSeg, bk.PickupLandmark, bk.DropoffLandmark, fallback)
+		if gap := math.Abs(resident - exactChain); gap > 3*unit+tol {
+			t.Fatalf("ride %d: estimate %v, exact chain %v: off by %v > 3 units = %v", m.Ride, resident, exactChain, gap, 3*unit)
+		} else {
+			worst = max(worst, gap)
+		}
+		chains++
+	}
+	t.Logf("unit %.4f m; %d bookings, worst chain gap %.4f m", unit, chains, worst)
+	if chains < 200 {
+		t.Fatalf("%d bookings: too few to mean anything", chains)
 	}
 }

@@ -205,6 +205,9 @@ func (m Match) TotalWalk() float64 { return m.WalkSource + m.WalkDest }
 // through the neighbouring via-points and the chosen pickup and drop-off
 // landmarks (refineDetourEstimate), or the matched supports'
 // cluster-distance detours when a via node has no landmark within Δ.
+// The chain reads the region's 16-bit landmark table, whose unit is the
+// longest landmark distance / 65 535, so it is within three units of the
+// chain the exact distances give.
 type Booking struct {
 	Ride             index.RideID
 	PickupLandmark   int
@@ -222,7 +225,8 @@ type Booking struct {
 
 // ApproxError is how much the exact detour exceeded DetourEstimate, the
 // landmark-distance estimate (the cluster estimate where a via node has
-// no landmark within Δ), and 0 when it did not. The paper bounds the
+// no landmark within Δ), and 0 when it did not; like the estimate, it is
+// resolved to three landmark-table units. The paper bounds the
 // approximation's additive error by 4ε and evaluates its CDF in Figure 3a.
 func (b Booking) ApproxError() float64 {
 	e := b.DetourActual - b.DetourEstimate

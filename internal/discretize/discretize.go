@@ -140,8 +140,16 @@ type Discretization struct {
 	Clusters  []Cluster
 
 	landmarkCluster []int       // landmark → cluster
-	lmDist          [][]float32 // directed landmark→landmark driving distance
 	clusterDist     [][]float32 // by destination: clusterDist[b][a] = d(a→b), the min landmark pair
+
+	// The directed landmark→landmark driving distances as they stay
+	// resident: lmQ[a·n+b] is d(a→b) in whole units of lmUnit, the longest
+	// entry / 65 535, rounded to the nearest, so a lookup is within
+	// lmUnit/2 of the exact distance.
+	// Clustering, ε, the cluster table and the node table are computed on
+	// the exact table (LandmarkTable) before Build converts and drops it.
+	lmQ    []uint16
+	lmUnit float64
 
 	// Per-road-node landmark assignment: nearest landmark by driving
 	// distance node→landmark within Δ (lowest ID tie-break), or -1.
@@ -211,18 +219,20 @@ func Build(city *roadnet.City, cfg Config) (*Discretization, error) {
 		d.lmCos[i] = geo.CosLat(lm.Point)
 	}
 
-	if err := d.computeLandmarkDistances(); err != nil {
+	exact, longest, err := LandmarkTable(g, lms)
+	if err != nil {
 		return nil, err
 	}
 	// GREEDYSEARCH is serial and the node table parallel; neither reads
 	// what the other writes, so they run side by side.
 	clustered := make(chan error, 1)
-	go func() { clustered <- d.clusterLandmarks() }()
+	go func() { clustered <- d.clusterLandmarks(exact) }()
 	d.assignNodesToLandmarks()
 	if err := <-clustered; err != nil {
 		return nil, err
 	}
-	d.computeClusterDistances()
+	d.computeClusterDistances(exact)
+	d.storeLandmarkTable(exact, longest)
 	d.buildGridTable()
 	return d, nil
 }
@@ -254,41 +264,69 @@ func Parallel(n int, newWorker func() func(i int)) {
 	wg.Wait()
 }
 
-// computeLandmarkDistances fills lmDist[i][j] = driving distance from
-// landmark i to landmark j: one sweep of roadnet's one-to-all kernel per
-// landmark, the landmarks shared out over the workers. A worker owns one
-// Searcher and one distance array for all its sweeps and writes each
-// landmark's float32 row straight from that array.
-func (d *Discretization) computeLandmarkDistances() error {
-	n := len(d.Landmarks)
-	g := d.city.Graph
-	d.lmDist = make([][]float32, n)
+// LandmarkTable returns the directed driving distances between the
+// landmarks of g, table[i][j] = d(i→j) in float32, and the longest of
+// them: the exact table Build clusters on before it keeps the table only
+// to a unit (LandmarkDist). Tools and tests that need the exact metric
+// build it here. It fails if a landmark cannot reach another.
+//
+// One sweep of roadnet's one-to-all kernel per landmark, the landmarks
+// shared out over the workers. A worker owns one Searcher and one
+// distance array for all its sweeps, writes each landmark's row straight
+// from that array and takes the row's maximum as it goes, so a row
+// holding +Inf is found from the n maxima alone.
+func LandmarkTable(g *roadnet.Graph, lms []landmark.Landmark) (table [][]float32, longest float32, err error) {
+	n := len(lms)
+	table = make([][]float32, n)
+	rowMax := make([]float32, n)
 	Parallel(n, func() func(int) {
 		s := roadnet.NewSearcher(g)
 		var all []float64
 		return func(i int) {
-			all = s.DistancesToAll(d.Landmarks[i].Node, all)
+			all = s.DistancesToAll(lms[i].Node, all)
 			row := make([]float32, n)
+			var m float32
 			for j := range row {
-				row[j] = float32(all[d.Landmarks[j].Node])
+				row[j] = float32(all[lms[j].Node])
+				m = max(m, row[j])
 			}
-			d.lmDist[i] = row
+			table[i], rowMax[i] = row, m
 		}
 	})
-
-	for i, row := range d.lmDist {
-		for j, v := range row {
-			if math.IsInf(float64(v), 1) {
-				return fmt.Errorf("discretize: landmark %d cannot reach landmark %d; network not strongly connected", i, j)
-			}
+	for i, m := range rowMax {
+		if math.IsInf(float64(m), 1) {
+			j := slices.Index(table[i], m)
+			return nil, 0, fmt.Errorf("discretize: landmark %d cannot reach landmark %d; network not strongly connected", i, j)
 		}
+		longest = max(longest, m)
 	}
-	return nil
+	return table, longest, nil
 }
 
-// clusterLandmarks runs GREEDYSEARCH over LandmarkMetric.
-func (d *Discretization) clusterLandmarks() error {
-	dist, lower := d.LandmarkMetric()
+// storeLandmarkTable keeps the exact table as the resident one: every
+// entry in whole units of longest / 65 535, rounded to the nearest, one
+// row per index of Parallel. The exact rows are not kept.
+func (d *Discretization) storeLandmarkTable(exact [][]float32, longest float32) {
+	n := len(exact)
+	d.lmUnit = float64(longest) / math.MaxUint16
+	perUnit := 0.0 // every entry is 0 when the longest is
+	if d.lmUnit > 0 {
+		perUnit = 1 / d.lmUnit
+	}
+	d.lmQ = make([]uint16, n*n)
+	Parallel(n, func() func(int) {
+		return func(i int) {
+			q := d.lmQ[i*n : (i+1)*n]
+			for j, v := range exact[i] {
+				q[j] = uint16(float64(v)*perUnit + 0.5)
+			}
+		}
+	})
+}
+
+// clusterLandmarks runs GREEDYSEARCH over LandmarkMetric(exact).
+func (d *Discretization) clusterLandmarks(exact [][]float32) error {
+	dist, lower := LandmarkMetric(exact)
 	res, _, err := cluster.GreedySearchBounded(len(d.Landmarks), dist, lower, d.cfg.Delta)
 	if err != nil {
 		return err
@@ -306,16 +344,16 @@ func (d *Discretization) clusterLandmarks() error {
 }
 
 // LandmarkMetric returns the metric GREEDYSEARCH clusters the landmarks
-// under, dist(i, j) = max(d(i→j), d(j→i)) over the directed driving
-// distances, and lower(i) = d(i→·), which is never above it and needs
-// none of the column reads dist makes. lower returns the landmark table's
-// own row i: read it, never write it.
+// under, over a table of LandmarkTable's: dist(i, j) = max(d(i→j),
+// d(j→i)) over the directed driving distances, and lower(i) = d(i→·),
+// which is never above it and needs none of the column reads dist makes.
+// lower returns the table's own row i: read it, never write it.
 // Symmetrization with max preserves the triangle inequality that
 // Theorem 6's proof uses, and is conservative: the ε it certifies bounds
 // driving distance in both directions.
-func (d *Discretization) LandmarkMetric() (dist cluster.DistFunc, lower cluster.RowBound) {
-	dist = func(i, j int) float64 { return float64(max(d.lmDist[i][j], d.lmDist[j][i])) }
-	lower = func(i int) []float32 { return d.lmDist[i] }
+func LandmarkMetric(table [][]float32) (dist cluster.DistFunc, lower cluster.RowBound) {
+	dist = func(i, j int) float64 { return float64(max(table[i][j], table[j][i])) }
+	lower = func(i int) []float32 { return table[i] }
 	return dist, lower
 }
 
@@ -324,9 +362,9 @@ func (d *Discretization) LandmarkMetric() (dist cluster.DistFunc, lower cluster.
 // distance a→b, as the paper defines ("the distance between the closest
 // pair of landmarks belonging to the two clusters"). The rows are built
 // by source, shared out over the workers, each reading its landmarks' own
-// rows of the landmark table; the square table is then transposed in
-// place once, so that it is stored by destination (ClusterDistsTo).
-func (d *Discretization) computeClusterDistances() {
+// rows of the exact landmark table; the square table is then transposed
+// in place once, so that it is stored by destination (ClusterDistsTo).
+func (d *Discretization) computeClusterDistances(exact [][]float32) {
 	k := len(d.Clusters)
 	d.clusterDist = make([][]float32, k)
 	Parallel(k, func() func(int) {
@@ -338,7 +376,7 @@ func (d *Discretization) computeClusterDistances() {
 				}
 				best := float32(math.Inf(1))
 				for _, a := range d.Clusters[i].Landmarks {
-					row := d.lmDist[a]
+					row := exact[a]
 					for _, b := range d.Clusters[j].Landmarks {
 						if row[b] < best {
 							best = row[b]
@@ -453,8 +491,12 @@ func (d *Discretization) NumClusters() int { return len(d.Clusters) }
 func (d *Discretization) ClusterOfLandmark(lm int) int { return d.landmarkCluster[lm] }
 
 // LandmarkDist returns the directed driving distance from landmark a to
-// landmark b.
-func (d *Discretization) LandmarkDist(a, b int) float64 { return float64(d.lmDist[a][b]) }
+// landmark b to a unit of the longest landmark distance / 65 535: within
+// half a unit of the exact distance (LandmarkTable), 0 from a landmark to
+// itself.
+func (d *Discretization) LandmarkDist(a, b int) float64 {
+	return float64(d.lmQ[a*len(d.Landmarks)+b]) * d.lmUnit
+}
 
 // ClusterDist returns the directed distance from cluster a to cluster b:
 // the closest landmark pair, per the paper.

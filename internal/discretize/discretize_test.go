@@ -32,6 +32,17 @@ func testDisc(t testing.TB) *Discretization {
 	return d
 }
 
+// exactTable is d's landmark table as Build computes it before keeping it
+// to a unit: the table clustering, ε and the cluster table are built on.
+func exactTable(t testing.TB, d *Discretization) [][]float32 {
+	t.Helper()
+	exact, _, err := LandmarkTable(d.City().Graph, d.Landmarks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exact
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{GridCellSize: 0, Delta: 1, MaxDriveToLandmark: 1},
@@ -124,10 +135,11 @@ func TestEveryLandmarkInExactlyOneCluster(t *testing.T) {
 
 func TestIntraClusterDistanceWithinEpsilon(t *testing.T) {
 	d := testDisc(t)
+	exact := exactTable(t, d)
 	for _, c := range d.Clusters {
 		for i, a := range c.Landmarks {
 			for _, b := range c.Landmarks[i+1:] {
-				dd := math.Max(d.LandmarkDist(a, b), d.LandmarkDist(b, a))
+				dd := float64(max(exact[a][b], exact[b][a]))
 				if dd > d.Epsilon()+1e-6 {
 					t.Fatalf("cluster %d: landmarks %d,%d at %.1f > ε=%.1f", c.ID, a, b, dd, d.Epsilon())
 				}
@@ -138,18 +150,20 @@ func TestIntraClusterDistanceWithinEpsilon(t *testing.T) {
 
 func TestLandmarkDistanceTriangle(t *testing.T) {
 	d := testDisc(t)
+	exact := exactTable(t, d)
+	dist := func(a, b int) float64 { return float64(exact[a][b]) }
 	r := rand.New(rand.NewSource(1))
 	n := len(d.Landmarks)
 	for trial := 0; trial < 200; trial++ {
 		a, b, c := r.Intn(n), r.Intn(n), r.Intn(n)
-		if d.LandmarkDist(a, b) > d.LandmarkDist(a, c)+d.LandmarkDist(c, b)+1e-3 {
+		if dist(a, b) > dist(a, c)+dist(c, b)+1e-3 {
 			t.Fatalf("triangle violated: d(%d,%d)=%v > %v+%v", a, b,
-				d.LandmarkDist(a, b), d.LandmarkDist(a, c), d.LandmarkDist(c, b))
+				dist(a, b), dist(a, c), dist(c, b))
 		}
 	}
 	for i := 0; i < n; i++ {
-		if d.LandmarkDist(i, i) != 0 {
-			t.Fatalf("d(%d,%d) = %v, want 0", i, i, d.LandmarkDist(i, i))
+		if dist(i, i) != 0 {
+			t.Fatalf("d(%d,%d) = %v, want 0", i, i, dist(i, i))
 		}
 	}
 }
@@ -160,10 +174,11 @@ func TestClusterDistIsClosestLandmarkPair(t *testing.T) {
 
 // checkClusterDists requires, for every ordered pair of clusters (a, b),
 // that entry a of ClusterDistsTo(b) equals ClusterDist(a, b) and that
-// both equal the driving distance of the closest landmark pair a→b,
-// bit for bit; 0 from a cluster to itself.
+// both equal the driving distance of the closest landmark pair a→b in the
+// exact landmark table, bit for bit; 0 from a cluster to itself.
 func checkClusterDists(t *testing.T, d *Discretization) {
 	t.Helper()
+	exact := exactTable(t, d)
 	k := d.NumClusters()
 	for b := range k {
 		row := d.ClusterDistsTo(b)
@@ -174,7 +189,7 @@ func checkClusterDists(t *testing.T, d *Discretization) {
 			best := math.Inf(1)
 			for _, x := range d.Clusters[a].Landmarks {
 				for _, y := range d.Clusters[b].Landmarks {
-					best = min(best, d.LandmarkDist(x, y))
+					best = min(best, float64(exact[x][y]))
 				}
 			}
 			if a == b {

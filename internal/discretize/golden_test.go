@@ -21,9 +21,10 @@ import (
 const buildGolden = "16777a33e071de941df6e9566086c81c96851d793e2d5f49fce8308e1ff86156"
 
 // hashDiscretization folds every table Build derives from shortest paths
-// and clustering, bit for bit. The cluster table is read through
+// and clustering, bit for bit, the landmark table as the exact kernel
+// computes it (LandmarkTable). The cluster table is read through
 // ClusterDist in source order, whatever order it is stored in.
-func hashDiscretization(d *Discretization) string {
+func hashDiscretization(t testing.TB, d *Discretization) string {
 	h := sha256.New()
 	var b [8]byte
 	put := func(v uint64) {
@@ -39,7 +40,7 @@ func hashDiscretization(d *Discretization) string {
 			}
 		}
 	}
-	rows(d.lmDist)
+	rows(exactTable(t, d))
 	put(uint64(len(d.landmarkCluster)))
 	for _, c := range d.landmarkCluster {
 		put(uint64(c))
@@ -57,6 +58,27 @@ func hashDiscretization(d *Discretization) string {
 	for i, lm := range d.nodeLandmark {
 		put(uint64(uint32(lm)))
 		put(uint64(math.Float32bits(d.nodeLandmarkDist[i])))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// residentTableGolden is the hash of the same region's resident landmark
+// table, its unit (0.302 m: the longest entry, 19 793 m, / 65 535) and
+// every 16-bit entry, computed when the table went from float32 to 16 bits.
+// The exact table still hashes into buildGolden.
+const residentTableGolden = "f8599da31950ee38740ffbc9f7ed777ebaf1503508ce3bbc67877f40dc5212b4"
+
+// hashLandmarkTable folds the resident landmark table, bit for bit.
+func hashLandmarkTable(d *Discretization) string {
+	h := sha256.New()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(d.lmUnit))
+	h.Write(b[:])
+	binary.LittleEndian.PutUint64(b[:], uint64(len(d.lmQ)))
+	h.Write(b[:])
+	for _, q := range d.lmQ {
+		binary.LittleEndian.PutUint16(b[:], q)
+		h.Write(b[:2])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -83,8 +105,11 @@ func TestBuildGolden(t *testing.T) {
 		if len(d.Landmarks) != 1701 || d.NumClusters() != 339 {
 			t.Errorf("GOMAXPROCS %d: landmarks, clusters = %d, %d, want 1701, 339", procs, len(d.Landmarks), d.NumClusters())
 		}
-		if got := hashDiscretization(d); got != buildGolden {
+		if got := hashDiscretization(t, d); got != buildGolden {
 			t.Errorf("GOMAXPROCS %d: discretization hash = %s, want %s", procs, got, buildGolden)
+		}
+		if got := hashLandmarkTable(d); got != residentTableGolden {
+			t.Errorf("GOMAXPROCS %d: resident landmark table hash = %s, want %s", procs, got, residentTableGolden)
 		}
 	}
 }

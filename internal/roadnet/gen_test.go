@@ -163,6 +163,23 @@ func TestNodeIndexNearestMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// The ring walk reaches max(Rows, Cols) rings from the query's cell: on
+// the 24×14 city's 14×18 bucket grid a point 0.01° (1.1 km) north of the
+// graph's north-west corner still finds the corner's node, and one 0.1°
+// (11 km) north finds none.
+func TestNearestRingBound(t *testing.T) {
+	city := genTestCity(t, 24, 14, 42)
+	box := city.Graph.BBox()
+	n, d := city.Index.Nearest(geo.Point{Lat: box.MaxLat + 0.01, Lng: box.MinLng})
+	if n != 322 || math.Round(d) != 1124 {
+		t.Errorf("0.01° north: node %d at %.1f m, want node 322 at 1 124 m", n, d)
+	}
+	n, d = city.Index.Nearest(geo.Point{Lat: box.MaxLat + 0.1, Lng: box.MinLng})
+	if n != InvalidNode || !math.IsInf(d, 1) {
+		t.Errorf("0.1° north: node %d at %v m, want InvalidNode at +Inf", n, d)
+	}
+}
+
 func TestEmptyGraphNearest(t *testing.T) {
 	g := &Graph{}
 	g.AddNode(geo.Point{Lat: 40.7, Lng: -74})

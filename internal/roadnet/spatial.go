@@ -30,7 +30,10 @@ func NewNodeIndex(g *Graph, cellMeters float64) *NodeIndex {
 // provably beats any node in unexplored rings; among nodes at the same
 // distance the first scanned wins. A node geo.FlatBound puts beyond the
 // best distance so far gets no haversine: it could not have won it.
-// Returns InvalidNode only for an empty graph.
+// The walk stops after max(Rows, Cols) rings of the bucket grid around
+// p's own cell, which reach every node from anywhere inside the grid's
+// box; a point more than that many rings outside it gets (InvalidNode,
+// +Inf), as does every point on an empty graph.
 func (idx *NodeIndex) Nearest(p geo.Point) (NodeID, float64) {
 	if idx.g.NumNodes() == 0 {
 		return InvalidNode, math.Inf(1)

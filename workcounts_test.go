@@ -14,6 +14,7 @@ import (
 
 	"xar/internal/cluster"
 	"xar/internal/core"
+	"xar/internal/discretize"
 	"xar/internal/experiments"
 	"xar/internal/geo"
 	"xar/internal/index"
@@ -78,6 +79,25 @@ func TestExactWorkCounts(t *testing.T) {
 		// with a stored crossed flag on each pass-through run (a 32-byte
 		// run where it is now 24).
 		wantRounded(t, float64(rep.IndexBytes)/float64(rep.ActiveRides), 3212.340)
+	})
+	t.Run("region_bytes", func(t *testing.T) {
+		// The memory registry's discretization component: the region's
+		// own deep size, the graph it points at left out. 660 252 with the
+		// landmark table resident as 226 float32 rows, where it is now one
+		// block of 16-bit entries.
+		eng, err := w.NewXAREngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got uint64
+		for _, c := range eng.MemSweep().Components {
+			if c.Name == "discretization" {
+				got = c.Bytes
+			}
+		}
+		if got != 552684 {
+			t.Errorf("discretization component %d B, want 552 684", got)
+		}
 	})
 	t.Run("create_allocs", func(t *testing.T) {
 		skipUnderRace(t)
@@ -169,7 +189,11 @@ func TestExactWorkCounts(t *testing.T) {
 	})
 
 	t.Run("greedy_dist_evals", func(t *testing.T) {
-		dist, lower := w.Disc.LandmarkMetric()
+		exact, _, err := discretize.LandmarkTable(w.Disc.City().Graph, w.Disc.Landmarks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, lower := discretize.LandmarkMetric(exact)
 		evals := 0
 		counted := func(i, j int) float64 { evals++; return dist(i, j) }
 		if _, _, err := cluster.GreedySearchBounded(len(w.Disc.Landmarks), counted, lower, w.Disc.Config().Delta); err != nil {
