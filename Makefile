@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke unlinked
+.PHONY: all build vet test race bench-smoke bench-observers bench-observers-smoke bench-parallel-smoke audit-smoke unlinked figures
 
 all: build vet test
 
@@ -70,3 +70,10 @@ bench-parallel-smoke:
 # lines or more (internal/tools/unlinked).
 unlinked:
 	$(GO) run ./internal/tools/unlinked
+
+# figures: regenerate bench_figures.txt, every figure xarbench draws at
+# its defaults (-fig all); the file's first two lines are xarbench's
+# stderr (the world it built). About 30 s on a 2-vCPU host, half of
+# it Fig 4.
+figures:
+	$(GO) run ./cmd/xarbench > bench_figures.txt 2>&1

@@ -37,8 +37,9 @@ func TestOptimisticConflicts(t *testing.T) {
 	e, reg, tracer := tracedEngine(t, func(cfg *Config) { cfg.Journal = journal.New(journal.Config{}) })
 	var id index.RideID
 	var interfere func() // what the next search does first; nil: nothing
-	e.finders = sync.Pool{New: func() any {
-		return hookFinder{e.newFinder(), func() {
+	alt := e.finders.New
+	e.finders = &sync.Pool{New: func() any {
+		return hookFinder{alt().(pathFinder), func() {
 			if interfere != nil {
 				interfere()
 			}
@@ -201,8 +202,9 @@ func TestOptimisticConflicts(t *testing.T) {
 func TestSnapshotSharesRouteAcrossConflictingCommit(t *testing.T) {
 	e := newTestEngine(t)
 	var hook func() // what the next search does first, once; nil: nothing
-	e.finders = sync.Pool{New: func() any {
-		return hookFinder{e.newFinder(), func() {
+	alt := e.finders.New
+	e.finders = &sync.Pool{New: func() any {
+		return hookFinder{alt().(pathFinder), func() {
 			if h := hook; h != nil {
 				hook = nil
 				h()

@@ -254,16 +254,23 @@ type Engine struct {
 	// finders pools pathFinder instances (the Graph and ALT landmark
 	// tables are immutable and shared; only the O(n) stamp/dist/prev
 	// scratch is per-instance), so shortest-path work never holds any
-	// engine lock and concurrent creates/bookings never contend.
-	// newFinder makes one: an ALT searcher (tests swap in plain A* as
+	// engine lock and concurrent creates/bookings never contend. Its
+	// New makes an ALT searcher (tests swap in a pool of plain A* as
 	// their oracle).
-	finders   sync.Pool
-	newFinder func() pathFinder
+	//
+	// Both pools are their own allocations, their New functions capture
+	// only immutable tables (finders the ALT tables, scratchPool
+	// nothing), and nothing pooled points at engine state. The runtime's
+	// pool registry keeps a used pool reachable through the next
+	// collection; a pool embedded in Engine, or one whose New captured
+	// e, would keep the whole dropped engine (index, rides, posting
+	// lists) alive with it.
+	finders *sync.Pool
 
 	// scratchPool recycles per-search working sets (candidate
 	// set, posting-list pull buffer, match buffer) so a search allocates
 	// nothing per candidate it examines or match it finds.
-	scratchPool sync.Pool
+	scratchPool *sync.Pool
 
 	// routeQueries counts shortest-path queries under the algo label
 	// RouterALT. Nil without telemetry.
@@ -324,14 +331,13 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:       cfg,
-		disc:      disc,
-		ix:        &index.Locked{Ix: ix},
-		newFinder: func() pathFinder { return alt.NewSearcher() },
-		jr:        cfg.Journal,
+		cfg:         cfg,
+		disc:        disc,
+		ix:          &index.Locked{Ix: ix},
+		finders:     &sync.Pool{New: func() any { return alt.NewSearcher() }},
+		scratchPool: &sync.Pool{New: func() any { return newSearchScratch() }},
+		jr:          cfg.Journal,
 	}
-	e.finders.New = func() any { return e.newFinder() }
-	e.scratchPool.New = func() any { return newSearchScratch() }
 	if cfg.Telemetry != nil || cfg.SlowOpThreshold > 0 || cfg.Tracer != nil {
 		e.tel = newEngineTelemetry(cfg.Telemetry, cfg.Tracer, cfg.SearchSampleRate, cfg.SlowOpThreshold, cfg.SlowOpLogger)
 	}

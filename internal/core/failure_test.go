@@ -152,7 +152,8 @@ func TestBookingAllowanceIsFourEpsilon(t *testing.T) {
 		t.Fatal("no match picks up off the route")
 	}
 	var pad, added float64
-	e.finders = sync.Pool{New: func() any { return padFinder{e.newFinder(), g, &pad, &added} }}
+	alt := e.finders.New
+	e.finders = &sync.Pool{New: func() any { return padFinder{alt().(pathFinder), g, &pad, &added} }}
 	allowance := 4 * e.disc.Epsilon()
 
 	pad = budget + allowance + 1

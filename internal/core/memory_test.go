@@ -281,3 +281,74 @@ func TestConcurrentSweepDuringMutation(t *testing.T) {
 		t.Fatalf("post-race state: %+v", rep)
 	}
 }
+
+// TestDroppedEngineFreedByOneCollection: a dropped engine is garbage at
+// the first collection after it is dropped, whatever its config. Every op
+// kind runs first, so both pools (finders, scratchPool) hold items when
+// the engine goes. The runtime's pool registry keeps a used pool
+// reachable through the next collection, so a pool embedded in Engine,
+// or one whose New captured the engine, kept the whole engine (index,
+// rides, posting lists) alive until a second collection.
+func TestDroppedEngineFreedByOneCollection(t *testing.T) {
+	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := discretize.Build(city, discretize.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"default", DefaultConfig},
+		{"quality_journal", func() Config {
+			cfg := DefaultConfig()
+			cfg.Quality = quality.New(nil)
+			cfg.Journal = journal.New(journal.Config{})
+			return cfg
+		}},
+		{"shadow_closed", func() Config {
+			cfg := DefaultConfig()
+			cfg.Quality = quality.New(nil)
+			cfg.ShadowSampleRate = 1
+			return cfg
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			freed := useAndDropEngine(t, d, tc.cfg())
+			runtime.GC()
+			select {
+			case <-freed:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the dropped engine outlived one collection: something still reaches it")
+			}
+		})
+	}
+}
+
+// useAndDropEngine builds an engine, runs create, search, SearchBatch,
+// book, cancel and track on it, closes it, and returns with nothing
+// referring to it but a finalizer that closes the returned channel.
+func useAndDropEngine(t *testing.T, d *discretize.Discretization, cfg Config) <-chan struct{} {
+	t.Helper()
+	e, err := NewEngine(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bk, req := bookOne(t, e)
+	if _, errs := e.SearchBatch([]Request{req, req}, 0); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("SearchBatch: %v", errs)
+	}
+	if err := e.CancelBooking(bk.Ride, bk.PickupNode, bk.DropoffNode); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Track(bk.Ride, e.Ride(bk.Ride).Departure+60); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	freed := make(chan struct{})
+	runtime.SetFinalizer(e, func(*Engine) { close(freed) })
+	return freed
+}

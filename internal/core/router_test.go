@@ -35,8 +35,7 @@ func astarEngine(t *testing.T, d *discretize.Discretization) *Engine {
 		t.Fatal(err)
 	}
 	g := d.City().Graph
-	e.newFinder = func() pathFinder { return roadnet.NewSearcher(g) }
-	e.finders = sync.Pool{New: func() any { return e.newFinder() }}
+	e.finders = &sync.Pool{New: func() any { return roadnet.NewSearcher(g) }}
 	f := e.finder()
 	defer e.release(f)
 	if _, ok := f.(*roadnet.Searcher); !ok {
@@ -119,7 +118,7 @@ func TestNewEngineTablesIndependentOfGOMAXPROCS(t *testing.T) {
 	if !reflect.DeepEqual(one.ix.Ix, four.ix.Ix) {
 		t.Fatal("index (neighbour table) differs between GOMAXPROCS 1 and 4")
 	}
-	if !reflect.DeepEqual(one.newFinder(), four.newFinder()) {
+	if !reflect.DeepEqual(one.finders.New(), four.finders.New()) {
 		t.Fatal("ALT tables differ between GOMAXPROCS 1 and 4")
 	}
 }

@@ -55,8 +55,12 @@ type shadowTask struct {
 	chosenWalk float64
 }
 
+// The matcher holds no pointer to its engine: only the worker goroutine
+// does, from start to Close. So the engine sits in no reference cycle
+// through its matcher, which a finalizer set on the engine (as
+// TestDroppedEngineFreedByOneCollection sets one) would keep alive for
+// good.
 type shadowMatcher struct {
-	e  *Engine
 	qc *quality.Collector
 
 	tasks chan shadowTask
@@ -76,14 +80,13 @@ type shadowMatcher struct {
 
 func newShadowMatcher(e *Engine, qc *quality.Collector, rate int) *shadowMatcher {
 	m := &shadowMatcher{
-		e:          e,
 		qc:         qc,
 		tasks:      make(chan shadowTask, shadowQueueDepth),
 		sampleMask: telemetry.SampleMask(rate),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
-	go m.worker()
+	go m.worker(e)
 	return m
 }
 
@@ -128,19 +131,19 @@ func (m *shadowMatcher) offer(t shadowTask, kind string) {
 	}
 }
 
-func (m *shadowMatcher) worker() {
+func (m *shadowMatcher) worker(e *Engine) {
 	defer close(m.done)
 	for {
 		select {
 		case t := <-m.tasks:
-			m.run(t)
+			m.run(e, t)
 			m.inflight.Add(-1)
 		case <-m.stop:
 			// Drain what was already accepted, then exit.
 			for {
 				select {
 				case t := <-m.tasks:
-					m.run(t)
+					m.run(e, t)
 					m.inflight.Add(-1)
 				default:
 					return
@@ -150,12 +153,12 @@ func (m *shadowMatcher) worker() {
 	}
 }
 
-func (m *shadowMatcher) run(t shadowTask) {
+func (m *shadowMatcher) run(e *Engine, t shadowTask) {
 	switch t.kind {
 	case shadowNoMatch:
-		m.runNoMatch(t.req)
+		m.runNoMatch(e, t.req)
 	case shadowRegret:
-		m.runRegret(t.req, t.chosenWalk)
+		m.runRegret(e, t.req, t.chosenWalk)
 	}
 }
 
@@ -164,10 +167,10 @@ func (m *shadowMatcher) run(t shadowTask) {
 // per-request binding-constraint attribution. A request no single
 // relaxation can unlock counts under "none" (several constraints bind
 // at once, or the request is simply not servable).
-func (m *shadowMatcher) runNoMatch(req Request) {
+func (m *shadowMatcher) runNoMatch(e *Engine, req Request) {
 	unlocked := false
 	try := func(constraint string, req Request, relax relaxFlags) {
-		if len(m.e.shadowSearch(req, relax)) > 0 {
+		if len(e.shadowSearch(req, relax)) > 0 {
 			m.qc.Unlock(constraint)
 			unlocked = true
 		}
@@ -199,8 +202,8 @@ func (m *shadowMatcher) runNoMatch(req Request) {
 // charged — so the regret is with respect to what the next requester
 // would find, a deliberate (and documented) approximation that keeps
 // the shadow matcher entirely off the booking path.
-func (m *shadowMatcher) runRegret(req Request, chosenWalk float64) {
-	ms := m.e.shadowSearch(req, 0)
+func (m *shadowMatcher) runRegret(e *Engine, req Request, chosenWalk float64) {
+	ms := e.shadowSearch(req, 0)
 	if len(ms) == 0 {
 		m.qc.ObserveRegret(0, false)
 		return

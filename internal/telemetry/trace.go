@@ -479,12 +479,16 @@ func (r *traceRec) seal(root *Span) {
 		Spans:    spans,
 		Dropped:  dropped,
 	}
-	r.tracer.store.Add(td, r.tracer.slow > 0 && td.Duration >= r.tracer.slow)
-	// Recycle: drop retained references, then back to the pool. The rec
-	// stays sealed while pooled, so a straggler ending now is harmless.
+	t := r.tracer
+	t.store.Add(td, t.slow > 0 && td.Duration >= t.slow)
+	// Recycle: drop retained references, the tracer's included (a pooled
+	// rec must not keep a dropped tracer and its store alive), then back
+	// to the pool. The rec stays sealed while pooled, so a straggler
+	// ending now is harmless.
 	r.spill = nil
 	r.root = nil
-	r.tracer.recs.Put(r)
+	r.tracer = nil
+	t.recs.Put(r)
 }
 
 // --- tracer ---
@@ -516,8 +520,11 @@ type Tracer struct {
 	seq   atomic.Uint32
 	slow  time.Duration
 	// recs recycles trace records (span arenas included) across traces;
-	// see spanArenaSize for the lifecycle.
-	recs sync.Pool
+	// see spanArenaSize for the lifecycle. The pool is its own
+	// allocation: the runtime's pool registry keeps a used pool
+	// reachable through the next collection, and a pool embedded here
+	// would keep the dropped Tracer and its store alive with it.
+	recs *sync.Pool
 }
 
 // NewTracer builds a tracer and its ring-buffer store.
@@ -526,7 +533,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		store: NewTraceStore(cfg.Capacity),
 		mask:  SampleMask(cfg.SampleRate),
 		slow:  cfg.SlowThreshold,
-		recs:  sync.Pool{New: func() any { return new(traceRec) }},
+		recs:  &sync.Pool{New: func() any { return new(traceRec) }},
 	}
 }
 

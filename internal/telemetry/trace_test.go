@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -370,4 +371,41 @@ func TestLateChildDropped(t *testing.T) {
 	if td.HasSpan("late") {
 		t.Fatal("span ended after root seal must be dropped")
 	}
+}
+
+// TestDroppedTracerFreedByOneCollection: a tracer that has ended one
+// sampled trace, so its record pool holds a record, is garbage at the
+// first collection after it is dropped. The runtime's pool registry
+// keeps a used pool reachable through the next collection: a pool
+// embedded in Tracer, or a pooled record still pointing at its tracer,
+// kept the tracer and its store alive until a second collection.
+func TestDroppedTracerFreedByOneCollection(t *testing.T) {
+	freed := useAndDropTracer(t)
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the dropped tracer outlived one collection: something still reaches it")
+	}
+}
+
+// useAndDropTracer ends one sampled trace with a child span and returns
+// with nothing referring to the tracer but a finalizer that closes the
+// returned channel.
+func useAndDropTracer(t *testing.T) <-chan struct{} {
+	t.Helper()
+	tr := NewTracer(TracerConfig{SampleRate: 1})
+	ctx, root := tr.StartSpan(context.Background(), "op")
+	if root == nil {
+		t.Fatal("a 1-in-1 tracer did not sample the root")
+	}
+	_, child := ChildSpan(ctx, "step")
+	child.End()
+	root.End()
+	if n := tr.Store().Len(); n != 1 {
+		t.Fatalf("the store holds %d traces, want 1", n)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(tr, func(*Tracer) { close(freed) })
+	return freed
 }
