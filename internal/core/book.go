@@ -211,11 +211,11 @@ func (e *Engine) tryBook(ctx context.Context, m Match, bk *Booking) (conflict bo
 		}
 		// Re-derive the best valid support pair; the search's snapshot may
 		// be stale.
-		ps, pd := bestSupportPair(r, m.PickupCluster, m.DropoffCluster, 0)
-		if ps == nil {
+		p, ok := bestSupportPair(r, e.disc, m.PickupCluster, m.DropoffCluster, 0)
+		if !ok {
 			return ErrNoLongerFeasible
 		}
-		sSeg, dSeg, estimate = r.SupportSeg(*ps), r.SupportSeg(*pd), ps.Detour+pd.Detour
+		sSeg, dSeg, estimate = r.RunSeg(p.pickup), r.RunSeg(p.dropoff), p.detour
 		if sSeg > dSeg {
 			return ErrNoLongerFeasible
 		}

@@ -267,8 +267,8 @@ func TestLandmarkTableResolution(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		ps, pd := bestSupportPair(r, m.PickupCluster, m.DropoffCluster, 0)
-		sSeg, dSeg, fallback := r.SupportSeg(*ps), r.SupportSeg(*pd), ps.Detour+pd.Detour
+		p, _ := bestSupportPair(r, e.disc, m.PickupCluster, m.DropoffCluster, 0)
+		sSeg, dSeg, fallback := r.RunSeg(p.pickup), r.RunSeg(p.dropoff), p.detour
 		resident := e.refineDetourEstimate(e.disc, r, sSeg, dSeg, bk.PickupLandmark, bk.DropoffLandmark, fallback)
 		if resident != bk.DetourEstimate {
 			t.Fatalf("ride %d: chain from the snapshot %v, booking's estimate %v", m.Ride, resident, bk.DetourEstimate)

@@ -257,9 +257,9 @@ func equalReference(e *Engine, got []Match, want []refMatch) bool {
 		if m != want[i].Match || r == nil {
 			return false
 		}
-		ps, pd := bestSupportPair(r, m.PickupCluster, m.DropoffCluster, 0)
+		p, ok := bestSupportPair(r, e.disc, m.PickupCluster, m.DropoffCluster, 0)
 		s, d := want[i].supports[0], want[i].supports[1]
-		if ps == nil || int(ps.Order) != s.order || r.SupportSeg(*ps) != s.seg || int(pd.Order) != d.order || r.SupportSeg(*pd) != d.seg {
+		if !ok || int(p.pickup) != s.order || r.RunSeg(p.pickup) != s.seg || int(p.dropoff) != d.order || r.RunSeg(p.dropoff) != d.seg {
 			return false
 		}
 	}

@@ -276,7 +276,7 @@ type Engine struct {
 	// RouterALT. Nil without telemetry.
 	routeQueries *telemetry.Counter
 
-	m       metrics
+	m       *metrics           // its own allocation: the xar_match_rate gauge holds it
 	tel     *engineTelemetry   // nil → uninstrumented
 	jr      *journal.Journal   // nil → no event journaling
 	quality *quality.Collector // nil → no funnel/approximation accounting
@@ -336,6 +336,7 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 		ix:          &index.Locked{Ix: ix},
 		finders:     &sync.Pool{New: func() any { return alt.NewSearcher() }},
 		scratchPool: &sync.Pool{New: func() any { return newSearchScratch() }},
+		m:           new(metrics),
 		jr:          cfg.Journal,
 	}
 	if cfg.Telemetry != nil || cfg.SlowOpThreshold > 0 || cfg.Tracer != nil {
@@ -347,12 +348,16 @@ func NewEngine(disc *discretize.Discretization, cfg Config) (*Engine, error) {
 			telemetry.L("algo", RouterALT))
 	}
 	if cfg.Telemetry != nil {
-		registerIndexGauges(cfg.Telemetry, e.ix.View())
+		registerIndexGauges(cfg.Telemetry, ix.Occupancy())
 		// Cumulative match rate as a gauge so the flight recorder picks
-		// up its history alongside the op-latency series.
+		// up its history alongside the op-latency series. The closure
+		// holds the counter block, not the engine.
+		m := e.m
 		cfg.Telemetry.GaugeFunc("xar_match_rate",
 			"Average matches returned per search, cumulative since engine start.",
-			nil, func() float64 { return e.Metrics().MatchRate() })
+			nil, func() float64 {
+				return Metrics{Searches: m.searches.Load(), SearchMatches: m.searchMatches.Load()}.MatchRate()
+			})
 	}
 	if cfg.Quality != nil {
 		e.quality = cfg.Quality

@@ -314,8 +314,8 @@ func TestSearchMatchesAreValid(t *testing.T) {
 			if m.DetourEstimate > r.DetourLimit+1e-9 {
 				t.Fatalf("match detour %.1f > ride limit %.1f", m.DetourEstimate, r.DetourLimit)
 			}
-			if ps, pd := bestSupportPair(r, m.PickupCluster, m.DropoffCluster, 0); m.DropoffETA < m.PickupETA &&
-				!(ps.Order == pd.Order) {
+			if p, _ := bestSupportPair(r, e.disc, m.PickupCluster, m.DropoffCluster, 0); m.DropoffETA < m.PickupETA &&
+				p.pickup != p.dropoff {
 				t.Fatalf("drop-off ETA %v before pickup ETA %v", m.DropoffETA, m.PickupETA)
 			}
 			if m.PickupETA < req.EarliestDeparture-1e-9 || m.PickupETA > req.LatestDeparture+1e-9 {

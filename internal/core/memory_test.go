@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"xar/internal/discretize"
+	"xar/internal/index"
 	"xar/internal/journal"
 	"xar/internal/memsize"
 	"xar/internal/quality"
@@ -288,8 +290,15 @@ func TestConcurrentSweepDuringMutation(t *testing.T) {
 // the engine goes. The runtime's pool registry keeps a used pool
 // reachable through the next collection, so a pool embedded in Engine,
 // or one whose New captured the engine, kept the whole engine (index,
-// rides, posting lists) alive until a second collection.
+// rides, posting lists) alive until a second collection. A telemetry
+// registry keeps what an engine registered for as long as the registry
+// lives, so a gauge closure over the engine or its index kept it alive
+// for good; the shared registry is scraped after the drop, so its hooks
+// have run on the engine's state. The index goes at the collection after
+// the engine's: the engine's finalizer keeps what it reaches for one more
+// cycle.
 func TestDroppedEngineFreedByOneCollection(t *testing.T) {
+	shared := telemetry.NewRegistry()
 	city, err := roadnet.GenerateCity(roadnet.DefaultCityConfig(24, 14, 42))
 	if err != nil {
 		t.Fatal(err)
@@ -315,14 +324,30 @@ func TestDroppedEngineFreedByOneCollection(t *testing.T) {
 			cfg.ShadowSampleRate = 1
 			return cfg
 		}},
+		// A registry that outlives the engine: its gauges and scrape hook
+		// stay registered, and must hold counters, not the engine.
+		{"shared_registry", func() Config {
+			cfg := DefaultConfig()
+			cfg.Telemetry = shared
+			return cfg
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			freed := useAndDropEngine(t, d, tc.cfg())
+			freed, ixFreed := useAndDropEngine(t, d, tc.cfg())
+			if err := shared.WritePrometheus(io.Discard); err != nil {
+				t.Fatal(err)
+			}
 			runtime.GC()
 			select {
 			case <-freed:
 			case <-time.After(2 * time.Second):
 				t.Fatal("the dropped engine outlived one collection: something still reaches it")
+			}
+			runtime.GC()
+			select {
+			case <-ixFreed:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the dropped engine's index outlived the engine by more than one collection: something still reaches it")
 			}
 		})
 	}
@@ -330,8 +355,9 @@ func TestDroppedEngineFreedByOneCollection(t *testing.T) {
 
 // useAndDropEngine builds an engine, runs create, search, SearchBatch,
 // book, cancel and track on it, closes it, and returns with nothing
-// referring to it but a finalizer that closes the returned channel.
-func useAndDropEngine(t *testing.T, d *discretize.Discretization, cfg Config) <-chan struct{} {
+// referring to it or its index but finalizers that close the returned
+// channels.
+func useAndDropEngine(t *testing.T, d *discretize.Discretization, cfg Config) (engine, ix <-chan struct{}) {
 	t.Helper()
 	e, err := NewEngine(d, cfg)
 	if err != nil {
@@ -348,7 +374,8 @@ func useAndDropEngine(t *testing.T, d *discretize.Discretization, cfg Config) <-
 		t.Fatal(err)
 	}
 	e.Close()
-	freed := make(chan struct{})
+	freed, ixFreed := make(chan struct{}), make(chan struct{})
 	runtime.SetFinalizer(e, func(*Engine) { close(freed) })
-	return freed
+	runtime.SetFinalizer(e.ix.Ix, func(*index.Index) { close(ixFreed) })
+	return freed, ixFreed
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -223,12 +224,20 @@ func refused(op Op) bool {
 	return false
 }
 
-// FuzzEngineOps decodes up to 32 ops and applies them to a fresh engine
-// over the small test world, with the journal on. After every op the
-// index's invariants hold (CheckInvariants runs structuralDefect over
-// every posting list), the journal's sequence numbers are total — every
-// event recorded, 1 … LastSeq, in order — and an op with a value only a
-// refusal can answer was refused.
+// FuzzEngineOps decodes up to 32 ops and applies them to two fresh
+// engines over the small test world, with the journal on, one op to both
+// at a time. After every op the index's invariants hold (CheckInvariants
+// runs structuralDefect over every posting list), the journal's sequence
+// numbers are total — every event recorded, 1 … LastSeq, in order — and
+// an op with a value only a refusal can answer was refused. Two
+// relations hold besides:
+//
+//   - determinism: the two engines give every op the same outcome,
+//     matches and booking, and their journals hold the same events (the
+//     wall-clock stamp aside);
+//   - inverse: a ride's first booking, cancelled before anything else
+//     touched the ride, leaves it as it was before the booking, its
+//     revision aside (sameRide says what that covers).
 func FuzzEngineOps(f *testing.F) {
 	d, err := opWorld()
 	if err != nil {
@@ -239,30 +248,141 @@ func FuzzEngineOps(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, _ := DecodeOps(data, 32)
-		cfg := DefaultConfig()
-		cfg.Journal = journal.New(journal.Config{})
-		e, err := NewEngine(d, cfg)
-		if err != nil {
-			t.Fatal(err)
+		var es [2]*Engine
+		var js [2]*journal.Journal
+		for i := range es {
+			cfg := DefaultConfig()
+			cfg.Journal = journal.New(journal.Config{})
+			e, err := NewEngine(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es[i], js[i] = e, cfg.Journal
 		}
-		var h History
+		e, twin := es[0], es[1]
+		var h, th History
+		// undo holds, per booking that was its ride's first, the ride as it
+		// was before the booking and the revision the booking left.
+		type firstBooking struct {
+			before rideState
+			rev    uint64
+		}
+		undo := map[int]firstBooking{}
 		for i, op := range ops {
+			var before *rideState
+			if op.Kind == OpBook && int(op.N) < len(h.Matches) {
+				if st, ok := captureRide(e, h.Matches[op.N].Ride); ok && len(st.Via) == 2 {
+					before = &st
+				}
+			}
+			first, untouched := undo[int(op.N)], false
+			if op.Kind == OpCancel && int(op.N) < len(h.Bookings) {
+				if r := e.Ride(h.Bookings[op.N].Ride); r != nil && first.before.Route != nil {
+					untouched = r.Rev == first.rev
+				}
+			}
+
 			out := e.Apply(context.Background(), &h, op)
+			tout := twin.Apply(context.Background(), &th, op)
+			if out.Ride != tout.Ride || out.Matches != tout.Matches || out.Rev != tout.Rev || fmt.Sprint(out.Err) != fmt.Sprint(tout.Err) ||
+				!slices.Equal(h.Matches, th.Matches) || !slices.Equal(h.Bookings, th.Bookings) {
+				t.Fatalf("op %d %+v: outcome %+v, on a second engine %+v", i, op, out, tout)
+			}
 			if refused(op) && out.Err == nil {
 				t.Fatalf("op %d %+v was not refused", i, op)
 			}
 			if err := e.Index().CheckInvariants(); err != nil {
 				t.Fatalf("after op %d %+v (%v): %v", i, op, out.Err, err)
 			}
-			evs := cfg.Journal.Tail(journal.TailFilter{Limit: journal.DefaultTailCapacity})
+			evs := js[0].Tail(journal.TailFilter{Limit: journal.DefaultTailCapacity})
 			for j, ev := range evs {
 				if ev.Seq != uint64(j+1) {
 					t.Fatalf("after op %d: event %d has Seq %d", i, j, ev.Seq)
 				}
 			}
-			if last := cfg.Journal.LastSeq(); last != uint64(len(evs)) {
+			if last := js[0].LastSeq(); last != uint64(len(evs)) {
 				t.Fatalf("after op %d: %d events, LastSeq %d", i, len(evs), last)
+			}
+			tevs := js[1].Tail(journal.TailFilter{Limit: journal.DefaultTailCapacity})
+			if !slices.EqualFunc(evs, tevs, func(a, b journal.Event) bool { a.Unix, b.Unix = 0, 0; return a == b }) {
+				t.Fatalf("after op %d: journals of %d and %d events differ", i, len(evs), len(tevs))
+			}
+
+			switch {
+			case op.Kind == OpBook && out.Err == nil && before != nil:
+				undo[len(h.Bookings)-1] = firstBooking{*before, out.Rev}
+			case op.Kind == OpCancel && out.Err == nil:
+				delete(undo, int(op.N))
+				if untouched {
+					after, _ := captureRide(e, out.Ride)
+					if diff := sameRide(first.before, after); diff != "" {
+						t.Fatalf("op %d: cancelling ride %d's first booking left its %s other than before the booking", i, out.Ride, diff)
+					}
+				}
 			}
 		}
 	})
+}
+
+// rideState is a ride as the inverse relation compares it: its schedule,
+// seats and budget, and what the index derived from them — the ETA it is
+// listed under in each cluster and its support columns, cluster by
+// cluster.
+type rideState struct {
+	Route                []roadnet.NodeID
+	RouteETA             []float64
+	Via                  []index.ViaPoint
+	Progress, SeatsAvail int
+	DetourLimit          float64
+	Listed               []bool
+	ListETA              []float64
+	Det                  []float64
+	Runs                 []int32
+}
+
+// captureRide reads ride id's state under the index's read lock, or
+// reports that no such ride is registered.
+func captureRide(e *Engine, id index.RideID) (rideState, bool) {
+	e.ix.RLock()
+	defer e.ix.RUnlock()
+	r := e.ix.Ix.Ride(id)
+	if r == nil {
+		return rideState{}, false
+	}
+	st := rideState{
+		Route: slices.Clone(r.Route), RouteETA: slices.Clone(r.RouteETA), Via: slices.Clone(r.Via),
+		Progress: r.Progress, SeatsAvail: r.SeatsAvail, DetourLimit: r.DetourLimit,
+	}
+	for c := range e.disc.NumClusters() {
+		eta, ok := e.ix.Ix.ListETA(r, c)
+		st.Listed, st.ListETA = append(st.Listed, ok), append(st.ListETA, eta)
+		det, runs := r.Supports(c)
+		st.Det, st.Runs = append(st.Det, det...), append(st.Runs, runs...)
+	}
+	return st, true
+}
+
+// sameRide names the first part of b that differs from a, or returns "".
+// Floats compare with ==: bit for bit, short of signed zeros and NaN,
+// which no finite schedule holds.
+func sameRide(a, b rideState) string {
+	switch {
+	case !slices.Equal(a.Route, b.Route):
+		return "route"
+	case !slices.Equal(a.RouteETA, b.RouteETA):
+		return "route ETAs"
+	case !slices.Equal(a.Via, b.Via):
+		return "via-points"
+	case a.Progress != b.Progress:
+		return "progress"
+	case a.SeatsAvail != b.SeatsAvail:
+		return "free seats"
+	case a.DetourLimit != b.DetourLimit:
+		return fmt.Sprintf("detour limit (%v, was %v)", b.DetourLimit, a.DetourLimit)
+	case !slices.Equal(a.Listed, b.Listed) || !slices.Equal(a.ListETA, b.ListETA):
+		return "listing ETAs"
+	case !slices.Equal(a.Det, b.Det) || !slices.Equal(a.Runs, b.Runs):
+		return "support columns"
+	}
+	return ""
 }

@@ -381,6 +381,7 @@ func scanIndex(ix *index.Index, req Request, srcSide, dstSide []sideCandidate, f
 
 	// Final checks on the intersection, in insertion order — so which
 	// candidates a capped journal sample shows is the same run to run.
+	disc := ix.Disc()
 	for i := range set.cands {
 		src, dst := set.cands[i].src, set.cands[i].dst
 		if dst.Cluster < 0 {
@@ -409,17 +410,18 @@ func scanIndex(ix *index.Index, req Request, srcSide, dstSide []sideCandidate, f
 			}
 			continue
 		}
-		var ps, pd *index.Support
+		var p supportPair
+		var ok bool
 		if fine && opts.relax == 0 {
 			t0 := time.Now()
-			ps, pd = bestSupportPair(r, src.Cluster, dst.Cluster, 0)
+			p, ok = bestSupportPair(r, disc, src.Cluster, dst.Cluster, 0)
 			res.detour += time.Since(t0)
 		} else {
-			ps, pd = bestSupportPair(r, src.Cluster, dst.Cluster, opts.relax)
+			p, ok = bestSupportPair(r, disc, src.Cluster, dst.Cluster, opts.relax)
 		}
-		if ps == nil {
+		if !ok {
 			if track {
-				reject(id, classifyDetourReject(r, src.Cluster, dst.Cluster))
+				reject(id, classifyDetourReject(r, disc, src.Cluster, dst.Cluster))
 			}
 			continue
 		}
@@ -432,9 +434,9 @@ func scanIndex(ix *index.Index, req Request, srcSide, dstSide []sideCandidate, f
 			DropoffCluster: dst.Cluster,
 			WalkSource:     src.Walk,
 			WalkDest:       dst.Walk,
-			DetourEstimate: ps.Detour + pd.Detour,
-			PickupETA:      r.SupportETA(*ps),
-			DropoffETA:     r.SupportETA(*pd),
+			DetourEstimate: p.detour,
+			PickupETA:      r.SupportETA(p.pickup, disc.ClusterDistsTo(src.Cluster)),
+			DropoffETA:     r.SupportETA(p.dropoff, disc.ClusterDistsTo(dst.Cluster)),
 		})
 	}
 	return res
@@ -456,48 +458,71 @@ func (e *Engine) walkableSide(p geo.Point, limit float64) ([]sideCandidate, erro
 	return side, nil
 }
 
+// supportPair is the pickup and drop-off support bestSupportPair chose:
+// their pass-through runs and their combined detour.
+type supportPair struct {
+	pickup, dropoff int32
+	detour          float64
+}
+
 // bestSupportPair validates that the ride can serve pickup cluster cs
 // then drop-off cluster cd within its remaining detour budget, using only
-// the precomputed supports: it returns the support pair (ps, pd) with
-// ps.Order ≤ pd.Order and an ETA no earlier than ps's minimizing combined
-// detour, or nil, nil when none fits the budget; equal totals resolve to
-// the first pair in Ride.Supports order, pickup side first. A drop-off
-// support at a later-or-equal run arrives earlier than the pickup's only
-// if its Dist is smaller (Ride.SupportETA), so only then are the two
-// ETAs computed. relax is zero except in shadow re-runs: relaxDetour
-// lifts the budget, relaxOrder the pickup-before-drop-off requirement.
-// The caller holds (at least) the index's read lock, and the pair points
-// into r's support table — valid only under that lock.
-func bestSupportPair(r *index.Ride, cs, cd int, relax relaxFlags) (ps, pd *index.Support) {
-	sups, dups := r.Supports(cs), r.Supports(cd)
+// the precomputed supports: it returns the support pair with the pickup
+// run at or before the drop-off's and an ETA no earlier than the
+// pickup's minimizing combined detour, and false when none fits the
+// budget; equal totals resolve to the first pair in Ride.Supports order,
+// pickup side first. A drop-off support at a later-or-equal run arrives
+// earlier than the pickup's only if it is nearer its run's cluster
+// (Ride.SupportETA), so none can when the pickup support sits on its own
+// run's cluster: the pickup's distance, read at most once per pickup
+// record (when a drop-off support first passes the run test), decides
+// whether drop-off distances are read at all, and a drop-off's ETA is
+// computed only when it is the nearer. The detours are the first values
+// the loops read, so their breaks read nothing else. relax is zero
+// except in shadow re-runs: relaxDetour lifts the budget, relaxOrder the
+// pickup-before-drop-off requirement. The caller holds (at least) the
+// index's read lock.
+func bestSupportPair(r *index.Ride, disc *discretize.Discretization, cs, cd int, relax relaxFlags) (best supportPair, ok bool) {
+	sdet, sruns := r.Supports(cs)
+	ddet, druns := r.Supports(cd)
+	sruns, druns = sruns[:len(sdet)], druns[:len(ddet)]
 	limit := r.DetourLimit
 	if relax&relaxDetour != 0 {
 		limit = math.Inf(1)
 	}
 	ignoreOrder := relax&relaxOrder != 0
+	toS, toD := disc.ClusterDistsTo(cs), disc.ClusterDistsTo(cd)
 	bestTotal := limit + 1
-	for i := range sups {
-		s := &sups[i]
-		if s.Detour >= bestTotal {
+	for i, sd := range sdet {
+		if sd >= bestTotal {
 			break // sorted by detour
 		}
-		for j := range dups {
-			d := &dups[j]
-			total := s.Detour + d.Detour
+		srun, sDist := sruns[i], float32(-1) // the distance is read at first need
+		for j, dd := range ddet {
+			total := sd + dd
 			if total >= bestTotal {
 				break
 			}
-			if !ignoreOrder && (d.Order < s.Order || d.Dist < s.Dist && r.SupportETA(*d) < r.SupportETA(*s)) {
-				continue // drop-off support (or its estimate) precedes the pickup's
+			drun := druns[j]
+			if !ignoreOrder {
+				if drun < srun {
+					continue // drop-off support precedes the pickup's
+				}
+				if sDist < 0 {
+					sDist = r.RunDist(srun, toS)
+				}
+				if sDist > 0 && r.RunDist(drun, toD) < sDist && r.SupportETA(drun, toD) < r.SupportETA(srun, toS) {
+					continue // its estimate does
+				}
 			}
 			if total > limit {
 				continue
 			}
-			bestTotal, ps, pd = total, s, d
+			bestTotal, best, ok = total, supportPair{srun, drun, total}, true
 			break
 		}
 	}
-	return ps, pd
+	return best, ok
 }
 
 // classifyDetourReject attributes a bestSupportPair failure to its
@@ -507,11 +532,13 @@ func bestSupportPair(r *index.Ride, cs, cd int, relax relaxFlags) (ps, pd *index
 // otherwise no valid ordering exists at all (including the
 // no-support-pair case). Runs only for quality-tracked searches, on
 // the already-rejected slow path.
-func classifyDetourReject(r *index.Ride, cs, cd int) int {
-	dups := r.Supports(cd)
-	for _, s := range r.Supports(cs) {
-		for _, d := range dups {
-			if d.Order >= s.Order && r.SupportETA(d) >= r.SupportETA(s) {
+func classifyDetourReject(r *index.Ride, disc *discretize.Discretization, cs, cd int) int {
+	_, sruns := r.Supports(cs)
+	_, druns := r.Supports(cd)
+	toS, toD := disc.ClusterDistsTo(cs), disc.ClusterDistsTo(cd)
+	for _, s := range sruns {
+		for _, d := range druns {
+			if d >= s && r.SupportETA(d, toD) >= r.SupportETA(s, toS) {
 				return quality.DetourBound
 			}
 		}

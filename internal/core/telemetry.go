@@ -111,15 +111,17 @@ func newEngineTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, sampl
 // (xar_index_full_rides: in no posting list, so no search examines them
 // and no funnel stage counts them). Both are registered eagerly — a
 // freshly started server reports them — and one scrape hook fills both
-// from one View.Stats call before any exposition render, so their ratio
-// is of one instant.
-func registerIndexGauges(reg *telemetry.Registry, v index.View) {
+// from one load of the index's Occupancy word before any exposition
+// render, so their ratio is of one instant. The hook holds that word,
+// not the index: a registry that outlives the engine keeps no rides
+// alive.
+func registerIndexGauges(reg *telemetry.Registry, occ *index.Occupancy) {
 	rides := reg.Gauge("xar_index_rides", "Rides registered in the index.", nil)
 	full := reg.Gauge("xar_index_full_rides", "Registered rides with no free seat (listed again when a cancellation frees one).", nil)
 	refresh := func() {
-		st := v.Stats()
-		rides.Set(float64(st.Rides))
-		full.Set(float64(st.FullRides))
+		n, f := occ.Load()
+		rides.Set(float64(n))
+		full.Set(float64(f))
 	}
 	refresh()
 	reg.OnScrape(refresh)

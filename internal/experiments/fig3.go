@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"time"
-	"unsafe"
 
 	"xar/internal/discretize"
-	"xar/internal/index"
 	"xar/internal/memsize"
 	"xar/internal/sim"
 	"xar/internal/stats"
@@ -112,10 +110,11 @@ type Fig3cdRow struct {
 }
 
 // Record sizes of internal/index (its TestSupportRecordSize and
-// TestPostingBytesPerEntry pin them): a support record, a directory key,
-// a posting-list entry (an 8-byte ETA and a 4-byte slot, in two columns).
+// TestPostingBytesPerEntry pin them): a support record (an 8-byte detour
+// and a 4-byte run, in two columns), a directory key, a posting-list
+// entry (an 8-byte ETA and a 4-byte slot, in two columns).
 const (
-	supportBytes   = float64(unsafe.Sizeof(index.Support{}))
+	supportBytes   = 12
 	directoryBytes = 8
 	postingBytes   = 12
 )

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"xar/internal/discretize"
 	"xar/internal/roadnet"
@@ -31,6 +32,11 @@ type Index struct {
 	clusters []clusterList
 	work     WriteWork // what the list edits did, since New
 
+	// full counts the registered rides register found without a free
+	// seat; occ publishes it with the ride count (see Occupancy).
+	full int
+	occ  *Occupancy
+
 	// neighbors[c] lists all clusters sorted by ascending distance from
 	// c, so "clusters within d of C" is a prefix.
 	neighbors [][]neighborEntry
@@ -54,9 +60,24 @@ type Index struct {
 // a record is 16 bytes.
 type buildSupport struct {
 	cluster int32
-	dist    float32
 	detour  float64
 }
+
+// Occupancy is an index's ride count and full-ride count of one instant:
+// one word, which the index stores after every Insert, Reregister and
+// Remove, and which anyone may load without the index's lock. It is its
+// own allocation, so what holds it (a telemetry scrape hook) does not
+// hold the index.
+type Occupancy struct{ word atomic.Uint64 }
+
+// Load returns the registered rides and, of those, the ones with no free
+// seat (in no list), as of the index's last write.
+func (o *Occupancy) Load() (rides, full int) {
+	w := o.word.Load()
+	return int(w >> 32), int(uint32(w))
+}
+
+func (o *Occupancy) store(rides, full int) { o.word.Store(uint64(rides)<<32 | uint64(uint32(full))) }
 
 // neighborEntry is 8 bytes: the cluster distances are float32 in the
 // discretization already, so Dist holds them exactly.
@@ -94,9 +115,13 @@ func New(disc *discretize.Discretization) *Index {
 		rides:     make(map[RideID]*Ride),
 		clusters:  make([]clusterList, k),
 		neighbors: neighbors,
+		occ:       new(Occupancy),
 		supOff:    make([]int32, k),
 	}
 }
+
+// Occupancy returns the index's published ride and full-ride counts.
+func (ix *Index) Occupancy() *Occupancy { return ix.occ }
 
 // Disc exposes the discretization the index was built over.
 func (ix *Index) Disc() *discretize.Discretization { return ix.disc }
@@ -159,6 +184,7 @@ func (ix *Index) Insert(r *Ride) error {
 	}
 	ix.rides[r.ID] = r
 	ix.register(r)
+	ix.occ.store(len(ix.rides), ix.full)
 	return nil
 }
 
@@ -172,6 +198,7 @@ func (ix *Index) Remove(id RideID) bool {
 	delete(ix.rides, id)
 	ix.slots[r.slot] = nil
 	ix.free = append(ix.free, r.slot)
+	ix.occ.store(len(ix.rides), ix.full)
 	return true
 }
 
@@ -189,6 +216,7 @@ func (ix *Index) Reregister(r *Ride) error {
 	r.Rev++
 	ix.unregister(r)
 	ix.register(r)
+	ix.occ.store(len(ix.rides), ix.full)
 	return nil
 }
 
@@ -206,8 +234,10 @@ func checkLimit(r *Ride) error {
 // lists — of a ride with a free seat: a full one is nobody's potential ride
 // (Definition 1) and is in no list until a cancellation re-registers it.
 func (ix *Index) register(r *Ride) {
-	r.pt, r.support, r.dir = nil, nil, nil
-	if r.SeatsAvail <= 0 {
+	r.pt, r.det, r.cols = nil, nil, nil
+	r.full = r.SeatsAvail <= 0
+	if r.full {
+		ix.full++
 		return
 	}
 
@@ -257,49 +287,52 @@ func (ix *Index) register(r *Ride) {
 	}
 
 	// 3. Group instead of sort: a walk over every cluster lays the groups
-	// out in ascending cluster order in the ride's exact-size table —
-	// writing the directory as it goes — and a stable scatter, run by run,
-	// fills each in ascending route position. The walk has no branch
-	// either: every cluster writes its key at the next free slot, which
-	// advances only for one with records, and an absent cluster's offset
-	// stays zero.
-	sup := make([]Support, len(buf))
-	dir := make([]dirEntry, groups+1)
+	// out in ascending cluster order in the ride's exact-size columns —
+	// writing the directory after the runs as it goes — and a stable
+	// scatter, run by run, fills each in ascending route position. The
+	// walk has no branch either: every cluster writes its key at the next
+	// free key, which advances only for one with records, and an absent
+	// cluster's offset stays zero.
+	det := make([]float64, len(buf))
+	cols := make([]int32, len(buf)+dirKey*(groups+1))
+	runs, dir := cols[:len(buf)], cols[len(buf):]
 	g, next := 0, int32(0)
 	for c, n := range off {
 		present := int32(b2i(n > 0))
-		dir[g] = dirEntry{Cluster: int32(c), Start: next}
+		dir[dirKey*g], dir[dirKey*g+1] = int32(c), next
 		off[c] = next & -present
 		next += n
 		g += int(present)
 	}
-	dir[groups] = dirEntry{Cluster: dirEnd, Start: next}
+	dir[dirKey*groups], dir[dirKey*groups+1] = dirEnd, next
 	start := int32(0)
 	for pi, end := range ix.runEnd {
 		for _, s := range buf[start:end] {
-			sup[off[s.cluster]] = Support{Order: int32(pi), Dist: s.dist, Detour: s.detour}
+			at := off[s.cluster]
+			det[at], runs[at] = s.detour, int32(pi)
 			off[s.cluster]++
 		}
 		start = end
 	}
-	r.support, r.dir = sup, dir
+	r.det, r.cols = det, cols
 
 	// 4. Insertion-sort each (small) group by detour — equal detours stay
 	// in route order, the table's order within a group — and list the ride
 	// under the cluster at its earliest support ETA.
-	for g := range dir[:groups] {
-		group := r.group(g)
-		eta := r.SupportETA(group[0])
-		for i := 1; i < len(group); i++ {
-			s := group[i]
-			eta = min(eta, r.SupportETA(s))
+	for g := range groups {
+		c := dir[dirKey*g]
+		gd, gr := r.group(g)
+		to := ix.disc.ClusterDistsTo(int(c))
+		eta := r.SupportETA(gr[0], to)
+		for i := 1; i < len(gd); i++ {
+			d, run := gd[i], gr[i]
+			eta = min(eta, r.SupportETA(run, to))
 			j := i
-			for ; j > 0 && group[j-1].Detour > s.Detour; j-- {
-				group[j] = group[j-1]
+			for ; j > 0 && gd[j-1] > d; j-- {
+				gd[j], gr[j] = gd[j-1], gr[j-1]
 			}
-			group[j] = s
+			gd[j], gr[j] = d, run
 		}
-		c := dir[g].Cluster
 		off[c] = 0
 		ix.clusters[c].add(&ix.work, r.slot, eta)
 	}
@@ -342,7 +375,7 @@ func (ix *Index) reachable(r *Ride) []buildSupport {
 		}
 		if via < 0 {
 			for _, nb := range row {
-				buf[w] = buildSupport{nb.Cluster, nb.Dist, float64(nb.Dist)}
+				buf[w] = buildSupport{nb.Cluster, float64(nb.Dist)}
 				w += b2i(nb.Cluster != c)
 			}
 		} else {
@@ -358,7 +391,7 @@ func (ix *Index) reachable(r *Ride) []buildSupport {
 				if detour < 0 {
 					detour = 0
 				}
-				buf[w] = buildSupport{nb.Cluster, nb.Dist, detour}
+				buf[w] = buildSupport{nb.Cluster, detour}
 				w += b2i(!(detour > limit)) & b2i(nb.Cluster != c)
 			}
 		}
@@ -395,11 +428,13 @@ func b2i(b bool) int {
 // unregister removes the ride from all cluster lists and clears its
 // registration state.
 func (ix *Index) unregister(r *Ride) {
-	for g := 0; g+1 < len(r.dir); g++ {
-		eta, _ := r.minETA(r.group(g))
-		ix.clusters[r.dir[g].Cluster].remove(&ix.work, r.slot, eta)
+	for g := range r.numGroups() {
+		c := r.groupCluster(g)
+		_, runs := r.group(g)
+		ix.clusters[c].remove(&ix.work, r.slot, r.minETA(runs, ix.disc.ClusterDistsTo(int(c))))
 	}
-	r.pt, r.support, r.dir = nil, nil, nil
+	ix.full -= b2i(r.full)
+	r.pt, r.det, r.cols, r.full = nil, nil, nil, false
 }
 
 // Advance implements ride tracking (§VIII-A): the vehicle has progressed
@@ -439,39 +474,43 @@ func (ix *Index) Advance(id RideID, pos int) error {
 		return nil
 	}
 
-	// Step 2: compact the support table in place, cluster group by
+	// Step 2: compact the support columns in place, cluster group by
 	// cluster group, dropping the supports of crossed entries (the order
 	// of the kept ones is unchanged) and rewriting the directory behind
-	// the read position. A cluster left with none drops the ride from its
-	// list and its key from the directory; one whose earliest support went
-	// gets its ETA refreshed.
-	sup, dir := r.support, r.dir
+	// the read position; then move the directory down to follow the kept
+	// runs. A cluster left with none drops the ride from its list and its
+	// key from the directory; one whose earliest support went gets its ETA
+	// refreshed.
+	det, runs, dir := r.det, r.runs(), r.dir()
 	w, gw := int32(0), 0
-	for g := 0; g+1 < len(dir); g++ {
-		c, i, end, start := dir[g].Cluster, dir[g].Start, dir[g+1].Start, w
+	for g := 0; g+1 < len(dir)/dirKey; g++ {
+		c, i, end, start := dir[dirKey*g], dir[dirKey*g+1], dir[dirKey*g+dirKey+1], w
+		to := ix.disc.ClusterDistsTo(int(c))
 		was, now := math.Inf(1), math.Inf(1)
 		for ; i < end; i++ {
-			eta := r.SupportETA(sup[i])
+			run := runs[i]
+			eta := r.SupportETA(run, to)
 			was = min(was, eta)
-			if int(r.pt[sup[i].Order].LastIdx) < pos {
+			if int(r.pt[run].LastIdx) < pos {
 				continue
 			}
 			now = min(now, eta)
-			sup[w] = sup[i]
+			det[w], runs[w] = det[i], run
 			w++
 		}
 		if w == start {
 			ix.clusters[c].remove(&ix.work, r.slot, was)
 			continue
 		}
-		dir[gw] = dirEntry{Cluster: c, Start: start}
+		dir[dirKey*gw], dir[dirKey*gw+1] = c, start
 		gw++
 		if now != was {
 			ix.clusters[c].updateETA(&ix.work, r.slot, was, now)
 		}
 	}
-	dir[gw] = dirEntry{Cluster: dirEnd, Start: w}
-	r.support, r.dir = sup[:w], dir[:gw+1]
+	dir[dirKey*gw], dir[dirKey*gw+1] = dirEnd, w
+	n := copy(r.cols[w:], dir[:dirKey*(gw+1)])
+	r.det, r.cols = det[:w], r.cols[:int(w)+n]
 	// Step 3 (remove crossed entries from the pass-through list) is
 	// implicit: entries stay, behind Progress, and PassThroughClusters
 	// filters them out.
@@ -507,7 +546,7 @@ func (ix *Index) HasPotentialRide(c int, id RideID) (float64, bool) {
 	if r == nil || c < 0 || c >= len(ix.clusters) {
 		return 0, false
 	}
-	eta, ok := r.ListETA(c)
+	eta, ok := ix.ListETA(r, c)
 	return eta, ok && ix.clusters[c].has(r.slot, eta)
 }
 
@@ -545,7 +584,7 @@ func (ix *Index) Stats() Stats {
 	}
 	ix.Rides(func(r *Ride) bool {
 		s.PassThroughRuns += len(r.pt)
-		s.SupportRecords += len(r.support)
+		s.SupportRecords += len(r.det)
 		if r.SeatsAvail <= 0 {
 			s.FullRides++
 		}
@@ -587,16 +626,19 @@ func (ix *Index) CheckInvariants() error {
 //     the whole list, and count len(), and every entry names an occupied
 //     slot;
 //   - a ride's directory is strictly ascending by cluster, has no empty
-//     group and ends at len(support); each group is sorted by (detour,
-//     position) and every entry points at a live (non-crossed)
-//     pass-through entry, with the cluster distance from that entry's
-//     cluster to the group's (0 on its own);
+//     group and ends at the length of its support columns; each group is
+//     sorted by (detour, run) and every run is a live (non-crossed)
+//     pass-through entry;
 //   - a ride's pass-through ETAs never decrease in run order (the pair
 //     loop of a search skips the ETAs this rules out);
 //   - a ride appears in a cluster list iff it has ≥1 support there;
-//   - a ride is listed under exactly its minimum support ETA (the key
-//     unregister and Advance find it by);
-//   - a ride has supports (is listed) iff it has a free seat and route ahead.
+//   - a ride is listed under exactly its minimum support ETA, derived
+//     from the runs and the region's distances (the key unregister and
+//     Advance find it by);
+//   - a ride has supports (is listed) iff it has a free seat and route
+//     ahead;
+//   - the published Occupancy counts the registered rides and the ones
+//     register found full.
 func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 	dst = ix.slotDefects(dst)
 	// Keyed lookups need a well-formed list; a damaged one is reported as
@@ -620,7 +662,7 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 					dst = append(dst, Inconsistency{Cluster: c, Detail: fmt.Sprintf("posting entry names slot %d, which is free or out of range", e.Slot)})
 					continue
 				}
-				best, ok := r.ListETA(c)
+				best, ok := ix.ListETA(r, c)
 				if !ok {
 					dst = append(dst, Inconsistency{Ride: r.ID, Cluster: c, Detail: "listed ride has no supports here"})
 				} else if best != e.ETA {
@@ -630,13 +672,15 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 		}
 	}
 	inCluster := func(n roadnet.NodeID) bool { return ix.disc.ClusterOfNode(n) >= 0 }
+	full := 0
 	ix.Rides(func(r *Ride) bool {
 		id := r.ID
+		full += b2i(r.full)
 		ahead := r.Route[min(r.Progress, len(r.Route)):]
 		switch {
-		case r.SeatsAvail <= 0 && len(r.support) > 0:
+		case r.SeatsAvail <= 0 && len(r.det) > 0:
 			dst = append(dst, Inconsistency{Ride: id, Cluster: -1, Detail: "full ride is listed / still has supports"})
-		case r.SeatsAvail > 0 && len(r.support) == 0 && slices.ContainsFunc(ahead, inCluster):
+		case r.SeatsAvail > 0 && len(r.det) == 0 && slices.ContainsFunc(ahead, inCluster):
 			dst = append(dst, Inconsistency{Ride: id, Cluster: -1, Detail: "ride with a free seat and uncrossed route has no supports"})
 		}
 		for pi := 1; pi < len(r.pt); pi++ {
@@ -649,22 +693,15 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 			dst = append(dst, Inconsistency{Ride: id, Cluster: -1, Detail: defect})
 			return true
 		}
-		for g := 0; g+1 < len(r.dir); g++ {
-			c, start, group := r.dir[g].Cluster, int(r.dir[g].Start), r.group(g)
-			for i, s := range group {
-				if i > 0 && (group[i-1].Detour > s.Detour || group[i-1].Detour == s.Detour && group[i-1].Order >= s.Order) {
+		for g := range r.numGroups() {
+			c, start := r.groupCluster(g), int(r.dir()[dirKey*g+1])
+			det, runs := r.group(g)
+			for i, run := range runs {
+				if i > 0 && (det[i-1] > det[i] || det[i-1] == det[i] && runs[i-1] >= run) {
 					dst = append(dst, Inconsistency{Ride: id, Cluster: int(c), Detail: fmt.Sprintf("support table order violated at %d", start+i)})
 				}
-				if s.Order < 0 || int(s.Order) >= len(r.pt) || int(r.pt[s.Order].LastIdx) < r.Progress {
+				if run < 0 || int(run) >= len(r.pt) || int(r.pt[run].LastIdx) < r.Progress {
 					dst = append(dst, Inconsistency{Ride: id, Cluster: int(c), Detail: fmt.Sprintf("support %d does not point at a live pass-through", start+i)})
-					continue
-				}
-				want := float32(0)
-				if from := r.pt[s.Order].Cluster; from != c {
-					want = float32(ix.disc.ClusterDist(int(from), int(c)))
-				}
-				if s.Dist != want {
-					dst = append(dst, Inconsistency{Ride: id, Cluster: int(c), Detail: fmt.Sprintf("support %d holds distance %v, its pass-through's cluster is %v away", start+i, s.Dist, want)})
 				}
 			}
 			if !damaged[c] {
@@ -675,6 +712,9 @@ func (ix *Index) Inconsistencies(dst []Inconsistency) []Inconsistency {
 		}
 		return true
 	})
+	if rides, f := ix.occ.Load(); rides != len(ix.rides) || f != full {
+		dst = append(dst, Inconsistency{Cluster: -1, Detail: fmt.Sprintf("occupancy reads %d rides, %d full; the index holds %d, %d full", rides, f, len(ix.rides), full)})
+	}
 	return dst
 }
 
@@ -720,28 +760,33 @@ func (ix *Index) slotDefects(dst []Inconsistency) []Inconsistency {
 }
 
 // directoryDefect describes the first way the ride's cluster directory
-// fails to describe its support table — not sentinel-terminated at
-// len(support), keys not strictly ascending, an empty group — or returns
-// "" for a well-formed one. A ride without a table has no directory.
+// fails to describe its support columns — missing or not whole keys, not
+// sentinel-terminated at the columns' length, keys not strictly
+// ascending, an empty group — or returns "" for a well-formed one. A
+// ride without a table has no directory.
 func (r *Ride) directoryDefect() string {
-	dir := r.dir
-	if len(dir) == 0 {
-		if len(r.support) > 0 {
-			return fmt.Sprintf("%d supports and no cluster directory", len(r.support))
-		}
+	n, words := len(r.det), len(r.cols)-len(r.det)
+	switch {
+	case n == 0 && len(r.cols) == 0:
 		return ""
+	case words <= 0:
+		return fmt.Sprintf("%d supports and no cluster directory", n)
+	case words%dirKey != 0:
+		return fmt.Sprintf("cluster directory of %d words after the %d runs: not whole keys", words, n)
 	}
-	if last := dir[len(dir)-1]; last.Cluster != dirEnd || int(last.Start) != len(r.support) {
-		return fmt.Sprintf("cluster directory ends at {%d, %d}, want the sentinel at %d", last.Cluster, last.Start, len(r.support))
+	dir := r.dir()
+	keys := len(dir) / dirKey
+	if c, start := dir[dirKey*(keys-1)], dir[dirKey*(keys-1)+1]; c != dirEnd || int(start) != n {
+		return fmt.Sprintf("cluster directory ends at {%d, %d}, want the sentinel at %d", c, start, n)
 	}
-	if dir[0].Start != 0 {
-		return fmt.Sprintf("cluster directory starts at support %d", dir[0].Start)
+	if dir[1] != 0 {
+		return fmt.Sprintf("cluster directory starts at support %d", dir[1])
 	}
-	for g := 0; g+1 < len(dir); g++ {
-		if dir[g].Cluster < 0 || dir[g].Cluster >= dir[g+1].Cluster {
+	for g := 0; g+1 < keys; g++ {
+		if c := dir[dirKey*g]; c < 0 || c >= dir[dirKey*(g+1)] {
 			return fmt.Sprintf("cluster directory not strictly ascending at key %d", g)
 		}
-		if dir[g].Start >= dir[g+1].Start {
+		if dir[dirKey*g+1] >= dir[dirKey*(g+1)+1] {
 			return fmt.Sprintf("cluster directory has an empty group at key %d", g)
 		}
 	}

@@ -224,7 +224,7 @@ func TestReachableRespectsDetourLimit(t *testing.T) {
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
-	for _, ref := range clusteredSupports(r) {
+	for _, ref := range clusteredSupports(ix, r) {
 		c := ref.Cluster
 		if ref.Detour > r.DetourLimit+1e-9 {
 			t.Fatalf("cluster %d reachable with detour %.1f > limit %.1f", c, ref.Detour, r.DetourLimit)
@@ -356,7 +356,8 @@ func TestAdvanceRemovesObsoleteClusters(t *testing.T) {
 	}
 	// The first pass-through cluster must no longer list the ride unless
 	// a later pass-through still supports it.
-	stillSupported := len(r.Supports(firstCluster)) > 0
+	sups, _ := r.Supports(firstCluster)
+	stillSupported := len(sups) > 0
 	_, listed := ix.HasPotentialRide(firstCluster, r.ID)
 	if listed != stillSupported {
 		t.Fatalf("cluster %d: listed=%v but valid supports=%v", firstCluster, listed, stillSupported)
@@ -424,22 +425,24 @@ func TestSupportsOrdering(t *testing.T) {
 	if err := ix.Insert(r); err != nil {
 		t.Fatal(err)
 	}
-	table := clusteredSupports(r)
+	table := clusteredSupports(ix, r)
 	for _, c := range r.ReachableClusters() {
-		sups := r.Supports(c)
-		if len(sups) == 0 {
-			t.Fatalf("cluster %d has no supports", c)
+		det, runs := r.Supports(c)
+		if len(det) == 0 || len(runs) != len(det) {
+			t.Fatalf("cluster %d has %d detours and %d runs", c, len(det), len(runs))
 		}
-		for i, s := range sups {
-			if at := slices.Index(r.support, s); at < 0 || int(table[at].Cluster) != c {
-				t.Fatalf("Supports(%d) returned a support that is not in cluster %d's group (table position %d)", c, c, at)
-			}
-			if i > 0 && (s.Detour < sups[i-1].Detour || s.Detour == sups[i-1].Detour && s.Order <= sups[i-1].Order) {
+		// The two columns are sub-slices of the ride's at one offset.
+		at := cap(r.det) - cap(det)
+		if at != cap(r.cols)-cap(runs) || int(table[at].Cluster) != c || int(table[at+len(det)-1].Cluster) != c {
+			t.Fatalf("Supports(%d) returned columns that are not cluster %d's group (table position %d)", c, c, at)
+		}
+		for i := 1; i < len(det); i++ {
+			if det[i] < det[i-1] || det[i] == det[i-1] && runs[i] <= runs[i-1] {
 				t.Fatal("supports not sorted by (detour, route position)")
 			}
 		}
 	}
-	if got := r.Supports(d.NumClusters()); len(got) != 0 {
+	if det, runs := r.Supports(d.NumClusters()); det != nil || runs != nil {
 		t.Fatal("an unreachable cluster must have no supports")
 	}
 }
@@ -497,7 +500,7 @@ func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 			r := ix.Ride(live[rng.Intn(len(live))])
 			// A clone taken before the mutation keeps the table it copied.
 			snap := r.Clone()
-			before := append([]Support(nil), snap.support...)
+			before, beforeCols := slices.Clone(snap.det), slices.Clone(snap.cols)
 			if rng.Intn(4) == 0 {
 				r.DetourLimit = float64(rng.Intn(2000))
 				r.SeatsAvail = rng.Intn(3) // a third of these fill the ride or find it full
@@ -507,10 +510,10 @@ func TestRandomOperationSequenceKeepsInvariants(t *testing.T) {
 			} else if err := ix.Advance(r.ID, r.Progress+rng.Intn(10)); err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(snap.support, before) {
+			if !slices.Equal(snap.det, before) || !slices.Equal(snap.cols, beforeCols) {
 				t.Fatalf("step %d: mutating ride %d changed its earlier clone's support table", step, r.ID)
 			}
-			if !slices.Equal(r.Clone().support, r.support) {
+			if c := r.Clone(); !slices.Equal(c.det, r.det) || !slices.Equal(c.cols, r.cols) {
 				t.Fatalf("step %d: clone of ride %d does not carry its support table", step, r.ID)
 			}
 		default: // remove
@@ -589,11 +592,11 @@ func TestFullRideLeavesEveryList(t *testing.T) {
 	}
 	for _, ride := range []*Ride{r, other} {
 		twin := ride.Clone()
-		twin.pt, twin.support = nil, nil
+		twin.pt, twin.det, twin.cols = nil, nil, nil
 		if err := fresh.Insert(twin); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(ride.support, twin.support) || !slices.Equal(ride.pt, twin.pt) {
+		if !slices.Equal(ride.det, twin.det) || !slices.Equal(ride.cols, twin.cols) || !slices.Equal(ride.pt, twin.pt) {
 			t.Fatalf("ride %d: registration after the seat came back differs from a fresh insert", ride.ID)
 		}
 	}
@@ -627,14 +630,16 @@ func makeLegRide(t testing.TB, d *discretize.Discretization, stops []roadnet.Nod
 	return r
 }
 
-// clusteredSupport is a support record together with the cluster it
-// serves — what a record was before the directory took the cluster over
-// — and the segment and arrival estimate it answers for.
+// clusteredSupport is a support record — its run (Order) and detour —
+// together with the cluster it serves, which the directory says, and
+// the distance, segment and arrival estimate derived for it.
 type clusteredSupport struct {
 	Cluster int32
-	Support
-	Seg int
-	ETA float64
+	Order   int32
+	Dist    float32
+	Detour  float64
+	Seg     int
+	ETA     float64
 }
 
 // compareSupports is the support table's order: by cluster, then
@@ -645,12 +650,16 @@ func compareSupports(a, b clusteredSupport) int {
 
 // clusteredSupports reads the ride's table out through its directory: one
 // record per support, in table order, labelled with its group's cluster
-// and with the segment and ETA the ride derives for it.
-func clusteredSupports(r *Ride) []clusteredSupport {
-	out := make([]clusteredSupport, 0, len(r.support))
-	for g := 0; g+1 < len(r.dir); g++ {
-		for _, s := range r.group(g) {
-			out = append(out, clusteredSupport{r.dir[g].Cluster, s, r.SupportSeg(s), r.SupportETA(s)})
+// and with the distance (from the region), segment and ETA the ride
+// derives for it.
+func clusteredSupports(ix *Index, r *Ride) []clusteredSupport {
+	out := make([]clusteredSupport, 0, len(r.det))
+	for g := range r.numGroups() {
+		c := r.groupCluster(g)
+		to := ix.disc.ClusterDistsTo(int(c))
+		det, runs := r.group(g)
+		for i, run := range runs {
+			out = append(out, clusteredSupport{c, run, r.RunDist(run, to), det[i], r.RunSeg(run), r.SupportETA(run, to)})
 		}
 	}
 	return out
@@ -684,7 +693,7 @@ func referenceSupports(ix *Index, r *Ride) []clusteredSupport {
 			continue
 		}
 		seg, eta := r.segmentOf(int(e.FirstIdx)), r.RouteETA[e.FirstIdx]
-		recs = append(recs, clusteredSupport{e.Cluster, Support{Order: int32(pi)}, seg, eta})
+		recs = append(recs, clusteredSupport{Cluster: e.Cluster, Order: int32(pi), Seg: seg, ETA: eta})
 		c, via := int(e.Cluster), -1
 		if seg+1 < len(r.Via) {
 			via = ix.disc.ClusterOfNode(r.Via[seg+1].Node)
@@ -701,7 +710,7 @@ func referenceSupports(ix *Index, r *Ride) []clusteredSupport {
 					continue
 				}
 			}
-			recs = append(recs, clusteredSupport{int32(o), Support{Order: int32(pi), Dist: float32(dist), Detour: detour}, seg, eta + dist/AvgSpeed})
+			recs = append(recs, clusteredSupport{int32(o), int32(pi), float32(dist), detour, seg, eta + dist/AvgSpeed})
 		}
 	}
 	slices.SortFunc(recs, compareSupports)
@@ -709,18 +718,22 @@ func referenceSupports(ix *Index, r *Ride) []clusteredSupport {
 }
 
 // checkSupportTable fails t unless r's table, read through its
-// directory, is element for element referenceSupports — every derived
-// segment equal and every derived ETA bit for bit the route's — and
-// returns the reference records.
+// directory, is element for element referenceSupports — every run and
+// derived segment equal, and every detour, derived distance and derived
+// ETA bit for bit the reference's — and returns the reference records.
 func checkSupportTable(t testing.TB, ix *Index, r *Ride, when string) []clusteredSupport {
 	t.Helper()
-	got, want := clusteredSupports(r), referenceSupports(ix, r)
-	if len(got) != len(r.support) || !slices.Equal(got, want) {
-		t.Fatalf("ride %d %s: table of %d supports (%d reached through the directory) differs from the sorted %d records", r.ID, when, len(r.support), len(got), len(want))
+	got, want := clusteredSupports(ix, r), referenceSupports(ix, r)
+	if len(got) != len(r.det) || len(got) != len(want) {
+		t.Fatalf("ride %d %s: table of %d supports (%d reached through the directory), the reference has %d records", r.ID, when, len(r.det), len(got), len(want))
 	}
-	for i := range got { // == on float64 is bit-equality short of -0 and NaN
-		if math.Float64bits(got[i].ETA) != math.Float64bits(want[i].ETA) {
-			t.Fatalf("ride %d %s: support %d ETA %v, the route says %v", r.ID, when, i, got[i].ETA, want[i].ETA)
+	for i, g := range got {
+		w := want[i]
+		if g.Cluster != w.Cluster || g.Order != w.Order || g.Seg != w.Seg ||
+			math.Float64bits(g.Detour) != math.Float64bits(w.Detour) ||
+			math.Float32bits(g.Dist) != math.Float32bits(w.Dist) ||
+			math.Float64bits(g.ETA) != math.Float64bits(w.ETA) {
+			t.Fatalf("ride %d %s: support %d is %+v, the reference %+v", r.ID, when, i, g, w)
 		}
 	}
 	return want
@@ -753,7 +766,7 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkSupportTable(t, ix, r, "after Insert")
-		for i, table := 1, clusteredSupports(r); i < len(table); i++ {
+		for i, table := 1, clusteredSupports(ix, r); i < len(table); i++ {
 			if a, b := table[i-1], table[i]; a.Cluster == b.Cluster {
 				if a.Seg != b.Seg {
 					repeats++
@@ -785,8 +798,8 @@ func TestSupportTableMatchesSortedRecords(t *testing.T) {
 
 // TestInconsistenciesCatchSupportTableDamage: the audit reports a
 // support table that is out of order, a support left pointing at a
-// crossed pass-through, a support distance one ulp off the cluster
-// distance, and pass-through ETAs out of route order.
+// crossed pass-through, pass-through ETAs out of route order, and a ride
+// listed under another ETA than its group's earliest derived one.
 func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 	d := testWorld(t)
 	ix := New(d)
@@ -798,27 +811,6 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	last := len(r.support) - 1
-	r.support[0], r.support[last] = r.support[last], r.support[0]
-	if err := ix.CheckInvariants(); err == nil {
-		t.Fatal("an unsorted support table must be reported")
-	}
-	r.support[0], r.support[last] = r.support[last], r.support[0]
-
-	// Crossed, but not compacted out: Progress moves past the run's last
-	// node without Advance.
-	progress := r.Progress
-	r.Progress = int(r.pt[r.support[0].Order].LastIdx) + 1
-	if !slices.ContainsFunc(ix.Inconsistencies(nil), func(inc Inconsistency) bool {
-		return strings.Contains(inc.Detail, "does not point at a live pass-through")
-	}) {
-		t.Fatal("a support of a crossed pass-through must be reported")
-	}
-	r.Progress = progress
-
-	// The two facts a support's derived ETA rests on: its distance is the
-	// cluster distance from its run's cluster (0 on its own), and runs
-	// arrive in route order.
 	rideReports := func(detail string) bool {
 		for _, inc := range ix.Inconsistencies(nil) {
 			if inc.Ride == r.ID && strings.Contains(inc.Detail, detail) {
@@ -827,19 +819,36 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 		}
 		return false
 	}
-	own := slices.IndexFunc(r.support, func(s Support) bool { return s.Dist == 0 })
-	nb := slices.IndexFunc(r.support, func(s Support) bool { return s.Dist > 0 })
-	if own < 0 || nb < 0 {
-		t.Fatalf("ride has no own-cluster (%d) or no neighbour (%d) support", own, nb)
-	}
-	for _, i := range []int{own, nb} {
-		dist := r.support[i].Dist
-		r.support[i].Dist = math.Nextafter32(dist, float32(math.Inf(1)))
-		if !rideReports("holds distance") {
-			t.Errorf("support %d's distance %v nudged one ulp must be reported", i, dist)
+	// Two records of one group swapped in both columns: the group is out
+	// of (detour, run) order.
+	g := 0
+	for g < r.numGroups() {
+		if det, _ := r.group(g); len(det) > 1 {
+			break
 		}
-		r.support[i].Dist = dist
+		g++
 	}
+	if g == r.numGroups() {
+		t.Fatal("no group of the ride holds two records")
+	}
+	det, runs := r.group(g)
+	swapRecords := func() { det[0], det[1], runs[0], runs[1] = det[1], det[0], runs[1], runs[0] }
+	swapRecords()
+	if !rideReports("order violated") {
+		t.Error("a group out of (detour, run) order must be reported")
+	}
+	swapRecords()
+
+	// Crossed, but not compacted out: Progress moves past the run's last
+	// node without Advance.
+	progress := r.Progress
+	r.Progress = int(r.pt[runs[0]].LastIdx) + 1
+	if !rideReports("does not point at a live pass-through") {
+		t.Fatal("a support of a crossed pass-through must be reported")
+	}
+	r.Progress = progress
+
+	// A support's derived ETA rests on runs arriving in route order.
 	pi := 1
 	for pi < len(r.pt) && r.pt[pi].ETA == r.pt[pi-1].ETA {
 		pi++
@@ -862,7 +871,7 @@ func TestInconsistenciesCatchSupportTableDamage(t *testing.T) {
 	if err := ix.Insert(r2); err != nil {
 		t.Fatal(err)
 	}
-	c := int(r.dir[0].Cluster)
+	c := int(r.groupCluster(0))
 	l := &ix.clusters[c]
 	if l.len() != 2 || len(l.blocks) != 1 {
 		t.Fatalf("cluster %d lists %d rides in %d blocks, want both rides in one", c, l.len(), len(l.blocks))

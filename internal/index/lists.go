@@ -163,7 +163,7 @@ func (b *block) pos(w *WriteWork, e listEntry) int {
 // the block; insertion and removal are the same searches plus a shift
 // inside one block. There is no by-ride order: whoever removes or
 // re-times a ride knows its slot and the ETA it is listed under
-// (Ride.ListETA), which makes the entry's position a keyed lookup too.
+// (Index.ListETA), which makes the entry's position a keyed lookup too.
 //
 // No block is empty, a block's two columns are equally long, the
 // concatenation of the blocks is strictly ascending, and there is one

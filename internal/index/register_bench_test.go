@@ -66,7 +66,7 @@ func BenchmarkRegister(b *testing.B) {
 				if err := ix.Insert(r); err != nil {
 					b.Fatal(err)
 				}
-				supports += len(r.support)
+				supports += len(r.det)
 				if i >= fleet-1 {
 					b.StopTimer()
 					ix.Remove(rides[(i-fleet+1)%len(rides)].ID)

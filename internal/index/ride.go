@@ -121,15 +121,18 @@ type Ride struct {
 	Rev uint64
 
 	// Index registration state (maintained by Index): the pass-through
-	// runs in route order, the flat support table — one group per
-	// supported cluster in ascending cluster order, each sorted by
-	// (Detour, Order) — and the directory that says where each group
-	// starts (see Supports); slot is the ride's place in the slot table
-	// of the index it is registered in.
-	pt      []ptEntry
-	support []Support
-	dir     []dirEntry
-	slot    int32
+	// runs in route order; the support table as two columns, one group
+	// per supported cluster in ascending cluster order, each sorted by
+	// (detour, run) — det, the detours, and the runs at the head of cols
+	// — and, after the runs in cols, the directory that says where each
+	// group starts (see Supports); slot is the ride's place in the slot
+	// table of the index it is registered in, and full says register
+	// found it without a free seat (the index's Occupancy counts it).
+	pt   []ptEntry
+	det  []float64
+	cols []int32
+	slot int32
+	full bool
 }
 
 // Clone returns a deep copy of the ride: a snapshot that stays valid
@@ -147,8 +150,8 @@ func (r *Ride) Clone() *Ride {
 	c.RouteETA = append([]float64(nil), r.RouteETA...)
 	c.Via = append([]ViaPoint(nil), r.Via...)
 	c.pt = append([]ptEntry(nil), r.pt...)
-	c.support = append([]Support(nil), r.support...)
-	c.dir = append([]dirEntry(nil), r.dir...)
+	c.det = append([]float64(nil), r.det...)
+	c.cols = append([]int32(nil), r.cols...)
 	return &c
 }
 
@@ -163,90 +166,112 @@ type ptEntry struct {
 	ETA      float64
 }
 
-// Support is one way a ride can serve a cluster: pass-through run Order
-// reaches the cluster Dist meters away with Detour meters of extra
-// driving. A ride's supports live in one flat table (Ride.support); which
-// cluster a record serves is the directory's to say, not the record's,
-// and the run's segment and the arrival estimate are the run's to say
-// (SupportSeg, SupportETA). 16 bytes.
-type Support struct {
-	Order  int32   // position of the supporting pass-through along the route
-	Dist   float32 // cluster distance from the run's cluster; 0 on its own
-	Detour float64 // meters of extra driving
-}
+// A support is one way a ride can serve a cluster: a pass-through run
+// that reaches the cluster with some meters of extra driving. A ride's
+// supports are one table in two columns: the detour (float64) and the
+// run (int32, the position of the supporting pass-through along the
+// route), 12 bytes a record. Which cluster a record serves is the
+// directory's to say; the run's segment, its cluster and its ETA are the
+// run's (RunSeg, SupportETA); the distance from the run's cluster to the
+// served one is the region's (Discretization.ClusterDistsTo), 0 on the
+// run's own cluster.
 
-// SupportSeg returns the segment of the pass-through run s names.
-func (r *Ride) SupportSeg(s Support) int { return int(r.pt[s.Order].Seg) }
+// RunSeg returns the segment of pass-through run run.
+func (r *Ride) RunSeg(run int32) int { return int(r.pt[run].Seg) }
 
-// SupportETA returns the arrival estimate of support s: its run's ETA
-// plus the cluster distance at AvgSpeed. Pass-through ETAs never decrease
+// RunDist returns the distance from pass-through run run's cluster to
+// the cluster whose region distance column to is: 0 on that cluster.
+func (r *Ride) RunDist(run int32, to []float32) float32 { return to[r.pt[run].Cluster] }
+
+// SupportETA returns the arrival estimate of a support of cluster c at
+// pass-through run run, where to is the region's distance column to c
+// (Discretization.ClusterDistsTo(c)): the run's ETA plus the distance
+// from the run's cluster at AvgSpeed. Pass-through ETAs never decrease
 // along the route, and the sum and the quotient are monotone, so of two
-// supports, one at a later-or-equal run no nearer than the other never
-// arrives earlier.
-func (r *Ride) SupportETA(s Support) float64 {
-	return r.pt[s.Order].ETA + float64(s.Dist)/AvgSpeed
+// supports of c, one at a later-or-equal run no nearer than the other
+// never arrives earlier.
+func (r *Ride) SupportETA(run int32, to []float32) float64 {
+	e := &r.pt[run]
+	return e.ETA + float64(to[e.Cluster])/AvgSpeed
 }
 
-// dirEntry is one key of a ride's cluster directory: the supports of
-// Cluster start at support[Start] and run to the next entry's Start. A
-// directory is strictly ascending by cluster and ends with a sentinel
-// {dirEnd, len(support)}, so every group has a successor to end at.
-type dirEntry struct {
-	Cluster int32
-	Start   int32
-}
+// The cluster directory sits in cols after the run column: one key of
+// two words per supported cluster, (cluster, start), saying that the
+// cluster's supports start at record start and run to the next key's
+// start. A directory is strictly ascending by cluster and ends with a
+// sentinel {dirEnd, len(det)}, so every group has a successor to end at.
+const dirKey = 2 // int32 words a key takes
 
 // dirEnd is the sentinel's cluster: above every real one.
 const dirEnd = math.MaxInt32
 
-// group returns the supports of directory entry g.
-func (r *Ride) group(g int) []Support {
-	return r.support[r.dir[g].Start:r.dir[g+1].Start]
+// runs returns the run column of the support table.
+func (r *Ride) runs() []int32 { return r.cols[:len(r.det)] }
+
+// dir returns the cluster directory's words: key g is dir[2g], dir[2g+1].
+func (r *Ride) dir() []int32 { return r.cols[len(r.det):] }
+
+// numGroups returns the number of directory keys, the sentinel left out.
+func (r *Ride) numGroups() int { return max(len(r.cols)-len(r.det), dirKey)/dirKey - 1 }
+
+// groupCluster returns the cluster of directory key g.
+func (r *Ride) groupCluster(g int) int32 { return r.cols[len(r.det)+dirKey*g] }
+
+// group returns the detours and runs of directory key g.
+func (r *Ride) group(g int) (det []float64, runs []int32) {
+	dir := r.dir()
+	start, end := dir[dirKey*g+1], dir[dirKey*g+dirKey+1]
+	return r.det[start:end], r.cols[start:end]
 }
 
-// Supports returns the ways the ride can currently serve cluster c, in
-// ascending detour order, equal detours by ascending route position. It
-// is a sub-slice of the ride's support table, found by a binary search of
-// the directory's keys — a few cache lines, where the records of a dense
-// ride span kilobytes — no copy, nothing to sort; the caller must hold
-// the index lock and must not modify it. Every entry refers to a
-// pass-through the vehicle has not crossed: Advance compacts crossed ones
-// out under the same write lock that marks them.
-func (r *Ride) Supports(c int) []Support {
-	dir, key := r.dir, int32(c)
-	lo, hi := 0, len(dir)-1 // the sentinel is no key
+// Supports returns the ways the ride can currently serve cluster c: the
+// detours, ascending, and the runs, equal detours by ascending route
+// position. Both are sub-slices of the ride's support columns, found by
+// a binary search of the directory's keys — a few cache lines, where the
+// records of a dense ride span kilobytes — no copy, nothing to sort; the
+// caller must hold the index lock and must not modify them. Every run
+// is one the vehicle has not crossed: Advance compacts crossed ones out
+// under the same write lock that marks them.
+func (r *Ride) Supports(c int) (det []float64, runs []int32) {
+	dir, key := r.dir(), int32(c)
+	keys := len(dir)/dirKey - 1 // the sentinel is no key
+	lo, hi := 0, keys
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if dir[mid].Cluster < key {
+		if dir[dirKey*mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo >= len(dir)-1 || dir[lo].Cluster != key {
-		return nil
+	if lo >= keys || dir[dirKey*lo] != key {
+		return nil, nil
 	}
-	return r.group(lo)
+	start, end := dir[dirKey*lo+1], dir[dirKey*lo+dirKey+1]
+	return r.det[start:end], r.cols[start:end]
 }
 
-// ListETA returns the arrival estimate the ride is listed under in
-// cluster c's potential-ride list — its earliest support there — and
-// whether it has any. register and Advance list the ride at exactly this
-// value, which is what lets them find the tuple again by key.
-func (r *Ride) ListETA(c int) (float64, bool) {
-	return r.minETA(r.Supports(c))
-}
-
-// minETA returns the earliest ETA of one cluster's supports.
-func (r *Ride) minETA(group []Support) (float64, bool) {
-	if len(group) == 0 {
+// ListETA returns the arrival estimate ride r is listed under in cluster
+// c's potential-ride list — its earliest support there — and whether it
+// has any. register and Advance list the ride at exactly this value,
+// which is what lets them find the tuple again by key.
+func (ix *Index) ListETA(r *Ride, c int) (float64, bool) {
+	_, runs := r.Supports(c)
+	if len(runs) == 0 {
 		return 0, false
 	}
-	eta := r.SupportETA(group[0])
-	for _, s := range group[1:] {
-		eta = min(eta, r.SupportETA(s))
+	return r.minETA(runs, ix.disc.ClusterDistsTo(c)), true
+}
+
+// minETA returns the earliest ETA of one cluster's supports, given by
+// their runs (at least one) and the region's distance column to the
+// cluster.
+func (r *Ride) minETA(runs []int32, to []float32) float64 {
+	eta := r.SupportETA(runs[0], to)
+	for _, run := range runs[1:] {
+		eta = min(eta, r.SupportETA(run, to))
 	}
-	return eta, true
+	return eta
 }
 
 // NumSegments returns the number of route segments (via-point count − 1).
@@ -276,8 +301,8 @@ func (r *Ride) PassThroughClusters() []int {
 // serve (the union of supported clusters over valid pass-throughs).
 func (r *Ride) ReachableClusters() []int {
 	var out []int
-	for g := 0; g+1 < len(r.dir); g++ {
-		out = append(out, int(r.dir[g].Cluster))
+	for g := range r.numGroups() {
+		out = append(out, int(r.groupCluster(g)))
 	}
 	return out
 }

@@ -14,19 +14,36 @@ import (
 )
 
 // TestSupportRecordSize pins the three record layouts of a ride's
-// registration that the memory figures rest on: a support without its
-// cluster, a directory key, and a pass-through run, whose crossing is
+// registration that the memory figures rest on: a support, without its
+// cluster or its distance, as a detour in one column and a run in the
+// other; a directory key; and a pass-through run, whose crossing is
 // derived from Progress rather than stored. (TestPostingBytesPerEntry
-// pins a posting's.)
+// pins a posting's.) A registered ride's table is exactly that many
+// bytes a record and a key: the two columns and the directory are
+// allocated at their length.
 func TestSupportRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Support{}); got != 16 {
-		t.Errorf("Support is %d bytes, want 16", got)
+	var r Ride
+	det, word := unsafe.Sizeof(r.det[0]), unsafe.Sizeof(r.cols[0])
+	if det+word != 12 {
+		t.Errorf("a support record is %d + %d bytes, want 8 + 4", det, word)
 	}
-	if got := unsafe.Sizeof(dirEntry{}); got != 8 {
-		t.Errorf("directory entry is %d bytes, want 8", got)
+	if key := dirKey * word; key != 8 {
+		t.Errorf("directory key is %d bytes, want 8", key)
 	}
 	if got := unsafe.Sizeof(ptEntry{}); got != 24 {
 		t.Errorf("pass-through run is %d bytes, want 24", got)
+	}
+
+	d := testWorld(t)
+	ix := New(d)
+	from, to := pickCrossingNodes(t, d)
+	ride := makeRide(t, d, from, to, 0, 1500)
+	if err := ix.Insert(ride); err != nil {
+		t.Fatal(err)
+	}
+	n, keys := uintptr(len(ride.det)), uintptr(ride.numGroups()+1)
+	if got, want := uintptr(cap(ride.det))*det+uintptr(cap(ride.cols))*word, n*(det+word)+keys*dirKey*word; n == 0 || got != want {
+		t.Errorf("%d records and %d keys hold %d bytes, want %d", n, keys, got, want)
 	}
 }
 
@@ -55,8 +72,8 @@ func listedSlotsAreOccupied(t *testing.T, ix *Index, when string) {
 				if slot < 0 || int(slot) >= len(ix.slots) || ix.slots[slot] == nil {
 					t.Fatalf("%s: cluster %d lists slot %d, which is free or out of range", when, c, slot)
 				}
-				if r := ix.slots[slot]; len(r.Supports(c)) == 0 {
-					t.Fatalf("%s: cluster %d lists slot %d, whose ride %d has no supports there", when, c, slot, r.ID)
+				if det, _ := ix.slots[slot].Supports(c); len(det) == 0 {
+					t.Fatalf("%s: cluster %d lists slot %d, whose ride %d has no supports there", when, c, slot, ix.slots[slot].ID)
 				}
 			}
 		}
@@ -226,30 +243,31 @@ func TestSupportsThroughDirectoryEqualsLinearFilter(t *testing.T) {
 		t.Helper()
 		ref := referenceSupports(ix, r)
 		for c := 0; c <= k; c++ {
-			var want []Support
+			var wantDet []float64
+			var wantRuns []int32
 			earliest := math.Inf(1)
 			for _, s := range ref {
 				if int(s.Cluster) == c {
-					want = append(want, s.Support)
+					wantDet, wantRuns = append(wantDet, s.Detour), append(wantRuns, s.Order)
 					earliest = min(earliest, s.ETA)
 				}
 			}
-			got := r.Supports(c)
-			if !slices.Equal(got, want) {
-				t.Fatalf("ride %d %s: Supports(%d) = %d records, a linear filter finds %d", r.ID, when, c, len(got), len(want))
+			det, runs := r.Supports(c)
+			if !slices.Equal(det, wantDet) || !slices.Equal(runs, wantRuns) {
+				t.Fatalf("ride %d %s: Supports(%d) = %d records, a linear filter finds %d", r.ID, when, c, len(det), len(wantDet))
 			}
-			if eta, ok := r.ListETA(c); ok != (len(want) > 0) || ok && eta != earliest {
+			if eta, ok := ix.ListETA(r, c); ok != (len(wantDet) > 0) || ok && eta != earliest {
 				t.Fatalf("ride %d %s: ListETA(%d) = %v, %v, want %v", r.ID, when, c, eta, ok, earliest)
 			}
-			if len(want) > 0 {
+			if len(wantDet) > 0 {
 				present++
 			} else {
 				absent++
 			}
 		}
 		for _, c := range []int{-1, k + 1, dirEnd} {
-			if got := r.Supports(c); len(got) != 0 {
-				t.Fatalf("ride %d %s: Supports(%d) = %d records for a cluster that does not exist", r.ID, when, c, len(got))
+			if det, runs := r.Supports(c); len(det) != 0 || len(runs) != 0 {
+				t.Fatalf("ride %d %s: Supports(%d) = %d records for a cluster that does not exist", r.ID, when, c, len(det))
 			}
 		}
 		return present, absent
@@ -272,11 +290,11 @@ func TestSupportsThroughDirectoryEqualsLinearFilter(t *testing.T) {
 	}
 	ix.Rides(func(r *Ride) bool {
 		for pos := rng.Intn(6); pos < len(r.Route); pos += 1 + rng.Intn(len(r.Route)/3+1) {
-			before := len(r.support)
+			before := len(r.det)
 			if err := ix.Advance(r.ID, pos); err != nil {
 				t.Fatal(err)
 			}
-			if len(r.support) < before {
+			if len(r.det) < before {
 				compactions++
 			}
 			check(r, "after Advance")
@@ -295,11 +313,11 @@ func TestSupportsThroughDirectoryEqualsLinearFilter(t *testing.T) {
 	if err := ix.Insert(full); err != nil {
 		t.Fatal(err)
 	}
-	if full.support != nil || full.dir != nil {
-		t.Fatalf("a full ride has a table of %d supports and a directory of %d keys", len(full.support), len(full.dir))
+	if full.det != nil || full.cols != nil {
+		t.Fatalf("a full ride has a table of %d supports and %d words of runs and directory", len(full.det), len(full.cols))
 	}
 	for c := -1; c <= k; c++ {
-		if got := full.Supports(c); len(got) != 0 {
+		if det, _ := full.Supports(c); len(det) != 0 {
 			t.Fatalf("a full ride supports cluster %d", c)
 		}
 	}
@@ -332,10 +350,11 @@ func TestInconsistenciesCatchSlotAndDirectoryDamage(t *testing.T) {
 		}
 		return false
 	}
-	c := int(a.dir[0].Cluster)
+	c := int(a.groupCluster(0))
 	first := &ix.clusters[c].blocks[0]
 	entry, cols := &first.slot[0], *first
-	dirCopy := slices.Clone(a.dir)
+	dir, dirCopy := a.dir(), slices.Clone(a.dir())
+	undoDir := func() { a.cols = a.cols[:len(a.det)+len(dirCopy)]; copy(a.dir(), dirCopy) }
 	for name, damage := range map[string]struct {
 		do, undo func()
 		want     string
@@ -348,11 +367,12 @@ func TestInconsistenciesCatchSlotAndDirectoryDamage(t *testing.T) {
 		"slot holds an unfiled ride":   {func() { delete(ix.rides, b.ID) }, func() { ix.rides[b.ID] = b }, "the ID map does not file there"},
 		"free list misses a slot":      {func() { ix.free = nil }, func() { ix.free = []int32{2} }, "free list holds 0 slots"},
 		"free list names a held slot":  {func() { ix.free[0] = 1 }, func() { ix.free[0] = 2 }, "occupied or out of range"},
-		"directory keys out of order":  {func() { a.dir[0].Cluster, a.dir[1].Cluster = a.dir[1].Cluster, a.dir[0].Cluster }, func() { copy(a.dir, dirCopy) }, "not strictly ascending"},
-		"directory has an empty group": {func() { a.dir[1].Start = a.dir[2].Start }, func() { copy(a.dir, dirCopy) }, "empty group"},
-		"directory ends early":         {func() { a.dir[len(a.dir)-1].Start-- }, func() { copy(a.dir, dirCopy) }, "want the sentinel"},
-		"directory lost its sentinel":  {func() { a.dir = a.dir[:len(a.dir)-1] }, func() { a.dir = a.dir[:len(dirCopy)] }, "want the sentinel"},
-		"table without a directory":    {func() { a.dir = nil }, func() { a.dir = slices.Clone(dirCopy) }, "no cluster directory"},
+		"directory keys out of order":  {func() { dir[0], dir[dirKey] = dir[dirKey], dir[0] }, undoDir, "not strictly ascending"},
+		"directory has an empty group": {func() { dir[dirKey+1] = dir[2*dirKey+1] }, undoDir, "empty group"},
+		"directory ends early":         {func() { dir[len(dir)-1]-- }, undoDir, "want the sentinel"},
+		"directory lost its sentinel":  {func() { a.cols = a.cols[:len(a.cols)-dirKey] }, undoDir, "want the sentinel"},
+		"directory not whole keys":     {func() { a.cols = a.cols[:len(a.cols)-1] }, undoDir, "not whole keys"},
+		"table without a directory":    {func() { a.cols = a.cols[:len(a.det)] }, undoDir, "no cluster directory"},
 	} {
 		damage.do()
 		if !reported(damage.want) {
@@ -367,9 +387,9 @@ func TestInconsistenciesCatchSlotAndDirectoryDamage(t *testing.T) {
 
 // TestMemsizeReachesSlotTableAndDirectories: the deep-size walk behind
 // index_bytes_per_ride and /v1/memory's index component counts the slot
-// table, the free list and every ride's directory — taking them away
-// (the rides stay reachable through the ID map) shrinks the measured
-// size by exactly their bytes.
+// table, the free list and every ride's run column and directory, which
+// share one allocation — taking them away (the rides stay reachable
+// through the ID map) shrinks the measured size by exactly their bytes.
 func TestMemsizeReachesSlotTableAndDirectories(t *testing.T) {
 	d := testWorld(t)
 	ix := New(d)
@@ -389,12 +409,12 @@ func TestMemsizeReachesSlotTableAndDirectories(t *testing.T) {
 	want := uint64(cap(ix.slots))*uint64(unsafe.Sizeof((*Ride)(nil))) + uint64(cap(ix.free))*4
 	dirs := 0
 	ix.Rides(func(r *Ride) bool {
-		want += uint64(cap(r.dir)) * uint64(unsafe.Sizeof(dirEntry{}))
-		dirs += len(r.dir)
+		want += uint64(cap(r.cols)) * uint64(unsafe.Sizeof(r.cols[0]))
+		dirs += r.numGroups() + 1
 		return true
 	})
 	for _, r := range ix.rides {
-		r.dir = nil
+		r.cols = nil
 	}
 	ix.slots, ix.free = nil, nil
 	if without := memsize.Of(ix); dirs == 0 || with-without != want {

@@ -12,9 +12,10 @@ import (
 // FuzzSupportTable decodes a multi-stop ride on the small test world —
 // 2 to 5 stops, a departure and a detour budget — a second budget for
 // Reregister and up to 8 Advance steps, and requires after Insert, after
-// Reregister and after every Advance that the ride's support table is
-// the sorted reference records (segment and ETA derived from the run,
-// bit for bit the route's), that CheckInvariants is clean, and that
+// Reregister and after every Advance that the ride's support columns are
+// the sorted reference records — each record's run, and its detour, the
+// distance derived from the region and the ETA derived from the run, bit
+// for bit the reference's — that CheckInvariants is clean, and that
 // ListETA is, in every cluster, the earliest reference ETA there.
 // Missing bytes read as zero.
 //
@@ -115,7 +116,7 @@ func FuzzSupportTable(f *testing.F) {
 			}
 			for c := 0; c < d.NumClusters(); c++ {
 				want, listed := earliest[int32(c)]
-				if got, ok := ride.ListETA(c); ok != listed || got != want {
+				if got, ok := ix.ListETA(ride, c); ok != listed || got != want {
 					t.Fatalf("%s: ListETA(%d) = %v, %v; want %v, %v", when, c, got, ok, want, listed)
 				}
 			}

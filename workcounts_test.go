@@ -77,8 +77,10 @@ func TestExactWorkCounts(t *testing.T) {
 		// 3 282.412 with register's build records at 24 bytes, grown by
 		// append one at a time (the scratch's capacity counts); 3 275.676
 		// with a stored crossed flag on each pass-through run (a 32-byte
-		// run where it is now 24).
-		wantRounded(t, float64(rep.IndexBytes)/float64(rep.ActiveRides), 3212.340)
+		// run where it is now 24); 3 212.340 with each support record's
+		// distance stored beside its run (16 bytes a record where it is
+		// now 12, in two columns).
+		wantRounded(t, float64(rep.IndexBytes)/float64(rep.ActiveRides), 2784.336)
 	})
 	t.Run("region_bytes", func(t *testing.T) {
 		// The memory registry's discretization component: the region's
