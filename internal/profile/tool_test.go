@@ -72,7 +72,10 @@ func capturesAroundAlloc(t *testing.T) (c1, c2 *Capture, write func(*Capture, st
 }
 
 // allocFlat returns allocForProfile's flat bytes in a `go tool pprof
-// -unit=B -top` listing, failing the test if the function is missing.
+// -unit=B -nodefraction=0 -top` listing, failing the test if the
+// function is missing. pprof's default node cut drops every node under
+// 0.5 % of the total, and a test binary's other allocations can push
+// allocForProfile's share under it; -nodefraction=0 keeps every node.
 func allocFlat(t *testing.T, out string) int64 {
 	t.Helper()
 	for _, line := range strings.Split(out, "\n") {
@@ -102,7 +105,7 @@ func TestParseRuntimeHeapProfile(t *testing.T) {
 			t.Errorf("%s: unexpected pprof output:\n%s", kind, out)
 		}
 	}
-	out := pprofTool(t, "-unit=B", "-sample_index=alloc_space", "-top", write(c2, "heap"))
+	out := pprofTool(t, "-unit=B", "-sample_index=alloc_space", "-nodefraction=0", "-top", write(c2, "heap"))
 	if flat := allocFlat(t, out); flat < 1<<20 {
 		t.Fatalf("allocForProfile flat %d B, want ≥ 1 MiB:\n%s", flat, out)
 	}
@@ -114,7 +117,7 @@ func TestParseRuntimeHeapProfile(t *testing.T) {
 // the toolchain.
 func TestHeapAllocIsDelta(t *testing.T) {
 	c1, c2, write := capturesAroundAlloc(t)
-	out := pprofTool(t, "-unit=B", "-sample_index=alloc_space", "-diff_base="+write(c1, "heap"), "-top", write(c2, "heap"))
+	out := pprofTool(t, "-unit=B", "-sample_index=alloc_space", "-nodefraction=0", "-diff_base="+write(c1, "heap"), "-top", write(c2, "heap"))
 	if flat := allocFlat(t, out); flat < 1<<20 {
 		t.Fatalf("allocForProfile flat %d B, want ≥ 1 MiB:\n%s", flat, out)
 	}
