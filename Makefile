@@ -28,10 +28,14 @@ race:
 # it probes per op), and the shared bucket grid's two hot uses on the
 # same city: the region's grid table (every cell's centroid snap and
 # walkable-landmark scan) and one centroid snap, the create path's
-# nearest-node query (BenchmarkGridTable/table and /nearest).
+# nearest-node query (BenchmarkGridTable/table and /nearest); and the
+# tables an engine builds from the graph: the ALT build on that city
+# (BenchmarkNewALT) and NewEngine on the 24x14 op world
+# (BenchmarkNewEngine).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4aSearchXAR$$|BenchmarkFig4bCreateXAR$$|BenchmarkFig4cBookXAR$$|BenchmarkSearchObservers|BenchmarkSearchDense$$' -benchtime 100x .
-	$(GO) test -run '^$$' -bench 'BenchmarkShortestPath(ALT|PlainAStar|CH)' -benchtime 100x ./internal/roadnet
+	$(GO) test -run '^$$' -bench 'BenchmarkShortestPath(ALT|PlainAStar|CH)|BenchmarkNewALT$$' -benchtime 100x ./internal/roadnet
+	$(GO) test -run '^$$' -bench 'BenchmarkNewEngine$$' -benchtime 100x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkRegister$$|BenchmarkListEditDense$$' -benchtime 100x ./internal/index
 	$(GO) test -run '^$$' -bench 'BenchmarkGridTable/(table|nearest)$$' -benchtime 100x ./internal/discretize
 

@@ -90,7 +90,8 @@ func TestOptimisticConflicts(t *testing.T) {
 		if i == len(route)-2 {
 			t.Fatal("no booking off the route ran a search")
 		}
-		for _, out := range g.Out(route[i]) {
+		for arc, hi := g.Out(route[i]); arc < hi; arc++ {
+			out := g.Arc(arc)
 			if slices.Contains(route, out.To) {
 				continue
 			}
@@ -267,7 +268,8 @@ func TestSnapshotSharesRouteAcrossConflictingCommit(t *testing.T) {
 		if i == len(route)-2 {
 			t.Fatal("no booking off the route ran a search")
 		}
-		for _, out := range g.Out(route[i]) {
+		for arc, hi := g.Out(route[i]); arc < hi; arc++ {
+			out := g.Arc(arc)
 			if slices.Contains(route, out.To) {
 				continue
 			}

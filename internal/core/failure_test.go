@@ -101,7 +101,8 @@ func (f padFinder) ShortestPath(a, b roadnet.NodeID) roadnet.SPResult {
 	if *f.pad <= 0 || !res.Reachable() {
 		return res
 	}
-	for _, out := range f.g.Out(a) {
+	for arc, hi := f.g.Out(a); arc < hi; arc++ {
+		out := f.g.Arc(arc)
 		back, err := f.g.PathLength([]roadnet.NodeID{out.To, a})
 		if err != nil {
 			continue
@@ -136,7 +137,8 @@ func TestBookingAllowanceIsFourEpsilon(t *testing.T) {
 	var req Request
 	var m Match
 	for i := 1; m.Ride == 0 && i < len(r.Route)-2; i++ {
-		for _, out := range g.Out(r.Route[i]) {
+		for arc, hi := g.Out(r.Route[i]); arc < hi; arc++ {
+			out := g.Arc(arc)
 			req = Request{Source: g.Point(out.To), Dest: g.Point(r.Route[len(r.Route)-2]), LatestDeparture: 7200, WalkLimit: 300}
 			ms, _ := e.Search(req)
 			if len(ms) == 0 || slices.Contains(r.Route, out.To) {

@@ -386,3 +386,19 @@ func sameRide(a, b rideState) string {
 	}
 	return ""
 }
+
+// BenchmarkNewEngine times NewEngine on the op world, the 24×14 city at
+// seed 42: the ALT tables, the index and the pools, with no journal.
+func BenchmarkNewEngine(b *testing.B) {
+	d, err := opWorld()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewEngine(d, DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

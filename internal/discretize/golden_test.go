@@ -203,13 +203,25 @@ func BenchmarkGridTable(b *testing.B) {
 // the network rather than clustering on it.
 func TestBuildRejectsNetworkNotStronglyConnected(t *testing.T) {
 	city := testCity(t)
-	g := city.Graph
+	g, b := city.Graph, &roadnet.Builder{}
+	for v := range g.NumNodes() {
+		b.AddNode(g.Point(roadnet.NodeID(v)))
+	}
+	for v := range g.NumNodes() {
+		for e, hi := g.Out(roadnet.NodeID(v)); e < hi; e++ {
+			a := g.Arc(e)
+			if err := b.AddEdge(roadnet.NodeID(v), a.To, a.Length, a.Speed, a.Class); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	box := g.BBox()
-	far := g.AddNode(geo.Point{Lat: box.MaxLat + 0.01, Lng: box.MaxLng + 0.01})
-	if err := g.AddEdge(0, far, 0, 8, roadnet.ClassStreet); err != nil {
+	far := b.AddNode(geo.Point{Lat: box.MaxLat + 0.01, Lng: box.MaxLng + 0.01})
+	if err := b.AddEdge(0, far, 0, 8, roadnet.ClassStreet); err != nil {
 		t.Fatal(err)
 	}
-	city.Index = roadnet.NewNodeIndex(g, 250)
+	city.Graph = b.Build()
+	city.Index = roadnet.NewNodeIndex(city.Graph, 250)
 	_, err := Build(city, DefaultConfig())
 	if err == nil || !strings.Contains(err.Error(), "not strongly connected") {
 		t.Fatalf("Build on a network with a one-way cul-de-sac: err = %v", err)

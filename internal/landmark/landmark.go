@@ -69,9 +69,8 @@ func Extract(g *roadnet.Graph, cfg Config) ([]Landmark, error) {
 		score float64
 	}
 	cands := make([]cand, 0, g.NumNodes())
-	for i := 0; i < g.NumNodes(); i++ {
-		id := roadnet.NodeID(i)
-		cands = append(cands, cand{node: id, score: scoreNode(g, id)})
+	for i, s := range scores(g) {
+		cands = append(cands, cand{node: roadnet.NodeID(i), score: s})
 	}
 	// Decreasing score; ties broken by node ID for determinism.
 	sort.Slice(cands, func(i, j int) bool {
@@ -105,28 +104,26 @@ func Extract(g *roadnet.Graph, cfg Config) ([]Landmark, error) {
 	return kept, nil
 }
 
-// scoreNode computes the deterministic importance of a node: total degree
-// weighted by the speed class of incident roads. Highway/avenue
+// classWeight is a road class's weight in a node's score; a class past
+// these weighs ½.
+var classWeight = [...]float64{roadnet.ClassHighway: 3, roadnet.ClassAvenue: 2, roadnet.ClassStreet: 1}
+
+// scores computes the deterministic importance of every node: its total
+// degree, each arc in or out weighted by its road class, read from the
+// forward rows with each arc counted at both ends. Highway/avenue
 // junctions — the analogue of stations and major stops — score highest.
-func scoreNode(g *roadnet.Graph, id roadnet.NodeID) float64 {
-	var s float64
-	classWeight := func(c roadnet.RoadClass) float64 {
-		switch c {
-		case roadnet.ClassHighway:
-			return 3.0
-		case roadnet.ClassAvenue:
-			return 2.0
-		case roadnet.ClassStreet:
-			return 1.0
-		default:
-			return 0.5
+// The weights are multiples of ½, so a sum is exact in any order.
+func scores(g *roadnet.Graph) []float64 {
+	s := make([]float64, g.NumNodes())
+	for v := range s {
+		for e, hi := g.Out(roadnet.NodeID(v)); e < hi; e++ {
+			a, w := g.Arc(e), 0.5
+			if int(a.Class) < len(classWeight) {
+				w = classWeight[a.Class]
+			}
+			s[v] += w
+			s[a.To] += w
 		}
-	}
-	for _, e := range g.Out(id) {
-		s += classWeight(e.Class)
-	}
-	for _, e := range g.In(id) {
-		s += classWeight(e.Class)
 	}
 	return s
 }

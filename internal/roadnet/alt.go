@@ -40,8 +40,6 @@ type ALT struct {
 	// tab[v][2i+1] = ⌊16·d(v → seed_i)⌋, both capped at altUnreachable,
 	// with the last seed standing in for seed_i past it.
 	tab []altRow
-	// adj is the flat forward adjacency every searcher of this ALT walks.
-	adj *flatAdj
 }
 
 // altSeeds is the number of seeds a row holds.
@@ -93,9 +91,8 @@ func quantaDown(d float64) int32 {
 }
 
 // MeasureMem implements memsize.Measurer. ALT tables are immutable after
-// NewALT, so the walk takes no locks; the dominant costs, the dense table
-// and the flat adjacency, are counted from their slice headers via the
-// walker's leaf-type fast path.
+// NewALT, so the walk takes no locks; the dominant cost, the dense table,
+// is counted from its slice header via the walker's leaf-type fast path.
 func (al *ALT) MeasureMem(a *memsize.Accumulator) {
 	if al == nil {
 		return
@@ -147,8 +144,8 @@ func NewALT(g *Graph, k int) (*ALT, error) {
 
 	// Two sweeps of the one-to-all kernel per column pair, each rounded out
 	// of one reused distance array into the node-major table; the pairs
-	// past the last seed repeat its sweeps. The forward sweeps' flat
-	// adjacency stays as the searchers'.
+	// past the last seed repeat its sweeps. The reverse sweeps read reverse
+	// rows the searcher derives once and drops with it.
 	a.tab = make([]altRow, g.NumNodes())
 	s := NewSearcher(g)
 	var dist []float64
@@ -163,7 +160,6 @@ func NewALT(g *Graph, k int) (*ALT, error) {
 			a.tab[v][2*i+1] = quantaDown(d)
 		}
 	}
-	a.adj = s.forward()
 	return a, nil
 }
 
@@ -177,12 +173,11 @@ type ALTSearcher struct {
 	s   *Searcher
 }
 
-// NewSearcher creates a query context bound to the ALT tables and their
-// flat adjacency, its ring sized.
+// NewSearcher creates a query context bound to the ALT tables, its ring
+// sized.
 func (a *ALT) NewSearcher() *ALTSearcher {
 	s := NewSearcher(a.g)
-	s.sw.fwd = a.adj
-	s.ring.start(a.adj, len(s.labels))
+	s.ring.start(&a.g.rows, len(s.labels))
 	return &ALTSearcher{alt: a, s: s}
 }
 

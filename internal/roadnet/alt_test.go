@@ -34,12 +34,12 @@ func TestALTSeedCount(t *testing.T) {
 		}
 	}
 	// k larger than the graph gives one seed a node.
-	small := &Graph{}
+	small := &Builder{}
 	p := city.Graph.Point(0)
 	small.AddNode(p)
 	n2 := small.AddNode(city.Graph.Point(1))
 	_ = small.AddBidirectional(0, n2, 0, 10, ClassStreet)
-	a2, err := NewALT(small, 8)
+	a2, err := NewALT(small.Build(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,5 +243,19 @@ func BenchmarkShortestPathALT(b *testing.B) {
 				s.ShortestPath(p[0], p[1])
 			}
 		})
+	}
+}
+
+// BenchmarkNewALT times the ALT build on the repository benchmark's
+// city, 80x44 at seed 42: seed selection and 16 one-to-all sweeps, 8
+// forward and 8 reverse.
+func BenchmarkNewALT(b *testing.B) {
+	g := genTestCity(b, 80, 44, 42).Graph
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewALT(g, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

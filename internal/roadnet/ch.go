@@ -64,7 +64,7 @@ const noMiddle = InvalidNode
 const noArc = int32(-1)
 
 // chArc is one arc of the search graphs in build/load form, before
-// setArcs flattens it into the struct-of-arrays CSR layout. For
+// setArcs lays it out as struct-of-arrays CSR. For
 // up-arcs To is the arc's head; for down-arcs (stored at the head) To
 // is the *tail*, so both directions scan a flat per-node slice.
 type chArc struct {
@@ -154,7 +154,7 @@ type coreArc struct {
 	Up     bool
 }
 
-// setArcs flattens per-node arc lists into the struct-of-arrays CSR
+// setArcs lays per-node arc lists out in the struct-of-arrays CSR
 // layout, sorting each node's arcs by head, then resolves every
 // shortcut's constituent-arc indices and validates the arcs against
 // the graph: duplicate arcs, unresolvable constituents, or an original
@@ -211,7 +211,7 @@ func (ch *CH) setArcs(up, down [][]chArc) error {
 	// PathLength(Path) bitwise.
 	resolve := func(from, to, mid NodeID, w float64) (int32, int32, error) {
 		if mid == noMiddle {
-			if l, ok := ch.g.edgeLength(from, to); !ok || l != w {
+			if l, _, ok := ch.g.hop(from, to); !ok || l != w {
 				return 0, 0, fmt.Errorf("arc %d→%d weight %v does not match the graph", from, to, w)
 			}
 			return noArc, noArc, nil
@@ -312,8 +312,8 @@ func BuildCH(g *Graph, cfg CHConfig) (*CH, error) {
 	}
 	b.stratum = ndStrata(g)
 	for v := 0; v < n; v++ {
-		for _, e := range g.Out(NodeID(v)) {
-			b.addArc(NodeID(v), e.To, e.Length, noMiddle)
+		for e := g.off[v]; e < g.off[v+1]; e++ {
+			b.addArc(NodeID(v), g.head[e], g.length[e], noMiddle)
 		}
 	}
 
@@ -637,6 +637,7 @@ func ndStrata(g *Graph) []int32 {
 	for i := range nodes {
 		nodes[i] = NodeID(i)
 	}
+	rev := g.reversed()
 	nextMark := int32(1)
 	// rec stratifies one region and returns its height: leaf regions are
 	// height 0, and a region's separator sits at height 1 + max(halves),
@@ -680,14 +681,11 @@ func ndStrata(g *Graph) []int32 {
 		// direction) into the second. Removing them cuts every crossing
 		// edge, so the halves are independent below this stratum.
 		crosses := func(v NodeID) bool {
-			for _, e := range g.out[v] {
-				if mark[e.To] == markB {
-					return true
-				}
-			}
-			for _, e := range g.in[v] {
-				if mark[e.To] == markB {
-					return true
+			for _, r := range [2]*rows{&g.rows, rev} {
+				for _, u := range r.head[r.off[v]:r.off[v+1]] {
+					if mark[u] == markB {
+						return true
+					}
 				}
 			}
 			return false

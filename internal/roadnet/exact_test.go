@@ -17,7 +17,7 @@ import (
 // pairs are unreachable.
 func scatterGraph(t testing.TB, r *rand.Rand, n int) *Graph {
 	t.Helper()
-	g := &Graph{}
+	g := &Builder{}
 	origin := geo.Point{Lat: 40.7, Lng: -74.0}
 	for i := 0; i < n; i++ {
 		p := geo.Destination(origin, 0, r.Float64()*6000)
@@ -29,7 +29,7 @@ func scatterGraph(t testing.TB, r *rand.Rand, n int) *Graph {
 			if j == i {
 				continue
 			}
-			length := g.chord(NodeID(i), NodeID(j))
+			length := g.g.chord(NodeID(i), NodeID(j))
 			if (i+k)%10 != 0 {
 				length *= 1 + r.Float64()
 			}
@@ -38,7 +38,7 @@ func scatterGraph(t testing.TB, r *rand.Rand, n int) *Graph {
 			}
 		}
 	}
-	return g
+	return g.Build()
 }
 
 // router is one single-pair search under test.
@@ -137,17 +137,17 @@ func TestRoutersMatchDijkstraExactly(t *testing.T) {
 // isolated: a search toward it drains the heap.
 func combGraph(t testing.TB, r *rand.Rand, n int) *Graph {
 	t.Helper()
-	g := &Graph{}
+	g := &Builder{}
 	origin := geo.Point{Lat: 40.7, Lng: -74.0}
 	for i := 0; i < n; i++ {
 		g.AddNode(geo.Destination(origin, 90, float64(i)*200))
 	}
 	for i := 0; i < n; i++ {
-		g.AddNode(geo.Destination(g.Point(NodeID(i)), 0, 150))
+		g.AddNode(geo.Destination(g.g.Point(NodeID(i)), 0, 150))
 	}
 	g.AddNode(geo.Destination(origin, 180, 300))
 	arc := func(from, to int) {
-		length := g.chord(NodeID(from), NodeID(to)) * (1 + r.Float64()/2)
+		length := g.g.chord(NodeID(from), NodeID(to)) * (1 + r.Float64()/2)
 		if err := g.AddEdge(NodeID(from), NodeID(to), length, 10, ClassStreet); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func combGraph(t testing.TB, r *rand.Rand, n int) *Graph {
 		}
 	}
 	arc(n, 0)
-	return g
+	return g.Build()
 }
 
 // TestAStarOverflowHeap runs every pair of the comb, where keys run past
@@ -198,20 +198,21 @@ func TestAStarOverflowHeap(t *testing.T) {
 // [328, 336) as that label: the loop must empty that bucket before it
 // stops.
 func TestAStarEmptiesTheTargetsBucket(t *testing.T) {
-	g := &Graph{}
+	bld := &Builder{}
 	p := geo.Point{Lat: 40.7, Lng: -74.0}
-	s := g.AddNode(p)
-	v := g.AddNode(geo.Destination(p, 90, 0.1))
-	b := g.AddNode(geo.Destination(p, 0, 0.1))
-	tgt := g.AddNode(geo.Destination(p, 45, 0.2))
+	s := bld.AddNode(p)
+	v := bld.AddNode(geo.Destination(p, 90, 0.1))
+	b := bld.AddNode(geo.Destination(p, 0, 0.1))
+	tgt := bld.AddNode(geo.Destination(p, 45, 0.2))
 	for _, a := range []struct {
 		from, to NodeID
 		length   float64
 	}{{s, v, 130}, {v, tgt, 200}, {s, b, 130}, {b, tgt, 198}} {
-		if err := g.AddEdge(a.from, a.to, a.length, 10, ClassStreet); err != nil {
+		if err := bld.AddEdge(a.from, a.to, a.length, 10, ClassStreet); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := bld.Build()
 	h := func(u NodeID) int32 {
 		if u == b {
 			return 198 * quantaPerMetre
@@ -388,10 +389,11 @@ func TestHeuristicsConsistent(t *testing.T) {
 				}
 				for u := 0; u < g.NumNodes(); u++ {
 					hu := h(NodeID(u), tgt)
-					for _, e := range g.Out(NodeID(u)) {
-						if hv := h(e.To, tgt); hu > e.Length+hv+tol {
+					for e, hi := g.Out(NodeID(u)); e < hi; e++ {
+						a := g.Arc(e)
+						if hv := h(a.To, tgt); hu > a.Length+hv+tol {
 							t.Fatalf("%s/%s: edge %d→%d (%.6f m) toward %d: h(u)=%v > len+h(v)+quantum=%v",
-								name, hname, u, e.To, e.Length, tgt, hu, e.Length+hv+tol)
+								name, hname, u, a.To, a.Length, tgt, hu, a.Length+hv+tol)
 						}
 					}
 				}
@@ -449,12 +451,12 @@ func TestAStarEvaluatesHeuristicOncePerNode(t *testing.T) {
 // line between the endpoints (beyond rounding), while the chord itself
 // and a length the rounding tolerance covers are accepted.
 func TestAddEdgeRejectsLengthBelowChord(t *testing.T) {
-	g := &Graph{}
+	g := &Builder{}
 	p := geo.Point{Lat: 40.70, Lng: -74.00}
 	a := g.AddNode(p)
 	b := g.AddNode(geo.Destination(p, 45, 500))
-	chord := g.chord(a, b)
-	if hav := geo.Haversine(g.Point(a), g.Point(b)); chord > hav || hav-chord > 1e-6 {
+	chord := g.g.chord(a, b)
+	if hav := geo.Haversine(g.g.Point(a), g.g.Point(b)); chord > hav || hav-chord > 1e-6 {
 		t.Fatalf("chord %v vs great-circle %v: expected a hair shorter", chord, hav)
 	}
 	for _, bad := range []float64{chord * 0.5, chord - 1e-3, chord * (1 - 1e-6), math.NaN()} {
@@ -467,7 +469,7 @@ func TestAddEdgeRejectsLengthBelowChord(t *testing.T) {
 			t.Fatalf("length %v for a %v m chord rejected: %v", ok, chord, err)
 		}
 	}
-	if g.NumEdges() != 3 {
-		t.Fatalf("rejected edges were inserted: %d edges", g.NumEdges())
+	if n := g.Build().NumEdges(); n != 3 {
+		t.Fatalf("rejected edges were inserted: %d edges", n)
 	}
 }

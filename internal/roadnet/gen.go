@@ -72,7 +72,7 @@ func GenerateCity(cfg CityConfig) (*City, error) {
 		return nil, fmt.Errorf("roadnet: RemoveEdgeFrac %v out of [0, 0.5]", cfg.RemoveEdgeFrac)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := &Graph{}
+	g := &Builder{}
 
 	// Lay out intersections: row r, col c at origin + r*streetSpacing
 	// north + c*avenueSpacing east, with jitter.
@@ -139,15 +139,13 @@ func GenerateCity(cfg CityConfig) (*City, error) {
 	// Keep only the largest weakly-connected component so every node can
 	// (weakly) reach every other; with one-ways, strong connectivity is
 	// ensured by the two-way avenues forming a strongly connected spine.
-	comp := g.LargestComponent()
-	if len(comp) < g.NumNodes() {
-		sub, _ := g.InducedSubgraph(comp)
-		g = sub
+	if comp := g.LargestComponent(); len(comp) < len(nodeAt) {
+		g, _ = g.InducedSubgraph(comp)
 	}
-
+	graph := g.Build()
 	return &City{
-		Graph:  g,
-		Index:  NewNodeIndex(g, 250),
+		Graph:  graph,
+		Index:  NewNodeIndex(graph, 250),
 		Config: cfg,
 	}, nil
 }

@@ -181,9 +181,9 @@ func TestNearestRingBound(t *testing.T) {
 }
 
 func TestEmptyGraphNearest(t *testing.T) {
-	g := &Graph{}
+	g := &Builder{}
 	g.AddNode(geo.Point{Lat: 40.7, Lng: -74})
-	idx := NewNodeIndex(g, 250)
+	idx := NewNodeIndex(g.Build(), 250)
 	if n, _ := idx.Nearest(geo.Point{Lat: 40.7, Lng: -74}); n != 0 {
 		t.Fatalf("single-node graph nearest = %d", n)
 	}

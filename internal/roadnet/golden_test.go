@@ -22,8 +22,9 @@ func graphHash(g *Graph) string {
 		put(h, p.Lat, p.Lng)
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		for _, e := range g.Out(NodeID(v)) {
-			put(h, int32(v), int32(e.To), e.Length, e.Speed, uint8(e.Class))
+		for e, hi := g.Out(NodeID(v)); e < hi; e++ {
+			a := g.Arc(e)
+			put(h, int32(v), int32(a.To), a.Length, a.Speed, uint8(a.Class))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -45,7 +46,7 @@ func put(h hash.Hash, vs ...any) {
 // arcs as well as outgoing ones.
 func islandGraph(t testing.TB) *Graph {
 	t.Helper()
-	g := &Graph{}
+	g := &Builder{}
 	origin := geo.Point{Lat: 40.7, Lng: -74.0}
 	for i := 0; i < 9; i++ {
 		p := geo.Destination(origin, 0, float64(i/3)*150)
@@ -68,7 +69,7 @@ func islandGraph(t testing.TB) *Graph {
 		}
 	}
 	sub, _ := g.InducedSubgraph(g.LargestComponent())
-	return sub
+	return sub.Build()
 }
 
 // TestGenerateCityGolden pins the generated cities and the renumbering

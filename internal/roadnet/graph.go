@@ -57,7 +57,7 @@ func (c RoadClass) String() string {
 	}
 }
 
-// Edge is a directed road segment.
+// Edge is a directed road segment, as AddEdge takes it and Arc gives it.
 type Edge struct {
 	To     NodeID
 	Length float64 // meters
@@ -65,16 +65,37 @@ type Edge struct {
 	Class  RoadClass
 }
 
-// Graph is a directed road network. The zero value is empty and ready to
-// use. Graph is not safe for concurrent mutation; once built it is
-// read-only and safe for concurrent searches (each search carries its own
-// scratch state).
+// rows is one direction of a graph's arcs in compressed rows: the arcs
+// leaving v are head[off[v]:off[v+1]], their lengths at the same places
+// of length, 12 bytes an arc, and every search kernel reads them.
+type rows struct {
+	off    []int32
+	head   []NodeID
+	length []float64
+	// The one-to-all kernel's bucket queue: a distance d is queued in
+	// bucket int(d·inv), and the buckets that hold anything at one time
+	// fit in a ring of mask+1 slots.
+	inv  float64
+	mask int
+	// The A* loop's (ring): buckets a power of two metres wide, the widest
+	// not over a sixteenth of the shortest arc and never under one quantum
+	// (4 m on the generated cities, whose shortest arc is 94 m), in a ring
+	// that spans twice the longest arc, of 64 to maxKeySlots slots.
+	keyInv  float64
+	keyMask int
+}
+
+// Graph is a directed road network, laid out once by a Builder and
+// read-only after, so searches share it. Its arcs are stored once, as
+// forward rows with each arc's speed and class beside; a search over the
+// reverse graph derives reverse rows (reversed). The zero value is the
+// empty graph.
 type Graph struct {
-	pts     []geo.Point
-	xyz     [][3]float64 // pts on the sphere, Cartesian metres; see chord
-	out     [][]Edge
-	in      [][]Edge // reverse adjacency, for searches toward a target
-	edgeCnt int
+	pts []geo.Point
+	xyz [][3]float64 // pts on the sphere, Cartesian metres; see chord
+	rows
+	speed []float64
+	class []RoadClass
 }
 
 // MeasureMem implements memsize.Measurer. The graph is immutable after
@@ -86,34 +107,100 @@ func (g *Graph) MeasureMem(a *memsize.Accumulator) {
 	a.Add(g)
 }
 
-// AddNode inserts a node at p and returns its ID.
-func (g *Graph) AddNode(p geo.Point) NodeID {
-	id := NodeID(len(g.pts))
-	g.pts = append(g.pts, p)
-	lat, lng := p.Lat*math.Pi/180, p.Lng*math.Pi/180
-	r := geo.EarthRadiusMeters * math.Cos(lat) // of the parallel
-	g.xyz = append(g.xyz, [3]float64{r * math.Cos(lng), r * math.Sin(lng), geo.EarthRadiusMeters * math.Sin(lat)})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	return id
-}
-
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.pts) }
 
 // NumEdges returns the number of directed edges.
-func (g *Graph) NumEdges() int { return g.edgeCnt }
+func (g *Graph) NumEdges() int { return len(g.head) }
 
 // Point returns the geometry of node id.
 func (g *Graph) Point(id NodeID) geo.Point { return g.pts[id] }
 
-// Out returns the outgoing edges of node id. Callers must not mutate the
-// returned slice.
-func (g *Graph) Out(id NodeID) []Edge { return g.out[id] }
+// Out returns the arcs leaving node id as a range of arc indices: Arc(e)
+// for lo ≤ e < hi, in the order they were added.
+func (g *Graph) Out(id NodeID) (lo, hi int32) { return g.off[id], g.off[id+1] }
 
-// In returns the incoming edges of node id, expressed as Edge values whose
-// To field holds the *source* of the original edge.
-func (g *Graph) In(id NodeID) []Edge { return g.in[id] }
+// Arc returns arc e, its head in To.
+func (g *Graph) Arc(e int32) Edge {
+	return Edge{To: g.head[e], Length: g.length[e], Speed: g.speed[e], Class: g.class[e]}
+}
+
+// reversed returns r turned around: the arcs entering v, each with its
+// source as head, in the order of their sources and, from one source, of
+// its row. The bucket parameters depend only on the lengths and are r's.
+func (r *rows) reversed() *rows {
+	n := len(r.off) - 1
+	src := make([]NodeID, len(r.head))
+	for v := range n {
+		for e := r.off[v]; e < r.off[v+1]; e++ {
+			src[e] = NodeID(v)
+		}
+	}
+	t := *r
+	var order []int32
+	t.off, order = group(n, r.head)
+	t.head, t.length = make([]NodeID, len(order)), make([]float64, len(order))
+	for i, e := range order {
+		t.head[i], t.length[i] = src[e], r.length[e]
+	}
+	return &t
+}
+
+// group sorts the items 0 … len(key)−1 by key into n rows, stably: row v
+// is order[off[v]:off[v+1]], the items whose key is v in their own order.
+func group(n int, key []NodeID) (off, order []int32) {
+	off = make([]int32, n+1)
+	for _, k := range key {
+		off[k+1]++
+	}
+	for v := range n {
+		off[v+1] += off[v]
+	}
+	next := slices.Clone(off[:n])
+	order = make([]int32, len(key))
+	for i, k := range key {
+		order[next[k]] = int32(i)
+		next[k]++
+	}
+	return off, order
+}
+
+// Builder lays out a Graph: nodes and arcs are added one at a time, each
+// arc checked as it comes, and Build stores the arcs once, in compressed
+// rows. The zero value is empty and ready to use.
+type Builder struct {
+	g    Graph    // the nodes so far
+	from []NodeID // the arcs' sources, in the order they were added
+	arcs []Edge
+}
+
+// AddNode inserts a node at p and returns its ID. IDs are dense: the i-th
+// node added has ID i.
+func (b *Builder) AddNode(p geo.Point) NodeID {
+	id := NodeID(len(b.g.pts))
+	b.g.pts = append(b.g.pts, p)
+	lat, lng := p.Lat*math.Pi/180, p.Lng*math.Pi/180
+	r := geo.EarthRadiusMeters * math.Cos(lat) // of the parallel
+	b.g.xyz = append(b.g.xyz, [3]float64{r * math.Cos(lng), r * math.Sin(lng), geo.EarthRadiusMeters * math.Sin(lat)})
+	return id
+}
+
+// Build lays the arcs out in compressed rows, each source's in the order
+// they were added, and returns the graph. The graph shares nothing with
+// b, which may go on growing and build again.
+func (b *Builder) Build() *Graph {
+	g := Graph{pts: slices.Clone(b.g.pts), xyz: slices.Clone(b.g.xyz)}
+	var order []int32
+	g.off, order = group(len(g.pts), b.from)
+	m := len(order)
+	g.head, g.length, g.speed, g.class = make([]NodeID, m), make([]float64, m), make([]float64, m), make([]RoadClass, m)
+	for e, i := range order {
+		a := &b.arcs[i]
+		g.head[e], g.length[e], g.speed[e], g.class[e] = a.To, a.Length, a.Speed, a.Class
+	}
+	g.setBuckets()
+	return &g
+}
 
 // chordSlack is the relative rounding tolerance of the chord invariant:
 // AddEdge accepts a length down to chord·(1−chordSlack), and chordBound
@@ -144,7 +231,8 @@ func (g *Graph) chordBound(v, t NodeID) float64 {
 // A* and ALT searches inexact); speeds must be positive. It returns an
 // error so network-building bugs surface at construction, not as corrupt
 // searches later.
-func (g *Graph) AddEdge(from, to NodeID, length, speed float64, class RoadClass) error {
+func (b *Builder) AddEdge(from, to NodeID, length, speed float64, class RoadClass) error {
+	g := &b.g
 	if from < 0 || int(from) >= len(g.pts) || to < 0 || int(to) >= len(g.pts) {
 		return fmt.Errorf("roadnet: edge endpoints %d→%d out of range [0,%d)", from, to, len(g.pts))
 	}
@@ -165,19 +253,18 @@ func (g *Graph) AddEdge(from, to NodeID, length, speed float64, class RoadClass)
 	} else if !(length >= chord*(1-chordSlack)) {
 		return fmt.Errorf("roadnet: edge %d→%d length %v is shorter than the %v m straight line between its endpoints", from, to, length, chord)
 	}
-	g.out[from] = append(g.out[from], Edge{To: to, Length: length, Speed: speed, Class: class})
-	g.in[to] = append(g.in[to], Edge{To: from, Length: length, Speed: speed, Class: class})
-	g.edgeCnt++
+	b.from = append(b.from, from)
+	b.arcs = append(b.arcs, Edge{To: to, Length: length, Speed: speed, Class: class})
 	return nil
 }
 
 // AddBidirectional inserts edges in both directions with the same
 // attributes.
-func (g *Graph) AddBidirectional(a, b NodeID, length, speed float64, class RoadClass) error {
-	if err := g.AddEdge(a, b, length, speed, class); err != nil {
+func (b *Builder) AddBidirectional(u, v NodeID, length, speed float64, class RoadClass) error {
+	if err := b.AddEdge(u, v, length, speed, class); err != nil {
 		return err
 	}
-	return g.AddEdge(b, a, length, speed, class)
+	return b.AddEdge(v, u, length, speed, class)
 }
 
 // BBox returns the bounding box of all node geometry.
@@ -192,7 +279,7 @@ func (g *Graph) BBox() geo.BBox {
 func (g *Graph) PathLength(path []NodeID) (float64, error) {
 	var total float64
 	for i := 1; i < len(path); i++ {
-		l, ok := g.edgeLength(path[i-1], path[i])
+		l, _, ok := g.hop(path[i-1], path[i])
 		if !ok {
 			return 0, fmt.Errorf("roadnet: path step %d: no edge %d→%d", i, path[i-1], path[i])
 		}
@@ -283,7 +370,7 @@ func (sp Splice) check(route []NodeID) error {
 // length of the prefix the routes share.
 func (g *Graph) stretchLen(sp Splice, prefix float64) (float64, error) {
 	for j := sp.Part + 1; j <= sp.OldRejoin; j++ {
-		l, ok := g.edgeLength(sp.Old[j-1], sp.Old[j])
+		l, _, ok := g.hop(sp.Old[j-1], sp.Old[j])
 		if !ok {
 			return 0, fmt.Errorf("roadnet: old path step %d: no edge %d→%d", j, sp.Old[j-1], sp.Old[j])
 		}
@@ -292,37 +379,32 @@ func (g *Graph) stretchLen(sp Splice, prefix float64) (float64, error) {
 	return prefix, nil
 }
 
-// hop returns, from one scan of a's out-edges, the length of the
-// shortest edge to b (edgeLength's), the free-flow time of the fastest
-// (stepTime's), and whether there is one.
+// hop returns, from one scan of a's out-arcs, the length of the
+// shortest arc to b, the free-flow time of the fastest, and whether there
+// is one.
 func (g *Graph) hop(a, b NodeID) (length, time float64, ok bool) {
 	length, time = math.Inf(1), math.Inf(1)
-	for _, e := range g.out[a] {
-		if e.To == b {
-			length, time, ok = min(length, e.Length), min(time, e.Length/e.Speed), true
+	for e := g.off[a]; e < g.off[a+1]; e++ {
+		if g.head[e] == b {
+			length, time, ok = min(length, g.length[e]), min(time, g.length[e]/g.speed[e]), true
 		}
 	}
 	return length, time, ok
 }
 
-func (g *Graph) edgeLength(from, to NodeID) (float64, bool) {
-	best := math.Inf(1)
-	found := false
-	for _, e := range g.out[from] {
-		if e.To == to && e.Length < best {
-			best = e.Length
-			found = true
-		}
-	}
-	return best, found
-}
-
 // LargestComponent returns the node set of the largest weakly-connected
-// component. The synthetic generator uses it to discard isolated islands
-// created by random edge removal, and loaders can use it to sanitize real
-// data.
-func (g *Graph) LargestComponent() []NodeID {
-	n := len(g.pts)
+// component in the order a depth-first walk visits it, each node's
+// out-arcs before its in-arcs, in the order added. The generator uses it
+// to discard islands that random edge removal leaves.
+func (b *Builder) LargestComponent() []NodeID {
+	n, m := len(b.g.pts), len(b.arcs)
+	// Item i < m is arc i at its source, item m+i the arc at its head: row
+	// v of the grouped items is v's out-arcs, then its in-arcs.
+	ends := make([]NodeID, 2*m)
+	for i := range b.arcs {
+		ends[i], ends[m+i] = b.from[i], b.arcs[i].To
+	}
+	off, order := group(n, ends)
 	comp := make([]int32, n)
 	for i := range comp {
 		comp[i] = -1
@@ -341,16 +423,10 @@ func (g *Graph) LargestComponent() []NodeID {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			members = append(members, v)
-			for _, e := range g.out[v] {
-				if comp[e.To] == -1 {
-					comp[e.To] = cur
-					stack = append(stack, e.To)
-				}
-			}
-			for _, e := range g.in[v] {
-				if comp[e.To] == -1 {
-					comp[e.To] = cur
-					stack = append(stack, e.To)
+			for _, i := range order[off[v]:off[v+1]] {
+				if u := ends[(int(i)+m)%(2*m)]; comp[u] == -1 {
+					comp[u] = cur
+					stack = append(stack, u)
 				}
 			}
 		}
@@ -362,25 +438,25 @@ func (g *Graph) LargestComponent() []NodeID {
 	return best
 }
 
-// InducedSubgraph returns a new graph containing only the given nodes and
-// the edges among them, together with the mapping old→new node IDs
-// (InvalidNode for dropped nodes).
-func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, []NodeID) {
-	remap := make([]NodeID, len(g.pts))
+// InducedSubgraph returns a builder of only the given nodes, in the order
+// given, and the arcs among them, each source's in the order added, and
+// the mapping old→new node IDs (InvalidNode for dropped nodes).
+func (b *Builder) InducedSubgraph(keep []NodeID) (*Builder, []NodeID) {
+	remap := make([]NodeID, len(b.g.pts))
 	for i := range remap {
 		remap[i] = InvalidNode
 	}
-	sub := &Graph{}
+	sub := &Builder{}
 	for _, old := range keep {
-		remap[old] = sub.AddNode(g.pts[old])
+		remap[old] = sub.AddNode(b.g.pts[old])
 	}
+	off, order := group(len(b.g.pts), b.from)
 	for _, old := range keep {
-		for _, e := range g.out[old] {
-			if remap[e.To] == InvalidNode {
-				continue
+		for _, i := range order[off[old]:off[old+1]] {
+			if e := b.arcs[i]; remap[e.To] != InvalidNode {
+				e.To = remap[e.To]
+				sub.from, sub.arcs = append(sub.from, remap[old]), append(sub.arcs, e)
 			}
-			// Endpoints validated by construction; error impossible.
-			_ = sub.AddEdge(remap[old], remap[e.To], e.Length, e.Speed, e.Class)
 		}
 	}
 	return sub, remap

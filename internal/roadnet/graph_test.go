@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"xar/internal/geo"
+	"xar/internal/memsize"
 )
 
 // buildTriangle makes a 3-node graph: 0→1 (100m), 1→2 (100m), 0→2 (250m).
 // The shortest 0→2 path goes through 1.
 func buildTriangle(t *testing.T) *Graph {
 	t.Helper()
-	g := &Graph{}
+	g := &Builder{}
 	p0 := geo.Point{Lat: 40.70, Lng: -74.00}
 	n0 := g.AddNode(p0)
 	n1 := g.AddNode(geo.Destination(p0, 90, 100))
@@ -28,11 +29,11 @@ func buildTriangle(t *testing.T) *Graph {
 	if err := g.AddEdge(n0, n2, 250, 10, ClassStreet); err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return g.Build()
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := &Graph{}
+	g := &Builder{}
 	a := g.AddNode(geo.Point{Lat: 40.7, Lng: -74})
 	b := g.AddNode(geo.Point{Lat: 40.71, Lng: -74})
 	if err := g.AddEdge(a, b, 100, 0, ClassStreet); err == nil {
@@ -50,30 +51,30 @@ func TestAddEdgeValidation(t *testing.T) {
 }
 
 func TestAddEdgeDefaultsLengthToHaversine(t *testing.T) {
-	g := &Graph{}
+	g := &Builder{}
 	p := geo.Point{Lat: 40.7, Lng: -74}
 	a := g.AddNode(p)
 	b := g.AddNode(geo.Destination(p, 90, 500))
 	if err := g.AddEdge(a, b, 0, 10, ClassStreet); err != nil {
 		t.Fatal(err)
 	}
-	if l := g.Out(a)[0].Length; math.Abs(l-500) > 1 {
+	if l := g.Build().Arc(0).Length; math.Abs(l-500) > 1 {
 		t.Fatalf("defaulted edge length = %.2f, want ~500", l)
 	}
 }
 
+// TestReverseAdjacency: the reverse rows derived from the forward ones
+// hold each arc once, turned around, in the order of the sources.
 func TestReverseAdjacency(t *testing.T) {
-	g := buildTriangle(t)
-	in2 := g.In(2)
-	if len(in2) != 2 {
-		t.Fatalf("node 2 has %d incoming edges, want 2", len(in2))
+	rev := buildTriangle(t).reversed()
+	if want := []int32{0, 0, 1, 3}; !slices.Equal(rev.off, want) {
+		t.Fatalf("reverse offsets %v, want %v", rev.off, want)
 	}
-	sources := map[NodeID]bool{}
-	for _, e := range in2 {
-		sources[e.To] = true
+	if want := []NodeID{0, 0, 1}; !slices.Equal(rev.head, want) {
+		t.Fatalf("reverse heads %v, want %v", rev.head, want)
 	}
-	if !sources[0] || !sources[1] {
-		t.Fatalf("incoming sources of node 2 = %v, want {0,1}", sources)
+	if want := []float64{100, 250, 100}; !slices.Equal(rev.length, want) {
+		t.Fatalf("reverse lengths %v, want %v", rev.length, want)
 	}
 }
 
@@ -131,10 +132,8 @@ func floydWarshall(g *Graph) [][]float64 {
 		}
 	}
 	for v := 0; v < n; v++ {
-		for _, e := range g.Out(NodeID(v)) {
-			if e.Length < d[v][e.To] {
-				d[v][e.To] = e.Length
-			}
+		for e := g.off[v]; e < g.off[v+1]; e++ {
+			d[v][g.head[e]] = min(d[v][g.head[e]], g.length[e])
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -153,7 +152,11 @@ func floydWarshall(g *Graph) [][]float64 {
 }
 
 func randomGraph(r *rand.Rand, n int, edgeProb float64) *Graph {
-	g := &Graph{}
+	return randomBuilder(r, n, edgeProb).Build()
+}
+
+func randomBuilder(r *rand.Rand, n int, edgeProb float64) *Builder {
+	g := &Builder{}
 	origin := geo.Point{Lat: 40.7, Lng: -74.0}
 	for i := 0; i < n; i++ {
 		p := geo.Destination(origin, 0, r.Float64()*5000)
@@ -165,7 +168,7 @@ func randomGraph(r *rand.Rand, n int, edgeProb float64) *Graph {
 			if i == j || r.Float64() > edgeProb {
 				continue
 			}
-			base := geo.Haversine(g.Point(NodeID(i)), g.Point(NodeID(j)))
+			base := geo.Haversine(g.g.Point(NodeID(i)), g.g.Point(NodeID(j)))
 			// Edge length ≥ straight line keeps the A* heuristic admissible.
 			length := base * (1 + r.Float64())
 			if length <= 0 {
@@ -452,7 +455,7 @@ func TestPathLengthErrors(t *testing.T) {
 }
 
 func TestLargestComponent(t *testing.T) {
-	g := &Graph{}
+	g := &Builder{}
 	p := geo.Point{Lat: 40.7, Lng: -74}
 	// Component A: 3 nodes; component B: 2 nodes.
 	a0 := g.AddNode(p)
@@ -468,8 +471,8 @@ func TestLargestComponent(t *testing.T) {
 	if len(comp) != 3 {
 		t.Fatalf("largest component has %d nodes, want 3", len(comp))
 	}
-	sub, remap := g.InducedSubgraph(comp)
-	if sub.NumNodes() != 3 || sub.NumEdges() != 4 {
+	b, remap := g.InducedSubgraph(comp)
+	if sub := b.Build(); sub.NumNodes() != 3 || sub.NumEdges() != 4 {
 		t.Fatalf("subgraph: %d nodes %d edges, want 3/4", sub.NumNodes(), sub.NumEdges())
 	}
 	if remap[b0] != InvalidNode || remap[b1] != InvalidNode {
@@ -485,5 +488,24 @@ func TestRoadClassString(t *testing.T) {
 	}
 	if RoadClass(99).String() != "roadclass(99)" {
 		t.Fatal("unknown class string")
+	}
+}
+
+// TestStoredBytes pins what the repository benchmark's city, 80x44 at
+// seed 42, keeps resident: the graph, its 10 370 arcs stored once as rows
+// (1 262 096 B with per-node out and in []Edge slices), and an ALT's own
+// bytes beyond the graph, its table (364 004 B with a flat copy of the
+// forward arcs beside it).
+func TestStoredBytes(t *testing.T) {
+	g := genTestCity(t, 80, 44, 42).Graph
+	alt, err := NewALT(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := memsize.Of(g); got != 379502 {
+		t.Errorf("graph %d B, want 379 502", got)
+	}
+	if got := memsize.Of(alt) - memsize.Of(g); got != 225368 {
+		t.Errorf("ALT %d B beyond the graph, want 225 368", got)
 	}
 }

@@ -16,10 +16,14 @@ func boundedToAll(s *Searcher, source NodeID, reverse bool) []float64 {
 	for i := range out {
 		out[i] = math.Inf(1)
 	}
-	s.bounded(source, math.Inf(1), func(v NodeID, d float64) bool {
+	r := &s.g.rows
+	if reverse {
+		r = s.reverse()
+	}
+	s.bounded(r, source, math.Inf(1), func(v NodeID, d float64) bool {
 		out[v] = d
 		return true
-	}, reverse)
+	})
 	return out
 }
 
@@ -72,16 +76,17 @@ func TestDistancesToAllMatchesBoundedSearchExactly(t *testing.T) {
 // bridge into it shows in exactly one of them.
 func TestDistancesToAllUnreachableComponent(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	g := randomGraph(r, 30, 0.15)
-	island := g.NumNodes()
+	b := randomBuilder(r, 30, 0.15)
+	island := len(b.g.pts)
 	for i := 0; i < 6; i++ {
-		g.AddNode(geo.Point{Lat: 41 + float64(i)*1e-3, Lng: -73})
+		b.AddNode(geo.Point{Lat: 41 + float64(i)*1e-3, Lng: -73})
 	}
 	for i := 0; i < 5; i++ {
-		if err := g.AddBidirectional(NodeID(island+i), NodeID(island+i+1), 0, 10, ClassStreet); err != nil {
+		if err := b.AddBidirectional(NodeID(island+i), NodeID(island+i+1), 0, 10, ClassStreet); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Build()
 	if checkKernel(t, g, 60, r) == 0 {
 		t.Fatal("no unreachable pair: the island is connected")
 	}
@@ -89,10 +94,11 @@ func TestDistancesToAllUnreachableComponent(t *testing.T) {
 	if d := s.DistancesToAll(0, nil); !math.IsInf(d[island], 1) {
 		t.Fatalf("mainland reaches the island at %v", d[island])
 	}
-	if err := g.AddEdge(NodeID(island), 0, 0, 10, ClassStreet); err != nil {
+	if err := b.AddEdge(NodeID(island), 0, 0, 10, ClassStreet); err != nil {
 		t.Fatal(err)
 	}
-	// The same Searcher sees the edge added after its first sweep.
+	g = b.Build()
+	s = NewSearcher(g)
 	if d := s.DistancesToAll(NodeID(island+5), nil); math.IsInf(d[0], 1) {
 		t.Fatal("island cannot reach the mainland over the new bridge")
 	}
@@ -108,22 +114,23 @@ func TestDistancesToAllUnreachableComponent(t *testing.T) {
 // an explicit length.
 func TestDistancesToAllWideArcSpread(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	g := &Graph{}
+	b := &Builder{}
 	const n = 300
 	for i := 0; i < n; i++ {
-		g.AddNode(geo.Point{Lat: 40.7, Lng: -74})
+		b.AddNode(geo.Point{Lat: 40.7, Lng: -74})
 	}
 	for i := 0; i < 4*n; i++ {
-		a, b := NodeID(r.Intn(n)), NodeID(r.Intn(n))
-		if a == b {
+		u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
+		if u == v {
 			continue
 		}
-		if err := g.AddEdge(a, b, math.Pow(10, 6*r.Float64()), 10, ClassStreet); err != nil {
+		if err := b.AddEdge(u, v, math.Pow(10, 6*r.Float64()), 10, ClassStreet); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if f := flatten(g.out, g.edgeCnt); f.mask+1 < maxBucketSpan {
-		t.Fatalf("ring of %d slots: the spread does not reach maxBucketSpan", f.mask+1)
+	g := b.Build()
+	if g.mask+1 < maxBucketSpan {
+		t.Fatalf("ring of %d slots: the spread does not reach maxBucketSpan", g.mask+1)
 	}
 	checkKernel(t, g, 100, r)
 }
@@ -140,10 +147,10 @@ func TestDistancesToAllReusesCallerSlice(t *testing.T) {
 		t.Fatalf("%v allocations a sweep into a reused slice", allocs)
 	}
 	// No arcs at all: the source is the one settled node.
-	lone := &Graph{}
+	lone := &Builder{}
 	lone.AddNode(geo.Point{Lat: 40.7, Lng: -74})
 	lone.AddNode(geo.Point{Lat: 40.8, Lng: -74})
-	if d := NewSearcher(lone).DistancesToAll(1, nil); !math.IsInf(d[0], 1) || d[1] != 0 {
+	if d := NewSearcher(lone.Build()).DistancesToAll(1, nil); !math.IsInf(d[0], 1) || d[1] != 0 {
 		t.Fatalf("arcless graph: %v", d)
 	}
 }

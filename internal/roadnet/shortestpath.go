@@ -110,17 +110,27 @@ type label struct {
 // Reusing a Searcher across queries avoids reallocating the O(n) array.
 type Searcher struct {
 	g        *Graph
+	rev      *rows // g's reverse rows, derived at the first reverse search
 	labels   []label
 	gen      uint32
-	labelled int   // nodes the current generation has labelled
-	queue    pq    // DistancesWithin's heap
-	ring     ring  // the A* loop's
-	sw       sweep // flat adjacency and one-to-all scratch; see DistancesToAll
+	labelled int        // nodes this generation has labelled
+	queue    pq         // DistancesWithin's heap
+	ring     ring       // the A* loop's
+	buckets  [][]NodeID // the one-to-all kernel's ring; see DistancesToAll
 }
 
 // NewSearcher creates a Searcher bound to g.
 func NewSearcher(g *Graph) *Searcher {
 	return &Searcher{g: g, labels: make([]label, g.NumNodes())}
+}
+
+// reverse returns g's reverse rows, derived at the first call and kept
+// by the Searcher, so they die with the pre-processing that needed them.
+func (s *Searcher) reverse() *rows {
+	if s.rev == nil {
+		s.rev = s.g.reversed()
+	}
+	return s.rev
 }
 
 func (s *Searcher) reset() {
@@ -182,7 +192,7 @@ type ring struct {
 	ent     []ringEntry
 	free    int32 // the first reusable entry, 0 if none
 	over    pq
-	inv     float64 // flatAdj.keyInv: a power of two, so k·inv is exact
+	inv     float64 // rows.keyInv: a power of two, so k·inv is exact
 	mask    int
 	cur, hi int
 }
@@ -193,18 +203,18 @@ type ringEntry struct {
 	next int32
 }
 
-// start readies q for a search over adj, sizing it the first time: a
-// pool of half as many entries as the graph's n nodes, more than twice
-// the most a search holds at once (708 of 3 520 nodes on the 80x44
-// city's random pairs, ALT; 306, plain A*). A search that needs more
-// grows it once, and the searcher keeps it.
-func (q *ring) start(adj *flatAdj, n int) {
-	if len(q.top) <= adj.keyMask {
-		q.top = make([]int32, adj.keyMask+1)
+// start readies q for a search over r, sizing it the first time: a pool
+// of half as many entries as the graph's n nodes, more than twice the
+// most a search holds at once (708 of 3 520 nodes on the 80x44 city's
+// random pairs, ALT; 306, plain A*). A search that needs more grows it
+// once, and the searcher keeps it.
+func (q *ring) start(r *rows, n int) {
+	if len(q.top) <= r.keyMask {
+		q.top = make([]int32, r.keyMask+1)
 		q.ent = make([]ringEntry, 1, 1+n/2)
 	}
 	q.ent, q.free, q.over = q.ent[:1], 0, q.over[:0]
-	q.inv, q.mask = adj.keyInv, adj.keyMask
+	q.inv, q.mask = r.keyInv, r.keyMask
 }
 
 // stop empties the slots a search left filled, cur's to hi's (where cur
@@ -281,7 +291,7 @@ func (s *Searcher) advance(limit float64) bool {
 }
 
 // astar is the one A* loop behind every heuristic search: a
-// label-correcting search in key order over the flat adjacency and the
+// label-correcting search in key order over the graph's rows and the
 // ring above. The lower bound on the remaining distance, in quanta, is
 // read off tab, ALT's rows (inline, no closure), or, where tab is
 // nil, got from h; it is evaluated once per labelled node and must be 0
@@ -292,10 +302,10 @@ func (s *Searcher) astar(source, target NodeID, tab []altRow, h func(NodeID) int
 	if source == target {
 		return SPResult{Dist: 0, Path: []NodeID{source}}
 	}
-	adj := s.forward()
+	r := &s.g.rows
 	s.reset()
 	q := &s.ring
-	q.start(adj, len(s.labels))
+	q.start(r, len(s.labels))
 	var rt altRow // the target's shaved row, where tab is set
 	var hs int32
 	if tab != nil {
@@ -305,7 +315,7 @@ func (s *Searcher) astar(source, target NodeID, tab []altRow, h func(NodeID) int
 		hs = h(source)
 	}
 	labels, gen := s.labels, s.gen
-	off, to, w := adj.off, adj.to, adj.w
+	off, to, w := r.off, r.head, r.length
 
 	ls := &labels[source]
 	*ls = label{h: hs, prev: InvalidNode, stamp: gen}
@@ -404,7 +414,7 @@ type Visit func(node NodeID, dist float64) bool
 // (grid→landmark assignments use a bounded search of radius Δ from each
 // landmark over the *reverse* graph; see DistancesWithinReverse).
 func (s *Searcher) DistancesWithin(source NodeID, radius float64, visit Visit) {
-	s.bounded(source, radius, visit, false)
+	s.bounded(&s.g.rows, source, radius, visit)
 }
 
 // DistancesWithinReverse is DistancesWithin on the reverse graph: it
@@ -412,10 +422,10 @@ func (s *Searcher) DistancesWithin(source NodeID, radius float64, visit Visit) {
 // "drive from grid g to landmark l" follows edge directions g→l, the
 // per-landmark pre-processing uses the reverse search from l.
 func (s *Searcher) DistancesWithinReverse(source NodeID, radius float64, visit Visit) {
-	s.bounded(source, radius, visit, true)
+	s.bounded(s.reverse(), source, radius, visit)
 }
 
-func (s *Searcher) bounded(source NodeID, radius float64, visit Visit, reverse bool) {
+func (s *Searcher) bounded(r *rows, source NodeID, radius float64, visit Visit) {
 	if radius < 0 {
 		return
 	}
@@ -435,45 +445,26 @@ func (s *Searcher) bounded(source NodeID, radius float64, visit Visit, reverse b
 		if !visit(v, dv) {
 			return
 		}
-		edges := s.g.Out(v)
-		if reverse {
-			edges = s.g.In(v)
-		}
-		for _, e := range edges {
-			nd := dv + e.Length
-			if nd <= radius && s.relax(e.To, nd, v) {
-				s.queue.push(pqItem{node: e.To, prio: nd})
+		for e := r.off[v]; e < r.off[v+1]; e++ {
+			u, nd := r.head[e], dv+r.length[e]
+			if nd <= radius && s.relax(u, nd, v) {
+				s.queue.push(pqItem{node: u, prio: nd})
 			}
 		}
 	}
 }
 
 // TravelTime converts a path to a free-flow travel time in seconds using
-// each edge's speed. It returns an error naming the first step that is
-// not an edge.
+// each edge's speed (the fastest of parallel edges). It returns an error
+// naming the first step that is not an edge.
 func (g *Graph) TravelTime(path []NodeID) (float64, error) {
 	var total float64
 	for i := 1; i < len(path); i++ {
-		t, ok := g.stepTime(path[i-1], path[i])
+		_, t, ok := g.hop(path[i-1], path[i])
 		if !ok {
 			return 0, fmt.Errorf("roadnet: path step %d: nodes %d→%d not adjacent", i, path[i-1], path[i])
 		}
 		total += t
 	}
 	return total, nil
-}
-
-// stepTime returns the free-flow time of the fastest edge from a to b,
-// and whether there is one.
-func (g *Graph) stepTime(a, b NodeID) (float64, bool) {
-	best, found := math.Inf(1), false
-	for _, e := range g.out[a] {
-		if e.To == b {
-			if t := e.Length / e.Speed; t < best {
-				best = t
-			}
-			found = true
-		}
-	}
-	return best, found
 }

@@ -15,7 +15,7 @@ import (
 // longer and slower than both.
 func parallelGrid(t *testing.T) *Graph {
 	t.Helper()
-	g := &Graph{}
+	g := &Builder{}
 	origin := geo.Point{Lat: 40.70, Lng: -74.00}
 	const side = 4
 	for r := 0; r < side; r++ {
@@ -46,7 +46,7 @@ func parallelGrid(t *testing.T) *Graph {
 			}
 		}
 	}
-	return g
+	return g.Build()
 }
 
 // routeETAsFold is the ETA fold the walk replaced: start, then each step's
@@ -56,8 +56,14 @@ func routeETAsFold(t *testing.T, g *Graph, route []NodeID, start float64) []floa
 	etas := make([]float64, len(route))
 	etas[0] = start
 	for i := 1; i < len(route); i++ {
-		step, ok := g.stepTime(route[i-1], route[i])
-		if !ok {
+		step := math.Inf(1)
+		lo, hi := g.Out(route[i-1])
+		for e := lo; e < hi; e++ {
+			if a := g.Arc(e); a.To == route[i] {
+				step = min(step, a.Length/a.Speed)
+			}
+		}
+		if math.IsInf(step, 1) {
 			t.Fatalf("oracle: step %d→%d is not an edge", route[i-1], route[i])
 		}
 		etas[i] = etas[i-1] + step
@@ -70,8 +76,8 @@ func routeETAsFold(t *testing.T, g *Graph, route []NodeID, start float64) []floa
 func randomWalk(rng *rand.Rand, g *Graph, v NodeID, hops int) []NodeID {
 	p := []NodeID{v}
 	for range hops {
-		out := g.Out(v)
-		v = out[rng.Intn(len(out))].To
+		lo, hi := g.Out(v)
+		v = g.Arc(lo + rng.Int31n(hi-lo)).To
 		p = append(p, v)
 	}
 	return p
@@ -150,8 +156,8 @@ func TestWalkRouteEqualsPathLengthAndETAFold(t *testing.T) {
 		for i := 1; i < len(old); i++ {
 			var short, fast Edge
 			short.Length, fast.Length, fast.Speed = math.Inf(1), math.Inf(1), 1
-			for _, e := range g.Out(old[i-1]) {
-				if e.To == old[i] {
+			for e, hi := g.Out(old[i-1]); e < hi; e++ {
+				if e := g.Arc(e); e.To == old[i] {
 					if e.Length < short.Length {
 						short = e
 					}
